@@ -183,9 +183,10 @@ impl Workspace {
         &self.dictionary
     }
 
-    /// Number of distinct values currently interned in the workspace's
+    /// Number of distinct values currently stored in the workspace's
     /// dictionary (the workspace's interned residency; bounded by the
-    /// workspace lifetime, not by a quota).
+    /// workspace lifetime, not by a quota).  The bitstrings a reduction
+    /// introduces have computed ids and are not stored, so not counted.
     pub fn dictionary_len(&self) -> usize {
         self.dictionary.len()
     }
@@ -511,8 +512,9 @@ mod tests {
         assert!(after_ingest > 0);
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         assert!(!engine.evaluate(&q, &db).unwrap());
-        // The reduction interned its bitstrings into the workspace…
-        assert!(ws.dictionary_len() > after_ingest);
+        // The reduction's bitstring ids are computed, not stored: evaluation
+        // stores at most the enumerate path's one placeholder value…
+        assert!(ws.dictionary_len() <= after_ingest + 1);
         // …and nothing the workspace interned reached the global store.
         assert!(ws.dictionary().lookup(&canary).is_some());
         assert!(ij_relation::SharedDictionary::global()

@@ -21,15 +21,29 @@
 //! Transformed relations are shared across the EJ queries of the disjunction:
 //! the relation for an atom only depends on the *level* assigned to each of
 //! its interval variables, not on the full permutation.
+//!
+//! # The transform kernel
+//!
+//! The transform never leaves the id domain.  The canonical partition and
+//! the leaf of every cell are computed once per (atom, interval column)
+//! (`NodeLists`) and shared by all level assignments of the atom.  One
+//! relation build (`build_transformed_relation`, which also builds the parts
+//! of the decomposed encoding) then walks the source rows with one reusable
+//! flat id buffer per source column — a carried column contributes its source
+//! id, an interval column the pieces of every (node, composition) pair, cut
+//! by an odometer over the cut positions — and emits the cross product of
+//! the buffers with a second odometer into one reusable row.  A piece is a
+//! bitstring of at most the tree height, so its id is computed, not looked
+//! up (the inline ids of [`SharedDictionary::intern`]): no hash, no lock and
+//! no allocation per row.  [`Relation::dedup`] then sorts the raw ids.
 
-use ij_hypergraph::{full_reduction, Hypergraph, ReducedHypergraph, VarId, VarKind};
-use ij_relation::sync::lock_recover;
+use ij_hypergraph::{full_reduction, ReducedHypergraph, VarId, VarKind};
 use ij_relation::{
     faults, CancelTicker, CancellationToken, Database, EvalError, Query, Relation,
     SharedDictionary, Value, ValueId,
 };
 use ij_segtree::{BitString, Interval, SegmentTree};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the transformed relations encode the bitstring columns of an atom with
 /// several interval variables (Section 1.1, closing discussion).
@@ -254,7 +268,8 @@ pub fn forward_reduction_with(
 }
 
 /// [`forward_reduction_with`] polling a [`CancellationToken`]: the per-tuple
-/// transform loops of every relation build check the token every
+/// loops — the segment-tree node pass over every interval column and the
+/// expansion of every relation build — check the token every
 /// [`check_interval`](CancellationToken::check_interval) rows and abort with
 /// [`ReductionError::Interrupted`] when it fires — the segment-tree builds
 /// and the structural reduction run to completion (both are small: `O(N)`
@@ -265,41 +280,51 @@ pub fn forward_reduction_with_token(
     config: ReductionConfig,
     token: Option<&CancellationToken>,
 ) -> Result<ForwardReduction, ReductionError> {
+    validate(q, db)?;
     let (hypergraph, var_ids) = q.hypergraph();
-    validate(q, db, &hypergraph)?;
 
-    // --- segment trees, one per join interval variable ---------------------
+    // --- segment trees, one per join interval variable, and the tree nodes
+    // of every source tuple, once per column bound to the variable ----------
     let id_to_name: BTreeMap<VarId, String> = var_ids
         .iter()
         .map(|(name, &id)| (id, name.clone()))
         .collect();
-    let mut trees: BTreeMap<VarId, SegmentTree> = BTreeMap::new();
+    let mut degrees: BTreeMap<VarId, usize> = BTreeMap::new();
+    let mut node_lists: BTreeMap<(usize, usize), NodeLists> = BTreeMap::new();
     let mut stats = ReductionStats {
         input_tuples: db.total_tuples(),
         ..ReductionStats::default()
     };
     for &var in &hypergraph.join_interval_vars() {
         let name = &id_to_name[&var];
-        let mut intervals: Vec<Interval> = Vec::new();
-        for atom in q.atoms() {
-            for (col, v) in atom.vars.iter().enumerate() {
-                if v == name {
-                    let rel = db.relation(&atom.relation).expect("validated");
-                    for value in rel.column(col) {
-                        let iv = value.to_interval().ok_or(ReductionError::NotAnInterval {
-                            relation: atom.relation.clone(),
-                            column: col,
-                        })?;
-                        intervals.push(iv);
-                    }
-                }
-            }
+        let mut columns: Vec<((usize, usize), Vec<Interval>)> = Vec::new();
+        for (atom_idx, atom) in q.atoms().iter().enumerate() {
+            // At most one column per atom: `validate` rejects repeats.
+            let Some(col) = atom.vars.iter().position(|v| v == name) else {
+                continue;
+            };
+            let rel = db.relation(&atom.relation).expect("validated");
+            let intervals = rel
+                .column(col)
+                .map(|value| {
+                    value.to_interval().ok_or(ReductionError::NotAnInterval {
+                        relation: atom.relation.clone(),
+                        column: col,
+                    })
+                })
+                .collect::<Result<Vec<Interval>, _>>()?;
+            columns.push(((atom_idx, col), intervals));
         }
-        let tree = SegmentTree::build(&intervals);
+        let all: Vec<Interval> = columns.iter().flat_map(|(_, ivs)| ivs).copied().collect();
+        let tree = SegmentTree::build(&all);
         stats
             .variables
-            .push((name.clone(), intervals.len(), tree.height()));
-        trees.insert(var, tree);
+            .push((name.clone(), all.len(), tree.height()));
+        // Number of atoms containing the variable (its `k`).
+        degrees.insert(var, columns.len());
+        for (key, intervals) in columns {
+            node_lists.insert(key, NodeLists::build(&tree, &intervals, token)?);
+        }
     }
 
     // --- structural reduction ----------------------------------------------
@@ -310,37 +335,58 @@ pub fn forward_reduction_with_token(
     // The transformed database interns into the *input* database's
     // dictionary: ids must be join-compatible with the carried columns, and a
     // workspace-scoped input keeps its reduction scoped too.
-    let mut database = Database::new_in(db.dictionary().clone());
-    let mut built: BTreeMap<String, ()> = BTreeMap::new();
+    let dict = db.dictionary();
+    let mut database = Database::new_in(dict.clone());
+    let mut built: BTreeSet<String> = BTreeSet::new();
+    let mut insert = |relation: Relation| {
+        stats.transformed_tuples += relation.len();
+        stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
+        database.insert(relation);
+    };
+    // The per-tuple identifiers `0.0, 1.0, …` of the decomposed encoding,
+    // interned once per call: a prefix of them serves the spine and every
+    // part of every decomposed atom.
+    let mut tuple_id_prefix: Vec<ValueId> = Vec::new();
     let mut queries: Vec<ReducedQuery> = Vec::with_capacity(reduced_structures.len());
 
     for structure in reduced_structures {
         let mut atoms: Vec<ReducedAtom> = Vec::with_capacity(q.atoms().len());
-        for atom_idx in 0..q.atoms().len() {
+        for (atom_idx, atom) in q.atoms().iter().enumerate() {
+            let source = db.relation(&atom.relation).expect("validated");
             let levels = &structure.edge_levels[atom_idx];
-            let interval_columns: Vec<usize> = q.atoms()[atom_idx]
-                .vars
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| q.var_kind(v) == Some(VarKind::Interval))
-                .map(|(c, _)| c)
-                .collect();
+            let is_interval = |v: &String| q.var_kind(v) == Some(VarKind::Interval);
+            let expand = |col: usize| {
+                let var = var_ids[&atom.vars[col]];
+                PlanColumn::Expand {
+                    nodes: &node_lists[&(atom_idx, col)],
+                    level: levels[&var],
+                    leaf: levels[&var] == degrees[&var],
+                }
+            };
             // The decomposed encoding only pays off for atoms with at least
             // two interval variables (Section 1.1); other atoms use the flat
             // relation under either strategy.
-            let decompose =
-                config.encoding == EncodingStrategy::Decomposed && interval_columns.len() >= 2;
+            let decompose = config.encoding == EncodingStrategy::Decomposed
+                && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
             if !decompose {
                 let (name, vars) =
                     reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
-                if !built.contains_key(&name) {
-                    let relation = build_transformed_relation(
-                        q, db, atom_idx, levels, &trees, &name, &var_ids, token,
-                    )?;
-                    stats.transformed_tuples += relation.len();
-                    stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
-                    database.insert(relation);
-                    built.insert(name.clone(), ());
+                if built.insert(name.clone()) {
+                    // Carried columns copy their ids, interval columns expand
+                    // into `level` bitstring columns.
+                    let plan: Vec<PlanColumn<'_>> = (0..atom.vars.len())
+                        .map(|col| match is_interval(&atom.vars[col]) {
+                            true => expand(col),
+                            false => PlanColumn::Carried(source.column_ids(col)),
+                        })
+                        .collect();
+                    insert(build_transformed_relation(
+                        &name,
+                        dict,
+                        &plan,
+                        source.len(),
+                        token,
+                    )?);
                 }
                 atoms.push(ReducedAtom {
                     relation: name,
@@ -350,50 +396,49 @@ pub fn forward_reduction_with_token(
             }
 
             // --- decomposed encoding: spine + one part per interval variable
-            let atom = &q.atoms()[atom_idx];
             let id_var = format!("__id:{}@{}", atom.relation, atom_idx);
-
-            let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
-            if !built.contains_key(&spine_name) {
-                let relation = build_spine_relation(q, db, atom_idx, &spine_name, token)?;
-                stats.transformed_tuples += relation.len();
-                stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
-                database.insert(relation);
-                built.insert(spine_name.clone(), ());
+            for i in tuple_id_prefix.len()..source.len() {
+                tuple_id_prefix.push(dict.intern(Value::point(i as f64)));
             }
-            let mut spine_vars: Vec<String> = vec![id_var.clone()];
-            for v in &atom.vars {
-                if q.var_kind(v) != Some(VarKind::Interval) {
-                    spine_vars.push(v.clone());
-                }
+            let tuple_ids = &tuple_id_prefix[..source.len()];
+
+            // The spine: one tuple `(Id, carried point values…)` per source
+            // tuple, the carried columns copying the source ids verbatim.
+            let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
+            let carried = (0..atom.vars.len()).filter(|&col| !is_interval(&atom.vars[col]));
+            if built.insert(spine_name.clone()) {
+                let cols = std::iter::once(tuple_ids.to_vec())
+                    .chain(carried.clone().map(|col| source.column_ids(col).to_vec()))
+                    .collect();
+                insert(Relation::from_id_columns_in(
+                    spine_name.clone(),
+                    source.len(),
+                    cols,
+                    dict,
+                ));
             }
             atoms.push(ReducedAtom {
                 relation: spine_name,
-                vars: spine_vars,
+                vars: std::iter::once(id_var.clone())
+                    .chain(carried.map(|col| atom.vars[col].clone()))
+                    .collect(),
             });
 
-            for &column in &interval_columns {
-                let var_name = &atom.vars[column];
-                let var_id = var_ids[var_name];
-                let level = levels[&var_id];
-                let k = hypergraph.degree(var_id);
+            // The parts: tuples `(Id, X₁,…,X_ℓ)`, Definition 4.9 applied to a
+            // single variable.
+            for col in (0..atom.vars.len()).filter(|&col| is_interval(&atom.vars[col])) {
+                let var_name = &atom.vars[col];
+                let level = levels[&var_ids[var_name]];
                 let part_name = format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var_name, level);
-                if !built.contains_key(&part_name) {
-                    let relation = build_part_relation(
-                        q,
-                        db,
-                        atom_idx,
-                        column,
-                        level,
-                        k,
-                        &trees[&var_id],
+                if built.insert(part_name.clone()) {
+                    let plan = [PlanColumn::Carried(tuple_ids), expand(col)];
+                    insert(build_transformed_relation(
                         &part_name,
+                        dict,
+                        &plan,
+                        source.len(),
                         token,
-                    )?;
-                    stats.transformed_tuples += relation.len();
-                    stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
-                    database.insert(relation);
-                    built.insert(part_name.clone(), ());
+                    )?);
                 }
                 let mut part_vars: Vec<String> = vec![id_var.clone()];
                 for j in 1..=level {
@@ -414,115 +459,6 @@ pub fn forward_reduction_with_token(
         queries,
         stats,
     })
-}
-
-/// Builds the spine relation of the decomposed encoding for one atom: one
-/// tuple `(Id, carried point values…)` per source tuple.  Carried columns
-/// copy the source relation's interned ids verbatim; only the per-tuple id
-/// value is newly interned.
-fn build_spine_relation(
-    q: &Query,
-    db: &Database,
-    atom_idx: usize,
-    name: &str,
-    token: Option<&CancellationToken>,
-) -> Result<Relation, ReductionError> {
-    let atom = &q.atoms()[atom_idx];
-    let source = db.relation(&atom.relation).expect("validated");
-    let carried: Vec<&[ValueId]> = atom
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| q.var_kind(v) != Some(VarKind::Interval))
-        .map(|(c, _)| source.column_ids(c))
-        .collect();
-    let mut out = Relation::new_in(name.to_string(), 1 + carried.len(), db.dictionary());
-    let tuple_ids = intern_tuple_ids(db.dictionary(), source.len());
-    let mut ticker = CancelTicker::new(token);
-    let mut row: Vec<ValueId> = Vec::with_capacity(1 + carried.len());
-    for (i, &id) in tuple_ids.iter().enumerate() {
-        ticker.tick()?;
-        row.clear();
-        row.push(id);
-        for col in &carried {
-            row.push(col[i]);
-        }
-        out.push_ids(&row);
-    }
-    Ok(out)
-}
-
-/// Interns the per-tuple identifier values `0.0 .. n` of the decomposed
-/// encoding into `dict`.  The values are the same for every atom (a dense
-/// integer prefix), so for the process-global dictionary the interned prefix
-/// is memoised process-wide: the spine and every part relation of every atom
-/// reuse it instead of re-probing the dictionary under its write lock.
-/// Scoped dictionaries intern directly — their ids are not valid across
-/// scopes, and a per-scope memo would outlive nothing.
-fn intern_tuple_ids(dict: &SharedDictionary, n: usize) -> Vec<ValueId> {
-    if !dict.is_global() {
-        return (0..n)
-            .map(|i| dict.intern(Value::point(i as f64)))
-            .collect();
-    }
-    use std::sync::Mutex;
-    static PREFIX: Mutex<Vec<ValueId>> = Mutex::new(Vec::new());
-    let mut prefix = lock_recover(&PREFIX, "reduction-tuple-prefix");
-    if prefix.len() < n {
-        for i in prefix.len()..n {
-            prefix.push(ValueId::intern(Value::point(i as f64)));
-        }
-    }
-    prefix[..n].to_vec()
-}
-
-/// Builds one per-variable part relation of the decomposed encoding: tuples
-/// `(Id, X₁,…,X_ℓ)` listing, per source tuple, the canonical-partition nodes
-/// (or the leaf, at level `k`) of its `[X]`-interval split into `ℓ`
-/// bitstring pieces (Definition 4.9 applied to a single variable).
-#[allow(clippy::too_many_arguments)]
-fn build_part_relation(
-    q: &Query,
-    db: &Database,
-    atom_idx: usize,
-    column: usize,
-    level: usize,
-    k: usize,
-    tree: &SegmentTree,
-    name: &str,
-    token: Option<&CancellationToken>,
-) -> Result<Relation, ReductionError> {
-    faults::point("reduction-transform");
-    let atom = &q.atoms()[atom_idx];
-    let source = db.relation(&atom.relation).expect("validated");
-    let dict = db.dictionary();
-    let mut out = Relation::new_in(name.to_string(), 1 + level, dict);
-    let intervals: Vec<Option<Interval>> = source.column(column).map(|v| v.to_interval()).collect();
-    let tuple_ids = intern_tuple_ids(dict, source.len());
-    let mut ticker = CancelTicker::new(token);
-    let mut row: Vec<ValueId> = Vec::with_capacity(1 + level);
-    for (i, iv) in intervals.into_iter().enumerate() {
-        ticker.tick()?;
-        let iv = iv.ok_or(ReductionError::NotAnInterval {
-            relation: atom.relation.clone(),
-            column,
-        })?;
-        let nodes: Vec<BitString> = if level < k {
-            tree.canonical_partition(iv)
-        } else {
-            vec![tree.leaf_of_interval(iv)]
-        };
-        for node in nodes {
-            for parts in node.compositions(level) {
-                row.clear();
-                row.push(tuple_ids[i]);
-                row.extend(parts.into_iter().map(|b| dict.intern(Value::Bits(b))));
-                out.push_ids(&row);
-            }
-        }
-    }
-    out.dedup();
-    Ok(out)
 }
 
 /// The name and column variables of the transformed relation of one atom
@@ -557,149 +493,172 @@ fn reduced_relation_signature(
     (name, vars)
 }
 
-/// Builds the transformed relation of one atom under a level assignment
-/// (Definition 4.9, applied once per interval variable of the atom).
-#[allow(clippy::too_many_arguments)]
+/// The segment-tree nodes of one interval column, computed once and shared
+/// by every level assignment of its atom: per source tuple, the canonical
+/// partition of its interval (Definition 4.9, second bullet: the levels
+/// below the variable's degree) and the leaf of its left endpoint (third
+/// bullet: the top level).
+struct NodeLists {
+    /// Row `r`'s canonical partition is
+    /// `partitions[partition_starts[r]..partition_starts[r + 1]]`.
+    partitions: Vec<BitString>,
+    partition_starts: Vec<usize>,
+    leaves: Vec<BitString>,
+}
+
+impl NodeLists {
+    fn build(
+        tree: &SegmentTree,
+        intervals: &[Interval],
+        token: Option<&CancellationToken>,
+    ) -> Result<Self, EvalError> {
+        let mut lists = NodeLists {
+            partitions: Vec::new(),
+            partition_starts: vec![0],
+            leaves: Vec::with_capacity(intervals.len()),
+        };
+        let mut ticker = CancelTicker::new(token);
+        for &iv in intervals {
+            ticker.tick()?;
+            lists.partitions.extend(tree.canonical_partition(iv));
+            lists.partition_starts.push(lists.partitions.len());
+            lists.leaves.push(tree.leaf_of_interval(iv));
+        }
+        Ok(lists)
+    }
+
+    /// The nodes a source row expands from: its leaf at the top level, its
+    /// canonical partition (possibly empty) below.
+    fn of_row(&self, row: usize, leaf: bool) -> &[BitString] {
+        if leaf {
+            return std::slice::from_ref(&self.leaves[row]);
+        }
+        &self.partitions[self.partition_starts[row]..self.partition_starts[row + 1]]
+    }
+}
+
+/// How one source column contributes to a transformed relation.
+#[derive(Clone, Copy)]
+enum PlanColumn<'a> {
+    /// Copies the source row's id (a carried point column, or the tuple
+    /// identifier of the decomposed encoding).
+    Carried(&'a [ValueId]),
+    /// Expands the source row's interval into `level` bitstring columns: one
+    /// option per node of the row and per composition of it into `level`
+    /// pieces.
+    Expand {
+        nodes: &'a NodeLists,
+        level: usize,
+        leaf: bool,
+    },
+}
+
+impl PlanColumn<'_> {
+    /// Number of output columns.
+    fn width(&self) -> usize {
+        match *self {
+            PlanColumn::Carried(_) => 1,
+            PlanColumn::Expand { level, .. } => level,
+        }
+    }
+}
+
+/// Builds one transformed relation (Definition 4.9, applied once per
+/// `Expand` column of the plan): per source row, the cross product of its
+/// columns' options, deduplicated at the end.  The loop stays in the id
+/// domain and allocates nothing per row: every plan column has one reusable
+/// buffer holding the current row's options back to back (`width` ids each),
+/// and an odometer over the buffers fills one reusable output row.
 fn build_transformed_relation(
-    q: &Query,
-    db: &Database,
-    atom_idx: usize,
-    levels: &BTreeMap<VarId, usize>,
-    trees: &BTreeMap<VarId, SegmentTree>,
     name: &str,
-    var_ids: &BTreeMap<String, VarId>,
+    dict: &SharedDictionary,
+    plan: &[PlanColumn<'_>],
+    source_rows: usize,
     token: Option<&CancellationToken>,
 ) -> Result<Relation, ReductionError> {
     faults::point("reduction-transform");
-    let atom = &q.atoms()[atom_idx];
-    let source = db.relation(&atom.relation).expect("validated");
-    let hypergraph_k: BTreeMap<VarId, usize> = {
-        // Number of atoms containing each interval variable (its `k`).
-        let (h, _) = q.hypergraph();
-        levels.keys().map(|&v| (v, h.degree(v))).collect()
-    };
-
-    // Column plan: carried columns copy their value, interval columns expand
-    // into `level` bitstring columns.
-    enum ColumnPlan {
-        Carried(usize),
-        IntervalVar {
-            column: usize,
-            var: VarId,
-            level: usize,
-            k: usize,
-        },
-    }
-    let mut plan: Vec<ColumnPlan> = Vec::new();
-    let mut arity = 0usize;
-    for (col, v) in atom.vars.iter().enumerate() {
-        match q.var_kind(v) {
-            Some(VarKind::Interval) => {
-                let var = var_ids[v];
-                let level = levels[&var];
-                plan.push(ColumnPlan::IntervalVar {
-                    column: col,
-                    var,
-                    level,
-                    k: hypergraph_k[&var],
-                });
-                arity += level;
-            }
-            _ => {
-                plan.push(ColumnPlan::Carried(col));
-                arity += 1;
-            }
-        }
-    }
-
-    let dict = db.dictionary();
+    let widths: Vec<usize> = plan.iter().map(PlanColumn::width).collect();
+    let arity = widths.iter().sum();
     let mut out = Relation::new_in(name.to_string(), arity, dict);
-    // Pre-resolve the interval columns once (one dictionary read lock per
-    // column); carried columns pass their interned ids through untouched, so
-    // the expansion below never materialises a `Value` row.
-    let mut interval_cols: BTreeMap<usize, Vec<Option<Interval>>> = BTreeMap::new();
-    for p in &plan {
-        if let ColumnPlan::IntervalVar { column, .. } = p {
-            interval_cols
-                .entry(*column)
-                .or_insert_with(|| source.column(*column).map(|v| v.to_interval()).collect());
-        }
-    }
-    // Indexed loop: `row_idx` addresses parallel structures (the pre-resolved
-    // interval columns and the source id columns).
+    let mut options: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
+    // The odometer: per plan column, the offset of the chosen option.
+    let mut chosen: Vec<usize> = vec![0; plan.len()];
+    let mut cuts: Vec<u8> = Vec::new();
+    let mut row: Vec<ValueId> = Vec::with_capacity(arity);
     let mut ticker = CancelTicker::new(token);
-    #[allow(clippy::needless_range_loop)]
-    for row_idx in 0..source.len() {
+    'rows: for source_row in 0..source_rows {
         ticker.tick()?;
-        // Per column, the list of id-vectors to append (cross product).
-        let mut expansions: Vec<Vec<Vec<ValueId>>> = Vec::with_capacity(plan.len());
-        let mut dead = false;
-        for p in &plan {
-            match p {
-                ColumnPlan::Carried(col) => {
-                    expansions.push(vec![vec![source.column_ids(*col)[row_idx]]])
-                }
-                ColumnPlan::IntervalVar {
-                    column,
-                    var,
-                    level,
-                    k,
-                } => {
-                    let iv =
-                        interval_cols[column][row_idx].ok_or(ReductionError::NotAnInterval {
-                            relation: atom.relation.clone(),
-                            column: *column,
-                        })?;
-                    let tree = &trees[var];
-                    let nodes: Vec<BitString> = if *level < *k {
-                        tree.canonical_partition(iv)
-                    } else {
-                        vec![tree.leaf_of_interval(iv)]
-                    };
-                    let mut options: Vec<Vec<ValueId>> = Vec::new();
-                    for node in nodes {
-                        for parts in node.compositions(*level) {
-                            options.push(
-                                parts
-                                    .into_iter()
-                                    .map(|b| dict.intern(Value::Bits(b)))
-                                    .collect(),
-                            );
-                        }
+        for (column, options) in plan.iter().zip(&mut options) {
+            options.clear();
+            match *column {
+                PlanColumn::Carried(ids) => options.push(ids[source_row]),
+                PlanColumn::Expand { nodes, level, leaf } => {
+                    for &node in nodes.of_row(source_row, leaf) {
+                        push_compositions(dict, node, level, &mut cuts, options);
                     }
+                    // An empty canonical partition: the tuple joins nothing.
                     if options.is_empty() {
-                        dead = true;
-                        break;
+                        continue 'rows;
                     }
-                    expansions.push(options);
                 }
             }
         }
-        if dead {
-            continue;
-        }
-        // Cross product of the expansions.
-        let mut rows: Vec<Vec<ValueId>> = vec![Vec::with_capacity(arity)];
-        for options in &expansions {
-            let mut next = Vec::with_capacity(rows.len() * options.len());
-            for row in &rows {
-                for opt in options {
-                    let mut r = row.clone();
-                    r.extend_from_slice(opt);
-                    next.push(r);
-                }
+        chosen.fill(0);
+        'emit: loop {
+            row.clear();
+            for ((&width, options), &at) in widths.iter().zip(&options).zip(&chosen) {
+                row.extend_from_slice(&options[at..at + width]);
             }
-            rows = next;
-        }
-        for r in rows {
-            out.push_ids(&r);
+            out.push_ids(&row);
+            for ((&width, options), at) in widths.iter().zip(&options).zip(&mut chosen).rev() {
+                *at += width;
+                if *at < options.len() {
+                    continue 'emit;
+                }
+                *at = 0;
+            }
+            break;
         }
     }
     out.dedup();
     Ok(out)
 }
 
-fn validate(q: &Query, db: &Database, h: &Hypergraph) -> Result<(), ReductionError> {
+/// Appends to `out` the ids of every way of writing `node` as `level`
+/// (possibly empty) consecutive pieces, `level` ids per composition — the
+/// set `𝔉(u, i)` of Lemma 4.10, like [`BitString::compositions`] but with no
+/// piece list per composition: `cuts` is a reusable odometer over the
+/// non-decreasing cut positions `0 ≤ c₁ ≤ … ≤ c_{level-1} ≤ len`.  Pieces of
+/// at most 29 bits — all of them, for any tree that fits in memory — get
+/// their inline id from `dict.intern` arithmetically.
+fn push_compositions(
+    dict: &SharedDictionary,
+    node: BitString,
+    level: usize,
+    cuts: &mut Vec<u8>,
+    out: &mut Vec<ValueId>,
+) {
+    debug_assert!(level >= 1, "an atom holding the variable has level >= 1");
+    cuts.clear();
+    cuts.resize(level - 1, 0);
+    loop {
+        let mut prev = 0;
+        for &cut in cuts.iter() {
+            out.push(dict.intern(Value::Bits(node.prefix(cut).suffix(prev))));
+            prev = cut;
+        }
+        out.push(dict.intern(Value::Bits(node.suffix(prev))));
+        // Bump the last cut that can still grow; the cuts after it restart
+        // from its new position.
+        let Some(i) = cuts.iter().rposition(|&cut| cut < node.len()) else {
+            return;
+        };
+        let bumped = cuts[i] + 1;
+        cuts[i..].fill(bumped);
+    }
+}
+
+fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
     for atom in q.atoms() {
         let rel = db
             .relation(&atom.relation)
@@ -721,7 +680,6 @@ fn validate(q: &Query, db: &Database, h: &Hypergraph) -> Result<(), ReductionErr
             }
         }
     }
-    let _ = h;
     Ok(())
 }
 
@@ -1008,5 +966,294 @@ mod tests {
         assert_eq!(fr.stats.variables.len(), 3);
         assert!(fr.stats.transformed_tuples >= fr.stats.max_relation_tuples);
         assert!(fr.stats.max_relation_tuples > 0);
+    }
+
+    const DECOMPOSED: ReductionConfig = ReductionConfig {
+        encoding: EncodingStrategy::Decomposed,
+    };
+
+    /// The row-at-a-time transform the id-native kernel replaced, kept as its
+    /// oracle: it works on resolved values, recomputes the canonical
+    /// partition (or leaf) of every cell per level assignment, lists each
+    /// node's [`BitString::compositions`] and clones its way through the
+    /// cross product.  Returns every transformed relation as a row set.
+    fn oracle_reduction(
+        q: &Query,
+        db: &Database,
+        config: ReductionConfig,
+    ) -> BTreeMap<String, BTreeSet<Vec<Value>>> {
+        let (h, var_ids) = q.hypergraph();
+        let id_to_name: BTreeMap<VarId, String> =
+            var_ids.iter().map(|(n, &id)| (id, n.clone())).collect();
+        let is_interval = |v: &String| q.var_kind(v) == Some(VarKind::Interval);
+        let tree_of = |var: &String| {
+            let intervals: Vec<Interval> = q
+                .atoms()
+                .iter()
+                .flat_map(|atom| {
+                    let rel = db.relation(&atom.relation).unwrap();
+                    let col = atom.vars.iter().position(|v| v == var);
+                    col.into_iter().flat_map(move |col| rel.column(col))
+                })
+                .map(|value| value.to_interval().unwrap())
+                .collect();
+            SegmentTree::build(&intervals)
+        };
+        let trees: BTreeMap<&String, SegmentTree> = var_ids
+            .keys()
+            .filter(|v| is_interval(v))
+            .map(|v| (v, tree_of(v)))
+            .collect();
+        // Definition 4.9 for one cell: its nodes, each split into `level` pieces.
+        let expand = |var: &String, value: Value, level: usize| -> Vec<Vec<Value>> {
+            let iv = value.to_interval().unwrap();
+            let nodes = match level < h.degree(var_ids[var]) {
+                true => trees[var].canonical_partition(iv),
+                false => vec![trees[var].leaf_of_interval(iv)],
+            };
+            nodes
+                .into_iter()
+                .flat_map(|node| node.compositions(level))
+                .map(|pieces| pieces.into_iter().map(Value::Bits).collect())
+                .collect()
+        };
+        let product = |options: Vec<Vec<Vec<Value>>>| -> Vec<Vec<Value>> {
+            options.iter().fold(vec![vec![]], |rows, options| {
+                rows.iter()
+                    .flat_map(|row| options.iter().map(move |o| [&row[..], &o[..]].concat()))
+                    .collect()
+            })
+        };
+
+        let mut out = BTreeMap::new();
+        for structure in full_reduction(&h) {
+            for (atom_idx, atom) in q.atoms().iter().enumerate() {
+                let levels = &structure.edge_levels[atom_idx];
+                let source = db.relation(&atom.relation).unwrap().tuples();
+                let decompose = config.encoding == EncodingStrategy::Decomposed
+                    && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
+                if !decompose {
+                    let (name, _) =
+                        reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
+                    let rows = source.iter().flat_map(|tuple| {
+                        product(
+                            (atom.vars.iter().zip(tuple))
+                                .map(|(v, &value)| match is_interval(v) {
+                                    true => expand(v, value, levels[&var_ids[v]]),
+                                    false => vec![vec![value]],
+                                })
+                                .collect(),
+                        )
+                    });
+                    out.insert(name, rows.collect());
+                    continue;
+                }
+                let tuple_id = |i: usize| Value::point(i as f64);
+                let spine = source.iter().enumerate().map(|(i, tuple)| {
+                    let carried = atom.vars.iter().zip(tuple).filter(|(v, _)| !is_interval(v));
+                    std::iter::once(tuple_id(i))
+                        .chain(carried.map(|(_, &value)| value))
+                        .collect()
+                });
+                out.insert(
+                    format!("{}@{}⟨id⟩", atom.relation, atom_idx),
+                    spine.collect(),
+                );
+                for (col, var) in atom.vars.iter().enumerate() {
+                    if !is_interval(var) {
+                        continue;
+                    }
+                    let level = levels[&var_ids[var]];
+                    let rows = source.iter().enumerate().flat_map(|(i, tuple)| {
+                        product(vec![
+                            vec![vec![tuple_id(i)]],
+                            expand(var, tuple[col], level),
+                        ])
+                    });
+                    out.insert(
+                        format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var, level),
+                        rows.collect(),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    /// Under both encodings, the kernel builds exactly the oracle's relations:
+    /// the same names, the same row sets, no duplicate rows.
+    fn assert_kernel_matches_oracle(q: &Query, db: &Database) {
+        for config in [ReductionConfig::default(), DECOMPOSED] {
+            let fr = forward_reduction_with(q, db, config).unwrap();
+            let expected = oracle_reduction(q, db, config);
+            assert_eq!(
+                fr.database
+                    .relation_names()
+                    .into_iter()
+                    .collect::<BTreeSet<_>>(),
+                expected.keys().cloned().collect::<BTreeSet<_>>(),
+                "{config:?}"
+            );
+            for rel in fr.database.relations() {
+                let rows = rel.tuples();
+                let set: BTreeSet<Vec<Value>> = rows.iter().cloned().collect();
+                assert_eq!(
+                    set.len(),
+                    rows.len(),
+                    "{config:?}: duplicates in {}",
+                    rel.name()
+                );
+                assert_eq!(set, expected[rel.name()], "{config:?}: {}", rel.name());
+            }
+            assert_eq!(
+                fr.stats.transformed_tuples,
+                expected.values().map(BTreeSet::len).sum::<usize>()
+            );
+        }
+    }
+
+    /// `n` deterministic rows, one interval per column: overlapping, nested,
+    /// every fifth value a bare point, the last row repeating the first.
+    fn interval_rows(n: usize, columns: usize, salt: usize) -> Vec<Vec<Value>> {
+        let cell = |i: usize, c: usize| {
+            let lo = (i * (7 + 2 * c) + 3 * salt) % 13;
+            match (i + c + salt) % 5 {
+                0 => Value::point(lo as f64),
+                width => iv(lo as f64, (lo + width * (c + 1)) as f64),
+            }
+        };
+        (0..n)
+            .map(|i| (0..columns).map(|c| cell(i % (n - 1), c)).collect())
+            .collect()
+    }
+
+    fn database_of(relations: &[(&str, Vec<Vec<Value>>)]) -> Database {
+        let mut db = Database::new_in(SharedDictionary::new());
+        for (name, rows) in relations {
+            db.insert_tuples(name, rows[0].len(), rows.clone());
+        }
+        db
+    }
+
+    #[test]
+    fn kernel_matches_the_oracle_on_a_star() {
+        // One variable of degree 3: levels 1 and 2 expand canonical
+        // partitions, level 3 the leaf.
+        let q = Query::parse("R([A]) & S([A]) & T([A])").unwrap();
+        let db = database_of(&[
+            ("R", interval_rows(9, 1, 0)),
+            ("S", interval_rows(7, 1, 1)),
+            ("T", interval_rows(8, 1, 2)),
+        ]);
+        assert_kernel_matches_oracle(&q, &db);
+    }
+
+    #[test]
+    fn kernel_matches_the_oracle_on_the_triangle() {
+        let q = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
+        let db = database_of(&[
+            ("R", interval_rows(8, 2, 0)),
+            ("S", interval_rows(6, 2, 1)),
+            ("T", interval_rows(7, 2, 2)),
+        ]);
+        assert_kernel_matches_oracle(&q, &db);
+    }
+
+    #[test]
+    fn kernel_matches_the_oracle_on_two_variables_at_level_three() {
+        // Both variables have degree 3, so an atom reaches levels (3, 3):
+        // arity 6, the wide path of `Relation::dedup`.
+        let q = Query::parse("R([A],[B]) & S([A],[B]) & T([A],[B])").unwrap();
+        let db = database_of(&[
+            ("R", interval_rows(6, 2, 0)),
+            ("S", interval_rows(5, 2, 1)),
+            ("T", interval_rows(5, 2, 2)),
+        ]);
+        let fr = forward_reduction(&q, &db).unwrap();
+        assert!(fr.database.relations().any(|rel| rel.arity() == 6));
+        assert_kernel_matches_oracle(&q, &db);
+    }
+
+    #[test]
+    fn kernel_matches_the_oracle_with_carried_point_columns() {
+        // EIJ: X and Y are equality-joined point variables carried through,
+        // before, between and after the interval columns.
+        let q = Query::parse("R(X,[A],[B]) & S([A],X,Y) & T(Y,[B])").unwrap();
+        let with_points = |rows: Vec<Vec<Value>>, at: &[usize]| -> Vec<Vec<Value>> {
+            (rows.into_iter().enumerate())
+                .map(|(i, mut row)| {
+                    for (j, &col) in at.iter().enumerate() {
+                        row.insert(col, Value::point(((i + j) % 3) as f64));
+                    }
+                    row
+                })
+                .collect()
+        };
+        let db = database_of(&[
+            ("R", with_points(interval_rows(8, 2, 0), &[0])),
+            ("S", with_points(interval_rows(6, 1, 1), &[1, 2])),
+            ("T", with_points(interval_rows(7, 1, 2), &[0])),
+        ]);
+        assert_kernel_matches_oracle(&q, &db);
+    }
+
+    /// The node lists of `intervals` in the tree over `tree_intervals`.
+    fn node_lists(tree_intervals: &[Interval], intervals: &[Interval]) -> NodeLists {
+        NodeLists::build(&SegmentTree::build(tree_intervals), intervals, None).unwrap()
+    }
+
+    #[test]
+    fn rows_with_an_empty_canonical_partition_drop() {
+        // The second interval lies outside the tree: no node, so its row
+        // joins nothing and must not reach the output — at the partition
+        // levels; its leaf still exists.
+        let inside = Interval::new(0.0, 4.0);
+        let nodes = node_lists(&[inside], &[inside, Interval::new(10.0, 11.0)]);
+        let dict = SharedDictionary::new();
+        let ids = [7.0, 8.0].map(|p| dict.intern(Value::point(p)));
+        let build = |leaf: bool| {
+            let plan = [
+                PlanColumn::Carried(&ids),
+                PlanColumn::Expand {
+                    nodes: &nodes,
+                    level: 2,
+                    leaf,
+                },
+            ];
+            build_transformed_relation("R", &dict, &plan, 2, None).unwrap()
+        };
+        let partitions = build(false);
+        assert!(!partitions.is_empty());
+        assert!(partitions.column(0).all(|v| v == Value::point(7.0)));
+        assert!(build(true).column(0).any(|v| v == Value::point(8.0)));
+    }
+
+    #[test]
+    fn a_token_cancelled_mid_transform_interrupts() {
+        let q = Query::parse("R([A]) & S([A])").unwrap();
+        let db = database_of(&[("R", interval_rows(9, 1, 0)), ("S", interval_rows(9, 1, 1))]);
+        let token = CancellationToken::new().with_check_interval(4);
+        token.cancel();
+        assert_eq!(
+            forward_reduction_with_token(&q, &db, ReductionConfig::default(), Some(&token))
+                .unwrap_err(),
+            ReductionError::Interrupted(EvalError::Cancelled)
+        );
+        // The expansion loop itself polls: node lists built beforehand, the
+        // token fires on the fourth row.
+        let intervals: Vec<Interval> = (0..9).map(|i| Interval::new(i as f64, 9.0)).collect();
+        let nodes = node_lists(&intervals, &intervals);
+        let plan = [PlanColumn::Expand {
+            nodes: &nodes,
+            level: 1,
+            leaf: false,
+        }];
+        let dict = SharedDictionary::new();
+        assert_eq!(
+            build_transformed_relation("R", &dict, &plan, 9, Some(&token)).unwrap_err(),
+            ReductionError::Interrupted(EvalError::Cancelled)
+        );
+        // Fewer rows than the check interval never poll.
+        assert!(build_transformed_relation("R", &dict, &plan, 3, Some(&token)).is_ok());
     }
 }

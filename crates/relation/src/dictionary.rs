@@ -46,10 +46,33 @@
 //!
 //! Ids stay **globally unique** across stripes by construction: the stripe
 //! index lives in the low [`STRIPE_BITS`] bits of the id and the
-//! stripe-local dense index in the high bits, so each stripe owns a disjoint
-//! id subspace (and may hold up to 2²⁸ − 1 distinct values; the top local
-//! index is reserved so the [`ValueId::dummy`] sentinel is unrepresentable —
-//! see [`MAX_STRIPE_VALUES`]).
+//! stripe-local dense index in the bits above them, so each stripe owns a
+//! disjoint id subspace.
+//!
+//! # Id-space layout: inline bitstring ids
+//!
+//! The top bit of a [`ValueId`] is a **tag**:
+//!
+//! ```text
+//! 0 lllllllllllllllllllllllllll ssss    dictionary id: stripe-local index l (27 bits), stripe s
+//! 1 0…0 1 bbbbbbbbbbbbbbbbbbbbbbbbb     inline bitstring: marker bit at position len, the bits below it
+//! 1 1111111111111111111111111111111     ValueId::dummy(), never assigned
+//! ```
+//!
+//! A [`Value::Bits`] of at most [`MAX_INLINE_BITS`] bits is never stored: its
+//! id is `1 << 31 | 1 << len | bits` — the 1-based implicit heap index of the
+//! segment-tree node the bitstring names, under the tag — and
+//! [`SharedDictionary::intern`], [`lookup`](SharedDictionary::lookup) and
+//! [`resolve`](SharedDictionary::resolve) (and the [`DictReader`] twins) map
+//! between the two arithmetically: no hash, no stripe lock, no dictionary
+//! bytes, and the same id in every dictionary.  The columns the forward
+//! reduction introduces hold only such values, so
+//! [`SharedDictionary::len`] and [`heap_bytes`](SharedDictionary::heap_bytes)
+//! do not count them.  Longer bitstrings (30 to 63 bits) are interned like
+//! any other value.  Dictionary-assigned ids keep the tag clear, which halves
+//! a stripe's capacity to 2²⁷ values ([`MAX_STRIPE_VALUES`]); the marker bit
+//! sits at position 29 at most, so no id of either kind ever equals the
+//! all-ones [`ValueId::dummy`] sentinel.
 
 use crate::sync::{read_recover, write_recover, ReadGuard};
 
@@ -60,6 +83,7 @@ use crate::sync::{read_recover, write_recover, ReadGuard};
 /// more than one stripe.
 const DICT_STRIPE: &str = "dict-stripe";
 use crate::Value;
+use ij_segtree::BitString;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -70,19 +94,58 @@ pub const STRIPE_COUNT: usize = 16;
 /// Bits of a [`ValueId`] reserved for the stripe index (`log2(STRIPE_COUNT)`).
 pub const STRIPE_BITS: u32 = STRIPE_COUNT.trailing_zeros();
 
-/// Maximum number of distinct values one stripe may hold: the top
-/// stripe-local index is **reserved** so that no legal id ever equals the
-/// [`ValueId::dummy`] sentinel (`u32::MAX`, which would otherwise be the
-/// encoding of local index `2^28 - 1` in the last stripe).
-pub const MAX_STRIPE_VALUES: u32 = (1 << (32 - STRIPE_BITS)) - 1;
+/// Maximum number of distinct values one stripe may hold: stripe-local
+/// indices stay below `2^27`, so a dictionary-assigned id never has the
+/// inline tag (bit 31) set — it can neither alias an inline bitstring id nor
+/// the [`ValueId::dummy`] sentinel (`u32::MAX`).
+pub const MAX_STRIPE_VALUES: u32 = 1 << (31 - STRIPE_BITS);
+
+/// Tag bit of an inline bitstring id (see the module docs).
+const INLINE_TAG: u32 = 1 << 31;
+
+/// Longest bitstring whose id is computed instead of stored: the marker bit
+/// at position `len` must stay below the tag, and position 30 is left clear
+/// so that an inline id never reads all-ones.
+pub const MAX_INLINE_BITS: u8 = 29;
+
+/// The inline id of a value: `Some` for bitstrings of at most
+/// [`MAX_INLINE_BITS`] bits, `None` for everything the dictionary stores.
+#[inline]
+fn inline_id(value: &Value) -> Option<ValueId> {
+    match value {
+        Value::Bits(b) if b.len() <= MAX_INLINE_BITS => {
+            Some(ValueId(INLINE_TAG | 1 << b.len() | b.bits() as u32))
+        }
+        _ => None,
+    }
+}
+
+/// The bitstring behind an inline id; `None` for dictionary-assigned ids.
+#[inline]
+fn inline_value(id: ValueId) -> Option<Value> {
+    if id.0 & INLINE_TAG == 0 {
+        return None;
+    }
+    let heap_index = id.0 & !INLINE_TAG;
+    assert!(
+        (1..1 << (MAX_INLINE_BITS + 1)).contains(&heap_index),
+        "{id:?} is not an interned id (ValueId::dummy placeholder?)"
+    );
+    let len = (31 - heap_index.leading_zeros()) as u8;
+    Some(Value::Bits(BitString::from_bits(
+        u64::from(heap_index ^ (1 << len)),
+        len,
+    )))
+}
 
 /// A dense identifier of an interned [`Value`].
 ///
 /// Ids are only meaningful relative to the shared dictionary; two ids are
 /// equal if and only if the values they intern are equal.  The `Ord` on ids
-/// is an arbitrary stable order (stripe, then interning order within the
-/// stripe), not the value order — sort by resolved values when value order
-/// matters.
+/// is an arbitrary stable order (dictionary-assigned ids by interning order
+/// within the stripe, then stripe; inline bitstrings after them, by length,
+/// then bits), not the value order — sort by resolved values when value
+/// order matters.
 ///
 /// The representation is `#[repr(transparent)]` over the raw `u32`: the SIMD
 /// kernels ([`crate::kernels`]) rely on this to reinterpret `&[ValueId]` as
@@ -126,11 +189,11 @@ impl ValueId {
     }
 
     /// A placeholder id used to pre-size buffers.  The sentinel is
-    /// **unrepresentable**: striped dictionaries reserve the top stripe-local
-    /// index ([`MAX_STRIPE_VALUES`]) and standalone [`Dictionary`] stores
-    /// reserve the top dense id, so no interned value is ever assigned
-    /// `u32::MAX` and the placeholder can never alias a real id.  Resolving
-    /// it always panics.
+    /// **unrepresentable**: striped dictionaries keep the top bit of the ids
+    /// they assign clear ([`MAX_STRIPE_VALUES`]), inline bitstring ids keep
+    /// bit 30 clear, and standalone [`Dictionary`] stores reserve the top
+    /// dense id, so no interned value is ever assigned `u32::MAX` and the
+    /// placeholder can never alias a real id.  Resolving it always panics.
     pub fn dummy() -> ValueId {
         ValueId(u32::MAX)
     }
@@ -147,15 +210,15 @@ fn stripe_of(value: &Value) -> usize {
 
 /// Combines a stripe-local dense id with its stripe index into a global id.
 ///
-/// The top local index is reserved ([`MAX_STRIPE_VALUES`]): without the
-/// reservation, a full last stripe would hand out `u32::MAX` — the
-/// [`ValueId::dummy`] sentinel — as a legal id, silently aliasing every
-/// buffer placeholder in the system.
+/// Local indices are capped ([`MAX_STRIPE_VALUES`]): one more bit would set
+/// the inline tag, silently aliasing an inline bitstring id or — in a full
+/// last stripe — the [`ValueId::dummy`] sentinel.
 fn encode(local: ValueId, stripe: usize) -> ValueId {
     assert!(
         local.0 < MAX_STRIPE_VALUES,
         "dictionary stripe overflow: more than {MAX_STRIPE_VALUES} distinct values in one \
-         stripe (the top local index is reserved for the ValueId::dummy sentinel)"
+         stripe (ids with the top bit set are reserved for inline bitstrings and the \
+         ValueId::dummy sentinel)"
     );
     ValueId((local.0 << STRIPE_BITS) | stripe as u32)
 }
@@ -230,8 +293,12 @@ impl SharedDictionary {
 
     /// Interns `value`: returns the existing id when the value was seen
     /// before (taking only a stripe *read* lock), otherwise assigns the next
-    /// id of the value's stripe under that stripe's write lock.
+    /// id of the value's stripe under that stripe's write lock.  Short
+    /// bitstrings get their inline id and touch no stripe at all.
     pub fn intern(&self, value: Value) -> ValueId {
+        if let Some(id) = inline_id(&value) {
+            return id;
+        }
         let stripe = stripe_of(&value);
         let lock = &self.stripes[stripe];
         if let Some(local) = read_recover(lock, DICT_STRIPE).lookup(&value) {
@@ -248,20 +315,28 @@ impl SharedDictionary {
     ///
     /// Panics if the id was not produced by this dictionary.
     pub fn resolve(&self, id: ValueId) -> Value {
+        if let Some(value) = inline_value(id) {
+            return value;
+        }
         let (stripe, local) = decode(id);
         read_recover(&self.stripes[stripe], DICT_STRIPE).resolve(local)
     }
 
-    /// The id of a value, if it has been interned through this handle.
+    /// The id of a value, if it has been interned through this handle.  A
+    /// short bitstring always has its inline id, interned or not.
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+        if let Some(id) = inline_id(value) {
+            return Some(id);
+        }
         let stripe = stripe_of(value);
         read_recover(&self.stripes[stripe], DICT_STRIPE)
             .lookup(value)
             .map(|local| encode(local, stripe))
     }
 
-    /// Total number of distinct values interned through this handle (sums
-    /// the stripes; a snapshot under concurrent interning).
+    /// Total number of distinct values **stored** through this handle (sums
+    /// the stripes; a snapshot under concurrent interning).  Inline
+    /// bitstrings are not stored and not counted.
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
@@ -413,12 +488,19 @@ impl DictReader<'_> {
     ///
     /// Panics if the id was not produced by the pinned dictionary.
     pub fn resolve(&self, id: ValueId) -> Value {
+        if let Some(value) = inline_value(id) {
+            return value;
+        }
         let (stripe, local) = decode(id);
         self.guards[stripe].resolve(local)
     }
 
-    /// The pinned dictionary's id of a value, if it has been interned.
+    /// The pinned dictionary's id of a value, if it has been interned (short
+    /// bitstrings always have their inline id).
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+        if let Some(id) = inline_id(value) {
+            return Some(id);
+        }
         let stripe = stripe_of(value);
         self.guards[stripe].lookup(value).map(|l| encode(l, stripe))
     }
@@ -538,11 +620,13 @@ mod tests {
         let scoped = SharedDictionary::new();
         assert!(!scoped.is_global());
         assert!(scoped.is_empty());
-        let global_before = Dictionary::shared_len();
         let values: Vec<Value> = (0..50).map(|i| Value::point(9_000.5 + i as f64)).collect();
         let ids: Vec<ValueId> = values.iter().map(|&v| scoped.intern(v)).collect();
-        // Scoped interning never touches the global store.
-        assert_eq!(Dictionary::shared_len(), global_before);
+        // Scoped interning never touches the global store (checked per value:
+        // concurrently running tests intern into it, so its length moves).
+        for v in &values {
+            assert_eq!(SharedDictionary::global().lookup(v), None);
+        }
         assert_eq!(scoped.len(), values.len());
         for (&v, &id) in values.iter().zip(&ids) {
             assert_eq!(scoped.resolve(id), v);
@@ -569,24 +653,34 @@ mod tests {
     fn the_dummy_sentinel_is_unrepresentable() {
         // Regression: `encode(local = 2^28 - 1, stripe = 15)` used to equal
         // `u32::MAX` — exactly `ValueId::dummy()` — so a full last stripe
-        // would hand the sentinel out as a real id.  The top local index is
-        // now reserved: the largest legal id in every stripe stays strictly
-        // below the sentinel.
+        // would hand the sentinel out as a real id.  Dictionary-assigned ids
+        // now stay below the inline tag, far below the sentinel.
         for stripe in 0..STRIPE_COUNT {
             let max_legal = encode(ValueId(MAX_STRIPE_VALUES - 1), stripe);
-            assert_ne!(max_legal, ValueId::dummy(), "stripe {stripe}");
-            assert!(max_legal.raw() < u32::MAX, "stripe {stripe}");
-            // The encoding still round-trips at the reserved boundary.
+            assert_eq!(max_legal.raw() & INLINE_TAG, 0, "stripe {stripe}");
+            assert_eq!(inline_value(max_legal), None, "stripe {stripe}");
+            // The encoding still round-trips at the boundary.
             assert_eq!(decode(max_legal), (stripe, ValueId(MAX_STRIPE_VALUES - 1)));
         }
+        // The largest inline id (29 ones) stays below the sentinel too.
+        let longest = BitString::from_bits((1 << MAX_INLINE_BITS) - 1, MAX_INLINE_BITS);
+        let id = inline_id(&Value::Bits(longest)).unwrap();
+        assert!(id.raw() < u32::MAX);
+        assert_eq!(inline_value(id), Some(Value::Bits(longest)));
     }
 
     #[test]
-    #[should_panic(expected = "reserved for the ValueId::dummy sentinel")]
-    fn the_reserved_local_index_is_rejected() {
-        // The local index that would encode to the sentinel (in the last
-        // stripe) trips the overflow assert instead of aliasing it.
-        let _ = encode(ValueId(MAX_STRIPE_VALUES), STRIPE_COUNT - 1);
+    #[should_panic(expected = "reserved for inline bitstrings")]
+    fn the_first_tagged_local_index_is_rejected() {
+        // The first local index that would set the inline tag trips the
+        // overflow assert in every stripe instead of aliasing a bitstring.
+        let _ = encode(ValueId(MAX_STRIPE_VALUES), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an interned id")]
+    fn resolving_the_dummy_sentinel_panics() {
+        let _ = SharedDictionary::new().resolve(ValueId::dummy());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use cancel::{
 pub use csv::{field_to_value, value_to_field, CsvError};
 pub use dictionary::{
     DictReader, Dictionary, IdBuildHasher, IdHashMap, IdHashSet, IdHasher, SharedDictionary,
-    ValueId, MAX_STRIPE_VALUES, STRIPE_BITS, STRIPE_COUNT,
+    ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES, STRIPE_BITS, STRIPE_COUNT,
 };
 pub use query::{Atom, Query, QueryParseError};
 pub use relation::{ArityError, Columns, ColumnsView, Database, Relation};

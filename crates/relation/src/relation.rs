@@ -476,44 +476,38 @@ impl Relation {
         self.fingerprint = std::sync::OnceLock::new();
     }
 
-    /// Sorts the tuples (by value order) and removes duplicates (set
-    /// semantics).
+    /// Sorts the tuples and removes duplicates (set semantics).
+    ///
+    /// The order is **ascending raw id order**, compared column by column —
+    /// not value order: the rows never leave the id domain.  It is
+    /// deterministic for one dictionary and interning sequence (equal row
+    /// sets over one dictionary end up as equal columns); callers that want
+    /// value order sort [`Relation::tuples`] themselves.
     pub fn dedup(&mut self) {
-        let n = self.len();
-        if n <= 1 {
+        if self.len() <= 1 {
             return;
         }
         self.fingerprint = std::sync::OnceLock::new();
-        if self.arity == 0 {
+        let cols = &mut self.columns.cols;
+        let arity = cols.len();
+        // Column `c` sits `shift(c)` bits up in a packed key, so comparing
+        // keys compares rows column by column.
+        let shift = |c: usize| 32 * (arity - 1 - c) as u32;
+        self.columns.len = match arity {
             // All zero-arity rows are identical.
-            self.columns.len = 1;
-            return;
-        }
-        // Sort row indices by the resolved value order (id order is interning
-        // order, which would not be deterministic across construction paths).
-        let resolved: Vec<Vec<Value>> = {
-            let dict = self.dict.reader();
-            self.columns
-                .cols
-                .iter()
-                .map(|col| col.iter().map(|&id| dict.resolve(id)).collect())
-                .collect()
+            0 => 1,
+            1..=2 => dedup_packed(
+                cols,
+                |k: u64, id| k << 32 | u64::from(id),
+                |k, c| (k >> shift(c)) as u32,
+            ),
+            3..=4 => dedup_packed(
+                cols,
+                |k: u128, id| k << 32 | u128::from(id),
+                |k, c| (k >> shift(c)) as u32,
+            ),
+            _ => dedup_wide(cols),
         };
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&a, &b| {
-            for col in &resolved {
-                match col[a].cmp(&col[b]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        order.dedup_by(|a, b| {
-            let (a, b) = (*a, *b);
-            self.columns.cols.iter().all(|col| col[a] == col[b])
-        });
-        self.columns = gather_columns(&self.columns, &order);
     }
 
     /// Projects the relation onto the given column indices (keeping
@@ -599,6 +593,61 @@ impl Relation {
             .collect();
         values.into_iter()
     }
+}
+
+/// [`Relation::dedup`] for rows that fit one integer: packs each row into a
+/// key (`push` appends one column's raw id), sorts and deduplicates the keys
+/// in place, and unpacks them (`column(key, c)` reads column `c` back).
+/// Returns the new row count.
+fn dedup_packed<K: Ord + Copy + Default>(
+    cols: &mut [Vec<ValueId>],
+    push: impl Fn(K, u32) -> K,
+    column: impl Fn(K, usize) -> u32,
+) -> usize {
+    let mut keys: Vec<K> = (0..cols[0].len())
+        .map(|row| {
+            cols.iter()
+                .fold(K::default(), |key, col| push(key, col[row].raw()))
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    for (c, col) in cols.iter_mut().enumerate() {
+        col.clear();
+        col.extend(keys.iter().map(|&key| ValueId::from_raw(column(key, c))));
+    }
+    keys.len()
+}
+
+/// [`Relation::dedup`] above four columns: the first four pack into a key
+/// as in [`dedup_packed`] and decide most comparisons; ties fall through to
+/// the remaining columns, transposed to row-major so a row's remainder is
+/// one contiguous slice behind its index.  Returns the new row count.
+fn dedup_wide(cols: &mut [Vec<ValueId>]) -> usize {
+    let (head, tail) = cols.split_at(4);
+    let mut rest: Vec<u32> = Vec::with_capacity(tail[0].len() * tail.len());
+    let mut keys: Vec<(u128, usize)> = Vec::with_capacity(tail[0].len());
+    for row in 0..tail[0].len() {
+        let key = head
+            .iter()
+            .fold(0, |key, col| key << 32 | u128::from(col[row].raw()));
+        keys.push((key, row));
+        rest.extend(tail.iter().map(|col| col[row].raw()));
+    }
+    let width = tail.len();
+    let rest_of = |row: usize| &rest[row * width..][..width];
+    keys.sort_unstable_by(|a, b| (a.0.cmp(&b.0)).then_with(|| rest_of(a.1).cmp(rest_of(b.1))));
+    keys.dedup_by(|a, b| a.0 == b.0 && rest_of(a.1) == rest_of(b.1));
+    for (c, col) in cols.iter_mut().enumerate() {
+        col.clear();
+        col.extend(keys.iter().map(|&(key, row)| {
+            ValueId::from_raw(match c {
+                0..=3 => (key >> (32 * (3 - c))) as u32,
+                _ => rest_of(row)[c - 4],
+            })
+        }));
+    }
+    keys.len()
 }
 
 /// Row-gather over columnar storage.
@@ -935,6 +984,8 @@ mod tests {
         let mut fresh = Relation::new("R", 1);
         fresh.push(vec![Value::point(1.0)]);
         fresh.push(vec![Value::point(2.0)]);
+        // `dedup` left `r` in id order; equal row sets dedup to equal columns.
+        fresh.dedup();
         assert_eq!(r, fresh);
     }
 

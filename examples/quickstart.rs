@@ -71,8 +71,9 @@ fn main() {
     //    the engine deduplicates the disjuncts, groups them into batches by
     //    the transformed relations they share, and evaluates with the
     //    workspace's shared trie cache (early exit on the first true
-    //    disjunct).  The reduction interns its bitstrings into the workspace
-    //    too — the process-global dictionary is never touched.
+    //    disjunct).  The reduction's bitstring ids are computed, not stored,
+    //    and join the workspace's ids — the process-global dictionary is
+    //    never touched.
     let stats = engine
         .evaluate_with_stats(&query, &db)
         .expect("evaluation succeeds");

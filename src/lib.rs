@@ -36,8 +36,9 @@
 //!
 //! ## Data flow of the interned pipeline
 //!
-//! Every `Value` (point, interval or bitstring) is interned exactly once into
-//! a dictionary of [`relation`]; relations store dense `u32` id columns and
+//! Every point and interval `Value` is interned exactly once into a
+//! dictionary of [`relation`] (a segment-tree bitstring needs no entry: its
+//! id is computed from its bits); relations store dense `u32` id columns and
 //! every downstream layer operates on ids.  The dictionary is owned by a
 //! `SharedDictionary` handle carried by each relation: plain constructors
 //! use the process-global handle, while a `Workspace` ([`engine`]) scopes a
@@ -54,8 +55,8 @@
 //!        ▼
 //!  ij_reduction::forward_reduction          Segment trees per interval var;
 //!        │   carried columns pass ids       tuples expand into bitstring-id
-//!        │   through; bitstring parts       rows (no Value rows materialised)
-//!        │   interned once per distinct
+//!        │   through; bitstring ids are     rows (no Value rows materialised)
+//!        │   computed, never stored
 //!        ▼
 //!  ForwardReduction { D̃ (id columns), ⋁ Q̃ᵢ }
 //!        │
