@@ -115,7 +115,7 @@ fn bench_row_vs_interned(c: &mut Criterion) {
         // Rows are materialised outside the timed region: the pre-refactor
         // engine stored rows directly, so row access must not be billed to
         // the baseline.
-        let rows = materialise_rows(&reduction.database);
+        let rows = materialise_rows(&reduction);
         group.bench_with_input(BenchmarkId::new("row-oriented", n), &n, |b, _| {
             b.iter(|| evaluate_all_disjuncts_rows(&reduction, &rows))
         });

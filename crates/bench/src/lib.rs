@@ -129,9 +129,8 @@ pub fn evaluate_all_disjuncts(reduction: &ForwardReduction, strategy: EjStrategy
             .iter()
             .map(|a| {
                 let rel = reduction
-                    .database
-                    .relation(&a.relation)
-                    .expect("relation exists");
+                    .relation(&a.relation, None)
+                    .expect("no token, no interruption");
                 BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
             })
             .collect();

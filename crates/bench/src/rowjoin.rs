@@ -10,17 +10,18 @@
 //! so row access was free for it and must not be billed to this baseline.
 
 use ij_reduction::ForwardReduction;
-use ij_relation::{Database, Value};
+use ij_relation::Value;
 use std::collections::{BTreeMap, HashMap};
 
 /// Materialised row storage, as the pre-refactor engine kept it: relation
 /// name → rows of values.
 pub type RowDb = BTreeMap<String, Vec<Vec<Value>>>;
 
-/// Resolves every relation of `db` into plain rows (do this outside any
-/// timed region; see the module docs).
-pub fn materialise_rows(db: &Database) -> RowDb {
-    db.relations()
+/// Resolves every transformed relation of `reduction` into plain rows (do
+/// this outside any timed region; see the module docs).
+pub fn materialise_rows(reduction: &ForwardReduction) -> RowDb {
+    reduction
+        .relations()
         .map(|rel| (rel.name().to_string(), rel.tuples()))
         .collect()
 }
@@ -195,7 +196,7 @@ mod tests {
         for seed in 0..8 {
             let db = dense_workload(&query, 14, seed);
             let reduction = forward_reduction(&query, &db).unwrap();
-            let rows = materialise_rows(&reduction.database);
+            let rows = materialise_rows(&reduction);
             let row_answer = evaluate_all_disjuncts_rows(&reduction, &rows);
             let interned = evaluate_all_disjuncts(&reduction, EjStrategy::GenericJoin);
             assert_eq!(row_answer, interned, "seed {seed}");

@@ -10,7 +10,10 @@
 //!    query of the disjunction is evaluated (Yannakakis when α-acyclic,
 //!    width-guided otherwise) with early exit on the first true disjunct —
 //!    the `O(N^{ijw} polylog N)` algorithm of Theorem 4.15, which becomes
-//!    `O(N polylog N)` for ι-acyclic queries (Theorem 6.6).
+//!    `O(N polylog N)` for ι-acyclic queries (Theorem 6.6).  Only the *plan*
+//!    of the reduction runs up front; each transformed relation is built by
+//!    the disjunct worker that first reads it, so the early exit also skips
+//!    the relations only unevaluated disjuncts read.
 //!
 //! Every evaluation is **cancellable**: the `*_cancellable` entry points take
 //! a caller-owned [`CancellationToken`], [`EngineConfig::with_deadline`]
@@ -27,8 +30,8 @@ use ij_ejoin::{
 use ij_hypergraph::VarId;
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
 use ij_reduction::{
-    forward_reduction_with_token, EncodingStrategy, ForwardReduction, ReducedQuery,
-    ReductionConfig, ReductionError, ReductionStats,
+    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReducedQuery, ReductionConfig,
+    ReductionError, ReductionStats,
 };
 use ij_relation::sync::lock_recover;
 
@@ -409,7 +412,15 @@ impl QueryAnalysis {
 /// Runtime statistics of one evaluation.
 #[derive(Debug, Clone)]
 pub struct EvaluationStats {
-    /// Statistics of the forward reduction.
+    /// Statistics of the forward reduction.  `num_relations` is what the
+    /// reduction plans; `relations_built`, `transformed_tuples` and
+    /// `max_relation_tuples` count the transformed relations this
+    /// evaluation's reduction held when it finished: under
+    /// [`evaluate_with_stats`](IntersectionJoinEngine::evaluate_with_stats)
+    /// those the evaluated disjuncts read (early exit leaves the rest
+    /// unbuilt), under
+    /// [`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction)
+    /// on a reduction from `forward_reduction_with*` all of them.
     pub reduction: ReductionStats,
     /// Number of EJ queries actually evaluated (early exit stops at the
     /// first true disjunct).
@@ -481,7 +492,10 @@ impl std::fmt::Display for EvaluationStats {
         writeln!(f, "answer = {}", self.answer)?;
         writeln!(
             f,
-            "{} transformed tuples; {}/{} EJ disjuncts evaluated (early exit) in {} batches",
+            "built {} of {} transformed relations ({} tuples); \
+             {}/{} EJ disjuncts evaluated (early exit) in {} batches",
+            self.reduction.relations_built,
+            self.reduction.num_relations,
             self.reduction.transformed_tuples,
             self.ej_queries_evaluated,
             self.ej_queries_total,
@@ -668,13 +682,14 @@ impl IntersectionJoinEngine {
         token: Option<&CancellationToken>,
     ) -> Result<EvaluationStats, EngineError> {
         let local = self.local_token(token);
-        // The forward reduction runs on the caller's thread; isolate it like
-        // a worker so an injected (or genuine) panic inside a per-relation
-        // transform surfaces as a typed error instead of unwinding through
-        // the caller.  Poison-recovering lock helpers keep the shared
-        // dictionary usable afterwards.
+        // Only the *plan* of the forward reduction runs here, on the caller's
+        // thread: segment trees, node lists and the EJ queries.  The
+        // transformed relations are built by the disjunct workers, each the
+        // first time a disjunct binds it (`evaluate_disjunct`).  Isolate the
+        // plan like a worker so a panic inside it surfaces as a typed error
+        // instead of unwinding through the caller.
         let reduction = catch_unwind(AssertUnwindSafe(|| {
-            forward_reduction_with_token(
+            plan_forward_reduction(
                 query,
                 db,
                 ReductionConfig {
@@ -692,8 +707,19 @@ impl IntersectionJoinEngine {
         Ok(self.run_reduction(&reduction, &local)?)
     }
 
-    /// Evaluates an already-computed forward reduction (useful when the same
-    /// reduced database is probed several times, e.g. in benchmarks).
+    /// Evaluates a forward reduction computed by the caller (useful when the
+    /// same reduced database is probed several times, e.g. in benchmarks).
+    ///
+    /// The workers read transformed relations through
+    /// [`ForwardReduction::relation`], so this works on any reduction: one
+    /// from [`forward_reduction_with`](ij_reduction::forward_reduction_with)
+    /// has every relation built and each read is a load; one from
+    /// [`plan_forward_reduction`] — which is what
+    /// [`evaluate`](IntersectionJoinEngine::evaluate) runs on — has none, and
+    /// a worker builds a relation the first time a disjunct of its batch
+    /// binds it, while a second worker needing the same relation waits for
+    /// that build.  Relations only unevaluated disjuncts read are never
+    /// built; [`EvaluationStats::reduction`] counts what was.
     ///
     /// The deduplicated disjuncts are grouped into **batches** by the set of
     /// transformed relations they reference (disjuncts produced by different
@@ -702,7 +728,15 @@ impl IntersectionJoinEngine {
     /// per shared atomic work-index increment; the first worker to find a
     /// true disjunct flips an [`AtomicBool`] that stops the others at their
     /// next scheduling point (between disjuncts within a batch, and between
-    /// batches).  All workers share the engine's **persistent**
+    /// batches) and cancels the pool's own token, which interrupts their
+    /// relation builds, trie builds and searches in flight at the next poll.
+    /// The evaluation returns once every worker has stopped, so the answer
+    /// is as late as the slowest sibling's next poll: each worker polls
+    /// between binding a disjunct's relations and searching it, and only
+    /// [`Relation::dedup`](ij_relation::Relation::dedup) at the end of a
+    /// build and the Yannakakis pass of an acyclic disjunct run to their end
+    /// unpolled.
+    /// All workers share the engine's **persistent**
     /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_capacity`]), so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation — batch grouping makes the reuse
@@ -721,9 +755,10 @@ impl IntersectionJoinEngine {
     /// Returns the typed [`EvalError`] taxonomy when the evaluation stops
     /// without an answer: [`EvalError::DeadlineExceeded`] once a configured
     /// [`EngineConfig::deadline`] elapses, or [`EvalError::WorkerPanicked`]
-    /// when a disjunct worker panics (the panic is caught, its siblings are
-    /// cancelled, and the engine — including its shared trie cache — stays
-    /// fully usable).  Without a deadline this entry point cannot be
+    /// when a disjunct worker panics, in a relation build or after it (the
+    /// panic is caught, its siblings are cancelled, a relation whose build
+    /// failed stays unbuilt, and the engine — including its shared trie
+    /// cache — stays fully usable).  Without a deadline this entry point cannot be
     /// cancelled externally; see
     /// [`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable).
     pub fn evaluate_reduction(
@@ -878,6 +913,9 @@ impl IntersectionJoinEngine {
                             match self.run_disjunct(reduction, i, eval, pool) {
                                 Ok(true) => {
                                     found.store(true, Ordering::Release);
+                                    // The siblings' work is speculative
+                                    // from here on: stop it mid-build.
+                                    pool.cancel();
                                     break 'pull;
                                 }
                                 Ok(false) => {}
@@ -910,7 +948,7 @@ impl IntersectionJoinEngine {
         // cache at completion time.
         let resident = self.trie_cache_stats();
         Ok(EvaluationStats {
-            reduction: reduction.stats.clone(),
+            reduction: reduction.materialised_stats(),
             ej_queries_evaluated: evaluated,
             ej_queries_total: to_run.len(),
             ej_query_batches: batches.len(),
@@ -988,7 +1026,8 @@ impl IntersectionJoinEngine {
         })
     }
 
-    /// Evaluates one EJ disjunct of a reduction.
+    /// Evaluates one EJ disjunct of a reduction.  Binding an atom is where a
+    /// transformed relation nobody has read yet gets built, on this worker.
     fn evaluate_disjunct(
         &self,
         reduction: &ForwardReduction,
@@ -996,17 +1035,22 @@ impl IntersectionJoinEngine {
         eval: EvalContext<'_>,
     ) -> Result<bool, EvalError> {
         let var_ids = rq.dense_var_ids();
-        let atoms: Vec<BoundAtom<'_>> = rq
+        let atoms = rq
             .atoms
             .iter()
             .map(|a| {
-                let rel = reduction
-                    .database
-                    .relation(&a.relation)
-                    .expect("transformed relation exists");
-                BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
+                let rel = reduction.relation(&a.relation, eval.token)?;
+                let vars = a.vars.iter().map(|v| var_ids[v.as_str()]).collect();
+                Ok(BoundAtom::new(rel, vars))
             })
-            .collect();
+            .collect::<Result<Vec<BoundAtom<'_>>, EvalError>>()?;
+        // Binding may have taken a while (it is where relations get built)
+        // and the Yannakakis path below never polls: a worker whose sibling
+        // found a witness meanwhile must not start a search the evaluation
+        // would then have to wait out.
+        if let Some(token) = eval.token {
+            token.checkpoint()?;
+        }
         evaluate_ej_boolean_with(&atoms, self.config.ej_strategy, eval)
     }
 
@@ -1045,6 +1089,19 @@ mod tests {
         };
         db.insert_tuples("T", 2, vec![vec![iv(3.0, 5.0), c]]);
         (q, db)
+    }
+
+    /// The structure of a hand-made disjunct: the engine only reads a
+    /// disjunct's atoms.
+    fn bare_structure() -> ij_hypergraph::ReducedHypergraph {
+        ij_hypergraph::ReducedHypergraph {
+            hypergraph: ij_hypergraph::Hypergraph::new(),
+            choice: ij_hypergraph::PermutationChoice {
+                permutations: std::collections::BTreeMap::new(),
+            },
+            edge_levels: vec![],
+            vertex_origin: vec![],
+        }
     }
 
     #[test]
@@ -1186,16 +1243,8 @@ mod tests {
 
     #[test]
     fn batching_groups_disjuncts_by_shared_relation_sets() {
-        use ij_hypergraph::{Hypergraph, PermutationChoice, ReducedHypergraph};
         use ij_reduction::ReducedAtom;
-        let structure = ReducedHypergraph {
-            hypergraph: Hypergraph::new(),
-            choice: PermutationChoice {
-                permutations: std::collections::BTreeMap::new(),
-            },
-            edge_levels: vec![],
-            vertex_origin: vec![],
-        };
+        let structure = bare_structure();
         let query = |relations: &[&str]| ReducedQuery {
             atoms: relations
                 .iter()
@@ -1206,12 +1255,11 @@ mod tests {
                 .collect(),
             structure: structure.clone(),
         };
-        let reduction = ForwardReduction {
-            database: Database::new(),
+        let reduction = ForwardReduction::prebuilt(
+            vec![],
             // Disjuncts 0 and 2 reference {R, S}; disjunct 1 references {R}.
-            queries: vec![query(&["R", "S"]), query(&["R"]), query(&["S", "R"])],
-            stats: ReductionStats::default(),
-        };
+            vec![query(&["R", "S"]), query(&["R"]), query(&["S", "R"])],
+        );
         let batches = IntersectionJoinEngine::batch_by_shared_relations(&reduction, &[0, 1, 2]);
         assert_eq!(batches, vec![vec![0, 2], vec![1]]);
     }
@@ -1220,11 +1268,7 @@ mod tests {
     fn empty_reduction_evaluates_to_false_without_panicking() {
         // Regression: the batch-split loop must not touch an empty batch
         // list (worker_count(0) still returns 1).
-        let reduction = ForwardReduction {
-            database: Database::new(),
-            queries: vec![],
-            stats: ReductionStats::default(),
-        };
+        let reduction = ForwardReduction::prebuilt(vec![], vec![]);
         for parallelism in [1usize, 4] {
             let engine =
                 IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
@@ -1237,21 +1281,13 @@ mod tests {
 
     #[test]
     fn oversized_batches_are_split_across_workers() {
-        use ij_hypergraph::{Hypergraph, PermutationChoice, ReducedHypergraph};
         use ij_reduction::ReducedAtom;
         use ij_relation::{Relation, Value};
         // Four distinct disjuncts all referencing the same relation set
         // {R, S}: grouping alone would serialize them into one batch; with
         // more workers than batches the batch must be split so the pool
         // stays busy.  The instance is unsatisfiable, forcing a full pass.
-        let structure = ReducedHypergraph {
-            hypergraph: Hypergraph::new(),
-            choice: PermutationChoice {
-                permutations: std::collections::BTreeMap::new(),
-            },
-            edge_levels: vec![],
-            vertex_origin: vec![],
-        };
+        let structure = bare_structure();
         let queries: Vec<ReducedQuery> = (0..4)
             .map(|i| ReducedQuery {
                 atoms: vec![
@@ -1267,14 +1303,11 @@ mod tests {
                 structure: structure.clone(),
             })
             .collect();
-        let mut database = Database::new();
-        database.insert(Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]]));
-        database.insert(Relation::from_tuples("S", 1, vec![vec![Value::point(2.0)]]));
-        let reduction = ForwardReduction {
-            database,
-            queries,
-            stats: ReductionStats::default(),
-        };
+        let relations = vec![
+            Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]]),
+            Relation::from_tuples("S", 1, vec![vec![Value::point(2.0)]]),
+        ];
+        let reduction = ForwardReduction::prebuilt(relations, queries);
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(8));
         let stats = engine.evaluate_reduction(&reduction).unwrap();
         assert!(!stats.answer);
@@ -1436,6 +1469,46 @@ mod tests {
         let mut db2 = db.clone();
         db2.insert_tuples("T", 2, vec![vec![p(1.0), p(9.0)]]);
         assert!(!engine.evaluate(&q, &db2).unwrap());
+    }
+
+    #[test]
+    fn a_cancelled_worker_does_not_start_its_search() {
+        use ij_reduction::ReducedAtom;
+        use ij_relation::{Relation, Value};
+        // A built relation is loaded without a poll and the Yannakakis path
+        // never polls, so on this acyclic disjunct only the checkpoint
+        // between binding and searching can stop a worker whose sibling has
+        // found a witness.
+        let atom = |relation: &str| ReducedAtom {
+            relation: relation.to_string(),
+            vars: vec!["X".to_string()],
+        };
+        let reduction = ForwardReduction::prebuilt(
+            vec![
+                Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]]),
+                Relation::from_tuples("S", 1, vec![vec![Value::point(1.0)]]),
+            ],
+            vec![ReducedQuery {
+                atoms: vec![atom("R"), atom("S")],
+                structure: bare_structure(),
+            }],
+        );
+        let engine = IntersectionJoinEngine::with_defaults();
+        let token = CancellationToken::new();
+        let eval = EvalContext {
+            token: Some(&token),
+            ..EvalContext::default()
+        };
+        let disjunct = &reduction.queries[0];
+        assert_eq!(
+            engine.evaluate_disjunct(&reduction, disjunct, eval),
+            Ok(true)
+        );
+        token.cancel();
+        assert_eq!(
+            engine.evaluate_disjunct(&reduction, disjunct, eval),
+            Err(EvalError::Cancelled)
+        );
     }
 
     #[test]

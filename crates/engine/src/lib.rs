@@ -87,8 +87,8 @@ pub mod prelude {
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};
     pub use ij_reduction::{
-        backward_reduction, forward_reduction, forward_reduction_with, EncodingStrategy,
-        ReductionConfig,
+        backward_reduction, forward_reduction, forward_reduction_with, plan_forward_reduction,
+        EncodingStrategy, ReductionConfig,
     };
     pub use ij_relation::{Atom, Database, Query, Relation, SharedDictionary, Value};
     pub use ij_segtree::{BitString, Interval, SegmentTree};

@@ -22,13 +22,47 @@
 //! the relation for an atom only depends on the *level* assigned to each of
 //! its interval variables, not on the full permutation.
 //!
+//! # Plan, then build on demand
+//!
+//! The reduction is split in two.  The **plan** ([`plan_forward_reduction`])
+//! is cheap and runs once, on the caller's thread: it validates the query,
+//! builds one segment tree per join interval variable, computes the tree
+//! nodes of every source cell (`NodeLists`), enumerates the reduced
+//! structures, and records the EJ queries plus one *spec* per distinct
+//! transformed relation — which atom, which level per interval column,
+//! whether it is a flat relation, a spine or a part.  No transformed tuple
+//! exists yet.
+//!
+//! A [`ForwardReduction`] owns the plan and one **write-once cell** per
+//! transformed relation.  [`ForwardReduction::relation`] fills a cell the
+//! first time somebody asks for that relation, with the one routine that
+//! builds transformed relations (`build_relation`); every later request is a
+//! load.  Who asks first depends on the entry point:
+//!
+//! * [`forward_reduction_with_token`] (and the shorthands above it) plans and
+//!   then asks for *every* relation before returning, on the caller's thread
+//!   — the standalone reduction, whose [`ForwardReduction::stats`] are the
+//!   full sizes of Lemma 4.10;
+//! * the engine's `evaluate*` only plans, and each disjunct worker asks for
+//!   the relations of the disjunct it is about to evaluate.  A disjunction
+//!   that is true at its first disjunct never builds the relations only the
+//!   other disjuncts read; a false one builds all of them, spread over the
+//!   workers.
+//!
+//! Two threads asking for the same empty cell do not build it twice: the
+//! second waits for the first.  A build that is **interrupted** (its token is
+//! cancelled or past its deadline) or that **panics** leaves its cell empty —
+//! the half-built relation is dropped, never published — and the next
+//! request builds it again from the plan, which a failed build cannot have
+//! touched.
+//!
 //! # The transform kernel
 //!
 //! The transform never leaves the id domain.  The canonical partition and
 //! the leaf of every cell are computed once per (atom, interval column)
 //! (`NodeLists`) and shared by all level assignments of the atom.  One
-//! relation build (`build_transformed_relation`, which also builds the parts
-//! of the decomposed encoding) then walks the source rows with one reusable
+//! relation build (`build_relation`, which also builds the parts of the
+//! decomposed encoding) then walks the source rows with one reusable
 //! flat id buffer per source column — a carried column contributes its source
 //! id, an interval column the pieces of every (node, composition) pair, cut
 //! by an odometer over the cut positions — and emits the cross product of
@@ -38,12 +72,22 @@
 //! no allocation per row.  [`Relation::dedup`] then sorts the raw ids.
 
 use ij_hypergraph::{full_reduction, ReducedHypergraph, VarId, VarKind};
+use ij_relation::sync::lock_recover;
 use ij_relation::{
     faults, CancelTicker, CancellationToken, Database, EvalError, Query, Relation,
     SharedDictionary, Value, ValueId,
 };
 use ij_segtree::{BitString, Interval, SegmentTree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock};
+
+/// Lock class of a transformed relation's build gate (`sync::lock_order`):
+/// held by the one thread building the relation, waited on by every other
+/// thread that needs it meanwhile.  The builder acquires nothing under it but
+/// `dict-stripe` (bitstrings too long for an inline id, which no tree that
+/// fits in memory produces), and nobody acquires a gate while holding another
+/// lock.
+const RELATION_BUILD: &str = "reduction-relation-build";
 
 /// How the transformed relations encode the bitstring columns of an atom with
 /// several interval variables (Section 1.1, closing discussion).
@@ -74,11 +118,12 @@ pub struct ReductionConfig {
     pub encoding: EncodingStrategy,
 }
 
-/// One atom of a reduced EJ query: the transformed relation name (in the
-/// transformed [`Database`]) and the variable bound to every column.
+/// One atom of a reduced EJ query: the transformed relation name and the
+/// variable bound to every column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReducedAtom {
-    /// Name of the transformed relation in [`ForwardReduction::database`].
+    /// Name of the transformed relation, as [`ForwardReduction::relation`]
+    /// takes it.
     pub relation: String,
     /// Variable names bound to the columns, e.g. `["A#1", "A#2", "B#1"]`.
     pub vars: Vec<String>,
@@ -128,6 +173,17 @@ impl ReducedQuery {
 
 /// Size and construction statistics of a forward reduction (Lemma 4.10 and
 /// Theorem 4.15 are about these quantities).
+///
+/// The three *size* fields — [`relations_built`](Self::relations_built),
+/// [`transformed_tuples`](Self::transformed_tuples) and
+/// [`max_relation_tuples`](Self::max_relation_tuples) — count the transformed
+/// relations **materialised so far**.  Which that is depends on the entry
+/// point: [`forward_reduction_with`] and its siblings build every relation, so
+/// on their result the fields are the full sizes of `D̃`
+/// (`relations_built == num_relations`); the engine's `evaluate_with_stats*`
+/// builds a relation only when a disjunct it evaluates reads it, so in its
+/// `EvaluationStats::reduction` the fields say how much of `D̃` the evaluation
+/// needed.  Every other field is fixed by the plan and identical under both.
 #[derive(Debug, Clone, Default)]
 pub struct ReductionStats {
     /// Per interval variable: (name, number of source intervals, segment tree
@@ -135,29 +191,245 @@ pub struct ReductionStats {
     pub variables: Vec<(String, usize, u8)>,
     /// Size of the input database (tuples).
     pub input_tuples: usize,
-    /// Total number of tuples across all transformed relations.
+    /// Total number of tuples across the transformed relations built so far
+    /// (all of them under `forward_reduction_with*`; see the type docs).
     pub transformed_tuples: usize,
-    /// The largest transformed relation.
+    /// The largest transformed relation built so far (the largest of all
+    /// under `forward_reduction_with*`).
     pub max_relation_tuples: usize,
-    /// Number of distinct transformed relations.
+    /// Number of distinct transformed relations the plan names, built or not.
     pub num_relations: usize,
+    /// Number of transformed relations built so far: `num_relations` under
+    /// `forward_reduction_with*`, possibly fewer under the engine's
+    /// `evaluate_with_stats*`.
+    pub relations_built: usize,
     /// Number of EJ queries in the disjunction.
     pub num_queries: usize,
 }
 
-/// The result of the forward reduction.
-#[derive(Debug, Clone)]
+/// The result of the forward reduction: the EJ queries of the disjunction and
+/// the transformed database `D̃` they run over.
+///
+/// `D̃` is held as one write-once cell per transformed relation.
+/// [`ForwardReduction::relation`] fills a cell the first time the relation
+/// is asked for and loads it ever after; a second thread asking meanwhile
+/// waits for the build in flight, and a build that is interrupted or panics
+/// leaves its cell empty — never a partial relation — for the next request
+/// to fill.  [`forward_reduction_with`] and its siblings return with every
+/// cell filled; [`plan_forward_reduction`] returns with none, for an
+/// evaluator (the engine's `evaluate*`) that builds what its disjuncts read.
+#[derive(Debug)]
 pub struct ForwardReduction {
-    /// The transformed database `D̃` of bitstrings (plus carried-over point
-    /// values).
-    pub database: Database,
     /// The EJ queries of the disjunction `⋁ Q̃_i`.
     pub queries: Vec<ReducedQuery>,
-    /// Statistics.
+    /// Statistics, as of the moment this value was returned: from
+    /// [`forward_reduction_with`] and its siblings the size fields cover all
+    /// of `D̃`; from [`plan_forward_reduction`] nothing is built yet and they
+    /// are zero.  [`ForwardReduction::materialised_stats`] recounts.
     pub stats: ReductionStats,
+    /// The dictionary of the *input* database: transformed ids must be
+    /// join-compatible with the carried columns, and a workspace-scoped
+    /// input keeps its reduction scoped too.
+    dict: SharedDictionary,
+    /// Per atom of the original query, what its relation builds read.
+    sources: Vec<AtomSource>,
+    /// The per-tuple identifiers `0.0, 1.0, …` of the decomposed encoding,
+    /// interned once: a prefix of them serves the spine and every part of
+    /// every decomposed atom.
+    tuple_ids: Vec<ValueId>,
+    /// The transformed relations of `D̃`, in first-use order of the plan.
+    relations: Vec<PlannedRelation>,
+    /// Relation name → index into `relations`.
+    by_name: BTreeMap<String, usize>,
+}
+
+/// One transformed relation of `D̃`: how to build it, and the write-once
+/// cell holding it once somebody has.
+#[derive(Debug)]
+struct PlannedRelation {
+    name: String,
+    /// `None` for a relation supplied prebuilt ([`ForwardReduction::prebuilt`]).
+    spec: Option<RelationSpec>,
+    cell: OnceLock<Relation>,
+    /// Serialises builders of this relation, so a second thread needing it
+    /// waits for the first instead of building it again.
+    building: Mutex<()>,
+}
+
+/// What one transformed relation is made of: an atom of the original query
+/// and, per output column group, where it comes from.  A flat relation lists
+/// the atom's columns in order; a spine is the tuple identifier plus the
+/// carried columns; a part is the tuple identifier plus one expanded column.
+#[derive(Debug)]
+struct RelationSpec {
+    atom: usize,
+    columns: Vec<SpecColumn>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SpecColumn {
+    /// The per-tuple identifier of the decomposed encoding.
+    TupleId,
+    /// The atom's source column `col`, copied (a point variable).
+    Carried { col: usize },
+    /// The atom's source column `col` (an interval variable) expanded into
+    /// `level` bitstring columns: from the leaf at the variable's top level,
+    /// from the canonical partition below.
+    Expand {
+        col: usize,
+        level: usize,
+        leaf: bool,
+    },
+}
+
+impl SpecColumn {
+    /// The source column this one reads, if it reads one.
+    fn source<'a>(&self, atom: &'a AtomSource) -> Option<&'a SourceColumn> {
+        match *self {
+            SpecColumn::TupleId => None,
+            SpecColumn::Carried { col } | SpecColumn::Expand { col, .. } => {
+                Some(&atom.columns[col])
+            }
+        }
+    }
+}
+
+/// What the relation builds of one atom read from its source relation.
+#[derive(Debug)]
+struct AtomSource {
+    rows: usize,
+    columns: Vec<SourceColumn>,
+}
+
+#[derive(Debug)]
+enum SourceColumn {
+    /// The ids of a point column.
+    Point(Vec<ValueId>),
+    /// The segment-tree nodes of an interval column.
+    Interval(NodeLists),
 }
 
 impl ForwardReduction {
+    /// A reduction over relations built elsewhere (hand-made disjunctions in
+    /// tests and benchmarks): every cell starts filled.
+    pub fn prebuilt(relations: Vec<Relation>, queries: Vec<ReducedQuery>) -> Self {
+        let mut reduction = ForwardReduction {
+            stats: ReductionStats {
+                num_queries: queries.len(),
+                ..ReductionStats::default()
+            },
+            queries,
+            // Never read: nothing is left to build.
+            dict: SharedDictionary::global().clone(),
+            sources: Vec::new(),
+            tuple_ids: Vec::new(),
+            relations: Vec::new(),
+            by_name: BTreeMap::new(),
+        };
+        for relation in relations {
+            let planned = reduction.plan_relation(relation.name().to_string(), None);
+            // A repeated name keeps its first relation.
+            let _ = planned.cell.set(relation);
+        }
+        reduction.stats = reduction.materialised_stats();
+        reduction
+    }
+
+    /// Registers the relation `name` unless the plan has it already.
+    fn plan_relation(&mut self, name: String, spec: Option<RelationSpec>) -> &PlannedRelation {
+        let index = match self.by_name.get(&name) {
+            Some(&index) => index,
+            None => {
+                self.by_name.insert(name.clone(), self.relations.len());
+                self.relations.push(PlannedRelation {
+                    name,
+                    spec,
+                    cell: OnceLock::new(),
+                    building: Mutex::new(()),
+                });
+                self.relations.len() - 1
+            }
+        };
+        &self.relations[index]
+    }
+
+    /// The transformed relation `name`, built now if nobody asked for it
+    /// before.  A concurrent request for the same relation waits for the
+    /// build in flight.  `token` is polled before a build starts and then
+    /// every [`check_interval`](CancellationToken::check_interval) tuples the
+    /// build emits; an interrupted (or panicking) build leaves the relation
+    /// unbuilt, and a later request builds it again.  Requests for a relation
+    /// already built never fail.
+    ///
+    /// # Panics
+    ///
+    /// If the plan has no relation `name` — the names to ask for are those of
+    /// [`ForwardReduction::queries`].
+    pub fn relation(
+        &self,
+        name: &str,
+        token: Option<&CancellationToken>,
+    ) -> Result<&Relation, EvalError> {
+        let index = *self
+            .by_name
+            .get(name)
+            .unwrap_or_else(|| panic!("no transformed relation `{name}` in this reduction"));
+        let planned = &self.relations[index];
+        if let Some(built) = planned.cell.get() {
+            return Ok(built);
+        }
+        let _building = lock_recover(&planned.building, RELATION_BUILD);
+        // Whoever held the gate before either filled the cell or failed.
+        if let Some(built) = planned.cell.get() {
+            return Ok(built);
+        }
+        // A caller asking for one relation after another (a disjunct worker
+        // binding its atoms) polls between the builds, however small each is.
+        if let Some(token) = token {
+            token.checkpoint()?;
+        }
+        let spec = planned
+            .spec
+            .as_ref()
+            .expect("prebuilt relations are filled at construction");
+        let rows = self.sources[spec.atom].rows;
+        let built = build_relation(name, &self.dict, &self.resolve(spec), rows, token)?;
+        Ok(planned.cell.get_or_init(|| built))
+    }
+
+    /// Builds every relation not built yet, in plan order, on this thread.
+    fn materialise_all(&self, token: Option<&CancellationToken>) -> Result<(), EvalError> {
+        for planned in &self.relations {
+            self.relation(&planned.name, token)?;
+        }
+        Ok(())
+    }
+
+    /// The transformed relations built so far, in plan order.
+    pub fn relations(&self) -> impl Iterator<Item = &Relation> {
+        self.relations
+            .iter()
+            .filter_map(|planned| planned.cell.get())
+    }
+
+    /// [`ForwardReduction::stats`] with the size fields recounted over the
+    /// relations built by now.
+    pub fn materialised_stats(&self) -> ReductionStats {
+        let mut stats = ReductionStats {
+            num_relations: self.relations.len(),
+            relations_built: 0,
+            transformed_tuples: 0,
+            max_relation_tuples: 0,
+            ..self.stats.clone()
+        };
+        for relation in self.relations() {
+            stats.relations_built += 1;
+            stats.transformed_tuples += relation.len();
+            stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
+        }
+        stats
+    }
+
     /// Indices into [`ForwardReduction::queries`] with literally identical
     /// queries (same relations bound to the same variables) removed: distinct
     /// permutations frequently produce the same EJ query, and evaluating a
@@ -198,10 +470,9 @@ pub enum ReductionError {
     /// A value of an interval variable is not an interval (or a point, which
     /// is treated as a point interval).
     NotAnInterval { relation: String, column: usize },
-    /// The reduction was interrupted mid-transform: the caller's
-    /// [`CancellationToken`] was cancelled or its deadline expired.  The
-    /// transformed database under construction is dropped whole, never
-    /// published partially.
+    /// The reduction was interrupted, in its plan or in a relation build:
+    /// the caller's [`CancellationToken`] was cancelled or its deadline
+    /// expired.  The reduction under construction is dropped whole.
     Interrupted(EvalError),
 }
 
@@ -268,13 +539,35 @@ pub fn forward_reduction_with(
 }
 
 /// [`forward_reduction_with`] polling a [`CancellationToken`]: the per-tuple
-/// loops — the segment-tree node pass over every interval column and the
-/// expansion of every relation build — check the token every
-/// [`check_interval`](CancellationToken::check_interval) rows and abort with
+/// loops — the segment-tree node pass over every interval column (per source
+/// tuple) and the expansion of every relation build (per emitted tuple) —
+/// check the token every
+/// [`check_interval`](CancellationToken::check_interval) tuples and abort with
 /// [`ReductionError::Interrupted`] when it fires — the segment-tree builds
 /// and the structural reduction run to completion (both are small: `O(N)`
 /// interval collection and a per-*shape* permutation enumeration).
+///
+/// This is [`plan_forward_reduction`] followed by a request for every
+/// relation of the plan: all of `D̃` is built before the call returns, and
+/// [`ForwardReduction::stats`] reports all of it.
 pub fn forward_reduction_with_token(
+    q: &Query,
+    db: &Database,
+    config: ReductionConfig,
+    token: Option<&CancellationToken>,
+) -> Result<ForwardReduction, ReductionError> {
+    let mut reduction = plan_forward_reduction(q, db, config, token)?;
+    reduction.materialise_all(token)?;
+    reduction.stats = reduction.materialised_stats();
+    Ok(reduction)
+}
+
+/// Plans the forward reduction of `q` over `db` without building any
+/// transformed relation: the returned [`ForwardReduction`] carries the EJ
+/// queries and builds each relation of `D̃` the first time
+/// [`ForwardReduction::relation`] is asked for it.  This is all of the
+/// reduction that can reject its input; `token` interrupts the segment-tree node pass.
+pub fn plan_forward_reduction(
     q: &Query,
     db: &Database,
     config: ReductionConfig,
@@ -327,38 +620,47 @@ pub fn forward_reduction_with_token(
         }
     }
 
+    // --- what the relation builds will read: per atom and source column,
+    // the node lists of an interval column or the ids of a point column ----
+    let is_interval = |v: &String| q.var_kind(v) == Some(VarKind::Interval);
+    let sources: Vec<AtomSource> = (q.atoms().iter().enumerate())
+        .map(|(atom_idx, atom)| {
+            let source = db.relation(&atom.relation).expect("validated");
+            let column = |col| match node_lists.remove(&(atom_idx, col)) {
+                Some(nodes) => SourceColumn::Interval(nodes),
+                None => SourceColumn::Point(source.column_ids(col).to_vec()),
+            };
+            AtomSource {
+                rows: source.len(),
+                columns: (0..atom.vars.len()).map(column).collect(),
+            }
+        })
+        .collect();
+
     // --- structural reduction ----------------------------------------------
     let reduced_structures = full_reduction(&hypergraph);
     stats.num_queries = reduced_structures.len();
 
-    // --- transformed relations, memoised per (atom, level assignment) ------
-    // The transformed database interns into the *input* database's
-    // dictionary: ids must be join-compatible with the carried columns, and a
-    // workspace-scoped input keeps its reduction scoped too.
-    let dict = db.dictionary();
-    let mut database = Database::new_in(dict.clone());
-    let mut built: BTreeSet<String> = BTreeSet::new();
-    let mut insert = |relation: Relation| {
-        stats.transformed_tuples += relation.len();
-        stats.max_relation_tuples = stats.max_relation_tuples.max(relation.len());
-        database.insert(relation);
+    // --- the EJ queries, and one spec per distinct transformed relation: a
+    // relation depends on its atom and level assignment only, so the
+    // structures share most of them -----------------------------------------
+    let mut reduction = ForwardReduction {
+        queries: Vec::with_capacity(reduced_structures.len()),
+        stats,
+        dict: db.dictionary().clone(),
+        sources,
+        tuple_ids: Vec::new(),
+        relations: Vec::new(),
+        by_name: BTreeMap::new(),
     };
-    // The per-tuple identifiers `0.0, 1.0, …` of the decomposed encoding,
-    // interned once per call: a prefix of them serves the spine and every
-    // part of every decomposed atom.
-    let mut tuple_id_prefix: Vec<ValueId> = Vec::new();
-    let mut queries: Vec<ReducedQuery> = Vec::with_capacity(reduced_structures.len());
-
     for structure in reduced_structures {
         let mut atoms: Vec<ReducedAtom> = Vec::with_capacity(q.atoms().len());
         for (atom_idx, atom) in q.atoms().iter().enumerate() {
-            let source = db.relation(&atom.relation).expect("validated");
             let levels = &structure.edge_levels[atom_idx];
-            let is_interval = |v: &String| q.var_kind(v) == Some(VarKind::Interval);
             let expand = |col: usize| {
                 let var = var_ids[&atom.vars[col]];
-                PlanColumn::Expand {
-                    nodes: &node_lists[&(atom_idx, col)],
+                SpecColumn::Expand {
+                    col,
                     level: levels[&var],
                     leaf: levels[&var] == degrees[&var],
                 }
@@ -371,23 +673,17 @@ pub fn forward_reduction_with_token(
             if !decompose {
                 let (name, vars) =
                     reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
-                if built.insert(name.clone()) {
-                    // Carried columns copy their ids, interval columns expand
-                    // into `level` bitstring columns.
-                    let plan: Vec<PlanColumn<'_>> = (0..atom.vars.len())
-                        .map(|col| match is_interval(&atom.vars[col]) {
-                            true => expand(col),
-                            false => PlanColumn::Carried(source.column_ids(col)),
-                        })
-                        .collect();
-                    insert(build_transformed_relation(
-                        &name,
-                        dict,
-                        &plan,
-                        source.len(),
-                        token,
-                    )?);
-                }
+                // Carried columns copy their ids, interval columns expand
+                // into `level` bitstring columns.
+                let columns = (0..atom.vars.len()).map(|col| match is_interval(&atom.vars[col]) {
+                    true => expand(col),
+                    false => SpecColumn::Carried { col },
+                });
+                let spec = RelationSpec {
+                    atom: atom_idx,
+                    columns: columns.collect(),
+                };
+                reduction.plan_relation(name.clone(), Some(spec));
                 atoms.push(ReducedAtom {
                     relation: name,
                     vars,
@@ -397,26 +693,23 @@ pub fn forward_reduction_with_token(
 
             // --- decomposed encoding: spine + one part per interval variable
             let id_var = format!("__id:{}@{}", atom.relation, atom_idx);
-            for i in tuple_id_prefix.len()..source.len() {
-                tuple_id_prefix.push(dict.intern(Value::point(i as f64)));
+            let rows = reduction.sources[atom_idx].rows;
+            for i in reduction.tuple_ids.len()..rows {
+                let id = reduction.dict.intern(Value::point(i as f64));
+                reduction.tuple_ids.push(id);
             }
-            let tuple_ids = &tuple_id_prefix[..source.len()];
 
             // The spine: one tuple `(Id, carried point values…)` per source
             // tuple, the carried columns copying the source ids verbatim.
             let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
             let carried = (0..atom.vars.len()).filter(|&col| !is_interval(&atom.vars[col]));
-            if built.insert(spine_name.clone()) {
-                let cols = std::iter::once(tuple_ids.to_vec())
-                    .chain(carried.clone().map(|col| source.column_ids(col).to_vec()))
-                    .collect();
-                insert(Relation::from_id_columns_in(
-                    spine_name.clone(),
-                    source.len(),
-                    cols,
-                    dict,
-                ));
-            }
+            let columns = std::iter::once(SpecColumn::TupleId)
+                .chain(carried.clone().map(|col| SpecColumn::Carried { col }));
+            let spine = RelationSpec {
+                atom: atom_idx,
+                columns: columns.collect(),
+            };
+            reduction.plan_relation(spine_name.clone(), Some(spine));
             atoms.push(ReducedAtom {
                 relation: spine_name,
                 vars: std::iter::once(id_var.clone())
@@ -430,16 +723,11 @@ pub fn forward_reduction_with_token(
                 let var_name = &atom.vars[col];
                 let level = levels[&var_ids[var_name]];
                 let part_name = format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var_name, level);
-                if built.insert(part_name.clone()) {
-                    let plan = [PlanColumn::Carried(tuple_ids), expand(col)];
-                    insert(build_transformed_relation(
-                        &part_name,
-                        dict,
-                        &plan,
-                        source.len(),
-                        token,
-                    )?);
-                }
+                let part = RelationSpec {
+                    atom: atom_idx,
+                    columns: vec![SpecColumn::TupleId, expand(col)],
+                };
+                reduction.plan_relation(part_name.clone(), Some(part));
                 let mut part_vars: Vec<String> = vec![id_var.clone()];
                 for j in 1..=level {
                     part_vars.push(format!("{var_name}#{j}"));
@@ -450,15 +738,10 @@ pub fn forward_reduction_with_token(
                 });
             }
         }
-        queries.push(ReducedQuery { atoms, structure });
+        reduction.queries.push(ReducedQuery { atoms, structure });
     }
-    stats.num_relations = built.len();
-
-    Ok(ForwardReduction {
-        database,
-        queries,
-        stats,
-    })
+    reduction.stats = reduction.materialised_stats();
+    Ok(reduction)
 }
 
 /// The name and column variables of the transformed relation of one atom
@@ -498,6 +781,7 @@ fn reduced_relation_signature(
 /// partition of its interval (Definition 4.9, second bullet: the levels
 /// below the variable's degree) and the leaf of its left endpoint (third
 /// bullet: the top level).
+#[derive(Debug)]
 struct NodeLists {
     /// Row `r`'s canonical partition is
     /// `partitions[partition_starts[r]..partition_starts[r + 1]]`.
@@ -563,19 +847,39 @@ impl PlanColumn<'_> {
     }
 }
 
+impl ForwardReduction {
+    /// The build plan of a spec: its columns, borrowed from what this
+    /// reduction keeps of the source atom.
+    fn resolve(&self, spec: &RelationSpec) -> Vec<PlanColumn<'_>> {
+        let source = &self.sources[spec.atom];
+        let resolve = |column: &SpecColumn| match (*column, column.source(source)) {
+            (SpecColumn::TupleId, _) => PlanColumn::Carried(&self.tuple_ids[..source.rows]),
+            (SpecColumn::Carried { .. }, Some(SourceColumn::Point(ids))) => {
+                PlanColumn::Carried(ids)
+            }
+            (SpecColumn::Expand { level, leaf, .. }, Some(SourceColumn::Interval(nodes))) => {
+                PlanColumn::Expand { nodes, level, leaf }
+            }
+            _ => unreachable!("the plan carries point columns and expands interval columns"),
+        };
+        spec.columns.iter().map(resolve).collect()
+    }
+}
+
 /// Builds one transformed relation (Definition 4.9, applied once per
-/// `Expand` column of the plan): per source row, the cross product of its
-/// columns' options, deduplicated at the end.  The loop stays in the id
-/// domain and allocates nothing per row: every plan column has one reusable
-/// buffer holding the current row's options back to back (`width` ids each),
-/// and an odometer over the buffers fills one reusable output row.
-fn build_transformed_relation(
+/// `Expand` column of the plan) — the one routine that materialises `D̃`,
+/// behind every cell of a [`ForwardReduction`]: per source row, the cross
+/// product of its columns' options, deduplicated at the end.  The loop stays
+/// in the id domain and allocates nothing per row: every plan column has one
+/// reusable buffer holding the current row's options back to back (`width`
+/// ids each), and an odometer over the buffers fills one reusable output row.
+fn build_relation(
     name: &str,
     dict: &SharedDictionary,
     plan: &[PlanColumn<'_>],
     source_rows: usize,
     token: Option<&CancellationToken>,
-) -> Result<Relation, ReductionError> {
+) -> Result<Relation, EvalError> {
     faults::point("reduction-transform");
     let widths: Vec<usize> = plan.iter().map(PlanColumn::width).collect();
     let arity = widths.iter().sum();
@@ -587,7 +891,6 @@ fn build_transformed_relation(
     let mut row: Vec<ValueId> = Vec::with_capacity(arity);
     let mut ticker = CancelTicker::new(token);
     'rows: for source_row in 0..source_rows {
-        ticker.tick()?;
         for (column, options) in plan.iter().zip(&mut options) {
             options.clear();
             match *column {
@@ -605,6 +908,10 @@ fn build_transformed_relation(
         }
         chosen.fill(0);
         'emit: loop {
+            // One unit of work per emitted tuple: a source row expands into
+            // `O(log^j N)` of them, so a per-source-row count would stretch
+            // the poll interval by that factor.
+            ticker.tick()?;
             row.clear();
             for ((&width, options), &at) in widths.iter().zip(&options).zip(&chosen) {
                 row.extend_from_slice(&options[at..at + width]);
@@ -687,6 +994,7 @@ fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
 mod tests {
     use super::*;
     use ij_relation::Value;
+    use std::collections::BTreeSet;
 
     fn iv(lo: f64, hi: f64) -> Value {
         Value::interval(lo, hi)
@@ -717,11 +1025,11 @@ mod tests {
         // Each atom has 2 interval variables with 2 levels each → 4 distinct
         // transformed relations per atom, 12 in total.
         assert_eq!(fr.stats.num_relations, 12);
-        assert_eq!(fr.database.num_relations(), 12);
+        assert_eq!(fr.relations().count(), 12);
         // Every reduced query references existing relations with matching arity.
         for rq in &fr.queries {
             for atom in &rq.atoms {
-                let rel = fr.database.relation(&atom.relation).unwrap();
+                let rel = fr.relation(&atom.relation, None).unwrap();
                 assert_eq!(rel.arity(), atom.vars.len());
             }
             // The reduced query is a pure EJ query.
@@ -733,7 +1041,7 @@ mod tests {
     fn transformed_relations_hold_bitstrings_only() {
         let (q, db) = triangle_instance(true);
         let fr = forward_reduction(&q, &db).unwrap();
-        for rel in fr.database.relations() {
+        for rel in fr.relations() {
             for t in rel.tuples() {
                 for v in t {
                     assert!(
@@ -781,7 +1089,7 @@ mod tests {
         // level ≤ 2, so the size is bounded by N · (cp_bound · comp_bound)^2.
         let per_var = cp_bound * comp_bound;
         let bound = n * per_var * per_var;
-        for rel in fr.database.relations() {
+        for rel in fr.relations() {
             assert!(
                 rel.len() <= bound,
                 "relation {} has {} tuples, bound {bound}",
@@ -810,7 +1118,7 @@ mod tests {
             // Every referenced relation exists with matching arity and every
             // part shares its Id variable with its spine.
             for atom in &rq.atoms {
-                let rel = fr.database.relation(&atom.relation).unwrap();
+                let rel = fr.relation(&atom.relation, None).unwrap();
                 assert_eq!(rel.arity(), atom.vars.len());
             }
             let id_vars: Vec<&String> = rq
@@ -949,7 +1257,7 @@ mod tests {
         db.insert_tuples("S", 2, vec![vec![Value::point(7.0), iv(1.0, 3.0)]]);
         let fr = forward_reduction(&q, &db).unwrap();
         assert_eq!(fr.queries.len(), 2);
-        for rel in fr.database.relations() {
+        for rel in fr.relations() {
             for t in rel.tuples() {
                 // First column carries the point value 7.0.
                 assert_eq!(t[0], Value::point(7.0));
@@ -1087,14 +1395,13 @@ mod tests {
             let fr = forward_reduction_with(q, db, config).unwrap();
             let expected = oracle_reduction(q, db, config);
             assert_eq!(
-                fr.database
-                    .relation_names()
-                    .into_iter()
+                fr.relations()
+                    .map(|rel| rel.name().to_string())
                     .collect::<BTreeSet<_>>(),
                 expected.keys().cloned().collect::<BTreeSet<_>>(),
                 "{config:?}"
             );
-            for rel in fr.database.relations() {
+            for rel in fr.relations() {
                 let rows = rel.tuples();
                 let set: BTreeSet<Vec<Value>> = rows.iter().cloned().collect();
                 assert_eq!(
@@ -1170,7 +1477,7 @@ mod tests {
             ("T", interval_rows(5, 2, 2)),
         ]);
         let fr = forward_reduction(&q, &db).unwrap();
-        assert!(fr.database.relations().any(|rel| rel.arity() == 6));
+        assert!(fr.relations().any(|rel| rel.arity() == 6));
         assert_kernel_matches_oracle(&q, &db);
     }
 
@@ -1220,7 +1527,7 @@ mod tests {
                     leaf,
                 },
             ];
-            build_transformed_relation("R", &dict, &plan, 2, None).unwrap()
+            build_relation("R", &dict, &plan, 2, None).unwrap()
         };
         let partitions = build(false);
         assert!(!partitions.is_empty());
@@ -1240,20 +1547,125 @@ mod tests {
             ReductionError::Interrupted(EvalError::Cancelled)
         );
         // The expansion loop itself polls: node lists built beforehand, the
-        // token fires on the fourth row.
+        // token fires on the fourth emitted tuple (one leaf per row).
         let intervals: Vec<Interval> = (0..9).map(|i| Interval::new(i as f64, 9.0)).collect();
         let nodes = node_lists(&intervals, &intervals);
         let plan = [PlanColumn::Expand {
             nodes: &nodes,
             level: 1,
-            leaf: false,
+            leaf: true,
         }];
         let dict = SharedDictionary::new();
         assert_eq!(
-            build_transformed_relation("R", &dict, &plan, 9, Some(&token)).unwrap_err(),
-            ReductionError::Interrupted(EvalError::Cancelled)
+            build_relation("R", &dict, &plan, 9, Some(&token)).unwrap_err(),
+            EvalError::Cancelled
         );
-        // Fewer rows than the check interval never poll.
-        assert!(build_transformed_relation("R", &dict, &plan, 3, Some(&token)).is_ok());
+        // Fewer tuples than the check interval never poll.
+        assert!(build_relation("R", &dict, &plan, 3, Some(&token)).is_ok());
+    }
+
+    /// Under both encodings: the star's plan and, as the reference, its
+    /// fully built reduction.
+    fn star_plan_and_reference(config: ReductionConfig) -> (ForwardReduction, ForwardReduction) {
+        let q = Query::parse("R([A],[B]) & S([A],[B]) & T([A])").unwrap();
+        let db = database_of(&[
+            ("R", interval_rows(9, 2, 0)),
+            ("S", interval_rows(7, 2, 1)),
+            ("T", interval_rows(8, 1, 2)),
+        ]);
+        (
+            plan_forward_reduction(&q, &db, config, None).unwrap(),
+            forward_reduction_with(&q, &db, config).unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_plan_builds_relations_on_first_use_only() {
+        for config in [ReductionConfig::default(), DECOMPOSED] {
+            let (plan, reference) = star_plan_and_reference(config);
+            assert_eq!(plan.relations().count(), 0);
+            assert_eq!(plan.stats.relations_built, 0);
+            assert_eq!(plan.stats.transformed_tuples, 0);
+            assert_eq!(plan.stats.num_relations, reference.stats.num_relations);
+            assert_eq!(
+                reference.stats.relations_built,
+                reference.stats.num_relations
+            );
+
+            // Building what the first query reads builds nothing else.
+            let first = &plan.queries[0];
+            for atom in &first.atoms {
+                let built = plan.relation(&atom.relation, None).unwrap();
+                assert_eq!(built, reference.relation(&atom.relation, None).unwrap());
+                // A second request is the same relation, not a second build.
+                assert!(std::ptr::eq(
+                    built,
+                    plan.relation(&atom.relation, None).unwrap()
+                ));
+            }
+            let stats = plan.materialised_stats();
+            assert_eq!(stats.relations_built, first.atoms.len());
+            assert!(stats.relations_built < stats.num_relations);
+            assert!(stats.transformed_tuples < reference.stats.transformed_tuples);
+
+            plan.materialise_all(None).unwrap();
+            let stats = plan.materialised_stats();
+            assert_eq!(stats.transformed_tuples, reference.stats.transformed_tuples);
+            assert_eq!(
+                stats.max_relation_tuples,
+                reference.stats.max_relation_tuples
+            );
+        }
+    }
+
+    #[test]
+    fn an_interrupted_build_leaves_the_relation_unbuilt() {
+        let (plan, reference) = star_plan_and_reference(ReductionConfig::default());
+        let name = plan.queries[0].atoms[0].relation.clone();
+        let cancelled = CancellationToken::new().with_check_interval(4);
+        cancelled.cancel();
+        assert_eq!(
+            plan.relation(&name, Some(&cancelled)).unwrap_err(),
+            EvalError::Cancelled
+        );
+        let expired = CancellationToken::new().with_budget(std::time::Duration::ZERO);
+        assert!(matches!(
+            plan.relation(&name, Some(&expired)),
+            Err(EvalError::DeadlineExceeded { .. })
+        ));
+        assert_eq!(plan.relations().count(), 0);
+        // The next request builds it from the untouched plan; once built, not
+        // even a cancelled token fails the request.
+        let built = plan.relation(&name, None).unwrap();
+        assert_eq!(built, reference.relation(&name, None).unwrap());
+        assert!(plan.relation(&name, Some(&cancelled)).is_ok());
+    }
+
+    #[test]
+    fn concurrent_requests_share_one_build() {
+        let (plan, reference) = star_plan_and_reference(DECOMPOSED);
+        let names: Vec<&str> = reference.relations().map(Relation::name).collect();
+        // The addresses of the relations each worker was handed.
+        let seen: Vec<BTreeSet<usize>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|worker| {
+                    let (plan, names) = (&plan, &names);
+                    // Every worker asks for every relation, each from a
+                    // different starting point.
+                    let request = move |i: usize| {
+                        let name = names[(i + worker) % names.len()];
+                        plan.relation(name, None).unwrap() as *const Relation as usize
+                    };
+                    scope.spawn(move || (0..names.len()).map(request).collect())
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // All four saw the same relation objects: one per name.
+        assert!(seen.iter().all(|s| s == &seen[0] && s.len() == names.len()));
+        assert_eq!(
+            plan.materialised_stats().transformed_tuples,
+            reference.stats.transformed_tuples
+        );
     }
 }

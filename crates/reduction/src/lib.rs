@@ -4,7 +4,10 @@
 //!   mixed EIJ) query and an interval database become a disjunction of EJ
 //!   queries over a database of segment-tree bitstrings, with a
 //!   poly-logarithmic blow-up in size (Lemma 4.10) and equivalence of the
-//!   Boolean answers (Theorem 4.13).
+//!   Boolean answers (Theorem 4.13).  It is [`plan_forward_reduction`] — the
+//!   EJ queries and a build spec per transformed relation — followed by
+//!   building every relation; an evaluator that may stop early plans only
+//!   and lets [`ForwardReduction::relation`] build what it reads.
 //! * [`backward_reduction`] implements Section 5 / Definition D.2: a database
 //!   over the schema of one of the reduced EJ queries is embedded back into
 //!   an interval database for the original query via the dyadic mapping of
@@ -41,6 +44,7 @@ pub use disjoint::{
     ordered_witnesses, unique_ordered_witness, unrestricted_witness_count, OrderedWitness,
 };
 pub use forward::{
-    forward_reduction, forward_reduction_with, forward_reduction_with_token, EncodingStrategy,
-    ForwardReduction, ReducedAtom, ReducedQuery, ReductionConfig, ReductionError, ReductionStats,
+    forward_reduction, forward_reduction_with, forward_reduction_with_token,
+    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReducedAtom, ReducedQuery,
+    ReductionConfig, ReductionError, ReductionStats,
 };

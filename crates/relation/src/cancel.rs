@@ -2,7 +2,7 @@
 //!
 //! A [`CancellationToken`] is the signal every long-running loop of the
 //! pipeline polls: the generic-join search, sharded trie builds, the forward
-//! reduction's per-relation transform loops, and the engine's disjunct worker
+//! reduction's per-relation build loops, and the engine's disjunct worker
 //! pool.  Polling happens at bounded intervals (every *K* candidates / *K*
 //! rows — [`CancellationToken::with_check_interval`]), so cancellation
 //! latency is a measurable constant of the workload, not "whenever the

@@ -58,7 +58,9 @@ pub mod sites {
     pub const CACHE_INSERT: &str = "cache-insert";
     /// At the top of each generic-join enumeration shard worker.
     pub const SHARD_WORKER: &str = "shard-worker";
-    /// Inside the reduction rewrite that transforms an input relation.
+    /// At the start of every transformed-relation build of the forward
+    /// reduction — on the disjunct worker that first reads the relation, or
+    /// on the caller's thread under `forward_reduction_with*`.
     pub const REDUCTION_TRANSFORM: &str = "reduction-transform";
 }
 

@@ -42,7 +42,13 @@ fn main() {
     db.insert_tuples("S", 2, vec![vec![iv(12.0, 13.0), iv(20.0, 25.0)]]);
     db.insert_tuples("T", 2, vec![vec![iv(3.0, 5.0), iv(24.0, 26.0)]]);
 
-    let engine = workspace.engine(EngineConfig::new());
+    // One disjunct worker: the evaluation stops at the first true disjunct,
+    // and with several workers *which* disjuncts were started by then — so
+    // which transformed relations and tries exist afterwards — depends on
+    // thread scheduling.  Sequentially it is the same every run, which is
+    // what lets section 3 assert an exact cache-miss count.
+    let config = EngineConfig::new().with_parallelism(1);
+    let engine = workspace.engine(config);
 
     println!("The triangle query of Section 1.1, over a 4-tuple interval database:");
     println!();
@@ -71,9 +77,12 @@ fn main() {
     //    the engine deduplicates the disjuncts, groups them into batches by
     //    the transformed relations they share, and evaluates with the
     //    workspace's shared trie cache (early exit on the first true
-    //    disjunct).  The reduction's bitstring ids are computed, not stored,
-    //    and join the workspace's ids — the process-global dictionary is
-    //    never touched.
+    //    disjunct).  A transformed relation is built when the first disjunct
+    //    that reads it is evaluated, so the early exit also skips the
+    //    relations only later disjuncts would have read: the summary says
+    //    how many were built.  The reduction's bitstring ids are computed,
+    //    not stored, and join the workspace's ids — the process-global
+    //    dictionary is never touched.
     let stats = engine
         .evaluate_with_stats(&query, &db)
         .expect("evaluation succeeds");
@@ -84,7 +93,9 @@ fn main() {
     // 3. Cache warmth is a *workspace* property, not an engine property: a
     //    brand-new engine built from the same workspace — the per-request
     //    engine of a server — is served warm on its very first evaluation.
-    let fresh_engine = workspace.engine(EngineConfig::new());
+    //    (Sequential like the first run, so it evaluates the same disjuncts
+    //    and every trie it asks for is one the first run built.)
+    let fresh_engine = workspace.engine(config);
     let warm = fresh_engine
         .evaluate_with_stats(&query, &db)
         .expect("evaluation succeeds");

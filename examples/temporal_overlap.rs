@@ -60,10 +60,12 @@ fn main() {
         assert_eq!(stats.answer, baseline.evaluate_boolean());
         assert_eq!(stats.answer, cascade_answer);
         println!(
-            "{}: answer = {}, transformed tuples = {}, \
+            "{}: answer = {}, built {} of {} transformed relations ({} tuples), \
              EJ disjuncts evaluated = {}/{}, cascade max intermediate = {}",
             scenario.name,
             stats.answer,
+            stats.reduction.relations_built,
+            stats.reduction.num_relations,
             stats.reduction.transformed_tuples,
             stats.ej_queries_evaluated,
             stats.ej_queries_total,

@@ -53,19 +53,22 @@
 //!  Query + Database (columnar: Vec<ValueId> per column, workspace dictionary)
 //!        │
 //!        ▼
-//!  ij_reduction::forward_reduction          Segment trees per interval var;
-//!        │   carried columns pass ids       tuples expand into bitstring-id
-//!        │   through; bitstring ids are     rows (no Value rows materialised)
-//!        │   computed, never stored
-//!        ▼
-//!  ForwardReduction { D̃ (id columns), ⋁ Q̃ᵢ }
-//!        │
+//!  ij_reduction::plan_forward_reduction     Segment trees per interval var,
+//!        │   (forward_reduction_with =      tree nodes per source cell, ⋁ Q̃ᵢ
+//!        │    plan + build every relation)  and one build spec per relation
+//!        ▼                                  of D̃ — no transformed tuple yet
+//!  ForwardReduction { ⋁ Q̃ᵢ, D̃: one write-once cell per relation }
+//!        │   .relation(name) builds on      tuples expand into bitstring-id
+//!        │   first use: carried columns     rows (no Value rows materialised);
+//!        │   pass ids through, bitstring    a second asker waits, a failed
+//!        │   ids are computed, not stored   build leaves the cell empty
 //!        ▼
 //!  ij_engine::evaluate_reduction            dedup disjuncts → batches
 //!        │   (EngineConfig::parallelism     (grouped by shared transformed
-//!        │    workers pull whole batches,   relations) → worker pool with
-//!        │    AtomicBool early exit; all    AtomicBool early exit; built
-//!        ▼    workers share one TrieCache)  tries reused across disjuncts
+//!        │    workers pull whole batches    relations) → worker pool; binding
+//!        │    and build the relations       a disjunct builds its unbuilt
+//!        │    their disjuncts read; all     relations; AtomicBool early exit
+//!        ▼    workers share one TrieCache)  cancels the siblings' builds
 //!  ij_ejoin per disjunct:
 //!     · α-acyclic   → Yannakakis semijoins (id-tuple keys, fast hasher)
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis

@@ -9,6 +9,10 @@
 //! * cancelling a caller-owned [`CancellationToken`] from another thread
 //!   makes an in-flight evaluation return within the documented latency
 //!   ceiling ([`LATENCY_BOUND`]);
+//! * both also hold while the disjunct workers are still *building* the
+//!   transformed relations (the forward reduction's builds run on the
+//!   workers, on demand), and the pool cancelling itself after a found
+//!   witness never cancels the caller's token;
 //! * cancellation racing concurrent evaluations over one shared workspace is
 //!   **correct-or-`Cancelled`**: every evaluation either returns the right
 //!   answer or the typed error, the per-tenant cache ledgers still sum
@@ -21,7 +25,7 @@ use ij_engine::{
     Workspace,
 };
 use ij_reduction::{forward_reduction, ForwardReduction};
-use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
+use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -140,6 +144,136 @@ fn external_cancel_returns_within_the_documented_bound() {
         latency <= LATENCY_BOUND,
         "signal→return latency {latency:?} exceeded the documented bound {LATENCY_BOUND:?}"
     );
+}
+
+/// A near-miss temporal star grown until its uncancelled evaluation clears
+/// `floor`.  All six disjuncts run (by Yannakakis, no tries), so nearly all
+/// of the time goes into the workers building the nine transformed
+/// relations: an interruption a fraction of the way in lands in a build.
+fn grow_build_heavy(floor: Duration) -> (Scenario, Duration) {
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+    let mut last = None;
+    for tuples in [500usize, 1000, 2000, 4000, 8000] {
+        let cfg = ScenarioConfig::new(ScenarioFamily::TemporalOverlap)
+            .with_tuples(tuples)
+            .with_seed(3)
+            .with_planted(PlantedAnswer::NearMiss);
+        let scenario = build_scenario(&cfg);
+        let start = Instant::now();
+        let stats = engine
+            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .expect("uncancelled evaluation succeeds");
+        let uncancelled = start.elapsed();
+        assert!(!stats.answer, "near-miss scenario must be unsatisfiable");
+        assert_eq!(
+            stats.reduction.relations_built,
+            stats.reduction.num_relations
+        );
+        let long_enough = uncancelled >= floor;
+        last = Some((scenario, uncancelled));
+        if long_enough {
+            break;
+        }
+    }
+    last.expect("at least one size was measured")
+}
+
+fn build_heavy_fixture() -> &'static (Scenario, Duration) {
+    static FIXTURE: OnceLock<(Scenario, Duration)> = OnceLock::new();
+    FIXTURE.get_or_init(|| grow_build_heavy(Duration::from_millis(100)))
+}
+
+/// A deadline that expires while the workers are building transformed
+/// relations surfaces as `DeadlineExceeded` within the latency ceiling: the
+/// builds poll the pool's token every check interval of source rows.
+#[test]
+fn deadline_interrupts_worker_side_relation_builds() {
+    let (scenario, uncancelled) = build_heavy_fixture();
+    let budget = (*uncancelled / 20).max(Duration::from_millis(2));
+    let engine = IntersectionJoinEngine::new(
+        EngineConfig::new()
+            .with_parallelism(2)
+            .with_deadline(budget),
+    );
+    let start = Instant::now();
+    let result = engine.evaluate(&scenario.query, &scenario.database);
+    let wall = start.elapsed();
+    match result {
+        Err(EngineError::Evaluation(EvalError::DeadlineExceeded {
+            budget: reported, ..
+        })) => assert_eq!(reported, budget),
+        other => panic!(
+            "a {budget:?} deadline on a {uncancelled:?} workload returned {other:?}, \
+             expected DeadlineExceeded"
+        ),
+    }
+    assert!(
+        wall <= budget + LATENCY_BOUND,
+        "deadline latency {wall:?} exceeded budget {budget:?} + bound {LATENCY_BOUND:?}"
+    );
+    // Nothing the interrupted builds left behind outlives the evaluation.
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+    assert!(!engine
+        .evaluate(&scenario.query, &scenario.database)
+        .expect("clean evaluation"));
+}
+
+/// An external cancel while the workers are building returns `Cancelled`
+/// within the latency ceiling.
+#[test]
+fn external_cancel_interrupts_worker_side_relation_builds() {
+    let (scenario, uncancelled) = build_heavy_fixture();
+    let token = CancellationToken::new();
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+    let (result, latency) = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            let result =
+                engine.evaluate_cancellable(&scenario.query, &scenario.database, Some(&token));
+            (result, Instant::now())
+        });
+        std::thread::sleep((*uncancelled / 4).min(Duration::from_millis(50)));
+        let signalled = Instant::now();
+        token.cancel();
+        let (result, returned) = worker.join().expect("worker does not panic");
+        (result, returned.saturating_duration_since(signalled))
+    });
+    match result {
+        Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
+        Ok(answer) => assert!(!answer, "near-miss workload answered true"),
+        Err(other) => panic!("external cancel surfaced as {other:?}, expected Cancelled"),
+    }
+    assert!(
+        latency <= LATENCY_BOUND,
+        "signal→return latency {latency:?} exceeded the documented bound {LATENCY_BOUND:?}"
+    );
+}
+
+/// The first worker to find a witness cancels the *pool's* token so its
+/// siblings drop their speculative builds; the pool token is a child of the
+/// caller's, so the caller's token stays usable for the next evaluation.
+#[test]
+fn a_found_witness_never_cancels_the_callers_token() {
+    let cfg = ScenarioConfig::new(ScenarioFamily::TemporalOverlap)
+        .with_tuples(300)
+        .with_seed(7)
+        .with_planted(PlantedAnswer::Natural);
+    let scenario = build_scenario(&cfg);
+    let token = CancellationToken::new().with_check_interval(16);
+    for parallelism in [2usize, 4, 2, 4] {
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+        let stats = engine
+            .evaluate_with_stats_cancellable(&scenario.query, &scenario.database, Some(&token))
+            .expect("a true disjunct outranks whatever its siblings were interrupted in");
+        assert!(stats.answer);
+        assert!(
+            stats.reduction.relations_built <= stats.reduction.num_relations
+                && stats.reduction.relations_built >= 3,
+            "{:?}",
+            stats.reduction
+        );
+        assert!(!token.is_cancelled(), "parallelism {parallelism}");
+        assert!(token.checkpoint().is_ok());
+    }
 }
 
 fn is_std_error<E: std::error::Error + Send + 'static>() {}

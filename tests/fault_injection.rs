@@ -2,7 +2,8 @@
 //!
 //! The pipeline is instrumented with named failpoint sites
 //! (`ij_engine::faults`): `reduction-transform` in the forward reduction's
-//! per-relation transform, `trie-build` at every trie construction,
+//! per-relation build (which runs on a disjunct worker, the first time a
+//! disjunct binds the relation), `trie-build` at every trie construction,
 //! `cache-insert` inside the shared trie cache's accounting section, and
 //! `shard-worker` inside the sharded-build isolation boundary.  These tests
 //! arm each site with deterministic panic and delay schedules and assert the
@@ -25,6 +26,7 @@
 
 use ij_engine::faults::{self, FaultAction};
 use ij_engine::{EngineConfig, EngineError, EvalError, Workspace};
+use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::Query;
 use ij_workloads::{
     build_scenario, planted_unsatisfiable, IntervalDistribution, PlantedAnswer, ScenarioConfig,
@@ -200,6 +202,82 @@ fn injected_panics_surface_as_typed_errors_and_workspaces_recover() {
                 run_case(family, site, after, FaultAction::Panic);
             }
         }
+    }
+}
+
+/// A relation build that panics on a disjunct worker: the evaluation reports
+/// [`EvalError::WorkerPanicked`], the relation stays unbuilt (no partial
+/// relation is ever published), and the *same* reduction then evaluates
+/// correctly on the same engine — the failed build is simply run again.
+/// Builds are started once per relation, plus once for the build that
+/// panicked and once more if the sibling worker's build was in flight when
+/// the panic cancelled the pool; without a fault it is exactly once per
+/// relation, whatever the workers' interleaving: a worker that needs a
+/// relation another worker is building waits for it.
+#[test]
+fn a_panicking_relation_build_leaves_the_relation_unbuilt() {
+    let _guard = serial();
+    hush_injected_panics();
+    for family in ScenarioFamily::ALL {
+        let label = format!("{family:?}");
+        let (faulted, built_after_fault, clean, (builds, clean_builds), planned) =
+            with_watchdog(&label, move || {
+                let cfg = ScenarioConfig::new(family)
+                    .with_tuples(12)
+                    .with_seed(0)
+                    .with_planted(PlantedAnswer::Unsatisfiable);
+                let scenario = build_scenario(&cfg);
+                let ws = Workspace::new();
+                let db = ws.import_database(&scenario.database);
+                let engine = ws.engine(EngineConfig::new().with_parallelism(2));
+                let plan =
+                    plan_forward_reduction(&scenario.query, &db, ReductionConfig::default(), None)
+                        .expect("planning succeeds");
+
+                faults::clear();
+                faults::configure("reduction-transform", 1, FaultAction::Panic);
+                let faulted = engine.evaluate_reduction(&plan);
+                let built_after_fault = plan.relations().count();
+                let clean = engine
+                    .evaluate_reduction(&plan)
+                    .expect("the same reduction evaluates once the fault is spent");
+                let builds = faults::hits("reduction-transform");
+                faults::clear();
+
+                let fresh =
+                    plan_forward_reduction(&scenario.query, &db, ReductionConfig::default(), None)
+                        .expect("planning succeeds");
+                ws.engine(EngineConfig::new().with_parallelism(4))
+                    .evaluate_reduction(&fresh)
+                    .expect("clean evaluation succeeds");
+                let clean_builds = faults::hits("reduction-transform");
+                faults::clear();
+                (
+                    faulted,
+                    built_after_fault,
+                    clean,
+                    (builds, clean_builds),
+                    plan.stats.num_relations,
+                )
+            });
+        match faulted {
+            Err(EvalError::WorkerPanicked { atom, payload }) => {
+                assert!(atom.starts_with("disjunct"), "{label}: {atom}");
+                assert!(payload.contains("failpoint"), "{label}: {payload}");
+            }
+            other => panic!("{label}: expected WorkerPanicked, got {other:?}"),
+        }
+        assert!(
+            built_after_fault < planned,
+            "{label}: {built_after_fault} of {planned} relations built despite the panic"
+        );
+        assert!(!clean.answer, "{label}: planted-unsatisfiable");
+        assert_eq!(clean.reduction.relations_built, planned, "{label}");
+        assert!(
+            (planned + 1..=planned + 2).contains(&builds),
+            "{label}: {builds} builds started for {planned} relations"
+        );
+        assert_eq!(clean_builds, planned, "{label}: a relation was built twice");
     }
 }
 

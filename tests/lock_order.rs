@@ -1,5 +1,6 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (dictionary stripes + trie-cache map/tenants + plan-activity locks)
+//! (dictionary stripes + trie-cache map/tenants + plan-activity locks, and
+//! the build gates of the transformed relations the workers fill on demand)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!
@@ -13,6 +14,7 @@
 //! this suite covers the other acceptance half: real workloads stay silent.
 
 use ij_relation::sync::lock_order;
+use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
 use intersection_joins::prelude::*;
 
 fn iv(lo: f64, hi: f64) -> Value {
@@ -105,4 +107,44 @@ fn concurrent_engines_share_one_acyclic_order() {
         "concurrent warm paths recorded a cyclic lock order: {:?}",
         lock_order::snapshot()
     );
+}
+
+#[test]
+fn workers_waiting_on_each_others_relation_builds_stay_acyclic() {
+    // A near-miss star: all six disjuncts run, each in its own batch, and
+    // disjuncts of different batches read the same transformed relations —
+    // the first two both start with `Sessions@0⟨T:1⟩` — so with four workers
+    // some wait at a build gate another worker holds.  A gate is only ever
+    // acquired with nothing else held, so no order edge may lead *into* it.
+    let scenario = build_scenario(
+        &ScenarioConfig::new(ScenarioFamily::TemporalOverlap)
+            .with_tuples(200)
+            .with_seed(7)
+            .with_planted(PlantedAnswer::NearMiss),
+    );
+    let workspace = Workspace::new();
+    let db = workspace.import_database(&scenario.database);
+    let engine = workspace.engine(EngineConfig::new().with_parallelism(4));
+    for _ in 0..4 {
+        let stats = engine
+            .evaluate_with_stats(&scenario.query, &db)
+            .expect("evaluation succeeds");
+        assert!(!stats.answer);
+        assert_eq!(stats.reduction.relations_built, 9);
+    }
+    assert_eq!(
+        lock_order::find_cycle(),
+        None,
+        "demand-driven builds recorded a cyclic lock order: {:?}",
+        lock_order::snapshot()
+    );
+    if lock_order::enabled() {
+        const GATE: &str = "reduction-relation-build";
+        assert!(lock_order::classes_seen().contains(&GATE));
+        assert!(
+            lock_order::snapshot().iter().all(|&(_, to)| to != GATE),
+            "a build gate was acquired under another lock: {:?}",
+            lock_order::snapshot()
+        );
+    }
 }

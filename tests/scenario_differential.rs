@@ -25,7 +25,11 @@ use ij_baselines::SegtreeBaseline;
 use ij_engine::{
     naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode, TrieLayout,
 };
-use ij_reduction::forward_reduction;
+use ij_reduction::{
+    forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
+    ReductionConfig,
+};
+use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
@@ -279,6 +283,161 @@ fn extreme_knob_settings_agree() {
             check_config(&cfg);
         }
     }
+}
+
+/// A mixed EIJ instance: `X` and `Y` are equality-joined point variables
+/// carried through the reduction beside the interval columns.  Row `i` of
+/// every relation shares its point values with row `i` of the others, and
+/// `stride` spaces the intervals: at 1 neighbouring rows overlap (true), at 8
+/// no two intervals of different relations meet (false).
+fn mixed_eij_instance(stride: usize) -> (Query, Database) {
+    let query = Query::parse("R(X,[A],[B]) & S([A],X,Y) & T(Y,[B])").expect("valid query");
+    let point = |i: usize| Value::point((i % 4) as f64);
+    let iv = |at: usize, len: usize| Value::interval(at as f64, (at + len) as f64);
+    let rows = 10;
+    let mut db = Database::new();
+    db.insert_tuples(
+        "R",
+        3,
+        (0..rows)
+            .map(|i| vec![point(i), iv(i * stride, 3), iv(i * stride + 1, 2)])
+            .collect(),
+    );
+    db.insert_tuples(
+        "S",
+        3,
+        (0..rows)
+            .map(|i| vec![iv(i * stride + 4 * (stride - 1), 2), point(i), point(i + 1)])
+            .collect(),
+    );
+    db.insert_tuples(
+        "T",
+        2,
+        (0..rows)
+            .map(|i| vec![point(i + 1), iv(i * stride + 2, 4)])
+            .collect(),
+    );
+    (query, db)
+}
+
+/// Theorem 4.13 on the demand-driven path: an evaluation that builds its
+/// transformed relations on first use answers like the naive oracle and the
+/// segment-tree baseline under every worker count, and every relation it
+/// built is, column for column, the relation the eager
+/// [`forward_reduction_with`] builds under that name.
+#[test]
+fn demand_driven_evaluation_builds_the_eager_relations() {
+    let mut instances: Vec<(String, Query, Database)> = Vec::new();
+    for family in ScenarioFamily::ALL {
+        for planted in [PlantedAnswer::Natural, PlantedAnswer::NearMiss] {
+            let cfg = ScenarioConfig::new(family)
+                .with_tuples(scaled_tuples(24))
+                .with_seed(5)
+                .with_planted(planted);
+            let scenario = build_scenario(&cfg);
+            instances.push((scenario.name, scenario.query, scenario.database));
+        }
+    }
+    for stride in [1, 8] {
+        let (query, db) = mixed_eij_instance(stride);
+        instances.push((format!("mixed-eij/stride{stride}"), query, db));
+    }
+
+    let mut answers = std::collections::BTreeSet::new();
+    for (name, query, db) in &instances {
+        let expected = naive_boolean(query, db).expect("naive evaluation succeeds");
+        let baseline = SegtreeBaseline::build(query, db).expect("baseline builds");
+        assert_eq!(baseline.evaluate_boolean(), expected, "{name}: baseline");
+        answers.insert((name.starts_with("mixed"), expected));
+        for encoding in [EncodingStrategy::Flat, EncodingStrategy::Decomposed] {
+            let config = ReductionConfig { encoding };
+            let eager = forward_reduction_with(query, db, config).expect("eager reduction");
+            assert_eq!(eager.stats.relations_built, eager.stats.num_relations);
+            for parallelism in [1usize, 2, 4] {
+                let label = format!("{name}, {encoding:?}, parallelism {parallelism}");
+                let engine = IntersectionJoinEngine::new(EngineConfig {
+                    encoding,
+                    ..EngineConfig::new().with_parallelism(parallelism)
+                });
+                let plan = plan_forward_reduction(query, db, config, None).expect("plan");
+                assert_eq!(
+                    plan.relations().count(),
+                    0,
+                    "{label}: a plan builds nothing"
+                );
+                let stats = engine
+                    .evaluate_reduction(&plan)
+                    .expect("evaluation succeeds");
+                assert_eq!(stats.answer, expected, "{label}");
+                assert_eq!(stats.reduction.num_relations, eager.stats.num_relations);
+                assert_eq!(stats.reduction.relations_built, plan.relations().count());
+                if !expected {
+                    // Every disjunct ran, so every relation was read.
+                    assert_eq!(stats.reduction.relations_built, eager.stats.num_relations);
+                    assert_eq!(
+                        stats.reduction.transformed_tuples,
+                        eager.stats.transformed_tuples
+                    );
+                }
+                for built in plan.relations() {
+                    let reference = eager.relation(built.name(), None).expect("built");
+                    assert_eq!(
+                        built.arity(),
+                        reference.arity(),
+                        "{label}: {}",
+                        built.name()
+                    );
+                    for col in 0..built.arity() {
+                        assert_eq!(
+                            built.column_ids(col),
+                            reference.column_ids(col),
+                            "{label}: {} column {col}",
+                            built.name()
+                        );
+                    }
+                }
+                // The one-call entry point plans and builds the same way.
+                assert_eq!(engine.evaluate(query, db).expect("evaluate"), expected);
+            }
+        }
+    }
+    // Both outcomes were exercised, on the scenarios and on the EIJ query.
+    assert_eq!(answers.len(), 4, "{answers:?}");
+}
+
+/// What demand-driven building skips: sequentially, a temporal star that is
+/// true at its first disjunct builds that disjunct's three relations of the
+/// nine planned, and a near-miss (false) instance builds all nine.
+#[test]
+fn early_exit_builds_only_the_relations_it_read() {
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+    let star = |planted| {
+        let cfg = ScenarioConfig::new(ScenarioFamily::TemporalOverlap)
+            .with_tuples(scaled_tuples(96))
+            .with_seed(7)
+            .with_planted(planted);
+        let scenario = build_scenario(&cfg);
+        engine
+            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .expect("evaluation succeeds")
+    };
+    let natural = star(PlantedAnswer::Natural);
+    assert!(natural.answer);
+    assert_eq!(
+        natural.ej_queries_evaluated, 1,
+        "true at the first disjunct"
+    );
+    assert_eq!(natural.reduction.num_relations, 9);
+    assert_eq!(natural.reduction.relations_built, 3);
+    assert!(natural
+        .summary()
+        .contains("built 3 of 9 transformed relations"));
+
+    let near_miss = star(PlantedAnswer::NearMiss);
+    assert!(!near_miss.answer);
+    assert_eq!(near_miss.ej_queries_evaluated, near_miss.ej_queries_total);
+    assert_eq!(near_miss.reduction.relations_built, 9);
+    assert!(near_miss.reduction.transformed_tuples > natural.reduction.transformed_tuples);
 }
 
 #[test]
