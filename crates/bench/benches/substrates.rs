@@ -489,65 +489,6 @@ fn bench_tenant_fairness(c: &mut Criterion) {
     group.finish();
 }
 
-/// Trie layout ablation: the same reduced E1 cyclic workload evaluated cold
-/// (a fresh engine per iteration, so every trie is built and searched within
-/// the measured region) under the hash-map layout, the flat CSR leapfrog
-/// layout, and the size-based `Auto` resolution.  The database is planted
-/// unsatisfiable so every deduplicated disjunct runs the full search.  The
-/// three layouts are asserted answer-identical and their per-layout atom
-/// counts printed before the timed runs.
-fn bench_flat_trie(c: &mut Criterion) {
-    use ij_engine::TrieLayout;
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-flat-trie");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(4));
-    let n = 400usize;
-    let db = planted_unsatisfiable(
-        &query,
-        &WorkloadConfig {
-            tuples_per_relation: n,
-            seed: 47,
-            distribution: IntervalDistribution::GridAligned {
-                span: 4.0 * n as f64,
-                cells: (2 * n) as u32,
-                max_cells: 3,
-            },
-        },
-    );
-    let reduction = forward_reduction(&query, &db).unwrap();
-    let layouts = [
-        ("hash", TrieLayout::Hash),
-        ("flat", TrieLayout::Flat),
-        ("auto", TrieLayout::Auto),
-    ];
-    for (name, layout) in layouts {
-        let config = EngineConfig::new()
-            .with_parallelism(1)
-            .with_trie_layout(layout);
-        let stats = IntersectionJoinEngine::new(config)
-            .evaluate_reduction(&reduction)
-            .unwrap();
-        assert!(!stats.answer, "workload must force a full pass");
-        println!(
-            "substrate/e1-flat-trie/n{n}/{name}: {} hash / {} flat atom uses \
-             across {} disjuncts",
-            stats.hash_layout_atoms, stats.flat_layout_atoms, stats.ej_queries_total,
-        );
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            b.iter(|| {
-                IntersectionJoinEngine::new(config)
-                    .evaluate_reduction(&reduction)
-                    .unwrap()
-                    .answer
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Sharded versus unsharded trie builds on the same workload (wall-clock
 /// parity is expected on a single-core container; the knob is verified
 /// answer-identical by the test suite).
@@ -752,7 +693,6 @@ criterion_group!(
     bench_persistent_cache,
     bench_shared_warmth,
     bench_tenant_fairness,
-    bench_flat_trie,
     bench_trie_shards,
     bench_plan_order,
     bench_cancel_latency

@@ -1,9 +1,5 @@
-//! A shared cache of built atom tries — hash-layout [`AtomTrie`]s or flat
-//! [`FlatTrie`](crate::FlatTrie)s, bundled as [`TrieBuild`]s — keyed by
-//! content fingerprints.
-//!
-//! [`AtomTrie`]: crate::AtomTrie
-//! [`AtomTrie::build_sharded`]: crate::AtomTrie::build_sharded
+//! A shared cache of built atom tries ([`FlatTrie`](crate::FlatTrie)s,
+//! bundled per atom as [`TrieBuild`]s), keyed by content fingerprints.
 //!
 //! The forward reduction turns one intersection-join query into a disjunction
 //! of equality-join queries whose atoms overwhelmingly *share* transformed
@@ -27,13 +23,9 @@
 //! 3. the induced **level order** (the atom's distinct variables sorted by
 //!    the global join order);
 //! 4. the **effective shard count** of the build (the requested count after
-//!    per-atom sizing — see [`AtomTrie::build_sharded`] and
-//!    [`effective_shard_count`]);
-//! 5. the **resolved trie layout** ([`TrieLayout`], after `Auto` resolution)
-//!    — a hash-layout and a flat-layout build of the same atom are different
-//!    data structures, so they never collide; and because the tag is the
-//!    *resolved* layout, an `Auto` request shares the entry of whichever
-//!    explicit layout it resolves to.
+//!    per-atom sizing — see
+//!    [`FlatTrie::build_sharded`](crate::FlatTrie::build_sharded) and
+//!    [`effective_shard_count`]).
 //!
 //! This is exactly the (relation identity, column permutation, filter)
 //! fingerprint that the engine's disjunct deduplication reasons about at the
@@ -92,7 +84,7 @@
 //! so concurrent evaluations on one cache can never steal each other's hits,
 //! misses or evictions.
 
-use crate::flat::{TrieBuild, TrieLayout};
+use crate::flat::TrieBuild;
 use crate::trie::effective_shard_count;
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
@@ -210,8 +202,6 @@ pub struct CacheActivity {
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
-    hash_atoms: AtomicUsize,
-    flat_atoms: AtomicUsize,
 }
 
 impl CacheActivity {
@@ -234,26 +224,6 @@ impl CacheActivity {
     /// entries may belong to any tenant).
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Records the resolved layout of one atom's tries (cached or built);
-    /// called by the generic join once per atom per disjunct, so the counters
-    /// report which layout the evaluation's joins actually ran on.
-    pub fn record_layout(&self, layout: TrieLayout) {
-        match layout {
-            TrieLayout::Flat => self.flat_atoms.fetch_add(1, Ordering::Relaxed),
-            _ => self.hash_atoms.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    /// Atom-trie uses that ran on the hash layout.
-    pub fn hash_atoms(&self) -> usize {
-        self.hash_atoms.load(Ordering::Relaxed)
-    }
-
-    /// Atom-trie uses that ran on the flat (CSR leapfrog) layout.
-    pub fn flat_atoms(&self) -> usize {
-        self.flat_atoms.load(Ordering::Relaxed)
     }
 }
 
@@ -302,9 +272,6 @@ struct TrieKey {
     levels: Vec<VarId>,
     /// Shard count of the build (1 = unsharded).
     shards: usize,
-    /// The **resolved** layout of the build — hash and flat builds of one
-    /// atom are distinct entries that never alias.
-    layout: TrieLayout,
 }
 
 /// A point-in-time snapshot of a [`TrieCache`]'s counters.
@@ -542,9 +509,7 @@ impl TrieCache {
     ///
     /// The key records the *effective* shard count, so a small relation
     /// requested at different shard counts maps to one entry instead of
-    /// duplicating its (identical, unsharded) trie; likewise the *resolved*
-    /// `layout`, so an `Auto` request shares the entry of the explicit layout
-    /// it resolves to.
+    /// duplicating its (identical, unsharded) trie.
     ///
     /// A miss builds cooperatively under `token` (if any) and surfaces
     /// cancellation / deadline / builder-panic failures as [`EvalError`].  A
@@ -552,26 +517,21 @@ impl TrieCache {
     /// fallible step sit **before** the first accounting mutation under the
     /// write lock, so the ledgers and resident-byte totals always describe
     /// exactly the resident entries (see `ij_relation::sync`).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tries_for(
         &self,
         atom: &BoundAtom<'_>,
         global_order: &[VarId],
         num_shards: usize,
-        layout: TrieLayout,
         tenant: Option<&TenantHandle>,
         activity: Option<&CacheActivity>,
         token: Option<&CancellationToken>,
     ) -> Result<Arc<TrieBuild>, EvalError> {
         let num_shards = effective_shard_count(atom.relation.len(), num_shards);
-        let levels = crate::trie::trie_level_vars(atom, global_order);
-        let layout = layout.resolve(atom.relation.len(), levels.len());
         let key = TrieKey {
             fingerprint: relation_fingerprint(atom.relation),
             vars: atom.vars.clone(),
-            levels,
+            levels: crate::trie::trie_level_vars(atom, global_order),
             shards: num_shards,
-            layout,
         };
         let fallback;
         let (owner, ledger): (TenantId, &TenantLedger) = match tenant {
@@ -600,7 +560,6 @@ impl TrieCache {
             atom,
             global_order,
             num_shards,
-            layout,
             token,
         )?);
         let new_bytes: usize = built.heap_bytes();
@@ -764,11 +723,6 @@ pub struct EvalContext<'c> {
     /// statistics; `None` skips local accounting (the shared and per-tenant
     /// counters are always maintained).
     pub activity: Option<&'c CacheActivity>,
-    /// The trie layout requested for this evaluation's atom builds
-    /// ([`TrieLayout::Auto`] by default, resolved per atom at build time).
-    /// Like `shards`, the knob is answer-preserving: every setting yields
-    /// bit-identical Boolean and enumerated answers.
-    pub layout: TrieLayout,
     /// Cooperative cancellation / deadline token polled by the evaluation's
     /// long-running loops (trie builds, candidate intersection, reduction
     /// transforms) every [`CancellationToken::check_interval`] units of
@@ -776,7 +730,7 @@ pub struct EvalContext<'c> {
     pub token: Option<&'c CancellationToken>,
     /// How each disjunct's variable order is chosen
     /// ([`PlanMode::Adaptive`](crate::PlanMode) by default; see
-    /// [`crate::plan`]).  Answer-preserving like `layout` and `shards`.
+    /// [`crate::plan`]).  Answer-preserving like `shards`.
     pub plan_mode: crate::plan::PlanMode,
     /// Evaluation-local accumulator for planning statistics (time spent,
     /// disjuncts planned, distinct orders chosen); `None` skips the
@@ -832,12 +786,12 @@ mod tests {
         let s = rel("S", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
         let atom_r = BoundAtom::new(&r, vec![0, 1]);
         let first = cache
-            .tries_for(&atom_r, &[0, 1], 1, TrieLayout::Auto, None, None, None)
+            .tries_for(&atom_r, &[0, 1], 1, None, None, None)
             .unwrap();
         // Same content under a different name: a hit, sharing the same trie.
         let atom_s = BoundAtom::new(&s, vec![0, 1]);
         let second = cache
-            .tries_for(&atom_s, &[0, 1], 1, TrieLayout::Auto, None, None, None)
+            .tries_for(&atom_s, &[0, 1], 1, None, None, None)
             .unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         // Different binding or level order: separate entries.
@@ -846,19 +800,18 @@ mod tests {
                 &BoundAtom::new(&r, vec![1, 0]),
                 &[0, 1],
                 1,
-                TrieLayout::Auto,
                 None,
                 None,
                 None,
             )
             .unwrap();
         cache
-            .tries_for(&atom_r, &[1, 0], 1, TrieLayout::Auto, None, None, None)
+            .tries_for(&atom_r, &[1, 0], 1, None, None, None)
             .unwrap();
         // A different *requested* shard count on a tiny relation sizes down
         // to the same effective (unsharded) build: a hit, not a new entry.
         cache
-            .tries_for(&atom_r, &[0, 1], 2, TrieLayout::Auto, None, None, None)
+            .tries_for(&atom_r, &[0, 1], 2, None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
@@ -874,53 +827,21 @@ mod tests {
         let r = rel("R", vec![vec![1.0]]);
         let s = rel("S", vec![vec![2.0]]);
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         // Inserting S evicts R (the only, hence least-recent, entry).
         cache
-            .tries_for(
-                &BoundAtom::new(&s, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().evictions, 1);
         // The resident entry hits; the evicted one rebuilds (a miss).
         cache
-            .tries_for(
-                &BoundAtom::new(&s, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         assert_eq!(cache.stats().hits, 1);
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.misses, 3);
@@ -958,15 +879,7 @@ mod tests {
         // nowhere near room for 6.
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(
-                &BoundAtom::new(&probe, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
             .unwrap()
             .heap_bytes();
         assert!(per_trie > 0);
@@ -977,15 +890,7 @@ mod tests {
             .collect();
         for r in &relations {
             cache
-                .tries_for(
-                    &BoundAtom::new(r, vec![0]),
-                    &[0],
-                    1,
-                    TrieLayout::Auto,
-                    None,
-                    None,
-                    None,
-                )
+                .tries_for(&BoundAtom::new(r, vec![0]), &[0], 1, None, None, None)
                 .unwrap();
             let stats = cache.stats();
             assert!(
@@ -1005,7 +910,6 @@ mod tests {
                 &BoundAtom::new(&relations[5], vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 None,
                 None,
                 None,
@@ -1022,30 +926,11 @@ mod tests {
         let cache = TrieCache::with_limits(0, 1);
         let r = rel("R", vec![vec![1.0], vec![2.0]]);
         let first = cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
-        let TrieBuild::Hash(tries) = &*first else {
-            panic!("tiny relations resolve to the hash layout");
-        };
-        assert_eq!(tries[0].root().fanout(), 2);
+        assert_eq!(first.shard(0).level_len(0), 2);
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
@@ -1062,15 +947,7 @@ mod tests {
         // entries' insert-time sizes, cache-wide and per tenant.
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(
-                &BoundAtom::new(&probe, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
             .unwrap()
             .heap_bytes();
         assert!(per_trie > 0);
@@ -1082,33 +959,22 @@ mod tests {
             .collect();
         for r in &small {
             cache
-                .tries_for(
-                    &BoundAtom::new(r, vec![0]),
-                    &[0],
-                    1,
-                    TrieLayout::Auto,
-                    None,
-                    None,
-                    None,
-                )
+                .tries_for(&BoundAtom::new(r, vec![0]), &[0], 1, None, None, None)
                 .unwrap();
         }
         let before = cache.stats();
         assert_eq!(before.entries, 8);
         assert_eq!(before.evictions, 0);
-        // A single large insert (~6 tries worth of distinct values) must
-        // evict several small entries at once.
-        let big = rel("BIG", (0..12).map(|i| vec![500.0 + i as f64]).collect());
+        // A single large insert (~6 single-row tries' worth: a one-level
+        // trie grows by one 4-byte id per distinct value) must evict several
+        // small entries at once.
+        let big_rows = 5 * per_trie / 4;
+        let big = rel(
+            "BIG",
+            (0..big_rows).map(|i| vec![500.0 + i as f64]).collect(),
+        );
         cache
-            .tries_for(
-                &BoundAtom::new(&big, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&big, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let after = cache.stats();
         assert!(
@@ -1136,15 +1002,7 @@ mod tests {
     fn tenant_quota_evicts_the_owners_entries_first() {
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(
-                &BoundAtom::new(&probe, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
             .unwrap()
             .heap_bytes();
         let victim = TenantId::from_raw(1);
@@ -1162,7 +1020,6 @@ mod tests {
                 &BoundAtom::new(&vr, vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 Some(&victim_h),
                 None,
                 None,
@@ -1179,7 +1036,6 @@ mod tests {
                     &BoundAtom::new(r, vec![0]),
                     &[0],
                     1,
-                    TrieLayout::Auto,
                     Some(&noisy_h),
                     None,
                     None,
@@ -1207,21 +1063,23 @@ mod tests {
                 &BoundAtom::new(&vr, vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 Some(&victim_h),
                 None,
                 None,
             )
             .unwrap();
         assert_eq!(cache.tenant_stats(victim).hits, 1);
-        // A build larger than the quota alone stays uncached.
-        let big = rel("BIGN", (0..32).map(|i| vec![900.0 + i as f64]).collect());
+        // A build larger than the quota alone (4 bytes per distinct value,
+        // so ~5 single-row tries' worth) stays uncached.
+        let big = rel(
+            "BIGN",
+            (0..per_trie).map(|i| vec![900.0 + i as f64]).collect(),
+        );
         cache
             .tries_for(
                 &BoundAtom::new(&big, vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 Some(&noisy_h),
                 None,
                 None,
@@ -1245,15 +1103,7 @@ mod tests {
         let s = rel("S", vec![vec![2.0]]);
         // Another caller's activity (no accumulator attached).
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let mine = CacheActivity::new();
         // My lookups: one miss that evicts R, then one hit.
@@ -1262,7 +1112,6 @@ mod tests {
                 &BoundAtom::new(&s, vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 None,
                 Some(&mine),
                 None,
@@ -1273,7 +1122,6 @@ mod tests {
                 &BoundAtom::new(&s, vec![0]),
                 &[0],
                 1,
-                TrieLayout::Auto,
                 None,
                 Some(&mine),
                 None,
@@ -1294,60 +1142,17 @@ mod tests {
         let r = rel("R", vec![vec![1.0]]);
         let s = rel("S", vec![vec![2.0], vec![3.0]]);
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let with_r = cache.stats().resident_bytes;
         assert!(with_r > 0);
         // Inserting S evicts R; the resident bytes must now describe S only.
         cache
-            .tries_for(
-                &BoundAtom::new(&s, vec![0]),
-                &[0],
-                1,
-                TrieLayout::Auto,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes >= with_r, "S is the larger trie");
-    }
-
-    #[test]
-    fn layouts_key_separately_and_auto_shares_its_resolution() {
-        let cache = TrieCache::new();
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
-        let atom = BoundAtom::new(&r, vec![0, 1]);
-        // Explicit hash and flat builds of one atom: two distinct entries.
-        let hash = cache
-            .tries_for(&atom, &[0, 1], 1, TrieLayout::Hash, None, None, None)
-            .unwrap();
-        let flat = cache
-            .tries_for(&atom, &[0, 1], 1, TrieLayout::Flat, None, None, None)
-            .unwrap();
-        assert_eq!(hash.layout(), TrieLayout::Hash);
-        assert_eq!(flat.layout(), TrieLayout::Flat);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 2);
-        // Auto on this tiny relation resolves to Hash and *hits* the
-        // explicit hash entry instead of inserting a third.
-        let auto = cache
-            .tries_for(&atom, &[0, 1], 1, TrieLayout::Auto, None, None, None)
-            .unwrap();
-        assert!(Arc::ptr_eq(&hash, &auto));
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -1,30 +1,28 @@
 //! Flat (CSR-style) leapfrog tries: sorted-array levels with child-range
-//! offsets instead of per-node hash maps.
+//! offsets — the one trie the generic join indexes its atoms with.
 //!
 //! A [`FlatTrie`] stores one sorted [`ValueId`] array per trie level plus a
 //! child-range offset array per non-leaf level — the compressed-sparse-row
 //! discipline: entry `i` of level `l` owns the values
 //! `levels[l+1].values[child_start[i] .. child_start[i+1]]`, so the whole
 //! trie is a handful of contiguous allocations with no per-node boxes and no
-//! hash probes.  The candidate sets the generic join intersects become
+//! hash probes.  The candidate sets the generic join intersects are
 //! **sorted runs**, which is what unlocks the galloping multi-way
 //! intersection kernels of [`ij_relation::kernels`]
 //! ([`leapfrog_next`](kernels::leapfrog_next),
 //! [`gallop_seek`](kernels::gallop_seek)): candidate generation walks arrays
-//! in cache order instead of chasing `HashMap` buckets.
+//! in cache order.
 //!
-//! The build is column-wise: surviving row indices (after the same
-//! repeated-variable kernel mask the hash build uses) are sorted
-//! lexicographically by the level columns, and one linear pass emits the CSR
-//! arrays, collapsing duplicate paths.  Sharded builds reuse the exact
-//! [`shard_of`](crate::shard_of) row partition of the hash layout, so a flat
-//! shard holds precisely the rows its hash twin would — which is what keeps
-//! answers bit-identical across [`TrieLayout`] settings.
-//!
-//! The hash trie ([`AtomTrie`](crate::AtomTrie)) remains the behavioural
-//! reference; `tests/flat_trie_properties.rs` holds the two layouts (and the
-//! naive oracle) to identical answers across shard counts and cache
-//! configurations.
+//! The build is column-wise: surviving row indices (after the
+//! repeated-variable kernel mask of the shared build plan, see `trie.rs`) are
+//! sorted lexicographically by the level columns, and one linear pass emits
+//! the CSR arrays, collapsing duplicate paths.  A trie's root-to-leaf paths
+//! are therefore exactly the sorted, deduplicated set of filter-surviving
+//! rows projected onto the level order; a sharded build splits that set by
+//! [`shard_of`](crate::shard_of) on the first level's value.  The unit tests
+//! below and `tests/flat_trie_properties.rs` hold the builds and the joins
+//! over them to that definition and to brute-force oracles across shard
+//! counts and cache configurations.
 
 use crate::trie::{
     build_shards_isolated, effective_shard_count, partition_rows_by_shard, TriePlan,
@@ -32,55 +30,6 @@ use crate::trie::{
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
 use ij_relation::{faults, kernels, CancelTicker, CancellationToken, EvalError, ValueId};
-
-/// Below this many rows, [`TrieLayout::Auto`] keeps the hash layout: the
-/// flat build's sort and permutation bookkeeping cannot pay for itself when
-/// even the root fan-out — at most the row count — fits a few cache lines of
-/// hash-map entries.
-pub const FLAT_MIN_ROWS: usize = 64;
-
-/// The trie layout the generic join indexes its atoms with.
-///
-/// Every layout is answer-preserving: the Boolean and enumerated results are
-/// bit-identical for every setting (the flat layout changes *how* candidate
-/// values are intersected — sorted-run leapfrogging instead of hash probes —
-/// never *which* values intersect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TrieLayout {
-    /// Hash tries ([`AtomTrie`](crate::AtomTrie)): one `HashMap` per node.
-    /// The behavioural reference, and the better choice for tiny relations.
-    Hash,
-    /// Flat CSR tries ([`FlatTrie`]): sorted value arrays per level with
-    /// child-range offsets, searched by galloping intersection.
-    Flat,
-    /// Choose per atom at build time from the relation size: relations with
-    /// fewer than [`FLAT_MIN_ROWS`] rows — whose estimated per-level fan-out
-    /// `rows^(1/levels)` is tiny at every level — keep the hash layout,
-    /// everything else gets the flat layout.
-    #[default]
-    Auto,
-}
-
-impl TrieLayout {
-    /// The concrete layout chosen for a relation of `rows` rows indexed as a
-    /// trie of `levels` levels: `Hash` and `Flat` return themselves, `Auto`
-    /// resolves per the size heuristic above (zero-level guard atoms always
-    /// resolve to `Hash` — there is nothing to lay out flat).  Pure, so cache
-    /// keys derived from the resolved layout are stable, and an `Auto`
-    /// request shares its cache entry with the matching explicit layout.
-    pub fn resolve(self, rows: usize, levels: usize) -> TrieLayout {
-        match self {
-            TrieLayout::Auto => {
-                if levels == 0 || rows < FLAT_MIN_ROWS {
-                    TrieLayout::Hash
-                } else {
-                    TrieLayout::Flat
-                }
-            }
-            fixed => fixed,
-        }
-    }
-}
 
 /// One level of a [`FlatTrie`].
 #[derive(Debug)]
@@ -95,8 +44,7 @@ struct FlatLevel {
 }
 
 /// A flat trie over one atom, with levels ordered by the global variable
-/// order — the CSR twin of [`AtomTrie`](crate::AtomTrie) (see the module
-/// docs for the layout and its invariants).
+/// order (see the module docs for the layout and its invariants).
 #[derive(Debug)]
 pub struct FlatTrie {
     /// The atom's distinct variables in global order — the trie levels.
@@ -106,9 +54,9 @@ pub struct FlatTrie {
 
 impl FlatTrie {
     /// Builds the flat trie of `atom` with levels sorted according to
-    /// `global_order` — the exact level order, repeated-variable filtering
-    /// and duplicate collapsing of [`AtomTrie::build`](crate::AtomTrie::build),
-    /// in the CSR layout.
+    /// `global_order` (a total order over all query variables, e.g. the
+    /// elimination order of the chosen decomposition).  Rows whose repeated
+    /// variables disagree are filtered out and duplicate paths collapse.
     pub fn build(atom: &BoundAtom<'_>, global_order: &[VarId]) -> Self {
         let plan = TriePlan::new(atom, global_order);
         // ij-analysis: allow(panic) — infallible: no cancel token or deadline is supplied
@@ -116,21 +64,25 @@ impl FlatTrie {
     }
 
     /// Builds the flat trie of `atom` split into sub-tries by
-    /// [`shard_of`](crate::shard_of) on the first level variable's value —
-    /// the same row partition as
-    /// [`AtomTrie::build_sharded`](crate::AtomTrie::build_sharded), each
-    /// shard's CSR arrays built on its own scoped thread.  Every returned
-    /// trie carries the same `level_vars`; their union over shards equals
-    /// [`FlatTrie::build`].  Per-atom sizing ([`effective_shard_count`]) and
-    /// the zero-level degenerate case behave exactly like the hash build.
+    /// [`shard_of`](crate::shard_of) on the first level variable's value,
+    /// each shard's CSR arrays built on its own scoped thread.  Every
+    /// returned trie carries the same `level_vars`; their union over shards
+    /// equals [`FlatTrie::build`].
     ///
-    /// Cancellation and isolation mirror
-    /// [`AtomTrie::build_sharded`](crate::AtomTrie::build_sharded): the CSR
-    /// emission loop polls `token` every
-    /// [`check_interval`](CancellationToken::check_interval) rows, shard
-    /// workers run under `catch_unwind`, and a panicking worker cancels its
-    /// siblings through a build-local child token and surfaces as
-    /// [`EvalError::WorkerPanicked`].
+    /// The shard count actually used is
+    /// [`effective_shard_count`]`(rows, num_shards)`: relations too small to
+    /// give every shard [`MIN_ROWS_PER_SHARD`](crate::MIN_ROWS_PER_SHARD)
+    /// rows are built as a single unsharded trie instead of spawning
+    /// near-empty shard threads.  The build also degenerates to one trie
+    /// when `num_shards <= 1` or the atom has no levels (arity-zero guard
+    /// relations).
+    ///
+    /// The CSR emission loop polls `token` (if any) every
+    /// [`check_interval`](CancellationToken::check_interval) rows; shard
+    /// workers run under `catch_unwind`, a panicking worker cancels its
+    /// siblings (through a build-local child token, so the caller's token is
+    /// never signalled), and the panic surfaces as
+    /// [`EvalError::WorkerPanicked`] naming the relation.
     ///
     /// # Errors
     ///
@@ -280,8 +232,9 @@ impl FlatTrie {
 
     /// True if a trie with at least one level holds no tuples (possible for
     /// individual shards, and for atoms whose repeated-variable filter
-    /// rejects every row).  Zero-level tries always report non-empty, exactly
-    /// like the hash layout.
+    /// rejects every row).  Zero-level tries (arity-zero guard atoms) carry
+    /// no row information and always report non-empty — the join engine
+    /// short-circuits empty relations before any trie is built.
     pub fn is_empty(&self) -> bool {
         self.levels.first().is_some_and(|l| l.values.is_empty())
     }
@@ -291,11 +244,10 @@ impl FlatTrie {
         self.levels.len()
     }
 
-    /// Estimated heap footprint in bytes.  Unlike the hash layout's
-    /// capacity-based estimate, the CSR arrays are exact-sized boxed slices,
-    /// so this is essentially the true allocation; the byte-budgeted
-    /// [`TrieCache`](crate::TrieCache) sums it over a build's shards once per
-    /// insert.
+    /// Estimated heap footprint in bytes.  The CSR arrays are exact-sized
+    /// boxed slices, so this is essentially the true allocation; the
+    /// byte-budgeted [`TrieCache`](crate::TrieCache) sums it over a build's
+    /// shards once per insert.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.level_vars.capacity() * std::mem::size_of::<VarId>()
@@ -311,99 +263,66 @@ impl FlatTrie {
     }
 }
 
-/// The tries built for one atom — one per shard — in whichever layout the
-/// build resolved to.  This is the unit the [`TrieCache`](crate::TrieCache)
-/// stores and the generic join's search indexes: hash- and flat-layout builds
-/// of the same atom are distinct cache entries (the key carries the resolved
-/// layout), so the two layouts never alias.
+/// The tries built for one atom, one per shard.  This is the unit the
+/// [`TrieCache`](crate::TrieCache) stores and the generic join's search
+/// indexes.
 #[derive(Debug)]
-pub enum TrieBuild {
-    /// Hash tries, one per shard.
-    Hash(Vec<crate::AtomTrie>),
-    /// Flat CSR tries, one per shard.
-    Flat(Vec<FlatTrie>),
+pub struct TrieBuild {
+    shards: Vec<FlatTrie>,
 }
 
 impl TrieBuild {
     /// Builds `atom`'s tries under `global_order` into
-    /// [`effective_shard_count`]`(rows, num_shards)` shards, in the layout
-    /// `layout` resolves to for this atom ([`TrieLayout::resolve`]).
+    /// [`effective_shard_count`]`(rows, num_shards)` shards
+    /// ([`FlatTrie::build_sharded`]).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying layout build's [`EvalError`]: cancellation
-    /// or deadline expiry of `token`, or a shard worker panic.
+    /// Propagates the build's [`EvalError`]: cancellation or deadline expiry
+    /// of `token`, or a shard worker panic.
     pub fn build_sharded(
         atom: &BoundAtom<'_>,
         global_order: &[VarId],
         num_shards: usize,
-        layout: TrieLayout,
         token: Option<&CancellationToken>,
     ) -> Result<TrieBuild, EvalError> {
-        Ok(
-            match layout.resolve(atom.relation.len(), atom.var_set().len()) {
-                TrieLayout::Flat => TrieBuild::Flat(FlatTrie::build_sharded(
-                    atom,
-                    global_order,
-                    num_shards,
-                    token,
-                )?),
-                _ => TrieBuild::Hash(crate::AtomTrie::build_sharded(
-                    atom,
-                    global_order,
-                    num_shards,
-                    token,
-                )?),
-            },
-        )
-    }
-
-    /// The (resolved) layout this build used.
-    pub fn layout(&self) -> TrieLayout {
-        match self {
-            TrieBuild::Hash(_) => TrieLayout::Hash,
-            TrieBuild::Flat(_) => TrieLayout::Flat,
-        }
+        Ok(TrieBuild {
+            shards: FlatTrie::build_sharded(atom, global_order, num_shards, token)?,
+        })
     }
 
     /// Number of shards (1 = unsharded).
     pub fn shard_count(&self) -> usize {
-        match self {
-            TrieBuild::Hash(tries) => tries.len(),
-            TrieBuild::Flat(tries) => tries.len(),
-        }
+        self.shards.len()
+    }
+
+    /// The sub-trie for `shard`.
+    pub(crate) fn shard(&self, shard: usize) -> &FlatTrie {
+        &self.shards[shard]
     }
 
     /// The level variables (identical across shards).
     pub fn level_vars(&self) -> &[VarId] {
-        match self {
-            TrieBuild::Hash(tries) => &tries[0].level_vars,
-            TrieBuild::Flat(tries) => &tries[0].level_vars,
-        }
+        &self.shards[0].level_vars
     }
 
     /// True if the sub-trie for `shard` holds no tuples.
     pub fn shard_is_empty(&self, shard: usize) -> bool {
-        match self {
-            TrieBuild::Hash(tries) => tries[shard].is_empty(),
-            TrieBuild::Flat(tries) => tries[shard].is_empty(),
-        }
+        self.shards[shard].is_empty()
     }
 
     /// Estimated heap footprint of the build in bytes, summed over shards.
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            TrieBuild::Hash(tries) => tries.iter().map(crate::AtomTrie::heap_bytes).sum(),
-            TrieBuild::Flat(tries) => tries.iter().map(FlatTrie::heap_bytes).sum(),
-        }
+        self.shards.iter().map(FlatTrie::heap_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trie::{shard_of, AtomTrie, TrieNode, MIN_ROWS_PER_SHARD};
+    use crate::trie::{shard_of, MIN_ROWS_PER_SHARD};
     use ij_relation::{Relation, Value};
+    use std::collections::BTreeSet;
 
     fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
@@ -416,22 +335,42 @@ mod tests {
         )
     }
 
-    /// Collects every full-depth root-to-leaf path of a hash trie.
-    fn hash_paths(
-        node: &TrieNode,
-        depth: usize,
-        prefix: &mut Vec<ValueId>,
-        out: &mut Vec<Vec<ValueId>>,
-    ) {
-        if prefix.len() == depth {
-            out.push(prefix.clone());
-            return;
-        }
-        for (id, child) in node.children() {
-            prefix.push(id);
-            hash_paths(child, depth, prefix, out);
-            prefix.pop();
-        }
+    fn lcg_rows(mut seed: u64, n: usize, arity: usize, modulus: u64) -> Vec<Vec<f64>> {
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) % modulus) as f64
+        };
+        (0..n)
+            .map(|_| (0..arity).map(|_| next()).collect())
+            .collect()
+    }
+
+    /// The definition a build is held to, computed row by row from the
+    /// relation: the atom's distinct variables in `order`, and the set of
+    /// rows that pass the repeated-variable filter, projected onto them.
+    fn definition(atom: &BoundAtom<'_>, order: &[VarId]) -> (Vec<VarId>, BTreeSet<Vec<ValueId>>) {
+        let level_vars: Vec<VarId> = order
+            .iter()
+            .copied()
+            .filter(|v| atom.vars.contains(v))
+            .collect();
+        let column_of = |v: VarId| atom.vars.iter().position(|&u| u == v).unwrap();
+        let paths = (0..atom.relation.len())
+            .filter(|&row| {
+                atom.vars.iter().enumerate().all(|(c, &v)| {
+                    atom.relation.column_ids(c)[row] == atom.relation.column_ids(column_of(v))[row]
+                })
+            })
+            .map(|row| {
+                level_vars
+                    .iter()
+                    .map(|&v| atom.relation.column_ids(column_of(v))[row])
+                    .collect()
+            })
+            .collect();
+        (level_vars, paths)
     }
 
     /// Collects every full-depth root-to-leaf path of a flat trie (also
@@ -469,73 +408,64 @@ mod tests {
     }
 
     #[test]
-    fn flat_paths_equal_hash_paths() {
-        let mut seed = 11u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) % 7) as f64
-        };
-        let rows: Vec<Vec<f64>> = (0..200).map(|_| vec![next(), next(), next()]).collect();
-        let r = rel("R", rows);
-        // Plain bindings, a permuted level order, and a repeated variable.
-        for vars in [vec![0, 1, 2], vec![2, 0, 1], vec![0, 1, 0]] {
-            let atom = BoundAtom::new(&r, vars.clone());
-            let order = [1, 2, 0];
-            let hash = AtomTrie::build(&atom, &order);
-            let flat = FlatTrie::build(&atom, &order);
-            assert_eq!(flat.level_vars, hash.level_vars, "vars {vars:?}");
-            assert_eq!(flat.depth(), hash.depth());
-            assert_eq!(flat.is_empty(), hash.is_empty());
-            let mut expected = Vec::new();
-            hash_paths(hash.root(), hash.depth(), &mut Vec::new(), &mut expected);
-            expected.sort_unstable();
-            let got = flat_paths(&flat);
-            // Flat enumeration is already lexicographically sorted.
-            assert!(got.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(got, expected, "vars {vars:?}");
+    fn flat_paths_equal_the_definition() {
+        let r = rel("R", lcg_rows(11, 200, 3, 7));
+        let one = rel("O", vec![vec![4.0, 5.0, 4.0]]);
+        // Plain bindings, a permuted level order, and a repeated variable —
+        // on 200 rows and on a single row.
+        for relation in [&r, &one] {
+            for vars in [vec![0, 1, 2], vec![2, 0, 1], vec![0, 1, 0]] {
+                let atom = BoundAtom::new(relation, vars.clone());
+                let order = [1, 2, 0];
+                let (level_vars, expected) = definition(&atom, &order);
+                let flat = FlatTrie::build(&atom, &order);
+                assert_eq!(flat.level_vars, level_vars, "vars {vars:?}");
+                assert_eq!(flat.depth(), level_vars.len());
+                assert_eq!(flat.is_empty(), expected.is_empty());
+                let got = flat_paths(&flat);
+                // Flat enumeration is lexicographically sorted and distinct,
+                // like the set's iteration order.
+                assert!(got.iter().eq(expected.iter()), "vars {vars:?}");
+            }
         }
     }
 
     #[test]
-    fn sharded_flat_build_partitions_the_unsharded_trie() {
-        let mut seed = 3u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) % 9) as f64
-        };
-        let n = 4 * MIN_ROWS_PER_SHARD;
-        let rows: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
-        let r = rel("R", rows);
-        for vars in [vec![5, 2], vec![5, 5]] {
+    fn sharded_flat_build_partitions_the_definition() {
+        // Large enough that even 8 requested shards pass the
+        // MIN_ROWS_PER_SHARD sizing and actually shard.
+        let n = 8 * MIN_ROWS_PER_SHARD;
+        let r = rel("R", lcg_rows(3, n, 2, 9));
+        for vars in [vec![5, 2], vec![2, 5], vec![5, 5]] {
             let atom = BoundAtom::new(&r, vars);
             let order = [2, 5];
-            let full = flat_paths(&FlatTrie::build(&atom, &order));
-            for num_shards in [2usize, 4] {
+            let (level_vars, full) = definition(&atom, &order);
+            for num_shards in [2usize, 3, 8] {
                 let shards = FlatTrie::build_sharded(&atom, &order, num_shards, None).unwrap();
+                assert_eq!(shards.len(), effective_shard_count(n, num_shards));
                 assert_eq!(shards.len(), num_shards);
-                let mut union = Vec::new();
                 for (index, shard) in shards.iter().enumerate() {
-                    // Every first-level value in this shard hashes to it.
-                    for &id in shard.run(0, 0, shard.level_len(0)) {
-                        assert_eq!(shard_of(id, num_shards), index);
-                    }
-                    union.extend(flat_paths(shard));
+                    assert_eq!(shard.level_vars, level_vars);
+                    // Each shard holds exactly the paths whose first-level
+                    // value hashes to it.
+                    let expected = full
+                        .iter()
+                        .filter(|path| shard_of(path[0], num_shards) == index);
+                    assert!(
+                        flat_paths(shard).iter().eq(expected),
+                        "shard {index} of {num_shards}"
+                    );
                 }
-                union.sort_unstable();
-                assert_eq!(union, full, "shards {num_shards}");
             }
         }
-        // Small relations degrade to one unsharded trie.
-        let small = rel("S", (0..10).map(|i| vec![i as f64]).collect());
-        let atom = BoundAtom::new(&small, vec![0]);
-        assert_eq!(
-            FlatTrie::build_sharded(&atom, &[0], 8, None).unwrap().len(),
-            1
-        );
+        // Small relations degrade to one unsharded trie holding every path.
+        let small = rel("S", (0..40).map(|i| vec![i as f64, -(i as f64)]).collect());
+        let atom = BoundAtom::new(&small, vec![0, 1]);
+        let shards = FlatTrie::build_sharded(&atom, &[0, 1], 8, None).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert!(flat_paths(&shards[0])
+            .iter()
+            .eq(definition(&atom, &[0, 1]).1.iter()));
     }
 
     #[test]
@@ -552,18 +482,29 @@ mod tests {
         let atom = BoundAtom::new(&r, vec![0, 0]);
         let flat = FlatTrie::build(&atom, &[0]);
         assert_eq!(flat.depth(), 1);
-        assert_eq!(flat.level_len(0), 2, "values {{1.0, 3.0}} survive");
+        // The values {1.0, 3.0} survive, and resolve back from their ids.
+        let values: Vec<Value> = flat
+            .run(0, 0, flat.level_len(0))
+            .iter()
+            .map(|id| id.resolve())
+            .collect();
+        assert_eq!(values, vec![Value::point(1.0), Value::point(3.0)]);
         // A filter that rejects everything leaves an empty (non-zero-level)
         // trie.
         let none = rel("N", vec![vec![1.0, 2.0]]);
         let empty = FlatTrie::build(&BoundAtom::new(&none, vec![0, 0]), &[0]);
         assert!(empty.is_empty());
-        // Zero-level guard atoms report non-empty.
+        // Zero-level guard atoms report non-empty, sharded or not.
         let mut guard = Relation::new("G", 0);
         guard.push(vec![]);
-        let zero = FlatTrie::build(&BoundAtom::new(&guard, vec![]), &[]);
+        let atom = BoundAtom::new(&guard, vec![]);
+        let zero = FlatTrie::build(&atom, &[]);
         assert_eq!(zero.depth(), 0);
         assert!(!zero.is_empty());
+        let shards = FlatTrie::build_sharded(&atom, &[], 4, None).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].depth(), 0);
+        assert!(!shards[0].is_empty());
     }
 
     #[test]
@@ -571,38 +512,17 @@ mod tests {
         let small = rel("S", vec![vec![1.0]]);
         let small_trie = FlatTrie::build(&BoundAtom::new(&small, vec![0]), &[0]);
         assert!(small_trie.heap_bytes() > std::mem::size_of::<FlatTrie>());
+        // 256 two-level paths dwarf a single one-level path.
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64, -(i as f64)]).collect();
         let big = rel("B", rows);
-        let big_trie = FlatTrie::build(&BoundAtom::new(&big, vec![0, 1]), &[0, 1]);
+        let atom = BoundAtom::new(&big, vec![0, 1]);
+        let big_trie = FlatTrie::build(&atom, &[0, 1]);
         assert!(big_trie.heap_bytes() > 8 * small_trie.heap_bytes());
-        // The CSR layout is dramatically denser than per-node hash maps.
-        let hash_trie = AtomTrie::build(&BoundAtom::new(&big, vec![0, 1]), &[0, 1]);
-        assert!(big_trie.heap_bytes() < hash_trie.heap_bytes());
-    }
-
-    #[test]
-    fn auto_layout_resolves_by_size_and_explicit_layouts_stick() {
-        assert_eq!(TrieLayout::Auto.resolve(FLAT_MIN_ROWS, 2), TrieLayout::Flat);
-        assert_eq!(
-            TrieLayout::Auto.resolve(FLAT_MIN_ROWS - 1, 2),
-            TrieLayout::Hash
-        );
-        assert_eq!(TrieLayout::Auto.resolve(1 << 20, 0), TrieLayout::Hash);
-        assert_eq!(TrieLayout::Hash.resolve(1 << 20, 3), TrieLayout::Hash);
-        assert_eq!(TrieLayout::Flat.resolve(1, 1), TrieLayout::Flat);
-    }
-
-    #[test]
-    fn trie_build_dispatches_on_the_resolved_layout() {
-        let tiny = rel("T", vec![vec![1.0, 2.0]]);
-        let atom = BoundAtom::new(&tiny, vec![0, 1]);
-        let auto = TrieBuild::build_sharded(&atom, &[0, 1], 1, TrieLayout::Auto, None).unwrap();
-        assert_eq!(auto.layout(), TrieLayout::Hash, "tiny relations stay hash");
-        let forced = TrieBuild::build_sharded(&atom, &[0, 1], 1, TrieLayout::Flat, None).unwrap();
-        assert_eq!(forced.layout(), TrieLayout::Flat);
-        assert_eq!(forced.shard_count(), 1);
-        assert_eq!(forced.level_vars(), &[0, 1]);
-        assert!(!forced.shard_is_empty(0));
-        assert!(forced.heap_bytes() > 0);
+        // A build accounts the sum over its shards.
+        let build = TrieBuild::build_sharded(&atom, &[0, 1], 1, None).unwrap();
+        assert_eq!(build.shard_count(), 1);
+        assert_eq!(build.level_vars(), &[0, 1]);
+        assert!(!build.shard_is_empty(0));
+        assert_eq!(build.heap_bytes(), big_trie.heap_bytes());
     }
 }

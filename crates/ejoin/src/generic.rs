@@ -2,42 +2,28 @@
 //!
 //! The join processes the variables in a fixed global order.  For the current
 //! variable it intersects the candidate values offered by every atom whose
-//! trie is positioned at that variable (iterating the atom with the smallest
-//! fan-out and probing the others), then recurses.  For Boolean queries the
-//! recursion stops at the first full assignment; for enumeration it collects
-//! the projection of every full assignment onto the requested output
+//! trie is positioned at that variable, then recurses.  For Boolean queries
+//! the recursion stops at the first full assignment; for enumeration it
+//! collects the projection of every full assignment onto the requested output
 //! variables.
 //!
 //! This is the standard leapfrog/generic-join scheme of Ngo et al. \[27\] and
 //! Veldhuizen \[34\], realised over interned [`ValueId`]s — the search
-//! intersects, probes and collects dense `u32` ids end to end and only
-//! resolves values at the API boundary.
+//! intersects and collects dense `u32` ids end to end and only resolves
+//! values at the API boundary.
 //!
-//! # Trie layouts
-//!
-//! Each atom's trie is built in one of two layouts
-//! ([`TrieLayout`](crate::TrieLayout), selected per atom at build time):
-//!
-//! * **hash** ([`AtomTrie`](crate::AtomTrie)) — `HashMap` nodes, probed one
-//!   candidate at a time; the behavioural reference;
-//! * **flat** ([`FlatTrie`]) — CSR-style sorted value arrays per level.  When
-//!   every atom participating in a variable is flat, candidate generation is
-//!   a true leapfrog: the participating runs are multi-way intersected with
-//!   galloping seeks ([`kernels::leapfrog_next`]) and each match descends by
-//!   index arithmetic — no hashing, no per-candidate allocation.  Mixed
-//!   levels iterate the smallest position's candidates and probe the rest in
-//!   whichever layout each atom has (flat probes gallop,
-//!   [`kernels::gallop_seek`]).
-//!
-//! Layouts never change answers, only the intersection machinery; the
-//! property suite holds every layout combination to bit-identical results.
+//! Each atom is indexed as a [`FlatTrie`] — CSR-style sorted value arrays per
+//! level — so candidate generation is a true leapfrog: the participating
+//! atoms' sorted runs are multi-way intersected with galloping seeks
+//! ([`kernels::leapfrog_next`]) and each match descends by index arithmetic —
+//! no hashing, no per-candidate allocation.
 //!
 //! # Caching and sharding
 //!
 //! The `*_with` variants take an [`EvalContext`]: tries are served from its
 //! [`TrieCache`](crate::TrieCache) when one is attached, and when the shard
 //! count exceeds one the atoms containing the first join variable are built
-//! as hash-partitioned sub-tries (`build_sharded` in either layout) and the
+//! as hash-partitioned sub-tries ([`FlatTrie::build_sharded`]) and the
 //! search fans out across shards on scoped threads.  Any full assignment
 //! binds the first join variable to a single value, which lives in exactly
 //! one shard — so the per-shard searches partition the result space and their
@@ -47,7 +33,7 @@
 use crate::atom::BoundAtom;
 use crate::cache::EvalContext;
 use crate::flat::{FlatTrie, TrieBuild};
-use crate::trie::{effective_shard_count, TrieNode};
+use crate::trie::effective_shard_count;
 use ij_hypergraph::VarId;
 use ij_relation::sync::lock_recover;
 
@@ -80,8 +66,7 @@ pub(crate) fn fold_shard_error(slot: &mut Option<EvalError>, e: EvalError) {
 ///
 /// `tries[i]` holds either a single trie (atom not sharded — it does not
 /// contain the split variable, or sharding is off) or `num_shards` sub-tries
-/// partitioned by the split variable's value hash, in whichever layout the
-/// build resolved to.
+/// partitioned by the split variable's value hash.
 struct JoinContext {
     tries: Vec<Arc<TrieBuild>>,
     order: Vec<VarId>,
@@ -145,28 +130,17 @@ impl JoinContext {
                     Some(v) if num_shards > 1 && a.vars.contains(&v) => num_shards,
                     _ => 1,
                 };
-                let t = match eval.cache {
+                Ok(match eval.cache {
                     Some(cache) => cache.tries_for(
                         a,
                         &order,
                         shards,
-                        eval.layout,
                         eval.tenant,
                         eval.activity,
                         eval.token,
                     )?,
-                    None => Arc::new(TrieBuild::build_sharded(
-                        a,
-                        &order,
-                        shards,
-                        eval.layout,
-                        eval.token,
-                    )?),
-                };
-                if let Some(activity) = eval.activity {
-                    activity.record_layout(t.layout());
-                }
-                Ok(t)
+                    None => Arc::new(TrieBuild::build_sharded(a, &order, shards, eval.token)?),
+                })
             })
             .collect::<Result<_, EvalError>>()?;
         let participating: Vec<Vec<usize>> = order
@@ -197,22 +171,17 @@ impl JoinContext {
 
     /// Atom `i`'s root position for one shard.
     fn root_pos(&self, i: usize, shard: usize) -> Pos<'_> {
-        let shard = self.shard_index(i, shard);
-        match &*self.tries[i] {
-            TrieBuild::Hash(tries) => Pos::Hash(tries[shard].root()),
-            TrieBuild::Flat(tries) => {
-                let trie = &tries[shard];
-                if trie.depth() == 0 {
-                    Pos::Leaf
-                } else {
-                    Pos::Flat {
-                        trie,
-                        level: 0,
-                        lo: 0,
-                        hi: trie.level_len(0),
-                    }
-                }
-            }
+        let trie = self.tries[i].shard(self.shard_index(i, shard));
+        let hi = if trie.depth() == 0 {
+            0
+        } else {
+            trie.level_len(0)
+        };
+        Pos {
+            trie,
+            level: 0,
+            lo: 0,
+            hi,
         }
     }
 
@@ -230,79 +199,46 @@ impl JoinContext {
     }
 }
 
-/// One atom's cursor into its trie during the search — the layout-generic
-/// "current node".  `Copy`, so saving and restoring a frame's participating
-/// positions copies a few words instead of cloning a `Vec` per candidate.
+/// One atom's cursor into its trie during the search: the candidate values
+/// `trie.run(level, lo, hi)` — one parent's sorted, distinct children.
+/// `Copy`, so saving and restoring a frame's participating positions copies a
+/// few words instead of cloning a `Vec` per candidate.
+///
+/// `level == trie.depth()` (with an empty range) means the atom's full path
+/// is consumed; such positions never participate in a later variable, so
+/// their run is never read.
 #[derive(Clone, Copy)]
-enum Pos<'t> {
-    /// A hash-trie node.
-    Hash(&'t TrieNode),
-    /// A flat-trie run: the candidate values `trie.run(level, lo, hi)` — one
-    /// parent's sorted, distinct children.
-    Flat {
-        /// The trie this cursor ranges over.
-        trie: &'t FlatTrie,
-        /// Current level.
-        level: usize,
-        /// Run start (absolute index into the level's value array).
-        lo: u32,
-        /// Run end (exclusive).
-        hi: u32,
-    },
-    /// Past the deepest level of a flat trie: the atom's full path is
-    /// consumed.  Leaf positions never participate in a later variable, so
-    /// they are never descended or fanned out.
-    Leaf,
+struct Pos<'t> {
+    /// The trie this cursor ranges over.
+    trie: &'t FlatTrie,
+    /// Current level.
+    level: usize,
+    /// Run start (absolute index into the level's value array).
+    lo: u32,
+    /// Run end (exclusive).
+    hi: u32,
 }
 
 impl<'t> Pos<'t> {
-    /// The number of candidate values this position offers.
-    fn fanout(self) -> usize {
-        match self {
-            Pos::Hash(node) => node.fanout(),
-            Pos::Flat { lo, hi, .. } => (hi - lo) as usize,
-            Pos::Leaf => 0,
-        }
+    /// The candidate values this position offers.
+    fn run(self) -> &'t [ValueId] {
+        self.trie.run(self.level, self.lo, self.hi)
     }
 
-    /// Descends into `value`: the position below it, or `None` if this atom
-    /// does not offer `value` here.  Hash positions probe the node map; flat
-    /// positions gallop the sorted run ([`kernels::gallop_seek`]).
-    fn descend(self, value: ValueId) -> Option<Pos<'t>> {
-        match self {
-            Pos::Hash(node) => node.child(value).map(Pos::Hash),
-            Pos::Flat {
-                trie,
-                level,
-                lo,
-                hi,
-            } => {
-                let run = trie.run(level, lo, hi);
-                let at = kernels::gallop_seek(run, 0, value);
-                if at < run.len() && run[at] == value {
-                    Some(down(trie, level, lo + at as u32))
-                } else {
-                    None
-                }
-            }
-            Pos::Leaf => None,
-        }
-    }
-}
-
-/// The position below entry `index` of `level`: the child run one level
-/// deeper, or [`Pos::Leaf`] when `level` is the deepest.
-fn down(trie: &FlatTrie, level: usize, index: u32) -> Pos<'_> {
-    if level + 1 < trie.depth() {
-        let (lo, hi) = trie.child_range(level, index);
-        Pos::Flat {
-            trie,
-            level: level + 1,
+    /// The position below the entry at offset `at` of the run: the child run
+    /// one level deeper, or the consumed position past the deepest level.
+    fn down(self, at: usize) -> Pos<'t> {
+        let (lo, hi) = if self.level + 1 < self.trie.depth() {
+            self.trie.child_range(self.level, self.lo + at as u32)
+        } else {
+            (0, 0)
+        };
+        Pos {
+            trie: self.trie,
+            level: self.level + 1,
             lo,
             hi,
         }
-    } else {
-        Pos::Leaf
     }
 }
 
@@ -503,23 +439,15 @@ pub fn generic_join_enumerate_with(
 /// participating positions and returns `false`.
 ///
 /// Only the participating atoms' positions are saved — a `Copy` of a few
-/// words each — replacing the old full-`positions` `Vec` clone per candidate.
-///
-/// Two intersection strategies:
-///
-/// * **all participating positions flat** — a true leapfrog
-///   ([`kernels::leapfrog_next`]): the sorted runs are multi-way intersected
-///   with galloping seeks, and each matched value descends every atom by
-///   index arithmetic off its aligned cursor, no probing at all;
-/// * **otherwise** — iterate the candidates of the smallest position
-///   (in whichever layout it has) and probe the remaining atoms' positions
-///   per candidate (hash positions probe the node map, flat positions gallop
-///   their run).
+/// words each.  The intersection is a true leapfrog
+/// ([`kernels::leapfrog_next`]): the sorted runs are multi-way intersected
+/// with galloping seeks, and each matched value descends every atom by index
+/// arithmetic off its aligned cursor, no probing at all.
 ///
 /// The ticker is threaded through every frame of the recursion (lent to
 /// `visit` and back), so the cancellation check interval is amortised over
 /// the *whole* search — one countdown across all depths — and ticked once per
-/// candidate considered, matched or not.
+/// value of the intersection.
 fn intersect_candidates<'t, 'k>(
     ctx: &'t JoinContext,
     depth: usize,
@@ -529,93 +457,20 @@ fn intersect_candidates<'t, 'k>(
 ) -> Result<bool, EvalError> {
     let participating = &ctx.participating[depth];
     let saved: Vec<Pos<'t>> = participating.iter().map(|&i| positions[i]).collect();
-    if saved.iter().all(|p| matches!(p, Pos::Flat { .. })) {
-        let runs: Vec<&[ValueId]> = saved
-            .iter()
-            .map(|p| match p {
-                Pos::Flat {
-                    trie,
-                    level,
-                    lo,
-                    hi,
-                } => trie.run(*level, *lo, *hi),
-                // ij-analysis: allow(panic) — unreachable: guarded by the all-flat check above
-                _ => unreachable!("all positions checked flat"),
-            })
-            .collect();
-        let mut cursors = vec![0usize; runs.len()];
-        while let Some(value) = kernels::leapfrog_next(&runs, &mut cursors) {
-            ticker.tick()?;
-            // Every cursor points at `value`; descend by index.
-            for (slot, &i) in participating.iter().enumerate() {
-                let Pos::Flat {
-                    trie, level, lo, ..
-                } = saved[slot]
-                else {
-                    // ij-analysis: allow(panic) — unreachable: guarded by the all-flat check above
-                    unreachable!("all positions checked flat")
-                };
-                positions[i] = down(trie, level, lo + cursors[slot] as u32);
-            }
-            if visit(positions, ticker, value)? {
-                return Ok(true);
-            }
-            for c in cursors.iter_mut() {
-                *c += 1;
-            }
-        }
+    let runs: Vec<&[ValueId]> = saved.iter().map(|p| p.run()).collect();
+    let mut cursors = vec![0usize; runs.len()];
+    while let Some(value) = kernels::leapfrog_next(&runs, &mut cursors) {
+        ticker.tick()?;
+        // Every cursor points at `value`; descend by index.
         for (slot, &i) in participating.iter().enumerate() {
-            positions[i] = saved[slot];
+            positions[i] = saved[slot].down(cursors[slot]);
         }
-        return Ok(false);
-    }
-    // Mixed layouts (or pure hash): iterate the smallest candidate set,
-    // probe the others.  A failed probe leaves later slots stale, which is
-    // harmless: `visit` only ever runs after every slot was freshly written.
-    let smallest = (0..saved.len())
-        .min_by_key(|&slot| saved[slot].fanout())
-        // ij-analysis: allow(panic) — infallible: `participating` is non-empty at this level
-        .expect("participating atoms exist");
-    let try_value = |positions: &mut Vec<Pos<'t>>, value: ValueId, child: Pos<'t>| -> bool {
-        for (slot, &i) in participating.iter().enumerate() {
-            if slot == smallest {
-                positions[i] = child;
-                continue;
-            }
-            match saved[slot].descend(value) {
-                Some(next) => positions[i] = next,
-                None => return false,
-            }
+        if visit(positions, ticker, value)? {
+            return Ok(true);
         }
-        true
-    };
-    match saved[smallest] {
-        Pos::Hash(node) => {
-            for (value, child) in node.children() {
-                ticker.tick()?;
-                if try_value(positions, value, Pos::Hash(child)) && visit(positions, ticker, value)?
-                {
-                    return Ok(true);
-                }
-            }
+        for c in cursors.iter_mut() {
+            *c += 1;
         }
-        Pos::Flat {
-            trie,
-            level,
-            lo,
-            hi,
-        } => {
-            let run = trie.run(level, lo, hi);
-            for (r, &value) in run.iter().enumerate() {
-                ticker.tick()?;
-                let child = down(trie, level, lo + r as u32);
-                if try_value(positions, value, child) && visit(positions, ticker, value)? {
-                    return Ok(true);
-                }
-            }
-        }
-        // ij-analysis: allow(panic) — unreachable: leaves are filtered out of `participating`
-        Pos::Leaf => unreachable!("leaf positions never participate"),
     }
     for (slot, &i) in participating.iter().enumerate() {
         positions[i] = saved[slot];
@@ -939,10 +794,30 @@ mod tests {
         assert_eq!(out.tuples()[0][0], Value::point(1.0));
     }
 
+    /// The triangle `R(A,B) ⋈ S(B,C) ⋈ T(A,C)` by nested loops over the rows.
+    fn brute_force_triangle(r: &Relation, s: &Relation, t: &Relation) -> Vec<Vec<Value>> {
+        let mut out = std::collections::BTreeSet::new();
+        for x in r.tuples() {
+            for y in s.tuples() {
+                for z in t.tuples() {
+                    if x[1] == y[0] && x[0] == z[0] && y[1] == z[1] {
+                        out.insert(vec![x[0], x[1], y[1]]);
+                    }
+                }
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    fn sorted_tuples(relation: &Relation) -> Vec<Vec<Value>> {
+        let mut tuples = relation.tuples();
+        tuples.sort();
+        tuples
+    }
+
     #[test]
-    fn sharded_and_cached_joins_match_the_unsharded_baseline() {
+    fn sharded_and_cached_joins_match_brute_force() {
         use crate::cache::TrieCache;
-        use crate::flat::TrieLayout;
         let mut seed = 99u64;
         let mut next = move || {
             seed = seed
@@ -963,38 +838,79 @@ mod tests {
                 BoundAtom::new(&s, vec![B, C]),
                 BoundAtom::new(&t, vec![A, C]),
             ];
-            let expected = generic_join_boolean(&atoms, None);
-            let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
-            let layouts = [TrieLayout::Hash, TrieLayout::Flat, TrieLayout::Auto];
+            let expected_out = brute_force_triangle(&r, &s, &t);
             for shards in [1usize, 2, 3, 7] {
-                for layout in layouts {
-                    for cache_ref in [None, Some(&cache)] {
-                        let eval = EvalContext {
-                            cache: cache_ref,
-                            shards,
-                            layout,
-                            ..EvalContext::default()
-                        };
-                        assert_eq!(
-                            generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                            expected,
-                            "boolean, shards {shards}, layout {layout:?}, cached {}",
-                            cache_ref.is_some()
-                        );
-                        let out =
-                            generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-                        assert_eq!(
-                            out.tuples(),
-                            expected_out.tuples(),
-                            "enumerate, shards {shards}, layout {layout:?}, cached {}",
-                            cache_ref.is_some()
-                        );
-                    }
+                for cache_ref in [None, Some(&cache)] {
+                    let eval = EvalContext {
+                        cache: cache_ref,
+                        shards,
+                        ..EvalContext::default()
+                    };
+                    assert_eq!(
+                        generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                        !expected_out.is_empty(),
+                        "boolean, shards {shards}, cached {}",
+                        cache_ref.is_some()
+                    );
+                    let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+                    assert_eq!(
+                        sorted_tuples(&out),
+                        expected_out,
+                        "enumerate, shards {shards}, cached {}",
+                        cache_ref.is_some()
+                    );
                 }
             }
         }
         // The loop re-evaluates identical builds: the cache must have hit.
         assert!(cache.stats().hits > 0);
+    }
+
+    #[test]
+    fn degenerate_atoms_join_like_any_other() {
+        use crate::cache::TrieCache;
+        // A non-empty arity-zero guard atom (a trie with zero levels), a
+        // one-row relation, and an atom whose repeated-variable filter
+        // rejects every row.
+        let mut guard = Relation::new("G", 0);
+        guard.push(vec![]);
+        let one = rel("One", vec![vec![1.0, 2.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0], vec![2.0, 4.0], vec![5.0, 6.0]]);
+        let off_diagonal = rel("D", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let satisfiable = vec![
+            BoundAtom::new(&guard, vec![]),
+            BoundAtom::new(&one, vec![A, B]),
+            BoundAtom::new(&s, vec![B, C]),
+        ];
+        let mut rejected = satisfiable.clone();
+        rejected.push(BoundAtom::new(&off_diagonal, vec![A, A]));
+        let guard_only = vec![BoundAtom::new(&guard, vec![])];
+        let point = |p: f64| Value::point(p);
+        let cache = TrieCache::new();
+        for shards in [1usize, 3] {
+            for cache_ref in [None, Some(&cache)] {
+                let eval = EvalContext {
+                    cache: cache_ref,
+                    shards,
+                    ..EvalContext::default()
+                };
+                assert!(generic_join_boolean_with(&satisfiable, None, eval).unwrap());
+                let out = generic_join_enumerate_with(&satisfiable, &[A, B, C], "out", eval);
+                assert_eq!(
+                    sorted_tuples(&out.unwrap()),
+                    vec![
+                        vec![point(1.0), point(2.0), point(3.0)],
+                        vec![point(1.0), point(2.0), point(4.0)],
+                    ]
+                );
+                assert!(!generic_join_boolean_with(&rejected, None, eval).unwrap());
+                let out = generic_join_enumerate_with(&rejected, &[A, B, C], "out", eval);
+                assert!(out.unwrap().is_empty());
+                assert!(generic_join_boolean_with(&guard_only, None, eval).unwrap());
+                let out = generic_join_enumerate_with(&guard_only, &[], "out", eval);
+                assert_eq!(out.unwrap().len(), 1);
+            }
+        }
     }
 
     #[test]
@@ -1028,28 +944,17 @@ mod tests {
         assert!(expected, "the planted triangle must be found");
         let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
         for shards in [2usize, 4] {
-            for layout in [
-                crate::flat::TrieLayout::Hash,
-                crate::flat::TrieLayout::Flat,
-                crate::flat::TrieLayout::Auto,
-            ] {
-                let eval = EvalContext {
-                    cache: None,
-                    shards,
-                    layout,
-                    ..EvalContext::default()
-                };
-                assert_eq!(
-                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                    expected
-                );
-                let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-                assert_eq!(
-                    out.tuples(),
-                    expected_out.tuples(),
-                    "shards {shards}, layout {layout:?}"
-                );
-            }
+            let eval = EvalContext {
+                cache: None,
+                shards,
+                ..EvalContext::default()
+            };
+            assert_eq!(
+                generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                expected
+            );
+            let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+            assert_eq!(out.tuples(), expected_out.tuples(), "shards {shards}");
         }
     }
 

@@ -6,10 +6,9 @@
 //!
 //! * [`generic_join_boolean`] / [`generic_join_enumerate`] — the generic
 //!   worst-case-optimal join (attribute-at-a-time over per-atom tries),
-//!   following Ngo–Porat–Ré–Rudra \[27\] and Leapfrog Triejoin \[34\].  Tries
-//!   come in two layouts ([`TrieLayout`]): hash-map nodes ([`AtomTrie`], the
-//!   behavioural reference) and flat CSR sorted arrays ([`FlatTrie`]) whose
-//!   candidate intersection is a galloping leapfrog over sorted runs;
+//!   following Ngo–Porat–Ré–Rudra \[27\] and Leapfrog Triejoin \[34\].  Each
+//!   atom's trie is a flat CSR structure of sorted arrays ([`FlatTrie`])
+//!   whose candidate intersection is a galloping leapfrog over sorted runs;
 //! * [`yannakakis_boolean`] — Yannakakis' linear-time algorithm for
 //!   α-acyclic Boolean queries \[35\];
 //! * [`decomposition_boolean`] — the width-guided evaluation of
@@ -29,9 +28,8 @@
 //! one reduction share built tries instead of rebuilding them — and a trie
 //! shard count: atoms containing the first join variable are built as
 //! hash-partitioned sub-tries on scoped threads and the search fans out
-//! shard by shard ([`AtomTrie::build_sharded`], or its flat-layout twin
-//! [`FlatTrie::build_sharded`]).  Answers are bit-identical for every
-//! cache/shard/layout setting.
+//! shard by shard ([`FlatTrie::build_sharded`]).  Answers are bit-identical
+//! for every cache/shard setting.
 //!
 //! The context also carries the cache-accounting identity: a [`TenantId`]
 //! metering every lookup into a per-tenant ledger (with optional per-tenant
@@ -71,7 +69,7 @@ pub use evaluate::{
     decomposition_boolean, decomposition_boolean_with, evaluate_ej_boolean,
     evaluate_ej_boolean_with, materialise_bag, materialise_bag_with, EjStrategy,
 };
-pub use flat::{FlatTrie, TrieBuild, TrieLayout, FLAT_MIN_ROWS};
+pub use flat::{FlatTrie, TrieBuild};
 pub use generic::{
     generic_join_boolean, generic_join_boolean_with, generic_join_enumerate,
     generic_join_enumerate_with, semijoin,
@@ -79,5 +77,5 @@ pub use generic::{
 pub use plan::{
     fixed_var_order, plan_var_order, DisjunctPlan, KernelChoices, PlanActivity, PlanMode,
 };
-pub use trie::{effective_shard_count, shard_of, AtomTrie, TrieNode, MIN_ROWS_PER_SHARD};
+pub use trie::{effective_shard_count, shard_of, MIN_ROWS_PER_SHARD};
 pub use yannakakis::yannakakis_boolean;

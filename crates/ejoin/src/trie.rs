@@ -1,31 +1,33 @@
-//! Hash tries over relations, keyed by a global variable order.
+//! The trie build plan shared by every [`FlatTrie`](crate::FlatTrie) build:
+//! level order, repeated-variable filtering, and sharding.
 //!
 //! The generic worst-case-optimal join processes one variable at a time; each
 //! atom is indexed as a trie whose levels are the atom's variables sorted by
-//! the global variable order.  Repeated variables within an atom are checked
-//! at insertion time (tuples whose repeated columns disagree are filtered
-//! out) so the trie has one level per *distinct* variable.
+//! the global variable order ([`trie_level_vars`]).  Repeated variables
+//! within an atom are checked before the build (tuples whose repeated columns
+//! disagree are filtered out) so the trie has one level per *distinct*
+//! variable.
 //!
-//! Trie nodes are keyed by the interned [`ValueId`]s of the columnar relation
-//! storage with a multiply-mix hasher — the join never hashes or compares a
-//! full `Value`; build and probe work entirely on dense `u32` ids read
-//! straight out of the column vectors.
+//! The build works entirely on the dense `u32` [`ValueId`]s read straight out
+//! of the columnar relation storage — the join never hashes or compares a
+//! full `Value`.
 //!
 //! # Sharded builds
 //!
-//! [`AtomTrie::build_sharded`] splits the build across threads: rows are
-//! partitioned by a deterministic hash of the value bound to the trie's
-//! *first* level variable ([`shard_of`]), and one sub-trie is built per shard
-//! on a scoped worker thread.  Because a given first-level value lands in
-//! exactly one shard, the union of the shard tries equals the unsharded trie,
-//! and a join search can be fanned out shard by shard (see
-//! `generic.rs`): any full assignment binds the first join variable to one
-//! value, hence lives entirely inside one shard.  The row partition itself is
-//! computed over [`ColumnsView`](ij_relation::ColumnsView) row-range chunks,
-//! so both phases of the build parallelise.  Sharding is sized per atom:
-//! relations too small to give every shard [`MIN_ROWS_PER_SHARD`] rows are
-//! built unsharded ([`effective_shard_count`]) instead of paying thread-spawn
-//! overhead for near-empty shards.
+//! [`FlatTrie::build_sharded`](crate::FlatTrie::build_sharded) splits the
+//! build across threads: rows are partitioned by a deterministic hash of the
+//! value bound to the trie's *first* level variable ([`shard_of`]), and one
+//! sub-trie is built per shard on a scoped worker thread.  Because a given
+//! first-level value lands in exactly one shard, the union of the shard tries
+//! equals the unsharded trie, and a join search can be fanned out shard by
+//! shard (see `generic.rs`): any full assignment binds the first join
+//! variable to one value, hence lives entirely inside one shard.  The row
+//! partition itself is computed over
+//! [`ColumnsView`](ij_relation::ColumnsView) row-range chunks, so both phases
+//! of the build parallelise.  Sharding is sized per atom: relations too small
+//! to give every shard [`MIN_ROWS_PER_SHARD`] rows are built unsharded
+//! ([`effective_shard_count`]) instead of paying thread-spawn overhead for
+//! near-empty shards.
 //!
 //! The linear passes of the build — the repeated-variable equal-pair filter
 //! and the surviving-row selection — run on the chunked scan kernels of
@@ -33,10 +35,7 @@
 
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
-use ij_relation::{
-    faults, kernels, panic_payload_string, CancelTicker, CancellationToken, EvalError, IdHashMap,
-    ValueId,
-};
+use ij_relation::{faults, kernels, panic_payload_string, CancellationToken, EvalError, ValueId};
 
 /// The shard a first-level value id belongs to, out of `num_shards`.
 ///
@@ -73,162 +72,6 @@ pub fn effective_shard_count(rows: usize, requested: usize) -> usize {
     }
 }
 
-/// One node of a hash trie.
-#[derive(Debug, Default)]
-pub struct TrieNode {
-    children: IdHashMap<ValueId, TrieNode>,
-}
-
-impl TrieNode {
-    /// The child for an interned value, if present.
-    pub fn child(&self, v: ValueId) -> Option<&TrieNode> {
-        self.children.get(&v)
-    }
-
-    /// Number of children.
-    pub fn fanout(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Iterates over the children.
-    pub fn children(&self) -> impl Iterator<Item = (ValueId, &TrieNode)> {
-        self.children.iter().map(|(&id, node)| (id, node))
-    }
-
-    /// Estimated heap bytes of this node's subtree: every node's child map
-    /// is accounted as `capacity × (entry size + 1 control byte)`.  An
-    /// estimate from node/entry counts, not an exact allocator measurement —
-    /// good enough for a cache byte budget.
-    fn heap_bytes(&self) -> usize {
-        let own = self.children.capacity()
-            * (std::mem::size_of::<(ValueId, TrieNode)>() + std::mem::size_of::<u8>());
-        own + self
-            .children
-            .values()
-            .map(TrieNode::heap_bytes)
-            .sum::<usize>()
-    }
-
-    fn insert_path(&mut self, values: &[ValueId]) {
-        if let Some((first, rest)) = values.split_first() {
-            self.children.entry(*first).or_default().insert_path(rest);
-        }
-    }
-}
-
-/// A trie over one atom, with levels ordered by the global variable order.
-#[derive(Debug)]
-pub struct AtomTrie {
-    /// The atom's distinct variables in global order — the trie levels.
-    pub level_vars: Vec<VarId>,
-    root: TrieNode,
-}
-
-impl AtomTrie {
-    /// Builds the trie of `atom` with levels sorted according to
-    /// `global_order` (a total order over all query variables, e.g. the
-    /// elimination order of the chosen decomposition).
-    pub fn build(atom: &BoundAtom<'_>, global_order: &[VarId]) -> Self {
-        let plan = TriePlan::new(atom, global_order);
-        let root = plan
-            .build_root(None, None)
-            .expect("tokenless builds cannot be cancelled");
-        AtomTrie {
-            level_vars: plan.level_vars,
-            root,
-        }
-    }
-
-    /// Builds the trie of `atom` split into sub-tries by [`shard_of`] on the
-    /// first level variable's value, each shard built on its own scoped
-    /// thread.  Every returned trie carries the same `level_vars`; their
-    /// union over shards equals [`AtomTrie::build`].
-    ///
-    /// The shard count actually used is
-    /// [`effective_shard_count`]`(rows, num_shards)`: relations too small to
-    /// give every shard [`MIN_ROWS_PER_SHARD`] rows are built as a single
-    /// unsharded trie instead of spawning near-empty shard threads.  The
-    /// build also degenerates to one trie when `num_shards <= 1` or the atom
-    /// has no levels (arity-zero guard relations).
-    ///
-    /// The insert loops poll `token` (if any) every
-    /// [`check_interval`](CancellationToken::check_interval) rows; shard
-    /// workers run under `catch_unwind`, a panicking worker cancels its
-    /// siblings (through a build-local child token, so the caller's token is
-    /// never signalled), and the panic surfaces as
-    /// [`EvalError::WorkerPanicked`] naming the relation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relation has more than `u32::MAX` rows (the partition
-    /// stores row indices as `u32`; a silent wrap would corrupt the shards).
-    pub fn build_sharded(
-        atom: &BoundAtom<'_>,
-        global_order: &[VarId],
-        num_shards: usize,
-        token: Option<&CancellationToken>,
-    ) -> Result<Vec<Self>, EvalError> {
-        assert!(
-            atom.relation.len() <= u32::MAX as usize,
-            "sharded trie build supports at most 2^32 rows per relation"
-        );
-        let num_shards = effective_shard_count(atom.relation.len(), num_shards);
-        let plan = TriePlan::new(atom, global_order);
-        if num_shards <= 1 || plan.level_columns.is_empty() {
-            let root = plan.build_root(None, token)?;
-            return Ok(vec![AtomTrie {
-                level_vars: plan.level_vars,
-                root,
-            }]);
-        }
-        let shard_rows = partition_rows_by_shard(atom, &plan, num_shards);
-        // Phase 2 — build one sub-trie per shard in parallel, each worker
-        // panic-isolated and polling a build-local child token.
-        let local = token.map(|t| t.child());
-        let roots = build_shards_isolated(atom.relation.name(), local.as_ref(), &shard_rows, {
-            let plan = &plan;
-            move |rows, tok| plan.build_root(Some(rows), tok)
-        })?;
-        Ok(roots
-            .into_iter()
-            .map(|root| AtomTrie {
-                level_vars: plan.level_vars.clone(),
-                root,
-            })
-            .collect())
-    }
-
-    /// The root node.
-    pub fn root(&self) -> &TrieNode {
-        &self.root
-    }
-
-    /// True if a trie with at least one level holds no tuples (possible for
-    /// individual shards, and for atoms whose repeated-variable filter
-    /// rejects every row).  Zero-level tries (arity-zero guard atoms) carry
-    /// no row information and always report non-empty — the join engine
-    /// short-circuits empty relations before any trie is built.
-    pub fn is_empty(&self) -> bool {
-        self.root.children.is_empty() && !self.level_vars.is_empty()
-    }
-
-    /// Number of levels (distinct variables).
-    pub fn depth(&self) -> usize {
-        self.level_vars.len()
-    }
-
-    /// Estimated heap footprint of the trie in bytes, from its node and
-    /// entry counts (hash-map capacities), plus the level-variable vector.
-    /// The walk is `O(nodes)` — cheap relative to the build that produced
-    /// the nodes; the byte-budgeted [`TrieCache`](crate::TrieCache) sums
-    /// this over a build's shards once per insert.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.level_vars.capacity() * std::mem::size_of::<VarId>()
-            + self.root.heap_bytes()
-    }
-}
-
 /// The distinct variables of `atom` sorted by their position in
 /// `global_order` — the trie levels.  Shared by the build plan below and the
 /// trie cache's key computation, so a key always describes the level order
@@ -249,8 +92,8 @@ pub(crate) fn trie_level_vars(atom: &BoundAtom<'_>, global_order: &[VarId]) -> V
     level_vars
 }
 
-/// The shared phase-1 row partition of every sharded trie build (hash and
-/// flat layouts alike): hash the first-level column chunk by chunk
+/// The phase-1 row partition of a sharded trie build: hash the first-level
+/// column chunk by chunk
 /// ([`ColumnsView`](ij_relation::ColumnsView) row-range views on scoped
 /// threads), then concatenate the per-chunk shard lists in chunk order.  The
 /// partition is a pure function of the ids, so the chunking never affects the
@@ -292,10 +135,9 @@ pub(crate) fn partition_rows_by_shard(
     shard_rows
 }
 
-/// The per-atom build recipe shared by the unsharded and sharded builds — of
-/// both the hash layout here and the flat layout in `flat.rs`: the level
-/// variables in global order, the id column backing each level, and the
-/// pre-computed repeated-variable filter mask.
+/// The per-atom build recipe shared by the unsharded and sharded builds in
+/// `flat.rs`: the level variables in global order, the id column backing each
+/// level, and the pre-computed repeated-variable filter mask.
 pub(crate) struct TriePlan<'a> {
     pub(crate) level_vars: Vec<VarId>,
     /// Relation column index backing the first level (the shard key column).
@@ -342,67 +184,10 @@ impl<'a> TriePlan<'a> {
             pass,
         }
     }
-
-    /// Inserts the given rows (all rows when `None`) into a fresh root,
-    /// skipping rows rejected by the repeated-variable mask.  Polls `token`
-    /// (if any) every check-interval rows, so a build of any size cancels
-    /// with bounded latency.
-    fn build_root(
-        &self,
-        rows: Option<&[u32]>,
-        token: Option<&CancellationToken>,
-    ) -> Result<TrieNode, EvalError> {
-        faults::point("trie-build");
-        let mut root = TrieNode::default();
-        let mut path: Vec<ValueId> = vec![ValueId::dummy(); self.level_columns.len()];
-        let num_rows = self
-            .level_columns
-            .first()
-            .map(|c| c.len())
-            .unwrap_or_default();
-        let mut ticker = CancelTicker::new(token);
-        let mut insert = |row: usize| -> Result<(), EvalError> {
-            ticker.tick()?;
-            if let Some(mask) = &self.pass {
-                if mask[row] == 0 {
-                    return Ok(());
-                }
-            }
-            for (slot, col) in path.iter_mut().zip(&self.level_columns) {
-                *slot = col[row];
-            }
-            root.insert_path(&path);
-            Ok(())
-        };
-        match rows {
-            Some(rows) => {
-                for &r in rows {
-                    insert(r as usize)?;
-                }
-            }
-            None => match &self.pass {
-                // With a filter mask, walk only the surviving rows (the
-                // chunked selection skips fully-rejected row groups).
-                Some(mask) => {
-                    let mut surviving = Vec::new();
-                    kernels::select_indices(mask, 0, &mut surviving);
-                    for &r in &surviving {
-                        insert(r as usize)?;
-                    }
-                }
-                None => {
-                    for r in 0..num_rows {
-                        insert(r)?;
-                    }
-                }
-            },
-        }
-        Ok(root)
-    }
 }
 
 /// Runs one `build` closure per shard on scoped threads, each isolated by
-/// `catch_unwind` — the shared phase-2 harness of both trie layouts.  The
+/// `catch_unwind` — phase 2 of a sharded trie build.  The
 /// `shard-worker` failpoint fires inside the isolation boundary; a panicking
 /// worker cancels its siblings through `token` (the caller passes a
 /// build-local child token, so the evaluation's own token is never
@@ -474,128 +259,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value, ValueId};
-
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
-        let arity = rows.first().map(|r| r.len()).unwrap_or(0);
-        Relation::from_tuples(
-            name,
-            arity,
-            rows.into_iter()
-                .map(|r| r.into_iter().map(Value::point).collect())
-                .collect(),
-        )
-    }
-
-    fn id(p: f64) -> ValueId {
-        ValueId::intern(Value::point(p))
-    }
-
-    #[test]
-    fn trie_levels_follow_global_order() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![4.0, 2.0]]);
-        let atom = BoundAtom::new(&r, vec![5, 2]);
-        // Global order puts variable 2 before variable 5.
-        let trie = AtomTrie::build(&atom, &[2, 5]);
-        assert_eq!(trie.level_vars, vec![2, 5]);
-        // Root fanout: distinct values of column bound to var 2 (the second
-        // column): {2.0, 3.0}.
-        assert_eq!(trie.root().fanout(), 2);
-        let node = trie.root().child(id(2.0)).unwrap();
-        // Under 2.0 the values of var 5 are {1.0, 4.0}.
-        assert_eq!(node.fanout(), 2);
-        assert!(node.child(id(1.0)).is_some());
-    }
-
-    #[test]
-    fn repeated_variables_filter_tuples() {
-        let r = rel("R", vec![vec![1.0, 1.0], vec![1.0, 2.0], vec![3.0, 3.0]]);
-        let atom = BoundAtom::new(&r, vec![0, 0]);
-        let trie = AtomTrie::build(&atom, &[0]);
-        assert_eq!(trie.depth(), 1);
-        // Only the tuples with equal columns survive: values {1.0, 3.0}.
-        assert_eq!(trie.root().fanout(), 2);
-        assert!(trie.root().child(id(2.0)).is_none());
-    }
-
-    #[test]
-    fn duplicate_tuples_collapse() {
-        let r = rel("R", vec![vec![1.0], vec![1.0], vec![1.0]]);
-        let atom = BoundAtom::new(&r, vec![9]);
-        let trie = AtomTrie::build(&atom, &[9]);
-        assert_eq!(trie.root().fanout(), 1);
-    }
-
-    /// Collects every full-depth root-to-leaf path of a trie.
-    fn paths(
-        node: &TrieNode,
-        depth: usize,
-        prefix: &mut Vec<ValueId>,
-        out: &mut Vec<Vec<ValueId>>,
-    ) {
-        if prefix.len() == depth {
-            out.push(prefix.clone());
-            return;
-        }
-        for (id, child) in node.children() {
-            prefix.push(id);
-            paths(child, depth, prefix, out);
-            prefix.pop();
-        }
-    }
-
-    #[test]
-    fn sharded_build_partitions_the_unsharded_trie() {
-        let mut seed = 3u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) % 9) as f64
-        };
-        // Large enough that even 8 requested shards pass the
-        // MIN_ROWS_PER_SHARD sizing and actually shard.
-        let n = 8 * MIN_ROWS_PER_SHARD;
-        let rows: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
-        let r = rel("R", rows);
-        for vars in [vec![5, 2], vec![2, 5], vec![5, 5]] {
-            let atom = BoundAtom::new(&r, vars);
-            let order = [2, 5];
-            let full = AtomTrie::build(&atom, &order);
-            let mut full_paths = Vec::new();
-            paths(full.root(), full.depth(), &mut Vec::new(), &mut full_paths);
-            full_paths.sort_unstable();
-            for num_shards in [2usize, 3, 8] {
-                let shards = AtomTrie::build_sharded(&atom, &order, num_shards, None).unwrap();
-                assert_eq!(shards.len(), effective_shard_count(n, num_shards));
-                assert_eq!(shards.len(), num_shards);
-                let mut union = Vec::new();
-                for (index, shard) in shards.iter().enumerate() {
-                    assert_eq!(shard.level_vars, full.level_vars);
-                    // Every first-level value in this shard hashes to it.
-                    for (id, _) in shard.root().children() {
-                        assert_eq!(shard_of(id, num_shards), index);
-                    }
-                    paths(shard.root(), shard.depth(), &mut Vec::new(), &mut union);
-                }
-                union.sort_unstable();
-                assert_eq!(union, full_paths, "shards {num_shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_relations_are_built_unsharded() {
-        // Below the per-shard row threshold the build must not spawn
-        // near-empty shard threads: it degenerates to one full trie.
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let r = rel("R", rows);
-        let atom = BoundAtom::new(&r, vec![0, 1]);
-        let full = AtomTrie::build(&atom, &[0, 1]);
-        let shards = AtomTrie::build_sharded(&atom, &[0, 1], 8, None).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].root().fanout(), full.root().fanout());
-    }
 
     #[test]
     fn effective_shard_count_is_all_or_nothing() {
@@ -608,44 +271,5 @@ mod tests {
         );
         assert_eq!(effective_shard_count(4 * MIN_ROWS_PER_SHARD, 4), 4);
         assert_eq!(effective_shard_count(1000, usize::MAX), 1);
-    }
-
-    #[test]
-    fn sharded_build_of_zero_level_atoms_degenerates() {
-        let mut r = ij_relation::Relation::new("E", 0);
-        r.push(vec![]);
-        let atom = BoundAtom::new(&r, vec![]);
-        let shards = AtomTrie::build_sharded(&atom, &[], 4, None).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].depth(), 0);
-        assert!(!shards[0].is_empty());
-    }
-
-    #[test]
-    fn heap_bytes_track_trie_size() {
-        let small = rel("S", vec![vec![1.0]]);
-        let small_trie = AtomTrie::build(&BoundAtom::new(&small, vec![0]), &[0]);
-        assert!(small_trie.heap_bytes() > std::mem::size_of::<AtomTrie>());
-        // 256 two-level paths dwarf a single one-level path.
-        let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let big = rel("B", rows);
-        let big_trie = AtomTrie::build(&BoundAtom::new(&big, vec![0, 1]), &[0, 1]);
-        assert!(big_trie.heap_bytes() > 8 * small_trie.heap_bytes());
-        // Sharded builds account the same content across their shards: the
-        // sum is within map-capacity slack of the unsharded estimate.
-        let shards =
-            AtomTrie::build_sharded(&BoundAtom::new(&big, vec![0, 1]), &[0, 1], 1, None).unwrap();
-        let sharded_sum: usize = shards.iter().map(AtomTrie::heap_bytes).sum();
-        assert!(sharded_sum > 0);
-    }
-
-    #[test]
-    fn trie_children_resolve_back_to_values() {
-        let r = rel("R", vec![vec![7.0], vec![8.0]]);
-        let atom = BoundAtom::new(&r, vec![0]);
-        let trie = AtomTrie::build(&atom, &[0]);
-        let mut values: Vec<Value> = trie.root().children().map(|(id, _)| id.resolve()).collect();
-        values.sort();
-        assert_eq!(values, vec![Value::point(7.0), Value::point(8.0)]);
     }
 }

@@ -46,8 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 pub use ij_ejoin::{
-    DisjunctPlan, KernelChoices, PlanMode, TenantCacheStats, TenantId, TrieCacheStats, TrieLayout,
-    FLAT_MIN_ROWS,
+    DisjunctPlan, KernelChoices, PlanMode, TenantCacheStats, TenantId, TrieCacheStats,
 };
 pub use ij_relation::kernels::{kernel_arm, KernelArm, FORCE_SCALAR_ENV};
 
@@ -101,7 +100,7 @@ pub struct EngineConfig {
     /// [`EngineConfig::trie_cache_capacity`]: `0` (the default) bounds
     /// entries only, a non-zero value additionally caps the *estimated*
     /// resident heap bytes of the cached tries
-    /// ([`ij_ejoin::AtomTrie::heap_bytes`]).  Inserting past the budget
+    /// ([`ij_ejoin::TrieBuild::heap_bytes`]).  Inserting past the budget
     /// evicts least-recently-used entries until the new entry fits; a single
     /// build larger than the whole budget stays uncached.  This is the knob
     /// a service operator wants: a memory cap that holds regardless of how
@@ -136,25 +135,6 @@ pub struct EngineConfig {
     /// assert_eq!(sharded.trie_shards, 4);
     /// ```
     pub trie_shards: usize,
-    /// The trie layout the generic join indexes its atoms with
-    /// ([`TrieLayout`]): `Hash` builds `HashMap`-node tries (the behavioural
-    /// reference), `Flat` builds CSR-style sorted-array tries whose candidate
-    /// intersection leapfrogs with galloping seeks, and `Auto` (the default)
-    /// picks per atom at build time — relations below
-    /// [`FLAT_MIN_ROWS`](ij_ejoin::FLAT_MIN_ROWS) rows stay hash, everything
-    /// else goes flat.  [`EvaluationStats::hash_layout_atoms`] /
-    /// [`EvaluationStats::flat_layout_atoms`] report which layout the
-    /// evaluation's joins actually ran on.  The Boolean answer is identical
-    /// for every setting.
-    ///
-    /// ```
-    /// use ij_engine::{EngineConfig, TrieLayout};
-    ///
-    /// assert_eq!(EngineConfig::new().trie_layout, TrieLayout::Auto);
-    /// let flat = EngineConfig::new().with_trie_layout(TrieLayout::Flat);
-    /// assert_eq!(flat.trie_layout, TrieLayout::Flat);
-    /// ```
-    pub trie_layout: TrieLayout,
     /// How each disjunct's generic-join variable order is chosen
     /// ([`PlanMode`]): `Adaptive` (the default) plans per disjunct at
     /// batch-build time from cheap statistics — per-variable minimum atom
@@ -232,7 +212,6 @@ impl EngineConfig {
             trie_cache_capacity: 4096,
             trie_cache_bytes: 0,
             trie_shards: 0,
-            trie_layout: TrieLayout::Auto,
             plan_mode: PlanMode::Adaptive,
             tenant: TenantId::DEFAULT,
             deadline: None,
@@ -273,13 +252,6 @@ impl EngineConfig {
     /// parallelism; see [`EngineConfig::trie_shards`]).
     pub fn with_trie_shards(mut self, shards: usize) -> Self {
         self.trie_shards = shards;
-        self
-    }
-
-    /// This configuration with an explicit trie layout (see
-    /// [`EngineConfig::trie_layout`]).
-    pub fn with_trie_layout(mut self, layout: TrieLayout) -> Self {
-        self.trie_layout = layout;
         self
     }
 
@@ -445,15 +417,6 @@ pub struct EvaluationStats {
     /// [`EngineConfig::trie_cache_capacity`] is `0`.  A warm evaluation of a
     /// previously-seen reduction reports hits with no misses.
     pub trie_cache: TrieCacheStats,
-    /// Atom-trie uses of this evaluation that ran on the hash layout
-    /// (counted once per atom per evaluated disjunct, whether the tries came
-    /// from the cache or were built fresh).  With the default
-    /// [`TrieLayout::Auto`] this is the small-relation share of the
-    /// workload; an explicit layout drives one of the two counters to zero.
-    pub hash_layout_atoms: usize,
-    /// Atom-trie uses of this evaluation that ran on the flat (CSR leapfrog)
-    /// layout.
-    pub flat_layout_atoms: usize,
     /// The [`PlanMode`] this evaluation ran under.
     pub plan_mode: PlanMode,
     /// Disjuncts whose variable order went through the adaptive planner
@@ -511,11 +474,6 @@ impl std::fmt::Display for EvaluationStats {
             self.trie_cache.evictions,
             self.trie_cache.entries,
             self.trie_cache.resident_bytes as f64 / 1024.0
-        )?;
-        writeln!(
-            f,
-            "trie layouts: {} hash / {} flat atom uses",
-            self.hash_layout_atoms, self.flat_layout_atoms
         )?;
         write!(
             f,
@@ -832,7 +790,6 @@ impl IntersectionJoinEngine {
             shards: self.config.shard_budget(workers),
             tenant: tenant.as_ref(),
             activity: Some(&activity),
-            layout: self.config.trie_layout,
             token: Some(pool),
             plan_mode: self.config.plan_mode,
             planning: Some(&planning),
@@ -959,8 +916,6 @@ impl IntersectionJoinEngine {
                 entries: resident.entries,
                 resident_bytes: resident.resident_bytes,
             },
-            hash_layout_atoms: activity.hash_atoms(),
-            flat_layout_atoms: activity.flat_atoms(),
             plan_mode: self.config.plan_mode,
             disjuncts_planned: planning.plans(),
             planning_nanos: planning.planning_nanos(),
@@ -1358,52 +1313,27 @@ mod tests {
     }
 
     #[test]
-    fn answers_identical_across_cache_shard_and_layout_settings() {
+    fn answers_identical_across_cache_and_shard_settings() {
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             for parallelism in [1usize, 2] {
                 for shards in [0usize, 1, 2, 5] {
                     for capacity in [0usize, 1, 4096] {
-                        for layout in [TrieLayout::Hash, TrieLayout::Flat, TrieLayout::Auto] {
-                            let engine = IntersectionJoinEngine::new(
-                                EngineConfig::new()
-                                    .with_parallelism(parallelism)
-                                    .with_trie_shards(shards)
-                                    .with_trie_cache_capacity(capacity)
-                                    .with_trie_layout(layout),
-                            );
-                            assert_eq!(
-                                engine.evaluate(&q, &db).unwrap(),
-                                satisfiable,
-                                "parallelism {parallelism}, shards {shards}, \
-                                 capacity {capacity}, layout {layout:?}"
-                            );
-                        }
+                        let engine = IntersectionJoinEngine::new(
+                            EngineConfig::new()
+                                .with_parallelism(parallelism)
+                                .with_trie_shards(shards)
+                                .with_trie_cache_capacity(capacity),
+                        );
+                        assert_eq!(
+                            engine.evaluate(&q, &db).unwrap(),
+                            satisfiable,
+                            "parallelism {parallelism}, shards {shards}, capacity {capacity}"
+                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn layout_knob_is_reported_in_evaluation_stats() {
-        let (q, db) = triangle_db(false); // false → every disjunct runs
-                                          // An explicit flat layout runs every atom flat; the default Auto on
-                                          // this tiny database resolves everything to hash.
-        let flat = IntersectionJoinEngine::new(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_layout(TrieLayout::Flat),
-        );
-        let stats = flat.evaluate_with_stats(&q, &db).unwrap();
-        assert!(!stats.answer);
-        assert!(stats.flat_layout_atoms > 0, "{stats:?}");
-        assert_eq!(stats.hash_layout_atoms, 0, "{stats:?}");
-        assert!(stats.summary().contains("flat atom uses"));
-        let auto = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-        let stats = auto.evaluate_with_stats(&q, &db).unwrap();
-        assert!(stats.hash_layout_atoms > 0, "{stats:?}");
-        assert_eq!(stats.flat_layout_atoms, 0, "{stats:?}");
     }
 
     #[test]

@@ -68,7 +68,7 @@ mod workspace;
 pub use engine::{
     kernel_arm, DisjunctPlan, EngineConfig, EngineError, EvaluationOutcome, EvaluationStats,
     IntersectionJoinEngine, KernelArm, KernelChoices, PlanMode, QueryAnalysis, TenantCacheStats,
-    TenantId, TrieCacheStats, TrieLayout, FLAT_MIN_ROWS, FORCE_SCALAR_ENV,
+    TenantId, TrieCacheStats, FORCE_SCALAR_ENV,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
         EvaluationOutcome, EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode,
-        QueryAnalysis, Tenant, TenantCacheStats, TenantId, TrieCacheStats, TrieLayout, Workspace,
+        QueryAnalysis, Tenant, TenantCacheStats, TenantId, TrieCacheStats, Workspace,
         WorkspaceLimits, WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;

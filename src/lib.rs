@@ -27,7 +27,7 @@
 //! | [`hypergraph`] | Hypergraphs, acyclicity, the structural reduction τ(H) (Sections 4, 6) |
 //! | [`widths`] | ρ*, fhtw, subw bounds, ij-width (Definition 4.14) |
 //! | [`relation`] | Values, the **value dictionary** behind scoped `SharedDictionary` handles, interned columnar relations, query AST |
-//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries in two layouts (hash nodes / flat CSR leapfrog), bytes-accounted `TrieCache` with per-tenant ledgers and quotas, Yannakakis, width-guided evaluation |
+//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), bytes-accounted `TrieCache` with per-tenant ledgers and quotas, Yannakakis, width-guided evaluation |
 //! | [`reduction`] | Forward (IJ→EJ) and backward (EJ→IJ) data reductions (Sections 4, 5) |
 //! | [`engine`] | End-to-end engine with `Workspace`-owned state, `Tenant` accounting sub-handles, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
 //! | [`faqai`] | The FAQ-AI comparator (Appendix F) |
@@ -72,13 +72,11 @@
 //!  ij_ejoin per disjunct:
 //!     · α-acyclic   → Yannakakis semijoins (id-tuple keys, fast hasher)
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis
-//!     · fallback    → generic WCOJ over per-atom tries in one of two
-//!       layouts (EngineConfig::trie_layout): HashMap<u32, TrieNode>
-//!       nodes, or flat CSR sorted-id arrays intersected by a galloping
-//!       leapfrog (Auto picks per atom by relation size)
+//!     · fallback    → generic WCOJ over per-atom tries: flat CSR
+//!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-
-//!     fingerprint + resolved-layout keys, LRU-evicted against entry and
-//!     byte budgets) and optionally hash-sharded: per-shard sub-tries
+//!     fingerprint keys, LRU-evicted against entry and byte budgets)
+//!     and optionally hash-sharded: per-shard sub-tries
 //!     built on scoped threads, search fanned out shard by shard
 //!     (EngineConfig::trie_shards)
 //!        │

@@ -1,13 +1,13 @@
 //! Property tests for the interned columnar core: the value dictionary
 //! (intern/resolve round-trips, dedup, ordering stability) and the
-//! equivalence of the `u32`-keyed hash tries with a reference `Value`-keyed
-//! trie on random workloads.
+//! equivalence of the `u32`-keyed tries with their `Value`-level definition
+//! on random workloads.
 
-use ij_ejoin::{generic_join_boolean, AtomTrie, BoundAtom, TrieNode};
+use ij_ejoin::{generic_join_boolean, BoundAtom, FlatTrie};
 use ij_hypergraph::VarId;
 use ij_relation::{Dictionary, Relation, Value, ValueId};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// A strategy for mixed point/interval values over a small domain (ties are
 /// likely, which is what interning must handle).
@@ -23,65 +23,56 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<(i32, i32)>> {
     proptest::collection::vec((0i32..6, 0i32..6), 1..=max)
 }
 
-/// The reference trie of the pre-interning engine: nodes keyed by full
-/// [`Value`]s, built from materialised rows.
-#[derive(Debug, Default)]
-struct ValueTrie {
-    children: BTreeMap<Value, ValueTrie>,
+/// What a trie over `relation` bound to `vars` must hold, computed over
+/// materialised rows of full [`Value`]s: the rows whose repeated columns
+/// agree (by value equality), projected onto the distinct variables in global
+/// order, as a set.
+fn value_paths(
+    relation: &Relation,
+    vars: &[VarId],
+    global_order: &[VarId],
+) -> BTreeSet<Vec<Value>> {
+    let column_of = |v: VarId| vars.iter().position(|&u| u == v).unwrap();
+    let level_columns: Vec<usize> = global_order
+        .iter()
+        .filter(|v| vars.contains(v))
+        .map(|&v| column_of(v))
+        .collect();
+    relation
+        .tuples()
+        .into_iter()
+        .filter(|t| {
+            vars.iter()
+                .enumerate()
+                .all(|(c, &v)| t[c] == t[column_of(v)])
+        })
+        .map(|t| level_columns.iter().map(|&c| t[c]).collect())
+        .collect()
 }
 
-impl ValueTrie {
-    fn insert_path(&mut self, values: &[Value]) {
-        if let Some((first, rest)) = values.split_first() {
-            self.children.entry(*first).or_default().insert_path(rest);
-        }
-    }
-
-    /// Builds the trie exactly like [`AtomTrie::build`], but over rows of
-    /// values: distinct variables in global order, repeated columns filtered
-    /// by value equality.
-    fn build(relation: &Relation, vars: &[VarId], global_order: &[VarId]) -> Self {
-        let mut level_vars: Vec<VarId> = vars.to_vec();
-        level_vars.sort_unstable();
-        level_vars.dedup();
-        level_vars.sort_by_key(|v| global_order.iter().position(|u| u == v).unwrap());
-        let first_col: Vec<usize> = level_vars
-            .iter()
-            .map(|&v| vars.iter().position(|&u| u == v).unwrap())
-            .collect();
-        let mut equal_pairs: Vec<(usize, usize)> = Vec::new();
-        for (i, &v) in vars.iter().enumerate() {
-            let first = vars.iter().position(|&u| u == v).unwrap();
-            if first != i {
-                equal_pairs.push((first, i));
+/// Every root-to-leaf path of an id-keyed trie, resolved back to values.
+fn trie_paths(trie: &FlatTrie) -> Vec<Vec<Value>> {
+    fn walk(
+        trie: &FlatTrie,
+        level: usize,
+        (lo, hi): (u32, u32),
+        prefix: &mut Vec<Value>,
+        out: &mut Vec<Vec<Value>>,
+    ) {
+        for (i, id) in trie.run(level, lo, hi).iter().enumerate() {
+            prefix.push(id.resolve());
+            if level + 1 < trie.depth() {
+                let children = trie.child_range(level, lo + i as u32);
+                walk(trie, level + 1, children, prefix, out);
+            } else {
+                out.push(prefix.clone());
             }
+            prefix.pop();
         }
-        let mut root = ValueTrie::default();
-        'rows: for t in relation.tuples() {
-            for &(a, b) in &equal_pairs {
-                if t[a] != t[b] {
-                    continue 'rows;
-                }
-            }
-            let path: Vec<Value> = first_col.iter().map(|&c| t[c]).collect();
-            root.insert_path(&path);
-        }
-        root
     }
-}
-
-/// Asserts that an id-keyed trie node and a value-keyed trie node describe
-/// the same set of paths.
-fn assert_same_trie(id_node: &TrieNode, value_node: &ValueTrie) {
-    assert_eq!(id_node.fanout(), value_node.children.len());
-    for (id, id_child) in id_node.children() {
-        let value = id.resolve();
-        let value_child = value_node
-            .children
-            .get(&value)
-            .unwrap_or_else(|| panic!("value {value:?} missing from reference trie"));
-        assert_same_trie(id_child, value_child);
-    }
+    let mut out = Vec::new();
+    walk(trie, 0, (0, trie.level_len(0)), &mut Vec::new(), &mut out);
+    out
 }
 
 proptest! {
@@ -122,9 +113,9 @@ proptest! {
         }
     }
 
-    /// The u32-keyed trie of the join engine is structurally identical to the
-    /// reference Value-keyed trie on random relations, including repeated
-    /// variables (filters) and both level orders.
+    /// The u32-keyed trie of the join engine holds exactly the paths of its
+    /// Value-level definition on random relations — each once — including
+    /// repeated variables (filters) and both level orders.
     #[test]
     fn id_trie_matches_value_trie(rows in arb_rows(20), repeated in 0u32..3) {
         let vars: Vec<VarId> = match repeated {
@@ -139,9 +130,10 @@ proptest! {
         );
         for order in [vec![0, 1], vec![1, 0]] {
             let atom = BoundAtom::new(&relation, vars.clone());
-            let id_trie = AtomTrie::build(&atom, &order);
-            let value_trie = ValueTrie::build(&relation, &vars, &order);
-            assert_same_trie(id_trie.root(), &value_trie);
+            let paths = trie_paths(&FlatTrie::build(&atom, &order));
+            let expected = value_paths(&relation, &vars, &order);
+            prop_assert_eq!(paths.len(), expected.len(), "duplicate paths in {:?}", paths);
+            prop_assert_eq!(paths.into_iter().collect::<BTreeSet<_>>(), expected);
         }
     }
 

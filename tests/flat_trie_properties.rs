@@ -1,4 +1,4 @@
-//! Property tests for the flat (CSR leapfrog) trie layout (PR 6).
+//! Property tests for the flat (CSR leapfrog) trie.
 //!
 //! Three layers of equivalence, all on random inputs:
 //!
@@ -8,19 +8,17 @@
 //!   distinct runs, including the adversarial shapes where galloping
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
 //!   that are not a multiple of the linear-probe span;
-//! * **generic join** — Boolean and enumerated answers of the flat layout
-//!   must be bit-identical to the hash layout (and to `Auto`) across shard
-//!   counts and cache configurations;
+//! * **generic join** — Boolean and enumerated answers must equal a
+//!   brute-force nested loop over the relations, across shard counts and
+//!   cache configurations;
 //! * **engine** — end-to-end evaluation through the forward reduction must
-//!   agree with the naive oracle for every `trie_layout` setting × shard
-//!   count × cache capacity.
+//!   agree with the naive oracle for every shard count × cache capacity.
 //!
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
 
 use ij_ejoin::{
     generic_join_boolean_with, generic_join_enumerate_with, BoundAtom, EvalContext, TrieCache,
-    TrieLayout,
 };
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
 use ij_relation::kernels::{
@@ -29,8 +27,7 @@ use ij_relation::kernels::{
 };
 use ij_relation::{Database, Query, Relation, Value, ValueId};
 use proptest::prelude::*;
-
-const LAYOUTS: [TrieLayout; 3] = [TrieLayout::Hash, TrieLayout::Flat, TrieLayout::Auto];
+use std::collections::BTreeSet;
 
 /// A sorted, distinct run of ids — the invariant every flat-trie run holds.
 /// The raw domain spans several gallop spans so seeks overshoot and settle.
@@ -148,13 +145,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Generic-join equivalence on random triangle instances: Boolean and
-    /// enumerated answers are bit-identical for every layout × shard count ×
-    /// cache setting.  The explicit `Flat` layout forces flat tries even on
-    /// these tiny relations (`Auto` would keep them hash), so the leapfrog
-    /// path itself is exercised, not just the resolution heuristic.
+    /// Generic-join correctness on random triangle instances: Boolean and
+    /// enumerated answers equal a brute-force nested loop over the three
+    /// relations for every shard count × cache setting.
     #[test]
-    fn flat_and_hash_generic_joins_are_bit_identical(
+    fn generic_joins_match_brute_force(
         r_rows in arb_point_rows(10),
         s_rows in arb_point_rows(10),
         t_rows in arb_point_rows(10),
@@ -167,43 +162,49 @@ proptest! {
             BoundAtom::new(&s, vec![1, 2]),
             BoundAtom::new(&t, vec![0, 2]),
         ];
-        let expected = generic_join_boolean_with(&atoms, None, EvalContext::default()).unwrap();
-        let expected_out =
-            generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", EvalContext::default()).unwrap();
-        let cache = TrieCache::new();
-        for layout in LAYOUTS {
-            for shards in [1usize, 2, 3] {
-                for cache_ref in [None, Some(&cache)] {
-                    let eval = EvalContext {
-                        cache: cache_ref,
-                        shards,
-                        layout,
-                        ..EvalContext::default()
-                    };
-                    prop_assert_eq!(
-                        generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                        expected,
-                        "boolean: layout {:?}, shards {}, cached {}",
-                        layout, shards, cache_ref.is_some()
-                    );
-                    let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
-                    prop_assert_eq!(
-                        out.tuples(),
-                        expected_out.tuples(),
-                        "enumerate: layout {:?}, shards {}, cached {}",
-                        layout, shards, cache_ref.is_some()
-                    );
+        let mut expected_out: BTreeSet<Vec<Value>> = BTreeSet::new();
+        for &(a, b) in &r_rows {
+            for &(b2, c) in &s_rows {
+                for &(a2, c2) in &t_rows {
+                    if b == b2 && a == a2 && c == c2 {
+                        expected_out.insert(
+                            [a, b, c].iter().map(|&p| Value::point(p as f64)).collect(),
+                        );
+                    }
                 }
+            }
+        }
+        let cache = TrieCache::new();
+        for shards in [1usize, 2, 3] {
+            for cache_ref in [None, Some(&cache)] {
+                let eval = EvalContext {
+                    cache: cache_ref,
+                    shards,
+                    ..EvalContext::default()
+                };
+                prop_assert_eq!(
+                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                    !expected_out.is_empty(),
+                    "boolean: shards {}, cached {}",
+                    shards, cache_ref.is_some()
+                );
+                let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
+                // The output is deduplicated: as many rows as distinct tuples.
+                prop_assert_eq!(out.len(), expected_out.len());
+                prop_assert_eq!(
+                    &out.tuples().into_iter().collect::<BTreeSet<_>>(),
+                    &expected_out,
+                    "enumerate: shards {}, cached {}",
+                    shards, cache_ref.is_some()
+                );
             }
         }
     }
 
     /// End-to-end equivalence with the naive oracle on random interval
-    /// triangle workloads, for every `trie_layout` × shard count × cache
-    /// capacity — the engine-level statement that the layout knob never
-    /// changes answers.
+    /// triangle workloads, for every shard count × cache capacity.
     #[test]
-    fn engine_answers_identical_across_trie_layouts(
+    fn engine_answers_match_the_naive_oracle(
         r in arb_interval_rows(6),
         s in arb_interval_rows(6),
         t in arb_interval_rows(6),
@@ -216,23 +217,20 @@ proptest! {
         let expected = IntersectionJoinEngine::with_defaults()
             .evaluate_naive(&query, &db)
             .unwrap();
-        for layout in LAYOUTS {
-            for shards in [1usize, 2] {
-                for capacity in [0usize, 4096] {
-                    let engine = IntersectionJoinEngine::new(
-                        EngineConfig::new()
-                            .with_parallelism(1)
-                            .with_trie_shards(shards)
-                            .with_trie_cache_capacity(capacity)
-                            .with_trie_layout(layout),
-                    );
-                    prop_assert_eq!(
-                        engine.evaluate(&query, &db).unwrap(),
-                        expected,
-                        "layout {:?}, shards {}, capacity {}",
-                        layout, shards, capacity
-                    );
-                }
+        for shards in [1usize, 2] {
+            for capacity in [0usize, 4096] {
+                let engine = IntersectionJoinEngine::new(
+                    EngineConfig::new()
+                        .with_parallelism(1)
+                        .with_trie_shards(shards)
+                        .with_trie_cache_capacity(capacity),
+                );
+                prop_assert_eq!(
+                    engine.evaluate(&query, &db).unwrap(),
+                    expected,
+                    "shards {}, capacity {}",
+                    shards, capacity
+                );
             }
         }
     }

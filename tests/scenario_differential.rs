@@ -4,8 +4,7 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across `plan_mode` × `trie_layout` × `trie_shards` × cache-capacity
-//!    settings,
+//!    across `plan_mode` × `trie_shards` × cache-capacity settings,
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
@@ -22,9 +21,7 @@
 //! time stays bounded; release builds run the full sweep.
 
 use ij_baselines::SegtreeBaseline;
-use ij_engine::{
-    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode, TrieLayout,
-};
+use ij_engine::{naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode};
 use ij_reduction::{
     forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
     ReductionConfig,
@@ -33,14 +30,12 @@ use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
-/// Engine-config axes of the sweep (ISSUE acceptance: ≥ 4 families ×
-/// {Hash, Flat, Auto} × ≥ 2 shard counts × {off, small, large} caches,
-/// each under both plan modes).  Debug builds drop the middle (small-cache)
-/// capacity; release sweeps all three.  The `Fixed` plan mode — the
-/// historical identifier order, kept as the planner's differential
-/// baseline — runs the layout × shard grid at the large cache only, which
+/// Engine-config axes of the sweep (≥ 4 families × ≥ 2 shard counts ×
+/// {off, small, large} caches, each under both plan modes).  Debug builds
+/// drop the middle (small-cache) capacity; release sweeps all three.  The
+/// `Fixed` plan mode — the historical identifier order, kept as the planner's
+/// differential baseline — runs the shard axis at the large cache only, which
 /// is where plan-dependent trie reuse could plausibly diverge.
-const LAYOUTS: [TrieLayout; 3] = [TrieLayout::Hash, TrieLayout::Flat, TrieLayout::Auto];
 const SHARD_COUNTS: [usize; 2] = [1, 3];
 const CACHE_CAPACITIES: [usize; 3] = [0, 2, 4096];
 const PLAN_MODES: [PlanMode; 2] = [PlanMode::Adaptive, PlanMode::Fixed];
@@ -122,53 +117,48 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
 }
 
 /// Sweeps the engine-config grid on one scenario; the forward reduction is
-/// computed once and re-evaluated under every plan-mode/layout/shard/cache
-/// setting.
+/// computed once and re-evaluated under every plan-mode/shard/cache setting.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let reduction =
         forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
     for plan in PLAN_MODES {
-        // Fixed is the historical-order baseline; it sweeps layouts × shards
+        // Fixed is the historical-order baseline; it sweeps the shard counts
         // at the large cache only (the plan-sensitive cell), while Adaptive —
         // the default — runs the full cache axis.
         let capacities: &[usize] = match plan {
             PlanMode::Adaptive => cache_capacities(),
             PlanMode::Fixed => &[4096],
         };
-        for layout in LAYOUTS {
-            for shards in SHARD_COUNTS {
-                for &capacity in capacities {
-                    let engine = IntersectionJoinEngine::new(
-                        EngineConfig::new()
-                            .with_trie_layout(layout)
-                            .with_trie_shards(shards)
-                            .with_trie_cache_capacity(capacity)
-                            .with_plan_mode(plan),
-                    );
-                    let stats = engine
+        for shards in SHARD_COUNTS {
+            for &capacity in capacities {
+                let engine = IntersectionJoinEngine::new(
+                    EngineConfig::new()
+                        .with_trie_shards(shards)
+                        .with_trie_cache_capacity(capacity)
+                        .with_plan_mode(plan),
+                );
+                let stats = engine
+                    .evaluate_reduction(&reduction)
+                    .expect("uncancelled evaluation succeeds");
+                if stats.answer != expected {
+                    return Some(format!(
+                        "engine ({plan} plan, {shards} shards, cache {capacity}) \
+                         answered {}, naive answered {expected}",
+                        stats.answer
+                    ));
+                }
+                // A warm repeat from this engine's own cache must agree too
+                // (checked once per plan/shard pair, at the large cache).
+                if capacity == 4096 {
+                    let warm = engine
                         .evaluate_reduction(&reduction)
                         .expect("uncancelled evaluation succeeds");
-                    if stats.answer != expected {
+                    if warm.answer != expected {
                         return Some(format!(
-                            "engine ({plan} plan, {layout:?}, {shards} shards, cache {capacity}) \
+                            "warm engine ({plan} plan, {shards} shards, cache {capacity}) \
                              answered {}, naive answered {expected}",
-                            stats.answer
+                            warm.answer
                         ));
-                    }
-                    // A warm repeat from this engine's own cache must agree
-                    // too (checked once per plan/layout/shard triple, at the
-                    // large cache).
-                    if capacity == 4096 {
-                        let warm = engine
-                            .evaluate_reduction(&reduction)
-                            .expect("uncancelled evaluation succeeds");
-                        if warm.answer != expected {
-                            return Some(format!(
-                                "warm engine ({plan} plan, {layout:?}, {shards} shards, \
-                                 cache {capacity}) answered {}, naive answered {expected}",
-                                warm.answer
-                            ));
-                        }
                     }
                 }
             }
@@ -262,6 +252,17 @@ fn genomic_overlap_agrees_across_all_paths() {
 #[test]
 fn spatial_rectangles_agree_across_all_paths() {
     sweep_family(ScenarioFamily::SpatialRectangles, 30);
+    // The cyclic family is the one whose disjuncts build tries.  Its
+    // near-miss cell (false, so every disjunct runs the full search) walks
+    // the trie sizes the sweep above steps over: single-row tries, a handful
+    // of rows, and either side of 64 tuples per relation.
+    for tuples in [1, 2, 7, 63, 64, 65] {
+        let cfg = ScenarioConfig::new(ScenarioFamily::SpatialRectangles)
+            .with_tuples(tuples)
+            .with_seed(1)
+            .with_planted(PlantedAnswer::NearMiss);
+        check_config(&cfg);
+    }
 }
 
 #[test]
