@@ -14,7 +14,7 @@
 //!   is the `O(N²)` strategy mentioned in Section 1.1, and its exponent
 //!   coincides with the FAQ-AI bound of Table 1 on all three cyclic queries);
 //! * [`SegtreeBaseline`] — a direct evaluator that indexes every relation
-//!   column with a flat segment tree and backtracks through overlap queries,
+//!   column with a segment tree and backtracks through overlap queries,
 //!   the specialised-structure comparator of the differential harness;
 //! * [`nested_loop`] — exhaustive backtracking (the same semantics as the
 //!   naive evaluator), as the always-correct lower baseline.
@@ -27,7 +27,7 @@ pub use segtree_baseline::SegtreeBaseline;
 
 use ij_hypergraph::VarKind;
 use ij_relation::{Database, Query, Value};
-use ij_segtree::Interval;
+use ij_segtree::{Interval, SegmentTree};
 use std::collections::BTreeMap;
 
 /// Errors raised by the baselines.
@@ -221,12 +221,12 @@ pub fn binary_join_cascade(q: &Query, db: &Database) -> Result<(bool, usize), Ba
 }
 
 /// Index-nested-loop evaluation of a *binary* intersection join between two
-/// unary interval relations: build a centered interval tree on the inner
-/// relation and probe it once per outer interval — the index-based family of
+/// unary interval relations: build a segment tree on the inner relation and
+/// probe it once per outer interval — the index-based family of
 /// algorithms surveyed in Section 2 (R-tree join, relational interval tree
 /// join, ...).  Returns the matching pairs of tuple indices.
 pub fn index_nested_loop_pairs(outer: &[Interval], inner: &[Interval]) -> Vec<(usize, usize)> {
-    let tree = ij_segtree::IntervalTree::build(inner);
+    let tree = SegmentTree::build_with_storage(inner);
     let mut out = Vec::new();
     for (i, iv) in outer.iter().enumerate() {
         for j in tree.overlapping(*iv) {

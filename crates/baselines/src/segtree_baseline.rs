@@ -7,7 +7,7 @@
 //! evaluate the query directly by backtracking, using overlap queries on the
 //! indexes to enumerate only the tuples compatible with the running
 //! intersection of each bound variable.  No reduction, no tries — just
-//! stabbing walks over [`FlatSegmentTree`]'s interned-endpoint arrays.
+//! stabbing walks over [`SegmentTree`]'s sorted-endpoint arrays.
 //!
 //! The evaluator is deliberately independent of the engine crate so the
 //! differential harness can hold three implementations to the same answer:
@@ -16,7 +16,7 @@
 use crate::{BaselineError, Binding};
 use ij_hypergraph::VarKind;
 use ij_relation::{Database, Query, Value};
-use ij_segtree::FlatSegmentTree;
+use ij_segtree::SegmentTree;
 use std::collections::HashMap;
 
 /// Per-atom state: the materialised rows plus one overlap index per column.
@@ -26,17 +26,17 @@ struct AtomIndex {
     vars: Vec<String>,
     /// The relation's rows, materialised once at build time.
     rows: Vec<Vec<Value>>,
-    /// One flat segment tree per column over `to_interval()` of each value
+    /// One segment tree per column over `to_interval()` of each value
     /// (points become point intervals, giving membership-join semantics).
     /// `None` when some value in the column is not interval-convertible;
     /// such columns fall back to scanning.
-    trees: Vec<Option<FlatSegmentTree>>,
+    trees: Vec<Option<SegmentTree>>,
 }
 
 /// A direct segment-tree evaluator for Boolean and counting EIJ queries.
 ///
 /// Build once per `(query, database)` pair with [`SegtreeBaseline::build`]
-/// (this constructs one [`FlatSegmentTree`] per relation column), then ask
+/// (this constructs one [`SegmentTree`] per relation column), then ask
 /// for the Boolean answer ([`SegtreeBaseline::evaluate_boolean`]) or the
 /// number of satisfying tuple combinations
 /// ([`SegtreeBaseline::count_witnesses`], the enumeration-mode answer the
@@ -93,7 +93,7 @@ impl SegtreeBaseline {
                         }
                     }
                 }
-                trees.push(indexable.then(|| FlatSegmentTree::build(&intervals)));
+                trees.push(indexable.then(|| SegmentTree::build_with_storage(&intervals)));
             }
             atoms.push(AtomIndex {
                 vars: atom.vars.clone(),

@@ -2,7 +2,7 @@
 //! stored) and the id-keyed [`Relation::dedup`].
 
 use ij_relation::{Relation, SharedDictionary, Value, ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES};
-use ij_segtree::BitString;
+use ij_segtree::{BitString, Interval, SegmentTree};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -123,6 +123,17 @@ fn every_inline_length_round_trips_at_its_extremes() {
             assert!(id.raw() >> 4 >= MAX_STRIPE_VALUES, "above every stored id");
             seen.insert((b, id));
         }
+    }
+    // The segment tree's node numbering is the id layout: on a tree of
+    // height 12, every node's id is its 1-based heap index under the tag bit.
+    let points: Vec<Interval> = (0..2047).map(|i| Interval::point(i as f64)).collect();
+    let tree = SegmentTree::build(&points);
+    assert_eq!(tree.height(), 12);
+    for node in tree.node_ids() {
+        let id = dict.intern(Value::Bits(node));
+        assert_eq!(dict.resolve(id), Value::Bits(node));
+        assert_eq!(id.raw(), 1 << 31 | 1 << node.len() | node.bits() as u32);
+        seen.insert((node, id));
     }
     // Distinct bitstrings, distinct ids.
     let ids: BTreeSet<ValueId> = seen.iter().map(|&(_, id)| id).collect();

@@ -1,4 +1,4 @@
-//! Interval primitives and segment trees for intersection-join evaluation.
+//! Interval primitives and the segment tree for intersection-join evaluation.
 //!
 //! This crate provides the data-structure substrate of the paper
 //! *"The Complexity of Boolean Conjunctive Queries with Intersection Joins"*
@@ -7,14 +7,13 @@
 //! * [`Interval`] — closed intervals with totally ordered `f64` endpoints,
 //! * [`BitString`] — compact identifiers for segment-tree nodes (the root is
 //!   the empty string, `0`/`1` select the left/right child),
-//! * [`SegmentTree`] — the segment tree of Section 3 with canonical
-//!   partitions ([`SegmentTree::canonical_partition`]) and leaf lookup
-//!   ([`SegmentTree::leaf_of_point`]),
-//! * [`FlatSegmentTree`] — a static, pointer-free layout of the same tree
-//!   (interned endpoint ranks, implicit-heap index arithmetic, CSR canonical
-//!   subsets) for cache-friendly stabbing and overlap queries,
-//! * [`IntervalTree`] — a centered interval tree, the classical index-based
-//!   comparator used by the baselines,
+//! * [`SegmentTree`] — the segment tree of Section 3, in one layout (sorted
+//!   endpoints, implicit-heap index arithmetic, CSR canonical subsets) that
+//!   serves both sides: canonical partitions
+//!   ([`SegmentTree::canonical_partition`]) and leaf lookup
+//!   ([`SegmentTree::leaf_of_point`]) for the reduction, stabbing and overlap
+//!   queries ([`SegmentTree::stab`], [`SegmentTree::overlapping`]) for the
+//!   baselines,
 //! * [`DyadicEmbedding`] — the dyadic embedding `F` of bitstrings into intervals used
 //!   by the backward reduction (Section 5).
 //!
@@ -34,16 +33,12 @@
 
 mod bitstring;
 mod dyadic;
-mod flat;
 mod interval;
-mod intervaltree;
 mod ordf64;
 mod tree;
 
 pub use bitstring::{BitString, Compositions, MAX_BITS};
 pub use dyadic::{dyadic_interval, DyadicEmbedding, MAX_DEPTH as DYADIC_MAX_DEPTH};
-pub use flat::FlatSegmentTree;
 pub use interval::{Interval, IntervalError};
-pub use intervaltree::IntervalTree;
 pub use ordf64::OrdF64;
-pub use tree::{NodeId, SegmentTree};
+pub use tree::SegmentTree;

@@ -23,7 +23,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`segtree`] | Intervals, bitstrings, segment trees — arena, interval-tree and flat index-arithmetic layouts (Section 3, Appendix B) |
+//! | [`segtree`] | Intervals, bitstrings, the segment tree — one implicit-heap index-arithmetic layout (Section 3, Appendix B) |
 //! | [`hypergraph`] | Hypergraphs, acyclicity, the structural reduction τ(H) (Sections 4, 6) |
 //! | [`widths`] | ρ*, fhtw, subw bounds, ij-width (Definition 4.14) |
 //! | [`relation`] | Values, the **value dictionary** behind scoped `SharedDictionary` handles, interned columnar relations, query AST |

@@ -1,7 +1,7 @@
 //! Property-based tests for the segment-tree substrate (Section 3,
 //! Property 3.2 and the intersection-predicate rewritings of Section 4.1).
 
-use ij_segtree::{BitString, FlatSegmentTree, Interval, IntervalTree, SegmentTree};
+use ij_segtree::{BitString, Interval, SegmentTree};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -98,13 +98,7 @@ proptest! {
         let tree = SegmentTree::build_with_storage(&intervals);
         for p in probes {
             let p = p as f64;
-            let expected: Vec<usize> = intervals
-                .iter()
-                .enumerate()
-                .filter(|(_, iv)| iv.contains_point(p))
-                .map(|(i, _)| i)
-                .collect();
-            prop_assert_eq!(tree.stab(p), expected);
+            prop_assert_eq!(tree.stab(p), brute_stab(&intervals, p));
         }
     }
 
@@ -127,8 +121,8 @@ proptest! {
 }
 
 /// Degenerate point intervals (`lo == hi`): stabbing and overlap reduce to
-/// equality joins (Section 1), a corner the centered-tree splitting logic and
-/// the flat layout's odd/even coordinate convention must both survive.
+/// equality joins (Section 1), a corner the tree's odd/even leaf-coordinate
+/// convention must survive.
 fn arb_point_intervals(max_len: usize) -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec(0i32..20, 1..=max_len).prop_map(|points| {
         points
@@ -150,8 +144,8 @@ fn arb_duplicate_heavy_intervals(max_len: usize) -> impl Strategy<Value = Vec<In
 }
 
 /// A fully-nested chain I_0 ⊋ I_1 ⊋ ... (Russian-doll shape): every interval
-/// shares stabbing structure with every outer one, the worst case for
-/// centered trees (everything lands on the root's centre list).
+/// shares stabbing structure with every outer one, so the canonical subsets
+/// stack along one root-to-leaf path.
 fn arb_nested_intervals(max_len: usize) -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec((1i32..4, 1i32..4), 1..=max_len).prop_map(|steps| {
         let total: i32 = steps.iter().map(|(l, r)| l + r).sum();
@@ -187,13 +181,12 @@ fn brute_stab(intervals: &[Interval], p: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Checks both index structures against the brute-force oracle on a shared
-/// probe set derived from the data itself (endpoints, midpoints, gaps).
+/// Checks the tree's stabbing and overlap queries against the brute-force
+/// oracle on a probe set derived from the data itself (endpoints, midpoints,
+/// gaps).
 fn assert_indexes_match_brute_force(intervals: &[Interval]) -> Result<(), TestCaseError> {
-    let centered = IntervalTree::build(intervals);
-    let flat = FlatSegmentTree::build(intervals);
-    prop_assert_eq!(centered.len(), intervals.len());
-    prop_assert_eq!(flat.len(), intervals.len());
+    let tree = SegmentTree::build_with_storage(intervals);
+    prop_assert_eq!(tree.len(), intervals.len());
 
     let mut probes: Vec<f64> = Vec::new();
     for iv in intervals {
@@ -201,9 +194,7 @@ fn assert_indexes_match_brute_force(intervals: &[Interval]) -> Result<(), TestCa
         probes.extend([iv.lo() - 0.5, iv.hi() + 0.5]);
     }
     for &p in &probes {
-        let expected = brute_stab(intervals, p);
-        prop_assert_eq!(centered.stab(p), expected.clone(), "centered stab({})", p);
-        prop_assert_eq!(flat.stab(p), expected, "flat stab({})", p);
+        prop_assert_eq!(tree.stab(p), brute_stab(intervals, p), "stab({})", p);
     }
 
     let mut queries: Vec<Interval> = intervals.to_vec();
@@ -213,20 +204,103 @@ fn assert_indexes_match_brute_force(intervals: &[Interval]) -> Result<(), TestCa
     }
     for &q in &queries {
         let expected = brute_overlapping(intervals, q);
-        prop_assert_eq!(
-            centered.overlapping(q),
-            expected.clone(),
-            "centered overlapping({:?})",
-            q
-        );
-        prop_assert_eq!(
-            flat.overlapping(q),
-            expected.clone(),
-            "flat overlapping({:?})",
-            q
-        );
-        prop_assert_eq!(centered.intersects_any(q), !expected.is_empty());
-        prop_assert_eq!(flat.intersects_any(q), !expected.is_empty());
+        prop_assert_eq!(tree.intersects_any(q), !expected.is_empty());
+        prop_assert_eq!(tree.overlapping(q), expected, "overlapping({:?})", q);
+    }
+    Ok(())
+}
+
+/// Section 3 on the segment tree over the sorted distinct endpoints `points`,
+/// for one interval `x` and one point `p`: an explicit recursion over every
+/// node (its leaf-coordinate range `lo..=hi` and its bitstring) with no index
+/// arithmetic, reading off what [`Defined`] lists.
+struct Definition<'a> {
+    points: &'a [f64],
+    x: Interval,
+    p: f64,
+}
+
+/// The tree's size, `CP(x)` and `leaf(p)` (as a list: exactly one leaf).
+#[derive(Default)]
+struct Defined {
+    nodes: usize,
+    height: u8,
+    cp: Vec<BitString>,
+    leaf: Vec<BitString>,
+}
+
+impl Definition<'_> {
+    /// The elementary segment at leaf coordinate `c`, as its two ends: a
+    /// point segment `[p, p]` at an odd coordinate, the open gap between two
+    /// neighbouring endpoints at an even one.
+    fn elementary_segment(&self, c: u32) -> (f64, f64) {
+        let i = (c / 2) as usize;
+        if c % 2 == 1 {
+            return (self.points[i], self.points[i]);
+        }
+        let below = i
+            .checked_sub(1)
+            .map_or(f64::NEG_INFINITY, |j| self.points[j]);
+        (below, self.points.get(i).copied().unwrap_or(f64::INFINITY))
+    }
+
+    /// Definition 3.1 verbatim: a node is in `CP(x)` iff its segment is
+    /// contained in `x` and its parent's is not.
+    fn visit(&self, lo: u32, hi: u32, id: BitString, parent_in_x: bool, out: &mut Defined) {
+        out.nodes += 1;
+        out.height = out.height.max(id.len());
+        let in_x = (lo..=hi).all(|c| {
+            let (left, right) = self.elementary_segment(c);
+            self.x.lo() <= left && right <= self.x.hi()
+        });
+        if in_x && !parent_in_x {
+            out.cp.push(id);
+        }
+        if lo == hi {
+            let (left, right) = self.elementary_segment(lo);
+            if (left < self.p && self.p < right) || (lo % 2 == 1 && self.p == left) {
+                out.leaf.push(id);
+            }
+            return;
+        }
+        let mid = lo + (hi - lo) / 2;
+        self.visit(lo, mid, id.child(false), in_x, out);
+        self.visit(mid + 1, hi, id.child(true), in_x, out);
+    }
+}
+
+/// Holds [`SegmentTree`] to [`Definition`].  The engine and `SegtreeBaseline`
+/// share the one tree, so they can no longer arbitrate each other's view of
+/// it: `scenario_differential`'s tree-free naive oracle and this file do.
+fn assert_tree_matches_definition(intervals: &[Interval]) -> Result<(), TestCaseError> {
+    let mut endpoints: Vec<f64> = intervals.iter().flat_map(|iv| [iv.lo(), iv.hi()]).collect();
+    endpoints.sort_by(f64::total_cmp);
+    endpoints.dedup();
+    let (points, max_coord) = (&endpoints[..], 2 * endpoints.len() as u32);
+    let tree = SegmentTree::build(intervals);
+    // Stored intervals, the whole line, one beyond every endpoint (empty CP),
+    // and ones whose ends fall strictly inside gaps.
+    let outside = Interval::new(1e6, 2e6);
+    prop_assert!(tree.canonical_partition(outside).is_empty());
+    let mut queries = vec![Interval::all(), outside];
+    for &iv in intervals {
+        queries.extend([iv, Interval::new(iv.lo() - 0.5, iv.hi() + 0.25)]);
+        queries.push(Interval::new(iv.lo() + 0.25, iv.lo() + 0.5));
+    }
+    for x in queries {
+        // `leaf(p)` is defined for points of the line: the whole line's
+        // infinite ends are probed at the origin.
+        let mid = 0.5 * x.lo() + 0.5 * x.hi();
+        for p in [x.lo(), x.hi(), mid].map(|p| if p.is_finite() { p } else { 0.0 }) {
+            let mut def = Defined::default();
+            let definition = Definition { points, x, p };
+            definition.visit(0, max_coord, BitString::empty(), false, &mut def);
+            prop_assert_eq!(tree.canonical_partition(x), def.cp, "CP({:?})", x);
+            prop_assert_eq!(vec![tree.leaf_of_point(p)], def.leaf, "leaf({})", p);
+            prop_assert_eq!(tree.height(), def.height);
+            prop_assert_eq!(tree.num_nodes(), def.nodes);
+            prop_assert_eq!(tree.num_nodes(), 2 * tree.num_leaves() - 1);
+        }
     }
     Ok(())
 }
@@ -234,22 +308,22 @@ fn assert_indexes_match_brute_force(intervals: &[Interval]) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// Point intervals: both index structures agree with brute force when
-    /// every stored interval is degenerate.
+    /// Point intervals: the tree agrees with brute force when every stored
+    /// interval is degenerate.
     #[test]
     fn interval_indexes_handle_point_intervals(intervals in arb_point_intervals(20)) {
         assert_indexes_match_brute_force(&intervals)?;
     }
 
     /// Duplicate endpoints (and duplicate whole intervals) don't confuse the
-    /// endpoint interning or the centre-list scans.
+    /// endpoint deduplication.
     #[test]
     fn interval_indexes_handle_duplicate_endpoints(intervals in arb_duplicate_heavy_intervals(20)) {
         assert_indexes_match_brute_force(&intervals)?;
     }
 
-    /// Fully-nested chains: the centered tree degenerates to one fat root
-    /// node and the flat tree's canonical slabs stack; both must stay exact.
+    /// Fully-nested chains: the canonical subsets stack along one path and
+    /// must stay exact.
     #[test]
     fn interval_indexes_handle_fully_nested_chains(intervals in arb_nested_intervals(16)) {
         assert_indexes_match_brute_force(&intervals)?;
@@ -260,5 +334,23 @@ proptest! {
     #[test]
     fn interval_indexes_match_brute_force(intervals in arb_intervals(24)) {
         assert_indexes_match_brute_force(&intervals)?;
+    }
+
+    /// The canonical partition (as an ordered list), the leaf lookup, the
+    /// height and the node count are the ones Section 3 defines, on every
+    /// input shape above and on the empty tree.
+    #[test]
+    fn tree_matches_definition_3_1(
+        sets in (
+            arb_intervals(24),
+            arb_point_intervals(20),
+            arb_duplicate_heavy_intervals(20),
+            arb_nested_intervals(16),
+        ),
+    ) {
+        let (mixed, points, duplicates, nested) = sets;
+        for set in [&mixed[..], &points, &duplicates, &nested, &[]] {
+            assert_tree_matches_definition(set)?;
+        }
     }
 }
