@@ -16,8 +16,16 @@
 //! 1. the relation's **data** — captured as a 128-bit fingerprint of the id
 //!    columns ([`relation_fingerprint`]), so caching is sound for any
 //!    relation with the same content regardless of name or provenance
-//!    (top-level transformed relations and the per-disjunct projections
-//!    derived from them alike);
+//!    (top-level transformed relations and the projections derived from
+//!    them alike).  Hashing the columns is per-row work, memoised on the
+//!    relation — which pays off where the relation outlives the lookup: a
+//!    transformed relation of the reduction, or the singleton-variable
+//!    projection of one ([`Relation::projection`], a memoised link that
+//!    every disjunct, and every evaluation of the reduction, binding the
+//!    same source columns gets as the *same* relation, fingerprint already
+//!    known).  The per-bag projections of
+//!    [`materialise_bag_with`](crate::materialise_bag_with) are still fresh
+//!    copies, hashed on every lookup;
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by
@@ -113,7 +121,9 @@ use std::sync::{Arc, RwLock};
 /// disjuncts under different names still shares one trie.
 ///
 /// The value is memoized per relation ([`Relation::fingerprint_with`]), so
-/// repeated cache lookups against the same relation hash its columns once.
+/// repeated cache lookups against the same relation — a transformed relation
+/// of the reduction, or a [`Relation::projection`] hanging off one — hash its
+/// columns once.
 pub fn relation_fingerprint(relation: &Relation) -> (u64, u64) {
     relation.fingerprint_with(compute_fingerprint)
 }

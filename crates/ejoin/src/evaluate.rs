@@ -15,6 +15,7 @@ use crate::yannakakis::yannakakis_boolean;
 use ij_hypergraph::VarId;
 use ij_relation::{EvalError, Relation};
 use ij_widths::{optimal_tree_decomposition, MAX_DP_VERTICES};
+use std::sync::Arc;
 
 /// The evaluation strategy for Boolean EJ queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,12 +35,16 @@ pub enum EjStrategy {
 
 /// Evaluates a Boolean conjunctive query with equality joins.
 ///
-/// For the `Auto` and `Decomposition` strategies, variables occurring in only
-/// one atom are projected away first (they are existential and impose no join
-/// condition); this mirrors the "drop singleton variables" step the paper
-/// applies analytically in Appendix E.4/F and keeps the per-query
-/// decomposition work proportional to the join structure rather than the
-/// schema width.
+/// `Auto` answers an α-acyclic query with Yannakakis' pass over the atoms as
+/// they are bound — a semijoin reads shared columns only, so nothing is
+/// copied.  For a cyclic query under `Auto`, and always under
+/// `Decomposition`, variables occupying a single position in the whole query
+/// are projected away first (they are existential and impose no condition);
+/// this mirrors the "drop singleton variables" step the paper applies
+/// analytically in Appendix E.4/F and keeps the per-query decomposition work
+/// proportional to the join structure rather than the schema width.  The
+/// projections are [`Relation::projection`]s: each is derived once per source
+/// relation and shared by every query, and every evaluation, that binds it.
 pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
     evaluate_ej_boolean_with(atoms, strategy, EvalContext::default())
         .expect("tokenless evaluations cannot be cancelled")
@@ -55,8 +60,8 @@ pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> boo
 ///
 /// # Errors
 ///
-/// Propagates the [`EvalError`] of any trie build or join search under the
-/// chosen strategy when the context's
+/// Propagates the [`EvalError`] of any trie build, join search or Yannakakis
+/// pass under the chosen strategy when the context's
 /// [`CancellationToken`](ij_relation::CancellationToken) fires or a build
 /// worker panics.  Tokenless contexts never fail.
 pub fn evaluate_ej_boolean_with(
@@ -72,65 +77,72 @@ pub fn evaluate_ej_boolean_with(
             if atoms.iter().any(|a| a.relation.is_empty()) {
                 return Ok(false);
             }
-            let (relations, varsets) = project_singleton_variables(atoms);
-            let projected: Vec<BoundAtom<'_>> = relations
+            // Deleting a variable that lies in one atom cannot change
+            // α-acyclicity, so the pass refuses the bound atoms exactly when
+            // it would refuse their projections.
+            if strategy == EjStrategy::Auto {
+                if let Some(answer) = yannakakis_boolean(atoms, eval.token)? {
+                    return Ok(answer);
+                }
+            }
+            let projections = project_singleton_variables(atoms);
+            let projected: Vec<BoundAtom<'_>> = projections
                 .iter()
-                .zip(&varsets)
                 .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
                 .collect();
-            if strategy == EjStrategy::Auto {
-                if let Some(answer) = yannakakis_boolean(&projected) {
-                    Ok(answer)
-                } else if hypergraph_of(&projected).0.num_vertices() <= MAX_DP_VERTICES {
-                    decomposition_boolean_with(&projected, eval)
-                } else {
-                    generic_join_boolean_with(&projected, None, eval)
-                }
+            if strategy == EjStrategy::Auto
+                && hypergraph_of(&projected).0.num_vertices() > MAX_DP_VERTICES
+            {
+                generic_join_boolean_with(&projected, None, eval)
             } else {
                 decomposition_boolean_with(&projected, eval)
             }
         }
-        EjStrategy::Yannakakis => {
-            Ok(yannakakis_boolean(atoms)
-                .expect("Yannakakis strategy requires an alpha-acyclic query"))
-        }
+        EjStrategy::Yannakakis => Ok(yannakakis_boolean(atoms, eval.token)?
+            .expect("Yannakakis strategy requires an alpha-acyclic query")),
         EjStrategy::GenericJoin => generic_join_boolean_with(atoms, None, eval),
     }
 }
 
-/// Projects every atom onto its variables that occur in at least two atoms.
-/// Variables private to a single atom are existential in a Boolean query, so
-/// dropping their columns (and deduplicating) preserves the answer; an atom
-/// whose variables are all private degenerates to a non-emptiness check
-/// (arity-0 relation with a single empty tuple).
-fn project_singleton_variables(atoms: &[BoundAtom<'_>]) -> (Vec<Relation>, Vec<Vec<VarId>>) {
+/// Projects every atom onto its columns whose variable occupies at least two
+/// positions in the whole query.  A variable with a single position is
+/// existential in a Boolean query, so dropping its column (and
+/// deduplicating) preserves the answer; an atom left without columns
+/// degenerates to a non-emptiness check (arity-0 relation with a single
+/// empty tuple).  A variable one atom binds twice keeps both columns — the
+/// equality between them is a condition, which the trie build downstream
+/// filters on — whether or not another atom shares it.
+///
+/// Each projection is the source relation's memoised
+/// [`Relation::projection`]: atoms over the same relation and columns —
+/// across the disjuncts of a reduction and across evaluations of it — get
+/// the same `Arc`, fingerprint memo included, for as long as the source
+/// relation lives.
+fn project_singleton_variables(atoms: &[BoundAtom<'_>]) -> Vec<(Arc<Relation>, Vec<VarId>)> {
     use std::collections::HashMap;
-    let mut atom_count: HashMap<VarId, usize> = HashMap::new();
+    let mut positions: HashMap<VarId, usize> = HashMap::new();
     for atom in atoms {
-        for v in atom.var_set() {
-            *atom_count.entry(v).or_insert(0) += 1;
+        for &v in &atom.vars {
+            *positions.entry(v).or_insert(0) += 1;
         }
     }
-    let mut relations = Vec::with_capacity(atoms.len());
-    let mut varsets = Vec::with_capacity(atoms.len());
-    for atom in atoms {
-        // First column of each shared variable.
-        let mut cols: Vec<usize> = Vec::new();
-        let mut vars: Vec<VarId> = Vec::new();
-        for (c, &v) in atom.vars.iter().enumerate() {
-            if atom_count[&v] >= 2 && !vars.contains(&v) {
-                vars.push(v);
-                cols.push(c);
-            }
-        }
-        let mut projected = atom
-            .relation
-            .project(&cols, atom.relation.name().to_string());
-        projected.dedup();
-        relations.push(projected);
-        varsets.push(vars);
-    }
-    (relations, varsets)
+    atoms
+        .iter()
+        .map(|atom| {
+            let (cols, vars) = kept_columns(atom, |v| positions[&v] >= 2);
+            (atom.relation.projection(&cols), vars)
+        })
+        .collect()
+}
+
+/// The columns of `atom` whose variable satisfies `keep`, with the variables
+/// those columns bind.
+fn kept_columns(atom: &BoundAtom<'_>, keep: impl Fn(VarId) -> bool) -> (Vec<usize>, Vec<VarId>) {
+    let cols: Vec<usize> = (0..atom.vars.len())
+        .filter(|&c| keep(atom.vars[c]))
+        .collect();
+    let vars = cols.iter().map(|&c| atom.vars[c]).collect();
+    (cols, vars)
 }
 
 /// Width-guided evaluation: materialise the bags of an optimal fractional
@@ -220,7 +232,7 @@ pub fn decomposition_boolean_with(
         .iter()
         .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
         .collect();
-    match yannakakis_boolean(&bag_atoms) {
+    match yannakakis_boolean(&bag_atoms, eval.token)? {
         Some(answer) => Ok(answer),
         None => generic_join_boolean_with(&bag_atoms, None, eval),
     }
@@ -236,9 +248,12 @@ pub fn materialise_bag(atoms: &[BoundAtom<'_>], bag_vars: &[VarId], name: &str) 
 
 /// [`materialise_bag`] with an explicit [`EvalContext`] for the underlying
 /// generic-join enumeration.  The projections computed here are deterministic
-/// functions of the atoms and the bag, so when the same bag recurs across the
-/// disjuncts of a reduction, the context's cache serves the projection tries
-/// without rebuilding them.
+/// functions of the atoms and the bag, so when the same bag recurs — across
+/// the disjuncts of a reduction, or across evaluations of it — the context's
+/// cache serves the projection tries without rebuilding them.  They are
+/// per-call copies all the same (copy, sort, and a content hash to find the
+/// trie), not [`Relation::projection`]s: see ROADMAP direction 1(ii) for why
+/// that step waits.
 ///
 /// # Errors
 ///
@@ -250,31 +265,21 @@ pub fn materialise_bag_with(
     name: &str,
     eval: EvalContext<'_>,
 ) -> Result<Relation, EvalError> {
-    // Project each overlapping atom onto the bag.
-    let mut projected: Vec<(Relation, Vec<VarId>)> = Vec::new();
-    for atom in atoms {
-        let keep: Vec<usize> = (0..atom.vars.len())
-            .filter(|&c| bag_vars.contains(&atom.vars[c]))
-            .collect();
-        if keep.is_empty() {
-            continue;
-        }
-        // Deduplicate columns bound to the same variable.
-        let mut cols: Vec<usize> = Vec::new();
-        let mut seen: Vec<VarId> = Vec::new();
-        for &c in &keep {
-            if !seen.contains(&atom.vars[c]) {
-                seen.push(atom.vars[c]);
-                cols.push(c);
-            }
-        }
-        let mut proj = atom
-            .relation
-            .project(&cols, format!("{}|{name}", atom.relation.name()));
-        proj.dedup();
-        let proj_vars: Vec<VarId> = cols.iter().map(|&c| atom.vars[c]).collect();
-        projected.push((proj, proj_vars));
-    }
+    // Project each overlapping atom onto the bag: every column bound to a
+    // bag variable, so a variable the atom repeats keeps its equality.
+    let in_bag = |v: VarId| bag_vars.contains(&v);
+    let projected: Vec<(Relation, Vec<VarId>)> = atoms
+        .iter()
+        .filter(|atom| atom.vars.iter().any(|&v| in_bag(v)))
+        .map(|atom| {
+            let (cols, vars) = kept_columns(atom, in_bag);
+            let mut proj = atom
+                .relation
+                .project(&cols, format!("{}|{name}", atom.relation.name()));
+            proj.dedup();
+            (proj, vars)
+        })
+        .collect();
     let proj_atoms: Vec<BoundAtom<'_>> = projected
         .iter()
         .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
@@ -366,6 +371,113 @@ mod tests {
             bag.tuples()[0],
             vec![Value::point(1.0), Value::point(2.0), Value::point(3.0)]
         );
+    }
+
+    const ALL_STRATEGIES: [EjStrategy; 4] = [
+        EjStrategy::Auto,
+        EjStrategy::Yannakakis,
+        EjStrategy::GenericJoin,
+        EjStrategy::Decomposition,
+    ];
+
+    #[test]
+    fn a_repeated_variable_keeps_its_equality_under_every_strategy() {
+        // R(A, A, B) against S(A, B), where A is shared, and against S(B),
+        // where A is private to R: either way R's row (1, 2, 7) breaks A = A
+        // and must not join through its first column.
+        let broken = rel("R", vec![vec![1.0, 2.0, 7.0]]);
+        let kept = rel("R", vec![vec![1.0, 2.0, 7.0], vec![1.0, 1.0, 7.0]]);
+        let shared = rel("S", vec![vec![1.0, 7.0]]);
+        let private = rel("S", vec![vec![7.0]]);
+        for (r, expected) in [(&broken, false), (&kept, true)] {
+            for (s, s_vars) in [(&shared, vec![A, B]), (&private, vec![B])] {
+                let atoms = vec![BoundAtom::new(r, vec![A, A, B]), BoundAtom::new(s, s_vars)];
+                for strategy in ALL_STRATEGIES {
+                    assert_eq!(
+                        evaluate_ej_boolean(&atoms, strategy),
+                        expected,
+                        "{strategy:?} on {} rows of R against S of arity {}",
+                        r.len(),
+                        s.arity()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_variable_keeps_its_equality_in_a_bag() {
+        // The triangle with R(A, A, B): the bag join must drop (1, 2, 2).
+        let r = rel("R", vec![vec![1.0, 2.0, 2.0], vec![4.0, 4.0, 5.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0], vec![5.0, 6.0]]);
+        let t = rel("T", vec![vec![1.0, 3.0], vec![4.0, 6.0]]);
+        let atoms = vec![
+            BoundAtom::new(&r, vec![A, A, B]),
+            BoundAtom::new(&s, vec![B, C]),
+            BoundAtom::new(&t, vec![A, C]),
+        ];
+        let bag = materialise_bag(&atoms, &[A, B, C], "bag");
+        assert_eq!(
+            bag.tuples(),
+            vec![vec![
+                Value::point(4.0),
+                Value::point(5.0),
+                Value::point(6.0)
+            ]]
+        );
+        for strategy in [
+            EjStrategy::Auto,
+            EjStrategy::GenericJoin,
+            EjStrategy::Decomposition,
+        ] {
+            assert!(evaluate_ej_boolean(&atoms, strategy), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn singleton_projections_are_derived_once_per_source_relation() {
+        // D is private to R, C to S; T keeps both its columns.
+        let r = rel("R", vec![vec![1.0, 2.0, 8.0], vec![1.0, 2.0, 9.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let t = rel("T", vec![vec![1.0, 2.0]]);
+        let atoms = vec![
+            BoundAtom::new(&r, vec![A, B, D]),
+            BoundAtom::new(&s, vec![B, C]),
+            BoundAtom::new(&t, vec![A, B]),
+        ];
+        let first = project_singleton_variables(&atoms);
+        let vars: Vec<&[VarId]> = first.iter().map(|(_, vars)| vars.as_slice()).collect();
+        assert_eq!(vars, [&[A, B][..], &[B], &[A, B]]);
+        assert_eq!(first[0].0.len(), 1, "the two rows of R agree on (A, B)");
+        // The same atoms again — another disjunct, another evaluation —
+        // bind the very same relations.
+        let second = project_singleton_variables(&atoms);
+        for ((a, _), (b, _)) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+    }
+
+    #[test]
+    fn a_repeated_bag_is_served_from_the_cache_alone() {
+        use crate::{CacheActivity, TrieCache};
+        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let atoms = triangle_atoms(&r, &s, &t);
+        let cache = TrieCache::new();
+        let materialise = |activity: &CacheActivity| {
+            let eval = EvalContext {
+                cache: Some(&cache),
+                activity: Some(activity),
+                ..EvalContext::default()
+            };
+            materialise_bag_with(&atoms, &[A, B, C], "bag", eval).unwrap()
+        };
+        let (cold, warm) = (CacheActivity::new(), CacheActivity::new());
+        let first = materialise(&cold);
+        assert_eq!((cold.hits(), cold.misses()), (0, 3));
+        assert_eq!(materialise(&warm), first);
+        assert_eq!((warm.hits(), warm.misses()), (3, 0));
     }
 
     #[test]

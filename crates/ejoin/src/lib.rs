@@ -41,9 +41,9 @@
 //!
 //! The context finally carries an optional
 //! [`CancellationToken`](ij_relation::CancellationToken): trie builds and
-//! the candidate-intersection loops poll it at a bounded interval, so the
-//! fallible `*_with` entry points return
-//! [`EvalError`](ij_relation::EvalError)`::Cancelled` /
+//! the candidate-intersection loops poll it at a bounded interval, and the
+//! Yannakakis pass before each semijoin, so the fallible `*_with` entry
+//! points return [`EvalError`](ij_relation::EvalError)`::Cancelled` /
 //! `DeadlineExceeded` promptly instead of running to completion.  Sharded
 //! build workers run panic-isolated (`catch_unwind`); a panicking worker
 //! cancels its siblings and surfaces as `EvalError::WorkerPanicked` without

@@ -143,8 +143,8 @@ pub(crate) struct TriePlan<'a> {
     /// Relation column index backing the first level (the shard key column).
     pub(crate) first_level_column: usize,
     pub(crate) level_columns: Vec<&'a [ValueId]>,
-    /// Per-row pass mask of the repeated-variable filters (id equality
-    /// coincides with value equality), accumulated over every repeated column
+    /// Per-row pass mask of the repeated-variable filters
+    /// ([`repeated_variable_mask`]), accumulated over every repeated column
     /// pair with the chunked [`kernels::and_equal_mask`] scan instead of
     /// per-row branches inside the insert loop.  `None` when the atom has no
     /// repeated variables (every row passes).
@@ -165,25 +165,34 @@ impl<'a> TriePlan<'a> {
             .map(|&v| atom.relation.column_ids(column_of(v)))
             .collect();
         let first_level_column = level_vars.first().map(|&v| column_of(v)).unwrap_or(0);
-        let mut pass: Option<Vec<u8>> = None;
-        for (i, &v) in atom.vars.iter().enumerate() {
-            let first = atom.vars.iter().position(|&u| u == v).unwrap();
-            if first != i {
-                let mask = pass.get_or_insert_with(|| vec![1u8; atom.relation.len()]);
-                kernels::and_equal_mask(
-                    atom.relation.column_ids(first),
-                    atom.relation.column_ids(i),
-                    mask,
-                );
-            }
-        }
         TriePlan {
             level_vars,
             first_level_column,
             level_columns,
-            pass,
+            pass: repeated_variable_mask(atom),
         }
     }
+}
+
+/// Per-row pass mask of `atom`'s repeated-variable filters: `1` where every
+/// column bound to a repeated variable agrees with the variable's first
+/// column (id equality coincides with value equality).  `None` when no
+/// variable repeats, i.e. every row passes.  Every evaluator that keeps one
+/// column per variable — a trie level, a semijoin key — applies it first.
+pub(crate) fn repeated_variable_mask(atom: &BoundAtom<'_>) -> Option<Vec<u8>> {
+    let mut pass: Option<Vec<u8>> = None;
+    for (i, &v) in atom.vars.iter().enumerate() {
+        let first = atom.vars.iter().position(|&u| u == v).unwrap();
+        if first != i {
+            let mask = pass.get_or_insert_with(|| vec![1u8; atom.relation.len()]);
+            kernels::and_equal_mask(
+                atom.relation.column_ids(first),
+                atom.relation.column_ids(i),
+                mask,
+            );
+        }
+    }
+    pass
 }
 
 /// Runs one `build` closure per shard on scoped threads, each isolated by

@@ -21,34 +21,64 @@
 
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::generic::semijoin_mask;
+use crate::trie::repeated_variable_mask;
 use ij_hypergraph::{join_tree, VarId};
-use ij_relation::{kernels, ValueId};
+use ij_relation::{kernels, CancellationToken, EvalError, ValueId};
 
 /// Evaluates an α-acyclic Boolean query with Yannakakis' algorithm.
 ///
-/// Returns `None` if the atom set is not α-acyclic (no join tree exists);
-/// callers fall back to another strategy in that case.
+/// Returns `Ok(None)` if the atom set is not α-acyclic (no join tree
+/// exists); callers fall back to another strategy in that case.
+///
+/// An atom that binds one variable to several columns keeps only the rows on
+/// which those columns agree, before any semijoin reads the variable's first
+/// column as its key.
+///
+/// # Errors
+///
+/// `token`, if any, is polled once per join-tree edge, before the edge's
+/// semijoin: a token cancelled (or past its deadline) by then surfaces as its
+/// [`EvalError`] and no further semijoin runs.
 ///
 /// # Panics
 ///
 /// Panics if a relation has more than `u32::MAX` rows (alive-row lists store
 /// row indices as `u32`; a silent wrap would corrupt the pass).
-pub fn yannakakis_boolean(atoms: &[BoundAtom<'_>]) -> Option<bool> {
+pub fn yannakakis_boolean(
+    atoms: &[BoundAtom<'_>],
+    token: Option<&CancellationToken>,
+) -> Result<Option<bool>, EvalError> {
     assert!(
         atoms.iter().all(|a| a.relation.len() <= u32::MAX as usize),
         "Yannakakis pass supports at most 2^32 rows per relation"
     );
     if atoms.is_empty() {
-        return Some(true);
+        return Ok(Some(true));
     }
     if atoms.iter().any(|a| a.relation.is_empty()) {
-        return Some(false);
+        return Ok(Some(false));
     }
     let (h, _) = hypergraph_of(atoms);
-    let tree = join_tree(&h)?;
+    let Some(tree) = join_tree(&h) else {
+        return Ok(None);
+    };
 
-    // Alive rows per atom (`None` = every row).  Rows only ever leave.
-    let mut alive: Vec<Option<Vec<u32>>> = vec![None; atoms.len()];
+    // Alive rows per atom (`None` = every row).  Rows only ever leave; an
+    // atom that repeats a variable starts without the rows that break the
+    // repetition's equality.
+    let mut alive: Vec<Option<Vec<u32>>> = atoms
+        .iter()
+        .map(|atom| {
+            repeated_variable_mask(atom).map(|mask| {
+                let mut rows = Vec::new();
+                kernels::select_indices(&mask, 0, &mut rows);
+                rows
+            })
+        })
+        .collect();
+    if alive.iter().flatten().any(|rows| rows.is_empty()) {
+        return Ok(Some(false));
+    }
     let alive_count = |alive: &Option<Vec<u32>>, atom: &BoundAtom<'_>| match alive {
         Some(rows) => rows.len(),
         None => atom.relation.len(),
@@ -92,6 +122,9 @@ pub fn yannakakis_boolean(atoms: &[BoundAtom<'_>]) -> Option<bool> {
         let Some(parent) = tree.parent[child] else {
             continue;
         };
+        if let Some(token) = token {
+            token.checkpoint()?;
+        }
         let shared: Vec<VarId> = atoms[parent]
             .var_set()
             .intersection(&atoms[child].var_set())
@@ -102,7 +135,7 @@ pub fn yannakakis_boolean(atoms: &[BoundAtom<'_>]) -> Option<bool> {
             // check (a join tree normally connects on shared variables, but
             // disconnected queries degenerate here).
             if alive_count(&alive[child], &atoms[child]) == 0 {
-                return Some(false);
+                return Ok(Some(false));
             }
             continue;
         }
@@ -117,11 +150,11 @@ pub fn yannakakis_boolean(atoms: &[BoundAtom<'_>]) -> Option<bool> {
             None => surviving,
         };
         if new_alive.is_empty() {
-            return Some(false);
+            return Ok(Some(false));
         }
         alive[parent] = Some(new_alive);
     }
-    Some(alive_count(&alive[tree.root], &atoms[tree.root]) > 0)
+    Ok(Some(alive_count(&alive[tree.root], &atoms[tree.root]) > 0))
 }
 
 #[cfg(test)]
@@ -152,13 +185,13 @@ mod tests {
             BoundAtom::new(&s, vec![1, 2]),
             BoundAtom::new(&t_yes, vec![2, 3]),
         ];
-        assert_eq!(yannakakis_boolean(&atoms_yes), Some(true));
+        assert_eq!(yannakakis_boolean(&atoms_yes, None), Ok(Some(true)));
         let atoms_no = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&s, vec![1, 2]),
             BoundAtom::new(&t_no, vec![2, 3]),
         ];
-        assert_eq!(yannakakis_boolean(&atoms_no), Some(false));
+        assert_eq!(yannakakis_boolean(&atoms_no, None), Ok(Some(false)));
     }
 
     #[test]
@@ -171,7 +204,7 @@ mod tests {
             BoundAtom::new(&s, vec![1, 2]),
             BoundAtom::new(&t, vec![0, 2]),
         ];
-        assert_eq!(yannakakis_boolean(&atoms), None);
+        assert_eq!(yannakakis_boolean(&atoms, None), Ok(None));
     }
 
     #[test]
@@ -195,7 +228,7 @@ mod tests {
             BoundAtom::new(&u, vec![2]),
         ];
         // Only (1,5,3) survives all three semijoins.
-        assert_eq!(yannakakis_boolean(&atoms), Some(true));
+        assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(true)));
 
         let t_miss = rel("T", vec![vec![9.0]]);
         let atoms_miss = vec![
@@ -204,7 +237,7 @@ mod tests {
             BoundAtom::new(&t_miss, vec![1]),
             BoundAtom::new(&u, vec![2]),
         ];
-        assert_eq!(yannakakis_boolean(&atoms_miss), Some(false));
+        assert_eq!(yannakakis_boolean(&atoms_miss, None), Ok(Some(false)));
     }
 
     #[test]
@@ -215,12 +248,12 @@ mod tests {
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&empty, vec![1, 2]),
         ];
-        assert_eq!(yannakakis_boolean(&atoms), Some(false));
+        assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(false)));
     }
 
     #[test]
     fn no_atoms_is_true() {
-        assert_eq!(yannakakis_boolean(&[]), Some(true));
+        assert_eq!(yannakakis_boolean(&[], None), Ok(Some(true)));
     }
 
     #[test]
@@ -247,9 +280,61 @@ mod tests {
                 BoundAtom::new(&t, vec![2, 3]),
             ];
             assert_eq!(
-                yannakakis_boolean(&atoms),
-                Some(generic_join_boolean(&atoms, None))
+                yannakakis_boolean(&atoms, None),
+                Ok(Some(generic_join_boolean(&atoms, None)))
             );
         }
+    }
+
+    #[test]
+    fn repeated_variables_keep_their_equality() {
+        // R(X, X, A) ∧ S(A): X is private to R, so no semijoin ever reads
+        // it; the rows that break X = X must leave all the same.
+        let s = rel("S", vec![vec![7.0]]);
+        let broken = rel("R", vec![vec![1.0, 2.0, 7.0]]);
+        let kept = rel("R", vec![vec![1.0, 2.0, 7.0], vec![3.0, 3.0, 7.0]]);
+        for (r, expected) in [(&broken, false), (&kept, true)] {
+            let atoms = vec![
+                BoundAtom::new(r, vec![0, 0, 1]),
+                BoundAtom::new(&s, vec![1]),
+            ];
+            assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(expected)));
+        }
+        // R(X, X) ∧ S(X): the key column is X's first; (1, 2) must not match
+        // S = {1} through it.
+        let s = rel("S", vec![vec![1.0]]);
+        let broken = rel("R", vec![vec![1.0, 2.0]]);
+        let kept = rel("R", vec![vec![1.0, 2.0], vec![1.0, 1.0]]);
+        for (r, expected) in [(&broken, false), (&kept, true)] {
+            let atoms = vec![BoundAtom::new(r, vec![0, 0]), BoundAtom::new(&s, vec![0])];
+            assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(expected)));
+            // Either atom may end up the semijoin's child.
+            let flipped: Vec<_> = atoms.iter().rev().cloned().collect();
+            assert_eq!(yannakakis_boolean(&flipped, None), Ok(Some(expected)));
+        }
+    }
+
+    #[test]
+    fn the_token_is_polled_once_per_join_tree_edge() {
+        let r = rel("R", vec![vec![1.0, 2.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let path = vec![
+            BoundAtom::new(&r, vec![0, 1]),
+            BoundAtom::new(&s, vec![1, 2]),
+        ];
+        let token = CancellationToken::new();
+        assert_eq!(yannakakis_boolean(&path, Some(&token)), Ok(Some(true)));
+        token.cancel();
+        assert_eq!(
+            yannakakis_boolean(&path, Some(&token)),
+            Err(EvalError::Cancelled)
+        );
+        let expired = CancellationToken::new().with_budget(std::time::Duration::ZERO);
+        assert!(matches!(
+            yannakakis_boolean(&path, Some(&expired)),
+            Err(EvalError::DeadlineExceeded { .. })
+        ));
+        // No edge, no poll: a single atom is answered by its row count.
+        assert_eq!(yannakakis_boolean(&path[..1], Some(&token)), Ok(Some(true)));
     }
 }

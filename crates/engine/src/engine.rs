@@ -690,10 +690,11 @@ impl IntersectionJoinEngine {
     /// relation builds, trie builds and searches in flight at the next poll.
     /// The evaluation returns once every worker has stopped, so the answer
     /// is as late as the slowest sibling's next poll: each worker polls
-    /// between binding a disjunct's relations and searching it, and only
-    /// [`Relation::dedup`](ij_relation::Relation::dedup) at the end of a
-    /// build and the Yannakakis pass of an acyclic disjunct run to their end
-    /// unpolled.
+    /// between binding a disjunct's relations and searching it, and the
+    /// Yannakakis pass of an acyclic disjunct before each semijoin; only
+    /// [`Relation::dedup`](ij_relation::Relation::dedup) — at the end of a
+    /// relation build, and in each projection a cyclic disjunct derives —
+    /// runs to its end unpolled.
     /// All workers share the engine's **persistent**
     /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_capacity`]), so a
     /// trie built for one disjunct is reused by every later disjunct of this
@@ -1000,9 +1001,9 @@ impl IntersectionJoinEngine {
             })
             .collect::<Result<Vec<BoundAtom<'_>>, EvalError>>()?;
         // Binding may have taken a while (it is where relations get built)
-        // and the Yannakakis path below never polls: a worker whose sibling
-        // found a witness meanwhile must not start a search the evaluation
-        // would then have to wait out.
+        // and a cyclic disjunct derives its projections before anything
+        // below polls: a worker whose sibling found a witness meanwhile must
+        // not start work the evaluation would then have to wait out.
         if let Some(token) = eval.token {
             token.checkpoint()?;
         }
@@ -1405,21 +1406,26 @@ mod tests {
     fn a_cancelled_worker_does_not_start_its_search() {
         use ij_reduction::ReducedAtom;
         use ij_relation::{Relation, Value};
-        // A built relation is loaded without a poll and the Yannakakis path
-        // never polls, so on this acyclic disjunct only the checkpoint
-        // between binding and searching can stop a worker whose sibling has
-        // found a witness.
-        let atom = |relation: &str| ReducedAtom {
+        // A built relation is loaded without a poll, a cyclic disjunct's
+        // projections are derived without one, and one-row tries are built
+        // and searched before a ticker's first, so on this triangle only the
+        // checkpoint between binding and searching can stop a worker whose
+        // sibling has found a witness.
+        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
             relation: relation.to_string(),
-            vars: vec!["X".to_string()],
+            vars: vars.map(str::to_string).to_vec(),
+        };
+        let edge = |name: &str| {
+            Relation::from_tuples(name, 2, vec![vec![Value::point(1.0), Value::point(1.0)]])
         };
         let reduction = ForwardReduction::prebuilt(
-            vec![
-                Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]]),
-                Relation::from_tuples("S", 1, vec![vec![Value::point(1.0)]]),
-            ],
+            vec![edge("R"), edge("S"), edge("T")],
             vec![ReducedQuery {
-                atoms: vec![atom("R"), atom("S")],
+                atoms: vec![
+                    atom("R", ["X", "Y"]),
+                    atom("S", ["Y", "Z"]),
+                    atom("T", ["X", "Z"]),
+                ],
                 structure: bare_structure(),
             }],
         );
@@ -1580,5 +1586,46 @@ mod tests {
         db2.insert_tuples("R", 2, vec![vec![Value::point(7.0), iv(0.0, 2.0)]]);
         db2.insert_tuples("S", 2, vec![vec![Value::point(1.0), iv(1.0, 3.0)]]);
         assert!(!engine.evaluate(&q, &db2).unwrap());
+    }
+
+    #[test]
+    fn a_repeated_point_variable_keeps_its_equality_under_every_strategy() {
+        // Both queries are ι-acyclic, so forcing Yannakakis is legal.  R's
+        // row (1, 2, [0,5]) meets S's interval but breaks X = X.
+        let row = |x1: f64, x2: f64| vec![Value::point(x1), Value::point(x2), iv(0.0, 5.0)];
+        for (query, s_row) in [
+            (
+                "R(X,X,[A]) & S(X,[A])",
+                vec![Value::point(1.0), iv(1.0, 3.0)],
+            ),
+            ("R(X,X,[A]) & S([A])", vec![iv(1.0, 3.0)]),
+        ] {
+            let q = Query::parse(query).unwrap();
+            for (r_rows, expected) in [
+                (vec![row(1.0, 2.0)], false),
+                (vec![row(1.0, 2.0), row(1.0, 1.0)], true),
+            ] {
+                let mut db = Database::new();
+                db.insert_tuples("R", 3, r_rows);
+                db.insert_tuples("S", s_row.len(), vec![s_row.clone()]);
+                assert_eq!(naive_boolean(&q, &db).unwrap(), expected, "{query}");
+                for strategy in [
+                    EjStrategy::Auto,
+                    EjStrategy::Yannakakis,
+                    EjStrategy::GenericJoin,
+                    EjStrategy::Decomposition,
+                ] {
+                    let engine = IntersectionJoinEngine::new(EngineConfig {
+                        ej_strategy: strategy,
+                        ..EngineConfig::new()
+                    });
+                    assert_eq!(
+                        engine.evaluate(&q, &db).unwrap(),
+                        expected,
+                        "{query} under {strategy:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -71,7 +71,10 @@
 //!        ▼    workers share one TrieCache)  cancels the siblings' builds
 //!  ij_ejoin per disjunct:
 //!     · α-acyclic   → Yannakakis semijoins (id-tuple keys, fast hasher)
-//!     · cyclic      → bag materialisation (id tries) + Yannakakis
+//!       over the relations of D̃ as they are — nothing is copied
+//!     · cyclic      → bag materialisation (id tries) + Yannakakis;
+//!       singleton-variable projections derived once per reduction
+//!       (Relation::projection), per-bag projections per disjunct
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-

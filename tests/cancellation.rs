@@ -13,6 +13,9 @@
 //!   transformed relations (the forward reduction's builds run on the
 //!   workers, on demand), and the pool cancelling itself after a found
 //!   witness never cancels the caller's token;
+//! * the Yannakakis pass of an acyclic disjunct polls before every semijoin:
+//!   a pre-cancelled token stops it before the first, and a cancel racing 36
+//!   such passes yields the right answer or `Cancelled`;
 //! * cancellation racing concurrent evaluations over one shared workspace is
 //!   **correct-or-`Cancelled`**: every evaluation either returns the right
 //!   answer or the typed error, the per-tenant cache ledgers still sum
@@ -20,11 +23,13 @@
 //!   correct, warm re-run all-hits);
 //! * every error in the taxonomy implements `std::error::Error`.
 
+use ij_ejoin::{evaluate_ej_boolean_with, yannakakis_boolean, BoundAtom, EjStrategy, EvalContext};
 use ij_engine::{
     naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError, IntersectionJoinEngine,
     Workspace,
 };
 use ij_reduction::{forward_reduction, ForwardReduction};
+use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -273,6 +278,112 @@ fn a_found_witness_never_cancels_the_callers_token() {
         );
         assert!(!token.is_cancelled(), "parallelism {parallelism}");
         assert!(token.checkpoint().is_ok());
+    }
+}
+
+/// The Yannakakis pass polls before each join-tree edge's semijoin.  Each
+/// disjunct of `R([A]) & S([A])` has one edge, and on disjoint intervals its
+/// semijoin alone decides `false` — so `Cancelled`, not `false`, under a
+/// pre-cancelled token says the poll came first and no semijoin ran.
+#[test]
+fn a_pre_cancelled_token_stops_the_yannakakis_pass_before_a_semijoin() {
+    let query = Query::parse("R([A]) & S([A])").expect("valid query");
+    let mut db = Database::new();
+    db.insert_tuples("R", 1, vec![vec![Value::interval(0.0, 1.0)]]);
+    db.insert_tuples("S", 1, vec![vec![Value::interval(5.0, 6.0)]]);
+    let cancelled = CancellationToken::new();
+    cancelled.cancel();
+
+    let reduction = forward_reduction(&query, &db).expect("forward reduction succeeds");
+    assert_eq!(reduction.queries.len(), 2);
+    for disjunct in &reduction.queries {
+        let var_ids = disjunct.dense_var_ids();
+        let atoms: Vec<BoundAtom<'_>> = disjunct
+            .atoms
+            .iter()
+            .map(|atom| {
+                let relation = reduction.relation(&atom.relation, None).expect("built");
+                let vars = atom.vars.iter().map(|v| var_ids[v.as_str()]).collect();
+                BoundAtom::new(relation, vars)
+            })
+            .collect();
+        assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(false)));
+        assert_eq!(
+            yannakakis_boolean(&atoms, Some(&cancelled)),
+            Err(EvalError::Cancelled)
+        );
+        let eval = EvalContext {
+            token: Some(&cancelled),
+            ..EvalContext::default()
+        };
+        for strategy in [EjStrategy::Auto, EjStrategy::Yannakakis] {
+            assert_eq!(
+                evaluate_ej_boolean_with(&atoms, strategy, eval),
+                Err(EvalError::Cancelled),
+                "{strategy:?}"
+            );
+        }
+    }
+    let engine = IntersectionJoinEngine::with_defaults();
+    assert!(matches!(
+        engine.evaluate_cancellable(&query, &db, Some(&cancelled)),
+        Err(EngineError::Evaluation(EvalError::Cancelled))
+    ));
+    assert!(!engine.evaluate(&query, &db).expect("tokenless evaluation"));
+}
+
+/// A cancel landing anywhere in an evaluation of 36 acyclic disjuncts — in a
+/// relation build, between two disjuncts, or between two semijoins of a
+/// Yannakakis pass — leaves the right answer or the typed error, never the
+/// answer of a pass cut short: not on a false instance, where all 36 run, nor
+/// on a true one, where a pass that gave up early would read `false`.
+#[test]
+fn a_cancel_racing_thirty_six_yannakakis_passes_is_correct_or_cancelled() {
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+    for planted in [PlantedAnswer::NearMiss, PlantedAnswer::Satisfiable] {
+        let cfg = ScenarioConfig::new(ScenarioFamily::IpRanges)
+            .with_tuples(if cfg!(debug_assertions) { 8 } else { 24 })
+            .with_seed(7)
+            .with_planted(planted);
+        let scenario = build_scenario(&cfg);
+        let expected =
+            naive_boolean(&scenario.query, &scenario.database).expect("naive oracle succeeds");
+        let start = Instant::now();
+        let uncancelled = engine
+            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .expect("uncancelled evaluation succeeds");
+        let runtime = start.elapsed();
+        assert_eq!(uncancelled.answer, expected, "{planted:?}");
+        assert_eq!(uncancelled.answer, planted == PlantedAnswer::Satisfiable);
+        assert_eq!(uncancelled.ej_queries_total, 36);
+        assert_eq!(
+            uncancelled.trie_cache.misses, 0,
+            "no disjunct builds a trie"
+        );
+
+        // Cancel points spread over the whole evaluation, ends included.
+        for step in 0..=8u32 {
+            let token = CancellationToken::new();
+            let result = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    engine.evaluate_cancellable(&scenario.query, &scenario.database, Some(&token))
+                });
+                std::thread::sleep(runtime * step / 8);
+                token.cancel();
+                worker.join().expect("evaluations never panic")
+            });
+            match result {
+                Ok(answer) => assert_eq!(answer, expected, "{planted:?}, step {step}"),
+                Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
+                Err(other) => panic!("{planted:?}, step {step}: cancel surfaced as {other:?}"),
+            }
+        }
+        assert_eq!(
+            engine
+                .evaluate(&scenario.query, &scenario.database)
+                .expect("clean evaluation after the races"),
+            expected
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (dictionary stripes + trie-cache map/tenants + plan-activity locks, and
-//! the build gates of the transformed relations the workers fill on demand)
+//! (dictionary stripes + trie-cache map/tenants + plan-activity locks, the
+//! build gates of the transformed relations the workers fill on demand, and
+//! the projection memos of the relations a cyclic disjunct binds)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!
@@ -68,7 +69,12 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
 
     if lock_order::enabled() {
         let classes = lock_order::classes_seen();
-        for expected in ["dict-stripe", "trie-cache-map", "trie-cache-tenants"] {
+        for expected in [
+            "dict-stripe",
+            "trie-cache-map",
+            "trie-cache-tenants",
+            "relation-projections",
+        ] {
             assert!(
                 classes.contains(&expected),
                 "expected lock class `{expected}` on the warm path; saw {classes:?}"
@@ -81,6 +87,15 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
                 .iter()
                 .any(|&(from, to)| from == "trie-cache-map" && to == "trie-cache-tenants"),
             "expected the map→tenants nesting edge; snapshot: {:?}",
+            lock_order::snapshot()
+        );
+        // A projection memo is a leaf: the triangle's disjuncts derive their
+        // projected atoms through it, computing outside the lock.
+        assert!(
+            lock_order::snapshot()
+                .iter()
+                .all(|&(from, _)| from != "relation-projections"),
+            "a lock was acquired under a projection memo: {:?}",
             lock_order::snapshot()
         );
     } else {

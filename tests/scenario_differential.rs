@@ -10,7 +10,9 @@
 //! 3. the naive exhaustive oracle.
 //!
 //! The sweep covers all four [`ScenarioFamily`] generators × sizes × planted
-//! modes.  On a divergence the failing [`ScenarioConfig`] is *shrunk*
+//! modes; those bind interval variables only, so a second sweep runs mixed
+//! point/interval queries over small random databases under every
+//! `EjStrategy`.  On a divergence the failing [`ScenarioConfig`] is *shrunk*
 //! deterministically (the vendored proptest reports but does not shrink, so
 //! minimisation lives here): smaller tuple counts, zero skew and full
 //! selectivity are retried while the divergence persists, and the panic
@@ -21,7 +23,9 @@
 //! time stays bounded; release builds run the full sweep.
 
 use ij_baselines::SegtreeBaseline;
+use ij_ejoin::EjStrategy;
 use ij_engine::{naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode};
+use ij_hypergraph::VarKind;
 use ij_reduction::{
     forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
     ReductionConfig,
@@ -454,6 +458,96 @@ fn minimiser_finds_the_smallest_diverging_config() {
     assert_eq!(minimal.tuples_per_relation, 7);
     assert_eq!(minimal.skew, 0.0);
     assert_eq!(minimal.selectivity, 1.0);
+}
+
+/// Queries with point variables in them: shared by two atoms, repeated inside
+/// one atom, private to one atom, and permuted between atoms.  All four are
+/// ι-acyclic, so every disjunct is α-acyclic and forcing Yannakakis is legal.
+const MIXED_EIJ_QUERIES: [&str; 4] = [
+    "R(X,[A]) & S(X,[A])",
+    "R(X,X,[A]) & S(X,[A])",
+    "R(X,X,[A]) & S([A])",
+    "R(X,Y,[A]) & S(Y,X,[A]) & T(X,[A])",
+];
+
+/// One cell drawn both ways — a point from a domain of 4 and an interval over
+/// a small integer domain (ties and overlaps likely); the kind of the
+/// variable a column binds picks which one the column holds.
+fn arb_cell() -> impl Strategy<Value = (Value, Value)> {
+    (0u8..4, 0i32..14, 0i32..5).prop_map(|(p, lo, len)| {
+        (
+            Value::point(f64::from(p)),
+            Value::interval(f64::from(lo), f64::from(lo + len)),
+        )
+    })
+}
+
+/// The database of `query` over `relations[i]` for its `i`-th atom, each row
+/// cut to the atom's arity.
+fn mixed_eij_database(query: &Query, relations: &[Vec<Vec<(Value, Value)>>]) -> Database {
+    let mut db = Database::new();
+    for (atom, rows) in query.atoms().iter().zip(relations) {
+        let tuples = rows
+            .iter()
+            .map(|row| {
+                atom.vars
+                    .iter()
+                    .zip(row)
+                    .map(|(var, &(point, interval))| match query.var_kind(var) {
+                        Some(VarKind::Interval) => interval,
+                        _ => point,
+                    })
+                    .collect()
+            })
+            .collect();
+        db.insert_tuples(&atom.relation, atom.vars.len(), tuples);
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 32 } else { 96 }
+    ))]
+
+    /// The scenario families bind interval variables only; this sweep puts
+    /// point variables beside them.  The engine under every `EjStrategy`, at
+    /// one worker and two, answers like the naive oracle.
+    #[test]
+    fn mixed_point_interval_queries_agree_with_naive(
+        relations in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(arb_cell(), 3), 1..=8),
+            3,
+        ),
+    ) {
+        for text in MIXED_EIJ_QUERIES {
+            let query = Query::parse(text).expect("valid query");
+            let db = mixed_eij_database(&query, &relations);
+            let expected = naive_boolean(&query, &db).expect("naive evaluation succeeds");
+            for ej_strategy in [
+                EjStrategy::Auto,
+                EjStrategy::Yannakakis,
+                EjStrategy::GenericJoin,
+                EjStrategy::Decomposition,
+            ] {
+                for parallelism in [1usize, 2] {
+                    let engine = IntersectionJoinEngine::new(EngineConfig {
+                        ej_strategy,
+                        ..EngineConfig::new().with_parallelism(parallelism)
+                    });
+                    prop_assert_eq!(
+                        engine.evaluate(&query, &db).expect("evaluation succeeds"),
+                        expected,
+                        "{} under {:?}, parallelism {}, on {:?}",
+                        text,
+                        ej_strategy,
+                        parallelism,
+                        db.relations().map(|r| (r.name(), r.tuples())).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

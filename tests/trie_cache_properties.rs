@@ -185,6 +185,36 @@ fn cache_hits_are_recorded_and_answer_preserving() {
     );
 }
 
+/// Two evaluations of one reduction reach the cache with the same relations:
+/// the projected atoms are derived once per reduction, fingerprints included,
+/// so every lookup of the second evaluation — as many as the first made — is
+/// a hit.
+#[test]
+fn a_second_evaluation_of_one_reduction_only_hits() {
+    let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
+    let iv = |lo: f64, hi: f64| Value::interval(lo, hi);
+    let mut db = Database::new();
+    // Pairwise overlaps but no triple: all eight disjuncts run.
+    db.insert_tuples("R", 2, vec![vec![iv(0.0, 2.0), iv(10.0, 12.0)]]);
+    db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
+    db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
+    let reduction = ij_reduction::forward_reduction(&query, &db).unwrap();
+    for parallelism in [1usize, 2] {
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+        let first = engine.evaluate_reduction(&reduction).unwrap();
+        let second = engine.evaluate_reduction(&reduction).unwrap();
+        assert!(!first.answer && !second.answer);
+        assert_eq!(first.ej_queries_evaluated, 8);
+        assert!(first.trie_cache.misses > 0, "{:?}", first.trie_cache);
+        assert_eq!(second.trie_cache.misses, 0, "{:?}", second.trie_cache);
+        assert_eq!(
+            second.trie_cache.hits,
+            first.trie_cache.hits + first.trie_cache.misses,
+            "parallelism {parallelism}"
+        );
+    }
+}
+
 /// A capacity-1 persistent cache must evict (and count evictions) while still
 /// answering correctly — eviction only ever costs rebuilds, never answers.
 #[test]
