@@ -297,11 +297,6 @@ fn bench_persistent_cache(c: &mut Criterion) {
 /// workspace and once standalone (each standalone engine owns a cold private
 /// cache, the pre-workspace behaviour).  The database is planted
 /// unsatisfiable so every disjunct is evaluated.
-///
-/// Multi-core caveat (see ROADMAP "Multi-core CI benches"): the dev
-/// container is single-core, so the gap shown here is pure trie-rebuild
-/// work; on multi-core hardware the same warm path additionally frees the
-/// shard/worker thread budget for the search itself — re-measure there.
 fn bench_shared_warmth(c: &mut Criterion) {
     use ij_engine::Workspace;
     use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
@@ -489,43 +484,6 @@ fn bench_tenant_fairness(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded versus unsharded trie builds on the same workload (wall-clock
-/// parity is expected on a single-core container; the knob is verified
-/// answer-identical by the test suite).
-fn bench_trie_shards(c: &mut Criterion) {
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-trie-shards");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    let n = 400usize;
-    let db = planted_unsatisfiable(
-        &query,
-        &WorkloadConfig {
-            tuples_per_relation: n,
-            seed: 31,
-            distribution: IntervalDistribution::GridAligned {
-                span: 4.0 * n as f64,
-                cells: (2 * n) as u32,
-                max_cells: 3,
-            },
-        },
-    );
-    let reduction = forward_reduction(&query, &db).unwrap();
-    for (name, shards) in [("unsharded", 1usize), ("hw-shards", 0usize)] {
-        let engine = IntersectionJoinEngine::new(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_shards(shards),
-        );
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            b.iter(|| engine.evaluate_reduction(&reduction).unwrap().answer)
-        });
-    }
-    group.finish();
-}
-
 /// Adaptive per-disjunct planning versus the fixed identifier order on a
 /// planted near-miss triangle whose atom listing deliberately leads the
 /// fixed order with the worst variable.  `R([B],[A]) & S([B],[C]) &
@@ -693,7 +651,6 @@ criterion_group!(
     bench_persistent_cache,
     bench_shared_warmth,
     bench_tenant_fairness,
-    bench_trie_shards,
     bench_plan_order,
     bench_cancel_latency
 );

@@ -1,5 +1,5 @@
-//! A shared cache of built atom tries ([`FlatTrie`](crate::FlatTrie)s,
-//! bundled per atom as [`TrieBuild`]s), keyed by content fingerprints.
+//! A shared cache of built atom tries ([`FlatTrie`]s), keyed by content
+//! fingerprints.
 //!
 //! The forward reduction turns one intersection-join query into a disjunction
 //! of equality-join queries whose atoms overwhelmingly *share* transformed
@@ -29,11 +29,7 @@
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by
-//!    the global join order);
-//! 4. the **effective shard count** of the build (the requested count after
-//!    per-atom sizing — see
-//!    [`FlatTrie::build_sharded`](crate::FlatTrie::build_sharded) and
-//!    [`effective_shard_count`]).
+//!    the global join order).
 //!
 //! This is exactly the (relation identity, column permutation, filter)
 //! fingerprint that the engine's disjunct deduplication reasons about at the
@@ -51,7 +47,7 @@
 //!
 //! * an **entry budget** — at most `capacity` resident entries;
 //! * a **byte budget** — every entry carries the estimated heap size of its
-//!   tries ([`TrieBuild::heap_bytes`], summed over shards), the cache tracks
+//!   trie ([`FlatTrie::heap_bytes`]), the cache tracks
 //!   the resident total ([`TrieCacheStats::resident_bytes`]), and inserting
 //!   past the budget evicts least-recently-used entries until the new entry
 //!   fits.  A single build larger than the whole byte budget is handed to
@@ -92,8 +88,7 @@
 //! so concurrent evaluations on one cache can never steal each other's hits,
 //! misses or evictions.
 
-use crate::flat::TrieBuild;
-use crate::trie::effective_shard_count;
+use crate::flat::FlatTrie;
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
 use ij_relation::sync::{read_recover, write_recover};
@@ -206,7 +201,7 @@ pub struct TenantCacheStats {
 /// activity to whichever windows overlap it).
 ///
 /// The counters are relaxed atomics because one evaluation's disjunct
-/// workers and trie-shard builders share the accumulator across threads.
+/// workers share the accumulator across threads.
 #[derive(Debug, Default)]
 pub struct CacheActivity {
     hits: AtomicUsize,
@@ -280,8 +275,6 @@ struct TrieKey {
     vars: Vec<VarId>,
     /// The atom's distinct variables in global join order (the trie levels).
     levels: Vec<VarId>,
-    /// Shard count of the build (1 = unsharded).
-    shards: usize,
 }
 
 /// A point-in-time snapshot of a [`TrieCache`]'s counters.
@@ -297,7 +290,7 @@ pub struct TrieCacheStats {
     /// Entries currently resident.
     pub entries: usize,
     /// Estimated heap bytes of the resident entries
-    /// ([`TrieBuild::heap_bytes`] summed over every cached build).  Never
+    /// ([`FlatTrie::heap_bytes`] summed over every cached trie).  Never
     /// exceeds a configured byte budget ([`TrieCache::with_limits`]).
     pub resident_bytes: usize,
 }
@@ -312,35 +305,16 @@ impl TrieCacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// The activity between an `earlier` snapshot of the same cache and this
-    /// one: hit/miss/eviction counters become deltas, `entries` and
-    /// `resident_bytes` stay the current resident state.
-    ///
-    /// A delta over the *shared* counters attributes every concurrent
-    /// evaluation's activity to whichever windows overlap it, so the engine
-    /// no longer reports per-evaluation statistics this way — it accumulates
-    /// exact local counters through [`CacheActivity`] instead.  The method
-    /// remains useful for windowed monitoring of one cache as a whole.
-    pub fn delta_since(&self, earlier: &TrieCacheStats) -> TrieCacheStats {
-        TrieCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            entries: self.entries,
-            resident_bytes: self.resident_bytes,
-        }
-    }
 }
 
-/// One resident cache entry: the built tries, their estimated heap size
-/// (fixed at insert time), the tenant that inserted them (for per-tenant
+/// One resident cache entry: the built trie, its estimated heap size
+/// (fixed at insert time), the tenant that inserted it (for per-tenant
 /// byte accounting and quota eviction), and a last-used stamp for the LRU
 /// policy (bumped with a relaxed store on every hit, so recency tracking
 /// never needs the write lock).
 #[derive(Debug)]
 struct CacheSlot {
-    tries: Arc<TrieBuild>,
+    trie: Arc<FlatTrie>,
     bytes: usize,
     owner: TenantId,
     last_used: AtomicU64,
@@ -395,7 +369,7 @@ impl TrieCache {
 
     /// A cache bounded by both an entry budget and a byte budget (either may
     /// be `0` = unbounded).  `bytes` caps the *estimated* resident heap size
-    /// ([`TrieBuild::heap_bytes`]); inserting past either budget evicts
+    /// ([`FlatTrie::heap_bytes`]); inserting past either budget evicts
     /// least-recently-used entries first, and a single build larger than the
     /// whole byte budget is returned to the caller uncached.  This is the
     /// knob a service operator actually wants: a memory budget instead of an
@@ -505,10 +479,9 @@ impl TrieCache {
         )
     }
 
-    /// The tries for `atom` under `global_order`, built into
-    /// [`effective_shard_count`]`(rows, num_shards)` shards — served from the
-    /// cache when an identical build was already done, built and retained
-    /// (evicting LRU entries if a budget is exceeded) otherwise.
+    /// The trie of `atom` under `global_order` — served from the cache when
+    /// an identical build was already done, built and retained (evicting LRU
+    /// entries if a budget is exceeded) otherwise.
     ///
     /// The lookup is performed **as** `tenant`'s owner (the anonymous
     /// [`TenantId::DEFAULT`] when `None`): the owner's ledger is metered
@@ -517,31 +490,24 @@ impl TrieCache {
     /// `activity` (if any) accumulates the caller's exact per-evaluation
     /// statistics.
     ///
-    /// The key records the *effective* shard count, so a small relation
-    /// requested at different shard counts maps to one entry instead of
-    /// duplicating its (identical, unsharded) trie.
-    ///
     /// A miss builds cooperatively under `token` (if any) and surfaces
-    /// cancellation / deadline / builder-panic failures as [`EvalError`].  A
-    /// failed build mutates nothing: the `cache-insert` failpoint and every
-    /// fallible step sit **before** the first accounting mutation under the
-    /// write lock, so the ledgers and resident-byte totals always describe
-    /// exactly the resident entries (see `ij_relation::sync`).
+    /// cancellation / deadline failures as [`EvalError`].  A failed build
+    /// mutates nothing: the `cache-insert` failpoint and every fallible step
+    /// sit **before** the first accounting mutation under the write lock, so
+    /// the ledgers and resident-byte totals always describe exactly the
+    /// resident entries (see `ij_relation::sync`).
     pub(crate) fn tries_for(
         &self,
         atom: &BoundAtom<'_>,
         global_order: &[VarId],
-        num_shards: usize,
         tenant: Option<&TenantHandle>,
         activity: Option<&CacheActivity>,
         token: Option<&CancellationToken>,
-    ) -> Result<Arc<TrieBuild>, EvalError> {
-        let num_shards = effective_shard_count(atom.relation.len(), num_shards);
+    ) -> Result<Arc<FlatTrie>, EvalError> {
         let key = TrieKey {
             fingerprint: relation_fingerprint(atom.relation),
             vars: atom.vars.clone(),
             levels: crate::trie::trie_level_vars(atom, global_order),
-            shards: num_shards,
         };
         let fallback;
         let (owner, ledger): (TenantId, &TenantLedger) = match tenant {
@@ -559,19 +525,14 @@ impl TrieCache {
             if let Some(a) = activity {
                 a.hits.fetch_add(1, Ordering::Relaxed);
             }
-            return Ok(Arc::clone(&slot.tries));
+            return Ok(Arc::clone(&slot.trie));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         ledger.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(a) = activity {
             a.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let built = Arc::new(TrieBuild::build_sharded(
-            atom,
-            global_order,
-            num_shards,
-            token,
-        )?);
+        let built = Arc::new(FlatTrie::build(atom, global_order, token)?);
         let new_bytes: usize = built.heap_bytes();
         if self.byte_budget > 0 && new_bytes > self.byte_budget {
             // An entry that alone exceeds the whole byte budget can never be
@@ -587,7 +548,7 @@ impl TrieCache {
         if let Some(existing) = map.get(&key) {
             // Lost an insert race; adopt the winner so all workers share.
             existing.last_used.store(now, Ordering::Relaxed);
-            return Ok(Arc::clone(&existing.tries));
+            return Ok(Arc::clone(&existing.trie));
         }
         // The quota is read under the map's write lock, and nonzero quotas
         // are *stored* under the same lock (`set_tenant_quota`): any setter
@@ -643,7 +604,7 @@ impl TrieCache {
         map.insert(
             key,
             CacheSlot {
-                tries: Arc::clone(&built),
+                trie: Arc::clone(&built),
                 bytes: new_bytes,
                 owner,
                 last_used: AtomicU64::new(now),
@@ -701,16 +662,16 @@ impl TrieCache {
 }
 
 /// Shared runtime options for one equality-join evaluation: the trie cache
-/// (if any), the trie shard count, and the cache-accounting identity —
-/// which tenant the lookups are performed as, and which evaluation-local
-/// accumulator they are counted into.
+/// (if any) and the cache-accounting identity — which tenant the lookups are
+/// performed as, and which evaluation-local accumulator they are counted
+/// into.
 ///
 /// The `*_with` entry points ([`evaluate_ej_boolean_with`],
 /// [`generic_join_boolean_with`], …) take an `EvalContext` and thread it down
 /// to every trie build of the evaluation — including the per-bag joins of the
 /// decomposition-guided strategy.  The plain entry points use
-/// `EvalContext::default()`: no cache, no sharding, the default tenant, no
-/// local accounting.
+/// `EvalContext::default()`: no cache, the default tenant, no local
+/// accounting, no token, adaptive planning.
 ///
 /// [`evaluate_ej_boolean_with`]: crate::evaluate_ej_boolean_with
 /// [`generic_join_boolean_with`]: crate::generic_join_boolean_with
@@ -718,12 +679,6 @@ impl TrieCache {
 pub struct EvalContext<'c> {
     /// Trie cache shared across calls; `None` rebuilds tries every time.
     pub cache: Option<&'c TrieCache>,
-    /// Trie shard *budget*: `0` = one shard per available hardware thread,
-    /// `1` = unsharded, `n` = at most `n` shards.  The budget is the upper
-    /// bound a build may use; per-atom sizing ([`effective_shard_count`])
-    /// builds relations too small for the budget unsharded instead.  The
-    /// answer is identical for every setting.
-    pub shards: usize,
     /// The owner every cache lookup of this evaluation is metered as (and
     /// whose byte quota, if any, governs this evaluation's inserts).
     /// Resolved once per evaluation via [`TrieCache::tenant_handle`];
@@ -740,24 +695,12 @@ pub struct EvalContext<'c> {
     pub token: Option<&'c CancellationToken>,
     /// How each disjunct's variable order is chosen
     /// ([`PlanMode::Adaptive`](crate::PlanMode) by default; see
-    /// [`crate::plan`]).  Answer-preserving like `shards`.
+    /// [`crate::plan`]).  Answer-preserving.
     pub plan_mode: crate::plan::PlanMode,
     /// Evaluation-local accumulator for planning statistics (time spent,
     /// disjuncts planned, distinct orders chosen); `None` skips the
     /// accounting.
     pub planning: Option<&'c crate::plan::PlanActivity>,
-}
-
-impl<'c> EvalContext<'c> {
-    /// The effective shard count (resolves `0` to the hardware parallelism).
-    pub fn shard_count(&self) -> usize {
-        match self.shards {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -795,40 +738,22 @@ mod tests {
         let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
         let s = rel("S", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
         let atom_r = BoundAtom::new(&r, vec![0, 1]);
-        let first = cache
-            .tries_for(&atom_r, &[0, 1], 1, None, None, None)
-            .unwrap();
+        let first = cache.tries_for(&atom_r, &[0, 1], None, None, None).unwrap();
         // Same content under a different name: a hit, sharing the same trie.
         let atom_s = BoundAtom::new(&s, vec![0, 1]);
-        let second = cache
-            .tries_for(&atom_s, &[0, 1], 1, None, None, None)
-            .unwrap();
+        let second = cache.tries_for(&atom_s, &[0, 1], None, None, None).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         // Different binding or level order: separate entries.
         cache
-            .tries_for(
-                &BoundAtom::new(&r, vec![1, 0]),
-                &[0, 1],
-                1,
-                None,
-                None,
-                None,
-            )
+            .tries_for(&BoundAtom::new(&r, vec![1, 0]), &[0, 1], None, None, None)
             .unwrap();
-        cache
-            .tries_for(&atom_r, &[1, 0], 1, None, None, None)
-            .unwrap();
-        // A different *requested* shard count on a tiny relation sizes down
-        // to the same effective (unsharded) build: a hit, not a new entry.
-        cache
-            .tries_for(&atom_r, &[0, 1], 2, None, None, None)
-            .unwrap();
+        cache.tries_for(&atom_r, &[1, 0], None, None, None).unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 0);
-        assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
+        assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -837,21 +762,21 @@ mod tests {
         let r = rel("R", vec![vec![1.0]]);
         let s = rel("S", vec![vec![2.0]]);
         cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
         // Inserting S evicts R (the only, hence least-recent, entry).
         cache
-            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], None, None, None)
             .unwrap();
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().evictions, 1);
         // The resident entry hits; the evicted one rebuilds (a miss).
         cache
-            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], None, None, None)
             .unwrap();
         assert_eq!(cache.stats().hits, 1);
         cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.misses, 3);
@@ -860,36 +785,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_deltas_subtract_counters_but_keep_entries() {
-        let a = TrieCacheStats {
-            hits: 10,
-            misses: 4,
-            evictions: 1,
-            entries: 3,
-            resident_bytes: 1000,
-        };
-        let b = TrieCacheStats {
-            hits: 25,
-            misses: 9,
-            evictions: 2,
-            entries: 5,
-            resident_bytes: 1600,
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.hits, 15);
-        assert_eq!(d.misses, 5);
-        assert_eq!(d.evictions, 1);
-        assert_eq!(d.entries, 5);
-        assert_eq!(d.resident_bytes, 1600);
-    }
-
-    #[test]
     fn byte_budget_evicts_to_stay_within_the_budget() {
         // Size the budget from a real build: room for ~3 single-row tries,
         // nowhere near room for 6.
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], None, None, None)
             .unwrap()
             .heap_bytes();
         assert!(per_trie > 0);
@@ -900,7 +801,7 @@ mod tests {
             .collect();
         for r in &relations {
             cache
-                .tries_for(&BoundAtom::new(r, vec![0]), &[0], 1, None, None, None)
+                .tries_for(&BoundAtom::new(r, vec![0]), &[0], None, None, None)
                 .unwrap();
             let stats = cache.stats();
             assert!(
@@ -919,7 +820,6 @@ mod tests {
             .tries_for(
                 &BoundAtom::new(&relations[5], vec![0]),
                 &[0],
-                1,
                 None,
                 None,
                 None,
@@ -936,11 +836,11 @@ mod tests {
         let cache = TrieCache::with_limits(0, 1);
         let r = rel("R", vec![vec![1.0], vec![2.0]]);
         let first = cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
-        assert_eq!(first.shard(0).level_len(0), 2);
+        assert_eq!(first.level_len(0), 2);
         cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
@@ -957,7 +857,7 @@ mod tests {
         // entries' insert-time sizes, cache-wide and per tenant.
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], None, None, None)
             .unwrap()
             .heap_bytes();
         assert!(per_trie > 0);
@@ -969,7 +869,7 @@ mod tests {
             .collect();
         for r in &small {
             cache
-                .tries_for(&BoundAtom::new(r, vec![0]), &[0], 1, None, None, None)
+                .tries_for(&BoundAtom::new(r, vec![0]), &[0], None, None, None)
                 .unwrap();
         }
         let before = cache.stats();
@@ -984,7 +884,7 @@ mod tests {
             (0..big_rows).map(|i| vec![500.0 + i as f64]).collect(),
         );
         cache
-            .tries_for(&BoundAtom::new(&big, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&big, vec![0]), &[0], None, None, None)
             .unwrap();
         let after = cache.stats();
         assert!(
@@ -1012,7 +912,7 @@ mod tests {
     fn tenant_quota_evicts_the_owners_entries_first() {
         let probe = rel("P", vec![vec![0.5]]);
         let per_trie = TrieCache::new()
-            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], None, None, None)
             .unwrap()
             .heap_bytes();
         let victim = TenantId::from_raw(1);
@@ -1029,7 +929,6 @@ mod tests {
             .tries_for(
                 &BoundAtom::new(&vr, vec![0]),
                 &[0],
-                1,
                 Some(&victim_h),
                 None,
                 None,
@@ -1045,7 +944,6 @@ mod tests {
                 .tries_for(
                     &BoundAtom::new(r, vec![0]),
                     &[0],
-                    1,
                     Some(&noisy_h),
                     None,
                     None,
@@ -1072,7 +970,6 @@ mod tests {
             .tries_for(
                 &BoundAtom::new(&vr, vec![0]),
                 &[0],
-                1,
                 Some(&victim_h),
                 None,
                 None,
@@ -1089,7 +986,6 @@ mod tests {
             .tries_for(
                 &BoundAtom::new(&big, vec![0]),
                 &[0],
-                1,
                 Some(&noisy_h),
                 None,
                 None,
@@ -1113,29 +1009,15 @@ mod tests {
         let s = rel("S", vec![vec![2.0]]);
         // Another caller's activity (no accumulator attached).
         cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
         let mine = CacheActivity::new();
         // My lookups: one miss that evicts R, then one hit.
         cache
-            .tries_for(
-                &BoundAtom::new(&s, vec![0]),
-                &[0],
-                1,
-                None,
-                Some(&mine),
-                None,
-            )
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], None, Some(&mine), None)
             .unwrap();
         cache
-            .tries_for(
-                &BoundAtom::new(&s, vec![0]),
-                &[0],
-                1,
-                None,
-                Some(&mine),
-                None,
-            )
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], None, Some(&mine), None)
             .unwrap();
         assert_eq!(mine.hits(), 1);
         assert_eq!(mine.misses(), 1);
@@ -1152,13 +1034,13 @@ mod tests {
         let r = rel("R", vec![vec![1.0]]);
         let s = rel("S", vec![vec![2.0], vec![3.0]]);
         cache
-            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None, None)
             .unwrap();
         let with_r = cache.stats().resident_bytes;
         assert!(with_r > 0);
         // Inserting S evicts R; the resident bytes must now describe S only.
         cache
-            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], 1, None, None, None)
+            .tries_for(&BoundAtom::new(&s, vec![0]), &[0], None, None, None)
             .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);

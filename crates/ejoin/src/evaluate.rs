@@ -13,9 +13,16 @@ use crate::cache::EvalContext;
 use crate::generic::{generic_join_boolean_with, generic_join_enumerate_with};
 use crate::yannakakis::yannakakis_boolean;
 use ij_hypergraph::VarId;
+use ij_relation::sync::{read_recover, write_recover};
 use ij_relation::{EvalError, Relation};
-use ij_widths::{optimal_tree_decomposition, MAX_DP_VERTICES};
-use std::sync::Arc;
+use ij_widths::{optimal_tree_decomposition, TreeDecomposition, MAX_DP_VERTICES};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, RwLock};
+
+/// Lock class of the process-global decomposition memo (`sync::lock_order`);
+/// a leaf: held for one map probe or insert, never around another lock — a
+/// decomposition is computed before the lock is taken.
+const TD_MEMO: &str = "td-memo";
 
 /// The evaluation strategy for Boolean EJ queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,10 +60,10 @@ pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> boo
 /// [`evaluate_ej_boolean`] with an explicit [`EvalContext`]: every trie built
 /// anywhere under the chosen strategy (the plain generic join, and the bag
 /// materialisations of the decomposition-guided evaluation) is served from
-/// the context's cache and sharded per its shard count — and every cache
-/// lookup is metered as the context's tenant and counted into the context's
-/// evaluation-local [`CacheActivity`](crate::CacheActivity) accumulator, if
-/// one is attached.  The answer is identical for every context.
+/// the context's cache — and every cache lookup is metered as the context's
+/// tenant and counted into the context's evaluation-local
+/// [`CacheActivity`](crate::CacheActivity) accumulator, if one is attached.
+/// The answer is identical for every context.
 ///
 /// # Errors
 ///
@@ -119,7 +126,6 @@ pub fn evaluate_ej_boolean_with(
 /// the same `Arc`, fingerprint memo included, for as long as the source
 /// relation lives.
 fn project_singleton_variables(atoms: &[BoundAtom<'_>]) -> Vec<(Arc<Relation>, Vec<VarId>)> {
-    use std::collections::HashMap;
     let mut positions: HashMap<VarId, usize> = HashMap::new();
     for atom in atoms {
         for &v in &atom.vars {
@@ -147,14 +153,8 @@ fn kept_columns(atom: &BoundAtom<'_>, keep: impl Fn(VarId) -> bool) -> (Vec<usiz
 
 /// Width-guided evaluation: materialise the bags of an optimal fractional
 /// hypertree decomposition with the generic join, then run Yannakakis over
-/// the (acyclic) bag query.
-pub fn decomposition_boolean(atoms: &[BoundAtom<'_>]) -> bool {
-    decomposition_boolean_with(atoms, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`decomposition_boolean`] with an explicit [`EvalContext`] threaded into
-/// every bag materialisation (and the generic-join fallback).
+/// the (acyclic) bag query.  `eval` is threaded into every bag
+/// materialisation (and the generic-join fallback).
 ///
 /// # Errors
 ///
@@ -178,9 +178,7 @@ pub fn decomposition_boolean_with(
     // thread-local) so the short-lived workers of the parallel disjunct
     // evaluation share it instead of each recomputing the decompositions.
     let td = {
-        use std::collections::HashMap;
-        use std::sync::{OnceLock, RwLock};
-        type TdCache = RwLock<HashMap<Vec<Vec<usize>>, ij_widths::TreeDecomposition>>;
+        type TdCache = RwLock<HashMap<Vec<Vec<usize>>, TreeDecomposition>>;
         static TD_CACHE: OnceLock<TdCache> = OnceLock::new();
         let cache = TD_CACHE.get_or_init(|| RwLock::new(HashMap::new()));
         let key: Vec<Vec<usize>> = h
@@ -188,18 +186,12 @@ pub fn decomposition_boolean_with(
             .iter()
             .map(|e| e.vertices.iter().copied().collect())
             .collect();
-        let cached = cache
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned();
+        let cached = read_recover(cache, TD_MEMO).get(&key).cloned();
         match cached {
             Some(td) => td,
             None => {
                 let td = optimal_tree_decomposition(&h);
-                cache
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
+                write_recover(cache, TD_MEMO)
                     .entry(key)
                     .or_insert_with(|| td.clone());
                 td

@@ -14,19 +14,15 @@
 //! in cache order.
 //!
 //! The build is column-wise: surviving row indices (after the
-//! repeated-variable kernel mask of the shared build plan, see `trie.rs`) are
-//! sorted lexicographically by the level columns, and one linear pass emits
-//! the CSR arrays, collapsing duplicate paths.  A trie's root-to-leaf paths
-//! are therefore exactly the sorted, deduplicated set of filter-surviving
-//! rows projected onto the level order; a sharded build splits that set by
-//! [`shard_of`](crate::shard_of) on the first level's value.  The unit tests
-//! below and `tests/flat_trie_properties.rs` hold the builds and the joins
-//! over them to that definition and to brute-force oracles across shard
-//! counts and cache configurations.
+//! repeated-variable kernel mask, see `trie.rs`) are sorted lexicographically
+//! by the level columns, and one linear pass emits the CSR arrays, collapsing
+//! duplicate paths.  A trie's root-to-leaf paths are therefore exactly the
+//! sorted, deduplicated set of filter-surviving rows projected onto the level
+//! order.  The unit tests below and `tests/flat_trie_properties.rs` hold the
+//! build and the joins over it to that definition and to brute-force oracles
+//! across cache configurations.
 
-use crate::trie::{
-    build_shards_isolated, effective_shard_count, partition_rows_by_shard, TriePlan,
-};
+use crate::trie::{repeated_variable_mask, trie_level_vars};
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
 use ij_relation::{faults, kernels, CancelTicker, CancellationToken, EvalError, ValueId};
@@ -57,103 +53,57 @@ impl FlatTrie {
     /// `global_order` (a total order over all query variables, e.g. the
     /// elimination order of the chosen decomposition).  Rows whose repeated
     /// variables disagree are filtered out and duplicate paths collapse.
-    pub fn build(atom: &BoundAtom<'_>, global_order: &[VarId]) -> Self {
-        let plan = TriePlan::new(atom, global_order);
-        // ij-analysis: allow(panic) — infallible: no cancel token or deadline is supplied
-        FlatTrie::from_plan(&plan, None, None).expect("tokenless builds cannot be cancelled")
-    }
-
-    /// Builds the flat trie of `atom` split into sub-tries by
-    /// [`shard_of`](crate::shard_of) on the first level variable's value,
-    /// each shard's CSR arrays built on its own scoped thread.  Every
-    /// returned trie carries the same `level_vars`; their union over shards
-    /// equals [`FlatTrie::build`].
     ///
-    /// The shard count actually used is
-    /// [`effective_shard_count`]`(rows, num_shards)`: relations too small to
-    /// give every shard [`MIN_ROWS_PER_SHARD`](crate::MIN_ROWS_PER_SHARD)
-    /// rows are built as a single unsharded trie instead of spawning
-    /// near-empty shard threads.  The build also degenerates to one trie
-    /// when `num_shards <= 1` or the atom has no levels (arity-zero guard
-    /// relations).
-    ///
-    /// The CSR emission loop polls `token` (if any) every
-    /// [`check_interval`](CancellationToken::check_interval) rows; shard
-    /// workers run under `catch_unwind`, a panicking worker cancels its
-    /// siblings (through a build-local child token, so the caller's token is
-    /// never signalled), and the panic surfaces as
-    /// [`EvalError::WorkerPanicked`] naming the relation.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::Cancelled`] / [`EvalError::DeadlineExceeded`] when the
-    /// token fires mid-build, [`EvalError::WorkerPanicked`] when a shard
-    /// worker panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relation has more than `u32::MAX` rows (row indices and
-    /// CSR offsets are `u32`).
-    pub fn build_sharded(
-        atom: &BoundAtom<'_>,
-        global_order: &[VarId],
-        num_shards: usize,
-        token: Option<&CancellationToken>,
-    ) -> Result<Vec<Self>, EvalError> {
-        assert!(
-            atom.relation.len() <= u32::MAX as usize,
-            "flat trie build supports at most 2^32 rows per relation"
-        );
-        let num_shards = effective_shard_count(atom.relation.len(), num_shards);
-        let plan = TriePlan::new(atom, global_order);
-        if num_shards <= 1 || plan.level_columns.is_empty() {
-            return Ok(vec![FlatTrie::from_plan(&plan, None, token)?]);
-        }
-        let shard_rows = partition_rows_by_shard(atom, &plan, num_shards);
-        // Build-local child token: lets a panicking shard worker cancel its
-        // siblings without the cancellation leaking into the caller's token.
-        let local = token.map(|t| t.child());
-        build_shards_isolated(atom.relation.name(), local.as_ref(), &shard_rows, {
-            let plan = &plan;
-            move |rows, tok| FlatTrie::from_plan(plan, Some(rows), tok)
-        })
-    }
-
     /// The column-wise CSR build: sort the surviving rows lexicographically
     /// by the level columns, then emit every level's value and offset arrays
     /// in one pass over the sorted permutation (a row extends the arrays from
     /// the first level where its path diverges from its predecessor's;
     /// fully-equal paths — duplicate tuples — are skipped).  The emission
-    /// loop polls `token` every `check_interval` rows; the lexicographic sort
-    /// itself runs to completion (it is a single `sort_unstable_by`, bounded
-    /// and allocation-free).
-    fn from_plan(
-        plan: &TriePlan<'_>,
-        rows: Option<&[u32]>,
+    /// loop polls `token` (if any) every
+    /// [`check_interval`](CancellationToken::check_interval) rows; the
+    /// lexicographic sort itself runs to completion (it is a single
+    /// `sort_unstable_by`, bounded and allocation-free).
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::Cancelled`] / [`EvalError::DeadlineExceeded`] when the
+    /// token fires mid-build; a tokenless build never fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the relation has more than `u32::MAX` rows (row indices and
+    /// CSR offsets are `u32`).
+    pub fn build(
+        atom: &BoundAtom<'_>,
+        global_order: &[VarId],
         token: Option<&CancellationToken>,
     ) -> Result<Self, EvalError> {
+        assert!(
+            atom.relation.len() <= u32::MAX as usize,
+            "flat trie build supports at most 2^32 rows per relation"
+        );
+        let level_vars = trie_level_vars(atom, global_order);
+        let columns: Vec<&[ValueId]> = level_vars
+            .iter()
+            .map(|&v| {
+                // ij-analysis: allow(panic) — infallible: the levels are the atom's own variables
+                let column = atom.vars.iter().position(|&u| u == v).unwrap();
+                atom.relation.column_ids(column)
+            })
+            .collect();
         faults::point("trie-build");
         let mut ticker = CancelTicker::new(token);
-        let k = plan.level_columns.len();
-        let num_rows = plan
-            .level_columns
-            .first()
-            .map(|c| c.len())
-            .unwrap_or_default();
-        // Surviving row indices: the given shard partition (already
-        // mask-filtered), or the mask's survivors, or everything.
-        let mut perm: Vec<u32> = match rows {
-            Some(rows) => rows.to_vec(),
-            None => match &plan.pass {
-                Some(mask) => {
-                    let mut surviving = Vec::new();
-                    kernels::select_indices(mask, 0, &mut surviving);
-                    surviving
-                }
-                None => (0..num_rows as u32).collect(),
-            },
+        let k = columns.len();
+        // Surviving row indices: the repeated-variable mask's survivors, or
+        // everything.
+        let mut perm: Vec<u32> = match repeated_variable_mask(atom) {
+            Some(mask) => {
+                let mut surviving = Vec::new();
+                kernels::select_indices(&mask, 0, &mut surviving);
+                surviving
+            }
+            None => (0..columns.first().map_or(0, |c| c.len()) as u32).collect(),
         };
-        let columns = &plan.level_columns;
         perm.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
             columns
@@ -194,7 +144,7 @@ impl FlatTrie {
             child_start[level].push(values[level + 1].len() as u32);
         }
         Ok(FlatTrie {
-            level_vars: plan.level_vars.clone(),
+            level_vars,
             levels: values
                 .into_iter()
                 .zip(child_start)
@@ -230,9 +180,8 @@ impl FlatTrie {
         (offsets[index as usize], offsets[index as usize + 1])
     }
 
-    /// True if a trie with at least one level holds no tuples (possible for
-    /// individual shards, and for atoms whose repeated-variable filter
-    /// rejects every row).  Zero-level tries (arity-zero guard atoms) carry
+    /// True if a trie with at least one level holds no tuples (an atom whose
+    /// repeated-variable filter rejects every row).  Zero-level tries (arity-zero guard atoms) carry
     /// no row information and always report non-empty — the join engine
     /// short-circuits empty relations before any trie is built.
     pub fn is_empty(&self) -> bool {
@@ -246,8 +195,8 @@ impl FlatTrie {
 
     /// Estimated heap footprint in bytes.  The CSR arrays are exact-sized
     /// boxed slices, so this is essentially the true allocation; the
-    /// byte-budgeted [`TrieCache`](crate::TrieCache) sums it over a build's
-    /// shards once per insert.
+    /// byte-budgeted [`TrieCache`](crate::TrieCache) reads it once per
+    /// insert.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.level_vars.capacity() * std::mem::size_of::<VarId>()
@@ -263,64 +212,9 @@ impl FlatTrie {
     }
 }
 
-/// The tries built for one atom, one per shard.  This is the unit the
-/// [`TrieCache`](crate::TrieCache) stores and the generic join's search
-/// indexes.
-#[derive(Debug)]
-pub struct TrieBuild {
-    shards: Vec<FlatTrie>,
-}
-
-impl TrieBuild {
-    /// Builds `atom`'s tries under `global_order` into
-    /// [`effective_shard_count`]`(rows, num_shards)` shards
-    /// ([`FlatTrie::build_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the build's [`EvalError`]: cancellation or deadline expiry
-    /// of `token`, or a shard worker panic.
-    pub fn build_sharded(
-        atom: &BoundAtom<'_>,
-        global_order: &[VarId],
-        num_shards: usize,
-        token: Option<&CancellationToken>,
-    ) -> Result<TrieBuild, EvalError> {
-        Ok(TrieBuild {
-            shards: FlatTrie::build_sharded(atom, global_order, num_shards, token)?,
-        })
-    }
-
-    /// Number of shards (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The sub-trie for `shard`.
-    pub(crate) fn shard(&self, shard: usize) -> &FlatTrie {
-        &self.shards[shard]
-    }
-
-    /// The level variables (identical across shards).
-    pub fn level_vars(&self) -> &[VarId] {
-        &self.shards[0].level_vars
-    }
-
-    /// True if the sub-trie for `shard` holds no tuples.
-    pub fn shard_is_empty(&self, shard: usize) -> bool {
-        self.shards[shard].is_empty()
-    }
-
-    /// Estimated heap footprint of the build in bytes, summed over shards.
-    pub fn heap_bytes(&self) -> usize {
-        self.shards.iter().map(FlatTrie::heap_bytes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trie::{shard_of, MIN_ROWS_PER_SHARD};
     use ij_relation::{Relation, Value};
     use std::collections::BTreeSet;
 
@@ -418,7 +312,7 @@ mod tests {
                 let atom = BoundAtom::new(relation, vars.clone());
                 let order = [1, 2, 0];
                 let (level_vars, expected) = definition(&atom, &order);
-                let flat = FlatTrie::build(&atom, &order);
+                let flat = FlatTrie::build(&atom, &order, None).unwrap();
                 assert_eq!(flat.level_vars, level_vars, "vars {vars:?}");
                 assert_eq!(flat.depth(), level_vars.len());
                 assert_eq!(flat.is_empty(), expected.is_empty());
@@ -428,44 +322,6 @@ mod tests {
                 assert!(got.iter().eq(expected.iter()), "vars {vars:?}");
             }
         }
-    }
-
-    #[test]
-    fn sharded_flat_build_partitions_the_definition() {
-        // Large enough that even 8 requested shards pass the
-        // MIN_ROWS_PER_SHARD sizing and actually shard.
-        let n = 8 * MIN_ROWS_PER_SHARD;
-        let r = rel("R", lcg_rows(3, n, 2, 9));
-        for vars in [vec![5, 2], vec![2, 5], vec![5, 5]] {
-            let atom = BoundAtom::new(&r, vars);
-            let order = [2, 5];
-            let (level_vars, full) = definition(&atom, &order);
-            for num_shards in [2usize, 3, 8] {
-                let shards = FlatTrie::build_sharded(&atom, &order, num_shards, None).unwrap();
-                assert_eq!(shards.len(), effective_shard_count(n, num_shards));
-                assert_eq!(shards.len(), num_shards);
-                for (index, shard) in shards.iter().enumerate() {
-                    assert_eq!(shard.level_vars, level_vars);
-                    // Each shard holds exactly the paths whose first-level
-                    // value hashes to it.
-                    let expected = full
-                        .iter()
-                        .filter(|path| shard_of(path[0], num_shards) == index);
-                    assert!(
-                        flat_paths(shard).iter().eq(expected),
-                        "shard {index} of {num_shards}"
-                    );
-                }
-            }
-        }
-        // Small relations degrade to one unsharded trie holding every path.
-        let small = rel("S", (0..40).map(|i| vec![i as f64, -(i as f64)]).collect());
-        let atom = BoundAtom::new(&small, vec![0, 1]);
-        let shards = FlatTrie::build_sharded(&atom, &[0, 1], 8, None).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert!(flat_paths(&shards[0])
-            .iter()
-            .eq(definition(&atom, &[0, 1]).1.iter()));
     }
 
     #[test]
@@ -480,7 +336,7 @@ mod tests {
             ],
         );
         let atom = BoundAtom::new(&r, vec![0, 0]);
-        let flat = FlatTrie::build(&atom, &[0]);
+        let flat = FlatTrie::build(&atom, &[0], None).unwrap();
         assert_eq!(flat.depth(), 1);
         // The values {1.0, 3.0} survive, and resolve back from their ids.
         let values: Vec<Value> = flat
@@ -492,37 +348,27 @@ mod tests {
         // A filter that rejects everything leaves an empty (non-zero-level)
         // trie.
         let none = rel("N", vec![vec![1.0, 2.0]]);
-        let empty = FlatTrie::build(&BoundAtom::new(&none, vec![0, 0]), &[0]);
+        let empty = FlatTrie::build(&BoundAtom::new(&none, vec![0, 0]), &[0], None).unwrap();
         assert!(empty.is_empty());
-        // Zero-level guard atoms report non-empty, sharded or not.
+        // Zero-level guard atoms report non-empty.
         let mut guard = Relation::new("G", 0);
         guard.push(vec![]);
         let atom = BoundAtom::new(&guard, vec![]);
-        let zero = FlatTrie::build(&atom, &[]);
+        let zero = FlatTrie::build(&atom, &[], None).unwrap();
         assert_eq!(zero.depth(), 0);
         assert!(!zero.is_empty());
-        let shards = FlatTrie::build_sharded(&atom, &[], 4, None).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].depth(), 0);
-        assert!(!shards[0].is_empty());
     }
 
     #[test]
     fn heap_bytes_track_flat_trie_size() {
         let small = rel("S", vec![vec![1.0]]);
-        let small_trie = FlatTrie::build(&BoundAtom::new(&small, vec![0]), &[0]);
+        let small_trie = FlatTrie::build(&BoundAtom::new(&small, vec![0]), &[0], None).unwrap();
         assert!(small_trie.heap_bytes() > std::mem::size_of::<FlatTrie>());
         // 256 two-level paths dwarf a single one-level path.
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64, -(i as f64)]).collect();
         let big = rel("B", rows);
         let atom = BoundAtom::new(&big, vec![0, 1]);
-        let big_trie = FlatTrie::build(&atom, &[0, 1]);
+        let big_trie = FlatTrie::build(&atom, &[0, 1], None).unwrap();
         assert!(big_trie.heap_bytes() > 8 * small_trie.heap_bytes());
-        // A build accounts the sum over its shards.
-        let build = TrieBuild::build_sharded(&atom, &[0, 1], 1, None).unwrap();
-        assert_eq!(build.shard_count(), 1);
-        assert_eq!(build.level_vars(), &[0, 1]);
-        assert!(!build.shard_is_empty(0));
-        assert_eq!(build.heap_bytes(), big_trie.heap_bytes());
     }
 }

@@ -18,71 +18,38 @@
 //! ([`kernels::leapfrog_next`]) and each match descends by index arithmetic —
 //! no hashing, no per-candidate allocation.
 //!
-//! # Caching and sharding
+//! # Caching
 //!
 //! The `*_with` variants take an [`EvalContext`]: tries are served from its
-//! [`TrieCache`](crate::TrieCache) when one is attached, and when the shard
-//! count exceeds one the atoms containing the first join variable are built
-//! as hash-partitioned sub-tries ([`FlatTrie::build_sharded`]) and the
-//! search fans out across shards on scoped threads.  Any full assignment
-//! binds the first join variable to a single value, which lives in exactly
-//! one shard — so the per-shard searches partition the result space and their
-//! disjunction (or union, for enumeration) is bit-identical to the unsharded
-//! search.
+//! [`TrieCache`](crate::TrieCache) when one is attached and built on the
+//! calling thread otherwise.  The search is single-threaded — the engine's
+//! parallelism is across the disjuncts of a reduction, one join per worker —
+//! and the answer is identical for every context.
 
 use crate::atom::BoundAtom;
 use crate::cache::EvalContext;
-use crate::flat::{FlatTrie, TrieBuild};
-use crate::trie::effective_shard_count;
+use crate::flat::FlatTrie;
 use ij_hypergraph::VarId;
-use ij_relation::sync::lock_recover;
-
-/// Lock class of the per-fanout first-shard-error slot (`sync::lock_order`);
-/// a leaf: held only to fold an error value, never around another lock.
-const SHARD_ERROR: &str = "shard-error";
 use ij_relation::{
     kernels, CancelTicker, EvalError, IdBuildHasher, IdHashSet, Relation, SharedDictionary, Value,
     ValueId,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Folds a per-shard evaluation error into the shared error slot, keeping the
-/// most diagnostic one: a [`EvalError::WorkerPanicked`] or
-/// [`EvalError::DeadlineExceeded`] replaces the [`EvalError::Cancelled`] it
-/// (or a sibling's bail-out) induced; the first error wins otherwise.
-pub(crate) fn fold_shard_error(slot: &mut Option<EvalError>, e: EvalError) {
-    let prefer = match (&slot, &e) {
-        (None, _) => true,
-        (Some(EvalError::Cancelled), other) => !matches!(other, EvalError::Cancelled),
-        _ => false,
-    };
-    if prefer {
-        *slot = Some(e);
-    }
-}
-
-/// A shared context for one generic-join execution.
-///
-/// `tries[i]` holds either a single trie (atom not sharded — it does not
-/// contain the split variable, or sharding is off) or `num_shards` sub-tries
-/// partitioned by the split variable's value hash.
+/// A shared context for one generic-join execution: one trie per atom.
 struct JoinContext {
-    tries: Vec<Arc<TrieBuild>>,
+    tries: Vec<Arc<FlatTrie>>,
     order: Vec<VarId>,
     /// For every order position, the atoms whose tries participate in that
     /// variable — precomputed once so the recursion never re-filters (or
     /// re-allocates) the list at every depth of every subtree.
     participating: Vec<Vec<usize>>,
-    /// Search fan-out: 1 when nothing is sharded.
-    num_shards: usize,
 }
 
 impl JoinContext {
-    /// Builds (or fetches from the context's cache) every atom's tries.
-    /// Fallible: trie builds poll `eval.token` and run panic-isolated, so a
-    /// cancellation, deadline expiry or builder panic surfaces here before
-    /// the search starts.
+    /// Builds (or fetches from the context's cache) every atom's trie.
+    /// Fallible: trie builds poll `eval.token`, so a cancellation or deadline
+    /// expiry surfaces here before the search starts.
     fn new(
         atoms: &[BoundAtom<'_>],
         order: Option<Vec<VarId>>,
@@ -92,62 +59,18 @@ impl JoinContext {
         // (adaptive cardinality/degree planning by default, identifier
         // order under `PlanMode::Fixed` — see `crate::plan`).
         let order = order.unwrap_or_else(|| crate::plan::resolve_order(atoms, &[], eval));
-        // The split variable: the first variable of the order that occurs in
-        // any atom.  Every atom containing it has it as its first trie level
-        // (level order follows the global order), so those atoms shard by it;
-        // the others are built once and shared by every shard.
-        let requested = eval.shard_count();
-        let split_var = if requested > 1 {
-            order
-                .iter()
-                .copied()
-                .find(|v| atoms.iter().any(|a| a.vars.contains(v)))
-        } else {
-            None
-        };
-        // Per-atom sizing: the search only fans out when at least one atom
-        // containing the split variable is big enough to shard at the full
-        // budget ([`effective_shard_count`] is all-or-nothing, so every
-        // sharded atom ends up partitioned by the same `shard_of` mapping).
-        // Atoms below the threshold are built unsharded and shared by every
-        // shard of the search — `JoinContext::trie` falls back to the single
-        // trie, which is correct for any shard number.
-        let num_shards = match split_var {
-            Some(v)
-                if atoms.iter().any(|a| {
-                    a.vars.contains(&v)
-                        && effective_shard_count(a.relation.len(), requested) == requested
-                }) =>
-            {
-                requested
-            }
-            _ => 1,
-        };
-        let tries: Vec<Arc<TrieBuild>> = atoms
+        let tries: Vec<Arc<FlatTrie>> = atoms
             .iter()
-            .map(|a| {
-                let shards = match split_var {
-                    Some(v) if num_shards > 1 && a.vars.contains(&v) => num_shards,
-                    _ => 1,
-                };
-                Ok(match eval.cache {
-                    Some(cache) => cache.tries_for(
-                        a,
-                        &order,
-                        shards,
-                        eval.tenant,
-                        eval.activity,
-                        eval.token,
-                    )?,
-                    None => Arc::new(TrieBuild::build_sharded(a, &order, shards, eval.token)?),
-                })
+            .map(|a| match eval.cache {
+                Some(cache) => cache.tries_for(a, &order, eval.tenant, eval.activity, eval.token),
+                None => Ok(Arc::new(FlatTrie::build(a, &order, eval.token)?)),
             })
             .collect::<Result<_, EvalError>>()?;
         let participating: Vec<Vec<usize>> = order
             .iter()
             .map(|v| {
                 (0..tries.len())
-                    .filter(|&i| tries[i].level_vars().contains(v))
+                    .filter(|&i| tries[i].level_vars.contains(v))
                     .collect()
             })
             .collect();
@@ -155,47 +78,24 @@ impl JoinContext {
             tries,
             order,
             participating,
-            num_shards,
         })
     }
 
-    /// The sub-trie index of atom `i` effective in shard `shard` (unsharded
-    /// atoms fall back to their single trie, correct for any shard number).
-    fn shard_index(&self, i: usize, shard: usize) -> usize {
-        if self.tries[i].shard_count() == 1 {
-            0
-        } else {
-            shard
-        }
-    }
-
-    /// Atom `i`'s root position for one shard.
-    fn root_pos(&self, i: usize, shard: usize) -> Pos<'_> {
-        let trie = self.tries[i].shard(self.shard_index(i, shard));
-        let hi = if trie.depth() == 0 {
-            0
-        } else {
-            trie.level_len(0)
-        };
-        Pos {
-            trie,
-            level: 0,
-            lo: 0,
-            hi,
-        }
-    }
-
-    /// Root positions for one shard.
-    fn roots(&self, shard: usize) -> Vec<Pos<'_>> {
-        (0..self.tries.len())
-            .map(|i| self.root_pos(i, shard))
+    /// Every atom's root position.
+    fn roots(&self) -> Vec<Pos<'_>> {
+        self.tries
+            .iter()
+            .map(|trie| Pos {
+                trie,
+                level: 0,
+                lo: 0,
+                hi: if trie.depth() == 0 {
+                    0
+                } else {
+                    trie.level_len(0)
+                },
+            })
             .collect()
-    }
-
-    /// True if some atom's sub-trie for this shard is empty (the shard's
-    /// intersection is necessarily empty, so the search can be skipped).
-    fn shard_is_dead(&self, shard: usize) -> bool {
-        (0..self.tries.len()).any(|i| self.tries[i].shard_is_empty(self.shard_index(i, shard)))
     }
 }
 
@@ -256,19 +156,16 @@ pub fn generic_join_boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) 
 }
 
 /// [`generic_join_boolean`] with an explicit [`EvalContext`]: tries come from
-/// the context's cache (when present) and the search fans out across trie
-/// shards (when `shards > 1`).  The answer is identical for every context.
+/// the context's cache (when present).  The answer is identical for every
+/// context.
 ///
 /// # Errors
 ///
 /// When the context carries a [`CancellationToken`](ij_relation::CancellationToken),
 /// the trie builds and the candidate-intersection loops poll it every
 /// [`check_interval`](ij_relation::CancellationToken::check_interval)
-/// candidates and surface [`EvalError::Cancelled`] /
-/// [`EvalError::DeadlineExceeded`]; a panicking trie-build worker surfaces as
-/// [`EvalError::WorkerPanicked`].  A found answer beats a sibling shard's
-/// error: `true` is returned even when another shard was cancelled
-/// (`true ∨ unknown = true`).
+/// rows / candidates and surface [`EvalError::Cancelled`] /
+/// [`EvalError::DeadlineExceeded`].
 pub fn generic_join_boolean_with(
     atoms: &[BoundAtom<'_>],
     order: Option<Vec<VarId>>,
@@ -281,41 +178,9 @@ pub fn generic_join_boolean_with(
         return Ok(true);
     }
     let ctx = JoinContext::new(atoms, order, eval)?;
-    if ctx.num_shards == 1 {
-        let mut positions = ctx.roots(0);
-        let mut ticker = CancelTicker::new(eval.token);
-        return search(&ctx, 0, &mut positions, &mut ticker, None);
-    }
-    // Fan out: one scoped thread per shard, first success stops the rest.
-    let found = AtomicBool::new(false);
-    let error: Mutex<Option<EvalError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for shard in 0..ctx.num_shards {
-            if ctx.shard_is_dead(shard) {
-                continue;
-            }
-            let (ctx, found, error) = (&ctx, &found, &error);
-            scope.spawn(move || {
-                let mut positions = ctx.roots(shard);
-                let mut ticker = CancelTicker::new(eval.token);
-                match search(ctx, 0, &mut positions, &mut ticker, Some(found)) {
-                    Ok(true) => found.store(true, Ordering::Release),
-                    Ok(false) => {}
-                    Err(e) => fold_shard_error(&mut lock_recover(error, SHARD_ERROR), e),
-                }
-            });
-        }
-    });
-    if found.load(Ordering::Acquire) {
-        // A witness is a witness: the disjunction over shards is true no
-        // matter what the cancelled shards would have said.
-        return Ok(true);
-    }
-    let first = lock_recover(&error, SHARD_ERROR).take();
-    match first {
-        Some(e) => Err(e),
-        None => Ok(false),
-    }
+    let mut positions = ctx.roots();
+    let mut ticker = CancelTicker::new(eval.token);
+    search(&ctx, 0, &mut positions, &mut ticker)
 }
 
 /// Enumerates the projection of the join onto `output_vars`, deduplicated.
@@ -333,16 +198,13 @@ pub fn generic_join_enumerate(
 }
 
 /// [`generic_join_enumerate`] with an explicit [`EvalContext`]: tries come
-/// from the context's cache (when present) and each shard is enumerated on
-/// its own scoped thread (when `shards > 1`), the per-shard results being
-/// merged, sorted and deduplicated — the output relation is identical for
-/// every context.
+/// from the context's cache (when present); the output relation is sorted and
+/// deduplicated, identical for every context.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`generic_join_boolean_with`]; unlike the Boolean case
-/// there is no early-true escape, so any shard's error fails the whole
-/// enumeration (a partial enumeration would be a wrong answer).
+/// Same taxonomy as [`generic_join_boolean_with`]; an interrupted enumeration
+/// fails as a whole (a partial enumeration would be a wrong answer).
 pub fn generic_join_enumerate_with(
     atoms: &[BoundAtom<'_>],
     output_vars: &[VarId],
@@ -378,12 +240,11 @@ pub fn generic_join_enumerate_with(
     // interned into the atoms' dictionary (once per call — after the first
     // call this is a single stripe read-lock probe, off the search hot path).
     let placeholder = dict.intern(Value::point(0.0));
-    let enumerate_shard = |shard: usize| -> Result<Vec<Vec<ValueId>>, EvalError> {
-        let mut results: Vec<Vec<ValueId>> = Vec::new();
-        if ctx.shard_is_dead(shard) {
-            return Ok(results);
-        }
-        let mut positions = ctx.roots(shard);
+    let mut results: Vec<Vec<ValueId>> = Vec::new();
+    // An atom whose repeated-variable filter rejected every row empties the
+    // join whatever the other atoms hold.
+    if !ctx.tries.iter().any(|trie| trie.is_empty()) {
+        let mut positions = ctx.roots();
         let mut assignment: Vec<ValueId> = vec![placeholder; order.len()];
         let mut ticker = CancelTicker::new(eval.token);
         enumerate_rec(
@@ -395,34 +256,7 @@ pub fn generic_join_enumerate_with(
             &mut results,
             &mut ticker,
         )?;
-        Ok(results)
-    };
-    let mut results: Vec<Vec<ValueId>> = if ctx.num_shards == 1 {
-        enumerate_shard(0)?
-    } else {
-        // Fan out one scoped thread per shard; merging in shard order (and
-        // sorting below) keeps the output deterministic.
-        let per_shard: Vec<Result<Vec<Vec<ValueId>>, EvalError>> = std::thread::scope(|scope| {
-            let enumerate_shard = &enumerate_shard;
-            let handles: Vec<_> = (0..ctx.num_shards)
-                .map(|shard| scope.spawn(move || enumerate_shard(shard)))
-                .collect();
-            // ij-analysis: allow(panic) — propagating a worker panic is the intended behaviour
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut error: Option<EvalError> = None;
-        let mut merged: Vec<Vec<ValueId>> = Vec::new();
-        for r in per_shard {
-            match r {
-                Ok(rows) => merged.extend(rows),
-                Err(e) => fold_shard_error(&mut error, e),
-            }
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
-        merged
-    };
+    }
     results.sort_unstable();
     results.dedup();
     for r in results {
@@ -478,36 +312,27 @@ fn intersect_candidates<'t, 'k>(
     Ok(false)
 }
 
-/// Core recursive search: `true` as soon as one full assignment exists.  When
-/// `stop` is set and flips to true (another shard already found a match), the
-/// search bails out with `false` — callers combine per-shard results with the
-/// flag itself.
+/// Core recursive search: `true` as soon as one full assignment exists.
 fn search<'t, 'k>(
     ctx: &'t JoinContext,
     depth: usize,
     positions: &mut Vec<Pos<'t>>,
     ticker: &mut CancelTicker<'k>,
-    stop: Option<&AtomicBool>,
 ) -> Result<bool, EvalError> {
     if depth == ctx.order.len() {
         return Ok(true);
     }
-    if let Some(flag) = stop {
-        if flag.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-    }
     if ctx.participating[depth].is_empty() {
         // No atom constrains this variable (can happen for variables
         // projected away by empty atoms lists); just skip it.
-        return search(ctx, depth + 1, positions, ticker, stop);
+        return search(ctx, depth + 1, positions, ticker);
     }
     intersect_candidates(
         ctx,
         depth,
         positions,
         ticker,
-        &mut |positions, ticker, _| search(ctx, depth + 1, positions, ticker, stop),
+        &mut |positions, ticker, _| search(ctx, depth + 1, positions, ticker),
     )
 }
 
@@ -599,52 +424,6 @@ pub(crate) fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]])
         *m = u8::from(keys.contains(key));
     }
     mask
-}
-
-/// A semijoin `left ⋉ right`: keeps the tuples of `left` whose shared
-/// variables have a matching tuple in `right`.  Used by the Yannakakis pass.
-/// Keys are tuples of interned ids packed and probed through the scan
-/// kernels (`semijoin_mask` above); surviving rows are selected by mask and
-/// gathered column-wise without materialising any `Value`.
-pub fn semijoin(left: &BoundAtom<'_>, right: &BoundAtom<'_>) -> Relation {
-    assert!(
-        left.relation.len() <= u32::MAX as usize,
-        "semijoin supports at most 2^32 rows per relation (row indices are u32)"
-    );
-    let shared: Vec<VarId> = left
-        .var_set()
-        .intersection(&right.var_set())
-        .copied()
-        .collect();
-    let name = left.relation.name().to_string();
-    if shared.is_empty() {
-        // No shared variables: keep everything if right is non-empty.
-        if right.relation.is_empty() {
-            return Relation::new_in(name, left.relation.arity(), left.relation.dictionary());
-        }
-        return left.relation.renamed(name);
-    }
-    // Key columns in each relation (first column bound to the variable).
-    let left_cols: Vec<&[ValueId]> = shared
-        .iter()
-        .map(|&v| {
-            // ij-analysis: allow(panic) — infallible: `shared` is the intersection of both var sets
-            let c = left.vars.iter().position(|&u| u == v).unwrap();
-            left.relation.column_ids(c)
-        })
-        .collect();
-    let right_cols: Vec<&[ValueId]> = shared
-        .iter()
-        .map(|&v| {
-            // ij-analysis: allow(panic) — infallible: `shared` is the intersection of both var sets
-            let c = right.vars.iter().position(|&u| u == v).unwrap();
-            right.relation.column_ids(c)
-        })
-        .collect();
-    let mask = semijoin_mask(&left_cols, &right_cols);
-    let mut keep: Vec<u32> = Vec::new();
-    kernels::select_indices(&mask, 0, &mut keep);
-    left.relation.gather32(&keep, name)
 }
 
 #[cfg(test)]
@@ -764,27 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_filters_left_tuples() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![5.0, 6.0]]);
-        let s = rel("S", vec![vec![2.0, 7.0]]);
-        let left = BoundAtom::new(&r, vec![A, B]);
-        let right = BoundAtom::new(&s, vec![B, C]);
-        let reduced = semijoin(&left, &right);
-        assert_eq!(reduced.len(), 1);
-        assert_eq!(reduced.tuples()[0][0], Value::point(1.0));
-    }
-
-    #[test]
-    fn semijoin_with_disjoint_variables_checks_emptiness_only() {
-        let r = rel("R", vec![vec![1.0]]);
-        let s = rel("S", vec![vec![9.0]]);
-        let empty = Relation::new("E", 1);
-        let left = BoundAtom::new(&r, vec![A]);
-        assert_eq!(semijoin(&left, &BoundAtom::new(&s, vec![B])).len(), 1);
-        assert_eq!(semijoin(&left, &BoundAtom::new(&empty, vec![B])).len(), 0);
-    }
-
-    #[test]
     fn self_join_pattern_with_repeated_variable() {
         // R(A, A) as a filter for equal columns.
         let r = rel("R", vec![vec![1.0, 1.0], vec![2.0, 3.0]]);
@@ -816,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_cached_joins_match_brute_force() {
+    fn cached_and_uncached_joins_match_brute_force() {
         use crate::cache::TrieCache;
         let mut seed = 99u64;
         let mut next = move || {
@@ -839,30 +597,28 @@ mod tests {
                 BoundAtom::new(&t, vec![A, C]),
             ];
             let expected_out = brute_force_triangle(&r, &s, &t);
-            for shards in [1usize, 2, 3, 7] {
-                for cache_ref in [None, Some(&cache)] {
-                    let eval = EvalContext {
-                        cache: cache_ref,
-                        shards,
-                        ..EvalContext::default()
-                    };
-                    assert_eq!(
-                        generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                        !expected_out.is_empty(),
-                        "boolean, shards {shards}, cached {}",
-                        cache_ref.is_some()
-                    );
-                    let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-                    assert_eq!(
-                        sorted_tuples(&out),
-                        expected_out,
-                        "enumerate, shards {shards}, cached {}",
-                        cache_ref.is_some()
-                    );
-                }
+            for cache_ref in [None, Some(&cache)] {
+                let eval = EvalContext {
+                    cache: cache_ref,
+                    ..EvalContext::default()
+                };
+                assert_eq!(
+                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                    !expected_out.is_empty(),
+                    "boolean, cached {}",
+                    cache_ref.is_some()
+                );
+                let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+                assert_eq!(
+                    sorted_tuples(&out),
+                    expected_out,
+                    "enumerate, cached {}",
+                    cache_ref.is_some()
+                );
             }
         }
-        // The loop re-evaluates identical builds: the cache must have hit.
+        // Equal sizes and degrees plan the order A, B, C — the enumeration's
+        // pinned order — so it looks up the tries the Boolean join built.
         assert!(cache.stats().hits > 0);
     }
 
@@ -887,74 +643,26 @@ mod tests {
         let guard_only = vec![BoundAtom::new(&guard, vec![])];
         let point = |p: f64| Value::point(p);
         let cache = TrieCache::new();
-        for shards in [1usize, 3] {
-            for cache_ref in [None, Some(&cache)] {
-                let eval = EvalContext {
-                    cache: cache_ref,
-                    shards,
-                    ..EvalContext::default()
-                };
-                assert!(generic_join_boolean_with(&satisfiable, None, eval).unwrap());
-                let out = generic_join_enumerate_with(&satisfiable, &[A, B, C], "out", eval);
-                assert_eq!(
-                    sorted_tuples(&out.unwrap()),
-                    vec![
-                        vec![point(1.0), point(2.0), point(3.0)],
-                        vec![point(1.0), point(2.0), point(4.0)],
-                    ]
-                );
-                assert!(!generic_join_boolean_with(&rejected, None, eval).unwrap());
-                let out = generic_join_enumerate_with(&rejected, &[A, B, C], "out", eval);
-                assert!(out.unwrap().is_empty());
-                assert!(generic_join_boolean_with(&guard_only, None, eval).unwrap());
-                let out = generic_join_enumerate_with(&guard_only, &[], "out", eval);
-                assert_eq!(out.unwrap().len(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_search_fans_out_on_large_relations() {
-        // Relations above the MIN_ROWS_PER_SHARD budget actually shard (the
-        // small-relation tests above exercise the sized-down path).  One
-        // planted triangle in sparse noise keeps the expected output tiny.
-        use crate::trie::MIN_ROWS_PER_SHARD;
-        let n = 2 * MIN_ROWS_PER_SHARD;
-        let mut seed = 5u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) % 50_000) as f64 + 10.0
-        };
-        let noisy = |plant: [f64; 2], next: &mut dyn FnMut() -> f64| {
-            let mut rows: Vec<Vec<f64>> = (0..n - 1).map(|_| vec![next(), next()]).collect();
-            rows.push(vec![plant[0], plant[1]]);
-            rows
-        };
-        let r = rel("R", noisy([1.0, 2.0], &mut next));
-        let s = rel("S", noisy([2.0, 3.0], &mut next));
-        let t = rel("T", noisy([1.0, 3.0], &mut next));
-        let atoms = vec![
-            BoundAtom::new(&r, vec![A, B]),
-            BoundAtom::new(&s, vec![B, C]),
-            BoundAtom::new(&t, vec![A, C]),
-        ];
-        let expected = generic_join_boolean(&atoms, None);
-        assert!(expected, "the planted triangle must be found");
-        let expected_out = generic_join_enumerate(&atoms, &[A, B, C], "out");
-        for shards in [2usize, 4] {
+        for cache_ref in [None, Some(&cache)] {
             let eval = EvalContext {
-                cache: None,
-                shards,
+                cache: cache_ref,
                 ..EvalContext::default()
             };
+            assert!(generic_join_boolean_with(&satisfiable, None, eval).unwrap());
+            let out = generic_join_enumerate_with(&satisfiable, &[A, B, C], "out", eval);
             assert_eq!(
-                generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                expected
+                sorted_tuples(&out.unwrap()),
+                vec![
+                    vec![point(1.0), point(2.0), point(3.0)],
+                    vec![point(1.0), point(2.0), point(4.0)],
+                ]
             );
-            let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
-            assert_eq!(out.tuples(), expected_out.tuples(), "shards {shards}");
+            assert!(!generic_join_boolean_with(&rejected, None, eval).unwrap());
+            let out = generic_join_enumerate_with(&rejected, &[A, B, C], "out", eval);
+            assert!(out.unwrap().is_empty());
+            assert!(generic_join_boolean_with(&guard_only, None, eval).unwrap());
+            let out = generic_join_enumerate_with(&guard_only, &[], "out", eval);
+            assert_eq!(out.unwrap().len(), 1);
         }
     }
 

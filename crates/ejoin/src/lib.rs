@@ -11,7 +11,7 @@
 //!   whose candidate intersection is a galloping leapfrog over sorted runs;
 //! * [`yannakakis_boolean`] — Yannakakis' linear-time algorithm for
 //!   α-acyclic Boolean queries \[35\];
-//! * [`decomposition_boolean`] — the width-guided evaluation of
+//! * [`decomposition_boolean_with`] — the width-guided evaluation of
 //!   Appendix A.2.1: materialise the bags of an optimal fractional hypertree
 //!   decomposition with the generic join, then run Yannakakis over the bag
 //!   tree (runtime `O(N^{fhtw} · polylog N)`);
@@ -21,15 +21,14 @@
 //! is agnostic to whether the values are numbers or the bitstrings produced
 //! by the reduction.
 //!
-//! # Shared tries and sharded builds
+//! # Shared tries
 //!
 //! The `*_with` entry points ([`evaluate_ej_boolean_with`], …) take an
-//! [`EvalContext`] carrying an optional [`TrieCache`] — so the disjuncts of
-//! one reduction share built tries instead of rebuilding them — and a trie
-//! shard count: atoms containing the first join variable are built as
-//! hash-partitioned sub-tries on scoped threads and the search fans out
-//! shard by shard ([`FlatTrie::build_sharded`]).  Answers are bit-identical
-//! for every cache/shard setting.
+//! [`EvalContext`] carrying an optional [`TrieCache`], so the disjuncts of
+//! one reduction share built tries instead of rebuilding them.  Every join
+//! builds and searches its tries on the calling thread; parallelism is the
+//! caller's, across joins (the engine runs one disjunct per worker).  Answers
+//! are bit-identical for every cache setting.
 //!
 //! The context also carries the cache-accounting identity: a [`TenantId`]
 //! metering every lookup into a per-tenant ledger (with optional per-tenant
@@ -44,10 +43,11 @@
 //! the candidate-intersection loops poll it at a bounded interval, and the
 //! Yannakakis pass before each semijoin, so the fallible `*_with` entry
 //! points return [`EvalError`](ij_relation::EvalError)`::Cancelled` /
-//! `DeadlineExceeded` promptly instead of running to completion.  Sharded
-//! build workers run panic-isolated (`catch_unwind`); a panicking worker
-//! cancels its siblings and surfaces as `EvalError::WorkerPanicked` without
-//! poisoning the shared cache (see `ij_relation::sync`).
+//! `DeadlineExceeded` promptly instead of running to completion.  Nothing in
+//! this crate catches a panic: the engine isolates each disjunct
+//! (`catch_unwind`, surfacing `EvalError::WorkerPanicked`), and the shared
+//! cache mutates under panic-atomic critical sections, so an unwinding build
+//! never leaves it poisoned or half-updated (see `ij_relation::sync`).
 
 #![warn(missing_docs)]
 
@@ -66,16 +66,13 @@ pub use cache::{
     TrieCache, TrieCacheStats,
 };
 pub use evaluate::{
-    decomposition_boolean, decomposition_boolean_with, evaluate_ej_boolean,
-    evaluate_ej_boolean_with, materialise_bag, materialise_bag_with, EjStrategy,
+    decomposition_boolean_with, evaluate_ej_boolean, evaluate_ej_boolean_with, materialise_bag,
+    materialise_bag_with, EjStrategy,
 };
-pub use flat::{FlatTrie, TrieBuild};
+pub use flat::FlatTrie;
 pub use generic::{
     generic_join_boolean, generic_join_boolean_with, generic_join_enumerate,
-    generic_join_enumerate_with, semijoin,
+    generic_join_enumerate_with,
 };
-pub use plan::{
-    fixed_var_order, plan_var_order, DisjunctPlan, KernelChoices, PlanActivity, PlanMode,
-};
-pub use trie::{effective_shard_count, shard_of, MIN_ROWS_PER_SHARD};
+pub use plan::{fixed_var_order, plan_var_order, PlanActivity, PlanMode};
 pub use yannakakis::yannakakis_boolean;

@@ -18,14 +18,13 @@
 //!   interpose an unconstrained cross product), falling back to a global
 //!   pick only when the remainder is genuinely disconnected.
 //!
-//! The result is a [`DisjunctPlan`]: the variable order plus the
-//! [`KernelChoices`] the runtime dispatch resolved to (recorded so an
-//! evaluation's stats show which intersection kernels actually served it).
+//! The result is a variable order (the intersection kernels that serve it
+//! are a per-process dispatch, reported as `EvaluationStats::kernel_arm`).
 //! Planning never changes answers — any variable order enumerates the same
-//! relation — and the plan is computed *before* trie construction, so the
+//! relation — and the order is chosen *before* trie construction, so the
 //! per-atom trie cache keys (which embed the induced level order) stay
 //! consistent between plans: two disjuncts planned to the same order share
-//! cached tries exactly as before.
+//! cached tries.
 //!
 //! [`PlanMode`] selects the behaviour per evaluation
 //! ([`EvalContext::plan_mode`](crate::EvalContext), surfaced as
@@ -36,7 +35,6 @@
 use crate::atom::{all_vars, hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
 use ij_hypergraph::VarId;
-use ij_relation::kernels::{self, KernelArm};
 use ij_relation::sync::lock_recover;
 
 /// Lock class of the deduplicated planned-orders list (`sync::lock_order`);
@@ -77,40 +75,6 @@ impl std::fmt::Display for PlanMode {
     }
 }
 
-/// The intersection-kernel configuration a plan runs under.  Resolved from
-/// the process-wide dispatch (not chosen per disjunct — the dispatch is
-/// uniform per process), recorded in the plan so stats can report it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct KernelChoices {
-    /// The dispatch arm serving the sorted-run kernels
-    /// ([`ij_relation::kernels::kernel_arm`]).
-    pub arm: KernelArm,
-    /// The linear-probe span of the galloping seek
-    /// ([`ij_relation::kernels::GALLOP_LINEAR_SPAN`]).
-    pub gallop_linear_span: usize,
-}
-
-impl KernelChoices {
-    /// The choices the current process resolved to.
-    pub fn current() -> Self {
-        KernelChoices {
-            arm: kernels::kernel_arm(),
-            gallop_linear_span: kernels::GALLOP_LINEAR_SPAN,
-        }
-    }
-}
-
-/// One disjunct's evaluation plan: the variable order the generic join will
-/// follow and the kernel configuration it will run under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DisjunctPlan {
-    /// The variable order (every distinct variable of the disjunct's atoms,
-    /// any pinned output prefix first).
-    pub var_order: Vec<VarId>,
-    /// The kernel configuration recorded at plan time.
-    pub kernel_choices: KernelChoices,
-}
-
 /// Evaluation-local planning ledger, mirroring `CacheActivity`: the engine
 /// hangs one off the [`EvalContext`] so concurrent evaluations sharing a
 /// workspace still report exact per-evaluation planning stats.
@@ -129,12 +93,12 @@ impl PlanActivity {
 
     /// Records one planned disjunct: the time it took and its chosen order
     /// (deduplicated — batches of isomorphic disjuncts plan the same order).
-    pub fn record(&self, plan: &DisjunctPlan, nanos: u64) {
+    pub fn record(&self, order: &[VarId], nanos: u64) {
         self.nanos.fetch_add(nanos, Ordering::Relaxed);
         self.plans.fetch_add(1, Ordering::Relaxed);
         let mut orders = lock_recover(&self.orders, PLAN_ACTIVITY);
-        if !orders.contains(&plan.var_order) {
-            orders.push(plan.var_order.clone());
+        if !orders.iter().any(|seen| seen == order) {
+            orders.push(order.to_vec());
         }
     }
 
@@ -254,14 +218,11 @@ pub(crate) fn resolve_order(
         PlanMode::Fixed => fixed_var_order(atoms, prefix),
         PlanMode::Adaptive => {
             let start = Instant::now();
-            let plan = DisjunctPlan {
-                var_order: plan_var_order(atoms, prefix),
-                kernel_choices: KernelChoices::current(),
-            };
+            let order = plan_var_order(atoms, prefix);
             if let Some(activity) = eval.planning {
-                activity.record(&plan, start.elapsed().as_nanos() as u64);
+                activity.record(&order, start.elapsed().as_nanos() as u64);
             }
-            plan.var_order
+            order
         }
     }
 }
@@ -363,12 +324,8 @@ mod tests {
     #[test]
     fn plan_activity_dedups_orders() {
         let activity = PlanActivity::new();
-        let plan = DisjunctPlan {
-            var_order: vec![A, B],
-            kernel_choices: KernelChoices::current(),
-        };
-        activity.record(&plan, 10);
-        activity.record(&plan, 5);
+        activity.record(&[A, B], 10);
+        activity.record(&[A, B], 5);
         assert_eq!(activity.plans(), 2);
         assert_eq!(activity.planning_nanos(), 15);
         assert_eq!(activity.orders(), vec![vec![A, B]]);

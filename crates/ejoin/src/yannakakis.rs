@@ -13,11 +13,9 @@
 //! **alive-row list** (`None` = all rows alive); one semijoin step gathers
 //! the parent's and child's key columns at their alive rows
 //! ([`kernels::gather_ids`]), probes them through the packed-key mask of
-//! `semijoin_mask` (the kernel-backed probe core shared with
-//! [`semijoin`](crate::semijoin)), and shrinks the parent's list with the
-//! chunked selection kernel — column copies are limited to the key columns
-//! actually probed, instead of cloning and re-gathering whole relations per
-//! step.
+//! `semijoin_mask`, and shrinks the parent's list with the chunked selection
+//! kernel — column copies are limited to the key columns actually probed,
+//! instead of cloning and re-gathering whole relations per step.
 
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::generic::semijoin_mask;

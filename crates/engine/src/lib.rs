@@ -12,14 +12,13 @@
 //! * [`naive_boolean`] / [`naive_count`] — an exhaustive reference evaluator
 //!   used as a differential-testing oracle and baseline.
 //!
-//! Evaluation is tunable through [`EngineConfig`]: worker parallelism across
-//! the disjuncts of the reduction, a shared [trie
+//! Evaluation is tunable through [`EngineConfig`]: worker
+//! [parallelism](EngineConfig::parallelism) across the disjuncts of the
+//! reduction — the engine's only threads — and a shared [trie
 //! cache](EngineConfig::trie_cache_capacity) so disjuncts reuse built tries
 //! instead of rebuilding them (optionally [byte
-//! budgeted](EngineConfig::trie_cache_bytes)), and [sharded trie
-//! builds](EngineConfig::trie_shards) that split each build (and the join
-//! search) across threads.  Every knob is answer-preserving: the Boolean
-//! result is bit-identical at every setting.
+//! budgeted](EngineConfig::trie_cache_bytes)).  Every knob is
+//! answer-preserving: the Boolean result is bit-identical at every setting.
 //!
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a scoped value dictionary (dropping the workspace reclaims
@@ -66,9 +65,8 @@ mod naive;
 mod workspace;
 
 pub use engine::{
-    kernel_arm, DisjunctPlan, EngineConfig, EngineError, EvaluationOutcome, EvaluationStats,
-    IntersectionJoinEngine, KernelArm, KernelChoices, PlanMode, QueryAnalysis, TenantCacheStats,
-    TenantId, TrieCacheStats, FORCE_SCALAR_ENV,
+    kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, KernelArm,
+    PlanMode, QueryAnalysis, TenantCacheStats, TenantId, TrieCacheStats, FORCE_SCALAR_ENV,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
@@ -80,9 +78,8 @@ pub use workspace::{Tenant, Workspace, WorkspaceLimits, WorkspaceStats};
 pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
-        EvaluationOutcome, EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode,
-        QueryAnalysis, Tenant, TenantCacheStats, TenantId, TrieCacheStats, Workspace,
-        WorkspaceLimits, WorkspaceStats,
+        EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode, QueryAnalysis, Tenant,
+        TenantCacheStats, TenantId, TrieCacheStats, Workspace, WorkspaceLimits, WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};

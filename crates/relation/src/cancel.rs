@@ -1,7 +1,7 @@
 //! Cooperative cancellation and deadlines for the evaluation pipeline.
 //!
 //! A [`CancellationToken`] is the signal every long-running loop of the
-//! pipeline polls: the generic-join search, sharded trie builds, the forward
+//! pipeline polls: the generic-join search, trie builds, the forward
 //! reduction's per-relation build loops, and the engine's disjunct worker
 //! pool.  Polling happens at bounded intervals (every *K* candidates / *K*
 //! rows — [`CancellationToken::with_check_interval`]), so cancellation
@@ -253,12 +253,12 @@ pub enum EvalError {
         /// The configured budget that was exceeded.
         budget: Duration,
     },
-    /// A worker (disjunct evaluator or shard trie builder) panicked; the
-    /// panic was caught, its siblings were cancelled, and shared state was
-    /// left consistent.
+    /// A disjunct worker (or the forward reduction's plan) panicked; the
+    /// panic was caught, the sibling workers were cancelled, and shared state
+    /// was left consistent.
     WorkerPanicked {
-        /// What the worker was evaluating: a relation name for shard/trie
-        /// builders, a `disjunct <i>` label for disjunct workers.
+        /// What the worker was evaluating: a `disjunct <i>` label for
+        /// disjunct workers, `forward reduction` for the plan.
         atom: String,
         /// The stringified panic payload.
         payload: String,

@@ -437,7 +437,7 @@ impl Dictionary {
     /// plus the value→id index map (bucket array accounted at capacity, with
     /// one byte of control metadata per bucket).  An estimate from container
     /// capacities, not an allocator measurement — the same fidelity as
-    /// `TrieBuild::heap_bytes`, and good enough for an operator to alert on a
+    /// `FlatTrie::heap_bytes`, and good enough for an operator to alert on a
     /// growing tenant before it OOMs.
     pub fn heap_bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<Value>()

@@ -1,9 +1,8 @@
 //! Deterministic, std-only failpoint registry for fault-injection tests.
 //!
 //! The pipeline is instrumented with **named sites** — `"trie-build"`,
-//! `"cache-insert"`, `"shard-worker"`, `"reduction-transform"` — each a
-//! single [`point`] call on a hot path.  In a normal build [`point`]
-//! compiles to nothing.  With the `failpoints` cargo feature (enabled only
+//! `"cache-insert"`, `"reduction-transform"` — each a single [`point`] call
+//! on a hot path.  In a normal build [`point`] compiles to nothing.  With the `failpoints` cargo feature (enabled only
 //! by the fault-injection tests and never by default), a test can *arm* a
 //! site ([`configure`]) so that its N-th execution injects a panic or a
 //! delay, then assert that the evaluation either returns the correct answer
@@ -51,13 +50,12 @@ use std::time::Duration;
 /// this module and flags any literal that is not declared here, so a typo
 /// like `"cache-isnert"` fails `check` instead of silently never firing.
 pub mod sites {
-    /// Inside the per-shard trie build loop (`TrieBuild::build_sharded`).
+    /// At the start of every trie build (`FlatTrie::build`), on the disjunct
+    /// worker whose cache lookup missed.
     pub const TRIE_BUILD: &str = "trie-build";
     /// Under the trie cache's map write lock, just before a built trie is
     /// published into its slot.
     pub const CACHE_INSERT: &str = "cache-insert";
-    /// At the top of each generic-join enumeration shard worker.
-    pub const SHARD_WORKER: &str = "shard-worker";
     /// At the start of every transformed-relation build of the forward
     /// reduction — on the disjunct worker that first reads the relation, or
     /// on the caller's thread under `forward_reduction_with*`.

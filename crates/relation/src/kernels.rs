@@ -36,15 +36,13 @@
 //! through the dispatch table.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
-//! layer — whole columns, [`ColumnsView`] row ranges, scratch buffers — can
-//! use them.  Masks are `u8` (1 = selected), the representation the
+//! layer — whole columns, scratch buffers — can use them.  Masks are `u8` (1 = selected), the representation the
 //! autovectorizer handles best for mixed compare-and-accumulate loops.
 //! `ValueId` is `#[repr(transparent)]` over `u32` and its `Ord` is the
 //! unsigned order of the raw ids, which is what lets the AVX2 arm load id
 //! runs as `u32x8` vectors and compare them with biased signed compares.
 //!
 //! [`Relation`]: crate::Relation
-//! [`ColumnsView`]: crate::ColumnsView
 
 use crate::ValueId;
 use std::sync::OnceLock;

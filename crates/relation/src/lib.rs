@@ -56,5 +56,5 @@ pub use dictionary::{
     ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES, STRIPE_BITS, STRIPE_COUNT,
 };
 pub use query::{Atom, Query, QueryParseError};
-pub use relation::{ArityError, Columns, ColumnsView, Database, Relation};
+pub use relation::{ArityError, Columns, Database, Relation};
 pub use value::Value;

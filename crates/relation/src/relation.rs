@@ -6,7 +6,7 @@
 //! row-oriented API ([`Relation::push`], [`Relation::tuples`]) is kept as a
 //! thin compatibility layer that interns / resolves at the boundary; hot
 //! paths use the id-level API ([`Relation::column_ids`],
-//! [`Relation::push_ids`], [`Relation::gather`], ...).
+//! [`Relation::push_ids`], [`Relation::projection`], ...).
 //!
 //! Every relation (and database) carries the [`SharedDictionary`] handle its
 //! ids point into.  The plain constructors ([`Relation::new`],
@@ -15,7 +15,7 @@
 //! [`Database::new_in`], ...) intern into an explicit — typically
 //! workspace-scoped — dictionary, so dropping the workspace reclaims the
 //! interned values.  Ids are join-compatible exactly between relations that
-//! share a dictionary; derived relations (projections, gathers, renames)
+//! share a dictionary; derived relations (projections, renames)
 //! inherit their source's handle.
 
 use crate::sync::lock_recover;
@@ -175,91 +175,6 @@ impl Columns {
     /// The id at (`row`, `col`).
     pub fn id_at(&self, row: usize, col: usize) -> ValueId {
         self.cols[col][row]
-    }
-
-    /// A borrowed view of the rows `start..end` (every column restricted to
-    /// that row range).  Views are the unit of work for parallel scans: the
-    /// sharded trie build of the join engine partitions a relation by handing
-    /// disjoint row ranges to worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.len()`.
-    pub fn view(&self, start: usize, end: usize) -> ColumnsView<'_> {
-        assert!(
-            start <= end && end <= self.len,
-            "row range {start}..{end} out of bounds for {} rows",
-            self.len
-        );
-        ColumnsView {
-            start,
-            end,
-            cols: &self.cols,
-        }
-    }
-
-    /// Splits the rows into at most `num_chunks` contiguous views of
-    /// near-equal size (the last chunks may be one row shorter).  Returns a
-    /// single view of everything when `num_chunks <= 1`; never returns empty
-    /// views except for an empty relation, which yields one empty view.
-    pub fn chunks(&self, num_chunks: usize) -> Vec<ColumnsView<'_>> {
-        let n = self.len;
-        let k = num_chunks.max(1).min(n.max(1));
-        let base = n / k;
-        let extra = n % k;
-        let mut views = Vec::with_capacity(k);
-        let mut start = 0;
-        for i in 0..k {
-            let size = base + usize::from(i < extra);
-            views.push(self.view(start, start + size));
-            start += size;
-        }
-        views
-    }
-}
-
-/// A borrowed row-range view over [`Columns`]: the columns of rows
-/// `start..end` of the underlying storage, without copying.
-///
-/// Produced by [`Columns::view`] and [`Columns::chunks`]; consumed by
-/// parallel scans that split one relation across worker threads (e.g. the
-/// sharded trie build of the join engine).
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnsView<'a> {
-    start: usize,
-    end: usize,
-    cols: &'a [Vec<ValueId>],
-}
-
-impl<'a> ColumnsView<'a> {
-    /// Number of rows in the view.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True if the view covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// First row (inclusive) of the view in the underlying storage.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Last row (exclusive) of the view in the underlying storage.
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// The ids of one column, restricted to the view's row range.
-    pub fn column(&self, index: usize) -> &'a [ValueId] {
-        &self.cols[index][self.start..self.end]
-    }
-
-    /// The id at (`row`, `col`), with `row` relative to the view start.
-    pub fn id_at(&self, row: usize, col: usize) -> ValueId {
-        self.cols[col][self.start + row]
     }
 }
 
@@ -622,43 +537,6 @@ impl Relation {
         }
     }
 
-    /// Keeps the rows at the given indices, in the given order.
-    pub fn gather(&self, rows: &[usize], name: impl Into<String>) -> Relation {
-        Relation {
-            name: name.into(),
-            arity: self.arity,
-            columns: gather_columns(&self.columns, rows),
-            dict: self.dict.clone(),
-            memos: Memos::default(),
-        }
-    }
-
-    /// [`Relation::gather`] over `u32` row indices (the index width produced
-    /// by the scan kernels), gathered column-wise with
-    /// [`kernels::gather_ids`](crate::kernels::gather_ids).
-    pub fn gather32(&self, rows: &[u32], name: impl Into<String>) -> Relation {
-        let cols: Vec<Vec<ValueId>> = self
-            .columns
-            .cols
-            .iter()
-            .map(|col| {
-                let mut out = Vec::new();
-                crate::kernels::gather_ids(col, rows, &mut out);
-                out
-            })
-            .collect();
-        Relation {
-            name: name.into(),
-            arity: self.arity,
-            columns: Columns {
-                len: rows.len(),
-                cols,
-            },
-            dict: self.dict.clone(),
-            memos: Memos::default(),
-        }
-    }
-
     /// An iterator over the values of a single column.
     ///
     /// Resolves the whole column eagerly (one dictionary read lock, one
@@ -728,19 +606,6 @@ fn dedup_wide(cols: &mut [Vec<ValueId>]) -> usize {
         }));
     }
     keys.len()
-}
-
-/// Row-gather over columnar storage.
-fn gather_columns(columns: &Columns, rows: &[usize]) -> Columns {
-    let cols: Vec<Vec<ValueId>> = columns
-        .cols
-        .iter()
-        .map(|col| rows.iter().map(|&r| col[r]).collect())
-        .collect();
-    Columns {
-        len: rows.len(),
-        cols,
-    }
 }
 
 impl fmt::Display for Relation {
@@ -1041,10 +906,6 @@ mod tests {
         assert_ne!(r.column_ids(1)[0], r.column_ids(1)[1]);
         assert_eq!(r.id_at(1, 1).resolve(), Value::point(3.0));
         assert_eq!(r.value_at(0, 1), Value::point(2.0));
-        // Gather keeps the selected rows in order.
-        let g = r.gather(&[1, 0], "G");
-        assert_eq!(g.tuples()[0], vec![Value::point(1.0), Value::point(3.0)]);
-        assert_eq!(g.tuples()[1], vec![Value::point(1.0), Value::point(2.0)]);
     }
 
     #[test]
@@ -1168,42 +1029,6 @@ mod tests {
             assert_eq!(published.len(), 7 * 13);
             assert!(seen.iter().all(|p| Arc::ptr_eq(p, &published)));
         }
-    }
-
-    #[test]
-    fn column_views_cover_the_rows_exactly_once() {
-        let r = Relation::from_tuples(
-            "R",
-            2,
-            (0..7)
-                .map(|i| vec![Value::point(i as f64), Value::point(-(i as f64))])
-                .collect(),
-        );
-        for k in [1usize, 2, 3, 7, 9] {
-            let views = r.columns().chunks(k);
-            assert_eq!(views.len(), k.min(7));
-            assert!(views.iter().all(|v| !v.is_empty()));
-            let mut covered = 0;
-            for v in &views {
-                assert_eq!(v.start(), covered);
-                assert_eq!(v.column(0), &r.column_ids(0)[v.start()..v.end()]);
-                assert_eq!(v.id_at(0, 1), r.id_at(v.start(), 1));
-                covered = v.end();
-            }
-            assert_eq!(covered, r.len());
-        }
-        // An empty relation yields one empty view.
-        let empty = Relation::new("E", 2);
-        let views = empty.columns().chunks(4);
-        assert_eq!(views.len(), 1);
-        assert!(views[0].is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn column_view_out_of_bounds_panics() {
-        let r = Relation::new("R", 1);
-        let _ = r.columns().view(0, 1);
     }
 
     #[test]

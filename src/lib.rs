@@ -78,13 +78,12 @@
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-
-//!     fingerprint keys, LRU-evicted against entry and byte budgets)
-//!     and optionally hash-sharded: per-shard sub-tries
-//!     built on scoped threads, search fanned out shard by shard
-//!     (EngineConfig::trie_shards)
+//!     fingerprint keys, LRU-evicted against entry and byte budgets),
+//!     built and searched on the disjunct's own worker — the workers
+//!     are the evaluation's only threads
 //!        │
 //!        ▼
-//!  Boolean answer (identical for every parallelism/cache/shard setting)
+//!  Boolean answer (identical for every parallelism/cache setting)
 //! ```
 //!
 //! Values are resolved back out of the dictionary only at API boundaries

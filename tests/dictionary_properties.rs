@@ -130,7 +130,7 @@ proptest! {
         );
         for order in [vec![0, 1], vec![1, 0]] {
             let atom = BoundAtom::new(&relation, vars.clone());
-            let paths = trie_paths(&FlatTrie::build(&atom, &order));
+            let paths = trie_paths(&FlatTrie::build(&atom, &order, None).unwrap());
             let expected = value_paths(&relation, &vars, &order);
             prop_assert_eq!(paths.len(), expected.len(), "duplicate paths in {:?}", paths);
             prop_assert_eq!(paths.into_iter().collect::<BTreeSet<_>>(), expected);

@@ -3,11 +3,10 @@
 //! The pipeline is instrumented with named failpoint sites
 //! (`ij_engine::faults`): `reduction-transform` in the forward reduction's
 //! per-relation build (which runs on a disjunct worker, the first time a
-//! disjunct binds the relation), `trie-build` at every trie construction,
-//! `cache-insert` inside the shared trie cache's accounting section, and
-//! `shard-worker` inside the sharded-build isolation boundary.  These tests
-//! arm each site with deterministic panic and delay schedules and assert the
-//! robustness contract:
+//! disjunct binds the relation), `trie-build` at every trie construction, and
+//! `cache-insert` inside the shared trie cache's accounting section.  These
+//! tests arm each site with deterministic panic and delay schedules and
+//! assert the robustness contract:
 //!
 //! * an evaluation under fault returns the **correct answer or a typed
 //!   error** ([`EvalError::WorkerPanicked`] for injected panics) — never a
@@ -27,18 +26,12 @@
 use ij_engine::faults::{self, FaultAction};
 use ij_engine::{EngineConfig, EngineError, EvalError, Workspace};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
-use ij_relation::Query;
-use ij_workloads::{
-    build_scenario, planted_unsatisfiable, IntervalDistribution, PlantedAnswer, ScenarioConfig,
-    ScenarioFamily, WorkloadConfig,
-};
+use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
 use std::sync::mpsc;
 use std::sync::{Mutex, Once};
 use std::time::Duration;
 
-/// Sites exercised by the small-scenario sweep.  `shard-worker` needs a
-/// relation large enough to pass the sharding threshold and has its own
-/// dedicated test below.
+/// Sites exercised by the small-scenario sweep: every declared site.
 const SWEEP_SITES: [&str; 3] = ["reduction-transform", "trie-build", "cache-insert"];
 
 /// The failpoint registry is process-global: all tests serialise here.
@@ -336,68 +329,4 @@ fn stalled_worker_trips_the_deadline() {
         }
         other => panic!("stalled transform under a 20 ms deadline returned {other:?}"),
     }
-}
-
-/// The `shard-worker` site fires only once a relation passes the sharding
-/// threshold; a panic inside one shard builder is caught at the isolation
-/// boundary, cancels its sibling shards, surfaces as `WorkerPanicked` naming
-/// the atom — and the shared cache never retains the half-built entry.
-#[test]
-fn sharded_build_panics_are_isolated_and_leave_the_cache_consistent() {
-    let _guard = serial();
-    hush_injected_panics();
-    let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
-    let tuples = 2_500; // ≥ 2 × MIN_ROWS_PER_SHARD after the transform
-    let workload = planted_unsatisfiable(
-        &query,
-        &WorkloadConfig {
-            tuples_per_relation: tuples,
-            seed: 7,
-            distribution: IntervalDistribution::GridAligned {
-                span: 4.0 * tuples as f64,
-                cells: (2 * tuples) as u32,
-                max_cells: 3,
-            },
-        },
-    );
-    let (faulted, fired, clean, warm) = with_watchdog("shard-worker", move || {
-        let ws = Workspace::new();
-        let db = ws.import_database(&workload);
-        let engine = ws.engine(EngineConfig::new().with_parallelism(1).with_trie_shards(2));
-        faults::clear();
-        faults::configure("shard-worker", 0, FaultAction::Panic);
-        let faulted = engine.evaluate(&query, &db);
-        let fired = faults::hits("shard-worker") > 0;
-        faults::clear();
-        let clean = engine
-            .evaluate_with_stats(&query, &db)
-            .expect("clean evaluation after the shard panic succeeds");
-        let warm = engine
-            .evaluate_with_stats(&query, &db)
-            .expect("warm evaluation succeeds");
-        (faulted, fired, clean, warm)
-    });
-    assert!(
-        fired,
-        "the sharded build never reached the shard-worker site"
-    );
-    match faulted {
-        Err(EngineError::Evaluation(EvalError::WorkerPanicked { atom, payload })) => {
-            assert!(
-                payload.contains("failpoint"),
-                "unexpected panic payload: {payload}"
-            );
-            assert!(!atom.is_empty());
-        }
-        other => panic!("shard panic surfaced as {other:?}, expected WorkerPanicked"),
-    }
-    assert!(
-        !clean.answer,
-        "planted-unsatisfiable workload answered true"
-    );
-    assert_eq!(
-        warm.trie_cache.misses, 0,
-        "the shard panic left a half-built cache entry behind: {:?}",
-        warm.trie_cache
-    );
 }

@@ -9,10 +9,9 @@
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
 //!   that are not a multiple of the linear-probe span;
 //! * **generic join** — Boolean and enumerated answers must equal a
-//!   brute-force nested loop over the relations, across shard counts and
-//!   cache configurations;
+//!   brute-force nested loop over the relations, with and without a cache;
 //! * **engine** — end-to-end evaluation through the forward reduction must
-//!   agree with the naive oracle for every shard count × cache capacity.
+//!   agree with the naive oracle for every parallelism × cache capacity.
 //!
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
@@ -147,7 +146,7 @@ proptest! {
 
     /// Generic-join correctness on random triangle instances: Boolean and
     /// enumerated answers equal a brute-force nested loop over the three
-    /// relations for every shard count × cache setting.
+    /// relations, with and without a cache.
     #[test]
     fn generic_joins_match_brute_force(
         r_rows in arb_point_rows(10),
@@ -175,34 +174,31 @@ proptest! {
             }
         }
         let cache = TrieCache::new();
-        for shards in [1usize, 2, 3] {
-            for cache_ref in [None, Some(&cache)] {
-                let eval = EvalContext {
-                    cache: cache_ref,
-                    shards,
-                    ..EvalContext::default()
-                };
-                prop_assert_eq!(
-                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
-                    !expected_out.is_empty(),
-                    "boolean: shards {}, cached {}",
-                    shards, cache_ref.is_some()
-                );
-                let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
-                // The output is deduplicated: as many rows as distinct tuples.
-                prop_assert_eq!(out.len(), expected_out.len());
-                prop_assert_eq!(
-                    &out.tuples().into_iter().collect::<BTreeSet<_>>(),
-                    &expected_out,
-                    "enumerate: shards {}, cached {}",
-                    shards, cache_ref.is_some()
-                );
-            }
+        for cache_ref in [None, Some(&cache)] {
+            let eval = EvalContext {
+                cache: cache_ref,
+                ..EvalContext::default()
+            };
+            prop_assert_eq!(
+                generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                !expected_out.is_empty(),
+                "boolean: cached {}",
+                cache_ref.is_some()
+            );
+            let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
+            // The output is deduplicated: as many rows as distinct tuples.
+            prop_assert_eq!(out.len(), expected_out.len());
+            prop_assert_eq!(
+                &out.tuples().into_iter().collect::<BTreeSet<_>>(),
+                &expected_out,
+                "enumerate: cached {}",
+                cache_ref.is_some()
+            );
         }
     }
 
     /// End-to-end equivalence with the naive oracle on random interval
-    /// triangle workloads, for every shard count × cache capacity.
+    /// triangle workloads, for every parallelism × cache capacity.
     #[test]
     fn engine_answers_match_the_naive_oracle(
         r in arb_interval_rows(6),
@@ -217,19 +213,18 @@ proptest! {
         let expected = IntersectionJoinEngine::with_defaults()
             .evaluate_naive(&query, &db)
             .unwrap();
-        for shards in [1usize, 2] {
+        for parallelism in [1usize, 2] {
             for capacity in [0usize, 4096] {
                 let engine = IntersectionJoinEngine::new(
                     EngineConfig::new()
-                        .with_parallelism(1)
-                        .with_trie_shards(shards)
+                        .with_parallelism(parallelism)
                         .with_trie_cache_capacity(capacity),
                 );
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).unwrap(),
                     expected,
-                    "shards {}, capacity {}",
-                    shards, capacity
+                    "parallelism {}, capacity {}",
+                    parallelism, capacity
                 );
             }
         }

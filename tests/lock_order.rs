@@ -1,7 +1,8 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
 //! (dictionary stripes + trie-cache map/tenants + plan-activity locks, the
 //! build gates of the transformed relations the workers fill on demand, and
-//! the projection memos of the relations a cyclic disjunct binds)
+//! the projection memos of the relations a cyclic disjunct binds and the
+//! decomposition memo it is planned through)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!
@@ -74,6 +75,7 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
             "trie-cache-map",
             "trie-cache-tenants",
             "relation-projections",
+            "td-memo",
         ] {
             assert!(
                 classes.contains(&expected),
@@ -89,15 +91,16 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
             "expected the map→tenants nesting edge; snapshot: {:?}",
             lock_order::snapshot()
         );
-        // A projection memo is a leaf: the triangle's disjuncts derive their
-        // projected atoms through it, computing outside the lock.
-        assert!(
-            lock_order::snapshot()
-                .iter()
-                .all(|&(from, _)| from != "relation-projections"),
-            "a lock was acquired under a projection memo: {:?}",
-            lock_order::snapshot()
-        );
+        // The two memos are leaves: the triangle's disjuncts derive their
+        // projected atoms and look up their tree decomposition through them,
+        // computing outside the lock.
+        for memo in ["relation-projections", "td-memo"] {
+            assert!(
+                lock_order::snapshot().iter().all(|&(from, _)| from != memo),
+                "a lock was acquired under `{memo}`: {:?}",
+                lock_order::snapshot()
+            );
+        }
     } else {
         assert!(lock_order::snapshot().is_empty());
         assert!(lock_order::classes_seen().is_empty());

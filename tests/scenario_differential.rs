@@ -4,7 +4,7 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across `plan_mode` × `trie_shards` × cache-capacity settings,
+//!    across `plan_mode` × cache-capacity settings,
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
@@ -12,7 +12,9 @@
 //! The sweep covers all four [`ScenarioFamily`] generators × sizes × planted
 //! modes; those bind interval variables only, so a second sweep runs mixed
 //! point/interval queries over small random databases under every
-//! `EjStrategy`.  On a divergence the failing [`ScenarioConfig`] is *shrunk*
+//! `EjStrategy`, and a third holds the engine and the baseline to oracle-free
+//! metamorphic properties (atom and row order, endpoint scaling, reflection,
+//! touching closed endpoints).  On a divergence the failing [`ScenarioConfig`] is *shrunk*
 //! deterministically (the vendored proptest reports but does not shrink, so
 //! minimisation lives here): smaller tuple counts, zero skew and full
 //! selectivity are retried while the divergence persists, and the panic
@@ -34,13 +36,12 @@ use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
-/// Engine-config axes of the sweep (≥ 4 families × ≥ 2 shard counts ×
-/// {off, small, large} caches, each under both plan modes).  Debug builds
-/// drop the middle (small-cache) capacity; release sweeps all three.  The
-/// `Fixed` plan mode — the historical identifier order, kept as the planner's
-/// differential baseline — runs the shard axis at the large cache only, which
-/// is where plan-dependent trie reuse could plausibly diverge.
-const SHARD_COUNTS: [usize; 2] = [1, 3];
+/// Engine-config axes of the sweep (≥ 4 families × {off, small, large}
+/// caches under the adaptive planner).  Debug builds drop the middle
+/// (small-cache) capacity; release sweeps all three.  The `Fixed` plan mode —
+/// the historical identifier order, kept as the planner's differential
+/// baseline — runs at the large cache only, which is where plan-dependent
+/// trie reuse could plausibly diverge.
 const CACHE_CAPACITIES: [usize; 3] = [0, 2, 4096];
 const PLAN_MODES: [PlanMode; 2] = [PlanMode::Adaptive, PlanMode::Fixed];
 
@@ -121,49 +122,46 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
 }
 
 /// Sweeps the engine-config grid on one scenario; the forward reduction is
-/// computed once and re-evaluated under every plan-mode/shard/cache setting.
+/// computed once and re-evaluated under every plan-mode/cache setting.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let reduction =
         forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
     for plan in PLAN_MODES {
-        // Fixed is the historical-order baseline; it sweeps the shard counts
-        // at the large cache only (the plan-sensitive cell), while Adaptive —
-        // the default — runs the full cache axis.
+        // Fixed is the historical-order baseline; it runs at the large cache
+        // only (the plan-sensitive cell), while Adaptive — the default — runs
+        // the full cache axis.
         let capacities: &[usize] = match plan {
             PlanMode::Adaptive => cache_capacities(),
             PlanMode::Fixed => &[4096],
         };
-        for shards in SHARD_COUNTS {
-            for &capacity in capacities {
-                let engine = IntersectionJoinEngine::new(
-                    EngineConfig::new()
-                        .with_trie_shards(shards)
-                        .with_trie_cache_capacity(capacity)
-                        .with_plan_mode(plan),
-                );
-                let stats = engine
+        for &capacity in capacities {
+            let engine = IntersectionJoinEngine::new(
+                EngineConfig::new()
+                    .with_trie_cache_capacity(capacity)
+                    .with_plan_mode(plan),
+            );
+            let stats = engine
+                .evaluate_reduction(&reduction)
+                .expect("uncancelled evaluation succeeds");
+            if stats.answer != expected {
+                return Some(format!(
+                    "engine ({plan} plan, cache {capacity}) \
+                     answered {}, naive answered {expected}",
+                    stats.answer
+                ));
+            }
+            // A warm repeat from this engine's own cache must agree too
+            // (checked once per plan mode, at the large cache).
+            if capacity == 4096 {
+                let warm = engine
                     .evaluate_reduction(&reduction)
                     .expect("uncancelled evaluation succeeds");
-                if stats.answer != expected {
+                if warm.answer != expected {
                     return Some(format!(
-                        "engine ({plan} plan, {shards} shards, cache {capacity}) \
+                        "warm engine ({plan} plan, cache {capacity}) \
                          answered {}, naive answered {expected}",
-                        stats.answer
+                        warm.answer
                     ));
-                }
-                // A warm repeat from this engine's own cache must agree too
-                // (checked once per plan/shard pair, at the large cache).
-                if capacity == 4096 {
-                    let warm = engine
-                        .evaluate_reduction(&reduction)
-                        .expect("uncancelled evaluation succeeds");
-                    if warm.answer != expected {
-                        return Some(format!(
-                            "warm engine ({plan} plan, {shards} shards, cache {capacity}) \
-                             answered {}, naive answered {expected}",
-                            warm.answer
-                        ));
-                    }
                 }
             }
         }
@@ -443,6 +441,157 @@ fn early_exit_builds_only_the_relations_it_read() {
     assert_eq!(near_miss.ej_queries_evaluated, near_miss.ej_queries_total);
     assert_eq!(near_miss.reduction.relations_built, 9);
     assert!(near_miss.reduction.transformed_tuples > natural.reduction.transformed_tuples);
+}
+
+/// What the two evaluators under test answer on one instance, with no
+/// oracle beside them: the engine in its default configuration and the
+/// segment-tree baseline.
+fn engine_and_baseline(query: &Query, db: &Database) -> [bool; 2] {
+    let engine = IntersectionJoinEngine::with_defaults()
+        .evaluate(query, db)
+        .expect("evaluation succeeds");
+    let baseline = SegtreeBaseline::build(query, db)
+        .expect("baseline builds")
+        .evaluate_boolean();
+    [engine, baseline]
+}
+
+/// A copy of `db` with every relation's rows passed through `rows`.
+fn rebuilt(db: &Database, rows: impl Fn(Vec<Vec<Value>>) -> Vec<Vec<Value>>) -> Database {
+    let mut out = Database::new();
+    for relation in db.relations() {
+        out.insert_tuples(relation.name(), relation.arity(), rows(relation.tuples()));
+    }
+    out
+}
+
+/// A copy of `db` with every interval `[lo, hi]` replaced by `map(lo, hi)`.
+fn with_endpoints(db: &Database, map: impl Fn(f64, f64) -> (f64, f64)) -> Database {
+    rebuilt(db, |rows| {
+        rows.into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|value| {
+                        let iv = value
+                            .as_interval()
+                            .expect("scenario columns hold intervals");
+                        let (lo, hi) = map(iv.lo(), iv.hi());
+                        Value::interval(lo, hi)
+                    })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// Holds the engine and the baseline, each against itself, to `variants` of
+/// every family × planted mode × seed at the sweep's small size: each variant
+/// is an instance with the same answer by construction.
+fn check_metamorphic(variants: impl Fn(&Scenario) -> Vec<(&'static str, Query, Database)>) {
+    let mut answers = std::collections::BTreeSet::new();
+    for family in ScenarioFamily::ALL {
+        for planted in [
+            PlantedAnswer::Natural,
+            PlantedAnswer::Satisfiable,
+            PlantedAnswer::Unsatisfiable,
+            PlantedAnswer::NearMiss,
+        ] {
+            for seed in scaled_seeds(0..3) {
+                let scenario = build_scenario(
+                    &ScenarioConfig::new(family)
+                        .with_tuples(scaled_tuples(12))
+                        .with_seed(seed)
+                        .with_planted(planted),
+                );
+                let original = engine_and_baseline(&scenario.query, &scenario.database);
+                for (what, query, db) in variants(&scenario) {
+                    assert_eq!(
+                        engine_and_baseline(&query, &db),
+                        original,
+                        "[engine, baseline] after {what} on {}",
+                        scenario.name
+                    );
+                }
+                answers.insert(original);
+            }
+        }
+    }
+    assert!(
+        answers.contains(&[true; 2]) && answers.contains(&[false; 2]),
+        "{answers:?}"
+    );
+}
+
+/// A conjunction does not depend on the order of its atoms, nor a relation
+/// on the order of its rows.
+#[test]
+fn atom_and_row_order_do_not_change_answers() {
+    check_metamorphic(|scenario| {
+        let atoms = scenario.query.atoms().iter().rev().cloned().collect();
+        let interval_vars = scenario.query.interval_variables();
+        let interval_vars: Vec<&str> = interval_vars.iter().map(String::as_str).collect();
+        let reversed_rows = rebuilt(&scenario.database, |mut rows| {
+            rows.reverse();
+            rows
+        });
+        vec![(
+            "reversing atoms and rows",
+            Query::from_atoms(atoms, &interval_vars),
+            reversed_rows,
+        )]
+    });
+}
+
+/// Intersection of closed intervals is invariant under `x ↦ 4x` and under
+/// `x ↦ −x`.  Both maps are exact in `f64`; a translation of the generators'
+/// non-integral endpoints is not — a rounded sum can close a gap between two
+/// closed intervals — so none is tested.
+#[test]
+fn scaling_and_reflecting_endpoints_do_not_change_answers() {
+    check_metamorphic(|scenario| {
+        let (query, db) = (&scenario.query, &scenario.database);
+        vec![
+            (
+                "scaling endpoints by 4",
+                query.clone(),
+                with_endpoints(db, |lo, hi| (4.0 * lo, 4.0 * hi)),
+            ),
+            (
+                "reflecting intervals",
+                query.clone(),
+                with_endpoints(db, |lo, hi| (-hi, -lo)),
+            ),
+        ]
+    });
+}
+
+/// Intervals are closed (Definition 3.3): sharing one endpoint is
+/// intersecting, whether the other interval is proper or a point.
+#[test]
+fn closed_endpoints_touch() {
+    let query = Query::parse("R([A]) & S([A])").expect("valid query");
+    for ((lo, hi), expected) in [((5.0, 9.0), true), ((5.0, 5.0), true), ((6.0, 9.0), false)] {
+        let mut db = Database::new();
+        db.insert_tuples("R", 1, vec![vec![Value::interval(0.0, 5.0)]]);
+        db.insert_tuples("S", 1, vec![vec![Value::interval(lo, hi)]]);
+        let baseline = SegtreeBaseline::build(&query, &db).expect("baseline builds");
+        assert_eq!(
+            baseline.evaluate_boolean(),
+            expected,
+            "baseline, [{lo}, {hi}]"
+        );
+        for encoding in [EncodingStrategy::Flat, EncodingStrategy::Decomposed] {
+            let engine = IntersectionJoinEngine::new(EngineConfig {
+                encoding,
+                ..EngineConfig::new()
+            });
+            assert_eq!(
+                engine.evaluate(&query, &db).expect("evaluation succeeds"),
+                expected,
+                "{encoding:?}, [{lo}, {hi}]"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! Property tests for the shared trie cache and the sharded trie builds
-//! (PR 2): on random interval workloads, cached-trie evaluation must be
-//! indistinguishable from rebuild-per-disjunct evaluation, at every
-//! parallelism and shard-count setting, and must agree with the naive
+//! Property tests for the shared trie cache: on random interval workloads,
+//! cached-trie evaluation must be indistinguishable from rebuild-per-disjunct
+//! evaluation, at every parallelism setting, and must agree with the naive
 //! reference evaluator.
 
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
@@ -30,8 +29,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cached-trie evaluation ≡ rebuild-per-disjunct evaluation on random
-    /// triangle workloads (the E1 cyclic query), across parallelism and
-    /// shard-count settings, and both agree with the naive oracle.
+    /// triangle workloads (the E1 cyclic query), across parallelism
+    /// settings, and both agree with the naive oracle.
     #[test]
     fn cached_evaluation_matches_rebuild_per_disjunct(
         r in arb_rows(6),
@@ -44,21 +43,18 @@ proptest! {
             .evaluate_naive(&query, &db)
             .unwrap();
         for parallelism in [1usize, 2] {
-            for shards in [1usize, 2, 3] {
-                for capacity in [0usize, 4096] {
-                    let engine = IntersectionJoinEngine::new(
-                        EngineConfig::new()
-                            .with_parallelism(parallelism)
-                            .with_trie_shards(shards)
-                            .with_trie_cache_capacity(capacity),
-                    );
-                    prop_assert_eq!(
-                        engine.evaluate(&query, &db).unwrap(),
-                        expected,
-                        "parallelism {}, shards {}, capacity {}",
-                        parallelism, shards, capacity
-                    );
-                }
+            for capacity in [0usize, 4096] {
+                let engine = IntersectionJoinEngine::new(
+                    EngineConfig::new()
+                        .with_parallelism(parallelism)
+                        .with_trie_cache_capacity(capacity),
+                );
+                prop_assert_eq!(
+                    engine.evaluate(&query, &db).unwrap(),
+                    expected,
+                    "parallelism {}, capacity {}",
+                    parallelism, capacity
+                );
             }
         }
     }
@@ -118,15 +114,11 @@ proptest! {
         let expected = IntersectionJoinEngine::with_defaults()
             .evaluate_naive(&query, &db)
             .unwrap();
-        for shards in [1usize, 4] {
-            for capacity in [0usize, 4096] {
-                let engine = IntersectionJoinEngine::new(
-                    EngineConfig::new()
-                        .with_trie_shards(shards)
-                        .with_trie_cache_capacity(capacity),
-                );
-                prop_assert_eq!(engine.evaluate(&query, &db).unwrap(), expected);
-            }
+        for capacity in [0usize, 4096] {
+            let engine = IntersectionJoinEngine::new(
+                EngineConfig::new().with_trie_cache_capacity(capacity),
+            );
+            prop_assert_eq!(engine.evaluate(&query, &db).unwrap(), expected);
         }
     }
 }
