@@ -195,7 +195,7 @@ fn bench_trie_cache_reuse(c: &mut Criterion) {
         let shared_config = EngineConfig::new().with_parallelism(1);
         let rebuild_config = EngineConfig::new()
             .with_parallelism(1)
-            .with_trie_cache_capacity(0);
+            .with_trie_cache_bytes(0);
         let stats = IntersectionJoinEngine::new(shared_config)
             .evaluate_reduction(&reduction)
             .unwrap();
@@ -356,131 +356,6 @@ fn bench_shared_warmth(c: &mut Criterion) {
                 .answer
         })
     });
-    group.finish();
-}
-
-/// Per-tenant quota fairness under a noisy neighbor: a victim tenant
-/// repeatedly evaluates one reduction while a noisy tenant floods the
-/// workspace's byte-budgeted shared cache with distinct databases (every
-/// database planted unsatisfiable, forcing full-footprint passes).
-///
-/// Without a quota, the flood evicts the victim's tries through the shared
-/// LRU, so every victim evaluation rebuilds cold; with the noisy tenant
-/// quota'd to ~one database's footprint, it sheds its **own**
-/// least-recently-used entries instead and the victim's warmth survives —
-/// asserted (victim reports nonzero hits and zero misses after a flood)
-/// before the timed runs.  Each timed iteration is one noisy flood plus one
-/// victim evaluation; the gap is the victim's trie-rebuild work the quota
-/// saves.
-fn bench_tenant_fairness(c: &mut Criterion) {
-    use ij_engine::{Workspace, WorkspaceLimits};
-    use ij_reduction::ForwardReduction;
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-tenant-fairness");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    let n = 200usize;
-    let db_for = |seed: u64| {
-        planted_unsatisfiable(
-            &query,
-            &WorkloadConfig {
-                tuples_per_relation: n,
-                seed,
-                distribution: IntervalDistribution::GridAligned {
-                    span: 4.0 * n as f64,
-                    cells: (2 * n) as u32,
-                    max_cells: 3,
-                },
-            },
-        )
-    };
-    // Footprint of one database's tries, to size the budget and the quota.
-    let probe = Workspace::new();
-    let probe_reduction = forward_reduction(&query, &probe.import_database(&db_for(43))).unwrap();
-    let config = EngineConfig::new().with_parallelism(1);
-    assert!(
-        !probe
-            .engine(config)
-            .evaluate_reduction(&probe_reduction)
-            .unwrap()
-            .answer
-    );
-    let per_db = probe.trie_cache_stats().resident_bytes;
-    let budget = 2 * per_db + per_db / 2;
-
-    for (name, quota) in [("victim-unquotad", 0usize), ("victim-with-quota", per_db)] {
-        let ws = Workspace::with_limits(WorkspaceLimits::new().with_trie_cache_bytes(budget));
-        let victim = ws.tenant("victim");
-        let noisy = ws.tenant("noisy").with_trie_cache_quota(quota);
-        let victim_engine = victim.engine(config);
-        let noisy_engine = noisy.engine(config);
-        let victim_reduction = forward_reduction(&query, &ws.import_database(&db_for(43))).unwrap();
-        let noisy_reductions: Vec<ForwardReduction> = (44..47)
-            .map(|seed| forward_reduction(&query, &ws.import_database(&db_for(seed))).unwrap())
-            .collect();
-        let flood_and_evaluate = || {
-            for reduction in &noisy_reductions {
-                assert!(!noisy_engine.evaluate_reduction(reduction).unwrap().answer);
-            }
-            victim_engine.evaluate_reduction(&victim_reduction).unwrap()
-        };
-        // Warm the victim, flood once, and record what the flood left.
-        assert!(
-            !victim_engine
-                .evaluate_reduction(&victim_reduction)
-                .unwrap()
-                .answer
-        );
-        let after_flood = flood_and_evaluate();
-        // Victim-only latency (the flood outside the measured region): the
-        // number an operator's per-tenant latency SLO actually sees.
-        let victim_latency = {
-            let mut samples: Vec<std::time::Duration> = (0..5)
-                .map(|_| {
-                    for reduction in &noisy_reductions {
-                        assert!(!noisy_engine.evaluate_reduction(reduction).unwrap().answer);
-                    }
-                    let start = std::time::Instant::now();
-                    assert!(
-                        !victim_engine
-                            .evaluate_reduction(&victim_reduction)
-                            .unwrap()
-                            .answer
-                    );
-                    start.elapsed()
-                })
-                .collect();
-            samples.sort_unstable();
-            samples[samples.len() / 2]
-        };
-        println!(
-            "substrate/e1-tenant-fairness/{name}: after a noisy flood the victim \
-             reports {} hits / {} misses (noisy ledger: {} evictions, victim \
-             ledger: {} evictions); victim-only latency {victim_latency:?}",
-            after_flood.trie_cache.hits,
-            after_flood.trie_cache.misses,
-            noisy.cache_stats().evictions,
-            victim.cache_stats().evictions,
-        );
-        if quota > 0 {
-            assert_eq!(
-                after_flood.trie_cache.misses, 0,
-                "the quota'd victim must retain warmth under the flood"
-            );
-            assert!(after_flood.trie_cache.hits > 0);
-        } else {
-            assert!(
-                after_flood.trie_cache.misses > 0,
-                "the un-quota'd flood must evict the victim (otherwise the \
-                 quota has nothing to fix)"
-            );
-        }
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            b.iter(|| flood_and_evaluate().answer)
-        });
-    }
     group.finish();
 }
 
@@ -650,7 +525,6 @@ criterion_group!(
     bench_trie_cache_reuse,
     bench_persistent_cache,
     bench_shared_warmth,
-    bench_tenant_fairness,
     bench_plan_order,
     bench_cancel_latency
 );

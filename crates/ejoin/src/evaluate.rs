@@ -60,9 +60,9 @@ pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> boo
 /// [`evaluate_ej_boolean`] with an explicit [`EvalContext`]: every trie built
 /// anywhere under the chosen strategy (the plain generic join, and the bag
 /// materialisations of the decomposition-guided evaluation) is served from
-/// the context's cache — and every cache lookup is metered as the context's
-/// tenant and counted into the context's evaluation-local
-/// [`CacheActivity`](crate::CacheActivity) accumulator, if one is attached.
+/// the context's cache — and every cache lookup is counted into the
+/// context's evaluation-local [`CacheActivity`](crate::CacheActivity)
+/// accumulator, if one is attached.
 /// The answer is identical for every context.
 ///
 /// # Errors

@@ -62,7 +62,7 @@ impl JoinContext {
         let tries: Vec<Arc<FlatTrie>> = atoms
             .iter()
             .map(|a| match eval.cache {
-                Some(cache) => cache.tries_for(a, &order, eval.tenant, eval.activity, eval.token),
+                Some(cache) => cache.tries_for(a, &order, eval.activity, eval.token),
                 None => Ok(Arc::new(FlatTrie::build(a, &order, eval.token)?)),
             })
             .collect::<Result<_, EvalError>>()?;

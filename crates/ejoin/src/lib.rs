@@ -30,11 +30,9 @@
 //! caller's, across joins (the engine runs one disjunct per worker).  Answers
 //! are bit-identical for every cache setting.
 //!
-//! The context also carries the cache-accounting identity: a [`TenantId`]
-//! metering every lookup into a per-tenant ledger (with optional per-tenant
-//! byte quotas — [`TrieCache::set_tenant_quota`]), and an optional
-//! [`CacheActivity`] accumulator giving the evaluation **exact** local
-//! hit/miss/eviction counts under any concurrency.
+//! The context also carries an optional [`CacheActivity`] accumulator giving
+//! the evaluation **exact** local hit/miss/eviction counts under any
+//! concurrency.
 //!
 //! # Cancellation and fault isolation
 //!
@@ -61,10 +59,7 @@ mod trie;
 mod yannakakis;
 
 pub use atom::{all_vars, hypergraph_of, BoundAtom};
-pub use cache::{
-    relation_fingerprint, CacheActivity, EvalContext, TenantCacheStats, TenantHandle, TenantId,
-    TrieCache, TrieCacheStats,
-};
+pub use cache::{relation_fingerprint, CacheActivity, EvalContext, TrieCache, TrieCacheStats};
 pub use evaluate::{
     decomposition_boolean_with, evaluate_ej_boolean, evaluate_ej_boolean_with, materialise_bag,
     materialise_bag_with, EjStrategy,

@@ -45,8 +45,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-pub use ij_ejoin::{PlanMode, TenantCacheStats, TenantId, TrieCacheStats};
+pub use ij_ejoin::{PlanMode, TrieCacheStats};
 pub use ij_relation::kernels::{kernel_arm, KernelArm, FORCE_SCALAR_ENV};
+
+/// The default trie-cache byte budget of [`EngineConfig::new`] and
+/// [`Workspace::new`](crate::Workspace::new): 256 MiB.
+pub const DEFAULT_TRIE_CACHE_BYTES: usize = 256 << 20;
 
 /// The hardware thread count (1 when it cannot be determined).
 fn hardware_parallelism() -> usize {
@@ -71,45 +75,33 @@ pub struct EngineConfig {
     /// identical for every setting; a true disjunct found by any worker stops
     /// the others at their next scheduling point.
     pub parallelism: usize,
-    /// Capacity (entries) of the engine's **persistent** trie cache: one
-    /// cache is created per engine and shared by every disjunct worker of
-    /// every evaluation the engine runs.  Within one evaluation, disjuncts
+    /// Byte budget of the engine's **persistent** trie cache: one cache is
+    /// created per engine and shared by every disjunct worker of every
+    /// evaluation the engine runs.  Within one evaluation, disjuncts
     /// overwhelmingly share transformed relations, so the cache lets them
     /// share the *built tries* instead of rebuilding per disjunct; across
     /// evaluations, a service answering many queries over the same reduced
     /// database serves repeat trie builds straight from the cache (keys are
     /// relation *content* fingerprints, so reuse is sound regardless of
-    /// which reduction produced a relation).  Once full, inserting evicts
-    /// the least-recently-used entry.  `0` disables sharing entirely (every
-    /// disjunct rebuilds its tries).  The Boolean answer is identical for
+    /// which reduction produced a relation).  The budget caps the
+    /// *estimated* resident heap bytes of the cached tries
+    /// ([`ij_ejoin::FlatTrie::heap_bytes`], reported in
+    /// [`TrieCacheStats::resident_bytes`]): inserting past it evicts
+    /// least-recently-used entries until the new entry fits, and a single
+    /// build larger than the whole budget stays uncached.  It is just a
+    /// number of bytes — `0` disables caching for this engine (every
+    /// disjunct rebuilds its tries), `usize::MAX` is unbounded; the default
+    /// is [`DEFAULT_TRIE_CACHE_BYTES`].  The Boolean answer is identical for
     /// every setting.
     ///
     /// ```
-    /// use ij_engine::EngineConfig;
+    /// use ij_engine::{EngineConfig, DEFAULT_TRIE_CACHE_BYTES};
     ///
-    /// assert_eq!(EngineConfig::new().trie_cache_capacity, 4096);
-    /// let rebuild = EngineConfig::new().with_trie_cache_capacity(0);
-    /// assert_eq!(rebuild.trie_cache_capacity, 0); // rebuild-per-disjunct
-    /// ```
-    pub trie_cache_capacity: usize,
-    /// Byte budget of the persistent trie cache, the bytes-mode companion of
-    /// [`EngineConfig::trie_cache_capacity`]: `0` (the default) bounds
-    /// entries only, a non-zero value additionally caps the *estimated*
-    /// resident heap bytes of the cached tries
-    /// ([`ij_ejoin::FlatTrie::heap_bytes`]).  Inserting past the budget
-    /// evicts least-recently-used entries until the new entry fits; a single
-    /// build larger than the whole budget stays uncached.  This is the knob
-    /// a service operator wants: a memory cap that holds regardless of how
-    /// large the workload's tries are.  Resident bytes are reported in
-    /// [`TrieCacheStats::resident_bytes`].  The Boolean answer is identical
-    /// for every setting.
-    ///
-    /// ```
-    /// use ij_engine::EngineConfig;
-    ///
-    /// assert_eq!(EngineConfig::new().trie_cache_bytes, 0); // entries-only
+    /// assert_eq!(EngineConfig::new().trie_cache_bytes, DEFAULT_TRIE_CACHE_BYTES);
     /// let capped = EngineConfig::new().with_trie_cache_bytes(64 << 20);
     /// assert_eq!(capped.trie_cache_bytes, 64 << 20); // 64 MiB budget
+    /// let rebuild = EngineConfig::new().with_trie_cache_bytes(0);
+    /// assert_eq!(rebuild.trie_cache_bytes, 0); // rebuild-per-disjunct
     /// ```
     pub trie_cache_bytes: usize,
     /// How each disjunct's generic-join variable order is chosen
@@ -131,22 +123,6 @@ pub struct EngineConfig {
     /// assert_eq!(fixed.plan_mode, PlanMode::Fixed);
     /// ```
     pub plan_mode: PlanMode,
-    /// The cache-accounting owner this engine's evaluations run as: every
-    /// trie-cache lookup is metered into this tenant's ledger, and the
-    /// tenant's byte quota (if one is set on the shared cache) governs what
-    /// the engine's inserts may keep resident.  Defaults to
-    /// [`TenantId::DEFAULT`]; multi-tenant services obtain per-tenant
-    /// engines through `Workspace::tenant(name).engine(config)`, which fills
-    /// this in.  Accounting never changes answers.
-    ///
-    /// ```
-    /// use ij_engine::{EngineConfig, TenantId};
-    ///
-    /// assert_eq!(EngineConfig::new().tenant, TenantId::DEFAULT);
-    /// let tagged = EngineConfig::new().with_tenant(TenantId::from_raw(7));
-    /// assert_eq!(tagged.tenant.raw(), 7);
-    /// ```
-    pub tenant: TenantId,
     /// Per-evaluation deadline budget: `None` (the default) lets evaluations
     /// run to completion, `Some(budget)` starts a clock when an evaluation
     /// begins (covering both the forward reduction and the disjunct
@@ -176,16 +152,15 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The default configuration: the flat encoding, hardware parallelism
-    /// across disjuncts and a 4096-entry persistent trie cache.
+    /// across disjuncts and a persistent trie cache of
+    /// [`DEFAULT_TRIE_CACHE_BYTES`].
     pub fn new() -> Self {
         EngineConfig {
             ej_strategy: EjStrategy::Auto,
             encoding: EncodingStrategy::Flat,
             parallelism: 0,
-            trie_cache_capacity: 4096,
-            trie_cache_bytes: 0,
+            trie_cache_bytes: DEFAULT_TRIE_CACHE_BYTES,
             plan_mode: PlanMode::Adaptive,
-            tenant: TenantId::DEFAULT,
             deadline: None,
         }
     }
@@ -206,15 +181,8 @@ impl EngineConfig {
         self
     }
 
-    /// This configuration with an explicit trie-cache capacity (`0` disables
-    /// trie sharing; see [`EngineConfig::trie_cache_capacity`]).
-    pub fn with_trie_cache_capacity(mut self, capacity: usize) -> Self {
-        self.trie_cache_capacity = capacity;
-        self
-    }
-
-    /// This configuration with an explicit trie-cache byte budget (`0` =
-    /// entries-only bounding; see [`EngineConfig::trie_cache_bytes`]).
+    /// This configuration with an explicit trie-cache byte budget (`0`
+    /// disables trie sharing; see [`EngineConfig::trie_cache_bytes`]).
     pub fn with_trie_cache_bytes(mut self, bytes: usize) -> Self {
         self.trie_cache_bytes = bytes;
         self
@@ -233,13 +201,6 @@ impl EngineConfig {
     /// [`EngineConfig::plan_mode`]).
     pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
         self.plan_mode = mode;
-        self
-    }
-
-    /// This configuration running as an explicit cache-accounting tenant
-    /// (see [`EngineConfig::tenant`]).
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
         self
     }
 
@@ -375,7 +336,7 @@ pub struct EvaluationStats {
     /// [`Workspace`](crate::Workspace)) never report each other's hits,
     /// misses or evictions.  `entries` and `resident_bytes` are the cache's
     /// resident state when the evaluation finished.  All zeros when
-    /// [`EngineConfig::trie_cache_capacity`] is `0`.  A warm evaluation of a
+    /// [`EngineConfig::trie_cache_bytes`] is `0`.  A warm evaluation of a
     /// previously-seen reduction reports hits with no misses.
     pub trie_cache: TrieCacheStats,
     /// The [`PlanMode`] this evaluation ran under.
@@ -465,7 +426,7 @@ fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
 /// The intersection-join query engine.
 ///
 /// The engine owns a **persistent** [`TrieCache`] (sized by
-/// [`EngineConfig::trie_cache_capacity`]) that survives across evaluations:
+/// [`EngineConfig::trie_cache_bytes`]) that survives across evaluations:
 /// repeated queries over the same reduced database reuse built tries instead
 /// of rebuilding them.  Cloning an engine shares the cache — sound, because
 /// cache keys are relation content fingerprints — so cheap per-thread clones
@@ -474,7 +435,7 @@ fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
 pub struct IntersectionJoinEngine {
     config: EngineConfig,
     /// The persistent cross-evaluation trie cache (`None` when disabled via
-    /// a zero capacity).
+    /// a zero byte budget).
     trie_cache: Option<Arc<TrieCache>>,
 }
 
@@ -486,27 +447,22 @@ impl Default for IntersectionJoinEngine {
 
 impl IntersectionJoinEngine {
     /// Creates an engine with the given configuration (allocating its
-    /// persistent trie cache — bounded by the configured entry capacity and
-    /// byte budget — when the configured capacity is non-zero).  Engines that
-    /// should *share* a cache are built from one
-    /// [`Workspace`](crate::Workspace) instead.
+    /// persistent trie cache, bounded by [`EngineConfig::trie_cache_bytes`],
+    /// when that budget is non-zero).  Engines that should *share* a cache
+    /// are built from one [`Workspace`](crate::Workspace) instead.
     pub fn new(config: EngineConfig) -> Self {
-        let trie_cache = (config.trie_cache_capacity > 0).then(|| {
-            Arc::new(TrieCache::with_limits(
-                config.trie_cache_capacity,
-                config.trie_cache_bytes,
-            ))
-        });
+        let trie_cache = (config.trie_cache_bytes > 0)
+            .then(|| Arc::new(TrieCache::with_byte_budget(config.trie_cache_bytes)));
         IntersectionJoinEngine { config, trie_cache }
     }
 
     /// Creates an engine evaluating against an externally owned — typically
     /// [`Workspace`](crate::Workspace)-shared — trie cache, so independently
     /// constructed engines warm one another.  A zero
-    /// [`EngineConfig::trie_cache_capacity`] still opts out of caching
+    /// [`EngineConfig::trie_cache_bytes`] still opts out of caching
     /// entirely (the shared handle is ignored).
     pub(crate) fn with_shared_cache(config: EngineConfig, cache: Arc<TrieCache>) -> Self {
-        let trie_cache = (config.trie_cache_capacity > 0).then_some(cache);
+        let trie_cache = (config.trie_cache_bytes > 0).then_some(cache);
         IntersectionJoinEngine { config, trie_cache }
     }
 
@@ -653,7 +609,7 @@ impl IntersectionJoinEngine {
     /// relation build, and in each projection a cyclic disjunct derives —
     /// runs to its end unpolled.
     /// All workers share the engine's **persistent**
-    /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_capacity`]), so a
+    /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_bytes`]), so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation — batch grouping makes the reuse
     /// run hot within a worker's current batch, and repeat evaluations of
@@ -724,17 +680,10 @@ impl IntersectionJoinEngine {
         // The activity accumulator makes this evaluation's cache statistics
         // exact: every lookup any of its workers performs is counted here,
         // so concurrent evaluations sharing the cache cannot pollute them.
-        // The tenant ledger is resolved once for the whole evaluation, so
-        // per-lookup metering never re-probes the cache's tenant registry.
         let activity = CacheActivity::new();
         let planning = PlanActivity::new();
-        let tenant = self
-            .trie_cache
-            .as_ref()
-            .map(|cache| cache.tenant_handle(self.config.tenant));
         let eval = EvalContext {
             cache: self.trie_cache.as_deref(),
-            tenant: tenant.as_ref(),
             activity: Some(&activity),
             token: Some(pool),
             plan_mode: self.config.plan_mode,
@@ -1106,7 +1055,7 @@ mod tests {
         let rebuild = IntersectionJoinEngine::new(
             EngineConfig::new()
                 .with_parallelism(1)
-                .with_trie_cache_capacity(0),
+                .with_trie_cache_bytes(0),
         );
         let stats = rebuild.evaluate_with_stats(&q, &db).unwrap();
         assert!(!stats.answer);
@@ -1212,19 +1161,26 @@ mod tests {
 
     #[test]
     fn answers_identical_across_cache_settings() {
+        // One trie's bytes, measured: a budget that evicts on most inserts.
+        let (q, db) = triangle_db(false);
+        let probe = IntersectionJoinEngine::with_defaults()
+            .evaluate_with_stats(&q, &db)
+            .unwrap()
+            .trie_cache;
+        let one_trie = probe.resident_bytes / probe.entries;
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             for parallelism in [1usize, 2] {
-                for capacity in [0usize, 1, 4096] {
+                for bytes in [0, one_trie, DEFAULT_TRIE_CACHE_BYTES] {
                     let engine = IntersectionJoinEngine::new(
                         EngineConfig::new()
                             .with_parallelism(parallelism)
-                            .with_trie_cache_capacity(capacity),
+                            .with_trie_cache_bytes(bytes),
                     );
                     assert_eq!(
                         engine.evaluate(&q, &db).unwrap(),
                         satisfiable,
-                        "parallelism {parallelism}, capacity {capacity}"
+                        "parallelism {parallelism}, {bytes} cache bytes"
                     );
                 }
             }

@@ -14,25 +14,22 @@
 //!
 //! Evaluation is tunable through [`EngineConfig`]: worker
 //! [parallelism](EngineConfig::parallelism) across the disjuncts of the
-//! reduction — the engine's only threads — and a shared [trie
-//! cache](EngineConfig::trie_cache_capacity) so disjuncts reuse built tries
-//! instead of rebuilding them (optionally [byte
-//! budgeted](EngineConfig::trie_cache_bytes)).  Every knob is
-//! answer-preserving: the Boolean result is bit-identical at every setting.
+//! reduction — the engine's only threads — and a shared, byte-budgeted [trie
+//! cache](EngineConfig::trie_cache_bytes) so disjuncts reuse built tries
+//! instead of rebuilding them.  Every knob is answer-preserving: the Boolean
+//! result is bit-identical at every setting.
 //!
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a scoped value dictionary (dropping the workspace reclaims
 //! its interned values; [`Workspace::dictionary_bytes`] meters its size)
 //! plus one shared trie cache warming every engine built from the workspace
-//! ([`Workspace::engine`]).  Tenants sharing one workspace get per-tenant
-//! accounting and byte quotas through [`Workspace::tenant`] sub-handles
-//! ([`Tenant`]): cache activity is metered per tenant exactly, and an
-//! over-quota tenant evicts its own entries first instead of its neighbors'.
+//! ([`Workspace::engine`]), bounded by one byte budget
+//! ([`Workspace::with_trie_cache_bytes`]).
 //!
 //! Evaluations are **cancellable and deadline-bounded**: the
 //! `*_cancellable` entry points accept a [`CancellationToken`],
-//! [`EngineConfig::with_deadline`] (or a [`Tenant`] default deadline) arms a
-//! per-evaluation time budget, and failures surface as the typed
+//! [`EngineConfig::with_deadline`] arms a per-evaluation time budget, and
+//! failures surface as the typed
 //! [`EvalError`] taxonomy (`Cancelled`, `DeadlineExceeded`,
 //! `WorkerPanicked`) — never as a hung call or a poisoned engine.  The
 //! [`faults`] registry (behind the `failpoints` cargo feature) injects
@@ -66,20 +63,20 @@ mod workspace;
 
 pub use engine::{
     kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, KernelArm,
-    PlanMode, QueryAnalysis, TenantCacheStats, TenantId, TrieCacheStats, FORCE_SCALAR_ENV,
+    PlanMode, QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES, FORCE_SCALAR_ENV,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
 pub use naive::{naive_boolean, naive_count, NaiveError};
-pub use workspace::{Tenant, Workspace, WorkspaceLimits, WorkspaceStats};
+pub use workspace::{Workspace, WorkspaceStats};
 
 /// Convenient re-exports of the most frequently used types from the whole
 /// workspace.
 pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
-        EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode, QueryAnalysis, Tenant,
-        TenantCacheStats, TenantId, TrieCacheStats, Workspace, WorkspaceLimits, WorkspaceStats,
+        EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode, QueryAnalysis,
+        TrieCacheStats, Workspace, WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};

@@ -8,12 +8,15 @@
 //!   bitstring),
 //! * anything else parseable as `f64` — a point value.
 //!
+//! Points and interval endpoints must be finite: `NaN` and `inf` parse as
+//! `f64` but are rejected, not loaded.
+//!
 //! This is enough to ship example datasets with the repository, to dump
 //! transformed databases for inspection, and to round-trip workloads between
 //! runs of the benchmark harness.
 
 use crate::{Database, Relation, Value};
-use ij_segtree::BitString;
+use ij_segtree::{BitString, Interval, IntervalError};
 use std::fmt::Write as _;
 
 /// Errors raised by the CSV reader.
@@ -67,19 +70,48 @@ pub fn field_to_value(field: &str, line: usize) -> Result<Value, CsvError> {
             line,
             message: format!("invalid interval endpoint `{hi}`"),
         })?;
-        if lo > hi {
-            return Err(CsvError {
-                line,
-                message: format!("inverted interval `{field}`"),
-            });
-        }
-        return Ok(Value::interval(lo, hi));
+        let interval = Interval::try_new(lo, hi).map_err(|e| CsvError {
+            line,
+            message: match e {
+                IntervalError::Reversed { .. } => format!("inverted interval `{field}`"),
+                IntervalError::NonFinite { .. } => format!("non-finite endpoint in `{field}`"),
+            },
+        })?;
+        return Ok(Value::Interval(interval));
     }
-    let p: f64 = field.parse().map_err(|_| CsvError {
-        line,
-        message: format!("invalid value `{field}`"),
-    })?;
-    Ok(Value::point(p))
+    match field.parse::<f64>() {
+        Ok(p) if p.is_finite() => Ok(Value::point(p)),
+        Ok(_) => Err(CsvError {
+            line,
+            message: format!("non-finite value `{field}`"),
+        }),
+        Err(_) => Err(CsvError {
+            line,
+            message: format!("invalid value `{field}`"),
+        }),
+    }
+}
+
+/// Parses one data line into a tuple of `arity` values; `None` for a blank
+/// line or a `#` comment.  `line_no` is the line's 1-based number in the
+/// text the caller was handed.
+fn parse_row(raw_line: &str, arity: usize, line_no: usize) -> Result<Option<Vec<Value>>, CsvError> {
+    let line = raw_line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let fields: Vec<&str> = line.split(',').collect();
+    if fields.len() != arity {
+        return Err(CsvError {
+            line: line_no,
+            message: format!("expected {arity} fields, found {}", fields.len()),
+        });
+    }
+    fields
+        .iter()
+        .map(|f| field_to_value(f, line_no))
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
 impl Relation {
@@ -102,21 +134,9 @@ impl Relation {
     ) -> Result<Relation, CsvError> {
         let mut rel = Relation::new(name, arity);
         for (idx, raw_line) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw_line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+            if let Some(values) = parse_row(raw_line, arity, idx + 1)? {
+                rel.push(values);
             }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != arity {
-                return Err(CsvError {
-                    line: line_no,
-                    message: format!("expected {arity} fields, found {}", fields.len()),
-                });
-            }
-            let values: Result<Vec<Value>, CsvError> =
-                fields.iter().map(|f| field_to_value(f, line_no)).collect();
-            rel.push(values?);
         }
         Ok(rel)
     }
@@ -134,23 +154,16 @@ impl Database {
         out
     }
 
-    /// Parses a database serialised with [`Database::to_csv`].
+    /// Parses a database serialised with [`Database::to_csv`].  Rows are
+    /// parsed where they are read, so a [`CsvError`] carries the line number
+    /// of `text`, not of the relation's body.
     pub fn from_csv(text: &str) -> Result<Database, CsvError> {
         let mut db = Database::new();
-        let mut current: Option<(String, usize, String)> = None;
-        let flush = |current: &mut Option<(String, usize, String)>,
-                     db: &mut Database|
-         -> Result<(), CsvError> {
-            if let Some((name, arity, body)) = current.take() {
-                db.insert(Relation::from_csv(name, arity, &body)?);
-            }
-            Ok(())
-        };
+        let mut current: Option<Relation> = None;
         for (idx, raw_line) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = raw_line.trim();
             if let Some(header) = line.strip_prefix("## ") {
-                flush(&mut current, &mut db)?;
                 let mut parts = header.split_whitespace();
                 let name = parts.next().ok_or_else(|| CsvError {
                     line: line_no,
@@ -164,23 +177,22 @@ impl Database {
                             line: line_no,
                             message: "missing or invalid arity".into(),
                         })?;
-                current = Some((name.to_string(), arity, String::new()));
+                if let Some(done) = current.replace(Relation::new(name, arity)) {
+                    db.insert(done);
+                }
             } else if !line.is_empty() {
-                match &mut current {
-                    Some((_, _, body)) => {
-                        body.push_str(line);
-                        body.push('\n');
-                    }
-                    None => {
-                        return Err(CsvError {
-                            line: line_no,
-                            message: "data before the first `## name arity` header".into(),
-                        })
-                    }
+                let rel = current.as_mut().ok_or_else(|| CsvError {
+                    line: line_no,
+                    message: "data before the first `## name arity` header".into(),
+                })?;
+                if let Some(values) = parse_row(line, rel.arity(), line_no)? {
+                    rel.push(values);
                 }
             }
         }
-        flush(&mut current, &mut db)?;
+        if let Some(done) = current {
+            db.insert(done);
+        }
         Ok(db)
     }
 }
@@ -258,5 +270,39 @@ mod tests {
         assert!(err.message.contains("inverted"));
         let err = Database::from_csv("1,2\n").unwrap_err();
         assert!(err.message.contains("header"));
+        // `NaN` and `inf` parse as `f64`; they are rejected, not loaded (and
+        // never reach the NaN panic of `OrdF64::new`).
+        for text in ["NaN\n", "nan..1\n", "1..NaN\n", "inf\n", "-inf..inf\n"] {
+            let err = Relation::from_csv("R", 1, text).unwrap_err();
+            assert_eq!(err.line, 1, "{text:?}");
+            assert!(err.message.contains("non-finite"), "{text:?}: {err}");
+        }
+        // A database reports the line of the file, not of the relation body.
+        let err = Database::from_csv("## R 1\n1\n2\n## S 1\n3\nzzz\n").unwrap_err();
+        assert_eq!(err.line, 6);
+        let err = Database::from_csv("## R 1\n\n1\n\n## S 2\n3\n").unwrap_err();
+        assert_eq!(err.line, 6, "blank lines still count");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// `Relation::from_csv` and `Database::from_csv` return `Ok` or
+        /// `Err` on any text — never unwind — and what they accept survives
+        /// `to_csv` → `from_csv`.
+        #[test]
+        fn csv_parsers_reject_or_round_trip(
+            text in crate::arb_parser_text(10),
+            arity in 0usize..3,
+        ) {
+            if let Ok(rel) = Relation::from_csv("R", arity, &text) {
+                let again = Relation::from_csv("R", arity, &rel.to_csv());
+                proptest::prop_assert_eq!(again.as_ref(), Ok(&rel), "{:?}", text);
+            }
+            if let Ok(db) = Database::from_csv(&text) {
+                let again = Database::from_csv(&db.to_csv());
+                proptest::prop_assert_eq!(again.as_ref(), Ok(&db), "{:?}", text);
+            }
+        }
     }
 }

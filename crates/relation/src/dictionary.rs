@@ -23,8 +23,7 @@
 //!   the transformed database into the dictionary of its *input* database, so
 //!   a workspace's evaluations never touch the global store, and dropping the
 //!   workspace (together with the relations built in it) frees every value it
-//!   interned — the scoping/eviction story for a long-running multi-tenant
-//!   service.
+//!   interned — the scoping/eviction story for a long-running service.
 //!
 //! Within one handle ids are never re-assigned: an id stays valid for as long
 //! as its dictionary is alive.  Ids from *different* handles are meaningless
@@ -438,7 +437,7 @@ impl Dictionary {
     /// one byte of control metadata per bucket).  An estimate from container
     /// capacities, not an allocator measurement — the same fidelity as
     /// `FlatTrie::heap_bytes`, and good enough for an operator to alert on a
-    /// growing tenant before it OOMs.
+    /// growing workspace before it OOMs.
     pub fn heap_bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<Value>()
             + self.index.capacity()

@@ -9,7 +9,7 @@
 //!   compatibility default, workspace-scoped ones bound residency (dropping
 //!   the scope reclaims its interned values);
 //! * [`Relation`] / [`Database`] — named multisets of tuples stored as
-//!   columnar id vectors ([`Columns`]), with a row-oriented compatibility
+//!   columnar id vectors, with a row-oriented compatibility
 //!   layer and the distinct-left-endpoint transformation of Appendix G.1;
 //! * [`kernels`] — SIMD-friendly chunked scan primitives over id slices
 //!   (equal-pair masks, selection-by-mask, gathers, key packing) shared by
@@ -20,8 +20,8 @@
 //! * [`CancellationToken`] / [`EvalError`] — cooperative cancellation and
 //!   deadlines polled by every long-running loop of the pipeline, plus the
 //!   typed taxonomy of evaluation failures;
-//! * [`sync`] — poison-recovering lock helpers for the shared multi-tenant
-//!   state, and [`faults`] — the feature-gated failpoint registry driving
+//! * [`sync`] — poison-recovering lock helpers for the state concurrent
+//!   evaluations share, and [`faults`] — the feature-gated failpoint registry driving
 //!   the fault-injection test harness.
 //!
 //! # Example
@@ -56,5 +56,21 @@ pub use dictionary::{
     ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES, STRIPE_BITS, STRIPE_COUNT,
 };
 pub use query::{Atom, Query, QueryParseError};
-pub use relation::{ArityError, Columns, Database, Relation};
+pub use relation::{ArityError, Database, Relation};
 pub use value::Value;
+
+/// Random text for the reject-never-panic properties of the two parsers
+/// ([`Query::parse`], the CSV readers): every character either parser gives
+/// a meaning to, enough of `NaN`, `inf` and exponents to spell the floats
+/// `f64::from_str` accepts, and a few longer fragments so that a useful share
+/// of the draws is accepted and reaches the round-trip half.
+#[cfg(test)]
+fn arb_parser_text(max_len: usize) -> impl proptest::Strategy<Value = String> {
+    use proptest::Strategy as _;
+    const ALPHABET: [&str; 30] = [
+        "R", "S", "A", "(", ")", "[", "]", ",", "&", "∧", "#", "b", ":", "0", "1", ".", "-", "e",
+        "N", "a", "n", "i", "f", " ", "\n", "..", "## R 1\n", "R(", "[A]", "S(A)",
+    ];
+    proptest::collection::vec(0..ALPHABET.len(), 0..=max_len)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}

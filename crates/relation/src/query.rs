@@ -305,6 +305,20 @@ mod tests {
         assert_eq!(h.edge(0).vertices.len(), 2);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// `Query::parse` returns `Ok` or `Err` on any text — never unwinds
+        /// — and a query it accepts renders and re-parses to itself.
+        #[test]
+        fn parse_rejects_or_round_trips(text in crate::arb_parser_text(10)) {
+            if let Ok(query) = Query::parse(&text) {
+                let again = Query::parse(&query.render());
+                proptest::prop_assert_eq!(again.as_ref(), Ok(&query), "{:?}", text);
+            }
+        }
+    }
+
     #[test]
     fn from_atoms_builder() {
         let q = Query::from_atoms(

@@ -129,7 +129,7 @@ impl Eq for Relation {}
 /// as non-emptiness guards after projecting all columns away) still carry a
 /// multiplicity.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Columns {
+pub(crate) struct Columns {
     len: usize,
     cols: Vec<Vec<ValueId>>,
 }
@@ -151,11 +151,6 @@ impl Columns {
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.cols.len()
     }
 
     /// The ids of one column.
@@ -372,11 +367,6 @@ impl Relation {
     /// The id at (`row`, `col`).
     pub fn id_at(&self, row: usize, col: usize) -> ValueId {
         self.columns.id_at(row, col)
-    }
-
-    /// The columnar storage.
-    pub fn columns(&self) -> &Columns {
-        &self.columns
     }
 
     /// The relation's cached content fingerprint, computed with `compute` on

@@ -1,13 +1,13 @@
-//! Poison-recovering lock acquisition for shared, multi-tenant state — and a
-//! runtime **lock-order detector** over it.
+//! Poison-recovering lock acquisition for the state concurrent evaluations
+//! share — and a runtime **lock-order detector** over it.
 //!
 //! # Poison recovery
 //!
-//! The dictionary stripes and the trie cache are shared by every tenant of a
-//! workspace.  A panicking worker thread elsewhere (isolated by
+//! The dictionary stripes and the trie cache are shared by every concurrent
+//! evaluation of a workspace.  A panicking worker thread elsewhere (isolated by
 //! `catch_unwind`) may still have been holding one of these locks when it
 //! unwound, which marks the lock *poisoned* — and a bare `.unwrap()` on the
-//! next acquisition would then abort an unrelated tenant's evaluation.
+//! next acquisition would then abort an unrelated evaluation.
 //!
 //! These helpers recover the guard instead.  **Why that is sound here**:
 //! every critical section protecting cross-referencing state in this

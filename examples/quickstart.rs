@@ -23,7 +23,7 @@ fn main() {
     // All cross-evaluation state — the value dictionary the databases intern
     // into and the trie cache every engine shares — is owned by a Workspace.
     // Dropping the workspace reclaims everything it interned; a service
-    // would hold one workspace per tenant or per database.
+    // would hold one workspace per database.
     let workspace = Workspace::new();
 
     // A small interval database, interned into the workspace.  The first R
@@ -107,34 +107,11 @@ fn main() {
         "warm evaluation must not rebuild"
     );
 
-    // 4. Multi-tenant accounting: tenants of one workspace share the cache
-    //    (and the dictionary) but are metered separately — exact per-tenant
-    //    hits/misses/resident bytes, and an optional byte quota capping what
-    //    one tenant may keep resident (an over-quota tenant evicts its own
-    //    LRU entries, never a neighbor's warmth).  The workspace itself
-    //    reports its dictionary residency in bytes, so an operator can alert
-    //    on a growing tenant before it OOMs.
-    let tenant = workspace.tenant("analytics");
-    let tenant_engine = tenant.engine(EngineConfig::new());
-    let _ = tenant_engine
-        .evaluate(&query, &db)
-        .expect("evaluation succeeds");
-    let ledger = tenant.cache_stats();
+    // 4. The workspace reports its dictionary residency in bytes beside the
+    //    shared cache's cumulative statistics, so an operator can alert on a
+    //    growing workspace before it OOMs.
     println!();
-    println!("4. Per-tenant accounting on the shared cache (exact, even under concurrency):");
-    println!(
-        "   tenant `{}`: {} hits / {} misses, {} entries resident ({:.1} KiB, quota {})",
-        tenant.name(),
-        ledger.hits,
-        ledger.misses,
-        ledger.entries,
-        ledger.resident_bytes as f64 / 1024.0,
-        if ledger.quota_bytes == 0 {
-            "none".to_string()
-        } else {
-            format!("{:.1} KiB", ledger.quota_bytes as f64 / 1024.0)
-        },
-    );
+    println!("4. The workspace's resource state:");
     println!("   workspace: {}", workspace.stats());
 
     // 5. Cross-check with the naive reference evaluator (exhaustive

@@ -27,9 +27,9 @@
 //! | [`hypergraph`] | Hypergraphs, acyclicity, the structural reduction τ(H) (Sections 4, 6) |
 //! | [`widths`] | ρ*, fhtw, subw bounds, ij-width (Definition 4.14) |
 //! | [`relation`] | Values, the **value dictionary** behind scoped `SharedDictionary` handles, interned columnar relations, query AST |
-//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), bytes-accounted `TrieCache` with per-tenant ledgers and quotas, Yannakakis, width-guided evaluation |
+//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), byte-budgeted content-addressed `TrieCache`, Yannakakis, width-guided evaluation |
 //! | [`reduction`] | Forward (IJ→EJ) and backward (EJ→IJ) data reductions (Sections 4, 5) |
-//! | [`engine`] | End-to-end engine with `Workspace`-owned state, `Tenant` accounting sub-handles, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
+//! | [`engine`] | End-to-end engine with `Workspace`-owned state, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
 //! | [`faqai`] | The FAQ-AI comparator (Appendix F) |
 //! | [`baselines`] | Plane sweep, binary-join cascades, nested loops, the segment-tree baseline evaluator |
 //! | [`workloads`] | Synthetic workload generators + the interval-native scenario suite |
@@ -47,7 +47,7 @@
 //! values:
 //!
 //! ```text
-//!  Workspace { SharedDictionary, shared TrieCache }  ← or the global shim
+//!  Workspace { SharedDictionary, shared TrieCache }
 //!        │
 //!        ▼
 //!  Query + Database (columnar: Vec<ValueId> per column, workspace dictionary)
@@ -78,7 +78,7 @@
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-
-//!     fingerprint keys, LRU-evicted against entry and byte budgets),
+//!     fingerprint keys, LRU-evicted against one byte budget),
 //!     built and searched on the disjunct's own worker — the workers
 //!     are the evaluation's only threads
 //!        │

@@ -19,7 +19,7 @@
 use ij_ejoin::{
     generic_join_boolean_with, generic_join_enumerate_with, BoundAtom, EvalContext, TrieCache,
 };
-use ij_engine::{EngineConfig, IntersectionJoinEngine};
+use ij_engine::{EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, intersect_sorted_gallop, intersect_sorted_scalar,
     leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
@@ -198,7 +198,7 @@ proptest! {
     }
 
     /// End-to-end equivalence with the naive oracle on random interval
-    /// triangle workloads, for every parallelism × cache capacity.
+    /// triangle workloads, for every parallelism × cache budget.
     #[test]
     fn engine_answers_match_the_naive_oracle(
         r in arb_interval_rows(6),
@@ -214,17 +214,17 @@ proptest! {
             .evaluate_naive(&query, &db)
             .unwrap();
         for parallelism in [1usize, 2] {
-            for capacity in [0usize, 4096] {
+            for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
                 let engine = IntersectionJoinEngine::new(
                     EngineConfig::new()
                         .with_parallelism(parallelism)
-                        .with_trie_cache_capacity(capacity),
+                        .with_trie_cache_bytes(bytes),
                 );
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).unwrap(),
                     expected,
-                    "parallelism {}, capacity {}",
-                    parallelism, capacity
+                    "parallelism {}, {} cache bytes",
+                    parallelism, bytes
                 );
             }
         }

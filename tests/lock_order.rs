@@ -1,5 +1,5 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (dictionary stripes + trie-cache map/tenants + plan-activity locks, the
+//! (dictionary stripes + trie-cache map + plan-activity locks, the
 //! build gates of the transformed relations the workers fill on demand, and
 //! the projection memos of the relations a cyclic disjunct binds and the
 //! decomposition memo it is planned through)
@@ -23,9 +23,7 @@ fn iv(lo: f64, hi: f64) -> Value {
     Value::interval(lo, hi)
 }
 
-/// Drives the full pipeline twice (cold build + warm cache hit), plus the
-/// tenant-accounting read path that nests the cache's tenants lock under
-/// its map lock.
+/// Drives the full pipeline twice (cold build + warm cache hit).
 fn drive_warm_path(workspace: &Workspace) {
     let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").expect("valid query");
     let mut db = workspace.database();
@@ -43,15 +41,6 @@ fn drive_warm_path(workspace: &Workspace) {
     let engine = workspace.engine(EngineConfig::new());
     assert!(engine.evaluate(&query, &db).expect("cold evaluation"));
     assert!(engine.evaluate(&query, &db).expect("warm evaluation"));
-
-    let tenant = workspace.tenant("lock-order-test");
-    let t_engine = tenant.engine(EngineConfig::new());
-    assert!(t_engine.evaluate(&query, &db).expect("tenant evaluation"));
-    let stats = tenant.cache_stats();
-    assert!(
-        stats.hits + stats.misses > 0,
-        "tenant evaluation was metered"
-    );
 }
 
 #[test]
@@ -73,7 +62,6 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
         for expected in [
             "dict-stripe",
             "trie-cache-map",
-            "trie-cache-tenants",
             "relation-projections",
             "td-memo",
         ] {
@@ -82,22 +70,14 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
                 "expected lock class `{expected}` on the warm path; saw {classes:?}"
             );
         }
-        // The one deliberate nesting on this path: tenant accounting reads
-        // the tenants ledger while holding the cache map lock.
-        assert!(
-            lock_order::snapshot()
-                .iter()
-                .any(|&(from, to)| from == "trie-cache-map" && to == "trie-cache-tenants"),
-            "expected the map→tenants nesting edge; snapshot: {:?}",
-            lock_order::snapshot()
-        );
-        // The two memos are leaves: the triangle's disjuncts derive their
-        // projected atoms and look up their tree decomposition through them,
-        // computing outside the lock.
-        for memo in ["relation-projections", "td-memo"] {
+        // The cache map and the two memos are leaves: a trie is built, and
+        // the triangle's disjuncts derive their projected atoms and look up
+        // their tree decomposition, outside the lock, and an insert settles
+        // its evictions under the map lock alone.
+        for leaf in ["trie-cache-map", "relation-projections", "td-memo"] {
             assert!(
-                lock_order::snapshot().iter().all(|&(from, _)| from != memo),
-                "a lock was acquired under `{memo}`: {:?}",
+                lock_order::snapshot().iter().all(|&(from, _)| from != leaf),
+                "a lock was acquired under `{leaf}`: {:?}",
                 lock_order::snapshot()
             );
         }

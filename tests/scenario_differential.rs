@@ -4,7 +4,7 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across `plan_mode` × cache-capacity settings,
+//!    across `plan_mode` × cache-budget settings,
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
@@ -14,7 +14,7 @@
 //! point/interval queries over small random databases under every
 //! `EjStrategy`, and a third holds the engine and the baseline to oracle-free
 //! metamorphic properties (atom and row order, endpoint scaling, reflection,
-//! touching closed endpoints).  On a divergence the failing [`ScenarioConfig`] is *shrunk*
+//! touching closed endpoints, monotonicity under tuple insertion).  On a divergence the failing [`ScenarioConfig`] is *shrunk*
 //! deterministically (the vendored proptest reports but does not shrink, so
 //! minimisation lives here): smaller tuple counts, zero skew and full
 //! selectivity are retried while the divergence persists, and the panic
@@ -26,7 +26,10 @@
 
 use ij_baselines::SegtreeBaseline;
 use ij_ejoin::EjStrategy;
-use ij_engine::{naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode};
+use ij_engine::{
+    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode,
+    DEFAULT_TRIE_CACHE_BYTES,
+};
 use ij_hypergraph::VarKind;
 use ij_reduction::{
     forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
@@ -36,20 +39,30 @@ use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
-/// Engine-config axes of the sweep (≥ 4 families × {off, small, large}
-/// caches under the adaptive planner).  Debug builds drop the middle
-/// (small-cache) capacity; release sweeps all three.  The `Fixed` plan mode —
-/// the historical identifier order, kept as the planner's differential
-/// baseline — runs at the large cache only, which is where plan-dependent
-/// trie reuse could plausibly diverge.
-const CACHE_CAPACITIES: [usize; 3] = [0, 2, 4096];
+/// Engine-config axes of the sweep (≥ 4 families × {large, off, small}
+/// caches under the adaptive planner).  Debug builds drop the small-cache
+/// cell; release sweeps all three.  The `Fixed` plan mode — the historical
+/// identifier order, kept as the planner's differential baseline — runs at
+/// the large cache only, which is where plan-dependent trie reuse could
+/// plausibly diverge.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CacheCell {
+    /// [`DEFAULT_TRIE_CACHE_BYTES`]: nothing evicts.  Runs first, because
+    /// its resident footprint is what sizes [`CacheCell::TwoTries`].
+    Default,
+    /// A budget of 0: rebuild per disjunct.
+    Off,
+    /// Room for about two of this reduction's tries: most inserts evict.
+    TwoTries,
+}
+const CACHE_CELLS: [CacheCell; 3] = [CacheCell::Default, CacheCell::Off, CacheCell::TwoTries];
 const PLAN_MODES: [PlanMode; 2] = [PlanMode::Adaptive, PlanMode::Fixed];
 
-fn cache_capacities() -> &'static [usize] {
+fn cache_cells() -> &'static [CacheCell] {
     if cfg!(debug_assertions) {
-        &[0, 4096]
+        &CACHE_CELLS[..2]
     } else {
-        &CACHE_CAPACITIES
+        &CACHE_CELLS
     }
 }
 
@@ -126,18 +139,26 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let reduction =
         forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
+    // Two tries' bytes on this reduction, measured by the first (default)
+    // cell; a reduction whose disjuncts build no trie has nothing to size.
+    let mut two_tries = 1;
     for plan in PLAN_MODES {
         // Fixed is the historical-order baseline; it runs at the large cache
         // only (the plan-sensitive cell), while Adaptive — the default — runs
         // the full cache axis.
-        let capacities: &[usize] = match plan {
-            PlanMode::Adaptive => cache_capacities(),
-            PlanMode::Fixed => &[4096],
+        let cells: &[CacheCell] = match plan {
+            PlanMode::Adaptive => cache_cells(),
+            PlanMode::Fixed => &[CacheCell::Default],
         };
-        for &capacity in capacities {
+        for &cell in cells {
+            let bytes = match cell {
+                CacheCell::Default => DEFAULT_TRIE_CACHE_BYTES,
+                CacheCell::Off => 0,
+                CacheCell::TwoTries => two_tries,
+            };
             let engine = IntersectionJoinEngine::new(
                 EngineConfig::new()
-                    .with_trie_cache_capacity(capacity)
+                    .with_trie_cache_bytes(bytes)
                     .with_plan_mode(plan),
             );
             let stats = engine
@@ -145,20 +166,24 @@ fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
                 .expect("uncancelled evaluation succeeds");
             if stats.answer != expected {
                 return Some(format!(
-                    "engine ({plan} plan, cache {capacity}) \
+                    "engine ({plan} plan, {cell:?} cache of {bytes} bytes) \
                      answered {}, naive answered {expected}",
                     stats.answer
                 ));
             }
             // A warm repeat from this engine's own cache must agree too
             // (checked once per plan mode, at the large cache).
-            if capacity == 4096 {
+            if cell == CacheCell::Default {
+                let resident = stats.trie_cache;
+                if let Some(bytes) = (2 * resident.resident_bytes).checked_div(resident.entries) {
+                    two_tries = bytes;
+                }
                 let warm = engine
                     .evaluate_reduction(&reduction)
                     .expect("uncancelled evaluation succeeds");
                 if warm.answer != expected {
                     return Some(format!(
-                        "warm engine ({plan} plan, cache {capacity}) \
+                        "warm engine ({plan} plan, {cell:?} cache) \
                          answered {}, naive answered {expected}",
                         warm.answer
                     ));
@@ -484,42 +509,89 @@ fn with_endpoints(db: &Database, map: impl Fn(f64, f64) -> (f64, f64)) -> Databa
     })
 }
 
-/// Holds the engine and the baseline, each against itself, to `variants` of
-/// every family × planted mode × seed at the sweep's small size: each variant
-/// is an instance with the same answer by construction.
-fn check_metamorphic(variants: impl Fn(&Scenario) -> Vec<(&'static str, Query, Database)>) {
-    let mut answers = std::collections::BTreeSet::new();
-    for family in ScenarioFamily::ALL {
-        for planted in [
+/// Every family × planted mode × seed at the sweep's small size.
+fn small_scenario_configs() -> impl Iterator<Item = ScenarioConfig> {
+    ScenarioFamily::ALL.into_iter().flat_map(|family| {
+        [
             PlantedAnswer::Natural,
             PlantedAnswer::Satisfiable,
             PlantedAnswer::Unsatisfiable,
             PlantedAnswer::NearMiss,
-        ] {
-            for seed in scaled_seeds(0..3) {
-                let scenario = build_scenario(
-                    &ScenarioConfig::new(family)
-                        .with_tuples(scaled_tuples(12))
-                        .with_seed(seed)
-                        .with_planted(planted),
-                );
-                let original = engine_and_baseline(&scenario.query, &scenario.database);
-                for (what, query, db) in variants(&scenario) {
-                    assert_eq!(
-                        engine_and_baseline(&query, &db),
-                        original,
-                        "[engine, baseline] after {what} on {}",
-                        scenario.name
-                    );
-                }
-                answers.insert(original);
-            }
+        ]
+        .into_iter()
+        .flat_map(move |planted| {
+            scaled_seeds(0..3).map(move |seed| {
+                ScenarioConfig::new(family)
+                    .with_tuples(scaled_tuples(12))
+                    .with_seed(seed)
+                    .with_planted(planted)
+            })
+        })
+    })
+}
+
+/// Holds the engine and the baseline, each against itself, to `variants` of
+/// every small scenario: each variant is an instance with the same answer by
+/// construction.
+fn check_metamorphic(variants: impl Fn(&Scenario) -> Vec<(&'static str, Query, Database)>) {
+    let mut answers = std::collections::BTreeSet::new();
+    for cfg in small_scenario_configs() {
+        let scenario = build_scenario(&cfg);
+        let original = engine_and_baseline(&scenario.query, &scenario.database);
+        for (what, query, db) in variants(&scenario) {
+            assert_eq!(
+                engine_and_baseline(&query, &db),
+                original,
+                "[engine, baseline] after {what} on {}",
+                scenario.name
+            );
         }
+        answers.insert(original);
     }
     assert!(
         answers.contains(&[true; 2]) && answers.contains(&[false; 2]),
         "{answers:?}"
     );
+}
+
+/// A conjunctive query is monotone in its database: a true instance stays
+/// true when rows are added (here the next seed's instance, relation by
+/// relation), a false one stays false when rows are removed (every relation
+/// cut to its first half).  An implication rather than an equality of
+/// variants, so it has its own driver beside [`check_metamorphic`].
+#[test]
+fn answers_are_monotone_under_tuple_insertion() {
+    let mut exercised = std::collections::BTreeSet::new();
+    for cfg in small_scenario_configs() {
+        let scenario = build_scenario(&cfg);
+        let original = engine_and_baseline(&scenario.query, &scenario.database);
+        assert_eq!(original[0], original[1], "{}", scenario.name);
+        let (what, changed) = if original[0] {
+            let next = build_scenario(&cfg.with_seed(cfg.seed + 1)).database;
+            let mut grown = Database::new();
+            for relation in scenario.database.relations() {
+                let mut rows = relation.tuples();
+                let more = next.relation(relation.name()).expect("same schema");
+                rows.extend(more.tuples());
+                grown.insert_tuples(relation.name(), relation.arity(), rows);
+            }
+            ("appending the next seed's rows", grown)
+        } else {
+            let halved = rebuilt(&scenario.database, |mut rows| {
+                rows.truncate(rows.len() / 2);
+                rows
+            });
+            ("cutting every relation to its first half", halved)
+        };
+        assert_eq!(
+            engine_and_baseline(&scenario.query, &changed),
+            original,
+            "[engine, baseline] after {what} on {}",
+            scenario.name
+        );
+        exercised.insert(original[0]);
+    }
+    assert_eq!(exercised.len(), 2, "both directions must be exercised");
 }
 
 /// A conjunction does not depend on the order of its atoms, nor a relation

@@ -3,7 +3,7 @@
 //! evaluation, at every parallelism setting, and must agree with the naive
 //! reference evaluator.
 
-use ij_engine::{EngineConfig, IntersectionJoinEngine};
+use ij_engine::{EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::{Database, Query, Value};
 use proptest::prelude::*;
 
@@ -43,17 +43,17 @@ proptest! {
             .evaluate_naive(&query, &db)
             .unwrap();
         for parallelism in [1usize, 2] {
-            for capacity in [0usize, 4096] {
+            for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
                 let engine = IntersectionJoinEngine::new(
                     EngineConfig::new()
                         .with_parallelism(parallelism)
-                        .with_trie_cache_capacity(capacity),
+                        .with_trie_cache_bytes(bytes),
                 );
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).unwrap(),
                     expected,
-                    "parallelism {}, capacity {}",
-                    parallelism, capacity
+                    "parallelism {}, {} cache bytes",
+                    parallelism, bytes
                 );
             }
         }
@@ -61,43 +61,51 @@ proptest! {
 
     /// Persistent-cache equivalence: one long-lived engine evaluating a
     /// *sequence* of random databases — its cache surviving (and, at tiny
-    /// capacities, evicting) across evaluations — must answer every query
-    /// exactly like a cold engine created fresh for that database, and like
-    /// the naive oracle.  Exercises cross-evaluation reuse, LRU eviction and
-    /// the disabled-cache path side by side.
+    /// budgets, evicting) across evaluations — must answer every query
+    /// exactly like a cold engine created fresh for that database, like the
+    /// unbudgeted run and like the naive oracle, and never keep more than
+    /// its budget resident.  Exercises cross-evaluation reuse, LRU eviction
+    /// and the disabled-cache path side by side.
     #[test]
     fn persistent_cache_eviction_never_changes_answers(
         dbs in proptest::collection::vec((arb_rows(5), arb_rows(5), arb_rows(5)), 2..=4),
-        capacity_choice in 0usize..4,
+        budget_choice in 0usize..4,
     ) {
-        let capacity = [1usize, 2, 3, 4096][capacity_choice];
         let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
-        let warm = IntersectionJoinEngine::new(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_cache_capacity(capacity),
-        );
+        let dbs: Vec<Database> = dbs
+            .iter()
+            .map(|(r, s, t)| db_of([("R", r), ("S", s), ("T", t)]))
+            .collect();
+        // The unbudgeted run: the reference answers, and one trie's bytes
+        // (its resident footprint over its entries) to size the budgets.
+        let free = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+        let unbudgeted: Vec<bool> = dbs.iter().map(|db| free.evaluate(&query, db).unwrap()).collect();
+        let footprint = free.trie_cache_stats();
+        prop_assert!(footprint.entries > 0, "non-empty databases must leave tries resident");
+        prop_assert_eq!(footprint.evictions, 0);
+        let one_trie = footprint.resident_bytes / footprint.entries;
+        let budget = [one_trie, 2 * one_trie, 3 * one_trie, DEFAULT_TRIE_CACHE_BYTES][budget_choice];
+        let budgeted = EngineConfig::new().with_parallelism(1).with_trie_cache_bytes(budget);
+        let warm = IntersectionJoinEngine::new(budgeted);
         let uncached = IntersectionJoinEngine::new(
             EngineConfig::new()
                 .with_parallelism(1)
-                .with_trie_cache_capacity(0),
+                .with_trie_cache_bytes(0),
         );
-        for (r, s, t) in &dbs {
-            let db = db_of([("R", r), ("S", s), ("T", t)]);
+        for (db, &free_answer) in dbs.iter().zip(&unbudgeted) {
             let expected = IntersectionJoinEngine::with_defaults()
-                .evaluate_naive(&query, &db)
+                .evaluate_naive(&query, db)
                 .unwrap();
-            let cold = IntersectionJoinEngine::new(
-                EngineConfig::new()
-                    .with_parallelism(1)
-                    .with_trie_cache_capacity(capacity),
-            );
-            prop_assert_eq!(warm.evaluate(&query, &db).unwrap(), expected, "warm, capacity {}", capacity);
-            prop_assert_eq!(cold.evaluate(&query, &db).unwrap(), expected, "cold, capacity {}", capacity);
-            prop_assert_eq!(uncached.evaluate(&query, &db).unwrap(), expected, "uncached");
+            prop_assert_eq!(free_answer, expected, "unbudgeted");
+            let cold = IntersectionJoinEngine::new(budgeted);
+            prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm, budget {}", budget);
+            prop_assert_eq!(cold.evaluate(&query, db).unwrap(), expected, "cold, budget {}", budget);
+            prop_assert_eq!(uncached.evaluate(&query, db).unwrap(), expected, "uncached");
             // Re-evaluating the same database warm must also agree (the
             // second pass is served mostly from the persistent cache).
-            prop_assert_eq!(warm.evaluate(&query, &db).unwrap(), expected, "warm repeat");
+            prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm repeat");
+            let resident = warm.trie_cache_stats().resident_bytes;
+            prop_assert!(resident <= budget, "resident {} exceeds budget {}", resident, budget);
         }
     }
 
@@ -114,9 +122,9 @@ proptest! {
         let expected = IntersectionJoinEngine::with_defaults()
             .evaluate_naive(&query, &db)
             .unwrap();
-        for capacity in [0usize, 4096] {
+        for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
             let engine = IntersectionJoinEngine::new(
-                EngineConfig::new().with_trie_cache_capacity(capacity),
+                EngineConfig::new().with_trie_cache_bytes(bytes),
             );
             prop_assert_eq!(engine.evaluate(&query, &db).unwrap(), expected);
         }
@@ -141,7 +149,7 @@ fn cache_hits_are_recorded_and_answer_preserving() {
     let rebuild = IntersectionJoinEngine::new(
         EngineConfig::new()
             .with_parallelism(1)
-            .with_trie_cache_capacity(0),
+            .with_trie_cache_bytes(0),
     );
     let shared_stats = shared.evaluate_with_stats(&query, &db).unwrap();
     let rebuild_stats = rebuild.evaluate_with_stats(&query, &db).unwrap();
@@ -207,8 +215,9 @@ fn a_second_evaluation_of_one_reduction_only_hits() {
     }
 }
 
-/// A capacity-1 persistent cache must evict (and count evictions) while still
-/// answering correctly — eviction only ever costs rebuilds, never answers.
+/// A persistent cache with room for one trie must evict (and count
+/// evictions) while still answering correctly — eviction only ever costs
+/// rebuilds, never answers.
 #[test]
 fn tiny_persistent_cache_counts_evictions() {
     let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
@@ -217,20 +226,21 @@ fn tiny_persistent_cache_counts_evictions() {
     db.insert_tuples("R", 2, vec![vec![iv(0.0, 2.0), iv(10.0, 12.0)]]);
     db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
     db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
+    let reference = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+    let reference_stats = reference.evaluate_with_stats(&query, &db).unwrap();
+    assert_eq!(reference_stats.trie_cache.evictions, 0);
+    let one_trie = reference_stats.trie_cache.resident_bytes / reference_stats.trie_cache.entries;
     let tiny = IntersectionJoinEngine::new(
         EngineConfig::new()
             .with_parallelism(1)
-            .with_trie_cache_capacity(1),
+            .with_trie_cache_bytes(one_trie),
     );
-    let reference = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
     let tiny_stats = tiny.evaluate_with_stats(&query, &db).unwrap();
-    let reference_stats = reference.evaluate_with_stats(&query, &db).unwrap();
     assert_eq!(tiny_stats.answer, reference_stats.answer);
     assert!(
         tiny_stats.trie_cache.evictions > 0,
-        "a capacity-1 cache under a multi-relation disjunction must evict: {:?}",
+        "a one-trie cache under a multi-relation disjunction must evict: {:?}",
         tiny_stats.trie_cache
     );
-    assert_eq!(tiny_stats.trie_cache.entries, 1);
-    assert_eq!(reference_stats.trie_cache.evictions, 0);
+    assert!(tiny_stats.trie_cache.resident_bytes <= one_trie);
 }

@@ -5,7 +5,7 @@
 //! workspace must preserve cross-evaluation cache warmth, and the trie
 //! cache's byte budget must be enforced with LRU evictions.
 
-use ij_engine::{EngineConfig, IntersectionJoinEngine, Workspace, WorkspaceLimits};
+use ij_engine::{EngineConfig, IntersectionJoinEngine, Workspace};
 use ij_relation::{Database, Dictionary, Query, Value};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
 use proptest::prelude::*;
@@ -185,7 +185,7 @@ fn trie_cache_byte_budget_is_enforced_with_evictions() {
     assert!(per_db > 0);
 
     let budget = 2 * per_db;
-    let ws = Workspace::with_limits(WorkspaceLimits::new().with_trie_cache_bytes(budget));
+    let ws = Workspace::with_trie_cache_bytes(budget);
     for seed in 0..6 {
         let db = ws.import_database(&workload(seed, 10));
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
