@@ -605,9 +605,9 @@ impl IntersectionJoinEngine {
     /// is as late as the slowest sibling's next poll: each worker polls
     /// between binding a disjunct's relations and searching it, and the
     /// Yannakakis pass of an acyclic disjunct before each semijoin; only
-    /// [`Relation::dedup`](ij_relation::Relation::dedup) — at the end of a
-    /// relation build, and in each projection a cyclic disjunct derives —
-    /// runs to its end unpolled.
+    /// [`Relation::dedup`](ij_relation::Relation::dedup) runs to its end
+    /// unpolled — over the seeds of a relation build, at most tens of
+    /// thousands of keys, and over each projection a cyclic disjunct derives.
     /// All workers share the engine's **persistent**
     /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_bytes`]), so a
     /// trie built for one disjunct is reused by every later disjunct of this

@@ -59,17 +59,27 @@
 //! # The transform kernel
 //!
 //! The transform never leaves the id domain.  The canonical partition and
-//! the leaf of every cell are computed once per (atom, interval column)
-//! (`NodeLists`) and shared by all level assignments of the atom.  One
-//! relation build (`build_relation`, which also builds the parts of the
-//! decomposed encoding) then walks the source rows with one reusable
-//! flat id buffer per source column — a carried column contributes its source
-//! id, an interval column the pieces of every (node, composition) pair, cut
-//! by an odometer over the cut positions — and emits the cross product of
-//! the buffers with a second odometer into one reusable row.  A piece is a
-//! bitstring of at most the tree height, so its id is computed, not looked
-//! up (the inline ids of [`SharedDictionary::intern`]): no hash, no lock and
-//! no allocation per row.  [`Relation::dedup`] then sorts the raw ids.
+//! the leaf of every cell are computed once per (atom, interval column), as
+//! node ids (`NodeLists`), and shared by all level assignments of the atom.
+//! One relation build (`build_relation`, which also builds the parts of the
+//! decomposed encoding) is *seeds → sort → expand*.  A **seed** of a source
+//! row is one id per source column: the row's id in a carried column, the id
+//! of one of its nodes in an interval column.  A seed expands to one tuple
+//! per choice of a composition of each of its nodes into `level` pieces, and
+//! the map (seed, cuts) ↦ tuple is injective: concatenating a column's pieces
+//! gives back its node, and the piece lengths give back the cuts.  So
+//! distinct seeds expand to disjoint sets of pairwise distinct tuples, and a
+//! relation is a set exactly when its seeds are: [`Relation::dedup`] sorts
+//! the seeds, the only sort of a build.  That is Lemma 4.10's counting
+//! argument read as an algorithm — `|R̃| = Σ_seeds ∏_columns C(|u| + level −
+//! 1, level − 1)` before a tuple is written — so every output column is
+//! allocated once at that length and filled seed by seed.  A piece is at
+//! most as long as the tree is high, so its id is computed, not looked up
+//! (the inline ids of [`SharedDictionary::intern`]): no hash, no lock, and
+//! no allocation per row or per seed.  The rows end up in **seed order**
+//! (ascending ids, column by column), each seed's tuples in cut order with
+//! the first column varying slowest: a function of the source rows' *set*,
+//! so equal inputs in any row order give equal columns.
 
 use ij_hypergraph::{full_reduction, ReducedHypergraph, VarId, VarKind};
 use ij_relation::sync::lock_recover;
@@ -356,10 +366,12 @@ impl ForwardReduction {
     /// The transformed relation `name`, built now if nobody asked for it
     /// before.  A concurrent request for the same relation waits for the
     /// build in flight.  `token` is polled before a build starts and then
-    /// every [`check_interval`](CancellationToken::check_interval) tuples the
-    /// build emits; an interrupted (or panicking) build leaves the relation
-    /// unbuilt, and a later request builds it again.  Requests for a relation
-    /// already built never fail.
+    /// every [`check_interval`](CancellationToken::check_interval) units of
+    /// the build — a seed collected or a tuple written; only the sort of the
+    /// seeds in between runs unpolled.  An interrupted (or panicking) build
+    /// leaves the relation unbuilt, and a later request builds it again.
+    /// Requests for a relation already built never fail.  The relation is a
+    /// duplicate-free set in seed order (module docs), not sorted by id.
     ///
     /// # Panics
     ///
@@ -540,8 +552,8 @@ pub fn forward_reduction_with(
 
 /// [`forward_reduction_with`] polling a [`CancellationToken`]: the per-tuple
 /// loops — the segment-tree node pass over every interval column (per source
-/// tuple) and the expansion of every relation build (per emitted tuple) —
-/// check the token every
+/// tuple) and both loops of every relation build (per seed collected, per
+/// tuple written) — check the token every
 /// [`check_interval`](CancellationToken::check_interval) tuples and abort with
 /// [`ReductionError::Interrupted`] when it fires — the segment-tree builds
 /// and the structural reduction run to completion (both are small: `O(N)`
@@ -616,7 +628,8 @@ pub fn plan_forward_reduction(
         // Number of atoms containing the variable (its `k`).
         degrees.insert(var, columns.len());
         for (key, intervals) in columns {
-            node_lists.insert(key, NodeLists::build(&tree, &intervals, token)?);
+            let nodes = NodeLists::build(&tree, &intervals, db.dictionary(), token)?;
+            node_lists.insert(key, nodes);
         }
     }
 
@@ -776,24 +789,25 @@ fn reduced_relation_signature(
     (name, vars)
 }
 
-/// The segment-tree nodes of one interval column, computed once and shared
-/// by every level assignment of its atom: per source tuple, the canonical
-/// partition of its interval (Definition 4.9, second bullet: the levels
-/// below the variable's degree) and the leaf of its left endpoint (third
-/// bullet: the top level).
+/// The segment-tree nodes of one interval column, as ids, computed once and
+/// shared by every level assignment of its atom: per source tuple, the
+/// canonical partition of its interval (Definition 4.9, second bullet: the
+/// levels below the variable's degree) and the leaf of its left endpoint
+/// (third bullet: the top level).
 #[derive(Debug)]
 struct NodeLists {
     /// Row `r`'s canonical partition is
     /// `partitions[partition_starts[r]..partition_starts[r + 1]]`.
-    partitions: Vec<BitString>,
+    partitions: Vec<ValueId>,
     partition_starts: Vec<usize>,
-    leaves: Vec<BitString>,
+    leaves: Vec<ValueId>,
 }
 
 impl NodeLists {
     fn build(
         tree: &SegmentTree,
         intervals: &[Interval],
+        dict: &SharedDictionary,
         token: Option<&CancellationToken>,
     ) -> Result<Self, EvalError> {
         let mut lists = NodeLists {
@@ -801,23 +815,15 @@ impl NodeLists {
             partition_starts: vec![0],
             leaves: Vec::with_capacity(intervals.len()),
         };
+        let id_of = |node: BitString| dict.intern(Value::Bits(node));
         let mut ticker = CancelTicker::new(token);
         for &iv in intervals {
             ticker.tick()?;
-            lists.partitions.extend(tree.canonical_partition(iv));
+            tree.for_each_canonical_node(iv, |node| lists.partitions.push(id_of(node)));
             lists.partition_starts.push(lists.partitions.len());
-            lists.leaves.push(tree.leaf_of_interval(iv));
+            lists.leaves.push(id_of(tree.leaf_of_interval(iv)));
         }
         Ok(lists)
-    }
-
-    /// The nodes a source row expands from: its leaf at the top level, its
-    /// canonical partition (possibly empty) below.
-    fn of_row(&self, row: usize, leaf: bool) -> &[BitString] {
-        if leaf {
-            return std::slice::from_ref(&self.leaves[row]);
-        }
-        &self.partitions[self.partition_starts[row]..self.partition_starts[row + 1]]
     }
 }
 
@@ -837,13 +843,33 @@ enum PlanColumn<'a> {
     },
 }
 
-impl PlanColumn<'_> {
+impl<'a> PlanColumn<'a> {
     /// Number of output columns.
     fn width(&self) -> usize {
         match *self {
             PlanColumn::Carried(_) => 1,
             PlanColumn::Expand { level, .. } => level,
         }
+    }
+
+    /// What a source row contributes to the seeds in this column: its id, or
+    /// the nodes it expands from — its leaf at the top level, its canonical
+    /// partition below (possibly empty: the row joins nothing).
+    fn seeds_of(&self, row: usize) -> &'a [ValueId] {
+        match *self {
+            PlanColumn::Carried(ids) => &ids[row..=row],
+            PlanColumn::Expand { nodes, leaf, .. } if leaf => &nodes.leaves[row..=row],
+            PlanColumn::Expand { nodes, .. } => {
+                &nodes.partitions[nodes.partition_starts[row]..nodes.partition_starts[row + 1]]
+            }
+        }
+    }
+
+    /// The node the seed id `seed` names in this column, to be cut into
+    /// [`width`](Self::width) pieces; `None` for the id of a carried column.
+    fn node_of(&self, dict: &SharedDictionary, seed: ValueId) -> Option<BitString> {
+        let expands = matches!(self, PlanColumn::Expand { .. });
+        expands.then(|| dict.resolve(seed).as_bits().expect("a node id"))
     }
 }
 
@@ -868,11 +894,9 @@ impl ForwardReduction {
 
 /// Builds one transformed relation (Definition 4.9, applied once per
 /// `Expand` column of the plan) — the one routine that materialises `D̃`,
-/// behind every cell of a [`ForwardReduction`]: per source row, the cross
-/// product of its columns' options, deduplicated at the end.  The loop stays
-/// in the id domain and allocates nothing per row: every plan column has one
-/// reusable buffer holding the current row's options back to back (`width`
-/// ids each), and an odometer over the buffers fills one reusable output row.
+/// behind every cell of a [`ForwardReduction`], as *seeds → sort → expand*
+/// (module docs).  Only the seeds are sorted, the output columns are
+/// allocated once, and nothing is allocated per source row or per seed.
 fn build_relation(
     name: &str,
     dict: &SharedDictionary,
@@ -881,54 +905,84 @@ fn build_relation(
     token: Option<&CancellationToken>,
 ) -> Result<Relation, EvalError> {
     faults::point("reduction-transform");
-    let widths: Vec<usize> = plan.iter().map(PlanColumn::width).collect();
-    let arity = widths.iter().sum();
-    let mut out = Relation::new_in(name.to_string(), arity, dict);
-    let mut options: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
-    // The odometer: per plan column, the offset of the chosen option.
-    let mut chosen: Vec<usize> = vec![0; plan.len()];
-    let mut cuts: Vec<u8> = Vec::new();
-    let mut row: Vec<ValueId> = Vec::with_capacity(arity);
+    // One unit of work per seed collected and per tuple written: a source row
+    // or a seed stands for `O(log^j N)` of them, too many between two polls.
     let mut ticker = CancelTicker::new(token);
-    'rows: for source_row in 0..source_rows {
-        for (column, options) in plan.iter().zip(&mut options) {
-            options.clear();
-            match *column {
-                PlanColumn::Carried(ids) => options.push(ids[source_row]),
-                PlanColumn::Expand { nodes, level, leaf } => {
-                    for &node in nodes.of_row(source_row, leaf) {
-                        push_compositions(dict, node, level, &mut cuts, options);
-                    }
-                    // An empty canonical partition: the tuple joins nothing.
-                    if options.is_empty() {
-                        continue 'rows;
-                    }
-                }
-            }
+
+    // (1) The seeds: per source row, the cross product of its columns' ids.
+    let mut seeds: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
+    let mut collected = 0;
+    for row in 0..source_rows {
+        let count: usize = (plan.iter().map(|column| column.seeds_of(row).len())).product();
+        // An empty canonical partition: the tuple joins nothing.
+        if count == 0 {
+            continue;
         }
-        chosen.fill(0);
-        'emit: loop {
-            // One unit of work per emitted tuple: a source row expands into
-            // `O(log^j N)` of them, so a per-source-row count would stretch
-            // the poll interval by that factor.
-            ticker.tick()?;
-            row.clear();
-            for ((&width, options), &at) in widths.iter().zip(&options).zip(&chosen) {
-                row.extend_from_slice(&options[at..at + width]);
+        ticker.advance(count)?;
+        let mut outer = 1;
+        for (column, seeds) in plan.iter().zip(&mut seeds) {
+            let ids = column.seeds_of(row);
+            let inner = count / (outer * ids.len());
+            repeat(seeds, ids.iter().copied(), inner, outer);
+            outer *= ids.len();
+        }
+        collected += count;
+    }
+    let mut seeds = Relation::from_id_columns_in(name, collected, seeds, dict);
+    seeds.dedup();
+
+    // (2) The exact size: distinct seeds expand to disjoint sets of tuples,
+    // `C(|u| + level − 1, level − 1)` options per node `u` (Lemma 4.10).
+    let tuples_of = |seed: usize| -> usize {
+        let options = |(c, column): (usize, &PlanColumn<'_>)| {
+            let node = column.node_of(dict, seeds.id_at(seed, c));
+            node.map_or(1, |node| node.composition_count(column.width()) as usize)
+        };
+        plan.iter().enumerate().map(options).product()
+    };
+    let counts: Vec<usize> = (0..seeds.len()).map(tuples_of).collect();
+    let total: usize = counts.iter().sum();
+
+    // (3) The tuples: per seed, the cross product of its columns' options
+    // (`width` ids each), the first column varying slowest.
+    let arity = plan.iter().map(PlanColumn::width).sum();
+    let mut columns: Vec<Vec<ValueId>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
+    let (mut options, mut cuts) = (Vec::new(), Vec::new());
+    for (seed, &count) in counts.iter().enumerate() {
+        ticker.advance(count)?;
+        let (mut outer, mut first) = (1, 0);
+        for (c, column) in plan.iter().enumerate() {
+            let (id, width) = (seeds.id_at(seed, c), column.width());
+            options.clear();
+            match column.node_of(dict, id) {
+                Some(node) => push_compositions(dict, node, width, &mut cuts, &mut options),
+                None => options.push(id),
             }
-            out.push_ids(&row);
-            for ((&width, options), at) in widths.iter().zip(&options).zip(&mut chosen).rev() {
-                *at += width;
-                if *at < options.len() {
-                    continue 'emit;
-                }
-                *at = 0;
+            let n = options.len() / width;
+            for (j, out) in columns[first..first + width].iter_mut().enumerate() {
+                let pieces = options.iter().skip(j).step_by(width).copied();
+                repeat(out, pieces, count / (outer * n), outer);
             }
-            break;
+            outer *= n;
+            first += width;
         }
     }
-    out.dedup();
-    Ok(out)
+    // Lemma 4.10's count, taken in (2), against the rows written in (3):
+    // `from_id_columns_in` asserts that every column holds `total` ids.
+    Ok(Relation::from_id_columns_in(name, total, columns, dict))
+}
+
+/// Appends one column of a cross product to `out`: each of `ids` `inner`
+/// times in a row, and that pattern `outer` times over.
+fn repeat(out: &mut Vec<ValueId>, ids: impl Iterator<Item = ValueId>, inner: usize, outer: usize) {
+    let start = out.len();
+    for id in ids {
+        out.resize(out.len() + inner, id);
+    }
+    let pattern = out.len() - start;
+    for _ in 1..outer {
+        out.extend_from_within(out.len() - pattern..);
+    }
 }
 
 /// Appends to `out` the ids of every way of writing `node` as `level`
@@ -994,6 +1048,7 @@ fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
 mod tests {
     use super::*;
     use ij_relation::Value;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn iv(lo: f64, hi: f64) -> Value {
@@ -1469,7 +1524,7 @@ mod tests {
     #[test]
     fn kernel_matches_the_oracle_on_two_variables_at_level_three() {
         // Both variables have degree 3, so an atom reaches levels (3, 3):
-        // arity 6, the wide path of `Relation::dedup`.
+        // two column groups of three, filled from a two-column seed.
         let q = Query::parse("R([A],[B]) & S([A],[B]) & T([A],[B])").unwrap();
         let db = database_of(&[
             ("R", interval_rows(6, 2, 0)),
@@ -1506,7 +1561,8 @@ mod tests {
 
     /// The node lists of `intervals` in the tree over `tree_intervals`.
     fn node_lists(tree_intervals: &[Interval], intervals: &[Interval]) -> NodeLists {
-        NodeLists::build(&SegmentTree::build(tree_intervals), intervals, None).unwrap()
+        let tree = SegmentTree::build(tree_intervals);
+        NodeLists::build(&tree, intervals, &SharedDictionary::new(), None).unwrap()
     }
 
     #[test]
@@ -1535,6 +1591,17 @@ mod tests {
         assert!(build(true).column(0).any(|v| v == Value::point(8.0)));
     }
 
+    /// A one-row node list made by hand: the row's canonical partition and
+    /// its leaf are both the single node `node`.
+    fn single_node(dict: &SharedDictionary, node: BitString) -> NodeLists {
+        let id = dict.intern(Value::Bits(node));
+        NodeLists {
+            partitions: vec![id],
+            partition_starts: vec![0, 1],
+            leaves: vec![id],
+        }
+    }
+
     #[test]
     fn a_token_cancelled_mid_transform_interrupts() {
         let q = Query::parse("R([A]) & S([A])").unwrap();
@@ -1546,8 +1613,9 @@ mod tests {
                 .unwrap_err(),
             ReductionError::Interrupted(EvalError::Cancelled)
         );
-        // The expansion loop itself polls: node lists built beforehand, the
-        // token fires on the fourth emitted tuple (one leaf per row).
+        // The build itself polls, one unit per seed collected and one per
+        // tuple written: node lists built beforehand, one leaf per row, so
+        // two rows are 2 + 2 units and the token fires on the fourth.
         let intervals: Vec<Interval> = (0..9).map(|i| Interval::new(i as f64, 9.0)).collect();
         let nodes = node_lists(&intervals, &intervals);
         let plan = [PlanColumn::Expand {
@@ -1556,12 +1624,241 @@ mod tests {
             leaf: true,
         }];
         let dict = SharedDictionary::new();
+        for rows in [2, 9] {
+            assert_eq!(
+                build_relation("R", &dict, &plan, rows, Some(&token)).unwrap_err(),
+                EvalError::Cancelled
+            );
+        }
+        // Fewer seeds plus tuples than the check interval never poll.
+        assert!(build_relation("R", &dict, &plan, 1, Some(&token)).is_ok());
+    }
+
+    #[test]
+    fn one_seed_expanding_past_the_check_interval_polls() {
+        // One source row, one seed: a per-seed count would be 1 + 1 units and
+        // never reach the interval.  Its 13-bit leaf has C(15, 2) = 105
+        // compositions into three pieces, and the poll unit is the tuple.
+        let dict = SharedDictionary::new();
+        let nodes = single_node(&dict, BitString::from_bits(0b1_0110_0111_0001, 13));
+        let plan = [PlanColumn::Expand {
+            nodes: &nodes,
+            level: 3,
+            leaf: true,
+        }];
         assert_eq!(
-            build_relation("R", &dict, &plan, 9, Some(&token)).unwrap_err(),
+            build_relation("R", &dict, &plan, 1, None).unwrap().len(),
+            105
+        );
+        let token = CancellationToken::new().with_check_interval(4);
+        token.cancel();
+        assert_eq!(
+            build_relation("R", &dict, &plan, 1, Some(&token)).unwrap_err(),
             EvalError::Cancelled
         );
-        // Fewer tuples than the check interval never poll.
-        assert!(build_relation("R", &dict, &plan, 3, Some(&token)).is_ok());
+    }
+
+    #[test]
+    fn a_node_too_long_for_an_inline_id_goes_through_the_dictionary() {
+        // No tree that fits in memory is 30 levels tall, so the node list is
+        // made by hand.  The node and its one 30-bit piece are stored in the
+        // dictionary, every shorter piece has its inline id.
+        let dict = SharedDictionary::new();
+        let node = BitString::from_bits(0x2AAA_AAAA | 1, ij_relation::MAX_INLINE_BITS + 1);
+        let nodes = single_node(&dict, node);
+        let carried = [dict.intern(Value::point(7.0))];
+        for (level, leaf) in [(1, true), (2, false), (3, true)] {
+            let plan = [
+                PlanColumn::Expand {
+                    nodes: &nodes,
+                    level,
+                    leaf,
+                },
+                PlanColumn::Carried(&carried),
+            ];
+            let built = build_relation("R", &dict, &plan, 1, None).unwrap();
+            let expected: Vec<Vec<Value>> = (node.compositions(level))
+                .map(|pieces| pieces.into_iter().map(Value::Bits).collect())
+                .map(|mut row: Vec<Value>| {
+                    row.push(Value::point(7.0));
+                    row
+                })
+                .collect();
+            // One seed: its compositions in cut order.
+            assert_eq!(built.tuples(), expected, "level {level}");
+        }
+    }
+
+    #[test]
+    fn push_compositions_agrees_with_the_paper_facing_iterator_and_the_count() {
+        // The exact-size fill rests on the three spellings of 𝔉(u, i)
+        // agreeing: same pieces, same order, `composition_count` of them.
+        let dict = SharedDictionary::new();
+        let (mut cuts, mut ids) = (Vec::new(), Vec::new());
+        for len in 0..=6u8 {
+            for bits in 0..1u64 << len {
+                let node = BitString::from_bits(bits, len);
+                for level in 1..=4 {
+                    ids.clear();
+                    push_compositions(&dict, node, level, &mut cuts, &mut ids);
+                    let expected: Vec<ValueId> = (node.compositions(level).flatten())
+                        .map(|piece| dict.intern(Value::Bits(piece)))
+                        .collect();
+                    assert_eq!(ids, expected, "{node} into {level}");
+                    assert_eq!(
+                        (ids.len() / level) as u64,
+                        node.composition_count(level),
+                        "{node} into {level}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The query shapes of the property tests: a star of degree 3 (levels 1
+    /// and 2 expand canonical partitions, level 3 the leaf), the triangle,
+    /// two variables reaching levels (3, 3), and an EIJ query carrying the
+    /// point variables X and Y before, between and after interval columns.
+    const SHAPES: [&str; 4] = [
+        "R([A]) & S([A]) & T([A])",
+        "R([A],[B]) & S([B],[C]) & T([A],[C])",
+        "R([A],[B]) & S([A],[B]) & T([A],[B])",
+        "R(X,[A],[B]) & S([A],X,Y) & T(Y,[B])",
+    ];
+
+    /// One relation's rows, before a query shape gives them an arity and
+    /// column kinds: three raw cells `(lo, width, kind)` per row.
+    type RawRows = Vec<Vec<(u32, u32, u32)>>;
+
+    /// A random small instance: a shape of [`SHAPES`] and raw rows for its
+    /// three relations over a domain small enough that intervals nest, touch
+    /// at closed endpoints and repeat.
+    fn arb_instance() -> impl Strategy<Value = (usize, Vec<RawRows>)> {
+        let row = proptest::collection::vec((0u32..8, 0u32..5, 0u32..4), 3);
+        let rows = proptest::collection::vec(row, 1..6);
+        (0..SHAPES.len(), proptest::collection::vec(rows, 3))
+    }
+
+    /// The instance as a query and a database over `dict`, each relation's
+    /// rows in the order `order` puts them.  A point column holds one of three points; an
+    /// interval column an interval of width 0 to 4, a quarter of the
+    /// zero-width ones as a bare point; every relation repeats its first row.
+    fn instance(
+        (shape, relations): &(usize, Vec<RawRows>),
+        dict: &SharedDictionary,
+        order: impl Fn(&mut Vec<Vec<Value>>),
+    ) -> (Query, Database) {
+        let q = Query::parse(SHAPES[*shape]).unwrap();
+        let cell = |var: &String, (lo, width, kind): (u32, u32, u32)| match q.var_kind(var) {
+            Some(VarKind::Interval) if (width, kind) == (0, 0) => Value::point(lo as f64),
+            Some(VarKind::Interval) => iv(lo as f64, (lo + width) as f64),
+            _ => Value::point((lo % 3) as f64),
+        };
+        let mut db = Database::new_in(dict.clone());
+        for (atom, raw) in q.atoms().iter().zip(relations) {
+            let mut rows: Vec<Vec<Value>> = (raw.iter().chain(&raw[..1]))
+                .map(|row| (atom.vars.iter().zip(row).map(|(v, &c)| cell(v, c))).collect())
+                .collect();
+            order(&mut rows);
+            db.insert_tuples(&atom.relation, atom.vars.len(), rows);
+        }
+        (q, db)
+    }
+
+    /// `Σ_{distinct seeds} ∏_columns C(|u| + i − 1, i − 1)` for one planned
+    /// relation, the seeds collected the slow way: a set of id rows.
+    fn size_by_lemma_4_10(fr: &ForwardReduction, planned: &PlannedRelation) -> u64 {
+        let spec = planned.spec.as_ref().unwrap();
+        let plan = fr.resolve(spec);
+        let mut seeds: BTreeSet<Vec<ValueId>> = BTreeSet::new();
+        for row in 0..fr.sources[spec.atom].rows {
+            let of_row = plan.iter().fold(vec![vec![]], |seeds, column| {
+                let extended = |seed: &Vec<ValueId>| {
+                    let seed = seed.clone();
+                    (column.seeds_of(row).iter()).map(move |&id| [&seed[..], &[id]].concat())
+                };
+                seeds.iter().flat_map(extended).collect()
+            });
+            seeds.extend(of_row);
+        }
+        let options = |(id, column): (&ValueId, &PlanColumn<'_>)| match *column {
+            PlanColumn::Carried(_) => 1,
+            PlanColumn::Expand { level, .. } => {
+                let node = fr.dict.resolve(*id).as_bits().unwrap();
+                node.composition_count(level)
+            }
+        };
+        (seeds.iter())
+            .map(|seed| seed.iter().zip(&plan).map(options).product::<u64>())
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Repeated rows, nested and touching intervals, bare points in
+        /// interval columns, carried point columns: the kernel builds the
+        /// oracle's relations as duplicate-free sets, under both encodings.
+        #[test]
+        fn kernel_matches_the_oracle_on_random_instances(raw in arb_instance()) {
+            let (q, db) = instance(&raw, &SharedDictionary::new(), |_| ());
+            assert_kernel_matches_oracle(&q, &db);
+        }
+
+        /// Lemma 4.10 as an identity: a relation has exactly one tuple per
+        /// distinct seed and per choice of one composition in each column.
+        #[test]
+        fn relation_sizes_are_the_sum_over_distinct_seeds(raw in arb_instance()) {
+            let (q, db) = instance(&raw, &SharedDictionary::new(), |_| ());
+            for config in [ReductionConfig::default(), DECOMPOSED] {
+                let fr = forward_reduction_with(&q, &db, config).unwrap();
+                for planned in &fr.relations {
+                    let built = fr.relation(&planned.name, None).unwrap();
+                    prop_assert_eq!(
+                        built.len() as u64,
+                        size_by_lemma_4_10(&fr, planned),
+                        "{:?}: {}", config, &planned.name
+                    );
+                }
+            }
+        }
+
+        /// A transformed relation is a function of its source rows' *set*:
+        /// reversing or rotating the rows of every source relation leaves it
+        /// equal column for column, so a trie-cache fingerprint — a function
+        /// of the columns — cannot tell the orders apart either.  (Over one
+        /// dictionary: a carried value's id is its interning rank.)  The
+        /// spine and parts of a decomposed atom are left out: their tuple
+        /// identifiers are row positions.
+        #[test]
+        fn source_row_order_does_not_change_a_relation(raw in arb_instance(), by in 1usize..5) {
+            let dict = SharedDictionary::new();
+            for config in [ReductionConfig::default(), DECOMPOSED] {
+                let build = |order: &dyn Fn(&mut Vec<Vec<Value>>)| {
+                    let (q, db) = instance(&raw, &dict, order);
+                    forward_reduction_with(&q, &db, config).unwrap()
+                };
+                let original = build(&|_| ());
+                let reordered = [
+                    build(&|rows| rows.reverse()),
+                    build(&|rows| { let n = rows.len(); rows.rotate_left(by % n) }),
+                ];
+                for planned in &original.relations {
+                    let spec = planned.spec.as_ref().unwrap();
+                    if spec.columns.iter().any(|c| matches!(c, SpecColumn::TupleId)) {
+                        continue;
+                    }
+                    let built = original.relation(&planned.name, None).unwrap();
+                    for other in &reordered {
+                        prop_assert_eq!(
+                            built,
+                            other.relation(&planned.name, None).unwrap(),
+                            "{:?}: {}", config, &planned.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Under both encodings: the star's plan and, as the reference, its

@@ -220,15 +220,27 @@ impl<'t> CancelTicker<'t> {
     /// `check_interval` calls.
     #[inline]
     pub fn tick(&mut self) -> Result<(), EvalError> {
+        self.advance(1)
+    }
+
+    /// Counts `units` units of work at once — a loop body that does them in
+    /// one go, like the forward reduction writing all tuples of one seed —
+    /// and polls the token if that uses up the interval, which then starts
+    /// over.  The poll comes *before* the caller does the work it counted.
+    #[inline]
+    pub fn advance(&mut self, units: usize) -> Result<(), EvalError> {
         let Some(token) = self.token else {
             return Ok(());
         };
-        self.left -= 1;
-        if self.left == 0 {
-            self.left = self.interval;
-            token.checkpoint()
-        } else {
-            Ok(())
+        match u32::try_from(units) {
+            Ok(units) if units < self.left => {
+                self.left -= units;
+                Ok(())
+            }
+            _ => {
+                self.left = self.interval;
+                token.checkpoint()
+            }
         }
     }
 }
@@ -364,6 +376,25 @@ mod tests {
         for _ in 0..10_000 {
             assert!(idle.tick().is_ok());
         }
+        assert!(idle.advance(usize::MAX).is_ok());
+    }
+
+    #[test]
+    fn advancing_by_many_units_polls_when_the_interval_is_crossed() {
+        let token = CancellationToken::new().with_check_interval(8);
+        let mut ticker = CancelTicker::new(Some(&token));
+        token.cancel();
+        // 3 + 4 units stay inside the interval, the next one completes it.
+        assert!(ticker.advance(3).is_ok());
+        assert!(ticker.advance(4).is_ok());
+        assert_eq!(ticker.tick(), Err(EvalError::Cancelled));
+        // The interval starts over after a poll; one call that overshoots it
+        // (by any amount) polls once, and so does one that lands on it.
+        assert!(ticker.advance(7).is_ok());
+        assert_eq!(ticker.advance(usize::MAX), Err(EvalError::Cancelled));
+        assert_eq!(ticker.advance(8), Err(EvalError::Cancelled));
+        // Zero units never poll.
+        assert!(ticker.advance(0).is_ok());
     }
 
     #[test]

@@ -83,10 +83,9 @@ struct Memos {
 }
 
 impl Memos {
-    /// Forgets everything; every mutator of the columns calls it.  A builder
-    /// pushing row by row pays it per row, so while no projection is held
-    /// it costs that builder a load and a branch, not a map dropped and
-    /// rebuilt (measured at 13 % of a transformed relation's build).
+    /// Forgets everything; every mutator of the columns calls it.  A caller
+    /// of `push_ids` pays it per row, so while no projection is held it
+    /// costs a load and a branch, not a map dropped and rebuilt.
     fn clear(&mut self) {
         self.fingerprint = std::sync::OnceLock::new();
         let projections = self
@@ -267,7 +266,9 @@ impl Relation {
     /// Builds a relation directly from already-interned id columns, all
     /// pointing into `dict` — the column-wise fast ingestion path used by
     /// `Workspace::import_database`, which re-interns a database one column
-    /// at a time instead of materialising `Value` rows.
+    /// at a time instead of materialising `Value` rows, and by the forward
+    /// reduction, which fills a transformed relation's columns at their
+    /// final length.
     ///
     /// `len` is the row count; it is explicit (rather than derived from the
     /// columns) so zero-arity relations keep their multiplicity.
@@ -408,8 +409,9 @@ impl Relation {
         Ok(())
     }
 
-    /// Appends a row of already-interned ids (the fast ingestion path used by
-    /// the forward reduction and the join engine).
+    /// Appends a row of already-interned ids (how the join engine's bag
+    /// enumeration emits a row; whole columns go through
+    /// [`Relation::from_id_columns_in`]).
     ///
     /// # Panics
     ///
@@ -434,6 +436,11 @@ impl Relation {
     /// deterministic for one dictionary and interning sequence (equal row
     /// sets over one dictionary end up as equal columns); callers that want
     /// value order sort [`Relation::tuples`] themselves.
+    ///
+    /// A comparison sort over every row, taking no cancellation token.  Its
+    /// callers are [`Relation::projection`] and the forward reduction, which
+    /// sorts a relation's *seeds* with it, not the transformed relation: a
+    /// relation is a set without having been through here.
     pub fn dedup(&mut self) {
         if self.len() <= 1 {
             return;

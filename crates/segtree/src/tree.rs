@@ -265,8 +265,16 @@ impl SegmentTree {
     /// nodes partition `x`.
     pub fn canonical_partition(&self, x: Interval) -> Vec<BitString> {
         let mut out = Vec::new();
-        self.for_each_canonical_slot(x, |slot| out.push(id_of_slot(slot)));
+        self.for_each_canonical_node(x, |node| out.push(node));
         out
+    }
+
+    /// Calls `f` on every node of [`SegmentTree::canonical_partition`]`(x)`,
+    /// left to right, without collecting them: the walk is index arithmetic
+    /// and allocates nothing, so a caller visiting many intervals (the forward
+    /// reduction, once per source cell) appends to one list of its own.
+    pub fn for_each_canonical_node(&self, x: Interval, mut f: impl FnMut(BitString)) {
+        self.for_each_canonical_slot(x, |slot| f(id_of_slot(slot)));
     }
 
     /// The leaf containing the point `p` (`leaf(p)` of Section 3).
@@ -749,6 +757,32 @@ mod tests {
             .map(|&iv| tree.canonical_partition(iv).len())
             .sum();
         assert_eq!(tree.canonical_storage(), cp_total);
+    }
+
+    #[test]
+    fn the_canonical_node_visitor_appends_to_one_list_across_intervals() {
+        // What the reduction does: one list for a whole column, a boundary
+        // per interval — also for an interval outside the tree (no node).
+        let intervals = sample_intervals();
+        let tree = SegmentTree::build(&intervals);
+        let queries: Vec<Interval> = (intervals.iter().copied())
+            .chain([Interval::new(100.0, 101.0), Interval::all()])
+            .collect();
+        let (mut nodes, mut starts) = (Vec::new(), vec![0]);
+        for &x in &queries {
+            tree.for_each_canonical_node(x, |node| nodes.push(node));
+            starts.push(nodes.len());
+        }
+        for (i, &x) in queries.iter().enumerate() {
+            assert_eq!(
+                nodes[starts[i]..starts[i + 1]],
+                tree.canonical_partition(x),
+                "{x:?}"
+            );
+        }
+        assert_eq!(starts[intervals.len()], starts[intervals.len() + 1]);
+        // The whole line is the root alone.
+        assert_eq!(nodes[starts[queries.len() - 1]..], [BitString::empty()]);
     }
 
     #[test]

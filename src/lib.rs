@@ -58,10 +58,12 @@
 //!        │    plan + build every relation)  and one build spec per relation
 //!        ▼                                  of D̃ — no transformed tuple yet
 //!  ForwardReduction { ⋁ Q̃ᵢ, D̃: one write-once cell per relation }
-//!        │   .relation(name) builds on      tuples expand into bitstring-id
-//!        │   first use: carried columns     rows (no Value rows materialised);
-//!        │   pass ids through, bitstring    a second asker waits, a failed
-//!        │   ids are computed, not stored   build leaves the cell empty
+//!        │   .relation(name) builds on      sort the distinct seeds (node ids
+//!        │   first use: carried columns     + carried ids), write each seed's
+//!        │   pass ids through, bitstring    compositions into exact-size id
+//!        │   ids are computed, not stored   columns (no tuple sort, no Value
+//!        │                                  rows); a second asker waits, a
+//!        │                                  failed build leaves the cell empty
 //!        ▼
 //!  ij_engine::evaluate_reduction            dedup disjuncts → batches
 //!        │   (EngineConfig::parallelism     (grouped by shared transformed

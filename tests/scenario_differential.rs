@@ -25,7 +25,7 @@
 //! time stays bounded; release builds run the full sweep.
 
 use ij_baselines::SegtreeBaseline;
-use ij_ejoin::EjStrategy;
+use ij_ejoin::{relation_fingerprint, EjStrategy};
 use ij_engine::{
     naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode,
     DEFAULT_TRIE_CACHE_BYTES,
@@ -35,7 +35,7 @@ use ij_reduction::{
     forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
     ReductionConfig,
 };
-use ij_relation::{Database, Query, Value};
+use ij_relation::{Database, Query, Relation, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
@@ -595,7 +595,10 @@ fn answers_are_monotone_under_tuple_insertion() {
 }
 
 /// A conjunction does not depend on the order of its atoms, nor a relation
-/// on the order of its rows.
+/// on the order of its rows — and the row order changes nothing at all: the
+/// transformed relations of the row-reversed instance are the original's, by
+/// name, column for column and by trie-cache fingerprint (flat encoding; the
+/// decomposed one numbers the rows).
 #[test]
 fn atom_and_row_order_do_not_change_answers() {
     check_metamorphic(|scenario| {
@@ -606,6 +609,21 @@ fn atom_and_row_order_do_not_change_answers() {
             rows.reverse();
             rows
         });
+        let relations = |db: &Database| {
+            let reduction = forward_reduction(&scenario.query, db).expect("reduction succeeds");
+            let with_fingerprint =
+                |relation: &Relation| (relation.clone(), relation_fingerprint(relation));
+            reduction
+                .relations()
+                .map(with_fingerprint)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            relations(&reversed_rows),
+            relations(&scenario.database),
+            "transformed relations after reversing rows on {}",
+            scenario.name
+        );
         vec![(
             "reversing atoms and rows",
             Query::from_atoms(atoms, &interval_vars),
