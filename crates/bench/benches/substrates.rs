@@ -359,81 +359,6 @@ fn bench_shared_warmth(c: &mut Criterion) {
     group.finish();
 }
 
-/// Adaptive per-disjunct planning versus the fixed identifier order on a
-/// planted near-miss triangle whose atom listing deliberately leads the
-/// fixed order with the worst variable.  `R([B],[A]) & S([B],[C]) &
-/// T([A],[C])` assigns dense ids by first occurrence — B, A, C — so the
-/// fixed order opens with B, the intersection of the two n-row relations,
-/// and walks all n candidates before the 4-row relation T can prune
-/// anything.  The adaptive planner opens at A (minimum covering-atom
-/// cardinality: |T| = 4) and the whole search touches a handful of
-/// candidates.  T's pairs are planted one step out of phase (a near miss),
-/// so the answer is `false` and neither plan can exit early.
-///
-/// Each mode evaluates through its own long-lived engine whose persistent
-/// cache was primed before timing (asserted all-hits), so the timed region
-/// is the join search the plan controls — plus the planner itself on the
-/// adaptive arm — and not trie builds.  Both modes are asserted
-/// answer-identical before timing and the adaptive orders are printed.
-fn bench_plan_order(c: &mut Criterion) {
-    use ij_engine::PlanMode;
-    use ij_relation::{Database, Value};
-    let query = Query::parse("R([B],[A]) & S([B],[C]) & T([A],[C])").unwrap();
-    let n = 4096usize;
-    let pt = |x: usize| Value::interval(x as f64, x as f64);
-    let mut db = Database::new();
-    db.insert_tuples(
-        "R",
-        2,
-        (0..n).map(|i| vec![pt(i), pt(1_000_000 + i)]).collect(),
-    );
-    db.insert_tuples(
-        "S",
-        2,
-        (0..n).map(|i| vec![pt(i), pt(2_000_000 + i)]).collect(),
-    );
-    db.insert_tuples(
-        "T",
-        2,
-        (0..4)
-            .map(|k| {
-                let j = k * (n / 4);
-                vec![pt(1_000_000 + j), pt(2_000_000 + (j + 1) % n)]
-            })
-            .collect(),
-    );
-    let reduction = forward_reduction(&query, &db).unwrap();
-    let mut group = c.benchmark_group("substrate/e1-plan-order");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(3));
-    for (name, mode) in [("fixed", PlanMode::Fixed), ("adaptive", PlanMode::Adaptive)] {
-        let engine = IntersectionJoinEngine::new(EngineConfig {
-            ej_strategy: EjStrategy::GenericJoin,
-            ..EngineConfig::new().with_parallelism(1).with_plan_mode(mode)
-        });
-        // Prime the persistent cache, then verify the steady state: the
-        // planted near miss must answer false under both plans, and the
-        // warm pass must rebuild nothing.
-        let primed = engine.evaluate_reduction(&reduction).unwrap();
-        assert!(!primed.answer, "near-miss workload must answer false");
-        let steady = engine.evaluate_reduction(&reduction).unwrap();
-        assert!(!steady.answer, "plans must be answer-identical");
-        assert_eq!(steady.trie_cache.misses, 0, "warm pass must be all hits");
-        println!(
-            "substrate/e1-plan-order/n{n}/{name}: {} disjuncts planned in \
-             {:.1} µs, orders {:?}",
-            steady.disjuncts_planned,
-            steady.planning_nanos as f64 / 1e3,
-            steady.planned_orders,
-        );
-        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            b.iter(|| engine.evaluate_reduction(&reduction).unwrap().answer)
-        });
-    }
-    group.finish();
-}
-
 /// `substrate/e1-cancel-latency`: signal→return latency of cooperative
 /// cancellation on a planted near-miss workload (n = 400 rectangles; the
 /// worst case for backtracking, so an uncancelled run is long enough to
@@ -525,7 +450,6 @@ criterion_group!(
     bench_trie_cache_reuse,
     bench_persistent_cache,
     bench_shared_warmth,
-    bench_plan_order,
     bench_cancel_latency
 );
 criterion_main!(benches);

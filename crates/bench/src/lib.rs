@@ -12,7 +12,7 @@ pub use rowjoin::{
     evaluate_all_disjuncts_rows, materialise_rows, row_generic_join_boolean, RowDb, RowTrie,
 };
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy, EvalContext};
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
@@ -134,7 +134,9 @@ pub fn evaluate_all_disjuncts(reduction: &ForwardReduction, strategy: EjStrategy
                 BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
             })
             .collect();
-        if evaluate_ej_boolean(&atoms, strategy) {
+        if evaluate_ej_boolean(&atoms, strategy, EvalContext::default())
+            .expect("no token, no interruption")
+        {
             answer = true;
         }
     }

@@ -23,9 +23,8 @@
 //!    projection of one ([`Relation::projection`], a memoised link that
 //!    every disjunct, and every evaluation of the reduction, binding the
 //!    same source columns gets as the *same* relation, fingerprint already
-//!    known).  The per-bag projections of
-//!    [`materialise_bag_with`](crate::materialise_bag_with) are still fresh
-//!    copies, hashed on every lookup;
+//!    known).  The per-bag projections of the decomposition-guided
+//!    strategy are still fresh copies, hashed on every lookup;
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by
@@ -218,13 +217,12 @@ struct CacheSlot {
 /// concurrency).
 ///
 /// The engine owns one cache per engine instance and hands it to every
-/// disjunct worker of every [`evaluate_reduction`] call; standalone users of
-/// the ejoin crate can share one across any sequence of
-/// [`evaluate_ej_boolean_with`] calls (the cache stores owned tries, so
-/// there is no borrow coupling to the source relations).
-///
-/// [`evaluate_reduction`]: https://docs.rs/ij-engine
-/// [`evaluate_ej_boolean_with`]: crate::evaluate_ej_boolean_with
+/// disjunct worker of every evaluation it runs (`ij_engine`'s
+/// `IntersectionJoinEngine::evaluate_reduction_cancellable`); standalone
+/// users of the ejoin crate can share one across any sequence of
+/// [`evaluate_ej_boolean`](crate::evaluate_ej_boolean) calls (the cache
+/// stores owned tries, so there is no borrow coupling to the source
+/// relations).
 #[derive(Debug)]
 pub struct TrieCache {
     /// Maximum resident heap bytes (estimated).
@@ -396,18 +394,18 @@ impl TrieCache {
 }
 
 /// Shared runtime options for one equality-join evaluation: the trie cache
-/// (if any) and the evaluation-local accumulator its lookups are counted
-/// into.
+/// (if any), the evaluation-local accumulators its lookups and plans are
+/// counted into, and the cancellation token.
 ///
-/// The `*_with` entry points ([`evaluate_ej_boolean_with`],
-/// [`generic_join_boolean_with`], …) take an `EvalContext` and thread it down
-/// to every trie build of the evaluation — including the per-bag joins of the
-/// decomposition-guided strategy.  The plain entry points use
-/// `EvalContext::default()`: no cache, no local accounting, no token,
-/// adaptive planning.
+/// Every evaluation function ([`evaluate_ej_boolean`],
+/// [`generic_join_boolean`], [`generic_join_enumerate`]) takes an
+/// `EvalContext` and threads it down to every trie build of the evaluation —
+/// including the per-bag joins of the decomposition-guided strategy.
+/// `EvalContext::default()` is no cache, no accounting and no token.
 ///
-/// [`evaluate_ej_boolean_with`]: crate::evaluate_ej_boolean_with
-/// [`generic_join_boolean_with`]: crate::generic_join_boolean_with
+/// [`evaluate_ej_boolean`]: crate::evaluate_ej_boolean
+/// [`generic_join_boolean`]: crate::generic_join_boolean
+/// [`generic_join_enumerate`]: crate::generic_join_enumerate
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalContext<'c> {
     /// Trie cache shared across calls; `None` rebuilds tries every time.
@@ -421,10 +419,6 @@ pub struct EvalContext<'c> {
     /// transforms) every [`CancellationToken::check_interval`] units of
     /// work; `None` runs to completion.
     pub token: Option<&'c CancellationToken>,
-    /// How each disjunct's variable order is chosen
-    /// ([`PlanMode::Adaptive`](crate::PlanMode) by default; see
-    /// [`crate::plan`]).  Answer-preserving.
-    pub plan_mode: crate::plan::PlanMode,
     /// Evaluation-local accumulator for planning statistics (time spent,
     /// disjuncts planned, distinct orders chosen); `None` skips the
     /// accounting.

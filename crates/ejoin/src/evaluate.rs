@@ -10,7 +10,7 @@
 
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
-use crate::generic::{generic_join_boolean_with, generic_join_enumerate_with};
+use crate::generic::{generic_join_boolean, generic_join_enumerate};
 use crate::yannakakis::yannakakis_boolean;
 use ij_hypergraph::VarId;
 use ij_relation::sync::{read_recover, write_recover};
@@ -52,26 +52,21 @@ pub enum EjStrategy {
 /// proportional to the join structure rather than the schema width.  The
 /// projections are [`Relation::projection`]s: each is derived once per source
 /// relation and shared by every query, and every evaluation, that binds it.
-pub fn evaluate_ej_boolean(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
-    evaluate_ej_boolean_with(atoms, strategy, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`evaluate_ej_boolean`] with an explicit [`EvalContext`]: every trie built
-/// anywhere under the chosen strategy (the plain generic join, and the bag
-/// materialisations of the decomposition-guided evaluation) is served from
-/// the context's cache — and every cache lookup is counted into the
-/// context's evaluation-local [`CacheActivity`](crate::CacheActivity)
-/// accumulator, if one is attached.
+///
+/// Every trie built anywhere under the chosen strategy (the plain generic
+/// join, and the bag materialisations of the decomposition-guided
+/// evaluation) is served from the context's cache — and every cache lookup is
+/// counted into the context's evaluation-local
+/// [`CacheActivity`](crate::CacheActivity) accumulator, if one is attached.
 /// The answer is identical for every context.
 ///
 /// # Errors
 ///
 /// Propagates the [`EvalError`] of any trie build, join search or Yannakakis
 /// pass under the chosen strategy when the context's
-/// [`CancellationToken`](ij_relation::CancellationToken) fires or a build
-/// worker panics.  Tokenless contexts never fail.
-pub fn evaluate_ej_boolean_with(
+/// [`CancellationToken`](ij_relation::CancellationToken) fires.  Tokenless
+/// contexts never fail.
+pub fn evaluate_ej_boolean(
     atoms: &[BoundAtom<'_>],
     strategy: EjStrategy,
     eval: EvalContext<'_>,
@@ -100,14 +95,14 @@ pub fn evaluate_ej_boolean_with(
             if strategy == EjStrategy::Auto
                 && hypergraph_of(&projected).0.num_vertices() > MAX_DP_VERTICES
             {
-                generic_join_boolean_with(&projected, None, eval)
+                generic_join_boolean(&projected, None, eval)
             } else {
-                decomposition_boolean_with(&projected, eval)
+                decomposition_boolean(&projected, eval)
             }
         }
         EjStrategy::Yannakakis => Ok(yannakakis_boolean(atoms, eval.token)?
             .expect("Yannakakis strategy requires an alpha-acyclic query")),
-        EjStrategy::GenericJoin => generic_join_boolean_with(atoms, None, eval),
+        EjStrategy::GenericJoin => generic_join_boolean(atoms, None, eval),
     }
 }
 
@@ -160,7 +155,7 @@ fn kept_columns(atom: &BoundAtom<'_>, keep: impl Fn(VarId) -> bool) -> (Vec<usiz
 ///
 /// Propagates any bag materialisation's [`EvalError`] — a cancelled bag would
 /// under-approximate the join, so the whole evaluation fails instead.
-pub fn decomposition_boolean_with(
+pub(crate) fn decomposition_boolean(
     atoms: &[BoundAtom<'_>],
     eval: EvalContext<'_>,
 ) -> Result<bool, EvalError> {
@@ -207,7 +202,7 @@ pub fn decomposition_boolean_with(
         .map(|(i, bag)| {
             let bag_vars: Vec<VarId> = bag.iter().map(|&dense| dense_to_caller[dense]).collect();
             Ok((
-                materialise_bag_with(atoms, &bag_vars, &format!("bag{i}"), eval)?,
+                materialise_bag(atoms, &bag_vars, &format!("bag{i}"), eval)?,
                 bag_vars,
             ))
         })
@@ -226,32 +221,26 @@ pub fn decomposition_boolean_with(
         .collect();
     match yannakakis_boolean(&bag_atoms, eval.token)? {
         Some(answer) => Ok(answer),
-        None => generic_join_boolean_with(&bag_atoms, None, eval),
+        None => generic_join_boolean(&bag_atoms, None, eval),
     }
 }
 
 /// Materialises one bag: the join of the projections of every overlapping
 /// atom onto the bag (atoms fully contained in the bag are enforced exactly;
-/// the others act as semijoin filters).
-pub fn materialise_bag(atoms: &[BoundAtom<'_>], bag_vars: &[VarId], name: &str) -> Relation {
-    materialise_bag_with(atoms, bag_vars, name, EvalContext::default())
-        .expect("tokenless evaluations cannot be cancelled")
-}
-
-/// [`materialise_bag`] with an explicit [`EvalContext`] for the underlying
-/// generic-join enumeration.  The projections computed here are deterministic
-/// functions of the atoms and the bag, so when the same bag recurs — across
-/// the disjuncts of a reduction, or across evaluations of it — the context's
-/// cache serves the projection tries without rebuilding them.  They are
-/// per-call copies all the same (copy, sort, and a content hash to find the
-/// trie), not [`Relation::projection`]s: see ROADMAP direction 1(ii) for why
-/// that step waits.
+/// the others act as semijoin filters), enumerated by the generic join under
+/// `eval`.  The projections computed here are deterministic functions of the
+/// atoms and the bag, so when the same bag recurs — across the disjuncts of a
+/// reduction, or across evaluations of it — the context's cache serves the
+/// projection tries without rebuilding them.  They are per-call copies all
+/// the same (copy, sort, and a content hash to find the trie), not
+/// [`Relation::projection`]s: see ROADMAP direction 3(a) for why that step
+/// waits.
 ///
 /// # Errors
 ///
-/// Propagates the underlying enumeration's [`EvalError`] (cancellation,
-/// deadline expiry, or a trie-build worker panic).
-pub fn materialise_bag_with(
+/// Propagates the underlying enumeration's [`EvalError`] (cancellation or
+/// deadline expiry).
+pub(crate) fn materialise_bag(
     atoms: &[BoundAtom<'_>],
     bag_vars: &[VarId],
     name: &str,
@@ -276,7 +265,7 @@ pub fn materialise_bag_with(
         .iter()
         .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
         .collect();
-    generic_join_enumerate_with(&proj_atoms, bag_vars, name, eval)
+    generic_join_enumerate(&proj_atoms, bag_vars, name, eval)
 }
 
 #[cfg(test)]
@@ -300,6 +289,10 @@ mod tests {
     const C: VarId = 2;
     const D: VarId = 3;
 
+    fn ej(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
+        evaluate_ej_boolean(atoms, strategy, EvalContext::default()).unwrap()
+    }
+
     fn triangle_atoms<'a>(r: &'a Relation, s: &'a Relation, t: &'a Relation) -> Vec<BoundAtom<'a>> {
         vec![
             BoundAtom::new(r, vec![A, B]),
@@ -315,15 +308,9 @@ mod tests {
         let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let expected = true;
-        assert_eq!(evaluate_ej_boolean(&atoms, EjStrategy::Auto), expected);
-        assert_eq!(
-            evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin),
-            expected
-        );
-        assert_eq!(
-            evaluate_ej_boolean(&atoms, EjStrategy::Decomposition),
-            expected
-        );
+        assert_eq!(ej(&atoms, EjStrategy::Auto), expected);
+        assert_eq!(ej(&atoms, EjStrategy::GenericJoin), expected);
+        assert_eq!(ej(&atoms, EjStrategy::Decomposition), expected);
     }
 
     #[test]
@@ -332,9 +319,9 @@ mod tests {
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let t = rel("T", vec![vec![4.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Decomposition));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin));
+        assert!(!ej(&atoms, EjStrategy::Decomposition));
+        assert!(!ej(&atoms, EjStrategy::Auto));
+        assert!(!ej(&atoms, EjStrategy::GenericJoin));
     }
 
     #[test]
@@ -345,8 +332,8 @@ mod tests {
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
         ];
-        assert!(evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(evaluate_ej_boolean(&atoms, EjStrategy::Yannakakis));
+        assert!(ej(&atoms, EjStrategy::Auto));
+        assert!(ej(&atoms, EjStrategy::Yannakakis));
     }
 
     #[test]
@@ -357,7 +344,7 @@ mod tests {
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let t = rel("T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        let bag = materialise_bag(&atoms, &[A, B, C], "bag");
+        let bag = materialise_bag(&atoms, &[A, B, C], "bag", EvalContext::default()).unwrap();
         assert_eq!(bag.len(), 1);
         assert_eq!(
             bag.tuples()[0],
@@ -386,7 +373,7 @@ mod tests {
                 let atoms = vec![BoundAtom::new(r, vec![A, A, B]), BoundAtom::new(s, s_vars)];
                 for strategy in ALL_STRATEGIES {
                     assert_eq!(
-                        evaluate_ej_boolean(&atoms, strategy),
+                        ej(&atoms, strategy),
                         expected,
                         "{strategy:?} on {} rows of R against S of arity {}",
                         r.len(),
@@ -408,7 +395,7 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        let bag = materialise_bag(&atoms, &[A, B, C], "bag");
+        let bag = materialise_bag(&atoms, &[A, B, C], "bag", EvalContext::default()).unwrap();
         assert_eq!(
             bag.tuples(),
             vec![vec![
@@ -422,7 +409,7 @@ mod tests {
             EjStrategy::GenericJoin,
             EjStrategy::Decomposition,
         ] {
-            assert!(evaluate_ej_boolean(&atoms, strategy), "{strategy:?}");
+            assert!(ej(&atoms, strategy), "{strategy:?}");
         }
     }
 
@@ -463,7 +450,7 @@ mod tests {
                 activity: Some(activity),
                 ..EvalContext::default()
             };
-            materialise_bag_with(&atoms, &[A, B, C], "bag", eval).unwrap()
+            materialise_bag(&atoms, &[A, B, C], "bag", eval).unwrap()
         };
         let (cold, warm) = (CacheActivity::new(), CacheActivity::new());
         let first = materialise(&cold);
@@ -496,9 +483,9 @@ mod tests {
                 BoundAtom::new(&t, vec![C, D]),
                 BoundAtom::new(&u, vec![D, A]),
             ];
-            let generic = evaluate_ej_boolean(&atoms, EjStrategy::GenericJoin);
-            let decomp = evaluate_ej_boolean(&atoms, EjStrategy::Decomposition);
-            let auto = evaluate_ej_boolean(&atoms, EjStrategy::Auto);
+            let generic = ej(&atoms, EjStrategy::GenericJoin);
+            let decomp = ej(&atoms, EjStrategy::Decomposition);
+            let auto = ej(&atoms, EjStrategy::Auto);
             assert_eq!(generic, decomp);
             assert_eq!(generic, auto);
         }
@@ -506,11 +493,11 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(evaluate_ej_boolean(&[], EjStrategy::Auto));
-        assert!(evaluate_ej_boolean(&[], EjStrategy::Decomposition));
+        assert!(ej(&[], EjStrategy::Auto));
+        assert!(ej(&[], EjStrategy::Decomposition));
         let empty = Relation::new("R", 1);
         let atoms = vec![BoundAtom::new(&empty, vec![A])];
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Auto));
-        assert!(!evaluate_ej_boolean(&atoms, EjStrategy::Decomposition));
+        assert!(!ej(&atoms, EjStrategy::Auto));
+        assert!(!ej(&atoms, EjStrategy::Decomposition));
     }
 }

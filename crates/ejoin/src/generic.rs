@@ -20,7 +20,7 @@
 //!
 //! # Caching
 //!
-//! The `*_with` variants take an [`EvalContext`]: tries are served from its
+//! Both joins take an [`EvalContext`]: tries are served from its
 //! [`TrieCache`](crate::TrieCache) when one is attached and built on the
 //! calling thread otherwise.  The search is single-threaded — the engine's
 //! parallelism is across the disjuncts of a reduction, one join per worker —
@@ -55,9 +55,8 @@ impl JoinContext {
         order: Option<Vec<VarId>>,
         eval: EvalContext<'_>,
     ) -> Result<Self, EvalError> {
-        // No explicit order: resolve one per the context's plan mode
-        // (adaptive cardinality/degree planning by default, identifier
-        // order under `PlanMode::Fixed` — see `crate::plan`).
+        // No explicit order: plan one from cardinalities and degrees (see
+        // `crate::plan`).
         let order = order.unwrap_or_else(|| crate::plan::resolve_order(atoms, &[], eval));
         let tries: Vec<Arc<FlatTrie>> = atoms
             .iter()
@@ -145,19 +144,9 @@ impl<'t> Pos<'t> {
 /// Evaluates the Boolean conjunctive query given by `atoms` (all joins are
 /// equality joins on the shared variables).  Returns true if the join is
 /// non-empty.  An explicit variable order can be supplied; by default the
-/// order comes from the context's plan mode — adaptive
-/// cardinality/degree-driven planning ([`crate::plan`]) unless
-/// [`PlanMode::Fixed`](crate::PlanMode) pins the historical increasing
-/// identifier order.
-pub fn generic_join_boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) -> bool {
-    generic_join_boolean_with(atoms, order, EvalContext::default())
-        // ij-analysis: allow(panic) — infallible: the default context carries no cancel token
-        .expect("tokenless joins cannot be cancelled")
-}
-
-/// [`generic_join_boolean`] with an explicit [`EvalContext`]: tries come from
-/// the context's cache (when present).  The answer is identical for every
-/// context.
+/// order is planned from cardinalities and degrees ([`crate::plan`]).  Tries
+/// come from the context's cache (when present); the answer is identical for
+/// every order and every context.
 ///
 /// # Errors
 ///
@@ -165,8 +154,8 @@ pub fn generic_join_boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) 
 /// the trie builds and the candidate-intersection loops poll it every
 /// [`check_interval`](ij_relation::CancellationToken::check_interval)
 /// rows / candidates and surface [`EvalError::Cancelled`] /
-/// [`EvalError::DeadlineExceeded`].
-pub fn generic_join_boolean_with(
+/// [`EvalError::DeadlineExceeded`].  A tokenless context never fails.
+pub fn generic_join_boolean(
     atoms: &[BoundAtom<'_>],
     order: Option<Vec<VarId>>,
     eval: EvalContext<'_>,
@@ -186,26 +175,15 @@ pub fn generic_join_boolean_with(
 /// Enumerates the projection of the join onto `output_vars`, deduplicated.
 /// The variable order used for the join is `output_vars` first (in the given
 /// order) followed by the remaining variables; this guarantees that results
-/// can be collected without buffering full assignments.
-pub fn generic_join_enumerate(
-    atoms: &[BoundAtom<'_>],
-    output_vars: &[VarId],
-    output_name: &str,
-) -> Relation {
-    generic_join_enumerate_with(atoms, output_vars, output_name, EvalContext::default())
-        // ij-analysis: allow(panic) — infallible: the default context carries no cancel token
-        .expect("tokenless joins cannot be cancelled")
-}
-
-/// [`generic_join_enumerate`] with an explicit [`EvalContext`]: tries come
-/// from the context's cache (when present); the output relation is sorted and
+/// can be collected without buffering full assignments.  Tries come from the
+/// context's cache (when present); the output relation is sorted and
 /// deduplicated, identical for every context.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`generic_join_boolean_with`]; an interrupted enumeration
+/// Same taxonomy as [`generic_join_boolean`]; an interrupted enumeration
 /// fails as a whole (a partial enumeration would be a wrong answer).
-pub fn generic_join_enumerate_with(
+pub fn generic_join_enumerate(
     atoms: &[BoundAtom<'_>],
     output_vars: &[VarId],
     output_name: &str,
@@ -222,7 +200,7 @@ pub fn generic_join_enumerate_with(
         return Ok(out);
     }
     // Order: output variables first (pinned, so results stream without
-    // buffering full assignments), then the rest per the plan mode.
+    // buffering full assignments), then the rest as planned.
     let order: Vec<VarId> = crate::plan::resolve_order(atoms, output_vars, eval);
     let ctx = JoinContext::new(atoms, Some(order.clone()), eval)?;
     let out_positions: Vec<usize> = output_vars
@@ -446,6 +424,14 @@ mod tests {
     const B: VarId = 1;
     const C: VarId = 2;
 
+    fn boolean(atoms: &[BoundAtom<'_>], order: Option<Vec<VarId>>) -> bool {
+        generic_join_boolean(atoms, order, EvalContext::default()).unwrap()
+    }
+
+    fn enumerate(atoms: &[BoundAtom<'_>], output_vars: &[VarId]) -> Relation {
+        generic_join_enumerate(atoms, output_vars, "out", EvalContext::default()).unwrap()
+    }
+
     #[test]
     fn triangle_join_finds_a_triangle() {
         // R(A,B), S(B,C), T(A,C) with exactly one triangle (1,2,3).
@@ -457,8 +443,8 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B, C], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B, C]);
         assert_eq!(out.len(), 1);
         assert_eq!(
             out.tuples()[0],
@@ -477,8 +463,8 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
             BoundAtom::new(&t, vec![A, C]),
         ];
-        assert!(!generic_join_boolean(&atoms, None));
-        assert!(generic_join_enumerate(&atoms, &[A], "out").is_empty());
+        assert!(!boolean(&atoms, None));
+        assert!(enumerate(&atoms, &[A]).is_empty());
     }
 
     #[test]
@@ -489,12 +475,12 @@ mod tests {
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&empty, vec![B, C]),
         ];
-        assert!(!generic_join_boolean(&atoms, None));
+        assert!(!boolean(&atoms, None));
     }
 
     #[test]
     fn no_atoms_means_true() {
-        assert!(generic_join_boolean(&[], None));
+        assert!(boolean(&[], None));
     }
 
     #[test]
@@ -502,8 +488,8 @@ mod tests {
         let r = rel("R", vec![vec![1.0], vec![2.0]]);
         let s = rel("S", vec![vec![10.0], vec![20.0], vec![30.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A]), BoundAtom::new(&s, vec![B])];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B]);
         assert_eq!(out.len(), 6);
     }
 
@@ -512,7 +498,7 @@ mod tests {
         let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![2.0, 4.0]]);
         let s = rel("S", vec![vec![2.0], vec![3.0], vec![4.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, B]), BoundAtom::new(&s, vec![B])];
-        let out = generic_join_enumerate(&atoms, &[A], "out");
+        let out = enumerate(&atoms, &[A]);
         // A values with some matching B: {1, 2}.
         assert_eq!(out.len(), 2);
     }
@@ -524,7 +510,7 @@ mod tests {
         // resolve).
         let r = rel("R", vec![vec![1.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A])];
-        let out = generic_join_enumerate(&atoms, &[A, B], "out");
+        let out = enumerate(&atoms, &[A, B]);
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0], vec![Value::point(1.0), Value::point(0.0)]);
     }
@@ -538,7 +524,7 @@ mod tests {
             BoundAtom::new(&s, vec![B, C]),
         ];
         for order in [vec![A, B, C], vec![C, B, A], vec![B, A, C]] {
-            assert!(generic_join_boolean(&atoms, Some(order)));
+            assert!(boolean(&atoms, Some(order)));
         }
     }
 
@@ -547,7 +533,7 @@ mod tests {
         // R(A, A) as a filter for equal columns.
         let r = rel("R", vec![vec![1.0, 1.0], vec![2.0, 3.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, A])];
-        let out = generic_join_enumerate(&atoms, &[A], "out");
+        let out = enumerate(&atoms, &[A]);
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0][0], Value::point(1.0));
     }
@@ -603,12 +589,12 @@ mod tests {
                     ..EvalContext::default()
                 };
                 assert_eq!(
-                    generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                    generic_join_boolean(&atoms, None, eval).unwrap(),
                     !expected_out.is_empty(),
                     "boolean, cached {}",
                     cache_ref.is_some()
                 );
-                let out = generic_join_enumerate_with(&atoms, &[A, B, C], "out", eval).unwrap();
+                let out = generic_join_enumerate(&atoms, &[A, B, C], "out", eval).unwrap();
                 assert_eq!(
                     sorted_tuples(&out),
                     expected_out,
@@ -648,8 +634,8 @@ mod tests {
                 cache: cache_ref,
                 ..EvalContext::default()
             };
-            assert!(generic_join_boolean_with(&satisfiable, None, eval).unwrap());
-            let out = generic_join_enumerate_with(&satisfiable, &[A, B, C], "out", eval);
+            assert!(generic_join_boolean(&satisfiable, None, eval).unwrap());
+            let out = generic_join_enumerate(&satisfiable, &[A, B, C], "out", eval);
             assert_eq!(
                 sorted_tuples(&out.unwrap()),
                 vec![
@@ -657,11 +643,11 @@ mod tests {
                     vec![point(1.0), point(2.0), point(4.0)],
                 ]
             );
-            assert!(!generic_join_boolean_with(&rejected, None, eval).unwrap());
-            let out = generic_join_enumerate_with(&rejected, &[A, B, C], "out", eval);
+            assert!(!generic_join_boolean(&rejected, None, eval).unwrap());
+            let out = generic_join_enumerate(&rejected, &[A, B, C], "out", eval);
             assert!(out.unwrap().is_empty());
-            assert!(generic_join_boolean_with(&guard_only, None, eval).unwrap());
-            let out = generic_join_enumerate_with(&guard_only, &[], "out", eval);
+            assert!(generic_join_boolean(&guard_only, None, eval).unwrap());
+            let out = generic_join_enumerate(&guard_only, &[], "out", eval);
             assert_eq!(out.unwrap().len(), 1);
         }
     }
@@ -683,8 +669,8 @@ mod tests {
             BoundAtom::new(&e, vec![B, d]),
             BoundAtom::new(&e, vec![C, d]),
         ];
-        assert!(generic_join_boolean(&atoms, None));
-        let out = generic_join_enumerate(&atoms, &[A, B, C, d], "out");
+        assert!(boolean(&atoms, None));
+        let out = enumerate(&atoms, &[A, B, C, d]);
         // Ordered 4-cliques with a < b < c < d: exactly one.
         assert_eq!(out.len(), 1);
     }

@@ -11,11 +11,11 @@
 //!   whose candidate intersection is a galloping leapfrog over sorted runs;
 //! * [`yannakakis_boolean`] — Yannakakis' linear-time algorithm for
 //!   α-acyclic Boolean queries \[35\];
-//! * [`decomposition_boolean_with`] — the width-guided evaluation of
-//!   Appendix A.2.1: materialise the bags of an optimal fractional hypertree
-//!   decomposition with the generic join, then run Yannakakis over the bag
-//!   tree (runtime `O(N^{fhtw} · polylog N)`);
-//! * [`evaluate_ej_boolean`] — strategy dispatch ([`EjStrategy`]).
+//! * [`evaluate_ej_boolean`] — strategy dispatch ([`EjStrategy`]), including
+//!   the width-guided evaluation of Appendix A.2.1: materialise the bags of
+//!   an optimal fractional hypertree decomposition with the generic join,
+//!   then run Yannakakis over the bag tree (runtime
+//!   `O(N^{fhtw} · polylog N)`).
 //!
 //! Relations are bound to query variables through [`BoundAtom`]; the engine
 //! is agnostic to whether the values are numbers or the bitstrings produced
@@ -23,29 +23,29 @@
 //!
 //! # Shared tries
 //!
-//! The `*_with` entry points ([`evaluate_ej_boolean_with`], …) take an
-//! [`EvalContext`] carrying an optional [`TrieCache`], so the disjuncts of
-//! one reduction share built tries instead of rebuilding them.  Every join
-//! builds and searches its tries on the calling thread; parallelism is the
-//! caller's, across joins (the engine runs one disjunct per worker).  Answers
-//! are bit-identical for every cache setting.
+//! Every evaluation function takes an [`EvalContext`] carrying an optional
+//! [`TrieCache`], so the disjuncts of one reduction share built tries instead
+//! of rebuilding them.  Every join builds and searches its tries on the
+//! calling thread; parallelism is the caller's, across joins (the engine runs
+//! one disjunct per worker).  Answers are bit-identical for every cache
+//! setting.
 //!
-//! The context also carries an optional [`CacheActivity`] accumulator giving
-//! the evaluation **exact** local hit/miss/eviction counts under any
-//! concurrency.
+//! The context also carries optional [`CacheActivity`] and [`PlanActivity`]
+//! accumulators giving the evaluation **exact** local hit/miss/eviction and
+//! planning counts under any concurrency.
 //!
 //! # Cancellation and fault isolation
 //!
 //! The context finally carries an optional
 //! [`CancellationToken`](ij_relation::CancellationToken): trie builds and
 //! the candidate-intersection loops poll it at a bounded interval, and the
-//! Yannakakis pass before each semijoin, so the fallible `*_with` entry
-//! points return [`EvalError`](ij_relation::EvalError)`::Cancelled` /
-//! `DeadlineExceeded` promptly instead of running to completion.  Nothing in
-//! this crate catches a panic: the engine isolates each disjunct
-//! (`catch_unwind`, surfacing `EvalError::WorkerPanicked`), and the shared
-//! cache mutates under panic-atomic critical sections, so an unwinding build
-//! never leaves it poisoned or half-updated (see `ij_relation::sync`).
+//! Yannakakis pass before each semijoin, so an evaluation returns
+//! [`EvalError`](ij_relation::EvalError)`::Cancelled` / `DeadlineExceeded`
+//! promptly instead of running to completion; a tokenless context never
+//! fails.  Nothing in this crate catches a panic: the engine isolates each
+//! disjunct (`catch_unwind`, surfacing `EvalError::WorkerPanicked`), and the
+//! shared cache mutates under panic-atomic critical sections, so an unwinding
+//! build never leaves it poisoned or half-updated (see `ij_relation::sync`).
 
 #![warn(missing_docs)]
 
@@ -60,14 +60,8 @@ mod yannakakis;
 
 pub use atom::{all_vars, hypergraph_of, BoundAtom};
 pub use cache::{relation_fingerprint, CacheActivity, EvalContext, TrieCache, TrieCacheStats};
-pub use evaluate::{
-    decomposition_boolean_with, evaluate_ej_boolean, evaluate_ej_boolean_with, materialise_bag,
-    materialise_bag_with, EjStrategy,
-};
+pub use evaluate::{evaluate_ej_boolean, EjStrategy};
 pub use flat::FlatTrie;
-pub use generic::{
-    generic_join_boolean, generic_join_boolean_with, generic_join_enumerate,
-    generic_join_enumerate_with,
-};
-pub use plan::{fixed_var_order, plan_var_order, PlanActivity, PlanMode};
+pub use generic::{generic_join_boolean, generic_join_enumerate};
+pub use plan::{plan_var_order, PlanActivity};
 pub use yannakakis::yannakakis_boolean;

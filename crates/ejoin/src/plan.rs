@@ -2,10 +2,8 @@
 //!
 //! The generic join processes variables in a fixed global order; a bad order
 //! can make the search explore a huge cross product before the selective
-//! atoms ever constrain it.  Historically the order was simply *increasing
-//! variable identifier* (whatever the forward reduction's dense renumbering
-//! produced) regardless of relation sizes.  This module chooses the order
-//! per disjunct from cheap statistics available at batch-build time:
+//! atoms ever constrain it.  This module chooses the order per disjunct from
+//! cheap statistics available at batch-build time:
 //!
 //! * **per-variable minimum atom cardinality** — the smallest relation
 //!   containing the variable bounds that variable's candidate fan-out from
@@ -24,13 +22,8 @@
 //! relation — and the order is chosen *before* trie construction, so the
 //! per-atom trie cache keys (which embed the induced level order) stay
 //! consistent between plans: two disjuncts planned to the same order share
-//! cached tries.
-//!
-//! [`PlanMode`] selects the behaviour per evaluation
-//! ([`EvalContext::plan_mode`](crate::EvalContext), surfaced as
-//! `EngineConfig::plan_mode`): [`PlanMode::Adaptive`] (default) runs the
-//! planner; [`PlanMode::Fixed`] reproduces the historical
-//! identifier-ordered behaviour bit for bit.
+//! cached tries.  A caller that wants a particular order passes it to
+//! [`generic_join_boolean`](crate::generic_join_boolean) explicitly.
 
 use crate::atom::{all_vars, hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
@@ -43,37 +36,6 @@ const PLAN_ACTIVITY: &str = "plan-activity";
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// How the engine chooses each disjunct's variable order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum PlanMode {
-    /// Process variables in increasing identifier order (the dense order the
-    /// forward reduction assigns by first occurrence) — the historical
-    /// behaviour, kept as the differential baseline.
-    Fixed,
-    /// Plan each disjunct's order from cardinality/degree statistics at
-    /// batch-build time (see the module docs).  Answers are identical to
-    /// [`PlanMode::Fixed`]; only the search order (and thus the work)
-    /// changes.
-    #[default]
-    Adaptive,
-}
-
-impl PlanMode {
-    /// A short lowercase label (`"fixed"` / `"adaptive"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanMode::Fixed => "fixed",
-            PlanMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for PlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Evaluation-local planning ledger, mirroring `CacheActivity`: the engine
 /// hangs one off the [`EvalContext`] so concurrent evaluations sharing a
@@ -116,18 +78,6 @@ impl PlanActivity {
     pub fn orders(&self) -> Vec<Vec<VarId>> {
         lock_recover(&self.orders, PLAN_ACTIVITY).clone()
     }
-}
-
-/// The historical fixed order: `prefix` first (as given), then every
-/// remaining distinct variable in increasing identifier order.
-pub fn fixed_var_order(atoms: &[BoundAtom<'_>], prefix: &[VarId]) -> Vec<VarId> {
-    let mut order: Vec<VarId> = prefix.to_vec();
-    for v in all_vars(atoms) {
-        if !order.contains(&v) {
-            order.push(v);
-        }
-    }
-    order
 }
 
 /// Plans a variable order for one disjunct: `prefix` is pinned first (the
@@ -204,27 +154,21 @@ pub fn plan_var_order(atoms: &[BoundAtom<'_>], prefix: &[VarId]) -> Vec<VarId> {
     order
 }
 
-/// Resolves the variable order one disjunct will run under, honouring the
-/// context's [`PlanMode`] and recording into its [`PlanActivity`] (when one
-/// is attached).  This is the single entry point both join paths use:
-/// Boolean evaluation passes an empty prefix, enumeration pins its output
-/// variables.
+/// Plans the variable order one disjunct will run under, recording into the
+/// context's [`PlanActivity`] (when one is attached).  This is the single
+/// entry point both join paths use: Boolean evaluation passes an empty
+/// prefix, enumeration pins its output variables.
 pub(crate) fn resolve_order(
     atoms: &[BoundAtom<'_>],
     prefix: &[VarId],
     eval: EvalContext<'_>,
 ) -> Vec<VarId> {
-    match eval.plan_mode {
-        PlanMode::Fixed => fixed_var_order(atoms, prefix),
-        PlanMode::Adaptive => {
-            let start = Instant::now();
-            let order = plan_var_order(atoms, prefix);
-            if let Some(activity) = eval.planning {
-                activity.record(&order, start.elapsed().as_nanos() as u64);
-            }
-            order
-        }
+    let start = Instant::now();
+    let order = plan_var_order(atoms, prefix);
+    if let Some(activity) = eval.planning {
+        activity.record(&order, start.elapsed().as_nanos() as u64);
     }
+    order
 }
 
 #[cfg(test)]
@@ -251,18 +195,6 @@ mod tests {
     const C: VarId = 2;
 
     #[test]
-    fn fixed_order_is_prefix_then_increasing_ids() {
-        let r = rel("R", 3, 2);
-        let s = rel("S", 5, 2);
-        let atoms = vec![
-            BoundAtom::new(&r, vec![C, A]),
-            BoundAtom::new(&s, vec![B, C]),
-        ];
-        assert_eq!(fixed_var_order(&atoms, &[]), vec![A, B, C]);
-        assert_eq!(fixed_var_order(&atoms, &[C]), vec![C, A, B]);
-    }
-
-    #[test]
     fn adaptive_order_starts_at_the_smallest_variable() {
         // B only occurs in large atoms; A and C each touch the small T.
         let r = rel("R", 100, 2); // R(B, A)
@@ -274,8 +206,8 @@ mod tests {
             BoundAtom::new(&t, vec![A, C]),
         ];
         let order = plan_var_order(&atoms, &[]);
-        // A and C (min card 4) before B (min card 100); fixed order would
-        // have started at A but continued B before C.
+        // A and C (min card 4) before B (min card 100); identifier order
+        // would have continued B before C.
         assert_eq!(order, vec![A, C, B]);
     }
 

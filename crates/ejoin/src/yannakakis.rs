@@ -279,7 +279,7 @@ mod tests {
             ];
             assert_eq!(
                 yannakakis_boolean(&atoms, None),
-                Ok(Some(generic_join_boolean(&atoms, None)))
+                generic_join_boolean(&atoms, None, Default::default()).map(Some)
             );
         }
     }

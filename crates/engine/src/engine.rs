@@ -16,16 +16,14 @@
 //!    the relations only unevaluated disjuncts read.
 //!
 //! Every evaluation is **cancellable**: the `*_cancellable` entry points take
-//! a caller-owned [`CancellationToken`], [`EngineConfig::with_deadline`]
-//! arms a per-evaluation time budget, and disjunct workers run
+//! a caller-owned [`CancellationToken`] — a deadline is a token with a
+//! [budget](CancellationToken::with_budget) — and disjunct workers run
 //! panic-isolated — failures surface as the typed
 //! [`EvalError`](ij_relation::EvalError) taxonomy, never as a poisoned
 //! engine.
 
-use crate::naive::{naive_boolean, NaiveError};
 use ij_ejoin::{
-    evaluate_ej_boolean_with, BoundAtom, CacheActivity, EjStrategy, EvalContext, PlanActivity,
-    TrieCache,
+    evaluate_ej_boolean, BoundAtom, CacheActivity, EjStrategy, EvalContext, PlanActivity, TrieCache,
 };
 use ij_hypergraph::VarId;
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
@@ -43,9 +41,8 @@ use ij_widths::{ij_width, IjWidthReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-pub use ij_ejoin::{PlanMode, TrieCacheStats};
+pub use ij_ejoin::TrieCacheStats;
 pub use ij_relation::kernels::{kernel_arm, KernelArm, FORCE_SCALAR_ENV};
 
 /// The default trie-cache byte budget of [`EngineConfig::new`] and
@@ -104,44 +101,6 @@ pub struct EngineConfig {
     /// assert_eq!(rebuild.trie_cache_bytes, 0); // rebuild-per-disjunct
     /// ```
     pub trie_cache_bytes: usize,
-    /// How each disjunct's generic-join variable order is chosen
-    /// ([`PlanMode`]): `Adaptive` (the default) plans per disjunct at
-    /// batch-build time from cheap statistics — per-variable minimum atom
-    /// cardinality, vertex degree, connectivity — while `Fixed` keeps the
-    /// historical increasing-identifier order (the order the forward
-    /// reduction's dense renumbering produces), kept as the differential
-    /// baseline.  Planning never changes answers, only the search order;
-    /// [`EvaluationStats::disjuncts_planned`] /
-    /// [`EvaluationStats::planning_nanos`] /
-    /// [`EvaluationStats::planned_orders`] report what the planner did.
-    ///
-    /// ```
-    /// use ij_engine::{EngineConfig, PlanMode};
-    ///
-    /// assert_eq!(EngineConfig::new().plan_mode, PlanMode::Adaptive);
-    /// let fixed = EngineConfig::new().with_plan_mode(PlanMode::Fixed);
-    /// assert_eq!(fixed.plan_mode, PlanMode::Fixed);
-    /// ```
-    pub plan_mode: PlanMode,
-    /// Per-evaluation deadline budget: `None` (the default) lets evaluations
-    /// run to completion, `Some(budget)` starts a clock when an evaluation
-    /// begins (covering both the forward reduction and the disjunct
-    /// evaluation) and makes it return
-    /// [`EvalError::DeadlineExceeded`](ij_relation::EvalError::DeadlineExceeded)
-    /// once the budget has elapsed.  The deadline composes with a
-    /// caller-supplied [`CancellationToken`] (whichever trips first wins),
-    /// and cancellation latency is bounded by the token's check interval —
-    /// see the [cancellation docs](ij_relation::CancellationToken).
-    ///
-    /// ```
-    /// use ij_engine::EngineConfig;
-    /// use std::time::Duration;
-    ///
-    /// assert_eq!(EngineConfig::new().deadline, None);
-    /// let bounded = EngineConfig::new().with_deadline(Duration::from_millis(250));
-    /// assert_eq!(bounded.deadline, Some(Duration::from_millis(250)));
-    /// ```
-    pub deadline: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -160,8 +119,6 @@ impl EngineConfig {
             encoding: EncodingStrategy::Flat,
             parallelism: 0,
             trie_cache_bytes: DEFAULT_TRIE_CACHE_BYTES,
-            plan_mode: PlanMode::Adaptive,
-            deadline: None,
         }
     }
 
@@ -197,20 +154,6 @@ impl EngineConfig {
         self
     }
 
-    /// This configuration with an explicit plan mode (see
-    /// [`EngineConfig::plan_mode`]).
-    pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
-        self.plan_mode = mode;
-        self
-    }
-
-    /// This configuration with a per-evaluation deadline budget (see
-    /// [`EngineConfig::deadline`]).
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
     /// The worker count to use for `disjuncts` deduplicated EJ queries.
     fn worker_count(&self, disjuncts: usize) -> usize {
         let requested = if self.parallelism == 0 {
@@ -227,8 +170,6 @@ impl EngineConfig {
 pub enum EngineError {
     /// The forward reduction failed.
     Reduction(ReductionError),
-    /// The naive reference evaluator failed.
-    Naive(NaiveError),
     /// The evaluation stopped without an answer: cancelled, past its
     /// deadline, or a panic-isolated worker failure (see [`EvalError`]).
     /// Interruptions *during the reduction phase* are reported through this
@@ -241,7 +182,6 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::Reduction(e) => write!(f, "{e}"),
-            EngineError::Naive(e) => write!(f, "{e}"),
             EngineError::Evaluation(e) => write!(f, "{e}"),
         }
     }
@@ -251,7 +191,6 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Reduction(e) => Some(e),
-            EngineError::Naive(e) => Some(e),
             EngineError::Evaluation(e) => Some(e),
         }
     }
@@ -266,12 +205,6 @@ impl From<ReductionError> for EngineError {
             ReductionError::Interrupted(inner) => EngineError::Evaluation(inner),
             other => EngineError::Reduction(other),
         }
-    }
-}
-
-impl From<NaiveError> for EngineError {
-    fn from(e: NaiveError) -> Self {
-        EngineError::Naive(e)
     }
 }
 
@@ -310,11 +243,11 @@ pub struct EvaluationStats {
     /// reduction plans; `relations_built`, `transformed_tuples` and
     /// `max_relation_tuples` count the transformed relations this
     /// evaluation's reduction held when it finished: under
-    /// [`evaluate_with_stats`](IntersectionJoinEngine::evaluate_with_stats)
+    /// [`evaluate_cancellable`](IntersectionJoinEngine::evaluate_cancellable)
     /// those the evaluated disjuncts read (early exit leaves the rest
     /// unbuilt), under
     /// [`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction)
-    /// on a reduction from `forward_reduction_with*` all of them.
+    /// on a reduction from `forward_reduction_with` all of them.
     pub reduction: ReductionStats,
     /// Number of EJ queries actually evaluated (early exit stops at the
     /// first true disjunct).
@@ -339,19 +272,16 @@ pub struct EvaluationStats {
     /// [`EngineConfig::trie_cache_bytes`] is `0`.  A warm evaluation of a
     /// previously-seen reduction reports hits with no misses.
     pub trie_cache: TrieCacheStats,
-    /// The [`PlanMode`] this evaluation ran under.
-    pub plan_mode: PlanMode,
-    /// Disjuncts whose variable order went through the adaptive planner
-    /// (0 under [`PlanMode::Fixed`]; the decomposition strategy plans per
-    /// materialised bag, so the count can exceed the disjunct count).
+    /// Disjuncts whose variable order went through the planner (the
+    /// decomposition strategy plans per materialised bag, so the count can
+    /// exceed the disjunct count).
     pub disjuncts_planned: usize,
-    /// Total time the adaptive planner spent choosing orders, in
-    /// nanoseconds — exact, accumulated by this evaluation's own planning
-    /// calls like the cache counters.
+    /// Total time the planner spent choosing orders, in nanoseconds — exact,
+    /// accumulated by this evaluation's own planning calls like the cache
+    /// counters.
     pub planning_nanos: u64,
     /// The distinct variable orders the planner chose, in first-seen order
-    /// (batches of isomorphic disjuncts collapse to one entry).  Empty under
-    /// [`PlanMode::Fixed`].
+    /// (batches of isomorphic disjuncts collapse to one entry).
     pub planned_orders: Vec<Vec<VarId>>,
     /// The intersection-kernel dispatch arm that served this evaluation
     /// ([`kernel_arm`]): AVX2 on hosts that have it, scalar otherwise or
@@ -361,17 +291,9 @@ pub struct EvaluationStats {
     pub answer: bool,
 }
 
-impl EvaluationStats {
-    /// A human-readable multi-line summary of the evaluation: the answer,
-    /// the disjunct/batch counts, the reduction size, and the trie-cache
-    /// activity including resident bytes and evictions.  [`EvaluationStats`]
-    /// also implements [`std::fmt::Display`] with this content, so it can be
-    /// printed directly.
-    pub fn summary(&self) -> String {
-        format!("{self}")
-    }
-}
-
+/// A human-readable multi-line summary of the evaluation: the answer, the
+/// disjunct/batch counts, the reduction size, the trie-cache activity
+/// including resident bytes and evictions, and the planner's work.
 impl std::fmt::Display for EvaluationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "answer = {}", self.answer)?;
@@ -399,8 +321,7 @@ impl std::fmt::Display for EvaluationStats {
         )?;
         write!(
             f,
-            "plan: {} ({} disjuncts planned in {:.1} µs, {} distinct orders); kernels: {}",
-            self.plan_mode,
+            "plan: {} disjuncts planned in {:.1} µs, {} distinct orders; kernels: {}",
             self.disjuncts_planned,
             self.planning_nanos as f64 / 1e3,
             self.planned_orders.len(),
@@ -510,47 +431,31 @@ impl IntersectionJoinEngine {
     /// Evaluates a Boolean EIJ query over an interval database through the
     /// forward reduction.
     pub fn evaluate(&self, query: &Query, db: &Database) -> Result<bool, EngineError> {
-        Ok(self.evaluate_with_stats(query, db)?.answer)
+        Ok(self.evaluate_cancellable(query, db, None)?.answer)
     }
 
-    /// [`IntersectionJoinEngine::evaluate`] under a caller-owned
-    /// [`CancellationToken`]: cancelling the token (from any thread) makes
-    /// the evaluation return [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)`
-    /// within the token's check-interval latency bound.  The engine works on
-    /// a *child* of the caller's token, so internal cancellation (e.g. after
-    /// a worker panic) never trips the caller's token.
+    /// Evaluates a Boolean EIJ query over an interval database through the
+    /// forward reduction under a caller-owned [`CancellationToken`], and
+    /// returns the answer with the evaluation's runtime statistics.
+    ///
+    /// Cancelling the token (from any thread) makes the evaluation return
+    /// [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)` within the
+    /// token's check-interval latency bound; a token with a
+    /// [budget](CancellationToken::with_budget) makes it return
+    /// [`EvalError::DeadlineExceeded`] once the budget has elapsed, covering
+    /// the forward reduction *and* the disjunct evaluation.  A deadline is a
+    /// property of the call, not of the engine: one engine can run a bounded
+    /// call and an unbounded one.  The disjunct workers run on a *child* of
+    /// the caller's token (see
+    /// [`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable)),
+    /// so internal cancellation (e.g. after a worker panic) never trips the
+    /// caller's token.
     pub fn evaluate_cancellable(
         &self,
         query: &Query,
         db: &Database,
         token: Option<&CancellationToken>,
-    ) -> Result<bool, EngineError> {
-        Ok(self
-            .evaluate_with_stats_cancellable(query, db, token)?
-            .answer)
-    }
-
-    /// Evaluates the query and returns runtime statistics.
-    pub fn evaluate_with_stats(
-        &self,
-        query: &Query,
-        db: &Database,
     ) -> Result<EvaluationStats, EngineError> {
-        self.evaluate_with_stats_cancellable(query, db, None)
-    }
-
-    /// [`IntersectionJoinEngine::evaluate_with_stats`] under a caller-owned
-    /// [`CancellationToken`] (see
-    /// [`evaluate_cancellable`](IntersectionJoinEngine::evaluate_cancellable)).
-    /// The [`EngineConfig::deadline`] clock starts here, covering the forward
-    /// reduction *and* the disjunct evaluation.
-    pub fn evaluate_with_stats_cancellable(
-        &self,
-        query: &Query,
-        db: &Database,
-        token: Option<&CancellationToken>,
-    ) -> Result<EvaluationStats, EngineError> {
-        let local = self.local_token(token);
         // Only the *plan* of the forward reduction runs here, on the caller's
         // thread: segment trees, node lists and the EJ queries.  The
         // transformed relations are built by the disjunct workers, each the
@@ -564,7 +469,7 @@ impl IntersectionJoinEngine {
                 ReductionConfig {
                     encoding: self.config.encoding,
                 },
-                Some(&local),
+                token,
             )
         }))
         .unwrap_or_else(|payload| {
@@ -573,11 +478,22 @@ impl IntersectionJoinEngine {
                 payload: panic_payload_string(payload.as_ref()),
             }))
         })?;
-        Ok(self.run_reduction(&reduction, &local)?)
+        Ok(self.evaluate_reduction_cancellable(&reduction, token)?)
+    }
+
+    /// [`IntersectionJoinEngine::evaluate_reduction_cancellable`] without a
+    /// token: it cannot be cancelled externally, and its only error is
+    /// [`EvalError::WorkerPanicked`].
+    pub fn evaluate_reduction(
+        &self,
+        reduction: &ForwardReduction,
+    ) -> Result<EvaluationStats, EvalError> {
+        self.evaluate_reduction_cancellable(reduction, None)
     }
 
     /// Evaluates a forward reduction computed by the caller (useful when the
-    /// same reduced database is probed several times, e.g. in benchmarks).
+    /// same reduced database is probed several times, e.g. in benchmarks)
+    /// under a caller-owned [`CancellationToken`].
     ///
     /// The workers read transformed relations through
     /// [`ForwardReduction::relation`], so this works on any reduction: one
@@ -619,58 +535,27 @@ impl IntersectionJoinEngine {
     /// The evaluation only *reads* the transformed relations' interned id
     /// columns, so the workers share the reduction without locking.
     ///
+    /// The pool polls a *child* of `token` between disjuncts and inside every
+    /// relation build, trie build and candidate-intersection loop, so the
+    /// pool cancelling itself — after a witness or a worker panic — never
+    /// trips the caller's token.
+    ///
     /// # Errors
     ///
     /// Returns the typed [`EvalError`] taxonomy when the evaluation stops
-    /// without an answer: [`EvalError::DeadlineExceeded`] once a configured
-    /// [`EngineConfig::deadline`] elapses, or [`EvalError::WorkerPanicked`]
-    /// when a disjunct worker panics, in a relation build or after it (the
-    /// panic is caught, its siblings are cancelled, a relation whose build
-    /// failed stays unbuilt, and the engine — including its shared trie
-    /// cache — stays fully usable).  Without a deadline this entry point cannot be
-    /// cancelled externally; see
-    /// [`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable).
-    pub fn evaluate_reduction(
-        &self,
-        reduction: &ForwardReduction,
-    ) -> Result<EvaluationStats, EvalError> {
-        self.evaluate_reduction_cancellable(reduction, None)
-    }
-
-    /// [`IntersectionJoinEngine::evaluate_reduction`] under a caller-owned
-    /// [`CancellationToken`]: the pool polls a *child* of `token` between
-    /// disjuncts and inside every trie build and candidate-intersection loop,
-    /// so a cancel (or the token's own deadline) surfaces within the
-    /// check-interval latency bound, and internal cancellation after a
-    /// worker panic never trips the caller's token.
+    /// without an answer: [`EvalError::Cancelled`] or
+    /// [`EvalError::DeadlineExceeded`] within the check-interval latency
+    /// bound once `token` is cancelled or past its budget, or
+    /// [`EvalError::WorkerPanicked`] when a disjunct worker panics, in a
+    /// relation build or after it (the panic is caught, its siblings are
+    /// cancelled, a relation whose build failed stays unbuilt, and the engine
+    /// — including its shared trie cache — stays fully usable).
     pub fn evaluate_reduction_cancellable(
         &self,
         reduction: &ForwardReduction,
         token: Option<&CancellationToken>,
     ) -> Result<EvaluationStats, EvalError> {
-        let pool = self.local_token(token);
-        self.run_reduction(reduction, &pool)
-    }
-
-    /// The evaluation-local token: a child of the caller's token (so the
-    /// pool cancelling itself — e.g. after a worker panic — never poisons
-    /// the caller's token for later evaluations), carrying the engine's
-    /// configured deadline budget, if any, started **now**.
-    fn local_token(&self, external: Option<&CancellationToken>) -> CancellationToken {
-        let local = external.map(|t| t.child()).unwrap_or_default();
-        match self.config.deadline {
-            Some(budget) => local.with_budget(budget),
-            None => local,
-        }
-    }
-
-    /// The disjunct worker pool, running under the evaluation-local `pool`
-    /// token (see [`IntersectionJoinEngine::evaluate_reduction_cancellable`]).
-    fn run_reduction(
-        &self,
-        reduction: &ForwardReduction,
-        pool: &CancellationToken,
-    ) -> Result<EvaluationStats, EvalError> {
+        let pool = &token.map(CancellationToken::child).unwrap_or_default();
         // Deduplicate EJ queries that are literally identical (same relations
         // bound to the same variables).
         let to_run = reduction.deduped_query_indices();
@@ -686,7 +571,6 @@ impl IntersectionJoinEngine {
             cache: self.trie_cache.as_deref(),
             activity: Some(&activity),
             token: Some(pool),
-            plan_mode: self.config.plan_mode,
             planning: Some(&planning),
         };
         // Don't let grouping serialize the pool: as long as there are fewer
@@ -782,7 +666,6 @@ impl IntersectionJoinEngine {
                 entries: resident.entries,
                 resident_bytes: resident.resident_bytes,
             },
-            plan_mode: self.config.plan_mode,
             disjuncts_planned: planning.plans(),
             planning_nanos: planning.planning_nanos(),
             planned_orders: planning.orders(),
@@ -872,20 +755,16 @@ impl IntersectionJoinEngine {
         if let Some(token) = eval.token {
             token.checkpoint()?;
         }
-        evaluate_ej_boolean_with(&atoms, self.config.ej_strategy, eval)
-    }
-
-    /// Evaluates the query with the naive reference evaluator (exhaustive
-    /// backtracking).  Exposed for differential testing and baselines.
-    pub fn evaluate_naive(&self, query: &Query, db: &Database) -> Result<bool, EngineError> {
-        Ok(naive_boolean(query, db)?)
+        evaluate_ej_boolean(&atoms, self.config.ej_strategy, eval)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive_boolean;
     use ij_relation::Value;
+    use std::time::Duration;
 
     fn iv(lo: f64, hi: f64) -> Value {
         Value::interval(lo, hi)
@@ -931,7 +810,7 @@ mod tests {
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             let via_reduction = engine.evaluate(&q, &db).unwrap();
-            let via_naive = engine.evaluate_naive(&q, &db).unwrap();
+            let via_naive = naive_boolean(&q, &db).unwrap();
             assert_eq!(via_reduction, via_naive);
             assert_eq!(via_reduction, satisfiable);
         }
@@ -962,13 +841,13 @@ mod tests {
     fn evaluation_stats_expose_early_exit() {
         let engine = IntersectionJoinEngine::with_defaults();
         let (q, db) = triangle_db(true);
-        let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(stats.answer);
         assert!(stats.ej_queries_evaluated <= stats.ej_queries_total);
         assert_eq!(stats.reduction.num_queries, 8);
 
         let (q, db) = triangle_db(false);
-        let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
         // A false answer requires evaluating every (deduplicated) disjunct.
         assert_eq!(stats.ej_queries_evaluated, stats.ej_queries_total);
@@ -1019,7 +898,7 @@ mod tests {
                     satisfiable,
                     "parallelism {parallelism}"
                 );
-                let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+                let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
                 assert_eq!(stats.answer, satisfiable);
                 if !satisfiable {
                     // A false answer requires every disjunct to be evaluated,
@@ -1037,7 +916,7 @@ mod tests {
         // relations, so later disjuncts must find earlier tries in the cache.
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
         let (q, db) = triangle_db(false);
-        let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
         assert!(
             stats.trie_cache.hits > 0,
@@ -1057,7 +936,7 @@ mod tests {
                 .with_parallelism(1)
                 .with_trie_cache_bytes(0),
         );
-        let stats = rebuild.evaluate_with_stats(&q, &db).unwrap();
+        let stats = rebuild.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
         assert_eq!(stats.trie_cache, TrieCacheStats::default());
     }
@@ -1141,17 +1020,17 @@ mod tests {
     fn persistent_cache_survives_across_evaluations_and_clones() {
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
         let (q, db) = triangle_db(false);
-        let first = engine.evaluate_with_stats(&q, &db).unwrap();
+        let first = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(first.trie_cache.misses > 0);
         // Second evaluation of the same reduction: all builds served warm.
-        let second = engine.evaluate_with_stats(&q, &db).unwrap();
+        let second = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert_eq!(second.answer, first.answer);
         assert_eq!(second.trie_cache.misses, 0, "{:?}", second.trie_cache);
         assert!(second.trie_cache.hits > 0);
         // Clones share the cache: a clone's evaluation is warm too, and its
         // activity shows up in the original's cumulative stats.
         let clone = engine.clone();
-        let cloned = clone.evaluate_with_stats(&q, &db).unwrap();
+        let cloned = clone.evaluate_cancellable(&q, &db, None).unwrap();
         assert_eq!(cloned.trie_cache.misses, 0);
         assert_eq!(
             engine.trie_cache_stats().hits,
@@ -1164,7 +1043,7 @@ mod tests {
         // One trie's bytes, measured: a budget that evicts on most inserts.
         let (q, db) = triangle_db(false);
         let probe = IntersectionJoinEngine::with_defaults()
-            .evaluate_with_stats(&q, &db)
+            .evaluate_cancellable(&q, &db, None)
             .unwrap()
             .trie_cache;
         let one_trie = probe.resident_bytes / probe.entries;
@@ -1199,7 +1078,7 @@ mod tests {
                     .with_trie_shards(shards),
             );
             [(); 2].map(|()| {
-                let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+                let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
                 (stats.answer, stats.trie_cache, stats.ej_query_batches)
             })
         };
@@ -1209,50 +1088,21 @@ mod tests {
     }
 
     #[test]
-    fn answers_identical_across_plan_modes() {
-        for satisfiable in [true, false] {
-            let (q, db) = triangle_db(satisfiable);
-            for strategy in [EjStrategy::Auto, EjStrategy::GenericJoin] {
-                for mode in [PlanMode::Fixed, PlanMode::Adaptive] {
-                    let engine = IntersectionJoinEngine::new(EngineConfig {
-                        ej_strategy: strategy,
-                        ..EngineConfig::new().with_plan_mode(mode)
-                    });
-                    assert_eq!(
-                        engine.evaluate(&q, &db).unwrap(),
-                        satisfiable,
-                        "strategy {strategy:?}, mode {mode:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plan_mode_is_reported_in_evaluation_stats() {
+    fn planning_is_reported_in_evaluation_stats() {
         let (q, db) = triangle_db(false); // false → every disjunct runs
-        let adaptive = IntersectionJoinEngine::new(EngineConfig {
+        let engine = IntersectionJoinEngine::new(EngineConfig {
             ej_strategy: EjStrategy::GenericJoin,
             ..EngineConfig::new().with_parallelism(1)
         });
-        let stats = adaptive.evaluate_with_stats(&q, &db).unwrap();
-        assert_eq!(stats.plan_mode, PlanMode::Adaptive);
+        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(stats.disjuncts_planned > 0, "{stats:?}");
         assert!(!stats.planned_orders.is_empty(), "{stats:?}");
-        assert!(stats.summary().contains("plan: adaptive"), "{stats}");
-        assert!(stats.summary().contains(kernel_arm().as_str()), "{stats}");
-
-        let fixed = IntersectionJoinEngine::new(EngineConfig {
-            ej_strategy: EjStrategy::GenericJoin,
-            ..EngineConfig::new()
-                .with_parallelism(1)
-                .with_plan_mode(PlanMode::Fixed)
-        });
-        let stats = fixed.evaluate_with_stats(&q, &db).unwrap();
-        assert_eq!(stats.plan_mode, PlanMode::Fixed);
-        assert_eq!(stats.disjuncts_planned, 0, "{stats:?}");
-        assert!(stats.planned_orders.is_empty(), "{stats:?}");
-        assert_eq!(stats.planning_nanos, 0, "{stats:?}");
+        let printed = stats.to_string();
+        assert!(
+            printed.contains("built 12 of 12 transformed relations"),
+            "{printed}"
+        );
+        assert!(printed.contains(kernel_arm().as_str()), "{printed}");
     }
 
     #[test]
@@ -1341,44 +1191,43 @@ mod tests {
         let engine = IntersectionJoinEngine::with_defaults();
         let (q, db) = triangle_db(true);
         let fresh = CancellationToken::new();
-        assert!(engine.evaluate_cancellable(&q, &db, Some(&fresh)).unwrap());
+        assert!(
+            engine
+                .evaluate_cancellable(&q, &db, Some(&fresh))
+                .unwrap()
+                .answer
+        );
     }
 
     #[test]
-    fn zero_deadline_surfaces_as_deadline_exceeded() {
+    fn engine_stays_usable_after_an_interrupted_evaluation() {
+        // A deadline belongs to one call: the same engine runs a call whose
+        // budget is spent before it starts, then unbounded ones, and the
+        // interrupted call leaves the persistent cache consistent.
+        let (q, db) = triangle_db(false); // false → every disjunct runs
         for parallelism in [1usize, 4] {
-            let engine = IntersectionJoinEngine::new(
-                EngineConfig::new()
-                    .with_parallelism(parallelism)
-                    .with_deadline(Duration::ZERO),
-            );
-            let (q, db) = triangle_db(true);
-            match engine.evaluate(&q, &db) {
+            let engine =
+                IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+            let spent = CancellationToken::new().with_budget(Duration::ZERO);
+            match engine.evaluate_cancellable(&q, &db, Some(&spent)) {
                 Err(EngineError::Evaluation(EvalError::DeadlineExceeded { budget, .. })) => {
                     assert_eq!(budget, Duration::ZERO);
                 }
                 other => panic!("expected DeadlineExceeded, got {other:?}"),
             }
+            let cold = engine.evaluate_cancellable(&q, &db, None).unwrap();
+            assert!(!cold.answer);
+            let warm = engine.evaluate_cancellable(&q, &db, None).unwrap();
+            assert!(!warm.answer);
+            assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
+            assert!(warm.trie_cache.hits > 0, "{:?}", warm.trie_cache);
         }
-        // A generous deadline does not perturb the answer.
-        let engine =
-            IntersectionJoinEngine::new(EngineConfig::new().with_deadline(Duration::from_secs(60)));
+        // A generous budget does not perturb the answer.
         let (q, db) = triangle_db(true);
-        assert!(engine.evaluate(&q, &db).unwrap());
-    }
-
-    #[test]
-    fn engine_stays_usable_after_an_interrupted_evaluation() {
-        // A deadline failure must leave the persistent cache consistent: the
-        // same engine (deadline lifted via a sibling config sharing the
-        // cache is not possible here, so use a pre-cancelled token instead)
-        // answers correctly afterwards.
-        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
-        let (q, db) = triangle_db(true);
-        let token = CancellationToken::new();
-        token.cancel();
-        assert!(engine.evaluate_cancellable(&q, &db, Some(&token)).is_err());
-        assert!(engine.evaluate(&q, &db).unwrap());
+        let generous = CancellationToken::new().with_budget(Duration::from_secs(60));
+        let engine = IntersectionJoinEngine::with_defaults();
+        let stats = engine.evaluate_cancellable(&q, &db, Some(&generous));
+        assert!(stats.unwrap().answer);
     }
 
     #[test]
@@ -1428,10 +1277,7 @@ mod tests {
             engine.evaluate(&q, &db),
             Err(EngineError::Reduction(_))
         ));
-        assert!(matches!(
-            engine.evaluate_naive(&q, &db),
-            Err(EngineError::Naive(_))
-        ));
+        assert!(naive_boolean(&q, &db).is_err());
     }
 
     #[test]
@@ -1450,7 +1296,7 @@ mod tests {
         );
         db.insert_tuples("S", 2, vec![vec![Value::point(1.0), iv(1.0, 3.0)]]);
         assert!(engine.evaluate(&q, &db).unwrap());
-        assert!(engine.evaluate_naive(&q, &db).unwrap());
+        assert!(naive_boolean(&q, &db).unwrap());
 
         // Same intervals but mismatching point values.
         let mut db2 = Database::new();

@@ -27,8 +27,8 @@
 //! ([`Workspace::with_trie_cache_bytes`]).
 //!
 //! Evaluations are **cancellable and deadline-bounded**: the
-//! `*_cancellable` entry points accept a [`CancellationToken`],
-//! [`EngineConfig::with_deadline`] arms a per-evaluation time budget, and
+//! `*_cancellable` entry points accept a [`CancellationToken`], a token
+//! [with a budget](CancellationToken::with_budget) bounds that one call, and
 //! failures surface as the typed
 //! [`EvalError`] taxonomy (`Cancelled`, `DeadlineExceeded`,
 //! `WorkerPanicked`) — never as a hung call or a poisoned engine.  The
@@ -63,7 +63,7 @@ mod workspace;
 
 pub use engine::{
     kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, KernelArm,
-    PlanMode, QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES, FORCE_SCALAR_ENV,
+    QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES, FORCE_SCALAR_ENV,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
@@ -75,8 +75,8 @@ pub use workspace::{Workspace, WorkspaceStats};
 pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
-        EvaluationStats, IntersectionJoinEngine, KernelArm, PlanMode, QueryAnalysis,
-        TrieCacheStats, Workspace, WorkspaceStats,
+        EvaluationStats, IntersectionJoinEngine, KernelArm, QueryAnalysis, TrieCacheStats,
+        Workspace, WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};

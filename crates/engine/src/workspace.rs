@@ -294,11 +294,11 @@ mod tests {
         let ws = Workspace::new();
         let (q, db) = triangle_db(&ws);
         let first = ws.engine(EngineConfig::new().with_parallelism(1));
-        let cold = first.evaluate_with_stats(&q, &db).unwrap();
+        let cold = first.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(cold.trie_cache.misses > 0);
         // A *different* engine, same workspace: first evaluation runs warm.
         let second = ws.engine(EngineConfig::new().with_parallelism(1));
-        let warm = second.evaluate_with_stats(&q, &db).unwrap();
+        let warm = second.evaluate_cancellable(&q, &db, None).unwrap();
         assert_eq!(warm.answer, cold.answer);
         assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
         assert!(warm.trie_cache.hits > 0);
@@ -336,7 +336,7 @@ mod tests {
                 .with_parallelism(1)
                 .with_trie_cache_bytes(0),
         );
-        let stats = engine.evaluate_with_stats(&q, &db).unwrap();
+        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert_eq!(stats.trie_cache, ij_ejoin::TrieCacheStats::default());
         assert_eq!(ws.trie_cache_stats().misses, 0);
     }

@@ -39,10 +39,10 @@
 //! builds transformed relations (`build_relation`); every later request is a
 //! load.  Who asks first depends on the entry point:
 //!
-//! * [`forward_reduction_with_token`] (and the shorthands above it) plans and
-//!   then asks for *every* relation before returning, on the caller's thread
-//!   — the standalone reduction, whose [`ForwardReduction::stats`] are the
-//!   full sizes of Lemma 4.10;
+//! * [`forward_reduction_with`] (and [`forward_reduction`], its default-config
+//!   shorthand) plans and then asks for *every* relation before returning, on
+//!   the caller's thread — the standalone reduction, whose
+//!   [`ForwardReduction::stats`] are the full sizes of Lemma 4.10;
 //! * the engine's `evaluate*` only plans, and each disjunct worker asks for
 //!   the relations of the disjunct it is about to evaluate.  A disjunction
 //!   that is true at its first disjunct never builds the relations only the
@@ -188,12 +188,12 @@ impl ReducedQuery {
 /// [`transformed_tuples`](Self::transformed_tuples) and
 /// [`max_relation_tuples`](Self::max_relation_tuples) — count the transformed
 /// relations **materialised so far**.  Which that is depends on the entry
-/// point: [`forward_reduction_with`] and its siblings build every relation, so
-/// on their result the fields are the full sizes of `D̃`
-/// (`relations_built == num_relations`); the engine's `evaluate_with_stats*`
-/// builds a relation only when a disjunct it evaluates reads it, so in its
-/// `EvaluationStats::reduction` the fields say how much of `D̃` the evaluation
-/// needed.  Every other field is fixed by the plan and identical under both.
+/// point: [`forward_reduction_with`] builds every relation, so on its result
+/// the fields are the full sizes of `D̃` (`relations_built == num_relations`);
+/// the engine's `evaluate_cancellable` builds a relation only when a disjunct
+/// it evaluates reads it, so in its `EvaluationStats::reduction` the fields
+/// say how much of `D̃` the evaluation needed.  Every other field is fixed by
+/// the plan and identical under both.
 #[derive(Debug, Clone, Default)]
 pub struct ReductionStats {
     /// Per interval variable: (name, number of source intervals, segment tree
@@ -202,16 +202,16 @@ pub struct ReductionStats {
     /// Size of the input database (tuples).
     pub input_tuples: usize,
     /// Total number of tuples across the transformed relations built so far
-    /// (all of them under `forward_reduction_with*`; see the type docs).
+    /// (all of them under [`forward_reduction_with`]; see the type docs).
     pub transformed_tuples: usize,
     /// The largest transformed relation built so far (the largest of all
-    /// under `forward_reduction_with*`).
+    /// under [`forward_reduction_with`]).
     pub max_relation_tuples: usize,
     /// Number of distinct transformed relations the plan names, built or not.
     pub num_relations: usize,
     /// Number of transformed relations built so far: `num_relations` under
-    /// `forward_reduction_with*`, possibly fewer under the engine's
-    /// `evaluate_with_stats*`.
+    /// [`forward_reduction_with`], possibly fewer under the engine's
+    /// `evaluate_cancellable`.
     pub relations_built: usize,
     /// Number of EJ queries in the disjunction.
     pub num_queries: usize,
@@ -225,15 +225,15 @@ pub struct ReductionStats {
 /// is asked for and loads it ever after; a second thread asking meanwhile
 /// waits for the build in flight, and a build that is interrupted or panics
 /// leaves its cell empty — never a partial relation — for the next request
-/// to fill.  [`forward_reduction_with`] and its siblings return with every
-/// cell filled; [`plan_forward_reduction`] returns with none, for an
-/// evaluator (the engine's `evaluate*`) that builds what its disjuncts read.
+/// to fill.  [`forward_reduction_with`] returns with every cell filled;
+/// [`plan_forward_reduction`] returns with none, for an evaluator (the
+/// engine's `evaluate*`) that builds what its disjuncts read.
 #[derive(Debug)]
 pub struct ForwardReduction {
     /// The EJ queries of the disjunction `⋁ Q̃_i`.
     pub queries: Vec<ReducedQuery>,
     /// Statistics, as of the moment this value was returned: from
-    /// [`forward_reduction_with`] and its siblings the size fields cover all
+    /// [`forward_reduction_with`] the size fields cover all
     /// of `D̃`; from [`plan_forward_reduction`] nothing is built yet and they
     /// are zero.  [`ForwardReduction::materialised_stats`] recounts.
     pub stats: ReductionStats,
@@ -410,9 +410,9 @@ impl ForwardReduction {
     }
 
     /// Builds every relation not built yet, in plan order, on this thread.
-    fn materialise_all(&self, token: Option<&CancellationToken>) -> Result<(), EvalError> {
+    fn materialise_all(&self) -> Result<(), EvalError> {
         for planned in &self.relations {
-            self.relation(&planned.name, token)?;
+            self.relation(&planned.name, None)?;
         }
         Ok(())
     }
@@ -541,35 +541,16 @@ pub fn forward_reduction(q: &Query, db: &Database) -> Result<ForwardReduction, R
 }
 
 /// Runs the forward reduction of query `q` over database `db` with an
-/// explicit [`ReductionConfig`].
+/// explicit [`ReductionConfig`]: [`plan_forward_reduction`] followed by a
+/// request for every relation of the plan, so all of `D̃` is built before the
+/// call returns and [`ForwardReduction::stats`] reports all of it.
 pub fn forward_reduction_with(
     q: &Query,
     db: &Database,
     config: ReductionConfig,
 ) -> Result<ForwardReduction, ReductionError> {
-    forward_reduction_with_token(q, db, config, None)
-}
-
-/// [`forward_reduction_with`] polling a [`CancellationToken`]: the per-tuple
-/// loops — the segment-tree node pass over every interval column (per source
-/// tuple) and both loops of every relation build (per seed collected, per
-/// tuple written) — check the token every
-/// [`check_interval`](CancellationToken::check_interval) tuples and abort with
-/// [`ReductionError::Interrupted`] when it fires — the segment-tree builds
-/// and the structural reduction run to completion (both are small: `O(N)`
-/// interval collection and a per-*shape* permutation enumeration).
-///
-/// This is [`plan_forward_reduction`] followed by a request for every
-/// relation of the plan: all of `D̃` is built before the call returns, and
-/// [`ForwardReduction::stats`] reports all of it.
-pub fn forward_reduction_with_token(
-    q: &Query,
-    db: &Database,
-    config: ReductionConfig,
-    token: Option<&CancellationToken>,
-) -> Result<ForwardReduction, ReductionError> {
-    let mut reduction = plan_forward_reduction(q, db, config, token)?;
-    reduction.materialise_all(token)?;
+    let mut reduction = plan_forward_reduction(q, db, config, None)?;
+    reduction.materialise_all()?;
     reduction.stats = reduction.materialised_stats();
     Ok(reduction)
 }
@@ -578,7 +559,13 @@ pub fn forward_reduction_with_token(
 /// transformed relation: the returned [`ForwardReduction`] carries the EJ
 /// queries and builds each relation of `D̃` the first time
 /// [`ForwardReduction::relation`] is asked for it.  This is all of the
-/// reduction that can reject its input; `token` interrupts the segment-tree node pass.
+/// reduction that can reject its input.  `token` is polled by the
+/// segment-tree node pass over every interval column, once per source tuple,
+/// every [`check_interval`](CancellationToken::check_interval) tuples, and
+/// aborts it with [`ReductionError::Interrupted`]; the segment-tree builds
+/// and the structural reduction run to completion (both are small: `O(N)`
+/// interval collection and a per-*shape* permutation enumeration).  Relation
+/// builds poll the token [`ForwardReduction::relation`] is given.
 pub fn plan_forward_reduction(
     q: &Query,
     db: &Database,
@@ -1609,8 +1596,7 @@ mod tests {
         let token = CancellationToken::new().with_check_interval(4);
         token.cancel();
         assert_eq!(
-            forward_reduction_with_token(&q, &db, ReductionConfig::default(), Some(&token))
-                .unwrap_err(),
+            plan_forward_reduction(&q, &db, ReductionConfig::default(), Some(&token)).unwrap_err(),
             ReductionError::Interrupted(EvalError::Cancelled)
         );
         // The build itself polls, one unit per seed collected and one per
@@ -1905,7 +1891,7 @@ mod tests {
             assert!(stats.relations_built < stats.num_relations);
             assert!(stats.transformed_tuples < reference.stats.transformed_tuples);
 
-            plan.materialise_all(None).unwrap();
+            plan.materialise_all().unwrap();
             let stats = plan.materialised_stats();
             assert_eq!(stats.transformed_tuples, reference.stats.transformed_tuples);
             assert_eq!(

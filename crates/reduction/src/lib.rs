@@ -44,7 +44,6 @@ pub use disjoint::{
     ordered_witnesses, unique_ordered_witness, unrestricted_witness_count, OrderedWitness,
 };
 pub use forward::{
-    forward_reduction, forward_reduction_with, forward_reduction_with_token,
-    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReducedAtom, ReducedQuery,
-    ReductionConfig, ReductionError, ReductionStats,
+    forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
+    ForwardReduction, ReducedAtom, ReducedQuery, ReductionConfig, ReductionError, ReductionStats,
 };

@@ -84,11 +84,11 @@ fn main() {
     //    not stored, and join the workspace's ids — the process-global
     //    dictionary is never touched.
     let stats = engine
-        .evaluate_with_stats(&query, &db)
+        .evaluate_cancellable(&query, &db, None)
         .expect("evaluation succeeds");
     println!();
     println!("2. Evaluation through the forward reduction (Theorem 4.13):");
-    print_indented(&stats.summary());
+    print_indented(&format!("{stats}"));
 
     // 3. Cache warmth is a *workspace* property, not an engine property: a
     //    brand-new engine built from the same workspace — the per-request
@@ -97,11 +97,11 @@ fn main() {
     //    and every trie it asks for is one the first run built.)
     let fresh_engine = workspace.engine(config);
     let warm = fresh_engine
-        .evaluate_with_stats(&query, &db)
+        .evaluate_cancellable(&query, &db, None)
         .expect("evaluation succeeds");
     println!();
     println!("3. A fresh engine on the same workspace starts warm (shared trie cache):");
-    print_indented(&warm.summary());
+    print_indented(&format!("{warm}"));
     assert_eq!(
         warm.trie_cache.misses, 0,
         "warm evaluation must not rebuild"
@@ -116,9 +116,7 @@ fn main() {
 
     // 5. Cross-check with the naive reference evaluator (exhaustive
     //    backtracking over Definition 3.3).
-    let naive = engine
-        .evaluate_naive(&query, &db)
-        .expect("naive evaluation succeeds");
+    let naive = naive_boolean(&query, &db).expect("naive evaluation succeeds");
     assert_eq!(stats.answer, naive);
     println!();
     println!("5. Differential check: the naive evaluator agrees (answer = {naive}).");

@@ -51,7 +51,7 @@ fn main() {
             .with_selectivity(0.2),
     );
     let stats = engine
-        .evaluate_with_stats(&scenario.query, &scenario.database)
+        .evaluate_cancellable(&scenario.query, &scenario.database, None)
         .expect("evaluation succeeds");
     let baseline =
         SegtreeBaseline::build(&scenario.query, &scenario.database).expect("baseline builds");
@@ -123,7 +123,7 @@ fn main() {
     // Reuse the scenario's rectangles: the same columns reinterpreted as a
     // common (x, y) frame for all three layers.
     let stats = engine
-        .evaluate_with_stats(&overlap3, &scenario.database)
+        .evaluate_cancellable(&overlap3, &scenario.database, None)
         .expect("evaluation succeeds");
     let baseline = SegtreeBaseline::build(&overlap3, &scenario.database).expect("baseline builds");
     assert_eq!(stats.answer, baseline.evaluate_boolean());

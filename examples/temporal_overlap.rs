@@ -51,7 +51,7 @@ fn main() {
                 .with_skew(2.0),
         );
         let stats = engine
-            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .evaluate_cancellable(&scenario.query, &scenario.database, None)
             .expect("evaluation succeeds");
         let baseline =
             SegtreeBaseline::build(&scenario.query, &scenario.database).expect("baseline builds");

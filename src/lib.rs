@@ -65,7 +65,7 @@
 //!        │                                  rows); a second asker waits, a
 //!        │                                  failed build leaves the cell empty
 //!        ▼
-//!  ij_engine::evaluate_reduction            dedup disjuncts → batches
+//!  engine.evaluate_reduction_cancellable    dedup disjuncts → batches
 //!        │   (EngineConfig::parallelism     (grouped by shared transformed
 //!        │    workers pull whole batches    relations) → worker pool; binding
 //!        │    and build the relations       a disjunct builds its unbuilt
@@ -85,7 +85,8 @@
 //!     are the evaluation's only threads
 //!        │
 //!        ▼
-//!  Boolean answer (identical for every parallelism/cache setting)
+//!  EvaluationStats { answer (identical for every parallelism/cache
+//!                    setting), what was built, cached and planned }
 //! ```
 //!
 //! Values are resolved back out of the dictionary only at API boundaries

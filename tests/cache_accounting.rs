@@ -66,7 +66,7 @@ fn concurrent_evaluations_report_exact_per_evaluation_stats() {
     let ws = Workspace::new();
     let warm_db = ws.import_database(&workload(1, 10));
     let primer = ws.engine(EngineConfig::new().with_parallelism(1));
-    let primed = primer.evaluate_with_stats(&query, &warm_db).unwrap();
+    let primed = primer.evaluate_cancellable(&query, &warm_db, None).unwrap();
     assert!(primed.trie_cache.misses > 0, "priming pass must build");
     let baseline = ws.trie_cache_stats();
 
@@ -75,7 +75,7 @@ fn concurrent_evaluations_report_exact_per_evaluation_stats() {
         let warm = scope.spawn(|| {
             let engine = ws.engine(EngineConfig::new().with_parallelism(1));
             (0..ROUNDS)
-                .map(|_| engine.evaluate_with_stats(&query, &warm_db).unwrap())
+                .map(|_| engine.evaluate_cancellable(&query, &warm_db, None).unwrap())
                 .collect::<Vec<_>>()
         });
         let noisy = scope.spawn(|| {
@@ -83,7 +83,7 @@ fn concurrent_evaluations_report_exact_per_evaluation_stats() {
                 .map(|i| {
                     let db = ws.import_database(&workload(100 + i as u64, 10));
                     ws.engine(EngineConfig::new().with_parallelism(1))
-                        .evaluate_with_stats(&query, &db)
+                        .evaluate_cancellable(&query, &db, None)
                         .unwrap()
                 })
                 .collect::<Vec<_>>()
@@ -156,7 +156,7 @@ fn cancelled_evaluations_leave_ledgers_exact() {
         });
         for result in results {
             match result {
-                Ok(answer) => assert!(!answer, "planted-unsatisfiable workload"),
+                Ok(stats) => assert!(!stats.answer, "planted-unsatisfiable workload"),
                 Err(ij_engine::EngineError::Evaluation(EvalError::Cancelled)) => {}
                 Err(other) => panic!("unexpected error at delay {delay_us}µs: {other:?}"),
             }
@@ -171,9 +171,9 @@ fn cancelled_evaluations_leave_ledgers_exact() {
         // Warm exactness survives the interruption: prime once, then the
         // repeat reports zero misses of its own.
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-        let primed = engine.evaluate_with_stats(&query, &dbs[1]).unwrap();
+        let primed = engine.evaluate_cancellable(&query, &dbs[1], None).unwrap();
         assert!(!primed.answer);
-        let again = engine.evaluate_with_stats(&query, &dbs[1]).unwrap();
+        let again = engine.evaluate_cancellable(&query, &dbs[1], None).unwrap();
         assert_eq!(
             again.trie_cache.misses, 0,
             "warm re-run rebuilt after cancellation at delay {delay_us}µs: {:?}",

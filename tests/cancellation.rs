@@ -2,10 +2,10 @@
 //!
 //! The robustness contract under test (see README § Robustness):
 //!
-//! * a configured [`EngineConfig::with_deadline`] budget is enforced on a
-//!   planted near-miss workload whose uncancelled runtime exceeds the budget
-//!   ≥ 10× — the evaluation returns [`EvalError::DeadlineExceeded`] instead
-//!   of running to completion;
+//! * the budget of a [`CancellationToken::with_budget`] token is enforced on
+//!   a planted near-miss workload whose uncancelled runtime exceeds the
+//!   budget ≥ 10× — the evaluation returns [`EvalError::DeadlineExceeded`]
+//!   instead of running to completion;
 //! * cancelling a caller-owned [`CancellationToken`] from another thread
 //!   makes an in-flight evaluation return within the documented latency
 //!   ceiling ([`LATENCY_BOUND`]);
@@ -23,7 +23,7 @@
 //!   (clean re-run correct, warm re-run all-hits);
 //! * every error in the taxonomy implements `std::error::Error`.
 
-use ij_ejoin::{evaluate_ej_boolean_with, yannakakis_boolean, BoundAtom, EjStrategy, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, yannakakis_boolean, BoundAtom, EjStrategy, EvalContext};
 use ij_engine::{
     naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError, IntersectionJoinEngine,
     Workspace,
@@ -90,13 +90,10 @@ fn deadline_interrupts_a_near_miss_evaluation() {
         *uncancelled >= 10 * budget,
         "fixture too fast: uncancelled {uncancelled:?} vs budget {budget:?}"
     );
-    let engine = IntersectionJoinEngine::new(
-        EngineConfig::new()
-            .with_parallelism(1)
-            .with_deadline(budget),
-    );
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
     let start = Instant::now();
-    let result = engine.evaluate_reduction(reduction);
+    let deadline = CancellationToken::new().with_budget(budget);
+    let result = engine.evaluate_reduction_cancellable(reduction, Some(&deadline));
     let wall = start.elapsed();
     match result {
         Err(EvalError::DeadlineExceeded {
@@ -166,7 +163,7 @@ fn grow_build_heavy(floor: Duration) -> (Scenario, Duration) {
         let scenario = build_scenario(&cfg);
         let start = Instant::now();
         let stats = engine
-            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .evaluate_cancellable(&scenario.query, &scenario.database, None)
             .expect("uncancelled evaluation succeeds");
         let uncancelled = start.elapsed();
         assert!(!stats.answer, "near-miss scenario must be unsatisfiable");
@@ -195,13 +192,10 @@ fn build_heavy_fixture() -> &'static (Scenario, Duration) {
 fn deadline_interrupts_worker_side_relation_builds() {
     let (scenario, uncancelled) = build_heavy_fixture();
     let budget = (*uncancelled / 20).max(Duration::from_millis(2));
-    let engine = IntersectionJoinEngine::new(
-        EngineConfig::new()
-            .with_parallelism(2)
-            .with_deadline(budget),
-    );
+    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
     let start = Instant::now();
-    let result = engine.evaluate(&scenario.query, &scenario.database);
+    let deadline = CancellationToken::new().with_budget(budget);
+    let result = engine.evaluate_cancellable(&scenario.query, &scenario.database, Some(&deadline));
     let wall = start.elapsed();
     match result {
         Err(EngineError::Evaluation(EvalError::DeadlineExceeded {
@@ -216,8 +210,8 @@ fn deadline_interrupts_worker_side_relation_builds() {
         wall <= budget + LATENCY_BOUND,
         "deadline latency {wall:?} exceeded budget {budget:?} + bound {LATENCY_BOUND:?}"
     );
-    // Nothing the interrupted builds left behind outlives the evaluation.
-    let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+    // Nothing the interrupted builds left behind outlives the evaluation: the
+    // same engine, unbounded, answers.
     assert!(!engine
         .evaluate(&scenario.query, &scenario.database)
         .expect("clean evaluation"));
@@ -244,7 +238,7 @@ fn external_cancel_interrupts_worker_side_relation_builds() {
     });
     match result {
         Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
-        Ok(answer) => assert!(!answer, "near-miss workload answered true"),
+        Ok(stats) => assert!(!stats.answer, "near-miss workload answered true"),
         Err(other) => panic!("external cancel surfaced as {other:?}, expected Cancelled"),
     }
     assert!(
@@ -267,7 +261,7 @@ fn a_found_witness_never_cancels_the_callers_token() {
     for parallelism in [2usize, 4, 2, 4] {
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
         let stats = engine
-            .evaluate_with_stats_cancellable(&scenario.query, &scenario.database, Some(&token))
+            .evaluate_cancellable(&scenario.query, &scenario.database, Some(&token))
             .expect("a true disjunct outranks whatever its siblings were interrupted in");
         assert!(stats.answer);
         assert!(
@@ -318,7 +312,7 @@ fn a_pre_cancelled_token_stops_the_yannakakis_pass_before_a_semijoin() {
         };
         for strategy in [EjStrategy::Auto, EjStrategy::Yannakakis] {
             assert_eq!(
-                evaluate_ej_boolean_with(&atoms, strategy, eval),
+                evaluate_ej_boolean(&atoms, strategy, eval),
                 Err(EvalError::Cancelled),
                 "{strategy:?}"
             );
@@ -350,7 +344,7 @@ fn a_cancel_racing_thirty_six_yannakakis_passes_is_correct_or_cancelled() {
             naive_boolean(&scenario.query, &scenario.database).expect("naive oracle succeeds");
         let start = Instant::now();
         let uncancelled = engine
-            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .evaluate_cancellable(&scenario.query, &scenario.database, None)
             .expect("uncancelled evaluation succeeds");
         let runtime = start.elapsed();
         assert_eq!(uncancelled.answer, expected, "{planted:?}");
@@ -373,7 +367,7 @@ fn a_cancel_racing_thirty_six_yannakakis_passes_is_correct_or_cancelled() {
                 worker.join().expect("evaluations never panic")
             });
             match result {
-                Ok(answer) => assert_eq!(answer, expected, "{planted:?}, step {step}"),
+                Ok(stats) => assert_eq!(stats.answer, expected, "{planted:?}, step {step}"),
                 Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
                 Err(other) => panic!("{planted:?}, step {step}: cancel surfaced as {other:?}"),
             }
@@ -445,7 +439,7 @@ proptest! {
         });
         for result in results {
             match result {
-                Ok(answer) => prop_assert_eq!(answer, expected),
+                Ok(stats) => prop_assert_eq!(stats.answer, expected),
                 Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
                 Err(other) => prop_assert!(false, "unexpected error: {:?}", other),
             }
@@ -461,11 +455,11 @@ proptest! {
         // and a warm repeat serves entirely from the shared cache.
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         let clean = engine
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("clean evaluation after cancellation succeeds");
         prop_assert_eq!(clean.answer, expected);
         let warm = engine
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("warm evaluation succeeds");
         prop_assert_eq!(warm.answer, expected);
         prop_assert_eq!(warm.trie_cache.misses, 0);

@@ -1,7 +1,7 @@
 //! Property-based differential tests of the end-to-end engine
 //! (forward reduction + EJ engine) against the naive oracle.
 
-use ij_engine::IntersectionJoinEngine;
+use ij_engine::{naive_boolean, IntersectionJoinEngine};
 use ij_relation::{Database, Query, Value};
 use proptest::prelude::*;
 
@@ -52,7 +52,7 @@ proptest! {
         let q = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
         let db = binary_db(vec![("R", r), ("S", s), ("T", t)]);
         let engine = IntersectionJoinEngine::with_defaults();
-        let expected = engine.evaluate_naive(&q, &db).unwrap();
+        let expected = naive_boolean(&q, &db).unwrap();
         prop_assert_eq!(engine.evaluate(&q, &db).unwrap(), expected);
     }
 
@@ -65,7 +65,7 @@ proptest! {
         let q = Query::parse("R([A],[B]) & S([B],[C])").unwrap();
         let db = binary_db(vec![("R", r), ("S", s)]);
         let engine = IntersectionJoinEngine::with_defaults();
-        let expected = engine.evaluate_naive(&q, &db).unwrap();
+        let expected = naive_boolean(&q, &db).unwrap();
         prop_assert_eq!(engine.evaluate(&q, &db).unwrap(), expected);
     }
 
@@ -92,7 +92,7 @@ proptest! {
                 .collect(),
         );
         let engine = IntersectionJoinEngine::with_defaults();
-        let expected = engine.evaluate_naive(&q, &db).unwrap();
+        let expected = naive_boolean(&q, &db).unwrap();
         prop_assert_eq!(engine.evaluate(&q, &db).unwrap(), expected);
     }
 

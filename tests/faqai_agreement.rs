@@ -3,7 +3,7 @@
 //! problem by different routes: inequality joins over relaxed decompositions
 //! versus equality joins over segment-tree bitstrings).
 
-use ij_engine::IntersectionJoinEngine;
+use ij_engine::{naive_boolean, IntersectionJoinEngine};
 use ij_faqai::{analyze_disjunction, evaluate_faqai_boolean, faqai_disjunction};
 use ij_hypergraph::{figure_9d, figure_9e, k_path_ij, triangle_ij};
 use ij_relation::Query;
@@ -25,7 +25,7 @@ fn agreement(query: &Query, tuples: usize, seeds: std::ops::Range<u64>, span: f6
             },
         };
         let db = generate_for_query(query, &cfg);
-        let naive = engine.evaluate_naive(query, &db).unwrap();
+        let naive = naive_boolean(query, &db).unwrap();
         let reduction = engine.evaluate(query, &db).unwrap();
         let faqai = evaluate_faqai_boolean(query, &db).unwrap();
         assert_eq!(naive, reduction, "query {query}, seed {seed}");

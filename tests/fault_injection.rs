@@ -24,7 +24,7 @@
 #![cfg(feature = "failpoints")]
 
 use ij_engine::faults::{self, FaultAction};
-use ij_engine::{EngineConfig, EngineError, EvalError, Workspace};
+use ij_engine::{CancellationToken, EngineConfig, EngineError, EvalError, Workspace};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
 use std::sync::mpsc;
@@ -97,17 +97,17 @@ fn run_case(family: ScenarioFamily, site: &'static str, after: usize, action: Fa
 
         faults::clear();
         faults::configure(site, after, action);
-        let faulted = engine.evaluate_with_stats(&scenario.query, &db);
+        let faulted = engine.evaluate_cancellable(&scenario.query, &db, None);
         let fired = faults::hits(site) > after;
         faults::clear();
 
         // Recovery on the same workspace: correct answer, then a warm run
         // served entirely from the shared cache.
         let clean = engine
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("clean evaluation after a cleared fault succeeds");
         let warm = engine
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("warm evaluation succeeds");
         (faulted, fired, clean, warm)
     });
@@ -162,7 +162,7 @@ fn sweep_sites_fire_across_the_families() {
         faults::clear();
         let stats = ws
             .engine(EngineConfig::new().with_parallelism(1))
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("clean probe succeeds");
         assert!(!stats.answer, "{family:?}: planted-unsatisfiable probe");
         assert!(
@@ -291,7 +291,7 @@ fn injected_delays_never_change_answers() {
     }
 }
 
-/// A worker stalled long past the engine's deadline trips
+/// A worker stalled long past the call's deadline trips
 /// [`EvalError::DeadlineExceeded`] at the next cancellation checkpoint
 /// instead of hanging the evaluation.
 #[test]
@@ -305,18 +305,15 @@ fn stalled_worker_trips_the_deadline() {
         let scenario = build_scenario(&cfg);
         let ws = Workspace::new();
         let db = ws.import_database(&scenario.database);
-        let engine = ws.engine(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_deadline(Duration::from_millis(20)),
-        );
+        let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         faults::clear();
         faults::configure(
             "reduction-transform",
             0,
             FaultAction::Delay(Duration::from_millis(200)),
         );
-        let faulted = engine.evaluate_with_stats(&scenario.query, &db);
+        let deadline = CancellationToken::new().with_budget(Duration::from_millis(20));
+        let faulted = engine.evaluate_cancellable(&scenario.query, &db, Some(&deadline));
         faults::clear();
         faulted
     });

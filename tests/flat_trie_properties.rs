@@ -9,17 +9,16 @@
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
 //!   that are not a multiple of the linear-probe span;
 //! * **generic join** — Boolean and enumerated answers must equal a
-//!   brute-force nested loop over the relations, with and without a cache;
+//!   brute-force nested loop over the relations, with and without a cache,
+//!   under the planned order and under every explicit one;
 //! * **engine** — end-to-end evaluation through the forward reduction must
 //!   agree with the naive oracle for every parallelism × cache capacity.
 //!
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
 
-use ij_ejoin::{
-    generic_join_boolean_with, generic_join_enumerate_with, BoundAtom, EvalContext, TrieCache,
-};
-use ij_engine::{EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
+use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, TrieCache};
+use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, intersect_sorted_gallop, intersect_sorted_scalar,
     leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
@@ -180,12 +179,12 @@ proptest! {
                 ..EvalContext::default()
             };
             prop_assert_eq!(
-                generic_join_boolean_with(&atoms, None, eval).unwrap(),
+                generic_join_boolean(&atoms, None, eval).unwrap(),
                 !expected_out.is_empty(),
                 "boolean: cached {}",
                 cache_ref.is_some()
             );
-            let out = generic_join_enumerate_with(&atoms, &[0, 1, 2], "out", eval).unwrap();
+            let out = generic_join_enumerate(&atoms, &[0, 1, 2], "out", eval).unwrap();
             // The output is deduplicated: as many rows as distinct tuples.
             prop_assert_eq!(out.len(), expected_out.len());
             prop_assert_eq!(
@@ -193,6 +192,32 @@ proptest! {
                 &expected_out,
                 "enumerate: cached {}",
                 cache_ref.is_some()
+            );
+        }
+        // Every explicit variable order against the one cache above: a trie
+        // built for one order is never served to another.
+        let shared = EvalContext {
+            cache: Some(&cache),
+            ..EvalContext::default()
+        };
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            prop_assert_eq!(
+                generic_join_boolean(&atoms, Some(order.to_vec()), shared).unwrap(),
+                !expected_out.is_empty(),
+                "boolean under order {:?}",
+                order
+            );
+            // Enumerating onto the order itself pins the join to that order.
+            let out = generic_join_enumerate(&atoms, &order, "out", shared).unwrap();
+            let permuted: BTreeSet<Vec<Value>> = expected_out
+                .iter()
+                .map(|row| order.iter().map(|&v| row[v]).collect())
+                .collect();
+            prop_assert_eq!(
+                &out.tuples().into_iter().collect::<BTreeSet<_>>(),
+                &permuted,
+                "enumerate under order {:?}",
+                order
             );
         }
     }
@@ -210,9 +235,7 @@ proptest! {
         for (name, rows) in [("R", &r), ("S", &s), ("T", &t)] {
             db.insert_tuples(name, 2, rows.iter().map(|&(a, b)| vec![a, b]).collect());
         }
-        let expected = IntersectionJoinEngine::with_defaults()
-            .evaluate_naive(&query, &db)
-            .unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         for parallelism in [1usize, 2] {
             for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
                 let engine = IntersectionJoinEngine::new(

@@ -12,7 +12,7 @@
 //! exhaustive naive oracle; release builds exercise the full sizes.
 
 use ij_ejoin::EjStrategy;
-use ij_engine::{EngineConfig, IntersectionJoinEngine};
+use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::{
     figure_9b, figure_9c, figure_9d, figure_9e, figure_9f, k_path_ij, star_ij, triangle_ij,
     Hypergraph,
@@ -80,7 +80,7 @@ fn differential_with(
             distribution: dist,
         };
         let db = generate_for_query(query, &cfg);
-        let expected = engine.evaluate_naive(query, &db).expect("naive evaluation");
+        let expected = naive_boolean(query, &db).expect("naive evaluation");
         let actual = engine
             .evaluate(query, &db)
             .expect("reduction-based evaluation");
@@ -89,7 +89,7 @@ fn differential_with(
         // Planted instances: deterministically satisfiable / unsatisfiable.
         let sat = planted_satisfiable(query, &cfg);
         assert!(
-            engine.evaluate_naive(query, &sat).unwrap(),
+            naive_boolean(query, &sat).unwrap(),
             "planted-sat naive, seed {seed}"
         );
         assert!(
@@ -99,7 +99,7 @@ fn differential_with(
 
         let unsat = planted_unsatisfiable(query, &cfg);
         assert!(
-            !engine.evaluate_naive(query, &unsat).unwrap(),
+            !naive_boolean(query, &unsat).unwrap(),
             "planted-unsat naive, seed {seed}"
         );
         assert!(
@@ -266,7 +266,7 @@ fn all_ej_strategies_agree_through_the_reduction() {
                     },
                 },
             );
-            let expected = engine.evaluate_naive(&query, &db).unwrap();
+            let expected = naive_boolean(&query, &db).unwrap();
             assert_eq!(
                 engine.evaluate(&query, &db).unwrap(),
                 expected,
@@ -294,7 +294,7 @@ fn loomis_whitney_4_reduction_is_correct_on_small_instances() {
                 distribution: IntervalDistribution::Uniform { span, max_len: 6.0 },
             },
         );
-        let expected = engine.evaluate_naive(&query, &db).unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         let actual = engine.evaluate(&query, &db).unwrap();
         assert_eq!(actual, expected, "seed {seed}");
         outcomes[usize::from(expected)] += 1;
@@ -332,7 +332,7 @@ fn four_clique_reduction_is_correct_on_small_instances() {
                 distribution: IntervalDistribution::Uniform { span, max_len: 5.0 },
             },
         );
-        let expected = engine.evaluate_naive(&query, &db).unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         assert_eq!(
             engine.evaluate(&query, &db).unwrap(),
             expected,
@@ -373,7 +373,7 @@ fn mixed_eij_queries_are_correct() {
                 },
             },
         );
-        let expected = engine.evaluate_naive(&query, &db).unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         assert_eq!(
             engine.evaluate(&query, &db).unwrap(),
             expected,

@@ -125,7 +125,7 @@ fn workers_waiting_on_each_others_relation_builds_stay_acyclic() {
     let engine = workspace.engine(EngineConfig::new().with_parallelism(4));
     for _ in 0..4 {
         let stats = engine
-            .evaluate_with_stats(&scenario.query, &db)
+            .evaluate_cancellable(&scenario.query, &db, None)
             .expect("evaluation succeeds");
         assert!(!stats.answer);
         assert_eq!(stats.reduction.relations_built, 9);

@@ -4,7 +4,7 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across `plan_mode` × cache-budget settings,
+//!    across cache-budget settings,
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
@@ -27,8 +27,7 @@
 use ij_baselines::SegtreeBaseline;
 use ij_ejoin::{relation_fingerprint, EjStrategy};
 use ij_engine::{
-    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, PlanMode,
-    DEFAULT_TRIE_CACHE_BYTES,
+    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES,
 };
 use ij_hypergraph::VarKind;
 use ij_reduction::{
@@ -39,12 +38,11 @@ use ij_relation::{Database, Query, Relation, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 
-/// Engine-config axes of the sweep (≥ 4 families × {large, off, small}
-/// caches under the adaptive planner).  Debug builds drop the small-cache
-/// cell; release sweeps all three.  The `Fixed` plan mode — the historical
-/// identifier order, kept as the planner's differential baseline — runs at
-/// the large cache only, which is where plan-dependent trie reuse could
-/// plausibly diverge.
+/// Engine-config axis of the sweep (≥ 4 families × {large, off, small}
+/// caches).  Debug builds drop the small-cache cell; release sweeps all
+/// three.  That tries built under different variable orders never alias in
+/// one cache is `tests/flat_trie_properties.rs`'s
+/// `generic_joins_match_brute_force`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CacheCell {
     /// [`DEFAULT_TRIE_CACHE_BYTES`]: nothing evicts.  Runs first, because
@@ -56,7 +54,6 @@ enum CacheCell {
     TwoTries,
 }
 const CACHE_CELLS: [CacheCell; 3] = [CacheCell::Default, CacheCell::Off, CacheCell::TwoTries];
-const PLAN_MODES: [PlanMode; 2] = [PlanMode::Adaptive, PlanMode::Fixed];
 
 fn cache_cells() -> &'static [CacheCell] {
     if cfg!(debug_assertions) {
@@ -135,59 +132,44 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
 }
 
 /// Sweeps the engine-config grid on one scenario; the forward reduction is
-/// computed once and re-evaluated under every plan-mode/cache setting.
+/// computed once and re-evaluated under every cache setting.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let reduction =
         forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
     // Two tries' bytes on this reduction, measured by the first (default)
     // cell; a reduction whose disjuncts build no trie has nothing to size.
     let mut two_tries = 1;
-    for plan in PLAN_MODES {
-        // Fixed is the historical-order baseline; it runs at the large cache
-        // only (the plan-sensitive cell), while Adaptive — the default — runs
-        // the full cache axis.
-        let cells: &[CacheCell] = match plan {
-            PlanMode::Adaptive => cache_cells(),
-            PlanMode::Fixed => &[CacheCell::Default],
+    for &cell in cache_cells() {
+        let bytes = match cell {
+            CacheCell::Default => DEFAULT_TRIE_CACHE_BYTES,
+            CacheCell::Off => 0,
+            CacheCell::TwoTries => two_tries,
         };
-        for &cell in cells {
-            let bytes = match cell {
-                CacheCell::Default => DEFAULT_TRIE_CACHE_BYTES,
-                CacheCell::Off => 0,
-                CacheCell::TwoTries => two_tries,
-            };
-            let engine = IntersectionJoinEngine::new(
-                EngineConfig::new()
-                    .with_trie_cache_bytes(bytes)
-                    .with_plan_mode(plan),
-            );
-            let stats = engine
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_trie_cache_bytes(bytes));
+        let stats = engine
+            .evaluate_reduction(&reduction)
+            .expect("uncancelled evaluation succeeds");
+        if stats.answer != expected {
+            return Some(format!(
+                "engine ({cell:?} cache of {bytes} bytes) answered {}, naive answered {expected}",
+                stats.answer
+            ));
+        }
+        // A warm repeat from this engine's own cache must agree too
+        // (checked at the large cache).
+        if cell == CacheCell::Default {
+            let resident = stats.trie_cache;
+            if let Some(bytes) = (2 * resident.resident_bytes).checked_div(resident.entries) {
+                two_tries = bytes;
+            }
+            let warm = engine
                 .evaluate_reduction(&reduction)
                 .expect("uncancelled evaluation succeeds");
-            if stats.answer != expected {
+            if warm.answer != expected {
                 return Some(format!(
-                    "engine ({plan} plan, {cell:?} cache of {bytes} bytes) \
-                     answered {}, naive answered {expected}",
-                    stats.answer
+                    "warm engine ({cell:?} cache) answered {}, naive answered {expected}",
+                    warm.answer
                 ));
-            }
-            // A warm repeat from this engine's own cache must agree too
-            // (checked once per plan mode, at the large cache).
-            if cell == CacheCell::Default {
-                let resident = stats.trie_cache;
-                if let Some(bytes) = (2 * resident.resident_bytes).checked_div(resident.entries) {
-                    two_tries = bytes;
-                }
-                let warm = engine
-                    .evaluate_reduction(&reduction)
-                    .expect("uncancelled evaluation succeeds");
-                if warm.answer != expected {
-                    return Some(format!(
-                        "warm engine ({plan} plan, {cell:?} cache) \
-                         answered {}, naive answered {expected}",
-                        warm.answer
-                    ));
-                }
             }
         }
     }
@@ -446,7 +428,7 @@ fn early_exit_builds_only_the_relations_it_read() {
             .with_planted(planted);
         let scenario = build_scenario(&cfg);
         engine
-            .evaluate_with_stats(&scenario.query, &scenario.database)
+            .evaluate_cancellable(&scenario.query, &scenario.database, None)
             .expect("evaluation succeeds")
     };
     let natural = star(PlantedAnswer::Natural);
@@ -457,9 +439,7 @@ fn early_exit_builds_only_the_relations_it_read() {
     );
     assert_eq!(natural.reduction.num_relations, 9);
     assert_eq!(natural.reduction.relations_built, 3);
-    assert!(natural
-        .summary()
-        .contains("built 3 of 9 transformed relations"));
+    assert!(format!("{natural}").contains("built 3 of 9 transformed relations"));
 
     let near_miss = star(PlantedAnswer::NearMiss);
     assert!(!near_miss.answer);

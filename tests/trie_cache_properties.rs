@@ -3,7 +3,7 @@
 //! evaluation, at every parallelism setting, and must agree with the naive
 //! reference evaluator.
 
-use ij_engine::{EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
+use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::{Database, Query, Value};
 use proptest::prelude::*;
 
@@ -39,9 +39,7 @@ proptest! {
     ) {
         let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
         let db = db_of([("R", &r), ("S", &s), ("T", &t)]);
-        let expected = IntersectionJoinEngine::with_defaults()
-            .evaluate_naive(&query, &db)
-            .unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         for parallelism in [1usize, 2] {
             for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
                 let engine = IntersectionJoinEngine::new(
@@ -93,9 +91,7 @@ proptest! {
                 .with_trie_cache_bytes(0),
         );
         for (db, &free_answer) in dbs.iter().zip(&unbudgeted) {
-            let expected = IntersectionJoinEngine::with_defaults()
-                .evaluate_naive(&query, db)
-                .unwrap();
+            let expected = naive_boolean(&query, db).unwrap();
             prop_assert_eq!(free_answer, expected, "unbudgeted");
             let cold = IntersectionJoinEngine::new(budgeted);
             prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm, budget {}", budget);
@@ -119,9 +115,7 @@ proptest! {
     ) {
         let query = Query::parse("R([A],[B]) & S([B],[C]) & T([C],[D])").unwrap();
         let db = db_of([("R", &r), ("S", &s), ("T", &t)]);
-        let expected = IntersectionJoinEngine::with_defaults()
-            .evaluate_naive(&query, &db)
-            .unwrap();
+        let expected = naive_boolean(&query, &db).unwrap();
         for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
             let engine = IntersectionJoinEngine::new(
                 EngineConfig::new().with_trie_cache_bytes(bytes),
@@ -151,8 +145,8 @@ fn cache_hits_are_recorded_and_answer_preserving() {
             .with_parallelism(1)
             .with_trie_cache_bytes(0),
     );
-    let shared_stats = shared.evaluate_with_stats(&query, &db).unwrap();
-    let rebuild_stats = rebuild.evaluate_with_stats(&query, &db).unwrap();
+    let shared_stats = shared.evaluate_cancellable(&query, &db, None).unwrap();
+    let rebuild_stats = rebuild.evaluate_cancellable(&query, &db, None).unwrap();
     assert!(!shared_stats.answer);
     assert_eq!(shared_stats.answer, rebuild_stats.answer);
     assert_eq!(
@@ -170,7 +164,7 @@ fn cache_hits_are_recorded_and_answer_preserving() {
     // The cache persists across evaluations: a second evaluation of the same
     // database is served entirely from the warmed cache (no new misses), and
     // its per-evaluation stats report only that evaluation's activity.
-    let warm_stats = shared.evaluate_with_stats(&query, &db).unwrap();
+    let warm_stats = shared.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(warm_stats.answer, shared_stats.answer);
     assert_eq!(
         warm_stats.trie_cache.misses, 0,
@@ -227,7 +221,7 @@ fn tiny_persistent_cache_counts_evictions() {
     db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
     db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
     let reference = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-    let reference_stats = reference.evaluate_with_stats(&query, &db).unwrap();
+    let reference_stats = reference.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(reference_stats.trie_cache.evictions, 0);
     let one_trie = reference_stats.trie_cache.resident_bytes / reference_stats.trie_cache.entries;
     let tiny = IntersectionJoinEngine::new(
@@ -235,7 +229,7 @@ fn tiny_persistent_cache_counts_evictions() {
             .with_parallelism(1)
             .with_trie_cache_bytes(one_trie),
     );
-    let tiny_stats = tiny.evaluate_with_stats(&query, &db).unwrap();
+    let tiny_stats = tiny.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(tiny_stats.answer, reference_stats.answer);
     assert!(
         tiny_stats.trie_cache.evictions > 0,

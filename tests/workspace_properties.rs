@@ -148,15 +148,15 @@ fn single_workspace_preserves_cross_evaluation_warmth() {
     let ws = Workspace::new();
     let db = ws.import_database(&workload(7, 10));
     let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-    let cold = engine.evaluate_with_stats(&query, &db).unwrap();
+    let cold = engine.evaluate_cancellable(&query, &db, None).unwrap();
     assert!(cold.trie_cache.misses > 0);
-    let warm = engine.evaluate_with_stats(&query, &db).unwrap();
+    let warm = engine.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(warm.answer, cold.answer);
     assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
     assert!(warm.trie_cache.hits > 0);
     // A per-request engine built now — after the warm-up — starts warm too.
     let fresh = ws.engine(EngineConfig::new().with_parallelism(1));
-    let warm_fresh = fresh.evaluate_with_stats(&query, &db).unwrap();
+    let warm_fresh = fresh.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(
         warm_fresh.trie_cache.misses, 0,
         "{:?}",
