@@ -1,11 +1,13 @@
 //! `ij-analysis` — the workspace's in-repo static-analysis suite.
 //!
-//! The engine's riskiest surfaces (poison-recovering locks, AVX2 intrinsic
+//! The engine's riskiest surfaces (poison-recovering locks, the join
 //! kernels, the failpoint registry, atomic statistics) are sound because of
 //! invariants that no compiler checks: every `unsafe` carries a SAFETY
-//! contract, locks are only ever taken through the `ij_relation::sync`
-//! recover helpers, every atomic `Ordering` choice is justified in a
-//! ledger, hot loops never panic without an explicit waiver, and failpoint
+//! contract and is counted in `UNSAFETY.md` (which records none — every
+//! library root forbids `unsafe_code`), locks are only ever taken through
+//! the `ij_relation::sync` recover helpers, every atomic `Ordering` choice
+//! is justified in a ledger, hot loops never panic without an explicit
+//! waiver, and failpoint
 //! site names match the declared registry.  This crate machine-checks all
 //! five as independent, individually toggleable passes over a
 //! comment/string-aware token mask of the sources (see [`lex`]).
@@ -17,6 +19,8 @@
 //!
 //! Std-only by policy: the scanner must build before — and independently
 //! of — everything it checks.
+
+#![forbid(unsafe_code)]
 
 pub mod lex;
 
@@ -292,9 +296,8 @@ pub fn run(config: &Config, passes: &[PassId]) -> std::io::Result<Vec<Finding>> 
 // ---------------------------------------------------------------------------
 
 /// How far above an `unsafe` token a `SAFETY` comment may sit (lines).
-/// Generous enough for a SAFETY paragraph above a `#[target_feature]`
-/// attribute stack, tight enough that an unrelated comment cannot vouch for
-/// distant code.
+/// Generous enough for a SAFETY paragraph above an attribute stack, tight
+/// enough that an unrelated comment cannot vouch for distant code.
 const SAFETY_WINDOW: usize = 10;
 
 fn unsafe_sites(src: &SourceFile) -> Vec<usize> {

@@ -1,23 +1,14 @@
-//! Micro-benchmarks of the column kernels: every runtime-dispatched
-//! primitive (`and_equal_mask`, `select_indices`, `gather_ids`,
-//! `gallop_seek`, `intersect_sorted_gallop`) raced against its scalar
-//! reference on identical operands, plus a sweep of the galloping seek's
-//! linear-probe span (`kernels/gallop-span-sweep`) backing the choice of
-//! [`GALLOP_LINEAR_SPAN`].
-//!
-//! The dispatched arm resolves at startup (printed once): AVX2 where the
-//! host supports it, the portable scalar table otherwise or under
-//! `IJ_FORCE_SCALAR_KERNELS=1` (in which case the race degenerates to
-//! scalar-vs-scalar parity).  Every primitive is asserted to produce
-//! bit-identical output on both arms before any timing.
+//! Micro-benchmarks of the column kernels: every chunked primitive
+//! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`) raced
+//! against its `*_scalar` reference on identical operands.  Every primitive
+//! is asserted to produce bit-identical output on both before any timing.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gallop_seek_with_span,
-    gather_ids, gather_ids_scalar, intersect_sorted_gallop, intersect_sorted_portable,
-    intersect_sorted_scalar, kernel_arm, select_indices, select_indices_scalar,
+    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
+    gather_ids_scalar, select_indices, select_indices_scalar,
 };
 use ij_relation::ValueId;
 use rand::rngs::StdRng;
@@ -25,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 /// Column length for the element-wise kernels: large enough that the loop
-/// body dominates dispatch overhead, small enough to stay in L1/L2.
+/// body dominates call overhead, small enough to stay in L1/L2.
 const COL: usize = 4096;
 
 /// Random ids drawn from `0..hi` (duplicates expected).
@@ -57,13 +48,13 @@ fn bench_and_equal_mask(c: &mut Criterion) {
     let a = random_ids(COL, 4, 51);
     let b = random_ids(COL, 4, 52);
     let base = vec![1u8; COL];
-    let mut dispatched = base.clone();
+    let mut portable = base.clone();
     let mut scalar = base.clone();
-    and_equal_mask(&a, &b, &mut dispatched);
+    and_equal_mask(&a, &b, &mut portable);
     and_equal_mask_scalar(&a, &b, &mut scalar);
-    assert_eq!(dispatched, scalar, "arms must agree before timing");
+    assert_eq!(portable, scalar, "kernel must match its oracle");
     let mut mask = base.clone();
-    group.bench_function(BenchmarkId::new("dispatched", COL), |bench| {
+    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
         bench.iter(|| {
             mask.copy_from_slice(&base);
             and_equal_mask(&a, &b, &mut mask);
@@ -90,13 +81,13 @@ fn bench_select_indices(c: &mut Criterion) {
     let mask: Vec<u8> = (0..COL)
         .map(|_| u8::from(rng.gen_range(0..4) == 0))
         .collect();
-    let mut dispatched = Vec::new();
+    let mut portable = Vec::new();
     let mut scalar = Vec::new();
-    select_indices(&mask, 7, &mut dispatched);
+    select_indices(&mask, 7, &mut portable);
     select_indices_scalar(&mask, 7, &mut scalar);
-    assert_eq!(dispatched, scalar, "arms must agree before timing");
+    assert_eq!(portable, scalar, "kernel must match its oracle");
     let mut out = Vec::with_capacity(COL);
-    group.bench_function(BenchmarkId::new("dispatched", COL), |bench| {
+    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
         bench.iter(|| {
             out.clear();
             select_indices(&mask, 7, &mut out);
@@ -123,13 +114,13 @@ fn bench_gather_ids(c: &mut Criterion) {
     let rows: Vec<u32> = (0..COL)
         .map(|_| rng.gen_range(0..col.len() as u32))
         .collect();
-    let mut dispatched = Vec::new();
+    let mut portable = Vec::new();
     let mut scalar = Vec::new();
-    gather_ids(&col, &rows, &mut dispatched);
+    gather_ids(&col, &rows, &mut portable);
     gather_ids_scalar(&col, &rows, &mut scalar);
-    assert_eq!(dispatched, scalar, "arms must agree before timing");
+    assert_eq!(portable, scalar, "kernel must match its oracle");
     let mut out = Vec::with_capacity(COL);
-    group.bench_function(BenchmarkId::new("dispatched", COL), |bench| {
+    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
         bench.iter(|| {
             out.clear();
             gather_ids(&col, &rows, &mut out);
@@ -188,9 +179,9 @@ fn bench_gallop_seek(c: &mut Criterion) {
     assert_eq!(
         seek_all(&run, &targets, gallop_seek),
         seek_all(&run, &targets, gallop_seek_scalar),
-        "arms must agree before timing"
+        "kernel must match its oracle"
     );
-    group.bench_function(BenchmarkId::new("dispatched", targets.len()), |bench| {
+    group.bench_function(BenchmarkId::new("portable", targets.len()), |bench| {
         bench.iter(|| seek_all(&run, &targets, gallop_seek))
     });
     group.bench_function(BenchmarkId::new("scalar", targets.len()), |bench| {
@@ -199,98 +190,11 @@ fn bench_gallop_seek(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_intersect_sorted(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/intersect-sorted");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    // Balanced: comparable lengths, dense overlap (gap 1..=2 over the same
-    // id space).  Skewed: a small run galloping through a 64×-larger one.
-    let cases = [
-        ("balanced", sorted_run(COL, 2, 58), sorted_run(COL, 2, 59)),
-        (
-            "skewed",
-            sorted_run(COL / 16, 128, 60),
-            sorted_run(16 * COL, 8, 61),
-        ),
-    ];
-    // Three arms: the dispatched gallop, the portable (scalar-instruction)
-    // gallop — the like-for-like SIMD race — and the two-pointer merge
-    // oracle, which bounds what a shape-adaptive intersection could gain on
-    // dense balanced runs where galloping's per-element seek overhead loses
-    // to a straight merge.
-    for (name, a, b) in &cases {
-        let mut dispatched = Vec::new();
-        let mut portable = Vec::new();
-        let mut scalar = Vec::new();
-        intersect_sorted_gallop(a, b, &mut dispatched);
-        intersect_sorted_portable(a, b, &mut portable);
-        intersect_sorted_scalar(a, b, &mut scalar);
-        assert_eq!(dispatched, scalar, "{name}: arms must agree before timing");
-        assert_eq!(portable, scalar, "{name}: arms must agree before timing");
-        let mut out = Vec::new();
-        group.bench_function(BenchmarkId::new("dispatched", *name), |bench| {
-            bench.iter(|| {
-                intersect_sorted_gallop(a, b, &mut out);
-                out.len()
-            })
-        });
-        group.bench_function(BenchmarkId::new("portable-gallop", *name), |bench| {
-            bench.iter(|| {
-                intersect_sorted_portable(a, b, &mut out);
-                out.len()
-            })
-        });
-        group.bench_function(BenchmarkId::new("scalar-merge", *name), |bench| {
-            bench.iter(|| {
-                intersect_sorted_scalar(a, b, &mut out);
-                out.len()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The sweep behind [`GALLOP_LINEAR_SPAN`]'s value of 8 (see its rustdoc):
-/// span 0 is a pure gallop from the first element, larger spans linearly
-/// probe that many slots before falling back to doubling.  Every span is
-/// answer-preserving (asserted), so the sweep is purely a cost comparison.
-fn bench_gallop_span_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/gallop-span-sweep");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    let run = sorted_run(16 * COL, 8, 62);
-    let targets = seek_targets(&run, 63);
-    let reference = seek_all(&run, &targets, gallop_seek_scalar);
-    for span in [0usize, 2, 4, 8, 16, 32] {
-        let seek = move |run: &[ValueId], start: usize, target: ValueId| {
-            gallop_seek_with_span(run, start, target, span)
-        };
-        assert_eq!(
-            seek_all(&run, &targets, seek),
-            reference,
-            "span {span} must be answer-preserving"
-        );
-        group.bench_with_input(BenchmarkId::new("span", span), &span, |bench, _| {
-            bench.iter(|| seek_all(&run, &targets, seek))
-        });
-    }
-    group.finish();
-}
-
-fn report_arm(_c: &mut Criterion) {
-    println!("kernels: dispatched arm resolves to {}", kernel_arm());
-}
-
 criterion_group!(
     benches,
-    report_arm,
     bench_and_equal_mask,
     bench_select_indices,
     bench_gather_ids,
-    bench_gallop_seek,
-    bench_intersect_sorted,
-    bench_gallop_span_sweep
+    bench_gallop_seek
 );
 criterion_main!(benches);

@@ -1,14 +1,13 @@
 //! Micro-benchmarks of the substrates: segment-tree construction and
-//! canonical partitions, the forward reduction itself, and the equality-join
-//! engine strategies on the reduced triangle instance.
+//! canonical partitions, the forward reduction itself, the equality-join
+//! engine strategies on the reduced triangle instance, disjunct parallelism
+//! and cancellation latency.  Cold and warm trie-cache evaluation are the
+//! repository benchmark's `spatial-triangle-cold` / `-warm` workloads.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench substrates`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_bench::{
-    dense_workload, evaluate_all_disjuncts, evaluate_all_disjuncts_rows, materialise_rows,
-    scaling_workload,
-};
+use ij_bench::{dense_workload, evaluate_all_disjuncts, scaling_workload};
 use ij_ejoin::EjStrategy;
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::triangle_ij;
@@ -100,32 +99,6 @@ fn bench_ej_strategies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation of the interned columnar refactor: the same reduced E1 cyclic
-/// (triangle) instance evaluated with the pre-refactor row-oriented
-/// `Value`-keyed generic join versus the production id-keyed path.
-fn bench_row_vs_interned(c: &mut Criterion) {
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-row-vs-interned");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for n in [200usize, 400] {
-        let db = scaling_workload(&query, n, 21);
-        let reduction = forward_reduction(&query, &db).unwrap();
-        // Rows are materialised outside the timed region: the pre-refactor
-        // engine stored rows directly, so row access must not be billed to
-        // the baseline.
-        let rows = materialise_rows(&reduction);
-        group.bench_with_input(BenchmarkId::new("row-oriented", n), &n, |b, _| {
-            b.iter(|| evaluate_all_disjuncts_rows(&reduction, &rows))
-        });
-        group.bench_with_input(BenchmarkId::new("interned-columnar", n), &n, |b, _| {
-            b.iter(|| evaluate_all_disjuncts(&reduction, EjStrategy::GenericJoin))
-        });
-    }
-    group.finish();
-}
-
 /// Sequential versus parallel evaluation of the EJ disjunction on the E1
 /// cyclic workload.  The database is planted unsatisfiable, so the false
 /// answer forces every deduplicated disjunct to be evaluated — the case
@@ -158,204 +131,6 @@ fn bench_parallel_disjuncts(c: &mut Criterion) {
             b.iter(|| engine.evaluate_reduction(&reduction).unwrap().answer)
         });
     }
-    group.finish();
-}
-
-/// Trie-build reuse across the disjuncts of **one** evaluation: the shared
-/// [`TrieCache`] path versus the rebuild-per-disjunct baseline, on the E1
-/// cyclic (triangle) workload.  The database is planted unsatisfiable so
-/// every deduplicated disjunct is evaluated — the case where sharing pays.
-/// The cache hit rate is printed once before the timed runs.
-///
-/// The engine is constructed **inside** the timed closure: the cache is
-/// persistent per engine, so reusing one engine would measure the fully-warm
-/// cross-evaluation path instead (that is `e1-persistent-cache`'s job).
-fn bench_trie_cache_reuse(c: &mut Criterion) {
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-trie-reuse");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for n in [200usize, 400] {
-        let db = planted_unsatisfiable(
-            &query,
-            &WorkloadConfig {
-                tuples_per_relation: n,
-                seed: 29,
-                distribution: IntervalDistribution::GridAligned {
-                    span: 4.0 * n as f64,
-                    cells: (2 * n) as u32,
-                    max_cells: 3,
-                },
-            },
-        );
-        let reduction = forward_reduction(&query, &db).unwrap();
-        // One worker isolates the caching effect from disjunct parallelism.
-        let shared_config = EngineConfig::new().with_parallelism(1);
-        let rebuild_config = EngineConfig::new()
-            .with_parallelism(1)
-            .with_trie_cache_bytes(0);
-        let stats = IntersectionJoinEngine::new(shared_config)
-            .evaluate_reduction(&reduction)
-            .unwrap();
-        assert!(!stats.answer, "workload must force a full pass");
-        println!(
-            "substrate/e1-trie-reuse/n{n}: {} disjuncts in {} batches, \
-             cache {} hits / {} misses (hit rate {:.1}%)",
-            stats.ej_queries_total,
-            stats.ej_query_batches,
-            stats.trie_cache.hits,
-            stats.trie_cache.misses,
-            100.0 * stats.trie_cache.hit_rate()
-        );
-        group.bench_with_input(BenchmarkId::new("shared-trie", n), &n, |b, _| {
-            b.iter(|| {
-                IntersectionJoinEngine::new(shared_config)
-                    .evaluate_reduction(&reduction)
-                    .unwrap()
-                    .answer
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("rebuild-per-disjunct", n), &n, |b, _| {
-            b.iter(|| {
-                IntersectionJoinEngine::new(rebuild_config)
-                    .evaluate_reduction(&reduction)
-                    .unwrap()
-                    .answer
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Cross-evaluation trie-cache persistence: repeated evaluations of the same
-/// reduced E1 cyclic workload through one long-lived engine — whose
-/// persistent cache was warmed by a priming evaluation, so every trie build
-/// is served from the cache — versus a **cold** engine constructed fresh for
-/// every evaluation (the pre-persistence behaviour: caching only within one
-/// evaluation).  The database is planted unsatisfiable so every disjunct is
-/// evaluated.  The warm engine's steady-state cache stats are printed once
-/// before the timed runs (misses must be zero).
-fn bench_persistent_cache(c: &mut Criterion) {
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-persistent-cache");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for n in [200usize, 400] {
-        let db = planted_unsatisfiable(
-            &query,
-            &WorkloadConfig {
-                tuples_per_relation: n,
-                seed: 37,
-                distribution: IntervalDistribution::GridAligned {
-                    span: 4.0 * n as f64,
-                    cells: (2 * n) as u32,
-                    max_cells: 3,
-                },
-            },
-        );
-        let reduction = forward_reduction(&query, &db).unwrap();
-        let config = EngineConfig::new().with_parallelism(1);
-        let warm = IntersectionJoinEngine::new(config);
-        // Prime the persistent cache, then measure the steady state.
-        let primed = warm.evaluate_reduction(&reduction).unwrap();
-        assert!(!primed.answer, "workload must force a full pass");
-        let steady = warm.evaluate_reduction(&reduction).unwrap();
-        println!(
-            "substrate/e1-persistent-cache/n{n}: cold pass {} misses; warm pass \
-             {} hits / {} misses, {} resident entries",
-            primed.trie_cache.misses,
-            steady.trie_cache.hits,
-            steady.trie_cache.misses,
-            steady.trie_cache.entries,
-        );
-        assert_eq!(steady.trie_cache.misses, 0, "warm pass must be all hits");
-        group.bench_with_input(BenchmarkId::new("warm-persistent", n), &n, |b, _| {
-            b.iter(|| warm.evaluate_reduction(&reduction).unwrap().answer)
-        });
-        group.bench_with_input(BenchmarkId::new("cold-per-evaluation", n), &n, |b, _| {
-            b.iter(|| {
-                IntersectionJoinEngine::new(config)
-                    .evaluate_reduction(&reduction)
-                    .unwrap()
-                    .answer
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Cross-engine cache warmth through a shared [`Workspace`]: two
-/// **independently constructed** engines on one workspace, where the first
-/// engine's evaluation warms the shared cache and the second engine's very
-/// first evaluation is served from it (asserted to report cache hits before
-/// the timed runs).  The timed comparison constructs a fresh engine per
-/// iteration — the per-request-engine server pattern — once from the warm
-/// workspace and once standalone (each standalone engine owns a cold private
-/// cache, the pre-workspace behaviour).  The database is planted
-/// unsatisfiable so every disjunct is evaluated.
-fn bench_shared_warmth(c: &mut Criterion) {
-    use ij_engine::Workspace;
-    use ij_workloads::{planted_unsatisfiable, IntervalDistribution, WorkloadConfig};
-    let query = Query::from_hypergraph(&triangle_ij());
-    let mut group = c.benchmark_group("substrate/e1-shared-warmth");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    let n = 400usize;
-    let db = planted_unsatisfiable(
-        &query,
-        &WorkloadConfig {
-            tuples_per_relation: n,
-            seed: 41,
-            distribution: IntervalDistribution::GridAligned {
-                span: 4.0 * n as f64,
-                cells: (2 * n) as u32,
-                max_cells: 3,
-            },
-        },
-    );
-    let reduction = forward_reduction(&query, &db).unwrap();
-    let config = EngineConfig::new().with_parallelism(1);
-    let ws = Workspace::new();
-    // Warm the workspace cache through one engine …
-    let primed = ws.engine(config).evaluate_reduction(&reduction).unwrap();
-    assert!(!primed.answer, "workload must force a full pass");
-    // … and verify a *second*, independently constructed engine starts warm.
-    let second = ws.engine(config).evaluate_reduction(&reduction).unwrap();
-    assert!(
-        second.trie_cache.hits > 0,
-        "second engine's first evaluation must report cache hits, got {:?}",
-        second.trie_cache
-    );
-    println!(
-        "substrate/e1-shared-warmth/n{n}: first engine {} misses; second engine's \
-         first evaluation {} hits / {} misses ({} tries resident, {:.1} KiB)",
-        primed.trie_cache.misses,
-        second.trie_cache.hits,
-        second.trie_cache.misses,
-        second.trie_cache.entries,
-        second.trie_cache.resident_bytes as f64 / 1024.0,
-    );
-    group.bench_with_input(BenchmarkId::new("workspace-engines", n), &n, |b, _| {
-        b.iter(|| {
-            ws.engine(config)
-                .evaluate_reduction(&reduction)
-                .unwrap()
-                .answer
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("independent-engines", n), &n, |b, _| {
-        b.iter(|| {
-            IntersectionJoinEngine::new(config)
-                .evaluate_reduction(&reduction)
-                .unwrap()
-                .answer
-        })
-    });
     group.finish();
 }
 
@@ -445,11 +220,7 @@ criterion_group!(
     bench_segment_tree,
     bench_forward_reduction,
     bench_ej_strategies,
-    bench_row_vs_interned,
     bench_parallel_disjuncts,
-    bench_trie_cache_reuse,
-    bench_persistent_cache,
-    bench_shared_warmth,
     bench_cancel_latency
 );
 criterion_main!(benches);

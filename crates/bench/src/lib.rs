@@ -6,11 +6,7 @@
 //! The helpers here cover timing, log–log exponent fitting, plain-text table
 //! rendering and the standard workloads used across experiments.
 
-mod rowjoin;
-
-pub use rowjoin::{
-    evaluate_all_disjuncts_rows, materialise_rows, row_generic_join_boolean, RowDb, RowTrie,
-};
+#![forbid(unsafe_code)]
 
 use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy, EvalContext};
 use ij_reduction::ForwardReduction;

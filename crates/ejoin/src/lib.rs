@@ -47,6 +47,7 @@
 //! shared cache mutates under panic-atomic critical sections, so an unwinding
 //! build never leaves it poisoned or half-updated (see `ij_relation::sync`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod atom;

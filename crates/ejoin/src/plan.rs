@@ -16,9 +16,9 @@
 //!   interpose an unconstrained cross product), falling back to a global
 //!   pick only when the remainder is genuinely disconnected.
 //!
-//! The result is a variable order (the intersection kernels that serve it
-//! are a per-process dispatch, reported as `EvaluationStats::kernel_arm`).
-//! Planning never changes answers — any variable order enumerates the same
+//! The result is a variable order, searched by the one implementation of
+//! the intersection kernels in `ij_relation::kernels`.  Planning never
+//! changes answers — any variable order enumerates the same
 //! relation — and the order is chosen *before* trie construction, so the
 //! per-atom trie cache keys (which embed the induced level order) stay
 //! consistent between plans: two disjuncts planned to the same order share

@@ -43,7 +43,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use ij_ejoin::TrieCacheStats;
-pub use ij_relation::kernels::{kernel_arm, KernelArm, FORCE_SCALAR_ENV};
+
+/// Returns `"scalar"`, the label the portable kernels have always reported.
+/// The kernels have one implementation and no per-host arm, but
+/// `benchmark/src/adapter.rs` still records this label in a run's `meta`;
+/// it goes when that file stops calling it.
+#[doc(hidden)]
+pub fn kernel_arm() -> &'static str {
+    "scalar"
+}
 
 /// The default trie-cache byte budget of [`EngineConfig::new`] and
 /// [`Workspace::new`](crate::Workspace::new): 256 MiB.
@@ -283,10 +291,6 @@ pub struct EvaluationStats {
     /// The distinct variable orders the planner chose, in first-seen order
     /// (batches of isomorphic disjuncts collapse to one entry).
     pub planned_orders: Vec<Vec<VarId>>,
-    /// The intersection-kernel dispatch arm that served this evaluation
-    /// ([`kernel_arm`]): AVX2 on hosts that have it, scalar otherwise or
-    /// under the [`FORCE_SCALAR_ENV`] override.
-    pub kernel_arm: KernelArm,
     /// The answer.
     pub answer: bool,
 }
@@ -321,11 +325,10 @@ impl std::fmt::Display for EvaluationStats {
         )?;
         write!(
             f,
-            "plan: {} disjuncts planned in {:.1} µs, {} distinct orders; kernels: {}",
+            "plan: {} disjuncts planned in {:.1} µs, {} distinct orders",
             self.disjuncts_planned,
             self.planning_nanos as f64 / 1e3,
-            self.planned_orders.len(),
-            self.kernel_arm
+            self.planned_orders.len()
         )
     }
 }
@@ -669,7 +672,6 @@ impl IntersectionJoinEngine {
             disjuncts_planned: planning.plans(),
             planning_nanos: planning.planning_nanos(),
             planned_orders: planning.orders(),
-            kernel_arm: kernel_arm(),
             answer,
         })
     }
@@ -1102,7 +1104,13 @@ mod tests {
             printed.contains("built 12 of 12 transformed relations"),
             "{printed}"
         );
-        assert!(printed.contains(kernel_arm().as_str()), "{printed}");
+    }
+
+    #[test]
+    fn kernel_arm_is_a_constant_label() {
+        // `benchmark/src/adapter.rs` still records the label in a run's
+        // `meta`; there is one kernel implementation, so it never changes.
+        assert_eq!(kernel_arm(), "scalar");
     }
 
     #[test]

@@ -55,6 +55,7 @@
 //! assert!(engine.evaluate(&q, &db).unwrap());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
@@ -62,8 +63,8 @@ mod naive;
 mod workspace;
 
 pub use engine::{
-    kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, KernelArm,
-    QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES, FORCE_SCALAR_ENV,
+    kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, QueryAnalysis,
+    TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};
@@ -75,8 +76,8 @@ pub use workspace::{Workspace, WorkspaceStats};
 pub mod prelude {
     pub use crate::{
         naive_boolean, naive_count, CancellationToken, EngineConfig, EngineError, EvalError,
-        EvaluationStats, IntersectionJoinEngine, KernelArm, QueryAnalysis, TrieCacheStats,
-        Workspace, WorkspaceStats,
+        EvaluationStats, IntersectionJoinEngine, QueryAnalysis, TrieCacheStats, Workspace,
+        WorkspaceStats,
     };
     pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};

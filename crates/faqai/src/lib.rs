@@ -30,6 +30,7 @@
 //! assert_eq!(analysis.runtime(), "O(N^2 log^3 N)");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conjunct;

@@ -35,6 +35,8 @@
 //! assert_eq!(reduction.queries.len(), 8); // Section 1.1: eight EJ queries
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod backward;
 mod disjoint;
 mod forward;

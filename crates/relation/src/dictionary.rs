@@ -146,10 +146,9 @@ fn inline_value(id: ValueId) -> Option<Value> {
 /// then bits), not the value order — sort by resolved values when value
 /// order matters.
 ///
-/// The representation is `#[repr(transparent)]` over the raw `u32`: the SIMD
-/// kernels ([`crate::kernels`]) rely on this to reinterpret `&[ValueId]` as
-/// `&[u32]` for vector loads, and the `Ord` above is exactly the unsigned
-/// order of the raw ids, so comparing raw words agrees with comparing ids.
+/// The representation is `#[repr(transparent)]` over the raw `u32`, and the
+/// `Ord` above is exactly the unsigned order of the raw ids, so comparing
+/// raw words agrees with comparing ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct ValueId(u32);

@@ -11,9 +11,10 @@
 //! * [`Relation`] / [`Database`] — named multisets of tuples stored as
 //!   columnar id vectors, with a row-oriented compatibility
 //!   layer and the distinct-left-endpoint transformation of Appendix G.1;
-//! * [`kernels`] — SIMD-friendly chunked scan primitives over id slices
-//!   (equal-pair masks, selection-by-mask, gathers, key packing) shared by
-//!   the trie builds and semijoins of the join engine;
+//! * [`kernels`] — autovectorizer-friendly chunked scan primitives over id
+//!   slices (equal-pair masks, selection-by-mask, gathers, key packing,
+//!   galloping seeks) shared by the trie builds, semijoins and leapfrog
+//!   intersections of the join engine;
 //! * [`Query`] — Boolean conjunctive queries with equality joins, intersection
 //!   joins, or both (Definition 3.3), convertible to the hypergraph
 //!   representation used by the structural machinery;
@@ -36,6 +37,8 @@
 //! db.insert_tuples("R", 2, vec![vec![Value::interval(0.0, 2.0), Value::interval(1.0, 3.0)]]);
 //! assert_eq!(db.total_tuples(), 1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod cancel;
 mod csv;

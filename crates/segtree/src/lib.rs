@@ -31,6 +31,8 @@
 //! assert!(!cp.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bitstring;
 mod dyadic;
 mod interval;

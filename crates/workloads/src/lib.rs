@@ -19,6 +19,7 @@
 //! * [`point_intervals`] — degenerate point intervals, for which intersection
 //!   joins coincide with equality joins (Section 1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod generators;

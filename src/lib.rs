@@ -93,6 +93,8 @@
 //! (`Relation::tuples`, CSV export, error messages); the join hot paths
 //! hash and compare nothing wider than a `u32`.
 
+#![forbid(unsafe_code)]
+
 pub use ij_engine::prelude;
 
 /// Segment trees, intervals and bitstrings (paper Section 3, Appendix B).

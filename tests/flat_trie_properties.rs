@@ -2,8 +2,8 @@
 //!
 //! Three layers of equivalence, all on random inputs:
 //!
-//! * **kernels** — `gallop_seek` / `intersect_sorted_gallop` /
-//!   `leapfrog_next` must be indistinguishable from their scalar reference
+//! * **kernels** — `gallop_seek` / `leapfrog_next` must be
+//!   indistinguishable from their scalar reference
 //!   implementations (and from a brute-force oracle) on arbitrary sorted
 //!   distinct runs, including the adversarial shapes where galloping
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
@@ -20,8 +20,7 @@
 use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, TrieCache};
 use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::kernels::{
-    gallop_seek, gallop_seek_scalar, intersect_sorted_gallop, intersect_sorted_scalar,
-    leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
+    gallop_seek, gallop_seek_scalar, leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
 };
 use ij_relation::{Database, Query, Relation, Value, ValueId};
 use proptest::prelude::*;
@@ -52,6 +51,23 @@ fn arb_interval_rows(max: usize) -> impl Strategy<Value = Vec<(Value, Value)>> {
 /// Random rows of point pairs over a tiny domain (shared values likely).
 fn arb_point_rows(max: usize) -> impl Strategy<Value = Vec<(u8, u8)>> {
     proptest::collection::vec((0u8..6, 0u8..6), 1..=max)
+}
+
+/// The intersection of two sorted distinct runs, enumerated by `next` (a
+/// leapfrog kernel over the two runs).
+fn intersect(
+    a: &[ValueId],
+    b: &[ValueId],
+    next: fn(&[&[ValueId]], &mut [usize]) -> Option<ValueId>,
+) -> Vec<ValueId> {
+    let runs = [a, b];
+    let mut cursors = [0usize; 2];
+    let mut out = Vec::new();
+    while let Some(v) = next(&runs, &mut cursors) {
+        out.push(v);
+        cursors.iter_mut().for_each(|c| *c += 1);
+    }
+    out
 }
 
 fn point_rel(name: &str, rows: &[(u8, u8)]) -> Relation {
@@ -86,20 +102,18 @@ proptest! {
         }
     }
 
-    /// Galloping intersection ≡ two-pointer merge, in both argument orders
-    /// (random runs include empty, singleton, disjoint and fully-equal pairs
-    /// as degenerate draws, and lengths off the linear-probe span).
+    /// Galloping two-run intersection (leapfrog over a long and a short
+    /// run) ≡ the scalar reference, in both argument orders (random runs
+    /// include empty, singleton, disjoint and fully-equal pairs as
+    /// degenerate draws, and lengths off the linear-probe span).
     #[test]
     fn intersect_gallop_matches_the_scalar_reference(
         a in arb_run(6 * GALLOP_LINEAR_SPAN),
         b in arb_run(2 * GALLOP_LINEAR_SPAN + 3),
     ) {
-        let (mut fast, mut slow, mut swapped) = (Vec::new(), Vec::new(), Vec::new());
-        intersect_sorted_gallop(&a, &b, &mut fast);
-        intersect_sorted_scalar(&a, &b, &mut slow);
-        prop_assert_eq!(&fast, &slow);
-        intersect_sorted_gallop(&b, &a, &mut swapped);
-        prop_assert_eq!(&fast, &swapped);
+        let fast = intersect(&a, &b, leapfrog_next);
+        prop_assert_eq!(&fast, &intersect(&a, &b, leapfrog_next_scalar));
+        prop_assert_eq!(&fast, &intersect(&b, &a, leapfrog_next));
         // Oracle: exactly the elements of `a` also present in `b`.
         let oracle: Vec<ValueId> =
             a.iter().copied().filter(|v| b.contains(v)).collect();
@@ -282,22 +296,21 @@ fn adversarial_runs_intersect_identically() {
         ),
     ];
     for (a, b) in &cases {
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        intersect_sorted_gallop(a, b, &mut fast);
-        intersect_sorted_scalar(a, b, &mut slow);
-        assert_eq!(fast, slow, "a = {a:?}, b = {b:?}");
-        intersect_sorted_gallop(b, a, &mut fast);
-        assert_eq!(fast, slow, "swapped: a = {a:?}, b = {b:?}");
-        // And through the multi-way kernel.
-        let runs: Vec<&[ValueId]> = vec![a, b];
-        let mut cursors = vec![0usize; 2];
-        let mut multi = Vec::new();
-        while let Some(v) = leapfrog_next(&runs, &mut cursors) {
-            multi.push(v);
-            for c in cursors.iter_mut() {
-                *c += 1;
-            }
-        }
-        assert_eq!(multi, slow, "leapfrog: a = {a:?}, b = {b:?}");
+        let oracle: Vec<ValueId> = a.iter().copied().filter(|v| b.contains(v)).collect();
+        assert_eq!(
+            intersect(a, b, leapfrog_next),
+            oracle,
+            "a = {a:?}, b = {b:?}"
+        );
+        assert_eq!(
+            intersect(b, a, leapfrog_next),
+            oracle,
+            "swapped: a = {a:?}, b = {b:?}"
+        );
+        assert_eq!(
+            intersect(a, b, leapfrog_next_scalar),
+            oracle,
+            "scalar: a = {a:?}, b = {b:?}"
+        );
     }
 }

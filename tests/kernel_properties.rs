@@ -1,17 +1,13 @@
-//! Property tests for the SIMD scan kernels (`ij_relation::kernels`): on
+//! Property tests for the chunked scan kernels (`ij_relation::kernels`): on
 //! random `ValueId` slices of every length — including lengths that are not
-//! a multiple of the lane width — the *dispatched* kernels (AVX2 or portable,
-//! whatever this process resolved to) must be indistinguishable from their
-//! scalar reference implementations, and on `x86_64` hosts with AVX2 the
-//! AVX2 arm is additionally exercised *directly*, so both arms are covered
-//! regardless of how the dispatch resolved (CI runs this suite once
-//! normally and once under `IJ_FORCE_SCALAR_KERNELS=1`).
+//! a multiple of the lane width — each public kernel must be
+//! indistinguishable from its `*_scalar` reference implementation.  CI runs
+//! this suite in release as well, where galloping off-by-ones surface.
 
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gallop_seek_with_span,
-    gather_ids, gather_ids_scalar, intersect_sorted_gallop, intersect_sorted_scalar, kernel_arm,
-    leapfrog_next, leapfrog_next_scalar, pack_keys, pack_keys_scalar, select_indices,
-    select_indices_scalar, KernelArm, FORCE_SCALAR_ENV, LANES,
+    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
+    gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys, pack_keys_scalar,
+    select_indices, select_indices_scalar, LANES,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
@@ -23,7 +19,8 @@ fn arb_ids(max_len: usize) -> impl Strategy<Value = Vec<ValueId>> {
 }
 
 /// Raw id values spanning the full `u32` range, concentrated around the
-/// signed/unsigned boundary the AVX2 biased compares must get right.
+/// signed/unsigned boundary, where a compare on the wrong signedness would
+/// misorder ids.
 fn arb_raw_wide() -> impl Strategy<Value = u32> {
     (0u32..=u32::MAX, 0u8..4).prop_map(|(x, sel)| match sel {
         0 => x % 70,                                // dense low ids
@@ -129,8 +126,8 @@ proptest! {
         }
     }
 
-    /// Dispatched galloping seek ≡ scalar linear scan at every start, over
-    /// the whole raw domain (the biased-compare boundary cases included).
+    /// Galloping seek ≡ scalar linear scan at every start, over the whole
+    /// raw domain (the signed/unsigned boundary cases included).
     #[test]
     fn gallop_seek_matches_scalar(
         run in arb_run(4 * LANES + 5),
@@ -145,39 +142,7 @@ proptest! {
         );
     }
 
-    /// The linear-probe span never changes the answer: every span from pure
-    /// gallop (0) past the default agrees with the scalar reference.
-    #[test]
-    fn gallop_span_is_answer_preserving(
-        run in arb_run(4 * LANES + 5),
-        start_frac in 0usize..=100,
-        target_raw in arb_raw_wide(),
-        span in 0usize..=3 * LANES,
-    ) {
-        let start = start_frac * run.len() / 100;
-        let target = ValueId::from_raw(target_raw);
-        prop_assert_eq!(
-            gallop_seek_with_span(&run, start, target, span),
-            gallop_seek_scalar(&run, start, target)
-        );
-    }
-
-    /// Dispatched mutual-galloping intersection ≡ scalar two-pointer merge,
-    /// both argument orders.
-    #[test]
-    fn intersect_sorted_matches_scalar(
-        a in arb_run(4 * LANES + 5),
-        b in arb_run(4 * LANES + 5),
-    ) {
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        for (x, y) in [(&a, &b), (&b, &a)] {
-            intersect_sorted_gallop(x, y, &mut fast);
-            intersect_sorted_scalar(x, y, &mut slow);
-            prop_assert_eq!(&fast, &slow);
-        }
-    }
-
-    /// Multi-way leapfrog enumeration (through the dispatched seek) ≡ the
+    /// Multi-way leapfrog enumeration (through the galloping seek) ≡ the
     /// scalar reference, for one to four runs.
     #[test]
     fn leapfrog_matches_scalar(
@@ -199,92 +164,98 @@ proptest! {
     }
 }
 
-/// The dispatch honours the forced-scalar override: under
-/// `IJ_FORCE_SCALAR_KERNELS` (≠ "0") the process must report the scalar arm.
-/// (The variable is read once per process, so this asserts on whatever the
-/// test process was started with — CI runs the suite both ways.)
+/// Every public kernel against its scalar oracle at adversarial lengths:
+/// empty, one, around one and two lanes, around the 32-id block, an odd
+/// length past it, around 64 and at 100 — every chunk/tail split — with
+/// ids straddling `0x7FFF_FFFF` / `0x8000_0000`, where a signed compare
+/// would misorder them.
 #[test]
-fn dispatch_honours_forced_scalar_override() {
-    let forced = std::env::var_os(FORCE_SCALAR_ENV).is_some_and(|v| v != "0");
-    if forced {
-        assert_eq!(kernel_arm(), KernelArm::Scalar);
-    }
-    // Either way the arm must be resolvable and self-consistent.
-    assert_eq!(kernel_arm(), kernel_arm());
-}
-
-/// On AVX2 hosts, exercise the AVX2 arm *directly* against the scalar
-/// references on adversarial lengths (0, 1, lane−1, lane, lane+1, and
-/// non-multiple-of-lane tails around the 32-element block size) — covered
-/// even when the dispatch table is pinned to scalar.
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_arm_matches_scalar_on_adversarial_lengths() {
-    use ij_relation::kernels::avx2;
-    if !avx2::available() {
-        eprintln!("host has no AVX2; direct-arm coverage skipped");
-        return;
-    }
-    let lengths = [
-        0,
-        1,
-        LANES - 1,
-        LANES,
-        LANES + 1,
-        2 * LANES - 1,
-        31,
-        32,
-        33,
-        4 * LANES + 5,
-    ];
-    for &n in &lengths {
+fn kernels_match_scalar_on_adversarial_lengths() {
+    let lengths = [0, 1, 7, 8, 9, 15, 16, 31, 32, 33, 37, 63, 64, 65, 100];
+    let near_sign = |k: usize| ValueId::from_raw(0x7FFF_FFF0u32.wrapping_add(k as u32));
+    for n in lengths {
         let a: Vec<ValueId> = (0..n).map(|i| ValueId::from_raw(i as u32 % 5)).collect();
         let b: Vec<ValueId> = (0..n)
-            .map(|i| ValueId::from_raw((i + 1) as u32 % 5))
+            .map(|i| ValueId::from_raw((i as u32 + 1) % 5))
             .collect();
         let mask0: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect(); // incl. mask byte 2
-        let (mut fast, mut slow) = (mask0.clone(), mask0);
-        avx2::and_equal_mask(&a, &b, &mut fast);
-        and_equal_mask_scalar(&a, &b, &mut slow);
-        assert_eq!(fast, slow, "and_equal_mask len {n}");
+        for other in [&a, &b] {
+            let (mut fast, mut slow) = (mask0.clone(), mask0.clone());
+            and_equal_mask(&a, other, &mut fast);
+            and_equal_mask_scalar(&a, other, &mut slow);
+            assert_eq!(fast, slow, "and_equal_mask len {n}");
+        }
 
         let sel_mask: Vec<u8> = (0..n).map(|i| u8::from(i % 4 == 1)).collect();
         let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        avx2::select_indices(&sel_mask, 7, &mut fast);
+        select_indices(&sel_mask, 7, &mut fast);
         select_indices_scalar(&sel_mask, 7, &mut slow);
         assert_eq!(fast, slow, "select_indices len {n}");
 
-        let col: Vec<ValueId> = (0..n + 1).map(|i| ValueId::from_raw(i as u32)).collect();
+        let col: Vec<ValueId> = (0..n + 1).map(near_sign).collect();
         let rows: Vec<u32> = (0..n).map(|i| ((i * 11) % (n + 1)) as u32).collect();
         let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        avx2::gather_ids(&col, &rows, &mut fast);
+        gather_ids(&col, &rows, &mut fast);
         gather_ids_scalar(&col, &rows, &mut slow);
         assert_eq!(fast, slow, "gather_ids len {n}");
 
-        let run: Vec<ValueId> = (0..n)
-            .map(|i| ValueId::from_raw(0x7FFF_FFF0u32.wrapping_add(3 * i as u32)))
-            .collect();
+        let cols: [&[ValueId]; 3] = [&a, &b, &col[..n]];
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        pack_keys(&cols, &mut fast);
+        pack_keys_scalar(&cols, &mut slow);
+        assert_eq!(fast, slow, "pack_keys len {n}");
+
+        let run: Vec<ValueId> = (0..n).map(|i| near_sign(3 * i)).collect();
         for start in 0..=n {
             for probe in 0..(3 * n + 2) {
-                let target = ValueId::from_raw(0x7FFF_FFF0u32.wrapping_add(probe as u32));
+                let target = near_sign(probe);
                 assert_eq!(
-                    avx2::gallop_seek(&run, start, target),
+                    gallop_seek(&run, start, target),
                     gallop_seek_scalar(&run, start, target),
                     "gallop_seek len {n}, start {start}, probe {probe}"
                 );
             }
         }
 
-        let other: Vec<ValueId> = (0..n)
-            .map(|i| ValueId::from_raw(0x7FFF_FFF0u32.wrapping_add(2 * i as u32)))
-            .collect();
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        avx2::intersect_sorted(&run, &other, &mut fast);
-        intersect_sorted_scalar(&run, &other, &mut slow);
-        assert_eq!(fast, slow, "intersect len {n}");
+        let other: Vec<ValueId> = (0..n).map(|i| near_sign(2 * i)).collect();
+        let enumerate = |next: fn(&[&[ValueId]], &mut [usize]) -> Option<ValueId>| {
+            let runs: [&[ValueId]; 2] = [&run, &other];
+            let mut cursors = [0usize; 2];
+            let mut out = Vec::new();
+            while let Some(v) = next(&runs, &mut cursors) {
+                out.push(v);
+                cursors.iter_mut().for_each(|c| *c += 1);
+            }
+            out
+        };
+        assert_eq!(
+            enumerate(leapfrog_next),
+            enumerate(leapfrog_next_scalar),
+            "leapfrog len {n}"
+        );
+    }
+    // Seeks across the boundary from both sides.
+    let edge: Vec<ValueId> = [0, 1, 0x7FFF_FFFF, 0x8000_0000, 0x8000_0001, 0xFFFF_FFFE]
+        .map(ValueId::from_raw)
+        .to_vec();
+    for start in 0..=edge.len() {
+        for t in [
+            0u32,
+            0x7FFF_FFFF,
+            0x8000_0000,
+            0x8000_0001,
+            0xFFFF_FFFE,
+            u32::MAX,
+        ] {
+            let target = ValueId::from_raw(t);
+            assert_eq!(
+                gallop_seek(&edge, start, target),
+                gallop_seek_scalar(&edge, start, target),
+                "start {start}, target {t:#x}"
+            );
+        }
     }
 }
-
 /// Deterministic spot-check: a composed filter-select-gather pipeline (the
 /// trie build's shape) agrees between the chunked and scalar kernels on a
 /// length that exercises every tail path.
