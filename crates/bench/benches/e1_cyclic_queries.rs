@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_baselines::{binary_join_cascade, nested_loop};
 use ij_bench::{evaluate_all_disjuncts, scaling_workload};
-use ij_ejoin::EjStrategy;
 use ij_hypergraph::{four_clique_ij, loomis_whitney_4_ij, triangle_ij};
 use ij_reduction::{forward_reduction, forward_reduction_with, EncodingStrategy, ReductionConfig};
 use ij_relation::Query;
@@ -23,7 +22,7 @@ fn bench_triangle(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reduction", n), &n, |b, _| {
             b.iter(|| {
                 let reduction = forward_reduction(&query, &db).unwrap();
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+                evaluate_all_disjuncts(&reduction)
             })
         });
         group.bench_with_input(BenchmarkId::new("cascade", n), &n, |b, _| {

@@ -12,7 +12,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ij_baselines::SegtreeBaseline;
 use ij_bench::{evaluate_all_disjuncts, scaling_workload};
-use ij_ejoin::EjStrategy;
 use ij_hypergraph::{figure_4b, figure_9d, triangle_ij};
 use ij_reduction::{forward_reduction, forward_reduction_with, EncodingStrategy, ReductionConfig};
 use ij_relation::Query;
@@ -37,7 +36,7 @@ fn bench_case(
             b.iter(|| {
                 let reduction =
                     forward_reduction_with(query, &db, ReductionConfig { encoding }).unwrap();
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+                evaluate_all_disjuncts(&reduction)
             })
         });
     }
@@ -89,7 +88,7 @@ fn bench_scenario_paths(c: &mut Criterion, label: &str, base: ScenarioConfig, si
         // Correctness gate: both paths agree before we time anything.
         let reduction_answer = {
             let reduction = forward_reduction(query, db).expect("reduction succeeds");
-            evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+            evaluate_all_disjuncts(&reduction)
         };
         let baseline_answer = SegtreeBaseline::build(query, db)
             .expect("baseline builds")
@@ -104,7 +103,7 @@ fn bench_scenario_paths(c: &mut Criterion, label: &str, base: ScenarioConfig, si
         group.bench_with_input(BenchmarkId::new("reduction", n), &n, |b, _| {
             b.iter(|| {
                 let reduction = forward_reduction(query, db).unwrap();
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+                evaluate_all_disjuncts(&reduction)
             })
         });
         group.bench_with_input(BenchmarkId::new("segtree-baseline", n), &n, |b, _| {

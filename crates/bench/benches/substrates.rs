@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the substrates: segment-tree construction and
 //! canonical partitions, the forward reduction itself, the equality-join
-//! engine strategies on the reduced triangle instance, disjunct parallelism
+//! engine's algorithm choice against the plain generic join on the reduced
+//! triangle instance, disjunct parallelism
 //! and cancellation latency.  Cold and warm trie-cache evaluation are the
 //! repository benchmark's `spatial-triangle-cold` / `-warm` workloads.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench substrates`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_bench::{dense_workload, evaluate_all_disjuncts, scaling_workload};
-use ij_ejoin::EjStrategy;
+use ij_bench::{dense_workload, disjunct_atoms, evaluate_all_disjuncts, scaling_workload};
+use ij_ejoin::{generic_join_boolean, EvalContext};
 use ij_engine::{EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::triangle_ij;
 use ij_reduction::forward_reduction;
@@ -77,9 +78,9 @@ fn bench_forward_reduction(c: &mut Criterion) {
 }
 
 fn bench_ej_strategies(c: &mut Criterion) {
-    // Ablation: the same reduced triangle instance evaluated with the three
-    // EJ strategies (Auto = per-disjunct choice, plain generic join, and the
-    // decomposition-guided evaluation).
+    // Ablation: the same reduced triangle instance evaluated by the engine's
+    // per-disjunct choice (width-guided on the triangle's cyclic disjuncts)
+    // and by the plain generic join over every disjunct.
     let query = Query::from_hypergraph(&triangle_ij());
     let db = dense_workload(&query, 200, 17);
     let reduction = forward_reduction(&query, &db).unwrap();
@@ -87,15 +88,19 @@ fn bench_ej_strategies(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    for (name, strategy) in [
-        ("auto", EjStrategy::Auto),
-        ("generic-join", EjStrategy::GenericJoin),
-        ("decomposition", EjStrategy::Decomposition),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| evaluate_all_disjuncts(&reduction, strategy))
-        });
-    }
+    group.bench_function("auto", |b| b.iter(|| evaluate_all_disjuncts(&reduction)));
+    group.bench_function("generic-join", |b| {
+        b.iter(|| {
+            // Every disjunct, like `evaluate_all_disjuncts`: no early exit.
+            reduction
+                .deduped_query_indices()
+                .into_iter()
+                .fold(false, |answer, i| {
+                    let atoms = disjunct_atoms(&reduction, i);
+                    answer | generic_join_boolean(&atoms, None, EvalContext::default()).unwrap()
+                })
+        })
+    });
     group.finish();
 }
 

@@ -11,7 +11,6 @@
 //! ```
 
 use ij_bench::{evaluate_all_disjuncts, fit_exponent, render_table, scaling_workload, time};
-use ij_ejoin::EjStrategy;
 use ij_hypergraph::{figure_4b, triangle_ij};
 use ij_reduction::forward_reduction;
 use ij_relation::Query;
@@ -36,7 +35,7 @@ fn main() {
             let db = scaling_workload(query, n, 0xD1C0);
             let (_, duration) = time(|| {
                 let reduction = forward_reduction(query, &db).expect("reduction succeeds");
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+                evaluate_all_disjuncts(&reduction)
             });
             series.push((n as f64, duration.as_secs_f64()));
             rows.push(vec![

@@ -14,7 +14,6 @@
 
 use ij_baselines::binary_join_cascade;
 use ij_bench::{evaluate_all_disjuncts, fit_exponent, render_table, scaling_workload, time};
-use ij_ejoin::EjStrategy;
 use ij_hypergraph::{four_clique_ij, loomis_whitney_4_ij, triangle_ij};
 use ij_reduction::forward_reduction;
 use ij_relation::Query;
@@ -90,7 +89,7 @@ fn empirical_table() {
             let db = scaling_workload(&query, n, 0xA11CE);
             let (_, t_ours) = time(|| {
                 let reduction = forward_reduction(&query, &db).expect("reduction succeeds");
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto)
+                evaluate_all_disjuncts(&reduction)
             });
             let (_, t_cascade) =
                 time(|| binary_join_cascade(&query, &db).expect("cascade succeeds"));

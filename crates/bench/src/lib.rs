@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalContext};
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
@@ -112,29 +112,30 @@ pub fn dense_workload(query: &Query, n: usize, seed: u64) -> Database {
     )
 }
 
+/// The atoms of disjunct `index` of a forward reduction, bound to its
+/// transformed relations (built on first use).
+pub fn disjunct_atoms(reduction: &ForwardReduction, index: usize) -> Vec<BoundAtom<'_>> {
+    let rq = &reduction.queries[index];
+    let var_ids = rq.dense_var_ids();
+    rq.atoms
+        .iter()
+        .map(|a| {
+            let rel = reduction
+                .relation(&a.relation, None)
+                .expect("no token, no interruption");
+            BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
+        })
+        .collect()
+}
+
 /// Evaluates *every* EJ disjunct of a forward reduction (no early exit), so
 /// timings reflect the full worst-case work of the reduction approach.
 /// Returns the Boolean answer.
-pub fn evaluate_all_disjuncts(reduction: &ForwardReduction, strategy: EjStrategy) -> bool {
+pub fn evaluate_all_disjuncts(reduction: &ForwardReduction) -> bool {
     let mut answer = false;
     for i in reduction.deduped_query_indices() {
-        let rq = &reduction.queries[i];
-        let var_ids = rq.dense_var_ids();
-        let atoms: Vec<BoundAtom<'_>> = rq
-            .atoms
-            .iter()
-            .map(|a| {
-                let rel = reduction
-                    .relation(&a.relation, None)
-                    .expect("no token, no interruption");
-                BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
-            })
-            .collect();
-        if evaluate_ej_boolean(&atoms, strategy, EvalContext::default())
-            .expect("no token, no interruption")
-        {
-            answer = true;
-        }
+        answer |= evaluate_ej_boolean(&disjunct_atoms(reduction, i), EvalContext::default())
+            .expect("no token, no interruption");
     }
     answer
 }
@@ -179,10 +180,7 @@ mod tests {
             let db = dense_workload(&query, 12, seed);
             let reduction = forward_reduction(&query, &db).unwrap();
             let expected = engine.evaluate(&query, &db).unwrap();
-            assert_eq!(
-                evaluate_all_disjuncts(&reduction, EjStrategy::Auto),
-                expected
-            );
+            assert_eq!(evaluate_all_disjuncts(&reduction), expected);
         }
     }
 

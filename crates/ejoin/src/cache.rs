@@ -23,8 +23,8 @@
 //!    projection of one ([`Relation::projection`], a memoised link that
 //!    every disjunct, and every evaluation of the reduction, binding the
 //!    same source columns gets as the *same* relation, fingerprint already
-//!    known).  The per-bag projections of the decomposition-guided
-//!    strategy are still fresh copies, hashed on every lookup;
+//!    known).  The per-bag projections of the width-guided evaluation
+//!    are still fresh copies, hashed on every lookup;
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by
@@ -400,7 +400,7 @@ impl TrieCache {
 /// Every evaluation function ([`evaluate_ej_boolean`],
 /// [`generic_join_boolean`], [`generic_join_enumerate`]) takes an
 /// `EvalContext` and threads it down to every trie build of the evaluation —
-/// including the per-bag joins of the decomposition-guided strategy.
+/// including the per-bag joins of the width-guided evaluation.
 /// `EvalContext::default()` is no cache, no accounting and no token.
 ///
 /// [`evaluate_ej_boolean`]: crate::evaluate_ej_boolean

@@ -1,12 +1,12 @@
-//! Strategy selection for Boolean equality-join evaluation.
+//! Algorithm selection for Boolean equality-join evaluation (Theorem 4.15).
 //!
 //! * α-acyclic queries run Yannakakis' algorithm (linear time);
 //! * cyclic queries run the width-guided evaluation: compute an optimal
 //!   fractional hypertree decomposition, materialise every bag with the
 //!   generic worst-case-optimal join, then run Yannakakis over the bag
 //!   relations (the recipe of Appendix A.2.1, giving `O(N^{fhtw} log N)`);
-//! * the plain generic join over the whole query is available as a fallback
-//!   and for ablation benchmarks.
+//! * the plain generic join runs a cyclic query with more variables than the
+//!   exact decomposition DP handles.
 
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
@@ -24,85 +24,59 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// decomposition is computed before the lock is taken.
 const TD_MEMO: &str = "td-memo";
 
-/// The evaluation strategy for Boolean EJ queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EjStrategy {
-    /// Pick automatically: Yannakakis when acyclic, otherwise the
-    /// decomposition-guided evaluation (falling back to the generic join when
-    /// the query has too many variables for the exact decomposition DP).
-    #[default]
-    Auto,
-    /// Force Yannakakis (returns an error for cyclic queries).
-    Yannakakis,
-    /// Force the plain generic worst-case-optimal join.
-    GenericJoin,
-    /// Force the decomposition-guided evaluation.
-    Decomposition,
-}
-
-/// Evaluates a Boolean conjunctive query with equality joins.
+/// Evaluates a Boolean conjunctive query with equality joins by the
+/// algorithm of Theorem 4.15, chosen from the query's hypergraph.
 ///
-/// `Auto` answers an α-acyclic query with Yannakakis' pass over the atoms as
-/// they are bound — a semijoin reads shared columns only, so nothing is
-/// copied.  For a cyclic query under `Auto`, and always under
-/// `Decomposition`, variables occupying a single position in the whole query
-/// are projected away first (they are existential and impose no condition);
-/// this mirrors the "drop singleton variables" step the paper applies
-/// analytically in Appendix E.4/F and keeps the per-query decomposition work
-/// proportional to the join structure rather than the schema width.  The
-/// projections are [`Relation::projection`]s: each is derived once per source
-/// relation and shared by every query, and every evaluation, that binds it.
+/// An α-acyclic query is answered by Yannakakis' pass over the atoms as they
+/// are bound — a semijoin reads shared columns only, so nothing is copied.
+/// For a cyclic query, variables occupying a single position in the whole
+/// query are projected away first (they are existential and impose no
+/// condition); this mirrors the "drop singleton variables" step the paper
+/// applies analytically in Appendix E.4/F and keeps the per-query
+/// decomposition work proportional to the join structure rather than the
+/// schema width.  The projections are [`Relation::projection`]s: each is
+/// derived once per source relation and shared by every query, and every
+/// evaluation, that binds it.  The projected query then runs the width-guided
+/// evaluation of Appendix A.2.1, or the plain generic join when it has more
+/// than [`MAX_DP_VERTICES`] variables for the exact decomposition DP.
 ///
-/// Every trie built anywhere under the chosen strategy (the plain generic
-/// join, and the bag materialisations of the decomposition-guided
-/// evaluation) is served from the context's cache — and every cache lookup is
-/// counted into the context's evaluation-local
-/// [`CacheActivity`](crate::CacheActivity) accumulator, if one is attached.
-/// The answer is identical for every context.
+/// Every trie built anywhere on the way (the plain generic join, and the bag
+/// materialisations of the width-guided evaluation) is served from the
+/// context's cache — and every cache lookup is counted into the context's
+/// evaluation-local [`CacheActivity`](crate::CacheActivity) accumulator, if
+/// one is attached.  The answer is identical for every context.
 ///
 /// # Errors
 ///
 /// Propagates the [`EvalError`] of any trie build, join search or Yannakakis
-/// pass under the chosen strategy when the context's
+/// pass when the context's
 /// [`CancellationToken`](ij_relation::CancellationToken) fires.  Tokenless
 /// contexts never fail.
 pub fn evaluate_ej_boolean(
     atoms: &[BoundAtom<'_>],
-    strategy: EjStrategy,
     eval: EvalContext<'_>,
 ) -> Result<bool, EvalError> {
-    match strategy {
-        EjStrategy::Auto | EjStrategy::Decomposition => {
-            if atoms.is_empty() {
-                return Ok(true);
-            }
-            if atoms.iter().any(|a| a.relation.is_empty()) {
-                return Ok(false);
-            }
-            // Deleting a variable that lies in one atom cannot change
-            // α-acyclicity, so the pass refuses the bound atoms exactly when
-            // it would refuse their projections.
-            if strategy == EjStrategy::Auto {
-                if let Some(answer) = yannakakis_boolean(atoms, eval.token)? {
-                    return Ok(answer);
-                }
-            }
-            let projections = project_singleton_variables(atoms);
-            let projected: Vec<BoundAtom<'_>> = projections
-                .iter()
-                .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
-                .collect();
-            if strategy == EjStrategy::Auto
-                && hypergraph_of(&projected).0.num_vertices() > MAX_DP_VERTICES
-            {
-                generic_join_boolean(&projected, None, eval)
-            } else {
-                decomposition_boolean(&projected, eval)
-            }
-        }
-        EjStrategy::Yannakakis => Ok(yannakakis_boolean(atoms, eval.token)?
-            .expect("Yannakakis strategy requires an alpha-acyclic query")),
-        EjStrategy::GenericJoin => generic_join_boolean(atoms, None, eval),
+    if atoms.is_empty() {
+        return Ok(true);
+    }
+    if atoms.iter().any(|a| a.relation.is_empty()) {
+        return Ok(false);
+    }
+    // Deleting a variable that lies in one atom cannot change α-acyclicity,
+    // so the pass refuses the bound atoms exactly when it would refuse their
+    // projections.
+    if let Some(answer) = yannakakis_boolean(atoms, eval.token)? {
+        return Ok(answer);
+    }
+    let projections = project_singleton_variables(atoms);
+    let projected: Vec<BoundAtom<'_>> = projections
+        .iter()
+        .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
+        .collect();
+    if hypergraph_of(&projected).0.num_vertices() > MAX_DP_VERTICES {
+        generic_join_boolean(&projected, None, eval)
+    } else {
+        decomposition_boolean(&projected, eval)
     }
 }
 
@@ -289,8 +263,20 @@ mod tests {
     const C: VarId = 2;
     const D: VarId = 3;
 
-    fn ej(atoms: &[BoundAtom<'_>], strategy: EjStrategy) -> bool {
-        evaluate_ej_boolean(atoms, strategy, EvalContext::default()).unwrap()
+    fn auto(atoms: &[BoundAtom<'_>]) -> bool {
+        evaluate_ej_boolean(atoms, EvalContext::default()).unwrap()
+    }
+
+    fn generic(atoms: &[BoundAtom<'_>]) -> bool {
+        generic_join_boolean(atoms, None, EvalContext::default()).unwrap()
+    }
+
+    fn decomposition(atoms: &[BoundAtom<'_>]) -> bool {
+        decomposition_boolean(atoms, EvalContext::default()).unwrap()
+    }
+
+    fn yannakakis(atoms: &[BoundAtom<'_>]) -> Option<bool> {
+        yannakakis_boolean(atoms, None).unwrap()
     }
 
     fn triangle_atoms<'a>(r: &'a Relation, s: &'a Relation, t: &'a Relation) -> Vec<BoundAtom<'a>> {
@@ -302,15 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_on_the_triangle() {
+    fn all_algorithms_agree_on_the_triangle() {
         let r = rel("R", vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]]);
         let s = rel("S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
         let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        let expected = true;
-        assert_eq!(ej(&atoms, EjStrategy::Auto), expected);
-        assert_eq!(ej(&atoms, EjStrategy::GenericJoin), expected);
-        assert_eq!(ej(&atoms, EjStrategy::Decomposition), expected);
+        assert!(auto(&atoms));
+        assert!(generic(&atoms));
+        assert!(decomposition(&atoms));
+        assert_eq!(yannakakis(&atoms), None, "the triangle is cyclic");
     }
 
     #[test]
@@ -319,21 +305,21 @@ mod tests {
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let t = rel("T", vec![vec![4.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        assert!(!ej(&atoms, EjStrategy::Decomposition));
-        assert!(!ej(&atoms, EjStrategy::Auto));
-        assert!(!ej(&atoms, EjStrategy::GenericJoin));
+        assert!(!decomposition(&atoms));
+        assert!(!auto(&atoms));
+        assert!(!generic(&atoms));
     }
 
     #[test]
-    fn acyclic_queries_use_yannakakis_in_auto_mode() {
+    fn acyclic_queries_are_answered_by_yannakakis() {
         let r = rel("R", vec![vec![1.0, 2.0]]);
         let s = rel("S", vec![vec![2.0, 3.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
         ];
-        assert!(ej(&atoms, EjStrategy::Auto));
-        assert!(ej(&atoms, EjStrategy::Yannakakis));
+        assert!(auto(&atoms));
+        assert_eq!(yannakakis(&atoms), Some(true));
     }
 
     #[test]
@@ -352,15 +338,8 @@ mod tests {
         );
     }
 
-    const ALL_STRATEGIES: [EjStrategy; 4] = [
-        EjStrategy::Auto,
-        EjStrategy::Yannakakis,
-        EjStrategy::GenericJoin,
-        EjStrategy::Decomposition,
-    ];
-
     #[test]
-    fn a_repeated_variable_keeps_its_equality_under_every_strategy() {
+    fn a_repeated_variable_keeps_its_equality_under_every_algorithm() {
         // R(A, A, B) against S(A, B), where A is shared, and against S(B),
         // where A is private to R: either way R's row (1, 2, 7) breaks A = A
         // and must not join through its first column.
@@ -371,15 +350,11 @@ mod tests {
         for (r, expected) in [(&broken, false), (&kept, true)] {
             for (s, s_vars) in [(&shared, vec![A, B]), (&private, vec![B])] {
                 let atoms = vec![BoundAtom::new(r, vec![A, A, B]), BoundAtom::new(s, s_vars)];
-                for strategy in ALL_STRATEGIES {
-                    assert_eq!(
-                        ej(&atoms, strategy),
-                        expected,
-                        "{strategy:?} on {} rows of R against S of arity {}",
-                        r.len(),
-                        s.arity()
-                    );
-                }
+                let case = format!("{} rows of R against S of arity {}", r.len(), s.arity());
+                assert_eq!(auto(&atoms), expected, "auto on {case}");
+                assert_eq!(yannakakis(&atoms), Some(expected), "yannakakis on {case}");
+                assert_eq!(generic(&atoms), expected, "generic join on {case}");
+                assert_eq!(decomposition(&atoms), expected, "decomposition on {case}");
             }
         }
     }
@@ -404,13 +379,9 @@ mod tests {
                 Value::point(6.0)
             ]]
         );
-        for strategy in [
-            EjStrategy::Auto,
-            EjStrategy::GenericJoin,
-            EjStrategy::Decomposition,
-        ] {
-            assert!(ej(&atoms, strategy), "{strategy:?}");
-        }
+        assert!(auto(&atoms));
+        assert!(generic(&atoms));
+        assert!(decomposition(&atoms));
     }
 
     #[test]
@@ -460,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn four_cycle_agreement_between_strategies() {
+    fn four_cycle_agreement_between_algorithms() {
         // R(A,B) ∧ S(B,C) ∧ T(C,D) ∧ U(D,A) on small random-ish data.
         let mut seed = 7u64;
         let mut next = move || {
@@ -483,21 +454,19 @@ mod tests {
                 BoundAtom::new(&t, vec![C, D]),
                 BoundAtom::new(&u, vec![D, A]),
             ];
-            let generic = ej(&atoms, EjStrategy::GenericJoin);
-            let decomp = ej(&atoms, EjStrategy::Decomposition);
-            let auto = ej(&atoms, EjStrategy::Auto);
-            assert_eq!(generic, decomp);
-            assert_eq!(generic, auto);
+            let expected = generic(&atoms);
+            assert_eq!(decomposition(&atoms), expected);
+            assert_eq!(auto(&atoms), expected);
         }
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(ej(&[], EjStrategy::Auto));
-        assert!(ej(&[], EjStrategy::Decomposition));
+        assert!(auto(&[]));
+        assert!(decomposition(&[]));
         let empty = Relation::new("R", 1);
         let atoms = vec![BoundAtom::new(&empty, vec![A])];
-        assert!(!ej(&atoms, EjStrategy::Auto));
-        assert!(!ej(&atoms, EjStrategy::Decomposition));
+        assert!(!auto(&atoms));
+        assert!(!decomposition(&atoms));
     }
 }

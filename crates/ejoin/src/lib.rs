@@ -11,11 +11,11 @@
 //!   whose candidate intersection is a galloping leapfrog over sorted runs;
 //! * [`yannakakis_boolean`] — Yannakakis' linear-time algorithm for
 //!   α-acyclic Boolean queries \[35\];
-//! * [`evaluate_ej_boolean`] — strategy dispatch ([`EjStrategy`]), including
-//!   the width-guided evaluation of Appendix A.2.1: materialise the bags of
-//!   an optimal fractional hypertree decomposition with the generic join,
-//!   then run Yannakakis over the bag tree (runtime
-//!   `O(N^{fhtw} · polylog N)`).
+//! * [`evaluate_ej_boolean`] — the algorithm of Theorem 4.15, chosen from
+//!   the query's hypergraph: Yannakakis when α-acyclic, otherwise the
+//!   width-guided evaluation of Appendix A.2.1 (materialise the bags of an
+//!   optimal fractional hypertree decomposition with the generic join, then
+//!   run Yannakakis over the bag tree; runtime `O(N^{fhtw} · polylog N)`).
 //!
 //! Relations are bound to query variables through [`BoundAtom`]; the engine
 //! is agnostic to whether the values are numbers or the bitstrings produced
@@ -61,7 +61,7 @@ mod yannakakis;
 
 pub use atom::{all_vars, hypergraph_of, BoundAtom};
 pub use cache::{relation_fingerprint, CacheActivity, EvalContext, TrieCache, TrieCacheStats};
-pub use evaluate::{evaluate_ej_boolean, EjStrategy};
+pub use evaluate::evaluate_ej_boolean;
 pub use flat::FlatTrie;
 pub use generic::{generic_join_boolean, generic_join_enumerate};
 pub use plan::{plan_var_order, PlanActivity};

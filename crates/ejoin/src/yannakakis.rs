@@ -26,7 +26,7 @@ use ij_relation::{kernels, CancellationToken, EvalError, ValueId};
 /// Evaluates an α-acyclic Boolean query with Yannakakis' algorithm.
 ///
 /// Returns `Ok(None)` if the atom set is not α-acyclic (no join tree
-/// exists); callers fall back to another strategy in that case.
+/// exists); callers fall back to another algorithm in that case.
 ///
 /// An atom that binds one variable to several columns keeps only the rows on
 /// which those columns agree, before any semijoin reads the variable's first

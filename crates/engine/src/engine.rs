@@ -23,7 +23,7 @@
 //! engine.
 
 use ij_ejoin::{
-    evaluate_ej_boolean, BoundAtom, CacheActivity, EjStrategy, EvalContext, PlanActivity, TrieCache,
+    evaluate_ej_boolean, BoundAtom, CacheActivity, EvalContext, PlanActivity, TrieCache,
 };
 use ij_hypergraph::VarId;
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
@@ -53,7 +53,7 @@ pub fn kernel_arm() -> &'static str {
     "scalar"
 }
 
-/// The default trie-cache byte budget of [`EngineConfig::new`] and
+/// The trie-cache byte budget of [`IntersectionJoinEngine::new`] and
 /// [`Workspace::new`](crate::Workspace::new): 256 MiB.
 pub const DEFAULT_TRIE_CACHE_BYTES: usize = 256 << 20;
 
@@ -67,8 +67,6 @@ fn hardware_parallelism() -> usize {
 /// Configuration of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Strategy used for every EJ query of the disjunction.
-    pub ej_strategy: EjStrategy,
     /// Encoding of the transformed relations (Section 1.1): flat (the
     /// paper's default) or the lossless per-variable decomposition, which is
     /// dramatically smaller for atoms with several interval variables.
@@ -80,35 +78,6 @@ pub struct EngineConfig {
     /// identical for every setting; a true disjunct found by any worker stops
     /// the others at their next scheduling point.
     pub parallelism: usize,
-    /// Byte budget of the engine's **persistent** trie cache: one cache is
-    /// created per engine and shared by every disjunct worker of every
-    /// evaluation the engine runs.  Within one evaluation, disjuncts
-    /// overwhelmingly share transformed relations, so the cache lets them
-    /// share the *built tries* instead of rebuilding per disjunct; across
-    /// evaluations, a service answering many queries over the same reduced
-    /// database serves repeat trie builds straight from the cache (keys are
-    /// relation *content* fingerprints, so reuse is sound regardless of
-    /// which reduction produced a relation).  The budget caps the
-    /// *estimated* resident heap bytes of the cached tries
-    /// ([`ij_ejoin::FlatTrie::heap_bytes`], reported in
-    /// [`TrieCacheStats::resident_bytes`]): inserting past it evicts
-    /// least-recently-used entries until the new entry fits, and a single
-    /// build larger than the whole budget stays uncached.  It is just a
-    /// number of bytes — `0` disables caching for this engine (every
-    /// disjunct rebuilds its tries), `usize::MAX` is unbounded; the default
-    /// is [`DEFAULT_TRIE_CACHE_BYTES`].  The Boolean answer is identical for
-    /// every setting.
-    ///
-    /// ```
-    /// use ij_engine::{EngineConfig, DEFAULT_TRIE_CACHE_BYTES};
-    ///
-    /// assert_eq!(EngineConfig::new().trie_cache_bytes, DEFAULT_TRIE_CACHE_BYTES);
-    /// let capped = EngineConfig::new().with_trie_cache_bytes(64 << 20);
-    /// assert_eq!(capped.trie_cache_bytes, 64 << 20); // 64 MiB budget
-    /// let rebuild = EngineConfig::new().with_trie_cache_bytes(0);
-    /// assert_eq!(rebuild.trie_cache_bytes, 0); // rebuild-per-disjunct
-    /// ```
-    pub trie_cache_bytes: usize,
 }
 
 impl Default for EngineConfig {
@@ -118,15 +87,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration: the flat encoding, hardware parallelism
-    /// across disjuncts and a persistent trie cache of
-    /// [`DEFAULT_TRIE_CACHE_BYTES`].
+    /// The default configuration: the flat encoding and hardware
+    /// parallelism across disjuncts.
     pub fn new() -> Self {
         EngineConfig {
-            ej_strategy: EjStrategy::Auto,
             encoding: EncodingStrategy::Flat,
             parallelism: 0,
-            trie_cache_bytes: DEFAULT_TRIE_CACHE_BYTES,
         }
     }
 
@@ -143,13 +109,6 @@ impl EngineConfig {
     /// This configuration with an explicit disjunct-evaluation worker count.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// This configuration with an explicit trie-cache byte budget (`0`
-    /// disables trie sharing; see [`EngineConfig::trie_cache_bytes`]).
-    pub fn with_trie_cache_bytes(mut self, bytes: usize) -> Self {
-        self.trie_cache_bytes = bytes;
         self
     }
 
@@ -276,13 +235,15 @@ pub struct EvaluationStats {
     /// clone of it, or any engine built from the same
     /// [`Workspace`](crate::Workspace)) never report each other's hits,
     /// misses or evictions.  `entries` and `resident_bytes` are the cache's
-    /// resident state when the evaluation finished.  All zeros when
-    /// [`EngineConfig::trie_cache_bytes`] is `0`.  A warm evaluation of a
-    /// previously-seen reduction reports hits with no misses.
+    /// resident state when the evaluation finished.  All zeros on an engine
+    /// of a workspace whose budget is `0`
+    /// ([`Workspace::with_trie_cache_bytes`](crate::Workspace::with_trie_cache_bytes)).
+    /// A warm evaluation of a previously-seen reduction reports hits with no
+    /// misses.
     pub trie_cache: TrieCacheStats,
-    /// Disjuncts whose variable order went through the planner (the
-    /// decomposition strategy plans per materialised bag, so the count can
-    /// exceed the disjunct count).
+    /// Disjuncts whose variable order went through the planner (a cyclic
+    /// disjunct plans per materialised bag, so the count can exceed the
+    /// disjunct count).
     pub disjuncts_planned: usize,
     /// Total time the planner spent choosing orders, in nanoseconds — exact,
     /// accumulated by this evaluation's own planning calls like the cache
@@ -349,17 +310,21 @@ fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
 
 /// The intersection-join query engine.
 ///
-/// The engine owns a **persistent** [`TrieCache`] (sized by
-/// [`EngineConfig::trie_cache_bytes`]) that survives across evaluations:
-/// repeated queries over the same reduced database reuse built tries instead
-/// of rebuilding them.  Cloning an engine shares the cache — sound, because
+/// The engine evaluates against a **persistent** [`TrieCache`] that survives
+/// across evaluations: repeated queries over the same reduced database reuse
+/// built tries instead of rebuilding them.  Within one evaluation, disjuncts
+/// overwhelmingly share transformed relations, so the cache also lets them
+/// share the *built tries* instead of rebuilding per disjunct.  The cache is
+/// the engine's own ([`IntersectionJoinEngine::new`]) or its workspace's
+/// ([`Workspace::engine`](crate::Workspace::engine), which also sets any
+/// other byte budget).  Cloning an engine shares the cache — sound, because
 /// cache keys are relation content fingerprints — so cheap per-thread clones
 /// all warm one cache.
 #[derive(Debug, Clone)]
 pub struct IntersectionJoinEngine {
     config: EngineConfig,
-    /// The persistent cross-evaluation trie cache (`None` when disabled via
-    /// a zero byte budget).
+    /// The persistent cross-evaluation trie cache (`None` on an engine of a
+    /// workspace whose budget is `0`).
     trie_cache: Option<Arc<TrieCache>>,
 }
 
@@ -370,23 +335,18 @@ impl Default for IntersectionJoinEngine {
 }
 
 impl IntersectionJoinEngine {
-    /// Creates an engine with the given configuration (allocating its
-    /// persistent trie cache, bounded by [`EngineConfig::trie_cache_bytes`],
-    /// when that budget is non-zero).  Engines that should *share* a cache
-    /// are built from one [`Workspace`](crate::Workspace) instead.
+    /// Creates an engine with the given configuration and a private
+    /// persistent trie cache of [`DEFAULT_TRIE_CACHE_BYTES`].  Engines that
+    /// should *share* a cache, or use another budget, are built from one
+    /// [`Workspace`](crate::Workspace) instead.
     pub fn new(config: EngineConfig) -> Self {
-        let trie_cache = (config.trie_cache_bytes > 0)
-            .then(|| Arc::new(TrieCache::with_byte_budget(config.trie_cache_bytes)));
-        IntersectionJoinEngine { config, trie_cache }
+        let cache = TrieCache::with_byte_budget(DEFAULT_TRIE_CACHE_BYTES);
+        IntersectionJoinEngine::with_cache(config, Some(Arc::new(cache)))
     }
 
-    /// Creates an engine evaluating against an externally owned — typically
-    /// [`Workspace`](crate::Workspace)-shared — trie cache, so independently
-    /// constructed engines warm one another.  A zero
-    /// [`EngineConfig::trie_cache_bytes`] still opts out of caching
-    /// entirely (the shared handle is ignored).
-    pub(crate) fn with_shared_cache(config: EngineConfig, cache: Arc<TrieCache>) -> Self {
-        let trie_cache = (config.trie_cache_bytes > 0).then_some(cache);
+    /// Creates an engine evaluating against `trie_cache` (none: every
+    /// disjunct rebuilds its tries).
+    pub(crate) fn with_cache(config: EngineConfig, trie_cache: Option<Arc<TrieCache>>) -> Self {
         IntersectionJoinEngine { config, trie_cache }
     }
 
@@ -527,8 +487,7 @@ impl IntersectionJoinEngine {
     /// [`Relation::dedup`](ij_relation::Relation::dedup) runs to its end
     /// unpolled — over the seeds of a relation build, at most tens of
     /// thousands of keys, and over each projection a cyclic disjunct derives.
-    /// All workers share the engine's **persistent**
-    /// [`TrieCache`] (sized by [`EngineConfig::trie_cache_bytes`]), so a
+    /// All workers share the engine's **persistent** [`TrieCache`], so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation — batch grouping makes the reuse
     /// run hot within a worker's current batch, and repeat evaluations of
@@ -757,14 +716,16 @@ impl IntersectionJoinEngine {
         if let Some(token) = eval.token {
             token.checkpoint()?;
         }
-        evaluate_ej_boolean(&atoms, self.config.ej_strategy, eval)
+        evaluate_ej_boolean(&atoms, eval)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive_boolean;
+    use crate::{naive_boolean, Workspace};
+    use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
+    use ij_reduction::forward_reduction;
     use ij_relation::Value;
     use std::time::Duration;
 
@@ -791,6 +752,38 @@ mod tests {
         };
         db.insert_tuples("T", 2, vec![vec![iv(3.0, 5.0), c]]);
         (q, db)
+    }
+
+    /// The disjunction of `q` over `db` decided disjunct by disjunct, after
+    /// checking on each that [`evaluate_ej_boolean`] and Yannakakis (where it
+    /// accepts the disjunct) answer like the plain generic join.
+    fn disjunction_by_every_algorithm(q: &Query, db: &Database) -> bool {
+        let reduction = forward_reduction(q, db).unwrap();
+        let eval = EvalContext::default();
+        let mut answer = false;
+        for i in reduction.deduped_query_indices() {
+            let disjunct = &reduction.queries[i];
+            let var_ids = disjunct.dense_var_ids();
+            let atoms: Vec<BoundAtom<'_>> = disjunct
+                .atoms
+                .iter()
+                .map(|a| {
+                    let vars = a.vars.iter().map(|v| var_ids[v.as_str()]).collect();
+                    BoundAtom::new(reduction.relation(&a.relation, None).unwrap(), vars)
+                })
+                .collect();
+            let reference = generic_join_boolean(&atoms, None, eval).unwrap();
+            assert_eq!(
+                evaluate_ej_boolean(&atoms, eval),
+                Ok(reference),
+                "disjunct {i}"
+            );
+            if let Some(pass) = yannakakis_boolean(&atoms, None).unwrap() {
+                assert_eq!(pass, reference, "Yannakakis on disjunct {i}");
+            }
+            answer |= reference;
+        }
+        answer
     }
 
     /// The structure of a hand-made disjunct: the engine only reads a
@@ -856,24 +849,10 @@ mod tests {
     }
 
     #[test]
-    fn all_ej_strategies_agree() {
-        for strategy in [
-            EjStrategy::Auto,
-            EjStrategy::GenericJoin,
-            EjStrategy::Decomposition,
-        ] {
-            let engine = IntersectionJoinEngine::new(EngineConfig {
-                ej_strategy: strategy,
-                ..EngineConfig::new()
-            });
-            for satisfiable in [true, false] {
-                let (q, db) = triangle_db(satisfiable);
-                assert_eq!(
-                    engine.evaluate(&q, &db).unwrap(),
-                    satisfiable,
-                    "{strategy:?}"
-                );
-            }
+    fn every_triangle_disjunct_agrees_with_the_reference_joins() {
+        for satisfiable in [true, false] {
+            let (q, db) = triangle_db(satisfiable);
+            assert_eq!(disjunction_by_every_algorithm(&q, &db), satisfiable);
         }
     }
 
@@ -932,12 +911,9 @@ mod tests {
         assert!(stats.ej_query_batches >= 1);
         assert!(stats.ej_query_batches <= stats.ej_queries_total);
 
-        // With the cache disabled, the same evaluation reports no activity.
-        let rebuild = IntersectionJoinEngine::new(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_cache_bytes(0),
-        );
+        // Without a cache, the same evaluation reports no activity.
+        let rebuild =
+            Workspace::with_trie_cache_bytes(0).engine(EngineConfig::new().with_parallelism(1));
         let stats = rebuild.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
         assert_eq!(stats.trie_cache, TrieCacheStats::default());
@@ -1053,11 +1029,8 @@ mod tests {
             let (q, db) = triangle_db(satisfiable);
             for parallelism in [1usize, 2] {
                 for bytes in [0, one_trie, DEFAULT_TRIE_CACHE_BYTES] {
-                    let engine = IntersectionJoinEngine::new(
-                        EngineConfig::new()
-                            .with_parallelism(parallelism)
-                            .with_trie_cache_bytes(bytes),
-                    );
+                    let engine = Workspace::with_trie_cache_bytes(bytes)
+                        .engine(EngineConfig::new().with_parallelism(parallelism));
                     assert_eq!(
                         engine.evaluate(&q, &db).unwrap(),
                         satisfiable,
@@ -1091,11 +1064,9 @@ mod tests {
 
     #[test]
     fn planning_is_reported_in_evaluation_stats() {
-        let (q, db) = triangle_db(false); // false → every disjunct runs
-        let engine = IntersectionJoinEngine::new(EngineConfig {
-            ej_strategy: EjStrategy::GenericJoin,
-            ..EngineConfig::new().with_parallelism(1)
-        });
+        // False → every disjunct runs; each is cyclic and plans per bag.
+        let (q, db) = triangle_db(false);
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
         let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(stats.disjuncts_planned > 0, "{stats:?}");
         assert!(!stats.planned_orders.is_empty(), "{stats:?}");
@@ -1314,9 +1285,9 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_point_variable_keeps_its_equality_under_every_strategy() {
-        // Both queries are ι-acyclic, so forcing Yannakakis is legal.  R's
-        // row (1, 2, [0,5]) meets S's interval but breaks X = X.
+    fn a_repeated_point_variable_keeps_its_equality_under_every_algorithm() {
+        // Both queries are ι-acyclic, so every disjunct runs Yannakakis.
+        // R's row (1, 2, [0,5]) meets S's interval but breaks X = X.
         let row = |x1: f64, x2: f64| vec![Value::point(x1), Value::point(x2), iv(0.0, 5.0)];
         for (query, s_row) in [
             (
@@ -1334,22 +1305,9 @@ mod tests {
                 db.insert_tuples("R", 3, r_rows);
                 db.insert_tuples("S", s_row.len(), vec![s_row.clone()]);
                 assert_eq!(naive_boolean(&q, &db).unwrap(), expected, "{query}");
-                for strategy in [
-                    EjStrategy::Auto,
-                    EjStrategy::Yannakakis,
-                    EjStrategy::GenericJoin,
-                    EjStrategy::Decomposition,
-                ] {
-                    let engine = IntersectionJoinEngine::new(EngineConfig {
-                        ej_strategy: strategy,
-                        ..EngineConfig::new()
-                    });
-                    assert_eq!(
-                        engine.evaluate(&q, &db).unwrap(),
-                        expected,
-                        "{query} under {strategy:?}"
-                    );
-                }
+                let engine = IntersectionJoinEngine::with_defaults();
+                assert_eq!(engine.evaluate(&q, &db).unwrap(), expected, "{query}");
+                assert_eq!(disjunction_by_every_algorithm(&q, &db), expected, "{query}");
             }
         }
     }

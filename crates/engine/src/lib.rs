@@ -12,19 +12,21 @@
 //! * [`naive_boolean`] / [`naive_count`] — an exhaustive reference evaluator
 //!   used as a differential-testing oracle and baseline.
 //!
-//! Evaluation is tunable through [`EngineConfig`]: worker
-//! [parallelism](EngineConfig::parallelism) across the disjuncts of the
-//! reduction — the engine's only threads — and a shared, byte-budgeted [trie
-//! cache](EngineConfig::trie_cache_bytes) so disjuncts reuse built tries
-//! instead of rebuilding them.  Every knob is answer-preserving: the Boolean
-//! result is bit-identical at every setting.
+//! The engine chooses each disjunct's join algorithm from its hypergraph
+//! (Theorem 4.15).  [`EngineConfig`] sets the encoding of the transformed
+//! relations and the worker [parallelism](EngineConfig::parallelism) across
+//! the disjuncts of the reduction — the engine's only threads.  Every
+//! setting is answer-preserving: the Boolean result is bit-identical.
 //!
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a scoped value dictionary (dropping the workspace reclaims
 //! its interned values; [`Workspace::dictionary_bytes`] meters its size)
-//! plus one shared trie cache warming every engine built from the workspace
-//! ([`Workspace::engine`]), bounded by one byte budget
-//! ([`Workspace::with_trie_cache_bytes`]).
+//! plus one shared trie cache, so disjuncts and evaluations reuse built
+//! tries, warming every engine built from the workspace
+//! ([`Workspace::engine`]) and bounded by the workspace's one byte budget
+//! ([`Workspace::with_trie_cache_bytes`]).  A standalone engine
+//! ([`IntersectionJoinEngine::new`]) has a private cache of
+//! [`DEFAULT_TRIE_CACHE_BYTES`].
 //!
 //! Evaluations are **cancellable and deadline-bounded**: the
 //! `*_cancellable` entry points accept a [`CancellationToken`], a token
@@ -79,7 +81,6 @@ pub mod prelude {
         EvaluationStats, IntersectionJoinEngine, QueryAnalysis, TrieCacheStats, Workspace,
         WorkspaceStats,
     };
-    pub use ij_ejoin::EjStrategy;
     pub use ij_hypergraph::{AcyclicityClass, AcyclicityReport, Hypergraph};
     pub use ij_reduction::{
         backward_reduction, forward_reduction, forward_reduction_with, plan_forward_reduction,

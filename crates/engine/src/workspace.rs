@@ -56,7 +56,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Workspace {
     dictionary: SharedDictionary,
-    trie_cache: Arc<TrieCache>,
+    /// `None` when the budget is `0`.
+    trie_cache: Option<Arc<TrieCache>>,
     trie_cache_bytes: usize,
 }
 
@@ -74,15 +75,28 @@ impl Workspace {
     }
 
     /// A fresh workspace whose shared trie cache keeps at most `bytes`
-    /// estimated heap bytes resident (see
-    /// [`EngineConfig::trie_cache_bytes`] for the semantics): just a number
-    /// of bytes — `0` caches nothing, `usize::MAX` is unbounded.  The
-    /// dictionary is not budgeted: its residency is bounded by the
-    /// workspace's *lifetime* (drop the workspace, reclaim the values).
+    /// *estimated* heap bytes resident ([`ij_ejoin::FlatTrie::heap_bytes`],
+    /// reported in [`TrieCacheStats::resident_bytes`]): inserting past the
+    /// budget evicts least-recently-used entries until the new entry fits,
+    /// and a single build larger than the whole budget stays uncached.  It
+    /// is just a number of bytes — `0` gives the workspace no cache (its
+    /// engines rebuild every trie and report all-zero cache counters),
+    /// `usize::MAX` is unbounded.  The Boolean answer is identical for
+    /// every budget.  The dictionary is not budgeted: its residency is
+    /// bounded by the workspace's *lifetime* (drop the workspace, reclaim
+    /// the values).
+    ///
+    /// ```
+    /// use ij_engine::{Workspace, DEFAULT_TRIE_CACHE_BYTES};
+    ///
+    /// assert_eq!(Workspace::new().trie_cache_bytes(), DEFAULT_TRIE_CACHE_BYTES);
+    /// let capped = Workspace::with_trie_cache_bytes(64 << 20); // 64 MiB
+    /// assert_eq!(capped.trie_cache_bytes(), 64 << 20);
+    /// ```
     pub fn with_trie_cache_bytes(bytes: usize) -> Self {
         Workspace {
             dictionary: SharedDictionary::new(),
-            trie_cache: Arc::new(TrieCache::with_byte_budget(bytes)),
+            trie_cache: (bytes > 0).then(|| Arc::new(TrieCache::with_byte_budget(bytes))),
             trie_cache_bytes: bytes,
         }
     }
@@ -115,9 +129,13 @@ impl Workspace {
     }
 
     /// Cumulative statistics of the workspace's shared trie cache — the sum
-    /// of the activity of every engine built from this workspace.
+    /// of the activity of every engine built from this workspace (all zeros
+    /// when the budget is `0`).
     pub fn trie_cache_stats(&self) -> TrieCacheStats {
-        self.trie_cache.stats()
+        self.trie_cache
+            .as_ref()
+            .map(|c| c.stats())
+            .unwrap_or_default()
     }
 
     /// A point-in-time operator snapshot of the workspace's resource state:
@@ -194,17 +212,13 @@ impl Workspace {
         out
     }
 
-    /// An engine evaluating against the workspace's shared trie cache:
-    /// every engine built from one workspace warms every other, which is
-    /// what gives a per-request-engine server warm caches by default.
-    ///
-    /// The cache budget is the *workspace's*
-    /// ([`Workspace::with_trie_cache_bytes`]) — the config's
-    /// [`EngineConfig::trie_cache_bytes`] does not resize the shared cache,
-    /// except that `0` still opts this engine out of caching entirely
-    /// (rebuild-per-disjunct), exactly like per-engine construction.
+    /// An engine evaluating against the workspace's shared trie cache,
+    /// bounded by the workspace's budget
+    /// ([`Workspace::with_trie_cache_bytes`]): every engine built from one
+    /// workspace warms every other, which is what gives a
+    /// per-request-engine server warm caches by default.
     pub fn engine(&self, config: EngineConfig) -> IntersectionJoinEngine {
-        IntersectionJoinEngine::with_shared_cache(config, Arc::clone(&self.trie_cache))
+        IntersectionJoinEngine::with_cache(config, self.trie_cache.clone())
     }
 }
 
@@ -328,17 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_byte_config_opts_out_of_the_shared_cache() {
-        let ws = Workspace::new();
+    fn a_zero_byte_workspace_has_no_cache() {
+        let ws = Workspace::with_trie_cache_bytes(0);
         let (q, db) = triangle_db(&ws);
-        let engine = ws.engine(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_cache_bytes(0),
-        );
+        let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
-        assert_eq!(stats.trie_cache, ij_ejoin::TrieCacheStats::default());
-        assert_eq!(ws.trie_cache_stats().misses, 0);
+        assert!(!stats.answer);
+        assert_eq!(stats.trie_cache, TrieCacheStats::default());
+        assert_eq!(ws.trie_cache_stats(), TrieCacheStats::default());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! over the schema of `Q̃` maps to an interval database `D` of the same size
 //! such that `Q(D)` holds iff `Q̃(D̃)` holds.
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EjStrategy, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalContext};
 use ij_engine::naive_boolean;
 use ij_reduction::{backward_reduction, forward_reduction, ForwardReduction};
 use ij_relation::{Database, Query, Relation, Value};
@@ -71,7 +71,7 @@ fn evaluate_reduced(reduced: &ij_reduction::ReducedQuery, ej_db: &Database) -> b
             BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
         })
         .collect();
-    evaluate_ej_boolean(&atoms, EjStrategy::Auto, EvalContext::default()).unwrap()
+    evaluate_ej_boolean(&atoms, EvalContext::default()).unwrap()
 }
 
 #[test]

@@ -23,7 +23,7 @@
 //!   (clean re-run correct, warm re-run all-hits);
 //! * every error in the taxonomy implements `std::error::Error`.
 
-use ij_ejoin::{evaluate_ej_boolean, yannakakis_boolean, BoundAtom, EjStrategy, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, yannakakis_boolean, BoundAtom, EvalContext};
 use ij_engine::{
     naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError, IntersectionJoinEngine,
     Workspace,
@@ -310,13 +310,7 @@ fn a_pre_cancelled_token_stops_the_yannakakis_pass_before_a_semijoin() {
             token: Some(&cancelled),
             ..EvalContext::default()
         };
-        for strategy in [EjStrategy::Auto, EjStrategy::Yannakakis] {
-            assert_eq!(
-                evaluate_ej_boolean(&atoms, strategy, eval),
-                Err(EvalError::Cancelled),
-                "{strategy:?}"
-            );
-        }
+        assert_eq!(evaluate_ej_boolean(&atoms, eval), Err(EvalError::Cancelled));
     }
     let engine = IntersectionJoinEngine::with_defaults();
     assert!(matches!(

@@ -18,7 +18,7 @@
 //! seek bugs actually surface.
 
 use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, TrieCache};
-use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
+use ij_engine::{naive_boolean, EngineConfig, Workspace, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
 };
@@ -252,11 +252,8 @@ proptest! {
         let expected = naive_boolean(&query, &db).unwrap();
         for parallelism in [1usize, 2] {
             for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-                let engine = IntersectionJoinEngine::new(
-                    EngineConfig::new()
-                        .with_parallelism(parallelism)
-                        .with_trie_cache_bytes(bytes),
-                );
+                let engine = Workspace::with_trie_cache_bytes(bytes)
+                    .engine(EngineConfig::new().with_parallelism(parallelism));
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).unwrap(),
                     expected,

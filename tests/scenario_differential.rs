@@ -4,17 +4,21 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across cache-budget settings,
+//!    across cache-budget settings, and disjunct by disjunct the equality-join
+//!    algorithm it chose held to the plain generic join (and to Yannakakis
+//!    wherever that accepts the disjunct),
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
 //!
 //! The sweep covers all four [`ScenarioFamily`] generators × sizes × planted
 //! modes; those bind interval variables only, so a second sweep runs mixed
-//! point/interval queries over small random databases under every
-//! `EjStrategy`, and a third holds the engine and the baseline to oracle-free
-//! metamorphic properties (atom and row order, endpoint scaling, reflection,
-//! touching closed endpoints, monotonicity under tuple insertion).  On a divergence the failing [`ScenarioConfig`] is *shrunk*
+//! point/interval queries — a cyclic one among them, with a variable
+//! repeated inside an atom — over small random databases through the same
+//! per-disjunct checks, and a third holds the engine and the baseline to
+//! oracle-free metamorphic properties (atom and row order, endpoint scaling,
+//! reflection, touching closed endpoints, monotonicity under tuple
+//! insertion).  On a divergence the failing [`ScenarioConfig`] is *shrunk*
 //! deterministically (the vendored proptest reports but does not shrink, so
 //! minimisation lives here): smaller tuple counts, zero skew and full
 //! selectivity are retried while the divergence persists, and the panic
@@ -24,10 +28,14 @@
 //! `scaled_seeds`, mirroring `tests/forward_reduction.rs`) so tier-1 debug
 //! time stays bounded; release builds run the full sweep.
 
+mod common;
+
+use common::disjunct_divergence;
 use ij_baselines::SegtreeBaseline;
-use ij_ejoin::{relation_fingerprint, EjStrategy};
+use ij_ejoin::relation_fingerprint;
 use ij_engine::{
-    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES,
+    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, Workspace,
+    DEFAULT_TRIE_CACHE_BYTES,
 };
 use ij_hypergraph::VarKind;
 use ij_reduction::{
@@ -132,10 +140,14 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
 }
 
 /// Sweeps the engine-config grid on one scenario; the forward reduction is
-/// computed once and re-evaluated under every cache setting.
+/// computed once, checked disjunct by disjunct, and re-evaluated under every
+/// cache setting.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let reduction =
         forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
+    if let Some(mismatch) = disjunct_divergence(&reduction, expected) {
+        return Some(mismatch);
+    }
     // Two tries' bytes on this reduction, measured by the first (default)
     // cell; a reduction whose disjuncts build no trie has nothing to size.
     let mut two_tries = 1;
@@ -145,7 +157,7 @@ fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
             CacheCell::Off => 0,
             CacheCell::TwoTries => two_tries,
         };
-        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_trie_cache_bytes(bytes));
+        let engine = Workspace::with_trie_cache_bytes(bytes).engine(EngineConfig::new());
         let stats = engine
             .evaluate_reduction(&reduction)
             .expect("uncancelled evaluation succeeds");
@@ -680,13 +692,16 @@ fn minimiser_finds_the_smallest_diverging_config() {
 }
 
 /// Queries with point variables in them: shared by two atoms, repeated inside
-/// one atom, private to one atom, and permuted between atoms.  All four are
-/// ι-acyclic, so every disjunct is α-acyclic and forcing Yannakakis is legal.
-const MIXED_EIJ_QUERIES: [&str; 4] = [
+/// one atom, private to one atom, and permuted between atoms.  The first four
+/// are ι-acyclic, so every disjunct runs Yannakakis; the last is a triangle
+/// through a repeated point variable, so its cyclic disjuncts materialise
+/// bags that must keep `X = X`.
+const MIXED_EIJ_QUERIES: [&str; 5] = [
     "R(X,[A]) & S(X,[A])",
     "R(X,X,[A]) & S(X,[A])",
     "R(X,X,[A]) & S([A])",
     "R(X,Y,[A]) & S(Y,X,[A]) & T(X,[A])",
+    "R(X,X,[A]) & S([A],[B]) & T(X,[B])",
 ];
 
 /// One cell drawn both ways — a point from a domain of 4 and an interval over
@@ -730,8 +745,9 @@ proptest! {
     ))]
 
     /// The scenario families bind interval variables only; this sweep puts
-    /// point variables beside them.  The engine under every `EjStrategy`, at
-    /// one worker and two, answers like the naive oracle.
+    /// point variables beside them.  The engine, at one worker and two,
+    /// answers like the naive oracle, and so does every disjunct's algorithm
+    /// ([`disjunct_divergence`]).
     #[test]
     fn mixed_point_interval_queries_agree_with_naive(
         relations in proptest::collection::vec(
@@ -743,28 +759,26 @@ proptest! {
             let query = Query::parse(text).expect("valid query");
             let db = mixed_eij_database(&query, &relations);
             let expected = naive_boolean(&query, &db).expect("naive evaluation succeeds");
-            for ej_strategy in [
-                EjStrategy::Auto,
-                EjStrategy::Yannakakis,
-                EjStrategy::GenericJoin,
-                EjStrategy::Decomposition,
-            ] {
-                for parallelism in [1usize, 2] {
-                    let engine = IntersectionJoinEngine::new(EngineConfig {
-                        ej_strategy,
-                        ..EngineConfig::new().with_parallelism(parallelism)
-                    });
-                    prop_assert_eq!(
-                        engine.evaluate(&query, &db).expect("evaluation succeeds"),
-                        expected,
-                        "{} under {:?}, parallelism {}, on {:?}",
-                        text,
-                        ej_strategy,
-                        parallelism,
-                        db.relations().map(|r| (r.name(), r.tuples())).collect::<Vec<_>>()
-                    );
-                }
+            let rows = || db.relations().map(|r| (r.name(), r.tuples())).collect::<Vec<_>>();
+            for parallelism in [1usize, 2] {
+                let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+                prop_assert_eq!(
+                    engine.evaluate(&query, &db).expect("evaluation succeeds"),
+                    expected,
+                    "{} at parallelism {}, on {:?}",
+                    text,
+                    parallelism,
+                    rows()
+                );
             }
+            let reduction = forward_reduction(&query, &db).expect("forward reduction succeeds");
+            prop_assert_eq!(
+                disjunct_divergence(&reduction, expected),
+                None,
+                "{} on {:?}",
+                text,
+                rows()
+            );
         }
     }
 }

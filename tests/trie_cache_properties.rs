@@ -3,7 +3,9 @@
 //! evaluation, at every parallelism setting, and must agree with the naive
 //! reference evaluator.
 
-use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
+use ij_engine::{
+    naive_boolean, EngineConfig, IntersectionJoinEngine, Workspace, DEFAULT_TRIE_CACHE_BYTES,
+};
 use ij_relation::{Database, Query, Value};
 use proptest::prelude::*;
 
@@ -15,6 +17,12 @@ fn arb_interval() -> impl Strategy<Value = Value> {
 /// Random rows of interval pairs.
 fn arb_rows(max: usize) -> impl Strategy<Value = Vec<(Value, Value)>> {
     proptest::collection::vec((arb_interval(), arb_interval()), 1..=max)
+}
+
+/// An engine with its own trie cache of `bytes` (none at `0`).
+fn engine_with(parallelism: usize, bytes: usize) -> IntersectionJoinEngine {
+    Workspace::with_trie_cache_bytes(bytes)
+        .engine(EngineConfig::new().with_parallelism(parallelism))
 }
 
 fn db_of(rows: [(&str, &Vec<(Value, Value)>); 3]) -> Database {
@@ -42,11 +50,7 @@ proptest! {
         let expected = naive_boolean(&query, &db).unwrap();
         for parallelism in [1usize, 2] {
             for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-                let engine = IntersectionJoinEngine::new(
-                    EngineConfig::new()
-                        .with_parallelism(parallelism)
-                        .with_trie_cache_bytes(bytes),
-                );
+                let engine = engine_with(parallelism, bytes);
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).unwrap(),
                     expected,
@@ -83,17 +87,12 @@ proptest! {
         prop_assert_eq!(footprint.evictions, 0);
         let one_trie = footprint.resident_bytes / footprint.entries;
         let budget = [one_trie, 2 * one_trie, 3 * one_trie, DEFAULT_TRIE_CACHE_BYTES][budget_choice];
-        let budgeted = EngineConfig::new().with_parallelism(1).with_trie_cache_bytes(budget);
-        let warm = IntersectionJoinEngine::new(budgeted);
-        let uncached = IntersectionJoinEngine::new(
-            EngineConfig::new()
-                .with_parallelism(1)
-                .with_trie_cache_bytes(0),
-        );
+        let warm = engine_with(1, budget);
+        let uncached = engine_with(1, 0);
         for (db, &free_answer) in dbs.iter().zip(&unbudgeted) {
             let expected = naive_boolean(&query, db).unwrap();
             prop_assert_eq!(free_answer, expected, "unbudgeted");
-            let cold = IntersectionJoinEngine::new(budgeted);
+            let cold = engine_with(1, budget);
             prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm, budget {}", budget);
             prop_assert_eq!(cold.evaluate(&query, db).unwrap(), expected, "cold, budget {}", budget);
             prop_assert_eq!(uncached.evaluate(&query, db).unwrap(), expected, "uncached");
@@ -117,9 +116,7 @@ proptest! {
         let db = db_of([("R", &r), ("S", &s), ("T", &t)]);
         let expected = naive_boolean(&query, &db).unwrap();
         for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-            let engine = IntersectionJoinEngine::new(
-                EngineConfig::new().with_trie_cache_bytes(bytes),
-            );
+            let engine = engine_with(0, bytes);
             prop_assert_eq!(engine.evaluate(&query, &db).unwrap(), expected);
         }
     }
@@ -140,11 +137,7 @@ fn cache_hits_are_recorded_and_answer_preserving() {
     db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
 
     let shared = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-    let rebuild = IntersectionJoinEngine::new(
-        EngineConfig::new()
-            .with_parallelism(1)
-            .with_trie_cache_bytes(0),
-    );
+    let rebuild = engine_with(1, 0);
     let shared_stats = shared.evaluate_cancellable(&query, &db, None).unwrap();
     let rebuild_stats = rebuild.evaluate_cancellable(&query, &db, None).unwrap();
     assert!(!shared_stats.answer);
@@ -224,11 +217,7 @@ fn tiny_persistent_cache_counts_evictions() {
     let reference_stats = reference.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(reference_stats.trie_cache.evictions, 0);
     let one_trie = reference_stats.trie_cache.resident_bytes / reference_stats.trie_cache.entries;
-    let tiny = IntersectionJoinEngine::new(
-        EngineConfig::new()
-            .with_parallelism(1)
-            .with_trie_cache_bytes(one_trie),
-    );
+    let tiny = engine_with(1, one_trie);
     let tiny_stats = tiny.evaluate_cancellable(&query, &db, None).unwrap();
     assert_eq!(tiny_stats.answer, reference_stats.answer);
     assert!(
