@@ -1,14 +1,15 @@
-//! Micro-benchmarks of the column kernels: every chunked primitive
-//! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`) raced
-//! against its `*_scalar` reference on identical operands.  Every primitive
-//! is asserted to produce bit-identical output on both before any timing.
+//! Micro-benchmarks of the column kernels: every primitive
+//! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`,
+//! `semijoin_mask`) raced against its `*_scalar` reference on identical
+//! operands.  Every primitive is asserted to produce bit-identical output on
+//! both before any timing.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
-    gather_ids_scalar, select_indices, select_indices_scalar,
+    gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar,
 };
 use ij_relation::ValueId;
 use rand::rngs::StdRng;
@@ -190,11 +191,64 @@ fn bench_gallop_seek(c: &mut Criterion) {
     group.finish();
 }
 
+/// `k` key columns of `n` rows shaped like a transformed relation's: inline
+/// bitstring ids (`1 << 31 | 1 << len | bits`, the segment-tree nodes the
+/// forward reduction writes) of up to 12 bits, drawn from a per-side stream
+/// so the two sides share only some keys, as on a false disjunct.
+fn node_id_columns(k: usize, n: usize, seed: u64) -> Vec<Vec<ValueId>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..k)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    let len = rng.gen_range(4u32..=12);
+                    let bits = rng.gen_range(0u32..(1 << len));
+                    ValueId::from_raw((1 << 31) | (1 << len) | bits)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn bench_semijoin_mask(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/semijoin-mask");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1));
+    // `ip-ranges-product`'s first semijoins: a 130 – 3 300-row side against
+    // a 14 k – 80 k-row side, keyed by two to four shared variables, with
+    // the small side as either the parent (left) or the child (right).
+    for k in [2, 3, 4] {
+        for (small, large) in [(130, 14_000), (3_300, 80_000)] {
+            let small_cols = node_id_columns(k, small, 58 + k as u64);
+            let large_cols = node_id_columns(k, large, 59 + k as u64);
+            let small_view: Vec<&[ValueId]> = small_cols.iter().map(Vec::as_slice).collect();
+            let large_view: Vec<&[ValueId]> = large_cols.iter().map(Vec::as_slice).collect();
+            for (left, right) in [(&small_view, &large_view), (&large_view, &small_view)] {
+                assert_eq!(
+                    semijoin_mask(left, right),
+                    semijoin_mask_scalar(left, right),
+                    "kernel must match its oracle"
+                );
+                let shape = format!("k{k}-{}x{}", left[0].len(), right[0].len());
+                group.bench_function(BenchmarkId::new("portable", &shape), |bench| {
+                    bench.iter(|| semijoin_mask(left, right).len())
+                });
+                group.bench_function(BenchmarkId::new("scalar", &shape), |bench| {
+                    bench.iter(|| semijoin_mask_scalar(left, right).len())
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_and_equal_mask,
     bench_select_indices,
     bench_gather_ids,
-    bench_gallop_seek
+    bench_gallop_seek,
+    bench_semijoin_mask
 );
 criterion_main!(benches);

@@ -30,10 +30,7 @@ use crate::atom::BoundAtom;
 use crate::cache::EvalContext;
 use crate::flat::FlatTrie;
 use ij_hypergraph::VarId;
-use ij_relation::{
-    kernels, CancelTicker, EvalError, IdBuildHasher, IdHashSet, Relation, SharedDictionary, Value,
-    ValueId,
-};
+use ij_relation::{kernels, CancelTicker, EvalError, Relation, SharedDictionary, Value, ValueId};
 use std::sync::Arc;
 
 /// A shared context for one generic-join execution: one trie per atom.
@@ -360,48 +357,6 @@ fn enumerate_rec<'t, 'k>(
         },
     )?;
     Ok(())
-}
-
-/// Byte mask over the rows of `left_cols` marking the rows whose key tuple
-/// (one id per column) also appears as a row of `right_cols`.
-///
-/// This is the probe core of the Yannakakis semijoin pass, built on the scan
-/// kernels: keys are packed row-major into contiguous fixed-width buffers
-/// ([`kernels::pack_keys`]) and hashed as `&[ValueId]` windows — no per-row
-/// allocation on either side — with a direct id-set fast path for
-/// single-column keys.
-pub(crate) fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
-    assert_eq!(
-        left_cols.len(),
-        right_cols.len(),
-        "semijoin sides must probe the same key width"
-    );
-    assert!(
-        !left_cols.is_empty(),
-        "semijoin_mask requires at least one key column; \
-         callers handle the no-shared-variables case themselves"
-    );
-    let left_len = left_cols[0].len();
-    let mut mask = vec![0u8; left_len];
-    if left_cols.len() == 1 {
-        // Single shared column: probe a plain id set.
-        let keys: IdHashSet<ValueId> = right_cols[0].iter().copied().collect();
-        for (m, id) in mask.iter_mut().zip(left_cols[0]) {
-            *m = u8::from(keys.contains(id));
-        }
-        return mask;
-    }
-    let k = left_cols.len();
-    let mut right_keys = Vec::new();
-    kernels::pack_keys(right_cols, &mut right_keys);
-    let keys: std::collections::HashSet<&[ValueId], IdBuildHasher> =
-        right_keys.chunks_exact(k).collect();
-    let mut left_keys = Vec::new();
-    kernels::pack_keys(left_cols, &mut left_keys);
-    for (m, key) in mask.iter_mut().zip(left_keys.chunks_exact(k)) {
-        *m = u8::from(keys.contains(key));
-    }
-    mask
 }
 
 #[cfg(test)]

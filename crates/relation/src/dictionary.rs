@@ -505,14 +505,19 @@ impl DictReader<'_> {
 }
 
 /// A multiply-mix hasher for [`ValueId`] keys (FxHash-style): the hot join
-/// loops key hash maps by `u32` ids, where SipHash's preimage resistance buys
-/// nothing and costs measurably.
+/// loops key hash maps by `u32` ids and id tuples packed into `u64`s, where
+/// SipHash's preimage resistance buys nothing and costs measurably.
+///
+/// `finish` rotates the well-mixed high half of the product into the low
+/// bits: the low bits of `v · K` depend only on the low bits of `v`, and the
+/// standard hash tables take their bucket index from the low end, so a bare
+/// product would bucket a packed `(a << 32) | b` key by `b` alone.
 #[derive(Debug, Default, Clone)]
 pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -551,6 +556,22 @@ pub type IdHashSet<K> = std::collections::HashSet<K, IdBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_buckets_packed_pairs_by_both_halves() {
+        // 4 096 keys `(a << 32) | b` whose low half takes only 4 values: a
+        // table with 4 096 buckets indexes by the low 12 bits of the hash.
+        // A bare multiply puts every key into one of 4 buckets.
+        let buckets: std::collections::BTreeSet<u64> = (0..1024u64)
+            .flat_map(|a| (0..4u64).map(move |b| (a << 32) | b))
+            .map(|key| {
+                let mut h = IdHasher::default();
+                h.write_u64(key);
+                h.finish() & 0xFFF
+            })
+            .collect();
+        assert!(buckets.len() >= 1024, "{} buckets", buckets.len());
+    }
 
     #[test]
     fn intern_resolve_round_trip() {

@@ -1,7 +1,7 @@
 //! Chunked scan kernels over interned id slices.
 //!
 //! The hot linear passes of the join engine — the equal-pair filters of the
-//! trie build, the key packing and survivor selection of the Yannakakis
+//! trie build, the key probe and survivor selection of the Yannakakis
 //! semijoins, the galloping seeks of leapfrog intersection — all reduce to a
 //! handful of primitives over `&[ValueId]`.  This module implements each
 //! primitive twice:
@@ -19,7 +19,9 @@
 //! The paper's bounds count the work the algorithm does, not the
 //! instructions it is done with, so there is one implementation per kernel
 //! and no per-host code path.  [`leapfrog_next`] spends its time inside
-//! [`gallop_seek`], which it calls directly.
+//! [`gallop_seek`], which it calls directly.  [`semijoin_mask`] is a hash
+//! probe, not a lane loop: its fast path reads a fixed-width integer key per
+//! row, and its oracle hashes packed slices.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
 //! layer — whole columns, scratch buffers — can use them.  Masks are `u8`
@@ -28,7 +30,9 @@
 //!
 //! [`Relation`]: crate::Relation
 
-use crate::ValueId;
+use crate::{IdHashSet, ValueId};
+use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Ids processed per chunked step (a `u32x8` register's worth).
 pub const LANES: usize = 8;
@@ -184,6 +188,112 @@ pub fn pack_keys_scalar(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
             out.push(col[row]);
         }
     }
+}
+
+/// Byte mask over the rows of `left_cols` marking the rows whose key tuple
+/// (one id per column) also appears as a row of `right_cols` — the probe of
+/// a Yannakakis semijoin `left ⋉ right`.
+///
+/// Keys of one to four columns are fixed-width integers read straight from
+/// the columns (`u32`; a `u64` packing two ids; a `u64` and a `u32`; two
+/// `u64`s), so no key buffer is written; wider keys are packed row-major
+/// ([`pack_keys`]) and hashed as `&[ValueId]` windows.  The right keys form
+/// a set that every left row probes.
+///
+/// # Panics
+///
+/// Panics if the sides differ in key width, if there is no key column, or if
+/// the columns of one side differ in length.
+pub fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
+    let (left_len, right_len) = semijoin_lengths(left_cols, right_cols);
+    // Two ids of one row as one `u64`.
+    let pair = |a: &[ValueId], b: &[ValueId], i: usize| {
+        (u64::from(a[i].raw()) << 32) | u64::from(b[i].raw())
+    };
+    match (left_cols, right_cols) {
+        (&[l0], &[r0]) => mask_by_key(left_len, right_len, |i| l0[i].raw(), |i| r0[i].raw()),
+        (&[l0, l1], &[r0, r1]) => mask_by_key(
+            left_len,
+            right_len,
+            |i| pair(l0, l1, i),
+            |i| pair(r0, r1, i),
+        ),
+        (&[l0, l1, l2], &[r0, r1, r2]) => mask_by_key(
+            left_len,
+            right_len,
+            |i| (pair(l0, l1, i), l2[i].raw()),
+            |i| (pair(r0, r1, i), r2[i].raw()),
+        ),
+        (&[l0, l1, l2, l3], &[r0, r1, r2, r3]) => mask_by_key(
+            left_len,
+            right_len,
+            |i| (pair(l0, l1, i), pair(l2, l3, i)),
+            |i| (pair(r0, r1, i), pair(r2, r3, i)),
+        ),
+        _ => {
+            let k = left_cols.len();
+            let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+            pack_keys(left_cols, &mut left_keys);
+            pack_keys(right_cols, &mut right_keys);
+            mask_by_key(
+                left_len,
+                right_len,
+                |i| &left_keys[i * k..(i + 1) * k],
+                |i| &right_keys[i * k..(i + 1) * k],
+            )
+        }
+    }
+}
+
+/// Scalar reference implementation of [`semijoin_mask`]: every key packed
+/// into a slice window.
+pub fn semijoin_mask_scalar(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
+    semijoin_lengths(left_cols, right_cols);
+    let k = left_cols.len();
+    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+    pack_keys_scalar(left_cols, &mut left_keys);
+    pack_keys_scalar(right_cols, &mut right_keys);
+    let keys: HashSet<&[ValueId]> = right_keys.chunks_exact(k).collect();
+    left_keys
+        .chunks_exact(k)
+        .map(|key| u8::from(keys.contains(key)))
+        .collect()
+}
+
+/// The row counts of a semijoin's two sides, after checking their shape.
+fn semijoin_lengths(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> (usize, usize) {
+    assert_eq!(
+        left_cols.len(),
+        right_cols.len(),
+        "semijoin sides must probe the same key width"
+    );
+    assert!(
+        !left_cols.is_empty(),
+        "semijoin_mask requires at least one key column; \
+         callers handle the no-shared-variables case themselves"
+    );
+    let rows = |cols: &[&[ValueId]]| {
+        let n = cols[0].len();
+        assert!(
+            cols.iter().all(|c| c.len() == n),
+            "column length mismatch in semijoin_mask"
+        );
+        n
+    };
+    (rows(left_cols), rows(right_cols))
+}
+
+/// [`semijoin_mask`] over keys read by row index.
+fn mask_by_key<K: Hash + Eq>(
+    left_len: usize,
+    right_len: usize,
+    left_key: impl Fn(usize) -> K,
+    right_key: impl Fn(usize) -> K,
+) -> Vec<u8> {
+    let keys: IdHashSet<K> = (0..right_len).map(right_key).collect();
+    (0..left_len)
+        .map(|i| u8::from(keys.contains(&left_key(i))))
+        .collect()
 }
 
 /// Positions probed with a plain linear scan before [`gallop_seek`] switches

@@ -72,8 +72,9 @@
 //!        │    their disjuncts read; all     relations; AtomicBool early exit
 //!        ▼    workers share one TrieCache)  cancels the siblings' builds
 //!  ij_ejoin per disjunct:
-//!     · α-acyclic   → Yannakakis semijoins (id-tuple keys, fast hasher)
-//!       over the relations of D̃ as they are — nothing is copied
+//!     · α-acyclic   → Yannakakis semijoins over the relations of D̃ as
+//!       they are — nothing is copied; rooted at the largest atom, the
+//!       cheapest ready edge first, fixed-width integer keys
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis;
 //!       singleton-variable projections derived once per reduction
 //!       (Relation::projection), per-bag projections per disjunct

@@ -7,7 +7,7 @@
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
     gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys, pack_keys_scalar,
-    select_indices, select_indices_scalar, LANES,
+    select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar, LANES,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
@@ -40,8 +40,59 @@ fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<ValueId>> {
     })
 }
 
+/// A pool of one to three raw ids that both sides of a semijoin draw their
+/// key columns from, so keys repeat and hits are common at every width.  An
+/// id comes from the wide domain or is shaped like the inline bitstring ids
+/// the forward reduction writes (`1 << 31 | 1 << len | bits`).
+fn arb_key_pool() -> impl Strategy<Value = Vec<u32>> {
+    let inline = (0u32..30, 0u32..=u32::MAX)
+        .prop_map(|(len, bits)| (1 << 31) | (1 << len) | (bits & ((1 << len) - 1)));
+    let id = (arb_raw_wide(), inline, 0u8..2).prop_map(
+        |(wide, inline, sel)| {
+            if sel == 0 {
+                wide
+            } else {
+                inline
+            }
+        },
+    );
+    proptest::collection::vec(id, 1..=3)
+}
+
+/// `k` key columns of `n` rows each, every id drawn from `pool`.
+fn key_columns(pool: &[u32], picks: &[Vec<usize>]) -> Vec<Vec<ValueId>> {
+    picks
+        .iter()
+        .map(|col| col.iter().map(|&i| ValueId::from_raw(pool[i])).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The semijoin probe ≡ its slice-keyed oracle for keys of one to six
+    /// columns (every integer-key width and the packed fallback), with the
+    /// left side shorter and longer than the right.
+    #[test]
+    fn semijoin_mask_matches_scalar(
+        case in (1usize..=6, 0usize..3 * LANES + 5, 0usize..3 * LANES + 5, arb_key_pool())
+            .prop_flat_map(|(k, left_len, right_len, pool)| {
+                let picks = |n: usize| {
+                    proptest::collection::vec(
+                        proptest::collection::vec(0..pool.len(), n..=n),
+                        k..=k,
+                    )
+                };
+                (Just(pool.clone()), picks(left_len), picks(right_len))
+            })
+    ) {
+        let (pool, left_picks, right_picks) = case;
+        let left = key_columns(&pool, &left_picks);
+        let right = key_columns(&pool, &right_picks);
+        let left: Vec<&[ValueId]> = left.iter().map(|c| c.as_slice()).collect();
+        let right: Vec<&[ValueId]> = right.iter().map(|c| c.as_slice()).collect();
+        prop_assert_eq!(semijoin_mask(&left, &right), semijoin_mask_scalar(&left, &right));
+    }
 
     /// Chunked equal-pair masking ≡ scalar reference, including accumulation
     /// over an arbitrary starting mask.
@@ -204,6 +255,39 @@ fn kernels_match_scalar_on_adversarial_lengths() {
         pack_keys(&cols, &mut fast);
         pack_keys_scalar(&cols, &mut slow);
         assert_eq!(fast, slow, "pack_keys len {n}");
+
+        // Semijoin keys of one to six columns, against right sides shorter
+        // and longer than the left; odd right rows carry a first id the left
+        // never holds, even ones repeat a left key pattern.
+        let key_col = |j: usize, i: usize| match j % 3 {
+            0 => ValueId::from_raw(i as u32 % 5),
+            1 => ValueId::from_raw((i as u32 + 1) % 5),
+            _ => near_sign(i % 3),
+        };
+        for right_len in [0, 1, n / 2, 2 * n + 1] {
+            for k in 1..=6 {
+                let left: Vec<Vec<ValueId>> = (0..k)
+                    .map(|j| (0..n).map(|i| key_col(j, i)).collect())
+                    .collect();
+                let right: Vec<Vec<ValueId>> = (0..k)
+                    .map(|j| {
+                        (0..right_len)
+                            .map(|i| match (j, i % 2) {
+                                (0, 1) => ValueId::from_raw(9),
+                                _ => key_col(j, 3 * i + 1),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let left: Vec<&[ValueId]> = left.iter().map(|c| c.as_slice()).collect();
+                let right: Vec<&[ValueId]> = right.iter().map(|c| c.as_slice()).collect();
+                assert_eq!(
+                    semijoin_mask(&left, &right),
+                    semijoin_mask_scalar(&left, &right),
+                    "semijoin_mask len {n} against {right_len}, k {k}"
+                );
+            }
+        }
 
         let run: Vec<ValueId> = (0..n).map(|i| near_sign(3 * i)).collect();
         for start in 0..=n {
