@@ -1,5 +1,8 @@
 //! E2 — Section 1.1 / Figure 2: the eight EJ queries of the triangle
 //! reduction and their star decompositions with central bag {A1, B1, C1}.
+//! The optimal decomposition comes out reduced — only maximal bags, the
+//! ones the width-guided evaluation materialises — so Q~1's is exactly
+//! Figure 2's three-bag star.
 //!
 //! ```text
 //! cargo run --release -p ij-bench --bin figure2

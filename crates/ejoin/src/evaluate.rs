@@ -2,9 +2,10 @@
 //!
 //! * α-acyclic queries run Yannakakis' algorithm (linear time);
 //! * cyclic queries run the width-guided evaluation: compute an optimal
-//!   fractional hypertree decomposition, materialise every bag with the
-//!   generic worst-case-optimal join, then run Yannakakis over the bag
-//!   relations (the recipe of Appendix A.2.1, giving `O(N^{fhtw} log N)`);
+//!   fractional hypertree decomposition, materialise each of its maximal
+//!   bags with the generic worst-case-optimal join, then run Yannakakis over
+//!   the bag relations (the recipe of Appendix A.2.1, giving
+//!   `O(N^{fhtw} log N)`);
 //! * the plain generic join runs a cyclic query with more variables than the
 //!   exact decomposition DP handles.
 
@@ -125,6 +126,12 @@ fn kept_columns(atom: &BoundAtom<'_>, keep: impl Fn(VarId) -> bool) -> (Vec<usiz
 /// the (acyclic) bag query.  `eval` is threaded into every bag
 /// materialisation (and the generic-join fallback).
 ///
+/// The decomposition is reduced, so only maximal bags are built.  Dropping a
+/// bag `B' ⊆ B` loses nothing: the projection of `B`'s join onto `B'` lies
+/// inside `B'`'s join, and a subset bag is an ear, so the bag query stays
+/// α-acyclic.  The bags are built in order and the first empty one answers
+/// `false` before the next is built.
+///
 /// # Errors
 ///
 /// Propagates any bag materialisation's [`EvalError`] — a cancelled bag would
@@ -168,24 +175,16 @@ pub(crate) fn decomposition_boolean(
         }
     };
 
-    // Materialise every bag over the caller's variable identifiers.
-    let bags: Vec<(Relation, Vec<VarId>)> = td
-        .bags
-        .iter()
-        .enumerate()
-        .map(|(i, bag)| {
-            let bag_vars: Vec<VarId> = bag.iter().map(|&dense| dense_to_caller[dense]).collect();
-            Ok((
-                materialise_bag(atoms, &bag_vars, &format!("bag{i}"), eval)?,
-                bag_vars,
-            ))
-        })
-        .collect::<Result<_, EvalError>>()?;
-    if bags
-        .iter()
-        .any(|(rel, vars)| rel.is_empty() && !vars.is_empty())
-    {
-        return Ok(false);
+    // Materialise the bags over the caller's variable identifiers, in order;
+    // an empty bag with variables refutes the query before the next is built.
+    let mut bags: Vec<(Relation, Vec<VarId>)> = Vec::with_capacity(td.bags.len());
+    for (i, bag) in td.bags.iter().enumerate() {
+        let bag_vars: Vec<VarId> = bag.iter().map(|&dense| dense_to_caller[dense]).collect();
+        let rel = materialise_bag(atoms, &bag_vars, &format!("bag{i}"), eval)?;
+        if rel.is_empty() && !bag_vars.is_empty() {
+            return Ok(false);
+        }
+        bags.push((rel, bag_vars));
     }
 
     // The bag query is acyclic by construction; evaluate it with Yannakakis.
@@ -207,7 +206,7 @@ pub(crate) fn decomposition_boolean(
 /// reduction, or across evaluations of it — the context's cache serves the
 /// projection tries without rebuilding them.  They are per-call copies all
 /// the same (copy, sort, and a content hash to find the trie), not
-/// [`Relation::projection`]s: see ROADMAP direction 3(a) for why that step
+/// [`Relation::projection`]s: see ROADMAP direction 3(c) for why that step
 /// waits.
 ///
 /// # Errors
@@ -428,6 +427,64 @@ mod tests {
         assert_eq!((cold.hits(), cold.misses()), (0, 3));
         assert_eq!(materialise(&warm), first);
         assert_eq!((warm.hits(), warm.misses()), (3, 0));
+    }
+
+    /// Runs `evaluate` against a fresh cache: its answer, its cache
+    /// (hits, misses) and the number of enumerations it planned.
+    fn counted(
+        evaluate: impl FnOnce(EvalContext<'_>) -> Result<bool, EvalError>,
+    ) -> (bool, (usize, usize), usize) {
+        use crate::{CacheActivity, PlanActivity, TrieCache};
+        let (cache, activity, planning) =
+            (TrieCache::new(), CacheActivity::new(), PlanActivity::new());
+        let eval = EvalContext {
+            cache: Some(&cache),
+            activity: Some(&activity),
+            planning: Some(&planning),
+            ..EvalContext::default()
+        };
+        let answer = evaluate(eval).unwrap();
+        (
+            answer,
+            (activity.hits(), activity.misses()),
+            planning.plans(),
+        )
+    }
+
+    #[test]
+    fn a_triangle_materialises_its_one_maximal_bag() {
+        let r = rel("R", vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
+        let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
+        let atoms = triangle_atoms(&r, &s, &t);
+        // One bag {A, B, C}: one trie per atom, one planned enumeration.
+        let evaluate = |eval: EvalContext<'_>| evaluate_ej_boolean(&atoms, eval);
+        assert_eq!(counted(evaluate), (true, (0, 3), 1));
+    }
+
+    #[test]
+    fn an_empty_bag_stops_the_materialisation() {
+        // R(A,B) ∧ S(B,C) ∧ T(C,D) ∧ U(D,A): two maximal bags, each touching
+        // all four atoms.  T and U share no D, so the first bag {A, C, D}
+        // is empty while the second, {A, B, C}, is not.
+        let r = rel("R", vec![vec![1.0, 1.0]]);
+        let s = rel("S", vec![vec![1.0, 1.0]]);
+        let t = rel("T", vec![vec![1.0, 1.0]]);
+        let u = rel("U", vec![vec![2.0, 1.0]]);
+        let atoms = vec![
+            BoundAtom::new(&r, vec![A, B]),
+            BoundAtom::new(&s, vec![B, C]),
+            BoundAtom::new(&t, vec![C, D]),
+            BoundAtom::new(&u, vec![D, A]),
+        ];
+        let td = optimal_tree_decomposition(&hypergraph_of(&atoms).0);
+        let bag = |vars: &[VarId]| vars.iter().copied().collect();
+        assert_eq!(td.bags, vec![bag(&[A, C, D]), bag(&[A, B, C])]);
+        let second = materialise_bag(&atoms, &[A, B, C], "bag1", EvalContext::default()).unwrap();
+        assert!(!second.is_empty());
+        // Only the first bag's four lookups and its one enumeration.
+        let evaluate = |eval: EvalContext<'_>| decomposition_boolean(&atoms, eval);
+        assert_eq!(counted(evaluate), (false, (0, 4), 1));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   α-acyclic Boolean queries \[35\];
 //! * [`evaluate_ej_boolean`] — the algorithm of Theorem 4.15, chosen from
 //!   the query's hypergraph: Yannakakis when α-acyclic, otherwise the
-//!   width-guided evaluation of Appendix A.2.1 (materialise the bags of an
-//!   optimal fractional hypertree decomposition with the generic join, then
-//!   run Yannakakis over the bag tree; runtime `O(N^{fhtw} · polylog N)`).
+//!   width-guided evaluation of Appendix A.2.1 (materialise the maximal bags
+//!   of an optimal fractional hypertree decomposition with the generic join,
+//!   then run Yannakakis over the bag tree; runtime
+//!   `O(N^{fhtw} · polylog N)`).
 //!
 //! Relations are bound to query variables through [`BoundAtom`]; the engine
 //! is agnostic to whether the values are numbers or the bitstrings produced

@@ -22,6 +22,12 @@ use std::collections::{BTreeSet, HashMap};
 pub const MAX_DP_VERTICES: usize = 20;
 
 /// A tree decomposition of a hypergraph.
+///
+/// The decompositions this crate builds are **reduced**: no bag is a subset
+/// of another.  A bag contained in some other bag is contained in its
+/// neighbour on the tree path between them (running intersection), so
+/// merging every such bag into a neighbour leaves a decomposition of the
+/// same width with only maximal bags — the ones worth materialising.
 #[derive(Debug, Clone)]
 pub struct TreeDecomposition {
     /// The bags.
@@ -204,7 +210,11 @@ pub fn optimal_tree_decomposition(h: &Hypergraph) -> TreeDecomposition {
     decomposition_from_order(h, &order)
 }
 
-/// Builds the tree decomposition induced by a vertex elimination order.
+/// Builds the reduced tree decomposition induced by a vertex elimination
+/// order: the elimination bags, each joined to the bag of its first
+/// neighbour eliminated after it, then every bag contained in a neighbouring
+/// bag merged into that neighbour.  The surviving bags keep their order of
+/// elimination.
 pub fn decomposition_from_order(h: &Hypergraph, order: &[VarId]) -> TreeDecomposition {
     let n = h.num_vertices();
     assert_eq!(order.len(), n, "the order must cover every vertex");
@@ -242,6 +252,9 @@ pub fn decomposition_from_order(h: &Hypergraph, order: &[VarId]) -> TreeDecompos
             .unwrap_or(i + 1);
         edges.push((i, successor));
     }
+    let (bags, edges) = merge_subset_bags(bags, edges);
+    // Every dropped bag lies inside a kept one and ρ* is monotone, so this
+    // is the width of the unreduced decomposition too.
     let width = bags
         .iter()
         .map(|bag| fractional_edge_cover_number(h, bag))
@@ -249,10 +262,64 @@ pub fn decomposition_from_order(h: &Hypergraph, order: &[VarId]) -> TreeDecompos
     TreeDecomposition { bags, edges, width }
 }
 
+/// Contracts every tree edge one of whose bags contains the other, keeping
+/// the larger bag, until no bag is a subset of a neighbour — and hence, by
+/// running intersection, of any other bag.  Contracting an edge keeps each
+/// vertex's bags connected, and the kept bag covers whatever the dropped one
+/// did.  The surviving bags keep their relative order.
+fn merge_subset_bags(
+    bags: Vec<BTreeSet<VarId>>,
+    mut edges: Vec<(usize, usize)>,
+) -> (Vec<BTreeSet<VarId>>, Vec<(usize, usize)>) {
+    let mut alive = vec![true; bags.len()];
+    while let Some(k) = edges
+        .iter()
+        .position(|&(a, b)| bags[a].is_subset(&bags[b]) || bags[b].is_subset(&bags[a]))
+    {
+        let (a, b) = edges.swap_remove(k);
+        let (gone, kept) = if bags[a].is_subset(&bags[b]) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        for edge in &mut edges {
+            for end in [&mut edge.0, &mut edge.1] {
+                if *end == gone {
+                    *end = kept;
+                }
+            }
+        }
+        alive[gone] = false;
+    }
+    let mut renumbered = vec![usize::MAX; bags.len()];
+    let mut next = 0;
+    for (i, &live) in alive.iter().enumerate() {
+        if live {
+            renumbered[i] = next;
+            next += 1;
+        }
+    }
+    let bags = bags
+        .into_iter()
+        .zip(&alive)
+        .filter_map(|(bag, &live)| live.then_some(bag))
+        .collect();
+    let mut edges: Vec<(usize, usize)> = edges
+        .into_iter()
+        .map(|(a, b)| {
+            let (a, b) = (renumbered[a], renumbered[b]);
+            (a.min(b), a.max(b))
+        })
+        .collect();
+    edges.sort_unstable();
+    (bags, edges)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ij_hypergraph::{four_clique_ej, k_cycle_ej, loomis_whitney_4_ej, triangle_ej, Hypergraph};
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6
@@ -265,6 +332,8 @@ mod tests {
         let td = optimal_tree_decomposition(&h);
         assert!(td.is_valid(&h));
         assert!(close(td.width, 1.5));
+        // Reduced: every elimination bag lies inside the one bag {A, B, C}.
+        assert_eq!(td.bags, vec![(0..3).collect::<BTreeSet<VarId>>()]);
     }
 
     #[test]
@@ -358,6 +427,107 @@ mod tests {
         let td = optimal_tree_decomposition(&h);
         assert!(td.is_valid(&h));
         assert!(close(td.width, 1.0));
-        assert!(td.max_bag_size() >= 4 || td.bags.iter().any(|b| b.len() == 4));
+        assert_eq!(td.bags, vec![vars.iter().copied().collect()]);
+    }
+
+    /// The reduced decomposition of `order` against the unreduced one: valid,
+    /// no bag inside another, every elimination bag inside a returned bag,
+    /// and the width of the elimination bags.
+    fn check_reduced(h: &Hypergraph, order: &[VarId]) -> Result<TreeDecomposition, String> {
+        let td = decomposition_from_order(h, order);
+        prop_assert!(td.is_valid(h), "invalid decomposition {td:?}");
+        for (i, a) in td.bags.iter().enumerate() {
+            for (j, b) in td.bags.iter().enumerate() {
+                prop_assert!(i == j || !a.is_subset(b), "bag {i} ⊆ bag {j} in {td:?}");
+            }
+        }
+        let (adj, n) = (h.primal_graph(), h.num_vertices());
+        let mut eliminated = 0u32;
+        let mut unreduced_width = 0.0_f64;
+        for &v in order {
+            let (_, bag) = elimination_bag(&adj, n, v, eliminated);
+            prop_assert!(
+                td.bags.iter().any(|kept| bag.is_subset(kept)),
+                "elimination bag {bag:?} lost from {td:?}"
+            );
+            unreduced_width = unreduced_width.max(fractional_edge_cover_number(h, &bag));
+            eliminated |= 1 << v;
+        }
+        prop_assert!(
+            close(td.width, unreduced_width),
+            "{} vs {unreduced_width}",
+            td.width
+        );
+        Ok(td)
+    }
+
+    /// A hypergraph on `n` vertices with one edge per non-zero mask, plus a
+    /// singleton edge for every vertex no mask covers (so every width is
+    /// finite).
+    fn hypergraph_of_masks(n: usize, masks: &[u32]) -> Hypergraph {
+        let mut h = Hypergraph::new();
+        let vars: Vec<VarId> = (0..n).map(|i| h.add_point_var(format!("X{i}"))).collect();
+        let mut covered = 0u32;
+        for (k, &mask) in masks.iter().enumerate() {
+            let edge: Vec<VarId> = vars
+                .iter()
+                .copied()
+                .filter(|&v| mask & (1 << v) != 0)
+                .collect();
+            h.add_edge(format!("R{k}"), edge);
+            covered |= mask;
+        }
+        for &v in vars.iter().filter(|&&v| covered & (1 << v) == 0) {
+            h.add_edge(format!("U{v}"), vec![v]);
+        }
+        h
+    }
+
+    #[test]
+    fn catalog_decompositions_are_reduced() {
+        let catalog = [
+            triangle_ej(),
+            k_cycle_ej(4),
+            k_cycle_ej(5),
+            four_clique_ej(),
+            loomis_whitney_4_ej(),
+        ];
+        for h in &catalog {
+            let n = h.num_vertices();
+            let optimal = optimal_tree_decomposition(h);
+            let (_, order) = elimination_width(h, |bag| fractional_edge_cover_number(h, bag));
+            let td = check_reduced(h, &order).unwrap();
+            assert_eq!((&td.bags, &td.edges), (&optimal.bags, &optimal.edges));
+            assert!(close(optimal.width, fractional_hypertree_width(h)));
+            for order in [(0..n).collect::<Vec<_>>(), (0..n).rev().collect()] {
+                check_reduced(h, &order).unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// Random hypergraphs of up to 8 vertices under a random order and
+        /// under the optimal one.
+        #[test]
+        fn decompositions_are_reduced_on_random_hypergraphs(
+            case in (1usize..=8).prop_flat_map(|n| {
+                let edges = proptest::collection::vec(1u32..(1 << n), 1..=8);
+                (Just(n), edges, proptest::collection::vec(0u32..1_000, n))
+            })
+        ) {
+            let (n, masks, keys) = case;
+            let h = hypergraph_of_masks(n, &masks);
+            let mut order: Vec<VarId> = (0..n).collect();
+            order.sort_by_key(|&v| keys[v]);
+            check_reduced(&h, &order)?;
+            let (fhtw, optimal) =
+                elimination_width(&h, |bag| fractional_edge_cover_number(&h, bag));
+            let td = check_reduced(&h, &optimal)?;
+            prop_assert!(close(td.width, fhtw), "{} vs fhtw {fhtw}", td.width);
+            let direct = optimal_tree_decomposition(&h);
+            prop_assert_eq!(direct.bags, td.bags);
+        }
     }
 }

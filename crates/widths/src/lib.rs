@@ -7,7 +7,8 @@
 //!   fractional edge cover number ρ* of a vertex set (the AGM exponent when
 //!   applied to all variables), solved with a small built-in simplex;
 //! * [`fractional_hypertree_width`] and [`optimal_tree_decomposition`] —
-//!   exact fhtw via dynamic programming over vertex elimination orders;
+//!   exact fhtw via dynamic programming over vertex elimination orders, and
+//!   a reduced decomposition (no bag inside another) that realises it;
 //! * [`submodular_width_estimate`] — lower/upper bounds for the submodular
 //!   width with the published values for the paper's query classes;
 //! * [`ij_width`] — the ij-width report: the maximum submodular width over

@@ -75,7 +75,8 @@
 //!     · α-acyclic   → Yannakakis semijoins over the relations of D̃ as
 //!       they are — nothing is copied; rooted at the largest atom, the
 //!       cheapest ready edge first, fixed-width integer keys
-//!     · cyclic      → bag materialisation (id tries) + Yannakakis;
+//!     · cyclic      → bag materialisation (id tries) + Yannakakis,
+//!       maximal bags only (the decomposition is reduced);
 //!       singleton-variable projections derived once per reduction
 //!       (Relation::projection), per-bag projections per disjunct
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR

@@ -121,7 +121,7 @@ fn concurrent_evaluations_report_exact_per_evaluation_stats() {
     );
 }
 
-/// Cancellation never breaks the accounting (PR 8): evaluations interrupted
+/// Cancellation never breaks the accounting: evaluations interrupted
 /// mid-flight — during trie builds included — leave the cache's resident
 /// bytes exactly the sum of its resident entries, and a subsequent warm
 /// evaluation still reports zero misses.

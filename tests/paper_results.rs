@@ -57,6 +57,27 @@ fn section_1_1_triangle_reduction_structure() {
 }
 
 #[test]
+fn figure_2_star_decomposition() {
+    // Q̃1's optimal decomposition is reduced to Figure 2's star: the central
+    // bag {A#1, B#1, C#1} adjacent to the two other bags.
+    let q1 = &full_reduction(&triangle_ij())[0].hypergraph;
+    let td = optimal_tree_decomposition(q1);
+    assert!(td.is_valid(q1));
+    assert!(close(td.width, 1.5));
+    let names = |bag: &std::collections::BTreeSet<VarId>| -> Vec<String> {
+        bag.iter().map(|&v| q1.vertex(v).name.clone()).collect()
+    };
+    assert_eq!(td.bags.len(), 3, "{:?}", td.bags);
+    let centre = (td.bags.iter())
+        .position(|bag| names(bag) == ["A#1", "B#1", "C#1"])
+        .expect("central bag {A#1, B#1, C#1}");
+    assert_eq!(td.edges.len(), 2);
+    for &(a, b) in &td.edges {
+        assert!(a == centre || b == centre, "{:?} is not a star", td.edges);
+    }
+}
+
+#[test]
 fn figure_3_segment_tree() {
     let tree = SegmentTree::build(&[Interval::new(1.0, 4.0), Interval::new(3.0, 4.0)]);
     let bs = |s: &str| BitString::parse(s).unwrap();

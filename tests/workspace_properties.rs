@@ -1,4 +1,4 @@
-//! Property and acceptance tests for the `Workspace` layer (PR 4):
+//! Property and acceptance tests for the `Workspace` layer:
 //! workspace-scoped evaluation must be answer-identical to the process-global
 //! path, per-database workspaces must bound interned residency (dropping a
 //! workspace returns the dictionary to baseline), a single long-lived
