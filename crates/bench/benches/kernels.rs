@@ -1,17 +1,23 @@
 //! Micro-benchmarks of the column kernels: every primitive
 //! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`,
 //! `semijoin_mask`) raced against its `*_scalar` reference on identical
-//! operands.  Every primitive is asserted to produce bit-identical output on
-//! both before any timing.
+//! operands, and two passes raced against the implementation they replaced,
+//! kept here: the content `fingerprint` against the one-id-per-multiply
+//! hash, and `Relation::dedup` on sorted and shuffled rows against a
+//! dedup that always sorts.  Every primitive is asserted to produce
+//! bit-identical output on both before any timing; the two fingerprints,
+//! whose values differ by design, are asserted to tell the same changes of
+//! content apart.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
-    gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar,
+    and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
+    gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask,
+    semijoin_mask_scalar,
 };
-use ij_relation::ValueId;
+use ij_relation::{Relation, SharedDictionary, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -243,12 +249,177 @@ fn bench_semijoin_mask(c: &mut Criterion) {
     group.finish();
 }
 
+/// The content fingerprint before the multi-lane kernel: one chain per
+/// 64-bit half, one multiply per half per id.
+fn fingerprint_one_lane(rows: usize, cols: &[&[ValueId]]) -> (u64, u64) {
+    const M1: u64 = 0x9E37_79B9_7F4A_7C15;
+    const M2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    let mix = |state: u64, v: u64, m: u64| ((state ^ v).wrapping_mul(m)).rotate_left(29);
+    let mut a = 0x243F_6A88_85A3_08D3u64;
+    let mut b = 0x4528_21E6_38D0_1377u64;
+    for v in [cols.len() as u64, rows as u64] {
+        (a, b) = (mix(a, v, M1), mix(b, v, M2));
+    }
+    for col in cols {
+        (a, b) = (mix(a, 0xFEED_C01D, M1), mix(b, 0xFEED_C01D, M2));
+        for &id in *col {
+            (a, b) = (
+                mix(a, u64::from(id.raw()), M1),
+                mix(b, u64::from(id.raw()), M2),
+            );
+        }
+    }
+    (a, b)
+}
+
+/// `Relation::dedup` before the one-pass sorted check: rows packed into
+/// integer keys (`u64` up to two columns, `u128` up to four), always sorted,
+/// deduplicated and unpacked.
+fn dedup_by_sort(cols: &mut [Vec<ValueId>]) -> usize {
+    let arity = cols.len();
+    assert!(
+        (1..=4).contains(&arity),
+        "the benched shapes have 1 to 4 columns"
+    );
+    let mut keys: Vec<u128> = (0..cols[0].len())
+        .map(|row| (cols.iter()).fold(0, |key, col| key << 32 | u128::from(col[row].raw())))
+        .collect();
+    if arity <= 2 {
+        let mut narrow: Vec<u64> = keys.iter().map(|&key| key as u64).collect();
+        narrow.sort_unstable();
+        narrow.dedup();
+        keys = narrow.into_iter().map(u128::from).collect();
+    } else {
+        keys.sort_unstable();
+        keys.dedup();
+    }
+    for (c, col) in cols.iter_mut().enumerate() {
+        col.clear();
+        let shift = 32 * (arity - 1 - c);
+        col.extend(
+            keys.iter()
+                .map(|&key| ValueId::from_raw((key >> shift) as u32)),
+        );
+    }
+    keys.len()
+}
+
+/// The bag-input shapes of the seed-7 warm triangle: about 60 k rows of two
+/// node ids and 86 k rows of four, sorted and distinct as a memoised
+/// projection is.
+const BAG_SHAPES: [(usize, usize); 2] = [(60_000, 2), (86_000, 4)];
+
+/// `rows` distinct rows of `arity` node ids, in ascending order.
+fn sorted_node_rows(rows: usize, arity: usize, seed: u64) -> Vec<Vec<ValueId>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut set = std::collections::BTreeSet::new();
+    while set.len() < rows {
+        let row: Vec<u32> = (0..arity)
+            .map(|_| {
+                let len = rng.gen_range(4u32..=12);
+                (1 << 31) | (1 << len) | rng.gen_range(0u32..(1 << len))
+            })
+            .collect();
+        set.insert(row);
+    }
+    (0..arity)
+        .map(|c| set.iter().map(|row| ValueId::from_raw(row[c])).collect())
+        .collect()
+}
+
+fn bench_fingerprint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/fingerprint");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2));
+    for (rows, arity) in BAG_SHAPES {
+        let cols = sorted_node_rows(rows, arity, 60 + arity as u64);
+        let view: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
+        // Same content, one id changed at the end, two columns swapped, one
+        // row fewer: both hashes must tell apart exactly the same variants.
+        let mut last = cols.clone();
+        last[arity - 1][rows - 1] = ValueId::from_raw(0);
+        let mut swapped = cols.clone();
+        swapped.swap(0, 1);
+        let shorter: Vec<Vec<ValueId>> = cols.iter().map(|col| col[1..].to_vec()).collect();
+        for (variant, n) in [
+            (&cols, rows),
+            (&last, rows),
+            (&swapped, rows),
+            (&shorter, rows - 1),
+        ] {
+            let variant: Vec<&[ValueId]> = variant.iter().map(Vec::as_slice).collect();
+            assert_eq!(
+                fingerprint(rows, &view) == fingerprint(n, &variant),
+                fingerprint_one_lane(rows, &view) == fingerprint_one_lane(n, &variant),
+                "the kernel must tell apart what the old hash did"
+            );
+        }
+        let shape = format!("{rows}x{arity}");
+        group.bench_function(BenchmarkId::new("multi-lane", &shape), |bench| {
+            bench.iter(|| fingerprint(rows, &view).0)
+        });
+        group.bench_function(BenchmarkId::new("one-lane", &shape), |bench| {
+            bench.iter(|| fingerprint_one_lane(rows, &view).0)
+        });
+    }
+    group.finish();
+}
+
+fn bench_dedup_sorted(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/dedup-sorted");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    let dict = SharedDictionary::new();
+    for (rows, arity) in BAG_SHAPES {
+        let sorted = sorted_node_rows(rows, arity, 61 + arity as u64);
+        // The same rows in a random order (Fisher–Yates over row indices).
+        let mut rng = StdRng::seed_from_u64(62);
+        let mut order: Vec<usize> = (0..rows).collect();
+        for i in (1..rows).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let shuffled: Vec<Vec<ValueId>> = (sorted.iter())
+            .map(|col| order.iter().map(|&row| col[row]).collect())
+            .collect();
+        for (input, cols) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+            let relation = Relation::from_id_columns_in("R", rows, cols.clone(), &dict);
+            let mut new = relation.clone();
+            new.dedup();
+            let mut old = cols.clone();
+            assert_eq!(dedup_by_sort(&mut old), new.len());
+            for (c, col) in old.iter().enumerate() {
+                assert_eq!(
+                    col.as_slice(),
+                    new.column_ids(c),
+                    "must match the old dedup"
+                );
+            }
+            let shape = format!("{input}-{rows}x{arity}");
+            group.bench_function(BenchmarkId::new("one-pass-check", &shape), |bench| {
+                bench.iter(|| {
+                    let mut copy = relation.clone();
+                    copy.dedup();
+                    copy.len()
+                })
+            });
+            group.bench_function(BenchmarkId::new("always-sort", &shape), |bench| {
+                bench.iter(|| dedup_by_sort(&mut cols.clone()))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_and_equal_mask,
     bench_select_indices,
     bench_gather_ids,
     bench_gallop_seek,
-    bench_semijoin_mask
+    bench_semijoin_mask,
+    bench_fingerprint,
+    bench_dedup_sorted
 );
 criterion_main!(benches);

@@ -24,7 +24,10 @@
 //!    every disjunct, and every evaluation of the reduction, binding the
 //!    same source columns gets as the *same* relation, fingerprint already
 //!    known).  The per-bag projections of the width-guided evaluation
-//!    are still fresh copies, hashed on every lookup;
+//!    are still fresh copies, hashed on every lookup: one more pass over
+//!    their ids, at one multiply per id in eight independent chains
+//!    ([`kernels::fingerprint`]; `cargo bench -p ij-bench --bench kernels`
+//!    times it on the benchmark triangle's two bag-input shapes);
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by
@@ -79,7 +82,7 @@ use ij_relation::sync::{read_recover, write_recover};
 /// Lock class of the cache's key → slot map (`sync::lock_order`); a leaf:
 /// nothing is acquired while it is held.
 const CACHE_MAP: &str = "trie-cache-map";
-use ij_relation::{faults, CancellationToken, EvalError, Relation};
+use ij_relation::{faults, kernels, CancellationToken, EvalError, Relation, ValueId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -87,11 +90,13 @@ use std::sync::{Arc, RwLock};
 /// A 128-bit content fingerprint of a relation's id columns.
 ///
 /// Two relations with equal arity, row count and column ids (in order) get
-/// the same fingerprint; the two independent 64-bit mixing lanes make an
-/// accidental collision between *different* contents astronomically unlikely
-/// (~2⁻¹²⁸), which is what lets the trie cache treat the fingerprint as
-/// identity.  Names are deliberately ignored: a projection recomputed by two
-/// disjuncts under different names still shares one trie.
+/// the same fingerprint ([`kernels::fingerprint`] of the id columns); its
+/// two independent 64-bit halves make an accidental collision between
+/// *different* contents astronomically unlikely (~2⁻¹²⁸), which is what lets
+/// the trie cache treat the fingerprint as identity.  Names are deliberately
+/// ignored: a projection recomputed by two disjuncts under different names
+/// still shares one trie.  Values are compared within one process only and
+/// are no stable format.
 ///
 /// The value is memoized per relation ([`Relation::fingerprint_with`]), so
 /// repeated cache lookups against the same relation — a transformed relation
@@ -102,24 +107,10 @@ pub fn relation_fingerprint(relation: &Relation) -> (u64, u64) {
 }
 
 fn compute_fingerprint(relation: &Relation) -> (u64, u64) {
-    const M1: u64 = 0x9E37_79B9_7F4A_7C15;
-    const M2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    let mix = |state: u64, v: u64, m: u64| ((state ^ v).wrapping_mul(m)).rotate_left(29);
-    let mut a = 0x243F_6A88_85A3_08D3u64;
-    let mut b = 0x4528_21E6_38D0_1377u64;
-    a = mix(a, relation.arity() as u64, M1);
-    b = mix(b, relation.arity() as u64, M2);
-    a = mix(a, relation.len() as u64, M1);
-    b = mix(b, relation.len() as u64, M2);
-    for col in 0..relation.arity() {
-        a = mix(a, 0xFEED_C01D, M1);
-        b = mix(b, 0xFEED_C01D, M2);
-        for &id in relation.column_ids(col) {
-            a = mix(a, id.raw() as u64, M1);
-            b = mix(b, id.raw() as u64, M2);
-        }
-    }
-    (a, b)
+    let cols: Vec<&[ValueId]> = (0..relation.arity())
+        .map(|col| relation.column_ids(col))
+        .collect();
+    kernels::fingerprint(relation.len(), &cols)
 }
 
 /// Evaluation-local cache counters: the accumulator an evaluation passes

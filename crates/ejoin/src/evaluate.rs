@@ -205,9 +205,13 @@ pub(crate) fn decomposition_boolean(
 /// atoms and the bag, so when the same bag recurs — across the disjuncts of a
 /// reduction, or across evaluations of it — the context's cache serves the
 /// projection tries without rebuilding them.  They are per-call copies all
-/// the same (copy, sort, and a content hash to find the trie), not
-/// [`Relation::projection`]s: see ROADMAP direction 3(c) for why that step
-/// waits.
+/// the same, not [`Relation::projection`]s (see ROADMAP direction 3(c) for
+/// why that step waits): a copy of the kept columns, a [`Relation::dedup`],
+/// and a content hash to find the trie.  A bag that keeps every column of
+/// an atom whose relation is already a set in `dedup`'s order — the
+/// memoised projections of a cyclic disjunct, inside a maximal bag — costs
+/// the copy plus two read passes: the dedup only checks the order, and
+/// sorts nothing.
 ///
 /// # Errors
 ///

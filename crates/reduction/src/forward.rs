@@ -75,8 +75,11 @@
 //! 1, level − 1)` before a tuple is written — so every output column is
 //! allocated once at that length and filled seed by seed.  A piece is at
 //! most as long as the tree is high, so its id is computed, not looked up
-//! (the inline ids of [`SharedDictionary::intern`]): no hash, no lock, and
-//! no allocation per row or per seed.  The rows end up in **seed order**
+//! ([`ValueId::inline_bits`], the encoding the dictionary shares): the cut
+//! positions come from one table per (node length, level) and a piece is a
+//! shift and a mask of its node's bits — no hash, no lock, no call into the
+//! dictionary, and no allocation per row or per seed.  The node ids of
+//! `NodeLists` are computed the same way.  The rows end up in **seed order**
 //! (ascending ids, column by column), each seed's tuples in cut order with
 //! the first column varying slowest: a function of the source rows' *set*,
 //! so equal inputs in any row order give equal columns.
@@ -802,13 +805,14 @@ impl NodeLists {
             partition_starts: vec![0],
             leaves: Vec::with_capacity(intervals.len()),
         };
-        let id_of = |node: BitString| dict.intern(Value::Bits(node));
+        let id_of = |node: BitString| bits_id(dict, node.bits(), node.len());
         let mut ticker = CancelTicker::new(token);
         for &iv in intervals {
             ticker.tick()?;
-            tree.for_each_canonical_node(iv, |node| lists.partitions.push(id_of(node)));
+            let leaf = tree
+                .for_each_canonical_node_with_leaf(iv, |node| lists.partitions.push(id_of(node)));
             lists.partition_starts.push(lists.partitions.len());
-            lists.leaves.push(id_of(tree.leaf_of_interval(iv)));
+            lists.leaves.push(id_of(leaf));
         }
         Ok(lists)
     }
@@ -856,7 +860,10 @@ impl<'a> PlanColumn<'a> {
     /// [`width`](Self::width) pieces; `None` for the id of a carried column.
     fn node_of(&self, dict: &SharedDictionary, seed: ValueId) -> Option<BitString> {
         let expands = matches!(self, PlanColumn::Expand { .. });
-        expands.then(|| dict.resolve(seed).as_bits().expect("a node id"))
+        expands.then(|| {
+            (seed.as_inline_bits())
+                .unwrap_or_else(|| dict.resolve(seed).as_bits().expect("a node id"))
+        })
     }
 }
 
@@ -934,7 +941,7 @@ fn build_relation(
     // (`width` ids each), the first column varying slowest.
     let arity = plan.iter().map(PlanColumn::width).sum();
     let mut columns: Vec<Vec<ValueId>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
-    let (mut options, mut cuts) = (Vec::new(), Vec::new());
+    let (mut options, mut tables) = (Vec::new(), CompositionTables::default());
     for (seed, &count) in counts.iter().enumerate() {
         ticker.advance(count)?;
         let (mut outer, mut first) = (1, 0);
@@ -942,7 +949,7 @@ fn build_relation(
             let (id, width) = (seeds.id_at(seed, c), column.width());
             options.clear();
             match column.node_of(dict, id) {
-                Some(node) => push_compositions(dict, node, width, &mut cuts, &mut options),
+                Some(node) => tables.push_compositions(dict, node, width, &mut options),
                 None => options.push(id),
             }
             let n = options.len() / width;
@@ -972,37 +979,88 @@ fn repeat(out: &mut Vec<ValueId>, ids: impl Iterator<Item = ValueId>, inner: usi
     }
 }
 
-/// Appends to `out` the ids of every way of writing `node` as `level`
-/// (possibly empty) consecutive pieces, `level` ids per composition — the
-/// set `𝔉(u, i)` of Lemma 4.10, like [`BitString::compositions`] but with no
-/// piece list per composition: `cuts` is a reusable odometer over the
-/// non-decreasing cut positions `0 ≤ c₁ ≤ … ≤ c_{level-1} ≤ len`.  Pieces of
-/// at most 29 bits — all of them, for any tree that fits in memory — get
-/// their inline id from `dict.intern` arithmetically.
-fn push_compositions(
-    dict: &SharedDictionary,
-    node: BitString,
-    level: usize,
-    cuts: &mut Vec<u8>,
-    out: &mut Vec<ValueId>,
-) {
-    debug_assert!(level >= 1, "an atom holding the variable has level >= 1");
-    cuts.clear();
-    cuts.resize(level - 1, 0);
-    loop {
-        let mut prev = 0;
-        for &cut in cuts.iter() {
-            out.push(dict.intern(Value::Bits(node.prefix(cut).suffix(prev))));
-            prev = cut;
+/// The id of the bitstring of `len` bits `bits`: computed
+/// ([`ValueId::inline_bits`]) up to 29 bits — every node and piece of any
+/// tree that fits in memory — and interned above.
+#[inline]
+fn bits_id(dict: &SharedDictionary, bits: u64, len: u8) -> ValueId {
+    ValueId::inline_bits(bits, len)
+        .unwrap_or_else(|| dict.intern(Value::Bits(BitString::from_bits(bits, len))))
+}
+
+/// One piece of a composition: the `len` bits of its node that end `shift`
+/// bits before the node's last bit.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    shift: u8,
+    len: u8,
+}
+
+/// The pieces of every composition of a node into `level` pieces, per
+/// (node length, level).  The set `𝔉(u, i)` of Lemma 4.10 depends on the
+/// node `u` only through its length, so one relation build enumerates the
+/// cut positions once per length and level it meets, and a seed's
+/// compositions are shifts and masks of its node's bits.
+#[derive(Debug, Default)]
+struct CompositionTables {
+    /// `tables[level][len]`: `level` pieces per composition, in cut order;
+    /// empty until a node of that length is cut at that level.
+    tables: Vec<Vec<Vec<Piece>>>,
+}
+
+impl CompositionTables {
+    /// The pieces of every composition of a node of `len` bits into `level`
+    /// pieces, `level` per composition: an odometer over the non-decreasing
+    /// cut positions `0 ≤ c₁ ≤ … ≤ c_{level-1} ≤ len`, the last cut moving
+    /// fastest — [`BitString::compositions`]' order.
+    fn pieces(&mut self, len: u8, level: usize) -> &[Piece] {
+        debug_assert!(level >= 1, "an atom holding the variable has level >= 1");
+        if self.tables.len() <= level {
+            self.tables.resize_with(level + 1, Vec::new);
         }
-        out.push(dict.intern(Value::Bits(node.suffix(prev))));
-        // Bump the last cut that can still grow; the cuts after it restart
-        // from its new position.
-        let Some(i) = cuts.iter().rposition(|&cut| cut < node.len()) else {
-            return;
-        };
-        let bumped = cuts[i] + 1;
-        cuts[i..].fill(bumped);
+        let by_len = &mut self.tables[level];
+        if by_len.len() <= usize::from(len) {
+            by_len.resize_with(usize::from(len) + 1, Vec::new);
+        }
+        let table = &mut by_len[usize::from(len)];
+        if table.is_empty() {
+            let mut cuts = vec![0u8; level - 1];
+            loop {
+                let mut prev = 0;
+                for &cut in cuts.iter().chain([&len]) {
+                    table.push(Piece {
+                        shift: len - cut,
+                        len: cut - prev,
+                    });
+                    prev = cut;
+                }
+                // Bump the last cut that can still grow; the cuts after it
+                // restart from its new position.
+                let Some(i) = cuts.iter().rposition(|&cut| cut < len) else {
+                    break;
+                };
+                let bumped = cuts[i] + 1;
+                cuts[i..].fill(bumped);
+            }
+        }
+        table
+    }
+
+    /// Appends to `out` the ids of every way of writing `node` as `level`
+    /// (possibly empty) consecutive pieces, `level` ids per composition —
+    /// `𝔉(u, i)` with no piece list per composition.
+    fn push_compositions(
+        &mut self,
+        dict: &SharedDictionary,
+        node: BitString,
+        level: usize,
+        out: &mut Vec<ValueId>,
+    ) {
+        let bits = node.bits();
+        out.extend(self.pieces(node.len(), level).iter().map(|piece| {
+            let mask = (1u64 << piece.len) - 1;
+            bits_id(dict, bits >> piece.shift & mask, piece.len)
+        }));
     }
 }
 
@@ -1676,29 +1734,71 @@ mod tests {
     }
 
     #[test]
-    fn push_compositions_agrees_with_the_paper_facing_iterator_and_the_count() {
+    fn table_driven_compositions_agree_with_the_paper_facing_iterator_and_the_count() {
         // The exact-size fill rests on the three spellings of 𝔉(u, i)
         // agreeing: same pieces, same order, `composition_count` of them.
+        // Every node up to 6 bits, four bit patterns per length up to 13,
+        // and one node too long for an inline id (its long pieces interned).
         let dict = SharedDictionary::new();
-        let (mut cuts, mut ids) = (Vec::new(), Vec::new());
-        for len in 0..=6u8 {
-            for bits in 0..1u64 << len {
-                let node = BitString::from_bits(bits, len);
-                for level in 1..=4 {
-                    ids.clear();
-                    push_compositions(&dict, node, level, &mut cuts, &mut ids);
-                    let expected: Vec<ValueId> = (node.compositions(level).flatten())
-                        .map(|piece| dict.intern(Value::Bits(piece)))
-                        .collect();
-                    assert_eq!(ids, expected, "{node} into {level}");
-                    assert_eq!(
-                        (ids.len() / level) as u64,
-                        node.composition_count(level),
-                        "{node} into {level}"
-                    );
-                }
+        let mut nodes: Vec<BitString> = (0..=6u8)
+            .flat_map(|len| (0..1u64 << len).map(move |bits| BitString::from_bits(bits, len)))
+            .collect();
+        for len in 7..=13u8 {
+            let all = (1u64 << len) - 1;
+            for bits in [0, all, 0x1555 & all, 0b1_0110_0111_0001 & all] {
+                nodes.push(BitString::from_bits(bits, len));
             }
         }
+        let long = ij_relation::MAX_INLINE_BITS + 2;
+        nodes.push(BitString::from_bits(0x5A5A_5A5A & ((1 << long) - 1), long));
+        let (mut tables, mut ids) = (CompositionTables::default(), Vec::new());
+        for node in nodes {
+            for level in 1..=4 {
+                ids.clear();
+                tables.push_compositions(&dict, node, level, &mut ids);
+                let expected: Vec<ValueId> = (node.compositions(level).flatten())
+                    .map(|piece| dict.intern(Value::Bits(piece)))
+                    .collect();
+                assert_eq!(ids, expected, "{node} into {level}");
+                assert_eq!(
+                    (ids.len() / level) as u64,
+                    node.composition_count(level),
+                    "{node} into {level}"
+                );
+            }
+        }
+        // Only the long node's pieces above 29 bits went through the
+        // dictionary: its whole self, and its two 30-bit ends.
+        assert_eq!(dict.len(), 3);
+    }
+
+    #[test]
+    fn node_list_ids_are_the_dictionarys_ids_of_the_nodes() {
+        // Points, shared endpoints, nesting and both infinities.
+        let intervals = [
+            Interval::new(0.0, 4.0),
+            Interval::new(2.0, 9.0),
+            Interval::point(4.0),
+            Interval::new(4.0, 6.0),
+            Interval::new(f64::NEG_INFINITY, 2.0),
+            Interval::new(6.0, f64::INFINITY),
+            Interval::all(),
+        ];
+        let outside = [Interval::new(100.0, 101.0), Interval::point(-3.0)];
+        let tree = SegmentTree::build(&intervals);
+        let queries: Vec<Interval> = intervals.iter().chain(&outside).copied().collect();
+        let dict = SharedDictionary::new();
+        let nodes = NodeLists::build(&tree, &queries, &dict, None).unwrap();
+        let id = |node: BitString| dict.intern(Value::Bits(node));
+        for (row, &iv) in queries.iter().enumerate() {
+            let partition: Vec<ValueId> =
+                (tree.canonical_partition(iv).into_iter().map(id)).collect();
+            let listed =
+                &nodes.partitions[nodes.partition_starts[row]..nodes.partition_starts[row + 1]];
+            assert_eq!(listed, partition, "{iv}");
+            assert_eq!(nodes.leaves[row], id(tree.leaf_of_interval(iv)), "{iv}");
+        }
+        assert_eq!(dict.len(), 0, "every node id is inline");
     }
 
     /// The query shapes of the property tests: a star of degree 3 (levels 1

@@ -112,9 +112,7 @@ pub const MAX_INLINE_BITS: u8 = 29;
 #[inline]
 fn inline_id(value: &Value) -> Option<ValueId> {
     match value {
-        Value::Bits(b) if b.len() <= MAX_INLINE_BITS => {
-            Some(ValueId(INLINE_TAG | 1 << b.len() | b.bits() as u32))
-        }
+        Value::Bits(b) => ValueId::inline_bits(b.bits(), b.len()),
         _ => None,
     }
 }
@@ -122,19 +120,7 @@ fn inline_id(value: &Value) -> Option<ValueId> {
 /// The bitstring behind an inline id; `None` for dictionary-assigned ids.
 #[inline]
 fn inline_value(id: ValueId) -> Option<Value> {
-    if id.0 & INLINE_TAG == 0 {
-        return None;
-    }
-    let heap_index = id.0 & !INLINE_TAG;
-    assert!(
-        (1..1 << (MAX_INLINE_BITS + 1)).contains(&heap_index),
-        "{id:?} is not an interned id (ValueId::dummy placeholder?)"
-    );
-    let len = (31 - heap_index.leading_zeros()) as u8;
-    Some(Value::Bits(BitString::from_bits(
-        u64::from(heap_index ^ (1 << len)),
-        len,
-    )))
+    id.as_inline_bits().map(Value::Bits)
 }
 
 /// A dense identifier of an interned [`Value`].
@@ -172,6 +158,43 @@ impl ValueId {
     /// Panics if the id was not produced by the global dictionary.
     pub fn resolve(self) -> Value {
         SharedDictionary::global().resolve(self)
+    }
+
+    /// The id of the bitstring of `len` bits held in the low bits of `bits`,
+    /// when it is short enough to be computed rather than stored (at most
+    /// [`MAX_INLINE_BITS`] bits): `1 << 31 | 1 << len | bits`, the same id
+    /// [`SharedDictionary::intern`]`(Value::Bits(..))` returns in every
+    /// dictionary.  `None` for a longer bitstring, which callers intern.
+    ///
+    /// This is the one definition of the inline encoding (module docs): the
+    /// dictionary and the forward reduction's id columns both go through it.
+    #[inline]
+    pub fn inline_bits(bits: u64, len: u8) -> Option<ValueId> {
+        debug_assert!(len >= 64 || bits >> len == 0, "bits above the length");
+        (len <= MAX_INLINE_BITS).then(|| ValueId(INLINE_TAG | 1 << len | bits as u32))
+    }
+
+    /// The bitstring behind an id made by [`ValueId::inline_bits`]; `None`
+    /// for a dictionary-assigned id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`ValueId::dummy`], which no value has.
+    #[inline]
+    pub fn as_inline_bits(self) -> Option<BitString> {
+        if self.0 & INLINE_TAG == 0 {
+            return None;
+        }
+        let heap_index = self.0 & !INLINE_TAG;
+        assert!(
+            (1..1 << (MAX_INLINE_BITS + 1)).contains(&heap_index),
+            "{self:?} is not an interned id (ValueId::dummy placeholder?)"
+        );
+        let len = (31 - heap_index.leading_zeros()) as u8;
+        Some(BitString::from_bits(
+            u64::from(heap_index ^ (1 << len)),
+            len,
+        ))
     }
 
     /// The raw index.

@@ -437,15 +437,23 @@ impl Relation {
     /// sets over one dictionary end up as equal columns); callers that want
     /// value order sort [`Relation::tuples`] themselves.
     ///
-    /// A comparison sort over every row, taking no cancellation token.  Its
-    /// callers are [`Relation::projection`] and the forward reduction, which
-    /// sorts a relation's *seeds* with it, not the transformed relation: a
-    /// relation is a set without having been through here.
+    /// One pass first checks whether the rows already strictly ascend; such
+    /// a relation is already a set in this order, and its columns are left
+    /// as they are.  Only otherwise does a comparison sort run over every
+    /// row.  Either way it takes no cancellation token.  Its callers are
+    /// [`Relation::projection`], the join engine's bag copies of one (whose
+    /// rows ascend when the bag keeps every column) and the forward
+    /// reduction, which sorts a relation's *seeds* with it, not the
+    /// transformed relation: a relation is a set without having been
+    /// through here.
     pub fn dedup(&mut self) {
         if self.len() <= 1 {
             return;
         }
         self.memos.clear();
+        if strictly_ascending(&self.columns.cols) {
+            return;
+        }
         let cols = &mut self.columns.cols;
         let arity = cols.len();
         // Column `c` sits `shift(c)` bits up in a packed key, so comparing
@@ -548,6 +556,34 @@ impl Relation {
             .collect();
         values.into_iter()
     }
+}
+
+/// True if the rows of `cols` (at least one column) strictly ascend in
+/// [`Relation::dedup`]'s order: one pass comparing each row's packed key
+/// with the previous row's, the first four columns as one `u128` and any
+/// further ones compared only on a tie.
+fn strictly_ascending(cols: &[Vec<ValueId>]) -> bool {
+    let Some(rows) = cols.first().map(Vec::len) else {
+        return false;
+    };
+    let (head, tail) = cols.split_at(cols.len().min(4));
+    let key = |row: usize| {
+        head.iter()
+            .fold(0u128, |key, col| key << 32 | u128::from(col[row].raw()))
+    };
+    let tail_cmp = |a: usize, b: usize| {
+        tail.iter()
+            .map(|col| col[a].cmp(&col[b]))
+            .find(|order| order.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let mut prev = key(0);
+    (1..rows).all(|row| {
+        let next = key(row);
+        let ascends = prev < next || (prev == next && tail_cmp(row - 1, row).is_lt());
+        prev = next;
+        ascends
+    })
 }
 
 /// [`Relation::dedup`] for rows that fit one integer: packs each row into a

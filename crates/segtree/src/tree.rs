@@ -110,13 +110,20 @@ impl Subtree {
         Some((left, right))
     }
 
+    /// True if every coordinate of the subtree lies in `lo..=hi`.
+    #[inline]
+    fn within(self, lo: u32, hi: u32) -> bool {
+        lo <= self.lo && self.hi <= hi
+    }
+
     /// Visits, left to right, the maximal nodes of this subtree whose
-    /// coordinates all lie in `lo..=hi`.
+    /// coordinates all lie in `lo..=hi`, by recursion into both halves — the
+    /// oracle of [`SegmentTree::canonical_partition_recursive`].
     fn for_each_maximal_within(self, lo: u32, hi: u32, f: &mut impl FnMut(usize)) {
         if self.hi < lo || hi < self.lo {
             return;
         }
-        if lo <= self.lo && self.hi <= hi {
+        if self.within(lo, hi) {
             f(self.slot);
             return;
         }
@@ -271,15 +278,52 @@ impl SegmentTree {
 
     /// Calls `f` on every node of [`SegmentTree::canonical_partition`]`(x)`,
     /// left to right, without collecting them: the walk is index arithmetic
-    /// and allocates nothing, so a caller visiting many intervals (the forward
-    /// reduction, once per source cell) appends to one list of its own.
+    /// and allocates nothing, so a caller visiting many intervals appends to
+    /// one list of its own.
     pub fn for_each_canonical_node(&self, x: Interval, mut f: impl FnMut(BitString)) {
         self.for_each_canonical_slot(x, |slot| f(id_of_slot(slot)));
     }
 
+    /// [`SegmentTree::for_each_canonical_node`] and
+    /// [`SegmentTree::leaf_of_interval`] in one call: visits `CP(x)` left to
+    /// right and returns `leaf(x)`.  One binary search for `x`'s left end
+    /// serves both, where the two calls make two — what the forward
+    /// reduction asks once per source cell.
+    pub fn for_each_canonical_node_with_leaf(
+        &self,
+        x: Interval,
+        mut f: impl FnMut(BitString),
+    ) -> BitString {
+        let below = self.rank(x.lo_ord());
+        if let Some((lo, hi)) = self.covered_coord_range_from(x, below) {
+            self.for_each_maximal_slot(lo, hi, &mut |slot| f(id_of_slot(slot)));
+        }
+        self.leaf_at(self.coord_of_ranked(x.lo_ord(), below))
+    }
+
+    /// [`SegmentTree::canonical_partition`] by the recursive walk that
+    /// descends into both halves of every node the interval straddles: the
+    /// definition read literally, kept as the oracle of the iterative walk's
+    /// property tests.
+    pub fn canonical_partition_recursive(&self, x: Interval) -> Vec<BitString> {
+        let mut out = Vec::new();
+        let mut visit = |slot| out.push(id_of_slot(slot));
+        if let Some((lo, hi)) = self.covered_coord_range(x) {
+            self.root().for_each_maximal_within(lo, hi, &mut visit);
+        }
+        out
+    }
+
     /// The leaf containing the point `p` (`leaf(p)` of Section 3).
     pub fn leaf_of_point(&self, p: f64) -> BitString {
-        let leaf = self.path_to(p).last().expect("a path holds its root");
+        self.leaf_at(self.coord_of_point(p))
+    }
+
+    /// The leaf at a leaf coordinate.
+    fn leaf_at(&self, coord: u32) -> BitString {
+        let leaf = path(self.root(), coord)
+            .last()
+            .expect("a path holds its root");
         id_of_slot(leaf)
     }
 
@@ -409,8 +453,71 @@ impl SegmentTree {
     /// Visits the slots of the canonical partition of `x`, left to right.
     fn for_each_canonical_slot(&self, x: Interval, mut f: impl FnMut(usize)) {
         if let Some((lo, hi)) = self.covered_coord_range(x) {
-            self.root().for_each_maximal_within(lo, hi, &mut f);
+            self.for_each_maximal_slot(lo, hi, &mut f);
         }
+    }
+
+    /// Visits, left to right, the maximal nodes whose coordinates all lie in
+    /// `lo..=hi` (a range inside the root's): one descent to the *split*
+    /// node, below which `lo` and `hi` part, then one path toward each end.
+    /// No recursion, and at most one node per level on each path.
+    ///
+    /// On the path toward `lo`, every right child passed over is covered but
+    /// lies right of all that is below the path, so those children are
+    /// visited on the way back up, deepest first — by slot arithmetic, a
+    /// left child having an odd slot.  On the path toward `hi`, every left
+    /// child passed over is covered and is visited at once.
+    fn for_each_maximal_slot(&self, lo: u32, hi: u32, f: &mut impl FnMut(usize)) {
+        let mut node = self.root();
+        let (left, right) = loop {
+            if node.within(lo, hi) {
+                f(node.slot);
+                return;
+            }
+            // A leaf inside the range is covered, so `node` has children.
+            let Some((left, right)) = node.children() else {
+                return;
+            };
+            if hi <= left.hi {
+                node = left;
+            } else if right.lo <= lo {
+                node = right;
+            } else {
+                break (left, right);
+            }
+        };
+
+        // Toward `lo`: everything in `left` ends at or before `hi`.
+        let mut node = left;
+        while lo > node.lo {
+            let Some((l, r)) = node.children() else {
+                break;
+            };
+            node = if lo <= l.hi { l } else { r };
+        }
+        f(node.slot);
+        let mut slot = node.slot;
+        while slot != left.slot {
+            if slot % 2 == 1 {
+                f(slot + 1);
+            }
+            slot = (slot - 1) / 2;
+        }
+
+        // Toward `hi`: everything in `right` starts after `lo`.
+        let mut node = right;
+        while node.hi > hi {
+            let Some((l, r)) = node.children() else {
+                break;
+            };
+            if hi <= l.hi {
+                node = l;
+            } else {
+                f(l.slot);
+                node = r;
+            }
+        }
+        f(node.slot);
     }
 
     /// The leaf coordinates below the node `id`, or `None` if the tree has no
@@ -426,11 +533,20 @@ impl SegmentTree {
 
     // --- coordinate helpers -------------------------------------------------
 
+    /// Number of endpoints strictly smaller than `p`.
+    fn rank(&self, p: OrdF64) -> usize {
+        self.endpoints.partition_point(|&e| e < p)
+    }
+
     /// Leaf coordinate of a point: the elementary segment containing it.
     fn coord_of_point(&self, p: f64) -> u32 {
         let p = OrdF64::new(p);
-        // Number of endpoints strictly smaller than p.
-        let below = self.endpoints.partition_point(|&e| e < p);
+        self.coord_of_ranked(p, self.rank(p))
+    }
+
+    /// [`coord_of_point`](Self::coord_of_point) of `p`, whose
+    /// [`rank`](Self::rank) is `below`.
+    fn coord_of_ranked(&self, p: OrdF64, below: usize) -> u32 {
         let is_endpoint = self.endpoints.get(below) == Some(&p);
         2 * below as u32 + u32::from(is_endpoint)
     }
@@ -438,12 +554,18 @@ impl SegmentTree {
     /// The range of leaf coordinates whose elementary segments are fully
     /// contained in the closed interval `x`, or `None` if there is none.
     fn covered_coord_range(&self, x: Interval) -> Option<(u32, u32)> {
+        self.covered_coord_range_from(x, self.rank(x.lo_ord()))
+    }
+
+    /// [`covered_coord_range`](Self::covered_coord_range) of `x`, whose left
+    /// end has [`rank`](Self::rank) `below`.
+    fn covered_coord_range_from(&self, x: Interval, below: usize) -> Option<(u32, u32)> {
         let m = self.endpoints.len() as u32;
         let lo = if x.lo() == f64::NEG_INFINITY {
             0
         } else {
             // Smallest endpoint >= x.lo determines the first fully covered leaf.
-            let j = self.endpoints.partition_point(|&e| e < x.lo_ord()) as u32;
+            let j = below as u32;
             if j >= m {
                 return None;
             }

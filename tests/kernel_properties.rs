@@ -2,12 +2,15 @@
 //! random `ValueId` slices of every length — including lengths that are not
 //! a multiple of the lane width — each public kernel must be
 //! indistinguishable from its `*_scalar` reference implementation.  CI runs
-//! this suite in release as well, where galloping off-by-ones surface.
+//! this suite in release as well, where galloping off-by-ones surface.  The
+//! content fingerprint, which has no oracle, must tell every single change
+//! of content apart, and `Relation::dedup` must equal a sorted-set oracle.
 
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, gallop_seek, gallop_seek_scalar, gather_ids,
-    gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys, pack_keys_scalar,
-    select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar, LANES,
+    and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
+    gather_ids, gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys,
+    pack_keys_scalar, select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar,
+    FINGERPRINT_LANES, LANES,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
@@ -364,4 +367,137 @@ fn composed_pipeline_agrees() {
     // The survivors are exactly the positions where a == b, i.e. where
     // i mod 4 == i mod 3 (i mod 12 ∈ {0, 1, 2}).
     assert_eq!(rows_c, vec![0, 1, 2, 12, 13, 14]);
+}
+
+/// `rows` rows of `arity` columns with pairwise distinct ids, inline
+/// bitstring ids in the even columns (the forward reduction's shape) and
+/// small dictionary-style ids in the odd ones.
+fn distinct_columns(arity: usize, rows: usize) -> Vec<Vec<ValueId>> {
+    (0..arity)
+        .map(|c| {
+            (0..rows)
+                .map(|r| {
+                    let n = (c * 1_000 + r) as u32;
+                    ValueId::from_raw(if c % 2 == 0 {
+                        (1 << 31) | (1 << 20) | n
+                    } else {
+                        n
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn fingerprint_of(cols: &[Vec<ValueId>], rows: usize) -> (u64, u64) {
+    let views: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
+    fingerprint(rows, &views)
+}
+
+/// The content fingerprint: equal content gives equal fingerprints, and
+/// every single change of content below changes it — one id at each
+/// position of the first chunk of every sub-lane and both halves of a word
+/// (positions 0–9) and at the last position (the remainder), two adjacent
+/// ids swapped, two columns swapped, and one row appended — at lengths
+/// below, at and above one chunk of [`FINGERPRINT_LANES`] words.
+#[test]
+fn fingerprint_tells_every_change_of_content_apart() {
+    assert_eq!(
+        2 * FINGERPRINT_LANES,
+        8,
+        "the lengths below straddle one chunk"
+    );
+    for rows in [0, 1, 7, 8, 9, 17] {
+        for arity in [1, 2, 3] {
+            let cols = distinct_columns(arity, rows);
+            let base = fingerprint_of(&cols, rows);
+            assert_eq!(base, fingerprint_of(&cols.clone(), rows), "{arity}×{rows}");
+            let changed = |what: &str, other: Vec<Vec<ValueId>>, other_rows: usize| {
+                assert_ne!(
+                    base,
+                    fingerprint_of(&other, other_rows),
+                    "{what} at {arity}×{rows}"
+                );
+            };
+            let positions = (0..10).chain(rows.checked_sub(1));
+            for (c, pos) in (0..arity).flat_map(|c| positions.clone().map(move |p| (c, p))) {
+                if pos < rows {
+                    let mut other = cols.clone();
+                    other[c][pos] = ValueId::from_raw(other[c][pos].raw() ^ 0x40);
+                    changed(&format!("id ({c}, {pos})"), other, rows);
+                }
+            }
+            for pos in 1..rows {
+                let mut other = cols.clone();
+                other[arity - 1].swap(pos - 1, pos);
+                changed(&format!("swap {} ↔ {pos}", pos - 1), other, rows);
+            }
+            if arity >= 2 && rows >= 1 {
+                let mut other = cols.clone();
+                other.swap(0, 1);
+                changed("column swap", other, rows);
+            }
+            let mut other = distinct_columns(arity, rows + 1);
+            changed("appended row", other.clone(), rows + 1);
+            // An appended row of zero ids too, which the remainder's
+            // padding would read alike were the row count not hashed.
+            for col in &mut other {
+                *col = col[..rows].to_vec();
+                col.push(ValueId::from_raw(0));
+            }
+            changed("appended zero row", other, rows + 1);
+        }
+    }
+    // No column, any row count: the row count alone tells them apart.
+    assert_ne!(fingerprint(0, &[]), fingerprint(1, &[]));
+}
+
+/// `Relation::dedup` against a `BTreeSet` oracle at arities 1 to 6 (both
+/// packed key widths and the wide path), on random rows, rows already
+/// sorted and distinct (the one-pass check returns them as they are),
+/// sorted rows with duplicates, and rows in reverse order.
+#[test]
+fn dedup_matches_a_sorted_set_oracle() {
+    use ij_relation::{Relation, SharedDictionary};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    let dict = SharedDictionary::new();
+    let mut rng = StdRng::seed_from_u64(32);
+    for arity in 1..=6usize {
+        for rows in [0usize, 1, 2, 9, 64, 257] {
+            // A small domain per column so random rows repeat, with raw ids
+            // on both sides of the sign bit.
+            let random: Vec<Vec<u32>> = (0..rows)
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| [0, 1, 2, 0x7FFF_FFFF, 0x8000_0001][rng.gen_range(0..5usize)])
+                        .collect()
+                })
+                .collect();
+            let set: BTreeSet<Vec<u32>> = random.iter().cloned().collect();
+            let oracle: Vec<Vec<u32>> = set.iter().cloned().collect();
+            let mut sorted_dups = random.clone();
+            sorted_dups.sort();
+            let mut reversed = oracle.clone();
+            reversed.reverse();
+            for (what, input) in [
+                ("random", random),
+                ("sorted distinct", oracle.clone()),
+                ("sorted with duplicates", sorted_dups),
+                ("reverse sorted", reversed),
+            ] {
+                let cols: Vec<Vec<ValueId>> = (0..arity)
+                    .map(|c| input.iter().map(|row| ValueId::from_raw(row[c])).collect())
+                    .collect();
+                let mut relation = Relation::from_id_columns_in("R", input.len(), cols, &dict);
+                relation.dedup();
+                let got: Vec<Vec<u32>> = (0..relation.len())
+                    .map(|r| (0..arity).map(|c| relation.id_at(r, c).raw()).collect())
+                    .collect();
+                assert_eq!(got, oracle, "{what}, arity {arity}, {rows} rows");
+            }
+        }
+    }
 }

@@ -354,3 +354,49 @@ proptest! {
         }
     }
 }
+
+/// A random interval set mixing points, shared endpoints and unbounded
+/// ends: each cell is a point, a bounded interval over a small domain, or a
+/// ray to −∞ or +∞ (the whole line included).
+fn arb_mixed_intervals(max_len: usize) -> impl Strategy<Value = Vec<Interval>> {
+    proptest::collection::vec((0i32..12, 0i32..6, 0u8..6), 1..=max_len).prop_map(|cells| {
+        cells
+            .into_iter()
+            .map(|(lo, len, kind)| {
+                let (lo, hi) = (lo as f64, (lo + len) as f64);
+                match kind {
+                    0 => Interval::point(lo),
+                    1 => Interval::new(f64::NEG_INFINITY, hi),
+                    2 => Interval::new(lo, f64::INFINITY),
+                    3 if len == 0 => Interval::all(),
+                    _ => Interval::new(lo, hi),
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The iterative canonical-partition walk (one descent to the split node,
+    /// then one path toward each end) visits exactly the nodes of the
+    /// recursive walk, left to right; the leaf it returns is
+    /// `leaf_of_interval`.  Queried with the tree's own intervals and with
+    /// intervals the tree was not built over.
+    #[test]
+    fn the_iterative_walk_equals_the_recursive_one(
+        intervals in arb_mixed_intervals(16),
+        others in arb_mixed_intervals(6),
+    ) {
+        let tree = SegmentTree::build(&intervals);
+        for &x in intervals.iter().chain(&others) {
+            let oracle = tree.canonical_partition_recursive(x);
+            prop_assert_eq!(tree.canonical_partition(x), oracle.clone(), "{:?}", x);
+            let mut visited = Vec::new();
+            let leaf = tree.for_each_canonical_node_with_leaf(x, |node| visited.push(node));
+            prop_assert_eq!(visited, oracle, "{:?}", x);
+            prop_assert_eq!(leaf, tree.leaf_of_interval(x), "{:?}", x);
+        }
+    }
+}
