@@ -23,11 +23,13 @@
 //!    projection of one ([`Relation::projection`], a memoised link that
 //!    every disjunct, and every evaluation of the reduction, binding the
 //!    same source columns gets as the *same* relation, fingerprint already
-//!    known).  The per-bag projections of the width-guided evaluation
-//!    are still fresh copies, hashed on every lookup: one more pass over
-//!    their ids, at one multiply per id in eight independent chains
-//!    ([`kernels::fingerprint`]; `cargo bench -p ij-bench --bench kernels`
-//!    times it on the benchmark triangle's two bag-input shapes);
+//!    known).  The bag inputs of the width-guided evaluation are such
+//!    relations too — a memoised projection the bag keeps whole, or the
+//!    memoised projection of one onto the bag's columns — so each is hashed
+//!    once per reduction, at one multiply per id in eight independent
+//!    chains ([`kernels::fingerprint`]; `cargo bench -p ij-bench --bench
+//!    kernels` times it on the benchmark triangle's two bag-input shapes),
+//!    and a warm lookup hashes nothing;
 //! 2. the **column→variable binding** of the atom — this encodes both the
 //!    column permutation and the repeated-variable filters;
 //! 3. the induced **level order** (the atom's distinct variables sorted by

@@ -201,17 +201,13 @@ pub(crate) fn decomposition_boolean(
 /// Materialises one bag: the join of the projections of every overlapping
 /// atom onto the bag (atoms fully contained in the bag are enforced exactly;
 /// the others act as semijoin filters), enumerated by the generic join under
-/// `eval`.  The projections computed here are deterministic functions of the
-/// atoms and the bag, so when the same bag recurs — across the disjuncts of a
-/// reduction, or across evaluations of it — the context's cache serves the
-/// projection tries without rebuilding them.  They are per-call copies all
-/// the same, not [`Relation::projection`]s (see ROADMAP direction 3(c) for
-/// why that step waits): a copy of the kept columns, a [`Relation::dedup`],
-/// and a content hash to find the trie.  A bag that keeps every column of
-/// an atom whose relation is already a set in `dedup`'s order — the
-/// memoised projections of a cyclic disjunct, inside a maximal bag — costs
-/// the copy plus two read passes: the dedup only checks the order, and
-/// sorts nothing.
+/// `eval`.
+///
+/// Nothing is copied per call: [`bag_inputs`] binds each input to a relation
+/// that outlives the evaluation, so the trie cache finds its fingerprint
+/// already memoised and a recurring bag — across the disjuncts of a
+/// reduction, or across evaluations of it — is served by cache lookups
+/// alone, leaving only the leapfrog search.
 ///
 /// # Errors
 ///
@@ -223,26 +219,49 @@ pub(crate) fn materialise_bag(
     name: &str,
     eval: EvalContext<'_>,
 ) -> Result<Relation, EvalError> {
-    // Project each overlapping atom onto the bag: every column bound to a
-    // bag variable, so a variable the atom repeats keeps its equality.
+    let inputs = bag_inputs(atoms, bag_vars);
+    let bound: Vec<BoundAtom<'_>> = inputs.iter().map(BagInput::bind).collect();
+    generic_join_enumerate(&bound, bag_vars, name, eval)
+}
+
+/// One atom's input to a bag: every column bound to a bag variable, so a
+/// variable the atom repeats keeps its equality.
+struct BagInput<'a> {
+    /// The atom's relation.
+    whole: &'a Relation,
+    /// Its [`Relation::projection`] onto the kept columns when the bag drops
+    /// some of them; `None` when it keeps them all.
+    cut: Option<Arc<Relation>>,
+    vars: Vec<VarId>,
+}
+
+impl BagInput<'_> {
+    fn bind(&self) -> BoundAtom<'_> {
+        BoundAtom::new(self.cut.as_deref().unwrap_or(self.whole), self.vars.clone())
+    }
+}
+
+/// The inputs of the bag over `bag_vars`, one per atom that overlaps it.  An
+/// atom the bag keeps whole binds its relation as it is — on the engine path
+/// that is already the memoised singleton-variable projection, a set in
+/// [`Relation::dedup`]'s order — and an atom the bag cuts binds the
+/// memoised [`Relation::projection`] of its relation, derived once for as
+/// long as that relation lives.
+fn bag_inputs<'a>(atoms: &[BoundAtom<'a>], bag_vars: &[VarId]) -> Vec<BagInput<'a>> {
     let in_bag = |v: VarId| bag_vars.contains(&v);
-    let projected: Vec<(Relation, Vec<VarId>)> = atoms
+    atoms
         .iter()
         .filter(|atom| atom.vars.iter().any(|&v| in_bag(v)))
         .map(|atom| {
             let (cols, vars) = kept_columns(atom, in_bag);
-            let mut proj = atom
-                .relation
-                .project(&cols, format!("{}|{name}", atom.relation.name()));
-            proj.dedup();
-            (proj, vars)
+            let cut = (cols.len() < atom.vars.len()).then(|| atom.relation.projection(&cols));
+            BagInput {
+                whole: atom.relation,
+                cut,
+                vars,
+            }
         })
-        .collect();
-    let proj_atoms: Vec<BoundAtom<'_>> = projected
-        .iter()
-        .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
-        .collect();
-    generic_join_enumerate(&proj_atoms, bag_vars, name, eval)
+        .collect()
 }
 
 #[cfg(test)]
@@ -431,6 +450,156 @@ mod tests {
         assert_eq!((cold.hits(), cold.misses()), (0, 3));
         assert_eq!(materialise(&warm), first);
         assert_eq!((warm.hits(), warm.misses()), (3, 0));
+    }
+
+    #[test]
+    fn a_bag_keeping_every_column_binds_the_relation_itself() {
+        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
+        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let atoms = triangle_atoms(&r, &s, &t);
+        let inputs = bag_inputs(&atoms, &[A, B, C]);
+        assert_eq!(inputs.len(), 3);
+        for (input, atom) in inputs.iter().zip(&atoms) {
+            assert!(input.cut.is_none(), "no projection is derived");
+            let bound = input.bind();
+            assert!(std::ptr::eq(bound.relation, atom.relation));
+            assert_eq!(bound.vars, atom.vars);
+        }
+    }
+
+    #[test]
+    fn a_bag_cutting_an_atom_binds_its_memoised_projection() {
+        // The 4-cycle's bag {A, C, D} keeps A of R(A, B) and C of S(B, C).
+        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
+        let s = rel("S", vec![vec![2.0, 4.0]]);
+        let t = rel("T", vec![vec![4.0, 5.0]]);
+        let u = rel("U", vec![vec![5.0, 1.0]]);
+        let atoms = vec![
+            BoundAtom::new(&r, vec![A, B]),
+            BoundAtom::new(&s, vec![B, C]),
+            BoundAtom::new(&t, vec![C, D]),
+            BoundAtom::new(&u, vec![D, A]),
+        ];
+        let (first, second) = (
+            bag_inputs(&atoms, &[A, C, D]),
+            bag_inputs(&atoms, &[A, C, D]),
+        );
+        let cut_of_r = first[0].cut.as_ref().unwrap();
+        assert!(Arc::ptr_eq(cut_of_r, &r.projection(&[0])));
+        assert_eq!(cut_of_r.len(), 1, "R's A column is {{1}}");
+        assert!(Arc::ptr_eq(
+            first[1].cut.as_ref().unwrap(),
+            &s.projection(&[1])
+        ));
+        assert!(first[2].cut.is_none() && first[3].cut.is_none());
+        for (a, b) in first.iter().zip(&second) {
+            match (&a.cut, &b.cut) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "the same Arc both times"),
+                (None, None) => {}
+                _ => panic!("the two materialisations cut different atoms"),
+            }
+        }
+        let bag = materialise_bag(&atoms, &[A, C, D], "bag", EvalContext::default()).unwrap();
+        assert_eq!(
+            bag.tuples(),
+            vec![vec![
+                Value::point(1.0),
+                Value::point(4.0),
+                Value::point(5.0)
+            ]]
+        );
+    }
+
+    /// `materialise_bag` as it was before bags bound their inputs: a fresh
+    /// copy of each overlapping atom's kept columns, deduplicated.
+    fn materialise_bag_by_copy(atoms: &[BoundAtom<'_>], bag_vars: &[VarId]) -> Relation {
+        let in_bag = |v: VarId| bag_vars.contains(&v);
+        let copies: Vec<(Relation, Vec<VarId>)> = atoms
+            .iter()
+            .filter(|atom| atom.vars.iter().any(|&v| in_bag(v)))
+            .map(|atom| {
+                let (cols, vars) = kept_columns(atom, in_bag);
+                let ids = cols
+                    .iter()
+                    .map(|&c| atom.relation.column_ids(c).to_vec())
+                    .collect();
+                let mut copy = Relation::from_id_columns_in(
+                    "copy",
+                    atom.relation.len(),
+                    ids,
+                    atom.relation.dictionary(),
+                );
+                copy.dedup();
+                (copy, vars)
+            })
+            .collect();
+        let bound: Vec<BoundAtom<'_>> = copies
+            .iter()
+            .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
+            .collect();
+        generic_join_enumerate(&bound, bag_vars, "bag", EvalContext::default()).unwrap()
+    }
+
+    #[test]
+    fn bound_bag_inputs_materialise_what_copies_did() {
+        const E: VarId = 4;
+        let mut seed = 11u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) % 4) as f64
+        };
+        // 4- and 5-cycles, the first atom binding A twice in the second
+        // pair of shapes; rows are unsorted and may repeat.
+        let shapes: [&[&[VarId]]; 4] = [
+            &[&[A, B], &[B, C], &[C, D], &[D, A]],
+            &[&[A, B], &[B, C], &[C, D], &[D, E], &[E, A]],
+            &[&[A, A, B], &[B, C], &[C, D], &[D, A]],
+            &[&[A, B, A], &[B, C], &[C, D], &[D, E], &[E, A]],
+        ];
+        let mut non_empty = 0;
+        for shape in shapes {
+            for _ in 0..10 {
+                let relations: Vec<Relation> = shape
+                    .iter()
+                    .map(|vars| {
+                        let rows = (0..8)
+                            .map(|_| vars.iter().map(|_| next()).collect())
+                            .collect();
+                        rel("R", rows)
+                    })
+                    .collect();
+                let atoms: Vec<BoundAtom<'_>> = relations
+                    .iter()
+                    .zip(shape)
+                    .map(|(r, vars)| BoundAtom::new(r, vars.to_vec()))
+                    .collect();
+                let vars = crate::atom::all_vars(&atoms);
+                let (h, dense_to_caller) = hypergraph_of(&atoms);
+                let mut bags: Vec<Vec<VarId>> = optimal_tree_decomposition(&h)
+                    .bags
+                    .iter()
+                    .map(|bag| bag.iter().map(|&d| dense_to_caller[d]).collect())
+                    .collect();
+                // Every window of three consecutive variables as well.
+                bags.extend(
+                    (0..vars.len()).map(|i| (0..3).map(|k| vars[(i + k) % vars.len()]).collect()),
+                );
+                for bag in &bags {
+                    let bound = materialise_bag(&atoms, bag, "bag", EvalContext::default());
+                    let bound = bound.unwrap();
+                    assert_eq!(
+                        bound,
+                        materialise_bag_by_copy(&atoms, bag),
+                        "bag {bag:?} of {shape:?}"
+                    );
+                    non_empty += usize::from(!bound.is_empty());
+                }
+            }
+        }
+        assert!(non_empty > 100, "only {non_empty} bags were non-empty");
     }
 
     /// Runs `evaluate` against a fresh cache: its answer, its cache

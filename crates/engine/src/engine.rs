@@ -486,7 +486,10 @@ impl IntersectionJoinEngine {
     /// Yannakakis pass of an acyclic disjunct before each semijoin; only
     /// [`Relation::dedup`](ij_relation::Relation::dedup) runs to its end
     /// unpolled — over the seeds of a relation build, at most tens of
-    /// thousands of keys, and over each projection a cyclic disjunct derives.
+    /// thousands of keys, and over each projection a cyclic disjunct's atoms
+    /// or bags derive, once per reduction: a later disjunct, or a later
+    /// evaluation of the same reduction, finds it memoised and copies
+    /// nothing.
     /// All workers share the engine's **persistent** [`TrieCache`], so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation — batch grouping makes the reuse

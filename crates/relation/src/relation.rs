@@ -441,11 +441,10 @@ impl Relation {
     /// a relation is already a set in this order, and its columns are left
     /// as they are.  Only otherwise does a comparison sort run over every
     /// row.  Either way it takes no cancellation token.  Its callers are
-    /// [`Relation::projection`], the join engine's bag copies of one (whose
-    /// rows ascend when the bag keeps every column) and the forward
-    /// reduction, which sorts a relation's *seeds* with it, not the
-    /// transformed relation: a relation is a set without having been
-    /// through here.
+    /// [`Relation::projection`] (once per projection, when it is first
+    /// derived) and the forward reduction, which sorts a relation's *seeds*
+    /// with it, not the transformed relation: a relation is a set without
+    /// having been through here.
     pub fn dedup(&mut self) {
         if self.len() <= 1 {
             return;
@@ -478,7 +477,9 @@ impl Relation {
 
     /// Projects the relation onto the given column indices (keeping
     /// duplicates; call [`Relation::dedup`] afterwards for set semantics).
-    pub fn project(&self, columns: &[usize], name: impl Into<String>) -> Relation {
+    /// Callers outside this module get the memoised, deduplicated
+    /// [`Relation::projection`].
+    fn project(&self, columns: &[usize], name: impl Into<String>) -> Relation {
         let cols: Vec<Vec<ValueId>> = columns
             .iter()
             .map(|&c| self.columns.cols[c].clone())
@@ -495,13 +496,14 @@ impl Relation {
         }
     }
 
-    /// The set of distinct rows of [`Relation::project`]`(columns)`, in
-    /// [`Relation::dedup`]'s order, under this relation's name — computed the
-    /// first time this column list is asked of this relation and shared ever
-    /// after: every later call returns the same `Arc`, so whatever the
-    /// projection memoises in turn (its fingerprint, its own projections)
-    /// is found again too.  That is what lets the disjuncts of one reduction,
-    /// and repeated evaluations of it, derive each projected atom once.
+    /// The set of distinct rows of the relation projected onto `columns`
+    /// (in that order), in [`Relation::dedup`]'s order, under this
+    /// relation's name — computed the first time this column list is asked
+    /// of this relation and shared ever after: every later call returns the
+    /// same `Arc`, so whatever the projection memoises in turn (its
+    /// fingerprint, its own projections) is found again too.  That is what
+    /// lets the disjuncts of one reduction, and repeated evaluations of it,
+    /// derive each projected atom, and each bag's cut of one, once.
     ///
     /// The memo is owned by this relation: a projection stays resident — a
     /// copy of the projected id columns, 4 bytes per row and column — until

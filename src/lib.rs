@@ -78,7 +78,8 @@
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis,
 //!       maximal bags only (the decomposition is reduced);
 //!       singleton-variable projections derived once per reduction
-//!       (Relation::projection), per-bag projections per disjunct
+//!       (Relation::projection); a bag binds those projections, or
+//!       memoised projections of them, and copies nothing
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-

@@ -6,7 +6,9 @@
 //!   per-evaluation lookups sum to the cache's cumulative counters;
 //! * evaluations cancelled mid-flight leak no accounting: the cache's
 //!   resident bytes stay exactly the sum of its resident entries (audited by
-//!   `TrieCache::stats()` in debug builds) and warm re-runs stay warm.
+//!   `TrieCache::stats()` in debug builds) and warm re-runs stay warm;
+//! * a warm re-evaluation of a cyclic query makes no miss, whether its bags
+//!   bind their atoms' relations whole or memoised projections of them.
 //!
 //! Run in `--release` too (see the CI test job): the optimized lock paths
 //! are where attribution races would actually surface.
@@ -178,6 +180,47 @@ fn cancelled_evaluations_leave_ledgers_exact() {
             again.trie_cache.misses, 0,
             "warm re-run rebuilt after cancellation at delay {delay_us}µs: {:?}",
             again.trie_cache
+        );
+    }
+}
+
+/// A warm evaluation is served by the cache alone, whether its bags keep
+/// every column of their atoms (the triangle: one bag binding the memoised
+/// singleton-variable projections as they are) or drop some (the 4-cycle:
+/// each bag binds memoised projections of those projections).  With two
+/// workers the first evaluation also races the first insert of each nested
+/// projection; the second reports no misses and as many hits as the first
+/// made lookups, with the same answer.
+#[test]
+fn warm_bag_evaluations_are_served_from_the_cache_alone() {
+    let four_cycle = Query::parse("R([A],[B]) & S([B],[C]) & T([C],[D]) & U([D],[A])").unwrap();
+    for query in [triangle(), four_cycle] {
+        let ws = Workspace::new();
+        let db = ws.import_database(&planted_unsatisfiable(
+            &query,
+            &WorkloadConfig {
+                tuples_per_relation: 10,
+                seed: 3,
+                ..WorkloadConfig::default()
+            },
+        ));
+        let engine = ws.engine(EngineConfig::new().with_parallelism(2));
+        let cold = engine.evaluate_cancellable(&query, &db, None).unwrap();
+        let warm = engine.evaluate_cancellable(&query, &db, None).unwrap();
+        assert!(
+            !cold.answer && !warm.answer,
+            "{query}: planted unsatisfiable"
+        );
+        assert_eq!(
+            cold.ej_queries_evaluated, warm.ej_queries_evaluated,
+            "{query}"
+        );
+        assert!(cold.trie_cache.misses > 0, "{query}: the first pass builds");
+        assert_eq!(warm.trie_cache.misses, 0, "{query}: {:?}", warm.trie_cache);
+        assert_eq!(
+            warm.trie_cache.hits,
+            cold.trie_cache.hits + cold.trie_cache.misses,
+            "{query}"
         );
     }
 }
