@@ -2,25 +2,22 @@
 //!
 //! The engine's riskiest surfaces (poison-recovering locks, the join
 //! kernels, the failpoint registry, atomic statistics) are sound because of
-//! invariants that no compiler checks: every `unsafe` carries a SAFETY
-//! contract and is counted in `UNSAFETY.md` (which records none — every
-//! library root forbids `unsafe_code`), locks are only ever taken through
+//! invariants that no compiler checks: locks are only ever taken through
 //! the `ij_relation::sync` recover helpers, every atomic `Ordering` choice
 //! is justified in a ledger, hot loops never panic without an explicit
-//! waiver, and failpoint
-//! site names match the declared registry.  This crate machine-checks all
-//! five as independent, individually toggleable passes over a
+//! waiver, and failpoint site names match the declared registry.  (The
+//! compiler does check the absence of `unsafe`: the workspace lints set
+//! `unsafe_code = "forbid"` for every member.)  This crate machine-checks
+//! all four as independent, individually toggleable passes over a
 //! comment/string-aware token mask of the sources (see [`lex`]).
 //!
 //! Run `cargo run -p ij-analysis -- check` from anywhere in the workspace;
 //! `-- self-test` proves each pass fires on the seeded violation fixtures
 //! under `crates/analysis/fixtures/`; `-- inventory` prints fresh ledger
-//! stanzas for `UNSAFETY.md` / `ATOMICS.md` after an intentional change.
+//! stanzas for `ATOMICS.md` after an intentional change.
 //!
 //! Std-only by policy: the scanner must build before — and independently
 //! of — everything it checks.
-
-#![forbid(unsafe_code)]
 
 pub mod lex;
 
@@ -28,11 +25,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The five passes.  Each is independent: `--only` / `--skip` select any
+/// The four passes.  Each is independent: `--only` / `--skip` select any
 /// subset, and a pass never consumes another pass's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PassId {
-    UnsafeAudit,
     LockDiscipline,
     AtomicLedger,
     HotPathPanic,
@@ -40,8 +36,7 @@ pub enum PassId {
 }
 
 impl PassId {
-    pub const ALL: [PassId; 5] = [
-        PassId::UnsafeAudit,
+    pub const ALL: [PassId; 4] = [
         PassId::LockDiscipline,
         PassId::AtomicLedger,
         PassId::HotPathPanic,
@@ -50,7 +45,6 @@ impl PassId {
 
     pub fn name(self) -> &'static str {
         match self {
-            PassId::UnsafeAudit => "unsafe-audit",
             PassId::LockDiscipline => "lock-discipline",
             PassId::AtomicLedger => "atomic-ledger",
             PassId::HotPathPanic => "hot-path-panic",
@@ -64,10 +58,6 @@ impl PassId {
 
     pub fn describe(self) -> &'static str {
         match self {
-            PassId::UnsafeAudit => {
-                "every `unsafe` needs a nearby `// SAFETY:` comment and the \
-                 per-file inventory must match UNSAFETY.md"
-            }
             PassId::LockDiscipline => {
                 "`.lock()/.read()/.write()` + `.unwrap()/.expect()` is forbidden \
                  outside ij_relation::sync — use the *_recover helpers"
@@ -123,8 +113,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Root-relative path prefixes to skip entirely.
     pub skip_prefixes: Vec<String>,
-    /// Root-relative path of the unsafe-inventory ledger.
-    pub unsafety_ledger: String,
     /// Root-relative path of the atomic-ordering ledger.
     pub atomics_ledger: String,
     /// Root-relative paths subject to the hot-path panic lint.
@@ -147,7 +135,6 @@ impl Config {
                 // The seeded-violation fixtures are *supposed* to fail.
                 "crates/analysis/fixtures".into(),
             ],
-            unsafety_ledger: "UNSAFETY.md".into(),
             atomics_ledger: "ATOMICS.md".into(),
             hot_files: vec![
                 "crates/relation/src/kernels.rs".into(),
@@ -164,7 +151,6 @@ impl Config {
         Config {
             root: fixtures_root,
             skip_prefixes: vec![],
-            unsafety_ledger: "UNSAFETY.md".into(),
             atomics_ledger: "ATOMICS.md".into(),
             hot_files: vec!["hot_path_panic.rs".into()],
             sites_decl: "sites_decl.rs".into(),
@@ -280,7 +266,6 @@ pub fn run(config: &Config, passes: &[PassId]) -> std::io::Result<Vec<Finding>> 
     let mut findings = Vec::new();
     for &pass in passes {
         match pass {
-            PassId::UnsafeAudit => pass_unsafe_audit(config, &sources, &mut findings),
             PassId::LockDiscipline => pass_lock_discipline(config, &sources, &mut findings),
             PassId::AtomicLedger => pass_atomic_ledger(config, &sources, &mut findings),
             PassId::HotPathPanic => pass_hot_path_panic(config, &sources, &mut findings),
@@ -292,125 +277,7 @@ pub fn run(config: &Config, passes: &[PassId]) -> std::io::Result<Vec<Finding>> 
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: unsafe-audit
-// ---------------------------------------------------------------------------
-
-/// How far above an `unsafe` token a `SAFETY` comment may sit (lines).
-/// Generous enough for a SAFETY paragraph above an attribute stack, tight
-/// enough that an unrelated comment cannot vouch for distant code.
-const SAFETY_WINDOW: usize = 10;
-
-fn unsafe_sites(src: &SourceFile) -> Vec<usize> {
-    let mut sites = Vec::new();
-    let mut at = 0;
-    while let Some(pos) = lex::find_word(&src.masked.code, "unsafe", at) {
-        sites.push(pos);
-        at = pos + "unsafe".len();
-    }
-    sites
-}
-
-fn pass_unsafe_audit(config: &Config, sources: &[SourceFile], out: &mut Vec<Finding>) {
-    let mut inventory: BTreeMap<String, usize> = BTreeMap::new();
-    for src in sources {
-        let sites = unsafe_sites(src);
-        if !sites.is_empty() {
-            inventory.insert(src.rel.clone(), sites.len());
-        }
-        for pos in sites {
-            let line = src.line_of(pos);
-            if !src.comment_near(line, SAFETY_WINDOW, "SAFETY") {
-                out.push(Finding {
-                    pass: PassId::UnsafeAudit,
-                    file: src.rel.clone(),
-                    line,
-                    message: format!(
-                        "`unsafe` without a `// SAFETY:` justification within \
-                         the preceding {SAFETY_WINDOW} lines"
-                    ),
-                });
-            }
-        }
-    }
-
-    let ledger_path = config.root.join(&config.unsafety_ledger);
-    let ledger_text = match std::fs::read_to_string(&ledger_path) {
-        Ok(t) => t,
-        Err(_) => {
-            out.push(Finding {
-                pass: PassId::UnsafeAudit,
-                file: config.unsafety_ledger.clone(),
-                line: 1,
-                message: "unsafe-inventory ledger is missing — seed it with \
-                          `ij-analysis -- inventory`"
-                    .into(),
-            });
-            return;
-        }
-    };
-    let ledger = parse_unsafety_ledger(&ledger_text);
-    for (file, &count) in &inventory {
-        match ledger.get(file) {
-            None => out.push(Finding {
-                pass: PassId::UnsafeAudit,
-                file: file.clone(),
-                line: 1,
-                message: format!(
-                    "{count} unsafe site(s) not recorded in {} — update the \
-                     ledger via `ij-analysis -- inventory`",
-                    config.unsafety_ledger
-                ),
-            }),
-            Some(&(recorded, _)) if recorded != count => out.push(Finding {
-                pass: PassId::UnsafeAudit,
-                file: file.clone(),
-                line: 1,
-                message: format!(
-                    "{} records {recorded} unsafe site(s) but the file has \
-                     {count} — review the diff, then update the ledger",
-                    config.unsafety_ledger
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (file, &(recorded, line)) in &ledger {
-        if !inventory.contains_key(file) {
-            out.push(Finding {
-                pass: PassId::UnsafeAudit,
-                file: config.unsafety_ledger.clone(),
-                line,
-                message: format!(
-                    "stale ledger entry: `{file}` (recorded {recorded} site(s)) \
-                     has no unsafe code any more"
-                ),
-            });
-        }
-    }
-}
-
-/// Parses `## <path> — <n> site(s)` headers → path → (count, ledger line).
-fn parse_unsafety_ledger(text: &str) -> BTreeMap<String, (usize, usize)> {
-    let mut out = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let Some(rest) = line.strip_prefix("## ") else {
-            continue;
-        };
-        let Some((path, tail)) = rest.split_once(" — ") else {
-            continue;
-        };
-        let count = tail
-            .split_whitespace()
-            .next()
-            .and_then(|w| w.parse::<usize>().ok())
-            .unwrap_or(0);
-        out.insert(path.trim().to_string(), (count, idx + 1));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: lock-discipline
+// Pass 1: lock-discipline
 // ---------------------------------------------------------------------------
 
 fn pass_lock_discipline(config: &Config, sources: &[SourceFile], out: &mut Vec<Finding>) {
@@ -476,7 +343,7 @@ fn pass_lock_discipline(config: &Config, sources: &[SourceFile], out: &mut Vec<F
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: atomic-ordering ledger
+// Pass 2: atomic-ordering ledger
 // ---------------------------------------------------------------------------
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -631,7 +498,7 @@ fn parse_atomics_ledger(
 }
 
 // ---------------------------------------------------------------------------
-// Pass 4: hot-path panic lint
+// Pass 3: hot-path panic lint
 // ---------------------------------------------------------------------------
 
 /// Lines of grace above a panic site for the allow directive (directly
@@ -685,7 +552,7 @@ fn pass_hot_path_panic(config: &Config, sources: &[SourceFile], out: &mut Vec<Fi
 }
 
 // ---------------------------------------------------------------------------
-// Pass 5: failpoint-site coherence
+// Pass 4: failpoint-site coherence
 // ---------------------------------------------------------------------------
 
 /// String contents of every literal declared inside `mod sites { … }` of
@@ -789,26 +656,13 @@ fn pass_failpoint_coherence(config: &Config, sources: &[SourceFile], out: &mut V
 // Inventory generation (ledger seeding)
 // ---------------------------------------------------------------------------
 
-/// Renders fresh `UNSAFETY.md` / `ATOMICS.md` stanza bodies from the
-/// current tree, for pasting after an intentional change.  Rationales are
+/// Renders fresh `ATOMICS.md` stanza bodies from the current tree, for
+/// pasting after an intentional change.  Rationales are
 /// emitted as `<rationale>` placeholders — the ledger parser rejects empty
 /// ones, and a placeholder is a visible review prompt, not a waiver.
 pub fn render_inventory(config: &Config) -> std::io::Result<String> {
     let sources = load_sources(config)?;
     let mut out = String::new();
-    out.push_str("### UNSAFETY.md stanzas\n\n");
-    for src in &sources {
-        let sites = unsafe_sites(src);
-        if !sites.is_empty() {
-            let lines: Vec<String> = sites.iter().map(|&p| src.line_of(p).to_string()).collect();
-            out.push_str(&format!(
-                "## {} — {} sites\n\n(lines {})\n\n",
-                src.rel,
-                sites.len(),
-                lines.join(", ")
-            ));
-        }
-    }
     out.push_str("### ATOMICS.md stanzas\n\n");
     let sites = atomic_sites(&sources);
     let mut current = String::new();

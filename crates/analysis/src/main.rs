@@ -20,7 +20,7 @@ commands:
   check       run the invariant passes over the workspace sources
   self-test   run all passes over crates/analysis/fixtures and assert the
               seeded violations are caught
-  inventory   print fresh UNSAFETY.md / ATOMICS.md stanzas for the tree
+  inventory   print fresh ATOMICS.md stanzas for the tree
   list        list the passes and what each enforces
 
 options:

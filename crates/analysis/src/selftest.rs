@@ -2,7 +2,7 @@
 //!
 //! A linter that silently stops matching is worse than no linter — CI goes
 //! green while the invariant rots.  `ij-analysis -- self-test` runs all
-//! five passes over the seeded-violation tree in `crates/analysis/fixtures/`
+//! four passes over the seeded-violation tree in `crates/analysis/fixtures/`
 //! (one deliberately broken file per pass, plus ledgers with deliberate
 //! mismatches and a `clean.rs` stuffed with look-alike patterns inside
 //! strings and comments) and asserts the exact expected findings: every
@@ -19,23 +19,6 @@ struct Expectation {
 }
 
 const EXPECTED: &[Expectation] = &[
-    // unsafe-audit: one unannotated site, one ledger undercount, one stale
-    // ledger entry.
-    Expectation {
-        pass: PassId::UnsafeAudit,
-        file: "unsafe_missing_safety.rs",
-        needle: "without a `// SAFETY:`",
-    },
-    Expectation {
-        pass: PassId::UnsafeAudit,
-        file: "unsafe_missing_safety.rs",
-        needle: "records 1 unsafe site(s) but the file has 2",
-    },
-    Expectation {
-        pass: PassId::UnsafeAudit,
-        file: "UNSAFETY.md",
-        needle: "stale ledger entry: `ghost.rs`",
-    },
     // lock-discipline: all three guard methods, including a rustfmt-wrapped
     // multiline chain.
     Expectation {
@@ -93,7 +76,6 @@ const EXPECTED: &[Expectation] = &[
 /// Exact expected finding count per pass — a pass producing *extra*
 /// findings on the fixtures is as broken as one producing none.
 const EXPECTED_COUNTS: &[(PassId, usize)] = &[
-    (PassId::UnsafeAudit, 3),
     (PassId::LockDiscipline, 3),
     (PassId::AtomicLedger, 3),
     (PassId::HotPathPanic, 2),

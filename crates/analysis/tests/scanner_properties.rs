@@ -12,7 +12,8 @@ use ij_analysis::lex;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// The textual patterns the five passes match against the code mask.
+/// The textual patterns the passes match against the code mask, and
+/// `unsafe`, which the compiler forbids in the workspace.
 const PAYLOADS: &[&str] = &[
     "unsafe { transmute(x) }",
     "m.lock().unwrap()",

@@ -19,7 +19,6 @@
 //! * [`nested_loop`] — exhaustive backtracking (the same semantics as the
 //!   naive evaluator), as the always-correct lower baseline.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod segtree_baseline;

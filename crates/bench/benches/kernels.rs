@@ -384,7 +384,7 @@ fn bench_dedup_sorted(c: &mut Criterion) {
             .map(|col| order.iter().map(|&row| col[row]).collect())
             .collect();
         for (input, cols) in [("sorted", &sorted), ("shuffled", &shuffled)] {
-            let relation = Relation::from_id_columns_in("R", rows, cols.clone(), &dict);
+            let relation = Relation::from_id_columns("R", rows, cols.clone(), &dict);
             let mut new = relation.clone();
             new.dedup();
             let mut old = cols.clone();

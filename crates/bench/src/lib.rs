@@ -6,8 +6,6 @@
 //! The helpers here cover timing, log–log exponent fitting, plain-text table
 //! rendering and the standard workloads used across experiments.
 
-#![forbid(unsafe_code)]
-
 use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalContext};
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};

@@ -68,21 +68,23 @@ pub fn hypergraph_of(atoms: &[BoundAtom<'_>]) -> (Hypergraph, Vec<VarId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, arity: usize, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, arity: usize, rows: Vec<Vec<f64>>) -> Relation {
         Relation::from_tuples(
             name,
             arity,
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
     #[test]
     fn bound_atom_tracks_vars() {
-        let r = rel("R", 2, vec![vec![1.0, 2.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 2, vec![vec![1.0, 2.0]]);
         let atom = BoundAtom::new(&r, vec![7, 3]);
         assert_eq!(atom.var_set(), [3, 7].into_iter().collect());
     }
@@ -90,14 +92,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatch")]
     fn arity_mismatch_panics() {
-        let r = rel("R", 2, vec![]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 2, vec![]);
         let _ = BoundAtom::new(&r, vec![0]);
     }
 
     #[test]
     fn hypergraph_of_atoms_renumbers_densely() {
-        let r = rel("R", 2, vec![]);
-        let s = rel("S", 2, vec![]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 2, vec![]);
+        let s = rel(&dict, "S", 2, vec![]);
         let atoms = vec![
             BoundAtom::new(&r, vec![10, 20]),
             BoundAtom::new(&s, vec![20, 30]),

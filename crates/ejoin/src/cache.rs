@@ -421,9 +421,9 @@ pub struct EvalContext<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
         Relation::from_tuples(
             name,
@@ -431,13 +431,19 @@ mod tests {
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
     /// The footprint of a one-level trie over `rows` distinct values,
     /// measured from a real build: budgets below are sized from it.
     fn trie_bytes(rows: usize) -> usize {
-        let probe = rel("P", (0..rows).map(|i| vec![0.5 + i as f64]).collect());
+        let dict = SharedDictionary::new();
+        let probe = rel(
+            &dict,
+            "P",
+            (0..rows).map(|i| vec![0.5 + i as f64]).collect(),
+        );
         let bytes = TrieCache::new()
             .tries_for(&BoundAtom::new(&probe, vec![0]), &[0], None, None)
             .unwrap()
@@ -448,22 +454,24 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_names_but_not_content() {
-        let a = rel("A", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = rel("B", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let c = rel("C", vec![vec![1.0, 2.0], vec![3.0, 5.0]]);
+        let dict = SharedDictionary::new();
+        let a = rel(&dict, "A", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = rel(&dict, "B", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let c = rel(&dict, "C", vec![vec![1.0, 2.0], vec![3.0, 5.0]]);
         assert_eq!(relation_fingerprint(&a), relation_fingerprint(&b));
         assert_ne!(relation_fingerprint(&a), relation_fingerprint(&c));
         // Row order matters (tries collapse duplicates, but a multiset
         // difference must never collide).
-        let d = rel("D", vec![vec![3.0, 4.0], vec![1.0, 2.0]]);
+        let d = rel(&dict, "D", vec![vec![3.0, 4.0], vec![1.0, 2.0]]);
         assert_ne!(relation_fingerprint(&a), relation_fingerprint(&d));
     }
 
     #[test]
     fn identical_builds_hit_distinct_builds_miss() {
+        let dict = SharedDictionary::new();
         let cache = TrieCache::new();
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
-        let s = rel("S", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
+        let s = rel(&dict, "S", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
         let atom_r = BoundAtom::new(&r, vec![0, 1]);
         let first = cache.tries_for(&atom_r, &[0, 1], None, None).unwrap();
         // Same content under a different name: a hit, sharing the same trie.
@@ -486,9 +494,10 @@ mod tests {
     #[test]
     fn full_cache_evicts_least_recently_used() {
         // Room for exactly one single-row trie.
+        let dict = SharedDictionary::new();
         let cache = TrieCache::with_byte_budget(trie_bytes(1));
-        let r = rel("R", vec![vec![1.0]]);
-        let s = rel("S", vec![vec![2.0]]);
+        let r = rel(&dict, "R", vec![vec![1.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0]]);
         cache
             .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None)
             .unwrap();
@@ -516,11 +525,12 @@ mod tests {
     fn byte_budget_evicts_to_stay_within_the_budget() {
         // Size the budget from a real build: room for ~3 single-row tries,
         // nowhere near room for 6.
+        let dict = SharedDictionary::new();
         let per_trie = trie_bytes(1);
         let budget = 3 * per_trie + per_trie / 2;
         let cache = TrieCache::with_byte_budget(budget);
         let relations: Vec<Relation> = (0..6)
-            .map(|i| rel(&format!("R{i}"), vec![vec![100.0 + i as f64]]))
+            .map(|i| rel(&dict, &format!("R{i}"), vec![vec![100.0 + i as f64]]))
             .collect();
         for r in &relations {
             cache
@@ -550,8 +560,9 @@ mod tests {
     fn oversized_builds_bypass_the_cache_entirely() {
         // A budget smaller than any single trie: nothing is ever resident,
         // nothing is ever evicted, and lookups still return working tries.
+        let dict = SharedDictionary::new();
         let cache = TrieCache::with_byte_budget(1);
-        let r = rel("R", vec![vec![1.0], vec![2.0]]);
+        let r = rel(&dict, "R", vec![vec![1.0], vec![2.0]]);
         let first = cache
             .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None)
             .unwrap();
@@ -572,12 +583,13 @@ mod tests {
         // entries (the single-pass victim collection) must leave the byte
         // accounting exact — resident bytes equal the sum of the surviving
         // entries' insert-time sizes.
+        let dict = SharedDictionary::new();
         let per_trie = trie_bytes(1);
         // Room for ~8 single-row tries.
         let budget = 8 * per_trie + per_trie / 2;
         let cache = TrieCache::with_byte_budget(budget);
         let small: Vec<Relation> = (0..8)
-            .map(|i| rel(&format!("S{i}"), vec![vec![10.0 + i as f64]]))
+            .map(|i| rel(&dict, &format!("S{i}"), vec![vec![10.0 + i as f64]]))
             .collect();
         for r in &small {
             cache
@@ -592,6 +604,7 @@ mod tests {
         // small entries at once.
         let big_rows = 5 * per_trie / 4;
         let big = rel(
+            &dict,
             "BIG",
             (0..big_rows).map(|i| vec![500.0 + i as f64]).collect(),
         );
@@ -617,9 +630,10 @@ mod tests {
 
     #[test]
     fn activity_accumulator_counts_only_its_own_lookups() {
+        let dict = SharedDictionary::new();
         let cache = TrieCache::with_byte_budget(trie_bytes(1));
-        let r = rel("R", vec![vec![1.0]]);
-        let s = rel("S", vec![vec![2.0]]);
+        let r = rel(&dict, "R", vec![vec![1.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0]]);
         // Another caller's activity (no accumulator attached).
         cache
             .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None)
@@ -644,10 +658,11 @@ mod tests {
     #[test]
     fn eviction_keeps_byte_accounting_consistent() {
         // Room for S (two rows) alone, so inserting it must evict R.
+        let dict = SharedDictionary::new();
         let s_bytes = trie_bytes(2);
         let cache = TrieCache::with_byte_budget(s_bytes);
-        let r = rel("R", vec![vec![1.0]]);
-        let s = rel("S", vec![vec![2.0], vec![3.0]]);
+        let r = rel(&dict, "R", vec![vec![1.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0], vec![3.0]]);
         cache
             .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None)
             .unwrap();

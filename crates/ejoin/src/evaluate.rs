@@ -267,9 +267,9 @@ fn bag_inputs<'a>(atoms: &[BoundAtom<'a>], bag_vars: &[VarId]) -> Vec<BagInput<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
         Relation::from_tuples(
             name,
@@ -277,6 +277,7 @@ mod tests {
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
@@ -311,9 +312,14 @@ mod tests {
 
     #[test]
     fn all_algorithms_agree_on_the_triangle() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(
+            &dict,
+            "R",
+            vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]],
+        );
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         assert!(auto(&atoms));
         assert!(generic(&atoms));
@@ -323,9 +329,10 @@ mod tests {
 
     #[test]
     fn decomposition_handles_negative_instances() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![4.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![4.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         assert!(!decomposition(&atoms));
         assert!(!auto(&atoms));
@@ -334,8 +341,9 @@ mod tests {
 
     #[test]
     fn acyclic_queries_are_answered_by_yannakakis() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -348,9 +356,10 @@ mod tests {
     fn materialise_bag_computes_the_projection_join() {
         // Bag {A, B, C} of the triangle: the classic ABC join of the three
         // binary projections.
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let bag = materialise_bag(&atoms, &[A, B, C], "bag", EvalContext::default()).unwrap();
         assert_eq!(bag.len(), 1);
@@ -365,10 +374,11 @@ mod tests {
         // R(A, A, B) against S(A, B), where A is shared, and against S(B),
         // where A is private to R: either way R's row (1, 2, 7) breaks A = A
         // and must not join through its first column.
-        let broken = rel("R", vec![vec![1.0, 2.0, 7.0]]);
-        let kept = rel("R", vec![vec![1.0, 2.0, 7.0], vec![1.0, 1.0, 7.0]]);
-        let shared = rel("S", vec![vec![1.0, 7.0]]);
-        let private = rel("S", vec![vec![7.0]]);
+        let dict = SharedDictionary::new();
+        let broken = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0]]);
+        let kept = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0], vec![1.0, 1.0, 7.0]]);
+        let shared = rel(&dict, "S", vec![vec![1.0, 7.0]]);
+        let private = rel(&dict, "S", vec![vec![7.0]]);
         for (r, expected) in [(&broken, false), (&kept, true)] {
             for (s, s_vars) in [(&shared, vec![A, B]), (&private, vec![B])] {
                 let atoms = vec![BoundAtom::new(r, vec![A, A, B]), BoundAtom::new(s, s_vars)];
@@ -384,9 +394,10 @@ mod tests {
     #[test]
     fn a_repeated_variable_keeps_its_equality_in_a_bag() {
         // The triangle with R(A, A, B): the bag join must drop (1, 2, 2).
-        let r = rel("R", vec![vec![1.0, 2.0, 2.0], vec![4.0, 4.0, 5.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0], vec![5.0, 6.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0], vec![4.0, 6.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0, 2.0], vec![4.0, 4.0, 5.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0], vec![5.0, 6.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0], vec![4.0, 6.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -409,9 +420,10 @@ mod tests {
     #[test]
     fn singleton_projections_are_derived_once_per_source_relation() {
         // D is private to R, C to S; T keeps both its columns.
-        let r = rel("R", vec![vec![1.0, 2.0, 8.0], vec![1.0, 2.0, 9.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 2.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0, 8.0], vec![1.0, 2.0, 9.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 2.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B, D]),
             BoundAtom::new(&s, vec![B, C]),
@@ -432,9 +444,10 @@ mod tests {
     #[test]
     fn a_repeated_bag_is_served_from_the_cache_alone() {
         use crate::{CacheActivity, TrieCache};
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let cache = TrieCache::new();
         let materialise = |activity: &CacheActivity| {
@@ -454,9 +467,10 @@ mod tests {
 
     #[test]
     fn a_bag_keeping_every_column_binds_the_relation_itself() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let inputs = bag_inputs(&atoms, &[A, B, C]);
         assert_eq!(inputs.len(), 3);
@@ -471,10 +485,11 @@ mod tests {
     #[test]
     fn a_bag_cutting_an_atom_binds_its_memoised_projection() {
         // The 4-cycle's bag {A, C, D} keeps A of R(A, B) and C of S(B, C).
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
-        let s = rel("S", vec![vec![2.0, 4.0]]);
-        let t = rel("T", vec![vec![4.0, 5.0]]);
-        let u = rel("U", vec![vec![5.0, 1.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 3.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 4.0]]);
+        let t = rel(&dict, "T", vec![vec![4.0, 5.0]]);
+        let u = rel(&dict, "U", vec![vec![5.0, 1.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -524,7 +539,7 @@ mod tests {
                     .iter()
                     .map(|&c| atom.relation.column_ids(c).to_vec())
                     .collect();
-                let mut copy = Relation::from_id_columns_in(
+                let mut copy = Relation::from_id_columns(
                     "copy",
                     atom.relation.len(),
                     ids,
@@ -543,6 +558,7 @@ mod tests {
 
     #[test]
     fn bound_bag_inputs_materialise_what_copies_did() {
+        let dict = SharedDictionary::new();
         const E: VarId = 4;
         let mut seed = 11u64;
         let mut next = move || {
@@ -568,7 +584,7 @@ mod tests {
                         let rows = (0..8)
                             .map(|_| vars.iter().map(|_| next()).collect())
                             .collect();
-                        rel("R", rows)
+                        rel(&dict, "R", rows)
                     })
                     .collect();
                 let atoms: Vec<BoundAtom<'_>> = relations
@@ -626,9 +642,14 @@ mod tests {
 
     #[test]
     fn a_triangle_materialises_its_one_maximal_bag() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(
+            &dict,
+            "R",
+            vec![vec![1.0, 2.0], vec![5.0, 6.0], vec![1.0, 6.0]],
+        );
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0], vec![6.0, 7.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0], vec![5.0, 9.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         // One bag {A, B, C}: one trie per atom, one planned enumeration.
         let evaluate = |eval: EvalContext<'_>| evaluate_ej_boolean(&atoms, eval);
@@ -640,10 +661,11 @@ mod tests {
         // R(A,B) ∧ S(B,C) ∧ T(C,D) ∧ U(D,A): two maximal bags, each touching
         // all four atoms.  T and U share no D, so the first bag {A, C, D}
         // is empty while the second, {A, B, C}, is not.
-        let r = rel("R", vec![vec![1.0, 1.0]]);
-        let s = rel("S", vec![vec![1.0, 1.0]]);
-        let t = rel("T", vec![vec![1.0, 1.0]]);
-        let u = rel("U", vec![vec![2.0, 1.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 1.0]]);
+        let s = rel(&dict, "S", vec![vec![1.0, 1.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 1.0]]);
+        let u = rel(&dict, "U", vec![vec![2.0, 1.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -663,6 +685,7 @@ mod tests {
     #[test]
     fn four_cycle_agreement_between_algorithms() {
         // R(A,B) ∧ S(B,C) ∧ T(C,D) ∧ U(D,A) on small random-ish data.
+        let dict = SharedDictionary::new();
         let mut seed = 7u64;
         let mut next = move || {
             seed = seed
@@ -674,10 +697,10 @@ mod tests {
             let rows = |n: usize, next: &mut dyn FnMut() -> f64| {
                 (0..n).map(|_| vec![next(), next()]).collect::<Vec<_>>()
             };
-            let r = rel("R", rows(5, &mut next));
-            let s = rel("S", rows(5, &mut next));
-            let t = rel("T", rows(5, &mut next));
-            let u = rel("U", rows(5, &mut next));
+            let r = rel(&dict, "R", rows(5, &mut next));
+            let s = rel(&dict, "S", rows(5, &mut next));
+            let t = rel(&dict, "T", rows(5, &mut next));
+            let u = rel(&dict, "U", rows(5, &mut next));
             let atoms = vec![
                 BoundAtom::new(&r, vec![A, B]),
                 BoundAtom::new(&s, vec![B, C]),
@@ -694,7 +717,7 @@ mod tests {
     fn empty_inputs() {
         assert!(auto(&[]));
         assert!(decomposition(&[]));
-        let empty = Relation::new("R", 1);
+        let empty = Relation::new("R", 1, &SharedDictionary::new());
         let atoms = vec![BoundAtom::new(&empty, vec![A])];
         assert!(!auto(&atoms));
         assert!(!decomposition(&atoms));

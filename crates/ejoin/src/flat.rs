@@ -215,10 +215,10 @@ impl FlatTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
     use std::collections::BTreeSet;
 
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
         Relation::from_tuples(
             name,
@@ -226,6 +226,7 @@ mod tests {
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
@@ -303,8 +304,9 @@ mod tests {
 
     #[test]
     fn flat_paths_equal_the_definition() {
-        let r = rel("R", lcg_rows(11, 200, 3, 7));
-        let one = rel("O", vec![vec![4.0, 5.0, 4.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", lcg_rows(11, 200, 3, 7));
+        let one = rel(&dict, "O", vec![vec![4.0, 5.0, 4.0]]);
         // Plain bindings, a permuted level order, and a repeated variable —
         // on 200 rows and on a single row.
         for relation in [&r, &one] {
@@ -326,7 +328,9 @@ mod tests {
 
     #[test]
     fn duplicates_collapse_and_repeated_variables_filter() {
+        let dict = SharedDictionary::new();
         let r = rel(
+            &dict,
             "R",
             vec![
                 vec![1.0, 1.0],
@@ -342,16 +346,16 @@ mod tests {
         let values: Vec<Value> = flat
             .run(0, 0, flat.level_len(0))
             .iter()
-            .map(|id| id.resolve())
+            .map(|&id| dict.resolve(id))
             .collect();
         assert_eq!(values, vec![Value::point(1.0), Value::point(3.0)]);
         // A filter that rejects everything leaves an empty (non-zero-level)
         // trie.
-        let none = rel("N", vec![vec![1.0, 2.0]]);
+        let none = rel(&dict, "N", vec![vec![1.0, 2.0]]);
         let empty = FlatTrie::build(&BoundAtom::new(&none, vec![0, 0]), &[0], None).unwrap();
         assert!(empty.is_empty());
         // Zero-level guard atoms report non-empty.
-        let mut guard = Relation::new("G", 0);
+        let mut guard = Relation::new("G", 0, &dict);
         guard.push(vec![]);
         let atom = BoundAtom::new(&guard, vec![]);
         let zero = FlatTrie::build(&atom, &[], None).unwrap();
@@ -361,12 +365,13 @@ mod tests {
 
     #[test]
     fn heap_bytes_track_flat_trie_size() {
-        let small = rel("S", vec![vec![1.0]]);
+        let dict = SharedDictionary::new();
+        let small = rel(&dict, "S", vec![vec![1.0]]);
         let small_trie = FlatTrie::build(&BoundAtom::new(&small, vec![0]), &[0], None).unwrap();
         assert!(small_trie.heap_bytes() > std::mem::size_of::<FlatTrie>());
         // 256 two-level paths dwarf a single one-level path.
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let big = rel("B", rows);
+        let big = rel(&dict, "B", rows);
         let atom = BoundAtom::new(&big, vec![0, 1]);
         let big_trie = FlatTrie::build(&atom, &[0, 1], None).unwrap();
         assert!(big_trie.heap_bytes() > 8 * small_trie.heap_bytes());

@@ -186,13 +186,12 @@ pub fn generic_join_enumerate(
     output_name: &str,
     eval: EvalContext<'_>,
 ) -> Result<Relation, EvalError> {
-    // The output lives in the input atoms' dictionary (scoped inputs produce
-    // scoped outputs; ids pass through without re-interning).
+    // The output lives in the input atoms' dictionary (ids pass through
+    // without re-interning); with no atoms, in a fresh one.
     let dict = atoms
         .first()
-        .map(|a| a.relation.dictionary())
-        .unwrap_or_else(|| SharedDictionary::global());
-    let mut out = Relation::new_in(output_name, output_vars.len(), dict);
+        .map_or_else(SharedDictionary::new, |a| a.relation.dictionary().clone());
+    let mut out = Relation::new(output_name, output_vars.len(), &dict);
     if atoms.is_empty() || atoms.iter().any(|a| a.relation.is_empty()) {
         return Ok(out);
     }
@@ -362,9 +361,9 @@ fn enumerate_rec<'t, 'k>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
         Relation::from_tuples(
             name,
@@ -372,6 +371,7 @@ mod tests {
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
@@ -390,9 +390,10 @@ mod tests {
     #[test]
     fn triangle_join_finds_a_triangle() {
         // R(A,B), S(B,C), T(A,C) with exactly one triangle (1,2,3).
-        let r = rel("R", vec![vec![1.0, 2.0], vec![4.0, 5.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0], vec![5.0, 9.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0], vec![7.0, 9.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![4.0, 5.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0], vec![5.0, 9.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0], vec![7.0, 9.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -410,9 +411,10 @@ mod tests {
     #[test]
     fn triangle_join_rejects_near_misses() {
         // Edges exist pairwise but no closed triangle.
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 4.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 4.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -424,8 +426,9 @@ mod tests {
 
     #[test]
     fn empty_relation_short_circuits() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let empty = Relation::new("S", 2);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let empty = Relation::new("S", 2, &dict);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&empty, vec![B, C]),
@@ -440,8 +443,9 @@ mod tests {
 
     #[test]
     fn cartesian_product_when_no_shared_variables() {
-        let r = rel("R", vec![vec![1.0], vec![2.0]]);
-        let s = rel("S", vec![vec![10.0], vec![20.0], vec![30.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0], vec![2.0]]);
+        let s = rel(&dict, "S", vec![vec![10.0], vec![20.0], vec![30.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A]), BoundAtom::new(&s, vec![B])];
         assert!(boolean(&atoms, None));
         let out = enumerate(&atoms, &[A, B]);
@@ -450,8 +454,13 @@ mod tests {
 
     #[test]
     fn enumeration_projects_and_deduplicates() {
-        let r = rel("R", vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![2.0, 4.0]]);
-        let s = rel("S", vec![vec![2.0], vec![3.0], vec![4.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(
+            &dict,
+            "R",
+            vec![vec![1.0, 2.0], vec![1.0, 3.0], vec![2.0, 4.0]],
+        );
+        let s = rel(&dict, "S", vec![vec![2.0], vec![3.0], vec![4.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, B]), BoundAtom::new(&s, vec![B])];
         let out = enumerate(&atoms, &[A]);
         // A values with some matching B: {1, 2}.
@@ -463,7 +472,8 @@ mod tests {
         // An output variable no atom constrains keeps the resolvable
         // placeholder value (regression: a raw dummy id would panic on
         // resolve).
-        let r = rel("R", vec![vec![1.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A])];
         let out = enumerate(&atoms, &[A, B]);
         assert_eq!(out.len(), 1);
@@ -472,8 +482,9 @@ mod tests {
 
     #[test]
     fn explicit_variable_order_is_respected() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -486,7 +497,8 @@ mod tests {
     #[test]
     fn self_join_pattern_with_repeated_variable() {
         // R(A, A) as a filter for equal columns.
-        let r = rel("R", vec![vec![1.0, 1.0], vec![2.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 1.0], vec![2.0, 3.0]]);
         let atoms = vec![BoundAtom::new(&r, vec![A, A])];
         let out = enumerate(&atoms, &[A]);
         assert_eq!(out.len(), 1);
@@ -517,6 +529,7 @@ mod tests {
     #[test]
     fn cached_and_uncached_joins_match_brute_force() {
         use crate::cache::TrieCache;
+        let dict = SharedDictionary::new();
         let mut seed = 99u64;
         let mut next = move || {
             seed = seed
@@ -529,9 +542,9 @@ mod tests {
             let rows = |n: usize, next: &mut dyn FnMut() -> f64| {
                 (0..n).map(|_| vec![next(), next()]).collect::<Vec<_>>()
             };
-            let r = rel("R", rows(8, &mut next));
-            let s = rel("S", rows(8, &mut next));
-            let t = rel("T", rows(8, &mut next));
+            let r = rel(&dict, "R", rows(8, &mut next));
+            let s = rel(&dict, "S", rows(8, &mut next));
+            let t = rel(&dict, "T", rows(8, &mut next));
             let atoms = vec![
                 BoundAtom::new(&r, vec![A, B]),
                 BoundAtom::new(&s, vec![B, C]),
@@ -569,11 +582,16 @@ mod tests {
         // A non-empty arity-zero guard atom (a trie with zero levels), a
         // one-row relation, and an atom whose repeated-variable filter
         // rejects every row.
-        let mut guard = Relation::new("G", 0);
+        let dict = SharedDictionary::new();
+        let mut guard = Relation::new("G", 0, &dict);
         guard.push(vec![]);
-        let one = rel("One", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0], vec![2.0, 4.0], vec![5.0, 6.0]]);
-        let off_diagonal = rel("D", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let one = rel(&dict, "One", vec![vec![1.0, 2.0]]);
+        let s = rel(
+            &dict,
+            "S",
+            vec![vec![2.0, 3.0], vec![2.0, 4.0], vec![5.0, 6.0]],
+        );
+        let off_diagonal = rel(&dict, "D", vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         let satisfiable = vec![
             BoundAtom::new(&guard, vec![]),
             BoundAtom::new(&one, vec![A, B]),
@@ -610,11 +628,12 @@ mod tests {
     #[test]
     fn four_clique_boolean() {
         // A 4-clique on values {1,2,3,4} plus noise.
+        let dict = SharedDictionary::new();
         let pairs: Vec<Vec<f64>> = (1..=4)
             .flat_map(|i| (1..=4).map(move |j| vec![i as f64, j as f64]))
             .filter(|p| p[0] < p[1])
             .collect();
-        let e = rel("E", pairs);
+        let e = rel(&dict, "E", pairs);
         let d: VarId = 3;
         let atoms = vec![
             BoundAtom::new(&e, vec![A, B]),

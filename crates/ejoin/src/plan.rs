@@ -174,9 +174,9 @@ pub(crate) fn resolve_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, n: usize, arity: usize) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, n: usize, arity: usize) -> Relation {
         Relation::from_tuples(
             name,
             arity,
@@ -187,6 +187,7 @@ mod tests {
                         .collect()
                 })
                 .collect(),
+            dict,
         )
     }
 
@@ -197,9 +198,10 @@ mod tests {
     #[test]
     fn adaptive_order_starts_at_the_smallest_variable() {
         // B only occurs in large atoms; A and C each touch the small T.
-        let r = rel("R", 100, 2); // R(B, A)
-        let s = rel("S", 100, 2); // S(B, C)
-        let t = rel("T", 4, 2); // T(A, C)
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 100, 2); // R(B, A)
+        let s = rel(&dict, "S", 100, 2); // S(B, C)
+        let t = rel(&dict, "T", 4, 2); // T(A, C)
         let atoms = vec![
             BoundAtom::new(&r, vec![B, A]),
             BoundAtom::new(&s, vec![B, C]),
@@ -215,10 +217,11 @@ mod tests {
     fn adaptive_order_stays_connected() {
         // Two components: tiny {D, E} and large {A, B}.  After picking from
         // the tiny component the planner must finish it before jumping.
+        let dict = SharedDictionary::new();
         let d: VarId = 3;
         let e: VarId = 4;
-        let big = rel("Big", 50, 2);
-        let tiny = rel("Tiny", 2, 2);
+        let big = rel(&dict, "Big", 50, 2);
+        let tiny = rel(&dict, "Tiny", 2, 2);
         let atoms = vec![
             BoundAtom::new(&big, vec![A, B]),
             BoundAtom::new(&tiny, vec![d, e]),
@@ -231,8 +234,9 @@ mod tests {
     fn degree_breaks_cardinality_ties() {
         // All atoms the same size; B occurs in two atoms, A and C in one
         // each — B binds first.
-        let r = rel("R", 10, 2);
-        let s = rel("S", 10, 2);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 10, 2);
+        let s = rel(&dict, "S", 10, 2);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),
@@ -242,8 +246,9 @@ mod tests {
 
     #[test]
     fn prefix_is_pinned_verbatim() {
-        let r = rel("R", 100, 2);
-        let s = rel("S", 2, 2);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", 100, 2);
+        let s = rel(&dict, "S", 2, 2);
         let atoms = vec![
             BoundAtom::new(&r, vec![A, B]),
             BoundAtom::new(&s, vec![B, C]),

@@ -222,9 +222,9 @@ pub fn yannakakis_boolean(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_relation::{Relation, Value};
+    use ij_relation::{Relation, SharedDictionary, Value};
 
-    fn rel(name: &str, rows: Vec<Vec<f64>>) -> Relation {
+    fn rel(dict: &SharedDictionary, name: &str, rows: Vec<Vec<f64>>) -> Relation {
         let arity = rows.first().map(|r| r.len()).unwrap_or(0);
         Relation::from_tuples(
             name,
@@ -232,16 +232,18 @@ mod tests {
             rows.into_iter()
                 .map(|r| r.into_iter().map(Value::point).collect())
                 .collect(),
+            dict,
         )
     }
 
     #[test]
     fn path_query_true_and_false() {
         // R(A,B) ∧ S(B,C) ∧ T(C,D)
-        let r = rel("R", vec![vec![1.0, 2.0], vec![9.0, 9.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t_yes = rel("T", vec![vec![3.0, 4.0]]);
-        let t_no = rel("T", vec![vec![7.0, 4.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![9.0, 9.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t_yes = rel(&dict, "T", vec![vec![3.0, 4.0]]);
+        let t_no = rel(&dict, "T", vec![vec![7.0, 4.0]]);
         let atoms_yes = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&s, vec![1, 2]),
@@ -258,9 +260,10 @@ mod tests {
 
     #[test]
     fn cyclic_queries_are_rejected() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
-        let t = rel("T", vec![vec![1.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&s, vec![1, 2]),
@@ -272,7 +275,9 @@ mod tests {
     #[test]
     fn star_query_with_selective_leaves() {
         // Center R(A,B,C) with leaves S(A), T(B), U(C).
+        let dict = SharedDictionary::new();
         let r = rel(
+            &dict,
             "R",
             vec![
                 vec![1.0, 2.0, 3.0],
@@ -280,9 +285,9 @@ mod tests {
                 vec![1.0, 5.0, 3.0],
             ],
         );
-        let s = rel("S", vec![vec![1.0]]);
-        let t = rel("T", vec![vec![5.0]]);
-        let u = rel("U", vec![vec![3.0]]);
+        let s = rel(&dict, "S", vec![vec![1.0]]);
+        let t = rel(&dict, "T", vec![vec![5.0]]);
+        let u = rel(&dict, "U", vec![vec![3.0]]);
         let atoms = vec![
             BoundAtom::new(&r, vec![0, 1, 2]),
             BoundAtom::new(&s, vec![0]),
@@ -292,7 +297,7 @@ mod tests {
         // Only (1,5,3) survives all three semijoins.
         assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(true)));
 
-        let t_miss = rel("T", vec![vec![9.0]]);
+        let t_miss = rel(&dict, "T", vec![vec![9.0]]);
         let atoms_miss = vec![
             BoundAtom::new(&r, vec![0, 1, 2]),
             BoundAtom::new(&s, vec![0]),
@@ -304,8 +309,9 @@ mod tests {
 
     #[test]
     fn empty_relation_is_false_even_for_acyclic_queries() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let empty = Relation::new("S", 2);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let empty = Relation::new("S", 2, &dict);
         let atoms = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&empty, vec![1, 2]),
@@ -322,6 +328,7 @@ mod tests {
     fn agrees_with_generic_join_on_random_acyclic_instances() {
         use crate::generic::generic_join_boolean;
         // Small pseudo-random path instances.
+        let dict = SharedDictionary::new();
         let mut seed = 42u64;
         let mut next = move || {
             seed = seed
@@ -333,9 +340,9 @@ mod tests {
             let rows = |n: usize, next: &mut dyn FnMut() -> f64| {
                 (0..n).map(|_| vec![next(), next()]).collect::<Vec<_>>()
             };
-            let r = rel("R", rows(6, &mut next));
-            let s = rel("S", rows(6, &mut next));
-            let t = rel("T", rows(6, &mut next));
+            let r = rel(&dict, "R", rows(6, &mut next));
+            let s = rel(&dict, "S", rows(6, &mut next));
+            let t = rel(&dict, "T", rows(6, &mut next));
             let atoms = vec![
                 BoundAtom::new(&r, vec![0, 1]),
                 BoundAtom::new(&s, vec![1, 2]),
@@ -371,6 +378,7 @@ mod tests {
         // (a path beside a pair sharing three variables).  Each shape is run
         // with every atom inflated in turn, so the largest atom — the root —
         // moves through the tree, and under every atom order.
+        let dict = SharedDictionary::new();
         let shapes: [Vec<Vec<VarId>>; 3] = [
             vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]],
             vec![vec![0, 1, 2], vec![0], vec![0, 1, 3], vec![2]],
@@ -395,7 +403,7 @@ mod tests {
                             let rows = (0..n)
                                 .map(|_| (0..vs.len()).map(|_| next()).collect())
                                 .collect();
-                            rel(&format!("R{i}"), rows)
+                            rel(&dict, &format!("R{i}"), rows)
                         })
                         .collect();
                     let atoms: Vec<BoundAtom<'_>> = relations
@@ -424,9 +432,10 @@ mod tests {
     fn repeated_variables_keep_their_equality() {
         // R(X, X, A) ∧ S(A): X is private to R, so no semijoin ever reads
         // it; the rows that break X = X must leave all the same.
-        let s = rel("S", vec![vec![7.0]]);
-        let broken = rel("R", vec![vec![1.0, 2.0, 7.0]]);
-        let kept = rel("R", vec![vec![1.0, 2.0, 7.0], vec![3.0, 3.0, 7.0]]);
+        let dict = SharedDictionary::new();
+        let s = rel(&dict, "S", vec![vec![7.0]]);
+        let broken = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0]]);
+        let kept = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0], vec![3.0, 3.0, 7.0]]);
         for (r, expected) in [(&broken, false), (&kept, true)] {
             let atoms = vec![
                 BoundAtom::new(r, vec![0, 0, 1]),
@@ -436,9 +445,9 @@ mod tests {
         }
         // R(X, X) ∧ S(X): the key column is X's first; (1, 2) must not match
         // S = {1} through it.
-        let s = rel("S", vec![vec![1.0]]);
-        let broken = rel("R", vec![vec![1.0, 2.0]]);
-        let kept = rel("R", vec![vec![1.0, 2.0], vec![1.0, 1.0]]);
+        let s = rel(&dict, "S", vec![vec![1.0]]);
+        let broken = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let kept = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 1.0]]);
         for (r, expected) in [(&broken, false), (&kept, true)] {
             let atoms = vec![BoundAtom::new(r, vec![0, 0]), BoundAtom::new(&s, vec![0])];
             assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(expected)));
@@ -450,8 +459,9 @@ mod tests {
 
     #[test]
     fn the_token_is_polled_once_per_join_tree_edge() {
-        let r = rel("R", vec![vec![1.0, 2.0]]);
-        let s = rel("S", vec![vec![2.0, 3.0]]);
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
         let path = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&s, vec![1, 2]),
@@ -472,8 +482,8 @@ mod tests {
         assert_eq!(yannakakis_boolean(&path[..1], Some(&token)), Ok(Some(true)));
         // An edge between independent parts, R(X) ∧ S(Y), runs no semijoin
         // and is polled all the same.
-        let x = rel("X", vec![vec![1.0]]);
-        let y = rel("Y", vec![vec![2.0]]);
+        let x = rel(&dict, "X", vec![vec![1.0]]);
+        let y = rel(&dict, "Y", vec![vec![2.0]]);
         let parts = vec![BoundAtom::new(&x, vec![0]), BoundAtom::new(&y, vec![1])];
         assert_eq!(yannakakis_boolean(&parts, None), Ok(Some(true)));
         assert_eq!(

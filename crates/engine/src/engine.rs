@@ -963,7 +963,7 @@ mod tests {
     #[test]
     fn oversized_batches_are_split_across_workers() {
         use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, Value};
+        use ij_relation::{Relation, SharedDictionary, Value};
         // Four distinct disjuncts all referencing the same relation set
         // {R, S}: grouping alone would serialize them into one batch; with
         // more workers than batches the batch must be split so the pool
@@ -984,9 +984,10 @@ mod tests {
                 structure: structure.clone(),
             })
             .collect();
+        let dict = SharedDictionary::new();
         let relations = vec![
-            Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]]),
-            Relation::from_tuples("S", 1, vec![vec![Value::point(2.0)]]),
+            Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]], &dict),
+            Relation::from_tuples("S", 1, vec![vec![Value::point(2.0)]], &dict),
         ];
         let reduction = ForwardReduction::prebuilt(relations, queries);
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(8));
@@ -1108,7 +1109,7 @@ mod tests {
     #[test]
     fn a_cancelled_worker_does_not_start_its_search() {
         use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, Value};
+        use ij_relation::{Relation, SharedDictionary, Value};
         // A built relation is loaded without a poll, a cyclic disjunct's
         // projections are derived without one, and one-row tries are built
         // and searched before a ticker's first, so on this triangle only the
@@ -1118,8 +1119,14 @@ mod tests {
             relation: relation.to_string(),
             vars: vars.map(str::to_string).to_vec(),
         };
+        let dict = SharedDictionary::new();
         let edge = |name: &str| {
-            Relation::from_tuples(name, 2, vec![vec![Value::point(1.0), Value::point(1.0)]])
+            Relation::from_tuples(
+                name,
+                2,
+                vec![vec![Value::point(1.0), Value::point(1.0)]],
+                &dict,
+            )
         };
         let reduction = ForwardReduction::prebuilt(
             vec![edge("R"), edge("S"), edge("T")],

@@ -19,7 +19,7 @@
 //! setting is answer-preserving: the Boolean result is bit-identical.
 //!
 //! Long-running services own their cross-evaluation state through a
-//! [`Workspace`]: a scoped value dictionary (dropping the workspace reclaims
+//! [`Workspace`]: a value dictionary (dropping the workspace reclaims
 //! its interned values; [`Workspace::dictionary_bytes`] meters its size)
 //! plus one shared trie cache, so disjuncts and evaluations reuse built
 //! tries, warming every engine built from the workspace
@@ -57,7 +57,6 @@
 //! assert!(engine.evaluate(&q, &db).unwrap());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

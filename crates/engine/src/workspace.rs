@@ -3,12 +3,11 @@
 //! A [`Workspace`] owns the two pieces of state that outlive a single
 //! evaluation —
 //!
-//! 1. a **scoped value dictionary** ([`SharedDictionary`]): every database
-//!    built through the workspace interns into it, the forward reduction
-//!    writes its transformed database into the same dictionary, and dropping
-//!    the workspace (together with the relations built in it) reclaims every
-//!    value it interned.  Interned residency is bounded per workspace
-//!    instead of accreting in the process-global store;
+//! 1. a **value dictionary** ([`SharedDictionary`]): every database built or
+//!    imported through the workspace interns into it, so their ids are
+//!    join-compatible; the forward reduction writes its transformed database
+//!    into the same dictionary, and dropping the workspace (together with
+//!    the relations built in it) reclaims every value it interned;
 //! 2. a **shared, byte-budgeted trie cache** ([`TrieCache`]): every engine
 //!    built from the workspace ([`Workspace::engine`]) evaluates against the
 //!    same cache, so independently constructed engines warm one another —
@@ -38,7 +37,7 @@
 //! assert!(second.evaluate(&q, &db).unwrap());
 //! assert!(ws.trie_cache_stats().hits > 0);
 //!
-//! // The workspace's interning never touched the global dictionary.
+//! // The databases of the workspace intern into its dictionary.
 //! assert!(ws.dictionary_len() > 0);
 //! ```
 
@@ -47,7 +46,7 @@ use ij_ejoin::{TrieCache, TrieCacheStats};
 use ij_relation::{Database, IdHashMap, Relation, SharedDictionary, Value, ValueId};
 use std::sync::Arc;
 
-/// The owner of cross-evaluation state: a scoped value dictionary plus a
+/// The owner of cross-evaluation state: a value dictionary plus a
 /// shared, byte-budgeted trie cache (see the module docs).
 ///
 /// Cloning is cheap and shares both: clones of one workspace are one
@@ -68,7 +67,7 @@ impl Default for Workspace {
 }
 
 impl Workspace {
-    /// A fresh workspace with an empty scoped dictionary and a trie cache of
+    /// A fresh workspace with an empty dictionary and a trie cache of
     /// [`DEFAULT_TRIE_CACHE_BYTES`].
     pub fn new() -> Self {
         Workspace::with_trie_cache_bytes(DEFAULT_TRIE_CACHE_BYTES)
@@ -155,14 +154,10 @@ impl Workspace {
         Database::new_in(self.dictionary.clone())
     }
 
-    /// An empty relation interning into the workspace's dictionary.
-    pub fn relation(&self, name: impl Into<String>, arity: usize) -> Relation {
-        Relation::new_in(name, arity, &self.dictionary)
-    }
-
-    /// Re-interns a database (typically built against the global dictionary,
-    /// e.g. by a workload generator) into this workspace, so its evaluation
-    /// stays scoped.  The source database is untouched.
+    /// Re-interns a database built against another dictionary (typically its
+    /// own, e.g. a workload generator's) into this workspace, so that it
+    /// joins with the workspace's other databases and shares its trie cache
+    /// entries.  The source database is untouched.
     ///
     /// The import works on id columns, not materialised `Value` rows: each
     /// source relation's dictionary is pinned **once**
@@ -202,7 +197,7 @@ impl Workspace {
             let cols: Vec<Vec<ValueId>> = (0..rel.arity())
                 .map(|c| rel.column_ids(c).iter().map(|id| translate[id]).collect())
                 .collect();
-            out.insert(Relation::from_id_columns_in(
+            out.insert(Relation::from_id_columns(
                 rel.name(),
                 rel.len(),
                 cols,
@@ -278,29 +273,20 @@ mod tests {
     }
 
     #[test]
-    fn workspace_scoped_evaluation_never_touches_the_global_dictionary() {
+    fn workspace_evaluation_interns_into_the_workspace_dictionary() {
         let ws = Workspace::new();
         assert_eq!(ws.dictionary_len(), 0);
         let (q, mut db) = triangle_db(&ws);
-        // A value no other test in this binary interns: probing the global
-        // dictionary for it is race-free under concurrent sibling tests
-        // (comparing global *lengths* would not be — siblings intern their
-        // own values at any time).  tests/workspace_properties.rs covers the
-        // stronger length-invariance property under a serializing lock.
-        let canary = Value::interval(777_000.25, 777_001.25);
-        db.insert_tuples("T", 2, vec![vec![canary, canary]]);
+        let value = Value::interval(777_000.25, 777_001.25);
+        db.insert_tuples("T", 2, vec![vec![value, value]]);
         let after_ingest = ws.dictionary_len();
         assert!(after_ingest > 0);
+        assert!(ws.dictionary().lookup(&value).is_some());
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         assert!(!engine.evaluate(&q, &db).unwrap());
         // The reduction's bitstring ids are computed, not stored: evaluation
-        // stores at most the enumerate path's one placeholder value…
+        // stores at most the enumerate path's one placeholder value.
         assert!(ws.dictionary_len() <= after_ingest + 1);
-        // …and nothing the workspace interned reached the global store.
-        assert!(ws.dictionary().lookup(&canary).is_some());
-        assert!(ij_relation::SharedDictionary::global()
-            .lookup(&canary)
-            .is_none());
     }
 
     #[test]
@@ -448,7 +434,7 @@ mod tests {
 
     #[test]
     fn import_database_reinterns_into_the_workspace() {
-        // Build against the global dictionary, import, evaluate scoped.
+        // Build against the database's own dictionary, import, evaluate.
         let q = Query::parse("R([A]) & S([A])").unwrap();
         let mut db = Database::new();
         db.insert_tuples("R", 1, vec![vec![Value::interval(0.0, 2.0)]]);
@@ -456,7 +442,7 @@ mod tests {
         let ws = Workspace::new();
         let imported = ws.import_database(&db);
         assert_eq!(imported.dictionary(), ws.dictionary());
-        assert_eq!(imported.total_tuples(), db.total_tuples());
+        assert_eq!(imported, db);
         assert_eq!(ws.dictionary_len(), 2);
         let engine = ws.engine(EngineConfig::new());
         assert!(engine.evaluate(&q, &imported).unwrap());

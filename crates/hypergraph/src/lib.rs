@@ -19,8 +19,6 @@
 //!   paper (triangle, Loomis–Whitney-4, 4-clique, Figures 4 and 9, the
 //!   running examples).
 
-#![forbid(unsafe_code)]
-
 mod acyclicity;
 mod catalog;
 mod hgraph;

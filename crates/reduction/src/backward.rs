@@ -112,7 +112,11 @@ pub fn backward_reduction(
             .relation(&reduced_atom.relation)
             .ok_or_else(|| BackwardError::MissingRelation(reduced_atom.relation.clone()))?;
         let groups = column_groups_for_atom(original, original_atom, reduced_atom);
-        let mut new_rel = Relation::new(original_atom.relation.clone(), original_atom.vars.len());
+        let mut new_rel = Relation::new(
+            original_atom.relation.clone(),
+            original_atom.vars.len(),
+            out.dictionary(),
+        );
         for t in rel.tuples() {
             let mut row: Vec<Value> = Vec::with_capacity(original_atom.vars.len());
             for (cols, kind) in &groups {
@@ -210,7 +214,7 @@ mod tests {
         let mut ej_db = Database::new();
         for atom in &reduced.atoms {
             let arity = atom.vars.len();
-            let mut rel = Relation::new(atom.relation.clone(), arity);
+            let mut rel = Relation::new(atom.relation.clone(), arity, ej_db.dictionary());
             rel.push(
                 (0..arity)
                     .map(|i| bits(if i % 2 == 0 { "01" } else { "10" }))
@@ -242,7 +246,7 @@ mod tests {
         let mut ej_db = Database::new();
         for atom in &reduced.atoms {
             let arity = atom.vars.len();
-            let mut rel = Relation::new(atom.relation.clone(), arity);
+            let mut rel = Relation::new(atom.relation.clone(), arity, ej_db.dictionary());
             rel.push((0..arity).map(|_| bits("0")).collect());
             rel.push((0..arity).map(|_| bits("1")).collect());
             ej_db.insert(rel);
@@ -283,7 +287,7 @@ mod tests {
         let mut ej_db = Database::new();
         for atom in &reduced.atoms {
             let arity = atom.vars.len();
-            let mut rel = Relation::new(atom.relation.clone(), arity);
+            let mut rel = Relation::new(atom.relation.clone(), arity, ej_db.dictionary());
             rel.push((0..arity).map(|_| Value::point(1.0)).collect());
             ej_db.insert(rel);
         }

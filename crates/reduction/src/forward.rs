@@ -241,8 +241,8 @@ pub struct ForwardReduction {
     /// are zero.  [`ForwardReduction::materialised_stats`] recounts.
     pub stats: ReductionStats,
     /// The dictionary of the *input* database: transformed ids must be
-    /// join-compatible with the carried columns, and a workspace-scoped
-    /// input keeps its reduction scoped too.
+    /// join-compatible with the carried columns, so the transformed
+    /// relations intern into it too.
     dict: SharedDictionary,
     /// Per atom of the original query, what its relation builds read.
     sources: Vec<AtomSource>,
@@ -326,14 +326,17 @@ impl ForwardReduction {
     /// A reduction over relations built elsewhere (hand-made disjunctions in
     /// tests and benchmarks): every cell starts filled.
     pub fn prebuilt(relations: Vec<Relation>, queries: Vec<ReducedQuery>) -> Self {
+        let dict = relations
+            .first()
+            .map_or_else(SharedDictionary::new, |r| r.dictionary().clone());
         let mut reduction = ForwardReduction {
             stats: ReductionStats {
                 num_queries: queries.len(),
                 ..ReductionStats::default()
             },
             queries,
-            // Never read: nothing is left to build.
-            dict: SharedDictionary::global().clone(),
+            // The relations' dictionary, never read: nothing is left to build.
+            dict,
             sources: Vec::new(),
             tuple_ids: Vec::new(),
             relations: Vec::new(),
@@ -922,7 +925,7 @@ fn build_relation(
         }
         collected += count;
     }
-    let mut seeds = Relation::from_id_columns_in(name, collected, seeds, dict);
+    let mut seeds = Relation::from_id_columns(name, collected, seeds, dict);
     seeds.dedup();
 
     // (2) The exact size: distinct seeds expand to disjoint sets of tuples,
@@ -962,8 +965,8 @@ fn build_relation(
         }
     }
     // Lemma 4.10's count, taken in (2), against the rows written in (3):
-    // `from_id_columns_in` asserts that every column holds `total` ids.
-    Ok(Relation::from_id_columns_in(name, total, columns, dict))
+    // `from_id_columns` asserts that every column holds `total` ids.
+    Ok(Relation::from_id_columns(name, total, columns, dict))
 }
 
 /// Appends one column of a cross product to `out`: each of `ids` `inner`
@@ -1535,7 +1538,7 @@ mod tests {
     }
 
     fn database_of(relations: &[(&str, Vec<Vec<Value>>)]) -> Database {
-        let mut db = Database::new_in(SharedDictionary::new());
+        let mut db = Database::new();
         for (name, rows) in relations {
             db.insert_tuples(name, rows[0].len(), rows.clone());
         }

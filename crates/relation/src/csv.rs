@@ -15,7 +15,7 @@
 //! transformed databases for inspection, and to round-trip workloads between
 //! runs of the benchmark harness.
 
-use crate::{Database, Relation, Value};
+use crate::{Database, Relation, SharedDictionary, Value};
 use ij_segtree::{BitString, Interval, IntervalError};
 use std::fmt::Write as _;
 
@@ -125,14 +125,16 @@ impl Relation {
         out
     }
 
-    /// Parses a relation from CSV text.  Every line must have exactly `arity`
-    /// fields; blank lines and lines starting with `#` are skipped.
+    /// Parses a relation from CSV text, interning into `dict`.  Every line
+    /// must have exactly `arity` fields; blank lines and lines starting with
+    /// `#` are skipped.
     pub fn from_csv(
         name: impl Into<String>,
         arity: usize,
         text: &str,
+        dict: &SharedDictionary,
     ) -> Result<Relation, CsvError> {
-        let mut rel = Relation::new(name, arity);
+        let mut rel = Relation::new(name, arity, dict);
         for (idx, raw_line) in text.lines().enumerate() {
             if let Some(values) = parse_row(raw_line, arity, idx + 1)? {
                 rel.push(values);
@@ -154,7 +156,8 @@ impl Database {
         out
     }
 
-    /// Parses a database serialised with [`Database::to_csv`].  Rows are
+    /// Parses a database serialised with [`Database::to_csv`] into a database
+    /// with a fresh dictionary of its own.  Rows are
     /// parsed where they are read, so a [`CsvError`] carries the line number
     /// of `text`, not of the relation's body.
     pub fn from_csv(text: &str) -> Result<Database, CsvError> {
@@ -177,7 +180,7 @@ impl Database {
                             line: line_no,
                             message: "missing or invalid arity".into(),
                         })?;
-                if let Some(done) = current.replace(Relation::new(name, arity)) {
+                if let Some(done) = current.replace(Relation::new(name, arity, db.dictionary())) {
                     db.insert(done);
                 }
             } else if !line.is_empty() {
@@ -225,9 +228,10 @@ mod tests {
                 vec![Value::interval(0.0, 2.0), Value::point(7.0)],
                 vec![Value::interval(-1.5, 3.5), Value::point(8.0)],
             ],
+            &SharedDictionary::new(),
         );
         let csv = rel.to_csv();
-        let parsed = Relation::from_csv("R", 2, &csv).unwrap();
+        let parsed = Relation::from_csv("R", 2, &csv, &SharedDictionary::new()).unwrap();
         assert_eq!(parsed, rel);
     }
 
@@ -252,7 +256,7 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_are_skipped() {
         let text = "# header comment\n\n0..1,5\n";
-        let rel = Relation::from_csv("R", 2, text).unwrap();
+        let rel = Relation::from_csv("R", 2, text, &SharedDictionary::new()).unwrap();
         assert_eq!(rel.len(), 1);
         assert_eq!(
             rel.tuples()[0],
@@ -262,18 +266,18 @@ mod tests {
 
     #[test]
     fn errors_carry_line_numbers() {
-        let err = Relation::from_csv("R", 2, "0..1\n").unwrap_err();
+        let err = Relation::from_csv("R", 2, "0..1\n", &SharedDictionary::new()).unwrap_err();
         assert_eq!(err.line, 1);
-        let err = Relation::from_csv("R", 1, "zzz\n").unwrap_err();
+        let err = Relation::from_csv("R", 1, "zzz\n", &SharedDictionary::new()).unwrap_err();
         assert!(err.message.contains("invalid value"));
-        let err = Relation::from_csv("R", 1, "5..1\n").unwrap_err();
+        let err = Relation::from_csv("R", 1, "5..1\n", &SharedDictionary::new()).unwrap_err();
         assert!(err.message.contains("inverted"));
         let err = Database::from_csv("1,2\n").unwrap_err();
         assert!(err.message.contains("header"));
         // `NaN` and `inf` parse as `f64`; they are rejected, not loaded (and
         // never reach the NaN panic of `OrdF64::new`).
         for text in ["NaN\n", "nan..1\n", "1..NaN\n", "inf\n", "-inf..inf\n"] {
-            let err = Relation::from_csv("R", 1, text).unwrap_err();
+            let err = Relation::from_csv("R", 1, text, &SharedDictionary::new()).unwrap_err();
             assert_eq!(err.line, 1, "{text:?}");
             assert!(err.message.contains("non-finite"), "{text:?}: {err}");
         }
@@ -295,8 +299,8 @@ mod tests {
             text in crate::arb_parser_text(10),
             arity in 0usize..3,
         ) {
-            if let Ok(rel) = Relation::from_csv("R", arity, &text) {
-                let again = Relation::from_csv("R", arity, &rel.to_csv());
+            if let Ok(rel) = Relation::from_csv("R", arity, &text, &SharedDictionary::new()) {
+                let again = Relation::from_csv("R", arity, &rel.to_csv(), &SharedDictionary::new());
                 proptest::prop_assert_eq!(again.as_ref(), Ok(&rel), "{:?}", text);
             }
             if let Ok(db) = Database::from_csv(&text) {

@@ -13,21 +13,17 @@
 //! Dictionaries are owned by [`SharedDictionary`] handles — cheap `Arc`
 //! clones of one striped store.  Every [`Relation`](crate::Relation) carries
 //! the handle its ids point into; ids are join-compatible exactly between
-//! relations sharing a handle.  Two handles exist in practice:
-//!
-//! * [`SharedDictionary::global`] — the process-wide default, used by every
-//!   `Relation::new`-style constructor for backwards compatibility.  It lives
-//!   for the process, so its interned values are never reclaimed.
-//! * [`SharedDictionary::new`] — a **scoped** dictionary, owned by a
-//!   `Workspace` (see the `ij-engine` crate).  The forward reduction interns
-//!   the transformed database into the dictionary of its *input* database, so
-//!   a workspace's evaluations never touch the global store, and dropping the
-//!   workspace (together with the relations built in it) frees every value it
-//!   interned — the scoping/eviction story for a long-running service.
+//! relations sharing a handle.  There is no process-wide store: every
+//! `Database::new` creates its own dictionary, a `Workspace` (see the
+//! `ij-engine` crate) owns one for the databases it imports, and the forward
+//! reduction interns the transformed database into the dictionary of its
+//! *input* database.  Dropping the last handle (together with the relations
+//! built in it) frees every value it interned.
 //!
 //! Within one handle ids are never re-assigned: an id stays valid for as long
 //! as its dictionary is alive.  Ids from *different* handles are meaningless
-//! to each other; never mix relations from different workspaces in one join.
+//! to each other; never mix relations from different dictionaries in one
+//! join.
 //!
 //! # Concurrency: hash-striped locks
 //!
@@ -43,8 +39,8 @@
 //! ([`Relation::tuples`](crate::Relation::tuples)) pins all stripes once via
 //! [`SharedDictionary::reader`] instead of locking per value.
 //!
-//! Ids stay **globally unique** across stripes by construction: the stripe
-//! index lives in the low [`STRIPE_BITS`] bits of the id and the
+//! Ids stay **unique** across the stripes of a dictionary by construction:
+//! the stripe index lives in the low [`STRIPE_BITS`] bits of the id and the
 //! stripe-local dense index in the bits above them, so each stripe owns a
 //! disjoint id subspace.
 //!
@@ -85,7 +81,7 @@ use crate::Value;
 use ij_segtree::BitString;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Number of independent stripes of the shared dictionary (a power of two).
 pub const STRIPE_COUNT: usize = 16;
@@ -125,12 +121,12 @@ fn inline_value(id: ValueId) -> Option<Value> {
 
 /// A dense identifier of an interned [`Value`].
 ///
-/// Ids are only meaningful relative to the shared dictionary; two ids are
-/// equal if and only if the values they intern are equal.  The `Ord` on ids
-/// is an arbitrary stable order (dictionary-assigned ids by interning order
-/// within the stripe, then stripe; inline bitstrings after them, by length,
-/// then bits), not the value order — sort by resolved values when value
-/// order matters.
+/// Ids are only meaningful relative to the [`SharedDictionary`] that assigned
+/// them; two ids of one dictionary are equal if and only if the values they
+/// intern are equal.  The `Ord` on ids is an arbitrary stable order
+/// (dictionary-assigned ids by interning order within the stripe, then
+/// stripe; inline bitstrings after them, by length, then bits), not the
+/// value order — sort by resolved values when value order matters.
 ///
 /// The representation is `#[repr(transparent)]` over the raw `u32`, and the
 /// `Ord` above is exactly the unsigned order of the raw ids, so comparing
@@ -140,26 +136,6 @@ fn inline_value(id: ValueId) -> Option<Value> {
 pub struct ValueId(u32);
 
 impl ValueId {
-    /// Interns `value` in the process-global dictionary
-    /// ([`SharedDictionary::global`]).  Scoped callers should intern through
-    /// their own handle ([`SharedDictionary::intern`]) instead.
-    pub fn intern(value: Value) -> ValueId {
-        SharedDictionary::global().intern(value)
-    }
-
-    /// Resolves the id against the process-global dictionary
-    /// ([`SharedDictionary::global`]; one stripe read lock — bulk resolves
-    /// should use [`SharedDictionary::reader`] instead of calling this per
-    /// id).  Ids interned into a scoped dictionary must be resolved through
-    /// that handle, not here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not produced by the global dictionary.
-    pub fn resolve(self) -> Value {
-        SharedDictionary::global().resolve(self)
-    }
-
     /// The id of the bitstring of `len` bits held in the low bits of `bits`,
     /// when it is short enough to be computed rather than stored (at most
     /// [`MAX_INLINE_BITS`] bits): `1 << 31 | 1 << len | bits`, the same id
@@ -203,8 +179,8 @@ impl ValueId {
     }
 
     /// Reconstructs an id from a raw index (the inverse of [`ValueId::raw`];
-    /// the caller is responsible for the index having come from the shared
-    /// dictionary).
+    /// the caller is responsible for the index having come from the
+    /// dictionary it is resolved against).
     pub fn from_raw(raw: u32) -> ValueId {
         ValueId(raw)
     }
@@ -229,7 +205,8 @@ fn stripe_of(value: &Value) -> usize {
     (hasher.finish() as usize) & (STRIPE_COUNT - 1)
 }
 
-/// Combines a stripe-local dense id with its stripe index into a global id.
+/// Combines a stripe-local dense id with its stripe index into a
+/// dictionary-wide id.
 ///
 /// Local indices are capped ([`MAX_STRIPE_VALUES`]): one more bit would set
 /// the inline tag, silently aliasing an inline bitstring id or — in a full
@@ -244,7 +221,7 @@ fn encode(local: ValueId, stripe: usize) -> ValueId {
     ValueId((local.0 << STRIPE_BITS) | stripe as u32)
 }
 
-/// Splits a global id back into (stripe index, stripe-local id).
+/// Splits a dictionary-wide id back into (stripe index, stripe-local id).
 fn decode(id: ValueId) -> (usize, ValueId) {
     (
         (id.0 & (STRIPE_COUNT as u32 - 1)) as usize,
@@ -256,11 +233,9 @@ fn decode(id: ValueId) -> (usize, ValueId) {
 ///
 /// Cloning is cheap (an `Arc` bump) and yields a handle to the *same* store:
 /// ids are join-compatible exactly between holders of clones of one handle.
-/// [`SharedDictionary::global`] is the process-wide default every
-/// `Relation::new`-style constructor uses; [`SharedDictionary::new`] creates
-/// a **scoped** dictionary whose values are reclaimed when the last clone
-/// (including the clones carried by the relations built in it) drops — see
-/// the module docs.
+/// [`SharedDictionary::new`] creates a fresh store, whose values are
+/// reclaimed when the last clone (including the clones carried by the
+/// relations built in it) drops — see the module docs.
 #[derive(Clone)]
 pub struct SharedDictionary {
     stripes: Arc<[RwLock<Dictionary>; STRIPE_COUNT]>,
@@ -268,9 +243,8 @@ pub struct SharedDictionary {
 
 impl std::fmt::Debug for SharedDictionary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The stores can hold millions of values; print identity + size only.
+        // The stores can hold millions of values; print the size only.
         f.debug_struct("SharedDictionary")
-            .field("global", &self.is_global())
             .field("len", &self.len())
             .finish()
     }
@@ -292,24 +266,11 @@ impl PartialEq for SharedDictionary {
 impl Eq for SharedDictionary {}
 
 impl SharedDictionary {
-    /// A fresh, empty scoped dictionary.
+    /// A fresh, empty dictionary.
     pub fn new() -> Self {
         SharedDictionary {
             stripes: Arc::new(std::array::from_fn(|_| RwLock::new(Dictionary::new()))),
         }
-    }
-
-    /// The process-wide dictionary ([`ValueId::intern`] /
-    /// [`ValueId::resolve`] delegate here).  Clone the returned handle to own
-    /// a reference to it.
-    pub fn global() -> &'static SharedDictionary {
-        static GLOBAL: OnceLock<SharedDictionary> = OnceLock::new();
-        GLOBAL.get_or_init(SharedDictionary::new)
-    }
-
-    /// True if this handle names the process-wide dictionary.
-    pub fn is_global(&self) -> bool {
-        self == SharedDictionary::global()
     }
 
     /// Interns `value`: returns the existing id when the value was seen
@@ -474,19 +435,6 @@ impl Dictionary {
     pub fn resolve(&self, id: ValueId) -> Value {
         self.values[id.0 as usize]
     }
-
-    /// Pins every stripe of the **process-global** dictionary under a read
-    /// lock at once (see [`SharedDictionary::reader`], which this delegates
-    /// to; scoped dictionaries use their handle's method).
-    pub fn reader() -> DictReader<'static> {
-        SharedDictionary::global().reader()
-    }
-
-    /// Total number of distinct values interned in the process-global
-    /// dictionary (sums the stripes; a snapshot under concurrent interning).
-    pub fn shared_len() -> usize {
-        SharedDictionary::global().len()
-    }
 }
 
 /// A read pin over every stripe of one dictionary (see
@@ -494,8 +442,7 @@ impl Dictionary {
 /// values into that dictionary.
 ///
 /// While a reader is held, resolve ids through **it** ([`DictReader::resolve`])
-/// — not through [`ValueId::resolve`] or [`SharedDictionary::resolve`] on the
-/// same store, which acquire a second read lock on a stripe this reader
+/// — not through [`SharedDictionary::resolve`] on the same store, which acquire a second read lock on a stripe this reader
 /// already holds: `std`'s `RwLock` may deadlock on such recursive read
 /// acquisition when a writer is queued in between.
 pub struct DictReader<'d> {
@@ -633,15 +580,16 @@ mod tests {
 
     #[test]
     fn shared_ids_encode_their_stripe() {
+        let dict = SharedDictionary::new();
         let values: Vec<Value> = (0..100).map(|i| Value::point(7000.0 + i as f64)).collect();
-        let ids: Vec<ValueId> = values.iter().map(|&v| ValueId::intern(v)).collect();
-        // Lock-per-id resolves, *before* pinning the stripes: ValueId::resolve
-        // must never run under a held DictReader (recursive read locks can
-        // deadlock against a queued writer).
+        let ids: Vec<ValueId> = values.iter().map(|&v| dict.intern(v)).collect();
+        // Lock-per-id resolves, *before* pinning the stripes: a per-id
+        // resolve must never run under a held DictReader (recursive read
+        // locks can deadlock against a queued writer).
         for (&v, &id) in values.iter().zip(&ids) {
-            assert_eq!(id.resolve(), v);
+            assert_eq!(dict.resolve(id), v);
         }
-        let reader = Dictionary::reader();
+        let reader = dict.reader();
         for (&v, &id) in values.iter().zip(&ids) {
             let (stripe, _) = decode(id);
             assert_eq!(stripe, stripe_of(&v));
@@ -654,37 +602,31 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
-        assert!(Dictionary::shared_len() >= ids.len());
+        assert_eq!(dict.len(), ids.len());
     }
 
     #[test]
-    fn scoped_dictionaries_are_independent_of_the_global_store() {
-        let scoped = SharedDictionary::new();
-        assert!(!scoped.is_global());
-        assert!(scoped.is_empty());
+    fn dictionaries_are_independent_of_each_other() {
+        let dict = SharedDictionary::new();
+        assert!(dict.is_empty());
         let values: Vec<Value> = (0..50).map(|i| Value::point(9_000.5 + i as f64)).collect();
-        let ids: Vec<ValueId> = values.iter().map(|&v| scoped.intern(v)).collect();
-        // Scoped interning never touches the global store (checked per value:
-        // concurrently running tests intern into it, so its length moves).
-        for v in &values {
-            assert_eq!(SharedDictionary::global().lookup(v), None);
-        }
-        assert_eq!(scoped.len(), values.len());
+        let ids: Vec<ValueId> = values.iter().map(|&v| dict.intern(v)).collect();
+        assert_eq!(dict.len(), values.len());
         for (&v, &id) in values.iter().zip(&ids) {
-            assert_eq!(scoped.resolve(id), v);
-            assert_eq!(scoped.lookup(&v), Some(id));
+            assert_eq!(dict.resolve(id), v);
+            assert_eq!(dict.lookup(&v), Some(id));
         }
-        let reader = scoped.reader();
+        let reader = dict.reader();
         for (&v, &id) in values.iter().zip(&ids) {
             assert_eq!(reader.resolve(id), v);
         }
         drop(reader);
         // Clones name the same store; fresh dictionaries do not.
-        let clone = scoped.clone();
-        assert_eq!(clone, scoped);
+        let clone = dict.clone();
+        assert_eq!(clone, dict);
         assert_eq!(clone.lookup(&values[0]), Some(ids[0]));
-        assert_ne!(SharedDictionary::new(), scoped);
-        // A second scoped dictionary starts from an empty id space.
+        assert_ne!(SharedDictionary::new(), dict);
+        // A second dictionary starts from an empty id space.
         let second = SharedDictionary::new();
         let re_interned = second.intern(values[0]);
         assert_eq!(second.resolve(re_interned), values[0]);
@@ -738,28 +680,27 @@ mod tests {
             "1000 values must account at least their own storage: {empty} -> {filled}"
         );
 
-        let scoped = SharedDictionary::new();
-        let baseline = scoped.heap_bytes();
+        let shared = SharedDictionary::new();
+        let baseline = shared.heap_bytes();
         for i in 0..1000 {
-            scoped.intern(Value::point(i as f64));
+            shared.intern(Value::point(i as f64));
         }
         assert!(
-            scoped.heap_bytes() >= baseline + 1000 * std::mem::size_of::<Value>(),
+            shared.heap_bytes() >= baseline + 1000 * std::mem::size_of::<Value>(),
             "striped accounting must cover every stripe"
         );
     }
 
     #[test]
     fn shared_dictionary_is_consistent_across_threads() {
+        let dict = SharedDictionary::new();
         let values: Vec<Value> = (0..64).map(|i| Value::point(1000.0 + i as f64)).collect();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let values = values.clone();
+                let dict = dict.clone();
                 std::thread::spawn(move || {
-                    values
-                        .iter()
-                        .map(|&v| ValueId::intern(v))
-                        .collect::<Vec<_>>()
+                    values.iter().map(|&v| dict.intern(v)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -768,7 +709,7 @@ mod tests {
             assert_eq!(ids, &results[0]);
         }
         for (&v, &id) in values.iter().zip(&results[0]) {
-            assert_eq!(id.resolve(), v);
+            assert_eq!(dict.resolve(id), v);
         }
     }
 }

@@ -5,9 +5,9 @@
 //! * [`Dictionary`] / [`SharedDictionary`] / [`ValueId`] — interning of
 //!   values into dense `u32` ids; every layer of the pipeline joins on ids,
 //!   never on full values.  Dictionaries are owned by cheap-to-clone
-//!   [`SharedDictionary`] handles: the process-global one is the
-//!   compatibility default, workspace-scoped ones bound residency (dropping
-//!   the scope reclaims its interned values);
+//!   [`SharedDictionary`] handles: every database creates its own, a
+//!   workspace shares one among the databases it imports, and dropping the
+//!   last handle reclaims its interned values;
 //! * [`Relation`] / [`Database`] — named multisets of tuples stored as
 //!   columnar id vectors, with a row-oriented compatibility
 //!   layer and the distinct-left-endpoint transformation of Appendix G.1;
@@ -37,8 +37,6 @@
 //! db.insert_tuples("R", 2, vec![vec![Value::interval(0.0, 2.0), Value::interval(1.0, 3.0)]]);
 //! assert_eq!(db.total_tuples(), 1);
 //! ```
-
-#![forbid(unsafe_code)]
 
 mod cancel;
 mod csv;

@@ -9,14 +9,13 @@
 //! [`Relation::push_ids`], [`Relation::projection`], ...).
 //!
 //! Every relation (and database) carries the [`SharedDictionary`] handle its
-//! ids point into.  The plain constructors ([`Relation::new`],
-//! [`Database::new`], ...) use the process-global dictionary, preserving the
-//! historical behaviour; the `*_in` variants ([`Relation::new_in`],
-//! [`Database::new_in`], ...) intern into an explicit — typically
-//! workspace-scoped — dictionary, so dropping the workspace reclaims the
-//! interned values.  Ids are join-compatible exactly between relations that
-//! share a dictionary; derived relations (projections, renames)
-//! inherit their source's handle.
+//! ids point into.  A relation is built against an explicit handle
+//! ([`Relation::new`], [`Relation::from_tuples`], ...), usually its
+//! database's ([`Database::dictionary`]); [`Database::new`] creates a fresh
+//! dictionary of its own and [`Database::new_in`] shares an existing one.
+//! Ids are join-compatible exactly between relations that share a
+//! dictionary; derived relations (projections, renames) inherit their
+//! source's handle.
 
 use crate::sync::lock_recover;
 use crate::{SharedDictionary, Value, ValueId};
@@ -111,12 +110,18 @@ impl Clone for Memos {
 }
 
 impl PartialEq for Relation {
+    /// Same name, arity and rows in the same order.  Over one dictionary the
+    /// id columns decide; over two, equal ids may denote different values,
+    /// so the rows are compared resolved.  The memos are derived state and
+    /// play no part.
     fn eq(&self, other: &Self) -> bool {
-        // The memos are derived state and must not affect equality.  The
-        // dictionary handle is deliberately ignored too: equality of id
-        // columns is only meaningful between relations of one dictionary,
-        // and that is the only comparison callers make.
-        self.name == other.name && self.arity == other.arity && self.columns == other.columns
+        if self.name != other.name || self.arity != other.arity {
+            return false;
+        }
+        if self.dict == other.dict {
+            return self.columns == other.columns;
+        }
+        self.len() == other.len() && self.tuples() == other.tuples()
     }
 }
 
@@ -173,16 +178,9 @@ impl Columns {
 }
 
 impl Relation {
-    /// Creates an empty relation with the given name and arity, interning
-    /// into the process-global dictionary ([`Relation::new_in`] scopes it).
-    pub fn new(name: impl Into<String>, arity: usize) -> Self {
-        Relation::new_in(name, arity, SharedDictionary::global())
-    }
-
-    /// Creates an empty relation whose values intern into `dict` — typically
-    /// a workspace-scoped dictionary, so the interned values die with the
-    /// workspace instead of accreting in the process-global store.
-    pub fn new_in(name: impl Into<String>, arity: usize, dict: &SharedDictionary) -> Self {
+    /// Creates an empty relation with the given name and arity whose values
+    /// intern into `dict`.
+    pub fn new(name: impl Into<String>, arity: usize, dict: &SharedDictionary) -> Self {
         Relation {
             name: name.into(),
             arity,
@@ -193,32 +191,19 @@ impl Relation {
     }
 
     /// Creates a relation from a list of tuples, validating that every row
-    /// matches `arity`.  Values intern into the process-global dictionary
-    /// ([`Relation::from_tuples_in`] scopes it).
+    /// matches `arity`.  Values intern into `dict`.
     ///
     /// # Panics
     ///
     /// Panics with a message naming the relation, the offending row index and
     /// both arities if a row does not have exactly `arity` values.
-    pub fn from_tuples(name: impl Into<String>, arity: usize, tuples: Vec<Vec<Value>>) -> Self {
-        match Relation::try_from_tuples(name, arity, tuples) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Relation::from_tuples`] interning into an explicit dictionary.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Relation::from_tuples`] on a ragged row.
-    pub fn from_tuples_in(
+    pub fn from_tuples(
         name: impl Into<String>,
         arity: usize,
         tuples: Vec<Vec<Value>>,
         dict: &SharedDictionary,
     ) -> Self {
-        match Relation::try_from_tuples_in(name, arity, tuples, dict) {
+        match Relation::try_from_tuples(name, arity, tuples, dict) {
             Ok(r) => r,
             Err(e) => panic!("{e}"),
         }
@@ -230,18 +215,9 @@ impl Relation {
         name: impl Into<String>,
         arity: usize,
         tuples: Vec<Vec<Value>>,
-    ) -> Result<Self, ArityError> {
-        Relation::try_from_tuples_in(name, arity, tuples, SharedDictionary::global())
-    }
-
-    /// Fallible variant of [`Relation::from_tuples_in`].
-    pub fn try_from_tuples_in(
-        name: impl Into<String>,
-        arity: usize,
-        tuples: Vec<Vec<Value>>,
         dict: &SharedDictionary,
     ) -> Result<Self, ArityError> {
-        let mut r = Relation::new_in(name, arity, dict);
+        let mut r = Relation::new(name, arity, dict);
         // Validate the whole batch before interning anything, so errors do
         // not leave a partially-filled relation behind.
         for (row, t) in tuples.iter().enumerate() {
@@ -276,7 +252,7 @@ impl Relation {
     /// # Panics
     ///
     /// Panics if any column's length differs from `len`.
-    pub fn from_id_columns_in(
+    pub fn from_id_columns(
         name: impl Into<String>,
         len: usize,
         cols: Vec<Vec<ValueId>>,
@@ -411,7 +387,7 @@ impl Relation {
 
     /// Appends a row of already-interned ids (how the join engine's bag
     /// enumeration emits a row; whole columns go through
-    /// [`Relation::from_id_columns_in`]).
+    /// [`Relation::from_id_columns`]).
     ///
     /// # Panics
     ///
@@ -670,24 +646,22 @@ impl Default for Database {
 }
 
 impl PartialEq for Database {
-    /// Content equality: the relations, by name.  The dictionary handle is
-    /// ignored, like in [`Relation`]'s equality.
+    /// Content equality: the relations, by name, compared as [`Relation`]'s
+    /// equality does (resolved rows when the dictionaries differ).
     fn eq(&self, other: &Self) -> bool {
         self.relations == other.relations
     }
 }
 
 impl Database {
-    /// Creates an empty database whose relations intern into the
-    /// process-global dictionary ([`Database::new_in`] scopes it).
+    /// Creates an empty database with a fresh dictionary of its own.
     pub fn new() -> Self {
-        Database::new_in(SharedDictionary::global().clone())
+        Database::new_in(SharedDictionary::new())
     }
 
-    /// Creates an empty database interning into an explicit — typically
-    /// workspace-scoped — dictionary.  The forward reduction writes its
-    /// transformed database into the same dictionary as its input database,
-    /// so evaluation of a scoped database never touches the global store.
+    /// Creates an empty database interning into an existing dictionary: a
+    /// workspace's databases share its dictionary, and the forward reduction
+    /// writes its transformed database into the dictionary of its input.
     pub fn new_in(dict: SharedDictionary) -> Self {
         Database {
             relations: BTreeMap::new(),
@@ -715,7 +689,7 @@ impl Database {
         assert!(
             relation.dictionary() == self.dictionary(),
             "relation `{}` interns into a different dictionary than its database \
-             (build it from the same workspace, or re-intern it via import)",
+             (build it against the database's dictionary, or re-intern it via import)",
             relation.name()
         );
         self.relations.insert(relation.name().to_string(), relation);
@@ -729,7 +703,7 @@ impl Database {
     /// Panics with a message naming the relation and the offending row if the
     /// tuples do not all have exactly `arity` values.
     pub fn insert_tuples(&mut self, name: &str, arity: usize, tuples: Vec<Vec<Value>>) {
-        self.insert(Relation::from_tuples_in(name, arity, tuples, &self.dict));
+        self.insert(Relation::from_tuples(name, arity, tuples, &self.dict));
     }
 
     /// Fallible variant of [`Database::insert_tuples`].
@@ -739,9 +713,7 @@ impl Database {
         arity: usize,
         tuples: Vec<Vec<Value>>,
     ) -> Result<(), ArityError> {
-        self.insert(Relation::try_from_tuples_in(
-            name, arity, tuples, &self.dict,
-        )?);
+        self.insert(Relation::try_from_tuples(name, arity, tuples, &self.dict)?);
         Ok(())
     }
 
@@ -835,8 +807,8 @@ impl Database {
                             .collect()
                     })
                     .collect();
-                let dict = rel.dictionary().clone();
-                *rel = Relation::from_tuples_in(rel.name().to_string(), arity, tuples, &dict);
+                *rel =
+                    Relation::from_tuples(rel.name().to_string(), arity, tuples, rel.dictionary());
             }
         }
     }
@@ -878,7 +850,7 @@ mod tests {
 
     #[test]
     fn relation_basics() {
-        let mut r = Relation::new("R", 2);
+        let mut r = Relation::new("R", 2, &SharedDictionary::new());
         r.push(vec![iv(0.0, 1.0), iv(2.0, 3.0)]);
         r.push(vec![iv(0.0, 1.0), iv(2.0, 3.0)]);
         assert_eq!(r.len(), 2);
@@ -891,7 +863,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_is_rejected() {
-        let mut r = Relation::new("R", 2);
+        let mut r = Relation::new("R", 2, &SharedDictionary::new());
         r.push(vec![iv(0.0, 1.0)]);
     }
 
@@ -902,6 +874,7 @@ mod tests {
             "R",
             2,
             vec![vec![iv(0.0, 1.0), iv(2.0, 3.0)], vec![iv(0.0, 1.0)]],
+            &SharedDictionary::new(),
         );
     }
 
@@ -911,6 +884,7 @@ mod tests {
             "R",
             2,
             vec![vec![iv(0.0, 1.0), iv(2.0, 3.0)], vec![iv(0.0, 1.0)], vec![]],
+            &SharedDictionary::new(),
         )
         .unwrap_err();
         assert_eq!(err.relation, "R");
@@ -928,6 +902,7 @@ mod tests {
 
     #[test]
     fn interned_columns_expose_ids() {
+        let dict = SharedDictionary::new();
         let r = Relation::from_tuples(
             "R",
             2,
@@ -935,17 +910,19 @@ mod tests {
                 vec![Value::point(1.0), Value::point(2.0)],
                 vec![Value::point(1.0), Value::point(3.0)],
             ],
+            &dict,
         );
         // The repeated value 1.0 gets the same id in both rows.
         assert_eq!(r.column_ids(0)[0], r.column_ids(0)[1]);
         assert_ne!(r.column_ids(1)[0], r.column_ids(1)[1]);
-        assert_eq!(r.id_at(1, 1).resolve(), Value::point(3.0));
+        assert_eq!(dict.resolve(r.id_at(1, 1)), Value::point(3.0));
         assert_eq!(r.value_at(0, 1), Value::point(2.0));
     }
 
     #[test]
     fn fingerprint_cache_memoizes_and_invalidates_on_mutation() {
-        let mut r = Relation::new("R", 1);
+        let dict = SharedDictionary::new();
+        let mut r = Relation::new("R", 1, &dict);
         r.push(vec![Value::point(1.0)]);
         assert_eq!(r.fingerprint_with(|_| (1, 1)), (1, 1));
         // Memoized: a different closure is not called again.
@@ -957,7 +934,7 @@ mod tests {
         // Renaming shares the cached value; equality ignores the cache.
         let s = r.renamed("S");
         assert_eq!(s.fingerprint_with(|_| (5, 5)), (4, 4));
-        let mut fresh = Relation::new("R", 1);
+        let mut fresh = Relation::new("R", 1, &dict);
         fresh.push(vec![Value::point(1.0)]);
         fresh.push(vec![Value::point(2.0)]);
         // `dedup` left `r` in id order; equal row sets dedup to equal columns.
@@ -975,6 +952,7 @@ mod tests {
                 .iter()
                 .map(|&(a, b, c)| vec![p(a), p(b), p(c)])
                 .collect(),
+            &SharedDictionary::new(),
         )
     }
 
@@ -1071,13 +1049,13 @@ mod tests {
         let dict = SharedDictionary::new();
         let a = dict.intern(Value::point(1.0));
         let b = dict.intern(Value::point(2.0));
-        let r = Relation::from_id_columns_in("R", 2, vec![vec![a, a], vec![b, a]], &dict);
+        let r = Relation::from_id_columns("R", 2, vec![vec![a, a], vec![b, a]], &dict);
         assert_eq!(r.len(), 2);
         assert_eq!(r.arity(), 2);
         assert_eq!(r.dictionary(), &dict);
         assert_eq!(r.tuples()[1], vec![Value::point(1.0), Value::point(1.0)]);
         // Zero-arity relations keep their explicit multiplicity.
-        let guard = Relation::from_id_columns_in("E", 3, vec![], &dict);
+        let guard = Relation::from_id_columns("E", 3, vec![], &dict);
         assert_eq!(guard.len(), 3);
         assert_eq!(guard.arity(), 0);
     }
@@ -1087,12 +1065,12 @@ mod tests {
     fn from_id_columns_rejects_ragged_columns() {
         let dict = SharedDictionary::new();
         let a = dict.intern(Value::point(1.0));
-        let _ = Relation::from_id_columns_in("R", 2, vec![vec![a], vec![a, a]], &dict);
+        let _ = Relation::from_id_columns("R", 2, vec![vec![a], vec![a, a]], &dict);
     }
 
     #[test]
     fn zero_arity_relations_track_multiplicity() {
-        let mut r = Relation::new("E", 0);
+        let mut r = Relation::new("E", 0, &SharedDictionary::new());
         assert!(r.is_empty());
         r.push(vec![]);
         r.push(vec![]);
@@ -1111,11 +1089,56 @@ mod tests {
                 vec![Value::point(1.0), Value::point(2.0), Value::point(3.0)],
                 vec![Value::point(4.0), Value::point(5.0), Value::point(6.0)],
             ],
+            &SharedDictionary::new(),
         );
         let p = r.project(&[2, 0], "P");
         assert_eq!(p.arity(), 2);
         assert_eq!(p.tuples()[0], vec![Value::point(3.0), Value::point(1.0)]);
         assert_eq!(p.tuples()[1], vec![Value::point(6.0), Value::point(4.0)]);
+    }
+
+    #[test]
+    fn equality_across_dictionaries_compares_values() {
+        let p = Value::point;
+        let rows =
+            |values: &[f64]| -> Vec<Vec<Value>> { values.iter().map(|&v| vec![p(v)]).collect() };
+        let a = SharedDictionary::new();
+        let one = Relation::from_tuples("R", 1, rows(&[1.0, 2.0]), &a);
+        // A fresh dictionary gives its first value of a stripe that stripe's
+        // first id, so some other value gets 1.0's id in a fresh `b`.
+        let (b, twin) = (3..)
+            .map(|k| (SharedDictionary::new(), f64::from(k)))
+            .find(|(b, v)| b.intern(p(*v)) == one.id_at(0, 0))
+            .expect("a value in 1.0's stripe");
+        let same_ids = Relation::from_tuples("R", 1, rows(&[twin]), &b);
+        let first = Relation::from_tuples("R", 1, rows(&[1.0]), &a);
+        assert_eq!(first.column_ids(0), same_ids.column_ids(0));
+        assert_ne!(first, same_ids);
+        // The same rows with other ids: every stripe already holds values.
+        let c = SharedDictionary::new();
+        for v in 100..164 {
+            c.intern(p(f64::from(v)));
+        }
+        let same_rows = Relation::from_tuples("R", 1, rows(&[1.0, 2.0]), &c);
+        assert_ne!(one.column_ids(0), same_rows.column_ids(0));
+        assert_eq!(one, same_rows);
+        // Rows compare in order, and databases compare their relations so.
+        let swapped = Relation::from_tuples("R", 1, rows(&[2.0, 1.0]), &c);
+        assert_ne!(one, swapped);
+        let mut db_a = Database::new_in(a);
+        db_a.insert(one);
+        let mut db_c = Database::new_in(c);
+        db_c.insert(same_rows);
+        assert_eq!(db_a, db_c);
+        db_c.insert(swapped);
+        assert_ne!(db_a, db_c);
+    }
+
+    #[test]
+    #[should_panic(expected = "different dictionary")]
+    fn inserting_a_relation_of_another_dictionary_panics() {
+        let foreign = Relation::new("R", 1, &SharedDictionary::new());
+        Database::new().insert(foreign);
     }
 
     #[test]

@@ -92,7 +92,7 @@ proptest! {
         let (arity, rows) = input;
         let dict = SharedDictionary::new();
         let (first, second) = rows.split_at(split.min(rows.len()));
-        let mut relation = Relation::from_tuples_in("R", arity, first.to_vec(), &dict);
+        let mut relation = Relation::from_tuples("R", arity, first.to_vec(), &dict);
         // The second batch repeats the first on top of its own rows.
         for row in second.iter().chain(first) {
             relation.push(row.clone());

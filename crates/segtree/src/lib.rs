@@ -31,8 +31,6 @@
 //! assert!(!cp.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod bitstring;
 mod dyadic;
 mod interval;

@@ -25,8 +25,6 @@
 //! assert!((report.value - 1.5).abs() < 1e-9); // Section 1.1: ijw(Q△) = 3/2
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod cover;
 mod decomposition;
 mod ijw;

@@ -124,7 +124,7 @@ pub fn generate_for_query(q: &Query, cfg: &WorkloadConfig) -> Database {
         if db.relation(&atom.relation).is_some() {
             continue;
         }
-        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len());
+        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len(), db.dictionary());
         for _ in 0..cfg.tuples_per_relation {
             let mut row = Vec::with_capacity(atom.vars.len());
             for v in &atom.vars {
@@ -225,7 +225,7 @@ pub fn planted_unsatisfiable(q: &Query, cfg: &WorkloadConfig) -> Database {
                     .collect()
             })
             .collect();
-        *rel = Relation::from_tuples(rel.name().to_string(), arity, shifted);
+        *rel = Relation::from_tuples(rel.name().to_string(), arity, shifted, rel.dictionary());
     }
     db
 }
@@ -238,7 +238,7 @@ pub fn temporal_sessions(relation_names: &[&str], n: usize, seed: u64) -> Databa
     let mut db = Database::new();
     let horizon = (n as f64) * 10.0;
     for name in relation_names {
-        let mut rel = Relation::new(*name, 1);
+        let mut rel = Relation::new(*name, 1, db.dictionary());
         for _ in 0..n {
             let start = rng.gen_range(0.0..horizon);
             let duration = -(rng.gen_range(0.0f64..1.0).max(1e-12)).ln() * 30.0;
@@ -262,7 +262,7 @@ pub fn spatial_boxes(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
     for name in relation_names {
-        let mut rel = Relation::new(*name, 2);
+        let mut rel = Relation::new(*name, 2, db.dictionary());
         for _ in 0..n {
             let x = rng.gen_range(0.0..world);
             let y = rng.gen_range(0.0..world);
@@ -287,7 +287,7 @@ pub fn point_intervals(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
     for (name, arity) in relation_names {
-        let mut rel = Relation::new(*name, *arity);
+        let mut rel = Relation::new(*name, *arity, db.dictionary());
         for _ in 0..n {
             let row: Vec<Value> = (0..*arity)
                 .map(|_| {

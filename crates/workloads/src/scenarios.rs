@@ -272,7 +272,7 @@ fn temporal_overlap(rng: &mut StdRng, n: usize, selectivity: f64, skew: f64) -> 
     let horizon = (n.max(1) as f64) * 20.0;
     let base_len = selectivity * horizon / 8.0 + 0.25;
     for name in ["Sessions", "Meetings", "Oncall"] {
-        let mut rel = Relation::new(name, 1);
+        let mut rel = Relation::new(name, 1, db.dictionary());
         for _ in 0..n {
             let start = rng.gen_range(0.0..horizon);
             let len = skewed_length(rng, base_len, skew, horizon);
@@ -301,7 +301,7 @@ fn ip_ranges(rng: &mut StdRng, n: usize, selectivity: f64, skew: f64) -> Databas
     };
     let mut db = Database::new();
     for name in ["Rules", "Watchlist"] {
-        let mut rel = Relation::new(name, 2);
+        let mut rel = Relation::new(name, 2, db.dictionary());
         for _ in 0..n {
             let (slo, shi) = cidr_block(rng);
             let (dlo, dhi) = cidr_block(rng);
@@ -309,7 +309,7 @@ fn ip_ranges(rng: &mut StdRng, n: usize, selectivity: f64, skew: f64) -> Databas
         }
         db.insert(rel);
     }
-    let mut flows = Relation::new("Flows", 2);
+    let mut flows = Relation::new("Flows", 2, db.dictionary());
     let space = (1u64 << SPACE_BITS) as f64;
     for _ in 0..n {
         let src = rng.gen_range(0.0..space).floor();
@@ -349,7 +349,7 @@ fn genomic_overlap(rng: &mut StdRng, n: usize, selectivity: f64, skew: f64) -> D
     let base_len = selectivity * 40.0 + 0.25;
     let mut db = Database::new();
     for (name, scales) in schemas {
-        let mut rel = Relation::new(name, scales.len());
+        let mut rel = Relation::new(name, scales.len(), db.dictionary());
         for _ in 0..n {
             let row: Vec<Value> = scales
                 .iter()
@@ -373,7 +373,7 @@ fn spatial_rectangles(rng: &mut StdRng, n: usize, selectivity: f64, skew: f64) -
     let base_side = selectivity * 25.0 + 0.25;
     let mut db = Database::new();
     for name in ["Buildings", "FloodZones", "Coverage"] {
-        let mut rel = Relation::new(name, 2);
+        let mut rel = Relation::new(name, 2, db.dictionary());
         for _ in 0..n {
             let row: Vec<Value> = (0..2)
                 .map(|_| {
@@ -448,7 +448,7 @@ fn shift_relation(db: &mut Database, relation: &str, offset: f64) {
                 .collect()
         })
         .collect();
-    *rel = ij_relation::Relation::from_tuples(rel.name().to_string(), arity, shifted);
+    *rel = Relation::from_tuples(rel.name().to_string(), arity, shifted, rel.dictionary());
 }
 
 /// Shifts each relation's values into a window disjoint from every other

@@ -81,8 +81,7 @@ fn main() {
     //    that reads it is evaluated, so the early exit also skips the
     //    relations only later disjuncts would have read: the summary says
     //    how many were built.  The reduction's bitstring ids are computed,
-    //    not stored, and join the workspace's ids — the process-global
-    //    dictionary is never touched.
+    //    not stored, and join the workspace's ids.
     let stats = engine
         .evaluate_cancellable(&query, &db, None)
         .expect("evaluation succeeds");

@@ -26,7 +26,7 @@
 //! | [`segtree`] | Intervals, bitstrings, the segment tree — one implicit-heap index-arithmetic layout (Section 3, Appendix B) |
 //! | [`hypergraph`] | Hypergraphs, acyclicity, the structural reduction τ(H) (Sections 4, 6) |
 //! | [`widths`] | ρ*, fhtw, subw bounds, ij-width (Definition 4.14) |
-//! | [`relation`] | Values, the **value dictionary** behind scoped `SharedDictionary` handles, interned columnar relations, query AST |
+//! | [`relation`] | Values, the **value dictionary** behind owned `SharedDictionary` handles, interned columnar relations, query AST |
 //! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), byte-budgeted content-addressed `TrieCache`, Yannakakis, width-guided evaluation |
 //! | [`reduction`] | Forward (IJ→EJ) and backward (EJ→IJ) data reductions (Sections 4, 5) |
 //! | [`engine`] | End-to-end engine with `Workspace`-owned state, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
@@ -40,11 +40,11 @@
 //! dictionary of [`relation`] (a segment-tree bitstring needs no entry: its
 //! id is computed from its bits); relations store dense `u32` id columns and
 //! every downstream layer operates on ids.  The dictionary is owned by a
-//! `SharedDictionary` handle carried by each relation: plain constructors
-//! use the process-global handle, while a `Workspace` ([`engine`]) scopes a
-//! dictionary (plus one shared trie cache warming every engine built from
-//! the workspace) so that dropping the workspace reclaims its interned
-//! values:
+//! `SharedDictionary` handle carried by each relation: `Database::new`
+//! creates one of its own, and a `Workspace` ([`engine`]) owns one that all
+//! its databases share (plus one shared trie cache warming every engine
+//! built from the workspace), so that dropping the workspace reclaims its
+//! interned values:
 //!
 //! ```text
 //!  Workspace { SharedDictionary, shared TrieCache }
@@ -95,8 +95,6 @@
 //! Values are resolved back out of the dictionary only at API boundaries
 //! (`Relation::tuples`, CSV export, error messages); the join hot paths
 //! hash and compare nothing wider than a `u32`.
-
-#![forbid(unsafe_code)]
 
 pub use ij_engine::prelude;
 

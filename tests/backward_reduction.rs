@@ -38,7 +38,7 @@ fn random_ej_database(
 ) -> Database {
     let mut db = Database::new();
     for atom in &reduced.atoms {
-        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len());
+        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len(), db.dictionary());
         for _ in 0..tuples {
             let row: Vec<Value> = (0..atom.vars.len())
                 .map(|_| {
@@ -145,7 +145,7 @@ fn forward_then_backward_preserves_hardness_witnesses() {
     // trivially succeeds.
     let mut ej_db = Database::new();
     for atom in &reduced.atoms {
-        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len());
+        let mut rel = Relation::new(atom.relation.clone(), atom.vars.len(), ej_db.dictionary());
         rel.push(vec![
             Value::Bits(BitString::from_bits(0b1, 1));
             atom.vars.len()

@@ -5,7 +5,7 @@
 
 use ij_ejoin::{generic_join_boolean, BoundAtom, EvalContext, FlatTrie};
 use ij_hypergraph::VarId;
-use ij_relation::{Dictionary, Relation, Value, ValueId};
+use ij_relation::{Relation, SharedDictionary, Value, ValueId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -50,20 +50,22 @@ fn value_paths(
         .collect()
 }
 
-/// Every root-to-leaf path of an id-keyed trie, resolved back to values.
-fn trie_paths(trie: &FlatTrie) -> Vec<Vec<Value>> {
+/// Every root-to-leaf path of an id-keyed trie, resolved back to values
+/// through the dictionary of the relation it was built over.
+fn trie_paths(trie: &FlatTrie, dict: &SharedDictionary) -> Vec<Vec<Value>> {
     fn walk(
         trie: &FlatTrie,
+        dict: &SharedDictionary,
         level: usize,
         (lo, hi): (u32, u32),
         prefix: &mut Vec<Value>,
         out: &mut Vec<Vec<Value>>,
     ) {
         for (i, id) in trie.run(level, lo, hi).iter().enumerate() {
-            prefix.push(id.resolve());
+            prefix.push(dict.resolve(*id));
             if level + 1 < trie.depth() {
                 let children = trie.child_range(level, lo + i as u32);
-                walk(trie, level + 1, children, prefix, out);
+                walk(trie, dict, level + 1, children, prefix, out);
             } else {
                 out.push(prefix.clone());
             }
@@ -71,20 +73,28 @@ fn trie_paths(trie: &FlatTrie) -> Vec<Vec<Value>> {
         }
     }
     let mut out = Vec::new();
-    walk(trie, 0, (0, trie.level_len(0)), &mut Vec::new(), &mut out);
+    walk(
+        trie,
+        dict,
+        0,
+        (0, trie.level_len(0)),
+        &mut Vec::new(),
+        &mut out,
+    );
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// Interning and resolving through the shared dictionary round-trips and
+    /// Interning and resolving through a dictionary round-trips and
     /// deduplicates: equal values get equal ids, distinct values distinct ids.
     #[test]
     fn intern_resolve_round_trip_and_dedup(values in proptest::collection::vec(arb_value(), 1..40)) {
-        let ids: Vec<ValueId> = values.iter().map(|&v| ValueId::intern(v)).collect();
+        let dict = SharedDictionary::new();
+        let ids: Vec<ValueId> = values.iter().map(|&v| dict.intern(v)).collect();
         for (&v, &id) in values.iter().zip(&ids) {
-            prop_assert_eq!(id.resolve(), v);
+            prop_assert_eq!(dict.resolve(id), v);
         }
         for (i, &a) in values.iter().enumerate() {
             for (j, &b) in values.iter().enumerate() {
@@ -101,15 +111,16 @@ proptest! {
         first in proptest::collection::vec(arb_value(), 1..20),
         later in proptest::collection::vec(arb_value(), 0..20),
     ) {
-        let before: Vec<ValueId> = first.iter().map(|&v| ValueId::intern(v)).collect();
+        let dict = SharedDictionary::new();
+        let before: Vec<ValueId> = first.iter().map(|&v| dict.intern(v)).collect();
         for &v in &later {
-            ValueId::intern(v);
+            dict.intern(v);
         }
-        let after: Vec<ValueId> = first.iter().map(|&v| ValueId::intern(v)).collect();
+        let after: Vec<ValueId> = first.iter().map(|&v| dict.intern(v)).collect();
         prop_assert_eq!(&before, &after);
-        let dict = Dictionary::reader();
+        let reader = dict.reader();
         for (&v, &id) in first.iter().zip(&before) {
-            prop_assert_eq!(dict.lookup(&v), Some(id));
+            prop_assert_eq!(reader.lookup(&v), Some(id));
         }
     }
 
@@ -127,10 +138,12 @@ proptest! {
             "R",
             2,
             rows.iter().map(|&(a, b)| vec![Value::point(a as f64), Value::point(b as f64)]).collect(),
+            &SharedDictionary::new(),
         );
         for order in [vec![0, 1], vec![1, 0]] {
             let atom = BoundAtom::new(&relation, vars.clone());
-            let paths = trie_paths(&FlatTrie::build(&atom, &order, None).unwrap());
+            let trie = FlatTrie::build(&atom, &order, None).unwrap();
+            let paths = trie_paths(&trie, relation.dictionary());
             let expected = value_paths(&relation, &vars, &order);
             prop_assert_eq!(paths.len(), expected.len(), "duplicate paths in {:?}", paths);
             prop_assert_eq!(paths.into_iter().collect::<BTreeSet<_>>(), expected);
@@ -145,11 +158,13 @@ proptest! {
         s in arb_rows(8),
         t in arb_rows(8),
     ) {
+        let dict = SharedDictionary::new();
         let rel = |name: &str, rows: &[(i32, i32)]| {
             Relation::from_tuples(
                 name,
                 2,
                 rows.iter().map(|&(a, b)| vec![Value::point(a as f64), Value::point(b as f64)]).collect(),
+                &dict,
             )
         };
         let (r, s, t) = (rel("R", &r), rel("S", &s), rel("T", &t));

@@ -22,7 +22,7 @@ use ij_engine::{naive_boolean, EngineConfig, Workspace, DEFAULT_TRIE_CACHE_BYTES
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
 };
-use ij_relation::{Database, Query, Relation, Value, ValueId};
+use ij_relation::{Database, Query, Relation, SharedDictionary, Value, ValueId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -70,13 +70,14 @@ fn intersect(
     out
 }
 
-fn point_rel(name: &str, rows: &[(u8, u8)]) -> Relation {
+fn point_rel(dict: &SharedDictionary, name: &str, rows: &[(u8, u8)]) -> Relation {
     Relation::from_tuples(
         name,
         2,
         rows.iter()
             .map(|&(a, b)| vec![Value::point(a as f64), Value::point(b as f64)])
             .collect(),
+        dict,
     )
 }
 
@@ -166,9 +167,10 @@ proptest! {
         s_rows in arb_point_rows(10),
         t_rows in arb_point_rows(10),
     ) {
-        let r = point_rel("R", &r_rows);
-        let s = point_rel("S", &s_rows);
-        let t = point_rel("T", &t_rows);
+        let dict = SharedDictionary::new();
+        let r = point_rel(&dict, "R", &r_rows);
+        let s = point_rel(&dict, "S", &s_rows);
+        let t = point_rel(&dict, "T", &t_rows);
         let atoms = vec![
             BoundAtom::new(&r, vec![0, 1]),
             BoundAtom::new(&s, vec![1, 2]),

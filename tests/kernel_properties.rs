@@ -491,7 +491,7 @@ fn dedup_matches_a_sorted_set_oracle() {
                 let cols: Vec<Vec<ValueId>> = (0..arity)
                     .map(|c| input.iter().map(|row| ValueId::from_raw(row[c])).collect())
                     .collect();
-                let mut relation = Relation::from_id_columns_in("R", input.len(), cols, &dict);
+                let mut relation = Relation::from_id_columns("R", input.len(), cols, &dict);
                 relation.dedup();
                 let got: Vec<Vec<u32>> = (0..relation.len())
                     .map(|r| (0..arity).map(|c| relation.id_at(r, c).raw()).collect())

@@ -1,24 +1,15 @@
 //! Property and acceptance tests for the `Workspace` layer:
-//! workspace-scoped evaluation must be answer-identical to the process-global
-//! path, per-database workspaces must bound interned residency (dropping a
-//! workspace returns the dictionary to baseline), a single long-lived
+//! evaluation of an imported database must be answer-identical to evaluating
+//! the source database directly, per-database workspaces must bound interned
+//! residency (dropping a workspace returns the dictionary to baseline), a
+//! single long-lived
 //! workspace must preserve cross-evaluation cache warmth, and the trie
 //! cache's byte budget must be enforced with LRU evictions.
 
 use ij_engine::{EngineConfig, IntersectionJoinEngine, Workspace};
-use ij_relation::{Database, Dictionary, Query, Value};
+use ij_relation::{Database, Query, Value};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
 use proptest::prelude::*;
-
-/// Serializes the tests of this file: they assert that scoped work leaves
-/// `Dictionary::shared_len()` unchanged, which would race against a
-/// concurrently running sibling test interning workload values globally.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn triangle() -> Query {
     Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap()
@@ -51,24 +42,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Two sequentially-created workspaces evaluating the same query and
-    /// database produce the same answer as the process-global path, and the
-    /// second workspace's dictionary starts from the empty baseline after
-    /// the first workspace drops — scoped interning leaks into neither the
-    /// global store nor later workspaces.
+    /// imported database produce the same answer as an engine evaluating
+    /// the source database directly, and the second workspace's dictionary
+    /// starts from the empty baseline after the first workspace drops — one
+    /// workspace's interning does not leak into later workspaces.
     #[test]
-    fn sequential_workspaces_agree_with_the_global_path(
+    fn sequential_workspaces_agree_with_direct_evaluation(
         r in arb_rows(6),
         s in arb_rows(6),
         t in arb_rows(6),
     ) {
-        let _serial = serial();
         let query = triangle();
-        let mut global_db = Database::new();
+        let mut source = Database::new();
         for (name, rows) in [("R", &r), ("S", &s), ("T", &t)] {
-            global_db.insert_tuples(name, 2, rows.iter().map(|&(a, b)| vec![a, b]).collect());
+            source.insert_tuples(name, 2, rows.iter().map(|&(a, b)| vec![a, b]).collect());
         }
         let expected = IntersectionJoinEngine::with_defaults()
-            .evaluate(&query, &global_db)
+            .evaluate(&query, &source)
             .unwrap();
 
         // Sequential workers make the early-exit point — and hence the
@@ -76,16 +66,13 @@ proptest! {
         // both workspaces end at the same residency.
         let config = EngineConfig::new().with_parallelism(1);
         let first = Workspace::new();
-        let db = first.import_database(&global_db);
-        let global_before = Dictionary::shared_len();
+        let db = first.import_database(&source);
         prop_assert_eq!(
             first.engine(config).evaluate(&query, &db).unwrap(),
             expected
         );
         let first_residency = first.dictionary_len();
         prop_assert!(first_residency > 0);
-        // Scoped evaluation interned nothing globally.
-        prop_assert_eq!(Dictionary::shared_len(), global_before);
         drop(db);
         drop(first);
 
@@ -93,27 +80,23 @@ proptest! {
         // workspace starts at the empty baseline and reproduces the answer.
         let second = Workspace::new();
         prop_assert_eq!(second.dictionary_len(), 0);
-        let db = second.import_database(&global_db);
+        let db = second.import_database(&source);
         prop_assert_eq!(
             second.engine(config).evaluate(&query, &db).unwrap(),
             expected
         );
         prop_assert_eq!(second.dictionary_len(), first_residency);
-        prop_assert_eq!(Dictionary::shared_len(), global_before);
     }
 }
 
 /// Evaluating a sequence of distinct databases in per-database workspaces
 /// keeps peak dictionary residency bounded: each workspace holds only its own
-/// database's values (position in the sequence is irrelevant), the global
-/// dictionary sees none of them, and dropping a workspace releases its
-/// residency (a fresh workspace is back at the empty baseline).
+/// database's values (position in the sequence is irrelevant), and dropping
+/// a workspace releases its residency (a fresh workspace is back at the
+/// empty baseline).
 #[test]
 fn per_database_workspaces_bound_dictionary_residency() {
-    let _serial = serial();
     let query = triangle();
-    // Generate the (globally interned) source databases *before* snapshotting
-    // the global dictionary: only the scoped work below must leave it alone.
     let sources: Vec<Database> = (0..6).map(|seed| workload(seed, 10)).collect();
     let residency_of = |source: &Database| {
         let ws = Workspace::new();
@@ -122,19 +105,14 @@ fn per_database_workspaces_bound_dictionary_residency() {
         let _ = engine.evaluate(&query, &db).unwrap();
         ws.dictionary_len()
     };
-    let global_before = Dictionary::shared_len();
     let first_pass: Vec<usize> = sources.iter().map(residency_of).collect();
     let peak = *first_pass.iter().max().unwrap();
     assert!(peak > 0);
-    // The global dictionary is untouched by any number of scoped databases…
-    assert_eq!(Dictionary::shared_len(), global_before);
-    // …and residency is a per-database property, not a function of how many
+    // Residency is a per-database property, not a function of how many
     // databases were evaluated before: replaying the sequence reproduces the
-    // same per-workspace residencies (the process-global path would instead
-    // accrete every distinct database's values).
+    // same per-workspace residencies.
     let second_pass: Vec<usize> = sources.iter().map(residency_of).collect();
     assert_eq!(first_pass, second_pass);
-    assert_eq!(Dictionary::shared_len(), global_before);
 }
 
 /// A single long-lived workspace preserves the cross-evaluation cache-hit
@@ -143,7 +121,6 @@ fn per_database_workspaces_bound_dictionary_residency() {
 /// cache was warmed.
 #[test]
 fn single_workspace_preserves_cross_evaluation_warmth() {
-    let _serial = serial();
     let query = triangle();
     let ws = Workspace::new();
     let db = ws.import_database(&workload(7, 10));
@@ -170,7 +147,6 @@ fn single_workspace_preserves_cross_evaluation_warmth() {
 /// observed, and the resident-bytes stat never exceeds the budget.
 #[test]
 fn trie_cache_byte_budget_is_enforced_with_evictions() {
-    let _serial = serial();
     let query = triangle();
     // Measure the resident footprint of one database's tries on an
     // unbounded workspace, then budget for about two databases and insert
