@@ -67,7 +67,7 @@ impl PassId {
                  rationale and an exact count, in ATOMICS.md"
             }
             PassId::HotPathPanic => {
-                "panic!/unwrap/expect/todo! in kernel and generic-join files \
+                "panic!/unwrap/expect/todo! in kernel, join and Yannakakis files \
                  need `// ij-analysis: allow(panic) — <reason>`"
             }
             PassId::FailpointCoherence => {
@@ -140,6 +140,7 @@ impl Config {
                 "crates/relation/src/kernels.rs".into(),
                 "crates/ejoin/src/generic.rs".into(),
                 "crates/ejoin/src/flat.rs".into(),
+                "crates/ejoin/src/yannakakis.rs".into(),
             ],
             sites_decl: "crates/relation/src/faults.rs".into(),
             lock_exempt: vec!["crates/relation/src/sync.rs".into()],

@@ -216,14 +216,39 @@ fn node_id_columns(k: usize, n: usize, seed: u64) -> Vec<Vec<ValueId>> {
         .collect()
 }
 
+/// `n` rows drawn at random from the rows of `cols`: a semijoin side whose
+/// every key hits.
+fn rows_of(cols: &[Vec<ValueId>], n: usize, seed: u64) -> Vec<Vec<ValueId>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let picks: Vec<usize> = (0..n).map(|_| rng.gen_range(0..cols[0].len())).collect();
+    cols.iter()
+        .map(|col| picks.iter().map(|&row| col[row]).collect())
+        .collect()
+}
+
 fn bench_semijoin_mask(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels/semijoin-mask");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1));
-    // `ip-ranges-product`'s first semijoins: a 130 – 3 300-row side against
-    // a 14 k – 80 k-row side, keyed by two to four shared variables, with
-    // the small side as either the parent (left) or the child (right).
+    let mut race = |left: &[&[ValueId]], right: &[&[ValueId]], shape: String| {
+        assert_eq!(
+            semijoin_mask(left, right),
+            semijoin_mask_scalar(left, right),
+            "kernel must match its oracle"
+        );
+        group.bench_function(BenchmarkId::new("portable", &shape), |bench| {
+            bench.iter(|| semijoin_mask(left, right).len())
+        });
+        group.bench_function(BenchmarkId::new("scalar", &shape), |bench| {
+            bench.iter(|| semijoin_mask_scalar(left, right).len())
+        });
+    };
+    // Refuting: `ip-ranges-product`'s first semijoins, a 130 – 3 300-row
+    // side against a 14 k – 80 k-row side, keyed by two to four shared
+    // variables, with the small side as either the parent (left) or the
+    // child (right).  Independent node ids share few first ids, so the
+    // first-column bitmap rejects most left rows.
     for k in [2, 3, 4] {
         for (small, large) in [(130, 14_000), (3_300, 80_000)] {
             let small_cols = node_id_columns(k, small, 58 + k as u64);
@@ -231,19 +256,24 @@ fn bench_semijoin_mask(c: &mut Criterion) {
             let small_view: Vec<&[ValueId]> = small_cols.iter().map(Vec::as_slice).collect();
             let large_view: Vec<&[ValueId]> = large_cols.iter().map(Vec::as_slice).collect();
             for (left, right) in [(&small_view, &large_view), (&large_view, &small_view)] {
-                assert_eq!(
-                    semijoin_mask(left, right),
-                    semijoin_mask_scalar(left, right),
-                    "kernel must match its oracle"
+                race(
+                    left,
+                    right,
+                    format!("k{k}-{}x{}", left[0].len(), right[0].len()),
                 );
-                let shape = format!("k{k}-{}x{}", left[0].len(), right[0].len());
-                group.bench_function(BenchmarkId::new("portable", &shape), |bench| {
-                    bench.iter(|| semijoin_mask(left, right).len())
-                });
-                group.bench_function(BenchmarkId::new("scalar", &shape), |bench| {
-                    bench.iter(|| semijoin_mask_scalar(left, right).len())
-                });
             }
+        }
+    }
+    // Hitting: every left key is a row of the right side, at the
+    // proportions of `temporal-sparse`'s semijoins (a true instance), where
+    // the bitmap rejects nothing and only adds its reads.
+    for k in [2, 3] {
+        for (left_len, right_len) in [(28_000, 28_000), (51_000, 16_000)] {
+            let right_cols = node_id_columns(k, right_len, 60 + k as u64);
+            let left_cols = rows_of(&right_cols, left_len, 61 + k as u64);
+            let left: Vec<&[ValueId]> = left_cols.iter().map(Vec::as_slice).collect();
+            let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
+            race(&left, &right, format!("hit-k{k}-{left_len}x{right_len}"));
         }
     }
     group.finish();

@@ -57,8 +57,10 @@ pub fn kernel_arm() -> &'static str {
 /// [`Workspace::new`](crate::Workspace::new): 256 MiB.
 pub const DEFAULT_TRIE_CACHE_BYTES: usize = 256 << 20;
 
-/// The hardware thread count (1 when it cannot be determined).
-fn hardware_parallelism() -> usize {
+/// The hardware thread count (1 when it cannot be determined).  One call
+/// reads the process's cgroup limits, a few microseconds, so engines and
+/// workspaces call it once when they are built.
+pub(crate) fn hardware_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -73,7 +75,8 @@ pub struct EngineConfig {
     pub encoding: EncodingStrategy,
     /// Number of threads evaluating the EJ disjunction — the only threads an
     /// evaluation uses, the calling thread among them: `0` uses the
-    /// available hardware parallelism, `1` evaluates sequentially on the
+    /// available hardware parallelism, as read once when the engine (or the
+    /// workspace it comes from) was built, `1` evaluates sequentially on the
     /// caller, any other value caps the worker count.  The Boolean answer is
     /// identical for every setting; a true disjunct found by any worker stops
     /// the others at their next scheduling point.
@@ -121,10 +124,11 @@ impl EngineConfig {
         self
     }
 
-    /// The worker count to use for `disjuncts` deduplicated EJ queries.
-    fn worker_count(&self, disjuncts: usize) -> usize {
+    /// The worker count to use for `disjuncts` deduplicated EJ queries on a
+    /// host with `hardware` threads.
+    fn worker_count(&self, disjuncts: usize, hardware: usize) -> usize {
         let requested = if self.parallelism == 0 {
-            hardware_parallelism()
+            hardware
         } else {
             self.parallelism
         };
@@ -326,6 +330,9 @@ pub struct IntersectionJoinEngine {
     /// The persistent cross-evaluation trie cache (`None` on an engine of a
     /// workspace whose budget is `0`).
     trie_cache: Option<Arc<TrieCache>>,
+    /// [`hardware_parallelism`] when the engine (or its workspace) was
+    /// built: what [`EngineConfig::parallelism`] `0` runs on.
+    hardware_threads: usize,
 }
 
 impl Default for IntersectionJoinEngine {
@@ -341,13 +348,22 @@ impl IntersectionJoinEngine {
     /// [`Workspace`](crate::Workspace) instead.
     pub fn new(config: EngineConfig) -> Self {
         let cache = TrieCache::with_byte_budget(DEFAULT_TRIE_CACHE_BYTES);
-        IntersectionJoinEngine::with_cache(config, Some(Arc::new(cache)))
+        IntersectionJoinEngine::with_cache(config, Some(Arc::new(cache)), hardware_parallelism())
     }
 
     /// Creates an engine evaluating against `trie_cache` (none: every
-    /// disjunct rebuilds its tries).
-    pub(crate) fn with_cache(config: EngineConfig, trie_cache: Option<Arc<TrieCache>>) -> Self {
-        IntersectionJoinEngine { config, trie_cache }
+    /// disjunct rebuilds its tries) on a host with `hardware_threads`
+    /// threads.
+    pub(crate) fn with_cache(
+        config: EngineConfig,
+        trie_cache: Option<Arc<TrieCache>>,
+        hardware_threads: usize,
+    ) -> Self {
+        IntersectionJoinEngine {
+            config,
+            trie_cache,
+            hardware_threads,
+        }
     }
 
     /// Creates an engine with the default configuration.
@@ -526,7 +542,9 @@ impl IntersectionJoinEngine {
         let to_run = reduction.deduped_query_indices();
         let mut batches = Self::batch_by_shared_relations(reduction, &to_run);
 
-        let workers = self.config.worker_count(to_run.len());
+        let workers = self
+            .config
+            .worker_count(to_run.len(), self.hardware_threads);
         // The activity accumulator makes this evaluation's cache statistics
         // exact: every lookup any of its workers performs is counted here,
         // so concurrent evaluations sharing the cache cannot pollute them.
@@ -943,6 +961,22 @@ mod tests {
         );
         let batches = IntersectionJoinEngine::batch_by_shared_relations(&reduction, &[0, 1, 2]);
         assert_eq!(batches, vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn worker_count_resolves_against_the_given_hardware_count() {
+        let config = |parallelism| EngineConfig::new().with_parallelism(parallelism);
+        // `0`: the hardware count, capped by the disjuncts, at least one.
+        assert_eq!(config(0).worker_count(36, 2), 2);
+        assert_eq!(config(0).worker_count(36, 64), 36);
+        assert_eq!(config(0).worker_count(0, 8), 1);
+        // `1`: sequential whatever the hardware.
+        assert_eq!(config(1).worker_count(36, 8), 1);
+        assert_eq!(config(1).worker_count(0, 8), 1);
+        // Any other value caps the workers and ignores the hardware.
+        assert_eq!(config(4).worker_count(36, 2), 4);
+        assert_eq!(config(4).worker_count(3, 64), 3);
+        assert_eq!(config(4).worker_count(0, 64), 1);
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //! assert!(ws.dictionary_len() > 0);
 //! ```
 
-use crate::engine::{EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES};
+use crate::engine::{
+    hardware_parallelism, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES,
+};
 use ij_ejoin::{TrieCache, TrieCacheStats};
 use ij_relation::{Database, IdHashMap, Relation, SharedDictionary, Value, ValueId};
 use std::sync::Arc;
@@ -58,6 +60,9 @@ pub struct Workspace {
     /// `None` when the budget is `0`.
     trie_cache: Option<Arc<TrieCache>>,
     trie_cache_bytes: usize,
+    /// The hardware thread count, read once for every engine the
+    /// workspace builds.
+    hardware_threads: usize,
 }
 
 impl Default for Workspace {
@@ -97,6 +102,7 @@ impl Workspace {
             dictionary: SharedDictionary::new(),
             trie_cache: (bytes > 0).then(|| Arc::new(TrieCache::with_byte_budget(bytes))),
             trie_cache_bytes: bytes,
+            hardware_threads: hardware_parallelism(),
         }
     }
 
@@ -213,7 +219,7 @@ impl Workspace {
     /// workspace warms every other, which is what gives a
     /// per-request-engine server warm caches by default.
     pub fn engine(&self, config: EngineConfig) -> IntersectionJoinEngine {
-        IntersectionJoinEngine::with_cache(config, self.trie_cache.clone())
+        IntersectionJoinEngine::with_cache(config, self.trie_cache.clone(), self.hardware_threads)
     }
 }
 

@@ -20,10 +20,11 @@
 //! instructions it is done with, so there is one implementation per kernel
 //! and no per-host code path.  [`leapfrog_next`] spends its time inside
 //! [`gallop_seek`], which it calls directly.  [`semijoin_mask`] is a hash
-//! probe, not a lane loop: its fast path reads a fixed-width integer key per
-//! row, and its oracle hashes packed slices.  [`fingerprint`] has no oracle:
-//! its value *is* its definition, so its properties say which changes of
-//! content it must tell apart.
+//! probe, not a lane loop: its fast path reads one id per row against a
+//! bitmap of the other side's first key column and builds a fixed-width
+//! integer key only for the rows that pass, and its oracle hashes packed
+//! slices.  [`fingerprint`] has no oracle: its value *is* its definition, so
+//! its properties say which changes of content it must tell apart.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
 //! layer — whole columns, scratch buffers — can use them.  Masks are `u8`
@@ -200,7 +201,25 @@ pub fn pack_keys_scalar(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
 /// the columns (`u32`; a `u64` packing two ids; a `u64` and a `u32`; two
 /// `u64`s), so no key buffer is written; wider keys are packed row-major
 /// ([`pack_keys`]) and hashed as `&[ValueId]` windows.  The right keys form
-/// a set that every left row probes.
+/// a set that the left rows probe.
+///
+/// For keys of two to four columns a bitmap over the right side's first
+/// column stands in front of the probe: a left row whose first id misses it
+/// cannot match, so it reads 0 without its whole key being built or hashed.
+/// The bitmap holds 16 bits per right row, rounded up to a power of two and
+/// kept within 512 bits and 2²² bits (512 KiB), and an id's slot is the top
+/// bits of its Fibonacci product, so at most about one absent first id in
+/// sixteen still reaches the probe.  A refuting semijoin, where most left
+/// first ids are absent, then reads one key column instead of all of them.
+/// The filter decides for itself whether it runs: when more than half of
+/// about 512 left first ids, spread over the whole side, pass the bitmap,
+/// it could save at most half the probes, and every left row is probed
+/// directly — a semijoin whose rows mostly match pays for the bitmap and
+/// the sample only.  Nothing here is tuned per call or per host: the bitmap
+/// is sized by the right side, the decision is read off the operands, and
+/// neither changes an answer.  One-column keys probe the set directly
+/// (their key *is* the first id), and keys wider than four columns keep the
+/// packed probe.
 ///
 /// # Panics
 ///
@@ -214,21 +233,18 @@ pub fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec
     };
     match (left_cols, right_cols) {
         (&[l0], &[r0]) => mask_by_key(left_len, right_len, |i| l0[i].raw(), |i| r0[i].raw()),
-        (&[l0, l1], &[r0, r1]) => mask_by_key(
-            left_len,
-            right_len,
-            |i| pair(l0, l1, i),
-            |i| pair(r0, r1, i),
-        ),
-        (&[l0, l1, l2], &[r0, r1, r2]) => mask_by_key(
-            left_len,
-            right_len,
+        (&[l0, l1], &[r0, r1]) => {
+            mask_by_first_column_then_key(l0, r0, |i| pair(l0, l1, i), |i| pair(r0, r1, i))
+        }
+        (&[l0, l1, l2], &[r0, r1, r2]) => mask_by_first_column_then_key(
+            l0,
+            r0,
             |i| (pair(l0, l1, i), l2[i].raw()),
             |i| (pair(r0, r1, i), r2[i].raw()),
         ),
-        (&[l0, l1, l2, l3], &[r0, r1, r2, r3]) => mask_by_key(
-            left_len,
-            right_len,
+        (&[l0, l1, l2, l3], &[r0, r1, r2, r3]) => mask_by_first_column_then_key(
+            l0,
+            r0,
             |i| (pair(l0, l1, i), pair(l2, l3, i)),
             |i| (pair(r0, r1, i), pair(r2, r3, i)),
         ),
@@ -296,6 +312,107 @@ fn mask_by_key<K: Hash + Eq>(
     (0..left_len)
         .map(|i| u8::from(keys.contains(&left_key(i))))
         .collect()
+}
+
+/// [`mask_by_key`] behind a [`FirstColumnFilter`] of the right side's first
+/// key column (`left_first` and `right_first`): only a left row whose first
+/// id passes the filter builds and probes its whole key.
+///
+/// The filter runs without a branch per row: each block of
+/// [`FirstColumnFilter::BLOCK`] left rows writes the offset of every row
+/// into a candidate buffer and advances the buffer's end by the row's bit,
+/// then probes the candidates.  [`FirstColumnFilter::rejects_most`] decides
+/// whether the filter runs at all.
+fn mask_by_first_column_then_key<K: Hash + Eq>(
+    left_first: &[ValueId],
+    right_first: &[ValueId],
+    left_key: impl Fn(usize) -> K,
+    right_key: impl Fn(usize) -> K,
+) -> Vec<u8> {
+    let filter = FirstColumnFilter::new(right_first);
+    let keys: IdHashSet<K> = (0..right_first.len()).map(right_key).collect();
+    let probe = |i: usize| u8::from(keys.contains(&left_key(i)));
+    if !filter.rejects_most(left_first) {
+        return (0..left_first.len()).map(probe).collect();
+    }
+    let mut mask = vec![0u8; left_first.len()];
+    let mut candidates = [0usize; FirstColumnFilter::BLOCK];
+    for (b, rows) in left_first.chunks(FirstColumnFilter::BLOCK).enumerate() {
+        let base = b * FirstColumnFilter::BLOCK;
+        let mut n = 0;
+        for (j, &id) in rows.iter().enumerate() {
+            candidates[n] = base + j;
+            n += usize::from(filter.may_contain(id));
+        }
+        for &i in &candidates[..n] {
+            mask[i] = probe(i);
+        }
+    }
+    mask
+}
+
+/// A one-hash bitmap over a column of ids: an id that was inserted always
+/// passes; an absent id passes only when it shares a slot with one that was.
+struct FirstColumnFilter {
+    words: Vec<u64>,
+    /// `64 - log2(bits)`: a slot is the top bits of an id's Fibonacci
+    /// product.
+    shift: u32,
+}
+
+impl FirstColumnFilter {
+    /// Bits per inserted id before rounding to a power of two.
+    const BITS_PER_ID: usize = 16;
+    const MIN_BITS: usize = 512;
+    const MAX_BITS: usize = 1 << 22;
+    /// 2⁶⁴ divided by the golden ratio, odd.
+    const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+    /// Left rows filtered per candidate buffer.
+    const BLOCK: usize = 512;
+    /// Left first ids read to decide whether the filter runs.
+    const SAMPLE: usize = 512;
+
+    fn new(ids: &[ValueId]) -> Self {
+        let bits = ids
+            .len()
+            .saturating_mul(Self::BITS_PER_ID)
+            .min(Self::MAX_BITS)
+            .next_power_of_two()
+            .max(Self::MIN_BITS);
+        let mut filter = FirstColumnFilter {
+            words: vec![0; bits / 64],
+            shift: 64 - bits.trailing_zeros(),
+        };
+        for &id in ids {
+            let slot = filter.slot(id);
+            filter.words[slot / 64] |= 1 << (slot % 64);
+        }
+        filter
+    }
+
+    /// Whether at most half of about [`Self::SAMPLE`] ids, evenly spaced
+    /// over `ids`, pass.  Spacing them out matters: a relation's rows are
+    /// often sorted, so its first rows hold only a few first ids.
+    fn rejects_most(&self, ids: &[ValueId]) -> bool {
+        let step = (ids.len() / Self::SAMPLE).max(1);
+        let (mut read, mut passed) = (0, 0);
+        for &id in ids.iter().step_by(step) {
+            read += 1;
+            passed += usize::from(self.may_contain(id));
+        }
+        2 * passed <= read
+    }
+
+    #[inline]
+    fn slot(&self, id: ValueId) -> usize {
+        (u64::from(id.raw()).wrapping_mul(Self::FIBONACCI) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn may_contain(&self, id: ValueId) -> bool {
+        let slot = self.slot(id);
+        self.words[slot / 64] >> (slot % 64) & 1 != 0
+    }
 }
 
 /// Independent mixing chains per 64-bit half of a [`fingerprint`].
@@ -584,6 +701,68 @@ mod tests {
         // k == 0 and empty columns degenerate cleanly.
         pack_keys(&[], &mut p);
         assert!(p.is_empty());
+    }
+
+    #[test]
+    fn semijoin_mask_probes_the_whole_key_past_a_first_column_collision() {
+        // One right row: the bitmap has its minimum size and one bit set.
+        let (a, x, y) = (
+            ValueId::from_raw(1 << 31 | 1 << 12 | 5),
+            ids(&[7])[0],
+            ids(&[8])[0],
+        );
+        let filter = FirstColumnFilter::new(&[a]);
+        assert_eq!(filter.words.len() * 64, FirstColumnFilter::MIN_BITS);
+        let b = (0..u32::MAX)
+            .map(ValueId::from_raw)
+            .find(|&b| b != a && filter.slot(b) == filter.slot(a))
+            .expect("512 slots: some id shares a's");
+        assert!(filter.may_contain(b));
+        // Rows (b, x), (a, x), (a, y), then `c_rows` rows (c, x) for an id c
+        // whose slot is empty, at every key width from two to four.  Six of
+        // them make the sample mostly misses, so the bitmap filters; with
+        // none, the sample passes and every row is probed directly.
+        let c = (0..u32::MAX)
+            .map(ValueId::from_raw)
+            .find(|&c| !filter.may_contain(c))
+            .expect("511 slots are empty");
+        for (c_rows, filtered) in [(6, true), (0, false)] {
+            let first: Vec<ValueId> = [b, a, a].into_iter().chain(vec![c; c_rows]).collect();
+            assert_eq!(filter.rejects_most(&first), filtered);
+            let mut expected = vec![0, 1, 0];
+            expected.resize(first.len(), 0);
+            for k in 2..=4 {
+                let right: Vec<Vec<ValueId>> =
+                    (0..k).map(|j| vec![if j == 0 { a } else { x }]).collect();
+                let left: Vec<Vec<ValueId>> = (0..k)
+                    .map(|j| match j {
+                        0 => first.clone(),
+                        _ => [x, x, y].into_iter().chain(vec![x; c_rows]).collect(),
+                    })
+                    .collect();
+                let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
+                let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
+                let mask = semijoin_mask(&left, &right);
+                assert_eq!(mask, expected, "k {k}, {c_rows} rows of c");
+                assert_eq!(mask, semijoin_mask_scalar(&left, &right), "k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_column_filter_is_sized_by_the_right_side() {
+        let bits = |n: usize| {
+            let col: Vec<ValueId> = (0..n as u32).map(ValueId::from_raw).collect();
+            let filter = FirstColumnFilter::new(&col);
+            assert!(col.iter().all(|&id| filter.may_contain(id)), "n {n}");
+            filter.words.len() * 64
+        };
+        assert_eq!(bits(0), 512);
+        assert_eq!(bits(32), 512);
+        assert_eq!(bits(33), 1024);
+        assert_eq!(bits(1_000), 16_384);
+        assert_eq!(bits(1 << 18), 1 << 22);
+        assert_eq!(bits(300_000), 1 << 22);
     }
 
     #[test]

@@ -14,6 +14,8 @@ use ij_relation::kernels::{
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random id slices over a small raw domain (equal pairs likely), with
 /// lengths straddling multiples of the lane width.
@@ -68,6 +70,100 @@ fn key_columns(pool: &[u32], picks: &[Vec<usize>]) -> Vec<Vec<ValueId>> {
         .iter()
         .map(|col| col.iter().map(|&i| ValueId::from_raw(pool[i])).collect())
         .collect()
+}
+
+/// One id of a semijoin operand at the first-column filter's scale.  The
+/// narrow pool puts column 0 in eight small ids, so first columns almost
+/// always match and only the later columns (inline ids of 12 bits) decide a
+/// key.  The wide pool draws every column from the whole `u32` domain or
+/// from inline bitstring ids (`1 << 31 | 1 << len | bits`, bit 31 set), so
+/// thousands of distinct first ids share the filter's slots.
+fn filter_scale_id(rng: &mut StdRng, narrow: bool, column: usize) -> ValueId {
+    ValueId::from_raw(match (narrow, column) {
+        (true, 0) => rng.gen_range(0..8),
+        (true, _) => (1 << 31) | (1 << 12) | rng.gen_range(0u32..1 << 12),
+        (false, _) if rng.gen_range(0..2) == 0 => rng.gen_range(0..=u32::MAX),
+        (false, _) => {
+            let len = rng.gen_range(0u32..30);
+            (1 << 31) | (1 << len) | (rng.gen_range(0..=u32::MAX) & ((1 << len) - 1))
+        }
+    })
+}
+
+/// The key columns of a semijoin's two sides, `k` wide, at the filter's
+/// scale.  `copied` eighths of the left rows copy a random right row,
+/// split evenly between exact copies (hits), copies with a later column
+/// redrawn (the first id matches, the key mostly does not) and copies with
+/// the first column redrawn (the rest matches, the first id mostly does
+/// not); the other left rows are fresh.  Few copies make the bitmap reject
+/// most left rows, many make the kernel probe every row directly.
+fn filter_scale_sides(
+    k: usize,
+    left_len: usize,
+    right_len: usize,
+    narrow: bool,
+    copied: u32,
+    seed: u64,
+) -> (Vec<Vec<ValueId>>, Vec<Vec<ValueId>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = |rng: &mut StdRng, n: usize| -> Vec<Vec<ValueId>> {
+        (0..n)
+            .map(|_| (0..k).map(|j| filter_scale_id(rng, narrow, j)).collect())
+            .collect()
+    };
+    let right = rows(&mut rng, right_len);
+    let mut left = rows(&mut rng, left_len);
+    for row in left.iter_mut() {
+        if rng.gen_range(0u32..8) >= copied {
+            continue;
+        }
+        row.clone_from(&right[rng.gen_range(0..right_len)]);
+        match rng.gen_range(0..3) {
+            0 => {}
+            1 => {
+                let j = rng.gen_range(1..k);
+                row[j] = filter_scale_id(&mut rng, narrow, j);
+            }
+            _ => row[0] = filter_scale_id(&mut rng, narrow, 0),
+        }
+    }
+    let columns = |rows: &[Vec<ValueId>]| -> Vec<Vec<ValueId>> {
+        (0..k)
+            .map(|j| rows.iter().map(|row| row[j]).collect())
+            .collect()
+    };
+    (columns(&left), columns(&right))
+}
+
+proptest! {
+    // Operands of thousands of rows; an unoptimised build runs a few cases
+    // to stay fast, and the release run of this suite sweeps many more.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 256 }))]
+
+    /// The semijoin probe ≡ its oracle at the scale where the first-column
+    /// bitmap is dense and collides: two to four key columns, 1 – 2 048
+    /// right rows (spread over every power of two) and up to 16 384 left
+    /// rows, from the narrow pool (first ids match, later columns decide)
+    /// or the wide one (first ids collide in the bitmap, inline ids with
+    /// bit 31 set among them), with anywhere from no left row to every one
+    /// copied from the right side.
+    #[test]
+    fn semijoin_mask_matches_scalar_at_filter_scale(
+        k in 2usize..=4,
+        right_bits in 0u32..=11,
+        right_jitter in 0usize..2_048,
+        left_len in 0usize..=16_384,
+        pool in 0u8..2,
+        copied in 0u32..=8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let right_len = 1 + right_jitter % (1 << right_bits);
+        let (left, right) =
+            filter_scale_sides(k, left_len, right_len, pool == 0, copied, seed);
+        let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
+        let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(semijoin_mask(&left, &right), semijoin_mask_scalar(&left, &right));
+    }
 }
 
 proptest! {
