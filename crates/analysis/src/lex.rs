@@ -3,7 +3,7 @@
 //! The passes in this crate match textual patterns (`unsafe`, `.lock()`,
 //! `Ordering::`, …), and the classic failure mode of grep-style lint is a
 //! hit inside a string literal or a comment.  Instead of a full parser,
-//! [`mask`] produces three same-length views of a source file:
+//! [`mask`] produces two same-length views of a source file:
 //!
 //! * **code** — the program text with every comment body and every
 //!   string/char literal *content* replaced by spaces.  Delimiters (the
@@ -14,9 +14,6 @@
 //!   markers) survives, everything else is blanked.  Directive lookups
 //!   (`SAFETY:`, `ij-analysis: allow(panic)`) run against this view, so a
 //!   directive inside a string does not count.
-//! * **strings** — the extracted string-literal contents with the byte
-//!   offset where each content begins, for passes that *do* care about
-//!   literals (failpoint site names).
 //!
 //! The lexer understands nested block comments, doc comments, `"…"` with
 //! escapes, raw strings `r"…"` / `r#"…"#` (any number of `#`s), byte and
@@ -24,24 +21,12 @@
 //! lifetimes/labels (`'a`, `'outer:`) apart from char literals with the
 //! standard two-byte lookahead heuristic.
 
-/// One extracted string literal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrLit {
-    /// Byte offset (into the original text) of the first content byte,
-    /// i.e. just past the opening quote.
-    pub content_start: usize,
-    /// The literal's raw content (escape sequences are *not* processed —
-    /// the passes only compare exact site names, which never need them).
-    pub content: String,
-}
-
-/// The three masked views of one source file.  All masks have exactly the
-/// same byte length as the input, with every `\n` preserved.
+/// The two masked views of one source file.  Both have exactly the same
+/// byte length as the input, with every `\n` preserved.
 #[derive(Debug)]
 pub struct Masked {
     pub code: String,
     pub comments: String,
-    pub strings: Vec<StrLit>,
 }
 
 fn is_ident(b: u8) -> bool {
@@ -63,8 +48,6 @@ pub fn mask(text: &str) -> Masked {
             comments[i] = b'\n';
         }
     }
-    let mut strings = Vec::new();
-
     let keep_code = |code: &mut [u8], i: usize| code[i] = bytes[i];
 
     let mut i = 0usize;
@@ -105,7 +88,7 @@ pub fn mask(text: &str) -> Masked {
                 }
             }
             b'"' => {
-                i = lex_plain_string(bytes, i, &mut code, &mut strings);
+                i = lex_plain_string(bytes, i, &mut code);
             }
             b'r' | b'b' if i == 0 || !is_ident(bytes[i - 1]) => {
                 // Possible raw string (`r"`, `r#"`), byte string (`b"`),
@@ -138,14 +121,14 @@ pub fn mask(text: &str) -> Masked {
                         for k in i..=j {
                             keep_code(&mut code, k);
                         }
-                        i = lex_raw_string(bytes, j + 1, hashes, &mut code, &mut strings);
+                        i = lex_raw_string(bytes, j + 1, hashes, &mut code);
                     } else {
                         keep_code(&mut code, i);
                         i += 1;
                     }
                 } else {
                     keep_code(&mut code, i); // the `b`
-                    i = lex_plain_string(bytes, i + 1, &mut code, &mut strings);
+                    i = lex_plain_string(bytes, i + 1, &mut code);
                 }
             }
             b'\'' => {
@@ -179,48 +162,32 @@ pub fn mask(text: &str) -> Masked {
     Masked {
         code: String::from_utf8_lossy(&code).into_owned(),
         comments: String::from_utf8_lossy(&comments).into_owned(),
-        strings,
     }
 }
 
 /// Lexes a `"…"` body starting at the opening quote index; returns the
 /// index just past the closing quote.  Quotes stay in `code`.
-fn lex_plain_string(bytes: &[u8], open: usize, code: &mut [u8], out: &mut Vec<StrLit>) -> usize {
+fn lex_plain_string(bytes: &[u8], open: usize, code: &mut [u8]) -> usize {
     let n = bytes.len();
     code[open] = b'"';
-    let start = open + 1;
-    let mut i = start;
+    let mut i = open + 1;
     while i < n {
         match bytes[i] {
             b'\\' => i += 2,
             b'"' => {
                 code[i] = b'"';
-                out.push(StrLit {
-                    content_start: start,
-                    content: String::from_utf8_lossy(&bytes[start..i]).into_owned(),
-                });
                 return i + 1;
             }
             _ => i += 1,
         }
     }
     // Unterminated: swallow to EOF.
-    out.push(StrLit {
-        content_start: start,
-        content: String::from_utf8_lossy(&bytes[start..n]).into_owned(),
-    });
     n
 }
 
 /// Lexes a raw string body (cursor just past the opening quote) terminated
 /// by `"` + `hashes` × `#`; returns the index past the full terminator.
-fn lex_raw_string(
-    bytes: &[u8],
-    start: usize,
-    hashes: usize,
-    code: &mut [u8],
-    out: &mut Vec<StrLit>,
-) -> usize {
+fn lex_raw_string(bytes: &[u8], start: usize, hashes: usize, code: &mut [u8]) -> usize {
     let n = bytes.len();
     let mut i = start;
     while i < n {
@@ -234,18 +201,10 @@ fn lex_raw_string(
         {
             let end = (i + 1 + hashes).min(n);
             code[i..end].copy_from_slice(&bytes[i..end]);
-            out.push(StrLit {
-                content_start: start,
-                content: String::from_utf8_lossy(&bytes[start..i]).into_owned(),
-            });
             return i + 1 + hashes;
         }
         i += 1;
     }
-    out.push(StrLit {
-        content_start: start,
-        content: String::from_utf8_lossy(&bytes[start..n]).into_owned(),
-    });
     n
 }
 
@@ -399,9 +358,11 @@ let c = 'x'; let d: &'static str = b"unsafe";"##;
         // Both comments made it into the comment mask.
         assert!(m.comments.contains("// unsafe here too"));
         assert!(m.comments.contains("/* unsafe */"));
-        // All three literals extracted verbatim.
-        let contents: Vec<&str> = m.strings.iter().map(|s| s.content.as_str()).collect();
-        assert_eq!(contents, ["unsafe { }", r#"also "unsafe""#, "unsafe"]);
+        // All three literals blanked, their delimiters kept.
+        assert!(m.code.starts_with(r#"let a = "          ";"#));
+        let blank = " ".repeat(r#"also "unsafe""#.len());
+        assert!(m.code.contains(&format!(r##"let b = r#"{blank}"#;"##)));
+        assert!(m.code.ends_with(r#"let d: &'static str = b"      ";"#));
     }
 
     #[test]
@@ -441,8 +402,8 @@ let c = 'x'; let d: &'static str = b"unsafe";"##;
         let src = "let q = b'\"'; unsafe { hot() } let s = \"unsafe\";";
         let m = mask(src);
         assert!(has_word(&m.code, "unsafe"));
-        assert_eq!(m.strings.len(), 1);
-        assert_eq!(m.strings[0].content, "unsafe");
+        // The one string is blanked to its end, and nothing past it.
+        assert!(m.code.ends_with("let s = \"      \";"));
     }
 
     #[test]
@@ -450,7 +411,6 @@ let c = 'x'; let d: &'static str = b"unsafe";"##;
         let src = "let r#fn = 1; let s = r\"x\";";
         let m = mask(src);
         assert!(has_word(&m.code, "r#fn"));
-        assert_eq!(m.strings.len(), 1);
-        assert_eq!(m.strings[0].content, "x");
+        assert!(m.code.ends_with("let s = r\" \";"));
     }
 }

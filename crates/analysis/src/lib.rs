@@ -1,15 +1,16 @@
 //! `ij-analysis` — the workspace's in-repo static-analysis suite.
 //!
 //! The engine's riskiest surfaces (poison-recovering locks, the join
-//! kernels, the failpoint registry, atomic statistics) are sound because of
-//! invariants that no compiler checks: locks are only ever taken through
-//! the `ij_relation::sync` recover helpers, every atomic `Ordering` choice
-//! is justified in a ledger, hot loops never panic without an explicit
-//! waiver, and failpoint site names match the declared registry.  (The
-//! compiler does check the absence of `unsafe`: the workspace lints set
-//! `unsafe_code = "forbid"` for every member.)  This crate machine-checks
-//! all four as independent, individually toggleable passes over a
-//! comment/string-aware token mask of the sources (see [`lex`]).
+//! kernels, atomic statistics) are sound because of invariants that no
+//! compiler checks: locks are only ever taken through the
+//! `ij_relation::sync` recover helpers, every atomic `Ordering` choice is
+//! justified in a ledger, and hot loops never panic without an explicit
+//! waiver.  (The compiler does check the absence of `unsafe`: the workspace
+//! lints set `unsafe_code = "forbid"` for every member; and a failpoint site
+//! is an `ij_relation::faults::Site` variant, so a misspelled one does not
+//! compile.)  This crate machine-checks all three as independent,
+//! individually toggleable passes over a comment/string-aware token mask of
+//! the sources (see [`lex`]).
 //!
 //! Run `cargo run -p ij-analysis -- check` from anywhere in the workspace;
 //! `-- self-test` proves each pass fires on the seeded violation fixtures
@@ -25,22 +26,20 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The four passes.  Each is independent: `--only` / `--skip` select any
+/// The three passes.  Each is independent: `--only` / `--skip` select any
 /// subset, and a pass never consumes another pass's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PassId {
     LockDiscipline,
     AtomicLedger,
     HotPathPanic,
-    FailpointCoherence,
 }
 
 impl PassId {
-    pub const ALL: [PassId; 4] = [
+    pub const ALL: [PassId; 3] = [
         PassId::LockDiscipline,
         PassId::AtomicLedger,
         PassId::HotPathPanic,
-        PassId::FailpointCoherence,
     ];
 
     pub fn name(self) -> &'static str {
@@ -48,7 +47,6 @@ impl PassId {
             PassId::LockDiscipline => "lock-discipline",
             PassId::AtomicLedger => "atomic-ledger",
             PassId::HotPathPanic => "hot-path-panic",
-            PassId::FailpointCoherence => "failpoint-coherence",
         }
     }
 
@@ -69,10 +67,6 @@ impl PassId {
             PassId::HotPathPanic => {
                 "panic!/unwrap/expect/todo! in kernel, join and Yannakakis files \
                  need `// ij-analysis: allow(panic) — <reason>`"
-            }
-            PassId::FailpointCoherence => {
-                "string site names at faults::point/configure call sites must \
-                 be declared in ij_relation::faults::sites"
             }
         }
     }
@@ -117,8 +111,6 @@ pub struct Config {
     pub atomics_ledger: String,
     /// Root-relative paths subject to the hot-path panic lint.
     pub hot_files: Vec<String>,
-    /// Root-relative path of the file declaring `mod sites { … }`.
-    pub sites_decl: String,
     /// Root-relative paths exempt from the lock-discipline pass.
     pub lock_exempt: Vec<String>,
 }
@@ -142,7 +134,6 @@ impl Config {
                 "crates/ejoin/src/flat.rs".into(),
                 "crates/ejoin/src/yannakakis.rs".into(),
             ],
-            sites_decl: "crates/relation/src/faults.rs".into(),
             lock_exempt: vec!["crates/relation/src/sync.rs".into()],
         }
     }
@@ -154,7 +145,6 @@ impl Config {
             skip_prefixes: vec![],
             atomics_ledger: "ATOMICS.md".into(),
             hot_files: vec!["hot_path_panic.rs".into()],
-            sites_decl: "sites_decl.rs".into(),
             lock_exempt: vec![],
         }
     }
@@ -270,7 +260,6 @@ pub fn run(config: &Config, passes: &[PassId]) -> std::io::Result<Vec<Finding>> 
             PassId::LockDiscipline => pass_lock_discipline(config, &sources, &mut findings),
             PassId::AtomicLedger => pass_atomic_ledger(config, &sources, &mut findings),
             PassId::HotPathPanic => pass_hot_path_panic(config, &sources, &mut findings),
-            PassId::FailpointCoherence => pass_failpoint_coherence(config, &sources, &mut findings),
         }
     }
     findings.sort_by(|a, b| (a.pass, &a.file, a.line).cmp(&(b.pass, &b.file, b.line)));
@@ -547,107 +536,6 @@ fn pass_hot_path_panic(config: &Config, sources: &[SourceFile], out: &mut Vec<Fi
                          <reason>` — justify it or return an error"
                     ),
                 });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 4: failpoint-site coherence
-// ---------------------------------------------------------------------------
-
-/// String contents of every literal declared inside `mod sites { … }` of
-/// the declaration file.
-fn declared_sites(src: &SourceFile) -> Vec<String> {
-    let Some(mod_pos) = lex::find_word(&src.masked.code, "sites", 0) else {
-        return Vec::new();
-    };
-    // Find the brace block that follows `mod sites`.
-    let Some(open_rel) = src.masked.code[mod_pos..].find('{') else {
-        return Vec::new();
-    };
-    let open = mod_pos + open_rel;
-    let bytes = src.masked.code.as_bytes();
-    let mut depth = 0usize;
-    let mut close = src.masked.code.len();
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        if b == b'{' {
-            depth += 1;
-        } else if b == b'}' {
-            depth -= 1;
-            if depth == 0 {
-                close = k;
-                break;
-            }
-        }
-    }
-    src.masked
-        .strings
-        .iter()
-        .filter(|s| open < s.content_start && s.content_start < close)
-        .map(|s| s.content.clone())
-        .collect()
-}
-
-fn pass_failpoint_coherence(config: &Config, sources: &[SourceFile], out: &mut Vec<Finding>) {
-    let decl = sources.iter().find(|s| s.rel == config.sites_decl);
-    let declared: Vec<String> = decl.map(declared_sites).unwrap_or_default();
-    if declared.is_empty() {
-        out.push(Finding {
-            pass: PassId::FailpointCoherence,
-            file: config.sites_decl.clone(),
-            line: 1,
-            message: "no failpoint sites declared (expected `pub mod sites` \
-                      with `pub const` string constants)"
-                .into(),
-        });
-        return;
-    }
-    for src in sources {
-        if src.rel == config.sites_decl {
-            continue; // the declaration file itself (and its unit tests)
-        }
-        for call in ["faults::point", "faults::configure"] {
-            let mut at = 0;
-            while let Some(rel) = src.masked.code[at..].find(call) {
-                let pos = at + rel;
-                at = pos + call.len();
-                let bytes = src.masked.code.as_bytes();
-                let mut j = pos + call.len();
-                while bytes.get(j).is_some_and(|b| b.is_ascii_whitespace()) {
-                    j += 1;
-                }
-                if bytes.get(j) != Some(&b'(') {
-                    continue;
-                }
-                j += 1;
-                while bytes.get(j).is_some_and(|b| b.is_ascii_whitespace()) {
-                    j += 1;
-                }
-                if bytes.get(j) != Some(&b'"') {
-                    continue; // non-literal site argument: out of scope
-                }
-                let Some(lit) = src.masked.strings.iter().find(|s| s.content_start == j + 1) else {
-                    continue;
-                };
-                if !declared.contains(&lit.content) {
-                    out.push(Finding {
-                        pass: PassId::FailpointCoherence,
-                        file: src.rel.clone(),
-                        line: src.line_of(pos),
-                        message: format!(
-                            "failpoint site `\"{}\"` is not declared in {} — \
-                             declared sites: {}",
-                            lit.content,
-                            config.sites_decl,
-                            declared
-                                .iter()
-                                .map(|d| format!("`\"{d}\"`"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    });
-                }
             }
         }
     }

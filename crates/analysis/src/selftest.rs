@@ -2,7 +2,7 @@
 //!
 //! A linter that silently stops matching is worse than no linter — CI goes
 //! green while the invariant rots.  `ij-analysis -- self-test` runs all
-//! four passes over the seeded-violation tree in `crates/analysis/fixtures/`
+//! three passes over the seeded-violation tree in `crates/analysis/fixtures/`
 //! (one deliberately broken file per pass, plus ledgers with deliberate
 //! mismatches and a `clean.rs` stuffed with look-alike patterns inside
 //! strings and comments) and asserts the exact expected findings: every
@@ -64,13 +64,6 @@ const EXPECTED: &[Expectation] = &[
         file: "hot_path_panic.rs",
         needle: "`.expect()` on a hot path",
     },
-    // failpoint-coherence: one typo'd site name; the declared name and the
-    // non-literal call must stay silent.
-    Expectation {
-        pass: PassId::FailpointCoherence,
-        file: "unknown_failpoint.rs",
-        needle: "failpoint site `\"cache-isnert\"` is not declared",
-    },
 ];
 
 /// Exact expected finding count per pass — a pass producing *extra*
@@ -79,7 +72,6 @@ const EXPECTED_COUNTS: &[(PassId, usize)] = &[
     (PassId::LockDiscipline, 3),
     (PassId::AtomicLedger, 3),
     (PassId::HotPathPanic, 2),
-    (PassId::FailpointCoherence, 1),
 ];
 
 /// Runs the self-test over `<workspace_root>/crates/analysis/fixtures`.

@@ -24,7 +24,7 @@ const PAYLOADS: &[&str] = &[
     "panic!(oops)",
     "v.first().unwrap()",
     "todo!()",
-    "faults::point(bogus)",
+    "unimplemented!()",
 ];
 
 /// Raw-string-safe payloads (no escapes needed).
@@ -33,7 +33,7 @@ const RAW_PAYLOADS: &[&str] = &[
     "m.lock().unwrap()",
     "Ordering::AcqRel",
     "unimplemented!()",
-    "faults::configure(ghost, 0, act)",
+    "rw.read().expect(poisoned)",
 ];
 
 /// Containers that must hide a payload from the code mask.
@@ -72,8 +72,6 @@ const LEAK_MARKERS: &[&str] = &[
     ".expect(",
     "todo!",
     "unimplemented!",
-    "faults::point",
-    "faults::configure",
 ];
 
 proptest! {

@@ -7,11 +7,14 @@
 //! dedup that always sorts.  Every primitive is asserted to produce
 //! bit-identical output on both before any timing; the two fingerprints,
 //! whose values differ by design, are asserted to tell the same changes of
-//! content apart.
+//! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
+//! rows (no permutation, no sort) and on the same rows shuffled, each
+//! checked against the sorted distinct rows first.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ij_ejoin::{BoundAtom, FlatTrie};
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
     gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask,
@@ -442,6 +445,55 @@ fn bench_dedup_sorted(c: &mut Criterion) {
     group.finish();
 }
 
+/// The rows of the seed-7 cold triangle's largest live relation: two node
+/// ids each, about 56 k of them.
+const TRIE_ROWS: usize = 56_000;
+
+/// Every root-to-leaf path of a two-level trie, in enumeration order.
+fn two_level_paths(trie: &FlatTrie) -> Vec<[ValueId; 2]> {
+    let top = trie.run(0, 0, trie.level_len(0));
+    (top.iter().enumerate())
+        .flat_map(|(i, &a)| {
+            let (lo, hi) = trie.child_range(0, i as u32);
+            trie.run(1, lo, hi).iter().map(move |&b| [a, b])
+        })
+        .collect()
+}
+
+fn bench_flat_trie_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flat-trie/build");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    let dict = SharedDictionary::new();
+    let sorted = sorted_node_rows(TRIE_ROWS, 2, 63);
+    // The same rows in a random order (Fisher–Yates over row indices).
+    let mut rng = StdRng::seed_from_u64(64);
+    let mut order: Vec<usize> = (0..TRIE_ROWS).collect();
+    for i in (1..TRIE_ROWS).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let shuffled: Vec<Vec<ValueId>> = (sorted.iter())
+        .map(|col| order.iter().map(|&row| col[row]).collect())
+        .collect();
+    // The oracle: the distinct rows in ascending order, which `sorted` is.
+    let oracle: Vec<[ValueId; 2]> = (0..TRIE_ROWS)
+        .map(|row| [sorted[0][row], sorted[1][row]])
+        .collect();
+    // Presorted rows take the path without a permutation or a sort; the
+    // shuffled ones are sorted first.
+    for (input, cols) in [("presorted", &sorted), ("shuffled", &shuffled)] {
+        let relation = Relation::from_id_columns("R", TRIE_ROWS, cols.clone(), &dict);
+        let atom = BoundAtom::new(&relation, vec![0, 1]);
+        let trie = FlatTrie::build(&atom, &[0, 1], None).expect("no token");
+        assert_eq!(two_level_paths(&trie), oracle, "{input}: the trie's paths");
+        group.bench_function(BenchmarkId::new(input, format!("{TRIE_ROWS}x2")), |bench| {
+            bench.iter(|| FlatTrie::build(&atom, &[0, 1], None).map(|t| t.level_len(1)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_and_equal_mask,
@@ -450,6 +502,7 @@ criterion_group!(
     bench_gallop_seek,
     bench_semijoin_mask,
     bench_fingerprint,
-    bench_dedup_sorted
+    bench_dedup_sorted,
+    bench_flat_trie_build
 );
 criterion_main!(benches);

@@ -337,7 +337,7 @@ impl TrieCache {
         // poisons the lock but leaves the guarded state untouched, which is
         // exactly the consistency contract the poison-recovering helpers
         // rely on.
-        faults::point("cache-insert");
+        faults::point(faults::Site::CacheInsert);
         if let Some(existing) = map.get(&key) {
             // Lost an insert race; adopt the winner so all workers share.
             existing.last_used.store(now, Ordering::Relaxed);

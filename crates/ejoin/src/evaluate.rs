@@ -35,9 +35,10 @@ const TD_MEMO: &str = "td-memo";
 /// condition); this mirrors the "drop singleton variables" step the paper
 /// applies analytically in Appendix E.4/F and keeps the per-query
 /// decomposition work proportional to the join structure rather than the
-/// schema width.  The projections are [`Relation::projection`]s: each is
-/// derived once per source relation and shared by every query, and every
-/// evaluation, that binds it.  The projected query then runs the width-guided
+/// schema width.  An atom without such a variable is bound as it is; the
+/// other projections are [`Relation::projection`]s: each is derived once per
+/// source relation and shared by every query, and every evaluation, that
+/// binds it.  The projected query then runs the width-guided
 /// evaluation of Appendix A.2.1, or the plain generic join when it has more
 /// than [`MAX_DP_VERTICES`] variables for the exact decomposition DP.
 ///
@@ -69,11 +70,8 @@ pub fn evaluate_ej_boolean(
     if let Some(answer) = yannakakis_boolean(atoms, eval.token)? {
         return Ok(answer);
     }
-    let projections = project_singleton_variables(atoms);
-    let projected: Vec<BoundAtom<'_>> = projections
-        .iter()
-        .map(|(rel, vars)| BoundAtom::new(rel, vars.clone()))
-        .collect();
+    let inputs = project_singleton_variables(atoms);
+    let projected: Vec<BoundAtom<'_>> = inputs.iter().map(BagInput::bind).collect();
     if hypergraph_of(&projected).0.num_vertices() > MAX_DP_VERTICES {
         generic_join_boolean(&projected, None, eval)
     } else {
@@ -90,24 +88,23 @@ pub fn evaluate_ej_boolean(
 /// equality between them is a condition, which the trie build downstream
 /// filters on — whether or not another atom shares it.
 ///
-/// Each projection is the source relation's memoised
+/// An atom that keeps every column binds its relation as it is — on the
+/// engine path a transformed relation of the live plan, which has no
+/// singleton column to drop (`ij_reduction::plan_forward_reduction`) — and
+/// is not copied.  Each other projection is the source relation's memoised
 /// [`Relation::projection`]: atoms over the same relation and columns —
 /// across the disjuncts of a reduction and across evaluations of it — get
 /// the same `Arc`, fingerprint memo included, for as long as the source
 /// relation lives.
-fn project_singleton_variables(atoms: &[BoundAtom<'_>]) -> Vec<(Arc<Relation>, Vec<VarId>)> {
+fn project_singleton_variables<'a>(atoms: &[BoundAtom<'a>]) -> Vec<BagInput<'a>> {
     let mut positions: HashMap<VarId, usize> = HashMap::new();
     for atom in atoms {
         for &v in &atom.vars {
             *positions.entry(v).or_insert(0) += 1;
         }
     }
-    atoms
-        .iter()
-        .map(|atom| {
-            let (cols, vars) = kept_columns(atom, |v| positions[&v] >= 2);
-            (atom.relation.projection(&cols), vars)
-        })
+    (atoms.iter())
+        .map(|atom| BagInput::keeping(atom, |v| positions[&v] >= 2))
         .collect()
 }
 
@@ -224,18 +221,31 @@ pub(crate) fn materialise_bag(
     generic_join_enumerate(&bound, bag_vars, name, eval)
 }
 
-/// One atom's input to a bag: every column bound to a bag variable, so a
-/// variable the atom repeats keeps its equality.
+/// One atom's input to a bag, or to the query with its singleton variables
+/// projected away: the atom's columns bound to kept variables, so a variable
+/// the atom repeats keeps its equality.
 struct BagInput<'a> {
     /// The atom's relation.
     whole: &'a Relation,
-    /// Its [`Relation::projection`] onto the kept columns when the bag drops
-    /// some of them; `None` when it keeps them all.
+    /// Its [`Relation::projection`] onto the kept columns when some are
+    /// dropped; `None` when every column is kept.
     cut: Option<Arc<Relation>>,
     vars: Vec<VarId>,
 }
 
-impl BagInput<'_> {
+impl<'a> BagInput<'a> {
+    /// The columns of `atom` whose variable satisfies `keep`: the relation
+    /// itself when that is all of them, its memoised projection otherwise.
+    fn keeping(atom: &BoundAtom<'a>, keep: impl Fn(VarId) -> bool) -> Self {
+        let (cols, vars) = kept_columns(atom, keep);
+        let cut = (cols.len() < atom.vars.len()).then(|| atom.relation.projection(&cols));
+        BagInput {
+            whole: atom.relation,
+            cut,
+            vars,
+        }
+    }
+
     fn bind(&self) -> BoundAtom<'_> {
         BoundAtom::new(self.cut.as_deref().unwrap_or(self.whole), self.vars.clone())
     }
@@ -243,24 +253,15 @@ impl BagInput<'_> {
 
 /// The inputs of the bag over `bag_vars`, one per atom that overlaps it.  An
 /// atom the bag keeps whole binds its relation as it is — on the engine path
-/// that is already the memoised singleton-variable projection, a set in
-/// [`Relation::dedup`]'s order — and an atom the bag cuts binds the
-/// memoised [`Relation::projection`] of its relation, derived once for as
-/// long as that relation lives.
+/// that is already a singleton-free atom's relation, a set: a live
+/// transformed relation, or the memoised singleton-variable projection —
+/// and an atom the bag cuts binds the memoised [`Relation::projection`] of
+/// its relation, derived once for as long as that relation lives.
 fn bag_inputs<'a>(atoms: &[BoundAtom<'a>], bag_vars: &[VarId]) -> Vec<BagInput<'a>> {
     let in_bag = |v: VarId| bag_vars.contains(&v);
-    atoms
-        .iter()
+    (atoms.iter())
         .filter(|atom| atom.vars.iter().any(|&v| in_bag(v)))
-        .map(|atom| {
-            let (cols, vars) = kept_columns(atom, in_bag);
-            let cut = (cols.len() < atom.vars.len()).then(|| atom.relation.projection(&cols));
-            BagInput {
-                whole: atom.relation,
-                cut,
-                vars,
-            }
-        })
+        .map(|atom| BagInput::keeping(atom, in_bag))
         .collect()
 }
 
@@ -430,15 +431,21 @@ mod tests {
             BoundAtom::new(&t, vec![A, B]),
         ];
         let first = project_singleton_variables(&atoms);
-        let vars: Vec<&[VarId]> = first.iter().map(|(_, vars)| vars.as_slice()).collect();
+        let vars: Vec<&[VarId]> = first.iter().map(|input| input.vars.as_slice()).collect();
         assert_eq!(vars, [&[A, B][..], &[B], &[A, B]]);
-        assert_eq!(first[0].0.len(), 1, "the two rows of R agree on (A, B)");
+        let cut_of_r = first[0].cut.as_ref().unwrap();
+        assert_eq!(cut_of_r.len(), 1, "the two rows of R agree on (A, B)");
+        // T keeps both its columns: bound as it is, nothing derived.
+        assert!(first[2].cut.is_none());
+        assert!(std::ptr::eq(first[2].bind().relation, &t));
         // The same atoms again — another disjunct, another evaluation —
         // bind the very same relations.
         let second = project_singleton_variables(&atoms);
-        for ((a, _), (b, _)) in first.iter().zip(&second) {
-            assert!(Arc::ptr_eq(a, b));
-        }
+        assert!(Arc::ptr_eq(cut_of_r, second[0].cut.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(
+            first[1].cut.as_ref().unwrap(),
+            second[1].cut.as_ref().unwrap()
+        ));
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! The build is column-wise: surviving row indices (after the
 //! repeated-variable kernel mask, see `trie.rs`) are sorted lexicographically
 //! by the level columns, and one linear pass emits the CSR arrays, collapsing
-//! duplicate paths.  A trie's root-to-leaf paths are therefore exactly the
-//! sorted, deduplicated set of filter-surviving rows projected onto the level
-//! order.  The unit tests below and `tests/flat_trie_properties.rs` hold the
-//! build and the joins over it to that definition and to brute-force oracles
-//! across cache configurations.
+//! duplicate paths.  Rows that already strictly ascend in level order with
+//! no repeated variable — a relation that
+//! [`Relation::dedup`](ij_relation::Relation::dedup) sorted, whose column
+//! order is the level order — skip the permutation and the sort: one pass
+//! emits the upper levels and the deepest level is the last column as it
+//! is.  A trie's root-to-leaf paths are therefore exactly the sorted,
+//! deduplicated set of filter-surviving rows projected onto the level
+//! order, and the two builds give equal arrays.  The unit tests below and
+//! `tests/flat_trie_properties.rs` hold the build and the joins over it to
+//! that definition and to brute-force oracles across cache configurations.
 
 use crate::trie::{repeated_variable_mask, trie_level_vars};
 use crate::BoundAtom;
@@ -28,7 +33,7 @@ use ij_hypergraph::VarId;
 use ij_relation::{faults, kernels, CancelTicker, CancellationToken, EvalError, ValueId};
 
 /// One level of a [`FlatTrie`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct FlatLevel {
     /// The level's values: the concatenation of every parent's sorted,
     /// deduplicated child run (level 0 is one run — the root's children).
@@ -58,11 +63,15 @@ impl FlatTrie {
     /// by the level columns, then emit every level's value and offset arrays
     /// in one pass over the sorted permutation (a row extends the arrays from
     /// the first level where its path diverges from its predecessor's;
-    /// fully-equal paths — duplicate tuples — are skipped).  The emission
-    /// loop polls `token` (if any) every
+    /// fully-equal paths — duplicate tuples — are skipped).  When no
+    /// variable repeats and one pass ([`kernels::strictly_ascending`]) finds
+    /// the rows already strictly ascending in level order, there is no
+    /// permutation and no sort: the upper levels are emitted from the rows
+    /// in place and the deepest level is the last level column verbatim.
+    /// Either emission loop polls `token` (if any) every
     /// [`check_interval`](CancellationToken::check_interval) rows; the
-    /// lexicographic sort itself runs to completion (it is a single
-    /// `sort_unstable_by`, bounded and allocation-free).
+    /// order check and the lexicographic sort run to completion (a single
+    /// pass, and a single `sort_unstable_by`, bounded and allocation-free).
     ///
     /// # Errors
     ///
@@ -91,69 +100,25 @@ impl FlatTrie {
                 atom.relation.column_ids(column)
             })
             .collect();
-        faults::point("trie-build");
+        faults::point(faults::Site::TrieBuild);
         let mut ticker = CancelTicker::new(token);
-        let k = columns.len();
-        // Surviving row indices: the repeated-variable mask's survivors, or
-        // everything.
-        let mut perm: Vec<u32> = match repeated_variable_mask(atom) {
+        let levels = match repeated_variable_mask(atom) {
+            None if kernels::strictly_ascending(&columns) => {
+                build_presorted(&columns, &mut ticker)?
+            }
+            // Surviving row indices: the repeated-variable mask's survivors,
+            // or everything.
             Some(mask) => {
                 let mut surviving = Vec::new();
                 kernels::select_indices(&mask, 0, &mut surviving);
-                surviving
+                build_sorted(&columns, surviving, &mut ticker)?
             }
-            None => (0..columns.first().map_or(0, |c| c.len()) as u32).collect(),
+            None => {
+                let rows = columns.first().map_or(0, |c| c.len()) as u32;
+                build_sorted(&columns, (0..rows).collect(), &mut ticker)?
+            }
         };
-        perm.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            columns
-                .iter()
-                .map(|col| col[a].cmp(&col[b]))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut values: Vec<Vec<ValueId>> = vec![Vec::new(); k];
-        let mut child_start: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut prev: Option<usize> = None;
-        for &row in &perm {
-            ticker.tick()?;
-            let row = row as usize;
-            // First level where this row's path diverges from its
-            // predecessor's; `k` means a duplicate path.
-            let diverge = match prev {
-                None => 0,
-                Some(p) => columns
-                    .iter()
-                    .position(|col| col[row] != col[p])
-                    .unwrap_or(k),
-            };
-            for level in diverge..k {
-                if level + 1 < k {
-                    // The new entry's children begin at the next level's
-                    // current end (its own entries are pushed right after,
-                    // while the prefix stays equal).
-                    child_start[level].push(values[level + 1].len() as u32);
-                }
-                values[level].push(columns[level][row]);
-            }
-            prev = Some(row);
-        }
-        // Closing sentinels: entry `i`'s children end where entry `i + 1`'s
-        // begin, so each offset array carries one final end-of-level mark.
-        for level in 0..k.saturating_sub(1) {
-            child_start[level].push(values[level + 1].len() as u32);
-        }
-        Ok(FlatTrie {
-            level_vars,
-            levels: values
-                .into_iter()
-                .zip(child_start)
-                .map(|(values, child_start)| FlatLevel {
-                    values: values.into_boxed_slice(),
-                    child_start: child_start.into_boxed_slice(),
-                })
-                .collect(),
-        })
+        Ok(FlatTrie { level_vars, levels })
     }
 
     /// The sorted, distinct child run `lo..hi` of `level`'s value array (the
@@ -210,6 +175,110 @@ impl FlatTrie {
                 })
                 .sum::<usize>()
     }
+}
+
+/// The levels of a trie over the rows `perm` of `columns` (one per level):
+/// sorts `perm` lexicographically by the level columns, then emits every
+/// level's value and offset arrays in one pass over it — a row extends the
+/// arrays from the first level where its path diverges from its
+/// predecessor's, and a fully-equal path (a duplicate tuple) is skipped.
+/// Polls `ticker` once per row of the emission.
+fn build_sorted(
+    columns: &[&[ValueId]],
+    mut perm: Vec<u32>,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<Vec<FlatLevel>, EvalError> {
+    let k = columns.len();
+    perm.sort_unstable_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        columns
+            .iter()
+            .map(|col| col[a].cmp(&col[b]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut values: Vec<Vec<ValueId>> = vec![Vec::new(); k];
+    let mut child_start: Vec<Vec<u32>> = vec![Vec::new(); k];
+    let mut prev: Option<usize> = None;
+    for &row in &perm {
+        ticker.tick()?;
+        let row = row as usize;
+        // First level where this row's path diverges from its predecessor's;
+        // `k` means a duplicate path.
+        let diverge = match prev {
+            None => 0,
+            Some(p) => columns
+                .iter()
+                .position(|col| col[row] != col[p])
+                .unwrap_or(k),
+        };
+        for level in diverge..k {
+            if level + 1 < k {
+                // The new entry's children begin at the next level's current
+                // end (its own entries are pushed right after, while the
+                // prefix stays equal).
+                child_start[level].push(values[level + 1].len() as u32);
+            }
+            values[level].push(columns[level][row]);
+        }
+        prev = Some(row);
+    }
+    // Closing sentinels: entry `i`'s children end where entry `i + 1`'s
+    // begin, so each offset array carries one final end-of-level mark.
+    for level in 0..k.saturating_sub(1) {
+        child_start[level].push(values[level + 1].len() as u32);
+    }
+    Ok(flat_levels(values, child_start))
+}
+
+/// The levels of a trie over rows that already strictly ascend in level
+/// order (`columns`, one per level, at least one): no permutation and no
+/// sort.  Every row is a new path, so the deepest level is the last column
+/// verbatim, and a row opens an entry on each upper level from the first
+/// where it differs from its predecessor.  Polls `ticker` once per row, as
+/// the emission loop of [`build_sorted`] does.
+fn build_presorted(
+    columns: &[&[ValueId]],
+    ticker: &mut CancelTicker<'_>,
+) -> Result<Vec<FlatLevel>, EvalError> {
+    let (upper, deepest) = columns.split_at(columns.len() - 1);
+    let rows = deepest[0].len();
+    let mut values: Vec<Vec<ValueId>> = vec![Vec::new(); upper.len()];
+    let mut child_start: Vec<Vec<u32>> = vec![Vec::new(); upper.len()];
+    // The length of level `level + 1` before row `row` — the deepest level
+    // holds one value per row.
+    let next_len = |values: &[Vec<ValueId>], level: usize, row: usize| {
+        values.get(level + 1).map_or(row, Vec::len) as u32
+    };
+    for row in 0..rows {
+        ticker.tick()?;
+        let diverge = match row {
+            0 => 0,
+            _ => (upper.iter())
+                .position(|col| col[row] != col[row - 1])
+                .unwrap_or(upper.len()),
+        };
+        for level in diverge..upper.len() {
+            child_start[level].push(next_len(&values, level, row));
+            values[level].push(upper[level][row]);
+        }
+    }
+    for (level, starts) in child_start.iter_mut().enumerate() {
+        starts.push(next_len(&values, level, rows));
+    }
+    values.push(deepest[0].to_vec());
+    child_start.push(Vec::new());
+    Ok(flat_levels(values, child_start))
+}
+
+/// Boxes per-level value and offset arrays into trie levels.
+fn flat_levels(values: Vec<Vec<ValueId>>, child_start: Vec<Vec<u32>>) -> Vec<FlatLevel> {
+    (values.into_iter().zip(child_start))
+        .map(|(values, child_start)| FlatLevel {
+            values: values.into_boxed_slice(),
+            child_start: child_start.into_boxed_slice(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -324,6 +393,38 @@ mod tests {
                 assert!(got.iter().eq(expected.iter()), "vars {vars:?}");
             }
         }
+    }
+
+    #[test]
+    fn presorted_rows_build_the_arrays_of_the_sorting_build() {
+        // Rows over a small id domain, deduplicated: sorted by (column 0,
+        // column 1, column 2), so they strictly ascend in level order for
+        // the order [0, 1, 2].
+        let ids = lcg_rows(5, 300, 3, 6);
+        let cols = (0..3)
+            .map(|c| (ids.iter().map(|row| ValueId::from_raw(row[c] as u32))).collect())
+            .collect();
+        let mut r = Relation::from_id_columns("R", ids.len(), cols, &SharedDictionary::new());
+        r.dedup();
+        assert!(r.len() < ids.len(), "some rows repeat");
+        let atom = BoundAtom::new(&r, vec![0, 1, 2]);
+        // The relation and its deduplicated projections onto one and two
+        // leading columns: one, two and three levels.
+        let (one, two) = (r.projection(&[0]), r.projection(&[0, 1]));
+        for relation in [&*one, &*two, &r] {
+            let columns: Vec<&[ValueId]> = (0..relation.arity())
+                .map(|c| relation.column_ids(c))
+                .collect();
+            assert!(kernels::strictly_ascending(&columns));
+            let all: Vec<u32> = (0..relation.len() as u32).collect();
+            let mut ticker = CancelTicker::new(None);
+            let presorted = build_presorted(&columns, &mut ticker).unwrap();
+            let sorted = build_sorted(&columns, all, &mut ticker).unwrap();
+            assert_eq!(presorted, sorted, "{} levels", columns.len());
+        }
+        let built = FlatTrie::build(&atom, &[0, 1, 2], None).unwrap();
+        let (_, expected) = definition(&atom, &[0, 1, 2]);
+        assert!(flat_paths(&built).iter().eq(expected.iter()));
     }
 
     #[test]

@@ -213,12 +213,16 @@ pub struct EvaluationStats {
     /// Statistics of the forward reduction.  `num_relations` is what the
     /// reduction plans; `relations_built`, `transformed_tuples` and
     /// `max_relation_tuples` count the transformed relations this
-    /// evaluation's reduction held when it finished: under
+    /// evaluation's reduction held when it finished.  Under
     /// [`evaluate_cancellable`](IntersectionJoinEngine::evaluate_cancellable)
-    /// those the evaluated disjuncts read (early exit leaves the rest
-    /// unbuilt), under
+    /// those are the relations the evaluated disjuncts read (early exit
+    /// leaves the rest unbuilt) of [`plan_forward_reduction`], and their
+    /// sizes are *live* sizes: that plan builds no `X#2` column for an
+    /// interval variable shared by two atoms, so a relation is at most as
+    /// large as its namesake in `D̃`.  Under
     /// [`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction)
-    /// on a reduction from `forward_reduction_with` all of them.
+    /// on a reduction from `forward_reduction_with` they are all of `D̃`, at
+    /// Lemma 4.10's sizes.
     pub reduction: ReductionStats,
     /// Number of EJ queries actually evaluated (early exit stops at the
     /// first true disjunct).

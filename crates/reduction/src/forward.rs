@@ -43,11 +43,26 @@
 //!   shorthand) plans and then asks for *every* relation before returning, on
 //!   the caller's thread — the standalone reduction, whose
 //!   [`ForwardReduction::stats`] are the full sizes of Lemma 4.10;
-//! * the engine's `evaluate*` only plans, and each disjunct worker asks for
-//!   the relations of the disjunct it is about to evaluate.  A disjunction
-//!   that is true at its first disjunct never builds the relations only the
-//!   other disjuncts read; a false one builds all of them, spread over the
-//!   workers.
+//! * the engine's `evaluate*` only plans ([`plan_forward_reduction`]), and
+//!   each disjunct worker asks for the relations of the disjunct it is about
+//!   to evaluate.  A disjunction that is true at its first disjunct never
+//!   builds the relations only the other disjuncts read; a false one builds
+//!   all of them, spread over the workers.
+//!
+//! The two plans differ in one column.  Definition 4.9 gives the top-level
+//! atom of an interval variable `X` of degree `k` the pieces `X#1..X#k` of
+//! its leaf, and `X#k` is in no other atom: no join reads it, and the
+//! engine's join projects such singleton columns away (Appendix E.4/F).
+//! For a variable of degree 2, [`plan_forward_reduction`] never builds that
+//! column: the top-level atom gets `X#1` alone, one piece per ancestor-or-self
+//! of the row's leaf — the prefixes of the leaf, which is what the first of
+//! two pieces ranges over.  Such a relation is the projection of
+//! [`forward_reduction_with`]'s relation of the same name onto its live
+//! columns, and its disjuncts are those of [`forward_reduction_with`]
+//! without their `X#2` variables.  So the plan's sizes are *live* sizes, at
+//! most those of `D̃`; Lemma 4.10's sizes are those of
+//! [`forward_reduction_with`], which builds `D̃` exactly as Definition 4.9
+//! defines it.  A variable of degree 3 or more keeps every piece under both.
 //!
 //! Two threads asking for the same empty cell do not build it twice: the
 //! second waits for the first.  A build that is **interrupted** (its token is
@@ -73,7 +88,11 @@
 //! the seeds, the only sort of a build.  That is Lemma 4.10's counting
 //! argument read as an algorithm — `|R̃| = Σ_seeds ∏_columns C(|u| + level −
 //! 1, level − 1)` before a tuple is written — so every output column is
-//! allocated once at that length and filled seed by seed.  A piece is at
+//! allocated once at that length and filled seed by seed.  When every
+//! column is one piece wide — a carried id, a node at level 1, or the
+//! ancestor of a degree-2 variable's top column, whose seeds are the leaf's
+//! ancestors themselves — each seed is its own one tuple, and the sorted
+//! seeds *are* the relation: nothing is expanded.  A piece is at
 //! most as long as the tree is high, so its id is computed, not looked up
 //! ([`ValueId::inline_bits`], the encoding the dictionary shares): the cut
 //! positions come from one table per (node length, level) and a piece is a
@@ -192,11 +211,15 @@ impl ReducedQuery {
 /// [`max_relation_tuples`](Self::max_relation_tuples) — count the transformed
 /// relations **materialised so far**.  Which that is depends on the entry
 /// point: [`forward_reduction_with`] builds every relation, so on its result
-/// the fields are the full sizes of `D̃` (`relations_built == num_relations`);
-/// the engine's `evaluate_cancellable` builds a relation only when a disjunct
-/// it evaluates reads it, so in its `EvaluationStats::reduction` the fields
-/// say how much of `D̃` the evaluation needed.  Every other field is fixed by
-/// the plan and identical under both.
+/// the fields are the full sizes of `D̃` (`relations_built == num_relations`),
+/// Lemma 4.10's sizes.  The engine's `evaluate_cancellable` runs on
+/// [`plan_forward_reduction`], whose relations are *live*: without the
+/// top-level `X#2` column of a degree-2 variable (module docs), so a relation
+/// has at most as many tuples as its namesake in `D̃`.  It builds a relation
+/// only when a disjunct it evaluates reads it, so in its
+/// `EvaluationStats::reduction` the fields say how much of the live
+/// reduction the evaluation needed.  Every other field is fixed by the plan
+/// and identical under both.
 #[derive(Debug, Clone, Default)]
 pub struct ReductionStats {
     /// Per interval variable: (name, number of source intervals, segment tree
@@ -238,7 +261,8 @@ pub struct ForwardReduction {
     /// Statistics, as of the moment this value was returned: from
     /// [`forward_reduction_with`] the size fields cover all
     /// of `D̃`; from [`plan_forward_reduction`] nothing is built yet and they
-    /// are zero.  [`ForwardReduction::materialised_stats`] recounts.
+    /// are zero.  [`ForwardReduction::materialised_stats`] recounts — on a
+    /// plan, live sizes (see [`ReductionStats`]).
     pub stats: ReductionStats,
     /// The dictionary of the *input* database: transformed ids must be
     /// join-compatible with the carried columns, so the transformed
@@ -293,6 +317,10 @@ enum SpecColumn {
         level: usize,
         leaf: bool,
     },
+    /// The atom's source column `col` (an interval variable of degree 2 at
+    /// its top level) as the one live column `X#1`: each ancestor-or-self of
+    /// the row's leaf, whole.
+    Ancestors { col: usize },
 }
 
 impl SpecColumn {
@@ -300,11 +328,36 @@ impl SpecColumn {
     fn source<'a>(&self, atom: &'a AtomSource) -> Option<&'a SourceColumn> {
         match *self {
             SpecColumn::TupleId => None,
-            SpecColumn::Carried { col } | SpecColumn::Expand { col, .. } => {
-                Some(&atom.columns[col])
-            }
+            SpecColumn::Carried { col }
+            | SpecColumn::Expand { col, .. }
+            | SpecColumn::Ancestors { col } => Some(&atom.columns[col]),
         }
     }
+
+    /// The variables bound to the output columns: `id_var` for the tuple
+    /// identifier, the source variable of a carried column, and `X#1..X#w`
+    /// for an interval variable `X` written as `w` pieces.
+    fn vars(&self, atom_vars: &[String], id_var: &str) -> Vec<String> {
+        let pieces =
+            |col: usize, width: usize| (1..=width).map(move |j| format!("{}#{j}", atom_vars[col]));
+        match *self {
+            SpecColumn::TupleId => vec![id_var.to_string()],
+            SpecColumn::Carried { col } => vec![atom_vars[col].clone()],
+            SpecColumn::Expand { col, level, .. } => pieces(col, level).collect(),
+            SpecColumn::Ancestors { col } => pieces(col, 1).collect(),
+        }
+    }
+}
+
+/// Which columns a plan gives its transformed relations (module docs, "Plan,
+/// then build on demand").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Every column of Definition 4.9: `D̃` as the paper defines it.
+    Paper,
+    /// Without the top-level `X#2` of an interval variable of degree 2,
+    /// which one atom binds and no join reads.
+    Live,
 }
 
 /// What the relation builds of one atom read from its source relation.
@@ -367,6 +420,25 @@ impl ForwardReduction {
             }
         };
         &self.relations[index]
+    }
+
+    /// Plans the relation `name` of `spec` unless the plan has it already,
+    /// and returns the atom of a disjunct that binds it: `atom_vars` are the
+    /// source atom's variables, `id_var` the tuple identifier's.
+    fn bind(
+        &mut self,
+        name: String,
+        spec: RelationSpec,
+        atom_vars: &[String],
+        id_var: &str,
+    ) -> ReducedAtom {
+        let vars = spec.columns.iter().flat_map(|c| c.vars(atom_vars, id_var));
+        let atom = ReducedAtom {
+            relation: name.clone(),
+            vars: vars.collect(),
+        };
+        self.plan_relation(name, Some(spec));
+        atom
     }
 
     /// The transformed relation `name`, built now if nobody asked for it
@@ -547,15 +619,16 @@ pub fn forward_reduction(q: &Query, db: &Database) -> Result<ForwardReduction, R
 }
 
 /// Runs the forward reduction of query `q` over database `db` with an
-/// explicit [`ReductionConfig`]: [`plan_forward_reduction`] followed by a
-/// request for every relation of the plan, so all of `D̃` is built before the
-/// call returns and [`ForwardReduction::stats`] reports all of it.
+/// explicit [`ReductionConfig`]: the plan of `D̃` as Definition 4.9 defines
+/// it, every column included, followed by a request for every relation of
+/// the plan, so all of `D̃` is built before the call returns and
+/// [`ForwardReduction::stats`] reports all of it — Lemma 4.10's sizes.
 pub fn forward_reduction_with(
     q: &Query,
     db: &Database,
     config: ReductionConfig,
 ) -> Result<ForwardReduction, ReductionError> {
-    let mut reduction = plan_forward_reduction(q, db, config, None)?;
+    let mut reduction = plan(q, db, config, None, Shape::Paper)?;
     reduction.materialise_all()?;
     reduction.stats = reduction.materialised_stats();
     Ok(reduction)
@@ -563,20 +636,41 @@ pub fn forward_reduction_with(
 
 /// Plans the forward reduction of `q` over `db` without building any
 /// transformed relation: the returned [`ForwardReduction`] carries the EJ
-/// queries and builds each relation of `D̃` the first time
-/// [`ForwardReduction::relation`] is asked for it.  This is all of the
-/// reduction that can reject its input.  `token` is polled by the
-/// segment-tree node pass over every interval column, once per source tuple,
-/// every [`check_interval`](CancellationToken::check_interval) tuples, and
-/// aborts it with [`ReductionError::Interrupted`]; the segment-tree builds
-/// and the structural reduction run to completion (both are small: `O(N)`
-/// interval collection and a per-*shape* permutation enumeration).  Relation
-/// builds poll the token [`ForwardReduction::relation`] is given.
+/// queries and builds each of its relations the first time
+/// [`ForwardReduction::relation`] is asked for it.  This is the plan the
+/// engine's `evaluate*` runs, and its relations are live: the top column of
+/// an interval variable of degree 2 is `X#1` alone, one piece per
+/// ancestor-or-self of the row's leaf, and `X#2` — bound by that one atom,
+/// read by no join — is neither built nor in the disjuncts (module docs).
+/// Each relation is the projection of [`forward_reduction_with`]'s relation
+/// of the same name onto its live columns, so the sizes
+/// [`ForwardReduction::materialised_stats`] counts are live sizes; Lemma
+/// 4.10's are [`forward_reduction_with`]'s.
+///
+/// This is all of the reduction that can reject its input.  `token` is
+/// polled by the segment-tree node pass over every interval column, once per
+/// source tuple, every [`check_interval`](CancellationToken::check_interval)
+/// tuples, and aborts it with [`ReductionError::Interrupted`]; the
+/// segment-tree builds and the structural reduction run to completion (both
+/// are small: `O(N)` interval collection and a per-*shape* permutation
+/// enumeration).  Relation builds poll the token
+/// [`ForwardReduction::relation`] is given.
 pub fn plan_forward_reduction(
     q: &Query,
     db: &Database,
     config: ReductionConfig,
     token: Option<&CancellationToken>,
+) -> Result<ForwardReduction, ReductionError> {
+    plan(q, db, config, token, Shape::Live)
+}
+
+/// [`plan_forward_reduction`] with the columns `shape` says.
+fn plan(
+    q: &Query,
+    db: &Database,
+    config: ReductionConfig,
+    token: Option<&CancellationToken>,
+    shape: Shape,
 ) -> Result<ForwardReduction, ReductionError> {
     validate(q, db)?;
     let (hypergraph, var_ids) = q.hypergraph();
@@ -620,8 +714,9 @@ pub fn plan_forward_reduction(
             .push((name.clone(), all.len(), tree.height()));
         // Number of atoms containing the variable (its `k`).
         degrees.insert(var, columns.len());
+        let ancestors = shape == Shape::Live && columns.len() == 2;
         for (key, intervals) in columns {
-            let nodes = NodeLists::build(&tree, &intervals, db.dictionary(), token)?;
+            let nodes = NodeLists::build(&tree, &intervals, db.dictionary(), ancestors, token)?;
             node_lists.insert(key, nodes);
         }
     }
@@ -665,10 +760,14 @@ pub fn plan_forward_reduction(
             let levels = &structure.edge_levels[atom_idx];
             let expand = |col: usize| {
                 let var = var_ids[&atom.vars[col]];
-                SpecColumn::Expand {
-                    col,
-                    level: levels[&var],
-                    leaf: levels[&var] == degrees[&var],
+                let (level, degree) = (levels[&var], degrees[&var]);
+                match shape == Shape::Live && (level, degree) == (2, 2) {
+                    true => SpecColumn::Ancestors { col },
+                    false => SpecColumn::Expand {
+                        col,
+                        level,
+                        leaf: level == degree,
+                    },
                 }
             };
             // The decomposed encoding only pays off for atoms with at least
@@ -676,24 +775,19 @@ pub fn plan_forward_reduction(
             // relation under either strategy.
             let decompose = config.encoding == EncodingStrategy::Decomposed
                 && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
+            let spec = |columns: Vec<SpecColumn>| RelationSpec {
+                atom: atom_idx,
+                columns,
+            };
             if !decompose {
-                let (name, vars) =
-                    reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
                 // Carried columns copy their ids, interval columns expand
                 // into `level` bitstring columns.
                 let columns = (0..atom.vars.len()).map(|col| match is_interval(&atom.vars[col]) {
                     true => expand(col),
                     false => SpecColumn::Carried { col },
                 });
-                let spec = RelationSpec {
-                    atom: atom_idx,
-                    columns: columns.collect(),
-                };
-                reduction.plan_relation(name.clone(), Some(spec));
-                atoms.push(ReducedAtom {
-                    relation: name,
-                    vars,
-                });
+                let name = reduced_relation_name(q, atom_idx, levels, &id_to_name);
+                atoms.push(reduction.bind(name, spec(columns.collect()), &atom.vars, ""));
                 continue;
             }
 
@@ -707,21 +801,11 @@ pub fn plan_forward_reduction(
 
             // The spine: one tuple `(Id, carried point values…)` per source
             // tuple, the carried columns copying the source ids verbatim.
-            let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
             let carried = (0..atom.vars.len()).filter(|&col| !is_interval(&atom.vars[col]));
             let columns = std::iter::once(SpecColumn::TupleId)
-                .chain(carried.clone().map(|col| SpecColumn::Carried { col }));
-            let spine = RelationSpec {
-                atom: atom_idx,
-                columns: columns.collect(),
-            };
-            reduction.plan_relation(spine_name.clone(), Some(spine));
-            atoms.push(ReducedAtom {
-                relation: spine_name,
-                vars: std::iter::once(id_var.clone())
-                    .chain(carried.map(|col| atom.vars[col].clone()))
-                    .collect(),
-            });
+                .chain(carried.map(|col| SpecColumn::Carried { col }));
+            let spine_name = format!("{}@{}⟨id⟩", atom.relation, atom_idx);
+            atoms.push(reduction.bind(spine_name, spec(columns.collect()), &atom.vars, &id_var));
 
             // The parts: tuples `(Id, X₁,…,X_ℓ)`, Definition 4.9 applied to a
             // single variable.
@@ -729,19 +813,8 @@ pub fn plan_forward_reduction(
                 let var_name = &atom.vars[col];
                 let level = levels[&var_ids[var_name]];
                 let part_name = format!("{}@{}⟨{}:{}⟩", atom.relation, atom_idx, var_name, level);
-                let part = RelationSpec {
-                    atom: atom_idx,
-                    columns: vec![SpecColumn::TupleId, expand(col)],
-                };
-                reduction.plan_relation(part_name.clone(), Some(part));
-                let mut part_vars: Vec<String> = vec![id_var.clone()];
-                for j in 1..=level {
-                    part_vars.push(format!("{var_name}#{j}"));
-                }
-                atoms.push(ReducedAtom {
-                    relation: part_name,
-                    vars: part_vars,
-                });
+                let columns = vec![SpecColumn::TupleId, expand(col)];
+                atoms.push(reduction.bind(part_name, spec(columns), &atom.vars, &id_var));
             }
         }
         reduction.queries.push(ReducedQuery { atoms, structure });
@@ -750,36 +823,21 @@ pub fn plan_forward_reduction(
     Ok(reduction)
 }
 
-/// The name and column variables of the transformed relation of one atom
-/// under a level assignment for its interval variables.
-fn reduced_relation_signature(
+/// The name of the transformed relation of one atom under a level
+/// assignment for its interval variables.
+fn reduced_relation_name(
     q: &Query,
     atom_idx: usize,
     levels: &BTreeMap<VarId, usize>,
     id_to_name: &BTreeMap<VarId, String>,
-    var_ids: &BTreeMap<String, VarId>,
-) -> (String, Vec<String>) {
+) -> String {
     let atom = &q.atoms()[atom_idx];
-    let mut vars: Vec<String> = Vec::new();
-    for v in &atom.vars {
-        match q.var_kind(v) {
-            Some(VarKind::Interval) => {
-                let var_id = var_ids[v];
-                let level = levels[&var_id];
-                for j in 1..=level {
-                    vars.push(format!("{v}#{j}"));
-                }
-            }
-            _ => vars.push(v.clone()),
-        }
-    }
     let mut level_names: Vec<String> = levels
         .iter()
         .map(|(id, l)| format!("{}:{}", id_to_name[id], l))
         .collect();
     level_names.sort();
-    let name = format!("{}@{}⟨{}⟩", atom.relation, atom_idx, level_names.join(","));
-    (name, vars)
+    format!("{}@{}⟨{}⟩", atom.relation, atom_idx, level_names.join(","))
 }
 
 /// The segment-tree nodes of one interval column, as ids, computed once and
@@ -789,33 +847,72 @@ fn reduced_relation_signature(
 /// (third bullet: the top level).
 #[derive(Debug)]
 struct NodeLists {
-    /// Row `r`'s canonical partition is
-    /// `partitions[partition_starts[r]..partition_starts[r + 1]]`.
-    partitions: Vec<ValueId>,
-    partition_starts: Vec<usize>,
+    /// Per row, its canonical partition (possibly empty).
+    partitions: RowLists,
+    /// Per row, its leaf.
     leaves: Vec<ValueId>,
+    /// Per row, each ancestor-or-self of its leaf, root first: the live top
+    /// column of a variable of degree 2.  `None` where no plan reads it.
+    ancestors: Option<RowLists>,
+}
+
+/// One run of ids per source row, flattened: row `r`'s run is
+/// `ids[starts[r]..starts[r + 1]]`.
+#[derive(Debug)]
+struct RowLists {
+    ids: Vec<ValueId>,
+    starts: Vec<usize>,
+}
+
+impl RowLists {
+    fn new() -> Self {
+        RowLists {
+            ids: Vec::new(),
+            starts: vec![0],
+        }
+    }
+
+    /// Closes the run of the current row.
+    fn end_row(&mut self) {
+        self.starts.push(self.ids.len());
+    }
+
+    /// Row `row`'s run.
+    fn of_row(&self, row: usize) -> &[ValueId] {
+        &self.ids[self.starts[row]..self.starts[row + 1]]
+    }
 }
 
 impl NodeLists {
+    /// The node lists of `intervals` in `tree`, with the leaves' ancestors
+    /// when `ancestors` is set.  `token` is polled once per interval.
     fn build(
         tree: &SegmentTree,
         intervals: &[Interval],
         dict: &SharedDictionary,
+        ancestors: bool,
         token: Option<&CancellationToken>,
     ) -> Result<Self, EvalError> {
         let mut lists = NodeLists {
-            partitions: Vec::new(),
-            partition_starts: vec![0],
+            partitions: RowLists::new(),
             leaves: Vec::with_capacity(intervals.len()),
+            ancestors: ancestors.then(RowLists::new),
         };
         let id_of = |node: BitString| bits_id(dict, node.bits(), node.len());
         let mut ticker = CancelTicker::new(token);
         for &iv in intervals {
             ticker.tick()?;
-            let leaf = tree
-                .for_each_canonical_node_with_leaf(iv, |node| lists.partitions.push(id_of(node)));
-            lists.partition_starts.push(lists.partitions.len());
+            let partitions = &mut lists.partitions;
+            let leaf = tree.for_each_canonical_node_with_leaf(iv, |node| {
+                partitions.ids.push(id_of(node));
+            });
+            partitions.end_row();
             lists.leaves.push(id_of(leaf));
+            if let Some(ancestors) = &mut lists.ancestors {
+                // `anc(leaf)` of Section 3: its prefixes, the root included.
+                (ancestors.ids).extend((0..=leaf.len()).map(|n| id_of(leaf.prefix(n))));
+                ancestors.end_row();
+            }
         }
         Ok(lists)
     }
@@ -835,32 +932,36 @@ enum PlanColumn<'a> {
         level: usize,
         leaf: bool,
     },
+    /// Copies each ancestor-or-self of the source row's leaf, whole: one
+    /// option per ancestor.
+    Ancestors(&'a RowLists),
 }
 
 impl<'a> PlanColumn<'a> {
     /// Number of output columns.
     fn width(&self) -> usize {
         match *self {
-            PlanColumn::Carried(_) => 1,
+            PlanColumn::Carried(_) | PlanColumn::Ancestors(_) => 1,
             PlanColumn::Expand { level, .. } => level,
         }
     }
 
-    /// What a source row contributes to the seeds in this column: its id, or
-    /// the nodes it expands from — its leaf at the top level, its canonical
-    /// partition below (possibly empty: the row joins nothing).
+    /// What a source row contributes to the seeds in this column: its id,
+    /// its leaf's ancestors, or the nodes it expands from — its leaf at the
+    /// top level, its canonical partition below (possibly empty: the row
+    /// joins nothing).
     fn seeds_of(&self, row: usize) -> &'a [ValueId] {
         match *self {
             PlanColumn::Carried(ids) => &ids[row..=row],
+            PlanColumn::Ancestors(lists) => lists.of_row(row),
             PlanColumn::Expand { nodes, leaf, .. } if leaf => &nodes.leaves[row..=row],
-            PlanColumn::Expand { nodes, .. } => {
-                &nodes.partitions[nodes.partition_starts[row]..nodes.partition_starts[row + 1]]
-            }
+            PlanColumn::Expand { nodes, .. } => nodes.partitions.of_row(row),
         }
     }
 
     /// The node the seed id `seed` names in this column, to be cut into
-    /// [`width`](Self::width) pieces; `None` for the id of a carried column.
+    /// [`width`](Self::width) pieces; `None` for a seed that is its own one
+    /// option (a carried id, an ancestor).
     fn node_of(&self, dict: &SharedDictionary, seed: ValueId) -> Option<BitString> {
         let expands = matches!(self, PlanColumn::Expand { .. });
         expands.then(|| {
@@ -883,6 +984,10 @@ impl ForwardReduction {
             (SpecColumn::Expand { level, leaf, .. }, Some(SourceColumn::Interval(nodes))) => {
                 PlanColumn::Expand { nodes, level, leaf }
             }
+            (SpecColumn::Ancestors { .. }, Some(SourceColumn::Interval(nodes))) => {
+                let lists = nodes.ancestors.as_ref();
+                PlanColumn::Ancestors(lists.expect("the plan lists a degree-2 leaf's ancestors"))
+            }
             _ => unreachable!("the plan carries point columns and expands interval columns"),
         };
         spec.columns.iter().map(resolve).collect()
@@ -890,10 +995,12 @@ impl ForwardReduction {
 }
 
 /// Builds one transformed relation (Definition 4.9, applied once per
-/// `Expand` column of the plan) — the one routine that materialises `D̃`,
-/// behind every cell of a [`ForwardReduction`], as *seeds → sort → expand*
-/// (module docs).  Only the seeds are sorted, the output columns are
-/// allocated once, and nothing is allocated per source row or per seed.
+/// `Expand` column of the plan) — the one routine that materialises `D̃`
+/// and the live plan's relations, behind every cell of a
+/// [`ForwardReduction`], as *seeds → sort → expand* (module docs).  Only the
+/// seeds are sorted, the output columns are allocated once, and nothing is
+/// allocated per source row or per seed; a plan whose columns are all one
+/// piece wide returns the sorted seeds.
 fn build_relation(
     name: &str,
     dict: &SharedDictionary,
@@ -901,7 +1008,7 @@ fn build_relation(
     source_rows: usize,
     token: Option<&CancellationToken>,
 ) -> Result<Relation, EvalError> {
-    faults::point("reduction-transform");
+    faults::point(faults::Site::ReductionTransform);
     // One unit of work per seed collected and per tuple written: a source row
     // or a seed stands for `O(log^j N)` of them, too many between two polls.
     let mut ticker = CancelTicker::new(token);
@@ -927,6 +1034,12 @@ fn build_relation(
     }
     let mut seeds = Relation::from_id_columns(name, collected, seeds, dict);
     seeds.dedup();
+    // Every column one piece wide: each seed is its one tuple, so the sorted
+    // seeds are the relation.
+    if plan.iter().all(|column| column.width() == 1) {
+        ticker.advance(seeds.len())?;
+        return Ok(seeds);
+    }
 
     // (2) The exact size: distinct seeds expand to disjoint sets of tuples,
     // `C(|u| + level − 1, level − 1)` options per node `u` (Lemma 4.10).
@@ -1444,8 +1557,7 @@ mod tests {
                 let decompose = config.encoding == EncodingStrategy::Decomposed
                     && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
                 if !decompose {
-                    let (name, _) =
-                        reduced_relation_signature(q, atom_idx, levels, &id_to_name, &var_ids);
+                    let name = reduced_relation_name(q, atom_idx, levels, &id_to_name);
                     let rows = source.iter().flat_map(|tuple| {
                         product(
                             (atom.vars.iter().zip(tuple))
@@ -1610,7 +1722,7 @@ mod tests {
     /// The node lists of `intervals` in the tree over `tree_intervals`.
     fn node_lists(tree_intervals: &[Interval], intervals: &[Interval]) -> NodeLists {
         let tree = SegmentTree::build(tree_intervals);
-        NodeLists::build(&tree, intervals, &SharedDictionary::new(), None).unwrap()
+        NodeLists::build(&tree, intervals, &SharedDictionary::new(), false, None).unwrap()
     }
 
     #[test]
@@ -1644,9 +1756,12 @@ mod tests {
     fn single_node(dict: &SharedDictionary, node: BitString) -> NodeLists {
         let id = dict.intern(Value::Bits(node));
         NodeLists {
-            partitions: vec![id],
-            partition_starts: vec![0, 1],
+            partitions: RowLists {
+                ids: vec![id],
+                starts: vec![0, 1],
+            },
             leaves: vec![id],
+            ancestors: None,
         }
     }
 
@@ -1791,28 +1906,32 @@ mod tests {
         let tree = SegmentTree::build(&intervals);
         let queries: Vec<Interval> = intervals.iter().chain(&outside).copied().collect();
         let dict = SharedDictionary::new();
-        let nodes = NodeLists::build(&tree, &queries, &dict, None).unwrap();
+        let nodes = NodeLists::build(&tree, &queries, &dict, true, None).unwrap();
         let id = |node: BitString| dict.intern(Value::Bits(node));
         for (row, &iv) in queries.iter().enumerate() {
             let partition: Vec<ValueId> =
                 (tree.canonical_partition(iv).into_iter().map(id)).collect();
-            let listed =
-                &nodes.partitions[nodes.partition_starts[row]..nodes.partition_starts[row + 1]];
-            assert_eq!(listed, partition, "{iv}");
-            assert_eq!(nodes.leaves[row], id(tree.leaf_of_interval(iv)), "{iv}");
+            assert_eq!(nodes.partitions.of_row(row), partition, "{iv}");
+            let leaf = tree.leaf_of_interval(iv);
+            assert_eq!(nodes.leaves[row], id(leaf), "{iv}");
+            let ancestors: Vec<ValueId> = leaf.ancestors().into_iter().map(id).collect();
+            assert_eq!(nodes.ancestors.as_ref().unwrap().of_row(row), ancestors);
         }
         assert_eq!(dict.len(), 0, "every node id is inline");
     }
 
     /// The query shapes of the property tests: a star of degree 3 (levels 1
     /// and 2 expand canonical partitions, level 3 the leaf), the triangle,
-    /// two variables reaching levels (3, 3), and an EIJ query carrying the
-    /// point variables X and Y before, between and after interval columns.
-    const SHAPES: [&str; 4] = [
+    /// two variables reaching levels (3, 3), an EIJ query carrying the point
+    /// variables X and Y before, between and after interval columns, and a
+    /// triangle over a repeated relation, with a variable of degree 2 and
+    /// one of degree 3.
+    const SHAPES: [&str; 5] = [
         "R([A]) & S([A]) & T([A])",
         "R([A],[B]) & S([B],[C]) & T([A],[C])",
         "R([A],[B]) & S([A],[B]) & T([A],[B])",
         "R(X,[A],[B]) & S([A],X,Y) & T(Y,[B])",
+        "R([A],[B]) & R([B],[C]) & T([A],[C],[B])",
     ];
 
     /// One relation's rows, before a query shape gives them an arity and
@@ -1832,6 +1951,7 @@ mod tests {
     /// rows in the order `order` puts them.  A point column holds one of three points; an
     /// interval column an interval of width 0 to 4, a quarter of the
     /// zero-width ones as a bare point; every relation repeats its first row.
+    /// A repeated relation has the rows of its first atom.
     fn instance(
         (shape, relations): &(usize, Vec<RawRows>),
         dict: &SharedDictionary,
@@ -1845,6 +1965,9 @@ mod tests {
         };
         let mut db = Database::new_in(dict.clone());
         for (atom, raw) in q.atoms().iter().zip(relations) {
+            if db.relation(&atom.relation).is_some() {
+                continue;
+            }
             let mut rows: Vec<Vec<Value>> = (raw.iter().chain(&raw[..1]))
                 .map(|row| (atom.vars.iter().zip(row).map(|(v, &c)| cell(v, c))).collect())
                 .collect();
@@ -1871,7 +1994,7 @@ mod tests {
             seeds.extend(of_row);
         }
         let options = |(id, column): (&ValueId, &PlanColumn<'_>)| match *column {
-            PlanColumn::Carried(_) => 1,
+            PlanColumn::Carried(_) | PlanColumn::Ancestors(_) => 1,
             PlanColumn::Expand { level, .. } => {
                 let node = fr.dict.resolve(*id).as_bits().unwrap();
                 node.composition_count(level)
@@ -1880,6 +2003,95 @@ mod tests {
         (seeds.iter())
             .map(|seed| seed.iter().zip(&plan).map(options).product::<u64>())
             .sum()
+    }
+
+    /// Whether `var` is the `X#2` of an interval variable `X` of degree 2 in
+    /// `q`: the one column the live plan leaves out.
+    fn dead(q: &Query, var: &str) -> bool {
+        var.strip_suffix("#2").is_some_and(|x| {
+            let degree = (q.atoms().iter())
+                .filter(|atom| atom.vars.iter().any(|v| v == x))
+                .count();
+            q.var_kind(x) == Some(VarKind::Interval) && degree == 2
+        })
+    }
+
+    /// A relation's rows as id rows, in order.
+    fn id_rows(relation: &Relation) -> Vec<Vec<ValueId>> {
+        (0..relation.len())
+            .map(|row| {
+                (0..relation.arity())
+                    .map(|c| relation.id_at(row, c))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The relation `name` of `paper` (from [`forward_reduction_with`])
+    /// projected onto the columns whose variables the live plan's atom of
+    /// that name binds, as a set of id rows.
+    fn live_projection(
+        live: &ForwardReduction,
+        paper: &ForwardReduction,
+        name: &str,
+    ) -> BTreeSet<Vec<ValueId>> {
+        let atoms = |fr: &ForwardReduction| -> Vec<ReducedAtom> {
+            (fr.queries.iter().flat_map(|rq| rq.atoms.iter().cloned())).collect()
+        };
+        let (live_atoms, paper_atoms) = (atoms(live), atoms(paper));
+        let at = live_atoms.iter().position(|a| a.relation == name).unwrap();
+        let (kept, all) = (&live_atoms[at].vars, &paper_atoms[at].vars);
+        let cols: Vec<usize> = (0..all.len()).filter(|&c| kept.contains(&all[c])).collect();
+        let relation = paper.relation(name, None).unwrap();
+        (id_rows(relation).into_iter())
+            .map(|row| cols.iter().map(|&c| row[c]).collect())
+            .collect()
+    }
+
+    /// The relation `name` of the live plan is `paper`'s projected onto its
+    /// live columns, exactly: the same rows and no duplicate.  Returns its
+    /// size.
+    fn assert_live(live: &ForwardReduction, paper: &ForwardReduction, name: &str) -> usize {
+        let rows = id_rows(live.relation(name, None).unwrap());
+        let set: BTreeSet<Vec<ValueId>> = rows.iter().cloned().collect();
+        assert_eq!(set.len(), rows.len(), "duplicates in {name}");
+        assert_eq!(set, live_projection(live, paper, name), "{name}");
+        rows.len()
+    }
+
+    /// The live plan against the paper's reduction of the same instance:
+    /// every disjunct is the paper's without its dead `X#2` variables, every
+    /// relation is the paper's projected onto its live columns — the same
+    /// build, column for column, where nothing is dead — and its size is
+    /// exactly Lemma 4.10's count over its seeds.
+    fn assert_live_plan_matches_the_paper(q: &Query, db: &Database, config: ReductionConfig) {
+        let paper = forward_reduction_with(q, db, config).unwrap();
+        let live = plan_forward_reduction(q, db, config, None).unwrap();
+        assert_eq!(live.queries.len(), paper.queries.len());
+        for (lq, pq) in live.queries.iter().zip(&paper.queries) {
+            assert_eq!(lq.atoms.len(), pq.atoms.len());
+            for (la, pa) in lq.atoms.iter().zip(&pq.atoms) {
+                assert_eq!(la.relation, pa.relation);
+                let alive = pa.vars.iter().filter(|v| !dead(q, v));
+                assert_eq!(la.vars, alive.cloned().collect::<Vec<_>>(), "{config:?}");
+            }
+        }
+        let mut total = 0;
+        for planned in &live.relations {
+            let name = &planned.name;
+            total += assert_live(&live, &paper, name);
+            let (built, reference) = (
+                live.relation(name, None).unwrap(),
+                paper.relation(name, None).unwrap(),
+            );
+            if built.arity() == reference.arity() {
+                assert_eq!(built, reference, "{config:?}: {name}");
+            }
+            let count = size_by_lemma_4_10(&live, planned);
+            assert_eq!(built.len() as u64, count, "{config:?}: {name}");
+        }
+        assert_eq!(live.materialised_stats().transformed_tuples, total);
+        assert_eq!(live.stats.num_relations, paper.stats.num_relations);
     }
 
     proptest! {
@@ -1892,6 +2104,17 @@ mod tests {
         fn kernel_matches_the_oracle_on_random_instances(raw in arb_instance()) {
             let (q, db) = instance(&raw, &SharedDictionary::new(), |_| ());
             assert_kernel_matches_oracle(&q, &db);
+        }
+
+        /// Degree-2 and degree-3 variables, carried point columns and a
+        /// repeated relation, under both encodings: the live plan builds
+        /// the paper's relations without their dead columns.
+        #[test]
+        fn the_live_plan_is_the_paper_reduction_without_its_dead_columns(raw in arb_instance()) {
+            let (q, db) = instance(&raw, &SharedDictionary::new(), |_| ());
+            for config in [ReductionConfig::default(), DECOMPOSED] {
+                assert_live_plan_matches_the_paper(&q, &db, config);
+            }
         }
 
         /// Lemma 4.10 as an identity: a relation has exactly one tuple per
@@ -1982,7 +2205,7 @@ mod tests {
             let first = &plan.queries[0];
             for atom in &first.atoms {
                 let built = plan.relation(&atom.relation, None).unwrap();
-                assert_eq!(built, reference.relation(&atom.relation, None).unwrap());
+                assert_live(&plan, &reference, &atom.relation);
                 // A second request is the same relation, not a second build.
                 assert!(std::ptr::eq(
                     built,
@@ -1995,12 +2218,16 @@ mod tests {
             assert!(stats.transformed_tuples < reference.stats.transformed_tuples);
 
             plan.materialise_all().unwrap();
+            let live: Vec<usize> = (plan.relations.iter())
+                .map(|planned| live_projection(&plan, &reference, &planned.name).len())
+                .collect();
             let stats = plan.materialised_stats();
-            assert_eq!(stats.transformed_tuples, reference.stats.transformed_tuples);
-            assert_eq!(
-                stats.max_relation_tuples,
-                reference.stats.max_relation_tuples
-            );
+            assert_eq!(stats.transformed_tuples, live.iter().sum::<usize>());
+            assert_eq!(stats.max_relation_tuples, *live.iter().max().unwrap());
+            // B has degree 2: at its top level, one column instead of two.
+            let narrower =
+                |r: &Relation| r.arity() < reference.relation(r.name(), None).unwrap().arity();
+            assert!(plan.relations().any(narrower));
         }
     }
 
@@ -2022,8 +2249,7 @@ mod tests {
         assert_eq!(plan.relations().count(), 0);
         // The next request builds it from the untouched plan; once built, not
         // even a cancelled token fails the request.
-        let built = plan.relation(&name, None).unwrap();
-        assert_eq!(built, reference.relation(&name, None).unwrap());
+        assert_live(&plan, &reference, &name);
         assert!(plan.relation(&name, Some(&cancelled)).is_ok());
     }
 
@@ -2049,9 +2275,9 @@ mod tests {
         });
         // All four saw the same relation objects: one per name.
         assert!(seen.iter().all(|s| s == &seen[0] && s.len() == names.len()));
-        assert_eq!(
-            plan.materialised_stats().transformed_tuples,
-            reference.stats.transformed_tuples
-        );
+        let live: usize = (names.iter())
+            .map(|name| assert_live(&plan, &reference, name))
+            .sum();
+        assert_eq!(plan.materialised_stats().transformed_tuples, live);
     }
 }

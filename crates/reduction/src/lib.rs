@@ -4,10 +4,12 @@
 //!   mixed EIJ) query and an interval database become a disjunction of EJ
 //!   queries over a database of segment-tree bitstrings, with a
 //!   poly-logarithmic blow-up in size (Lemma 4.10) and equivalence of the
-//!   Boolean answers (Theorem 4.13).  It is [`plan_forward_reduction`] — the
-//!   EJ queries and a build spec per transformed relation — followed by
-//!   building every relation; an evaluator that may stop early plans only
-//!   and lets [`ForwardReduction::relation`] build what it reads.
+//!   Boolean answers (Theorem 4.13).  It plans the EJ queries and a build
+//!   spec per transformed relation, then builds every relation.  An
+//!   evaluator that may stop early runs [`plan_forward_reduction`] instead,
+//!   which plans only, and lets [`ForwardReduction::relation`] build what
+//!   it reads; that plan leaves out the `X#2` column of a variable shared
+//!   by two atoms, which no join reads.
 //! * [`backward_reduction`] implements Section 5 / Definition D.2: a database
 //!   over the schema of one of the reduced EJ queries is embedded back into
 //!   an interval database for the original query via the dyadic mapping of

@@ -1,13 +1,15 @@
 //! Deterministic, std-only failpoint registry for fault-injection tests.
 //!
-//! The pipeline is instrumented with **named sites** — `"trie-build"`,
-//! `"cache-insert"`, `"reduction-transform"` — each a single [`point`] call
-//! on a hot path.  In a normal build [`point`] compiles to nothing.  With the `failpoints` cargo feature (enabled only
-//! by the fault-injection tests and never by default), a test can *arm* a
-//! site ([`configure`]) so that its N-th execution injects a panic or a
-//! delay, then assert that the evaluation either returns the correct answer
-//! or a typed error — never a wrong answer, never a hang — and that the
-//! workspace stays consistent afterwards.
+//! The pipeline is instrumented with the **sites** of [`Site`] —
+//! [`Site::TrieBuild`], [`Site::CacheInsert`], [`Site::ReductionTransform`]
+//! — each a single [`point`] call on a hot path.  A site is an enum variant,
+//! not a string, so a misspelled site does not compile.  In a normal build
+//! [`point`] compiles to nothing.  With the `failpoints` cargo feature
+//! (enabled only by the fault-injection tests and never by default), a test
+//! can *arm* a site ([`configure`]) so that its N-th execution injects a
+//! panic or a delay, then assert that the evaluation either returns the
+//! correct answer or a typed error — never a wrong answer, never a hang —
+//! and that the workspace stays consistent afterwards.
 //!
 //! Schedules are deterministic: an armed site fires on an exact occurrence
 //! count and disarms itself after firing, so a seed-driven test sweep
@@ -17,10 +19,10 @@
 //! # Writing a failpoint test
 //!
 //! ```
-//! use ij_relation::faults;
+//! use ij_relation::faults::{self, FaultAction, Site};
 //!
 //! // Arm the site so its first hit panics…
-//! faults::configure("trie-build", 0, faults::FaultAction::Panic);
+//! faults::configure(Site::TrieBuild, 0, FaultAction::Panic);
 //! // …run the evaluation under test; the injected panic is isolated by the
 //! // engine's catch_unwind boundary and surfaces as EvalError::WorkerPanicked.
 //! // (Without the `failpoints` feature, configure/point are no-ops.)
@@ -42,24 +44,37 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-/// The declared failpoint sites.
-///
-/// Every `faults::point(..)` / `faults::configure(..)` call site in
-/// production code and the fault-injection tests must name one of these
-/// constants' values — the `ij-analysis` failpoint-coherence pass parses
-/// this module and flags any literal that is not declared here, so a typo
-/// like `"cache-isnert"` fails `check` instead of silently never firing.
-pub mod sites {
+/// The failpoint sites: every [`point`], [`configure`] and [`hits`] call
+/// names one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Site {
     /// At the start of every trie build (`FlatTrie::build`), on the disjunct
     /// worker whose cache lookup missed.
-    pub const TRIE_BUILD: &str = "trie-build";
+    TrieBuild,
     /// Under the trie cache's map write lock, just before a built trie is
     /// published into its slot.
-    pub const CACHE_INSERT: &str = "cache-insert";
+    CacheInsert,
     /// At the start of every transformed-relation build of the forward
     /// reduction — on the disjunct worker that first reads the relation, or
     /// on the caller's thread under `forward_reduction_with*`.
-    pub const REDUCTION_TRANSFORM: &str = "reduction-transform";
+    ReductionTransform,
+}
+
+impl Site {
+    /// Every site.
+    pub const ALL: [Site; 3] = [Site::TrieBuild, Site::CacheInsert, Site::ReductionTransform];
+}
+
+/// The site's name, as injected panics report it: `trie-build`,
+/// `cache-insert` or `reduction-transform`.
+impl std::fmt::Display for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Site::TrieBuild => "trie-build",
+            Site::CacheInsert => "cache-insert",
+            Site::ReductionTransform => "reduction-transform",
+        })
+    }
 }
 
 /// What an armed failpoint injects when it fires.
@@ -75,7 +90,7 @@ pub enum FaultAction {
 
 #[cfg(feature = "failpoints")]
 #[derive(Debug, Default)]
-struct Site {
+struct Schedule {
     /// Total executions of this site since the last [`clear`].
     hits: usize,
     /// Armed schedule: fire when `hits` passes `at`, then disarm.
@@ -83,8 +98,8 @@ struct Site {
 }
 
 #[cfg(feature = "failpoints")]
-fn registry() -> &'static Mutex<HashMap<String, Site>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, Site>>> = OnceLock::new();
+fn registry() -> &'static Mutex<HashMap<Site, Schedule>> {
+    static REGISTRY: OnceLock<Mutex<HashMap<Site, Schedule>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -93,15 +108,15 @@ fn registry() -> &'static Mutex<HashMap<String, Site>> {
 /// from the site's current hit count, and the site disarms itself after
 /// firing once.  No-op without the `failpoints` feature.
 #[cfg(feature = "failpoints")]
-pub fn configure(site: &str, after: usize, action: FaultAction) {
+pub fn configure(site: Site, after: usize, action: FaultAction) {
     let mut reg = lock_recover(registry(), FAILPOINT_REGISTRY);
-    let entry = reg.entry(site.to_string()).or_default();
+    let entry = reg.entry(site).or_default();
     entry.armed = Some((entry.hits + after, action));
 }
 
 /// Arms `site` (no-op twin: the `failpoints` feature is disabled).
 #[cfg(not(feature = "failpoints"))]
-pub fn configure(_site: &str, _after: usize, _action: FaultAction) {}
+pub fn configure(_site: Site, _after: usize, _action: FaultAction) {}
 
 /// Disarms every site and resets all hit counters.  No-op without the
 /// `failpoints` feature.
@@ -117,16 +132,16 @@ pub fn clear() {}
 /// Executions of `site` since the last [`clear`].  Always 0 without the
 /// `failpoints` feature.
 #[cfg(feature = "failpoints")]
-pub fn hits(site: &str) -> usize {
+pub fn hits(site: Site) -> usize {
     lock_recover(registry(), FAILPOINT_REGISTRY)
-        .get(site)
+        .get(&site)
         .map_or(0, |s| s.hits)
 }
 
 /// Executions of `site` (no-op twin: always 0, the `failpoints` feature is
 /// disabled).
 #[cfg(not(feature = "failpoints"))]
-pub fn hits(_site: &str) -> usize {
+pub fn hits(_site: Site) -> usize {
     0
 }
 
@@ -135,10 +150,10 @@ pub fn hits(_site: &str) -> usize {
 /// the action runs, so an injected panic never poisons the registry and an
 /// injected delay never blocks other sites.
 #[cfg(feature = "failpoints")]
-pub fn point(site: &str) {
+pub fn point(site: Site) {
     let action = {
         let mut reg = lock_recover(registry(), FAILPOINT_REGISTRY);
-        let entry = reg.entry(site.to_string()).or_default();
+        let entry = reg.entry(site).or_default();
         let hit = entry.hits;
         entry.hits += 1;
         match entry.armed {
@@ -160,7 +175,7 @@ pub fn point(site: &str) {
 /// `failpoints` feature is disabled).
 #[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn point(_site: &str) {}
+pub fn point(_site: Site) {}
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
@@ -176,13 +191,14 @@ mod tests {
     fn fires_on_the_scheduled_occurrence_then_disarms() {
         let _g = serial();
         clear();
-        configure("t", 2, FaultAction::Panic);
-        point("t");
-        point("t");
-        assert!(std::panic::catch_unwind(|| point("t")).is_err());
+        configure(Site::TrieBuild, 2, FaultAction::Panic);
+        point(Site::TrieBuild);
+        point(Site::TrieBuild);
+        assert!(std::panic::catch_unwind(|| point(Site::TrieBuild)).is_err());
         // Disarmed: later hits are clean.
-        point("t");
-        assert_eq!(hits("t"), 4);
+        point(Site::TrieBuild);
+        assert_eq!(hits(Site::TrieBuild), 4);
+        assert_eq!(hits(Site::CacheInsert), 0);
         clear();
     }
 
@@ -190,9 +206,13 @@ mod tests {
     fn delay_sleeps_without_panicking() {
         let _g = serial();
         clear();
-        configure("d", 0, FaultAction::Delay(Duration::from_millis(1)));
+        configure(
+            Site::CacheInsert,
+            0,
+            FaultAction::Delay(Duration::from_millis(1)),
+        );
         let start = std::time::Instant::now();
-        point("d");
+        point(Site::CacheInsert);
         assert!(start.elapsed() >= Duration::from_millis(1));
         clear();
     }
@@ -201,11 +221,11 @@ mod tests {
     fn scheduling_counts_from_the_current_hit_count() {
         let _g = serial();
         clear();
-        point("s");
-        point("s");
-        configure("s", 1, FaultAction::Panic);
-        point("s"); // skipped: fires after one more
-        assert!(std::panic::catch_unwind(|| point("s")).is_err());
+        point(Site::ReductionTransform);
+        point(Site::ReductionTransform);
+        configure(Site::ReductionTransform, 1, FaultAction::Panic);
+        point(Site::ReductionTransform); // skipped: fires after one more
+        assert!(std::panic::catch_unwind(|| point(Site::ReductionTransform)).is_err());
         clear();
     }
 }

@@ -25,6 +25,8 @@
 //! integer key only for the rows that pass, and its oracle hashes packed
 //! slices.  [`fingerprint`] has no oracle: its value *is* its definition, so
 //! its properties say which changes of content it must tell apart.
+//! [`strictly_ascending`] has no twin either: its oracle, comparing whole
+//! rows one pair at a time, lives in the property tests.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
 //! layer — whole columns, scratch buffers — can use them.  Masks are `u8`
@@ -39,6 +41,48 @@ use std::hash::Hash;
 
 /// Ids processed per chunked step (a `u32x8` register's worth).
 pub const LANES: usize = 8;
+
+/// True if the rows of `cols` strictly ascend, compared column by column —
+/// [`Relation::dedup`]'s order, and a flat trie's over its level columns —
+/// so they are already a sorted set.  One pass comparing each row with the
+/// previous one: the first four columns packed into one `u128`, any further
+/// ones compared only on a tie.  No columns is `false` (zero-arity rows are
+/// all equal); no rows, or one, is `true`.
+///
+/// [`Relation::dedup`]: crate::Relation::dedup
+///
+/// # Panics
+///
+/// Panics if the columns differ in length.
+pub fn strictly_ascending(cols: &[&[ValueId]]) -> bool {
+    let Some(rows) = cols.first().map(|col| col.len()) else {
+        return false;
+    };
+    assert!(
+        cols.iter().all(|col| col.len() == rows),
+        "strictly_ascending: columns differ in length"
+    );
+    let (head, tail) = cols.split_at(cols.len().min(4));
+    let key = |row: usize| {
+        head.iter()
+            .fold(0u128, |key, col| key << 32 | u128::from(col[row].raw()))
+    };
+    let tail_cmp = |a: usize, b: usize| {
+        tail.iter()
+            .map(|col| col[a].cmp(&col[b]))
+            .find(|order| order.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let Some(mut prev) = (rows > 0).then(|| key(0)) else {
+        return true;
+    };
+    (1..rows).all(|row| {
+        let next = key(row);
+        let ascends = prev < next || (prev == next && tail_cmp(row - 1, row).is_lt());
+        prev = next;
+        ascends
+    })
+}
 
 /// Intersects `mask` with the element-wise equality of `a` and `b`:
 /// `mask[i] &= (a[i] == b[i])`.

@@ -18,7 +18,7 @@
 //! source's handle.
 
 use crate::sync::lock_recover;
-use crate::{SharedDictionary, Value, ValueId};
+use crate::{kernels, SharedDictionary, Value, ValueId};
 use ij_segtree::Interval;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -426,7 +426,8 @@ impl Relation {
             return;
         }
         self.memos.clear();
-        if strictly_ascending(&self.columns.cols) {
+        let cols: Vec<&[ValueId]> = self.columns.cols.iter().map(Vec::as_slice).collect();
+        if kernels::strictly_ascending(&cols) {
             return;
         }
         let cols = &mut self.columns.cols;
@@ -534,34 +535,6 @@ impl Relation {
             .collect();
         values.into_iter()
     }
-}
-
-/// True if the rows of `cols` (at least one column) strictly ascend in
-/// [`Relation::dedup`]'s order: one pass comparing each row's packed key
-/// with the previous row's, the first four columns as one `u128` and any
-/// further ones compared only on a tie.
-fn strictly_ascending(cols: &[Vec<ValueId>]) -> bool {
-    let Some(rows) = cols.first().map(Vec::len) else {
-        return false;
-    };
-    let (head, tail) = cols.split_at(cols.len().min(4));
-    let key = |row: usize| {
-        head.iter()
-            .fold(0u128, |key, col| key << 32 | u128::from(col[row].raw()))
-    };
-    let tail_cmp = |a: usize, b: usize| {
-        tail.iter()
-            .map(|col| col[a].cmp(&col[b]))
-            .find(|order| order.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    };
-    let mut prev = key(0);
-    (1..rows).all(|row| {
-        let next = key(row);
-        let ascends = prev < next || (prev == next && tail_cmp(row - 1, row).is_lt());
-        prev = next;
-        ascends
-    })
 }
 
 /// [`Relation::dedup`] for rows that fit one integer: packs each row into a

@@ -55,8 +55,10 @@
 //!        ▼
 //!  ij_reduction::plan_forward_reduction     Segment trees per interval var,
 //!        │   (forward_reduction_with =      tree nodes per source cell, ⋁ Q̃ᵢ
-//!        │    plan + build every relation)  and one build spec per relation
-//!        ▼                                  of D̃ — no transformed tuple yet
+//!        │    the paper's plan + build      and one build spec per relation
+//!        │    every relation)               of D̃ — no transformed tuple yet;
+//!        │                                  live columns only (no X#2 of a
+//!        ▼                                  variable shared by two atoms)
 //!  ForwardReduction { ⋁ Q̃ᵢ, D̃: one write-once cell per relation }
 //!        │   .relation(name) builds on      sort the distinct seeds (node ids
 //!        │   first use: carried columns     + carried ids), write each seed's
@@ -77,9 +79,10 @@
 //!       cheapest ready edge first, fixed-width integer keys
 //!     · cyclic      → bag materialisation (id tries) + Yannakakis,
 //!       maximal bags only (the decomposition is reduced);
-//!       singleton-variable projections derived once per reduction
-//!       (Relation::projection); a bag binds those projections, or
-//!       memoised projections of them, and copies nothing
+//!       an atom without a singleton variable bound as it is, others
+//!       projected once per reduction (Relation::projection); a bag
+//!       binds those relations, or memoised projections of them, and
+//!       copies nothing; presorted rows build a trie without a sort
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
 //!     tries served from the workspace's shared TrieCache (content-

@@ -23,7 +23,7 @@
 //! file compiles to an empty test binary.
 #![cfg(feature = "failpoints")]
 
-use ij_engine::faults::{self, FaultAction};
+use ij_engine::faults::{self, FaultAction, Site};
 use ij_engine::{CancellationToken, EngineConfig, EngineError, EvalError, Workspace};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
@@ -32,7 +32,7 @@ use std::sync::{Mutex, Once};
 use std::time::Duration;
 
 /// Sites exercised by the small-scenario sweep: every declared site.
-const SWEEP_SITES: [&str; 3] = ["reduction-transform", "trie-build", "cache-insert"];
+const SWEEP_SITES: [Site; 3] = Site::ALL;
 
 /// The failpoint registry is process-global: all tests serialise here.
 fn serial() -> ij_relation::sync::LockGuard<'static, ()> {
@@ -83,7 +83,7 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
 /// (watchdog-bounded), check correct-or-typed-error, then clear and verify
 /// the same workspace still produces the correct answer with a consistent
 /// cache (second clean run all-hits).
-fn run_case(family: ScenarioFamily, site: &'static str, after: usize, action: FaultAction) {
+fn run_case(family: ScenarioFamily, site: Site, after: usize, action: FaultAction) {
     let label = format!("{family:?}/{site}/after={after}/{action:?}");
     let outcome = with_watchdog(&label, move || {
         let cfg = ScenarioConfig::new(family)
@@ -150,7 +150,7 @@ fn run_case(family: ScenarioFamily, site: &'static str, after: usize, action: Fa
 #[test]
 fn sweep_sites_fire_across_the_families() {
     let _guard = serial();
-    let mut union: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut union: std::collections::HashMap<Site, usize> = std::collections::HashMap::new();
     for family in ScenarioFamily::ALL {
         let cfg = ScenarioConfig::new(family)
             .with_tuples(12)
@@ -166,7 +166,7 @@ fn sweep_sites_fire_across_the_families() {
             .expect("clean probe succeeds");
         assert!(!stats.answer, "{family:?}: planted-unsatisfiable probe");
         assert!(
-            faults::hits("reduction-transform") > 0,
+            faults::hits(Site::ReductionTransform) > 0,
             "{family:?}: the forward reduction never reached its failpoint"
         );
         for site in SWEEP_SITES {
@@ -176,7 +176,7 @@ fn sweep_sites_fire_across_the_families() {
     }
     for site in SWEEP_SITES {
         assert!(
-            union.get(site).copied().unwrap_or(0) > 0,
+            union.get(&site).copied().unwrap_or(0) > 0,
             "site `{site}` never executed on any family — the sweep would be vacuous"
         );
     }
@@ -228,13 +228,13 @@ fn a_panicking_relation_build_leaves_the_relation_unbuilt() {
                         .expect("planning succeeds");
 
                 faults::clear();
-                faults::configure("reduction-transform", 1, FaultAction::Panic);
+                faults::configure(Site::ReductionTransform, 1, FaultAction::Panic);
                 let faulted = engine.evaluate_reduction(&plan);
                 let built_after_fault = plan.relations().count();
                 let clean = engine
                     .evaluate_reduction(&plan)
                     .expect("the same reduction evaluates once the fault is spent");
-                let builds = faults::hits("reduction-transform");
+                let builds = faults::hits(Site::ReductionTransform);
                 faults::clear();
 
                 let fresh =
@@ -243,7 +243,7 @@ fn a_panicking_relation_build_leaves_the_relation_unbuilt() {
                 ws.engine(EngineConfig::new().with_parallelism(4))
                     .evaluate_reduction(&fresh)
                     .expect("clean evaluation succeeds");
-                let clean_builds = faults::hits("reduction-transform");
+                let clean_builds = faults::hits(Site::ReductionTransform);
                 faults::clear();
                 (
                     faulted,
@@ -308,7 +308,7 @@ fn stalled_worker_trips_the_deadline() {
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         faults::clear();
         faults::configure(
-            "reduction-transform",
+            Site::ReductionTransform,
             0,
             FaultAction::Delay(Duration::from_millis(200)),
         );

@@ -1,6 +1,6 @@
 //! Property tests for the flat (CSR leapfrog) trie.
 //!
-//! Three layers of equivalence, all on random inputs:
+//! Four layers of equivalence, all on random inputs:
 //!
 //! * **kernels** — `gallop_seek` / `leapfrog_next` must be
 //!   indistinguishable from their scalar reference
@@ -8,6 +8,9 @@
 //!   distinct runs, including the adversarial shapes where galloping
 //!   off-by-ones hide: empty, singleton, disjoint, fully-equal, and lengths
 //!   that are not a multiple of the linear-probe span;
+//! * **trie build** — rows that already ascend in level order skip the
+//!   permutation and the sort, and must build the arrays the sorting build
+//!   gives the same rows in another order (and the brute-force paths);
 //! * **generic join** — Boolean and enumerated answers must equal a
 //!   brute-force nested loop over the relations, with and without a cache,
 //!   under the planned order and under every explicit one;
@@ -17,7 +20,9 @@
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
 
-use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, TrieCache};
+use ij_ejoin::{
+    generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, FlatTrie, TrieCache,
+};
 use ij_engine::{naive_boolean, EngineConfig, Workspace, DEFAULT_TRIE_CACHE_BYTES};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
@@ -264,6 +269,114 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A relation over raw ids (they never need to resolve): `rows` as given.
+fn id_rel(rows: &[Vec<u32>]) -> Relation {
+    let arity = rows.first().map_or(0, Vec::len);
+    let cols = (0..arity)
+        .map(|c| rows.iter().map(|row| ValueId::from_raw(row[c])).collect())
+        .collect();
+    Relation::from_id_columns("R", rows.len(), cols, &SharedDictionary::new())
+}
+
+/// A trie's arrays through its public accessors: per level, its values and,
+/// above the deepest level, each entry's child range.
+type TrieArrays = Vec<(Vec<ValueId>, Vec<(u32, u32)>)>;
+
+fn trie_arrays(trie: &FlatTrie) -> TrieArrays {
+    (0..trie.depth())
+        .map(|level| {
+            let len = trie.level_len(level);
+            let offsets = match level + 1 < trie.depth() {
+                true => (0..len).map(|i| trie.child_range(level, i)).collect(),
+                false => Vec::new(),
+            };
+            (trie.run(level, 0, len).to_vec(), offsets)
+        })
+        .collect()
+}
+
+/// Every root-to-leaf path of a trie, in enumeration order.
+fn trie_paths(trie: &FlatTrie, level: usize, (lo, hi): (u32, u32)) -> Vec<Vec<ValueId>> {
+    (lo..hi)
+        .flat_map(|i| {
+            let value = trie.run(level, i, i + 1)[0];
+            let tails = match level + 1 < trie.depth() {
+                true => trie_paths(trie, level + 1, trie.child_range(level, i)),
+                false => vec![Vec::new()],
+            };
+            tails
+                .into_iter()
+                .map(move |tail| [vec![value], tail].concat())
+        })
+        .collect()
+}
+
+/// The brute-force definition of a trie: the rows whose repeated variables
+/// agree, each projected onto the atom's distinct variables in `order`, as a
+/// sorted set.
+fn trie_oracle(rows: &[Vec<u32>], vars: &[usize], order: &[usize]) -> Vec<Vec<ValueId>> {
+    let levels: Vec<usize> = order.iter().copied().filter(|v| vars.contains(v)).collect();
+    let column = |v: usize| vars.iter().position(|&u| u == v).unwrap();
+    let consistent = |row: &&Vec<u32>| (0..vars.len()).all(|c| row[c] == row[column(vars[c])]);
+    let paths: BTreeSet<Vec<ValueId>> = (rows.iter().filter(consistent))
+        .map(|row| {
+            levels
+                .iter()
+                .map(|&v| ValueId::from_raw(row[column(v)]))
+                .collect()
+        })
+        .collect();
+    paths.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The trie build with and without its presorted path: rows that
+    /// already strictly ascend in level order (no permutation, no sort),
+    /// the same rows under a level order that is not their column order,
+    /// sorted rows with duplicates, and sorted rows under a
+    /// repeated-variable mask each build the level and offset arrays of the
+    /// same rows reversed — from two distinct rows on, a build only the
+    /// sorting path takes — and the
+    /// paths of the brute-force definition.
+    #[test]
+    fn presorted_rows_build_the_arrays_of_the_permutation_path(
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..5, 3), 1..80),
+    ) {
+        let mut sorted = raw.clone();
+        sorted.sort();
+        let mut distinct = sorted.clone();
+        distinct.dedup();
+        let cases = [
+            ("ascending in level order", &distinct, [0usize, 1, 2], [0usize, 1, 2]),
+            ("ascending in another order", &distinct, [0, 1, 2], [2, 0, 1]),
+            ("sorted with duplicates", &sorted, [0, 1, 2], [0, 1, 2]),
+            ("a repeated variable", &distinct, [0, 1, 0], [0, 1, 2]),
+        ];
+        for (what, rows, vars, order) in cases {
+            let reversed: Vec<Vec<u32>> = rows.iter().rev().cloned().collect();
+            let (forward, backward) = (id_rel(rows), id_rel(&reversed));
+            let build = |relation: &Relation| {
+                let atom = BoundAtom::new(relation, vars.to_vec());
+                FlatTrie::build(&atom, &order, None).unwrap()
+            };
+            let (trie, permuted) = (build(&forward), build(&backward));
+            prop_assert_eq!(trie_arrays(&trie), trie_arrays(&permuted), "{}", what);
+            let paths = trie_paths(&trie, 0, (0, trie.level_len(0)));
+            prop_assert_eq!(paths, trie_oracle(rows, &vars, &order), "{}", what);
+        }
+        // Duplicates collapse into the arrays of the distinct rows, which
+        // take the presorted path.
+        let build = |rows: &[Vec<u32>]| {
+            let relation = id_rel(rows);
+            let trie = FlatTrie::build(&BoundAtom::new(&relation, vec![0, 1, 2]), &[0, 1, 2], None);
+            trie_arrays(&trie.unwrap())
+        };
+        prop_assert_eq!(build(&sorted), build(&distinct));
     }
 }
 

@@ -551,7 +551,8 @@ fn fingerprint_tells_every_change_of_content_apart() {
 /// `Relation::dedup` against a `BTreeSet` oracle at arities 1 to 6 (both
 /// packed key widths and the wide path), on random rows, rows already
 /// sorted and distinct (the one-pass check returns them as they are),
-/// sorted rows with duplicates, and rows in reverse order.
+/// sorted rows with duplicates, and rows in reverse order; and that check,
+/// `kernels::strictly_ascending`, against comparing whole rows pairwise.
 #[test]
 fn dedup_matches_a_sorted_set_oracle() {
     use ij_relation::{Relation, SharedDictionary};
@@ -587,6 +588,12 @@ fn dedup_matches_a_sorted_set_oracle() {
                 let cols: Vec<Vec<ValueId>> = (0..arity)
                     .map(|c| input.iter().map(|row| ValueId::from_raw(row[c])).collect())
                     .collect();
+                let slices: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
+                assert_eq!(
+                    ij_relation::kernels::strictly_ascending(&slices),
+                    input.windows(2).all(|pair| pair[0] < pair[1]),
+                    "strictly_ascending: {what}, arity {arity}, {rows} rows"
+                );
                 let mut relation = Relation::from_id_columns("R", input.len(), cols, &dict);
                 relation.dedup();
                 let got: Vec<Vec<u32>> = (0..relation.len())

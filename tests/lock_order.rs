@@ -1,8 +1,9 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
 //! (dictionary stripes + trie-cache map + plan-activity locks, the
-//! build gates of the transformed relations the workers fill on demand, and
-//! the projection memos of the relations a cyclic disjunct binds and the
-//! decomposition memo it is planned through)
+//! build gates of the transformed relations the workers fill on demand, the
+//! projection memos of the paper's relations a cyclic disjunct of
+//! `evaluate_reduction` binds, and the decomposition memo it is planned
+//! through)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!
@@ -23,7 +24,10 @@ fn iv(lo: f64, hi: f64) -> Value {
     Value::interval(lo, hi)
 }
 
-/// Drives the full pipeline twice (cold build + warm cache hit).
+/// Drives the full pipeline twice (cold build + warm cache hit), then the
+/// paper's reduction of the same instance twice through the same engine.
+/// The live plan `evaluate` runs has no singleton column on the triangle;
+/// the paper's relations keep theirs, so its disjuncts derive projections.
 fn drive_warm_path(workspace: &Workspace) {
     let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").expect("valid query");
     let mut db = workspace.database();
@@ -41,6 +45,15 @@ fn drive_warm_path(workspace: &Workspace) {
     let engine = workspace.engine(EngineConfig::new());
     assert!(engine.evaluate(&query, &db).expect("cold evaluation"));
     assert!(engine.evaluate(&query, &db).expect("warm evaluation"));
+    let paper = forward_reduction(&query, &db).expect("reduction");
+    for _ in 0..2 {
+        assert!(
+            engine
+                .evaluate_reduction(&paper)
+                .expect("evaluation")
+                .answer
+        );
+    }
 }
 
 #[test]
