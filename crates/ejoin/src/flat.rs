@@ -27,6 +27,10 @@
 //! `tests/flat_trie_properties.rs` hold the build and the joins over it to
 //! that definition and to brute-force oracles across cache configurations.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::trie::{repeated_variable_mask, trie_level_vars};
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
@@ -95,7 +99,10 @@ impl FlatTrie {
         let columns: Vec<&[ValueId]> = level_vars
             .iter()
             .map(|&v| {
-                // ij-analysis: allow(panic) — infallible: the levels are the atom's own variables
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "infallible: the levels are the atom's own variables"
+                )]
                 let column = atom.vars.iter().position(|&u| u == v).unwrap();
                 atom.relation.column_ids(column)
             })

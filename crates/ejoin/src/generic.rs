@@ -26,6 +26,10 @@
 //! parallelism is across the disjuncts of a reduction, one join per worker —
 //! and the answer is identical for every context.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::atom::BoundAtom;
 use crate::cache::EvalContext;
 use crate::flat::FlatTrie;
@@ -199,9 +203,12 @@ pub fn generic_join_enumerate(
     // buffering full assignments), then the rest as planned.
     let order: Vec<VarId> = crate::plan::resolve_order(atoms, output_vars, eval);
     let ctx = JoinContext::new(atoms, Some(order.clone()), eval)?;
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible: `order` covers every variable by construction"
+    )]
     let out_positions: Vec<usize> = output_vars
         .iter()
-        // ij-analysis: allow(panic) — infallible: `order` covers every variable by construction
         .map(|v| order.iter().position(|u| u == v).unwrap())
         .collect();
 

@@ -43,6 +43,10 @@
 //! workload in 4 of the 36 semijoins, each within 13 % of its child's rows),
 //! so building either structure over the smaller side would buy nothing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::atom::{hypergraph_of, BoundAtom};
 use crate::trie::repeated_variable_mask;
 use ij_hypergraph::{join_tree, VarId};
@@ -170,7 +174,10 @@ pub fn yannakakis_boolean(
         'a: 's,
     {
         let column_of = |v: VarId| {
-            // ij-analysis: allow(panic) — infallible: `shared` holds only variables of both atoms
+            #[expect(
+                clippy::unwrap_used,
+                reason = "infallible: `shared` holds only variables of both atoms"
+            )]
             let c = atom.vars.iter().position(|&u| u == v).unwrap();
             atom.relation.column_ids(c)
         };

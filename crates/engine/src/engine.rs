@@ -60,6 +60,7 @@ pub const DEFAULT_TRIE_CACHE_BYTES: usize = 256 << 20;
 /// The hardware thread count (1 when it cannot be determined).  One call
 /// reads the process's cgroup limits, a few microseconds, so engines and
 /// workspaces call it once when they are built.
+#[expect(clippy::disallowed_methods, reason = "read once per engine")]
 pub(crate) fn hardware_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -35,6 +35,10 @@
 //!
 //! [`Relation`]: crate::Relation
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::{IdHashSet, ValueId};
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -133,7 +137,10 @@ pub fn select_indices(mask: &[u8], base: u32, out: &mut Vec<u32>) {
     let mut chunks = mask.chunks_exact(LANES);
     let mut start = 0usize;
     for chunk in &mut chunks {
-        // ij-analysis: allow(panic) — infallible: `chunks_exact(LANES)` yields 8-byte chunks
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible: `chunks_exact(LANES)` yields 8-byte chunks"
+        )]
         let word = u64::from_ne_bytes(chunk.try_into().expect("LANES == 8"));
         if word != 0 {
             for (j, &m) in chunk.iter().enumerate() {
@@ -632,7 +639,10 @@ pub fn leapfrog_next(runs: &[&[ValueId]], cursors: &mut [usize]) -> Option<Value
             _ => v,
         });
     }
-    // ij-analysis: allow(panic) — infallible: guarded by the `!runs.is_empty()` assert above
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: guarded by the `!runs.is_empty()` assert above"
+    )]
     let mut max = max.expect("runs is non-empty");
     // Rounds of seek-everyone-to-max; a seek that overshoots raises the bar
     // and forces another round.  Terminates: `max` only grows, bounded by

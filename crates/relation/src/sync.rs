@@ -25,10 +25,10 @@
 //! the poison flag carries no information the invariants don't already
 //! guarantee.
 //!
-//! Bare `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` (or
-//! `.expect(..)`) on shared locks is therefore **forbidden everywhere outside
-//! this module** — the `lock-discipline` pass of the in-repo analysis tool
-//! (`cargo run -p ij-analysis -- check`) enforces it.
+//! A bare `Mutex::lock` / `RwLock::read` / `RwLock::write` is therefore
+//! **forbidden everywhere outside this module**: the workspace `clippy.toml`
+//! lists the three as `disallowed-methods`, and this module is the one
+//! exemption.
 //!
 //! # Lock classes and the order detector
 //!
@@ -67,6 +67,8 @@
 //! *write_recover(&rw, "doc-rwlock") += 1;
 //! assert_eq!(*read_recover(&rw, "doc-rwlock"), 3);
 //! ```
+
+#![expect(clippy::disallowed_methods, reason = "home of the *_recover helpers")]
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};

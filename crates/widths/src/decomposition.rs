@@ -90,11 +90,6 @@ impl TreeDecomposition {
         }
         true
     }
-
-    /// The largest bag cardinality (the classical treewidth plus one).
-    pub fn max_bag_size(&self) -> usize {
-        self.bags.iter().map(|b| b.len()).max().unwrap_or(0)
-    }
 }
 
 /// `min` over elimination orders of `max` over elimination bags of `cost(bag)`

@@ -47,11 +47,6 @@ pub struct IjWidthReport {
 }
 
 impl IjWidthReport {
-    /// `O(N^w polylog N)` — the runtime exponent guaranteed by Theorem 4.15.
-    pub fn runtime_exponent(&self) -> f64 {
-        self.value
-    }
-
     /// True if the query is computable in near-linear time through the
     /// reduction (every reduced class has width 1) — by Theorem 6.6 this
     /// coincides with ι-acyclicity of the input hypergraph.
