@@ -9,20 +9,25 @@
 //! whose values differ by design, are asserted to tell the same changes of
 //! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
 //! rows (no permutation, no sort) and on the same rows shuffled, each
-//! checked against the sorted distinct rows first.
+//! checked against the sorted distinct rows first.  `reduction/live-build`
+//! times the forward reduction's build of one triangle atom's four live
+//! relations, each on a fresh plan.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_ejoin::{BoundAtom, FlatTrie};
+use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
     gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask,
     semijoin_mask_scalar,
 };
 use ij_relation::{Relation, SharedDictionary, ValueId};
+use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Column length for the element-wise kernels: large enough that the loop
@@ -494,6 +499,44 @@ fn bench_flat_trie_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// The live plan's builds of the atom `Buildings` of the spatial triangle
+/// at n = 512 (seed 7, near miss: the repository benchmark's triangle
+/// instance).  `plan` times `plan_forward_reduction` alone; each relation
+/// times a fresh plan and then `ForwardReduction::relation`, so its build is
+/// the difference.  Three of the four relations have a degree-2 top column
+/// and take their seeds from the tree; `⟨X:1,Y:1⟩` sorts its seeds.
+fn bench_live_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reduction/live-build");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    let config = ScenarioConfig::new(ScenarioFamily::SpatialRectangles)
+        .with_tuples(512)
+        .with_seed(7)
+        .with_selectivity(0.5)
+        .with_skew(1.0)
+        .with_planted(PlantedAnswer::NearMiss);
+    let scenario = build_scenario(&config);
+    let plan = || {
+        let (q, db) = (&scenario.query, &scenario.database);
+        plan_forward_reduction(q, db, ReductionConfig::default(), None).expect("a valid query")
+    };
+    let reduction = plan();
+    let names: BTreeSet<&str> = (reduction.queries.iter())
+        .flat_map(|query| &query.atoms)
+        .map(|atom| atom.relation.as_str())
+        .filter(|name| name.starts_with("Buildings@0"))
+        .collect();
+    assert_eq!(names.len(), 4, "one atom's four level assignments");
+    group.bench_function("plan", |bench| bench.iter(|| plan().queries.len()));
+    for name in names {
+        group.bench_function(BenchmarkId::new("relation", name), |bench| {
+            bench.iter(|| plan().relation(name, None).map(Relation::len))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_and_equal_mask,
@@ -503,6 +546,7 @@ criterion_group!(
     bench_semijoin_mask,
     bench_fingerprint,
     bench_dedup_sorted,
-    bench_flat_trie_build
+    bench_flat_trie_build,
+    bench_live_build
 );
 criterion_main!(benches);

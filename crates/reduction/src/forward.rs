@@ -102,15 +102,32 @@
 //! (ascending ids, column by column), each seed's tuples in cut order with
 //! the first column varying slowest: a function of the source rows' *set*,
 //! so equal inputs in any row order give equal columns.
+//!
+//! A plan with such an ancestor column does not sort all of its seeds.
+//! Node ids are implicit-heap indices (`1 << len | bits` under a tag bit):
+//! they ascend level by level, the parent of `h` is `h >> 1`, and the rows
+//! under a node are those under its two children plus those whose leaf it
+//! is.  So the build sorts only the seeds with that column collapsed to the
+//! row's leaf, `h + 1` times fewer, and derives the rest in order: the
+//! ancestors of a group's leaves level by level, and under each node the
+//! merge of its children's sorted lists of the columns that follow
+//! (`close_over_ancestors`).  The seeds come out as the sort of all of them
+//! would order them, column for column, so nothing downstream can tell the
+//! two apart.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use ij_hypergraph::{full_reduction, ReducedHypergraph, VarId, VarKind};
 use ij_relation::sync::lock_recover;
 use ij_relation::{
     faults, CancelTicker, CancellationToken, Database, EvalError, Query, Relation,
-    SharedDictionary, Value, ValueId,
+    SharedDictionary, Value, ValueId, MAX_INLINE_BITS,
 };
 use ij_segtree::{BitString, Interval, SegmentTree};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 /// Lock class of a transformed relation's build gate (`sync::lock_order`):
@@ -319,7 +336,9 @@ enum SpecColumn {
     },
     /// The atom's source column `col` (an interval variable of degree 2 at
     /// its top level) as the one live column `X#1`: each ancestor-or-self of
-    /// the row's leaf, whole.
+    /// the row's leaf, whole.  A build sorts its seeds with this column
+    /// collapsed to the leaf and takes the ancestors from the tree
+    /// (`close_over_ancestors`).
     Ancestors { col: usize },
 }
 
@@ -445,9 +464,11 @@ impl ForwardReduction {
     /// before.  A concurrent request for the same relation waits for the
     /// build in flight.  `token` is polled before a build starts and then
     /// every [`check_interval`](CancellationToken::check_interval) units of
-    /// the build — a seed collected or a tuple written; only the sort of the
-    /// seeds in between runs unpolled.  An interrupted (or panicking) build
-    /// leaves the relation unbuilt, and a later request builds it again.
+    /// the build — a seed collected, a seed listed under a tree node or a
+    /// tuple written; only the sort of the collected seeds runs unpolled
+    /// (with an ancestor column, of the seeds with it collapsed to the
+    /// leaf).  An interrupted (or panicking) build leaves the relation
+    /// unbuilt, and a later request builds it again.
     /// Requests for a relation already built never fail.  The relation is a
     /// duplicate-free set in seed order (module docs), not sorted by id.
     ///
@@ -460,6 +481,10 @@ impl ForwardReduction {
         name: &str,
         token: Option<&CancellationToken>,
     ) -> Result<&Relation, EvalError> {
+        #[expect(
+            clippy::panic,
+            reason = "documented: the names to ask for are those of the plan's queries"
+        )]
         let index = *self
             .by_name
             .get(name)
@@ -478,6 +503,10 @@ impl ForwardReduction {
         if let Some(token) = token {
             token.checkpoint()?;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible: a cell without a spec was filled when the reduction was made"
+        )]
         let spec = planned
             .spec
             .as_ref()
@@ -695,6 +724,10 @@ fn plan(
             let Some(col) = atom.vars.iter().position(|v| v == name) else {
                 continue;
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: `validate` found every relation"
+            )]
             let rel = db.relation(&atom.relation).expect("validated");
             let intervals = rel
                 .column(col)
@@ -726,6 +759,10 @@ fn plan(
     let is_interval = |v: &String| q.var_kind(v) == Some(VarKind::Interval);
     let sources: Vec<AtomSource> = (q.atoms().iter().enumerate())
         .map(|(atom_idx, atom)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: `validate` found every relation"
+            )]
             let source = db.relation(&atom.relation).expect("validated");
             let column = |col| match node_lists.remove(&(atom_idx, col)) {
                 Some(nodes) => SourceColumn::Interval(nodes),
@@ -881,6 +918,11 @@ impl RowLists {
     fn of_row(&self, row: usize) -> &[ValueId] {
         &self.ids[self.starts[row]..self.starts[row + 1]]
     }
+
+    /// Number of rows.
+    fn rows(&self) -> usize {
+        self.starts.len() - 1
+    }
 }
 
 impl NodeLists {
@@ -962,6 +1004,10 @@ impl<'a> PlanColumn<'a> {
     /// The node the seed id `seed` names in this column, to be cut into
     /// [`width`](Self::width) pieces; `None` for a seed that is its own one
     /// option (a carried id, an ancestor).
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: an `Expand` column's seeds are the ids of tree nodes"
+    )]
     fn node_of(&self, dict: &SharedDictionary, seed: ValueId) -> Option<BitString> {
         let expands = matches!(self, PlanColumn::Expand { .. });
         expands.then(|| {
@@ -976,6 +1022,14 @@ impl ForwardReduction {
     /// reduction keeps of the source atom.
     fn resolve(&self, spec: &RelationSpec) -> Vec<PlanColumn<'_>> {
         let source = &self.sources[spec.atom];
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible: the plan lists the ancestors of every degree-2 variable's leaves"
+        )]
+        #[expect(
+            clippy::unreachable,
+            reason = "infallible: the plan carries point columns and expands interval columns"
+        )]
         let resolve = |column: &SpecColumn| match (*column, column.source(source)) {
             (SpecColumn::TupleId, _) => PlanColumn::Carried(&self.tuple_ids[..source.rows]),
             (SpecColumn::Carried { .. }, Some(SourceColumn::Point(ids))) => {
@@ -997,10 +1051,12 @@ impl ForwardReduction {
 /// Builds one transformed relation (Definition 4.9, applied once per
 /// `Expand` column of the plan) — the one routine that materialises `D̃`
 /// and the live plan's relations, behind every cell of a
-/// [`ForwardReduction`], as *seeds → sort → expand* (module docs).  Only the
-/// seeds are sorted, the output columns are allocated once, and nothing is
-/// allocated per source row or per seed; a plan whose columns are all one
-/// piece wide returns the sorted seeds.
+/// [`ForwardReduction`], as *seeds → sort → expand* (module docs).  Only
+/// seeds are sorted — for a plan with an `Ancestors` column only the seeds
+/// with that column collapsed to the row's leaf, the rest coming from the
+/// tree ([`close_over_ancestors`]) — the output columns are allocated once,
+/// and nothing is allocated per source row or per seed; a plan whose
+/// columns are all one piece wide returns the sorted seeds.
 fn build_relation(
     name: &str,
     dict: &SharedDictionary,
@@ -1009,31 +1065,19 @@ fn build_relation(
     token: Option<&CancellationToken>,
 ) -> Result<Relation, EvalError> {
     faults::point(faults::Site::ReductionTransform);
-    // One unit of work per seed collected and per tuple written: a source row
-    // or a seed stands for `O(log^j N)` of them, too many between two polls.
+    // One unit of work per seed collected, per seed listed under a tree node
+    // and per tuple written: a source row or a seed stands for `O(log^j N)`
+    // of them, too many between two polls.
     let mut ticker = CancelTicker::new(token);
 
-    // (1) The seeds: per source row, the cross product of its columns' ids.
-    let mut seeds: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
-    let mut collected = 0;
-    for row in 0..source_rows {
-        let count: usize = (plan.iter().map(|column| column.seeds_of(row).len())).product();
-        // An empty canonical partition: the tuple joins nothing.
-        if count == 0 {
-            continue;
+    // (1) The distinct seeds, ascending.
+    let seeds = match tree_column(plan) {
+        Some(a) => {
+            let leaves = sorted_seeds(name, dict, plan, Some(a), source_rows, &mut ticker)?;
+            close_over_ancestors(name, dict, &leaves, a, &mut ticker)?
         }
-        ticker.advance(count)?;
-        let mut outer = 1;
-        for (column, seeds) in plan.iter().zip(&mut seeds) {
-            let ids = column.seeds_of(row);
-            let inner = count / (outer * ids.len());
-            repeat(seeds, ids.iter().copied(), inner, outer);
-            outer *= ids.len();
-        }
-        collected += count;
-    }
-    let mut seeds = Relation::from_id_columns(name, collected, seeds, dict);
-    seeds.dedup();
+        None => sorted_seeds(name, dict, plan, None, source_rows, &mut ticker)?,
+    };
     // Every column one piece wide: each seed is its one tuple, so the sorted
     // seeds are the relation.
     if plan.iter().all(|column| column.width() == 1) {
@@ -1080,6 +1124,288 @@ fn build_relation(
     // Lemma 4.10's count, taken in (2), against the rows written in (3):
     // `from_id_columns` asserts that every column holds `total` ids.
     Ok(Relation::from_id_columns(name, total, columns, dict))
+}
+
+/// The distinct seeds of `plan`, ascending (column by column, by raw id):
+/// per source row, the cross product of its columns' ids, sorted and
+/// deduplicated by [`Relation::dedup`] — the one sort of a build.  Column
+/// `collapse`, an `Ancestors` column, contributes the row's leaf alone
+/// instead of each of its ancestors: `h + 1` times fewer seeds for
+/// [`close_over_ancestors`] to close over the tree.
+fn sorted_seeds(
+    name: &str,
+    dict: &SharedDictionary,
+    plan: &[PlanColumn<'_>],
+    collapse: Option<usize>,
+    source_rows: usize,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<Relation, EvalError> {
+    let seeds_of = |c: usize, row: usize| {
+        let ids = plan[c].seeds_of(row);
+        match collapse == Some(c) {
+            // A row's ancestors run from the root down to its leaf.
+            true => &ids[ids.len().saturating_sub(1)..],
+            false => ids,
+        }
+    };
+    let mut seeds: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
+    let mut collected = 0;
+    for row in 0..source_rows {
+        let count: usize = (0..plan.len()).map(|c| seeds_of(c, row).len()).product();
+        // An empty canonical partition: the tuple joins nothing.
+        if count == 0 {
+            continue;
+        }
+        ticker.advance(count)?;
+        let mut outer = 1;
+        for (c, seeds) in seeds.iter_mut().enumerate() {
+            let ids = seeds_of(c, row);
+            let inner = count / (outer * ids.len());
+            repeat(seeds, ids.iter().copied(), inner, outer);
+            outer *= ids.len();
+        }
+        collected += count;
+    }
+    let mut seeds = Relation::from_id_columns(name, collected, seeds, dict);
+    seeds.dedup();
+    Ok(seeds)
+}
+
+/// The column whose seeds a build takes from the tree instead of a sort
+/// ([`close_over_ancestors`]): the first `Ancestors` column whose leaves all
+/// have inline ids — heap indices, which the closure computes with.  Only a
+/// tree more than [`MAX_INLINE_BITS`] levels tall, which does not fit in
+/// memory, has other leaves.
+fn tree_column(plan: &[PlanColumn<'_>]) -> Option<usize> {
+    plan.iter().position(|column| match column {
+        PlanColumn::Ancestors(lists) => (0..lists.rows()).all(|row| {
+            (lists.of_row(row).last()).is_some_and(|leaf| leaf.as_inline_bits().is_some())
+        }),
+        _ => false,
+    })
+}
+
+/// The distinct seeds of a plan whose column `a` is an `Ancestors` column,
+/// ascending, from `leaves` — the same plan's distinct seeds with column `a`
+/// collapsed to the row's leaf, ascending ([`sorted_seeds`]) — with no
+/// sort.  An inline node id is the node's implicit-heap index under a tag
+/// bit (`1 << len | bits`, the segment tree's numbering): ids ascend level
+/// by level, and the parent of heap index `h` is `h >> 1`.  Per *group* — a
+/// run of rows with equal columns before `a`, in order:
+///
+/// * the group's nodes are every ancestor-or-self of its leaves, ascending
+///   ([`AncestorClosure::close`]);
+/// * when `a` is the last column, they are the group's seeds;
+/// * otherwise a node's seeds pair it with each entry of its *list*: the
+///   columns after `a` of the rows whose leaf is that node, merged with its
+///   two children's lists ([`AncestorClosure::merge_lists`]).
+///
+/// Groups in order, each group's nodes ascending and each node's list in
+/// order: the seeds come out exactly as [`sorted_seeds`] without `collapse`
+/// would sort them, column for column.  One unit of `ticker` per seed
+/// listed.
+fn close_over_ancestors(
+    name: &str,
+    dict: &SharedDictionary,
+    leaves: &Relation,
+    a: usize,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<Relation, EvalError> {
+    let cols: Vec<&[ValueId]> = (0..leaves.arity()).map(|c| leaves.column_ids(c)).collect();
+    let (prefix, suffix) = (&cols[..a], &cols[a + 1..]);
+    let mut out: Vec<Vec<ValueId>> = vec![Vec::new(); cols.len()];
+    let mut closure = AncestorClosure::default();
+    let mut start = 0;
+    while start < leaves.len() {
+        let end = (start + 1..leaves.len())
+            .find(|&row| prefix.iter().any(|col| col[row] != col[start]))
+            .unwrap_or(leaves.len());
+        let group = start..end;
+        closure.close(dict, &cols[a][group.clone()]);
+        if suffix.is_empty() {
+            ticker.advance(closure.nodes.len())?;
+            for (c, col) in prefix.iter().enumerate() {
+                out[c].extend(std::iter::repeat_n(col[start], closure.nodes.len()));
+            }
+            out[a].extend(closure.nodes.iter().map(|&(_, id)| id));
+            start = end;
+            continue;
+        }
+        closure.encode(suffix, group.clone());
+        closure.merge_lists(&cols[a][group], ticker)?;
+        for (&(_, node), list) in closure.nodes.iter().zip(&closure.lists) {
+            for (c, col) in prefix.iter().enumerate() {
+                out[c].extend(std::iter::repeat_n(col[start], list.len()));
+            }
+            out[a].extend(std::iter::repeat_n(node, list.len()));
+            let codes = &closure.codes[list.clone()];
+            for (j, column) in out[a + 1..].iter_mut().enumerate() {
+                column.extend(codes.iter().map(|&code| closure.decode(suffix, code, j)));
+            }
+        }
+        start = end;
+    }
+    Ok(Relation::from_id_columns(name, out[a].len(), out, dict))
+}
+
+/// The ancestors of one group's leaves and, per node, its list of suffixes
+/// (the columns after the tree column), for [`close_over_ancestors`]; the
+/// buffers are reused from group to group.
+#[derive(Debug, Default)]
+struct AncestorClosure {
+    /// Per distinct leaf: its heap index shifted up to depth
+    /// [`MAX_INLINE_BITS`], so keys compare as left-aligned bits, above 8
+    /// bits holding its depth.
+    keys: Vec<u64>,
+    /// Every ancestor-or-self of the leaves, ascending: heap index and id.
+    nodes: Vec<(u32, ValueId)>,
+    /// The nodes at depth `d` are `nodes[levels[d]..levels[d + 1]]`.
+    levels: Vec<usize>,
+    /// Per group row, then per merged list entry: a suffix as one `u32`
+    /// that orders suffixes as the columns do (the suffix's one raw id, or
+    /// its rank among the group's suffixes).
+    codes: Vec<u32>,
+    /// Per rank, a group row with that suffix (suffixes of two or more
+    /// columns only).
+    ranked: Vec<usize>,
+    /// Per node, its list: a range of `codes`, ascending, each code once.
+    lists: Vec<Range<usize>>,
+}
+
+impl AncestorClosure {
+    /// Every ancestor-or-self of `leaves` (ascending, repeats allowed) into
+    /// `nodes`, ascending, level by level.  Sorted by left-aligned bits, the
+    /// leaves' depth-`d` prefixes ascend, equal ones side by side, so each
+    /// level is one pass with no comparison sort.  Leaves of one depth —
+    /// every leaf of a complete tree — are in that order already.
+    fn close(&mut self, dict: &SharedDictionary, leaves: &[ValueId]) {
+        self.keys.clear();
+        for (i, leaf) in leaves.iter().enumerate() {
+            if i > 0 && leaves[i - 1] == *leaf {
+                continue;
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: `tree_column` admits a column of inline leaves only"
+            )]
+            let node = leaf.as_inline_bits().expect("an inline leaf");
+            let heap = 1 << node.len() | node.bits();
+            let aligned = heap << (MAX_INLINE_BITS - node.len());
+            self.keys.push(aligned << 8 | u64::from(node.len()));
+        }
+        if !self.keys.is_sorted() {
+            self.keys.sort_unstable();
+        }
+        let depth = |key: u64| (key & 0xff) as u8;
+        let deepest = self.keys.iter().map(|&key| depth(key)).max().unwrap_or(0);
+        self.nodes.clear();
+        self.levels.clear();
+        for d in 0..=deepest {
+            self.levels.push(self.nodes.len());
+            for &key in self.keys.iter().filter(|&&key| depth(key) >= d) {
+                let heap = (key >> 8 >> (MAX_INLINE_BITS - d)) as u32;
+                if self.nodes.last().map(|&(last, _)| last) != Some(heap) {
+                    let id = bits_id(dict, u64::from(heap ^ 1 << d), d);
+                    self.nodes.push((heap, id));
+                }
+            }
+        }
+        self.levels.push(self.nodes.len());
+    }
+
+    /// Fills `codes` with one code per row of `group`: the raw id of a
+    /// one-column suffix, else the rank of the row's suffix among the
+    /// group's distinct suffixes.
+    fn encode(&mut self, suffix: &[&[ValueId]], group: Range<usize>) {
+        self.codes.clear();
+        self.ranked.clear();
+        if let [column] = suffix {
+            self.codes.extend(column[group].iter().map(|id| id.raw()));
+            return;
+        }
+        let row_of = |row: usize| suffix.iter().map(move |col| col[row]);
+        let mut order: Vec<usize> = group.clone().collect();
+        order.sort_unstable_by(|&x, &y| row_of(x).cmp(row_of(y)));
+        self.codes.resize(group.len(), 0);
+        for row in order {
+            let last = self.ranked.last().copied();
+            if last.is_none_or(|last| row_of(last).ne(row_of(row))) {
+                self.ranked.push(row);
+            }
+            self.codes[row - group.start] = (self.ranked.len() - 1) as u32;
+        }
+    }
+
+    /// The suffix id of column `j` that `code` stands for.
+    fn decode(&self, suffix: &[&[ValueId]], code: u32, j: usize) -> ValueId {
+        match suffix.len() {
+            1 => ValueId::from_raw(code),
+            _ => suffix[j][self.ranked[code as usize]],
+        }
+    }
+
+    /// Each node's list, deepest level first: the codes of the group's rows
+    /// whose leaf is the node (`leaves`, one per row: a run of the group,
+    /// whose codes ascend) merged with its children's lists.
+    fn merge_lists(
+        &mut self,
+        leaves: &[ValueId],
+        ticker: &mut CancelTicker<'_>,
+    ) -> Result<(), EvalError> {
+        self.lists.clear();
+        let mut row = 0;
+        for &(_, node) in &self.nodes {
+            let own = row;
+            while row < leaves.len() && leaves[row] == node {
+                row += 1;
+            }
+            self.lists.push(own..row);
+        }
+        for d in (0..self.levels.len() - 1).rev() {
+            let below = self.levels[d + 1]
+                ..self
+                    .levels
+                    .get(d + 2)
+                    .map_or(self.levels[d + 1], |&end| end);
+            let mut child = below.start;
+            for i in self.levels[d]..self.levels[d + 1] {
+                let mut runs = [self.lists[i].clone(), 0..0, 0..0];
+                for run in &mut runs[1..] {
+                    if below.contains(&child) && self.nodes[child].0 >> 1 == self.nodes[i].0 {
+                        *run = self.lists[child].clone();
+                        child += 1;
+                    }
+                }
+                self.lists[i] = merge_runs(&mut self.codes, &mut runs);
+                ticker.advance(self.lists[i].len())?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The union of the ascending runs `runs` of `codes`: the one non-empty run
+/// itself, or else their merge appended to `codes`, ascending, each code
+/// once.
+fn merge_runs(codes: &mut Vec<u32>, runs: &mut [Range<usize>]) -> Range<usize> {
+    let mut live = runs.iter().filter(|run| !run.is_empty());
+    if let (Some(run), None) = (live.next(), live.next()) {
+        return run.clone();
+    }
+    let start = codes.len();
+    loop {
+        let heads = runs.iter().filter(|run| !run.is_empty());
+        let Some(min) = heads.map(|run| codes[run.start]).min() else {
+            break;
+        };
+        codes.push(min);
+        for run in runs.iter_mut() {
+            if run.start < run.end && codes[run.start] == min {
+                run.start += 1;
+            }
+        }
+    }
+    start..codes.len()
 }
 
 /// Appends one column of a cross product to `out`: each of `ids` `inner`
@@ -1208,6 +1534,7 @@ fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ij_relation::kernels::strictly_ascending;
     use ij_relation::Value;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -1797,6 +2124,47 @@ mod tests {
     }
 
     #[test]
+    fn a_token_cancelled_mid_ancestor_closure_interrupts() {
+        // Nine rows, each with its own leaf in a tree over nine intervals.
+        // Collecting the seeds with the ancestors collapsed to the leaf is 9
+        // units, below the interval of 12; the seeds listed under the
+        // tree's nodes are more than 3, so the poll comes while the build
+        // closes them over the tree — at the last column, after a carried
+        // one, and before one (a node's list merged from its children's).
+        let intervals: Vec<Interval> = (0..9).map(|i| Interval::new(i as f64, 9.0)).collect();
+        let dict = SharedDictionary::new();
+        let tree = SegmentTree::build(&intervals);
+        let nodes = NodeLists::build(&tree, &intervals, &dict, true, None).unwrap();
+        let ancestors = PlanColumn::Ancestors(nodes.ancestors.as_ref().unwrap());
+        let ids: Vec<ValueId> = (0..9)
+            .map(|i| dict.intern(Value::point(i as f64)))
+            .collect();
+        let carried = PlanColumn::Carried(&ids);
+        let token = CancellationToken::new().with_check_interval(12);
+        token.cancel();
+        for plan in [
+            vec![ancestors],
+            vec![carried, ancestors],
+            vec![ancestors, carried],
+        ] {
+            let a = tree_column(&plan).unwrap();
+            let mut ticker = CancelTicker::new(Some(&token));
+            let leaves = sorted_seeds("R", &dict, &plan, Some(a), 9, &mut ticker).unwrap();
+            assert_eq!(leaves.len(), 9);
+            assert_eq!(
+                close_over_ancestors("R", &dict, &leaves, a, &mut ticker).unwrap_err(),
+                EvalError::Cancelled
+            );
+            assert_eq!(
+                build_relation("R", &dict, &plan, 9, Some(&token)).unwrap_err(),
+                EvalError::Cancelled
+            );
+            // The same build, not cancelled, lists more seeds than that.
+            assert!(build_relation("R", &dict, &plan, 9, None).unwrap().len() > 12);
+        }
+    }
+
+    #[test]
     fn one_seed_expanding_past_the_check_interval_polls() {
         // One source row, one seed: a per-seed count would be 1 + 1 units and
         // never reach the interval.  Its 13-bit leaf has C(15, 2) = 105
@@ -1923,15 +2291,18 @@ mod tests {
     /// The query shapes of the property tests: a star of degree 3 (levels 1
     /// and 2 expand canonical partitions, level 3 the leaf), the triangle,
     /// two variables reaching levels (3, 3), an EIJ query carrying the point
-    /// variables X and Y before, between and after interval columns, and a
+    /// variables X and Y before, between and after interval columns, a
     /// triangle over a repeated relation, with a variable of degree 2 and
-    /// one of degree 3.
-    const SHAPES: [&str; 5] = [
+    /// one of degree 3, and a chain of two degree-2 variables whose unary
+    /// ends are a leaf's ancestors alone (under the decomposed encoding, its
+    /// middle atom's parts are a tuple identifier and those ancestors).
+    const SHAPES: [&str; 6] = [
         "R([A]) & S([A]) & T([A])",
         "R([A],[B]) & S([B],[C]) & T([A],[C])",
         "R([A],[B]) & S([A],[B]) & T([A],[B])",
         "R(X,[A],[B]) & S([A],X,Y) & T(Y,[B])",
         "R([A],[B]) & R([B],[C]) & T([A],[C],[B])",
+        "G([A]) & R([A],[B]) & E([B])",
     ];
 
     /// One relation's rows, before a query shape gives them an arity and
@@ -1944,6 +2315,16 @@ mod tests {
     fn arb_instance() -> impl Strategy<Value = (usize, Vec<RawRows>)> {
         let row = proptest::collection::vec((0u32..8, 0u32..5, 0u32..4), 3);
         let rows = proptest::collection::vec(row, 1..6);
+        (0..SHAPES.len(), proptest::collection::vec(rows, 3))
+    }
+
+    /// A larger random instance: up to 256 rows per relation over a domain
+    /// of a few hundred, so a tree is eight to ten levels tall, its leaves
+    /// sit at two depths, and a node's list merges rows from several levels
+    /// below it.
+    fn arb_large_instance() -> impl Strategy<Value = (usize, Vec<RawRows>)> {
+        let row = proptest::collection::vec((0u32..300, 0u32..40, 0u32..4), 3);
+        let rows = proptest::collection::vec(row, 1..257);
         (0..SHAPES.len(), proptest::collection::vec(rows, 3))
     }
 
@@ -2049,14 +2430,41 @@ mod tests {
     }
 
     /// The relation `name` of the live plan is `paper`'s projected onto its
-    /// live columns, exactly: the same rows and no duplicate.  Returns its
-    /// size.
+    /// live columns, exactly: the same rows and no duplicate.  Where every
+    /// column is one piece wide the relation is its sorted seeds, so its
+    /// rows also strictly ascend — the set and the order fix its columns.
+    /// Returns its size.
     fn assert_live(live: &ForwardReduction, paper: &ForwardReduction, name: &str) -> usize {
-        let rows = id_rows(live.relation(name, None).unwrap());
+        let relation = live.relation(name, None).unwrap();
+        let rows = id_rows(relation);
         let set: BTreeSet<Vec<ValueId>> = rows.iter().cloned().collect();
         assert_eq!(set.len(), rows.len(), "duplicates in {name}");
         assert_eq!(set, live_projection(live, paper, name), "{name}");
+        let spec = live.relations[live.by_name[name]].spec.as_ref().unwrap();
+        if live.resolve(spec).iter().all(|column| column.width() == 1) {
+            let cols: Vec<&[ValueId]> = (0..relation.arity())
+                .map(|c| relation.column_ids(c))
+                .collect();
+            assert!(strictly_ascending(&cols), "{name} out of order");
+        }
         rows.len()
+    }
+
+    /// The distinct seeds of `planned` as its build takes them — closed over
+    /// the tree where the plan has an `Ancestors` column — are the sort of
+    /// every seed, column for column.  Returns whether the tree gave them.
+    fn assert_seeds_from_the_tree(fr: &ForwardReduction, planned: &PlannedRelation) -> bool {
+        let (name, spec) = (&planned.name, planned.spec.as_ref().unwrap());
+        let (plan, rows) = (fr.resolve(spec), fr.sources[spec.atom].rows);
+        let mut ticker = CancelTicker::new(None);
+        let Some(a) = tree_column(&plan) else {
+            return false;
+        };
+        let sorted = sorted_seeds(name, &fr.dict, &plan, None, rows, &mut ticker).unwrap();
+        let leaves = sorted_seeds(name, &fr.dict, &plan, Some(a), rows, &mut ticker).unwrap();
+        let closed = close_over_ancestors(name, &fr.dict, &leaves, a, &mut ticker).unwrap();
+        assert_eq!(id_rows(&closed), id_rows(&sorted), "{name}");
+        true
     }
 
     /// The live plan against the paper's reduction of the same instance:
@@ -2079,6 +2487,7 @@ mod tests {
         let mut total = 0;
         for planned in &live.relations {
             let name = &planned.name;
+            assert_seeds_from_the_tree(&live, planned);
             total += assert_live(&live, &paper, name);
             let (built, reference) = (
                 live.relation(name, None).unwrap(),
@@ -2169,6 +2578,27 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// At up to 256 rows over a wide domain, under both encodings: every
+        /// relation of the live plan with an `Ancestors` column takes from
+        /// the tree exactly the seeds the sort of all of them gives.
+        #[test]
+        fn seeds_closed_over_the_tree_are_the_sorted_seeds(raw in arb_large_instance()) {
+            let (q, db) = instance(&raw, &SharedDictionary::new(), |_| ());
+            let degree_2 = (q.atoms().iter().flat_map(|atom| &atom.vars))
+                .any(|v| dead(&q, &format!("{v}#2")));
+            for config in [ReductionConfig::default(), DECOMPOSED] {
+                let live = plan_forward_reduction(&q, &db, config, None).unwrap();
+                let closed = (live.relations.iter())
+                    .filter(|planned| assert_seeds_from_the_tree(&live, planned))
+                    .count();
+                prop_assert_eq!(closed > 0, degree_2, "{:?}", config);
             }
         }
     }
