@@ -16,8 +16,11 @@
 //! * [`SegtreeBaseline`] — a direct evaluator that indexes every relation
 //!   column with a segment tree and backtracks through overlap queries,
 //!   the specialised-structure comparator of the differential harness;
-//! * [`nested_loop`] — exhaustive backtracking (the same semantics as the
-//!   naive evaluator), as the always-correct lower baseline.
+//! * [`index_nested_loop_pairs`] — the index-based binary join: a segment
+//!   tree over one side, probed once per interval of the other.
+//!
+//! The always-correct exhaustive evaluator is `ij_engine::naive_boolean`;
+//! this crate's tests use it as their oracle.
 
 #![warn(missing_docs)]
 
@@ -236,69 +239,10 @@ pub fn index_nested_loop_pairs(outer: &[Interval], inner: &[Interval]) -> Vec<(u
     out
 }
 
-/// Exhaustive nested-loop evaluation (early exit on the first witness).
-pub fn nested_loop(q: &Query, db: &Database) -> Result<bool, BaselineError> {
-    // Materialise the rows once up front; the recursion below revisits each
-    // relation once per enclosing partial assignment.
-    let mut relations: Vec<Vec<Vec<Value>>> = Vec::with_capacity(q.atoms().len());
-    for atom in q.atoms() {
-        let rel = db
-            .relation(&atom.relation)
-            .ok_or_else(|| BaselineError::MissingRelation(atom.relation.clone()))?;
-        relations.push(rel.tuples());
-    }
-    fn go(
-        q: &Query,
-        relations: &[Vec<Vec<Value>>],
-        atom_idx: usize,
-        binding: &BTreeMap<String, Binding>,
-    ) -> Result<bool, BaselineError> {
-        if atom_idx == q.atoms().len() {
-            return Ok(true);
-        }
-        let atom = &q.atoms()[atom_idx];
-        'tuples: for tuple in &relations[atom_idx] {
-            let mut next = binding.clone();
-            for (col, var) in atom.vars.iter().enumerate() {
-                let value = tuple[col];
-                match q.var_kind(var) {
-                    Some(VarKind::Interval) => {
-                        let Some(iv) = value.to_interval() else {
-                            continue 'tuples;
-                        };
-                        let merged = match next.get(var) {
-                            Some(Binding::Interval(current)) => match current.intersection(iv) {
-                                Some(m) => m,
-                                None => continue 'tuples,
-                            },
-                            _ => iv,
-                        };
-                        next.insert(var.clone(), Binding::Interval(merged));
-                    }
-                    _ => match next.get(var) {
-                        Some(Binding::Point(existing)) => {
-                            if *existing != value {
-                                continue 'tuples;
-                            }
-                        }
-                        _ => {
-                            next.insert(var.clone(), Binding::Point(value));
-                        }
-                    },
-                }
-            }
-            if go(q, relations, atom_idx + 1, &next)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-    go(q, &relations, 0, &BTreeMap::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ij_engine::{naive_boolean, NaiveError};
 
     fn iv(lo: f64, hi: f64) -> Value {
         Value::interval(lo, hi)
@@ -392,7 +336,7 @@ mod tests {
             let (answer, max_intermediate) = binary_join_cascade(&q, &db).unwrap();
             assert_eq!(answer, satisfiable);
             assert!(max_intermediate >= usize::from(satisfiable));
-            assert_eq!(nested_loop(&q, &db).unwrap(), satisfiable);
+            assert_eq!(naive_boolean(&q, &db).unwrap(), satisfiable);
         }
     }
 
@@ -406,8 +350,8 @@ mod tests {
             Err(BaselineError::MissingRelation(_))
         ));
         assert!(matches!(
-            nested_loop(&q, &db),
-            Err(BaselineError::MissingRelation(_))
+            naive_boolean(&q, &db),
+            Err(NaiveError::MissingRelation(_))
         ));
     }
 
@@ -457,7 +401,7 @@ mod tests {
                 },
             );
             let (cascade, _) = binary_join_cascade(&q, &db).unwrap();
-            let nested = nested_loop(&q, &db).unwrap();
+            let nested = naive_boolean(&q, &db).unwrap();
             assert_eq!(cascade, nested, "seed {seed}");
         }
     }
@@ -469,7 +413,7 @@ mod tests {
         db.insert_tuples("R", 2, vec![vec![Value::point(1.0), iv(0.0, 2.0)]]);
         db.insert_tuples("S", 2, vec![vec![Value::point(1.0), iv(1.0, 3.0)]]);
         assert!(binary_join_cascade(&q, &db).unwrap().0);
-        assert!(nested_loop(&q, &db).unwrap());
+        assert!(naive_boolean(&q, &db).unwrap());
         let mut db2 = db.clone();
         db2.insert_tuples("S", 2, vec![vec![Value::point(2.0), iv(1.0, 3.0)]]);
         assert!(!binary_join_cascade(&q, &db2).unwrap().0);

@@ -234,7 +234,7 @@ mod tests {
             let baseline = SegtreeBaseline::build(&q, &db).unwrap();
             assert_eq!(baseline.evaluate_boolean(), satisfiable);
             assert_eq!(baseline.count_witnesses(), u64::from(satisfiable));
-            assert_eq!(crate::nested_loop(&q, &db).unwrap(), satisfiable);
+            assert_eq!(ij_engine::naive_boolean(&q, &db).unwrap(), satisfiable);
         }
     }
 

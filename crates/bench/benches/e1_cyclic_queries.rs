@@ -4,8 +4,9 @@
 //! Regenerate with `cargo bench -p ij-bench --bench e1_cyclic_queries`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_baselines::{binary_join_cascade, nested_loop};
+use ij_baselines::binary_join_cascade;
 use ij_bench::{evaluate_all_disjuncts, scaling_workload};
+use ij_engine::naive_boolean;
 use ij_hypergraph::{four_clique_ij, loomis_whitney_4_ij, triangle_ij};
 use ij_reduction::{forward_reduction, forward_reduction_with, EncodingStrategy, ReductionConfig};
 use ij_relation::Query;
@@ -29,8 +30,8 @@ fn bench_triangle(c: &mut Criterion) {
             b.iter(|| binary_join_cascade(&query, &db).unwrap())
         });
         if n <= 200 {
-            group.bench_with_input(BenchmarkId::new("nested-loop", n), &n, |b, _| {
-                b.iter(|| nested_loop(&query, &db).unwrap())
+            group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
+                b.iter(|| naive_boolean(&query, &db).unwrap())
             });
         }
     }

@@ -219,7 +219,8 @@ pub fn generic_join_enumerate(
     // Variables constrained by no atom keep the placeholder value, which must
     // be resolvable in case such a variable is part of the output, so it is
     // interned into the atoms' dictionary (once per call — after the first
-    // call this is a single stripe read-lock probe, off the search hot path).
+    // call this is one read-lock probe of the dictionary, off the search hot
+    // path).
     let placeholder = dict.intern(Value::point(0.0));
     let mut results: Vec<Vec<ValueId>> = Vec::new();
     // An atom whose repeated-variable filter rejected every row empties the

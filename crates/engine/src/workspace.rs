@@ -125,7 +125,7 @@ impl Workspace {
     }
 
     /// Estimated heap bytes of the workspace's dictionary — the interned
-    /// values plus the value→id index maps, summed over every stripe
+    /// values plus the value→id index map
     /// ([`SharedDictionary::heap_bytes`]).  The byte-denominated companion
     /// of [`Workspace::dictionary_len`]: an operator can alert on a growing
     /// workspace before it OOMs, complementing the trie cache's byte budget.
@@ -184,8 +184,8 @@ impl Workspace {
                 continue;
             }
             // Pass 1: resolve each distinct source id once, under a single
-            // pin of the source stripes — then release the pin before any
-            // destination interning.
+            // read pin of the source dictionary — then release the pin before
+            // any destination interning.
             let mut resolved: IdHashMap<ValueId, Value> = IdHashMap::default();
             {
                 let source = rel.dictionary().reader();
@@ -225,7 +225,7 @@ impl Workspace {
 
 /// An operator snapshot of a [`Workspace`]'s resource state
 /// ([`Workspace::stats`]): dictionary residency in distinct values **and
-/// estimated bytes** (values plus index maps, per stripe), and the shared
+/// estimated bytes** (values plus their index map), and the shared
 /// trie cache's cumulative statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkspaceStats {
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn concurrent_cross_directional_imports_cannot_deadlock() {
         // Regression: import_database once held the source dictionary's
-        // all-stripe read pin while interning into the destination — two
+        // read pin while interning into the destination — two
         // threads importing in opposite directions between two workspaces
         // could each pin the other's read locks and block on the other's
         // write lock forever.  The import now drops the pin before any

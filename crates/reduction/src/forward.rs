@@ -133,7 +133,7 @@ use std::sync::{Mutex, OnceLock};
 /// Lock class of a transformed relation's build gate (`sync::lock_order`):
 /// held by the one thread building the relation, waited on by every other
 /// thread that needs it meanwhile.  The builder acquires nothing under it but
-/// `dict-stripe` (bitstrings too long for an inline id, which no tree that
+/// `dictionary` (bitstrings too long for an inline id, which no tree that
 /// fits in memory produces), and nobody acquires a gate while holding another
 /// lock.
 const RELATION_BUILD: &str = "reduction-relation-build";

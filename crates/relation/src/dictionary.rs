@@ -11,7 +11,7 @@
 //! # Scoping: [`SharedDictionary`] handles
 //!
 //! Dictionaries are owned by [`SharedDictionary`] handles — cheap `Arc`
-//! clones of one striped store.  Every [`Relation`](crate::Relation) carries
+//! clones of one store.  Every [`Relation`](crate::Relation) carries
 //! the handle its ids point into; ids are join-compatible exactly between
 //! relations sharing a handle.  There is no process-wide store: every
 //! `Database::new` creates its own dictionary, a `Workspace` (see the
@@ -25,31 +25,26 @@
 //! to each other; never mix relations from different dictionaries in one
 //! join.
 //!
-//! # Concurrency: hash-striped locks
+//! # Concurrency: one lock
 //!
-//! Every dictionary is **striped**: [`STRIPE_COUNT`] independent
-//! [`Dictionary`] stores, each behind its own [`RwLock`], with a value's
-//! stripe chosen by a deterministic hash of the value.  Interning takes a
-//! read lock on one stripe (the already-interned fast path) and upgrades to
-//! that stripe's write lock only on a genuine miss, so parallel ingestion
-//! threads serialize only when two values collide on a stripe instead of on
-//! one dictionary-wide lock.  Evaluation-time code only *reads* ids already
-//! stored in relations, so the parallel disjunct evaluation of the engine
-//! runs lock-free on the hot path; bulk materialisation
-//! ([`Relation::tuples`](crate::Relation::tuples)) pins all stripes once via
+//! A dictionary is one store behind one [`RwLock`].  Ingestion is its only
+//! writer — building relations from values, importing a database into a
+//! workspace, interning a plan's tuple ids — and no caller ingests on more
+//! than one thread, so there is no write traffic to spread over several
+//! locks (concurrent interning is still correct; it serializes).  Evaluation
+//! only *reads* ids already stored in relations, so the parallel disjunct
+//! evaluation of the engine takes no dictionary lock on its hot path.
+//! Interning takes the read lock (the already-interned fast path) and the
+//! write lock only on a genuine miss; bulk materialisation
+//! ([`Relation::tuples`](crate::Relation::tuples)) pins the store once via
 //! [`SharedDictionary::reader`] instead of locking per value.
-//!
-//! Ids stay **unique** across the stripes of a dictionary by construction:
-//! the stripe index lives in the low [`STRIPE_BITS`] bits of the id and the
-//! stripe-local dense index in the bits above them, so each stripe owns a
-//! disjoint id subspace.
 //!
 //! # Id-space layout: inline bitstring ids
 //!
 //! The top bit of a [`ValueId`] is a **tag**:
 //!
 //! ```text
-//! 0 lllllllllllllllllllllllllll ssss    dictionary id: stripe-local index l (27 bits), stripe s
+//! 0 iiiiiiiiiiiiiiiiiiiiiiiiiiiiiii     dictionary id: the value's index in first-interning order
 //! 1 0…0 1 bbbbbbbbbbbbbbbbbbbbbbbbb     inline bitstring: marker bit at position len, the bits below it
 //! 1 1111111111111111111111111111111     ValueId::dummy(), never assigned
 //! ```
@@ -59,41 +54,24 @@
 //! segment-tree node the bitstring names, under the tag — and
 //! [`SharedDictionary::intern`], [`lookup`](SharedDictionary::lookup) and
 //! [`resolve`](SharedDictionary::resolve) (and the [`DictReader`] twins) map
-//! between the two arithmetically: no hash, no stripe lock, no dictionary
+//! between the two arithmetically: no hash, no lock, no dictionary
 //! bytes, and the same id in every dictionary.  The columns the forward
 //! reduction introduces hold only such values, so
 //! [`SharedDictionary::len`] and [`heap_bytes`](SharedDictionary::heap_bytes)
 //! do not count them.  Longer bitstrings (30 to 63 bits) are interned like
-//! any other value.  Dictionary-assigned ids keep the tag clear, which halves
-//! a stripe's capacity to 2²⁷ values ([`MAX_STRIPE_VALUES`]); the marker bit
-//! sits at position 29 at most, so no id of either kind ever equals the
-//! all-ones [`ValueId::dummy`] sentinel.
+//! any other value.  Dictionary-assigned ids keep the tag clear, which caps a
+//! dictionary at 2³¹ values; the marker bit sits at position 29 at most, so
+//! no id of either kind ever equals the all-ones [`ValueId::dummy`] sentinel.
 
 use crate::sync::{read_recover, write_recover, ReadGuard};
-
-/// Lock class of every dictionary stripe (for the `sync::lock_order`
-/// detector).  One class for all 16 stripes: intra-class nesting is
-/// exempt from cycle detection, and `DictReader` — the only multi-stripe
-/// holder — pins read guards in index order with writers never holding
-/// more than one stripe.
-const DICT_STRIPE: &str = "dict-stripe";
 use crate::Value;
 use ij_segtree::BitString;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, RwLock};
 
-/// Number of independent stripes of the shared dictionary (a power of two).
-pub const STRIPE_COUNT: usize = 16;
-
-/// Bits of a [`ValueId`] reserved for the stripe index (`log2(STRIPE_COUNT)`).
-pub const STRIPE_BITS: u32 = STRIPE_COUNT.trailing_zeros();
-
-/// Maximum number of distinct values one stripe may hold: stripe-local
-/// indices stay below `2^27`, so a dictionary-assigned id never has the
-/// inline tag (bit 31) set — it can neither alias an inline bitstring id nor
-/// the [`ValueId::dummy`] sentinel (`u32::MAX`).
-pub const MAX_STRIPE_VALUES: u32 = 1 << (31 - STRIPE_BITS);
+/// Lock class of every dictionary (for the `sync::lock_order` detector).
+const DICTIONARY: &str = "dictionary";
 
 /// Tag bit of an inline bitstring id (see the module docs).
 const INLINE_TAG: u32 = 1 << 31;
@@ -124,9 +102,9 @@ fn inline_value(id: ValueId) -> Option<Value> {
 /// Ids are only meaningful relative to the [`SharedDictionary`] that assigned
 /// them; two ids of one dictionary are equal if and only if the values they
 /// intern are equal.  The `Ord` on ids is an arbitrary stable order
-/// (dictionary-assigned ids by interning order within the stripe, then
-/// stripe; inline bitstrings after them, by length, then bits), not the
-/// value order — sort by resolved values when value order matters.
+/// (dictionary-assigned ids `0, 1, 2, …` in first-interning order; inline
+/// bitstrings after them, by length, then bits), not the value order — sort
+/// by resolved values when value order matters.
 ///
 /// The representation is `#[repr(transparent)]` over the raw `u32`, and the
 /// `Ord` above is exactly the unsigned order of the raw ids, so comparing
@@ -186,50 +164,33 @@ impl ValueId {
     }
 
     /// A placeholder id used to pre-size buffers.  The sentinel is
-    /// **unrepresentable**: striped dictionaries keep the top bit of the ids
-    /// they assign clear ([`MAX_STRIPE_VALUES`]), inline bitstring ids keep
-    /// bit 30 clear, and standalone [`Dictionary`] stores reserve the top
-    /// dense id, so no interned value is ever assigned `u32::MAX` and the
-    /// placeholder can never alias a real id.  Resolving it always panics.
+    /// **unrepresentable**: dictionary-assigned ids keep the top bit clear
+    /// and inline bitstring ids keep bit 30 clear, so no interned value is
+    /// ever assigned `u32::MAX` and the placeholder can never alias a real
+    /// id.  Resolving it always panics.
     pub fn dummy() -> ValueId {
         ValueId(u32::MAX)
     }
 }
 
-/// The stripe a value hashes to.  The hash is deterministic within a process
-/// (`DefaultHasher` with fixed keys), so a value's stripe — and hence its id
-/// — does not depend on which thread interns it first.
-fn stripe_of(value: &Value) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    value.hash(&mut hasher);
-    (hasher.finish() as usize) & (STRIPE_COUNT - 1)
-}
-
-/// Combines a stripe-local dense id with its stripe index into a
-/// dictionary-wide id.
+/// The id of the `index`-th value a store holds: the index itself, which
+/// must keep the inline tag clear — one more bit would alias an inline
+/// bitstring id or, at `u32::MAX`, the [`ValueId::dummy`] sentinel.
 ///
-/// Local indices are capped ([`MAX_STRIPE_VALUES`]): one more bit would set
-/// the inline tag, silently aliasing an inline bitstring id or — in a full
-/// last stripe — the [`ValueId::dummy`] sentinel.
-fn encode(local: ValueId, stripe: usize) -> ValueId {
-    assert!(
-        local.0 < MAX_STRIPE_VALUES,
-        "dictionary stripe overflow: more than {MAX_STRIPE_VALUES} distinct values in one \
-         stripe (ids with the top bit set are reserved for inline bitstrings and the \
-         ValueId::dummy sentinel)"
-    );
-    ValueId((local.0 << STRIPE_BITS) | stripe as u32)
+/// # Panics
+///
+/// Panics once a dictionary would hold more than 2³¹ values.
+fn stored_id(index: usize) -> ValueId {
+    match u32::try_from(index) {
+        Ok(raw) if raw & INLINE_TAG == 0 => ValueId(raw),
+        _ => panic!(
+            "dictionary overflow: more than 2^31 distinct values (ids with the top bit set \
+             are reserved for inline bitstrings and the ValueId::dummy sentinel)"
+        ),
+    }
 }
 
-/// Splits a dictionary-wide id back into (stripe index, stripe-local id).
-fn decode(id: ValueId) -> (usize, ValueId) {
-    (
-        (id.0 & (STRIPE_COUNT as u32 - 1)) as usize,
-        ValueId(id.0 >> STRIPE_BITS),
-    )
-}
-
-/// An owning handle to a striped interning dictionary.
+/// An owning handle to an interning dictionary.
 ///
 /// Cloning is cheap (an `Arc` bump) and yields a handle to the *same* store:
 /// ids are join-compatible exactly between holders of clones of one handle.
@@ -238,12 +199,12 @@ fn decode(id: ValueId) -> (usize, ValueId) {
 /// relations built in it) drops — see the module docs.
 #[derive(Clone)]
 pub struct SharedDictionary {
-    stripes: Arc<[RwLock<Dictionary>; STRIPE_COUNT]>,
+    store: Arc<RwLock<Dictionary>>,
 }
 
 impl std::fmt::Debug for SharedDictionary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The stores can hold millions of values; print the size only.
+        // The store can hold millions of values; print the size only.
         f.debug_struct("SharedDictionary")
             .field("len", &self.len())
             .finish()
@@ -259,7 +220,7 @@ impl Default for SharedDictionary {
 impl PartialEq for SharedDictionary {
     /// Handles are equal iff they name the same store (ids interchangeable).
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.stripes, &other.stripes)
+        Arc::ptr_eq(&self.store, &other.store)
     }
 }
 
@@ -269,29 +230,26 @@ impl SharedDictionary {
     /// A fresh, empty dictionary.
     pub fn new() -> Self {
         SharedDictionary {
-            stripes: Arc::new(std::array::from_fn(|_| RwLock::new(Dictionary::new()))),
+            store: Arc::new(RwLock::new(Dictionary::default())),
         }
     }
 
     /// Interns `value`: returns the existing id when the value was seen
-    /// before (taking only a stripe *read* lock), otherwise assigns the next
-    /// id of the value's stripe under that stripe's write lock.  Short
-    /// bitstrings get their inline id and touch no stripe at all.
+    /// before (taking only the *read* lock), otherwise assigns the next id
+    /// under the write lock.  Short bitstrings get their inline id and take
+    /// no lock at all.
     pub fn intern(&self, value: Value) -> ValueId {
         if let Some(id) = inline_id(&value) {
             return id;
         }
-        let stripe = stripe_of(&value);
-        let lock = &self.stripes[stripe];
-        if let Some(local) = read_recover(lock, DICT_STRIPE).lookup(&value) {
-            return encode(local, stripe);
+        if let Some(id) = read_recover(&self.store, DICTIONARY).lookup(&value) {
+            return id;
         }
-        let local = write_recover(lock, DICT_STRIPE).intern(value);
-        encode(local, stripe)
+        write_recover(&self.store, DICTIONARY).intern(value)
     }
 
-    /// Resolves an id interned through this handle (one stripe read lock;
-    /// bulk resolves should use [`SharedDictionary::reader`]).
+    /// Resolves an id interned through this handle (one read lock; bulk
+    /// resolves should use [`SharedDictionary::reader`]).
     ///
     /// # Panics
     ///
@@ -300,8 +258,7 @@ impl SharedDictionary {
         if let Some(value) = inline_value(id) {
             return value;
         }
-        let (stripe, local) = decode(id);
-        read_recover(&self.stripes[stripe], DICT_STRIPE).resolve(local)
+        read_recover(&self.store, DICTIONARY).resolve(id)
     }
 
     /// The id of a value, if it has been interned through this handle.  A
@@ -310,20 +267,14 @@ impl SharedDictionary {
         if let Some(id) = inline_id(value) {
             return Some(id);
         }
-        let stripe = stripe_of(value);
-        read_recover(&self.stripes[stripe], DICT_STRIPE)
-            .lookup(value)
-            .map(|local| encode(local, stripe))
+        read_recover(&self.store, DICTIONARY).lookup(value)
     }
 
-    /// Total number of distinct values **stored** through this handle (sums
-    /// the stripes; a snapshot under concurrent interning).  Inline
-    /// bitstrings are not stored and not counted.
+    /// Number of distinct values **stored** through this handle (a snapshot
+    /// under concurrent interning).  Inline bitstrings are not stored and
+    /// not counted.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|lock| read_recover(lock, DICT_STRIPE).len())
-            .sum()
+        read_recover(&self.store, DICTIONARY).values.len()
     }
 
     /// True if nothing has been interned through this handle.
@@ -331,100 +282,54 @@ impl SharedDictionary {
         self.len() == 0
     }
 
-    /// Estimated heap bytes of the interned values **and** their index maps,
-    /// summed over every stripe ([`Dictionary::heap_bytes`]; one stripe read
-    /// lock each — a snapshot under concurrent interning).  Surfaced as
-    /// `Workspace::dictionary_bytes` so an operator can meter a workspace's
-    /// interned residency in bytes, not just distinct-value counts.
+    /// Estimated heap bytes of the interned values **and** their index map
+    /// (one read lock — a snapshot under concurrent interning), from
+    /// container capacities: the map's bucket array at capacity with one
+    /// byte of control metadata per bucket — the same fidelity as
+    /// `FlatTrie::heap_bytes`.  Surfaced as `Workspace::dictionary_bytes` so
+    /// an operator can meter a workspace's interned residency in bytes, not
+    /// just distinct-value counts.
     pub fn heap_bytes(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|lock| read_recover(lock, DICT_STRIPE).heap_bytes())
-            .sum()
+        let store = read_recover(&self.store, DICTIONARY);
+        store.values.capacity() * std::mem::size_of::<Value>()
+            + store.index.capacity()
+                * (std::mem::size_of::<(Value, u32)>() + std::mem::size_of::<u8>())
     }
 
-    /// Pins every stripe under a read lock at once, for bulk resolves and
-    /// lookups: one lock acquisition per stripe instead of one per value.
-    ///
-    /// Writers never hold more than one stripe lock at a time, so acquiring
-    /// all stripes here cannot deadlock against concurrent interning.  While
-    /// the reader is held, resolve ids through **it** — a concurrent
-    /// per-value resolve on the same handle may deadlock against a queued
-    /// writer (see [`DictReader`]).
+    /// Pins the store under one read lock, for bulk resolves and lookups:
+    /// one lock acquisition instead of one per value.  While the reader is
+    /// held, resolve ids through **it** (see [`DictReader`]).
     pub fn reader(&self) -> DictReader<'_> {
         DictReader {
-            guards: self
-                .stripes
-                .iter()
-                .map(|lock| read_recover(lock, DICT_STRIPE))
-                .collect(),
+            store: read_recover(&self.store, DICTIONARY),
         }
     }
 }
 
-/// An interning dictionary mapping [`Value`]s to dense [`ValueId`]s and back.
-///
-/// This is the single-store building block: a [`SharedDictionary`] is
-/// [`STRIPE_COUNT`] of these behind per-stripe locks (see the module docs),
-/// and tests / tools can use standalone instances directly.  Standalone
-/// instances assign plain dense ids `0, 1, 2, …` with no stripe encoding.
+/// The store behind a [`SharedDictionary`]: the values in first-interning
+/// order, and the map back from a value to its index.
 #[derive(Debug, Default)]
-pub struct Dictionary {
+struct Dictionary {
     values: Vec<Value>,
     index: HashMap<Value, u32>,
 }
 
 impl Dictionary {
-    /// An empty dictionary.
-    pub fn new() -> Self {
-        Dictionary::default()
-    }
-
-    /// Number of distinct interned values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Interns a value: returns the existing id if the value was seen before,
     /// otherwise assigns the next dense id.
-    pub fn intern(&mut self, value: Value) -> ValueId {
-        if let Some(&id) = self.index.get(&value) {
-            return ValueId(id);
+    fn intern(&mut self, value: Value) -> ValueId {
+        if let Some(id) = self.lookup(&value) {
+            return id;
         }
-        // The top dense id is reserved: assigning `u32::MAX` would alias the
-        // `ValueId::dummy()` buffer-placeholder sentinel.
-        let id = u32::try_from(self.values.len())
-            .ok()
-            .filter(|&id| id != u32::MAX)
-            .expect(
-                "dictionary overflow: the dense id space is exhausted (the top id is \
-                     reserved for the ValueId::dummy sentinel)",
-            );
+        let id = stored_id(self.values.len());
         self.values.push(value);
-        self.index.insert(value, id);
-        ValueId(id)
+        self.index.insert(value, id.0);
+        id
     }
 
     /// The id of a value, if it has been interned.
-    pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+    fn lookup(&self, value: &Value) -> Option<ValueId> {
         self.index.get(value).copied().map(ValueId)
-    }
-
-    /// Estimated heap bytes held by this store: the interned values vector
-    /// plus the value→id index map (bucket array accounted at capacity, with
-    /// one byte of control metadata per bucket).  An estimate from container
-    /// capacities, not an allocator measurement — the same fidelity as
-    /// `FlatTrie::heap_bytes`, and good enough for an operator to alert on a
-    /// growing workspace before it OOMs.
-    pub fn heap_bytes(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<Value>()
-            + self.index.capacity()
-                * (std::mem::size_of::<(Value, u32)>() + std::mem::size_of::<u8>())
     }
 
     /// The value behind an id.
@@ -432,21 +337,22 @@ impl Dictionary {
     /// # Panics
     ///
     /// Panics if the id was not produced by this dictionary.
-    pub fn resolve(&self, id: ValueId) -> Value {
+    fn resolve(&self, id: ValueId) -> Value {
         self.values[id.0 as usize]
     }
 }
 
-/// A read pin over every stripe of one dictionary (see
-/// [`SharedDictionary::reader`]).  Holding one blocks interning of *new*
-/// values into that dictionary.
+/// A read pin over one dictionary (see [`SharedDictionary::reader`]).
+/// Holding one blocks interning of *new* values into that dictionary.
 ///
 /// While a reader is held, resolve ids through **it** ([`DictReader::resolve`])
-/// — not through [`SharedDictionary::resolve`] on the same store, which acquire a second read lock on a stripe this reader
-/// already holds: `std`'s `RwLock` may deadlock on such recursive read
-/// acquisition when a writer is queued in between.
+/// — not through [`SharedDictionary::resolve`] on the same store, which
+/// acquires a second read lock on the lock this reader already holds:
+/// `std`'s `RwLock` may deadlock on such recursive read acquisition when a
+/// writer is queued in between, and the `sync::lock_order` detector panics
+/// on it.
 pub struct DictReader<'d> {
-    guards: Vec<ReadGuard<'d, Dictionary>>,
+    store: ReadGuard<'d, Dictionary>,
 }
 
 impl DictReader<'_> {
@@ -459,8 +365,7 @@ impl DictReader<'_> {
         if let Some(value) = inline_value(id) {
             return value;
         }
-        let (stripe, local) = decode(id);
-        self.guards[stripe].resolve(local)
+        self.store.resolve(id)
     }
 
     /// The pinned dictionary's id of a value, if it has been interned (short
@@ -469,8 +374,7 @@ impl DictReader<'_> {
         if let Some(id) = inline_id(value) {
             return Some(id);
         }
-        let stripe = stripe_of(value);
-        self.guards[stripe].lookup(value).map(|l| encode(l, stripe))
+        self.store.lookup(value)
     }
 }
 
@@ -545,7 +449,7 @@ mod tests {
 
     #[test]
     fn intern_resolve_round_trip() {
-        let mut dict = Dictionary::new();
+        let mut dict = Dictionary::default();
         let values = [
             Value::point(1.0),
             Value::interval(0.0, 2.0),
@@ -558,12 +462,12 @@ mod tests {
         }
         // Duplicates dedup to the same id.
         assert_eq!(ids[0], ids[3]);
-        assert_eq!(dict.len(), 3);
+        assert_eq!(dict.values.len(), 3);
     }
 
     #[test]
     fn ids_are_dense_and_stable() {
-        let mut dict = Dictionary::new();
+        let mut dict = Dictionary::default();
         let a = dict.intern(Value::point(1.0));
         let b = dict.intern(Value::point(2.0));
         assert_eq!(a.raw(), 0);
@@ -579,30 +483,38 @@ mod tests {
     }
 
     #[test]
-    fn shared_ids_encode_their_stripe() {
+    fn shared_ids_are_a_standalone_stores_ids() {
+        // Points, intervals and bitstrings too long to inline, with repeats:
+        // a shared dictionary numbers them 0, 1, 2, … in first-interning
+        // order, exactly as a standalone store fed the same sequence does.
+        let values: Vec<Value> = (0..120)
+            .map(|i| match i % 3 {
+                0 => Value::point(7000.0 + (i % 50) as f64),
+                1 => Value::interval(i as f64, i as f64 + 0.5),
+                _ => Value::Bits(BitString::from_bits(i, 40)),
+            })
+            .collect();
         let dict = SharedDictionary::new();
-        let values: Vec<Value> = (0..100).map(|i| Value::point(7000.0 + i as f64)).collect();
+        let mut standalone = Dictionary::default();
         let ids: Vec<ValueId> = values.iter().map(|&v| dict.intern(v)).collect();
-        // Lock-per-id resolves, *before* pinning the stripes: a per-id
-        // resolve must never run under a held DictReader (recursive read
-        // locks can deadlock against a queued writer).
+        let expected: Vec<ValueId> = values.iter().map(|&v| standalone.intern(v)).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(
+            ids[..3].iter().map(|id| id.raw()).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(dict.len(), standalone.values.len());
+        // Lock-per-id resolves, *before* pinning the store: a per-id resolve
+        // must never run under a held DictReader (recursive read locks can
+        // deadlock against a queued writer).
         for (&v, &id) in values.iter().zip(&ids) {
             assert_eq!(dict.resolve(id), v);
         }
         let reader = dict.reader();
         for (&v, &id) in values.iter().zip(&ids) {
-            let (stripe, _) = decode(id);
-            assert_eq!(stripe, stripe_of(&v));
             assert_eq!(reader.resolve(id), v);
             assert_eq!(reader.lookup(&v), Some(id));
         }
-        drop(reader);
-        // Distinct values get distinct ids even across stripes.
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len());
-        assert_eq!(dict.len(), ids.len());
     }
 
     #[test]
@@ -635,17 +547,11 @@ mod tests {
 
     #[test]
     fn the_dummy_sentinel_is_unrepresentable() {
-        // Regression: `encode(local = 2^28 - 1, stripe = 15)` used to equal
-        // `u32::MAX` — exactly `ValueId::dummy()` — so a full last stripe
-        // would hand the sentinel out as a real id.  Dictionary-assigned ids
-        // now stay below the inline tag, far below the sentinel.
-        for stripe in 0..STRIPE_COUNT {
-            let max_legal = encode(ValueId(MAX_STRIPE_VALUES - 1), stripe);
-            assert_eq!(max_legal.raw() & INLINE_TAG, 0, "stripe {stripe}");
-            assert_eq!(inline_value(max_legal), None, "stripe {stripe}");
-            // The encoding still round-trips at the boundary.
-            assert_eq!(decode(max_legal), (stripe, ValueId(MAX_STRIPE_VALUES - 1)));
-        }
+        // The largest id a store assigns keeps the inline tag clear, so a
+        // full store never hands out the sentinel.
+        let max_legal = stored_id(INLINE_TAG as usize - 1);
+        assert_eq!(max_legal.raw(), INLINE_TAG - 1);
+        assert_eq!(inline_value(max_legal), None);
         // The largest inline id (29 ones) stays below the sentinel too.
         let longest = BitString::from_bits((1 << MAX_INLINE_BITS) - 1, MAX_INLINE_BITS);
         let id = inline_id(&Value::Bits(longest)).unwrap();
@@ -656,9 +562,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved for inline bitstrings")]
     fn the_first_tagged_local_index_is_rejected() {
-        // The first local index that would set the inline tag trips the
-        // overflow assert in every stripe instead of aliasing a bitstring.
-        let _ = encode(ValueId(MAX_STRIPE_VALUES), 0);
+        // The first index that would set the inline tag trips the overflow
+        // check instead of aliasing a bitstring.
+        let _ = stored_id(INLINE_TAG as usize);
     }
 
     #[test]
@@ -669,17 +575,6 @@ mod tests {
 
     #[test]
     fn heap_bytes_grow_with_interned_values() {
-        let mut dict = Dictionary::new();
-        let empty = dict.heap_bytes();
-        for i in 0..1000 {
-            dict.intern(Value::point(i as f64));
-        }
-        let filled = dict.heap_bytes();
-        assert!(
-            filled >= empty + 1000 * std::mem::size_of::<Value>(),
-            "1000 values must account at least their own storage: {empty} -> {filled}"
-        );
-
         let shared = SharedDictionary::new();
         let baseline = shared.heap_bytes();
         for i in 0..1000 {
@@ -687,7 +582,7 @@ mod tests {
         }
         assert!(
             shared.heap_bytes() >= baseline + 1000 * std::mem::size_of::<Value>(),
-            "striped accounting must cover every stripe"
+            "1000 values must account at least their own storage"
         );
     }
 

@@ -2,7 +2,7 @@
 //! databases and the query AST.
 //!
 //! * [`Value`] — points, intervals and segment-tree bitstrings;
-//! * [`Dictionary`] / [`SharedDictionary`] / [`ValueId`] — interning of
+//! * [`SharedDictionary`] / [`ValueId`] — interning of
 //!   values into dense `u32` ids; every layer of the pipeline joins on ids,
 //!   never on full values.  Dictionaries are owned by cheap-to-clone
 //!   [`SharedDictionary`] handles: every database creates its own, a
@@ -53,8 +53,8 @@ pub use cancel::{
 };
 pub use csv::{field_to_value, value_to_field, CsvError};
 pub use dictionary::{
-    DictReader, Dictionary, IdBuildHasher, IdHashMap, IdHashSet, IdHasher, SharedDictionary,
-    ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES, STRIPE_BITS, STRIPE_COUNT,
+    DictReader, IdBuildHasher, IdHashMap, IdHashSet, IdHasher, SharedDictionary, ValueId,
+    MAX_INLINE_BITS,
 };
 pub use query::{Atom, Query, QueryParseError};
 pub use relation::{ArityError, Database, Relation};

@@ -230,8 +230,8 @@ impl Relation {
                 });
             }
         }
-        // Interning locks per value (striped by value hash), so concurrent
-        // ingestion of several relations proceeds in parallel.
+        // Interning takes the dictionary's lock per value: the read lock for
+        // a value seen before, the write lock for a new one.
         for t in &tuples {
             let ids: Vec<ValueId> = t.iter().map(|&v| r.dict.intern(v)).collect();
             r.columns.push_row(&ids);
@@ -1077,17 +1077,14 @@ mod tests {
             |values: &[f64]| -> Vec<Vec<Value>> { values.iter().map(|&v| vec![p(v)]).collect() };
         let a = SharedDictionary::new();
         let one = Relation::from_tuples("R", 1, rows(&[1.0, 2.0]), &a);
-        // A fresh dictionary gives its first value of a stripe that stripe's
-        // first id, so some other value gets 1.0's id in a fresh `b`.
-        let (b, twin) = (3..)
-            .map(|k| (SharedDictionary::new(), f64::from(k)))
-            .find(|(b, v)| b.intern(p(*v)) == one.id_at(0, 0))
-            .expect("a value in 1.0's stripe");
-        let same_ids = Relation::from_tuples("R", 1, rows(&[twin]), &b);
+        // A fresh dictionary gives its first value id 0, so 3.0 in a fresh
+        // `b` gets 1.0's id in `a`.
+        let b = SharedDictionary::new();
+        let same_ids = Relation::from_tuples("R", 1, rows(&[3.0]), &b);
         let first = Relation::from_tuples("R", 1, rows(&[1.0]), &a);
         assert_eq!(first.column_ids(0), same_ids.column_ids(0));
         assert_ne!(first, same_ids);
-        // The same rows with other ids: every stripe already holds values.
+        // The same rows with other ids: `c` numbered 64 values first.
         let c = SharedDictionary::new();
         for v in 100..164 {
             c.intern(p(f64::from(v)));

@@ -3,7 +3,7 @@
 //!
 //! # Poison recovery
 //!
-//! The dictionary stripes and the trie cache are shared by every concurrent
+//! The dictionaries and the trie cache are shared by every concurrent
 //! evaluation of a workspace.  A panicking worker thread elsewhere (isolated by
 //! `catch_unwind`) may still have been holding one of these locks when it
 //! unwound, which marks the lock *poisoned* — and a bare `.unwrap()` on the
@@ -33,7 +33,7 @@
 //! # Lock classes and the order detector
 //!
 //! Every acquisition names its **lock class** — a caller-supplied
-//! `&'static str` identifying the lock's role (`"dict-stripe"`,
+//! `&'static str` identifying the lock's role (`"dictionary"`,
 //! `"trie-cache-map"`, …), not the individual lock instance.  In debug
 //! builds (and release builds with the `lock-order` cargo feature) the
 //! helpers record, per thread, which classes are currently held, and feed
@@ -45,10 +45,11 @@
 //! conflicting acquisition backtraces (the stored stack that recorded the
 //! inverse order and the current one).  See [`lock_order`].
 //!
-//! Same-class nesting (the 16 dictionary stripes pinned by `DictReader`) is
-//! exempt: intra-class ordering is the call site's documented discipline
-//! (stripes are always pinned in index order, and writers never hold two),
-//! and a detector keyed by class names cannot distinguish instances.
+//! Acquiring a class the thread already holds is a cycle too (the edge
+//! `A → A`), and panics the same way: on one `RwLock` it is the recursive
+//! read that deadlocks against a writer queued in between, on one `Mutex` a
+//! self-deadlock, and a detector keyed by class names cannot tell two
+//! instances of a class apart, so no code nests two locks of one class.
 //!
 //! In release builds without the feature the bookkeeping compiles away: the
 //! guards still carry a (zero-sized) token, but no thread-local or global
@@ -260,8 +261,7 @@ pub mod lock_order {
         }
 
         thread_local! {
-            /// Classes currently held by this thread, in acquisition order
-            /// (a multiset: same-class nesting pushes repeatedly).
+            /// Classes currently held by this thread, in acquisition order.
             static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
             /// Edges this thread already pushed to (or confirmed in) the
             /// global graph — the fast path that keeps steady-state
@@ -284,12 +284,7 @@ pub mod lock_order {
                 }
             });
             let _ = HELD.try_with(|held| {
-                let nested: Vec<&'static str> = held
-                    .borrow()
-                    .iter()
-                    .copied()
-                    .filter(|&h| h != class)
-                    .collect();
+                let nested: Vec<&'static str> = held.borrow().clone();
                 for h in nested {
                     note_edge(h, class);
                 }
@@ -319,11 +314,12 @@ pub mod lock_order {
                 if g.edges.contains_key(&(from, to)) {
                     None
                 } else {
-                    // A path `to →* from` plus the new edge is a cycle.
+                    // A path `to →* from` plus the new edge is a cycle (the
+                    // path is `[to]` alone when `to` is `from`).
                     let path = path_between(&g.edges, to, from);
                     let prior = path
                         .as_ref()
-                        .and_then(|p| g.edges.get(&(p[0], p[1])))
+                        .and_then(|p| g.edges.get(&(p[0], *p.get(1)?)))
                         .cloned();
                     let stack: Arc<str> =
                         format!("{}", std::backtrace::Backtrace::force_capture()).into();
@@ -336,6 +332,13 @@ pub mod lock_order {
             };
             let _ = KNOWN.try_with(|k| k.borrow_mut().insert((from, to)));
             if let Some((path, prior, stack)) = conflict {
+                if from == to {
+                    panic!(
+                        "lock-order cycle: acquiring lock class `{to}` while this thread \
+                         already holds it — a recursive acquisition, a potential deadlock.\n\
+                         --- current acquisition of `{to}`:\n{stack}"
+                    );
+                }
                 let chain = path.join("` → `");
                 let prior = prior.as_deref().unwrap_or("<unavailable>");
                 panic!(
@@ -351,7 +354,7 @@ pub mod lock_order {
         }
 
         /// A path `start →* goal` in the edge set, as the visited class
-        /// list (length ≥ 2), if one exists.
+        /// list (`[start]` alone when `start` is `goal`), if one exists.
         fn path_between(
             edges: &HashMap<(&'static str, &'static str), Arc<str>>,
             start: &'static str,
@@ -366,7 +369,7 @@ pub mod lock_order {
                 path: &mut Vec<&'static str>,
             ) -> bool {
                 path.push(here);
-                if here == goal && path.len() > 1 {
+                if here == goal {
                     return true;
                 }
                 for &(a, b) in edges.keys() {
@@ -378,18 +381,8 @@ pub mod lock_order {
                 false
             }
             let mut path = Vec::new();
-            let mut seen = HashSet::new();
-            seen.insert(start);
-            if start == goal {
-                // Self-cycles are excluded by construction (same-class
-                // nesting records no edge).
-                return None;
-            }
-            if dfs(edges, start, goal, &mut seen, &mut path) {
-                Some(path)
-            } else {
-                None
-            }
+            let mut seen = HashSet::from([start]);
+            dfs(edges, start, goal, &mut seen, &mut path).then_some(path)
         }
 
         pub(super) fn snapshot() -> Vec<(&'static str, &'static str)> {
@@ -411,11 +404,9 @@ pub mod lock_order {
         pub(super) fn find_cycle() -> Option<Vec<&'static str>> {
             let g = graph().lock().unwrap_or_else(|e| e.into_inner());
             // Probe every edge's head back to its tail: edge a → b plus a
-            // path b →* a is a cycle through that edge.
+            // path b →* a is a cycle through that edge (`[a, a]` for a
+            // self-edge).
             for &(a, b) in g.edges.keys() {
-                if a == b {
-                    continue;
-                }
                 if let Some(mut p) = path_between(&g.edges, b, a) {
                     p.push(b);
                     return Some(p);
@@ -469,20 +460,16 @@ mod tests {
         let _o = lock_recover(&outer, "nest-outer");
     }
 
+    /// A second read of one `RwLock` on the same thread — the recursive
+    /// read that deadlocks against a writer queued in between — panics
+    /// before it blocks.  Compiled only where the detector is armed.
     #[test]
-    fn same_class_nesting_is_exempt() {
-        if !lock_order::enabled() {
-            return;
-        }
-        // The dictionary pins all 16 same-class stripes at once; the
-        // detector must not call that a self-deadlock.
-        let stripes: Vec<RwLock<u32>> = (0..4).map(RwLock::new).collect();
-        let guards: Vec<_> = stripes
-            .iter()
-            .map(|s| read_recover(s, "self-class-stripe"))
-            .collect();
-        assert_eq!(guards.iter().map(|g| **g).sum::<u32>(), 6);
-        assert!(!lock_order::snapshot().contains(&("self-class-stripe", "self-class-stripe")));
+    #[cfg(any(debug_assertions, feature = "lock-order"))]
+    #[should_panic(expected = "already holds it")]
+    fn same_class_nesting_is_a_cycle() {
+        let lock = RwLock::new(1);
+        let _outer = read_recover(&lock, "self-class");
+        let _inner = read_recover(&lock, "self-class");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the id domain: inline bitstring ids (computed, never
 //! stored) and the id-keyed [`Relation::dedup`].
 
-use ij_relation::{Relation, SharedDictionary, Value, ValueId, MAX_INLINE_BITS, MAX_STRIPE_VALUES};
+use ij_relation::{Relation, SharedDictionary, Value, ValueId, MAX_INLINE_BITS};
 use ij_segtree::{BitString, Interval, SegmentTree};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -113,6 +113,8 @@ proptest! {
 #[test]
 fn every_inline_length_round_trips_at_its_extremes() {
     let dict = SharedDictionary::new();
+    // The largest id a dictionary stores: stored ids keep the tag bit clear.
+    let largest_stored = ValueId::from_raw(u32::MAX / 2);
     let mut seen = BTreeSet::new();
     for len in 0..=MAX_INLINE_BITS {
         for raw in [0, 1, u64::MAX >> 1, u64::MAX] {
@@ -120,7 +122,7 @@ fn every_inline_length_round_trips_at_its_extremes() {
             let id = dict.intern(Value::Bits(b));
             assert_eq!(dict.resolve(id), Value::Bits(b));
             assert_eq!(id.raw(), 1 << 31 | 1 << len | b.bits() as u32);
-            assert!(id.raw() >> 4 >= MAX_STRIPE_VALUES, "above every stored id");
+            assert!(id > largest_stored, "above every stored id");
             seen.insert((b, id));
         }
     }

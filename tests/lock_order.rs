@@ -1,5 +1,5 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (dictionary stripes + trie-cache map + plan-activity locks, the
+//! (the dictionary + trie-cache map + plan-activity locks, the
 //! build gates of the transformed relations the workers fill on demand, the
 //! projection memos of the paper's relations a cyclic disjunct of
 //! `evaluate_reduction` binds, and the decomposition memo it is planned
@@ -15,6 +15,9 @@
 //! The two-thread inverted-order *cycle* case lives next to the detector
 //! (`ij_relation::sync::tests::detects_inverted_acquisition_order_across_threads`);
 //! this suite covers the other acceptance half: real workloads stay silent.
+//! That includes the rule that a thread never acquires a class it already
+//! holds (a recursive read of the dictionary's one lock would be one), which
+//! the detector enforces as a cycle of length one.
 
 use ij_relation::sync::lock_order;
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
@@ -73,7 +76,7 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
     if lock_order::enabled() {
         let classes = lock_order::classes_seen();
         for expected in [
-            "dict-stripe",
+            "dictionary",
             "trie-cache-map",
             "relation-projections",
             "td-memo",
