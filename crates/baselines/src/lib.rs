@@ -330,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn cascade_and_nested_loop_agree_on_the_triangle() {
+    fn cascade_and_naive_agree_on_the_triangle() {
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             let (answer, max_intermediate) = binary_join_cascade(&q, &db).unwrap();

@@ -228,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_nested_loop_on_the_triangle() {
+    fn agrees_with_naive_on_the_triangle() {
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             let baseline = SegtreeBaseline::build(&q, &db).unwrap();

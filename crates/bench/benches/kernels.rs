@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the column kernels: every primitive
 //! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`,
 //! `semijoin_mask`) raced against its `*_scalar` reference on identical
-//! operands, and two passes raced against the implementation they replaced,
-//! kept here: the content `fingerprint` against the one-id-per-multiply
-//! hash, and `Relation::dedup` on sorted and shuffled rows against a
-//! dedup that always sorts.  Every primitive is asserted to produce
+//! operands, `semijoin_any` timed on the mask's shapes against the mask it
+//! answers for, and two passes raced against the implementation they
+//! replaced, kept here: the content `fingerprint` against the
+//! one-id-per-multiply hash, and `Relation::dedup` on sorted and shuffled
+//! rows against a dedup that always sorts.  Every primitive is asserted to produce
 //! bit-identical output on both before any timing; the two fingerprints,
 //! whose values differ by design, are asserted to tell the same changes of
 //! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
@@ -20,8 +21,8 @@ use ij_ejoin::{BoundAtom, FlatTrie};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
-    gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_mask,
-    semijoin_mask_scalar,
+    gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_any,
+    semijoin_mask, semijoin_mask_scalar,
 };
 use ij_relation::{Relation, SharedDictionary, ValueId};
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
@@ -234,55 +235,92 @@ fn rows_of(cols: &[Vec<ValueId>], n: usize, seed: u64) -> Vec<Vec<ValueId>> {
         .collect()
 }
 
+/// The key columns of one semijoin side.
+type Columns = Vec<Vec<ValueId>>;
+
+/// The semijoin shapes of `kernels/semijoin-mask` and `kernels/semijoin-any`,
+/// each as (left columns, right columns, name).
+///
+/// Refuting: `ip-ranges-product`'s first semijoins, a 130 – 3 300-row side
+/// against a 14 k – 80 k-row side, keyed by two to four shared variables,
+/// with the small side as either the parent (left) or the child (right).
+/// Independent node ids share few first ids, so the first-column bitmap
+/// rejects most left rows.
+///
+/// Hitting: every left key is a row of the right side, at the proportions
+/// of `temporal-sparse`'s semijoins (a true instance), where the bitmap
+/// rejects nothing and only adds its reads.
+fn semijoin_shapes() -> Vec<(Columns, Columns, String)> {
+    let mut shapes = Vec::new();
+    for k in [2, 3, 4] {
+        for (small, large) in [(130, 14_000), (3_300, 80_000)] {
+            let small_cols = node_id_columns(k, small, 58 + k as u64);
+            let large_cols = node_id_columns(k, large, 59 + k as u64);
+            for (left, right) in [(&small_cols, &large_cols), (&large_cols, &small_cols)] {
+                let shape = format!("k{k}-{}x{}", left[0].len(), right[0].len());
+                shapes.push((left.clone(), right.clone(), shape));
+            }
+        }
+    }
+    for k in [2, 3] {
+        for (left_len, right_len) in [(28_000, 28_000), (51_000, 16_000)] {
+            let right_cols = node_id_columns(k, right_len, 60 + k as u64);
+            let left_cols = rows_of(&right_cols, left_len, 61 + k as u64);
+            shapes.push((
+                left_cols,
+                right_cols,
+                format!("hit-k{k}-{left_len}x{right_len}"),
+            ));
+        }
+    }
+    shapes
+}
+
 fn bench_semijoin_mask(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels/semijoin-mask");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1));
-    let mut race = |left: &[&[ValueId]], right: &[&[ValueId]], shape: String| {
+    for (left_cols, right_cols, shape) in semijoin_shapes() {
+        let left: Vec<&[ValueId]> = left_cols.iter().map(Vec::as_slice).collect();
+        let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
         assert_eq!(
-            semijoin_mask(left, right),
-            semijoin_mask_scalar(left, right),
+            semijoin_mask(&left, &right),
+            semijoin_mask_scalar(&left, &right),
             "kernel must match its oracle"
         );
         group.bench_function(BenchmarkId::new("portable", &shape), |bench| {
-            bench.iter(|| semijoin_mask(left, right).len())
+            bench.iter(|| semijoin_mask(&left, &right).len())
         });
         group.bench_function(BenchmarkId::new("scalar", &shape), |bench| {
-            bench.iter(|| semijoin_mask_scalar(left, right).len())
+            bench.iter(|| semijoin_mask_scalar(&left, &right).len())
         });
-    };
-    // Refuting: `ip-ranges-product`'s first semijoins, a 130 – 3 300-row
-    // side against a 14 k – 80 k-row side, keyed by two to four shared
-    // variables, with the small side as either the parent (left) or the
-    // child (right).  Independent node ids share few first ids, so the
-    // first-column bitmap rejects most left rows.
-    for k in [2, 3, 4] {
-        for (small, large) in [(130, 14_000), (3_300, 80_000)] {
-            let small_cols = node_id_columns(k, small, 58 + k as u64);
-            let large_cols = node_id_columns(k, large, 59 + k as u64);
-            let small_view: Vec<&[ValueId]> = small_cols.iter().map(Vec::as_slice).collect();
-            let large_view: Vec<&[ValueId]> = large_cols.iter().map(Vec::as_slice).collect();
-            for (left, right) in [(&small_view, &large_view), (&large_view, &small_view)] {
-                race(
-                    left,
-                    right,
-                    format!("k{k}-{}x{}", left[0].len(), right[0].len()),
-                );
-            }
-        }
     }
-    // Hitting: every left key is a row of the right side, at the
-    // proportions of `temporal-sparse`'s semijoins (a true instance), where
-    // the bitmap rejects nothing and only adds its reads.
-    for k in [2, 3] {
-        for (left_len, right_len) in [(28_000, 28_000), (51_000, 16_000)] {
-            let right_cols = node_id_columns(k, right_len, 60 + k as u64);
-            let left_cols = rows_of(&right_cols, left_len, 61 + k as u64);
-            let left: Vec<&[ValueId]> = left_cols.iter().map(Vec::as_slice).collect();
-            let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
-            race(&left, &right, format!("hit-k{k}-{left_len}x{right_len}"));
-        }
+    group.finish();
+}
+
+/// The existence probe against the mask it answers for, on the mask's
+/// shapes: a hitting shape stops at its first left row, a refuting one at
+/// its first hit, if it has one, or after its last left row.
+fn bench_semijoin_any(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/semijoin-any");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1));
+    for (left_cols, right_cols, shape) in semijoin_shapes() {
+        let left: Vec<&[ValueId]> = left_cols.iter().map(Vec::as_slice).collect();
+        let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            semijoin_any(&left, &right),
+            semijoin_mask(&left, &right).contains(&1),
+            "the probe must answer whether the mask has a set bit"
+        );
+        group.bench_function(BenchmarkId::new("any", &shape), |bench| {
+            bench.iter(|| semijoin_any(&left, &right))
+        });
+        group.bench_function(BenchmarkId::new("mask", &shape), |bench| {
+            bench.iter(|| semijoin_mask(&left, &right).contains(&1))
+        });
     }
     group.finish();
 }
@@ -544,6 +582,7 @@ criterion_group!(
     bench_gather_ids,
     bench_gallop_seek,
     bench_semijoin_mask,
+    bench_semijoin_any,
     bench_fingerprint,
     bench_dedup_sorted,
     bench_flat_trie_build,

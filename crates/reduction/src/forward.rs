@@ -1409,11 +1409,17 @@ fn merge_runs(codes: &mut Vec<u32>, runs: &mut [Range<usize>]) -> Range<usize> {
 }
 
 /// Appends one column of a cross product to `out`: each of `ids` `inner`
-/// times in a row, and that pattern `outer` times over.
+/// times in a row, and that pattern `outer` times over.  With `inner == 1`
+/// — the last column of every cross product — the pattern is one `extend`
+/// instead of a `resize` per id.
 fn repeat(out: &mut Vec<ValueId>, ids: impl Iterator<Item = ValueId>, inner: usize, outer: usize) {
     let start = out.len();
-    for id in ids {
-        out.resize(out.len() + inner, id);
+    if inner == 1 {
+        out.extend(ids);
+    } else {
+        for id in ids {
+            out.resize(out.len() + inner, id);
+        }
     }
     let pattern = out.len() - start;
     for _ in 1..outer {
@@ -2709,5 +2715,26 @@ mod tests {
             .map(|name| assert_live(&plan, &reference, name))
             .sum();
         assert_eq!(plan.materialised_stats().transformed_tuples, live);
+    }
+
+    #[test]
+    fn repeat_is_the_nested_loop() {
+        let ids: Vec<ValueId> = (3..7).map(ValueId::from_raw).collect();
+        let prefix = [ValueId::from_raw(99)];
+        for inner in [1, 2, 5] {
+            for outer in [1, 3] {
+                let mut expected = prefix.to_vec();
+                for _ in 0..outer {
+                    for &id in &ids {
+                        for _ in 0..inner {
+                            expected.push(id);
+                        }
+                    }
+                }
+                let mut out = prefix.to_vec();
+                repeat(&mut out, ids.iter().copied(), inner, outer);
+                assert_eq!(out, expected, "inner {inner}, outer {outer}");
+            }
+        }
     }
 }

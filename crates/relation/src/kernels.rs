@@ -23,8 +23,12 @@
 //! probe, not a lane loop: its fast path reads one id per row against a
 //! bitmap of the other side's first key column and builds a fixed-width
 //! integer key only for the rows that pass, and its oracle hashes packed
-//! slices.  [`fingerprint`] has no oracle: its value *is* its definition, so
-//! its properties say which changes of content it must tell apart.
+//! slices.  [`semijoin_any`] is the same probe stopping at its first hit:
+//! both run one width dispatch and one filter, which report matching rows
+//! to a sink that may stop early, and its oracle is whether the mask's
+//! oracle has a set bit.  [`fingerprint`] has no oracle: its value *is* its
+//! definition, so its properties say which changes of content it must tell
+//! apart.
 //! [`strictly_ascending`] has no twin either: its oracle, comparing whole
 //! rows one pair at a time, lives in the property tests.
 //!
@@ -42,6 +46,7 @@
 use crate::{IdHashSet, ValueId};
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 
 /// Ids processed per chunked step (a `u32x8` register's worth).
 pub const LANES: usize = 8;
@@ -277,41 +282,30 @@ pub fn pack_keys_scalar(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
 /// Panics if the sides differ in key width, if there is no key column, or if
 /// the columns of one side differ in length.
 pub fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
-    let (left_len, right_len) = semijoin_lengths(left_cols, right_cols);
-    // Two ids of one row as one `u64`.
-    let pair = |a: &[ValueId], b: &[ValueId], i: usize| {
-        (u64::from(a[i].raw()) << 32) | u64::from(b[i].raw())
-    };
-    match (left_cols, right_cols) {
-        (&[l0], &[r0]) => mask_by_key(left_len, right_len, |i| l0[i].raw(), |i| r0[i].raw()),
-        (&[l0, l1], &[r0, r1]) => {
-            mask_by_first_column_then_key(l0, r0, |i| pair(l0, l1, i), |i| pair(r0, r1, i))
-        }
-        (&[l0, l1, l2], &[r0, r1, r2]) => mask_by_first_column_then_key(
-            l0,
-            r0,
-            |i| (pair(l0, l1, i), l2[i].raw()),
-            |i| (pair(r0, r1, i), r2[i].raw()),
-        ),
-        (&[l0, l1, l2, l3], &[r0, r1, r2, r3]) => mask_by_first_column_then_key(
-            l0,
-            r0,
-            |i| (pair(l0, l1, i), pair(l2, l3, i)),
-            |i| (pair(r0, r1, i), pair(r2, r3, i)),
-        ),
-        _ => {
-            let k = left_cols.len();
-            let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
-            pack_keys(left_cols, &mut left_keys);
-            pack_keys(right_cols, &mut right_keys);
-            mask_by_key(
-                left_len,
-                right_len,
-                |i| &left_keys[i * k..(i + 1) * k],
-                |i| &right_keys[i * k..(i + 1) * k],
-            )
-        }
-    }
+    let mut mask = vec![0u8; semijoin_lengths(left_cols, right_cols).0];
+    let _ = semijoin_rows(left_cols, right_cols, |i| {
+        mask[i] = 1;
+        ControlFlow::Continue(())
+    });
+    mask
+}
+
+/// Whether some row of `left_cols` has its key tuple among the rows of
+/// `right_cols` — [`semijoin_mask`] asked only whether the mask has a set
+/// bit, as the last semijoin into a Yannakakis root is.
+///
+/// The right keys are hashed (and, for two to four columns, bitmapped)
+/// exactly as for [`semijoin_mask`], by the same code; the left rows are
+/// then probed in order and the probe stops at the first one that matches.
+/// So a hit costs the right side plus the left rows up to it, and a miss
+/// reads every left row, as the mask would.
+///
+/// # Panics
+///
+/// Panics where [`semijoin_mask`] does: if the sides differ in key width, if
+/// there is no key column, or if the columns of one side differ in length.
+pub fn semijoin_any(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> bool {
+    semijoin_rows(left_cols, right_cols, |_| ControlFlow::Break(())).is_break()
 }
 
 /// Scalar reference implementation of [`semijoin_mask`]: every key packed
@@ -352,20 +346,72 @@ fn semijoin_lengths(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> (usi
     (rows(left_cols), rows(right_cols))
 }
 
-/// [`semijoin_mask`] over keys read by row index.
-fn mask_by_key<K: Hash + Eq>(
+/// The width dispatch of [`semijoin_mask`] and [`semijoin_any`]: reports
+/// every left row whose key is among the right keys to `hit`, in ascending
+/// row order, until `hit` breaks.
+fn semijoin_rows(
+    left_cols: &[&[ValueId]],
+    right_cols: &[&[ValueId]],
+    hit: impl FnMut(usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let (left_len, right_len) = semijoin_lengths(left_cols, right_cols);
+    // Two ids of one row as one `u64`.
+    let pair = |a: &[ValueId], b: &[ValueId], i: usize| {
+        (u64::from(a[i].raw()) << 32) | u64::from(b[i].raw())
+    };
+    match (left_cols, right_cols) {
+        (&[l0], &[r0]) => rows_by_key(left_len, right_len, |i| l0[i].raw(), |i| r0[i].raw(), hit),
+        (&[l0, l1], &[r0, r1]) => {
+            rows_by_first_column_then_key(l0, r0, |i| pair(l0, l1, i), |i| pair(r0, r1, i), hit)
+        }
+        (&[l0, l1, l2], &[r0, r1, r2]) => rows_by_first_column_then_key(
+            l0,
+            r0,
+            |i| (pair(l0, l1, i), l2[i].raw()),
+            |i| (pair(r0, r1, i), r2[i].raw()),
+            hit,
+        ),
+        (&[l0, l1, l2, l3], &[r0, r1, r2, r3]) => rows_by_first_column_then_key(
+            l0,
+            r0,
+            |i| (pair(l0, l1, i), pair(l2, l3, i)),
+            |i| (pair(r0, r1, i), pair(r2, r3, i)),
+            hit,
+        ),
+        _ => {
+            let k = left_cols.len();
+            let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+            pack_keys(left_cols, &mut left_keys);
+            pack_keys(right_cols, &mut right_keys);
+            rows_by_key(
+                left_len,
+                right_len,
+                |i| &left_keys[i * k..(i + 1) * k],
+                |i| &right_keys[i * k..(i + 1) * k],
+                hit,
+            )
+        }
+    }
+}
+
+/// [`semijoin_rows`] over keys read by row index.
+fn rows_by_key<K: Hash + Eq>(
     left_len: usize,
     right_len: usize,
     left_key: impl Fn(usize) -> K,
     right_key: impl Fn(usize) -> K,
-) -> Vec<u8> {
+    mut hit: impl FnMut(usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let keys: IdHashSet<K> = (0..right_len).map(right_key).collect();
-    (0..left_len)
-        .map(|i| u8::from(keys.contains(&left_key(i))))
-        .collect()
+    for i in 0..left_len {
+        if keys.contains(&left_key(i)) {
+            hit(i)?;
+        }
+    }
+    ControlFlow::Continue(())
 }
 
-/// [`mask_by_key`] behind a [`FirstColumnFilter`] of the right side's first
+/// [`rows_by_key`] behind a [`FirstColumnFilter`] of the right side's first
 /// key column (`left_first` and `right_first`): only a left row whose first
 /// id passes the filter builds and probes its whole key.
 ///
@@ -374,19 +420,24 @@ fn mask_by_key<K: Hash + Eq>(
 /// into a candidate buffer and advances the buffer's end by the row's bit,
 /// then probes the candidates.  [`FirstColumnFilter::rejects_most`] decides
 /// whether the filter runs at all.
-fn mask_by_first_column_then_key<K: Hash + Eq>(
+fn rows_by_first_column_then_key<K: Hash + Eq>(
     left_first: &[ValueId],
     right_first: &[ValueId],
     left_key: impl Fn(usize) -> K,
     right_key: impl Fn(usize) -> K,
-) -> Vec<u8> {
+    mut hit: impl FnMut(usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let filter = FirstColumnFilter::new(right_first);
-    let keys: IdHashSet<K> = (0..right_first.len()).map(right_key).collect();
-    let probe = |i: usize| u8::from(keys.contains(&left_key(i)));
     if !filter.rejects_most(left_first) {
-        return (0..left_first.len()).map(probe).collect();
+        return rows_by_key(
+            left_first.len(),
+            right_first.len(),
+            left_key,
+            right_key,
+            hit,
+        );
     }
-    let mut mask = vec![0u8; left_first.len()];
+    let keys: IdHashSet<K> = (0..right_first.len()).map(right_key).collect();
     let mut candidates = [0usize; FirstColumnFilter::BLOCK];
     for (b, rows) in left_first.chunks(FirstColumnFilter::BLOCK).enumerate() {
         let base = b * FirstColumnFilter::BLOCK;
@@ -396,10 +447,12 @@ fn mask_by_first_column_then_key<K: Hash + Eq>(
             n += usize::from(filter.may_contain(id));
         }
         for &i in &candidates[..n] {
-            mask[i] = probe(i);
+            if keys.contains(&left_key(i)) {
+                hit(i)?;
+            }
         }
     }
-    mask
+    ControlFlow::Continue(())
 }
 
 /// A one-hash bitmap over a column of ids: an id that was inserted always

@@ -1,16 +1,18 @@
 //! Property tests for the chunked scan kernels (`ij_relation::kernels`): on
 //! random `ValueId` slices of every length — including lengths that are not
 //! a multiple of the lane width — each public kernel must be
-//! indistinguishable from its `*_scalar` reference implementation.  CI runs
-//! this suite in release as well, where galloping off-by-ones surface.  The
-//! content fingerprint, which has no oracle, must tell every single change
-//! of content apart, and `Relation::dedup` must equal a sorted-set oracle.
+//! indistinguishable from its `*_scalar` reference implementation, and the
+//! semijoin existence probe must answer whether its mask has a set bit.  CI
+//! runs this suite in release as well, where galloping off-by-ones surface.
+//! The content fingerprint, which has no oracle, must tell every single
+//! change of content apart, and `Relation::dedup` must equal a sorted-set
+//! oracle.
 
 use ij_relation::kernels::{
     and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
     gather_ids, gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys,
-    pack_keys_scalar, select_indices, select_indices_scalar, semijoin_mask, semijoin_mask_scalar,
-    FINGERPRINT_LANES, LANES,
+    pack_keys_scalar, select_indices, select_indices_scalar, semijoin_any, semijoin_mask,
+    semijoin_mask_scalar, FINGERPRINT_LANES, LANES,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
@@ -146,7 +148,10 @@ proptest! {
     /// rows, from the narrow pool (first ids match, later columns decide)
     /// or the wide one (first ids collide in the bitmap, inline ids with
     /// bit 31 set among them), with anywhere from no left row to every one
-    /// copied from the right side.
+    /// copied from the right side.  Few copies make the bitmap reject most
+    /// left rows, many make the kernel probe every row directly, and no
+    /// copies at all leave most cases without a hit; the existence probe
+    /// must answer whether the oracle's mask has a set bit on each.
     #[test]
     fn semijoin_mask_matches_scalar_at_filter_scale(
         k in 2usize..=4,
@@ -162,7 +167,9 @@ proptest! {
             filter_scale_sides(k, left_len, right_len, pool == 0, copied, seed);
         let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
         let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
-        prop_assert_eq!(semijoin_mask(&left, &right), semijoin_mask_scalar(&left, &right));
+        let expected = semijoin_mask_scalar(&left, &right);
+        prop_assert_eq!(semijoin_any(&left, &right), expected.contains(&1));
+        prop_assert_eq!(semijoin_mask(&left, &right), expected);
     }
 }
 
@@ -171,7 +178,8 @@ proptest! {
 
     /// The semijoin probe ≡ its slice-keyed oracle for keys of one to six
     /// columns (every integer-key width and the packed fallback), with the
-    /// left side shorter and longer than the right.
+    /// left side shorter and longer than the right, and the existence probe
+    /// ≡ whether the oracle's mask has a set bit.
     #[test]
     fn semijoin_mask_matches_scalar(
         case in (1usize..=6, 0usize..3 * LANES + 5, 0usize..3 * LANES + 5, arb_key_pool())
@@ -190,7 +198,9 @@ proptest! {
         let right = key_columns(&pool, &right_picks);
         let left: Vec<&[ValueId]> = left.iter().map(|c| c.as_slice()).collect();
         let right: Vec<&[ValueId]> = right.iter().map(|c| c.as_slice()).collect();
-        prop_assert_eq!(semijoin_mask(&left, &right), semijoin_mask_scalar(&left, &right));
+        let expected = semijoin_mask_scalar(&left, &right);
+        prop_assert_eq!(semijoin_any(&left, &right), expected.contains(&1));
+        prop_assert_eq!(semijoin_mask(&left, &right), expected);
     }
 
     /// Chunked equal-pair masking ≡ scalar reference, including accumulation
@@ -311,6 +321,63 @@ proptest! {
             out
         };
         prop_assert_eq!(collect(leapfrog_next), collect(leapfrog_next_scalar));
+    }
+}
+
+/// The existence probe's three pinned shapes at the first-column filter's
+/// scale (16 384 left rows against 2 048 right rows), for keys of one to six
+/// columns: no hit at all (the worst case, every left row read), one hit at
+/// the last left row, and one hit at the first.  Right keys hold even ids
+/// and the left side's non-matching columns odd ones.  With the left first
+/// ids odd too the bitmap rejects most left rows; with them copied from the
+/// right side (two or more columns) every first id passes and each left row
+/// is probed directly.
+#[test]
+fn semijoin_any_finds_a_lone_hit_at_either_end_and_none_without_one() {
+    let (left_len, right_len) = (16_384u32, 2_048u32);
+    let right_id = |i: u32| ValueId::from_raw(2 * i);
+    let miss_id = |i: u32| ValueId::from_raw(2 * i + 1);
+    for k in 1..=6 {
+        let right: Vec<Vec<ValueId>> = (0..k)
+            .map(|_| (0..right_len).map(right_id).collect())
+            .collect();
+        let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
+        for shared_first in [false, true] {
+            if shared_first && k == 1 {
+                continue;
+            }
+            let base: Vec<Vec<ValueId>> = (0..k)
+                .map(|j| {
+                    (0..left_len)
+                        .map(|i| match j == 0 && shared_first {
+                            true => right_id(i % right_len),
+                            false => miss_id(i),
+                        })
+                        .collect()
+                })
+                .collect();
+            let shapes = [
+                ("no hit", None),
+                ("one hit at the last row", Some(left_len as usize - 1)),
+                ("one hit at the first row", Some(0)),
+            ];
+            for (shape, hit) in shapes {
+                let mut left = base.clone();
+                if let Some(row) = hit {
+                    // The row becomes right row 7, whole.
+                    for col in left.iter_mut() {
+                        col[row] = right_id(7);
+                    }
+                }
+                let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
+                let mask = semijoin_mask_scalar(&left, &right);
+                let why = format!("k {k}, shared first ids {shared_first}, {shape}");
+                let hits: Vec<usize> = (0..mask.len()).filter(|&i| mask[i] == 1).collect();
+                assert_eq!(hits, Vec::from_iter(hit), "{why}");
+                assert_eq!(semijoin_any(&left, &right), hit.is_some(), "{why}");
+                assert_eq!(semijoin_mask(&left, &right), mask, "{why}");
+            }
+        }
     }
 }
 
