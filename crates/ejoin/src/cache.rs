@@ -67,27 +67,48 @@
 //! always probe structurally identical tries).  Hit, miss and eviction
 //! counters are relaxed atomics exposed through [`TrieCache::stats`].
 //!
+//! # The decomposition memo
+//!
+//! Beside the tries, the cache keeps the optimal tree decomposition of each
+//! cyclic hypergraph shape a disjunct is evaluated over
+//! ([`TrieCache::decomposition`]).  The reduction of one intersection-join
+//! query yields many disjuncts of a handful of shapes, so the subset DP and
+//! its LPs run once per shape and cache rather than once per disjunct.  The
+//! key is the dense edge list of the disjunct's hypergraph; a decomposition
+//! is computed outside the lock (the lock class `td-memo` is a leaf), and a
+//! losing computer of an insert race adopts the winner's, like a trie.  The
+//! memo is purely structural (a few bags per shape, no relation data), so it
+//! is neither evicted nor counted against the byte budget; it lives exactly
+//! as long as the cache, and an evaluation without a cache computes each
+//! decomposition afresh.
+//!
 //! # Exact attribution
 //!
 //! Attribution of per-evaluation statistics is **exact under any
-//! concurrency**: an evaluation passes its own [`CacheActivity`] accumulator
-//! down through [`EvalContext::activity`] and every lookup it performs bumps
-//! those local counters — no before/after snapshots of the shared counters,
-//! so concurrent evaluations on one cache can never steal each other's hits,
-//! misses or evictions.
+//! concurrency**: an evaluation passes its own [`EvalActivity`] ledger down
+//! through [`EvalContext::activity`] and every lookup and plan it performs
+//! bumps those local counters — no before/after snapshots of the shared
+//! counters, so concurrent evaluations on one cache can never steal each
+//! other's hits, misses, evictions or plans.
 
 use crate::flat::FlatTrie;
 use crate::BoundAtom;
-use ij_hypergraph::VarId;
+use ij_hypergraph::{Hypergraph, VarId};
 use ij_relation::sync::{read_recover, write_recover};
+use ij_relation::{faults, kernels, CancellationToken, EvalError, Relation, ValueId};
+use ij_widths::{optimal_tree_decomposition, TreeDecomposition};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// Lock class of the cache's key → slot map (`sync::lock_order`); a leaf:
 /// nothing is acquired while it is held.
 const CACHE_MAP: &str = "trie-cache-map";
-use ij_relation::{faults, kernels, CancellationToken, EvalError, Relation, ValueId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+
+/// Lock class of the decomposition memo (`sync::lock_order`); a leaf: held
+/// for one map probe or insert, never around another lock — a decomposition
+/// is computed before the lock is taken.
+const TD_MEMO: &str = "td-memo";
 
 /// A 128-bit content fingerprint of a relation's id columns.
 ///
@@ -115,26 +136,29 @@ fn compute_fingerprint(relation: &Relation) -> (u64, u64) {
     kernels::fingerprint(relation.len(), &cols)
 }
 
-/// Evaluation-local cache counters: the accumulator an evaluation passes
-/// down via [`EvalContext::activity`] so its per-evaluation statistics are
-/// **exact** — counted by the lookups the evaluation itself performs —
-/// rather than inferred from racy before/after snapshots of the shared
-/// cache's counters (which would attribute a concurrent evaluation's
+/// The one per-evaluation ledger: an evaluation passes it down via
+/// [`EvalContext::activity`] and every trie lookup and every join plan the
+/// evaluation itself performs is counted here, so its statistics are
+/// **exact** rather than inferred from racy before/after snapshots of the
+/// shared cache's counters (which would attribute a concurrent evaluation's
 /// activity to whichever windows overlap it).
 ///
 /// The counters are relaxed atomics because one evaluation's disjunct
-/// workers share the accumulator across threads.
+/// workers share the ledger across threads; no other memory depends on
+/// their order.
 #[derive(Debug, Default)]
-pub struct CacheActivity {
+pub struct EvalActivity {
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
+    plans: AtomicUsize,
+    planning_nanos: AtomicU64,
 }
 
-impl CacheActivity {
-    /// A fresh all-zero accumulator.
+impl EvalActivity {
+    /// A fresh all-zero ledger.
     pub fn new() -> Self {
-        CacheActivity::default()
+        EvalActivity::default()
     }
 
     /// Lookups answered from the cache.
@@ -151,6 +175,23 @@ impl CacheActivity {
     /// the evicted entries).
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Join orders planned (one per generic join: a cyclic disjunct plans
+    /// one per materialised bag).
+    pub fn plans(&self) -> usize {
+        self.plans.load(Ordering::Relaxed)
+    }
+
+    /// Total time spent planning, in nanoseconds.
+    pub fn planning_nanos(&self) -> u64 {
+        self.planning_nanos.load(Ordering::Relaxed)
+    }
+
+    /// Records one planned join order and the time it took.
+    pub(crate) fn record_plan(&self, nanos: u64) {
+        self.plans.fetch_add(1, Ordering::Relaxed);
+        self.planning_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 }
 
@@ -229,6 +270,9 @@ pub struct TrieCache {
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
+    /// The optimal tree decomposition of each cyclic shape looked up, keyed
+    /// by its dense edge list (see the module docs).
+    decompositions: RwLock<HashMap<Vec<Vec<VarId>>, Arc<TreeDecomposition>>>,
 }
 
 impl Default for TrieCache {
@@ -258,6 +302,7 @@ impl TrieCache {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
+            decompositions: RwLock::default(),
         }
     }
 
@@ -304,7 +349,7 @@ impl TrieCache {
         &self,
         atom: &BoundAtom<'_>,
         global_order: &[VarId],
-        activity: Option<&CacheActivity>,
+        activity: Option<&EvalActivity>,
         token: Option<&CancellationToken>,
     ) -> Result<Arc<FlatTrie>, EvalError> {
         let key = TrieKey {
@@ -384,38 +429,50 @@ impl TrieCache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
+
+    /// The optimal tree decomposition of `h` (`optimal_tree_decomposition`),
+    /// computed on the first lookup of its shape and shared by every later
+    /// one on this cache.
+    pub(crate) fn decomposition(&self, h: &Hypergraph) -> Arc<TreeDecomposition> {
+        let key: Vec<Vec<VarId>> = (h.edges().iter())
+            .map(|e| e.vertices.iter().copied().collect())
+            .collect();
+        if let Some(td) = read_recover(&self.decompositions, TD_MEMO).get(&key) {
+            return Arc::clone(td);
+        }
+        let td = Arc::new(optimal_tree_decomposition(h));
+        // A losing computer of an insert race adopts the winner's.
+        let mut memo = write_recover(&self.decompositions, TD_MEMO);
+        Arc::clone(memo.entry(key).or_insert(td))
+    }
 }
 
 /// Shared runtime options for one equality-join evaluation: the trie cache
-/// (if any), the evaluation-local accumulators its lookups and plans are
-/// counted into, and the cancellation token.
+/// (if any), the evaluation's ledger, and the cancellation token.
 ///
 /// Every evaluation function ([`evaluate_ej_boolean`],
 /// [`generic_join_boolean`], [`generic_join_enumerate`]) takes an
-/// `EvalContext` and threads it down to every trie build of the evaluation —
-/// including the per-bag joins of the width-guided evaluation.
-/// `EvalContext::default()` is no cache, no accounting and no token.
+/// `EvalContext` and threads it down to every trie build and every plan of
+/// the evaluation — including the per-bag joins of the width-guided
+/// evaluation.  `EvalContext::default()` is no cache, no ledger and no token.
 ///
 /// [`evaluate_ej_boolean`]: crate::evaluate_ej_boolean
 /// [`generic_join_boolean`]: crate::generic_join_boolean
 /// [`generic_join_enumerate`]: crate::generic_join_enumerate
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalContext<'c> {
-    /// Trie cache shared across calls; `None` rebuilds tries every time.
+    /// Trie cache (and decomposition memo) shared across calls; `None`
+    /// rebuilds tries and recomputes decompositions every time.
     pub cache: Option<&'c TrieCache>,
-    /// Evaluation-local accumulator for exact per-evaluation cache
-    /// statistics; `None` skips local accounting (the shared counters are
-    /// always maintained).
-    pub activity: Option<&'c CacheActivity>,
+    /// Evaluation-local ledger for exact per-evaluation cache and planning
+    /// statistics; `None` skips local accounting and never reads the clock
+    /// (the shared cache counters are always maintained).
+    pub activity: Option<&'c EvalActivity>,
     /// Cooperative cancellation / deadline token polled by the evaluation's
     /// long-running loops (trie builds, candidate intersection, reduction
     /// transforms) every [`CancellationToken::check_interval`] units of
     /// work; `None` runs to completion.
     pub token: Option<&'c CancellationToken>,
-    /// Evaluation-local accumulator for planning statistics (time spent,
-    /// disjuncts planned, distinct orders chosen); `None` skips the
-    /// accounting.
-    pub planning: Option<&'c crate::plan::PlanActivity>,
 }
 
 #[cfg(test)]
@@ -629,7 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn activity_accumulator_counts_only_its_own_lookups() {
+    fn the_ledger_counts_only_its_own_lookups_and_plans() {
         let dict = SharedDictionary::new();
         let cache = TrieCache::with_byte_budget(trie_bytes(1));
         let r = rel(&dict, "R", vec![vec![1.0]]);
@@ -638,7 +695,7 @@ mod tests {
         cache
             .tries_for(&BoundAtom::new(&r, vec![0]), &[0], None, None)
             .unwrap();
-        let mine = CacheActivity::new();
+        let mine = EvalActivity::new();
         // My lookups: one miss that evicts R, then one hit.
         cache
             .tries_for(&BoundAtom::new(&s, vec![0]), &[0], Some(&mine), None)
@@ -649,10 +706,36 @@ mod tests {
         assert_eq!(mine.hits(), 1);
         assert_eq!(mine.misses(), 1);
         assert_eq!(mine.evictions(), 1, "my insert evicted the resident entry");
-        // The shared counters saw everyone; my accumulator saw only me.
+        // The shared counters saw everyone; my ledger saw only me.
         let total = cache.stats();
         assert_eq!(total.misses, 2);
         assert_eq!(total.hits, 1);
+        // Plans and their time add up beside the lookups.
+        mine.record_plan(10);
+        mine.record_plan(5);
+        assert_eq!(mine.plans(), 2);
+        assert_eq!(mine.planning_nanos(), 15);
+    }
+
+    #[test]
+    fn a_cache_computes_each_decomposition_once() {
+        // The triangle R(A, B) ∧ S(B, C) ∧ T(A, C).
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let atoms = [
+            BoundAtom::new(&r, vec![0, 1]),
+            BoundAtom::new(&r, vec![1, 2]),
+            BoundAtom::new(&r, vec![0, 2]),
+        ];
+        let h = crate::hypergraph_of(&atoms).0;
+        let cache = TrieCache::new();
+        let first = cache.decomposition(&h);
+        assert_eq!(first.bags.len(), 1, "one bag {{A, B, C}}");
+        assert!(Arc::ptr_eq(&first, &cache.decomposition(&h)));
+        // Another cache owns another memo: it computes its own.
+        let other = TrieCache::new().decomposition(&h);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!(other.bags, first.bags);
     }
 
     #[test]

@@ -14,16 +14,10 @@ use crate::cache::EvalContext;
 use crate::generic::{generic_join_boolean, generic_join_enumerate};
 use crate::yannakakis::yannakakis_boolean;
 use ij_hypergraph::VarId;
-use ij_relation::sync::{read_recover, write_recover};
 use ij_relation::{EvalError, Relation};
-use ij_widths::{optimal_tree_decomposition, TreeDecomposition, MAX_DP_VERTICES};
+use ij_widths::{optimal_tree_decomposition, MAX_DP_VERTICES};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
-
-/// Lock class of the process-global decomposition memo (`sync::lock_order`);
-/// a leaf: held for one map probe or insert, never around another lock — a
-/// decomposition is computed before the lock is taken.
-const TD_MEMO: &str = "td-memo";
+use std::sync::Arc;
 
 /// Evaluates a Boolean conjunctive query with equality joins by the
 /// algorithm of Theorem 4.15, chosen from the query's hypergraph.
@@ -44,9 +38,9 @@ const TD_MEMO: &str = "td-memo";
 ///
 /// Every trie built anywhere on the way (the plain generic join, and the bag
 /// materialisations of the width-guided evaluation) is served from the
-/// context's cache — and every cache lookup is counted into the context's
-/// evaluation-local [`CacheActivity`](crate::CacheActivity) accumulator, if
-/// one is attached.  The answer is identical for every context.
+/// context's cache — and every cache lookup and every plan is counted into
+/// the context's [`EvalActivity`](crate::EvalActivity) ledger, if one is
+/// attached.  The answer is identical for every context.
 ///
 /// # Errors
 ///
@@ -144,32 +138,11 @@ pub(crate) fn decomposition_boolean(
         return Ok(false);
     }
     let (h, dense_to_caller) = hypergraph_of(atoms);
-    // The reduction of a single IJ query evaluates many EJ disjuncts sharing
-    // a handful of hypergraph shapes; memoise the (purely structural) optimal
-    // decomposition per shape so the subset DP and its LPs run once per shape
-    // rather than once per disjunct.  The cache is process-global (not
-    // thread-local) so the short-lived workers of the parallel disjunct
-    // evaluation share it instead of each recomputing the decompositions.
-    let td = {
-        type TdCache = RwLock<HashMap<Vec<Vec<usize>>, TreeDecomposition>>;
-        static TD_CACHE: OnceLock<TdCache> = OnceLock::new();
-        let cache = TD_CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-        let key: Vec<Vec<usize>> = h
-            .edges()
-            .iter()
-            .map(|e| e.vertices.iter().copied().collect())
-            .collect();
-        let cached = read_recover(cache, TD_MEMO).get(&key).cloned();
-        match cached {
-            Some(td) => td,
-            None => {
-                let td = optimal_tree_decomposition(&h);
-                write_recover(cache, TD_MEMO)
-                    .entry(key)
-                    .or_insert_with(|| td.clone());
-                td
-            }
-        }
+    // The disjuncts of one reduction share a handful of shapes: the cache
+    // decomposes each once, for every worker and every evaluation it serves.
+    let td = match eval.cache {
+        Some(cache) => cache.decomposition(&h),
+        None => Arc::new(optimal_tree_decomposition(&h)),
     };
 
     // Materialise the bags over the caller's variable identifiers, in order;
@@ -450,14 +423,14 @@ mod tests {
 
     #[test]
     fn a_repeated_bag_is_served_from_the_cache_alone() {
-        use crate::{CacheActivity, TrieCache};
+        use crate::{EvalActivity, TrieCache};
         let dict = SharedDictionary::new();
         let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
         let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
         let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
         let cache = TrieCache::new();
-        let materialise = |activity: &CacheActivity| {
+        let materialise = |activity: &EvalActivity| {
             let eval = EvalContext {
                 cache: Some(&cache),
                 activity: Some(activity),
@@ -465,7 +438,7 @@ mod tests {
             };
             materialise_bag(&atoms, &[A, B, C], "bag", eval).unwrap()
         };
-        let (cold, warm) = (CacheActivity::new(), CacheActivity::new());
+        let (cold, warm) = (EvalActivity::new(), EvalActivity::new());
         let first = materialise(&cold);
         assert_eq!((cold.hits(), cold.misses()), (0, 3));
         assert_eq!(materialise(&warm), first);
@@ -630,20 +603,18 @@ mod tests {
     fn counted(
         evaluate: impl FnOnce(EvalContext<'_>) -> Result<bool, EvalError>,
     ) -> (bool, (usize, usize), usize) {
-        use crate::{CacheActivity, PlanActivity, TrieCache};
-        let (cache, activity, planning) =
-            (TrieCache::new(), CacheActivity::new(), PlanActivity::new());
+        use crate::{EvalActivity, TrieCache};
+        let (cache, activity) = (TrieCache::new(), EvalActivity::new());
         let eval = EvalContext {
             cache: Some(&cache),
             activity: Some(&activity),
-            planning: Some(&planning),
             ..EvalContext::default()
         };
         let answer = evaluate(eval).unwrap();
         (
             answer,
             (activity.hits(), activity.misses()),
-            planning.plans(),
+            activity.plans(),
         )
     }
 

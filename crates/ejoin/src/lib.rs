@@ -31,9 +31,12 @@
 //! one disjunct per worker).  Answers are bit-identical for every cache
 //! setting.
 //!
-//! The context also carries optional [`CacheActivity`] and [`PlanActivity`]
-//! accumulators giving the evaluation **exact** local hit/miss/eviction and
-//! planning counts under any concurrency.
+//! The cache also memoises the tree decomposition of each cyclic disjunct's
+//! shape, so each shape is decomposed once per cache (the engine's workspace
+//! owns one) and freed with it; nothing in this crate is process-global.
+//! The context further carries an optional [`EvalActivity`], the one
+//! per-evaluation ledger, giving the evaluation **exact** local
+//! hit/miss/eviction and planning counts under any concurrency.
 //!
 //! # Cancellation and fault isolation
 //!
@@ -60,9 +63,9 @@ mod trie;
 mod yannakakis;
 
 pub use atom::{all_vars, hypergraph_of, BoundAtom};
-pub use cache::{relation_fingerprint, CacheActivity, EvalContext, TrieCache, TrieCacheStats};
+pub use cache::{relation_fingerprint, EvalActivity, EvalContext, TrieCache, TrieCacheStats};
 pub use evaluate::evaluate_ej_boolean;
 pub use flat::FlatTrie;
 pub use generic::{generic_join_boolean, generic_join_enumerate};
-pub use plan::{plan_var_order, PlanActivity};
+pub use plan::plan_var_order;
 pub use yannakakis::yannakakis_boolean;

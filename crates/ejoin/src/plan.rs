@@ -28,57 +28,7 @@
 use crate::atom::{all_vars, hypergraph_of, BoundAtom};
 use crate::cache::EvalContext;
 use ij_hypergraph::VarId;
-use ij_relation::sync::lock_recover;
-
-/// Lock class of the deduplicated planned-orders list (`sync::lock_order`);
-/// a leaf: nothing else is acquired while it is held.
-const PLAN_ACTIVITY: &str = "plan-activity";
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Evaluation-local planning ledger, mirroring `CacheActivity`: the engine
-/// hangs one off the [`EvalContext`] so concurrent evaluations sharing a
-/// workspace still report exact per-evaluation planning stats.
-#[derive(Debug, Default)]
-pub struct PlanActivity {
-    nanos: AtomicU64,
-    plans: AtomicUsize,
-    orders: Mutex<Vec<Vec<VarId>>>,
-}
-
-impl PlanActivity {
-    /// A fresh ledger with all counters zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one planned disjunct: the time it took and its chosen order
-    /// (deduplicated — batches of isomorphic disjuncts plan the same order).
-    pub fn record(&self, order: &[VarId], nanos: u64) {
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.plans.fetch_add(1, Ordering::Relaxed);
-        let mut orders = lock_recover(&self.orders, PLAN_ACTIVITY);
-        if !orders.iter().any(|seen| seen == order) {
-            orders.push(order.to_vec());
-        }
-    }
-
-    /// Total time spent planning, in nanoseconds.
-    pub fn planning_nanos(&self) -> u64 {
-        self.nanos.load(Ordering::Relaxed)
-    }
-
-    /// Number of disjuncts planned.
-    pub fn plans(&self) -> usize {
-        self.plans.load(Ordering::Relaxed)
-    }
-
-    /// The distinct variable orders chosen, in first-seen order.
-    pub fn orders(&self) -> Vec<Vec<VarId>> {
-        lock_recover(&self.orders, PLAN_ACTIVITY).clone()
-    }
-}
 
 /// Plans a variable order for one disjunct: `prefix` is pinned first (the
 /// enumeration path pins its output variables so results can stream without
@@ -154,8 +104,9 @@ pub fn plan_var_order(atoms: &[BoundAtom<'_>], prefix: &[VarId]) -> Vec<VarId> {
     order
 }
 
-/// Plans the variable order one disjunct will run under, recording into the
-/// context's [`PlanActivity`] (when one is attached).  This is the single
+/// Plans the variable order one disjunct will run under, recording the plan
+/// and its time into the context's [`EvalActivity`](crate::EvalActivity)
+/// (when one is attached; the clock is read only then).  This is the single
 /// entry point both join paths use: Boolean evaluation passes an empty
 /// prefix, enumeration pins its output variables.
 pub(crate) fn resolve_order(
@@ -163,11 +114,12 @@ pub(crate) fn resolve_order(
     prefix: &[VarId],
     eval: EvalContext<'_>,
 ) -> Vec<VarId> {
+    let Some(activity) = eval.activity else {
+        return plan_var_order(atoms, prefix);
+    };
     let start = Instant::now();
     let order = plan_var_order(atoms, prefix);
-    if let Some(activity) = eval.planning {
-        activity.record(&order, start.elapsed().as_nanos() as u64);
-    }
+    activity.record_plan(start.elapsed().as_nanos() as u64);
     order
 }
 
@@ -256,15 +208,5 @@ mod tests {
         let order = plan_var_order(&atoms, &[A, B]);
         assert_eq!(&order[..2], &[A, B]);
         assert_eq!(order.len(), 3);
-    }
-
-    #[test]
-    fn plan_activity_dedups_orders() {
-        let activity = PlanActivity::new();
-        activity.record(&[A, B], 10);
-        activity.record(&[A, B], 5);
-        assert_eq!(activity.plans(), 2);
-        assert_eq!(activity.planning_nanos(), 15);
-        assert_eq!(activity.orders(), vec![vec![A, B]]);
     }
 }

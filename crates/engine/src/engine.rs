@@ -22,10 +22,7 @@
 //! [`EvalError`](ij_relation::EvalError) taxonomy, never as a poisoned
 //! engine.
 
-use ij_ejoin::{
-    evaluate_ej_boolean, BoundAtom, CacheActivity, EvalContext, PlanActivity, TrieCache,
-};
-use ij_hypergraph::VarId;
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalActivity, EvalContext, TrieCache};
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
 use ij_reduction::{
     plan_forward_reduction, EncodingStrategy, ForwardReduction, ReducedQuery, ReductionConfig,
@@ -237,9 +234,9 @@ pub struct EvaluationStats {
     pub ej_query_batches: usize,
     /// This evaluation's activity on the engine's **persistent** trie cache:
     /// the hit/miss/eviction counters are **exact** — accumulated by this
-    /// evaluation's own lookups through an evaluation-local
-    /// [`CacheActivity`] accumulator, not inferred from snapshots of the
-    /// shared cache's counters — so they are correct under any concurrency:
+    /// evaluation's own lookups in its [`EvalActivity`] ledger, not inferred
+    /// from snapshots of the shared cache's counters — so they are correct
+    /// under any concurrency:
     /// evaluations running in parallel against one cache (on this engine, a
     /// clone of it, or any engine built from the same
     /// [`Workspace`](crate::Workspace)) never report each other's hits,
@@ -252,15 +249,12 @@ pub struct EvaluationStats {
     pub trie_cache: TrieCacheStats,
     /// Disjuncts whose variable order went through the planner (a cyclic
     /// disjunct plans per materialised bag, so the count can exceed the
-    /// disjunct count).
-    pub disjuncts_planned: usize,
-    /// Total time the planner spent choosing orders, in nanoseconds — exact,
-    /// accumulated by this evaluation's own planning calls like the cache
+    /// disjunct count) — exact, read from the same ledger as the cache
     /// counters.
+    pub disjuncts_planned: usize,
+    /// Total time the planner spent choosing orders, in nanoseconds, from
+    /// the same ledger.
     pub planning_nanos: u64,
-    /// The distinct variable orders the planner chose, in first-seen order
-    /// (batches of isomorphic disjuncts collapse to one entry).
-    pub planned_orders: Vec<Vec<VarId>>,
     /// The answer.
     pub answer: bool,
 }
@@ -295,10 +289,9 @@ impl std::fmt::Display for EvaluationStats {
         )?;
         write!(
             f,
-            "plan: {} disjuncts planned in {:.1} µs, {} distinct orders",
+            "plan: {} disjuncts planned in {:.1} µs",
             self.disjuncts_planned,
-            self.planning_nanos as f64 / 1e3,
-            self.planned_orders.len()
+            self.planning_nanos as f64 / 1e3
         )
     }
 }
@@ -550,16 +543,14 @@ impl IntersectionJoinEngine {
         let workers = self
             .config
             .worker_count(to_run.len(), self.hardware_threads);
-        // The activity accumulator makes this evaluation's cache statistics
-        // exact: every lookup any of its workers performs is counted here,
-        // so concurrent evaluations sharing the cache cannot pollute them.
-        let activity = CacheActivity::new();
-        let planning = PlanActivity::new();
+        // The ledger makes this evaluation's statistics exact: every lookup
+        // and plan any of its workers performs is counted here, so
+        // concurrent evaluations sharing the cache cannot pollute them.
+        let activity = EvalActivity::new();
         let eval = EvalContext {
             cache: self.trie_cache.as_deref(),
             activity: Some(&activity),
             token: Some(pool),
-            planning: Some(&planning),
         };
         // Don't let grouping serialize the pool: as long as there are fewer
         // batches than workers, halve the largest splittable batch.  (The
@@ -638,7 +629,7 @@ impl IntersectionJoinEngine {
                 return Err(e);
             }
         }
-        // Exact per-evaluation counters from the local accumulator; the
+        // Exact per-evaluation counters from the local ledger; the
         // resident entry/byte state is a (consistent) snapshot of the shared
         // cache at completion time.
         let resident = self.trie_cache_stats();
@@ -654,9 +645,8 @@ impl IntersectionJoinEngine {
                 entries: resident.entries,
                 resident_bytes: resident.resident_bytes,
             },
-            disjuncts_planned: planning.plans(),
-            planning_nanos: planning.planning_nanos(),
-            planned_orders: planning.orders(),
+            disjuncts_planned: activity.plans(),
+            planning_nanos: activity.planning_nanos(),
             answer,
         })
     }
@@ -1112,7 +1102,6 @@ mod tests {
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
         let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(stats.disjuncts_planned > 0, "{stats:?}");
-        assert!(!stats.planned_orders.is_empty(), "{stats:?}");
         let printed = stats.to_string();
         assert!(
             printed.contains("built 12 of 12 transformed relations"),

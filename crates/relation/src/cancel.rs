@@ -36,7 +36,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,12 +45,6 @@ use std::time::{Duration, Instant};
 /// (candidates intersected, rows inserted, …) unless the token overrides it
 /// ([`CancellationToken::with_check_interval`]).
 pub const DEFAULT_CHECK_INTERVAL: u32 = 1024;
-
-/// The cancel signal: a generation counter bumped by every `cancel()`.
-#[derive(Debug, Default)]
-struct Signal {
-    epoch: AtomicU64,
-}
 
 /// A shareable cancellation + deadline token.
 ///
@@ -61,10 +55,9 @@ struct Signal {
 /// ancestors' cancellation but cancel independently.
 #[derive(Debug, Clone)]
 pub struct CancellationToken {
-    signal: Arc<Signal>,
-    /// The signal epoch this token was born at; the token is cancelled when
-    /// the epoch has moved past it.
-    born: u64,
+    /// The cancel signal, shared by every clone: `true` once any of them is
+    /// cancelled.
+    cancelled: Arc<AtomicBool>,
     parent: Option<Arc<CancellationToken>>,
     start: Instant,
     budget: Option<Duration>,
@@ -82,8 +75,7 @@ impl CancellationToken {
     /// [default check interval](DEFAULT_CHECK_INTERVAL).
     pub fn new() -> Self {
         CancellationToken {
-            signal: Arc::new(Signal::default()),
-            born: 0,
+            cancelled: Arc::default(),
             parent: None,
             start: Instant::now(),
             budget: None,
@@ -131,8 +123,7 @@ impl CancellationToken {
     /// siblings without poisoning the caller's token.
     pub fn child(&self) -> Self {
         CancellationToken {
-            signal: Arc::new(Signal::default()),
-            born: 0,
+            cancelled: Arc::default(),
             parent: Some(Arc::new(self.clone())),
             start: Instant::now(),
             budget: None,
@@ -152,14 +143,14 @@ impl CancellationToken {
     /// Cancels this token (and every clone and child of it).  Idempotent;
     /// never blocks.
     pub fn cancel(&self) {
-        self.signal.epoch.fetch_add(1, Ordering::Release);
+        self.cancelled.store(true, Ordering::Release);
     }
 
     /// Whether the token (or an ancestor) has been cancelled.  Does **not**
     /// consider the deadline — use
     /// [`checkpoint`](CancellationToken::checkpoint) for the full check.
     pub fn is_cancelled(&self) -> bool {
-        self.signal.epoch.load(Ordering::Acquire) != self.born
+        self.cancelled.load(Ordering::Acquire)
             || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 
@@ -172,7 +163,7 @@ impl CancellationToken {
         if let Some(parent) = &self.parent {
             parent.checkpoint()?;
         }
-        if self.signal.epoch.load(Ordering::Acquire) != self.born {
+        if self.cancelled.load(Ordering::Acquire) {
             return Err(EvalError::Cancelled);
         }
         if let Some(budget) = self.budget {

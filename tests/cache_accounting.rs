@@ -102,6 +102,10 @@ fn concurrent_evaluations_report_exact_per_evaluation_stats() {
             stats.trie_cache
         );
         assert!(stats.trie_cache.hits > 0, "warm evaluation {i} must hit");
+        assert_eq!(
+            stats.disjuncts_planned, primed.disjuncts_planned,
+            "warm evaluation {i} planned a neighbor's joins or lost its own"
+        );
     }
     // The noisy evaluations really did miss concurrently (the scenario the
     // old snapshot-delta reporting misattributed).

@@ -1,9 +1,8 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (the dictionary + trie-cache map + plan-activity locks, the
-//! build gates of the transformed relations the workers fill on demand, the
-//! projection memos of the paper's relations a cyclic disjunct of
-//! `evaluate_reduction` binds, and the decomposition memo it is planned
-//! through)
+//! (the dictionary and trie-cache map locks, the build gates of the
+//! transformed relations the workers fill on demand, the projection memos of
+//! the paper's relations a cyclic disjunct of `evaluate_reduction` binds, and
+//! the workspace cache's decomposition memo it is planned through)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!

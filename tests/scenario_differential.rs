@@ -3,10 +3,11 @@
 //! Three independent evaluation paths are held to identical answers on every
 //! cell of a scenario sweep:
 //!
-//! 1. the reduction-based engine (forward reduction → equality joins), swept
-//!    across cache-budget settings, and disjunct by disjunct the equality-join
-//!    algorithm it chose held to the plain generic join (and to Yannakakis
-//!    wherever that accepts the disjunct),
+//! 1. the reduction-based engine (the live plan `evaluate` runs → equality
+//!    joins), swept across cache-budget settings, and disjunct by disjunct
+//!    over the paper's forward reduction the equality-join algorithm it chose
+//!    held to the plain generic join (and to Yannakakis wherever that accepts
+//!    the disjunct),
 //! 2. the segment-tree baseline (`SegtreeBaseline`: per-column flat segment
 //!    trees + backtracking, no reduction),
 //! 3. the naive exhaustive oracle.
@@ -140,15 +141,17 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
     None
 }
 
-/// Sweeps the engine-config grid on one scenario; the forward reduction is
-/// computed once, checked disjunct by disjunct, and re-evaluated under every
-/// cache setting.
+/// Sweeps the engine-config grid on one scenario.  The paper's forward
+/// reduction is checked disjunct by disjunct; the grid evaluates the live
+/// plan `evaluate` runs, once per cache setting.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
-    let reduction =
-        forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
-    if let Some(mismatch) = disjunct_divergence(&reduction, expected) {
+    let (query, db) = (&scenario.query, &scenario.database);
+    let paper = forward_reduction(query, db).expect("forward reduction succeeds");
+    if let Some(mismatch) = disjunct_divergence(&paper, expected) {
         return Some(mismatch);
     }
+    let reduction =
+        plan_forward_reduction(query, db, ReductionConfig::default(), None).expect("plan succeeds");
     // Two tries' bytes on this reduction, measured by the first (default)
     // cell; a reduction whose disjuncts build no trie has nothing to size.
     let mut two_tries = 1;
