@@ -8,9 +8,9 @@
 //! Regenerate with `cargo bench -p ij-bench --bench substrates`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ij_bench::{dense_workload, disjunct_atoms, evaluate_all_disjuncts, scaling_workload};
+use ij_bench::{dense_workload, evaluate_all_disjuncts, scaling_workload};
 use ij_ejoin::{generic_join_boolean, EvalContext};
-use ij_engine::{EngineConfig, IntersectionJoinEngine};
+use ij_engine::{disjunct_atoms, EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::triangle_ij;
 use ij_reduction::forward_reduction;
 use ij_relation::Query;
@@ -92,13 +92,10 @@ fn bench_ej_strategies(c: &mut Criterion) {
     group.bench_function("generic-join", |b| {
         b.iter(|| {
             // Every disjunct, like `evaluate_all_disjuncts`: no early exit.
-            reduction
-                .deduped_query_indices()
-                .into_iter()
-                .fold(false, |answer, i| {
-                    let atoms = disjunct_atoms(&reduction, i);
-                    answer | generic_join_boolean(&atoms, None, EvalContext::default()).unwrap()
-                })
+            (0..reduction.queries.len()).fold(false, |answer, i| {
+                let atoms = disjunct_atoms(&reduction, i, None).unwrap();
+                answer | generic_join_boolean(&atoms, None, EvalContext::default()).unwrap()
+            })
         })
     });
     group.finish();
@@ -106,7 +103,7 @@ fn bench_ej_strategies(c: &mut Criterion) {
 
 /// Sequential versus parallel evaluation of the EJ disjunction on the E1
 /// cyclic workload.  The database is planted unsatisfiable, so the false
-/// answer forces every deduplicated disjunct to be evaluated — the case
+/// answer forces every disjunct to be evaluated — the case
 /// parallelism accelerates.  (Wall-clock gains require multiple cores;
 /// `available_parallelism() == 1` degenerates to the sequential path.)
 fn bench_parallel_disjuncts(c: &mut Criterion) {

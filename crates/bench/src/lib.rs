@@ -6,7 +6,8 @@
 //! The helpers here cover timing, log–log exponent fitting, plain-text table
 //! rendering and the standard workloads used across experiments.
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, EvalContext};
+use ij_engine::disjunct_atoms;
 use ij_reduction::ForwardReduction;
 use ij_relation::{Database, Query};
 use ij_workloads::{generate_for_query, IntervalDistribution, WorkloadConfig};
@@ -110,30 +111,15 @@ pub fn dense_workload(query: &Query, n: usize, seed: u64) -> Database {
     )
 }
 
-/// The atoms of disjunct `index` of a forward reduction, bound to its
-/// transformed relations (built on first use).
-pub fn disjunct_atoms(reduction: &ForwardReduction, index: usize) -> Vec<BoundAtom<'_>> {
-    let rq = &reduction.queries[index];
-    let var_ids = rq.dense_var_ids();
-    rq.atoms
-        .iter()
-        .map(|a| {
-            let rel = reduction
-                .relation(&a.relation, None)
-                .expect("no token, no interruption");
-            BoundAtom::new(rel, a.vars.iter().map(|v| var_ids[v.as_str()]).collect())
-        })
-        .collect()
-}
-
 /// Evaluates *every* EJ disjunct of a forward reduction (no early exit), so
 /// timings reflect the full worst-case work of the reduction approach.
 /// Returns the Boolean answer.
 pub fn evaluate_all_disjuncts(reduction: &ForwardReduction) -> bool {
     let mut answer = false;
-    for i in reduction.deduped_query_indices() {
-        answer |= evaluate_ej_boolean(&disjunct_atoms(reduction, i), EvalContext::default())
-            .expect("no token, no interruption");
+    for i in 0..reduction.queries.len() {
+        let atoms = disjunct_atoms(reduction, i, None).expect("no token, no interruption");
+        answer |=
+            evaluate_ej_boolean(&atoms, EvalContext::default()).expect("no token, no interruption");
     }
     answer
 }

@@ -35,9 +35,9 @@
 //! 3. the induced **level order** (the atom's distinct variables sorted by
 //!    the global join order).
 //!
-//! This is exactly the (relation identity, column permutation, filter)
-//! fingerprint that the engine's disjunct deduplication reasons about at the
-//! query level, pushed down to the data level.
+//! This is the (relation identity, column permutation, filter) identity of
+//! a bound atom, taken at the data level: two disjuncts that bind the same
+//! relation the same way share its trie.
 //!
 //! # Lifetime and eviction
 //!

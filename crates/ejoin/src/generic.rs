@@ -212,10 +212,10 @@ pub fn generic_join_enumerate(
         .map(|v| order.iter().position(|u| u == v).unwrap())
         .collect();
 
-    // Collect assignments of the output prefix; because output variables form
-    // a prefix of the order, each time the search reaches depth
-    // `output_vars.len()` with a new prefix we record it and prune the rest of
-    // that subtree only after establishing at least one full match.
+    // Collect the output prefix of every full assignment: each time the
+    // search reaches depth `order.len()` it records the values of the output
+    // variables (a prefix of the order), and the results are sorted and
+    // deduplicated below.
     // Variables constrained by no atom keep the placeholder value, which must
     // be resolvable in case such a variable is part of the output, so it is
     // interned into the atoms' dictionary (once per call — after the first

@@ -3,7 +3,7 @@
 //! The generic join processes variables in a fixed global order; a bad order
 //! can make the search explore a huge cross product before the selective
 //! atoms ever constrain it.  This module chooses the order per disjunct from
-//! cheap statistics available at batch-build time:
+//! cheap statistics available before its search starts:
 //!
 //! * **per-variable minimum atom cardinality** — the smallest relation
 //!   containing the variable bounds that variable's candidate fan-out from

@@ -25,8 +25,8 @@
 use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalActivity, EvalContext, TrieCache};
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
 use ij_reduction::{
-    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReducedQuery, ReductionConfig,
-    ReductionError, ReductionStats,
+    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReductionConfig, ReductionError,
+    ReductionStats,
 };
 use ij_relation::sync::lock_recover;
 
@@ -122,7 +122,7 @@ impl EngineConfig {
         self
     }
 
-    /// The worker count to use for `disjuncts` deduplicated EJ queries on a
+    /// The worker count to use for `disjuncts` EJ queries on a
     /// host with `hardware` threads.
     fn worker_count(&self, disjuncts: usize, hardware: usize) -> usize {
         let requested = if self.parallelism == 0 {
@@ -225,12 +225,13 @@ pub struct EvaluationStats {
     /// Number of EJ queries actually evaluated (early exit stops at the
     /// first true disjunct).
     pub ej_queries_evaluated: usize,
-    /// Number of EJ queries in the disjunction after deduplication.
+    /// Number of EJ queries in the disjunction.
     pub ej_queries_total: usize,
-    /// Number of scheduling batches the disjuncts were grouped into (one
-    /// batch per distinct set of referenced transformed relations — the unit
-    /// a worker pulls, so trie reuse within a batch is maximal; oversized
-    /// batches are split when that would otherwise leave workers idle).
+    /// Always equals [`EvaluationStats::ej_queries_total`]: a worker pulls
+    /// one disjunct at a time, and no two disjuncts share a relation set to
+    /// group by.  `benchmark/src/adapter.rs` still reads it as its
+    /// `engine.batches` metric; it goes when that file stops reading it.
+    #[doc(hidden)]
     pub ej_query_batches: usize,
     /// This evaluation's activity on the engine's **persistent** trie cache:
     /// the hit/miss/eviction counters are **exact** — accumulated by this
@@ -260,7 +261,7 @@ pub struct EvaluationStats {
 }
 
 /// A human-readable multi-line summary of the evaluation: the answer, the
-/// disjunct/batch counts, the reduction size, the trie-cache activity
+/// disjunct counts, the reduction size, the trie-cache activity
 /// including resident bytes and evictions, and the planner's work.
 impl std::fmt::Display for EvaluationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -268,13 +269,12 @@ impl std::fmt::Display for EvaluationStats {
         writeln!(
             f,
             "built {} of {} transformed relations ({} tuples); \
-             {}/{} EJ disjuncts evaluated (early exit) in {} batches",
+             {}/{} EJ disjuncts evaluated (early exit)",
             self.reduction.relations_built,
             self.reduction.num_relations,
             self.reduction.transformed_tuples,
             self.ej_queries_evaluated,
-            self.ej_queries_total,
-            self.ej_query_batches
+            self.ej_queries_total
         )?;
         writeln!(
             f,
@@ -294,6 +294,36 @@ impl std::fmt::Display for EvaluationStats {
             self.planning_nanos as f64 / 1e3
         )
     }
+}
+
+/// The atoms of disjunct `index` of `reduction`, each bound to its
+/// transformed relation with the disjunct's variables numbered densely.
+/// Binding is where a relation nobody has read yet gets built, polling
+/// `token`.
+///
+/// # Errors
+///
+/// The [`EvalError`] of a relation build that `token` interrupted or that
+/// panicked.
+///
+/// # Panics
+///
+/// If `index` is not below `reduction.queries.len()`.
+pub fn disjunct_atoms<'r>(
+    reduction: &'r ForwardReduction,
+    index: usize,
+    token: Option<&CancellationToken>,
+) -> Result<Vec<BoundAtom<'r>>, EvalError> {
+    let rq = &reduction.queries[index];
+    let var_ids = rq.dense_var_ids();
+    rq.atoms
+        .iter()
+        .map(|a| {
+            let rel = reduction.relation(&a.relation, token)?;
+            let vars = a.vars.iter().map(|v| var_ids[v.as_str()]).collect();
+            Ok(BoundAtom::new(rel, vars))
+        })
+        .collect()
 }
 
 /// Folds a worker's error into the evaluation's single reported error slot,
@@ -478,22 +508,18 @@ impl IntersectionJoinEngine {
     /// has every relation built and each read is a load; one from
     /// [`plan_forward_reduction`] — which is what
     /// [`evaluate`](IntersectionJoinEngine::evaluate) runs on — has none, and
-    /// a worker builds a relation the first time a disjunct of its batch
+    /// a worker builds a relation the first time a disjunct it evaluates
     /// binds it, while a second worker needing the same relation waits for
     /// that build.  Relations only unevaluated disjuncts read are never
     /// built; [`EvaluationStats::reduction`] counts what was.
     ///
-    /// The deduplicated disjuncts are grouped into **batches** by the set of
-    /// transformed relations they reference (disjuncts produced by different
-    /// permutations overwhelmingly share relations), and the batches are
-    /// evaluated by [`EngineConfig::parallelism`] workers — the calling
-    /// thread and `parallelism − 1` spawned ones, all running the same loop —
-    /// pulling one batch per shared atomic work-index increment; the first
-    /// worker to find a true disjunct flips an [`AtomicBool`] that stops the
-    /// others at their next scheduling point (between disjuncts within a
-    /// batch, and between batches) and cancels the pool's own token, which
-    /// interrupts their relation builds, trie builds and searches in flight
-    /// at the next poll.
+    /// Each disjunct is one unit of work.  [`EngineConfig::parallelism`]
+    /// workers — the calling thread and `parallelism − 1` spawned ones, all
+    /// running the same loop — take disjunct indices, in order, off one
+    /// shared atomic counter; the first worker to find a true disjunct flips
+    /// an [`AtomicBool`] that stops the others before their next disjunct
+    /// and cancels the pool's own token, which interrupts their relation
+    /// builds, trie builds and searches in flight at the next poll.
     /// The evaluation returns once every worker has stopped, so the answer
     /// is as late as the slowest sibling's next poll: each worker polls
     /// between binding a disjunct's relations and searching it, and the
@@ -506,11 +532,14 @@ impl IntersectionJoinEngine {
     /// nothing.
     /// All workers share the engine's **persistent** [`TrieCache`], so a
     /// trie built for one disjunct is reused by every later disjunct of this
-    /// *and every subsequent* evaluation — batch grouping makes the reuse
-    /// run hot within a worker's current batch, and repeat evaluations of
-    /// the same reduction run warm end to end.  Grouping is a locality hint,
-    /// not a parallelism constraint: when it yields fewer batches than
-    /// workers, the largest batches are split so every worker stays busy.
+    /// *and every subsequent* evaluation, and repeat evaluations of the same
+    /// reduction run warm end to end.  No two disjuncts of a planned
+    /// reduction read the same set of transformed relations — each is its
+    /// own choice of permutations, and a relation is named after its atom
+    /// and levels (Section 4.3, Definition 4.9) — so there is nothing to
+    /// deduplicate or group; a hand-made
+    /// [`ForwardReduction::prebuilt`] that repeats a disjunct evaluates it
+    /// twice, which cannot change the answer.
     /// The evaluation only *reads* the transformed relations' interned id
     /// columns, so the workers share the reduction without locking.
     ///
@@ -535,14 +564,8 @@ impl IntersectionJoinEngine {
         token: Option<&CancellationToken>,
     ) -> Result<EvaluationStats, EvalError> {
         let pool = &token.map(CancellationToken::child).unwrap_or_default();
-        // Deduplicate EJ queries that are literally identical (same relations
-        // bound to the same variables).
-        let to_run = reduction.deduped_query_indices();
-        let mut batches = Self::batch_by_shared_relations(reduction, &to_run);
-
-        let workers = self
-            .config
-            .worker_count(to_run.len(), self.hardware_threads);
+        let disjuncts = reduction.queries.len();
+        let workers = self.config.worker_count(disjuncts, self.hardware_threads);
         // The ledger makes this evaluation's statistics exact: every lookup
         // and plan any of its workers performs is counted here, so
         // concurrent evaluations sharing the cache cannot pollute them.
@@ -552,66 +575,44 @@ impl IntersectionJoinEngine {
             activity: Some(&activity),
             token: Some(pool),
         };
-        // Don't let grouping serialize the pool: as long as there are fewer
-        // batches than workers, halve the largest splittable batch.  (The
-        // shared cache still gives cross-batch trie reuse.)
-        while !batches.is_empty() && batches.len() < workers {
-            let largest = batches
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, b)| b.len())
-                .map(|(i, _)| i)
-                .expect("batches is non-empty");
-            if batches[largest].len() <= 1 {
-                break;
-            }
-            let mid = batches[largest].len() / 2;
-            let half = batches[largest].split_off(mid);
-            batches.insert(largest + 1, half);
-        }
         let next = AtomicUsize::new(0);
         let found = AtomicBool::new(false);
         let evaluated = AtomicUsize::new(0);
         let error: Mutex<Option<EvalError>> = Mutex::new(None);
-        // The pull loop every worker runs: take the next batch, evaluate its
-        // disjuncts in order, stop at a witness or an error.
-        let pull = || 'pull: loop {
+        // The pull loop every worker runs: take the next disjunct, evaluate
+        // it, stop at a witness or an error.
+        let pull = || loop {
             if found.load(Ordering::Acquire) {
                 break;
             }
-            let slot = next.fetch_add(1, Ordering::Relaxed);
-            if slot >= batches.len() {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= disjuncts {
                 break;
             }
-            for &i in &batches[slot] {
-                if found.load(Ordering::Acquire) {
-                    break 'pull;
+            // Between-disjunct checkpoint: a long disjunction cancels
+            // promptly even when each disjunct is tiny.
+            if let Err(e) = pool.checkpoint() {
+                fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
+                break;
+            }
+            evaluated.fetch_add(1, Ordering::Relaxed);
+            match self.run_disjunct(reduction, i, eval, pool) {
+                Ok(true) => {
+                    found.store(true, Ordering::Release);
+                    // The siblings' work is speculative from here on: stop
+                    // it mid-build.  `pool` is this evaluation's own token,
+                    // never the caller's.
+                    pool.cancel();
+                    break;
                 }
-                // Between-disjunct checkpoint: a long disjunction cancels
-                // promptly even when each disjunct is tiny.
-                if let Err(e) = pool.checkpoint() {
+                Ok(false) => {}
+                Err(e) => {
+                    // Stop the siblings promptly; fold_error's precedence
+                    // keeps this diagnostic over the `Cancelled` it induces
+                    // in them.
+                    pool.cancel();
                     fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                    break 'pull;
-                }
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                match self.run_disjunct(reduction, i, eval, pool) {
-                    Ok(true) => {
-                        found.store(true, Ordering::Release);
-                        // The siblings' work is speculative from here on:
-                        // stop it mid-build.  `pool` is this evaluation's own
-                        // token, never the caller's.
-                        pool.cancel();
-                        break 'pull;
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        // Stop the siblings promptly; fold_error's precedence
-                        // keeps this diagnostic over the `Cancelled` it
-                        // induces in them.
-                        pool.cancel();
-                        fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                        break 'pull;
-                    }
+                    break;
                 }
             }
         };
@@ -636,8 +637,8 @@ impl IntersectionJoinEngine {
         Ok(EvaluationStats {
             reduction: reduction.materialised_stats(),
             ej_queries_evaluated: evaluated.into_inner(),
-            ej_queries_total: to_run.len(),
-            ej_query_batches: batches.len(),
+            ej_queries_total: disjuncts,
+            ej_query_batches: disjuncts,
             trie_cache: TrieCacheStats {
                 hits: activity.hits(),
                 misses: activity.misses(),
@@ -649,35 +650,6 @@ impl IntersectionJoinEngine {
             planning_nanos: activity.planning_nanos(),
             answer,
         })
-    }
-
-    /// Groups disjunct indices into batches sharing the same set of
-    /// referenced transformed relations, preserving first-occurrence order
-    /// (both of batches and within a batch).  Workers pull whole batches, so
-    /// the tries a batch's first disjunct builds are cache-hot for the rest
-    /// of the batch.
-    fn batch_by_shared_relations(
-        reduction: &ForwardReduction,
-        to_run: &[usize],
-    ) -> Vec<Vec<usize>> {
-        use std::collections::{BTreeSet, HashMap};
-        let mut batch_of: HashMap<BTreeSet<&str>, usize> = HashMap::new();
-        let mut batches: Vec<Vec<usize>> = Vec::new();
-        for &i in to_run {
-            let key: BTreeSet<&str> = reduction.queries[i]
-                .atoms
-                .iter()
-                .map(|a| a.relation.as_str())
-                .collect();
-            match batch_of.get(&key) {
-                Some(&b) => batches[b].push(i),
-                None => {
-                    batch_of.insert(key, batches.len());
-                    batches.push(vec![i]);
-                }
-            }
-        }
-        batches
     }
 
     /// Evaluates one EJ disjunct panic-isolated: a panic anywhere inside the
@@ -696,7 +668,7 @@ impl IntersectionJoinEngine {
         pool: &CancellationToken,
     ) -> Result<bool, EvalError> {
         catch_unwind(AssertUnwindSafe(|| {
-            self.evaluate_disjunct(reduction, &reduction.queries[index], eval)
+            self.evaluate_disjunct(reduction, index, eval)
         }))
         .unwrap_or_else(|payload| {
             pool.cancel();
@@ -707,24 +679,16 @@ impl IntersectionJoinEngine {
         })
     }
 
-    /// Evaluates one EJ disjunct of a reduction.  Binding an atom is where a
-    /// transformed relation nobody has read yet gets built, on this worker.
+    /// Evaluates disjunct `index` of a reduction.  Binding its atoms is
+    /// where a transformed relation nobody has read yet gets built, on this
+    /// worker.
     fn evaluate_disjunct(
         &self,
         reduction: &ForwardReduction,
-        rq: &ReducedQuery,
+        index: usize,
         eval: EvalContext<'_>,
     ) -> Result<bool, EvalError> {
-        let var_ids = rq.dense_var_ids();
-        let atoms = rq
-            .atoms
-            .iter()
-            .map(|a| {
-                let rel = reduction.relation(&a.relation, eval.token)?;
-                let vars = a.vars.iter().map(|v| var_ids[v.as_str()]).collect();
-                Ok(BoundAtom::new(rel, vars))
-            })
-            .collect::<Result<Vec<BoundAtom<'_>>, EvalError>>()?;
+        let atoms = disjunct_atoms(reduction, index, eval.token)?;
         // Binding may have taken a while (it is where relations get built)
         // and a cyclic disjunct derives its projections before anything
         // below polls: a worker whose sibling found a witness meanwhile must
@@ -741,7 +705,7 @@ mod tests {
     use super::*;
     use crate::{naive_boolean, Workspace};
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
-    use ij_reduction::forward_reduction;
+    use ij_reduction::{forward_reduction, ReducedQuery};
     use ij_relation::Value;
     use std::time::Duration;
 
@@ -777,17 +741,8 @@ mod tests {
         let reduction = forward_reduction(q, db).unwrap();
         let eval = EvalContext::default();
         let mut answer = false;
-        for i in reduction.deduped_query_indices() {
-            let disjunct = &reduction.queries[i];
-            let var_ids = disjunct.dense_var_ids();
-            let atoms: Vec<BoundAtom<'_>> = disjunct
-                .atoms
-                .iter()
-                .map(|a| {
-                    let vars = a.vars.iter().map(|v| var_ids[v.as_str()]).collect();
-                    BoundAtom::new(reduction.relation(&a.relation, None).unwrap(), vars)
-                })
-                .collect();
+        for i in 0..reduction.queries.len() {
+            let atoms = disjunct_atoms(&reduction, i, None).unwrap();
             let reference = generic_join_boolean(&atoms, None, eval).unwrap();
             assert_eq!(
                 evaluate_ej_boolean(&atoms, eval),
@@ -860,7 +815,7 @@ mod tests {
         let (q, db) = triangle_db(false);
         let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
-        // A false answer requires evaluating every (deduplicated) disjunct.
+        // A false answer requires evaluating every disjunct.
         assert_eq!(stats.ej_queries_evaluated, stats.ej_queries_total);
     }
 
@@ -921,11 +876,6 @@ mod tests {
             stats.trie_cache
         );
         assert!(stats.trie_cache.entries > 0);
-        // Batching groups the disjuncts by referenced relation set (on the
-        // triangle each disjunct's set is distinct, so batches == disjuncts;
-        // the grouping itself is covered by `batching_groups_disjuncts_...`).
-        assert!(stats.ej_query_batches >= 1);
-        assert!(stats.ej_query_batches <= stats.ej_queries_total);
 
         // Without a cache, the same evaluation reports no activity.
         let rebuild =
@@ -933,29 +883,6 @@ mod tests {
         let stats = rebuild.evaluate_cancellable(&q, &db, None).unwrap();
         assert!(!stats.answer);
         assert_eq!(stats.trie_cache, TrieCacheStats::default());
-    }
-
-    #[test]
-    fn batching_groups_disjuncts_by_shared_relation_sets() {
-        use ij_reduction::ReducedAtom;
-        let structure = bare_structure();
-        let query = |relations: &[&str]| ReducedQuery {
-            atoms: relations
-                .iter()
-                .map(|r| ReducedAtom {
-                    relation: r.to_string(),
-                    vars: vec!["X".to_string()],
-                })
-                .collect(),
-            structure: structure.clone(),
-        };
-        let reduction = ForwardReduction::prebuilt(
-            vec![],
-            // Disjuncts 0 and 2 reference {R, S}; disjunct 1 references {R}.
-            vec![query(&["R", "S"]), query(&["R"]), query(&["S", "R"])],
-        );
-        let batches = IntersectionJoinEngine::batch_by_shared_relations(&reduction, &[0, 1, 2]);
-        assert_eq!(batches, vec![vec![0, 2], vec![1]]);
     }
 
     #[test]
@@ -976,8 +903,8 @@ mod tests {
 
     #[test]
     fn empty_reduction_evaluates_to_false_without_panicking() {
-        // Regression: the batch-split loop must not touch an empty batch
-        // list (worker_count(0) still returns 1).
+        // Regression: an empty disjunction still runs one worker
+        // (worker_count(0) returns 1), which must find no work.
         let reduction = ForwardReduction::prebuilt(vec![], vec![]);
         for parallelism in [1usize, 4] {
             let engine =
@@ -987,44 +914,6 @@ mod tests {
             assert_eq!(stats.ej_queries_total, 0);
             assert_eq!(stats.ej_query_batches, 0);
         }
-    }
-
-    #[test]
-    fn oversized_batches_are_split_across_workers() {
-        use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, SharedDictionary, Value};
-        // Four distinct disjuncts all referencing the same relation set
-        // {R, S}: grouping alone would serialize them into one batch; with
-        // more workers than batches the batch must be split so the pool
-        // stays busy.  The instance is unsatisfiable, forcing a full pass.
-        let structure = bare_structure();
-        let queries: Vec<ReducedQuery> = (0..4)
-            .map(|i| ReducedQuery {
-                atoms: vec![
-                    ReducedAtom {
-                        relation: "R".to_string(),
-                        vars: vec![format!("X{i}")],
-                    },
-                    ReducedAtom {
-                        relation: "S".to_string(),
-                        vars: vec![format!("X{i}")],
-                    },
-                ],
-                structure: structure.clone(),
-            })
-            .collect();
-        let dict = SharedDictionary::new();
-        let relations = vec![
-            Relation::from_tuples("R", 1, vec![vec![Value::point(1.0)]], &dict),
-            Relation::from_tuples("S", 1, vec![vec![Value::point(2.0)]], &dict),
-        ];
-        let reduction = ForwardReduction::prebuilt(relations, queries);
-        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(8));
-        let stats = engine.evaluate_reduction(&reduction).unwrap();
-        assert!(!stats.answer);
-        assert_eq!(stats.ej_queries_evaluated, 4);
-        // One relation-set group, split into one batch per busy worker.
-        assert_eq!(stats.ej_query_batches, 4);
     }
 
     #[test]
@@ -1173,14 +1062,10 @@ mod tests {
             token: Some(&token),
             ..EvalContext::default()
         };
-        let disjunct = &reduction.queries[0];
-        assert_eq!(
-            engine.evaluate_disjunct(&reduction, disjunct, eval),
-            Ok(true)
-        );
+        assert_eq!(engine.evaluate_disjunct(&reduction, 0, eval), Ok(true));
         token.cancel();
         assert_eq!(
-            engine.evaluate_disjunct(&reduction, disjunct, eval),
+            engine.evaluate_disjunct(&reduction, 0, eval),
             Err(EvalError::Cancelled)
         );
     }

@@ -64,8 +64,8 @@ mod naive;
 mod workspace;
 
 pub use engine::{
-    kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine, QueryAnalysis,
-    TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES,
+    disjunct_atoms, kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine,
+    QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};

@@ -548,28 +548,6 @@ impl ForwardReduction {
         }
         stats
     }
-
-    /// Indices into [`ForwardReduction::queries`] with literally identical
-    /// queries (same relations bound to the same variables) removed: distinct
-    /// permutations frequently produce the same EJ query, and evaluating a
-    /// duplicate can never change the disjunction's answer.  Keeps the first
-    /// occurrence of each query, in order.
-    pub fn deduped_query_indices(&self) -> Vec<usize> {
-        let mut seen: std::collections::HashSet<Vec<(&str, &[String])>> =
-            std::collections::HashSet::new();
-        let mut out = Vec::with_capacity(self.queries.len());
-        for (i, rq) in self.queries.iter().enumerate() {
-            let key: Vec<(&str, &[String])> = rq
-                .atoms
-                .iter()
-                .map(|a| (a.relation.as_str(), a.vars.as_slice()))
-                .collect();
-            if seen.insert(key) {
-                out.push(i);
-            }
-        }
-        out
-    }
 }
 
 /// Errors raised by the forward reduction.
@@ -1583,6 +1561,51 @@ mod tests {
             }
             // The reduced query is a pure EJ query.
             assert!(rq.to_query().is_ej());
+        }
+    }
+
+    /// Every disjunct of `τ(H)` is one choice of permutations, and every
+    /// transformed relation is named after its atom and its levels
+    /// (Definition 4.9), so two disjuncts never read the same set of
+    /// relations: each is its own unit of work, with no duplicate to drop.
+    #[test]
+    fn no_two_disjuncts_read_the_same_relations() {
+        let mut queries: Vec<Query> = ij_hypergraph::named_catalog()
+            .iter()
+            .map(|entry| Query::from_hypergraph(&entry.hypergraph))
+            .collect();
+        for text in [
+            "R([A],[B]) & R([B],[C]) & R([A],[C])",
+            "R(X,X,[A]) & S(X,[A])",
+        ] {
+            queries.push(Query::parse(text).unwrap());
+        }
+        for q in &queries {
+            let mut db = Database::new();
+            for atom in q.atoms() {
+                let row = |k: f64| {
+                    let value = |v: &String| match q.var_kind(v) {
+                        Some(VarKind::Interval) => iv(k, k + 2.0),
+                        _ => Value::point(k),
+                    };
+                    atom.vars.iter().map(value).collect()
+                };
+                db.insert_tuples(&atom.relation, atom.vars.len(), vec![row(0.0), row(1.0)]);
+            }
+            for encoding in [EncodingStrategy::Flat, EncodingStrategy::Decomposed] {
+                let fr =
+                    plan_forward_reduction(q, &db, ReductionConfig { encoding }, None).unwrap();
+                let mut seen = BTreeSet::new();
+                for (i, rq) in fr.queries.iter().enumerate() {
+                    let names: BTreeSet<&str> =
+                        rq.atoms.iter().map(|a| a.relation.as_str()).collect();
+                    assert!(
+                        seen.insert(names),
+                        "{} ({encoding:?}): disjunct {i} repeats a relation set",
+                        q.render()
+                    );
+                }
+            }
         }
     }
 

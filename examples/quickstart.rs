@@ -4,7 +4,7 @@
 //! running example: the simplest cyclic intersection-join query, with
 //! ij-width 3/2 (Example 4.16) and therefore an `O(N^1.5 polylog N)`
 //! evaluation through the forward reduction of Section 4.  This example
-//! walks every stage — static analysis, reduction, batched/cached disjunct
+//! walks every stage — static analysis, reduction, parallel/cached disjunct
 //! evaluation inside a scoped `Workspace`, cross-engine cache warmth, and a
 //! differential check against the naive evaluator — and prints what each
 //! number means.
@@ -74,10 +74,9 @@ fn main() {
 
     // 2. Evaluation through the forward reduction (Section 4): the IJ query
     //    becomes a disjunction of EJ queries over segment-tree bitstrings;
-    //    the engine deduplicates the disjuncts, groups them into batches by
-    //    the transformed relations they share, and evaluates with the
-    //    workspace's shared trie cache (early exit on the first true
-    //    disjunct).  A transformed relation is built when the first disjunct
+    //    the engine's workers take the disjuncts one at a time, in order,
+    //    and evaluate them with the workspace's shared trie cache (early
+    //    exit on the first true disjunct).  A transformed relation is built when the first disjunct
     //    that reads it is evaluated, so the early exit also skips the
     //    relations only later disjuncts would have read: the summary says
     //    how many were built.  The reduction's bitstring ids are computed,

@@ -67,12 +67,12 @@
 //!        │                                  rows); a second asker waits, a
 //!        │                                  failed build leaves the cell empty
 //!        ▼
-//!  engine.evaluate_reduction_cancellable    dedup disjuncts → batches
-//!        │   (EngineConfig::parallelism     (grouped by shared transformed
-//!        │    workers pull whole batches    relations) → worker pool; binding
-//!        │    and build the relations       a disjunct builds its unbuilt
-//!        │    their disjuncts read; all     relations; AtomicBool early exit
-//!        ▼    workers share one TrieCache)  cancels the siblings' builds
+//!  engine.evaluate_reduction_cancellable    worker pool: each worker takes
+//!        │   (EngineConfig::parallelism     the next disjunct index off one
+//!        │    workers pull one disjunct     atomic counter; binding it
+//!        │    at a time and build the       (disjunct_atoms) builds its
+//!        │    relations it reads; all       unbuilt relations; AtomicBool
+//!        ▼    workers share one TrieCache)  early exit cancels the siblings
 //!  ij_ejoin per disjunct:
 //!     · α-acyclic   → Yannakakis semijoins over the relations of D̃ as
 //!       they are — nothing is copied; rooted at the largest atom, the

@@ -23,10 +23,10 @@
 //!   (clean re-run correct, warm re-run all-hits);
 //! * every error in the taxonomy implements `std::error::Error`.
 
-use ij_ejoin::{evaluate_ej_boolean, yannakakis_boolean, BoundAtom, EvalContext};
+use ij_ejoin::{evaluate_ej_boolean, yannakakis_boolean, EvalContext};
 use ij_engine::{
-    naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError, IntersectionJoinEngine,
-    Workspace,
+    disjunct_atoms, naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError,
+    IntersectionJoinEngine, Workspace,
 };
 use ij_reduction::{forward_reduction, ForwardReduction};
 use ij_relation::{Database, Query, Value};
@@ -290,17 +290,8 @@ fn a_pre_cancelled_token_stops_the_yannakakis_pass_before_a_semijoin() {
 
     let reduction = forward_reduction(&query, &db).expect("forward reduction succeeds");
     assert_eq!(reduction.queries.len(), 2);
-    for disjunct in &reduction.queries {
-        let var_ids = disjunct.dense_var_ids();
-        let atoms: Vec<BoundAtom<'_>> = disjunct
-            .atoms
-            .iter()
-            .map(|atom| {
-                let relation = reduction.relation(&atom.relation, None).expect("built");
-                let vars = atom.vars.iter().map(|v| var_ids[v.as_str()]).collect();
-                BoundAtom::new(relation, vars)
-            })
-            .collect();
+    for i in 0..reduction.queries.len() {
+        let atoms = disjunct_atoms(&reduction, i, None).expect("built");
         assert_eq!(yannakakis_boolean(&atoms, None), Ok(Some(false)));
         assert_eq!(
             yannakakis_boolean(&atoms, Some(&cancelled)),

@@ -124,8 +124,8 @@ fn concurrent_engines_share_one_acyclic_order() {
 
 #[test]
 fn workers_waiting_on_each_others_relation_builds_stay_acyclic() {
-    // A near-miss star: all six disjuncts run, each in its own batch, and
-    // disjuncts of different batches read the same transformed relations —
+    // A near-miss star: all six disjuncts run, each pulled by one worker,
+    // and different disjuncts read some of the same transformed relations —
     // the first two both start with `Sessions@0⟨T:1⟩` — so with four workers
     // some wait at a build gate another worker holds.  A gate is only ever
     // acquired with nothing else held, so no order edge may lead *into* it.
