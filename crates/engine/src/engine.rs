@@ -12,8 +12,10 @@
 //!    the `O(N^{ijw} polylog N)` algorithm of Theorem 4.15, which becomes
 //!    `O(N polylog N)` for ι-acyclic queries (Theorem 6.6).  Only the *plan*
 //!    of the reduction runs up front; each transformed relation is built by
-//!    the disjunct worker that first reads it, so the early exit also skips
-//!    the relations only unevaluated disjuncts read.
+//!    the worker that first reads it, so the early exit also skips the
+//!    relations only unevaluated disjuncts read.  Helper workers help build
+//!    the first disjunct's relations before they speculate on later
+//!    disjuncts.
 //!
 //! Every evaluation is **cancellable**: the `*_cancellable` entry points take
 //! a caller-owned [`CancellationToken`] — a deadline is a token with a
@@ -38,6 +40,7 @@ use ij_widths::{ij_width, IjWidthReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 pub use ij_ejoin::TrieCacheStats;
 
@@ -75,9 +78,14 @@ pub struct EngineConfig {
     /// evaluation uses, the calling thread among them: `0` uses the
     /// available hardware parallelism, as read once when the engine (or the
     /// workspace it comes from) was built, `1` evaluates sequentially on the
-    /// caller, any other value caps the worker count.  The Boolean answer is
-    /// identical for every setting; a true disjunct found by any worker stops
-    /// the others at their next scheduling point.
+    /// caller, any other value caps the worker count.  It is a cap: the
+    /// `parallelism − 1` helper threads are spawned at the start when the
+    /// first disjunct still has relations to build (they help build them,
+    /// then take disjuncts), and on a reduction whose first disjunct is
+    /// built only once the caller's measured work says they pay
+    /// ([`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable)).
+    /// The Boolean answer is identical for every setting; a true disjunct
+    /// found by any worker stops the others at their next scheduling point.
     pub parallelism: usize,
 }
 
@@ -233,6 +241,12 @@ pub struct EvaluationStats {
     /// `engine.batches` metric; it goes when that file stops reading it.
     #[doc(hidden)]
     pub ej_query_batches: usize,
+    /// Helper threads this evaluation spawned beside the calling thread:
+    /// `parallelism − 1` (fewer when there are fewer disjuncts) at the start
+    /// when the first disjunct reads a relation not built yet, as many later
+    /// when a built reduction's measured work pays for them, else 0 (see
+    /// [`IntersectionJoinEngine::evaluate_reduction_cancellable`]).
+    pub helpers_spawned: usize,
     /// This evaluation's activity on the engine's **persistent** trie cache:
     /// the hit/miss/eviction counters are **exact** — accumulated by this
     /// evaluation's own lookups in its [`EvalActivity`] ledger, not inferred
@@ -262,7 +276,8 @@ pub struct EvaluationStats {
 
 /// A human-readable multi-line summary of the evaluation: the answer, the
 /// disjunct counts, the reduction size, the trie-cache activity
-/// including resident bytes and evictions, and the planner's work.
+/// including resident bytes and evictions, the planner's work and the
+/// helper threads spawned.
 impl std::fmt::Display for EvaluationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "answer = {}", self.answer)?;
@@ -287,11 +302,16 @@ impl std::fmt::Display for EvaluationStats {
             self.trie_cache.entries,
             self.trie_cache.resident_bytes as f64 / 1024.0
         )?;
-        write!(
+        writeln!(
             f,
             "plan: {} disjuncts planned in {:.1} µs",
             self.disjuncts_planned,
             self.planning_nanos as f64 / 1e3
+        )?;
+        write!(
+            f,
+            "helpers: {} worker threads spawned beside the caller",
+            self.helpers_spawned
         )
     }
 }
@@ -324,6 +344,46 @@ pub fn disjunct_atoms<'r>(
             Ok(BoundAtom::new(rel, vars))
         })
         .collect()
+}
+
+/// Runs a worker's work on disjunct `index` panic-isolated: a panic anywhere
+/// inside `work` is caught, reported as [`EvalError::WorkerPanicked`], and
+/// cancels the pool token so sibling workers stop at their next checkpoint.
+/// `AssertUnwindSafe` is justified by the pipeline's panic-atomicity
+/// discipline: a worker only reads the reduction (a relation build that
+/// unwinds leaves its cell empty), and the shared trie cache mutates under
+/// panic-free critical sections (see `ij_relation::sync`), so no broken
+/// invariant can escape the unwind boundary.
+fn isolated<T>(
+    pool: &CancellationToken,
+    index: usize,
+    work: impl FnOnce() -> Result<T, EvalError>,
+) -> Result<T, EvalError> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        pool.cancel();
+        Err(EvalError::WorkerPanicked {
+            atom: format!("disjunct {index}"),
+            payload: panic_payload_string(payload.as_ref()),
+        })
+    })
+}
+
+/// The work a reduction whose first disjunct's relations are built must
+/// have left before its caller recruits helpers.  Measured on the benchmark
+/// workloads at seed 7 on 2 vCPUs (release, an instrumented build): the
+/// spawn costs the caller 18–86 µs and the join waits 8–376 µs at the
+/// median (after a witness, for a helper to finish the semijoin it is in),
+/// while a helper can save at most half of the work left.  Below a
+/// millisecond that half is not reliably more than the spawn and the join;
+/// the warm triangle's eight disjuncts of about 20 µs each stay on the
+/// caller.
+const HELPER_PAYS_AFTER: Duration = Duration::from_millis(1);
+
+/// Whether helpers pay on a reduction whose relations are built: the mean
+/// time per disjunct so far (`elapsed` over the `done` refuted), times the
+/// `left` not yet taken, reaches [`HELPER_PAYS_AFTER`].
+fn helpers_pay(elapsed: Duration, done: usize, left: usize) -> bool {
+    done > 0 && elapsed.as_nanos() * left as u128 >= HELPER_PAYS_AFTER.as_nanos() * done as u128
 }
 
 /// Folds a worker's error into the evaluation's single reported error slot,
@@ -513,23 +573,34 @@ impl IntersectionJoinEngine {
     /// that build.  Relations only unevaluated disjuncts read are never
     /// built; [`EvaluationStats::reduction`] counts what was.
     ///
-    /// Each disjunct is one unit of work.  [`EngineConfig::parallelism`]
-    /// workers — the calling thread and `parallelism − 1` spawned ones, all
-    /// running the same loop — take disjunct indices, in order, off one
-    /// shared atomic counter; the first worker to find a true disjunct flips
-    /// an [`AtomicBool`] that stops the others before their next disjunct
-    /// and cancels the pool's own token, which interrupts their relation
-    /// builds, trie builds and searches in flight at the next poll.
+    /// Each disjunct is one unit of work.  Up to [`EngineConfig::parallelism`]
+    /// workers — the calling thread and `parallelism − 1` spawned helpers,
+    /// all running the same step — take disjunct indices, in order, off one
+    /// shared atomic counter.  When disjunct 0 reads a relation not built yet
+    /// (a plan), the helpers are spawned at once and each first builds
+    /// disjunct 0's relations from its last atom back while the caller
+    /// binds them from the first — a true instance is decided by building
+    /// and probing them — and then takes disjuncts of its own.  When every
+    /// relation of disjunct 0 is built (a prebuilt or warm reduction), the
+    /// caller starts alone and, after each refuted disjunct, recruits the
+    /// helpers once if its mean time per disjunct times the disjuncts not
+    /// yet taken reaches a millisecond: below that the spawn and the join
+    /// cost about what a helper saves.  [`EvaluationStats::helpers_spawned`]
+    /// reports which happened.
+    /// The first worker to find a true disjunct flips an [`AtomicBool`]
+    /// that stops the others before their next disjunct and cancels the
+    /// pool's own token, which interrupts their relation builds, trie
+    /// builds and searches in flight at the next poll.
     /// The evaluation returns once every worker has stopped, so the answer
     /// is as late as the slowest sibling's next poll: each worker polls
     /// between binding a disjunct's relations and searching it, and the
-    /// Yannakakis pass of an acyclic disjunct before each semijoin; only
-    /// [`Relation::dedup`](ij_relation::Relation::dedup) runs to its end
-    /// unpolled — over the seeds of a relation build, at most tens of
-    /// thousands of keys, and over each projection a cyclic disjunct's atoms
-    /// or bags derive, once per reduction: a later disjunct, or a later
-    /// evaluation of the same reduction, finds it memoised and copies
-    /// nothing.
+    /// Yannakakis pass of an acyclic disjunct before each semijoin, so a
+    /// semijoin in flight runs to its end; so does
+    /// [`Relation::dedup`](ij_relation::Relation::dedup) — over the seeds
+    /// of a relation build, at most tens of thousands of keys, and over
+    /// each projection a cyclic disjunct's atoms or bags derive, once per
+    /// reduction: a later disjunct, or a later evaluation of the same
+    /// reduction, finds it memoised and copies nothing.
     /// All workers share the engine's **persistent** [`TrieCache`], so a
     /// trie built for one disjunct is reused by every later disjunct of this
     /// *and every subsequent* evaluation, and repeat evaluations of the same
@@ -579,48 +650,90 @@ impl IntersectionJoinEngine {
         let found = AtomicBool::new(false);
         let evaluated = AtomicUsize::new(0);
         let error: Mutex<Option<EvalError>> = Mutex::new(None);
-        // The pull loop every worker runs: take the next disjunct, evaluate
-        // it, stop at a witness or an error.
-        let pull = || loop {
+        let fail = |e| {
+            // Stop the siblings promptly; fold_error's precedence keeps a
+            // diagnostic over the `Cancelled` it induces in them.
+            pool.cancel();
+            fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
+        };
+        // One unit of work of either loop below: take the next disjunct and
+        // evaluate it.  `Some(index)` when it was refuted and the worker
+        // goes on; `None` at a witness, an error or the end of the work.
+        let step = || {
             if found.load(Ordering::Acquire) {
-                break;
+                return None;
             }
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= disjuncts {
-                break;
+                return None;
             }
             // Between-disjunct checkpoint: a long disjunction cancels
             // promptly even when each disjunct is tiny.
             if let Err(e) = pool.checkpoint() {
                 fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                break;
+                return None;
             }
             evaluated.fetch_add(1, Ordering::Relaxed);
-            match self.run_disjunct(reduction, i, eval, pool) {
+            match isolated(pool, i, || self.evaluate_disjunct(reduction, i, eval)) {
                 Ok(true) => {
                     found.store(true, Ordering::Release);
                     // The siblings' work is speculative from here on: stop
                     // it mid-build.  `pool` is this evaluation's own token,
                     // never the caller's.
                     pool.cancel();
-                    break;
+                    None
                 }
-                Ok(false) => {}
+                Ok(false) => Some(i),
                 Err(e) => {
-                    // Stop the siblings promptly; fold_error's precedence
-                    // keeps this diagnostic over the `Cancelled` it induces
-                    // in them.
-                    pool.cancel();
-                    fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                    break;
+                    fail(e);
+                    None
                 }
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(pull);
+        let pull = || while step().is_some() {};
+        // A helper's first job when disjunct 0 still has relations to build:
+        // build them back to front while the caller binds them front to
+        // back (a worker needing a relation another one is building waits
+        // for it), then pull.
+        let prefetch_then_pull = || {
+            let first = &reduction.queries[0].atoms;
+            let bound = isolated(pool, 0, || {
+                (first.iter().rev())
+                    .try_for_each(|atom| reduction.relation(&atom.relation, Some(pool)).map(drop))
+            });
+            match bound {
+                Ok(()) => pull(),
+                Err(e) => fail(e),
             }
-            pull();
+        };
+        let helpers = workers - 1;
+        let helpers_spawned = std::thread::scope(|scope| {
+            let first_unbuilt = reduction.queries.first().is_some_and(|first| {
+                (first.atoms.iter()).any(|atom| !reduction.is_built(&atom.relation))
+            });
+            if helpers > 0 && first_unbuilt {
+                for _ in 0..helpers {
+                    scope.spawn(prefetch_then_pull);
+                }
+                pull();
+                return helpers;
+            }
+            // Everything disjunct 0 reads is built (a prebuilt or warm
+            // reduction): the caller starts alone and recruits the helpers
+            // once the work it has measured says they pay.  Until then it
+            // has taken every index itself, so `i + 1` are done and the rest
+            // are not yet taken.
+            let start = Instant::now();
+            while let Some(i) = step() {
+                if helpers > 0 && helpers_pay(start.elapsed(), i + 1, disjuncts - (i + 1)) {
+                    for _ in 0..helpers {
+                        scope.spawn(pull);
+                    }
+                    pull();
+                    return helpers;
+                }
+            }
+            0
         });
         // A true disjunct is a witness regardless of what happened to the
         // sibling workers: true ∨ unknown = true.
@@ -639,6 +752,7 @@ impl IntersectionJoinEngine {
             ej_queries_evaluated: evaluated.into_inner(),
             ej_queries_total: disjuncts,
             ej_query_batches: disjuncts,
+            helpers_spawned,
             trie_cache: TrieCacheStats {
                 hits: activity.hits(),
                 misses: activity.misses(),
@@ -649,33 +763,6 @@ impl IntersectionJoinEngine {
             disjuncts_planned: activity.plans(),
             planning_nanos: activity.planning_nanos(),
             answer,
-        })
-    }
-
-    /// Evaluates one EJ disjunct panic-isolated: a panic anywhere inside the
-    /// evaluation is caught, reported as [`EvalError::WorkerPanicked`], and
-    /// cancels the pool token so sibling workers stop at their next
-    /// checkpoint.  `AssertUnwindSafe` is justified by the pipeline's
-    /// panic-atomicity discipline: the evaluation only reads the reduction,
-    /// and the shared trie cache mutates under panic-free critical sections
-    /// (see `ij_relation::sync`), so no broken invariant can escape the
-    /// unwind boundary.
-    fn run_disjunct(
-        &self,
-        reduction: &ForwardReduction,
-        index: usize,
-        eval: EvalContext<'_>,
-        pool: &CancellationToken,
-    ) -> Result<bool, EvalError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.evaluate_disjunct(reduction, index, eval)
-        }))
-        .unwrap_or_else(|payload| {
-            pool.cancel();
-            Err(EvalError::WorkerPanicked {
-                atom: format!("disjunct {index}"),
-                payload: panic_payload_string(payload.as_ref()),
-            })
         })
     }
 
@@ -707,7 +794,6 @@ mod tests {
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
     use ij_reduction::{forward_reduction, ReducedQuery};
     use ij_relation::Value;
-    use std::time::Duration;
 
     fn iv(lo: f64, hi: f64) -> Value {
         Value::interval(lo, hi)
@@ -768,6 +854,38 @@ mod tests {
             edge_levels: vec![],
             vertex_origin: vec![],
         }
+    }
+
+    /// A prebuilt reduction of `disjuncts` copies of one true triangle
+    /// disjunct over three one-row point relations.
+    fn point_triangles(disjuncts: usize) -> ForwardReduction {
+        use ij_reduction::ReducedAtom;
+        use ij_relation::{Relation, SharedDictionary};
+        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
+            relation: relation.to_string(),
+            vars: vars.map(str::to_string).to_vec(),
+        };
+        let dict = SharedDictionary::new();
+        let edge = |name: &str| {
+            Relation::from_tuples(
+                name,
+                2,
+                vec![vec![Value::point(1.0), Value::point(1.0)]],
+                &dict,
+            )
+        };
+        let disjunct = || ReducedQuery {
+            atoms: vec![
+                atom("R", ["X", "Y"]),
+                atom("S", ["Y", "Z"]),
+                atom("T", ["X", "Z"]),
+            ],
+            structure: bare_structure(),
+        };
+        ForwardReduction::prebuilt(
+            vec![edge("R"), edge("S"), edge("T")],
+            (0..disjuncts).map(|_| disjunct()).collect(),
+        )
     }
 
     #[test]
@@ -859,6 +977,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_plan_spawns_its_helpers_at_once() {
+        // A plan has nothing built: disjunct 0's relations are left to
+        // build, so the helper is spawned at the start to help build them.
+        let sequential = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+        let parallel = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+        for satisfiable in [true, false] {
+            let (q, db) = triangle_db(satisfiable);
+            let alone = sequential.evaluate_cancellable(&q, &db, None).unwrap();
+            assert_eq!(alone.helpers_spawned, 0);
+            let helped = parallel.evaluate_cancellable(&q, &db, None).unwrap();
+            assert_eq!(helped.helpers_spawned, 1, "{helped}");
+            assert_eq!(helped.answer, alone.answer);
+            assert_eq!(helped.answer, satisfiable);
+            assert!(helped.to_string().contains("helpers: 1 worker thread"));
+        }
+    }
+
+    #[test]
+    fn a_built_reduction_starts_on_the_caller_alone() {
+        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
+        // A prebuilt triangle true at its first disjunct, cold and then
+        // warm: nothing is left to build, so no helper is spawned at the
+        // start, and the witness ends the evaluation before a measurement.
+        let reduction = point_triangles(8);
+        for _ in 0..2 {
+            let stats = engine.evaluate_reduction(&reduction).unwrap();
+            assert!(stats.answer);
+            assert_eq!(stats.helpers_spawned, 0, "{stats}");
+            assert_eq!(stats.ej_queries_evaluated, 1);
+        }
+        // A warm triangle refuted disjunct by disjunct: the caller recruits
+        // only once its measured time says the work left reaches
+        // `HELPER_PAYS_AFTER`, which needs at least a seventh of it in
+        // wall time (one disjunct refuted, seven left).  Its disjuncts take
+        // ~15 µs each in a release build, so it stays alone there unless
+        // preempted.
+        let (q, db) = triangle_db(false);
+        let reduction = forward_reduction(&q, &db).unwrap();
+        let disjuncts = reduction.queries.len();
+        assert!(!engine.evaluate_reduction(&reduction).unwrap().answer);
+        for _ in 0..3 {
+            let start = Instant::now();
+            let warm = engine.evaluate_reduction(&reduction).unwrap();
+            let wall = start.elapsed();
+            assert!(!warm.answer);
+            assert_eq!(warm.trie_cache.misses, 0, "{warm}");
+            assert_eq!(warm.ej_queries_evaluated, disjuncts);
+            assert!(warm.helpers_spawned <= 1, "{warm}");
+            assert!(
+                warm.helpers_spawned == 0 || wall * (disjuncts as u32 - 1) >= HELPER_PAYS_AFTER,
+                "recruited after {wall:?}"
+            );
+        }
+        // At parallelism 1 there is no helper to recruit.
+        let sequential = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+        for reduction in [&reduction, &point_triangles(8)] {
+            assert_eq!(
+                sequential
+                    .evaluate_reduction(reduction)
+                    .unwrap()
+                    .helpers_spawned,
+                0
+            );
+        }
+    }
+
+    #[test]
+    fn helpers_pay_once_the_work_left_reaches_the_threshold() {
+        let ms = Duration::from_millis;
+        let threshold = HELPER_PAYS_AFTER;
+        // Nothing refuted yet: no measurement, no recruiting.
+        assert!(!helpers_pay(ms(50), 0, 100));
+        // Nothing left to take.
+        assert!(!helpers_pay(ms(50), 3, 0));
+        // Exactly at the threshold: mean × left = HELPER_PAYS_AFTER.
+        assert!(helpers_pay(threshold, 1, 1));
+        assert!(helpers_pay(threshold * 3, 6, 2));
+        // Just below it.
+        assert!(!helpers_pay(threshold - Duration::from_nanos(1), 1, 1));
+        assert!(!helpers_pay(threshold * 3 - Duration::from_nanos(1), 6, 2));
+        // The warm triangle's shape: 20 µs per disjunct, seven left.
+        assert!(!helpers_pay(Duration::from_micros(20), 1, 7));
     }
 
     #[test]
@@ -1025,37 +1228,12 @@ mod tests {
 
     #[test]
     fn a_cancelled_worker_does_not_start_its_search() {
-        use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, SharedDictionary, Value};
         // A built relation is loaded without a poll, a cyclic disjunct's
         // projections are derived without one, and one-row tries are built
         // and searched before a ticker's first, so on this triangle only the
         // checkpoint between binding and searching can stop a worker whose
         // sibling has found a witness.
-        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
-            relation: relation.to_string(),
-            vars: vars.map(str::to_string).to_vec(),
-        };
-        let dict = SharedDictionary::new();
-        let edge = |name: &str| {
-            Relation::from_tuples(
-                name,
-                2,
-                vec![vec![Value::point(1.0), Value::point(1.0)]],
-                &dict,
-            )
-        };
-        let reduction = ForwardReduction::prebuilt(
-            vec![edge("R"), edge("S"), edge("T")],
-            vec![ReducedQuery {
-                atoms: vec![
-                    atom("R", ["X", "Y"]),
-                    atom("S", ["Y", "Z"]),
-                    atom("T", ["X", "Z"]),
-                ],
-                structure: bare_structure(),
-            }],
-        );
+        let reduction = point_triangles(1);
         let engine = IntersectionJoinEngine::with_defaults();
         let token = CancellationToken::new();
         let eval = EvalContext {

@@ -274,6 +274,98 @@ fn a_panicking_relation_build_leaves_the_relation_unbuilt() {
     }
 }
 
+/// A panic in each of the first four relation builds of a plan at
+/// parallelism 2, where the caller binds disjunct 0's relations from its
+/// first atom while the helper builds them from its last, so these builds
+/// land on either thread: the evaluation gives the right answer or
+/// [`EvalError::WorkerPanicked`], the build that panicked publishes no
+/// relation, and the same plan then evaluates correctly on the same engine,
+/// building each relation the fault left unbuilt exactly once.
+#[test]
+fn a_panic_in_an_early_relation_build_at_parallelism_two_is_contained() {
+    let _guard = serial();
+    hush_injected_panics();
+    for family in ScenarioFamily::ALL {
+        for planted in [PlantedAnswer::Satisfiable, PlantedAnswer::Unsatisfiable] {
+            let expected = planted == PlantedAnswer::Satisfiable;
+            for after in 0..=3 {
+                let label = format!("{family:?}/{planted:?}/after={after}");
+                let (faulted, started, built_after_fault, rerun, rebuilds, planned) =
+                    with_watchdog(&label, move || {
+                        let cfg = ScenarioConfig::new(family)
+                            .with_tuples(12)
+                            .with_seed(0)
+                            .with_planted(planted);
+                        let scenario = build_scenario(&cfg);
+                        let ws = Workspace::new();
+                        let db = ws.import_database(&scenario.database);
+                        let engine = ws.engine(EngineConfig::new().with_parallelism(2));
+                        let plan = plan_forward_reduction(
+                            &scenario.query,
+                            &db,
+                            ReductionConfig::default(),
+                            None,
+                        )
+                        .expect("planning succeeds");
+
+                        faults::clear();
+                        faults::configure(Site::ReductionTransform, after, FaultAction::Panic);
+                        let faulted = engine.evaluate_reduction(&plan);
+                        let started = faults::hits(Site::ReductionTransform);
+                        let built_after_fault = plan.relations().count();
+                        // Disarm a fault a true instance ended before.
+                        faults::clear();
+                        let rerun = engine.evaluate_reduction(&plan);
+                        let rebuilds = faults::hits(Site::ReductionTransform);
+                        faults::clear();
+                        (
+                            faulted,
+                            started,
+                            built_after_fault,
+                            rerun,
+                            rebuilds,
+                            plan.stats.num_relations,
+                        )
+                    });
+                let fired = started > after;
+                // A false instance builds every relation, more than four.
+                assert!(fired || expected, "{label}: the fault never fired");
+                match &faulted {
+                    Ok(stats) => assert_eq!(stats.answer, expected, "{label}"),
+                    Err(EvalError::WorkerPanicked { atom, payload }) => {
+                        assert!(fired, "{label}: {atom} panicked with no fault fired");
+                        assert!(atom.starts_with("disjunct"), "{label}: {atom}");
+                        assert!(payload.contains("failpoint"), "{label}: {payload}");
+                    }
+                    Err(other) => panic!("{label}: expected WorkerPanicked, got {other:?}"),
+                }
+                if fired {
+                    // Every relation is built at most once, so a build
+                    // started but not published is the panicked one (or
+                    // one the panic cancelled).
+                    assert!(
+                        built_after_fault < started,
+                        "{label}: {built_after_fault} relations published by {started} builds"
+                    );
+                    if !expected {
+                        assert!(faulted.is_err(), "{label}: a false instance hid the panic");
+                    }
+                }
+                let rerun = rerun.unwrap_or_else(|e| panic!("{label}: the rerun failed: {e}"));
+                assert_eq!(rerun.answer, expected, "{label}");
+                if !expected {
+                    assert_eq!(rerun.reduction.relations_built, planned, "{label}");
+                    assert_eq!(
+                        rebuilds,
+                        planned - built_after_fault,
+                        "{label}: the rerun built a relation twice"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Injected delays (a stalled worker) without a deadline only slow the
 /// evaluation down: the answer is still correct and the cache still warms.
 #[test]
