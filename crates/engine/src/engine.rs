@@ -13,8 +13,8 @@
 //!    `O(N polylog N)` for ι-acyclic queries (Theorem 6.6).  Only the *plan*
 //!    of the reduction runs up front; each transformed relation is built by
 //!    the worker that first reads it, so the early exit also skips the
-//!    relations only unevaluated disjuncts read.  Helper workers help build
-//!    the first disjunct's relations before they speculate on later
+//!    relations only unevaluated disjuncts read.  One helper worker helps
+//!    build the first disjunct's relations before it speculates on later
 //!    disjuncts.
 //!
 //! Every evaluation is **cancellable**: the `*_cancellable` entry points take
@@ -40,7 +40,6 @@ use ij_widths::{ij_width, IjWidthReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 pub use ij_ejoin::TrieCacheStats;
 
@@ -78,11 +77,10 @@ pub struct EngineConfig {
     /// evaluation uses, the calling thread among them: `0` uses the
     /// available hardware parallelism, as read once when the engine (or the
     /// workspace it comes from) was built, `1` evaluates sequentially on the
-    /// caller, any other value caps the worker count.  It is a cap: the
-    /// `parallelism − 1` helper threads are spawned at the start when the
-    /// first disjunct still has relations to build (they help build them,
-    /// then take disjuncts), and on a reduction whose first disjunct is
-    /// built only once the caller's measured work says they pay
+    /// caller, any other value caps the worker count.  The
+    /// `parallelism − 1` helper threads are spawned at the start; the first
+    /// of them helps build the first disjunct's relations before it takes
+    /// disjuncts
     /// ([`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable)).
     /// The Boolean answer is identical for every setting; a true disjunct
     /// found by any worker stops the others at their next scheduling point.
@@ -241,12 +239,6 @@ pub struct EvaluationStats {
     /// `engine.batches` metric; it goes when that file stops reading it.
     #[doc(hidden)]
     pub ej_query_batches: usize,
-    /// Helper threads this evaluation spawned beside the calling thread:
-    /// `parallelism − 1` (fewer when there are fewer disjuncts) at the start
-    /// when the first disjunct reads a relation not built yet, as many later
-    /// when a built reduction's measured work pays for them, else 0 (see
-    /// [`IntersectionJoinEngine::evaluate_reduction_cancellable`]).
-    pub helpers_spawned: usize,
     /// This evaluation's activity on the engine's **persistent** trie cache:
     /// the hit/miss/eviction counters are **exact** — accumulated by this
     /// evaluation's own lookups in its [`EvalActivity`] ledger, not inferred
@@ -276,8 +268,7 @@ pub struct EvaluationStats {
 
 /// A human-readable multi-line summary of the evaluation: the answer, the
 /// disjunct counts, the reduction size, the trie-cache activity
-/// including resident bytes and evictions, the planner's work and the
-/// helper threads spawned.
+/// including resident bytes and evictions, and the planner's work.
 impl std::fmt::Display for EvaluationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "answer = {}", self.answer)?;
@@ -302,16 +293,11 @@ impl std::fmt::Display for EvaluationStats {
             self.trie_cache.entries,
             self.trie_cache.resident_bytes as f64 / 1024.0
         )?;
-        writeln!(
+        write!(
             f,
             "plan: {} disjuncts planned in {:.1} µs",
             self.disjuncts_planned,
             self.planning_nanos as f64 / 1e3
-        )?;
-        write!(
-            f,
-            "helpers: {} worker threads spawned beside the caller",
-            self.helpers_spawned
         )
     }
 }
@@ -366,24 +352,6 @@ fn isolated<T>(
             payload: panic_payload_string(payload.as_ref()),
         })
     })
-}
-
-/// The work a reduction whose first disjunct's relations are built must
-/// have left before its caller recruits helpers.  Measured on the benchmark
-/// workloads at seed 7 on 2 vCPUs (release, an instrumented build): the
-/// spawn costs the caller 18–86 µs and the join waits 8–376 µs at the
-/// median (after a witness, for a helper to finish the semijoin it is in),
-/// while a helper can save at most half of the work left.  Below a
-/// millisecond that half is not reliably more than the spawn and the join;
-/// the warm triangle's eight disjuncts of about 20 µs each stay on the
-/// caller.
-const HELPER_PAYS_AFTER: Duration = Duration::from_millis(1);
-
-/// Whether helpers pay on a reduction whose relations are built: the mean
-/// time per disjunct so far (`elapsed` over the `done` refuted), times the
-/// `left` not yet taken, reaches [`HELPER_PAYS_AFTER`].
-fn helpers_pay(elapsed: Duration, done: usize, left: usize) -> bool {
-    done > 0 && elapsed.as_nanos() * left as u128 >= HELPER_PAYS_AFTER.as_nanos() * done as u128
 }
 
 /// Folds a worker's error into the evaluation's single reported error slot,
@@ -573,20 +541,16 @@ impl IntersectionJoinEngine {
     /// that build.  Relations only unevaluated disjuncts read are never
     /// built; [`EvaluationStats::reduction`] counts what was.
     ///
-    /// Each disjunct is one unit of work.  Up to [`EngineConfig::parallelism`]
+    /// Each disjunct is one unit of work.  [`EngineConfig::parallelism`]
     /// workers — the calling thread and `parallelism − 1` spawned helpers,
-    /// all running the same step — take disjunct indices, in order, off one
-    /// shared atomic counter.  When disjunct 0 reads a relation not built yet
-    /// (a plan), the helpers are spawned at once and each first builds
-    /// disjunct 0's relations from its last atom back while the caller
-    /// binds them from the first — a true instance is decided by building
-    /// and probing them — and then takes disjuncts of its own.  When every
-    /// relation of disjunct 0 is built (a prebuilt or warm reduction), the
-    /// caller starts alone and, after each refuted disjunct, recruits the
-    /// helpers once if its mean time per disjunct times the disjuncts not
-    /// yet taken reaches a millisecond: below that the spawn and the join
-    /// cost about what a helper saves.  [`EvaluationStats::helpers_spawned`]
-    /// reports which happened.
+    /// all running the same loop — take disjunct indices, in order, off one
+    /// shared atomic counter.  The first helper's first job is not
+    /// speculative: a true instance is decided by building and probing
+    /// disjunct 0's relations, so it builds them from the last atom back
+    /// while the caller binds them from the first, and only then takes
+    /// disjuncts of its own; the other helpers take disjuncts at once.  On
+    /// a reduction whose relations are built, that first job is a few
+    /// loads.
     /// The first worker to find a true disjunct flips an [`AtomicBool`]
     /// that stops the others before their next disjunct and cancels the
     /// pool's own token, which interrupts their relation builds, trie
@@ -656,22 +620,21 @@ impl IntersectionJoinEngine {
             pool.cancel();
             fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
         };
-        // One unit of work of either loop below: take the next disjunct and
-        // evaluate it.  `Some(index)` when it was refuted and the worker
-        // goes on; `None` at a witness, an error or the end of the work.
-        let step = || {
+        // The loop every worker runs: take the next disjunct, evaluate it,
+        // stop at a witness or an error.
+        let pull = || loop {
             if found.load(Ordering::Acquire) {
-                return None;
+                break;
             }
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= disjuncts {
-                return None;
+                break;
             }
             // Between-disjunct checkpoint: a long disjunction cancels
             // promptly even when each disjunct is tiny.
             if let Err(e) = pool.checkpoint() {
                 fold_error(&mut lock_recover(&error, DISJUNCT_ERROR), e);
-                return None;
+                break;
             }
             evaluated.fetch_add(1, Ordering::Relaxed);
             match isolated(pool, i, || self.evaluate_disjunct(reduction, i, eval)) {
@@ -681,22 +644,20 @@ impl IntersectionJoinEngine {
                     // it mid-build.  `pool` is this evaluation's own token,
                     // never the caller's.
                     pool.cancel();
-                    None
+                    break;
                 }
-                Ok(false) => Some(i),
+                Ok(false) => {}
                 Err(e) => {
                     fail(e);
-                    None
+                    break;
                 }
             }
         };
-        let pull = || while step().is_some() {};
-        // A helper's first job when disjunct 0 still has relations to build:
-        // build them back to front while the caller binds them front to
-        // back (a worker needing a relation another one is building waits
-        // for it), then pull.
+        // The first helper's loop: build disjunct 0's relations back to
+        // front while the caller binds them front to back (a worker needing
+        // a relation another one is building waits for it), then pull.
         let prefetch_then_pull = || {
-            let first = &reduction.queries[0].atoms;
+            let first = reduction.queries.first().map_or(&[][..], |q| &q.atoms[..]);
             let bound = isolated(pool, 0, || {
                 (first.iter().rev())
                     .try_for_each(|atom| reduction.relation(&atom.relation, Some(pool)).map(drop))
@@ -706,34 +667,14 @@ impl IntersectionJoinEngine {
                 Err(e) => fail(e),
             }
         };
-        let helpers = workers - 1;
-        let helpers_spawned = std::thread::scope(|scope| {
-            let first_unbuilt = reduction.queries.first().is_some_and(|first| {
-                (first.atoms.iter()).any(|atom| !reduction.is_built(&atom.relation))
-            });
-            if helpers > 0 && first_unbuilt {
-                for _ in 0..helpers {
-                    scope.spawn(prefetch_then_pull);
-                }
-                pull();
-                return helpers;
+        std::thread::scope(|scope| {
+            if workers > 1 {
+                scope.spawn(prefetch_then_pull);
             }
-            // Everything disjunct 0 reads is built (a prebuilt or warm
-            // reduction): the caller starts alone and recruits the helpers
-            // once the work it has measured says they pay.  Until then it
-            // has taken every index itself, so `i + 1` are done and the rest
-            // are not yet taken.
-            let start = Instant::now();
-            while let Some(i) = step() {
-                if helpers > 0 && helpers_pay(start.elapsed(), i + 1, disjuncts - (i + 1)) {
-                    for _ in 0..helpers {
-                        scope.spawn(pull);
-                    }
-                    pull();
-                    return helpers;
-                }
+            for _ in 2..workers {
+                scope.spawn(pull);
             }
-            0
+            pull();
         });
         // A true disjunct is a witness regardless of what happened to the
         // sibling workers: true ∨ unknown = true.
@@ -752,7 +693,6 @@ impl IntersectionJoinEngine {
             ej_queries_evaluated: evaluated.into_inner(),
             ej_queries_total: disjuncts,
             ej_query_batches: disjuncts,
-            helpers_spawned,
             trie_cache: TrieCacheStats {
                 hits: activity.hits(),
                 misses: activity.misses(),
@@ -794,6 +734,7 @@ mod tests {
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
     use ij_reduction::{forward_reduction, ReducedQuery};
     use ij_relation::Value;
+    use std::time::Duration;
 
     fn iv(lo: f64, hi: f64) -> Value {
         Value::interval(lo, hi)
@@ -854,38 +795,6 @@ mod tests {
             edge_levels: vec![],
             vertex_origin: vec![],
         }
-    }
-
-    /// A prebuilt reduction of `disjuncts` copies of one true triangle
-    /// disjunct over three one-row point relations.
-    fn point_triangles(disjuncts: usize) -> ForwardReduction {
-        use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, SharedDictionary};
-        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
-            relation: relation.to_string(),
-            vars: vars.map(str::to_string).to_vec(),
-        };
-        let dict = SharedDictionary::new();
-        let edge = |name: &str| {
-            Relation::from_tuples(
-                name,
-                2,
-                vec![vec![Value::point(1.0), Value::point(1.0)]],
-                &dict,
-            )
-        };
-        let disjunct = || ReducedQuery {
-            atoms: vec![
-                atom("R", ["X", "Y"]),
-                atom("S", ["Y", "Z"]),
-                atom("T", ["X", "Z"]),
-            ],
-            structure: bare_structure(),
-        };
-        ForwardReduction::prebuilt(
-            vec![edge("R"), edge("S"), edge("T")],
-            (0..disjuncts).map(|_| disjunct()).collect(),
-        )
     }
 
     #[test]
@@ -958,7 +867,9 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_disjunct_evaluation_agree() {
-        for parallelism in [1usize, 2, 8] {
+        // At 4 and 8 workers the first helper builds disjunct 0's relations
+        // while the others take disjuncts at once.
+        for parallelism in [1usize, 2, 4, 8] {
             let engine =
                 IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
             for satisfiable in [true, false] {
@@ -974,94 +885,13 @@ mod tests {
                     // A false answer requires every disjunct to be evaluated,
                     // regardless of the worker count.
                     assert_eq!(stats.ej_queries_evaluated, stats.ej_queries_total);
+                    assert_eq!(
+                        stats.reduction.relations_built,
+                        stats.reduction.num_relations
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_plan_spawns_its_helpers_at_once() {
-        // A plan has nothing built: disjunct 0's relations are left to
-        // build, so the helper is spawned at the start to help build them.
-        let sequential = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-        let parallel = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
-        for satisfiable in [true, false] {
-            let (q, db) = triangle_db(satisfiable);
-            let alone = sequential.evaluate_cancellable(&q, &db, None).unwrap();
-            assert_eq!(alone.helpers_spawned, 0);
-            let helped = parallel.evaluate_cancellable(&q, &db, None).unwrap();
-            assert_eq!(helped.helpers_spawned, 1, "{helped}");
-            assert_eq!(helped.answer, alone.answer);
-            assert_eq!(helped.answer, satisfiable);
-            assert!(helped.to_string().contains("helpers: 1 worker thread"));
-        }
-    }
-
-    #[test]
-    fn a_built_reduction_starts_on_the_caller_alone() {
-        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(2));
-        // A prebuilt triangle true at its first disjunct, cold and then
-        // warm: nothing is left to build, so no helper is spawned at the
-        // start, and the witness ends the evaluation before a measurement.
-        let reduction = point_triangles(8);
-        for _ in 0..2 {
-            let stats = engine.evaluate_reduction(&reduction).unwrap();
-            assert!(stats.answer);
-            assert_eq!(stats.helpers_spawned, 0, "{stats}");
-            assert_eq!(stats.ej_queries_evaluated, 1);
-        }
-        // A warm triangle refuted disjunct by disjunct: the caller recruits
-        // only once its measured time says the work left reaches
-        // `HELPER_PAYS_AFTER`, which needs at least a seventh of it in
-        // wall time (one disjunct refuted, seven left).  Its disjuncts take
-        // ~15 µs each in a release build, so it stays alone there unless
-        // preempted.
-        let (q, db) = triangle_db(false);
-        let reduction = forward_reduction(&q, &db).unwrap();
-        let disjuncts = reduction.queries.len();
-        assert!(!engine.evaluate_reduction(&reduction).unwrap().answer);
-        for _ in 0..3 {
-            let start = Instant::now();
-            let warm = engine.evaluate_reduction(&reduction).unwrap();
-            let wall = start.elapsed();
-            assert!(!warm.answer);
-            assert_eq!(warm.trie_cache.misses, 0, "{warm}");
-            assert_eq!(warm.ej_queries_evaluated, disjuncts);
-            assert!(warm.helpers_spawned <= 1, "{warm}");
-            assert!(
-                warm.helpers_spawned == 0 || wall * (disjuncts as u32 - 1) >= HELPER_PAYS_AFTER,
-                "recruited after {wall:?}"
-            );
-        }
-        // At parallelism 1 there is no helper to recruit.
-        let sequential = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-        for reduction in [&reduction, &point_triangles(8)] {
-            assert_eq!(
-                sequential
-                    .evaluate_reduction(reduction)
-                    .unwrap()
-                    .helpers_spawned,
-                0
-            );
-        }
-    }
-
-    #[test]
-    fn helpers_pay_once_the_work_left_reaches_the_threshold() {
-        let ms = Duration::from_millis;
-        let threshold = HELPER_PAYS_AFTER;
-        // Nothing refuted yet: no measurement, no recruiting.
-        assert!(!helpers_pay(ms(50), 0, 100));
-        // Nothing left to take.
-        assert!(!helpers_pay(ms(50), 3, 0));
-        // Exactly at the threshold: mean × left = HELPER_PAYS_AFTER.
-        assert!(helpers_pay(threshold, 1, 1));
-        assert!(helpers_pay(threshold * 3, 6, 2));
-        // Just below it.
-        assert!(!helpers_pay(threshold - Duration::from_nanos(1), 1, 1));
-        assert!(!helpers_pay(threshold * 3 - Duration::from_nanos(1), 6, 2));
-        // The warm triangle's shape: 20 µs per disjunct, seven left.
-        assert!(!helpers_pay(Duration::from_micros(20), 1, 7));
     }
 
     #[test]
@@ -1228,12 +1058,37 @@ mod tests {
 
     #[test]
     fn a_cancelled_worker_does_not_start_its_search() {
+        use ij_reduction::ReducedAtom;
+        use ij_relation::{Relation, SharedDictionary, Value};
         // A built relation is loaded without a poll, a cyclic disjunct's
         // projections are derived without one, and one-row tries are built
         // and searched before a ticker's first, so on this triangle only the
         // checkpoint between binding and searching can stop a worker whose
         // sibling has found a witness.
-        let reduction = point_triangles(1);
+        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
+            relation: relation.to_string(),
+            vars: vars.map(str::to_string).to_vec(),
+        };
+        let dict = SharedDictionary::new();
+        let edge = |name: &str| {
+            Relation::from_tuples(
+                name,
+                2,
+                vec![vec![Value::point(1.0), Value::point(1.0)]],
+                &dict,
+            )
+        };
+        let reduction = ForwardReduction::prebuilt(
+            vec![edge("R"), edge("S"), edge("T")],
+            vec![ReducedQuery {
+                atoms: vec![
+                    atom("R", ["X", "Y"]),
+                    atom("S", ["Y", "Z"]),
+                    atom("T", ["X", "Z"]),
+                ],
+                structure: bare_structure(),
+            }],
+        );
         let engine = IntersectionJoinEngine::with_defaults();
         let token = CancellationToken::new();
         let eval = EvalContext {

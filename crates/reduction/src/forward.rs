@@ -516,14 +516,6 @@ impl ForwardReduction {
         Ok(planned.cell.get_or_init(|| built))
     }
 
-    /// Whether the relation `name` is built: a request for it is a load.
-    /// A name the plan does not have is never built.
-    pub fn is_built(&self, name: &str) -> bool {
-        self.by_name
-            .get(name)
-            .is_some_and(|&index| self.relations[index].cell.get().is_some())
-    }
-
     /// Builds every relation not built yet, in plan order, on this thread.
     fn materialise_all(&self) -> Result<(), EvalError> {
         for planned in &self.relations {
@@ -2671,10 +2663,7 @@ mod tests {
             // Building what the first query reads builds nothing else.
             let first = &plan.queries[0];
             for atom in &first.atoms {
-                assert!(!plan.is_built(&atom.relation));
                 let built = plan.relation(&atom.relation, None).unwrap();
-                assert!(plan.is_built(&atom.relation));
-                assert!(reference.is_built(&atom.relation));
                 assert_live(&plan, &reference, &atom.relation);
                 // A second request is the same relation, not a second build.
                 assert!(std::ptr::eq(

@@ -73,13 +73,10 @@
 //!        │    at a time and build the       (disjunct_atoms) builds its
 //!        │    relations it reads; all       unbuilt relations; AtomicBool
 //!        │    workers share one TrieCache)  early exit cancels the siblings.
-//!        │                                  Help first: while disjunct 0 has
-//!        │                                  relations to build, helpers are
-//!        │                                  spawned at once and build them
-//!        │                                  last atom first before pulling;
-//!        │                                  on a built reduction the caller
-//!        │                                  starts alone and recruits them
-//!        ▼                                  once measured work left ≥ 1 ms
+//!        │                                  Help first: the first helper
+//!        │                                  builds disjunct 0's relations
+//!        │                                  last atom first, then pulls;
+//!        ▼                                  the other helpers pull at once
 //!  ij_ejoin per disjunct:
 //!     · α-acyclic   → Yannakakis semijoins over the relations of D̃ as
 //!       they are — nothing is copied; rooted at the largest atom, the
