@@ -27,8 +27,7 @@
 use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalActivity, EvalContext, TrieCache};
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
 use ij_reduction::{
-    plan_forward_reduction, EncodingStrategy, ForwardReduction, ReductionConfig, ReductionError,
-    ReductionStats,
+    plan_forward_reduction, ForwardReduction, ReductionConfig, ReductionError, ReductionStats,
 };
 use ij_relation::sync::lock_recover;
 
@@ -66,13 +65,14 @@ pub(crate) fn hardware_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration of the engine.
+/// Configuration of the engine: its worker count, and nothing else.  The
+/// encoding of the transformed relations is the reduction's
+/// ([`ReductionConfig`]): [`evaluate`](IntersectionJoinEngine::evaluate)
+/// plans the flat one, and a caller that wants the decomposed one plans it
+/// with [`plan_forward_reduction`] and evaluates that plan
+/// ([`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction)).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Encoding of the transformed relations (Section 1.1): flat (the
-    /// paper's default) or the lossless per-variable decomposition, which is
-    /// dramatically smaller for atoms with several interval variables.
-    pub encoding: EncodingStrategy,
     /// Number of threads evaluating the EJ disjunction — the only threads an
     /// evaluation uses, the calling thread among them: `0` uses the
     /// available hardware parallelism, as read once when the engine (or the
@@ -94,23 +94,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration: the flat encoding and hardware
-    /// parallelism across disjuncts.
+    /// The default configuration: hardware parallelism across disjuncts.
     pub fn new() -> Self {
-        EngineConfig {
-            encoding: EncodingStrategy::Flat,
-            parallelism: 0,
-        }
-    }
-
-    /// The default configuration but with the decomposed (Id-based) encoding,
-    /// recommended for queries whose atoms contain several high-degree
-    /// interval variables (e.g. the Loomis–Whitney and clique queries).
-    pub fn decomposed() -> Self {
-        EngineConfig {
-            encoding: EncodingStrategy::Decomposed,
-            ..EngineConfig::new()
-        }
+        EngineConfig { parallelism: 0 }
     }
 
     /// This configuration with an explicit disjunct-evaluation worker count.
@@ -471,7 +457,11 @@ impl IntersectionJoinEngine {
 
     /// Evaluates a Boolean EIJ query over an interval database through the
     /// forward reduction under a caller-owned [`CancellationToken`], and
-    /// returns the answer with the evaluation's runtime statistics.
+    /// returns the answer with the evaluation's runtime statistics.  The
+    /// reduction is planned with [`ReductionConfig::default`] (the flat
+    /// encoding); to evaluate another encoding, plan it with
+    /// [`plan_forward_reduction`] and call
+    /// [`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable).
     ///
     /// Cancelling the token (from any thread) makes the evaluation return
     /// [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)` within the
@@ -498,14 +488,7 @@ impl IntersectionJoinEngine {
         // plan like a worker so a panic inside it surfaces as a typed error
         // instead of unwinding through the caller.
         let reduction = catch_unwind(AssertUnwindSafe(|| {
-            plan_forward_reduction(
-                query,
-                db,
-                ReductionConfig {
-                    encoding: self.config.encoding,
-                },
-                token,
-            )
+            plan_forward_reduction(query, db, ReductionConfig::default(), token)
         }))
         .unwrap_or_else(|payload| {
             Err(ReductionError::Interrupted(EvalError::WorkerPanicked {
@@ -732,7 +715,7 @@ mod tests {
     use super::*;
     use crate::{naive_boolean, Workspace};
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
-    use ij_reduction::{forward_reduction, ReducedQuery};
+    use ij_reduction::{forward_reduction, EncodingStrategy, ReducedQuery};
     use ij_relation::Value;
     use std::time::Duration;
 
@@ -856,12 +839,18 @@ mod tests {
 
     #[test]
     fn flat_and_decomposed_encodings_agree() {
-        let flat = IntersectionJoinEngine::with_defaults();
-        let decomposed = IntersectionJoinEngine::new(EngineConfig::decomposed());
+        let engine = IntersectionJoinEngine::with_defaults();
+        let decomposed = ReductionConfig {
+            encoding: EncodingStrategy::Decomposed,
+        };
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
-            assert_eq!(flat.evaluate(&q, &db).unwrap(), satisfiable);
-            assert_eq!(decomposed.evaluate(&q, &db).unwrap(), satisfiable);
+            assert_eq!(engine.evaluate(&q, &db).unwrap(), satisfiable);
+            let plan = plan_forward_reduction(&q, &db, decomposed, None).unwrap();
+            assert_eq!(
+                engine.evaluate_reduction(&plan).unwrap().answer,
+                satisfiable
+            );
         }
     }
 

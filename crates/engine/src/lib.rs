@@ -13,10 +13,17 @@
 //!   used as a differential-testing oracle and baseline.
 //!
 //! The engine chooses each disjunct's join algorithm from its hypergraph
-//! (Theorem 4.15).  [`EngineConfig`] sets the encoding of the transformed
-//! relations and the worker [parallelism](EngineConfig::parallelism) across
-//! the disjuncts of the reduction — the engine's only threads.  Every
-//! setting is answer-preserving: the Boolean result is bit-identical.
+//! (Theorem 4.15).  [`EngineConfig`] sets one thing, the worker
+//! [parallelism](EngineConfig::parallelism) across the disjuncts of the
+//! reduction — the engine's only threads.  Every setting is
+//! answer-preserving: the Boolean result is bit-identical.  The encoding of
+//! the transformed relations belongs to the reduction:
+//! [`evaluate`](IntersectionJoinEngine::evaluate) plans the flat one, and a
+//! caller that
+//! wants the decomposed one plans it
+//! ([`plan_forward_reduction`](ij_reduction::plan_forward_reduction) with a
+//! [`ReductionConfig`](ij_reduction::ReductionConfig)) and evaluates that
+//! plan ([`IntersectionJoinEngine::evaluate_reduction`]).
 //!
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a value dictionary (dropping the workspace reclaims

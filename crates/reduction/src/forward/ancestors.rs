@@ -40,7 +40,7 @@ pub(super) fn close_over_ancestors(
             .find(|&row| prefix.iter().any(|col| col[row] != col[start]))
             .unwrap_or(leaves.len());
         let group = start..end;
-        closure.close(dict, &cols[a][group.clone()]);
+        closure.close(&cols[a][group.clone()]);
         if suffix.is_empty() {
             ticker.advance(closure.nodes.len())?;
             for (c, col) in prefix.iter().enumerate() {
@@ -97,17 +97,16 @@ impl AncestorClosure {
     /// leaves' depth-`d` prefixes ascend, equal ones side by side, so each
     /// level is one pass with no comparison sort.  Leaves of one depth —
     /// every leaf of a complete tree — are in that order already.
-    fn close(&mut self, dict: &SharedDictionary, leaves: &[ValueId]) {
+    fn close(&mut self, leaves: &[ValueId]) {
         self.keys.clear();
         for (i, leaf) in leaves.iter().enumerate() {
+            // Every node id is inline (`bits_id`).
+            let Some(node) = leaf.as_inline_bits() else {
+                continue;
+            };
             if i > 0 && leaves[i - 1] == *leaf {
                 continue;
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "infallible: `tree_column` admits a column of inline leaves only"
-            )]
-            let node = leaf.as_inline_bits().expect("an inline leaf");
             let heap = 1 << node.len() | node.bits();
             let aligned = heap << (MAX_INLINE_BITS - node.len());
             self.keys.push(aligned << 8 | u64::from(node.len()));
@@ -124,7 +123,7 @@ impl AncestorClosure {
             for &key in self.keys.iter().filter(|&&key| depth(key) >= d) {
                 let heap = (key >> 8 >> (MAX_INLINE_BITS - d)) as u32;
                 if self.nodes.last().map(|&(last, _)| last) != Some(heap) {
-                    let id = bits_id(dict, u64::from(heap ^ 1 << d), d);
+                    let id = bits_id(u64::from(heap ^ 1 << d), d);
                     self.nodes.push((heap, id));
                 }
             }
@@ -249,8 +248,8 @@ mod tests {
         let intervals: Vec<Interval> = (0..9).map(|i| Interval::new(i as f64, 9.0)).collect();
         let dict = SharedDictionary::new();
         let tree = SegmentTree::build(&intervals);
-        let nodes = NodeLists::build(&tree, &intervals, &dict, true, None).unwrap();
-        let ancestors = PlanColumn::Ancestors(nodes.ancestors.as_ref().unwrap());
+        let nodes = NodeLists::build(&tree, &intervals, None).unwrap();
+        let ancestors = PlanColumn::Ancestors(&nodes.leaves);
         let ids: Vec<ValueId> = (0..9)
             .map(|i| dict.intern(Value::point(i as f64)))
             .collect();

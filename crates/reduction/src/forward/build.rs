@@ -1,7 +1,7 @@
 //! One transformed relation built from its plan: seeds → sort → expand.
 
 use super::ancestors::close_over_ancestors;
-use super::plan::{NodeLists, RelationSpec, RowLists, SourceColumn, SpecColumn};
+use super::plan::{NodeLists, RelationSpec, SourceColumn, SpecColumn};
 use super::{bits_id, ForwardReduction};
 use ij_relation::{
     faults, CancelTicker, CancellationToken, EvalError, Relation, SharedDictionary, ValueId,
@@ -22,9 +22,9 @@ pub(super) enum PlanColumn<'a> {
         level: usize,
         leaf: bool,
     },
-    /// Copies each ancestor-or-self of the source row's leaf, whole: one
-    /// option per ancestor.
-    Ancestors(&'a RowLists),
+    /// Copies each ancestor-or-self of the source row's leaf (`leaves`),
+    /// whole: one option per ancestor.
+    Ancestors(&'a [ValueId]),
 }
 
 impl<'a> PlanColumn<'a> {
@@ -37,13 +37,30 @@ impl<'a> PlanColumn<'a> {
     }
 
     /// What a source row contributes to the seeds in this column: its id,
-    /// its leaf's ancestors, or the nodes it expands from — its leaf at the
-    /// top level, its canonical partition below (possibly empty: the row
-    /// joins nothing).
-    pub(super) fn seeds_of(&self, row: usize) -> &'a [ValueId] {
+    /// its leaf's ancestors root first — computed into `ancestors` — or, when
+    /// `collapsed`, its leaf alone, or the nodes it expands from — its leaf
+    /// at the top level, its canonical partition below (possibly empty: the
+    /// row joins nothing).
+    pub(super) fn seeds_of<'s>(
+        &self,
+        row: usize,
+        collapsed: bool,
+        ancestors: &'s mut Vec<ValueId>,
+    ) -> &'s [ValueId]
+    where
+        'a: 's,
+    {
         match *self {
             PlanColumn::Carried(ids) => &ids[row..=row],
-            PlanColumn::Ancestors(lists) => lists.of_row(row),
+            PlanColumn::Ancestors(leaves) if collapsed => &leaves[row..=row],
+            PlanColumn::Ancestors(leaves) => {
+                // `anc(leaf)` of Section 3: its prefixes, the root included.
+                let prefixes = (leaves[row].as_inline_bits().into_iter())
+                    .flat_map(|leaf| (0..=leaf.len()).map(move |n| leaf.prefix(n)));
+                ancestors.clear();
+                ancestors.extend(prefixes.map(|node| bits_id(node.bits(), node.len())));
+                ancestors
+            }
             PlanColumn::Expand { nodes, leaf, .. } if leaf => &nodes.leaves[row..=row],
             PlanColumn::Expand { nodes, .. } => nodes.partitions.of_row(row),
         }
@@ -52,16 +69,9 @@ impl<'a> PlanColumn<'a> {
     /// The node the seed id `seed` names in this column, to be cut into
     /// [`width`](Self::width) pieces; `None` for a seed that is its own one
     /// option (a carried id, an ancestor).
-    #[expect(
-        clippy::expect_used,
-        reason = "infallible: an `Expand` column's seeds are the ids of tree nodes"
-    )]
-    fn node_of(&self, dict: &SharedDictionary, seed: ValueId) -> Option<BitString> {
+    fn node_of(&self, seed: ValueId) -> Option<BitString> {
         let expands = matches!(self, PlanColumn::Expand { .. });
-        expands.then(|| {
-            (seed.as_inline_bits())
-                .unwrap_or_else(|| dict.resolve(seed).as_bits().expect("a node id"))
-        })
+        expands.then(|| seed.as_inline_bits()).flatten()
     }
 }
 
@@ -70,10 +80,6 @@ impl ForwardReduction {
     /// reduction keeps of the source atom.
     pub(super) fn resolve(&self, spec: &RelationSpec) -> Vec<PlanColumn<'_>> {
         let source = &self.sources[spec.atom];
-        #[expect(
-            clippy::expect_used,
-            reason = "infallible: the plan lists the ancestors of every degree-2 variable's leaves"
-        )]
         #[expect(
             clippy::unreachable,
             reason = "infallible: the plan carries point columns and expands interval columns"
@@ -87,8 +93,7 @@ impl ForwardReduction {
                 PlanColumn::Expand { nodes, level, leaf }
             }
             (SpecColumn::Ancestors { .. }, Some(SourceColumn::Interval(nodes))) => {
-                let lists = nodes.ancestors.as_ref();
-                PlanColumn::Ancestors(lists.expect("the plan lists a degree-2 leaf's ancestors"))
+                PlanColumn::Ancestors(&nodes.leaves)
             }
             _ => unreachable!("the plan carries point columns and expands interval columns"),
         };
@@ -137,7 +142,7 @@ pub(super) fn build_relation(
     // `C(|u| + level − 1, level − 1)` options per node `u` (Lemma 4.10).
     let tuples_of = |seed: usize| -> usize {
         let options = |(c, column): (usize, &PlanColumn<'_>)| {
-            let node = column.node_of(dict, seeds.id_at(seed, c));
+            let node = column.node_of(seeds.id_at(seed, c));
             node.map_or(1, |node| node.composition_count(column.width()) as usize)
         };
         plan.iter().enumerate().map(options).product()
@@ -156,8 +161,8 @@ pub(super) fn build_relation(
         for (c, column) in plan.iter().enumerate() {
             let (id, width) = (seeds.id_at(seed, c), column.width());
             options.clear();
-            match column.node_of(dict, id) {
-                Some(node) => tables.push_compositions(dict, node, width, &mut options),
+            match column.node_of(id) {
+                Some(node) => tables.push_compositions(node, width, &mut options),
                 None => options.push(id),
             }
             let n = options.len() / width;
@@ -179,7 +184,8 @@ pub(super) fn build_relation(
 /// deduplicated by [`Relation::dedup`] — the one sort of a build.  Column
 /// `collapse`, an `Ancestors` column, contributes the row's leaf alone
 /// instead of each of its ancestors: `h + 1` times fewer seeds for
-/// [`close_over_ancestors`] to close over the tree.
+/// [`close_over_ancestors`] to close over the tree.  Any other `Ancestors`
+/// column's ancestors are derived from the row's leaf here.
 pub(super) fn sorted_seeds(
     name: &str,
     dict: &SharedDictionary,
@@ -188,26 +194,23 @@ pub(super) fn sorted_seeds(
     source_rows: usize,
     ticker: &mut CancelTicker<'_>,
 ) -> Result<Relation, EvalError> {
-    let seeds_of = |c: usize, row: usize| {
-        let ids = plan[c].seeds_of(row);
-        match collapse == Some(c) {
-            // A row's ancestors run from the root down to its leaf.
-            true => &ids[ids.len().saturating_sub(1)..],
-            false => ids,
-        }
-    };
     let mut seeds: Vec<Vec<ValueId>> = vec![Vec::new(); plan.len()];
-    let mut collected = 0;
+    let (mut collected, mut ancestors) = (0, Vec::new());
     for row in 0..source_rows {
-        let count: usize = (0..plan.len()).map(|c| seeds_of(c, row).len()).product();
+        let mut count = 1;
+        for (c, column) in plan.iter().enumerate() {
+            count *= column
+                .seeds_of(row, collapse == Some(c), &mut ancestors)
+                .len();
+        }
         // An empty canonical partition: the tuple joins nothing.
         if count == 0 {
             continue;
         }
         ticker.advance(count)?;
         let mut outer = 1;
-        for (c, seeds) in seeds.iter_mut().enumerate() {
-            let ids = seeds_of(c, row);
+        for (c, (column, seeds)) in plan.iter().zip(&mut seeds).enumerate() {
+            let ids = column.seeds_of(row, collapse == Some(c), &mut ancestors);
             let inner = count / (outer * ids.len());
             repeat(seeds, ids.iter().copied(), inner, outer);
             outer *= ids.len();
@@ -220,17 +223,9 @@ pub(super) fn sorted_seeds(
 }
 
 /// The column whose seeds a build takes from the tree instead of a sort
-/// ([`close_over_ancestors`]): the first `Ancestors` column whose leaves all
-/// have inline ids — heap indices, which the closure computes with.  Only a
-/// tree more than [`MAX_INLINE_BITS`] levels tall, which does not fit in
-/// memory, has other leaves.
+/// ([`close_over_ancestors`]): the first `Ancestors` column.
 pub(super) fn tree_column(plan: &[PlanColumn<'_>]) -> Option<usize> {
-    plan.iter().position(|column| match column {
-        PlanColumn::Ancestors(lists) => (0..lists.rows()).all(|row| {
-            (lists.of_row(row).last()).is_some_and(|leaf| leaf.as_inline_bits().is_some())
-        }),
-        _ => false,
-    })
+    (plan.iter()).position(|column| matches!(column, PlanColumn::Ancestors(_)))
 }
 
 /// Appends one column of a cross product to `out`: each of `ids` `inner`
@@ -313,17 +308,11 @@ impl CompositionTables {
     /// Appends to `out` the ids of every way of writing `node` as `level`
     /// (possibly empty) consecutive pieces, `level` ids per composition —
     /// `𝔉(u, i)` with no piece list per composition.
-    fn push_compositions(
-        &mut self,
-        dict: &SharedDictionary,
-        node: BitString,
-        level: usize,
-        out: &mut Vec<ValueId>,
-    ) {
+    fn push_compositions(&mut self, node: BitString, level: usize, out: &mut Vec<ValueId>) {
         let bits = node.bits();
         out.extend(self.pieces(node.len(), level).iter().map(|piece| {
             let mask = (1u64 << piece.len) - 1;
-            bits_id(dict, bits >> piece.shift & mask, piece.len)
+            bits_id(bits >> piece.shift & mask, piece.len)
         }));
     }
 }
@@ -332,6 +321,7 @@ impl CompositionTables {
 mod tests {
     use super::*;
     use crate::forward::plan::reduced_relation_name;
+    use crate::forward::plan::RowLists;
     use crate::forward::tests::*;
     use crate::forward::*;
     use ij_hypergraph::{full_reduction, VarId, VarKind};
@@ -543,7 +533,7 @@ mod tests {
     /// The node lists of `intervals` in the tree over `tree_intervals`.
     fn node_lists(tree_intervals: &[Interval], intervals: &[Interval]) -> NodeLists {
         let tree = SegmentTree::build(tree_intervals);
-        NodeLists::build(&tree, intervals, &SharedDictionary::new(), false, None).unwrap()
+        NodeLists::build(&tree, intervals, None).unwrap()
     }
 
     #[test]
@@ -582,7 +572,6 @@ mod tests {
                 starts: vec![0, 1],
             },
             leaves: vec![id],
-            ancestors: None,
         }
     }
 
@@ -642,42 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn a_node_too_long_for_an_inline_id_goes_through_the_dictionary() {
-        // No tree that fits in memory is 30 levels tall, so the node list is
-        // made by hand.  The node and its one 30-bit piece are stored in the
-        // dictionary, every shorter piece has its inline id.
-        let dict = SharedDictionary::new();
-        let node = BitString::from_bits(0x2AAA_AAAA | 1, ij_relation::MAX_INLINE_BITS + 1);
-        let nodes = single_node(&dict, node);
-        let carried = [dict.intern(Value::point(7.0))];
-        for (level, leaf) in [(1, true), (2, false), (3, true)] {
-            let plan = [
-                PlanColumn::Expand {
-                    nodes: &nodes,
-                    level,
-                    leaf,
-                },
-                PlanColumn::Carried(&carried),
-            ];
-            let built = build_relation("R", &dict, &plan, 1, None).unwrap();
-            let expected: Vec<Vec<Value>> = (node.compositions(level))
-                .map(|pieces| pieces.into_iter().map(Value::Bits).collect())
-                .map(|mut row: Vec<Value>| {
-                    row.push(Value::point(7.0));
-                    row
-                })
-                .collect();
-            // One seed: its compositions in cut order.
-            assert_eq!(built.tuples(), expected, "level {level}");
-        }
-    }
-
-    #[test]
     fn table_driven_compositions_agree_with_the_paper_facing_iterator_and_the_count() {
         // The exact-size fill rests on the three spellings of 𝔉(u, i)
         // agreeing: same pieces, same order, `composition_count` of them.
-        // Every node up to 6 bits, four bit patterns per length up to 13,
-        // and one node too long for an inline id (its long pieces interned).
+        // Every node up to 6 bits, and four bit patterns per length up to 13.
         let dict = SharedDictionary::new();
         let mut nodes: Vec<BitString> = (0..=6u8)
             .flat_map(|len| (0..1u64 << len).map(move |bits| BitString::from_bits(bits, len)))
@@ -688,13 +645,11 @@ mod tests {
                 nodes.push(BitString::from_bits(bits, len));
             }
         }
-        let long = ij_relation::MAX_INLINE_BITS + 2;
-        nodes.push(BitString::from_bits(0x5A5A_5A5A & ((1 << long) - 1), long));
         let (mut tables, mut ids) = (CompositionTables::default(), Vec::new());
         for node in nodes {
             for level in 1..=4 {
                 ids.clear();
-                tables.push_compositions(&dict, node, level, &mut ids);
+                tables.push_compositions(node, level, &mut ids);
                 let expected: Vec<ValueId> = (node.compositions(level).flatten())
                     .map(|piece| dict.intern(Value::Bits(piece)))
                     .collect();
@@ -706,9 +661,8 @@ mod tests {
                 );
             }
         }
-        // Only the long node's pieces above 29 bits went through the
-        // dictionary: its whole self, and its two 30-bit ends.
-        assert_eq!(dict.len(), 3);
+        // Every piece has its inline id: nothing went into the dictionary.
+        assert_eq!(dict.len(), 0);
     }
 
     proptest! {

@@ -75,7 +75,9 @@
 //!
 //! The transform never leaves the id domain.  The canonical partition and
 //! the leaf of every cell are computed once per (atom, interval column), as
-//! node ids (`NodeLists`), and shared by all level assignments of the atom.
+//! node ids (`NodeLists`), and shared by all level assignments of the atom;
+//! a degree-2 top column's ancestors are derived from the leaf where a build
+//! reads them.
 //! One relation build (`build_relation`, which also builds the parts of the
 //! decomposed encoding) is *seeds → sort → expand*.  A **seed** of a source
 //! row is one id per source column: the row's id in a carried column, the id
@@ -92,13 +94,20 @@
 //! column is one piece wide — a carried id, a node at level 1, or the
 //! ancestor of a degree-2 variable's top column, whose seeds are the leaf's
 //! ancestors themselves — each seed is its own one tuple, and the sorted
-//! seeds *are* the relation: nothing is expanded.  A piece is at
-//! most as long as the tree is high, so its id is computed, not looked up
-//! ([`ValueId::inline_bits`], the encoding the dictionary shares): the cut
-//! positions come from one table per (node length, level) and a piece is a
-//! shift and a mask of its node's bits — no hash, no lock, no call into the
-//! dictionary, and no allocation per row or per seed.  The node ids of
-//! `NodeLists` are computed the same way.  The rows end up in **seed order**
+//! seeds *are* the relation: nothing is expanded.
+//!
+//! Node and piece ids are **computed, never looked up**
+//! ([`ValueId::inline_bits`], the encoding the dictionary shares): a node's
+//! id is its implicit-heap index under a tag bit, and a piece is at most as
+//! long as its node.  The plan admits no segment tree taller than
+//! [`MAX_INLINE_BITS`](ij_relation::MAX_INLINE_BITS) = 29 levels
+//! ([`ReductionError::TreeTooTall`]; a tree that tall needs at least 2²⁸
+//! distinct endpoints of one variable), so every bitstring a build meets
+//! has such an id.  The cut positions come from one table per (node length,
+//! level) and a piece is a shift and a mask of its node's bits — no hash, no
+//! lock, no call into the dictionary, and no allocation per row or per
+//! seed.  The one dictionary call of the reduction interns the decomposed
+//! encoding's tuple identifiers, once, in the plan.  The rows end up in **seed order**
 //! (ascending ids, column by column), each seed's tuples in cut order with
 //! the first column varying slowest: a function of the source rows' *set*,
 //! so equal inputs in any row order give equal columns.
@@ -129,19 +138,17 @@ use build::build_relation;
 use ij_hypergraph::ReducedHypergraph;
 use ij_relation::sync::lock_recover;
 use ij_relation::{
-    CancellationToken, Database, EvalError, Query, Relation, SharedDictionary, Value, ValueId,
+    CancellationToken, Database, EvalError, Query, Relation, SharedDictionary, ValueId,
 };
-use ij_segtree::BitString;
 use plan::{plan, AtomSource, RelationSpec, Shape};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Lock class of a transformed relation's build gate (`sync::lock_order`):
 /// held by the one thread building the relation, waited on by every other
-/// thread that needs it meanwhile.  The builder acquires nothing under it but
-/// `dictionary` (bitstrings too long for an inline id, which no tree that
-/// fits in memory produces), and nobody acquires a gate while holding another
-/// lock.
+/// thread that needs it meanwhile.  The builder acquires nothing under it
+/// (node ids are computed, module docs), and nobody acquires a gate while
+/// holding another lock.
 const RELATION_BUILD: &str = "reduction-relation-build";
 
 /// How the transformed relations encode the bitstring columns of an atom with
@@ -489,6 +496,11 @@ pub enum ReductionError {
     /// A value of an interval variable is not an interval (or a point, which
     /// is treated as a point interval).
     NotAnInterval { relation: String, column: usize },
+    /// The segment tree of an interval variable is taller than
+    /// [`MAX_INLINE_BITS`](ij_relation::MAX_INLINE_BITS) levels, so its node
+    /// ids cannot be computed (module docs).  It takes at least 2²⁸ distinct
+    /// endpoints of the variable.
+    TreeTooTall { variable: String, height: u8 },
     /// The reduction was interrupted, in its plan or in a relation build:
     /// the caller's [`CancellationToken`] was cancelled or its deadline
     /// expired.  The reduction under construction is dropped whole.
@@ -519,6 +531,13 @@ impl std::fmt::Display for ReductionError {
                 write!(
                     f,
                     "relation `{relation}` column {column} holds a non-interval value"
+                )
+            }
+            ReductionError::TreeTooTall { variable, height } => {
+                write!(
+                    f,
+                    "segment tree of `{variable}` is {height} levels tall, above the {} of computed node ids",
+                    ij_relation::MAX_INLINE_BITS
                 )
             }
             ReductionError::Interrupted(e) => write!(f, "reduction interrupted: {e}"),
@@ -593,11 +612,13 @@ pub fn plan_forward_reduction(
     plan(q, db, config, token, Shape::Live)
 }
 
-/// The id of the bitstring of `len` bits `bits`: computed
-/// ([`ValueId::inline_bits`]) up to 29 bits — every node and piece of any
-/// tree that fits in memory — and interned above.
+/// The id of the tree node or piece of `len` bits `bits`: computed
+/// ([`ValueId::inline_bits`]), never looked up (module docs).
 #[inline]
-fn bits_id(dict: &SharedDictionary, bits: u64, len: u8) -> ValueId {
-    ValueId::inline_bits(bits, len)
-        .unwrap_or_else(|| dict.intern(Value::Bits(BitString::from_bits(bits, len))))
+#[expect(
+    clippy::expect_used,
+    reason = "infallible: `plan` admits no tree taller than MAX_INLINE_BITS levels"
+)]
+fn bits_id(bits: u64, len: u8) -> ValueId {
+    ValueId::inline_bits(bits, len).expect("a node of a tree `plan` admitted")
 }

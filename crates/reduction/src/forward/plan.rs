@@ -7,7 +7,7 @@ use super::{
 };
 use ij_hypergraph::{full_reduction, VarId, VarKind};
 use ij_relation::{
-    CancelTicker, CancellationToken, Database, EvalError, Query, SharedDictionary, Value, ValueId,
+    CancelTicker, CancellationToken, Database, EvalError, Query, Value, ValueId, MAX_INLINE_BITS,
 };
 use ij_segtree::{BitString, Interval, SegmentTree};
 use std::collections::BTreeMap;
@@ -145,15 +145,14 @@ pub(super) fn plan(
         }
         let all: Vec<Interval> = columns.iter().flat_map(|(_, ivs)| ivs).copied().collect();
         let tree = SegmentTree::build(&all);
+        admit_height(name, tree.height())?;
         stats
             .variables
             .push((name.clone(), all.len(), tree.height()));
         // Number of atoms containing the variable (its `k`).
         degrees.insert(var, columns.len());
-        let ancestors = shape == Shape::Live && columns.len() == 2;
         for (key, intervals) in columns {
-            let nodes = NodeLists::build(&tree, &intervals, db.dictionary(), ancestors, token)?;
-            node_lists.insert(key, nodes);
+            node_lists.insert(key, NodeLists::build(&tree, &intervals, token)?);
         }
     }
 
@@ -289,11 +288,9 @@ pub(super) fn reduced_relation_name(
 pub(super) struct NodeLists {
     /// Per row, its canonical partition (possibly empty).
     pub(super) partitions: RowLists,
-    /// Per row, its leaf.
+    /// Per row, its leaf: also the live top column of a variable of degree 2,
+    /// whose ancestors a build derives from it.
     pub(super) leaves: Vec<ValueId>,
-    /// Per row, each ancestor-or-self of its leaf, root first: the live top
-    /// column of a variable of degree 2.  `None` where no plan reads it.
-    pub(super) ancestors: Option<RowLists>,
 }
 
 /// One run of ids per source row, flattened: row `r`'s run is
@@ -321,29 +318,21 @@ impl RowLists {
     pub(super) fn of_row(&self, row: usize) -> &[ValueId] {
         &self.ids[self.starts[row]..self.starts[row + 1]]
     }
-
-    /// Number of rows.
-    pub(super) fn rows(&self) -> usize {
-        self.starts.len() - 1
-    }
 }
 
 impl NodeLists {
-    /// The node lists of `intervals` in `tree`, with the leaves' ancestors
-    /// when `ancestors` is set.  `token` is polled once per interval.
+    /// The node lists of `intervals` in `tree`.  `token` is polled once per
+    /// interval.
     pub(super) fn build(
         tree: &SegmentTree,
         intervals: &[Interval],
-        dict: &SharedDictionary,
-        ancestors: bool,
         token: Option<&CancellationToken>,
     ) -> Result<Self, EvalError> {
         let mut lists = NodeLists {
             partitions: RowLists::new(),
             leaves: Vec::with_capacity(intervals.len()),
-            ancestors: ancestors.then(RowLists::new),
         };
-        let id_of = |node: BitString| bits_id(dict, node.bits(), node.len());
+        let id_of = |node: BitString| bits_id(node.bits(), node.len());
         let mut ticker = CancelTicker::new(token);
         for &iv in intervals {
             ticker.tick()?;
@@ -353,13 +342,22 @@ impl NodeLists {
             });
             partitions.end_row();
             lists.leaves.push(id_of(leaf));
-            if let Some(ancestors) = &mut lists.ancestors {
-                // `anc(leaf)` of Section 3: its prefixes, the root included.
-                (ancestors.ids).extend((0..=leaf.len()).map(|n| id_of(leaf.prefix(n))));
-                ancestors.end_row();
-            }
         }
         Ok(lists)
+    }
+}
+
+/// Rejects the segment tree of `variable` when it is taller than
+/// [`MAX_INLINE_BITS`] levels: its nodes and their pieces are at most as long
+/// as the tree is tall, and only bitstrings of at most that many bits have a
+/// computed id ([`bits_id`]).
+fn admit_height(variable: &str, height: u8) -> Result<(), ReductionError> {
+    match height <= MAX_INLINE_BITS {
+        true => Ok(()),
+        false => Err(ReductionError::TreeTooTall {
+            variable: variable.to_string(),
+            height,
+        }),
     }
 }
 
@@ -391,6 +389,7 @@ fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::build::PlanColumn;
     use crate::forward::tests::*;
     use crate::forward::*;
     use proptest::prelude::*;
@@ -475,6 +474,25 @@ mod tests {
     }
 
     #[test]
+    fn a_tree_too_tall_for_computed_node_ids_is_rejected() {
+        // A tree 30 levels tall needs 2²⁸ endpoints, so the check is tested
+        // on the height alone: 29 is the tallest tree whose node ids fit.
+        assert_eq!(MAX_INLINE_BITS, 29);
+        assert_eq!(admit_height("A", 29), Ok(()));
+        assert_eq!(
+            admit_height("A", 30),
+            Err(ReductionError::TreeTooTall {
+                variable: "A".to_string(),
+                height: 30
+            })
+        );
+        assert!(admit_height("A", 30)
+            .unwrap_err()
+            .to_string()
+            .contains("`A` is 30 levels tall"));
+    }
+
+    #[test]
     fn node_list_ids_are_the_dictionarys_ids_of_the_nodes() {
         // Points, shared endpoints, nesting and both infinities.
         let intervals = [
@@ -490,7 +508,8 @@ mod tests {
         let tree = SegmentTree::build(&intervals);
         let queries: Vec<Interval> = intervals.iter().chain(&outside).copied().collect();
         let dict = SharedDictionary::new();
-        let nodes = NodeLists::build(&tree, &queries, &dict, true, None).unwrap();
+        let nodes = NodeLists::build(&tree, &queries, None).unwrap();
+        let (ancestors_of, mut ancestors) = (PlanColumn::Ancestors(&nodes.leaves), Vec::new());
         let id = |node: BitString| dict.intern(Value::Bits(node));
         for (row, &iv) in queries.iter().enumerate() {
             let partition: Vec<ValueId> =
@@ -498,8 +517,8 @@ mod tests {
             assert_eq!(nodes.partitions.of_row(row), partition, "{iv}");
             let leaf = tree.leaf_of_interval(iv);
             assert_eq!(nodes.leaves[row], id(leaf), "{iv}");
-            let ancestors: Vec<ValueId> = leaf.ancestors().into_iter().map(id).collect();
-            assert_eq!(nodes.ancestors.as_ref().unwrap().of_row(row), ancestors);
+            let expected: Vec<ValueId> = leaf.ancestors().into_iter().map(id).collect();
+            assert_eq!(ancestors_of.seeds_of(row, false, &mut ancestors), expected);
         }
         assert_eq!(dict.len(), 0, "every node id is inline");
     }

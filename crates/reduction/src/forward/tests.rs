@@ -5,7 +5,7 @@ use super::build::{sorted_seeds, tree_column, PlanColumn};
 use super::*;
 use ij_hypergraph::VarKind;
 use ij_relation::kernels::strictly_ascending;
-use ij_relation::CancelTicker;
+use ij_relation::{CancelTicker, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -363,7 +363,8 @@ pub(super) fn size_by_lemma_4_10(fr: &ForwardReduction, planned: &PlannedRelatio
         let of_row = plan.iter().fold(vec![vec![]], |seeds, column| {
             let extended = |seed: &Vec<ValueId>| {
                 let seed = seed.clone();
-                (column.seeds_of(row).iter()).map(move |&id| [&seed[..], &[id]].concat())
+                let ids = column.seeds_of(row, false, &mut Vec::new()).to_vec();
+                ids.into_iter().map(move |id| [&seed[..], &[id]].concat())
             };
             seeds.iter().flat_map(extended).collect()
         });

@@ -14,12 +14,13 @@
 mod common;
 
 use common::disjunct_divergence;
-use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine};
+use ij_engine::{naive_boolean, IntersectionJoinEngine};
 use ij_hypergraph::{
     figure_9b, figure_9c, figure_9d, figure_9e, figure_9f, k_path_ij, star_ij, triangle_ij,
     Hypergraph,
 };
-use ij_relation::Query;
+use ij_reduction::{plan_forward_reduction, EncodingStrategy, ReductionConfig};
+use ij_relation::{Database, Query};
 use ij_workloads::{
     generate_for_query, planted_satisfiable, planted_unsatisfiable, IntervalDistribution,
     WorkloadConfig,
@@ -58,17 +59,14 @@ fn differential(
     seeds: std::ops::Range<u64>,
     dist: IntervalDistribution,
 ) {
-    differential_with(
-        &IntersectionJoinEngine::with_defaults(),
-        query,
-        tuples,
-        seeds,
-        dist,
-    );
+    let engine = IntersectionJoinEngine::with_defaults();
+    let evaluate = |query: &Query, db: &Database| engine.evaluate(query, db);
+    differential_with(evaluate, query, tuples, seeds, dist);
 }
 
+/// [`differential`] with the reduction-based evaluation `evaluate`.
 fn differential_with(
-    engine: &IntersectionJoinEngine,
+    evaluate: impl Fn(&Query, &Database) -> Result<bool, ij_engine::EngineError>,
     query: &Query,
     tuples: usize,
     seeds: std::ops::Range<u64>,
@@ -83,9 +81,7 @@ fn differential_with(
         };
         let db = generate_for_query(query, &cfg);
         let expected = naive_boolean(query, &db).expect("naive evaluation");
-        let actual = engine
-            .evaluate(query, &db)
-            .expect("reduction-based evaluation");
+        let actual = evaluate(query, &db).expect("reduction-based evaluation");
         assert_eq!(actual, expected, "query {query}, seed {seed}");
 
         // Planted instances: deterministically satisfiable / unsatisfiable.
@@ -95,7 +91,7 @@ fn differential_with(
             "planted-sat naive, seed {seed}"
         );
         assert!(
-            engine.evaluate(query, &sat).unwrap(),
+            evaluate(query, &sat).unwrap(),
             "planted-sat reduction, seed {seed}"
         );
 
@@ -105,7 +101,7 @@ fn differential_with(
             "planted-unsat naive, seed {seed}"
         );
         assert!(
-            !engine.evaluate(query, &unsat).unwrap(),
+            !evaluate(query, &unsat).unwrap(),
             "planted-unsat reduction, seed {seed}"
         );
     }
@@ -115,8 +111,19 @@ fn query_of(h: &Hypergraph) -> Query {
     Query::from_hypergraph(h)
 }
 
-fn decomposed_engine() -> IntersectionJoinEngine {
-    IntersectionJoinEngine::new(EngineConfig::decomposed())
+/// The engine's answer for `query` over `db` under the decomposed encoding
+/// (Section 1.1).  The encoding belongs to the reduction, so the plan is
+/// made here and `engine` evaluates it.
+fn evaluate_decomposed(
+    engine: &IntersectionJoinEngine,
+    query: &Query,
+    db: &Database,
+) -> Result<bool, ij_engine::EngineError> {
+    let config = ReductionConfig {
+        encoding: EncodingStrategy::Decomposed,
+    };
+    let plan = plan_forward_reduction(query, db, config, None)?;
+    Ok(engine.evaluate_reduction(&plan)?.answer)
 }
 
 #[test]
@@ -232,8 +239,9 @@ fn grid_aligned_workloads_are_correct() {
 fn decomposed_encoding_is_correct_on_triangle_workloads() {
     // The decomposed (Id-based) encoding of Section 1.1 must agree with the
     // naive oracle exactly like the flat encoding does.
+    let engine = IntersectionJoinEngine::with_defaults();
     differential_with(
-        &decomposed_engine(),
+        |query, db| evaluate_decomposed(&engine, query, db),
         &query_of(&triangle_ij()),
         12,
         0..12,
@@ -285,7 +293,8 @@ fn loomis_whitney_4_reduction_is_correct_on_small_instances() {
     // decomposed encoding (Section 1.1) and keeps the data tiny.
     use ij_hypergraph::loomis_whitney_4_ij;
     let query = query_of(&loomis_whitney_4_ij());
-    let engine = decomposed_engine();
+    let engine = IntersectionJoinEngine::with_defaults();
+    let evaluate = |query: &Query, db: &Database| evaluate_decomposed(&engine, query, db);
     let mut outcomes = [0usize; 2];
     for (seed, span) in [(0u64, 60.0), (1u64, 12.0)] {
         let db = generate_for_query(
@@ -297,7 +306,7 @@ fn loomis_whitney_4_reduction_is_correct_on_small_instances() {
             },
         );
         let expected = naive_boolean(&query, &db).unwrap();
-        let actual = engine.evaluate(&query, &db).unwrap();
+        let actual = evaluate(&query, &db).unwrap();
         assert_eq!(actual, expected, "seed {seed}");
         outcomes[usize::from(expected)] += 1;
     }
@@ -312,19 +321,16 @@ fn loomis_whitney_4_reduction_is_correct_on_small_instances() {
             max_len: 6.0,
         },
     };
-    assert!(engine
-        .evaluate(&query, &planted_satisfiable(&query, &cfg))
-        .unwrap());
-    assert!(!engine
-        .evaluate(&query, &planted_unsatisfiable(&query, &cfg))
-        .unwrap());
+    assert!(evaluate(&query, &planted_satisfiable(&query, &cfg)).unwrap());
+    assert!(!evaluate(&query, &planted_unsatisfiable(&query, &cfg)).unwrap());
 }
 
 #[test]
 fn four_clique_reduction_is_correct_on_small_instances() {
     use ij_hypergraph::four_clique_ij;
     let query = query_of(&four_clique_ij());
-    let engine = decomposed_engine();
+    let engine = IntersectionJoinEngine::with_defaults();
+    let evaluate = |query: &Query, db: &Database| evaluate_decomposed(&engine, query, db);
     for (seed, span) in [(0u64, 50.0), (1u64, 8.0)] {
         let db = generate_for_query(
             &query,
@@ -335,11 +341,7 @@ fn four_clique_reduction_is_correct_on_small_instances() {
             },
         );
         let expected = naive_boolean(&query, &db).unwrap();
-        assert_eq!(
-            engine.evaluate(&query, &db).unwrap(),
-            expected,
-            "seed {seed}"
-        );
+        assert_eq!(evaluate(&query, &db).unwrap(), expected, "seed {seed}");
     }
 
     let cfg = WorkloadConfig {
@@ -350,12 +352,8 @@ fn four_clique_reduction_is_correct_on_small_instances() {
             max_len: 5.0,
         },
     };
-    assert!(engine
-        .evaluate(&query, &planted_satisfiable(&query, &cfg))
-        .unwrap());
-    assert!(!engine
-        .evaluate(&query, &planted_unsatisfiable(&query, &cfg))
-        .unwrap());
+    assert!(evaluate(&query, &planted_satisfiable(&query, &cfg)).unwrap());
+    assert!(!evaluate(&query, &planted_unsatisfiable(&query, &cfg)).unwrap());
 }
 
 #[test]

@@ -128,7 +128,9 @@ fn workers_waiting_on_each_others_relation_builds_stay_acyclic() {
     // and different disjuncts read some of the same transformed relations —
     // the first two both start with `Sessions@0⟨T:1⟩` — so with four workers
     // some wait at a build gate another worker holds.  A gate is only ever
-    // acquired with nothing else held, so no order edge may lead *into* it.
+    // acquired with nothing else held, so no order edge may lead *into* it,
+    // and a build computes its node ids instead of interning them, so it
+    // acquires nothing under the gate: no edge may leave it either.
     let scenario = build_scenario(
         &ScenarioConfig::new(ScenarioFamily::TemporalOverlap)
             .with_tuples(200)
@@ -157,6 +159,11 @@ fn workers_waiting_on_each_others_relation_builds_stay_acyclic() {
         assert!(
             lock_order::snapshot().iter().all(|&(_, to)| to != GATE),
             "a build gate was acquired under another lock: {:?}",
+            lock_order::snapshot()
+        );
+        assert!(
+            lock_order::snapshot().iter().all(|&(from, _)| from != GATE),
+            "a lock was acquired under a build gate: {:?}",
             lock_order::snapshot()
         );
     }

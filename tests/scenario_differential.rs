@@ -407,10 +407,8 @@ fn demand_driven_evaluation_builds_the_eager_relations() {
             assert_eq!(eager.stats.relations_built, eager.stats.num_relations);
             for parallelism in [1usize, 2, 4] {
                 let label = format!("{name}, {encoding:?}, parallelism {parallelism}");
-                let engine = IntersectionJoinEngine::new(EngineConfig {
-                    encoding,
-                    ..EngineConfig::new().with_parallelism(parallelism)
-                });
+                let engine =
+                    IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
                 let plan = plan_forward_reduction(query, db, config, None).expect("plan");
                 assert_eq!(
                     plan.relations().count(),
@@ -443,7 +441,8 @@ fn demand_driven_evaluation_builds_the_eager_relations() {
                     // Every disjunct ran, so every relation was read.
                     assert_eq!(stats.reduction.relations_built, eager.stats.num_relations);
                 }
-                // The one-call entry point plans and builds the same way.
+                // The one-call entry point plans the flat encoding and builds
+                // it the same way.
                 assert_eq!(engine.evaluate(query, db).expect("evaluate"), expected);
             }
         }
@@ -687,13 +686,14 @@ fn closed_endpoints_touch() {
             expected,
             "baseline, [{lo}, {hi}]"
         );
+        let engine = IntersectionJoinEngine::with_defaults();
         for encoding in [EncodingStrategy::Flat, EncodingStrategy::Decomposed] {
-            let engine = IntersectionJoinEngine::new(EngineConfig {
-                encoding,
-                ..EngineConfig::new()
-            });
+            let plan = plan_forward_reduction(&query, &db, ReductionConfig { encoding }, None)
+                .expect("plan succeeds");
             assert_eq!(
-                engine.evaluate(&query, &db).expect("evaluation succeeds"),
+                (engine.evaluate_reduction(&plan))
+                    .expect("evaluation succeeds")
+                    .answer,
                 expected,
                 "{encoding:?}, [{lo}, {hi}]"
             );
@@ -718,15 +718,17 @@ fn minimiser_finds_the_smallest_diverging_config() {
 
 /// Queries with point variables in them: shared by two atoms, repeated inside
 /// one atom, private to one atom, and permuted between atoms.  The first four
-/// are ι-acyclic, so every disjunct runs Yannakakis; the last is a triangle
+/// are ι-acyclic, so every disjunct runs Yannakakis; the fifth is a triangle
 /// through a repeated point variable, so its cyclic disjuncts materialise
-/// bags that must keep `X = X`.
-const MIXED_EIJ_QUERIES: [&str; 5] = [
+/// bags that must keep `X = X`.  The last is the triangle over one repeated
+/// relation, whose three atoms read the same rows.
+const MIXED_EIJ_QUERIES: [&str; 6] = [
     "R(X,[A]) & S(X,[A])",
     "R(X,X,[A]) & S(X,[A])",
     "R(X,X,[A]) & S([A])",
     "R(X,Y,[A]) & S(Y,X,[A]) & T(X,[A])",
     "R(X,X,[A]) & S([A],[B]) & T(X,[B])",
+    "R([A],[B]) & R([B],[C]) & R([A],[C])",
 ];
 
 /// One cell drawn both ways — a point from a domain of 4 and an interval over
@@ -742,10 +744,14 @@ fn arb_cell() -> impl Strategy<Value = (Value, Value)> {
 }
 
 /// The database of `query` over `relations[i]` for its `i`-th atom, each row
-/// cut to the atom's arity.
+/// cut to the atom's arity; a repeated relation has the rows of its first
+/// atom.
 fn mixed_eij_database(query: &Query, relations: &[Vec<Vec<(Value, Value)>>]) -> Database {
     let mut db = Database::new();
     for (atom, rows) in query.atoms().iter().zip(relations) {
+        if db.relation(&atom.relation).is_some() {
+            continue;
+        }
         let tuples = rows
             .iter()
             .map(|row| {
@@ -770,7 +776,8 @@ proptest! {
     ))]
 
     /// The scenario families bind interval variables only; this sweep puts
-    /// point variables beside them.  The engine, at one worker and two,
+    /// point variables beside them.  The engine, at one worker and two, on
+    /// the flat encoding `evaluate` plans and on the decomposed plan,
     /// answers like the naive oracle, and so does every disjunct's algorithm
     /// ([`disjunct_divergence`]).
     #[test]
@@ -785,12 +792,22 @@ proptest! {
             let db = mixed_eij_database(&query, &relations);
             let expected = naive_boolean(&query, &db).expect("naive evaluation succeeds");
             let rows = || db.relations().map(|r| (r.name(), r.tuples())).collect::<Vec<_>>();
+            let decomposed = ReductionConfig { encoding: EncodingStrategy::Decomposed };
             for parallelism in [1usize, 2] {
                 let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
                 prop_assert_eq!(
                     engine.evaluate(&query, &db).expect("evaluation succeeds"),
                     expected,
                     "{} at parallelism {}, on {:?}",
+                    text,
+                    parallelism,
+                    rows()
+                );
+                let plan = plan_forward_reduction(&query, &db, decomposed, None).expect("plan succeeds");
+                prop_assert_eq!(
+                    engine.evaluate_reduction(&plan).expect("evaluation succeeds").answer,
+                    expected,
+                    "{} decomposed at parallelism {}, on {:?}",
                     text,
                     parallelism,
                     rows()
