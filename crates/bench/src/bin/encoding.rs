@@ -50,8 +50,7 @@ fn main() {
                 });
                 let (stats, t_eval) =
                     time(|| engine.evaluate_reduction(&reduction).expect("evaluation"));
-                let answer = stats.answer;
-                answers.push(answer);
+                answers.push(stats.answer);
                 cells.push(reduction.stats.transformed_tuples.to_string());
                 cells.push(reduction.stats.max_relation_tuples.to_string());
                 cells.push(format!("{:.1}", (t_reduce + t_eval).as_secs_f64() * 1e3));

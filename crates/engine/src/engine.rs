@@ -65,12 +65,10 @@ pub(crate) fn hardware_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration of the engine: its worker count, and nothing else.  The
-/// encoding of the transformed relations is the reduction's
-/// ([`ReductionConfig`]): [`evaluate`](IntersectionJoinEngine::evaluate)
-/// plans the flat one, and a caller that wants the decomposed one plans it
-/// with [`plan_forward_reduction`] and evaluates that plan
-/// ([`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction)).
+/// Configuration of the engine: its worker count.  The encoding is the
+/// reduction's ([`ReductionConfig`]); to evaluate a non-default one, plan it
+/// ([`plan_forward_reduction`]) and call
+/// [`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Number of threads evaluating the EJ disjunction — the only threads an
@@ -457,11 +455,8 @@ impl IntersectionJoinEngine {
 
     /// Evaluates a Boolean EIJ query over an interval database through the
     /// forward reduction under a caller-owned [`CancellationToken`], and
-    /// returns the answer with the evaluation's runtime statistics.  The
-    /// reduction is planned with [`ReductionConfig::default`] (the flat
-    /// encoding); to evaluate another encoding, plan it with
-    /// [`plan_forward_reduction`] and call
-    /// [`evaluate_reduction_cancellable`](IntersectionJoinEngine::evaluate_reduction_cancellable).
+    /// returns the answer with the evaluation's runtime statistics.  It plans
+    /// with [`ReductionConfig::default`], the flat encoding ([`EngineConfig`]).
     ///
     /// Cancelling the token (from any thread) makes the evaluation return
     /// [`EngineError::Evaluation`]`(`[`EvalError::Cancelled`]`)` within the

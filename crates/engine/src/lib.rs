@@ -13,17 +13,10 @@
 //!   used as a differential-testing oracle and baseline.
 //!
 //! The engine chooses each disjunct's join algorithm from its hypergraph
-//! (Theorem 4.15).  [`EngineConfig`] sets one thing, the worker
+//! (Theorem 4.15).  [`EngineConfig`] sets only the worker
 //! [parallelism](EngineConfig::parallelism) across the disjuncts of the
-//! reduction — the engine's only threads.  Every setting is
-//! answer-preserving: the Boolean result is bit-identical.  The encoding of
-//! the transformed relations belongs to the reduction:
-//! [`evaluate`](IntersectionJoinEngine::evaluate) plans the flat one, and a
-//! caller that
-//! wants the decomposed one plans it
-//! ([`plan_forward_reduction`](ij_reduction::plan_forward_reduction) with a
-//! [`ReductionConfig`](ij_reduction::ReductionConfig)) and evaluates that
-//! plan ([`IntersectionJoinEngine::evaluate_reduction`]).
+//! reduction — the engine's only threads; the encoding is the reduction's
+//! (see [`EngineConfig`]).  Every setting is answer-preserving.
 //!
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a value dictionary (dropping the workspace reclaims

@@ -1,12 +1,12 @@
 //! The seeds of an `Ancestors` column taken from the tree instead of a sort.
 
-use super::bits_id;
-use ij_relation::{CancelTicker, EvalError, Relation, SharedDictionary, ValueId, MAX_INLINE_BITS};
+use super::{bits_id, id_bits};
+use ij_relation::{CancelTicker, EvalError, Relation, ValueId, MAX_INLINE_BITS};
 use std::ops::Range;
 
 /// The distinct seeds of a plan whose column `a` is an `Ancestors` column,
 /// ascending, from `leaves` — the same plan's distinct seeds with column `a`
-/// collapsed to the row's leaf, ascending ([`sorted_seeds`]) — with no
+/// collapsed to the row's leaf, ascending ([`tree_column`]) — with no
 /// sort.  An inline node id is the node's implicit-heap index under a tag
 /// bit (`1 << len | bits`, the segment tree's numbering): ids ascend level
 /// by level, and the parent of heap index `h` is `h >> 1`.  Per *group* — a
@@ -20,12 +20,10 @@ use std::ops::Range;
 ///   two children's lists ([`AncestorClosure::merge_lists`]).
 ///
 /// Groups in order, each group's nodes ascending and each node's list in
-/// order: the seeds come out exactly as [`sorted_seeds`] without `collapse`
-/// would sort them, column for column.  One unit of `ticker` per seed
+/// order: the seeds come out exactly as [`sorted_seeds`] of the plan would
+/// sort them, column for column.  One unit of `ticker` per seed
 /// listed.
 pub(super) fn close_over_ancestors(
-    name: &str,
-    dict: &SharedDictionary,
     leaves: &Relation,
     a: usize,
     ticker: &mut CancelTicker<'_>,
@@ -64,6 +62,7 @@ pub(super) fn close_over_ancestors(
         }
         start = end;
     }
+    let (name, dict) = (leaves.name(), leaves.dictionary());
     Ok(Relation::from_id_columns(name, out[a].len(), out, dict))
 }
 
@@ -100,13 +99,10 @@ impl AncestorClosure {
     fn close(&mut self, leaves: &[ValueId]) {
         self.keys.clear();
         for (i, leaf) in leaves.iter().enumerate() {
-            // Every node id is inline (`bits_id`).
-            let Some(node) = leaf.as_inline_bits() else {
-                continue;
-            };
             if i > 0 && leaves[i - 1] == *leaf {
                 continue;
             }
+            let node = id_bits(*leaf);
             let heap = 1 << node.len() | node.bits();
             let aligned = heap << (MAX_INLINE_BITS - node.len());
             self.keys.push(aligned << 8 | u64::from(node.len()));
@@ -261,12 +257,12 @@ mod tests {
             vec![carried, ancestors],
             vec![ancestors, carried],
         ] {
-            let a = tree_column(&plan).unwrap();
+            let (a, collapsed) = tree_column(&plan).unwrap();
             let mut ticker = CancelTicker::new(Some(&token));
-            let leaves = sorted_seeds("R", &dict, &plan, Some(a), 9, &mut ticker).unwrap();
+            let leaves = sorted_seeds("R", &dict, &collapsed, 9, &mut ticker).unwrap();
             assert_eq!(leaves.len(), 9);
             assert_eq!(
-                close_over_ancestors("R", &dict, &leaves, a, &mut ticker).unwrap_err(),
+                close_over_ancestors(&leaves, a, &mut ticker).unwrap_err(),
                 EvalError::Cancelled
             );
             assert_eq!(

@@ -2,7 +2,7 @@
 
 use super::ancestors::close_over_ancestors;
 use super::plan::{NodeLists, RelationSpec, SourceColumn, SpecColumn};
-use super::{bits_id, ForwardReduction};
+use super::{bits_id, id_bits, ForwardReduction};
 use ij_relation::{
     faults, CancelTicker, CancellationToken, EvalError, Relation, SharedDictionary, ValueId,
 };
@@ -37,26 +37,20 @@ impl<'a> PlanColumn<'a> {
     }
 
     /// What a source row contributes to the seeds in this column: its id,
-    /// its leaf's ancestors root first — computed into `ancestors` — or, when
-    /// `collapsed`, its leaf alone, or the nodes it expands from — its leaf
-    /// at the top level, its canonical partition below (possibly empty: the
-    /// row joins nothing).
+    /// its leaf's ancestors root first (computed into `ancestors`), or the
+    /// nodes it expands from — its leaf at the top level, its canonical
+    /// partition below (possibly empty: the row joins nothing).
     pub(super) fn seeds_of<'s>(
-        &self,
+        &'s self,
         row: usize,
-        collapsed: bool,
         ancestors: &'s mut Vec<ValueId>,
-    ) -> &'s [ValueId]
-    where
-        'a: 's,
-    {
+    ) -> &'s [ValueId] {
         match *self {
             PlanColumn::Carried(ids) => &ids[row..=row],
-            PlanColumn::Ancestors(leaves) if collapsed => &leaves[row..=row],
             PlanColumn::Ancestors(leaves) => {
                 // `anc(leaf)` of Section 3: its prefixes, the root included.
-                let prefixes = (leaves[row].as_inline_bits().into_iter())
-                    .flat_map(|leaf| (0..=leaf.len()).map(move |n| leaf.prefix(n)));
+                let leaf = id_bits(leaves[row]);
+                let prefixes = (0..=leaf.len()).map(|n| leaf.prefix(n));
                 ancestors.clear();
                 ancestors.extend(prefixes.map(|node| bits_id(node.bits(), node.len())));
                 ancestors
@@ -71,7 +65,7 @@ impl<'a> PlanColumn<'a> {
     /// option (a carried id, an ancestor).
     fn node_of(&self, seed: ValueId) -> Option<BitString> {
         let expands = matches!(self, PlanColumn::Expand { .. });
-        expands.then(|| seed.as_inline_bits()).flatten()
+        expands.then(|| id_bits(seed))
     }
 }
 
@@ -125,11 +119,11 @@ pub(super) fn build_relation(
 
     // (1) The distinct seeds, ascending.
     let seeds = match tree_column(plan) {
-        Some(a) => {
-            let leaves = sorted_seeds(name, dict, plan, Some(a), source_rows, &mut ticker)?;
-            close_over_ancestors(name, dict, &leaves, a, &mut ticker)?
+        Some((a, collapsed)) => {
+            let leaves = sorted_seeds(name, dict, &collapsed, source_rows, &mut ticker)?;
+            close_over_ancestors(&leaves, a, &mut ticker)?
         }
-        None => sorted_seeds(name, dict, plan, None, source_rows, &mut ticker)?,
+        None => sorted_seeds(name, dict, plan, source_rows, &mut ticker)?,
     };
     // Every column one piece wide: each seed is its one tuple, so the sorted
     // seeds are the relation.
@@ -181,16 +175,11 @@ pub(super) fn build_relation(
 
 /// The distinct seeds of `plan`, ascending (column by column, by raw id):
 /// per source row, the cross product of its columns' ids, sorted and
-/// deduplicated by [`Relation::dedup`] — the one sort of a build.  Column
-/// `collapse`, an `Ancestors` column, contributes the row's leaf alone
-/// instead of each of its ancestors: `h + 1` times fewer seeds for
-/// [`close_over_ancestors`] to close over the tree.  Any other `Ancestors`
-/// column's ancestors are derived from the row's leaf here.
+/// deduplicated by [`Relation::dedup`] — the one sort of a build.
 pub(super) fn sorted_seeds(
     name: &str,
     dict: &SharedDictionary,
     plan: &[PlanColumn<'_>],
-    collapse: Option<usize>,
     source_rows: usize,
     ticker: &mut CancelTicker<'_>,
 ) -> Result<Relation, EvalError> {
@@ -198,10 +187,8 @@ pub(super) fn sorted_seeds(
     let (mut collected, mut ancestors) = (0, Vec::new());
     for row in 0..source_rows {
         let mut count = 1;
-        for (c, column) in plan.iter().enumerate() {
-            count *= column
-                .seeds_of(row, collapse == Some(c), &mut ancestors)
-                .len();
+        for column in plan {
+            count *= column.seeds_of(row, &mut ancestors).len();
         }
         // An empty canonical partition: the tuple joins nothing.
         if count == 0 {
@@ -209,8 +196,8 @@ pub(super) fn sorted_seeds(
         }
         ticker.advance(count)?;
         let mut outer = 1;
-        for (c, (column, seeds)) in plan.iter().zip(&mut seeds).enumerate() {
-            let ids = column.seeds_of(row, collapse == Some(c), &mut ancestors);
+        for (column, seeds) in plan.iter().zip(&mut seeds) {
+            let ids = column.seeds_of(row, &mut ancestors);
             let inner = count / (outer * ids.len());
             repeat(seeds, ids.iter().copied(), inner, outer);
             outer *= ids.len();
@@ -222,10 +209,18 @@ pub(super) fn sorted_seeds(
     Ok(seeds)
 }
 
-/// The column whose seeds a build takes from the tree instead of a sort
-/// ([`close_over_ancestors`]): the first `Ancestors` column.
-pub(super) fn tree_column(plan: &[PlanColumn<'_>]) -> Option<usize> {
-    (plan.iter()).position(|column| matches!(column, PlanColumn::Ancestors(_)))
+/// The column `a` whose seeds a build takes from the tree instead of a sort
+/// ([`close_over_ancestors`]), the first `Ancestors` column, and the plan
+/// with that column collapsed to the row's leaf: a carried column of the
+/// leaves, `h + 1` times fewer seeds to sort.
+pub(super) fn tree_column<'a>(plan: &[PlanColumn<'a>]) -> Option<(usize, Vec<PlanColumn<'a>>)> {
+    let (a, leaves) = (plan.iter().enumerate()).find_map(|(a, column)| match *column {
+        PlanColumn::Ancestors(leaves) => Some((a, leaves)),
+        _ => None,
+    })?;
+    let mut collapsed = plan.to_vec();
+    collapsed[a] = PlanColumn::Carried(leaves);
+    Some((a, collapsed))
 }
 
 /// Appends one column of a cross product to `out`: each of `ids` `inner`

@@ -75,9 +75,7 @@
 //!
 //! The transform never leaves the id domain.  The canonical partition and
 //! the leaf of every cell are computed once per (atom, interval column), as
-//! node ids (`NodeLists`), and shared by all level assignments of the atom;
-//! a degree-2 top column's ancestors are derived from the leaf where a build
-//! reads them.
+//! node ids (`NodeLists`), and shared by all level assignments of the atom.
 //! One relation build (`build_relation`, which also builds the parts of the
 //! decomposed encoding) is *seeds → sort → expand*.  A **seed** of a source
 //! row is one id per source column: the row's id in a carried column, the id
@@ -94,20 +92,13 @@
 //! column is one piece wide — a carried id, a node at level 1, or the
 //! ancestor of a degree-2 variable's top column, whose seeds are the leaf's
 //! ancestors themselves — each seed is its own one tuple, and the sorted
-//! seeds *are* the relation: nothing is expanded.
-//!
-//! Node and piece ids are **computed, never looked up**
-//! ([`ValueId::inline_bits`], the encoding the dictionary shares): a node's
-//! id is its implicit-heap index under a tag bit, and a piece is at most as
-//! long as its node.  The plan admits no segment tree taller than
-//! [`MAX_INLINE_BITS`](ij_relation::MAX_INLINE_BITS) = 29 levels
-//! ([`ReductionError::TreeTooTall`]; a tree that tall needs at least 2²⁸
-//! distinct endpoints of one variable), so every bitstring a build meets
-//! has such an id.  The cut positions come from one table per (node length,
-//! level) and a piece is a shift and a mask of its node's bits — no hash, no
-//! lock, no call into the dictionary, and no allocation per row or per
-//! seed.  The one dictionary call of the reduction interns the decomposed
-//! encoding's tuple identifiers, once, in the plan.  The rows end up in **seed order**
+//! seeds *are* the relation: nothing is expanded.  Node and piece ids are
+//! **computed, never looked up** ([`ValueId::inline_bits`]): the plan
+//! admits no tree taller than 29 levels ([`ReductionError::TreeTooTall`],
+//! which takes 2²⁸ endpoints), the cut positions come from one table per
+//! (node length, level) and a piece is a shift and a mask of its node's
+//! bits — no hash, no lock, no dictionary call and no allocation per row or
+//! per seed.  The rows end up in **seed order**
 //! (ascending ids, column by column), each seed's tuples in cut order with
 //! the first column varying slowest: a function of the source rows' *set*,
 //! so equal inputs in any row order give equal columns.
@@ -140,15 +131,15 @@ use ij_relation::sync::lock_recover;
 use ij_relation::{
     CancellationToken, Database, EvalError, Query, Relation, SharedDictionary, ValueId,
 };
+use ij_segtree::BitString;
 use plan::{plan, AtomSource, RelationSpec, Shape};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Lock class of a transformed relation's build gate (`sync::lock_order`):
 /// held by the one thread building the relation, waited on by every other
-/// thread that needs it meanwhile.  The builder acquires nothing under it
-/// (node ids are computed, module docs), and nobody acquires a gate while
-/// holding another lock.
+/// thread that needs it meanwhile.  The builder acquires nothing under it,
+/// and nobody acquires a gate while holding another lock.
 const RELATION_BUILD: &str = "reduction-relation-build";
 
 /// How the transformed relations encode the bitstring columns of an atom with
@@ -496,10 +487,8 @@ pub enum ReductionError {
     /// A value of an interval variable is not an interval (or a point, which
     /// is treated as a point interval).
     NotAnInterval { relation: String, column: usize },
-    /// The segment tree of an interval variable is taller than
-    /// [`MAX_INLINE_BITS`](ij_relation::MAX_INLINE_BITS) levels, so its node
-    /// ids cannot be computed (module docs).  It takes at least 2²⁸ distinct
-    /// endpoints of the variable.
+    /// An interval variable's segment tree is too tall for computed node ids
+    /// (module docs): more than 29 levels, at least 2²⁸ distinct endpoints.
     TreeTooTall { variable: String, height: u8 },
     /// The reduction was interrupted, in its plan or in a relation build:
     /// the caller's [`CancellationToken`] was cancelled or its deadline
@@ -534,11 +523,7 @@ impl std::fmt::Display for ReductionError {
                 )
             }
             ReductionError::TreeTooTall { variable, height } => {
-                write!(
-                    f,
-                    "segment tree of `{variable}` is {height} levels tall, above the {} of computed node ids",
-                    ij_relation::MAX_INLINE_BITS
-                )
+                write!(f, "segment tree of `{variable}` is {height} levels tall")
             }
             ReductionError::Interrupted(e) => write!(f, "reduction interrupted: {e}"),
         }
@@ -612,13 +597,22 @@ pub fn plan_forward_reduction(
     plan(q, db, config, token, Shape::Live)
 }
 
-/// The id of the tree node or piece of `len` bits `bits`: computed
-/// ([`ValueId::inline_bits`]), never looked up (module docs).
+/// The id of the tree node or piece of `len` bits `bits` (module docs).
 #[inline]
 #[expect(
     clippy::expect_used,
-    reason = "infallible: `plan` admits no tree taller than MAX_INLINE_BITS levels"
+    reason = "infallible: `plan` admits no taller tree"
 )]
 fn bits_id(bits: u64, len: u8) -> ValueId {
     ValueId::inline_bits(bits, len).expect("a node of a tree `plan` admitted")
+}
+
+/// The tree node or piece an id of [`bits_id`] names.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "infallible: node ids are made by `bits_id`"
+)]
+fn id_bits(id: ValueId) -> BitString {
+    id.as_inline_bits().expect("an id made by `bits_id`")
 }

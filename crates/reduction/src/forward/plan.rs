@@ -288,8 +288,7 @@ pub(super) fn reduced_relation_name(
 pub(super) struct NodeLists {
     /// Per row, its canonical partition (possibly empty).
     pub(super) partitions: RowLists,
-    /// Per row, its leaf: also the live top column of a variable of degree 2,
-    /// whose ancestors a build derives from it.
+    /// Per row, its leaf (whose ancestors are a degree-2 top column).
     pub(super) leaves: Vec<ValueId>,
 }
 
@@ -347,18 +346,14 @@ impl NodeLists {
     }
 }
 
-/// Rejects the segment tree of `variable` when it is taller than
-/// [`MAX_INLINE_BITS`] levels: its nodes and their pieces are at most as long
-/// as the tree is tall, and only bitstrings of at most that many bits have a
-/// computed id ([`bits_id`]).
+/// Rejects a tree taller than [`MAX_INLINE_BITS`] levels, whose longest
+/// nodes have no computed id ([`bits_id`]).
 fn admit_height(variable: &str, height: u8) -> Result<(), ReductionError> {
-    match height <= MAX_INLINE_BITS {
-        true => Ok(()),
-        false => Err(ReductionError::TreeTooTall {
-            variable: variable.to_string(),
-            height,
-        }),
+    if height > MAX_INLINE_BITS {
+        let variable = variable.to_string();
+        return Err(ReductionError::TreeTooTall { variable, height });
     }
+    Ok(())
 }
 
 fn validate(q: &Query, db: &Database) -> Result<(), ReductionError> {
@@ -518,7 +513,7 @@ mod tests {
             let leaf = tree.leaf_of_interval(iv);
             assert_eq!(nodes.leaves[row], id(leaf), "{iv}");
             let expected: Vec<ValueId> = leaf.ancestors().into_iter().map(id).collect();
-            assert_eq!(ancestors_of.seeds_of(row, false, &mut ancestors), expected);
+            assert_eq!(ancestors_of.seeds_of(row, &mut ancestors), expected);
         }
         assert_eq!(dict.len(), 0, "every node id is inline");
     }

@@ -363,7 +363,7 @@ pub(super) fn size_by_lemma_4_10(fr: &ForwardReduction, planned: &PlannedRelatio
         let of_row = plan.iter().fold(vec![vec![]], |seeds, column| {
             let extended = |seed: &Vec<ValueId>| {
                 let seed = seed.clone();
-                let ids = column.seeds_of(row, false, &mut Vec::new()).to_vec();
+                let ids = column.seeds_of(row, &mut Vec::new()).to_vec();
                 ids.into_iter().map(move |id| [&seed[..], &[id]].concat())
             };
             seeds.iter().flat_map(extended).collect()
@@ -453,12 +453,12 @@ pub(super) fn assert_seeds_from_the_tree(fr: &ForwardReduction, planned: &Planne
     let (name, spec) = (&planned.name, planned.spec.as_ref().unwrap());
     let (plan, rows) = (fr.resolve(spec), fr.sources[spec.atom].rows);
     let mut ticker = CancelTicker::new(None);
-    let Some(a) = tree_column(&plan) else {
+    let Some((a, collapsed)) = tree_column(&plan) else {
         return false;
     };
-    let sorted = sorted_seeds(name, &fr.dict, &plan, None, rows, &mut ticker).unwrap();
-    let leaves = sorted_seeds(name, &fr.dict, &plan, Some(a), rows, &mut ticker).unwrap();
-    let closed = close_over_ancestors(name, &fr.dict, &leaves, a, &mut ticker).unwrap();
+    let sorted = sorted_seeds(name, &fr.dict, &plan, rows, &mut ticker).unwrap();
+    let leaves = sorted_seeds(name, &fr.dict, &collapsed, rows, &mut ticker).unwrap();
+    let closed = close_over_ancestors(&leaves, a, &mut ticker).unwrap();
     assert_eq!(id_rows(&closed), id_rows(&sorted), "{name}");
     true
 }
