@@ -333,7 +333,7 @@ mod tests {
     fn oracle_reduction(
         q: &Query,
         db: &Database,
-        config: ReductionConfig,
+        ReductionConfig { encoding }: ReductionConfig,
     ) -> BTreeMap<String, BTreeSet<Vec<Value>>> {
         let (h, var_ids) = q.hypergraph();
         let id_to_name: BTreeMap<VarId, String> =
@@ -383,7 +383,7 @@ mod tests {
             for (atom_idx, atom) in q.atoms().iter().enumerate() {
                 let levels = &structure.edge_levels[atom_idx];
                 let source = db.relation(&atom.relation).unwrap().tuples();
-                let decompose = config.encoding == EncodingStrategy::Decomposed
+                let decompose = encoding == EncodingStrategy::Decomposed
                     && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
                 if !decompose {
                     let name = reduced_relation_name(q, atom_idx, levels, &id_to_name);

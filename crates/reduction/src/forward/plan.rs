@@ -100,7 +100,7 @@ pub(super) enum SourceColumn {
 pub(super) fn plan(
     q: &Query,
     db: &Database,
-    config: ReductionConfig,
+    ReductionConfig { encoding }: ReductionConfig,
     token: Option<&CancellationToken>,
     shape: Shape,
 ) -> Result<ForwardReduction, ReductionError> {
@@ -212,7 +212,7 @@ pub(super) fn plan(
             // The decomposed encoding only pays off for atoms with at least
             // two interval variables (Section 1.1); other atoms use the flat
             // relation under either strategy.
-            let decompose = config.encoding == EncodingStrategy::Decomposed
+            let decompose = encoding == EncodingStrategy::Decomposed
                 && atom.vars.iter().filter(|v| is_interval(v)).count() >= 2;
             let spec = |columns: Vec<SpecColumn>| RelationSpec {
                 atom: atom_idx,
