@@ -1,12 +1,11 @@
-//! Micro-benchmarks of the column kernels: every primitive
-//! (`and_equal_mask`, `select_indices`, `gather_ids`, `gallop_seek`,
-//! `semijoin_mask`) raced against its `*_scalar` reference on identical
-//! operands, `semijoin_any` timed on the mask's shapes against the mask it
-//! answers for, and two passes raced against the implementation they
-//! replaced, kept here: the content `fingerprint` against the
+//! Micro-benchmarks of the column kernels: `gallop_seek` and
+//! `semijoin_rows` raced against their `*_scalar` oracles on identical
+//! operands, `semijoin_any` timed on the same semijoin shapes against the
+//! row list it answers for, and two passes raced against the implementation
+//! they replaced, kept here: the content `fingerprint` against the
 //! one-id-per-multiply hash, and `Relation::dedup` on sorted and shuffled
 //! rows against a dedup that always sorts.  Every primitive is asserted to produce
-//! bit-identical output on both before any timing; the two fingerprints,
+//! identical output on both before any timing; the two fingerprints,
 //! whose values differ by design, are asserted to tell the same changes of
 //! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
 //! rows (no permutation, no sort) and on the same rows shuffled, each
@@ -20,9 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_ejoin::{BoundAtom, FlatTrie};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
-    gather_ids, gather_ids_scalar, select_indices, select_indices_scalar, semijoin_any,
-    semijoin_mask, semijoin_mask_scalar,
+    fingerprint, gallop_seek, gallop_seek_scalar, semijoin_any, semijoin_rows, semijoin_rows_scalar,
 };
 use ij_relation::{Relation, SharedDictionary, ValueId};
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
@@ -30,18 +27,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::Duration;
-
-/// Column length for the element-wise kernels: large enough that the loop
-/// body dominates call overhead, small enough to stay in L1/L2.
-const COL: usize = 4096;
-
-/// Random ids drawn from `0..hi` (duplicates expected).
-fn random_ids(n: usize, hi: u32, seed: u64) -> Vec<ValueId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| ValueId::from_raw(rng.gen_range(0..hi)))
-        .collect()
-}
 
 /// A sorted duplicate-free run of `n` ids with random gaps in `1..=max_gap`.
 fn sorted_run(n: usize, max_gap: u32, seed: u64) -> Vec<ValueId> {
@@ -53,104 +38,6 @@ fn sorted_run(n: usize, max_gap: u32, seed: u64) -> Vec<ValueId> {
             ValueId::from_raw(next)
         })
         .collect()
-}
-
-fn bench_and_equal_mask(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/and-equal-mask");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    // Values in 0..4 so ~25% of the lanes compare equal.
-    let a = random_ids(COL, 4, 51);
-    let b = random_ids(COL, 4, 52);
-    let base = vec![1u8; COL];
-    let mut portable = base.clone();
-    let mut scalar = base.clone();
-    and_equal_mask(&a, &b, &mut portable);
-    and_equal_mask_scalar(&a, &b, &mut scalar);
-    assert_eq!(portable, scalar, "kernel must match its oracle");
-    let mut mask = base.clone();
-    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
-        bench.iter(|| {
-            mask.copy_from_slice(&base);
-            and_equal_mask(&a, &b, &mut mask);
-            mask[0]
-        })
-    });
-    group.bench_function(BenchmarkId::new("scalar", COL), |bench| {
-        bench.iter(|| {
-            mask.copy_from_slice(&base);
-            and_equal_mask_scalar(&a, &b, &mut mask);
-            mask[0]
-        })
-    });
-    group.finish();
-}
-
-fn bench_select_indices(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/select-indices");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    // ~25% survivors, the regime after one selective equality predicate.
-    let mut rng = StdRng::seed_from_u64(53);
-    let mask: Vec<u8> = (0..COL)
-        .map(|_| u8::from(rng.gen_range(0..4) == 0))
-        .collect();
-    let mut portable = Vec::new();
-    let mut scalar = Vec::new();
-    select_indices(&mask, 7, &mut portable);
-    select_indices_scalar(&mask, 7, &mut scalar);
-    assert_eq!(portable, scalar, "kernel must match its oracle");
-    let mut out = Vec::with_capacity(COL);
-    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
-        bench.iter(|| {
-            out.clear();
-            select_indices(&mask, 7, &mut out);
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("scalar", COL), |bench| {
-        bench.iter(|| {
-            out.clear();
-            select_indices_scalar(&mask, 7, &mut out);
-            out.len()
-        })
-    });
-    group.finish();
-}
-
-fn bench_gather_ids(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/gather-ids");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    let col = random_ids(16 * COL, u32::MAX, 54);
-    let mut rng = StdRng::seed_from_u64(55);
-    let rows: Vec<u32> = (0..COL)
-        .map(|_| rng.gen_range(0..col.len() as u32))
-        .collect();
-    let mut portable = Vec::new();
-    let mut scalar = Vec::new();
-    gather_ids(&col, &rows, &mut portable);
-    gather_ids_scalar(&col, &rows, &mut scalar);
-    assert_eq!(portable, scalar, "kernel must match its oracle");
-    let mut out = Vec::with_capacity(COL);
-    group.bench_function(BenchmarkId::new("portable", COL), |bench| {
-        bench.iter(|| {
-            out.clear();
-            gather_ids(&col, &rows, &mut out);
-            out.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("scalar", COL), |bench| {
-        bench.iter(|| {
-            out.clear();
-            gather_ids_scalar(&col, &rows, &mut out);
-            out.len()
-        })
-    });
-    group.finish();
 }
 
 /// A monotone target sequence over `run` mixing short hops (inside the
@@ -190,14 +77,14 @@ fn bench_gallop_seek(c: &mut Criterion) {
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(2));
-    let run = sorted_run(16 * COL, 8, 56);
+    let run = sorted_run(1 << 16, 8, 56);
     let targets = seek_targets(&run, 57);
     assert_eq!(
         seek_all(&run, &targets, gallop_seek),
         seek_all(&run, &targets, gallop_seek_scalar),
         "kernel must match its oracle"
     );
-    group.bench_function(BenchmarkId::new("portable", targets.len()), |bench| {
+    group.bench_function(BenchmarkId::new("kernel", targets.len()), |bench| {
         bench.iter(|| seek_all(&run, &targets, gallop_seek))
     });
     group.bench_function(BenchmarkId::new("scalar", targets.len()), |bench| {
@@ -238,7 +125,7 @@ fn rows_of(cols: &[Vec<ValueId>], n: usize, seed: u64) -> Vec<Vec<ValueId>> {
 /// The key columns of one semijoin side.
 type Columns = Vec<Vec<ValueId>>;
 
-/// The semijoin shapes of `kernels/semijoin-mask` and `kernels/semijoin-any`,
+/// The semijoin shapes of `kernels/semijoin-rows` and `kernels/semijoin-any`,
 /// each as (left columns, right columns, name).
 ///
 /// Refuting: `ip-ranges-product`'s first semijoins, a 130 – 3 300-row side
@@ -276,8 +163,8 @@ fn semijoin_shapes() -> Vec<(Columns, Columns, String)> {
     shapes
 }
 
-fn bench_semijoin_mask(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/semijoin-mask");
+fn bench_semijoin_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/semijoin-rows");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(1));
@@ -285,21 +172,21 @@ fn bench_semijoin_mask(c: &mut Criterion) {
         let left: Vec<&[ValueId]> = left_cols.iter().map(Vec::as_slice).collect();
         let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
         assert_eq!(
-            semijoin_mask(&left, &right),
-            semijoin_mask_scalar(&left, &right),
+            semijoin_rows(&left, &right),
+            semijoin_rows_scalar(&left, &right),
             "kernel must match its oracle"
         );
-        group.bench_function(BenchmarkId::new("portable", &shape), |bench| {
-            bench.iter(|| semijoin_mask(&left, &right).len())
+        group.bench_function(BenchmarkId::new("kernel", &shape), |bench| {
+            bench.iter(|| semijoin_rows(&left, &right).len())
         });
         group.bench_function(BenchmarkId::new("scalar", &shape), |bench| {
-            bench.iter(|| semijoin_mask_scalar(&left, &right).len())
+            bench.iter(|| semijoin_rows_scalar(&left, &right).len())
         });
     }
     group.finish();
 }
 
-/// The existence probe against the mask it answers for, on the mask's
+/// The existence probe against the row list it answers for, on the same
 /// shapes: a hitting shape stops at its first left row, a refuting one at
 /// its first hit, if it has one, or after its last left row.
 fn bench_semijoin_any(c: &mut Criterion) {
@@ -312,14 +199,14 @@ fn bench_semijoin_any(c: &mut Criterion) {
         let right: Vec<&[ValueId]> = right_cols.iter().map(Vec::as_slice).collect();
         assert_eq!(
             semijoin_any(&left, &right),
-            semijoin_mask(&left, &right).contains(&1),
-            "the probe must answer whether the mask has a set bit"
+            !semijoin_rows(&left, &right).is_empty(),
+            "the probe must answer whether the row list is non-empty"
         );
         group.bench_function(BenchmarkId::new("any", &shape), |bench| {
             bench.iter(|| semijoin_any(&left, &right))
         });
-        group.bench_function(BenchmarkId::new("mask", &shape), |bench| {
-            bench.iter(|| semijoin_mask(&left, &right).contains(&1))
+        group.bench_function(BenchmarkId::new("rows", &shape), |bench| {
+            bench.iter(|| !semijoin_rows(&left, &right).is_empty())
         });
     }
     group.finish();
@@ -577,11 +464,8 @@ fn bench_live_build(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_and_equal_mask,
-    bench_select_indices,
-    bench_gather_ids,
     bench_gallop_seek,
-    bench_semijoin_mask,
+    bench_semijoin_rows,
     bench_semijoin_any,
     bench_fingerprint,
     bench_dedup_sorted,

@@ -347,16 +347,36 @@ mod tests {
     fn a_repeated_variable_keeps_its_equality_under_every_algorithm() {
         // R(A, A, B) against S(A, B), where A is shared, and against S(B),
         // where A is private to R: either way R's row (1, 2, 7) breaks A = A
-        // and must not join through its first column.
+        // and must not join through its first column.  R(A, A, A, B) binds A
+        // three times: its row (1, 1, 2, 7) keeps the first equality and
+        // breaks the second, so it must not join either.
         let dict = SharedDictionary::new();
         let broken = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0]]);
         let kept = rel(&dict, "R", vec![vec![1.0, 2.0, 7.0], vec![1.0, 1.0, 7.0]]);
+        let thrice_broken = rel(&dict, "R", vec![vec![1.0, 1.0, 2.0, 7.0]]);
+        let thrice_kept = rel(
+            &dict,
+            "R",
+            vec![vec![1.0, 1.0, 2.0, 7.0], vec![1.0, 1.0, 1.0, 7.0]],
+        );
         let shared = rel(&dict, "S", vec![vec![1.0, 7.0]]);
         let private = rel(&dict, "S", vec![vec![7.0]]);
-        for (r, expected) in [(&broken, false), (&kept, true)] {
+        let twice = vec![A, A, B];
+        let thrice = vec![A, A, A, B];
+        for (r, r_vars, expected) in [
+            (&broken, &twice, false),
+            (&kept, &twice, true),
+            (&thrice_broken, &thrice, false),
+            (&thrice_kept, &thrice, true),
+        ] {
             for (s, s_vars) in [(&shared, vec![A, B]), (&private, vec![B])] {
-                let atoms = vec![BoundAtom::new(r, vec![A, A, B]), BoundAtom::new(s, s_vars)];
-                let case = format!("{} rows of R against S of arity {}", r.len(), s.arity());
+                let atoms = vec![BoundAtom::new(r, r_vars.clone()), BoundAtom::new(s, s_vars)];
+                let case = format!(
+                    "{} rows of R of arity {} against S of arity {}",
+                    r.len(),
+                    r.arity(),
+                    s.arity()
+                );
                 assert_eq!(auto(&atoms), expected, "auto on {case}");
                 assert_eq!(yannakakis(&atoms), Some(expected), "yannakakis on {case}");
                 assert_eq!(generic(&atoms), expected, "generic join on {case}");

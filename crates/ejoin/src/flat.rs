@@ -13,8 +13,8 @@
 //! [`gallop_seek`](kernels::gallop_seek)): candidate generation walks arrays
 //! in cache order.
 //!
-//! The build is column-wise: surviving row indices (after the
-//! repeated-variable kernel mask, see `trie.rs`) are sorted lexicographically
+//! The build is column-wise: surviving row indices (the rows that pass the
+//! repeated-variable filter, see `trie.rs`) are sorted lexicographically
 //! by the level columns, and one linear pass emits the CSR arrays, collapsing
 //! duplicate paths.  Rows that already strictly ascend in level order with
 //! no repeated variable — a relation that
@@ -31,7 +31,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-use crate::trie::{repeated_variable_mask, trie_level_vars};
+use crate::trie::{repeated_variable_rows, trie_level_vars};
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
 use ij_relation::{faults, kernels, CancelTicker, CancellationToken, EvalError, ValueId};
@@ -109,17 +109,12 @@ impl FlatTrie {
             .collect();
         faults::point(faults::Site::TrieBuild);
         let mut ticker = CancelTicker::new(token);
-        let levels = match repeated_variable_mask(atom) {
+        let levels = match repeated_variable_rows(atom) {
             None if kernels::strictly_ascending(&columns) => {
                 build_presorted(&columns, &mut ticker)?
             }
-            // Surviving row indices: the repeated-variable mask's survivors,
-            // or everything.
-            Some(mask) => {
-                let mut surviving = Vec::new();
-                kernels::select_indices(&mask, 0, &mut surviving);
-                build_sorted(&columns, surviving, &mut ticker)?
-            }
+            // The rows that pass the repeated-variable filter, or every row.
+            Some(rows) => build_sorted(&columns, rows, &mut ticker)?,
             None => {
                 let rows = columns.first().map_or(0, |c| c.len()) as u32;
                 build_sorted(&columns, (0..rows).collect(), &mut ticker)?

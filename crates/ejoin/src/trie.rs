@@ -5,17 +5,16 @@
 //! atom is indexed as a trie whose levels are the atom's variables sorted by
 //! the global variable order ([`trie_level_vars`]).  Repeated variables
 //! within an atom are checked before the build (tuples whose repeated columns
-//! disagree are filtered out, [`repeated_variable_mask`]) so the trie has one
+//! disagree are filtered out, [`repeated_variable_rows`]) so the trie has one
 //! level per *distinct* variable.
 //!
 //! Both work entirely on the dense `u32` [`ValueId`](ij_relation::ValueId)s
 //! read straight out of the columnar relation storage — the join never hashes
-//! or compares a full `Value` — and the filter runs on the chunked scan
-//! kernels of [`ij_relation::kernels`].
+//! or compares a full `Value`.
 
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
-use ij_relation::kernels;
+use ij_relation::ValueId;
 
 /// The distinct variables of `atom` sorted by their position in
 /// `global_order` — the trie levels.  Shared by the build and the trie
@@ -37,23 +36,29 @@ pub(crate) fn trie_level_vars(atom: &BoundAtom<'_>, global_order: &[VarId]) -> V
     level_vars
 }
 
-/// Per-row pass mask of `atom`'s repeated-variable filters: `1` where every
-/// column bound to a repeated variable agrees with the variable's first
-/// column (id equality coincides with value equality).  `None` when no
-/// variable repeats, i.e. every row passes.  Every evaluator that keeps one
-/// column per variable — a trie level, a semijoin key — applies it first.
-pub(crate) fn repeated_variable_mask(atom: &BoundAtom<'_>) -> Option<Vec<u8>> {
-    let mut pass: Option<Vec<u8>> = None;
-    for (i, &v) in atom.vars.iter().enumerate() {
-        let first = atom.vars.iter().position(|&u| u == v).unwrap();
-        if first != i {
-            let mask = pass.get_or_insert_with(|| vec![1u8; atom.relation.len()]);
-            kernels::and_equal_mask(
-                atom.relation.column_ids(first),
-                atom.relation.column_ids(i),
-                mask,
-            );
-        }
+/// The rows of `atom`, ascending, on which every column bound to a repeated
+/// variable agrees with the variable's first column (id equality coincides
+/// with value equality).  `None` when no variable repeats, i.e. every row
+/// passes.  Every evaluator that keeps one column per variable — a trie
+/// level, a semijoin key — applies it first.
+pub(crate) fn repeated_variable_rows(atom: &BoundAtom<'_>) -> Option<Vec<u32>> {
+    let pairs: Vec<(&[ValueId], &[ValueId])> = (0..atom.vars.len())
+        .filter_map(|i| {
+            let first = atom.vars.iter().position(|&u| u == atom.vars[i])?;
+            (first != i).then(|| (atom.relation.column_ids(first), atom.relation.column_ids(i)))
+        })
+        .collect();
+    if pairs.is_empty() {
+        return None;
     }
-    pass
+    let rows = atom.relation.len() as u32;
+    Some(
+        (0..rows)
+            .filter(|&row| {
+                pairs
+                    .iter()
+                    .all(|(a, b)| a[row as usize] == b[row as usize])
+            })
+            .collect(),
+    )
 }

@@ -31,25 +31,25 @@
 //! row matches.  On `temporal-sparse` at seed 7 that edge reads about 51 k
 //! root rows against 16 k child rows, and about 15 k root rows would survive
 //! it: the probe hashes the child's keys and reads the root's rows only up
-//! to its first hit, where a mask would read all of them and list the
-//! survivors.  Multi-bag decompositions reach this pass too, through the
-//! bag query of the width-guided evaluation.
+//! to its first hit, where [`kernels::semijoin_rows`] would read all of
+//! them and list the survivors.  Multi-bag decompositions reach this pass
+//! too, through the bag query of the width-guided evaluation.
 //!
 //! # Implementation: alive-row lists over scan kernels
 //!
 //! The pass never materialises intermediate relations.  Each atom carries an
 //! **alive-row list** (`None` = all rows alive); one semijoin step gathers
 //! the parent's and child's key columns at their alive rows
-//! ([`kernels::gather_ids`]), filters the parent's rows with
-//! [`kernels::semijoin_mask`] and shrinks the parent's list with the chunked
-//! selection kernel; a root's last edge asks [`kernels::semijoin_any`]
-//! instead and leaves the root's list as it is.  Column copies are limited
-//! to the key columns actually probed.  The kernel reads each parent row's first key column against a
-//! bitmap of the child's first key column and builds a whole key — up to
-//! four columns, a fixed-width integer read straight from the columns —
-//! only for the rows that pass, probing it against a hash set of the
-//! child's keys (when a sample of the parent's first ids mostly passes,
-//! it probes every row instead).  A refutation is mostly first-column
+//! ([`kernels::gather_ids`]) and shrinks the parent's list to the rows
+//! [`kernels::semijoin_rows`] lists; a root's last edge asks
+//! [`kernels::semijoin_any`] instead and leaves the root's list as it is.
+//! Column copies are limited to the key columns actually probed.  The
+//! kernel reads each parent row's first key column against a bitmap of the
+//! child's first key column and builds a whole key — up to four columns, a
+//! fixed-width integer read straight from the columns — only for the rows
+//! that pass, probing it against a hash set of the child's keys (when a
+//! sample of the parent's first ids mostly passes, it probes every row
+//! instead).  A refutation is mostly first-column
 //! misses: on `ip-ranges-product` at seed 7 the 36 semijoins of an
 //! evaluation read about 1.17 M parent rows against 28 k child rows, and
 //! the first column alone rejects 81 % of them.  The child is always the
@@ -62,7 +62,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::atom::{hypergraph_of, BoundAtom};
-use crate::trie::repeated_variable_mask;
+use crate::trie::repeated_variable_rows;
 use ij_hypergraph::{join_tree, VarId};
 use ij_relation::{kernels, CancellationToken, EvalError, ValueId};
 
@@ -108,16 +108,7 @@ pub fn yannakakis_boolean(
     // Alive rows per atom (`None` = every row).  Rows only ever leave; an
     // atom that repeats a variable starts without the rows that break the
     // repetition's equality.
-    let mut alive: Vec<Option<Vec<u32>>> = atoms
-        .iter()
-        .map(|atom| {
-            repeated_variable_mask(atom).map(|mask| {
-                let mut rows = Vec::new();
-                kernels::select_indices(&mask, 0, &mut rows);
-                rows
-            })
-        })
-        .collect();
+    let mut alive: Vec<Option<Vec<u32>>> = atoms.iter().map(repeated_variable_rows).collect();
     if alive.iter().flatten().any(|rows| rows.is_empty()) {
         return Ok(Some(false));
     }
@@ -239,9 +230,7 @@ pub fn yannakakis_boolean(
                 return Ok(Some(false));
             }
         } else {
-            let mask = kernels::semijoin_mask(&left_cols, &right_cols);
-            let mut surviving: Vec<u32> = Vec::new();
-            kernels::select_indices(&mask, 0, &mut surviving);
+            let surviving = kernels::semijoin_rows(&left_cols, &right_cols);
             // `surviving` indexes the parent's *alive list*; map back to rows.
             let new_alive: Vec<u32> = match &alive[parent] {
                 Some(rows) => surviving.iter().map(|&i| rows[i as usize]).collect(),

@@ -550,9 +550,7 @@ impl IntersectionJoinEngine {
     /// reduction read the same set of transformed relations — each is its
     /// own choice of permutations, and a relation is named after its atom
     /// and levels (Section 4.3, Definition 4.9) — so there is nothing to
-    /// deduplicate or group; a hand-made
-    /// [`ForwardReduction::prebuilt`] that repeats a disjunct evaluates it
-    /// twice, which cannot change the answer.
+    /// deduplicate or group.
     /// The evaluation only *reads* the transformed relations' interned id
     /// columns, so the workers share the reduction without locking.
     ///
@@ -710,7 +708,7 @@ mod tests {
     use super::*;
     use crate::{naive_boolean, Workspace};
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
-    use ij_reduction::{forward_reduction, EncodingStrategy, ReducedQuery};
+    use ij_reduction::{forward_reduction, EncodingStrategy};
     use ij_relation::Value;
     use std::time::Duration;
 
@@ -760,19 +758,6 @@ mod tests {
             answer |= reference;
         }
         answer
-    }
-
-    /// The structure of a hand-made disjunct: the engine only reads a
-    /// disjunct's atoms.
-    fn bare_structure() -> ij_hypergraph::ReducedHypergraph {
-        ij_hypergraph::ReducedHypergraph {
-            hypergraph: ij_hypergraph::Hypergraph::new(),
-            choice: ij_hypergraph::PermutationChoice {
-                permutations: std::collections::BTreeMap::new(),
-            },
-            edge_levels: vec![],
-            vertex_origin: vec![],
-        }
     }
 
     #[test]
@@ -922,7 +907,10 @@ mod tests {
     fn empty_reduction_evaluates_to_false_without_panicking() {
         // Regression: an empty disjunction still runs one worker
         // (worker_count(0) returns 1), which must find no work.
-        let reduction = ForwardReduction::prebuilt(vec![], vec![]);
+        let (q, db) = triangle_db(true);
+        let mut reduction =
+            plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
+        reduction.queries.clear();
         for parallelism in [1usize, 4] {
             let engine =
                 IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
@@ -1042,37 +1030,21 @@ mod tests {
 
     #[test]
     fn a_cancelled_worker_does_not_start_its_search() {
-        use ij_reduction::ReducedAtom;
-        use ij_relation::{Relation, SharedDictionary, Value};
         // A built relation is loaded without a poll, a cyclic disjunct's
         // projections are derived without one, and one-row tries are built
         // and searched before a ticker's first, so on this triangle only the
         // checkpoint between binding and searching can stop a worker whose
         // sibling has found a witness.
-        let atom = |relation: &str, vars: [&str; 2]| ReducedAtom {
-            relation: relation.to_string(),
-            vars: vars.map(str::to_string).to_vec(),
-        };
-        let dict = SharedDictionary::new();
-        let edge = |name: &str| {
-            Relation::from_tuples(
-                name,
-                2,
-                vec![vec![Value::point(1.0), Value::point(1.0)]],
-                &dict,
-            )
-        };
-        let reduction = ForwardReduction::prebuilt(
-            vec![edge("R"), edge("S"), edge("T")],
-            vec![ReducedQuery {
-                atoms: vec![
-                    atom("R", ["X", "Y"]),
-                    atom("S", ["Y", "Z"]),
-                    atom("T", ["X", "Z"]),
-                ],
-                structure: bare_structure(),
-            }],
-        );
+        let q = Query::parse("R(X,Y) & S(Y,Z) & T(X,Z)").unwrap();
+        let mut db = Database::new();
+        for name in ["R", "S", "T"] {
+            db.insert_tuples(name, 2, vec![vec![Value::point(1.0), Value::point(1.0)]]);
+        }
+        // A point triangle reduces to one cyclic disjunct, every relation
+        // built.
+        let reduction = forward_reduction(&q, &db).unwrap();
+        assert_eq!(reduction.queries.len(), 1);
+        assert_eq!(reduction.relations().count(), 3);
         let engine = IntersectionJoinEngine::with_defaults();
         let token = CancellationToken::new();
         let eval = EvalContext {

@@ -711,7 +711,7 @@ mod tests {
                     build(&|rows| { let n = rows.len(); rows.rotate_left(by % n) }),
                 ];
                 for planned in &original.relations {
-                    let spec = planned.spec.as_ref().unwrap();
+                    let spec = &planned.spec;
                     if spec.columns.iter().any(|c| matches!(c, SpecColumn::TupleId)) {
                         continue;
                     }

@@ -306,8 +306,7 @@ pub struct ForwardReduction {
 #[derive(Debug)]
 struct PlannedRelation {
     name: String,
-    /// `None` for a relation supplied prebuilt ([`ForwardReduction::prebuilt`]).
-    spec: Option<RelationSpec>,
+    spec: RelationSpec,
     cell: OnceLock<Relation>,
     /// Serialises builders of this relation, so a second thread needing it
     /// waits for the first instead of building it again.
@@ -315,52 +314,6 @@ struct PlannedRelation {
 }
 
 impl ForwardReduction {
-    /// A reduction over relations built elsewhere (hand-made disjunctions in
-    /// tests and benchmarks): every cell starts filled.
-    pub fn prebuilt(relations: Vec<Relation>, queries: Vec<ReducedQuery>) -> Self {
-        let dict = relations
-            .first()
-            .map_or_else(SharedDictionary::new, |r| r.dictionary().clone());
-        let mut reduction = ForwardReduction {
-            stats: ReductionStats {
-                num_queries: queries.len(),
-                ..ReductionStats::default()
-            },
-            queries,
-            // The relations' dictionary, never read: nothing is left to build.
-            dict,
-            sources: Vec::new(),
-            tuple_ids: Vec::new(),
-            relations: Vec::new(),
-            by_name: BTreeMap::new(),
-        };
-        for relation in relations {
-            let planned = reduction.plan_relation(relation.name().to_string(), None);
-            // A repeated name keeps its first relation.
-            let _ = planned.cell.set(relation);
-        }
-        reduction.stats = reduction.materialised_stats();
-        reduction
-    }
-
-    /// Registers the relation `name` unless the plan has it already.
-    fn plan_relation(&mut self, name: String, spec: Option<RelationSpec>) -> &PlannedRelation {
-        let index = match self.by_name.get(&name) {
-            Some(&index) => index,
-            None => {
-                self.by_name.insert(name.clone(), self.relations.len());
-                self.relations.push(PlannedRelation {
-                    name,
-                    spec,
-                    cell: OnceLock::new(),
-                    building: Mutex::new(()),
-                });
-                self.relations.len() - 1
-            }
-        };
-        &self.relations[index]
-    }
-
     /// Plans the relation `name` of `spec` unless the plan has it already,
     /// and returns the atom of a disjunct that binds it: `atom_vars` are the
     /// source atom's variables, `id_var` the tuple identifier's.
@@ -376,7 +329,15 @@ impl ForwardReduction {
             relation: name.clone(),
             vars: vars.collect(),
         };
-        self.plan_relation(name, Some(spec));
+        if !self.by_name.contains_key(&name) {
+            self.by_name.insert(name.clone(), self.relations.len());
+            self.relations.push(PlannedRelation {
+                name,
+                spec,
+                cell: OnceLock::new(),
+                building: Mutex::new(()),
+            });
+        }
         atom
     }
 
@@ -423,14 +384,7 @@ impl ForwardReduction {
         if let Some(token) = token {
             token.checkpoint()?;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "infallible: a cell without a spec was filled when the reduction was made"
-        )]
-        let spec = planned
-            .spec
-            .as_ref()
-            .expect("prebuilt relations are filled at construction");
+        let spec = &planned.spec;
         let rows = self.sources[spec.atom].rows;
         let built = build_relation(name, &self.dict, &self.resolve(spec), rows, token)?;
         Ok(planned.cell.get_or_init(|| built))

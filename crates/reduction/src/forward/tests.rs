@@ -356,7 +356,7 @@ pub(super) fn instance(
 /// `Σ_{distinct seeds} ∏_columns C(|u| + i − 1, i − 1)` for one planned
 /// relation, the seeds collected the slow way: a set of id rows.
 pub(super) fn size_by_lemma_4_10(fr: &ForwardReduction, planned: &PlannedRelation) -> u64 {
-    let spec = planned.spec.as_ref().unwrap();
+    let spec = &planned.spec;
     let plan = fr.resolve(spec);
     let mut seeds: BTreeSet<Vec<ValueId>> = BTreeSet::new();
     for row in 0..fr.sources[spec.atom].rows {
@@ -436,7 +436,7 @@ pub(super) fn assert_live(live: &ForwardReduction, paper: &ForwardReduction, nam
     let set: BTreeSet<Vec<ValueId>> = rows.iter().cloned().collect();
     assert_eq!(set.len(), rows.len(), "duplicates in {name}");
     assert_eq!(set, live_projection(live, paper, name), "{name}");
-    let spec = live.relations[live.by_name[name]].spec.as_ref().unwrap();
+    let spec = &live.relations[live.by_name[name]].spec;
     if live.resolve(spec).iter().all(|column| column.width() == 1) {
         let cols: Vec<&[ValueId]> = (0..relation.arity())
             .map(|c| relation.column_ids(c))
@@ -450,7 +450,7 @@ pub(super) fn assert_live(live: &ForwardReduction, paper: &ForwardReduction, nam
 /// the tree where the plan has an `Ancestors` column — are the sort of
 /// every seed, column for column.  Returns whether the tree gave them.
 pub(super) fn assert_seeds_from_the_tree(fr: &ForwardReduction, planned: &PlannedRelation) -> bool {
-    let (name, spec) = (&planned.name, planned.spec.as_ref().unwrap());
+    let (name, spec) = (&planned.name, &planned.spec);
     let (plan, rows) = (fr.resolve(spec), fr.sources[spec.atom].rows);
     let mut ticker = CancelTicker::new(None);
     let Some((a, collapsed)) = tree_column(&plan) else {

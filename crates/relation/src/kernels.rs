@@ -1,41 +1,30 @@
-//! Chunked scan kernels over interned id slices.
+//! Scan kernels over interned id slices.
 //!
-//! The hot linear passes of the join engine — the equal-pair filters of the
-//! trie build, the key probe and survivor selection of the Yannakakis
-//! semijoins, the galloping seeks of leapfrog intersection — all reduce to a
-//! handful of primitives over `&[ValueId]`.  This module implements each
-//! primitive twice:
-//!
-//! * the public entry point, a **portable** kernel that processes [`LANES`]
-//!   ids per step over `chunks_exact` slices (fixed-width loops with no
-//!   bounds checks, written so LLVM's autovectorizer turns them into
-//!   `u32x8`-style vector code on any target that has it), followed by a
-//!   scalar tail for the remainder;
-//! * a `*_scalar` **reference** implementation — the obviously-correct
-//!   element-at-a-time loop, kept as the oracle for the property tests in
-//!   `tests/kernel_properties.rs` (entry point ≡ scalar on every input,
-//!   including lengths that are not a multiple of [`LANES`]).
+//! The hot linear passes of the join engine — the key probe of the
+//! Yannakakis semijoins, the gathers of their alive rows, the galloping
+//! seeks of leapfrog intersection — all reduce to a handful of primitives
+//! over `&[ValueId]`.  A set of rows is one thing here: an ascending
+//! `Vec<u32>` of row indices.
 //!
 //! The paper's bounds count the work the algorithm does, not the
 //! instructions it is done with, so there is one implementation per kernel
-//! and no per-host code path.  [`leapfrog_next`] spends its time inside
-//! [`gallop_seek`], which it calls directly.  [`semijoin_mask`] is a hash
-//! probe, not a lane loop: its fast path reads one id per row against a
-//! bitmap of the other side's first key column and builds a fixed-width
-//! integer key only for the rows that pass, and its oracle hashes packed
-//! slices.  [`semijoin_any`] is the same probe stopping at its first hit:
-//! both run one width dispatch and one filter, which report matching rows
-//! to a sink that may stop early, and its oracle is whether the mask's
-//! oracle has a set bit.  [`fingerprint`] has no oracle: its value *is* its
-//! definition, so its properties say which changes of content it must tell
-//! apart.
-//! [`strictly_ascending`] has no twin either: its oracle, comparing whole
-//! rows one pair at a time, lives in the property tests.
+//! and no per-host code path.  A kernel keeps a `*_scalar` oracle only where
+//! the oracle is a different algorithm, checked against it by the property
+//! tests in `tests/kernel_properties.rs`: [`semijoin_rows_scalar`] hashes
+//! whole packed rows where [`semijoin_rows`] filters on a bitmap and probes
+//! fixed-width keys, [`gallop_seek_scalar`] scans linearly where
+//! [`gallop_seek`] gallops, and [`leapfrog_next_scalar`] merges one element
+//! at a time where [`leapfrog_next`] seeks.  [`gather_ids`] and
+//! [`pack_keys`] are their own definitions, stated as properties.
+//! [`semijoin_any`] is [`semijoin_rows`]' probe stopping at its first hit:
+//! both run one width dispatch and one filter, which report matching rows to
+//! a sink that may stop early.  [`fingerprint`] has no oracle: its value
+//! *is* its definition, so its properties say which changes of content it
+//! must tell apart.  [`strictly_ascending`] has no twin either: its oracle,
+//! comparing whole rows one pair at a time, lives in the property tests.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
-//! layer — whole columns, scratch buffers — can use them.  Masks are `u8`
-//! (1 = selected), the representation the autovectorizer handles best for
-//! mixed compare-and-accumulate loops.
+//! layer — whole columns, scratch buffers — can use them.
 //!
 //! [`Relation`]: crate::Relation
 
@@ -47,9 +36,6 @@ use crate::{IdHashSet, ValueId};
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::ops::ControlFlow;
-
-/// Ids processed per chunked step (a `u32x8` register's worth).
-pub const LANES: usize = 8;
 
 /// True if the rows of `cols` strictly ascend, compared column by column —
 /// [`Relation::dedup`]'s order, and a flat trie's over its level columns —
@@ -93,118 +79,21 @@ pub fn strictly_ascending(cols: &[&[ValueId]]) -> bool {
     })
 }
 
-/// Intersects `mask` with the element-wise equality of `a` and `b`:
-/// `mask[i] &= (a[i] == b[i])`.
-///
-/// This is the trie build's repeated-variable filter: one call per equal
-/// column pair, all pairs accumulating into one mask.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub fn and_equal_mask(a: &[ValueId], b: &[ValueId], mask: &mut [u8]) {
-    assert_eq!(a.len(), b.len(), "column length mismatch");
-    assert_eq!(a.len(), mask.len(), "mask length mismatch");
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    let mut mc = mask.chunks_exact_mut(LANES);
-    for ((ca, cb), cm) in (&mut ac).zip(&mut bc).zip(&mut mc) {
-        for i in 0..LANES {
-            cm[i] &= u8::from(ca[i] == cb[i]);
-        }
-    }
-    for ((x, y), m) in ac
-        .remainder()
-        .iter()
-        .zip(bc.remainder())
-        .zip(mc.into_remainder())
-    {
-        *m &= u8::from(x == y);
-    }
-}
-
-/// Scalar reference implementation of [`and_equal_mask`].
-pub fn and_equal_mask_scalar(a: &[ValueId], b: &[ValueId], mask: &mut [u8]) {
-    assert_eq!(a.len(), b.len(), "column length mismatch");
-    assert_eq!(a.len(), mask.len(), "mask length mismatch");
-    for i in 0..mask.len() {
-        mask[i] &= u8::from(a[i] == b[i]);
-    }
-}
-
-/// Appends `base + i` to `out` for every selected position (`mask[i] != 0`),
-/// in increasing order of `i`.
-///
-/// Each group of [`LANES`] mask bytes is read as one `u64`, so
-/// fully-unselected groups — the common case after a selective semijoin —
-/// are skipped with a single compare instead of eight.
-pub fn select_indices(mask: &[u8], base: u32, out: &mut Vec<u32>) {
-    let mut chunks = mask.chunks_exact(LANES);
-    let mut start = 0usize;
-    for chunk in &mut chunks {
-        #[expect(
-            clippy::expect_used,
-            reason = "infallible: `chunks_exact(LANES)` yields 8-byte chunks"
-        )]
-        let word = u64::from_ne_bytes(chunk.try_into().expect("LANES == 8"));
-        if word != 0 {
-            for (j, &m) in chunk.iter().enumerate() {
-                if m != 0 {
-                    out.push(base + (start + j) as u32);
-                }
-            }
-        }
-        start += LANES;
-    }
-    for (j, &m) in chunks.remainder().iter().enumerate() {
-        if m != 0 {
-            out.push(base + (start + j) as u32);
-        }
-    }
-}
-
-/// Scalar reference implementation of [`select_indices`].
-pub fn select_indices_scalar(mask: &[u8], base: u32, out: &mut Vec<u32>) {
-    for (i, &m) in mask.iter().enumerate() {
-        if m != 0 {
-            out.push(base + i as u32);
-        }
-    }
-}
-
 /// Appends `col[rows[i]]` to `out` for every row index, in order — the
 /// column-wise gather used to materialise semijoin survivors.
-///
-/// The index loop is unrolled [`LANES`] at a time; the loads themselves are
-/// data-dependent gathers, so the win is bounds-check elision and load-slot
-/// pipelining rather than full vectorisation.
 ///
 /// # Panics
 ///
 /// Panics (via indexing) if a row index is out of bounds for `col`.
 pub fn gather_ids(col: &[ValueId], rows: &[u32], out: &mut Vec<ValueId>) {
-    out.reserve(rows.len());
-    let mut chunks = rows.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        let gathered: [ValueId; LANES] = std::array::from_fn(|i| col[chunk[i] as usize]);
-        out.extend_from_slice(&gathered);
-    }
-    for &r in chunks.remainder() {
-        out.push(col[r as usize]);
-    }
-}
-
-/// Scalar reference implementation of [`gather_ids`].
-pub fn gather_ids_scalar(col: &[ValueId], rows: &[u32], out: &mut Vec<ValueId>) {
-    for &r in rows {
-        out.push(col[r as usize]);
-    }
+    out.extend(rows.iter().map(|&r| col[r as usize]));
 }
 
 /// Packs the given columns row-major into `out` (clearing it first):
 /// `out[row * k + j] = cols[j][row]` for `k = cols.len()` — the key-gathering
-/// step of a multi-column semijoin, producing contiguous fixed-width keys
-/// that can be hashed as `&[ValueId]` windows without any per-row allocation.
+/// step of a semijoin on more than four columns, producing contiguous
+/// fixed-width keys that can be hashed as `&[ValueId]` windows without any
+/// per-row allocation.
 ///
 /// Written as one sequential read pass per column with a constant output
 /// stride, which the autovectorizer turns into interleaved stores for small
@@ -232,26 +121,9 @@ pub fn pack_keys(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
     }
 }
 
-/// Scalar reference implementation of [`pack_keys`] (row-at-a-time).
-pub fn pack_keys_scalar(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
-    let k = cols.len();
-    let n = cols.first().map(|c| c.len()).unwrap_or(0);
-    assert!(
-        cols.iter().all(|c| c.len() == n),
-        "column length mismatch in pack_keys"
-    );
-    out.clear();
-    out.reserve(n * k);
-    for row in 0..n {
-        for col in cols {
-            out.push(col[row]);
-        }
-    }
-}
-
-/// Byte mask over the rows of `left_cols` marking the rows whose key tuple
-/// (one id per column) also appears as a row of `right_cols` — the probe of
-/// a Yannakakis semijoin `left ⋉ right`.
+/// The rows of `left_cols`, ascending, whose key tuple (one id per column)
+/// also appears as a row of `right_cols` — the probe of a Yannakakis
+/// semijoin `left ⋉ right`.
 ///
 /// Keys of one to four columns are fixed-width integers read straight from
 /// the columns (`u32`; a `u64` packing two ids; a `u64` and a `u32`; two
@@ -261,65 +133,77 @@ pub fn pack_keys_scalar(cols: &[&[ValueId]], out: &mut Vec<ValueId>) {
 ///
 /// For keys of two to four columns a bitmap over the right side's first
 /// column stands in front of the probe: a left row whose first id misses it
-/// cannot match, so it reads 0 without its whole key being built or hashed.
-/// The bitmap holds 16 bits per right row, rounded up to a power of two and
-/// kept within 512 bits and 2²² bits (512 KiB), and an id's slot is the top
-/// bits of its Fibonacci product, so at most about one absent first id in
-/// sixteen still reaches the probe.  A refuting semijoin, where most left
-/// first ids are absent, then reads one key column instead of all of them.
-/// The filter decides for itself whether it runs: when more than half of
-/// about 512 left first ids, spread over the whole side, pass the bitmap,
+/// cannot match, so it is dropped without its whole key being built or
+/// hashed.  The bitmap holds 16 bits per right row, rounded up to a power of
+/// two and kept within 512 bits and 2²² bits (512 KiB), and an id's slot is
+/// the top bits of its Fibonacci product, so at most about one absent first
+/// id in sixteen still reaches the probe.  A refuting semijoin, where most
+/// left first ids are absent, then reads one key column instead of all of
+/// them.  The filter decides for itself whether it runs: when more than half
+/// of about 512 left first ids, spread over the whole side, pass the bitmap,
 /// it could save at most half the probes, and every left row is probed
-/// directly — a semijoin whose rows mostly match pays for the bitmap and
-/// the sample only.  Nothing here is tuned per call or per host: the bitmap
-/// is sized by the right side, the decision is read off the operands, and
-/// neither changes an answer.  One-column keys probe the set directly
-/// (their key *is* the first id), and keys wider than four columns keep the
-/// packed probe.
+/// directly — a semijoin whose rows mostly match pays for the bitmap and the
+/// sample only.  Nothing here is tuned per call or per host: the bitmap is
+/// sized by the right side, the decision is read off the operands, and
+/// neither changes an answer.  One-column keys probe the set directly (their
+/// key *is* the first id), and keys wider than four columns keep the packed
+/// probe.
+///
+/// # Panics
+///
+/// Panics if the sides differ in key width, if there is no key column, if
+/// the columns of one side differ in length, or if the left side has more
+/// than `u32::MAX` rows.
+pub fn semijoin_rows(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u32> {
+    let (left_len, _) = semijoin_lengths(left_cols, right_cols);
+    assert!(
+        left_len <= u32::MAX as usize,
+        "semijoin_rows supports at most u32::MAX left rows"
+    );
+    let mut rows = Vec::new();
+    let _ = for_each_semijoin_row(left_cols, right_cols, |i| {
+        rows.push(i as u32);
+        ControlFlow::Continue(())
+    });
+    rows
+}
+
+/// Whether some row of `left_cols` has its key tuple among the rows of
+/// `right_cols` — [`semijoin_rows`] asked only whether it lists a row, as
+/// the last semijoin into a Yannakakis root is.
+///
+/// The right keys are hashed (and, for two to four columns, bitmapped)
+/// exactly as for [`semijoin_rows`], by the same code; the left rows are
+/// then probed in order and the probe stops at the first one that matches.
+/// So a hit costs the right side plus the left rows up to it, and a miss
+/// reads every left row, as the row list would.
 ///
 /// # Panics
 ///
 /// Panics if the sides differ in key width, if there is no key column, or if
 /// the columns of one side differ in length.
-pub fn semijoin_mask(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
-    let mut mask = vec![0u8; semijoin_lengths(left_cols, right_cols).0];
-    let _ = semijoin_rows(left_cols, right_cols, |i| {
-        mask[i] = 1;
-        ControlFlow::Continue(())
-    });
-    mask
-}
-
-/// Whether some row of `left_cols` has its key tuple among the rows of
-/// `right_cols` — [`semijoin_mask`] asked only whether the mask has a set
-/// bit, as the last semijoin into a Yannakakis root is.
-///
-/// The right keys are hashed (and, for two to four columns, bitmapped)
-/// exactly as for [`semijoin_mask`], by the same code; the left rows are
-/// then probed in order and the probe stops at the first one that matches.
-/// So a hit costs the right side plus the left rows up to it, and a miss
-/// reads every left row, as the mask would.
-///
-/// # Panics
-///
-/// Panics where [`semijoin_mask`] does: if the sides differ in key width, if
-/// there is no key column, or if the columns of one side differ in length.
 pub fn semijoin_any(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> bool {
-    semijoin_rows(left_cols, right_cols, |_| ControlFlow::Break(())).is_break()
+    for_each_semijoin_row(left_cols, right_cols, |_| ControlFlow::Break(())).is_break()
 }
 
-/// Scalar reference implementation of [`semijoin_mask`]: every key packed
-/// into a slice window.
-pub fn semijoin_mask_scalar(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u8> {
-    semijoin_lengths(left_cols, right_cols);
+/// Reference implementation of [`semijoin_rows`]: every row of both sides
+/// packed into a slice window, the right windows hashed as a set, the left
+/// ones probed against it.
+pub fn semijoin_rows_scalar(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> Vec<u32> {
+    let (left_len, right_len) = semijoin_lengths(left_cols, right_cols);
     let k = left_cols.len();
-    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
-    pack_keys_scalar(left_cols, &mut left_keys);
-    pack_keys_scalar(right_cols, &mut right_keys);
+    let pack = |cols: &[&[ValueId]], n: usize| -> Vec<ValueId> {
+        (0..n)
+            .flat_map(|row| cols.iter().map(move |col| col[row]))
+            .collect()
+    };
+    let (left_keys, right_keys) = (pack(left_cols, left_len), pack(right_cols, right_len));
     let keys: HashSet<&[ValueId]> = right_keys.chunks_exact(k).collect();
     left_keys
         .chunks_exact(k)
-        .map(|key| u8::from(keys.contains(key)))
+        .enumerate()
+        .filter(|(_, key)| keys.contains(key))
+        .map(|(row, _)| row as u32)
         .collect()
 }
 
@@ -332,24 +216,24 @@ fn semijoin_lengths(left_cols: &[&[ValueId]], right_cols: &[&[ValueId]]) -> (usi
     );
     assert!(
         !left_cols.is_empty(),
-        "semijoin_mask requires at least one key column; \
+        "a semijoin requires at least one key column; \
          callers handle the no-shared-variables case themselves"
     );
     let rows = |cols: &[&[ValueId]]| {
         let n = cols[0].len();
         assert!(
             cols.iter().all(|c| c.len() == n),
-            "column length mismatch in semijoin_mask"
+            "column length mismatch in a semijoin"
         );
         n
     };
     (rows(left_cols), rows(right_cols))
 }
 
-/// The width dispatch of [`semijoin_mask`] and [`semijoin_any`]: reports
+/// The width dispatch of [`semijoin_rows`] and [`semijoin_any`]: reports
 /// every left row whose key is among the right keys to `hit`, in ascending
 /// row order, until `hit` breaks.
-fn semijoin_rows(
+fn for_each_semijoin_row(
     left_cols: &[&[ValueId]],
     right_cols: &[&[ValueId]],
     hit: impl FnMut(usize) -> ControlFlow<()>,
@@ -394,7 +278,7 @@ fn semijoin_rows(
     }
 }
 
-/// [`semijoin_rows`] over keys read by row index.
+/// [`for_each_semijoin_row`] over keys read by row index.
 fn rows_by_key<K: Hash + Eq>(
     left_len: usize,
     right_len: usize,
@@ -614,8 +498,8 @@ fn column_lanes(col: &[ValueId]) -> [[u64; FINGERPRINT_LANES]; 2] {
 /// so the linear probe wins there; the gallop bounds the bad case — a seek
 /// that skips far ahead costs `O(log distance)` instead of `O(n)`.
 ///
-/// Why `8`: it is one [`LANES`]-wide register, so the probe is one
-/// autovectorizable fixed-width loop.  Probing further linearly only pays
+/// Why `8`: eight `u32` ids are 32 bytes, half a cache line, so the probe
+/// is one short fixed-width loop.  Probing further linearly only pays
 /// when seeks routinely land 9..k slots ahead, which the near-lockstep
 /// leapfrog distribution makes rare.  The answer does not depend on the
 /// span; only the compares spent reaching it do.
@@ -756,54 +640,17 @@ mod tests {
     }
 
     #[test]
-    fn and_equal_mask_matches_scalar_on_odd_lengths() {
-        // 11 elements: one full chunk + a 3-element tail.
-        let a = ids(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-        let b = ids(&[1, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11]);
-        let mut chunked = vec![1u8; a.len()];
-        let mut scalar = chunked.clone();
-        and_equal_mask(&a, &b, &mut chunked);
-        and_equal_mask_scalar(&a, &b, &mut scalar);
-        assert_eq!(chunked, scalar);
-        assert_eq!(chunked, vec![1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]);
-        // Accumulation: a second pair zeroes further positions, never revives.
-        let c = ids(&[0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0]);
-        and_equal_mask(&a, &c, &mut chunked);
-        assert_eq!(chunked[0], 0);
-        assert_eq!(chunked[10], 0);
-        assert_eq!(chunked[2], 1);
-    }
-
-    #[test]
-    fn select_indices_skips_dead_words_and_offsets_by_base() {
-        let mut mask = vec![0u8; 19];
-        mask[3] = 1;
-        mask[8] = 1; // second word
-        mask[17] = 1; // tail
-        let mut chunked = Vec::new();
-        let mut scalar = Vec::new();
-        select_indices(&mask, 100, &mut chunked);
-        select_indices_scalar(&mask, 100, &mut scalar);
-        assert_eq!(chunked, scalar);
-        assert_eq!(chunked, vec![103, 108, 117]);
-    }
-
-    #[test]
-    fn gather_and_pack_match_scalar() {
+    fn gather_and_pack_follow_their_definitions() {
         let col = ids(&[10, 11, 12, 13, 14, 15, 16, 17, 18]);
         let rows: Vec<u32> = vec![8, 0, 3, 3, 7, 1, 2, 6, 5, 4];
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        gather_ids(&col, &rows, &mut a);
-        gather_ids_scalar(&col, &rows, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(a[0], ValueId::from_raw(18));
+        let mut out = vec![ValueId::from_raw(99)];
+        gather_ids(&col, &rows, &mut out);
+        assert_eq!(out, ids(&[99, 18, 10, 13, 13, 17, 11, 12, 16, 15, 14]));
 
         let c0 = ids(&[1, 2, 3]);
         let c1 = ids(&[4, 5, 6]);
-        let (mut p, mut q) = (Vec::new(), Vec::new());
+        let mut p = Vec::new();
         pack_keys(&[&c0, &c1], &mut p);
-        pack_keys_scalar(&[&c0, &c1], &mut q);
-        assert_eq!(p, q);
         assert_eq!(p, ids(&[1, 4, 2, 5, 3, 6]));
         // k == 0 and empty columns degenerate cleanly.
         pack_keys(&[], &mut p);
@@ -811,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_mask_probes_the_whole_key_past_a_first_column_collision() {
+    fn semijoin_rows_probes_the_whole_key_past_a_first_column_collision() {
         // One right row: the bitmap has its minimum size and one bit set.
         let (a, x, y) = (
             ValueId::from_raw(1 << 31 | 1 << 12 | 5),
@@ -836,8 +683,6 @@ mod tests {
         for (c_rows, filtered) in [(6, true), (0, false)] {
             let first: Vec<ValueId> = [b, a, a].into_iter().chain(vec![c; c_rows]).collect();
             assert_eq!(filter.rejects_most(&first), filtered);
-            let mut expected = vec![0, 1, 0];
-            expected.resize(first.len(), 0);
             for k in 2..=4 {
                 let right: Vec<Vec<ValueId>> =
                     (0..k).map(|j| vec![if j == 0 { a } else { x }]).collect();
@@ -849,9 +694,9 @@ mod tests {
                     .collect();
                 let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
                 let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
-                let mask = semijoin_mask(&left, &right);
-                assert_eq!(mask, expected, "k {k}, {c_rows} rows of c");
-                assert_eq!(mask, semijoin_mask_scalar(&left, &right), "k {k}");
+                let rows = semijoin_rows(&left, &right);
+                assert_eq!(rows, [1], "k {k}, {c_rows} rows of c");
+                assert_eq!(rows, semijoin_rows_scalar(&left, &right), "k {k}");
             }
         }
     }

@@ -11,10 +11,10 @@
 //! * [`Relation`] / [`Database`] — named multisets of tuples stored as
 //!   columnar id vectors, with a row-oriented compatibility
 //!   layer and the distinct-left-endpoint transformation of Appendix G.1;
-//! * [`kernels`] — autovectorizer-friendly chunked scan primitives over id
-//!   slices (equal-pair masks, selection-by-mask, gathers, key packing,
-//!   galloping seeks) shared by the trie builds, semijoins and leapfrog
-//!   intersections of the join engine;
+//! * [`kernels`] — scan primitives over id slices (the semijoin probe and
+//!   its row lists, gathers, key packing, galloping seeks, fingerprints)
+//!   shared by the trie builds, semijoins and leapfrog intersections of the
+//!   join engine;
 //! * [`Query`] — Boolean conjunctive queries with equality joins, intersection
 //!   joins, or both (Definition 3.3), convertible to the hypergraph
 //!   representation used by the structural machinery;
@@ -57,7 +57,7 @@ pub use dictionary::{
     MAX_INLINE_BITS,
 };
 pub use query::{Atom, Query, QueryParseError};
-pub use relation::{ArityError, Database, Relation};
+pub use relation::{Database, Relation};
 pub use value::Value;
 
 /// Random text for the reject-never-panic properties of the two parsers

@@ -29,32 +29,15 @@ use std::sync::{Arc, Mutex};
 /// projection is computed before the lock is taken.
 const PROJECTIONS: &str = "relation-projections";
 
-/// Error raised by the fallible tuple-ingestion API when a row does not match
-/// the relation arity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArityError {
-    /// The relation name.
-    pub relation: String,
-    /// The expected arity.
-    pub expected: usize,
-    /// The arity of the offending row.
-    pub found: usize,
-    /// Index of the offending row within the ingested batch (0 for single
-    /// pushes).
-    pub row: usize,
+/// Panics, naming the relation, the row and both arities, unless a row of
+/// `found` values fits a relation of arity `expected`.
+fn check_arity(relation: &str, row: usize, found: usize, expected: usize) {
+    assert!(
+        found == expected,
+        "tuple arity mismatch for relation {relation}: row {row} has {found} values, \
+         expected {expected}"
+    );
 }
-
-impl fmt::Display for ArityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tuple arity mismatch for relation {}: row {} has {} values, expected {}",
-            self.relation, self.row, self.found, self.expected
-        )
-    }
-}
-
-impl std::error::Error for ArityError {}
 
 /// A relation: a named multiset of tuples of fixed arity, stored as interned
 /// id columns.
@@ -203,32 +186,11 @@ impl Relation {
         tuples: Vec<Vec<Value>>,
         dict: &SharedDictionary,
     ) -> Self {
-        match Relation::try_from_tuples(name, arity, tuples, dict) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Relation::from_tuples`]: returns an
-    /// [`ArityError`] describing the first ragged row instead of panicking.
-    pub fn try_from_tuples(
-        name: impl Into<String>,
-        arity: usize,
-        tuples: Vec<Vec<Value>>,
-        dict: &SharedDictionary,
-    ) -> Result<Self, ArityError> {
         let mut r = Relation::new(name, arity, dict);
-        // Validate the whole batch before interning anything, so errors do
-        // not leave a partially-filled relation behind.
+        // Validate the whole batch before interning anything, so a ragged
+        // row interns no value of the batch.
         for (row, t) in tuples.iter().enumerate() {
-            if t.len() != arity {
-                return Err(ArityError {
-                    relation: r.name.clone(),
-                    expected: arity,
-                    found: t.len(),
-                    row,
-                });
-            }
+            check_arity(&r.name, row, t.len(), arity);
         }
         // Interning takes the dictionary's lock per value: the read lock for
         // a value seen before, the write lock for a new one.
@@ -236,7 +198,7 @@ impl Relation {
             let ids: Vec<ValueId> = t.iter().map(|&v| r.dict.intern(v)).collect();
             r.columns.push_row(&ids);
         }
-        Ok(r)
+        r
     }
 
     /// Builds a relation directly from already-interned id columns, all
@@ -363,26 +325,10 @@ impl Relation {
     ///
     /// Panics if the tuple arity does not match the relation arity.
     pub fn push(&mut self, tuple: Vec<Value>) {
-        match self.try_push(tuple) {
-            Ok(()) => {}
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Relation::push`].
-    pub fn try_push(&mut self, tuple: Vec<Value>) -> Result<(), ArityError> {
-        if tuple.len() != self.arity {
-            return Err(ArityError {
-                relation: self.name.clone(),
-                expected: self.arity,
-                found: tuple.len(),
-                row: self.len(),
-            });
-        }
+        check_arity(&self.name, self.len(), tuple.len(), self.arity);
         let ids: Vec<ValueId> = tuple.iter().map(|&v| self.dict.intern(v)).collect();
         self.columns.push_row(&ids);
         self.memos.clear();
-        Ok(())
     }
 
     /// Appends a row of already-interned ids (how the join engine's bag
@@ -679,17 +625,6 @@ impl Database {
         self.insert(Relation::from_tuples(name, arity, tuples, &self.dict));
     }
 
-    /// Fallible variant of [`Database::insert_tuples`].
-    pub fn try_insert_tuples(
-        &mut self,
-        name: &str,
-        arity: usize,
-        tuples: Vec<Vec<Value>>,
-    ) -> Result<(), ArityError> {
-        self.insert(Relation::try_from_tuples(name, arity, tuples, &self.dict)?);
-        Ok(())
-    }
-
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
@@ -841,36 +776,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
+    #[should_panic(expected = "relation R: row 1 has 1 values, expected 2")]
     fn ragged_from_tuples_is_rejected() {
         let _ = Relation::from_tuples(
             "R",
             2,
-            vec![vec![iv(0.0, 1.0), iv(2.0, 3.0)], vec![iv(0.0, 1.0)]],
-            &SharedDictionary::new(),
-        );
-    }
-
-    #[test]
-    fn try_from_tuples_reports_the_offending_row() {
-        let err = Relation::try_from_tuples(
-            "R",
-            2,
             vec![vec![iv(0.0, 1.0), iv(2.0, 3.0)], vec![iv(0.0, 1.0)], vec![]],
             &SharedDictionary::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.relation, "R");
-        assert_eq!(err.expected, 2);
-        assert_eq!(err.found, 1);
-        assert_eq!(err.row, 1);
-        assert!(err.to_string().contains("row 1"));
-        // Errors are detected before anything is ingested.
-        let mut db = Database::new();
-        assert!(db
-            .try_insert_tuples("R", 2, vec![vec![iv(0.0, 1.0)]])
-            .is_err());
-        assert!(db.relation("R").is_none());
+        );
     }
 
     #[test]

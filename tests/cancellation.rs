@@ -375,7 +375,6 @@ fn error_taxonomy_implements_std_error() {
     is_std_error::<EvalError>();
     is_std_error::<EngineError>();
     is_std_error::<ij_engine::NaiveError>();
-    is_std_error::<ij_relation::ArityError>();
     is_std_error::<ij_segtree::IntervalError>();
     is_std_error::<ij_reduction::ReductionError>();
 }

@@ -1,29 +1,21 @@
-//! Property tests for the chunked scan kernels (`ij_relation::kernels`): on
-//! random `ValueId` slices of every length — including lengths that are not
-//! a multiple of the lane width — each public kernel must be
-//! indistinguishable from its `*_scalar` reference implementation, and the
-//! semijoin existence probe must answer whether its mask has a set bit.  CI
-//! runs this suite in release as well, where galloping off-by-ones surface.
-//! The content fingerprint, which has no oracle, must tell every single
-//! change of content apart, and `Relation::dedup` must equal a sorted-set
-//! oracle.
+//! Property tests for the scan kernels (`ij_relation::kernels`): on random
+//! `ValueId` slices of every length, the semijoin probe, the galloping seek
+//! and the leapfrog intersection must be indistinguishable from their
+//! `*_scalar` oracles (a different algorithm each), the gather and the key
+//! packing must follow their definitions, and the semijoin existence probe
+//! must answer whether the oracle lists a row.  CI runs this suite in
+//! release as well, where galloping off-by-ones surface.  The content
+//! fingerprint, which has no oracle, must tell every single change of
+//! content apart, and `Relation::dedup` must equal a sorted-set oracle.
 
 use ij_relation::kernels::{
-    and_equal_mask, and_equal_mask_scalar, fingerprint, gallop_seek, gallop_seek_scalar,
-    gather_ids, gather_ids_scalar, leapfrog_next, leapfrog_next_scalar, pack_keys,
-    pack_keys_scalar, select_indices, select_indices_scalar, semijoin_any, semijoin_mask,
-    semijoin_mask_scalar, FINGERPRINT_LANES, LANES,
+    fingerprint, gallop_seek, gallop_seek_scalar, gather_ids, leapfrog_next, leapfrog_next_scalar,
+    pack_keys, semijoin_any, semijoin_rows, semijoin_rows_scalar, FINGERPRINT_LANES,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Random id slices over a small raw domain (equal pairs likely), with
-/// lengths straddling multiples of the lane width.
-fn arb_ids(max_len: usize) -> impl Strategy<Value = Vec<ValueId>> {
-    proptest::collection::vec((0u32..7).prop_map(ValueId::from_raw), 0..=max_len)
-}
 
 /// Raw id values spanning the full `u32` range, concentrated around the
 /// signed/unsigned boundary, where a compare on the wrong signedness would
@@ -38,7 +30,7 @@ fn arb_raw_wide() -> impl Strategy<Value = u32> {
 }
 
 /// A sorted run of distinct ids (what every trie level stores), length 0 to
-/// a few lanes' worth, values from the wide domain.
+/// `max_len`, values from the wide domain.
 fn arb_run(max_len: usize) -> impl Strategy<Value = Vec<ValueId>> {
     proptest::collection::vec(arb_raw_wide(), 0..=max_len).prop_map(|mut raw| {
         raw.sort_unstable();
@@ -151,9 +143,9 @@ proptest! {
     /// copied from the right side.  Few copies make the bitmap reject most
     /// left rows, many make the kernel probe every row directly, and no
     /// copies at all leave most cases without a hit; the existence probe
-    /// must answer whether the oracle's mask has a set bit on each.
+    /// must answer whether the oracle lists a row on each.
     #[test]
-    fn semijoin_mask_matches_scalar_at_filter_scale(
+    fn semijoin_rows_matches_scalar_at_filter_scale(
         k in 2usize..=4,
         right_bits in 0u32..=11,
         right_jitter in 0usize..2_048,
@@ -167,9 +159,9 @@ proptest! {
             filter_scale_sides(k, left_len, right_len, pool == 0, copied, seed);
         let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
         let right: Vec<&[ValueId]> = right.iter().map(Vec::as_slice).collect();
-        let expected = semijoin_mask_scalar(&left, &right);
-        prop_assert_eq!(semijoin_any(&left, &right), expected.contains(&1));
-        prop_assert_eq!(semijoin_mask(&left, &right), expected);
+        let expected = semijoin_rows_scalar(&left, &right);
+        prop_assert_eq!(semijoin_any(&left, &right), !expected.is_empty());
+        prop_assert_eq!(semijoin_rows(&left, &right), expected);
     }
 }
 
@@ -179,10 +171,10 @@ proptest! {
     /// The semijoin probe ≡ its slice-keyed oracle for keys of one to six
     /// columns (every integer-key width and the packed fallback), with the
     /// left side shorter and longer than the right, and the existence probe
-    /// ≡ whether the oracle's mask has a set bit.
+    /// ≡ whether the oracle lists a row.
     #[test]
-    fn semijoin_mask_matches_scalar(
-        case in (1usize..=6, 0usize..3 * LANES + 5, 0usize..3 * LANES + 5, arb_key_pool())
+    fn semijoin_rows_matches_scalar(
+        case in (1usize..=6, 0usize..29, 0usize..29, arb_key_pool())
             .prop_flat_map(|(k, left_len, right_len, pool)| {
                 let picks = |n: usize| {
                     proptest::collection::vec(
@@ -198,88 +190,45 @@ proptest! {
         let right = key_columns(&pool, &right_picks);
         let left: Vec<&[ValueId]> = left.iter().map(|c| c.as_slice()).collect();
         let right: Vec<&[ValueId]> = right.iter().map(|c| c.as_slice()).collect();
-        let expected = semijoin_mask_scalar(&left, &right);
-        prop_assert_eq!(semijoin_any(&left, &right), expected.contains(&1));
-        prop_assert_eq!(semijoin_mask(&left, &right), expected);
+        let expected = semijoin_rows_scalar(&left, &right);
+        prop_assert_eq!(semijoin_any(&left, &right), !expected.is_empty());
+        prop_assert_eq!(semijoin_rows(&left, &right), expected);
     }
 
-    /// Chunked equal-pair masking ≡ scalar reference, including accumulation
-    /// over an arbitrary starting mask.
-    #[test]
-    fn and_equal_mask_matches_scalar(
-        pairs in arb_ids(4 * LANES + 5).prop_flat_map(|a| {
-            let n = a.len();
-            (
-                Just(a),
-                proptest::collection::vec((0u32..7).prop_map(ValueId::from_raw), n..=n),
-                proptest::collection::vec(0u8..2, n..=n),
-            )
-        })
-    ) {
-        let (a, b, mask0) = pairs;
-        let mut chunked = mask0.clone();
-        let mut scalar = mask0;
-        and_equal_mask(&a, &b, &mut chunked);
-        and_equal_mask_scalar(&a, &b, &mut scalar);
-        prop_assert_eq!(chunked, scalar);
-    }
-
-    /// Chunked selection-by-mask ≡ scalar reference at every base offset,
-    /// and appends to (never clobbers) the output.
-    #[test]
-    fn select_indices_matches_scalar(
-        mask in proptest::collection::vec(0u8..2, 0..4 * LANES + 7),
-        base in 0u32..1000,
-    ) {
-        let mut chunked = vec![u32::MAX];
-        let mut scalar = vec![u32::MAX];
-        select_indices(&mask, base, &mut chunked);
-        select_indices_scalar(&mask, base, &mut scalar);
-        prop_assert_eq!(&chunked, &scalar);
-        prop_assert_eq!(chunked[0], u32::MAX, "existing output must be kept");
-        let expected: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m != 0)
-            .map(|(i, _)| base + i as u32)
-            .collect();
-        prop_assert_eq!(&chunked[1..], expected.as_slice());
-    }
-
-    /// Chunked gathering ≡ scalar reference on random in-bounds row lists
-    /// (repeats and arbitrary order included).
+    /// Gathering follows its element-at-a-time definition,
+    /// `out[i] == col[rows[i]]`, on random in-bounds row lists (repeats and
+    /// arbitrary order included), appending to what `out` held.
     #[test]
     fn gather_ids_matches_scalar(
-        col in proptest::collection::vec((0u32..7).prop_map(ValueId::from_raw), 1..3 * LANES + 3),
-        picks in proptest::collection::vec(0usize..64, 0..3 * LANES + 2),
+        col in proptest::collection::vec((0u32..7).prop_map(ValueId::from_raw), 1..27),
+        picks in proptest::collection::vec(0usize..64, 0..26),
     ) {
         let rows: Vec<u32> = picks.iter().map(|&p| (p % col.len()) as u32).collect();
-        let mut chunked = Vec::new();
-        let mut scalar = Vec::new();
-        gather_ids(&col, &rows, &mut chunked);
-        gather_ids_scalar(&col, &rows, &mut scalar);
-        prop_assert_eq!(chunked, scalar);
+        let mut out = vec![ValueId::from_raw(u32::MAX)];
+        gather_ids(&col, &rows, &mut out);
+        prop_assert_eq!(out.len(), rows.len() + 1);
+        prop_assert_eq!(out[0], ValueId::from_raw(u32::MAX), "existing output must be kept");
+        for (i, &row) in rows.iter().enumerate() {
+            prop_assert_eq!(out[i + 1], col[row as usize]);
+        }
     }
 
-    /// Chunked key packing ≡ scalar reference for one to four columns.
+    /// Key packing follows its element-at-a-time definition,
+    /// `out[row·k + j] == cols[j][row]`, for one to four columns.
     #[test]
-    fn pack_keys_matches_scalar(cols in (1usize..5, 0usize..3 * LANES + 5).prop_flat_map(|(k, n)| {
+    fn pack_keys_matches_scalar(cols in (1usize..5, 0usize..29).prop_flat_map(|(k, n)| {
         proptest::collection::vec(
             proptest::collection::vec((0u32..9).prop_map(ValueId::from_raw), n..=n),
             k..=k,
         )
     })) {
         let views: Vec<&[ValueId]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut chunked = Vec::new();
-        let mut scalar = Vec::new();
-        pack_keys(&views, &mut chunked);
-        pack_keys_scalar(&views, &mut scalar);
-        prop_assert_eq!(&chunked, &scalar);
-        // Shape: row-major, one key of width k per row.
+        let mut packed = vec![ValueId::from_raw(1)];
+        pack_keys(&views, &mut packed);
         let k = views.len();
         let n = views[0].len();
-        prop_assert_eq!(chunked.len(), n * k);
-        for (row, key) in chunked.chunks_exact(k).enumerate() {
+        prop_assert_eq!(packed.len(), n * k);
+        for (row, key) in packed.chunks_exact(k).enumerate() {
             for (j, &id) in key.iter().enumerate() {
                 prop_assert_eq!(id, views[j][row]);
             }
@@ -290,7 +239,7 @@ proptest! {
     /// raw domain (the signed/unsigned boundary cases included).
     #[test]
     fn gallop_seek_matches_scalar(
-        run in arb_run(4 * LANES + 5),
+        run in arb_run(37),
         start_frac in 0usize..=100,
         target_raw in arb_raw_wide(),
     ) {
@@ -306,7 +255,7 @@ proptest! {
     /// scalar reference, for one to four runs.
     #[test]
     fn leapfrog_matches_scalar(
-        runs in proptest::collection::vec(arb_run(3 * LANES + 3), 1..=4),
+        runs in proptest::collection::vec(arb_run(27), 1..=4),
     ) {
         let views: Vec<&[ValueId]> = runs.iter().map(|r| r.as_slice()).collect();
         let collect = |next: fn(&[&[ValueId]], &mut [usize]) -> Option<ValueId>| {
@@ -370,22 +319,21 @@ fn semijoin_any_finds_a_lone_hit_at_either_end_and_none_without_one() {
                     }
                 }
                 let left: Vec<&[ValueId]> = left.iter().map(Vec::as_slice).collect();
-                let mask = semijoin_mask_scalar(&left, &right);
+                let rows = semijoin_rows_scalar(&left, &right);
                 let why = format!("k {k}, shared first ids {shared_first}, {shape}");
-                let hits: Vec<usize> = (0..mask.len()).filter(|&i| mask[i] == 1).collect();
-                assert_eq!(hits, Vec::from_iter(hit), "{why}");
+                assert_eq!(rows, Vec::from_iter(hit.map(|row| row as u32)), "{why}");
                 assert_eq!(semijoin_any(&left, &right), hit.is_some(), "{why}");
-                assert_eq!(semijoin_mask(&left, &right), mask, "{why}");
+                assert_eq!(semijoin_rows(&left, &right), rows, "{why}");
             }
         }
     }
 }
 
-/// Every public kernel against its scalar oracle at adversarial lengths:
-/// empty, one, around one and two lanes, around the 32-id block, an odd
-/// length past it, around 64 and at 100 — every chunk/tail split — with
-/// ids straddling `0x7FFF_FFFF` / `0x8000_0000`, where a signed compare
-/// would misorder them.
+/// Every public kernel against its oracle or its definition at adversarial
+/// lengths: empty, one, around 8 and 16, around 32, an odd length past it,
+/// around 64 and at 100 — every gallop span and fingerprint chunk split —
+/// with ids straddling `0x7FFF_FFFF` / `0x8000_0000`, where a signed
+/// compare would misorder them.
 #[test]
 fn kernels_match_scalar_on_adversarial_lengths() {
     let lengths = [0, 1, 7, 8, 9, 15, 16, 31, 32, 33, 37, 63, 64, 65, 100];
@@ -395,32 +343,18 @@ fn kernels_match_scalar_on_adversarial_lengths() {
         let b: Vec<ValueId> = (0..n)
             .map(|i| ValueId::from_raw((i as u32 + 1) % 5))
             .collect();
-        let mask0: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect(); // incl. mask byte 2
-        for other in [&a, &b] {
-            let (mut fast, mut slow) = (mask0.clone(), mask0.clone());
-            and_equal_mask(&a, other, &mut fast);
-            and_equal_mask_scalar(&a, other, &mut slow);
-            assert_eq!(fast, slow, "and_equal_mask len {n}");
-        }
-
-        let sel_mask: Vec<u8> = (0..n).map(|i| u8::from(i % 4 == 1)).collect();
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        select_indices(&sel_mask, 7, &mut fast);
-        select_indices_scalar(&sel_mask, 7, &mut slow);
-        assert_eq!(fast, slow, "select_indices len {n}");
-
         let col: Vec<ValueId> = (0..n + 1).map(near_sign).collect();
         let rows: Vec<u32> = (0..n).map(|i| ((i * 11) % (n + 1)) as u32).collect();
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        gather_ids(&col, &rows, &mut fast);
-        gather_ids_scalar(&col, &rows, &mut slow);
-        assert_eq!(fast, slow, "gather_ids len {n}");
+        let mut gathered = Vec::new();
+        gather_ids(&col, &rows, &mut gathered);
+        let expected: Vec<ValueId> = rows.iter().map(|&row| col[row as usize]).collect();
+        assert_eq!(gathered, expected, "gather_ids len {n}");
 
         let cols: [&[ValueId]; 3] = [&a, &b, &col[..n]];
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        pack_keys(&cols, &mut fast);
-        pack_keys_scalar(&cols, &mut slow);
-        assert_eq!(fast, slow, "pack_keys len {n}");
+        let mut packed = Vec::new();
+        pack_keys(&cols, &mut packed);
+        let expected: Vec<ValueId> = (0..n).flat_map(|row| cols.map(|c| c[row])).collect();
+        assert_eq!(packed, expected, "pack_keys len {n}");
 
         // Semijoin keys of one to six columns, against right sides shorter
         // and longer than the left; odd right rows carry a first id the left
@@ -448,9 +382,9 @@ fn kernels_match_scalar_on_adversarial_lengths() {
                 let left: Vec<&[ValueId]> = left.iter().map(|c| c.as_slice()).collect();
                 let right: Vec<&[ValueId]> = right.iter().map(|c| c.as_slice()).collect();
                 assert_eq!(
-                    semijoin_mask(&left, &right),
-                    semijoin_mask_scalar(&left, &right),
-                    "semijoin_mask len {n} against {right_len}, k {k}"
+                    semijoin_rows(&left, &right),
+                    semijoin_rows_scalar(&left, &right),
+                    "semijoin_rows len {n} against {right_len}, k {k}"
                 );
             }
         }
@@ -505,31 +439,6 @@ fn kernels_match_scalar_on_adversarial_lengths() {
             );
         }
     }
-}
-/// Deterministic spot-check: a composed filter-select-gather pipeline (the
-/// trie build's shape) agrees between the chunked and scalar kernels on a
-/// length that exercises every tail path.
-#[test]
-fn composed_pipeline_agrees() {
-    let n = 2 * LANES + 3;
-    let a: Vec<ValueId> = (0..n).map(|i| ValueId::from_raw((i % 4) as u32)).collect();
-    let b: Vec<ValueId> = (0..n).map(|i| ValueId::from_raw((i % 3) as u32)).collect();
-    let mut mask_c = vec![1u8; n];
-    let mut mask_s = vec![1u8; n];
-    and_equal_mask(&a, &b, &mut mask_c);
-    and_equal_mask_scalar(&a, &b, &mut mask_s);
-    assert_eq!(mask_c, mask_s);
-    let (mut rows_c, mut rows_s) = (Vec::new(), Vec::new());
-    select_indices(&mask_c, 0, &mut rows_c);
-    select_indices_scalar(&mask_s, 0, &mut rows_s);
-    assert_eq!(rows_c, rows_s);
-    let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
-    gather_ids(&a, &rows_c, &mut out_c);
-    gather_ids_scalar(&a, &rows_s, &mut out_s);
-    assert_eq!(out_c, out_s);
-    // The survivors are exactly the positions where a == b, i.e. where
-    // i mod 4 == i mod 3 (i mod 12 ∈ {0, 1, 2}).
-    assert_eq!(rows_c, vec![0, 1, 2, 12, 13, 14]);
 }
 
 /// `rows` rows of `arity` columns with pairwise distinct ids, inline
