@@ -8,12 +8,15 @@
 //! identical output on both before any timing; the two fingerprints,
 //! whose values differ by design, are asserted to tell the same changes of
 //! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
-//! rows (no permutation, no sort) and on the same rows shuffled, each
+//! rows of two and three levels (one pass, no permutation, no sort), on the
+//! two-level rows shuffled, and on them with the last two rows swapped —
+//! the presorted pass's worst case, a full pass and then the sort — each
 //! checked against the sorted distinct rows first.  `reduction/live-build`
 //! times the forward reduction's build of one triangle atom's four live
 //! relations, each on a fresh plan.
 //!
-//! Regenerate with `cargo bench -p ij-bench --bench kernels`.
+//! Regenerate with `cargo bench -p ij-bench --bench kernels`, or one group
+//! with its name as the filter, e.g. `-- flat-trie/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_ejoin::{BoundAtom, FlatTrie};
@@ -379,13 +382,22 @@ fn bench_dedup_sorted(c: &mut Criterion) {
 /// ids each, about 56 k of them.
 const TRIE_ROWS: usize = 56_000;
 
-/// Every root-to-leaf path of a two-level trie, in enumeration order.
-fn two_level_paths(trie: &FlatTrie) -> Vec<[ValueId; 2]> {
-    let top = trie.run(0, 0, trie.level_len(0));
-    (top.iter().enumerate())
-        .flat_map(|(i, &a)| {
-            let (lo, hi) = trie.child_range(0, i as u32);
-            trie.run(1, lo, hi).iter().map(move |&b| [a, b])
+/// Every root-to-leaf path of a trie below the entries `lo..hi` of
+/// `level`, in enumeration order.
+fn trie_paths(trie: &FlatTrie, level: usize, lo: u32, hi: u32) -> Vec<Vec<ValueId>> {
+    (lo..hi)
+        .flat_map(|i| {
+            let value = trie.run(level, i, i + 1)[0];
+            let tails = match level + 1 < trie.depth() {
+                true => {
+                    let (lo, hi) = trie.child_range(level, i);
+                    trie_paths(trie, level + 1, lo, hi)
+                }
+                false => vec![Vec::new()],
+            };
+            tails
+                .into_iter()
+                .map(move |tail| [vec![value], tail].concat())
         })
         .collect()
 }
@@ -406,19 +418,38 @@ fn bench_flat_trie_build(c: &mut Criterion) {
     let shuffled: Vec<Vec<ValueId>> = (sorted.iter())
         .map(|col| order.iter().map(|&row| col[row]).collect())
         .collect();
-    // The oracle: the distinct rows in ascending order, which `sorted` is.
-    let oracle: Vec<[ValueId; 2]> = (0..TRIE_ROWS)
-        .map(|row| [sorted[0][row], sorted[1][row]])
-        .collect();
+    // The fused check's worst case: every row but the last ascends, so the
+    // presorted pass reads them all before the sort takes over.
+    let mut last_swapped = sorted.clone();
+    for col in &mut last_swapped {
+        col.swap(TRIE_ROWS - 2, TRIE_ROWS - 1);
+    }
+    // Three levels, presorted: the pass with no two-level specialisation.
+    let three = sorted_node_rows(TRIE_ROWS, 3, 65);
     // Presorted rows take the path without a permutation or a sort; the
-    // shuffled ones are sorted first.
-    for (input, cols) in [("presorted", &sorted), ("shuffled", &shuffled)] {
+    // others are sorted first.
+    for (input, cols) in [
+        ("presorted", &sorted),
+        ("shuffled", &shuffled),
+        ("last-row-swapped", &last_swapped),
+        ("presorted", &three),
+    ] {
+        let arity = cols.len();
+        let levels: Vec<usize> = (0..arity).collect();
+        // The oracle: the distinct rows in ascending order, which the rows
+        // before any shuffle or swap are.
+        let mut oracle: Vec<Vec<ValueId>> = (0..TRIE_ROWS)
+            .map(|row| cols.iter().map(|col| col[row]).collect())
+            .collect();
+        oracle.sort_unstable();
         let relation = Relation::from_id_columns("R", TRIE_ROWS, cols.clone(), &dict);
-        let atom = BoundAtom::new(&relation, vec![0, 1]);
-        let trie = FlatTrie::build(&atom, &[0, 1], None).expect("no token");
-        assert_eq!(two_level_paths(&trie), oracle, "{input}: the trie's paths");
-        group.bench_function(BenchmarkId::new(input, format!("{TRIE_ROWS}x2")), |bench| {
-            bench.iter(|| FlatTrie::build(&atom, &[0, 1], None).map(|t| t.level_len(1)))
+        let atom = BoundAtom::new(&relation, levels.clone());
+        let trie = FlatTrie::build(&atom, &levels, None).expect("no token");
+        let paths = trie_paths(&trie, 0, 0, trie.level_len(0));
+        assert_eq!(paths, oracle, "{input}: the trie's paths");
+        let shape = format!("{TRIE_ROWS}x{arity}");
+        group.bench_function(BenchmarkId::new(input, shape), |bench| {
+            bench.iter(|| FlatTrie::build(&atom, &levels, None).map(|t| t.depth()))
         });
     }
     group.finish();

@@ -18,14 +18,17 @@
 //! by the level columns, and one linear pass emits the CSR arrays, collapsing
 //! duplicate paths.  Rows that already strictly ascend in level order with
 //! no repeated variable — a relation that
-//! [`Relation::dedup`](ij_relation::Relation::dedup) sorted, whose column
-//! order is the level order — skip the permutation and the sort: one pass
-//! emits the upper levels and the deepest level is the last column as it
-//! is.  A trie's root-to-leaf paths are therefore exactly the sorted,
-//! deduplicated set of filter-surviving rows projected onto the level
-//! order, and the two builds give equal arrays.  The unit tests below and
-//! `tests/flat_trie_properties.rs` hold the build and the joins over it to
-//! that definition and to brute-force oracles across cache configurations.
+//! [`Relation::dedup`](ij_relation::Relation::dedup) sorted, or one the
+//! forward reduction emitted in seed order, whose column order is the level
+//! order — skip the permutation and the sort: one pass checks the ascent
+//! while it emits the upper levels, and the deepest level is the last column
+//! as it is.  The pass gives up at the first row that does not ascend, and
+//! the sort takes over.  A trie's root-to-leaf paths are therefore exactly
+//! the sorted, deduplicated set of filter-surviving rows projected onto the
+//! level order, and the two builds give equal arrays.  The unit tests below
+//! and `tests/flat_trie_properties.rs` hold the build and the joins over it
+//! to that definition and to brute-force oracles across cache
+//! configurations.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -34,7 +37,7 @@
 use crate::trie::{repeated_variable_rows, trie_level_vars};
 use crate::BoundAtom;
 use ij_hypergraph::VarId;
-use ij_relation::{faults, kernels, CancelTicker, CancellationToken, EvalError, ValueId};
+use ij_relation::{faults, CancelTicker, CancellationToken, EvalError, ValueId};
 
 /// One level of a [`FlatTrie`].
 #[derive(Debug, PartialEq)]
@@ -68,14 +71,16 @@ impl FlatTrie {
     /// in one pass over the sorted permutation (a row extends the arrays from
     /// the first level where its path diverges from its predecessor's;
     /// fully-equal paths — duplicate tuples — are skipped).  When no
-    /// variable repeats and one pass ([`kernels::strictly_ascending`]) finds
-    /// the rows already strictly ascending in level order, there is no
-    /// permutation and no sort: the upper levels are emitted from the rows
-    /// in place and the deepest level is the last level column verbatim.
-    /// Either emission loop polls `token` (if any) every
-    /// [`check_interval`](CancellationToken::check_interval) rows; the
-    /// order check and the lexicographic sort run to completion (a single
-    /// pass, and a single `sort_unstable_by`, bounded and allocation-free).
+    /// variable repeats, the build first tries the rows as they are: one
+    /// pass emits the upper levels from the rows in place, checking at each
+    /// row that it strictly ascends in level order, and the deepest level
+    /// is the last level column verbatim — no permutation and no sort.  At
+    /// the first row that does not ascend (a repeated row or a descent) the
+    /// pass stops and the sorting build runs; a zero-level atom takes the
+    /// sorting build at once.  Every pass polls `token` (if any) at least
+    /// every [`check_interval`](CancellationToken::check_interval) rows; the
+    /// lexicographic sort runs to completion (a single `sort_unstable_by`,
+    /// bounded and allocation-free).
     ///
     /// # Errors
     ///
@@ -110,15 +115,17 @@ impl FlatTrie {
         faults::point(faults::Site::TrieBuild);
         let mut ticker = CancelTicker::new(token);
         let levels = match repeated_variable_rows(atom) {
-            None if kernels::strictly_ascending(&columns) => {
-                build_presorted(&columns, &mut ticker)?
-            }
-            // The rows that pass the repeated-variable filter, or every row.
+            // The rows that pass the repeated-variable filter.
             Some(rows) => build_sorted(&columns, rows, &mut ticker)?,
-            None => {
-                let rows = columns.first().map_or(0, |c| c.len()) as u32;
-                build_sorted(&columns, (0..rows).collect(), &mut ticker)?
-            }
+            // A zero-level atom has no column to take the presorted path.
+            None if columns.is_empty() => build_sorted(&columns, Vec::new(), &mut ticker)?,
+            None => match build_presorted(&columns, &mut ticker)? {
+                Some(levels) => levels,
+                None => {
+                    let rows = atom.relation.len() as u32;
+                    build_sorted(&columns, (0..rows).collect(), &mut ticker)?
+                }
+            },
         };
         Ok(FlatTrie { level_vars, levels })
     }
@@ -233,44 +240,112 @@ fn build_sorted(
     Ok(flat_levels(values, child_start))
 }
 
-/// The levels of a trie over rows that already strictly ascend in level
-/// order (`columns`, one per level, at least one): no permutation and no
+/// The levels of a trie over `columns` (one per level, at least one) if its
+/// rows strictly ascend in level order, else `None`: no permutation and no
 /// sort.  Every row is a new path, so the deepest level is the last column
 /// verbatim, and a row opens an entry on each upper level from the first
-/// where it differs from its predecessor.  Polls `ticker` once per row, as
-/// the emission loop of [`build_sorted`] does.
+/// where it differs from its predecessor — the same comparison that checks
+/// the ascent, made in the one pass that emits.  Two levels, every triangle
+/// atom's, are one packed `u64` per row: level 0 is the run-length encoding
+/// of column 0, whose run starts are its offsets.  Polls `ticker` once per
+/// chunk of [`check_interval`](CancellationToken::check_interval) rows,
+/// before the chunk, so a chunk's rows are the units it counts.
 fn build_presorted(
     columns: &[&[ValueId]],
     ticker: &mut CancelTicker<'_>,
-) -> Result<Vec<FlatLevel>, EvalError> {
-    let (upper, deepest) = columns.split_at(columns.len() - 1);
-    let rows = deepest[0].len();
-    let mut values: Vec<Vec<ValueId>> = vec![Vec::new(); upper.len()];
-    let mut child_start: Vec<Vec<u32>> = vec![Vec::new(); upper.len()];
+) -> Result<Option<Vec<FlatLevel>>, EvalError> {
+    let rows = columns.first().map_or(0, |col| col.len());
+    let chunk = ticker
+        .token()
+        .map_or(rows, |t| t.check_interval() as usize)
+        .max(1);
+    let ascending = match columns {
+        [first, second] => presorted_two_levels(first, second, chunk, ticker)?,
+        _ => presorted_levels(columns, chunk, ticker)?,
+    };
+    let Some((mut values, mut child_start)) = ascending else {
+        return Ok(None);
+    };
+    if let Some(last) = columns.last() {
+        values.push(last.to_vec());
+        child_start.push(Vec::new());
+    }
+    Ok(Some(flat_levels(values, child_start)))
+}
+
+/// The upper levels of a presorted trie (values and offsets per level) and
+/// whether the rows ascend: `None` at the first row that does not.
+type UpperLevels = Option<(Vec<Vec<ValueId>>, Vec<Vec<u32>>)>;
+
+/// [`build_presorted`]'s level 0 over two columns: a row opens an entry
+/// where column 0 changes, and its row index is the entry's first child.
+fn presorted_two_levels(
+    first: &[ValueId],
+    second: &[ValueId],
+    chunk: usize,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<UpperLevels, EvalError> {
+    let key = |a: ValueId, b: ValueId| u64::from(a.raw()) << 32 | u64::from(b.raw());
+    let (mut values, mut starts) = (Vec::new(), Vec::new());
+    let mut prev = None;
+    for start in (0..first.len()).step_by(chunk) {
+        let end = (start + chunk).min(first.len());
+        ticker.advance(end - start)?;
+        let rows = first[start..end].iter().zip(&second[start..end]);
+        for (row, (&a, &b)) in (start..).zip(rows) {
+            let next = key(a, b);
+            match prev {
+                Some(prev) if next <= prev => return Ok(None),
+                Some(prev) if next >> 32 == prev >> 32 => {}
+                _ => {
+                    values.push(a);
+                    starts.push(row as u32);
+                }
+            }
+            prev = Some(next);
+        }
+    }
+    starts.push(first.len() as u32);
+    Ok(Some((vec![values], vec![starts])))
+}
+
+/// [`build_presorted`]'s upper levels over any number of columns: a row
+/// diverges from its predecessor at the first column that differs, which
+/// must hold a larger id, and opens an entry on each upper level from there.
+fn presorted_levels(
+    columns: &[&[ValueId]],
+    chunk: usize,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<UpperLevels, EvalError> {
+    let (k, rows) = (columns.len(), columns[0].len());
+    let mut values: Vec<Vec<ValueId>> = vec![Vec::new(); k - 1];
+    let mut child_start: Vec<Vec<u32>> = vec![Vec::new(); k - 1];
     // The length of level `level + 1` before row `row` — the deepest level
     // holds one value per row.
     let next_len = |values: &[Vec<ValueId>], level: usize, row: usize| {
         values.get(level + 1).map_or(row, Vec::len) as u32
     };
-    for row in 0..rows {
-        ticker.tick()?;
-        let diverge = match row {
-            0 => 0,
-            _ => (upper.iter())
-                .position(|col| col[row] != col[row - 1])
-                .unwrap_or(upper.len()),
-        };
-        for level in diverge..upper.len() {
-            child_start[level].push(next_len(&values, level, row));
-            values[level].push(upper[level][row]);
+    for start in (0..rows).step_by(chunk) {
+        let end = (start + chunk).min(rows);
+        ticker.advance(end - start)?;
+        for row in start..end {
+            let diverge = match row {
+                0 => 0,
+                _ => match columns.iter().position(|col| col[row] != col[row - 1]) {
+                    Some(level) if columns[level][row] > columns[level][row - 1] => level,
+                    _ => return Ok(None),
+                },
+            };
+            for level in diverge..k - 1 {
+                child_start[level].push(next_len(&values, level, row));
+                values[level].push(columns[level][row]);
+            }
         }
     }
     for (level, starts) in child_start.iter_mut().enumerate() {
         starts.push(next_len(&values, level, rows));
     }
-    values.push(deepest[0].to_vec());
-    child_start.push(Vec::new());
-    Ok(flat_levels(values, child_start))
+    Ok(Some((values, child_start)))
 }
 
 /// Boxes per-level value and offset arrays into trie levels.
@@ -417,16 +492,78 @@ mod tests {
             let columns: Vec<&[ValueId]> = (0..relation.arity())
                 .map(|c| relation.column_ids(c))
                 .collect();
-            assert!(kernels::strictly_ascending(&columns));
+            assert!(ij_relation::kernels::strictly_ascending(&columns));
             let all: Vec<u32> = (0..relation.len() as u32).collect();
             let mut ticker = CancelTicker::new(None);
-            let presorted = build_presorted(&columns, &mut ticker).unwrap();
+            let presorted = build_presorted(&columns, &mut ticker).unwrap().unwrap();
             let sorted = build_sorted(&columns, all, &mut ticker).unwrap();
             assert_eq!(presorted, sorted, "{} levels", columns.len());
         }
         let built = FlatTrie::build(&atom, &[0, 1, 2], None).unwrap();
         let (_, expected) = definition(&atom, &[0, 1, 2]);
         assert!(flat_paths(&built).iter().eq(expected.iter()));
+    }
+
+    /// Three sets of rows of `levels` raw ids: strictly ascending, with one
+    /// row repeated beside itself, and with one descent, at a row `at`
+    /// picks (the last row included).
+    fn shaped_rows(seed: u64, levels: usize, at: usize) -> [(&'static str, Vec<Vec<u32>>); 3] {
+        let mut set: Vec<Vec<u32>> = lcg_rows(seed, 40, levels, 6)
+            .into_iter()
+            .map(|row| row.into_iter().map(|v| v as u32).collect())
+            .collect();
+        set.sort();
+        set.dedup();
+        let mut repeated = set.clone();
+        repeated.insert(at % set.len(), set[at % set.len()].clone());
+        let mut descent = set.clone();
+        if set.len() > 1 {
+            let i = 1 + at % (set.len() - 1);
+            descent.swap(i - 1, i);
+        }
+        [
+            ("ascending", set),
+            ("a repeated row", repeated),
+            ("one descent", descent),
+        ]
+    }
+
+    #[test]
+    fn the_presorted_pass_builds_exactly_the_strictly_ascending_rows() {
+        for seed in 0..40 {
+            for levels in 1..=4 {
+                for (what, rows) in shaped_rows(seed, levels, seed as usize * 7) {
+                    let columns: Vec<Vec<ValueId>> = (0..levels)
+                        .map(|c| rows.iter().map(|row| ValueId::from_raw(row[c])).collect())
+                        .collect();
+                    let columns: Vec<&[ValueId]> = columns.iter().map(Vec::as_slice).collect();
+                    let ascends = rows.windows(2).all(|pair| pair[0] < pair[1]);
+                    let mut ticker = CancelTicker::new(None);
+                    let presorted = build_presorted(&columns, &mut ticker).unwrap();
+                    assert_eq!(presorted.is_some(), ascends, "{what}, {levels} levels");
+                    let all: Vec<u32> = (0..rows.len() as u32).collect();
+                    let sorted = build_sorted(&columns, all, &mut ticker).unwrap();
+                    if let Some(built) = presorted {
+                        assert_eq!(built, sorted, "{what}, {levels} levels");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_presorted_pass_polls_once_per_check_interval_of_rows() {
+        let token = CancellationToken::new().with_check_interval(4);
+        token.cancel();
+        for levels in 1..=4 {
+            let column = |rows: u32| (0..rows).map(ValueId::from_raw).collect::<Vec<_>>();
+            for (rows, polls) in [(3, false), (4, true), (9, true)] {
+                let columns: Vec<Vec<ValueId>> = vec![column(rows); levels];
+                let columns: Vec<&[ValueId]> = columns.iter().map(Vec::as_slice).collect();
+                let built = build_presorted(&columns, &mut CancelTicker::new(Some(&token)));
+                assert_eq!(built.is_err(), polls, "{rows} rows, {levels} levels");
+            }
+        }
     }
 
     #[test]

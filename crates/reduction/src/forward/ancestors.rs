@@ -12,12 +12,16 @@ use std::ops::Range;
 /// by level, and the parent of heap index `h` is `h >> 1`.  Per *group* — a
 /// run of rows with equal columns before `a`, in order:
 ///
-/// * the group's nodes are every ancestor-or-self of its leaves, ascending
-///   ([`AncestorClosure::close`]);
+/// * the group's nodes are every ancestor-or-self of its leaves, ascending,
+///   each leaf adding only the ancestors it does not share with the leaf
+///   before it ([`AncestorClosure::close`]);
 /// * when `a` is the last column, they are the group's seeds;
 /// * otherwise a node's seeds pair it with each entry of its *list*: the
 ///   columns after `a` of the rows whose leaf is that node, merged with its
-///   two children's lists ([`AncestorClosure::merge_lists`]).
+///   children's lists one two-way merge at a time
+///   ([`AncestorClosure::merge_lists`]), and written out node by node into
+///   columns grown once per group — a one-column suffix copied as it is,
+///   its codes being its ids ([`AncestorClosure::emit`]).
 ///
 /// Groups in order, each group's nodes ascending and each node's list in
 /// order: the seeds come out exactly as [`sorted_seeds`] of the plan would
@@ -39,26 +43,19 @@ pub(super) fn close_over_ancestors(
             .unwrap_or(leaves.len());
         let group = start..end;
         closure.close(&cols[a][group.clone()]);
+        let at = out[a].len();
         if suffix.is_empty() {
             ticker.advance(closure.nodes.len())?;
-            for (c, col) in prefix.iter().enumerate() {
-                out[c].extend(std::iter::repeat_n(col[start], closure.nodes.len()));
-            }
             out[a].extend(closure.nodes.iter().map(|&(_, id)| id));
-            start = end;
-            continue;
+        } else {
+            closure.encode(suffix, group.clone());
+            closure.merge_lists(&cols[a][group], ticker)?;
+            closure.emit(suffix, &mut out[a..]);
         }
-        closure.encode(suffix, group.clone());
-        closure.merge_lists(&cols[a][group], ticker)?;
-        for (&(_, node), list) in closure.nodes.iter().zip(&closure.lists) {
-            for (c, col) in prefix.iter().enumerate() {
-                out[c].extend(std::iter::repeat_n(col[start], list.len()));
-            }
-            out[a].extend(std::iter::repeat_n(node, list.len()));
-            let codes = &closure.codes[list.clone()];
-            for (j, column) in out[a + 1..].iter_mut().enumerate() {
-                column.extend(codes.iter().map(|&code| closure.decode(suffix, code, j)));
-            }
+        // The group's rows share its prefix.
+        let rows = out[a].len() - at;
+        for (column, col) in out.iter_mut().zip(prefix) {
+            column.extend(std::iter::repeat_n(col[start], rows));
         }
         start = end;
     }
@@ -79,6 +76,9 @@ struct AncestorClosure {
     nodes: Vec<(u32, ValueId)>,
     /// The nodes at depth `d` are `nodes[levels[d]..levels[d + 1]]`.
     levels: Vec<usize>,
+    /// Per depth, the group's nodes at that depth, ascending, as
+    /// [`close`](Self::close) finds them; buffers reused from group to group.
+    by_depth: Vec<Vec<(u32, ValueId)>>,
     /// Per group row, then per merged list entry: a suffix as one `u32`
     /// that orders suffixes as the columns do (the suffix's one raw id, or
     /// its rank among the group's suffixes).
@@ -92,10 +92,15 @@ struct AncestorClosure {
 
 impl AncestorClosure {
     /// Every ancestor-or-self of `leaves` (ascending, repeats allowed) into
-    /// `nodes`, ascending, level by level.  Sorted by left-aligned bits, the
-    /// leaves' depth-`d` prefixes ascend, equal ones side by side, so each
-    /// level is one pass with no comparison sort.  Leaves of one depth —
-    /// every leaf of a complete tree — are in that order already.
+    /// `nodes`, ascending, level by level, in one pass over the leaves with
+    /// no comparison sort.  Sorted by left-aligned bits (a tie by depth), a
+    /// node sorts before its descendants and the leaves' depth-`d` prefixes
+    /// ascend, equal ones side by side, so the ancestors a leaf does not
+    /// share with its predecessor — those below the depth where the two
+    /// part — are new, and each comes after every node of its depth found
+    /// so far: it is appended to its depth's list, and the lists, joined in
+    /// depth order, are the nodes.  Leaves of one depth — every leaf of a
+    /// complete tree — are in that order already.
     fn close(&mut self, leaves: &[ValueId]) {
         self.keys.clear();
         for (i, leaf) in leaves.iter().enumerate() {
@@ -110,19 +115,30 @@ impl AncestorClosure {
         if !self.keys.is_sorted() {
             self.keys.sort_unstable();
         }
-        let depth = |key: u64| (key & 0xff) as u8;
-        let deepest = self.keys.iter().map(|&key| depth(key)).max().unwrap_or(0);
         self.nodes.clear();
         self.levels.clear();
-        for d in 0..=deepest {
-            self.levels.push(self.nodes.len());
-            for &key in self.keys.iter().filter(|&&key| depth(key) >= d) {
-                let heap = (key >> 8 >> (MAX_INLINE_BITS - d)) as u32;
-                if self.nodes.last().map(|&(last, _)| last) != Some(heap) {
-                    let id = bits_id(u64::from(heap ^ 1 << d), d);
-                    self.nodes.push((heap, id));
-                }
+        if let [key] = self.keys[..] {
+            // One leaf: its ancestors, one per depth.
+            self.levels.extend(0..=depth(key) + 1);
+            self.nodes.extend((0..=depth(key)).map(|d| node_at(key, d)));
+            return;
+        }
+        let deepest = self.keys.iter().map(|&key| depth(key)).max().unwrap_or(0);
+        if self.by_depth.len() <= deepest {
+            self.by_depth.resize_with(deepest + 1, Vec::new);
+        }
+        self.by_depth[..=deepest].iter_mut().for_each(Vec::clear);
+        let mut prev = None;
+        for &key in &self.keys {
+            let from = first_new(prev, key);
+            for (d, nodes) in (from..=depth(key)).zip(&mut self.by_depth[from..]) {
+                nodes.push(node_at(key, d));
             }
+            prev = Some(key);
+        }
+        for nodes in &self.by_depth[..=deepest] {
+            self.levels.push(self.nodes.len());
+            self.nodes.extend_from_slice(nodes);
         }
         self.levels.push(self.nodes.len());
     }
@@ -150,17 +166,11 @@ impl AncestorClosure {
         }
     }
 
-    /// The suffix id of column `j` that `code` stands for.
-    fn decode(&self, suffix: &[&[ValueId]], code: u32, j: usize) -> ValueId {
-        match suffix.len() {
-            1 => ValueId::from_raw(code),
-            _ => suffix[j][self.ranked[code as usize]],
-        }
-    }
-
     /// Each node's list, deepest level first: the codes of the group's rows
     /// whose leaf is the node (`leaves`, one per row: a run of the group,
-    /// whose codes ascend) merged with its children's lists.
+    /// whose codes ascend) merged with each child's list in turn — no merge
+    /// for a node with one list among the three, one for two, and two for
+    /// the node with rows of its own and two children.
     fn merge_lists(
         &mut self,
         leaves: &[ValueId],
@@ -183,43 +193,102 @@ impl AncestorClosure {
                     .map_or(self.levels[d + 1], |&end| end);
             let mut child = below.start;
             for i in self.levels[d]..self.levels[d + 1] {
-                let mut runs = [self.lists[i].clone(), 0..0, 0..0];
-                for run in &mut runs[1..] {
-                    if below.contains(&child) && self.nodes[child].0 >> 1 == self.nodes[i].0 {
-                        *run = self.lists[child].clone();
-                        child += 1;
-                    }
+                // The node's own rows, then each child's list merged in.
+                let mut list = self.lists[i].clone();
+                while below.contains(&child) && self.nodes[child].0 >> 1 == self.nodes[i].0 {
+                    list = merge_runs(&mut self.codes, list, self.lists[child].clone());
+                    child += 1;
                 }
-                self.lists[i] = merge_runs(&mut self.codes, &mut runs);
-                ticker.advance(self.lists[i].len())?;
+                ticker.advance(list.len())?;
+                self.lists[i] = list;
             }
         }
         Ok(())
     }
-}
 
-/// The union of the ascending runs `runs` of `codes`: the one non-empty run
-/// itself, or else their merge appended to `codes`, ascending, each code
-/// once.
-fn merge_runs(codes: &mut Vec<u32>, runs: &mut [Range<usize>]) -> Range<usize> {
-    let mut live = runs.iter().filter(|run| !run.is_empty());
-    if let (Some(run), None) = (live.next(), live.next()) {
-        return run.clone();
-    }
-    let start = codes.len();
-    loop {
-        let heads = runs.iter().filter(|run| !run.is_empty());
-        let Some(min) = heads.map(|run| codes[run.start]).min() else {
-            break;
-        };
-        codes.push(min);
-        for run in runs.iter_mut() {
-            if run.start < run.end && codes[run.start] == min {
-                run.start += 1;
+    /// Appends the group's rows to `out`, the tree column and the suffix
+    /// columns: per node, in order, the node beside each entry of its list.
+    /// The code of a one-column suffix is its id.
+    fn emit(&self, suffix: &[&[ValueId]], out: &mut [Vec<ValueId>]) {
+        let at = out[0].len();
+        let rows = self.lists.iter().map(Range::len).sum::<usize>();
+        for column in out.iter_mut() {
+            column.resize(at + rows, ValueId::dummy());
+        }
+        let (tree, suffix_out) = out.split_at_mut(1);
+        let mut row = at;
+        for (&(_, node), list) in self.nodes.iter().zip(&self.lists) {
+            let (rows, codes) = (row..row + list.len(), &self.codes[list.clone()]);
+            tree[0][rows.clone()].fill(node);
+            match &mut *suffix_out {
+                [column] => {
+                    for (id, &code) in column[rows.clone()].iter_mut().zip(codes) {
+                        *id = ValueId::from_raw(code);
+                    }
+                }
+                columns => {
+                    for (column, ids) in columns.iter_mut().zip(suffix) {
+                        for (id, &code) in column[rows.clone()].iter_mut().zip(codes) {
+                            *id = ids[self.ranked[code as usize]];
+                        }
+                    }
+                }
             }
+            row = rows.end;
         }
     }
-    start..codes.len()
+}
+
+/// The depth of a key of [`AncestorClosure::keys`].
+fn depth(key: u64) -> usize {
+    usize::from(key as u8)
+}
+
+/// The ancestor-or-self at depth `d` of a key's leaf: heap index and id.
+fn node_at(key: u64, d: usize) -> (u32, ValueId) {
+    let heap = (key >> 8 >> (usize::from(MAX_INLINE_BITS) - d)) as u32;
+    (heap, bits_id(u64::from(heap ^ 1 << d), d as u8))
+}
+
+/// The least depth at which the ancestor-or-self of `key` is not that of
+/// `prev`, the key before it (`0` for the first key): past the bits the two
+/// aligned keys share, or past either's depth, their ancestors differ.
+fn first_new(prev: Option<u64>, key: u64) -> usize {
+    prev.map_or(0, |prev| {
+        let unaligned = u64::BITS - u32::from(MAX_INLINE_BITS);
+        let shared = ((prev ^ key) >> 8).leading_zeros() - unaligned;
+        (shared as usize).min(depth(prev)).min(depth(key)) + 1
+    })
+}
+
+/// The union of the ascending runs `x` and `y` of `codes`, each code once:
+/// one of them itself when the other is empty, else their two-way merge
+/// appended to `codes` — one pass that takes the smaller head, or both
+/// heads when they are equal, with no allocation but the growth of `codes`.
+fn merge_runs(codes: &mut Vec<u32>, x: Range<usize>, y: Range<usize>) -> Range<usize> {
+    if x.is_empty() || y.is_empty() {
+        return if x.is_empty() { y } else { x };
+    }
+    let start = codes.len();
+    codes.resize(start + x.len() + y.len(), 0);
+    let (runs, out) = codes.split_at_mut(start);
+    let (x, y) = (&runs[x], &runs[y]);
+    let (mut i, mut j, mut len) = (0, 0, 0);
+    for slot in out.iter_mut() {
+        let (Some(&a), Some(&b)) = (x.get(i), y.get(j)) else {
+            break;
+        };
+        *slot = a.min(b);
+        len += 1;
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    for rest in [&x[i..], &y[j..]] {
+        out[len..len + rest.len()].copy_from_slice(rest);
+        len += rest.len();
+    }
+    codes.truncate(start + len);
+    start..start + len
 }
 
 #[cfg(test)]
@@ -232,6 +301,81 @@ mod tests {
     use ij_relation::{CancellationToken, Value};
     use ij_segtree::{Interval, SegmentTree};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The closure by its definition: every row once per ancestor-or-self
+    /// of its node in column `a`, as a sorted set of raw rows.
+    fn closure_by_definition(leaves: &Relation, a: usize) -> Vec<Vec<u32>> {
+        let mut set = BTreeSet::new();
+        for row in id_rows(leaves) {
+            let node = id_bits(row[a]);
+            for depth in 0..=node.len() {
+                let mut closed: Vec<u32> = row.iter().map(|id| id.raw()).collect();
+                let ancestor = node.prefix(depth);
+                closed[a] = bits_id(ancestor.bits(), ancestor.len()).raw();
+                set.insert(closed);
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// Sorted, distinct rows of raw `columns` — seeds as `sorted_seeds`
+    /// leaves them.
+    fn seeds(columns: Vec<Vec<u32>>) -> Relation {
+        let rows = columns.first().map_or(0, Vec::len);
+        let ids = (columns.into_iter())
+            .map(|col| col.into_iter().map(ValueId::from_raw).collect())
+            .collect();
+        let mut seeds = Relation::from_id_columns("R", rows, ids, &SharedDictionary::new());
+        seeds.dedup();
+        seeds
+    }
+
+    fn closed_rows(leaves: &Relation, a: usize) -> Vec<Vec<u32>> {
+        let closed = close_over_ancestors(leaves, a, &mut CancelTicker::new(None)).unwrap();
+        id_rows(&closed)
+            .into_iter()
+            .map(|row| row.iter().map(|id| id.raw()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_node_with_its_own_rows_and_two_children_lists_their_union() {
+        // The node `0` holds rows of its own, and so do both its children;
+        // the codes 1 and 3 are in all three lists.
+        let node = |text: &str| {
+            let node = ij_segtree::BitString::parse(text).unwrap();
+            bits_id(node.bits(), node.len()).raw()
+        };
+        let rows = [
+            ("0", 1),
+            ("0", 3),
+            ("00", 1),
+            ("00", 2),
+            ("00", 3),
+            ("01", 3),
+            ("01", 4),
+            ("01", 1),
+        ];
+        let leaves = seeds(vec![
+            rows.iter().map(|&(text, _)| node(text)).collect(),
+            rows.iter().map(|&(_, code)| code).collect(),
+        ]);
+        let closed = closed_rows(&leaves, 0);
+        assert_eq!(closed, closure_by_definition(&leaves, 0));
+        let union: BTreeSet<u32> = rows.iter().map(|&(_, code)| code).collect();
+        for ancestor in ["", "0"] {
+            let list: Vec<u32> = (closed.iter())
+                .filter(|row| row[0] == node(ancestor))
+                .map(|row| row[1])
+                .collect();
+            assert_eq!(
+                list,
+                union.iter().copied().collect::<Vec<_>>(),
+                "{ancestor:?}"
+            );
+        }
+    }
 
     #[test]
     fn a_token_cancelled_mid_ancestor_closure_interrupts() {
@@ -271,6 +415,44 @@ mod tests {
             );
             // The same build, not cancelled, lists more seeds than that.
             assert!(build_relation("R", &dict, &plan, 9, None).unwrap().len() > 12);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Nodes anywhere in a tree four levels deep — nested ones too, and
+        /// some with rows of their own beside both children's — under a
+        /// prefix column or none, with no suffix, a one-column suffix (codes
+        /// that are ids) and a two-column one (codes that are ranks), over
+        /// small domains so codes repeat across nodes: the closure is its
+        /// definition, row for row and in order.
+        #[test]
+        fn the_closure_of_any_nodes_is_its_definition(
+            raw in proptest::collection::vec((0u32..3, 0u8..=4, 0u64..16, 0u32..4, 0u32..3), 1..40),
+        ) {
+            let node = |&(_, len, bits, _, _): &(u32, u8, u64, u32, u32)| {
+                bits_id(bits & ((1 << len) - 1), len).raw()
+            };
+            let prefix: Vec<u32> = raw.iter().map(|r| r.0).collect();
+            let nodes: Vec<u32> = raw.iter().map(node).collect();
+            let codes: Vec<u32> = raw.iter().map(|r| r.3).collect();
+            let more: Vec<u32> = raw.iter().map(|r| r.4).collect();
+            for (a, columns) in [
+                (0, vec![nodes.clone()]),
+                (1, vec![prefix.clone(), nodes.clone()]),
+                (0, vec![nodes.clone(), codes.clone()]),
+                (1, vec![prefix.clone(), nodes.clone(), codes.clone()]),
+                (0, vec![nodes.clone(), codes.clone(), more.clone()]),
+                (1, vec![prefix.clone(), nodes.clone(), more.clone(), codes.clone()]),
+            ] {
+                let leaves = seeds(columns);
+                prop_assert_eq!(
+                    closed_rows(&leaves, a),
+                    closure_by_definition(&leaves, a),
+                    "a = {}, arity {}", a, leaves.arity()
+                );
+            }
         }
     }
 

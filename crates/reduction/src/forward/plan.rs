@@ -554,6 +554,51 @@ mod tests {
         assert_eq!(live.stats.num_relations, paper.stats.num_relations);
     }
 
+    /// Random intervals over a small domain, so endpoints repeat: a point,
+    /// a bounded interval, a ray to −∞ or +∞, or the whole line.
+    fn arb_intervals(max_len: usize) -> impl Strategy<Value = Vec<Interval>> {
+        let cell = (0i32..10, 0i32..5, 0u8..6);
+        proptest::collection::vec(cell, 1..=max_len).prop_map(|cells| {
+            (cells.into_iter())
+                .map(|(lo, len, kind)| {
+                    let (lo, hi) = (f64::from(lo), f64::from(lo + len));
+                    match kind {
+                        0 => Interval::point(lo),
+                        1 => Interval::new(f64::NEG_INFINITY, hi),
+                        2 => Interval::new(lo, f64::INFINITY),
+                        3 if len == 0 => Interval::all(),
+                        _ => Interval::new(lo, hi),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A row's node list is its interval's canonical partition by the
+        /// recursive walk and the leaf of its left end, by their own
+        /// descents — for the intervals the tree is built over and for
+        /// others, whose left end may not be an endpoint of the tree.
+        #[test]
+        fn node_lists_are_the_recursive_partition_and_the_leaf(
+            intervals in arb_intervals(16),
+            others in arb_intervals(6),
+        ) {
+            let tree = SegmentTree::build(&intervals);
+            let queries: Vec<Interval> = intervals.iter().chain(&others).copied().collect();
+            let nodes = NodeLists::build(&tree, &queries, None).unwrap();
+            let id = |node: BitString| bits_id(node.bits(), node.len());
+            for (row, &x) in queries.iter().enumerate() {
+                let partition: Vec<ValueId> =
+                    tree.canonical_partition_recursive(x).into_iter().map(id).collect();
+                prop_assert_eq!(nodes.partitions.of_row(row), &partition[..], "{}", x);
+                prop_assert_eq!(nodes.leaves[row], id(tree.leaf_of_interval(x)), "{}", x);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

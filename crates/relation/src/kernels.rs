@@ -40,9 +40,10 @@ use std::ops::ControlFlow;
 /// True if the rows of `cols` strictly ascend, compared column by column —
 /// [`Relation::dedup`]'s order, and a flat trie's over its level columns —
 /// so they are already a sorted set.  One pass comparing each row with the
-/// previous one: the first four columns packed into one `u128`, any further
-/// ones compared only on a tie.  No columns is `false` (zero-arity rows are
-/// all equal); no rows, or one, is `true`.
+/// previous one: up to two columns as one packed `u64` per row, the key
+/// [`Relation::dedup`] sorts by; up to four as one `u128`, any further ones
+/// compared only on a tie.  No columns is `false` (zero-arity rows are all
+/// equal); no rows, or one, is `true`.
 ///
 /// [`Relation::dedup`]: crate::Relation::dedup
 ///
@@ -57,6 +58,25 @@ pub fn strictly_ascending(cols: &[&[ValueId]]) -> bool {
         cols.iter().all(|col| col.len() == rows),
         "strictly_ascending: columns differ in length"
     );
+    match *cols {
+        [col] => keys_ascend(col.iter().map(|id| u64::from(id.raw()))),
+        [first, second] => {
+            let pack = |(a, b): (&ValueId, &ValueId)| u64::from(a.raw()) << 32 | u64::from(b.raw());
+            keys_ascend(first.iter().zip(second).map(pack))
+        }
+        _ => wide_rows_ascend(cols, rows),
+    }
+}
+
+/// True if `keys` strictly ascend.
+fn keys_ascend(mut keys: impl Iterator<Item = u64>) -> bool {
+    let mut prev = None;
+    keys.all(|next| prev.replace(next).is_none_or(|prev| prev < next))
+}
+
+/// [`strictly_ascending`] of three or more columns of `rows` rows: the
+/// first four packed into one `u128`, the rest compared on a tie.
+fn wide_rows_ascend(cols: &[&[ValueId]], rows: usize) -> bool {
     let (head, tail) = cols.split_at(cols.len().min(4));
     let key = |row: usize| {
         head.iter()

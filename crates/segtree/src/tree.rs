@@ -110,6 +110,37 @@ impl Subtree {
         Some((left, right))
     }
 
+    /// The slot of the leaf at `coord`, one of this subtree's coordinates.
+    #[inline]
+    fn leaf_at(mut self, coord: u32) -> usize {
+        while self.lo != self.hi {
+            self = self.child_toward(coord);
+        }
+        self.slot
+    }
+
+    /// The half of a node whose coordinates hold `coord` (the node itself
+    /// at a leaf), picked field by field so that a descent does not branch
+    /// on the side it takes.
+    #[inline]
+    fn child_toward(self, coord: u32) -> Subtree {
+        let Some((left, right)) = self.children() else {
+            return self;
+        };
+        let toward_right = coord > left.hi;
+        Subtree {
+            slot: if toward_right { right.slot } else { left.slot },
+            lo: if toward_right { right.lo } else { left.lo },
+            hi: if toward_right { right.hi } else { left.hi },
+        }
+    }
+
+    /// True if `coord` is one of the subtree's coordinates.
+    #[inline]
+    fn covers(self, coord: u32) -> bool {
+        self.lo <= coord && coord <= self.hi
+    }
+
     /// True if every coordinate of the subtree lies in `lo..=hi`.
     #[inline]
     fn within(self, lo: u32, hi: u32) -> bool {
@@ -286,19 +317,23 @@ impl SegmentTree {
 
     /// [`SegmentTree::for_each_canonical_node`] and
     /// [`SegmentTree::leaf_of_interval`] in one call: visits `CP(x)` left to
-    /// right and returns `leaf(x)`.  One binary search for `x`'s left end
-    /// serves both, where the two calls make two — what the forward
-    /// reduction asks once per source cell.
+    /// right and returns `leaf(x)` — what the forward reduction asks once
+    /// per source cell.  One binary search for `x`'s left end serves both,
+    /// and one descent: where `x` starts at an endpoint of the tree, as
+    /// every interval the tree was built over does, its leaf is the
+    /// leftmost below the first node of `CP(x)`, a few levels further down
+    /// the walk.
     pub fn for_each_canonical_node_with_leaf(
         &self,
         x: Interval,
         mut f: impl FnMut(BitString),
     ) -> BitString {
         let below = self.rank(x.lo_ord());
-        if let Some((lo, hi)) = self.covered_coord_range_from(x, below) {
-            self.for_each_maximal_slot(lo, hi, &mut |slot| f(id_of_slot(slot)));
-        }
-        self.leaf_at(self.coord_of_ranked(x.lo_ord(), below))
+        let coord = self.coord_of_ranked(x.lo_ord(), below);
+        let walked = (self.covered_coord_range_from(x, below))
+            .map(|(lo, hi)| self.for_each_maximal_slot(lo, hi, &mut |slot| f(id_of_slot(slot))));
+        let from = walked.filter(|node| node.covers(coord));
+        id_of_slot(from.unwrap_or(self.root()).leaf_at(coord))
     }
 
     /// [`SegmentTree::canonical_partition`] by the recursive walk that
@@ -321,10 +356,7 @@ impl SegmentTree {
 
     /// The leaf at a leaf coordinate.
     fn leaf_at(&self, coord: u32) -> BitString {
-        let leaf = path(self.root(), coord)
-            .last()
-            .expect("a path holds its root");
-        id_of_slot(leaf)
+        id_of_slot(self.root().leaf_at(coord))
     }
 
     /// The leaf containing the left endpoint of `x` (`leaf(x)` of Section 3).
@@ -467,16 +499,18 @@ impl SegmentTree {
     /// visited on the way back up, deepest first — by slot arithmetic, a
     /// left child having an odd slot.  On the path toward `hi`, every left
     /// child passed over is covered and is visited at once.
-    fn for_each_maximal_slot(&self, lo: u32, hi: u32, f: &mut impl FnMut(usize)) {
+    ///
+    /// Returns the first node visited, the maximal one that starts at `lo`.
+    fn for_each_maximal_slot(&self, lo: u32, hi: u32, f: &mut impl FnMut(usize)) -> Subtree {
         let mut node = self.root();
         let (left, right) = loop {
             if node.within(lo, hi) {
                 f(node.slot);
-                return;
+                return node;
             }
             // A leaf inside the range is covered, so `node` has children.
             let Some((left, right)) = node.children() else {
-                return;
+                return node;
             };
             if hi <= left.hi {
                 node = left;
@@ -490,12 +524,10 @@ impl SegmentTree {
         // Toward `lo`: everything in `left` ends at or before `hi`.
         let mut node = left;
         while lo > node.lo {
-            let Some((l, r)) = node.children() else {
-                break;
-            };
-            node = if lo <= l.hi { l } else { r };
+            node = node.child_toward(lo);
         }
         f(node.slot);
+        let first = node;
         let mut slot = node.slot;
         while slot != left.slot {
             if slot % 2 == 1 {
@@ -518,6 +550,7 @@ impl SegmentTree {
             }
         }
         f(node.slot);
+        first
     }
 
     /// The leaf coordinates below the node `id`, or `None` if the tree has no
@@ -1000,6 +1033,12 @@ mod tests {
                     hi: num_leaves - 1,
                 };
                 let leaf = path(root, coord).last().unwrap();
+                // The field-by-field descent takes the path's halves.
+                assert_eq!(
+                    root.leaf_at(coord),
+                    leaf,
+                    "leaves={num_leaves} coord={coord}"
+                );
                 assert!(
                     leaf < num_slots,
                     "leaves={num_leaves} slot={leaf} slots={num_slots}"

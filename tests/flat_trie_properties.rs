@@ -10,7 +10,10 @@
 //!   that are not a multiple of the linear-probe span;
 //! * **trie build** — rows that already ascend in level order skip the
 //!   permutation and the sort, and must build the arrays the sorting build
-//!   gives the same rows in another order (and the brute-force paths);
+//!   gives the same rows in another order (and the brute-force paths); on
+//!   one to four levels, rows that ascend, repeat a row or descend once
+//!   (at the last row too) all build the definition, whichever path the
+//!   one presorted pass hands them to;
 //! * **generic join** — Boolean and enumerated answers must equal a
 //!   brute-force nested loop over the relations, with and without a cache,
 //!   under the planned order and under every explicit one;
@@ -377,6 +380,62 @@ proptest! {
             trie_arrays(&trie.unwrap())
         };
         prop_assert_eq!(build(&sorted), build(&distinct));
+    }
+}
+
+/// Rows of `levels` raw ids over a small domain, and a row index.
+fn arb_levelled_rows() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
+    (1usize..=4).prop_flat_map(|levels| {
+        let row = proptest::collection::vec(0u32..5, levels);
+        (proptest::collection::vec(row, 1..60), 0usize..1000)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `FlatTrie::build` is the definition on 1 to 4 levels whichever path
+    /// the rows take: rows that strictly ascend (the presorted pass), rows
+    /// that ascend with a row repeated beside itself, and rows that descend
+    /// once, at a random row or the last (each found out by the presorted
+    /// pass and sorted).  A zero-level atom has no path to take but the
+    /// sorting one, and builds a trie of no levels that is not empty.
+    #[test]
+    fn every_build_path_gives_the_definition(shaped in arb_levelled_rows()) {
+        let (raw, at) = shaped;
+        let levels = raw[0].len();
+        let mut ascending = raw.clone();
+        ascending.sort();
+        ascending.dedup();
+        let n = ascending.len();
+        let mut repeated = ascending.clone();
+        repeated.insert(at % n, ascending[at % n].clone());
+        let mut descent = ascending.clone();
+        let mut at_last = ascending.clone();
+        if n > 1 {
+            descent.swap(at % (n - 1), at % (n - 1) + 1);
+            at_last.swap(n - 2, n - 1);
+        }
+        let vars: Vec<usize> = (0..levels).collect();
+        let expected = trie_oracle(&ascending, &vars, &vars);
+        for (what, rows) in [
+            ("strictly ascending", &ascending),
+            ("a repeated row", &repeated),
+            ("one descent", &descent),
+            ("a descent at the last row", &at_last),
+        ] {
+            let relation = id_rel(rows);
+            let trie = FlatTrie::build(&BoundAtom::new(&relation, vars.clone()), &vars, None).unwrap();
+            let paths = trie_paths(&trie, 0, (0, trie.level_len(0)));
+            prop_assert_eq!(&paths, &expected, "{}, {} levels", what, levels);
+        }
+        let mut guard = Relation::new("G", 0, &SharedDictionary::new());
+        for _ in 0..n {
+            guard.push(vec![]);
+        }
+        let zero = FlatTrie::build(&BoundAtom::new(&guard, vec![]), &vars, None).unwrap();
+        prop_assert_eq!(zero.depth(), 0);
+        prop_assert!(!zero.is_empty());
     }
 }
 
