@@ -99,11 +99,11 @@ impl ForwardReduction {
 /// `Expand` column of the plan) — the one routine that materialises `D̃`
 /// and the live plan's relations, behind every cell of a
 /// [`ForwardReduction`], as *seeds → sort → expand* (module docs).  Only
-/// seeds are sorted — for a plan with an `Ancestors` column only the seeds
-/// with that column collapsed to the row's leaf, the rest coming from the
-/// tree ([`close_over_ancestors`]) — the output columns are allocated once,
-/// and nothing is allocated per source row or per seed; a plan whose
-/// columns are all one piece wide returns the sorted seeds.
+/// seeds are sorted — for a plan with `Ancestors` columns only the seeds
+/// with those columns collapsed to the row's leaf, the rest coming from the
+/// tree ([`closed_seeds`]) — the output columns are allocated once, and
+/// nothing is allocated per source row or per seed; a plan whose columns
+/// are all one piece wide returns the sorted seeds.
 pub(super) fn build_relation(
     name: &str,
     dict: &SharedDictionary,
@@ -118,13 +118,7 @@ pub(super) fn build_relation(
     let mut ticker = CancelTicker::new(token);
 
     // (1) The distinct seeds, ascending.
-    let seeds = match tree_column(plan) {
-        Some((a, collapsed)) => {
-            let leaves = sorted_seeds(name, dict, &collapsed, source_rows, &mut ticker)?;
-            close_over_ancestors(&leaves, a, &mut ticker)?
-        }
-        None => sorted_seeds(name, dict, plan, source_rows, &mut ticker)?,
-    };
+    let seeds = closed_seeds(name, dict, plan, source_rows, &mut ticker)?;
     // Every column one piece wide: each seed is its one tuple, so the sorted
     // seeds are the relation.
     if plan.iter().all(|column| column.width() == 1) {
@@ -207,6 +201,27 @@ pub(super) fn sorted_seeds(
     let mut seeds = Relation::from_id_columns(name, collected, seeds, dict);
     seeds.dedup();
     Ok(seeds)
+}
+
+/// The distinct seeds of `plan`, ascending, as [`sorted_seeds`] gives them
+/// but with no `Ancestors` column expanded before the sort: sorted with
+/// every such column collapsed to the row's leaf, then closed over the tree
+/// ([`close_over_ancestors`]) one column at a time, the last first — each
+/// closure's output is the next one's sorted leaves.
+pub(super) fn closed_seeds(
+    name: &str,
+    dict: &SharedDictionary,
+    plan: &[PlanColumn<'_>],
+    source_rows: usize,
+    ticker: &mut CancelTicker<'_>,
+) -> Result<Relation, EvalError> {
+    match tree_column(plan) {
+        Some((a, collapsed)) => {
+            let leaves = closed_seeds(name, dict, &collapsed, source_rows, ticker)?;
+            close_over_ancestors(&leaves, a, ticker)
+        }
+        None => sorted_seeds(name, dict, plan, source_rows, ticker),
+    }
 }
 
 /// The column `a` whose seeds a build takes from the tree instead of a sort

@@ -109,11 +109,12 @@
 //! under a node are those under its two children plus those whose leaf it
 //! is.  So the build sorts only the seeds with that column collapsed to the
 //! row's leaf, `h + 1` times fewer, and derives the rest in order: the
-//! ancestors of a group's leaves level by level, and under each node the
-//! merge of its children's sorted lists of the columns that follow
-//! (`close_over_ancestors`).  The seeds come out as the sort of all of them
-//! would order them, column for column, so nothing downstream can tell the
-//! two apart.
+//! ancestors of a group's leaves in one pass over them, and under each node
+//! the merge of its children's sorted lists of the columns that follow
+//! (`close_over_ancestors`).  A plan with two such columns collapses both
+//! and closes over the second's tree first (`closed_seeds`).  The seeds
+//! come out as the sort of all of them would order them, column for
+//! column, so nothing downstream can tell the two apart.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]

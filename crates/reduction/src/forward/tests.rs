@@ -1,7 +1,7 @@
 //! Tests of the entry points, and the helpers the tests of every part share.
 
 use super::ancestors::close_over_ancestors;
-use super::build::{sorted_seeds, tree_column, PlanColumn};
+use super::build::{closed_seeds, sorted_seeds, tree_column, PlanColumn};
 use super::*;
 use ij_hypergraph::VarKind;
 use ij_relation::kernels::strictly_ascending;
@@ -447,8 +447,10 @@ pub(super) fn assert_live(live: &ForwardReduction, paper: &ForwardReduction, nam
 }
 
 /// The distinct seeds of `planned` as its build takes them — closed over
-/// the tree where the plan has an `Ancestors` column — are the sort of
-/// every seed, column for column.  Returns whether the tree gave them.
+/// the tree where the plan has `Ancestors` columns, one column at a time —
+/// are the sort of every seed, column for column; so is one closure over
+/// the first such column of the sorted seeds with only that column
+/// collapsed.  Returns whether the tree gave them.
 pub(super) fn assert_seeds_from_the_tree(fr: &ForwardReduction, planned: &PlannedRelation) -> bool {
     let (name, spec) = (&planned.name, &planned.spec);
     let (plan, rows) = (fr.resolve(spec), fr.sources[spec.atom].rows);
@@ -460,6 +462,8 @@ pub(super) fn assert_seeds_from_the_tree(fr: &ForwardReduction, planned: &Planne
     let leaves = sorted_seeds(name, &fr.dict, &collapsed, rows, &mut ticker).unwrap();
     let closed = close_over_ancestors(&leaves, a, &mut ticker).unwrap();
     assert_eq!(id_rows(&closed), id_rows(&sorted), "{name}");
+    let built = closed_seeds(name, &fr.dict, &plan, rows, &mut ticker).unwrap();
+    assert_eq!(id_rows(&built), id_rows(&sorted), "{name}");
     true
 }
 
