@@ -1,13 +1,10 @@
 //! Micro-benchmarks of the column kernels: `gallop_seek` and
 //! `semijoin_rows` raced against their `*_scalar` oracles on identical
 //! operands, `semijoin_any` timed on the same semijoin shapes against the
-//! row list it answers for, and two passes raced against the implementation
-//! they replaced, kept here: the content `fingerprint` against the
-//! one-id-per-multiply hash, and `Relation::dedup` on sorted and shuffled
-//! rows against a dedup that always sorts.  Every primitive is asserted to produce
-//! identical output on both before any timing; the two fingerprints,
-//! whose values differ by design, are asserted to tell the same changes of
-//! content apart.  `flat-trie/build` times `FlatTrie::build` on presorted
+//! row list it answers for, and `Relation::dedup` on sorted and shuffled
+//! rows raced against the dedup it replaced, kept here, which always
+//! sorts.  Every primitive is asserted to produce identical output on both
+//! before any timing.  `flat-trie/build` times `FlatTrie::build` on presorted
 //! rows of two and three levels (one pass, no permutation, no sort), on the
 //! two-level rows shuffled, and on them with the last two rows swapped —
 //! the presorted pass's worst case, a full pass and then the sort — each
@@ -22,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ij_ejoin::{BoundAtom, FlatTrie};
 use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::kernels::{
-    fingerprint, gallop_seek, gallop_seek_scalar, semijoin_any, semijoin_rows, semijoin_rows_scalar,
+    gallop_seek, gallop_seek_scalar, semijoin_any, semijoin_rows, semijoin_rows_scalar,
 };
 use ij_relation::{Relation, SharedDictionary, ValueId};
 use ij_workloads::{build_scenario, PlantedAnswer, ScenarioConfig, ScenarioFamily};
@@ -215,29 +212,6 @@ fn bench_semijoin_any(c: &mut Criterion) {
     group.finish();
 }
 
-/// The content fingerprint before the multi-lane kernel: one chain per
-/// 64-bit half, one multiply per half per id.
-fn fingerprint_one_lane(rows: usize, cols: &[&[ValueId]]) -> (u64, u64) {
-    const M1: u64 = 0x9E37_79B9_7F4A_7C15;
-    const M2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    let mix = |state: u64, v: u64, m: u64| ((state ^ v).wrapping_mul(m)).rotate_left(29);
-    let mut a = 0x243F_6A88_85A3_08D3u64;
-    let mut b = 0x4528_21E6_38D0_1377u64;
-    for v in [cols.len() as u64, rows as u64] {
-        (a, b) = (mix(a, v, M1), mix(b, v, M2));
-    }
-    for col in cols {
-        (a, b) = (mix(a, 0xFEED_C01D, M1), mix(b, 0xFEED_C01D, M2));
-        for &id in *col {
-            (a, b) = (
-                mix(a, u64::from(id.raw()), M1),
-                mix(b, u64::from(id.raw()), M2),
-            );
-        }
-    }
-    (a, b)
-}
-
 /// `Relation::dedup` before the one-pass sorted check: rows packed into
 /// integer keys (`u64` up to two columns, `u128` up to four), always sorted,
 /// deduplicated and unpacked.
@@ -291,45 +265,6 @@ fn sorted_node_rows(rows: usize, arity: usize, seed: u64) -> Vec<Vec<ValueId>> {
     (0..arity)
         .map(|c| set.iter().map(|row| ValueId::from_raw(row[c])).collect())
         .collect()
-}
-
-fn bench_fingerprint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/fingerprint");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    for (rows, arity) in BAG_SHAPES {
-        let cols = sorted_node_rows(rows, arity, 60 + arity as u64);
-        let view: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
-        // Same content, one id changed at the end, two columns swapped, one
-        // row fewer: both hashes must tell apart exactly the same variants.
-        let mut last = cols.clone();
-        last[arity - 1][rows - 1] = ValueId::from_raw(0);
-        let mut swapped = cols.clone();
-        swapped.swap(0, 1);
-        let shorter: Vec<Vec<ValueId>> = cols.iter().map(|col| col[1..].to_vec()).collect();
-        for (variant, n) in [
-            (&cols, rows),
-            (&last, rows),
-            (&swapped, rows),
-            (&shorter, rows - 1),
-        ] {
-            let variant: Vec<&[ValueId]> = variant.iter().map(Vec::as_slice).collect();
-            assert_eq!(
-                fingerprint(rows, &view) == fingerprint(n, &variant),
-                fingerprint_one_lane(rows, &view) == fingerprint_one_lane(n, &variant),
-                "the kernel must tell apart what the old hash did"
-            );
-        }
-        let shape = format!("{rows}x{arity}");
-        group.bench_function(BenchmarkId::new("multi-lane", &shape), |bench| {
-            bench.iter(|| fingerprint(rows, &view).0)
-        });
-        group.bench_function(BenchmarkId::new("one-lane", &shape), |bench| {
-            bench.iter(|| fingerprint_one_lane(rows, &view).0)
-        });
-    }
-    group.finish();
 }
 
 fn bench_dedup_sorted(c: &mut Criterion) {
@@ -498,7 +433,6 @@ criterion_group!(
     bench_gallop_seek,
     bench_semijoin_rows,
     bench_semijoin_any,
-    bench_fingerprint,
     bench_dedup_sorted,
     bench_flat_trie_build,
     bench_live_build

@@ -2,8 +2,8 @@
 //! canonical partitions, the forward reduction itself, the equality-join
 //! engine's algorithm choice against the plain generic join on the reduced
 //! triangle instance, disjunct parallelism
-//! and cancellation latency.  Cold and warm trie-cache evaluation are the
-//! repository benchmark's `spatial-triangle-cold` / `-warm` workloads.
+//! and cancellation latency.  Cold and warm evaluation of one reduction are
+//! the repository benchmark's `spatial-triangle-cold` / `-warm` workloads.
 //!
 //! Regenerate with `cargo bench -p ij-bench --bench substrates`.
 

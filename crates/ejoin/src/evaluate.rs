@@ -37,10 +37,10 @@ use std::sync::Arc;
 /// than [`MAX_DP_VERTICES`] variables for the exact decomposition DP.
 ///
 /// Every trie built anywhere on the way (the plain generic join, and the bag
-/// materialisations of the width-guided evaluation) is served from the
-/// context's cache — and every cache lookup and every plan is counted into
-/// the context's [`EvalActivity`](crate::EvalActivity) ledger, if one is
-/// attached.  The answer is identical for every context.
+/// materialisations of the width-guided evaluation) is memoised on the
+/// relation it indexes — and every trie lookup and every plan is counted
+/// into the context's [`EvalActivity`](crate::EvalActivity) ledger, if one
+/// is attached.  The answer is identical for every context.
 ///
 /// # Errors
 ///
@@ -88,7 +88,7 @@ pub fn evaluate_ej_boolean(
 /// is not copied.  Each other projection is the source relation's memoised
 /// [`Relation::projection`]: atoms over the same relation and columns —
 /// across the disjuncts of a reduction and across evaluations of it — get
-/// the same `Arc`, fingerprint memo included, for as long as the source
+/// the same `Arc`, memoised tries included, for as long as the source
 /// relation lives.
 fn project_singleton_variables<'a>(atoms: &[BoundAtom<'a>]) -> Vec<BagInput<'a>> {
     let mut positions: HashMap<VarId, usize> = HashMap::new();
@@ -138,10 +138,10 @@ pub(crate) fn decomposition_boolean(
         return Ok(false);
     }
     let (h, dense_to_caller) = hypergraph_of(atoms);
-    // The disjuncts of one reduction share a handful of shapes: the cache
+    // The disjuncts of one reduction share a handful of shapes: the memo
     // decomposes each once, for every worker and every evaluation it serves.
-    let td = match eval.cache {
-        Some(cache) => cache.decomposition(&h),
+    let td = match eval.decompositions {
+        Some(memo) => memo.decomposition(&h),
         None => Arc::new(optimal_tree_decomposition(&h)),
     };
 
@@ -174,10 +174,9 @@ pub(crate) fn decomposition_boolean(
 /// `eval`.
 ///
 /// Nothing is copied per call: [`bag_inputs`] binds each input to a relation
-/// that outlives the evaluation, so the trie cache finds its fingerprint
-/// already memoised and a recurring bag — across the disjuncts of a
-/// reduction, or across evaluations of it — is served by cache lookups
-/// alone, leaving only the leapfrog search.
+/// that outlives the evaluation, so a recurring bag — across the disjuncts
+/// of a reduction, or across evaluations of it — finds every input's trie
+/// memoised on its relation, leaving only the leapfrog search.
 ///
 /// # Errors
 ///
@@ -442,17 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_bag_is_served_from_the_cache_alone() {
-        use crate::{EvalActivity, TrieCache};
+    fn a_repeated_bag_is_served_from_the_memos_alone() {
+        use crate::EvalActivity;
         let dict = SharedDictionary::new();
         let r = rel(&dict, "R", vec![vec![1.0, 2.0], vec![1.0, 9.0]]);
         let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
         let t = rel(&dict, "T", vec![vec![1.0, 3.0]]);
         let atoms = triangle_atoms(&r, &s, &t);
-        let cache = TrieCache::new();
         let materialise = |activity: &EvalActivity| {
             let eval = EvalContext {
-                cache: Some(&cache),
                 activity: Some(activity),
                 ..EvalContext::default()
             };
@@ -618,15 +615,16 @@ mod tests {
         assert!(non_empty > 100, "only {non_empty} bags were non-empty");
     }
 
-    /// Runs `evaluate` against a fresh cache: its answer, its cache
-    /// (hits, misses) and the number of enumerations it planned.
+    /// Runs `evaluate` against a fresh decomposition memo and ledger: its
+    /// answer, its trie (hits, misses) and the number of enumerations it
+    /// planned.
     fn counted(
         evaluate: impl FnOnce(EvalContext<'_>) -> Result<bool, EvalError>,
     ) -> (bool, (usize, usize), usize) {
-        use crate::{EvalActivity, TrieCache};
-        let (cache, activity) = (TrieCache::new(), EvalActivity::new());
+        use crate::{DecompositionMemo, EvalActivity};
+        let (memo, activity) = (DecompositionMemo::new(), EvalActivity::new());
         let eval = EvalContext {
-            cache: Some(&cache),
+            decompositions: Some(&memo),
             activity: Some(&activity),
             ..EvalContext::default()
         };

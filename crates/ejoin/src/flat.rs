@@ -35,9 +35,10 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::trie::{repeated_variable_rows, trie_level_vars};
-use crate::BoundAtom;
+use crate::{BoundAtom, EvalContext};
 use ij_hypergraph::VarId;
 use ij_relation::{faults, CancelTicker, CancellationToken, EvalError, ValueId};
+use std::sync::Arc;
 
 /// One level of a [`FlatTrie`].
 #[derive(Debug, PartialEq)]
@@ -130,6 +131,42 @@ impl FlatTrie {
         Ok(FlatTrie { level_vars, levels })
     }
 
+    /// The trie of `atom` under `global_order`, memoised on the atom's
+    /// relation ([`Relation::memoised`](ij_relation::Relation::memoised))
+    /// under the atom's column binding and its level order: built by
+    /// [`FlatTrie::build`] on the first lookup and shared by every later one
+    /// while the relation's columns stay as they are.  Every lookup is
+    /// counted into `eval`'s ledger (if any), and so is every finished
+    /// build.
+    ///
+    /// # Errors
+    ///
+    /// The build's [`EvalError`] when `eval.token` fires mid-build; nothing
+    /// is memoised then.
+    pub(crate) fn memoised(
+        atom: &BoundAtom<'_>,
+        global_order: &[VarId],
+        eval: EvalContext<'_>,
+    ) -> Result<Arc<FlatTrie>, EvalError> {
+        let key = (atom.vars.clone(), trie_level_vars(atom, global_order));
+        let mut hit = true;
+        let trie = atom.relation.memoised(key, || {
+            hit = false;
+            if let Some(a) = eval.activity {
+                a.record_lookup(false);
+            }
+            let trie = FlatTrie::build(atom, global_order, eval.token)?;
+            if let Some(a) = eval.activity {
+                a.record_build(trie.heap_bytes());
+            }
+            Ok(trie)
+        })?;
+        if let (true, Some(a)) = (hit, eval.activity) {
+            a.record_lookup(true);
+        }
+        Ok(trie)
+    }
+
     /// The sorted, distinct child run `lo..hi` of `level`'s value array (the
     /// root run is `0..self.level_len(0)`; descend through
     /// [`FlatTrie::child_range`]).
@@ -168,9 +205,9 @@ impl FlatTrie {
     }
 
     /// Estimated heap footprint in bytes.  The CSR arrays are exact-sized
-    /// boxed slices, so this is essentially the true allocation; the
-    /// byte-budgeted [`TrieCache`](crate::TrieCache) reads it once per
-    /// insert.
+    /// boxed slices, so this is essentially the true allocation; an
+    /// evaluation reads it once per trie it builds
+    /// ([`EvalActivity::built_bytes`](crate::EvalActivity::built_bytes)).
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.level_vars.capacity() * std::mem::size_of::<VarId>()

@@ -18,13 +18,15 @@
 //! ([`kernels::leapfrog_next`]) and each match descends by index arithmetic —
 //! no hashing, no per-candidate allocation.
 //!
-//! # Caching
+//! # Memoised tries
 //!
-//! Both joins take an [`EvalContext`]: tries are served from its
-//! [`TrieCache`](crate::TrieCache) when one is attached and built on the
-//! calling thread otherwise.  The search is single-threaded — the engine's
-//! parallelism is across the disjuncts of a reduction, one join per worker —
-//! and the answer is identical for every context.
+//! Both joins take an [`EvalContext`].  Each atom's trie is memoised on the
+//! atom's relation (`FlatTrie::memoised`): built on the calling thread the
+//! first time the relation is indexed under that binding and level order,
+//! and found again by every later join over it.  The search is
+//! single-threaded — the engine's parallelism is across the disjuncts of a
+//! reduction, one join per worker — and the answer is identical for every
+//! context.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -48,7 +50,8 @@ struct JoinContext {
 }
 
 impl JoinContext {
-    /// Builds (or fetches from the context's cache) every atom's trie.
+    /// Fetches every atom's trie from its relation's memo, building the
+    /// ones not memoised yet.
     /// Fallible: trie builds poll `eval.token`, so a cancellation or deadline
     /// expiry surfaces here before the search starts.
     fn new(
@@ -61,10 +64,7 @@ impl JoinContext {
         let order = order.unwrap_or_else(|| crate::plan::resolve_order(atoms, &[], eval));
         let tries: Vec<Arc<FlatTrie>> = atoms
             .iter()
-            .map(|a| match eval.cache {
-                Some(cache) => cache.tries_for(a, &order, eval.activity, eval.token),
-                None => Ok(Arc::new(FlatTrie::build(a, &order, eval.token)?)),
-            })
+            .map(|a| FlatTrie::memoised(a, &order, eval))
             .collect::<Result<_, EvalError>>()?;
         let participating: Vec<Vec<usize>> = order
             .iter()
@@ -535,8 +535,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_uncached_joins_match_brute_force() {
-        use crate::cache::TrieCache;
+    fn joins_over_memoised_tries_match_brute_force() {
+        use crate::EvalActivity;
         let dict = SharedDictionary::new();
         let mut seed = 99u64;
         let mut next = move || {
@@ -545,7 +545,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) % 6) as f64
         };
-        let cache = TrieCache::new();
+        let activity = EvalActivity::new();
         for _ in 0..20 {
             let rows = |n: usize, next: &mut dyn FnMut() -> f64| {
                 (0..n).map(|_| vec![next(), next()]).collect::<Vec<_>>()
@@ -559,34 +559,66 @@ mod tests {
                 BoundAtom::new(&t, vec![A, C]),
             ];
             let expected_out = brute_force_triangle(&r, &s, &t);
-            for cache_ref in [None, Some(&cache)] {
+            // Twice: the second round finds every trie memoised.
+            for round in 0..2 {
                 let eval = EvalContext {
-                    cache: cache_ref,
+                    activity: Some(&activity),
                     ..EvalContext::default()
                 };
                 assert_eq!(
                     generic_join_boolean(&atoms, None, eval).unwrap(),
                     !expected_out.is_empty(),
-                    "boolean, cached {}",
-                    cache_ref.is_some()
+                    "boolean, round {round}"
                 );
                 let out = generic_join_enumerate(&atoms, &[A, B, C], "out", eval).unwrap();
                 assert_eq!(
                     sorted_tuples(&out),
                     expected_out,
-                    "enumerate, cached {}",
-                    cache_ref.is_some()
+                    "enumerate, round {round}"
                 );
             }
         }
         // Equal sizes and degrees plan the order A, B, C — the enumeration's
-        // pinned order — so it looks up the tries the Boolean join built.
-        assert!(cache.stats().hits > 0);
+        // pinned order — so it looks up the tries the Boolean join built:
+        // one build per atom, for four lookups.
+        assert_eq!((activity.hits(), activity.misses()), (20 * 9, 20 * 3));
+    }
+
+    #[test]
+    fn a_mutation_invalidates_the_memoised_trie() {
+        use crate::EvalActivity;
+        let dict = SharedDictionary::new();
+        let r = rel(&dict, "R", vec![vec![1.0, 2.0]]);
+        let s = rel(&dict, "S", vec![vec![2.0, 3.0]]);
+        let mut t = rel(&dict, "T", vec![vec![1.0, 4.0]]);
+        // The answer, and the (hits, misses) of one join.
+        let join = |t: &Relation| {
+            let activity = EvalActivity::new();
+            let eval = EvalContext {
+                activity: Some(&activity),
+                ..EvalContext::default()
+            };
+            let atoms = [
+                BoundAtom::new(&r, vec![A, B]),
+                BoundAtom::new(&s, vec![B, C]),
+                BoundAtom::new(t, vec![A, C]),
+            ];
+            let answer = generic_join_boolean(&atoms, Some(vec![A, B, C]), eval).unwrap();
+            (answer, activity.hits(), activity.misses())
+        };
+        assert_eq!(join(&t), (false, 0, 3));
+        assert_eq!(join(&t), (false, 3, 0));
+        // The witness (1, 3): T's memo is cleared, R's and S's are not.
+        t.push(vec![Value::point(1.0), Value::point(3.0)]);
+        assert_eq!(join(&t), (true, 2, 1));
+        // `dedup` clears it too: T's trie is built again.
+        t.dedup();
+        assert_eq!(join(&t), (true, 2, 1));
+        assert_eq!(join(&t), (true, 3, 0));
     }
 
     #[test]
     fn degenerate_atoms_join_like_any_other() {
-        use crate::cache::TrieCache;
         // A non-empty arity-zero guard atom (a trie with zero levels), a
         // one-row relation, and an atom whose repeated-variable filter
         // rejects every row.
@@ -609,12 +641,9 @@ mod tests {
         rejected.push(BoundAtom::new(&off_diagonal, vec![A, A]));
         let guard_only = vec![BoundAtom::new(&guard, vec![])];
         let point = |p: f64| Value::point(p);
-        let cache = TrieCache::new();
-        for cache_ref in [None, Some(&cache)] {
-            let eval = EvalContext {
-                cache: cache_ref,
-                ..EvalContext::default()
-            };
+        // Twice: the second round finds every trie memoised.
+        for _ in 0..2 {
+            let eval = EvalContext::default();
             assert!(generic_join_boolean(&satisfiable, None, eval).unwrap());
             let out = generic_join_enumerate(&satisfiable, &[A, B, C], "out", eval);
             assert_eq!(

@@ -24,19 +24,20 @@
 //!
 //! # Shared tries
 //!
-//! Every evaluation function takes an [`EvalContext`] carrying an optional
-//! [`TrieCache`], so the disjuncts of one reduction share built tries instead
-//! of rebuilding them.  Every join builds and searches its tries on the
-//! calling thread; parallelism is the caller's, across joins (the engine runs
-//! one disjunct per worker).  Answers are bit-identical for every cache
-//! setting.
+//! Every join memoises the trie of each atom on the atom's relation, keyed
+//! by the column binding and the level order, so the disjuncts of one
+//! reduction — and repeated evaluations of it — share built tries instead
+//! of rebuilding them, for as long as the reduction's relations live.
+//! Every join builds and searches its tries on the calling thread;
+//! parallelism is the caller's, across joins (the engine runs one disjunct
+//! per worker).
 //!
-//! The cache also memoises the tree decomposition of each cyclic disjunct's
-//! shape, so each shape is decomposed once per cache (the engine's workspace
-//! owns one) and freed with it; nothing in this crate is process-global.
-//! The context further carries an optional [`EvalActivity`], the one
-//! per-evaluation ledger, giving the evaluation **exact** local
-//! hit/miss/eviction and planning counts under any concurrency.
+//! Every evaluation function takes an [`EvalContext`] carrying an optional
+//! [`DecompositionMemo`], which decomposes each cyclic disjunct's shape
+//! once (an engine owns one); nothing in this crate is process-global.  The
+//! context further carries an optional [`EvalActivity`], the one
+//! per-evaluation ledger, giving the evaluation **exact** local hit/miss
+//! and planning counts under any concurrency.
 //!
 //! # Cancellation and fault isolation
 //!
@@ -48,8 +49,8 @@
 //! promptly instead of running to completion; a tokenless context never
 //! fails.  Nothing in this crate catches a panic: the engine isolates each
 //! disjunct (`catch_unwind`, surfacing `EvalError::WorkerPanicked`), and the
-//! shared cache mutates under panic-atomic critical sections, so an unwinding
-//! build never leaves it poisoned or half-updated (see `ij_relation::sync`).
+//! memos mutate under panic-atomic critical sections, so an unwinding build
+//! never leaves one poisoned or half-updated (see `ij_relation::sync`).
 
 #![warn(missing_docs)]
 
@@ -63,7 +64,7 @@ mod trie;
 mod yannakakis;
 
 pub use atom::{all_vars, hypergraph_of, BoundAtom};
-pub use cache::{relation_fingerprint, EvalActivity, EvalContext, TrieCache, TrieCacheStats};
+pub use cache::{DecompositionMemo, EvalActivity, EvalContext, TrieCacheStats};
 pub use evaluate::evaluate_ej_boolean;
 pub use flat::FlatTrie;
 pub use generic::{generic_join_boolean, generic_join_enumerate};

@@ -20,9 +20,9 @@
 //! the intersection kernels in `ij_relation::kernels`.  Planning never
 //! changes answers — any variable order enumerates the same
 //! relation — and the order is chosen *before* trie construction, so the
-//! per-atom trie cache keys (which embed the induced level order) stay
+//! per-atom trie memo keys (which embed the induced level order) stay
 //! consistent between plans: two disjuncts planned to the same order share
-//! cached tries.  A caller that wants a particular order passes it to
+//! memoised tries.  A caller that wants a particular order passes it to
 //! [`generic_join_boolean`](crate::generic_join_boolean) explicitly.
 
 use crate::atom::{all_vars, hypergraph_of, BoundAtom};

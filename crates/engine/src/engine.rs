@@ -24,7 +24,7 @@
 //! [`EvalError`](ij_relation::EvalError) taxonomy, never as a poisoned
 //! engine.
 
-use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalActivity, EvalContext, TrieCache};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, DecompositionMemo, EvalActivity, EvalContext};
 use ij_hypergraph::{AcyclicityClass, AcyclicityReport};
 use ij_reduction::{
     plan_forward_reduction, ForwardReduction, ReductionConfig, ReductionError, ReductionStats,
@@ -50,10 +50,6 @@ pub use ij_ejoin::TrieCacheStats;
 pub fn kernel_arm() -> &'static str {
     "scalar"
 }
-
-/// The trie-cache byte budget of [`IntersectionJoinEngine::new`] and
-/// [`Workspace::new`](crate::Workspace::new): 256 MiB.
-pub const DEFAULT_TRIE_CACHE_BYTES: usize = 256 << 20;
 
 /// The hardware thread count (1 when it cannot be determined).  One call
 /// reads the process's cgroup limits, a few microseconds, so engines and
@@ -223,20 +219,19 @@ pub struct EvaluationStats {
     /// `engine.batches` metric; it goes when that file stops reading it.
     #[doc(hidden)]
     pub ej_query_batches: usize,
-    /// This evaluation's activity on the engine's **persistent** trie cache:
-    /// the hit/miss/eviction counters are **exact** — accumulated by this
-    /// evaluation's own lookups in its [`EvalActivity`] ledger, not inferred
-    /// from snapshots of the shared cache's counters — so they are correct
-    /// under any concurrency:
-    /// evaluations running in parallel against one cache (on this engine, a
-    /// clone of it, or any engine built from the same
-    /// [`Workspace`](crate::Workspace)) never report each other's hits,
-    /// misses or evictions.  `entries` and `resident_bytes` are the cache's
-    /// resident state when the evaluation finished.  All zeros on an engine
-    /// of a workspace whose budget is `0`
-    /// ([`Workspace::with_trie_cache_bytes`](crate::Workspace::with_trie_cache_bytes)).
-    /// A warm evaluation of a previously-seen reduction reports hits with no
-    /// misses.
+    /// This evaluation's trie activity.  A trie is memoised on the
+    /// transformed relation (or the projection of one) it indexes, so it
+    /// lives as long as the reduction: `hits` counts lookups that found one
+    /// memoised, by this evaluation or an earlier one of the same reduction,
+    /// and `misses` the lookups that built one; `entries` and
+    /// `resident_bytes` count the tries this evaluation built and their
+    /// estimated heap bytes.  The counters are **exact** — accumulated by
+    /// this evaluation's own lookups in its [`EvalActivity`] ledger — so
+    /// evaluations running in parallel, even over one reduction, never
+    /// report each other's.  A second evaluation of one reduction
+    /// ([`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction))
+    /// reports hits alone; [`evaluate`](IntersectionJoinEngine::evaluate)
+    /// plans a fresh reduction every call, so each call starts cold.
     pub trie_cache: TrieCacheStats,
     /// Disjuncts whose variable order went through the planner (a cyclic
     /// disjunct plans per materialised bag, so the count can exceed the
@@ -251,8 +246,8 @@ pub struct EvaluationStats {
 }
 
 /// A human-readable multi-line summary of the evaluation: the answer, the
-/// disjunct counts, the reduction size, the trie-cache activity
-/// including resident bytes and evictions, and the planner's work.
+/// disjunct counts, the reduction size, the trie lookups and the tries built
+/// with their bytes, and the planner's work.
 impl std::fmt::Display for EvaluationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "answer = {}", self.answer)?;
@@ -268,12 +263,11 @@ impl std::fmt::Display for EvaluationStats {
         )?;
         writeln!(
             f,
-            "trie cache: {} hits / {} misses ({:.0}% of builds shared), \
-             {} evictions; {} tries resident ({:.1} KiB)",
+            "tries: {} hits / {} misses ({:.0}% of lookups shared); \
+             {} built ({:.1} KiB)",
             self.trie_cache.hits,
             self.trie_cache.misses,
             100.0 * self.trie_cache.hit_rate(),
-            self.trie_cache.evictions,
             self.trie_cache.entries,
             self.trie_cache.resident_bytes as f64 / 1024.0
         )?;
@@ -321,9 +315,10 @@ pub fn disjunct_atoms<'r>(
 /// cancels the pool token so sibling workers stop at their next checkpoint.
 /// `AssertUnwindSafe` is justified by the pipeline's panic-atomicity
 /// discipline: a worker only reads the reduction (a relation build that
-/// unwinds leaves its cell empty), and the shared trie cache mutates under
-/// panic-free critical sections (see `ij_relation::sync`), so no broken
-/// invariant can escape the unwind boundary.
+/// unwinds leaves its cell empty), and the memos of the relations and the
+/// decomposition memo mutate under panic-free critical sections (see
+/// `ij_relation::sync`), so no broken invariant can escape the unwind
+/// boundary.
 fn isolated<T>(
     pool: &CancellationToken,
     index: usize,
@@ -354,22 +349,20 @@ fn fold_error(slot: &mut Option<EvalError>, e: EvalError) {
 
 /// The intersection-join query engine.
 ///
-/// The engine evaluates against a **persistent** [`TrieCache`] that survives
-/// across evaluations: repeated queries over the same reduced database reuse
-/// built tries instead of rebuilding them.  Within one evaluation, disjuncts
-/// overwhelmingly share transformed relations, so the cache also lets them
-/// share the *built tries* instead of rebuilding per disjunct.  The cache is
-/// the engine's own ([`IntersectionJoinEngine::new`]) or its workspace's
-/// ([`Workspace::engine`](crate::Workspace::engine), which also sets any
-/// other byte budget).  Cloning an engine shares the cache — sound, because
-/// cache keys are relation content fingerprints — so cheap per-thread clones
-/// all warm one cache.
+/// The disjuncts of one reduction overwhelmingly share transformed
+/// relations, and each trie is memoised on the relation it indexes, so they
+/// share the *built tries* instead of rebuilding per disjunct — and a
+/// reduction evaluated again
+/// ([`evaluate_reduction`](IntersectionJoinEngine::evaluate_reduction))
+/// finds every trie built.  The tries go with the reduction.  The engine
+/// itself keeps only a [`DecompositionMemo`], the optimal tree
+/// decomposition of each cyclic disjunct shape it has evaluated; clones of
+/// an engine share it.
 #[derive(Debug, Clone)]
 pub struct IntersectionJoinEngine {
     config: EngineConfig,
-    /// The persistent cross-evaluation trie cache (`None` on an engine of a
-    /// workspace whose budget is `0`).
-    trie_cache: Option<Arc<TrieCache>>,
+    /// The decomposition of each cyclic disjunct shape seen so far.
+    decompositions: Arc<DecompositionMemo>,
     /// [`hardware_parallelism`] when the engine (or its workspace) was
     /// built: what [`EngineConfig::parallelism`] `0` runs on.
     hardware_threads: usize,
@@ -382,26 +375,16 @@ impl Default for IntersectionJoinEngine {
 }
 
 impl IntersectionJoinEngine {
-    /// Creates an engine with the given configuration and a private
-    /// persistent trie cache of [`DEFAULT_TRIE_CACHE_BYTES`].  Engines that
-    /// should *share* a cache, or use another budget, are built from one
-    /// [`Workspace`](crate::Workspace) instead.
+    /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = TrieCache::with_byte_budget(DEFAULT_TRIE_CACHE_BYTES);
-        IntersectionJoinEngine::with_cache(config, Some(Arc::new(cache)), hardware_parallelism())
+        IntersectionJoinEngine::on_host(config, hardware_parallelism())
     }
 
-    /// Creates an engine evaluating against `trie_cache` (none: every
-    /// disjunct rebuilds its tries) on a host with `hardware_threads`
-    /// threads.
-    pub(crate) fn with_cache(
-        config: EngineConfig,
-        trie_cache: Option<Arc<TrieCache>>,
-        hardware_threads: usize,
-    ) -> Self {
+    /// Creates an engine on a host with `hardware_threads` threads.
+    pub(crate) fn on_host(config: EngineConfig, hardware_threads: usize) -> Self {
         IntersectionJoinEngine {
             config,
-            trie_cache,
+            decompositions: Arc::default(),
             hardware_threads,
         }
     }
@@ -414,17 +397,6 @@ impl IntersectionJoinEngine {
     /// The configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Cumulative statistics of the engine's persistent trie cache over its
-    /// whole lifetime (all zeros when the cache is disabled).  Exact
-    /// per-evaluation counters are reported in
-    /// [`EvaluationStats::trie_cache`].
-    pub fn trie_cache_stats(&self) -> TrieCacheStats {
-        self.trie_cache
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
     }
 
     /// Static analysis: acyclicity, ij-width and the runtime regime.
@@ -543,10 +515,10 @@ impl IntersectionJoinEngine {
     /// each projection a cyclic disjunct's atoms or bags derive, once per
     /// reduction: a later disjunct, or a later evaluation of the same
     /// reduction, finds it memoised and copies nothing.
-    /// All workers share the engine's **persistent** [`TrieCache`], so a
-    /// trie built for one disjunct is reused by every later disjunct of this
-    /// *and every subsequent* evaluation, and repeat evaluations of the same
-    /// reduction run warm end to end.  No two disjuncts of a planned
+    /// Each trie is memoised on the relation it indexes, so a trie built
+    /// for one disjunct is reused by every later disjunct of this evaluation
+    /// and of every later evaluation of the same `reduction`, which then
+    /// runs warm end to end.  No two disjuncts of a planned
     /// reduction read the same set of transformed relations — each is its
     /// own choice of permutations, and a relation is named after its atom
     /// and levels (Section 4.3, Definition 4.9) — so there is nothing to
@@ -568,7 +540,8 @@ impl IntersectionJoinEngine {
     /// [`EvalError::WorkerPanicked`] when a disjunct worker panics, in a
     /// relation build or after it (the panic is caught, its siblings are
     /// cancelled, a relation whose build failed stays unbuilt, and the engine
-    /// — including its shared trie cache — stays fully usable).
+    /// — including the reduction and its memoised tries — stays fully
+    /// usable).
     pub fn evaluate_reduction_cancellable(
         &self,
         reduction: &ForwardReduction,
@@ -579,10 +552,10 @@ impl IntersectionJoinEngine {
         let workers = self.config.worker_count(disjuncts, self.hardware_threads);
         // The ledger makes this evaluation's statistics exact: every lookup
         // and plan any of its workers performs is counted here, so
-        // concurrent evaluations sharing the cache cannot pollute them.
+        // concurrent evaluations of one reduction cannot pollute them.
         let activity = EvalActivity::new();
         let eval = EvalContext {
-            cache: self.trie_cache.as_deref(),
+            decompositions: Some(&self.decompositions),
             activity: Some(&activity),
             token: Some(pool),
         };
@@ -660,10 +633,6 @@ impl IntersectionJoinEngine {
                 return Err(e);
             }
         }
-        // Exact per-evaluation counters from the local ledger; the
-        // resident entry/byte state is a (consistent) snapshot of the shared
-        // cache at completion time.
-        let resident = self.trie_cache_stats();
         Ok(EvaluationStats {
             reduction: reduction.materialised_stats(),
             ej_queries_evaluated: evaluated.into_inner(),
@@ -672,9 +641,9 @@ impl IntersectionJoinEngine {
             trie_cache: TrieCacheStats {
                 hits: activity.hits(),
                 misses: activity.misses(),
-                evictions: activity.evictions(),
-                entries: resident.entries,
-                resident_bytes: resident.resident_bytes,
+                evictions: 0,
+                entries: activity.built(),
+                resident_bytes: activity.built_bytes(),
             },
             disjuncts_planned: activity.plans(),
             planning_nanos: activity.planning_nanos(),
@@ -706,7 +675,7 @@ impl IntersectionJoinEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive_boolean, Workspace};
+    use crate::naive_boolean;
     use ij_ejoin::{generic_join_boolean, yannakakis_boolean};
     use ij_reduction::{forward_reduction, EncodingStrategy};
     use ij_relation::Value;
@@ -877,14 +846,10 @@ mod tests {
             "expected cache hits, got {:?}",
             stats.trie_cache
         );
-        assert!(stats.trie_cache.entries > 0);
-
-        // Without a cache, the same evaluation reports no activity.
-        let rebuild =
-            Workspace::with_trie_cache_bytes(0).engine(EngineConfig::new().with_parallelism(1));
-        let stats = rebuild.evaluate_cancellable(&q, &db, None).unwrap();
-        assert!(!stats.answer);
-        assert_eq!(stats.trie_cache, TrieCacheStats::default());
+        // Every miss built one trie, and the bytes are theirs.
+        assert_eq!(stats.trie_cache.entries, stats.trie_cache.misses);
+        assert!(stats.trie_cache.resident_bytes > 0);
+        assert_eq!(stats.trie_cache.evictions, 0);
     }
 
     #[test]
@@ -922,46 +887,55 @@ mod tests {
     }
 
     #[test]
-    fn persistent_cache_survives_across_evaluations_and_clones() {
+    fn a_kept_reduction_stays_warm_across_evaluations_and_clones() {
         let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
         let (q, db) = triangle_db(false);
-        let first = engine.evaluate_cancellable(&q, &db, None).unwrap();
+        let plan = plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
+        let first = engine.evaluate_reduction(&plan).unwrap();
         assert!(first.trie_cache.misses > 0);
-        // Second evaluation of the same reduction: all builds served warm.
-        let second = engine.evaluate_cancellable(&q, &db, None).unwrap();
+        // Second evaluation of the same reduction: every trie found built.
+        let second = engine.evaluate_reduction(&plan).unwrap();
         assert_eq!(second.answer, first.answer);
         assert_eq!(second.trie_cache.misses, 0, "{:?}", second.trie_cache);
-        assert!(second.trie_cache.hits > 0);
-        // Clones share the cache: a clone's evaluation is warm too, and its
-        // activity shows up in the original's cumulative stats.
-        let clone = engine.clone();
-        let cloned = clone.evaluate_cancellable(&q, &db, None).unwrap();
-        assert_eq!(cloned.trie_cache.misses, 0);
         assert_eq!(
-            engine.trie_cache_stats().hits,
-            first.trie_cache.hits + second.trie_cache.hits + cloned.trie_cache.hits
+            second.trie_cache.hits,
+            first.trie_cache.hits + first.trie_cache.misses
         );
+        assert_eq!(
+            (second.trie_cache.entries, second.trie_cache.resident_bytes),
+            (0, 0)
+        );
+        // The tries belong to the reduction: a clone's evaluation of it is
+        // warm too, and so is one on another engine.
+        let cloned = engine.clone().evaluate_reduction(&plan).unwrap();
+        assert_eq!(cloned.trie_cache, second.trie_cache);
+        let other = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
+        assert_eq!(
+            other.evaluate_reduction(&plan).unwrap().trie_cache,
+            second.trie_cache
+        );
+        // `evaluate` plans a fresh reduction every call: each call is cold.
+        let full = engine.evaluate_cancellable(&q, &db, None).unwrap();
+        assert_eq!(full.trie_cache, first.trie_cache);
+        let again = engine.evaluate_cancellable(&q, &db, None).unwrap();
+        assert_eq!(again.trie_cache, first.trie_cache);
     }
 
     #[test]
-    fn answers_identical_across_cache_settings() {
-        // One trie's bytes, measured: a budget that evicts on most inserts.
-        let (q, db) = triangle_db(false);
-        let probe = IntersectionJoinEngine::with_defaults()
-            .evaluate_cancellable(&q, &db, None)
-            .unwrap()
-            .trie_cache;
-        let one_trie = probe.resident_bytes / probe.entries;
+    fn answers_identical_cold_and_warm() {
         for satisfiable in [true, false] {
             let (q, db) = triangle_db(satisfiable);
             for parallelism in [1usize, 2] {
-                for bytes in [0, one_trie, DEFAULT_TRIE_CACHE_BYTES] {
-                    let engine = Workspace::with_trie_cache_bytes(bytes)
-                        .engine(EngineConfig::new().with_parallelism(parallelism));
+                let engine =
+                    IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+                assert_eq!(engine.evaluate(&q, &db).unwrap(), satisfiable);
+                let plan =
+                    plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
+                for round in ["cold", "warm"] {
                     assert_eq!(
-                        engine.evaluate(&q, &db).unwrap(),
+                        engine.evaluate_reduction(&plan).unwrap().answer,
                         satisfiable,
-                        "parallelism {parallelism}, {bytes} cache bytes"
+                        "parallelism {parallelism}, {round}"
                     );
                 }
             }
@@ -979,8 +953,9 @@ mod tests {
                     .with_parallelism(1)
                     .with_trie_shards(shards),
             );
+            let plan = plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
             [(); 2].map(|()| {
-                let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
+                let stats = engine.evaluate_reduction(&plan).unwrap();
                 (stats.answer, stats.trie_cache, stats.ej_query_batches)
             })
         };
@@ -1094,7 +1069,7 @@ mod tests {
     fn engine_stays_usable_after_an_interrupted_evaluation() {
         // A deadline belongs to one call: the same engine runs a call whose
         // budget is spent before it starts, then unbounded ones, and the
-        // interrupted call leaves the persistent cache consistent.
+        // interrupted call leaves the reduction it read consistent.
         let (q, db) = triangle_db(false); // false → every disjunct runs
         for parallelism in [1usize, 4] {
             let engine =
@@ -1106,9 +1081,15 @@ mod tests {
                 }
                 other => panic!("expected DeadlineExceeded, got {other:?}"),
             }
-            let cold = engine.evaluate_cancellable(&q, &db, None).unwrap();
+            let plan = plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
+            let spent = CancellationToken::new().with_budget(Duration::ZERO);
+            assert!(matches!(
+                engine.evaluate_reduction_cancellable(&plan, Some(&spent)),
+                Err(EvalError::DeadlineExceeded { .. })
+            ));
+            let cold = engine.evaluate_reduction(&plan).unwrap();
             assert!(!cold.answer);
-            let warm = engine.evaluate_cancellable(&q, &db, None).unwrap();
+            let warm = engine.evaluate_reduction(&plan).unwrap();
             assert!(!warm.answer);
             assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
             assert!(warm.trie_cache.hits > 0, "{:?}", warm.trie_cache);

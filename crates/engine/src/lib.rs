@@ -21,12 +21,11 @@
 //! Long-running services own their cross-evaluation state through a
 //! [`Workspace`]: a value dictionary (dropping the workspace reclaims
 //! its interned values; [`Workspace::dictionary_bytes`] meters its size)
-//! plus one shared trie cache, so disjuncts and evaluations reuse built
-//! tries, warming every engine built from the workspace
-//! ([`Workspace::engine`]) and bounded by the workspace's one byte budget
-//! ([`Workspace::with_trie_cache_bytes`]).  A standalone engine
-//! ([`IntersectionJoinEngine::new`]) has a private cache of
-//! [`DEFAULT_TRIE_CACHE_BYTES`].
+//! shared by every engine built from it ([`Workspace::engine`]).  The tries
+//! an evaluation builds are memoised on the transformed relations they
+//! index, so the disjuncts of one reduction, and every later evaluation of
+//! a kept reduction ([`IntersectionJoinEngine::evaluate_reduction`]), reuse
+//! them, and they are freed with the reduction.
 //!
 //! Evaluations are **cancellable and deadline-bounded**: the
 //! `*_cancellable` entry points accept a [`CancellationToken`], a token
@@ -65,7 +64,7 @@ mod workspace;
 
 pub use engine::{
     disjunct_atoms, kernel_arm, EngineConfig, EngineError, EvaluationStats, IntersectionJoinEngine,
-    QueryAnalysis, TrieCacheStats, DEFAULT_TRIE_CACHE_BYTES,
+    QueryAnalysis, TrieCacheStats,
 };
 pub use ij_relation::faults;
 pub use ij_relation::{CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL};

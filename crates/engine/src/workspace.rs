@@ -1,24 +1,24 @@
 //! Workspaces: the explicit owner of cross-evaluation state.
 //!
-//! A [`Workspace`] owns the two pieces of state that outlive a single
-//! evaluation —
+//! A [`Workspace`] owns the **value dictionary** ([`SharedDictionary`]) that
+//! outlives a single evaluation: every database built or imported through
+//! the workspace interns into it, so their ids are join-compatible; the
+//! forward reduction writes its transformed database into the same
+//! dictionary, and dropping the workspace (together with the relations
+//! built in it) reclaims every value it interned.  Every engine built from
+//! the workspace ([`Workspace::engine`]) runs on the hardware thread count
+//! the workspace read once when it was built.
 //!
-//! 1. a **value dictionary** ([`SharedDictionary`]): every database built or
-//!    imported through the workspace interns into it, so their ids are
-//!    join-compatible; the forward reduction writes its transformed database
-//!    into the same dictionary, and dropping the workspace (together with
-//!    the relations built in it) reclaims every value it interned;
-//! 2. a **shared, byte-budgeted trie cache** ([`TrieCache`]): every engine
-//!    built from the workspace ([`Workspace::engine`]) evaluates against the
-//!    same cache, so independently constructed engines warm one another —
-//!    the per-request-engine server pattern gets warm caches for free, with
-//!    one shared LRU running against the workspace's byte budget
-//!    ([`Workspace::with_trie_cache_bytes`]).
+//! The tries an evaluation builds are not the workspace's: each is memoised
+//! on the transformed relation it indexes, so it lives exactly as long as
+//! the reduction.  A reduction evaluated again, by any engine, finds them
+//! built.
 //!
 //! # Example
 //!
 //! ```
 //! use ij_engine::{EngineConfig, Workspace};
+//! use ij_reduction::{plan_forward_reduction, ReductionConfig};
 //! use ij_relation::{Query, Value};
 //!
 //! let q = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
@@ -29,37 +29,30 @@
 //! db.insert_tuples("S", 2, vec![vec![iv(12.0, 13.0), iv(20.0, 25.0)]]);
 //! db.insert_tuples("T", 2, vec![vec![iv(3.0, 5.0), iv(24.0, 26.0)]]);
 //!
-//! // Two independently constructed engines share the workspace's cache:
-//! // the second engine's first evaluation is served warm.
-//! let first = ws.engine(EngineConfig::new());
-//! assert!(first.evaluate(&q, &db).unwrap());
-//! let second = ws.engine(EngineConfig::new());
-//! assert!(second.evaluate(&q, &db).unwrap());
-//! assert!(ws.trie_cache_stats().hits > 0);
+//! // One kept reduction: the second engine's evaluation of it finds every
+//! // trie the first one built.
+//! let plan = plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
+//! let first = ws.engine(EngineConfig::new()).evaluate_reduction(&plan).unwrap();
+//! let second = ws.engine(EngineConfig::new()).evaluate_reduction(&plan).unwrap();
+//! assert!(first.answer && second.answer);
+//! assert_eq!(second.trie_cache.misses, 0);
 //!
 //! // The databases of the workspace intern into its dictionary.
 //! assert!(ws.dictionary_len() > 0);
 //! ```
 
-use crate::engine::{
-    hardware_parallelism, EngineConfig, IntersectionJoinEngine, DEFAULT_TRIE_CACHE_BYTES,
-};
-use ij_ejoin::{TrieCache, TrieCacheStats};
+use crate::engine::{hardware_parallelism, EngineConfig, IntersectionJoinEngine};
 use ij_relation::{Database, IdHashMap, Relation, SharedDictionary, Value, ValueId};
-use std::sync::Arc;
 
-/// The owner of cross-evaluation state: a value dictionary plus a
-/// shared, byte-budgeted trie cache (see the module docs).
+/// The owner of cross-evaluation state: a value dictionary (see the module
+/// docs).
 ///
-/// Cloning is cheap and shares both: clones of one workspace are one
-/// workspace.  The state is freed when the last clone *and* the last
-/// relation/database built in the workspace drop.
+/// Cloning is cheap and shares the dictionary: clones of one workspace are
+/// one workspace.  The dictionary is freed when the last clone *and* the
+/// last relation/database built in the workspace drop.
 #[derive(Debug, Clone)]
 pub struct Workspace {
     dictionary: SharedDictionary,
-    /// `None` when the budget is `0`.
-    trie_cache: Option<Arc<TrieCache>>,
-    trie_cache_bytes: usize,
     /// The hardware thread count, read once for every engine the
     /// workspace builds.
     hardware_threads: usize,
@@ -72,43 +65,14 @@ impl Default for Workspace {
 }
 
 impl Workspace {
-    /// A fresh workspace with an empty dictionary and a trie cache of
-    /// [`DEFAULT_TRIE_CACHE_BYTES`].
+    /// A fresh workspace with an empty dictionary.  The dictionary is not
+    /// budgeted: its residency is bounded by the workspace's *lifetime*
+    /// (drop the workspace, reclaim the values).
     pub fn new() -> Self {
-        Workspace::with_trie_cache_bytes(DEFAULT_TRIE_CACHE_BYTES)
-    }
-
-    /// A fresh workspace whose shared trie cache keeps at most `bytes`
-    /// *estimated* heap bytes resident ([`ij_ejoin::FlatTrie::heap_bytes`],
-    /// reported in [`TrieCacheStats::resident_bytes`]): inserting past the
-    /// budget evicts least-recently-used entries until the new entry fits,
-    /// and a single build larger than the whole budget stays uncached.  It
-    /// is just a number of bytes — `0` gives the workspace no cache (its
-    /// engines rebuild every trie and report all-zero cache counters),
-    /// `usize::MAX` is unbounded.  The Boolean answer is identical for
-    /// every budget.  The dictionary is not budgeted: its residency is
-    /// bounded by the workspace's *lifetime* (drop the workspace, reclaim
-    /// the values).
-    ///
-    /// ```
-    /// use ij_engine::{Workspace, DEFAULT_TRIE_CACHE_BYTES};
-    ///
-    /// assert_eq!(Workspace::new().trie_cache_bytes(), DEFAULT_TRIE_CACHE_BYTES);
-    /// let capped = Workspace::with_trie_cache_bytes(64 << 20); // 64 MiB
-    /// assert_eq!(capped.trie_cache_bytes(), 64 << 20);
-    /// ```
-    pub fn with_trie_cache_bytes(bytes: usize) -> Self {
         Workspace {
             dictionary: SharedDictionary::new(),
-            trie_cache: (bytes > 0).then(|| Arc::new(TrieCache::with_byte_budget(bytes))),
-            trie_cache_bytes: bytes,
             hardware_threads: hardware_parallelism(),
         }
-    }
-
-    /// The byte budget of the workspace's shared trie cache.
-    pub fn trie_cache_bytes(&self) -> usize {
-        self.trie_cache_bytes
     }
 
     /// The workspace's value dictionary.
@@ -128,30 +92,19 @@ impl Workspace {
     /// values plus the value→id index map
     /// ([`SharedDictionary::heap_bytes`]).  The byte-denominated companion
     /// of [`Workspace::dictionary_len`]: an operator can alert on a growing
-    /// workspace before it OOMs, complementing the trie cache's byte budget.
+    /// workspace before it OOMs.
     pub fn dictionary_bytes(&self) -> usize {
         self.dictionary.heap_bytes()
     }
 
-    /// Cumulative statistics of the workspace's shared trie cache — the sum
-    /// of the activity of every engine built from this workspace (all zeros
-    /// when the budget is `0`).
-    pub fn trie_cache_stats(&self) -> TrieCacheStats {
-        self.trie_cache
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
-    }
-
     /// A point-in-time operator snapshot of the workspace's resource state:
-    /// dictionary residency (distinct values and estimated bytes) plus the
-    /// shared trie cache's cumulative statistics.  [`WorkspaceStats`]
-    /// implements [`std::fmt::Display`] for one-line dashboards.
+    /// dictionary residency (distinct values and estimated bytes).
+    /// [`WorkspaceStats`] implements [`std::fmt::Display`] for one-line
+    /// dashboards.
     pub fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
             dictionary_len: self.dictionary_len(),
             dictionary_bytes: self.dictionary_bytes(),
-            trie_cache: self.trie_cache_stats(),
         }
     }
 
@@ -162,8 +115,8 @@ impl Workspace {
 
     /// Re-interns a database built against another dictionary (typically its
     /// own, e.g. a workload generator's) into this workspace, so that it
-    /// joins with the workspace's other databases and shares its trie cache
-    /// entries.  The source database is untouched.
+    /// joins with the workspace's other databases.  The source database is
+    /// untouched.
     ///
     /// The import works on id columns, not materialised `Value` rows: each
     /// source relation's dictionary is pinned **once**
@@ -213,20 +166,16 @@ impl Workspace {
         out
     }
 
-    /// An engine evaluating against the workspace's shared trie cache,
-    /// bounded by the workspace's budget
-    /// ([`Workspace::with_trie_cache_bytes`]): every engine built from one
-    /// workspace warms every other, which is what gives a
-    /// per-request-engine server warm caches by default.
+    /// An engine running on the workspace's hardware thread count, with a
+    /// decomposition memo of its own.
     pub fn engine(&self, config: EngineConfig) -> IntersectionJoinEngine {
-        IntersectionJoinEngine::with_cache(config, self.trie_cache.clone(), self.hardware_threads)
+        IntersectionJoinEngine::on_host(config, self.hardware_threads)
     }
 }
 
 /// An operator snapshot of a [`Workspace`]'s resource state
 /// ([`Workspace::stats`]): dictionary residency in distinct values **and
-/// estimated bytes** (values plus their index map), and the shared
-/// trie cache's cumulative statistics.
+/// estimated bytes** (values plus their index map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Distinct values interned in the workspace's dictionary.
@@ -234,24 +183,15 @@ pub struct WorkspaceStats {
     /// Estimated heap bytes of the dictionary
     /// ([`Workspace::dictionary_bytes`]).
     pub dictionary_bytes: usize,
-    /// Cumulative shared trie-cache statistics
-    /// ([`Workspace::trie_cache_stats`]).
-    pub trie_cache: TrieCacheStats,
 }
 
 impl std::fmt::Display for WorkspaceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "dictionary: {} values ({:.1} KiB); trie cache: {} hits / {} misses, \
-             {} evictions, {} entries resident ({:.1} KiB)",
+            "dictionary: {} values ({:.1} KiB)",
             self.dictionary_len,
-            self.dictionary_bytes as f64 / 1024.0,
-            self.trie_cache.hits,
-            self.trie_cache.misses,
-            self.trie_cache.evictions,
-            self.trie_cache.entries,
-            self.trie_cache.resident_bytes as f64 / 1024.0
+            self.dictionary_bytes as f64 / 1024.0
         )
     }
 }
@@ -259,6 +199,7 @@ impl std::fmt::Display for WorkspaceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ij_reduction::{plan_forward_reduction, ReductionConfig};
     use ij_relation::{Query, Value};
 
     fn triangle_db(ws: &Workspace) -> (Query, Database) {
@@ -296,76 +237,46 @@ mod tests {
     }
 
     #[test]
-    fn engines_of_one_workspace_share_cache_warmth() {
+    fn engines_of_one_workspace_find_a_kept_reduction_warm() {
         let ws = Workspace::new();
         let (q, db) = triangle_db(&ws);
+        let plan = plan_forward_reduction(&q, &db, ReductionConfig::default(), None).unwrap();
         let first = ws.engine(EngineConfig::new().with_parallelism(1));
-        let cold = first.evaluate_cancellable(&q, &db, None).unwrap();
+        let cold = first.evaluate_reduction(&plan).unwrap();
         assert!(cold.trie_cache.misses > 0);
-        // A *different* engine, same workspace: first evaluation runs warm.
+        // A *different* engine, same reduction: its first evaluation is warm,
+        // because the tries are the reduction's, not the engine's.
         let second = ws.engine(EngineConfig::new().with_parallelism(1));
-        let warm = second.evaluate_cancellable(&q, &db, None).unwrap();
+        let warm = second.evaluate_reduction(&plan).unwrap();
         assert_eq!(warm.answer, cold.answer);
         assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
-        assert!(warm.trie_cache.hits > 0);
-        // The workspace's cumulative stats see both engines.
-        let total = ws.trie_cache_stats();
-        assert_eq!(total.hits, cold.trie_cache.hits + warm.trie_cache.hits);
-        assert_eq!(total.misses, cold.trie_cache.misses);
+        assert_eq!(
+            warm.trie_cache.hits,
+            cold.trie_cache.hits + cold.trie_cache.misses
+        );
+        // `evaluate` plans a reduction of its own, which starts cold.
+        let fresh = second.evaluate_cancellable(&q, &db, None).unwrap();
+        assert_eq!(fresh.trie_cache, cold.trie_cache);
     }
 
     #[test]
-    fn distinct_workspaces_do_not_share_cache_or_ids() {
+    fn distinct_workspaces_do_not_share_ids() {
         let a = Workspace::new();
         let b = Workspace::new();
         let (qa, dba) = triangle_db(&a);
         let (qb, dbb) = triangle_db(&b);
         let ea = a.engine(EngineConfig::new().with_parallelism(1));
         let eb = b.engine(EngineConfig::new().with_parallelism(1));
-        assert_eq!(
-            ea.evaluate(&qa, &dba).unwrap(),
-            eb.evaluate(&qb, &dbb).unwrap()
+        let (sa, sb) = (
+            ea.evaluate_cancellable(&qa, &dba, None).unwrap(),
+            eb.evaluate_cancellable(&qb, &dbb, None).unwrap(),
         );
-        // Each workspace warmed only its own cache.
-        assert_eq!(a.trie_cache_stats().hits, b.trie_cache_stats().hits);
-        assert!(a.trie_cache_stats().misses > 0);
-        assert!(b.trie_cache_stats().misses > 0);
+        assert_eq!(sa.answer, sb.answer);
+        // Each evaluation built its own tries.
+        assert!(sa.trie_cache.misses > 0);
+        assert_eq!(sa.trie_cache, sb.trie_cache);
         assert_eq!(a.dictionary_len(), b.dictionary_len());
-    }
-
-    #[test]
-    fn a_zero_byte_workspace_has_no_cache() {
-        let ws = Workspace::with_trie_cache_bytes(0);
-        let (q, db) = triangle_db(&ws);
-        let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-        let stats = engine.evaluate_cancellable(&q, &db, None).unwrap();
-        assert!(!stats.answer);
-        assert_eq!(stats.trie_cache, TrieCacheStats::default());
-        assert_eq!(ws.trie_cache_stats(), TrieCacheStats::default());
-    }
-
-    #[test]
-    fn workspace_byte_budget_flows_into_the_shared_cache() {
-        assert_eq!(
-            Workspace::new().trie_cache_bytes(),
-            DEFAULT_TRIE_CACHE_BYTES
-        );
-        // One trie's bytes, measured on an un-evicting workspace.
-        let probe_ws = Workspace::new();
-        let (q, db) = triangle_db(&probe_ws);
-        let config = EngineConfig::new().with_parallelism(1);
-        assert!(!probe_ws.engine(config).evaluate(&q, &db).unwrap());
-        let probe = probe_ws.trie_cache_stats();
-        assert_eq!(probe.evictions, 0);
-        let one_trie = probe.resident_bytes / probe.entries;
-
-        let ws = Workspace::with_trie_cache_bytes(one_trie);
-        assert_eq!(ws.trie_cache_bytes(), one_trie);
-        let (q, db) = triangle_db(&ws);
-        assert!(!ws.engine(config).evaluate(&q, &db).unwrap());
-        let stats = ws.trie_cache_stats();
-        assert!(stats.resident_bytes <= one_trie, "{stats:?}");
-        assert!(stats.evictions > 0, "{stats:?}");
+        assert_ne!(a.dictionary(), b.dictionary());
     }
 
     #[test]
@@ -382,10 +293,8 @@ mod tests {
             stats.dictionary_bytes >= stats.dictionary_len * std::mem::size_of::<Value>(),
             "bytes must cover at least the interned values themselves"
         );
-        assert_eq!(stats.trie_cache, ws.trie_cache_stats());
         let line = stats.to_string();
-        assert!(line.contains("dictionary:"), "{line}");
-        assert!(line.contains("trie cache:"), "{line}");
+        assert!(line.starts_with("dictionary:"), "{line}");
     }
 
     #[test]

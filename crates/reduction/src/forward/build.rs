@@ -707,8 +707,8 @@ mod tests {
 
         /// A transformed relation is a function of its source rows' *set*:
         /// reversing or rotating the rows of every source relation leaves it
-        /// equal column for column, so a trie-cache fingerprint — a function
-        /// of the columns — cannot tell the orders apart either.  (Over one
+        /// equal column for column, so a trie built on it — a function of
+        /// the columns — cannot tell the orders apart either.  (Over one
         /// dictionary: a carried value's id is its interning rank.)  The
         /// spine and parts of a decomposed atom are left out: their tuple
         /// identifiers are row positions.

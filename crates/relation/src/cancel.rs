@@ -242,7 +242,7 @@ impl<'t> CancelTicker<'t> {
 /// cooperative cancellation ([`EvalError::Cancelled`]), a deadline budget
 /// running out ([`EvalError::DeadlineExceeded`]), or a worker panic isolated
 /// by `catch_unwind` ([`EvalError::WorkerPanicked`]).  None of these leave
-/// shared state (trie cache, dictionary) inconsistent: a
+/// shared state (a relation's memos, the dictionary) inconsistent: a
 /// subsequent clean evaluation on the same workspace returns the correct
 /// answer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Deterministic, std-only failpoint registry for fault-injection tests.
 //!
 //! The pipeline is instrumented with the **sites** of [`Site`] —
-//! [`Site::TrieBuild`], [`Site::CacheInsert`], [`Site::ReductionTransform`]
+//! [`Site::TrieBuild`], [`Site::TrieMemo`], [`Site::ReductionTransform`]
 //! — each a single [`point`] call on a hot path.  A site is an enum variant,
 //! not a string, so a misspelled site does not compile.  In a normal build
 //! [`point`] compiles to nothing.  With the `failpoints` cargo feature
@@ -33,9 +33,9 @@
 use crate::sync::lock_recover;
 
 /// Lock class of the failpoint registry (`sync::lock_order`).  Acquired
-/// under the trie cache's map write lock (the `cache-insert` site), so
-/// the registry itself must never acquire engine locks while held — it
-/// never does: injected actions run after the guard is dropped.
+/// under a relation's memo lock (the `trie-memo` site), so the registry
+/// itself must never acquire engine locks while held — it never does:
+/// injected actions run after the guard is dropped.
 #[cfg(feature = "failpoints")]
 const FAILPOINT_REGISTRY: &str = "failpoint-registry";
 #[cfg(feature = "failpoints")]
@@ -49,11 +49,11 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
     /// At the start of every trie build (`FlatTrie::build`), on the disjunct
-    /// worker whose cache lookup missed.
+    /// worker that found no trie memoised on the relation.
     TrieBuild,
-    /// Under the trie cache's map write lock, just before a built trie is
-    /// published into its slot.
-    CacheInsert,
+    /// Under a relation's memo lock, just before a built trie is published
+    /// into the memo ([`Relation::memoised`](crate::Relation::memoised)).
+    TrieMemo,
     /// At the start of every transformed-relation build of the forward
     /// reduction — on the disjunct worker that first reads the relation, or
     /// on the caller's thread under `forward_reduction_with*`.
@@ -62,16 +62,16 @@ pub enum Site {
 
 impl Site {
     /// Every site.
-    pub const ALL: [Site; 3] = [Site::TrieBuild, Site::CacheInsert, Site::ReductionTransform];
+    pub const ALL: [Site; 3] = [Site::TrieBuild, Site::TrieMemo, Site::ReductionTransform];
 }
 
 /// The site's name, as injected panics report it: `trie-build`,
-/// `cache-insert` or `reduction-transform`.
+/// `trie-memo` or `reduction-transform`.
 impl std::fmt::Display for Site {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Site::TrieBuild => "trie-build",
-            Site::CacheInsert => "cache-insert",
+            Site::TrieMemo => "trie-memo",
             Site::ReductionTransform => "reduction-transform",
         })
     }
@@ -198,7 +198,7 @@ mod tests {
         // Disarmed: later hits are clean.
         point(Site::TrieBuild);
         assert_eq!(hits(Site::TrieBuild), 4);
-        assert_eq!(hits(Site::CacheInsert), 0);
+        assert_eq!(hits(Site::TrieMemo), 0);
         clear();
     }
 
@@ -207,12 +207,12 @@ mod tests {
         let _g = serial();
         clear();
         configure(
-            Site::CacheInsert,
+            Site::TrieMemo,
             0,
             FaultAction::Delay(Duration::from_millis(1)),
         );
         let start = std::time::Instant::now();
-        point(Site::CacheInsert);
+        point(Site::TrieMemo);
         assert!(start.elapsed() >= Duration::from_millis(1));
         clear();
     }

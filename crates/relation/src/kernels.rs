@@ -18,10 +18,9 @@
 //! [`pack_keys`] are their own definitions, stated as properties.
 //! [`semijoin_any`] is [`semijoin_rows`]' probe stopping at its first hit:
 //! both run one width dispatch and one filter, which report matching rows to
-//! a sink that may stop early.  [`fingerprint`] has no oracle: its value
-//! *is* its definition, so its properties say which changes of content it
-//! must tell apart.  [`strictly_ascending`] has no twin either: its oracle,
-//! comparing whole rows one pair at a time, lives in the property tests.
+//! a sink that may stop early.  [`strictly_ascending`] has no twin: its
+//! oracle, comparing whole rows one pair at a time, lives in the property
+//! tests.
 //!
 //! The kernels deliberately work on raw slices (not [`Relation`]s) so every
 //! layer — whole columns, scratch buffers — can use them.
@@ -421,95 +420,6 @@ impl FirstColumnFilter {
         let slot = self.slot(id);
         self.words[slot / 64] >> (slot % 64) & 1 != 0
     }
-}
-
-/// Independent mixing chains per 64-bit half of a [`fingerprint`].
-pub const FINGERPRINT_LANES: usize = 4;
-
-/// The odd multipliers of the two halves of a [`fingerprint`].
-const FINGERPRINT_MUL: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
-
-/// Starting states of the two halves, then of each half's sub-lanes (hex
-/// digits of π).
-const FINGERPRINT_SEED: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x4528_21E6_38D0_1377];
-const LANE_SEEDS: [[u64; FINGERPRINT_LANES]; 2] = [
-    [
-        0x1319_8A2E_0370_7344,
-        0xA409_3822_299F_31D0,
-        0x082E_FA98_EC4E_6C89,
-        0xBE54_66CF_34E9_0C6C,
-    ],
-    [
-        0xC0AC_29B7_C97C_50DD,
-        0x3F84_D5B5_B547_0917,
-        0x9216_D5D9_8979_FB1B,
-        0xD131_0BA6_98DF_B5AC,
-    ],
-];
-
-/// Mixed into both halves before each column.
-const COLUMN_SEPARATOR: u64 = 0xFEED_C01D;
-
-/// One mixing step: for a fixed state, a bijection of `word` (xor, a
-/// multiply by an odd constant, a rotation).
-#[inline(always)]
-fn mix(state: u64, word: u64, mul: u64) -> u64 {
-    (state ^ word).wrapping_mul(mul).rotate_left(29)
-}
-
-/// A 128-bit content fingerprint of `rows` rows held as the id columns
-/// `cols`: equal arity, row count and ids (column by column, in order) give
-/// equal fingerprints, and the two independent 64-bit halves make an
-/// accidental collision between different contents about 2⁻¹²⁸ likely.
-///
-/// The arity, the row count and a separator before each column enter both
-/// halves.  Within a column each half runs [`FINGERPRINT_LANES`]
-/// independent chains over 64-bit words of two consecutive ids — word `w`
-/// goes to lane `w mod 4`, an odd last id alone in the high half of its
-/// word — and folds them into the half in lane order at the column's end.
-/// So a column costs one multiply per id for both halves together, in
-/// eight chains that do not wait on each other.
-///
-/// # Panics
-///
-/// Panics if a column does not hold `rows` ids.
-pub fn fingerprint(rows: usize, cols: &[&[ValueId]]) -> (u64, u64) {
-    let [m0, m1] = FINGERPRINT_MUL;
-    let [mut a, mut b] = FINGERPRINT_SEED;
-    for v in [cols.len() as u64, rows as u64] {
-        (a, b) = (mix(a, v, m0), mix(b, v, m1));
-    }
-    for col in cols {
-        assert_eq!(col.len(), rows, "column length mismatch in fingerprint");
-        (a, b) = (mix(a, COLUMN_SEPARATOR, m0), mix(b, COLUMN_SEPARATOR, m1));
-        let [lanes_a, lanes_b] = column_lanes(col);
-        for (la, lb) in lanes_a.into_iter().zip(lanes_b) {
-            (a, b) = (mix(a, la, m0), mix(b, lb, m1));
-        }
-    }
-    (a, b)
-}
-
-/// The sub-lanes of both halves of a [`fingerprint`] after one column.
-#[inline]
-fn column_lanes(col: &[ValueId]) -> [[u64; FINGERPRINT_LANES]; 2] {
-    let [m0, m1] = FINGERPRINT_MUL;
-    let [mut la, mut lb] = LANE_SEEDS;
-    // The first id of a pair in the high half.
-    let word = |hi: ValueId, lo: u32| u64::from(hi.raw()) << 32 | u64::from(lo);
-    let mut chunks = col.chunks_exact(2 * FINGERPRINT_LANES);
-    for chunk in &mut chunks {
-        for j in 0..FINGERPRINT_LANES {
-            let w = word(chunk[2 * j], chunk[2 * j + 1].raw());
-            (la[j], lb[j]) = (mix(la[j], w, m0), mix(lb[j], w, m1));
-        }
-    }
-    // A missing second id of the last pair reads 0.
-    for (j, pair) in chunks.remainder().chunks(2).enumerate() {
-        let w = word(pair[0], pair.get(1).map_or(0, |lo| lo.raw()));
-        (la[j], lb[j]) = (mix(la[j], w, m0), mix(lb[j], w, m1));
-    }
-    [la, lb]
 }
 
 /// Positions probed with a plain linear scan before [`gallop_seek`] switches

@@ -12,7 +12,7 @@
 //!   columnar id vectors, with a row-oriented compatibility
 //!   layer and the distinct-left-endpoint transformation of Appendix G.1;
 //! * [`kernels`] — scan primitives over id slices (the semijoin probe and
-//!   its row lists, gathers, key packing, galloping seeks, fingerprints)
+//!   its row lists, gathers, key packing, galloping seeks)
 //!   shared by the trie builds, semijoins and leapfrog intersections of the
 //!   join engine;
 //! * [`Query`] — Boolean conjunctive queries with equality joins, intersection

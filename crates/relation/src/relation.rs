@@ -18,16 +18,18 @@
 //! source's handle.
 
 use crate::sync::lock_recover;
-use crate::{kernels, SharedDictionary, Value, ValueId};
+use crate::{faults, kernels, SharedDictionary, Value, ValueId};
 use ij_segtree::Interval;
+use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Lock class of a relation's projection memo (`sync::lock_order`); a leaf:
-/// held for one map probe or insert, never around another lock — a
-/// projection is computed before the lock is taken.
-const PROJECTIONS: &str = "relation-projections";
+/// Lock class of a relation's memos (`sync::lock_order`); a leaf: held for
+/// one map probe or insert, never around another lock — what is memoised
+/// is computed before the lock is taken.  (The `trie-memo` failpoint fires
+/// under it; the failpoint registry takes no lock of the pipeline.)
+const MEMOS: &str = "relation-memos";
 
 /// Panics, naming the relation, the row and both arities, unless a row of
 /// `found` values fits a relation of arity `expected`.
@@ -57,38 +59,47 @@ pub struct Relation {
 /// The derived state a [`Relation`] memoises about its columns.
 #[derive(Debug, Default)]
 struct Memos {
-    /// Lazily computed content fingerprint (see [`Relation::fingerprint_with`]).
-    fingerprint: std::sync::OnceLock<(u64, u64)>,
+    maps: Mutex<MemoMaps>,
+}
+
+/// The maps behind a relation's one memo lock.
+#[derive(Debug, Default)]
+struct MemoMaps {
     /// The deduplicated projections handed out so far, by column list (see
     /// [`Relation::projection`]).
-    projections: Mutex<BTreeMap<Vec<usize>, Arc<Relation>>>,
+    projections: BTreeMap<Vec<usize>, Arc<Relation>>,
+    /// What [`Relation::memoised`] built so far, by its type and key.
+    derived: BTreeMap<(TypeId, MemoKey), Arc<dyn Any + Send + Sync>>,
 }
+
+/// The key of a value [`Relation::memoised`] keeps: two column lists (for a
+/// trie, the column binding and the level order).
+type MemoKey = (Vec<usize>, Vec<usize>);
 
 impl Memos {
     /// Forgets everything; every mutator of the columns calls it.  A caller
-    /// of `push_ids` pays it per row, so while no projection is held it
-    /// costs a load and a branch, not a map dropped and rebuilt.
+    /// of `push_ids` pays it per row, so while nothing is memoised it costs
+    /// two loads and two branches, not maps dropped and rebuilt.
     fn clear(&mut self) {
-        self.fingerprint = std::sync::OnceLock::new();
-        let projections = self
-            .projections
+        let maps = self
+            .maps
             .get_mut()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if !projections.is_empty() {
-            projections.clear();
+        if !maps.projections.is_empty() {
+            maps.projections.clear();
+        }
+        if !maps.derived.is_empty() {
+            maps.derived.clear();
         }
     }
 }
 
 impl Clone for Memos {
-    /// A copy has the same columns, so the fingerprint carries over; the
-    /// projections do not — they are relations of their own, under the
-    /// original's name.
+    /// A copy starts with nothing memoised: the projections are relations
+    /// of their own, under the original's name, and what was derived is the
+    /// original's, freed with it.
     fn clone(&self) -> Self {
-        Memos {
-            fingerprint: self.fingerprint.clone(),
-            projections: Mutex::default(),
-        }
+        Memos::default()
     }
 }
 
@@ -308,17 +319,6 @@ impl Relation {
         self.columns.id_at(row, col)
     }
 
-    /// The relation's cached content fingerprint, computed with `compute` on
-    /// first use and memoized until the next mutation (`push*`, `dedup`).
-    ///
-    /// `compute` must be a pure function of the *columns* (arity, row count,
-    /// ids) — not of the name: [`Relation::renamed`] shares the cached value
-    /// with the original.  The trie cache of the join engine uses this to
-    /// avoid re-hashing a relation's columns on every cache lookup.
-    pub fn fingerprint_with(&self, compute: impl FnOnce(&Relation) -> (u64, u64)) -> (u64, u64) {
-        *self.memos.fingerprint.get_or_init(|| compute(self))
-    }
-
     /// Appends a tuple of values (interning each one).
     ///
     /// # Panics
@@ -423,10 +423,11 @@ impl Relation {
     /// (in that order), in [`Relation::dedup`]'s order, under this
     /// relation's name — computed the first time this column list is asked
     /// of this relation and shared ever after: every later call returns the
-    /// same `Arc`, so whatever the projection memoises in turn (its
-    /// fingerprint, its own projections) is found again too.  That is what
-    /// lets the disjuncts of one reduction, and repeated evaluations of it,
-    /// derive each projected atom, and each bag's cut of one, once.
+    /// same `Arc`, so whatever the projection memoises in turn (its tries,
+    /// its own projections) is found again too.  That is what lets the
+    /// disjuncts of one reduction, and repeated evaluations of it, derive
+    /// each projected atom, each bag's cut of one, and the trie of each,
+    /// once.
     ///
     /// The memo is owned by this relation: a projection stays resident — a
     /// copy of the projected id columns, 4 bytes per row and column — until
@@ -443,16 +444,63 @@ impl Relation {
     ///
     /// Panics if a column index is out of range.
     pub fn projection(&self, columns: &[usize]) -> Arc<Relation> {
-        if let Some(shared) = lock_recover(&self.memos.projections, PROJECTIONS).get(columns) {
+        if let Some(shared) = lock_recover(&self.memos.maps, MEMOS)
+            .projections
+            .get(columns)
+        {
             return Arc::clone(shared);
         }
         let mut projected = self.project(columns, self.name.clone());
         projected.dedup();
         Arc::clone(
-            lock_recover(&self.memos.projections, PROJECTIONS)
+            (lock_recover(&self.memos.maps, MEMOS).projections)
                 .entry(columns.to_vec())
                 .or_insert(Arc::new(projected)),
         )
+    }
+
+    /// The `T` derived from this relation under `key`, built by `build` the
+    /// first time this type and key are asked of this relation and shared
+    /// ever after: every later call returns the same `Arc` without calling
+    /// `build`.  The join engine keeps the tries it indexes a relation with
+    /// here, keyed by the column binding and the level order, so a trie
+    /// lives exactly as long as its relation's columns.
+    ///
+    /// The memo behaves as [`Relation::projection`]'s does: it is cleared
+    /// by every mutation (`push*`, `dedup`), [`Relation::renamed`] and
+    /// `Clone` start with it empty, and nothing bounds it but the number of
+    /// distinct keys asked.  Threads asking a fresh relation for the same
+    /// key may each build; `build` runs outside the memo's lock, the first
+    /// finished result is published (the `trie-memo` failpoint fires under
+    /// the lock just before), and the others adopt it, so all callers end
+    /// up with one `Arc`.
+    ///
+    /// # Errors
+    ///
+    /// The error of `build`, which publishes nothing: a later call builds
+    /// again.
+    pub fn memoised<T: Any + Send + Sync, E>(
+        &self,
+        key: MemoKey,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let key = (TypeId::of::<T>(), key);
+        let found = lock_recover(&self.memos.maps, MEMOS)
+            .derived
+            .get(&key)
+            .map(Arc::clone);
+        let shared = match found {
+            Some(shared) => shared,
+            None => {
+                let built: Arc<dyn Any + Send + Sync> = Arc::new(build()?);
+                let mut maps = lock_recover(&self.memos.maps, MEMOS);
+                // Before the insert: an injected panic leaves the map as it
+                // was, which is what recovering the poisoned lock relies on.
+                faults::point(faults::Site::TrieMemo);
+                Arc::clone(maps.derived.entry(key).or_insert(built))
+            }
+        };
+        Ok(Arc::downcast(shared).unwrap_or_else(|_| unreachable!("keyed by its type")))
     }
 
     /// A copy of the relation under a new name (columns are cloned wholesale,
@@ -463,7 +511,7 @@ impl Relation {
             arity: self.arity,
             columns: self.columns.clone(),
             dict: self.dict.clone(),
-            memos: self.memos.clone(),
+            memos: Memos::default(),
         }
     }
 
@@ -805,27 +853,105 @@ mod tests {
         assert_eq!(r.value_at(0, 1), Value::point(2.0));
     }
 
+    /// A stand-in for a trie: the relation's rows as a set, with the number
+    /// of builds so far.
+    fn row_index(r: &Relation, builds: &mut usize) -> Result<Vec<Vec<ValueId>>, ()> {
+        *builds += 1;
+        let mut rows: Vec<Vec<ValueId>> = (0..r.len())
+            .map(|row| (0..r.arity()).map(|c| r.id_at(row, c)).collect())
+            .collect();
+        rows.sort();
+        rows.dedup();
+        Ok(rows)
+    }
+
     #[test]
-    fn fingerprint_cache_memoizes_and_invalidates_on_mutation() {
+    fn the_memo_is_invalidated_by_every_mutation() {
         let dict = SharedDictionary::new();
-        let mut r = Relation::new("R", 1, &dict);
-        r.push(vec![Value::point(1.0)]);
-        assert_eq!(r.fingerprint_with(|_| (1, 1)), (1, 1));
-        // Memoized: a different closure is not called again.
-        assert_eq!(r.fingerprint_with(|_| (2, 2)), (1, 1));
-        r.push(vec![Value::point(2.0)]);
-        assert_eq!(r.fingerprint_with(|_| (3, 3)), (3, 3));
+        let p = Value::point;
+        let mut r = Relation::from_tuples("R", 2, vec![vec![p(1.0), p(2.0)]], &dict);
+        let key = || (vec![0, 1], vec![0, 1]);
+        let mut builds = 0;
+        // "Join" R with the probe row (1, 3): no witness yet.
+        let witness = (dict.intern(p(1.0)), dict.intern(p(3.0)));
+        let joins = |index: &[Vec<ValueId>]| index.contains(&vec![witness.0, witness.1]);
+        let first = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        assert!(!joins(&first));
+        // Memoised: a second call neither builds nor sees another index.
+        let again = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(builds, 1);
+        // Another key, or another type under the same key, is its own entry.
+        r.memoised((vec![1, 0], vec![0, 1]), || row_index(&r, &mut builds))
+            .unwrap();
+        let count = r.memoised(key(), || Ok::<_, ()>(r.len())).unwrap();
+        assert_eq!((*count, builds), (1, 2));
+        // A push that creates the witness: the next join sees it.
+        r.push(vec![p(1.0), p(3.0)]);
+        let pushed = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        assert!(joins(&pushed));
+        assert_eq!(builds, 3);
+        // `dedup` clears the memo too, even where the rows stay as they are.
+        r.push(vec![p(1.0), p(3.0)]);
         r.dedup();
-        assert_eq!(r.fingerprint_with(|_| (4, 4)), (4, 4));
-        // Renaming shares the cached value; equality ignores the cache.
+        let rebuilt = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        assert!(!Arc::ptr_eq(&pushed, &rebuilt));
+        assert_eq!((builds, *rebuilt == *pushed), (4, true));
+        // A failed build publishes nothing.
+        assert_eq!(
+            r.memoised((vec![0], vec![0]), || Err::<usize, _>("no")),
+            Err("no")
+        );
+        assert_eq!(
+            *r.memoised((vec![0], vec![0]), || Ok::<_, ()>(7)).unwrap(),
+            7
+        );
+        // The memo plays no part in equality.
+        assert_eq!(r, r.clone());
+    }
+
+    #[test]
+    fn copies_start_with_an_empty_memo() {
+        let r = small_domain_relation(&[(1, 2, 0), (1, 3, 0)]);
+        let key = || (vec![0, 1, 2], vec![0, 1, 2]);
+        let mut builds = 0;
+        let of_r = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
         let s = r.renamed("S");
-        assert_eq!(s.fingerprint_with(|_| (5, 5)), (4, 4));
-        let mut fresh = Relation::new("R", 1, &dict);
-        fresh.push(vec![Value::point(1.0)]);
-        fresh.push(vec![Value::point(2.0)]);
-        // `dedup` left `r` in id order; equal row sets dedup to equal columns.
-        fresh.dedup();
-        assert_eq!(r, fresh);
+        let of_s = s.memoised(key(), || row_index(&s, &mut builds)).unwrap();
+        let copy = r.clone();
+        let of_copy = copy
+            .memoised(key(), || row_index(&copy, &mut builds))
+            .unwrap();
+        assert_eq!(builds, 3);
+        assert!(!Arc::ptr_eq(&of_r, &of_s) && !Arc::ptr_eq(&of_r, &of_copy));
+        assert_eq!((*of_s == *of_r, *of_copy == *of_r), (true, true));
+    }
+
+    #[test]
+    fn racing_threads_end_up_with_one_memoised_value() {
+        let cells: Vec<(u8, u8, u8)> = (0..600u32)
+            .map(|i| ((i % 7) as u8, (i % 11) as u8, (i % 13) as u8))
+            .collect();
+        for _ in 0..20 {
+            let r = small_domain_relation(&cells);
+            let start = std::sync::Barrier::new(2);
+            let key = || (vec![2, 0, 1], vec![0, 1, 2]);
+            let seen: Vec<Arc<Vec<Vec<ValueId>>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            r.memoised(key(), || row_index(&r, &mut 0)).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(Arc::ptr_eq(&seen[0], &seen[1]));
+            let published = r.memoised(key(), || row_index(&r, &mut 0)).unwrap();
+            assert!(Arc::ptr_eq(&seen[0], &published));
+            assert_eq!(published.len(), cells.len());
+        }
     }
 
     /// Three point columns over a small domain, so projections collapse rows.

@@ -3,7 +3,7 @@
 //!
 //! # Poison recovery
 //!
-//! The dictionaries and the trie cache are shared by every concurrent
+//! The dictionaries and the relations' memos are shared by every concurrent
 //! evaluation of a workspace.  A panicking worker thread elsewhere (isolated by
 //! `catch_unwind`) may still have been holding one of these locks when it
 //! unwound, which marks the lock *poisoned* — and a bare `.unwrap()` on the
@@ -14,9 +14,8 @@
 //! codebase is written to be *panic-atomic* — either
 //!
 //! 1. the section only reads, or performs a single insert/remove whose
-//!    partial effects cannot be observed (the map entry is written last,
-//!    after any counters it must agree with — "ledger settlement happens
-//!    before unlock, or the slot is dropped whole"), or
+//!    partial effects cannot be observed (the map entry is written last),
+//!    or
 //! 2. the only panic sources inside the section are injected failpoints
 //!    placed **before** the first mutation.
 //!
@@ -34,7 +33,7 @@
 //!
 //! Every acquisition names its **lock class** — a caller-supplied
 //! `&'static str` identifying the lock's role (`"dictionary"`,
-//! `"trie-cache-map"`, …), not the individual lock instance.  In debug
+//! `"relation-memos"`, …), not the individual lock instance.  In debug
 //! builds (and release builds with the `lock-order` cargo feature) the
 //! helpers record, per thread, which classes are currently held, and feed
 //! every *nested* acquisition into a process-wide acquisition-order graph:

@@ -4,24 +4,25 @@
 //! running example: the simplest cyclic intersection-join query, with
 //! ij-width 3/2 (Example 4.16) and therefore an `O(N^1.5 polylog N)`
 //! evaluation through the forward reduction of Section 4.  This example
-//! walks every stage — static analysis, reduction, parallel/cached disjunct
-//! evaluation inside a scoped `Workspace`, cross-engine cache warmth, and a
-//! differential check against the naive evaluator — and prints what each
-//! number means.
+//! walks every stage — static analysis, reduction, parallel disjunct
+//! evaluation inside a scoped `Workspace`, the warmth of a kept reduction,
+//! and a differential check against the naive evaluator — and prints what
+//! each number means.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
 use intersection_joins::prelude::*;
+use intersection_joins::reduction::{plan_forward_reduction, ReductionConfig};
 
 fn main() {
     // The Boolean triangle query with intersection joins:
     //   Q△ = R([A],[B]) ∧ S([B],[C]) ∧ T([A],[C])
     let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").expect("valid query");
 
-    // All cross-evaluation state — the value dictionary the databases intern
-    // into and the trie cache every engine shares — is owned by a Workspace.
+    // The cross-evaluation state — the value dictionary the databases intern
+    // into — is owned by a Workspace.
     // Dropping the workspace reclaims everything it interned; a service
     // would hold one workspace per database.
     let workspace = Workspace::new();
@@ -46,7 +47,7 @@ fn main() {
     // and with several workers *which* disjuncts were started by then — so
     // which transformed relations and tries exist afterwards — depends on
     // thread scheduling.  Sequentially it is the same every run, which is
-    // what lets section 3 assert an exact cache-miss count.
+    // what lets section 3 assert an exact count of trie lookups.
     let config = EngineConfig::new().with_parallelism(1);
     let engine = workspace.engine(config);
 
@@ -75,8 +76,9 @@ fn main() {
     // 2. Evaluation through the forward reduction (Section 4): the IJ query
     //    becomes a disjunction of EJ queries over segment-tree bitstrings;
     //    the engine's workers take the disjuncts one at a time, in order,
-    //    and evaluate them with the workspace's shared trie cache (early
-    //    exit on the first true disjunct).  A transformed relation is built when the first disjunct
+    //    and share each trie through the transformed relation it indexes
+    //    (early exit on the first true disjunct).  A transformed relation
+    //    is built when the first disjunct
     //    that reads it is evaluated, so the early exit also skips the
     //    relations only later disjuncts would have read: the summary says
     //    how many were built.  The reduction's bitstring ids are computed,
@@ -88,26 +90,41 @@ fn main() {
     println!("2. Evaluation through the forward reduction (Theorem 4.13):");
     print_indented(&format!("{stats}"));
 
-    // 3. Cache warmth is a *workspace* property, not an engine property: a
-    //    brand-new engine built from the same workspace — the per-request
-    //    engine of a server — is served warm on its very first evaluation.
-    //    (Sequential like the first run, so it evaluates the same disjuncts
-    //    and every trie it asks for is one the first run built.)
-    let fresh_engine = workspace.engine(config);
-    let warm = fresh_engine
-        .evaluate_cancellable(&query, &db, None)
+    // 3. Warmth belongs to the reduction: each trie is memoised on the
+    //    transformed relation it indexes and freed with it, so `evaluate`,
+    //    which plans a fresh reduction every call, starts cold.  A reduction
+    //    planned once and kept is evaluated warm the second time, by any
+    //    engine — here a brand-new one, the per-request engine of a server.
+    //    (Sequential like the first run, so both evaluate the same disjuncts
+    //    and every trie the second asks for is one the first built.)
+    let reduction = plan_forward_reduction(&query, &db, ReductionConfig::default(), None)
+        .expect("the plan succeeds");
+    let cold = engine
+        .evaluate_reduction(&reduction)
+        .expect("evaluation succeeds");
+    assert_eq!(
+        cold.trie_cache, stats.trie_cache,
+        "a fresh reduction starts cold"
+    );
+    let warm = workspace
+        .engine(config)
+        .evaluate_reduction(&reduction)
         .expect("evaluation succeeds");
     println!();
-    println!("3. A fresh engine on the same workspace starts warm (shared trie cache):");
+    println!("3. One kept reduction evaluated a second time, by a fresh engine, is warm:");
     print_indented(&format!("{warm}"));
     assert_eq!(
         warm.trie_cache.misses, 0,
         "warm evaluation must not rebuild"
     );
+    assert_eq!(
+        warm.trie_cache.hits,
+        cold.trie_cache.hits + cold.trie_cache.misses
+    );
 
-    // 4. The workspace reports its dictionary residency in bytes beside the
-    //    shared cache's cumulative statistics, so an operator can alert on a
-    //    growing workspace before it OOMs.
+    // 4. The workspace reports its dictionary residency in values and
+    //    bytes, so an operator can alert on a growing workspace before it
+    //    OOMs.
     println!();
     println!("4. The workspace's resource state:");
     println!("   workspace: {}", workspace.stats());

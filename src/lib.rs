@@ -27,7 +27,7 @@
 //! | [`hypergraph`] | Hypergraphs, acyclicity, the structural reduction τ(H) (Sections 4, 6) |
 //! | [`widths`] | ρ*, fhtw, subw bounds, ij-width (Definition 4.14) |
 //! | [`relation`] | Values, the **value dictionary** behind owned `SharedDictionary` handles, interned columnar relations, query AST |
-//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), byte-budgeted content-addressed `TrieCache`, Yannakakis, width-guided evaluation |
+//! | [`ejoin`] | EJ engine: id-keyed WCOJ tries (flat CSR, galloping leapfrog intersection), tries memoised on the relation they index, Yannakakis, width-guided evaluation |
 //! | [`reduction`] | Forward (IJ→EJ) and backward (EJ→IJ) data reductions (Sections 4, 5) |
 //! | [`engine`] | End-to-end engine with `Workspace`-owned state, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
 //! | [`faqai`] | The FAQ-AI comparator (Appendix F) |
@@ -42,12 +42,11 @@
 //! every downstream layer operates on ids.  The dictionary is owned by a
 //! `SharedDictionary` handle carried by each relation: `Database::new`
 //! creates one of its own, and a `Workspace` ([`engine`]) owns one that all
-//! its databases share (plus one shared trie cache warming every engine
-//! built from the workspace), so that dropping the workspace reclaims its
+//! its databases share, so that dropping the workspace reclaims its
 //! interned values:
 //!
 //! ```text
-//!  Workspace { SharedDictionary, shared TrieCache }
+//!  Workspace { SharedDictionary }
 //!        │
 //!        ▼
 //!  Query + Database (columnar: Vec<ValueId> per column, workspace dictionary)
@@ -71,8 +70,8 @@
 //!        │   (EngineConfig::parallelism     the next disjunct index off one
 //!        │    workers pull one disjunct     atomic counter; binding it
 //!        │    at a time and build the       (disjunct_atoms) builds its
-//!        │    relations it reads; all       unbuilt relations; AtomicBool
-//!        │    workers share one TrieCache)  early exit cancels the siblings.
+//!        │    relations it reads)           unbuilt relations; AtomicBool
+//!        │                                  early exit cancels the siblings.
 //!        │                                  Help first: the first helper
 //!        │                                  builds disjunct 0's relations
 //!        │                                  last atom first, then pulls;
@@ -89,14 +88,14 @@
 //!       copies nothing; presorted rows build a trie without a sort
 //!     · fallback    → generic WCOJ over per-atom tries: flat CSR
 //!       sorted-id arrays intersected by a galloping leapfrog
-//!     tries served from the workspace's shared TrieCache (content-
-//!     fingerprint keys, LRU-evicted against one byte budget),
-//!     built and searched on the disjunct's own worker — the workers
-//!     are the evaluation's only threads
+//!     each trie memoised on the relation it indexes (keyed by column
+//!     binding and level order, freed with the reduction), built and
+//!     searched on the disjunct's own worker — the workers are the
+//!     evaluation's only threads
 //!        │
 //!        ▼
-//!  EvaluationStats { answer (identical for every parallelism/cache
-//!                    setting), what was built, cached and planned }
+//!  EvaluationStats { answer (identical for every parallelism, cold or
+//!                    warm), what was built, found memoised and planned }
 //! ```
 //!
 //! Values are resolved back out of the dictionary only at API boundaries

@@ -1,19 +1,21 @@
-//! Acceptance tests for the trie cache's accounting under concurrency:
+//! Acceptance tests for the trie ledgers under concurrency:
 //!
 //! * per-evaluation `EvaluationStats::trie_cache` must be **exact** when
-//!   evaluations run concurrently against one shared workspace cache — a
-//!   warm evaluation never reports a concurrent neighbor's misses, and the
-//!   per-evaluation lookups sum to the cache's cumulative counters;
-//! * evaluations cancelled mid-flight leak no accounting: the cache's
-//!   resident bytes stay exactly the sum of its resident entries (audited by
-//!   `TrieCache::stats()` in debug builds) and warm re-runs stay warm;
+//!   evaluations run concurrently over one shared reduction — a warm
+//!   evaluation never reports a concurrent neighbor's misses, each
+//!   evaluation makes as many lookups as the same evaluation alone, and an
+//!   evaluation of another reduction reports what it reports alone;
+//! * evaluations cancelled mid-flight leak nothing into the ledgers: a
+//!   finished evaluation built one trie per miss, and a warm re-run of the
+//!   interrupted reduction stays warm;
 //! * a warm re-evaluation of a cyclic query makes no miss, whether its bags
 //!   bind their atoms' relations whole or memoised projections of them.
 //!
 //! Run in `--release` too (see the CI test job): the optimized lock paths
 //! are where attribution races would actually surface.
 
-use ij_engine::{EngineConfig, Workspace};
+use ij_engine::{EngineConfig, EvaluationStats, Workspace};
+use ij_reduction::{plan_forward_reduction, ForwardReduction, ReductionConfig};
 use ij_relation::{Database, Query};
 use ij_workloads::{
     generate_for_query, planted_unsatisfiable, IntervalDistribution, WorkloadConfig,
@@ -38,9 +40,8 @@ fn workload(seed: u64, tuples: usize) -> Database {
 }
 
 /// A planted-unsatisfiable workload: the false answer forces a full pass
-/// over every disjunct, so each database leaves its full trie footprint in
-/// the cache (early exit would otherwise let small satisfiable databases
-/// under-fill it).
+/// over every disjunct, so each evaluation makes every lookup (early exit
+/// would otherwise let small satisfiable databases stop short).
 fn planted(seed: u64, tuples: usize) -> Database {
     planted_unsatisfiable(
         &triangle(),
@@ -56,81 +57,126 @@ fn planted(seed: u64, tuples: usize) -> Database {
     )
 }
 
-/// Concurrent evaluations sharing one workspace cache report exact
-/// per-evaluation statistics: the warm thread re-evaluates a cached
-/// reduction while the noisy thread streams *distinct* databases (misses)
-/// through the same cache — and every warm evaluation still reports zero
-/// misses, because its counters are accumulated locally rather than
-/// snapshotted off the shared cache.
+/// The reduction `evaluate` runs, planned once so that it can be kept.
+fn plan(query: &Query, db: &Database) -> ForwardReduction {
+    plan_forward_reduction(query, db, ReductionConfig::default(), None).unwrap()
+}
+
+/// A finished evaluation's ledger is whole: every miss built one trie, and
+/// the built bytes are there exactly when a trie was built.
+fn assert_whole(stats: &EvaluationStats, what: &str) {
+    let tries = stats.trie_cache;
+    assert_eq!(tries.entries, tries.misses, "{what}: {tries:?}");
+    assert_eq!(
+        tries.entries == 0,
+        tries.resident_bytes == 0,
+        "{what}: {tries:?}"
+    );
+    assert_eq!(tries.evictions, 0, "{what}: {tries:?}");
+}
+
+/// Concurrent evaluations of one shared reduction report exact
+/// per-evaluation statistics: two threads evaluate one fresh kept reduction
+/// — racing to build its tries on the first pass, finding them all built
+/// after — while a noisy thread streams reductions of *distinct* databases
+/// (misses) beside them.  Every evaluation of the shared reduction makes
+/// exactly the lookups and plans of that evaluation alone, every pass after
+/// a thread's first reports zero misses, and the first passes between them
+/// build each trie at least once and at most twice; every noisy evaluation
+/// reports exactly what it reports alone.
 #[test]
 fn concurrent_evaluations_report_exact_per_evaluation_stats() {
     let query = triangle();
     let ws = Workspace::new();
-    let warm_db = ws.import_database(&workload(1, 10));
-    let primer = ws.engine(EngineConfig::new().with_parallelism(1));
-    let primed = primer.evaluate_cancellable(&query, &warm_db, None).unwrap();
-    assert!(primed.trie_cache.misses > 0, "priming pass must build");
-    let baseline = ws.trie_cache_stats();
+    let shared_db = ws.import_database(&workload(1, 10));
+    let config = EngineConfig::new().with_parallelism(1);
+    let alone = ws
+        .engine(config)
+        .evaluate_reduction(&plan(&query, &shared_db))
+        .unwrap();
+    assert!(alone.trie_cache.misses > 0, "a cold pass must build");
+    let lookups = alone.trie_cache.hits + alone.trie_cache.misses;
+    let shared = plan(&query, &shared_db);
+    let noisy_dbs: Vec<Database> = (0..8)
+        .map(|i| ws.import_database(&workload(100 + i, 10)))
+        .collect();
 
     const ROUNDS: usize = 8;
-    let (warm_stats, noisy_stats) = std::thread::scope(|scope| {
-        let warm = scope.spawn(|| {
-            let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-            (0..ROUNDS)
-                .map(|_| engine.evaluate_cancellable(&query, &warm_db, None).unwrap())
-                .collect::<Vec<_>>()
-        });
+    let (shared_stats, noisy_stats) = std::thread::scope(|scope| {
+        let evaluators: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let engine = ws.engine(config);
+                    (0..ROUNDS)
+                        .map(|_| engine.evaluate_reduction(&shared).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
         let noisy = scope.spawn(|| {
-            (0..ROUNDS)
-                .map(|i| {
-                    let db = ws.import_database(&workload(100 + i as u64, 10));
-                    ws.engine(EngineConfig::new().with_parallelism(1))
-                        .evaluate_cancellable(&query, &db, None)
+            (noisy_dbs.iter())
+                .map(|db| {
+                    ws.engine(config)
+                        .evaluate_cancellable(&query, db, None)
                         .unwrap()
                 })
                 .collect::<Vec<_>>()
         });
-        (warm.join().unwrap(), noisy.join().unwrap())
+        let shared_stats: Vec<Vec<EvaluationStats>> = (evaluators.into_iter())
+            .map(|h| h.join().unwrap())
+            .collect();
+        (shared_stats, noisy.join().unwrap())
     });
 
-    // Exactness: a warm evaluation never reports a neighbor's misses, no
-    // matter how the two threads interleave.
-    for (i, stats) in warm_stats.iter().enumerate() {
-        assert_eq!(
-            stats.trie_cache.misses, 0,
-            "warm evaluation {i} stole a neighbor's misses: {:?}",
-            stats.trie_cache
-        );
-        assert!(stats.trie_cache.hits > 0, "warm evaluation {i} must hit");
-        assert_eq!(
-            stats.disjuncts_planned, primed.disjuncts_planned,
-            "warm evaluation {i} planned a neighbor's joins or lost its own"
-        );
+    let mut first_misses = 0;
+    for (t, rounds) in shared_stats.iter().enumerate() {
+        for (i, stats) in rounds.iter().enumerate() {
+            let what = format!("thread {t}, evaluation {i}");
+            assert_eq!(stats.answer, alone.answer, "{what}");
+            assert_whole(stats, &what);
+            assert_eq!(
+                stats.trie_cache.hits + stats.trie_cache.misses,
+                lookups,
+                "{what} counted a neighbor's lookups or lost its own: {:?}",
+                stats.trie_cache
+            );
+            assert_eq!(
+                stats.disjuncts_planned, alone.disjuncts_planned,
+                "{what} planned a neighbor's joins or lost its own"
+            );
+            if i == 0 {
+                first_misses += stats.trie_cache.misses;
+            } else {
+                assert_eq!(
+                    stats.trie_cache.misses, 0,
+                    "{what} stole a neighbor's misses: {:?}",
+                    stats.trie_cache
+                );
+            }
+        }
     }
-    // The noisy evaluations really did miss concurrently (the scenario the
-    // old snapshot-delta reporting misattributed).
-    let noisy_misses: usize = noisy_stats.iter().map(|s| s.trie_cache.misses).sum();
-    assert!(noisy_misses > 0, "noisy thread must have built tries");
-
-    // Conservation: the per-evaluation counters sum exactly to the cache's
-    // cumulative counters — nothing double-counted, nothing dropped.
-    let local_lookups: usize = warm_stats
-        .iter()
-        .chain(&noisy_stats)
-        .map(|s| s.trie_cache.hits + s.trie_cache.misses)
-        .sum();
-    let total = ws.trie_cache_stats();
-    assert_eq!(
-        (total.hits + total.misses) - (baseline.hits + baseline.misses),
-        local_lookups,
-        "per-evaluation lookups must sum to the cache's cumulative counters"
+    assert!(
+        (alone.trie_cache.misses..=2 * alone.trie_cache.misses).contains(&first_misses),
+        "two racing first passes built {first_misses} tries of {}",
+        alone.trie_cache.misses
     );
+    // The noisy evaluations really did miss concurrently, and each reports
+    // exactly its own activity.
+    for (db, stats) in noisy_dbs.iter().zip(&noisy_stats) {
+        assert!(stats.trie_cache.misses > 0, "the noisy thread must build");
+        let solo = ws
+            .engine(config)
+            .evaluate_cancellable(&query, db, None)
+            .unwrap();
+        assert_eq!(stats.trie_cache, solo.trie_cache);
+        assert_eq!(stats.disjuncts_planned, solo.disjuncts_planned);
+    }
 }
 
-/// Cancellation never breaks the accounting: evaluations interrupted
-/// mid-flight — during trie builds included — leave the cache's resident
-/// bytes exactly the sum of its resident entries, and a subsequent warm
-/// evaluation still reports zero misses.
+/// Cancellation never breaks the accounting: evaluations of two kept
+/// reductions interrupted mid-flight — during trie builds included — leave
+/// nothing half-published, so a clean re-run of each reduction builds one
+/// trie per miss and a second clean run reports zero misses.
 #[test]
 fn cancelled_evaluations_leave_ledgers_exact() {
     use ij_engine::{CancellationToken, EvalError};
@@ -138,18 +184,18 @@ fn cancelled_evaluations_leave_ledgers_exact() {
     let query = triangle();
     for delay_us in [0u64, 50, 200, 800, 3_000] {
         let ws = Workspace::new();
-        let dbs: Vec<_> = (0..2)
-            .map(|i| ws.import_database(&planted(i, 12)))
+        let plans: Vec<_> = (0..2)
+            .map(|i| plan(&query, &ws.import_database(&planted(i, 12))))
             .collect();
         let token = CancellationToken::new().with_check_interval(32);
         let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = dbs
+            let handles: Vec<_> = plans
                 .iter()
-                .map(|db| {
-                    let (ws, query, token) = (&ws, &query, &token);
+                .map(|reduction| {
+                    let (ws, token) = (&ws, &token);
                     scope.spawn(move || {
                         ws.engine(EngineConfig::new().with_parallelism(2))
-                            .evaluate_cancellable(query, db, Some(token))
+                            .evaluate_reduction_cancellable(reduction, Some(token))
                     })
                 })
                 .collect();
@@ -162,33 +208,39 @@ fn cancelled_evaluations_leave_ledgers_exact() {
         });
         for result in results {
             match result {
-                Ok(stats) => assert!(!stats.answer, "planted-unsatisfiable workload"),
-                Err(ij_engine::EngineError::Evaluation(EvalError::Cancelled)) => {}
+                Ok(stats) => {
+                    assert!(!stats.answer, "planted-unsatisfiable workload");
+                    assert_whole(&stats, "uncancelled");
+                }
+                Err(EvalError::Cancelled) => {}
                 Err(other) => panic!("unexpected error at delay {delay_us}µs: {other:?}"),
             }
         }
 
-        // Conservation: abandoned builds leak no accounting — in debug
-        // builds this snapshot asserts that the resident bytes are exactly
-        // the sum of the resident slots.
-        let pool = ws.trie_cache_stats();
-        assert_eq!(pool.entries == 0, pool.resident_bytes == 0, "{pool:?}");
-
-        // Warm exactness survives the interruption: prime once, then the
-        // repeat reports zero misses of its own.
+        // Warm exactness survives the interruption: a clean run finishes
+        // the builds, then the repeat reports zero misses of its own and
+        // finds every trie the clean run looked up.
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-        let primed = engine.evaluate_cancellable(&query, &dbs[1], None).unwrap();
-        assert!(!primed.answer);
-        let again = engine.evaluate_cancellable(&query, &dbs[1], None).unwrap();
-        assert_eq!(
-            again.trie_cache.misses, 0,
-            "warm re-run rebuilt after cancellation at delay {delay_us}µs: {:?}",
-            again.trie_cache
-        );
+        for reduction in &plans {
+            let clean = engine.evaluate_reduction(reduction).unwrap();
+            assert!(!clean.answer);
+            assert_whole(&clean, "clean re-run");
+            let again = engine.evaluate_reduction(reduction).unwrap();
+            assert_eq!(
+                again.trie_cache.misses, 0,
+                "warm re-run rebuilt after cancellation at delay {delay_us}µs: {:?}",
+                again.trie_cache
+            );
+            assert_eq!(
+                again.trie_cache.hits,
+                clean.trie_cache.hits + clean.trie_cache.misses
+            );
+        }
     }
 }
 
-/// A warm evaluation is served by the cache alone, whether its bags keep
+/// A warm evaluation of a kept reduction is served by the memos alone,
+/// whether its bags keep
 /// every column of their atoms (the triangle: one bag binding the memoised
 /// singleton-variable projections as they are) or drop some (the 4-cycle:
 /// each bag binds memoised projections of those projections).  With two
@@ -209,8 +261,9 @@ fn warm_bag_evaluations_are_served_from_the_cache_alone() {
             },
         ));
         let engine = ws.engine(EngineConfig::new().with_parallelism(2));
-        let cold = engine.evaluate_cancellable(&query, &db, None).unwrap();
-        let warm = engine.evaluate_cancellable(&query, &db, None).unwrap();
+        let reduction = plan(&query, &db);
+        let cold = engine.evaluate_reduction(&reduction).unwrap();
+        let warm = engine.evaluate_reduction(&reduction).unwrap();
         assert!(
             !cold.answer && !warm.answer,
             "{query}: planted unsatisfiable"

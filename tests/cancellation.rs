@@ -28,7 +28,7 @@ use ij_engine::{
     disjunct_atoms, naive_boolean, CancellationToken, EngineConfig, EngineError, EvalError,
     IntersectionJoinEngine, Workspace,
 };
-use ij_reduction::{forward_reduction, ForwardReduction};
+use ij_reduction::{forward_reduction, plan_forward_reduction, ForwardReduction, ReductionConfig};
 use ij_relation::{Database, Query, Value};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
@@ -45,8 +45,9 @@ const LATENCY_BOUND: Duration = Duration::from_millis(250);
 /// A planted near-miss scenario grown until its uncancelled runtime clears
 /// `floor`: the last atom's relation is shifted just out of range, so the
 /// generic-join search backtracks through every partial match before
-/// concluding `false` — the worst case for a deadline to interrupt.
-fn grow_near_miss(floor: Duration) -> (ForwardReduction, Duration) {
+/// concluding `false` — the worst case for a deadline to interrupt.  The
+/// runtime is that of a cold evaluation: no trie memoised yet.
+fn grow_near_miss(floor: Duration) -> (Scenario, Duration) {
     let mut last = None;
     for tuples in [100usize, 200, 400, 800, 1600] {
         let cfg = ScenarioConfig::new(ScenarioFamily::SpatialRectangles)
@@ -64,7 +65,7 @@ fn grow_near_miss(floor: Duration) -> (ForwardReduction, Duration) {
         let uncancelled = start.elapsed();
         assert!(!stats.answer, "near-miss scenario must be unsatisfiable");
         let long_enough = uncancelled >= floor;
-        last = Some((reduction, uncancelled));
+        last = Some((scenario, uncancelled));
         if long_enough {
             break;
         }
@@ -72,10 +73,16 @@ fn grow_near_miss(floor: Duration) -> (ForwardReduction, Duration) {
     last.expect("at least one size was measured")
 }
 
-/// Shared fixture: measured once, reused by the deadline and latency tests.
-fn fixture() -> &'static (ForwardReduction, Duration) {
-    static FIXTURE: OnceLock<(ForwardReduction, Duration)> = OnceLock::new();
-    FIXTURE.get_or_init(|| grow_near_miss(Duration::from_millis(100)))
+/// Shared fixture: measured once, reused by the deadline and latency tests,
+/// each of which evaluates a fresh reduction of it — cold, as measured,
+/// since a reduction keeps the tries an evaluation memoises on it.
+fn fixture() -> (ForwardReduction, Duration) {
+    static FIXTURE: OnceLock<(Scenario, Duration)> = OnceLock::new();
+    let (scenario, uncancelled) =
+        FIXTURE.get_or_init(|| grow_near_miss(Duration::from_millis(100)));
+    let reduction =
+        forward_reduction(&scenario.query, &scenario.database).expect("forward reduction succeeds");
+    (reduction, *uncancelled)
 }
 
 /// Acceptance: on a near-miss workload whose uncancelled runtime is ≥ 10×
@@ -85,15 +92,15 @@ fn fixture() -> &'static (ForwardReduction, Duration) {
 #[test]
 fn deadline_interrupts_a_near_miss_evaluation() {
     let (reduction, uncancelled) = fixture();
-    let budget = (*uncancelled / 20).max(Duration::from_millis(2));
+    let budget = (uncancelled / 20).max(Duration::from_millis(2));
     assert!(
-        *uncancelled >= 10 * budget,
+        uncancelled >= 10 * budget,
         "fixture too fast: uncancelled {uncancelled:?} vs budget {budget:?}"
     );
     let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
     let start = Instant::now();
     let deadline = CancellationToken::new().with_budget(budget);
-    let result = engine.evaluate_reduction_cancellable(reduction, Some(&deadline));
+    let result = engine.evaluate_reduction_cancellable(&reduction, Some(&deadline));
     let wall = start.elapsed();
     match result {
         Err(EvalError::DeadlineExceeded {
@@ -127,11 +134,11 @@ fn external_cancel_returns_within_the_documented_bound() {
     let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
     let (result, latency) = std::thread::scope(|scope| {
         let worker = scope.spawn(|| {
-            let result = engine.evaluate_reduction_cancellable(reduction, Some(&token));
+            let result = engine.evaluate_reduction_cancellable(&reduction, Some(&token));
             (result, Instant::now())
         });
         // Let the evaluation get well into its search before signalling.
-        std::thread::sleep((*uncancelled / 4).min(Duration::from_millis(50)));
+        std::thread::sleep((uncancelled / 4).min(Duration::from_millis(50)));
         let signalled = Instant::now();
         token.cancel();
         let (result, returned) = worker.join().expect("worker does not panic");
@@ -384,10 +391,10 @@ proptest! {
         if cfg!(debug_assertions) { 6 } else { 16 }
     ))]
 
-    /// Cancels at a random point while two engines evaluate concurrently
-    /// over one shared workspace cache.  Every evaluation is
-    /// correct-or-`Cancelled`, abandoned builds leak no accounting, and the
-    /// workspace stays fully usable afterwards.
+    /// Cancels at a random point while two engines evaluate one kept
+    /// reduction concurrently, racing for its relation and trie builds.
+    /// Every evaluation is correct-or-`Cancelled`, abandoned builds leak
+    /// nothing into the ledgers, and the reduction stays fully usable.
     #[test]
     fn random_cancellation_races_are_correct_or_cancelled(
         delay_us in 0u64..3_000,
@@ -403,14 +410,16 @@ proptest! {
 
         let ws = Workspace::new();
         let db = ws.import_database(&scenario.database);
+        let reduction = plan_forward_reduction(&scenario.query, &db, ReductionConfig::default(), None)
+            .expect("plan succeeds");
         let token = CancellationToken::new().with_check_interval(64);
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
-                    let (ws, db, query, token) = (&ws, &db, &scenario.query, &token);
+                    let (ws, reduction, token) = (&ws, &reduction, &token);
                     scope.spawn(move || {
                         ws.engine(EngineConfig::new().with_parallelism(2))
-                            .evaluate_cancellable(query, db, Some(token))
+                            .evaluate_reduction_cancellable(reduction, Some(token))
                     })
                 })
                 .collect();
@@ -424,28 +433,26 @@ proptest! {
         for result in results {
             match result {
                 Ok(stats) => prop_assert_eq!(stats.answer, expected),
-                Err(EngineError::Evaluation(EvalError::Cancelled)) => {}
+                Err(EvalError::Cancelled) => {}
                 Err(other) => prop_assert!(false, "unexpected error: {:?}", other),
             }
         }
 
-        // Conservation under abandonment: in debug builds this snapshot
-        // asserts that the resident bytes are exactly the sum of the
-        // resident slots — nothing leaked mid-build.
-        let pool = ws.trie_cache_stats();
-        prop_assert_eq!(pool.entries == 0, pool.resident_bytes == 0, "{:?}", pool);
-
-        // The workspace survives the interruption: a clean run is correct
-        // and a warm repeat serves entirely from the shared cache.
+        // The reduction survives the interruption: a clean run is correct,
+        // an interrupted trie build left nothing published (every miss of
+        // the clean run built one trie), and a warm repeat finds every trie
+        // the clean run looked up.
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
         let clean = engine
-            .evaluate_cancellable(&scenario.query, &db, None)
+            .evaluate_reduction(&reduction)
             .expect("clean evaluation after cancellation succeeds");
         prop_assert_eq!(clean.answer, expected);
+        prop_assert_eq!(clean.trie_cache.entries, clean.trie_cache.misses);
         let warm = engine
-            .evaluate_cancellable(&scenario.query, &db, None)
+            .evaluate_reduction(&reduction)
             .expect("warm evaluation succeeds");
         prop_assert_eq!(warm.answer, expected);
         prop_assert_eq!(warm.trie_cache.misses, 0);
+        prop_assert_eq!(warm.trie_cache.hits, clean.trie_cache.hits + clean.trie_cache.misses);
     }
 }

@@ -4,18 +4,18 @@
 //! (`ij_engine::faults`): `reduction-transform` in the forward reduction's
 //! per-relation build (which runs on a disjunct worker, the first time a
 //! disjunct binds the relation), `trie-build` at every trie construction, and
-//! `cache-insert` inside the shared trie cache's accounting section.  These
-//! tests arm each site with deterministic panic and delay schedules and
-//! assert the robustness contract:
+//! `trie-memo` under a relation's memo lock, just before a built trie is
+//! published.  These tests arm each site with deterministic panic and delay
+//! schedules and assert the robustness contract:
 //!
 //! * an evaluation under fault returns the **correct answer or a typed
 //!   error** ([`EvalError::WorkerPanicked`] for injected panics) — never a
 //!   wrong answer, never a raw panic on the caller, never a hang (every
 //!   faulted run is watchdog-bounded);
-//! * after [`faults::clear`], a clean evaluation **on the same workspace**
-//!   returns the correct answer, and a second clean run serves entirely from
-//!   the shared trie cache (zero misses) — an injected panic never leaves a
-//!   poisoned lock or a half-built cache entry behind.
+//! * after [`faults::clear`], a clean evaluation **of the same reduction**
+//!   returns the correct answer, and a second clean run finds every trie
+//!   memoised (zero misses) — an injected panic never leaves a poisoned lock
+//!   or a half-built memo entry behind.
 //!
 //! The failpoint registry is process-global, so every test serialises on one
 //! mutex.  Run with `cargo test --features failpoints --test fault_injection`
@@ -79,10 +79,10 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
     }
 }
 
-/// One fault case, end to end, on a fresh workspace: arm `site`, evaluate
-/// (watchdog-bounded), check correct-or-typed-error, then clear and verify
-/// the same workspace still produces the correct answer with a consistent
-/// cache (second clean run all-hits).
+/// One fault case, end to end, on a fresh kept reduction: arm `site`,
+/// evaluate it (watchdog-bounded), check correct-or-typed-error, then clear
+/// and verify the same reduction still produces the correct answer with
+/// consistent memos (second clean run all-hits).
 fn run_case(family: ScenarioFamily, site: Site, after: usize, action: FaultAction) {
     let label = format!("{family:?}/{site}/after={after}/{action:?}");
     let outcome = with_watchdog(&label, move || {
@@ -94,20 +94,23 @@ fn run_case(family: ScenarioFamily, site: Site, after: usize, action: FaultActio
         let ws = Workspace::new();
         let db = ws.import_database(&scenario.database);
         let engine = ws.engine(EngineConfig::new().with_parallelism(1));
+        let reduction =
+            plan_forward_reduction(&scenario.query, &db, ReductionConfig::default(), None)
+                .expect("plan succeeds");
 
         faults::clear();
         faults::configure(site, after, action);
-        let faulted = engine.evaluate_cancellable(&scenario.query, &db, None);
+        let faulted = engine.evaluate_reduction(&reduction);
         let fired = faults::hits(site) > after;
         faults::clear();
 
-        // Recovery on the same workspace: correct answer, then a warm run
-        // served entirely from the shared cache.
+        // Recovery on the same reduction: correct answer, then a warm run
+        // that finds every trie memoised.
         let clean = engine
-            .evaluate_cancellable(&scenario.query, &db, None)
+            .evaluate_reduction(&reduction)
             .expect("clean evaluation after a cleared fault succeeds");
         let warm = engine
-            .evaluate_cancellable(&scenario.query, &db, None)
+            .evaluate_reduction(&reduction)
             .expect("warm evaluation succeeds");
         (faulted, fired, clean, warm)
     });
@@ -116,7 +119,7 @@ fn run_case(family: ScenarioFamily, site: Site, after: usize, action: FaultActio
     // The planted answer is unsatisfiable: every successful run must say so.
     match (&faulted, action) {
         (Ok(stats), _) => assert!(!stats.answer, "{label}: faulted run answered true"),
-        (Err(EngineError::Evaluation(EvalError::WorkerPanicked { .. })), FaultAction::Panic) => {}
+        (Err(EvalError::WorkerPanicked { .. }), FaultAction::Panic) => {}
         (Err(e), FaultAction::Panic) => {
             panic!("{label}: injected panic surfaced as {e:?}, expected WorkerPanicked")
         }
@@ -137,7 +140,7 @@ fn run_case(family: ScenarioFamily, site: Site, after: usize, action: FaultActio
     assert!(!warm.answer, "{label}: warm run answered true");
     assert_eq!(
         warm.trie_cache.misses, 0,
-        "{label}: the fault left the shared cache inconsistent (warm run rebuilt: {:?})",
+        "{label}: the fault left a memo inconsistent (warm run rebuilt: {:?})",
         warm.trie_cache
     );
 }

@@ -15,18 +15,18 @@
 //!   (at the last row too) all build the definition, whichever path the
 //!   one presorted pass hands them to;
 //! * **generic join** — Boolean and enumerated answers must equal a
-//!   brute-force nested loop over the relations, with and without a cache,
-//!   under the planned order and under every explicit one;
+//!   brute-force nested loop over the relations, on fresh relations and on
+//!   relations whose tries are memoised, under the planned order and under
+//!   every explicit one;
 //! * **engine** — end-to-end evaluation through the forward reduction must
-//!   agree with the naive oracle for every parallelism × cache capacity.
+//!   agree with the naive oracle for every parallelism, cold and warm.
 //!
 //! CI runs this file in `--release` as well: optimized galloping is where
 //! seek bugs actually surface.
 
-use ij_ejoin::{
-    generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, FlatTrie, TrieCache,
-};
-use ij_engine::{naive_boolean, EngineConfig, Workspace, DEFAULT_TRIE_CACHE_BYTES};
+use ij_ejoin::{generic_join_boolean, generic_join_enumerate, BoundAtom, EvalContext, FlatTrie};
+use ij_engine::{naive_boolean, EngineConfig, IntersectionJoinEngine};
+use ij_reduction::{plan_forward_reduction, ReductionConfig};
 use ij_relation::kernels::{
     gallop_seek, gallop_seek_scalar, leapfrog_next, leapfrog_next_scalar, GALLOP_LINEAR_SPAN,
 };
@@ -168,7 +168,7 @@ proptest! {
 
     /// Generic-join correctness on random triangle instances: Boolean and
     /// enumerated answers equal a brute-force nested loop over the three
-    /// relations, with and without a cache.
+    /// relations, on fresh relations and with their tries memoised.
     #[test]
     fn generic_joins_match_brute_force(
         r_rows in arb_point_rows(10),
@@ -196,17 +196,15 @@ proptest! {
                 }
             }
         }
-        let cache = TrieCache::new();
-        for cache_ref in [None, Some(&cache)] {
-            let eval = EvalContext {
-                cache: cache_ref,
-                ..EvalContext::default()
-            };
+        // The first round builds every trie on the fresh relations, the
+        // second finds them memoised.
+        let eval = EvalContext::default();
+        for round in ["fresh", "memoised"] {
             prop_assert_eq!(
                 generic_join_boolean(&atoms, None, eval).unwrap(),
                 !expected_out.is_empty(),
-                "boolean: cached {}",
-                cache_ref.is_some()
+                "boolean: {}",
+                round
             );
             let out = generic_join_enumerate(&atoms, &[0, 1, 2], "out", eval).unwrap();
             // The output is deduplicated: as many rows as distinct tuples.
@@ -214,16 +212,13 @@ proptest! {
             prop_assert_eq!(
                 &out.tuples().into_iter().collect::<BTreeSet<_>>(),
                 &expected_out,
-                "enumerate: cached {}",
-                cache_ref.is_some()
+                "enumerate: {}",
+                round
             );
         }
-        // Every explicit variable order against the one cache above: a trie
+        // Every explicit variable order against the memos above: a trie
         // built for one order is never served to another.
-        let shared = EvalContext {
-            cache: Some(&cache),
-            ..EvalContext::default()
-        };
+        let shared = EvalContext::default();
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
             prop_assert_eq!(
                 generic_join_boolean(&atoms, Some(order.to_vec()), shared).unwrap(),
@@ -247,7 +242,8 @@ proptest! {
     }
 
     /// End-to-end equivalence with the naive oracle on random interval
-    /// triangle workloads, for every parallelism × cache budget.
+    /// triangle workloads, for every parallelism, on a fresh reduction and
+    /// on a kept one evaluated again.
     #[test]
     fn engine_answers_match_the_naive_oracle(
         r in arb_interval_rows(6),
@@ -261,14 +257,22 @@ proptest! {
         }
         let expected = naive_boolean(&query, &db).unwrap();
         for parallelism in [1usize, 2] {
-            for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-                let engine = Workspace::with_trie_cache_bytes(bytes)
-                    .engine(EngineConfig::new().with_parallelism(parallelism));
+            let engine =
+                IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+            prop_assert_eq!(
+                engine.evaluate(&query, &db).unwrap(),
+                expected,
+                "parallelism {}",
+                parallelism
+            );
+            let reduction =
+                plan_forward_reduction(&query, &db, ReductionConfig::default(), None).unwrap();
+            for round in ["cold", "warm"] {
                 prop_assert_eq!(
-                    engine.evaluate(&query, &db).unwrap(),
+                    engine.evaluate_reduction(&reduction).unwrap().answer,
                     expected,
-                    "parallelism {}, {} cache bytes",
-                    parallelism, bytes
+                    "parallelism {}, {}",
+                    parallelism, round
                 );
             }
         }

@@ -4,13 +4,12 @@
 //! `*_scalar` oracles (a different algorithm each), the gather and the key
 //! packing must follow their definitions, and the semijoin existence probe
 //! must answer whether the oracle lists a row.  CI runs this suite in
-//! release as well, where galloping off-by-ones surface.  The content
-//! fingerprint, which has no oracle, must tell every single change of
-//! content apart, and `Relation::dedup` must equal a sorted-set oracle.
+//! release as well, where galloping off-by-ones surface.
+//! `Relation::dedup` must equal a sorted-set oracle.
 
 use ij_relation::kernels::{
-    fingerprint, gallop_seek, gallop_seek_scalar, gather_ids, leapfrog_next, leapfrog_next_scalar,
-    pack_keys, semijoin_any, semijoin_rows, semijoin_rows_scalar, FINGERPRINT_LANES,
+    gallop_seek, gallop_seek_scalar, gather_ids, leapfrog_next, leapfrog_next_scalar, pack_keys,
+    semijoin_any, semijoin_rows, semijoin_rows_scalar,
 };
 use ij_relation::ValueId;
 use proptest::prelude::*;
@@ -331,7 +330,7 @@ fn semijoin_any_finds_a_lone_hit_at_either_end_and_none_without_one() {
 
 /// Every public kernel against its oracle or its definition at adversarial
 /// lengths: empty, one, around 8 and 16, around 32, an odd length past it,
-/// around 64 and at 100 — every gallop span and fingerprint chunk split —
+/// around 64 and at 100 — every gallop span split —
 /// with ids straddling `0x7FFF_FFFF` / `0x8000_0000`, where a signed
 /// compare would misorder them.
 #[test]
@@ -439,89 +438,6 @@ fn kernels_match_scalar_on_adversarial_lengths() {
             );
         }
     }
-}
-
-/// `rows` rows of `arity` columns with pairwise distinct ids, inline
-/// bitstring ids in the even columns (the forward reduction's shape) and
-/// small dictionary-style ids in the odd ones.
-fn distinct_columns(arity: usize, rows: usize) -> Vec<Vec<ValueId>> {
-    (0..arity)
-        .map(|c| {
-            (0..rows)
-                .map(|r| {
-                    let n = (c * 1_000 + r) as u32;
-                    ValueId::from_raw(if c % 2 == 0 {
-                        (1 << 31) | (1 << 20) | n
-                    } else {
-                        n
-                    })
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn fingerprint_of(cols: &[Vec<ValueId>], rows: usize) -> (u64, u64) {
-    let views: Vec<&[ValueId]> = cols.iter().map(Vec::as_slice).collect();
-    fingerprint(rows, &views)
-}
-
-/// The content fingerprint: equal content gives equal fingerprints, and
-/// every single change of content below changes it — one id at each
-/// position of the first chunk of every sub-lane and both halves of a word
-/// (positions 0–9) and at the last position (the remainder), two adjacent
-/// ids swapped, two columns swapped, and one row appended — at lengths
-/// below, at and above one chunk of [`FINGERPRINT_LANES`] words.
-#[test]
-fn fingerprint_tells_every_change_of_content_apart() {
-    assert_eq!(
-        2 * FINGERPRINT_LANES,
-        8,
-        "the lengths below straddle one chunk"
-    );
-    for rows in [0, 1, 7, 8, 9, 17] {
-        for arity in [1, 2, 3] {
-            let cols = distinct_columns(arity, rows);
-            let base = fingerprint_of(&cols, rows);
-            assert_eq!(base, fingerprint_of(&cols.clone(), rows), "{arity}×{rows}");
-            let changed = |what: &str, other: Vec<Vec<ValueId>>, other_rows: usize| {
-                assert_ne!(
-                    base,
-                    fingerprint_of(&other, other_rows),
-                    "{what} at {arity}×{rows}"
-                );
-            };
-            let positions = (0..10).chain(rows.checked_sub(1));
-            for (c, pos) in (0..arity).flat_map(|c| positions.clone().map(move |p| (c, p))) {
-                if pos < rows {
-                    let mut other = cols.clone();
-                    other[c][pos] = ValueId::from_raw(other[c][pos].raw() ^ 0x40);
-                    changed(&format!("id ({c}, {pos})"), other, rows);
-                }
-            }
-            for pos in 1..rows {
-                let mut other = cols.clone();
-                other[arity - 1].swap(pos - 1, pos);
-                changed(&format!("swap {} ↔ {pos}", pos - 1), other, rows);
-            }
-            if arity >= 2 && rows >= 1 {
-                let mut other = cols.clone();
-                other.swap(0, 1);
-                changed("column swap", other, rows);
-            }
-            let mut other = distinct_columns(arity, rows + 1);
-            changed("appended row", other.clone(), rows + 1);
-            // An appended row of zero ids too, which the remainder's
-            // padding would read alike were the row count not hashed.
-            for col in &mut other {
-                *col = col[..rows].to_vec();
-                col.push(ValueId::from_raw(0));
-            }
-            changed("appended zero row", other, rows + 1);
-        }
-    }
-    // No column, any row count: the row count alone tells them apart.
-    assert_ne!(fingerprint(0, &[]), fingerprint(1, &[]));
 }
 
 /// `Relation::dedup` against a `BTreeSet` oracle at arities 1 to 6 (both

@@ -1,8 +1,9 @@
 //! Lock-order regression suite: the engine's normal warm-evaluation path
-//! (the dictionary and trie-cache map locks, the build gates of the
-//! transformed relations the workers fill on demand, the projection memos of
-//! the paper's relations a cyclic disjunct of `evaluate_reduction` binds, and
-//! the workspace cache's decomposition memo it is planned through)
+//! (the dictionary lock, the build gates of the transformed relations the
+//! workers fill on demand, the memos of the relations — the tries every
+//! disjunct looks up and the projections a cyclic disjunct of
+//! `evaluate_reduction` binds on the paper's relations — and the engine's
+//! decomposition memo it is planned through)
 //! must record an **acyclic** acquisition-order graph in the runtime
 //! lock-order detector (`ij_relation::sync::lock_order`).
 //!
@@ -26,8 +27,9 @@ fn iv(lo: f64, hi: f64) -> Value {
     Value::interval(lo, hi)
 }
 
-/// Drives the full pipeline twice (cold build + warm cache hit), then the
-/// paper's reduction of the same instance twice through the same engine.
+/// Drives the full pipeline twice (each `evaluate` a fresh reduction), then
+/// the paper's reduction of the same instance twice through the same engine
+/// (a cold build, then every trie found memoised).
 /// The live plan `evaluate` runs has no singleton column on the triangle;
 /// the paper's relations keep theirs, so its disjuncts derive projections.
 fn drive_warm_path(workspace: &Workspace) {
@@ -45,8 +47,8 @@ fn drive_warm_path(workspace: &Workspace) {
     db.insert_tuples("T", 2, vec![vec![iv(3.0, 5.0), iv(24.0, 26.0)]]);
 
     let engine = workspace.engine(EngineConfig::new());
-    assert!(engine.evaluate(&query, &db).expect("cold evaluation"));
-    assert!(engine.evaluate(&query, &db).expect("warm evaluation"));
+    assert!(engine.evaluate(&query, &db).expect("first evaluation"));
+    assert!(engine.evaluate(&query, &db).expect("second evaluation"));
     let paper = forward_reduction(&query, &db).expect("reduction");
     for _ in 0..2 {
         assert!(
@@ -74,22 +76,16 @@ fn warm_evaluation_path_records_an_acyclic_lock_order() {
 
     if lock_order::enabled() {
         let classes = lock_order::classes_seen();
-        for expected in [
-            "dictionary",
-            "trie-cache-map",
-            "relation-projections",
-            "td-memo",
-        ] {
+        for expected in ["dictionary", "relation-memos", "td-memo"] {
             assert!(
                 classes.contains(&expected),
                 "expected lock class `{expected}` on the warm path; saw {classes:?}"
             );
         }
-        // The cache map and the two memos are leaves: a trie is built, and
-        // the triangle's disjuncts derive their projected atoms and look up
-        // their tree decomposition, outside the lock, and an insert settles
-        // its evictions under the map lock alone.
-        for leaf in ["trie-cache-map", "relation-projections", "td-memo"] {
+        // The two memos are leaves: a trie is built, and the triangle's
+        // disjuncts derive their projected atoms and look up their tree
+        // decomposition, outside the lock.
+        for leaf in ["relation-memos", "td-memo"] {
             assert!(
                 lock_order::snapshot().iter().all(|&(from, _)| from != leaf),
                 "a lock was acquired under `{leaf}`: {:?}",

@@ -4,7 +4,7 @@
 //! cell of a scenario sweep:
 //!
 //! 1. the reduction-based engine (the live plan `evaluate` runs → equality
-//!    joins), swept across cache-budget settings, and disjunct by disjunct
+//!    joins), evaluated cold and warm, and disjunct by disjunct
 //!    over the paper's forward reduction the equality-join algorithm it chose
 //!    held to the plain generic join (and to Yannakakis wherever that accepts
 //!    the disjunct),
@@ -33,11 +33,7 @@ mod common;
 
 use common::disjunct_divergence;
 use ij_baselines::SegtreeBaseline;
-use ij_ejoin::relation_fingerprint;
-use ij_engine::{
-    naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine, Workspace,
-    DEFAULT_TRIE_CACHE_BYTES,
-};
+use ij_engine::{naive_boolean, naive_count, EngineConfig, IntersectionJoinEngine};
 use ij_hypergraph::VarKind;
 use ij_reduction::{
     forward_reduction, forward_reduction_with, plan_forward_reduction, EncodingStrategy,
@@ -47,31 +43,6 @@ use ij_relation::{Database, Query, Relation, Value, ValueId};
 use ij_workloads::{build_scenario, PlantedAnswer, Scenario, ScenarioConfig, ScenarioFamily};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Engine-config axis of the sweep (≥ 4 families × {large, off, small}
-/// caches).  Debug builds drop the small-cache cell; release sweeps all
-/// three.  That tries built under different variable orders never alias in
-/// one cache is `tests/flat_trie_properties.rs`'s
-/// `generic_joins_match_brute_force`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CacheCell {
-    /// [`DEFAULT_TRIE_CACHE_BYTES`]: nothing evicts.  Runs first, because
-    /// its resident footprint is what sizes [`CacheCell::TwoTries`].
-    Default,
-    /// A budget of 0: rebuild per disjunct.
-    Off,
-    /// Room for about two of this reduction's tries: most inserts evict.
-    TwoTries,
-}
-const CACHE_CELLS: [CacheCell; 3] = [CacheCell::Default, CacheCell::Off, CacheCell::TwoTries];
-
-fn cache_cells() -> &'static [CacheCell] {
-    if cfg!(debug_assertions) {
-        &CACHE_CELLS[..2]
-    } else {
-        &CACHE_CELLS
-    }
-}
 
 /// Witness-count cross-checks (enumeration mode) run only below this size —
 /// `naive_count` has no early exit.
@@ -141,9 +112,10 @@ fn divergence(cfg: &ScenarioConfig) -> Option<String> {
     None
 }
 
-/// Sweeps the engine-config grid on one scenario.  The paper's forward
-/// reduction is checked disjunct by disjunct; the grid evaluates the live
-/// plan `evaluate` runs, once per cache setting.
+/// Sweeps the engine on one scenario.  The paper's forward reduction is
+/// checked disjunct by disjunct; the engine evaluates the live plan
+/// `evaluate` runs twice, cold and then warm on the tries the first
+/// evaluation memoised on it.
 fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     let (query, db) = (&scenario.query, &scenario.database);
     let paper = forward_reduction(query, db).expect("forward reduction succeeds");
@@ -152,41 +124,16 @@ fn engine_divergence(scenario: &Scenario, expected: bool) -> Option<String> {
     }
     let reduction =
         plan_forward_reduction(query, db, ReductionConfig::default(), None).expect("plan succeeds");
-    // Two tries' bytes on this reduction, measured by the first (default)
-    // cell; a reduction whose disjuncts build no trie has nothing to size.
-    let mut two_tries = 1;
-    for &cell in cache_cells() {
-        let bytes = match cell {
-            CacheCell::Default => DEFAULT_TRIE_CACHE_BYTES,
-            CacheCell::Off => 0,
-            CacheCell::TwoTries => two_tries,
-        };
-        let engine = Workspace::with_trie_cache_bytes(bytes).engine(EngineConfig::new());
+    let engine = IntersectionJoinEngine::new(EngineConfig::new());
+    for round in ["cold", "warm"] {
         let stats = engine
             .evaluate_reduction(&reduction)
             .expect("uncancelled evaluation succeeds");
         if stats.answer != expected {
             return Some(format!(
-                "engine ({cell:?} cache of {bytes} bytes) answered {}, naive answered {expected}",
+                "{round} engine answered {}, naive answered {expected}",
                 stats.answer
             ));
-        }
-        // A warm repeat from this engine's own cache must agree too
-        // (checked at the large cache).
-        if cell == CacheCell::Default {
-            let resident = stats.trie_cache;
-            if let Some(bytes) = (2 * resident.resident_bytes).checked_div(resident.entries) {
-                two_tries = bytes;
-            }
-            let warm = engine
-                .evaluate_reduction(&reduction)
-                .expect("uncancelled evaluation succeeds");
-            if warm.answer != expected {
-                return Some(format!(
-                    "warm engine ({cell:?} cache) answered {}, naive answered {expected}",
-                    warm.answer
-                ));
-            }
         }
     }
     None
@@ -613,8 +560,8 @@ fn answers_are_monotone_under_tuple_insertion() {
 /// A conjunction does not depend on the order of its atoms, nor a relation
 /// on the order of its rows — and the row order changes nothing at all: the
 /// transformed relations of the row-reversed instance are the original's, by
-/// name, column for column and by trie-cache fingerprint (flat encoding; the
-/// decomposed one numbers the rows).
+/// name and id column for id column (flat encoding; the decomposed one
+/// numbers the rows).
 #[test]
 fn atom_and_row_order_do_not_change_answers() {
     check_metamorphic(|scenario| {
@@ -627,12 +574,13 @@ fn atom_and_row_order_do_not_change_answers() {
         });
         let relations = |db: &Database| {
             let reduction = forward_reduction(&scenario.query, db).expect("reduction succeeds");
-            let with_fingerprint =
-                |relation: &Relation| (relation.clone(), relation_fingerprint(relation));
-            reduction
-                .relations()
-                .map(with_fingerprint)
-                .collect::<Vec<_>>()
+            let with_ids = |relation: &Relation| {
+                let ids: Vec<Vec<ValueId>> = (0..relation.arity())
+                    .map(|c| relation.column_ids(c).to_vec())
+                    .collect();
+                (relation.clone(), ids)
+            };
+            reduction.relations().map(with_ids).collect::<Vec<_>>()
         };
         assert_eq!(
             relations(&reversed_rows),

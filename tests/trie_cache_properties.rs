@@ -1,12 +1,13 @@
-//! Property tests for the shared trie cache: on random interval workloads,
-//! cached-trie evaluation must be indistinguishable from rebuild-per-disjunct
-//! evaluation, at every parallelism setting, and must agree with the naive
-//! reference evaluator.
+//! Property tests for the memoised tries: on random interval workloads,
+//! evaluation over tries memoised on the reduction's relations — cold, and
+//! warm on a kept reduction — must be indistinguishable from building every
+//! disjunct's tries afresh, at every parallelism setting, and must agree
+//! with the naive reference evaluator.
 
-use ij_engine::{
-    naive_boolean, EngineConfig, IntersectionJoinEngine, Workspace, DEFAULT_TRIE_CACHE_BYTES,
-};
-use ij_relation::{Database, Query, Value};
+use ij_ejoin::{evaluate_ej_boolean, BoundAtom, EvalContext};
+use ij_engine::{disjunct_atoms, naive_boolean, EngineConfig, IntersectionJoinEngine};
+use ij_reduction::{plan_forward_reduction, ForwardReduction, ReductionConfig};
+use ij_relation::{Database, Query, Relation, Value};
 use proptest::prelude::*;
 
 /// A random interval over a small integer domain (ties and overlaps likely).
@@ -19,10 +20,8 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<(Value, Value)>> {
     proptest::collection::vec((arb_interval(), arb_interval()), 1..=max)
 }
 
-/// An engine with its own trie cache of `bytes` (none at `0`).
-fn engine_with(parallelism: usize, bytes: usize) -> IntersectionJoinEngine {
-    Workspace::with_trie_cache_bytes(bytes)
-        .engine(EngineConfig::new().with_parallelism(parallelism))
+fn engine_with(parallelism: usize) -> IntersectionJoinEngine {
+    IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism))
 }
 
 fn db_of(rows: [(&str, &Vec<(Value, Value)>); 3]) -> Database {
@@ -33,12 +32,41 @@ fn db_of(rows: [(&str, &Vec<(Value, Value)>); 3]) -> Database {
     db
 }
 
+fn plan(query: &Query, db: &Database) -> ForwardReduction {
+    plan_forward_reduction(query, db, ReductionConfig::default(), None).unwrap()
+}
+
+/// The reduction's answer with every disjunct's tries built afresh: each
+/// disjunct is evaluated over copies of its relations, and a copy starts
+/// with nothing memoised.
+fn rebuilt_per_disjunct(reduction: &ForwardReduction) -> bool {
+    (0..reduction.queries.len()).any(|i| {
+        let atoms = disjunct_atoms(reduction, i, None).unwrap();
+        let copies: Vec<Relation> = atoms.iter().map(|a| a.relation.clone()).collect();
+        let fresh: Vec<BoundAtom<'_>> = (atoms.iter().zip(&copies))
+            .map(|(a, copy)| BoundAtom::new(copy, a.vars.clone()))
+            .collect();
+        evaluate_ej_boolean(&fresh, EvalContext::default()).unwrap()
+    })
+}
+
+/// The answers of `query` over `db` on `engine`: a fresh `evaluate`, then a
+/// kept reduction evaluated cold and warm.
+fn cold_and_warm(engine: &IntersectionJoinEngine, query: &Query, db: &Database) -> [bool; 3] {
+    let reduction = plan(query, db);
+    [
+        engine.evaluate(query, db).unwrap(),
+        engine.evaluate_reduction(&reduction).unwrap().answer,
+        engine.evaluate_reduction(&reduction).unwrap().answer,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cached-trie evaluation ≡ rebuild-per-disjunct evaluation on random
-    /// triangle workloads (the E1 cyclic query), across parallelism
-    /// settings, and both agree with the naive oracle.
+    /// Memoised-trie evaluation ≡ rebuild-per-disjunct evaluation on random
+    /// triangle workloads (the E1 cyclic query), cold and warm, across
+    /// parallelism settings, and both agree with the naive oracle.
     #[test]
     fn cached_evaluation_matches_rebuild_per_disjunct(
         r in arb_rows(6),
@@ -48,59 +76,14 @@ proptest! {
         let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
         let db = db_of([("R", &r), ("S", &s), ("T", &t)]);
         let expected = naive_boolean(&query, &db).unwrap();
+        prop_assert_eq!(rebuilt_per_disjunct(&plan(&query, &db)), expected, "rebuilt");
         for parallelism in [1usize, 2] {
-            for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-                let engine = engine_with(parallelism, bytes);
-                prop_assert_eq!(
-                    engine.evaluate(&query, &db).unwrap(),
-                    expected,
-                    "parallelism {}, {} cache bytes",
-                    parallelism, bytes
-                );
-            }
-        }
-    }
-
-    /// Persistent-cache equivalence: one long-lived engine evaluating a
-    /// *sequence* of random databases — its cache surviving (and, at tiny
-    /// budgets, evicting) across evaluations — must answer every query
-    /// exactly like a cold engine created fresh for that database, like the
-    /// unbudgeted run and like the naive oracle, and never keep more than
-    /// its budget resident.  Exercises cross-evaluation reuse, LRU eviction
-    /// and the disabled-cache path side by side.
-    #[test]
-    fn persistent_cache_eviction_never_changes_answers(
-        dbs in proptest::collection::vec((arb_rows(5), arb_rows(5), arb_rows(5)), 2..=4),
-        budget_choice in 0usize..4,
-    ) {
-        let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
-        let dbs: Vec<Database> = dbs
-            .iter()
-            .map(|(r, s, t)| db_of([("R", r), ("S", s), ("T", t)]))
-            .collect();
-        // The unbudgeted run: the reference answers, and one trie's bytes
-        // (its resident footprint over its entries) to size the budgets.
-        let free = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-        let unbudgeted: Vec<bool> = dbs.iter().map(|db| free.evaluate(&query, db).unwrap()).collect();
-        let footprint = free.trie_cache_stats();
-        prop_assert!(footprint.entries > 0, "non-empty databases must leave tries resident");
-        prop_assert_eq!(footprint.evictions, 0);
-        let one_trie = footprint.resident_bytes / footprint.entries;
-        let budget = [one_trie, 2 * one_trie, 3 * one_trie, DEFAULT_TRIE_CACHE_BYTES][budget_choice];
-        let warm = engine_with(1, budget);
-        let uncached = engine_with(1, 0);
-        for (db, &free_answer) in dbs.iter().zip(&unbudgeted) {
-            let expected = naive_boolean(&query, db).unwrap();
-            prop_assert_eq!(free_answer, expected, "unbudgeted");
-            let cold = engine_with(1, budget);
-            prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm, budget {}", budget);
-            prop_assert_eq!(cold.evaluate(&query, db).unwrap(), expected, "cold, budget {}", budget);
-            prop_assert_eq!(uncached.evaluate(&query, db).unwrap(), expected, "uncached");
-            // Re-evaluating the same database warm must also agree (the
-            // second pass is served mostly from the persistent cache).
-            prop_assert_eq!(warm.evaluate(&query, db).unwrap(), expected, "warm repeat");
-            let resident = warm.trie_cache_stats().resident_bytes;
-            prop_assert!(resident <= budget, "resident {} exceeds budget {}", resident, budget);
+            prop_assert_eq!(
+                cold_and_warm(&engine_with(parallelism), &query, &db),
+                [expected; 3],
+                "parallelism {}",
+                parallelism
+            );
         }
     }
 
@@ -115,79 +98,56 @@ proptest! {
         let query = Query::parse("R([A],[B]) & S([B],[C]) & T([C],[D])").unwrap();
         let db = db_of([("R", &r), ("S", &s), ("T", &t)]);
         let expected = naive_boolean(&query, &db).unwrap();
-        for bytes in [0, DEFAULT_TRIE_CACHE_BYTES] {
-            let engine = engine_with(0, bytes);
-            prop_assert_eq!(engine.evaluate(&query, &db).unwrap(), expected);
-        }
+        prop_assert_eq!(rebuilt_per_disjunct(&plan(&query, &db)), expected, "rebuilt");
+        prop_assert_eq!(cold_and_warm(&engine_with(0), &query, &db), [expected; 3]);
     }
 }
 
-/// Deterministic (non-property) check that the cache is actually exercised:
-/// a disjunction with shared atoms must record hits, and the hit-serving
-/// evaluation must report the same answer and disjunct counts as the
-/// rebuilding one.
-#[test]
-fn cache_hits_are_recorded_and_answer_preserving() {
+/// The triangle with pairwise overlaps but no triple: all eight disjuncts
+/// run.
+fn planted_triangle() -> (Query, Database) {
     let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
     let iv = |lo: f64, hi: f64| Value::interval(lo, hi);
     let mut db = Database::new();
-    // Planted unsatisfiable: pairwise overlaps exist but no triple does.
     db.insert_tuples("R", 2, vec![vec![iv(0.0, 2.0), iv(10.0, 12.0)]]);
     db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
     db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
+    (query, db)
+}
 
-    let shared = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-    let rebuild = engine_with(1, 0);
-    let shared_stats = shared.evaluate_cancellable(&query, &db, None).unwrap();
-    let rebuild_stats = rebuild.evaluate_cancellable(&query, &db, None).unwrap();
-    assert!(!shared_stats.answer);
-    assert_eq!(shared_stats.answer, rebuild_stats.answer);
+/// Deterministic (non-property) check that the memo is actually exercised:
+/// within one evaluation the disjuncts share atoms, so lookups hit; every
+/// miss built one trie; and `evaluate`, which plans a fresh reduction every
+/// call, reports the same cold activity each time.
+#[test]
+fn cache_hits_are_recorded_and_answer_preserving() {
+    let (query, db) = planted_triangle();
+    let engine = engine_with(1);
+    let first = engine.evaluate_cancellable(&query, &db, None).unwrap();
+    assert!(!first.answer);
+    assert_eq!(first.answer, rebuilt_per_disjunct(&plan(&query, &db)));
+    assert_eq!(first.ej_queries_evaluated, 8);
+    assert!(first.trie_cache.hits > 0, "{:?}", first.trie_cache);
+    assert_eq!(first.trie_cache.entries, first.trie_cache.misses);
+    assert!(first.trie_cache.resident_bytes > 0);
+    let again = engine.evaluate_cancellable(&query, &db, None).unwrap();
+    assert_eq!(again.answer, first.answer);
     assert_eq!(
-        shared_stats.ej_queries_evaluated,
-        rebuild_stats.ej_queries_evaluated
-    );
-    assert!(
-        shared_stats.trie_cache.hits > 0,
-        "{:?}",
-        shared_stats.trie_cache
-    );
-    assert_eq!(rebuild_stats.trie_cache.hits, 0);
-    assert_eq!(rebuild_stats.trie_cache.entries, 0);
-
-    // The cache persists across evaluations: a second evaluation of the same
-    // database is served entirely from the warmed cache (no new misses), and
-    // its per-evaluation stats report only that evaluation's activity.
-    let warm_stats = shared.evaluate_cancellable(&query, &db, None).unwrap();
-    assert_eq!(warm_stats.answer, shared_stats.answer);
-    assert_eq!(
-        warm_stats.trie_cache.misses, 0,
-        "{:?}",
-        warm_stats.trie_cache
-    );
-    assert!(warm_stats.trie_cache.hits > 0);
-    assert_eq!(
-        shared.trie_cache_stats().misses,
-        shared_stats.trie_cache.misses,
-        "cumulative misses must not grow on the warm pass"
+        again.trie_cache, first.trie_cache,
+        "each `evaluate` starts cold"
     );
 }
 
-/// Two evaluations of one reduction reach the cache with the same relations:
-/// the projected atoms are derived once per reduction, fingerprints included,
-/// so every lookup of the second evaluation — as many as the first made — is
-/// a hit.
+/// Two evaluations of one reduction reach the memos with the same relations:
+/// the projected atoms are derived once per reduction, and their tries with
+/// them, so every lookup of the second evaluation — as many as the first
+/// made — is a hit, and the second builds nothing.
 #[test]
 fn a_second_evaluation_of_one_reduction_only_hits() {
-    let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
-    let iv = |lo: f64, hi: f64| Value::interval(lo, hi);
-    let mut db = Database::new();
-    // Pairwise overlaps but no triple: all eight disjuncts run.
-    db.insert_tuples("R", 2, vec![vec![iv(0.0, 2.0), iv(10.0, 12.0)]]);
-    db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
-    db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
-    let reduction = ij_reduction::forward_reduction(&query, &db).unwrap();
+    let (query, db) = planted_triangle();
     for parallelism in [1usize, 2] {
-        let engine = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(parallelism));
+        let reduction = ij_reduction::forward_reduction(&query, &db).unwrap();
+        let engine = engine_with(parallelism);
         let first = engine.evaluate_reduction(&reduction).unwrap();
         let second = engine.evaluate_reduction(&reduction).unwrap();
         assert!(!first.answer && !second.answer);
@@ -195,35 +155,13 @@ fn a_second_evaluation_of_one_reduction_only_hits() {
         assert!(first.trie_cache.misses > 0, "{:?}", first.trie_cache);
         assert_eq!(second.trie_cache.misses, 0, "{:?}", second.trie_cache);
         assert_eq!(
+            (second.trie_cache.entries, second.trie_cache.resident_bytes),
+            (0, 0)
+        );
+        assert_eq!(
             second.trie_cache.hits,
             first.trie_cache.hits + first.trie_cache.misses,
             "parallelism {parallelism}"
         );
     }
-}
-
-/// A persistent cache with room for one trie must evict (and count
-/// evictions) while still answering correctly — eviction only ever costs
-/// rebuilds, never answers.
-#[test]
-fn tiny_persistent_cache_counts_evictions() {
-    let query = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
-    let iv = |lo: f64, hi: f64| Value::interval(lo, hi);
-    let mut db = Database::new();
-    db.insert_tuples("R", 2, vec![vec![iv(0.0, 2.0), iv(10.0, 12.0)]]);
-    db.insert_tuples("S", 2, vec![vec![iv(11.0, 13.0), iv(20.0, 22.0)]]);
-    db.insert_tuples("T", 2, vec![vec![iv(1.0, 3.0), iv(30.0, 31.0)]]);
-    let reference = IntersectionJoinEngine::new(EngineConfig::new().with_parallelism(1));
-    let reference_stats = reference.evaluate_cancellable(&query, &db, None).unwrap();
-    assert_eq!(reference_stats.trie_cache.evictions, 0);
-    let one_trie = reference_stats.trie_cache.resident_bytes / reference_stats.trie_cache.entries;
-    let tiny = engine_with(1, one_trie);
-    let tiny_stats = tiny.evaluate_cancellable(&query, &db, None).unwrap();
-    assert_eq!(tiny_stats.answer, reference_stats.answer);
-    assert!(
-        tiny_stats.trie_cache.evictions > 0,
-        "a one-trie cache under a multi-relation disjunction must evict: {:?}",
-        tiny_stats.trie_cache
-    );
-    assert!(tiny_stats.trie_cache.resident_bytes <= one_trie);
 }

@@ -1,10 +1,7 @@
 //! Property and acceptance tests for the `Workspace` layer:
 //! evaluation of an imported database must be answer-identical to evaluating
 //! the source database directly, per-database workspaces must bound interned
-//! residency (dropping a workspace returns the dictionary to baseline), a
-//! single long-lived
-//! workspace must preserve cross-evaluation cache warmth, and the trie
-//! cache's byte budget must be enforced with LRU evictions.
+//! residency (dropping a workspace returns the dictionary to baseline).
 
 use ij_engine::{EngineConfig, IntersectionJoinEngine, Workspace};
 use ij_relation::{Database, Query, Value};
@@ -113,78 +110,4 @@ fn per_database_workspaces_bound_dictionary_residency() {
     // same per-workspace residencies.
     let second_pass: Vec<usize> = sources.iter().map(residency_of).collect();
     assert_eq!(first_pass, second_pass);
-}
-
-/// A single long-lived workspace preserves the cross-evaluation cache-hit
-/// behaviour of the per-engine persistent cache: a warm repeat evaluation
-/// reports zero misses — including from an engine constructed *after* the
-/// cache was warmed.
-#[test]
-fn single_workspace_preserves_cross_evaluation_warmth() {
-    let query = triangle();
-    let ws = Workspace::new();
-    let db = ws.import_database(&workload(7, 10));
-    let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-    let cold = engine.evaluate_cancellable(&query, &db, None).unwrap();
-    assert!(cold.trie_cache.misses > 0);
-    let warm = engine.evaluate_cancellable(&query, &db, None).unwrap();
-    assert_eq!(warm.answer, cold.answer);
-    assert_eq!(warm.trie_cache.misses, 0, "{:?}", warm.trie_cache);
-    assert!(warm.trie_cache.hits > 0);
-    // A per-request engine built now — after the warm-up — starts warm too.
-    let fresh = ws.engine(EngineConfig::new().with_parallelism(1));
-    let warm_fresh = fresh.evaluate_cancellable(&query, &db, None).unwrap();
-    assert_eq!(
-        warm_fresh.trie_cache.misses, 0,
-        "{:?}",
-        warm_fresh.trie_cache
-    );
-    assert!(warm_fresh.trie_cache.hits > 0);
-}
-
-/// The trie cache's byte budget is enforced: a sequence of distinct
-/// databases inserts more trie bytes than the budget admits, evictions are
-/// observed, and the resident-bytes stat never exceeds the budget.
-#[test]
-fn trie_cache_byte_budget_is_enforced_with_evictions() {
-    let query = triangle();
-    // Measure the resident footprint of one database's tries on an
-    // unbounded workspace, then budget for about two databases and insert
-    // six distinct ones.
-    let probe = Workspace::new();
-    let db = probe.import_database(&workload(0, 10));
-    let _ = probe
-        .engine(EngineConfig::new().with_parallelism(1))
-        .evaluate(&query, &db)
-        .unwrap();
-    let per_db = probe.trie_cache_stats().resident_bytes;
-    assert!(per_db > 0);
-
-    let budget = 2 * per_db;
-    let ws = Workspace::with_trie_cache_bytes(budget);
-    for seed in 0..6 {
-        let db = ws.import_database(&workload(seed, 10));
-        let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-        let _ = engine.evaluate(&query, &db).unwrap();
-        let stats = ws.trie_cache_stats();
-        assert!(
-            stats.resident_bytes <= budget,
-            "resident {} exceeds budget {budget}",
-            stats.resident_bytes
-        );
-    }
-    let stats = ws.trie_cache_stats();
-    assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
-    assert!(stats.resident_bytes <= budget);
-    // The byte budget bounds memory, never correctness: answers above were
-    // all computed through the evicting cache and the engine still answers
-    // a repeat query correctly.
-    let db = ws.import_database(&workload(0, 10));
-    let engine = ws.engine(EngineConfig::new().with_parallelism(1));
-    assert_eq!(
-        engine.evaluate(&query, &db).unwrap(),
-        IntersectionJoinEngine::with_defaults()
-            .evaluate(&query, &workload(0, 10))
-            .unwrap()
-    );
 }
