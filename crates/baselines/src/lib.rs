@@ -15,9 +15,7 @@
 //!   coincides with the FAQ-AI bound of Table 1 on all three cyclic queries);
 //! * [`SegtreeBaseline`] — a direct evaluator that indexes every relation
 //!   column with a segment tree and backtracks through overlap queries,
-//!   the specialised-structure comparator of the differential harness;
-//! * [`index_nested_loop_pairs`] — the index-based binary join: a segment
-//!   tree over one side, probed once per interval of the other.
+//!   the specialised-structure comparator of the differential harness.
 //!
 //! The always-correct exhaustive evaluator is `ij_engine::naive_boolean`;
 //! this crate's tests use it as their oracle.
@@ -30,7 +28,7 @@ pub use segtree_baseline::SegtreeBaseline;
 
 use ij_hypergraph::VarKind;
 use ij_relation::{Database, Query, Value};
-use ij_segtree::{Interval, SegmentTree};
+use ij_segtree::Interval;
 use std::collections::BTreeMap;
 
 /// Errors raised by the baselines.
@@ -223,22 +221,6 @@ pub fn binary_join_cascade(q: &Query, db: &Database) -> Result<(bool, usize), Ba
     Ok((true, max_intermediate))
 }
 
-/// Index-nested-loop evaluation of a *binary* intersection join between two
-/// unary interval relations: build a segment tree on the inner relation and
-/// probe it once per outer interval — the index-based family of
-/// algorithms surveyed in Section 2 (R-tree join, relational interval tree
-/// join, ...).  Returns the matching pairs of tuple indices.
-pub fn index_nested_loop_pairs(outer: &[Interval], inner: &[Interval]) -> Vec<(usize, usize)> {
-    let tree = SegmentTree::build_with_storage(inner);
-    let mut out = Vec::new();
-    for (i, iv) in outer.iter().enumerate() {
-        for j in tree.overlapping(*iv) {
-            out.push((i, j));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,32 +256,6 @@ mod tests {
         }
         brute.sort_unstable();
         assert_eq!(sweep, brute);
-    }
-
-    #[test]
-    fn index_nested_loop_matches_plane_sweep() {
-        let mut state = 99u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 500) as f64 / 5.0
-        };
-        let mk = |n: usize, next: &mut dyn FnMut() -> f64| -> Vec<Interval> {
-            (0..n)
-                .map(|_| {
-                    let lo = next();
-                    Interval::new(lo, lo + next() / 10.0)
-                })
-                .collect()
-        };
-        let left = mk(80, &mut next);
-        let right = mk(60, &mut next);
-        let mut a = index_nested_loop_pairs(&left, &right);
-        let mut b = plane_sweep_pairs(&left, &right);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! An ι-acyclic query (Figure 4b) evaluated through the reduction scales
 //! near-linearly with the database size, while the non-ι-acyclic triangle
-//! query grows super-linearly; the nested-loop baseline grows polynomially
-//! with the number of atoms.  Wall-clock times are measured on grid-aligned
-//! workloads of increasing size and log–log slopes are fitted.
+//! query grows super-linearly.  Wall-clock times are measured on
+//! grid-aligned workloads of increasing size and log–log slopes are fitted.
 //!
 //! ```text
 //! cargo run --release -p ij-bench --bin dichotomy

@@ -148,9 +148,13 @@ impl FlatTrie {
         global_order: &[VarId],
         eval: EvalContext<'_>,
     ) -> Result<Arc<FlatTrie>, EvalError> {
-        let key = (atom.vars.clone(), trie_level_vars(atom, global_order));
+        // The column binding, then the level order: the binding's length is
+        // the relation's arity, so the split is unambiguous.
+        let mut key = Vec::with_capacity(2 * atom.vars.len());
+        key.extend_from_slice(&atom.vars);
+        key.extend(trie_level_vars(atom, global_order));
         let mut hit = true;
-        let trie = atom.relation.memoised(key, || {
+        let trie = atom.relation.memoised(&key, || {
             hit = false;
             if let Some(a) = eval.activity {
                 a.record_lookup(false);

@@ -113,22 +113,6 @@ impl FaqAiConjunct {
             .filter(|i| !i.is_intra_atom())
             .collect()
     }
-
-    /// The pairs of distinct atoms connected by at least one inequality
-    /// (deduplicated, each pair ordered `(min, max)`).
-    pub fn connected_atom_pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(usize, usize)> = self
-            .cross_atom_inequalities()
-            .iter()
-            .map(|i| {
-                let (a, b) = i.atoms();
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
 }
 
 impl fmt::Display for FaqAiConjunct {
@@ -215,7 +199,7 @@ pub fn containing_atoms(q: &Query) -> Vec<(String, Vec<usize>)> {
 
 /// Validates that `q` is a pure IJ query without repeated interval variables
 /// inside an atom.
-pub fn validate_ij_query(q: &Query) -> Result<(), FaqAiError> {
+fn validate_ij_query(q: &Query) -> Result<(), FaqAiError> {
     if !q.is_ij() {
         return Err(FaqAiError::NotAnIjQuery);
     }
@@ -330,7 +314,18 @@ mod tests {
             assert!(c.cross_atom_inequalities().len() == 6);
             assert_eq!(c.num_atoms, 3);
             // Every pair of atoms is connected by some inequality.
-            assert_eq!(c.connected_atom_pairs(), vec![(0, 1), (0, 2), (1, 2)]);
+            let pairs: std::collections::BTreeSet<(usize, usize)> = c
+                .cross_atom_inequalities()
+                .iter()
+                .map(|i| {
+                    let (a, b) = i.atoms();
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            assert_eq!(
+                pairs.into_iter().collect::<Vec<_>>(),
+                [(0, 1), (0, 2), (1, 2)]
+            );
         }
     }
 

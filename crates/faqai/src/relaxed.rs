@@ -293,7 +293,7 @@ pub fn table3(conjunct: &FaqAiConjunct) -> Option<Vec<Table3Row>> {
 
 /// All set partitions of `{0, …, n-1}`, each as a list of sorted blocks in
 /// order of their smallest element (restricted-growth-string enumeration).
-pub fn set_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
+fn set_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
     let mut out = Vec::new();
     let mut assignment = vec![0usize; n];
     fn rec(i: usize, max_used: usize, assignment: &mut Vec<usize>, out: &mut Vec<Vec<Vec<usize>>>) {
@@ -321,7 +321,7 @@ pub fn set_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
 }
 
 /// All partitions of `{0, …, n-1}` (n even) into unordered pairs.
-pub fn partitions_into_pairs(n: usize) -> Vec<Vec<[usize; 2]>> {
+fn partitions_into_pairs(n: usize) -> Vec<Vec<[usize; 2]>> {
     fn rec(remaining: &[usize], current: &mut Vec<[usize; 2]>, out: &mut Vec<Vec<[usize; 2]>>) {
         if remaining.is_empty() {
             out.push(current.clone());

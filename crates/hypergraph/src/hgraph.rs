@@ -189,14 +189,6 @@ impl Hypergraph {
         self.vertices.iter().all(|v| v.kind == VarKind::Interval)
     }
 
-    /// Vertices that occur in exactly one hyperedge ("singleton" variables in
-    /// the terminology of Appendix E.4/F).
-    pub fn singleton_vertices(&self) -> Vec<VarId> {
-        (0..self.vertices.len())
-            .filter(|&v| self.degree(v) == 1)
-            .collect()
-    }
-
     /// Returns a copy of the hypergraph with all vertices occurring in at
     /// most one hyperedge removed (and any hyperedge that becomes empty
     /// dropped).  Dropping singleton variables does not change fractional
@@ -212,7 +204,7 @@ impl Hypergraph {
     /// Returns a copy restricted to the vertices with `keep[v] == true`,
     /// remapping vertex identifiers densely.  Hyperedges that become empty
     /// are dropped.
-    pub fn restrict_to(&self, keep: &[bool]) -> Hypergraph {
+    fn restrict_to(&self, keep: &[bool]) -> Hypergraph {
         assert_eq!(keep.len(), self.vertices.len());
         let mut mapping: Vec<Option<VarId>> = vec![None; self.vertices.len()];
         let mut out = Hypergraph::new();
@@ -341,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn singleton_vertices_and_restriction() {
+    fn dropping_singleton_vertices() {
         // Example 4.8 / Figure 9d: T([A]) makes nothing a singleton for A,
         // but B and C each occur in two edges.
         let h = ij_from_atoms(&[
@@ -349,7 +341,7 @@ mod tests {
             ("S", &["A", "B", "C"]),
             ("T", &["A"]),
         ]);
-        assert!(h.singleton_vertices().is_empty());
+        assert_eq!(h.drop_singleton_vertices().num_vertices(), 3);
 
         let mut g = Hypergraph::new();
         let a = g.add_point_var("A");
@@ -357,7 +349,6 @@ mod tests {
         let c = g.add_point_var("C");
         g.add_edge("R", vec![a, b]);
         g.add_edge("S", vec![b, c]);
-        assert_eq!(g.singleton_vertices(), vec![a, c]);
         let reduced = g.drop_singleton_vertices();
         assert_eq!(reduced.num_vertices(), 1);
         assert_eq!(reduced.num_edges(), 2);

@@ -195,7 +195,7 @@ mod tests {
     use crate::hgraph::ej_from_atoms;
 
     #[test]
-    fn renamed_hypergraphs_are_isomorphic() {
+    fn relabelled_hypergraphs_are_isomorphic() {
         let a = ej_from_atoms(&[("R", &["A", "B"]), ("S", &["B", "C"]), ("T", &["A", "C"])]);
         let b = ej_from_atoms(&[("X", &["P", "Q"]), ("Y", &["Q", "Z"]), ("Z", &["Z", "P"])]);
         assert!(are_isomorphic(&a, &b));

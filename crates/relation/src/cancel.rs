@@ -131,15 +131,6 @@ impl CancellationToken {
         }
     }
 
-    /// A child token with its own deadline `budget` from now — the
-    /// composition [`child`](CancellationToken::child) +
-    /// [`with_budget`](CancellationToken::with_budget): whichever of the
-    /// parent's signal, the parent's deadline, or this budget trips first
-    /// wins.
-    pub fn bounded_by(&self, budget: Duration) -> Self {
-        self.child().with_budget(budget)
-    }
-
     /// Cancels this token (and every clone and child of it).  Idempotent;
     /// never blocks.
     pub fn cancel(&self) {
@@ -344,9 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_by_composes_signal_and_budget() {
+    fn a_budgeted_child_composes_signal_and_budget() {
         let parent = CancellationToken::new();
-        let bounded = parent.bounded_by(Duration::from_secs(3600));
+        let bounded = parent.child().with_budget(Duration::from_secs(3600));
         assert!(bounded.checkpoint().is_ok());
         parent.cancel();
         assert_eq!(bounded.checkpoint(), Err(EvalError::Cancelled));

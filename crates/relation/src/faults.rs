@@ -1,7 +1,7 @@
 //! Deterministic, std-only failpoint registry for fault-injection tests.
 //!
 //! The pipeline is instrumented with the **sites** of [`Site`] —
-//! [`Site::TrieBuild`], [`Site::TrieMemo`], [`Site::ReductionTransform`]
+//! [`Site::TrieBuild`], [`Site::RelationMemo`], [`Site::ReductionTransform`]
 //! — each a single [`point`] call on a hot path.  A site is an enum variant,
 //! not a string, so a misspelled site does not compile.  In a normal build
 //! [`point`] compiles to nothing.  With the `failpoints` cargo feature
@@ -33,7 +33,7 @@
 use crate::sync::lock_recover;
 
 /// Lock class of the failpoint registry (`sync::lock_order`).  Acquired
-/// under a relation's memo lock (the `trie-memo` site), so the registry
+/// under a relation's memo lock (the `relation-memo` site), so the registry
 /// itself must never acquire engine locks while held — it never does:
 /// injected actions run after the guard is dropped.
 #[cfg(feature = "failpoints")]
@@ -51,9 +51,10 @@ pub enum Site {
     /// At the start of every trie build (`FlatTrie::build`), on the disjunct
     /// worker that found no trie memoised on the relation.
     TrieBuild,
-    /// Under a relation's memo lock, just before a built trie is published
-    /// into the memo ([`Relation::memoised`](crate::Relation::memoised)).
-    TrieMemo,
+    /// Under a relation's memo lock, just before a built trie or projection
+    /// is published into the memo
+    /// ([`Relation::memoised`](crate::Relation::memoised)).
+    RelationMemo,
     /// At the start of every transformed-relation build of the forward
     /// reduction — on the disjunct worker that first reads the relation, or
     /// on the caller's thread under `forward_reduction_with*`.
@@ -62,16 +63,20 @@ pub enum Site {
 
 impl Site {
     /// Every site.
-    pub const ALL: [Site; 3] = [Site::TrieBuild, Site::TrieMemo, Site::ReductionTransform];
+    pub const ALL: [Site; 3] = [
+        Site::TrieBuild,
+        Site::RelationMemo,
+        Site::ReductionTransform,
+    ];
 }
 
 /// The site's name, as injected panics report it: `trie-build`,
-/// `trie-memo` or `reduction-transform`.
+/// `relation-memo` or `reduction-transform`.
 impl std::fmt::Display for Site {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Site::TrieBuild => "trie-build",
-            Site::TrieMemo => "trie-memo",
+            Site::RelationMemo => "relation-memo",
             Site::ReductionTransform => "reduction-transform",
         })
     }
@@ -198,7 +203,7 @@ mod tests {
         // Disarmed: later hits are clean.
         point(Site::TrieBuild);
         assert_eq!(hits(Site::TrieBuild), 4);
-        assert_eq!(hits(Site::TrieMemo), 0);
+        assert_eq!(hits(Site::RelationMemo), 0);
         clear();
     }
 
@@ -207,12 +212,12 @@ mod tests {
         let _g = serial();
         clear();
         configure(
-            Site::TrieMemo,
+            Site::RelationMemo,
             0,
             FaultAction::Delay(Duration::from_millis(1)),
         );
         let start = std::time::Instant::now();
-        point(Site::TrieMemo);
+        point(Site::RelationMemo);
         assert!(start.elapsed() >= Duration::from_millis(1));
         clear();
     }

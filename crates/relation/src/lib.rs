@@ -39,7 +39,6 @@
 //! ```
 
 mod cancel;
-mod csv;
 mod dictionary;
 pub mod faults;
 pub mod kernels;
@@ -51,7 +50,6 @@ mod value;
 pub use cancel::{
     panic_payload_string, CancelTicker, CancellationToken, EvalError, DEFAULT_CHECK_INTERVAL,
 };
-pub use csv::{field_to_value, value_to_field, CsvError};
 pub use dictionary::{
     DictReader, IdBuildHasher, IdHashMap, IdHashSet, IdHasher, SharedDictionary, ValueId,
     MAX_INLINE_BITS,
@@ -59,19 +57,3 @@ pub use dictionary::{
 pub use query::{Atom, Query, QueryParseError};
 pub use relation::{Database, Relation};
 pub use value::Value;
-
-/// Random text for the reject-never-panic properties of the two parsers
-/// ([`Query::parse`], the CSV readers): every character either parser gives
-/// a meaning to, enough of `NaN`, `inf` and exponents to spell the floats
-/// `f64::from_str` accepts, and a few longer fragments so that a useful share
-/// of the draws is accepted and reaches the round-trip half.
-#[cfg(test)]
-fn arb_parser_text(max_len: usize) -> impl proptest::Strategy<Value = String> {
-    use proptest::Strategy as _;
-    const ALPHABET: [&str; 30] = [
-        "R", "S", "A", "(", ")", "[", "]", ",", "&", "∧", "#", "b", ":", "0", "1", ".", "-", "e",
-        "N", "a", "n", "i", "f", " ", "\n", "..", "## R 1\n", "R(", "[A]", "S(A)",
-    ];
-    proptest::collection::vec(0..ALPHABET.len(), 0..=max_len)
-        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
-}

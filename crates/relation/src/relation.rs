@@ -14,21 +14,22 @@
 //! database's ([`Database::dictionary`]); [`Database::new`] creates a fresh
 //! dictionary of its own and [`Database::new_in`] shares an existing one.
 //! Ids are join-compatible exactly between relations that share a
-//! dictionary; derived relations (projections, renames) inherit their
-//! source's handle.
+//! dictionary; derived relations (projections) inherit their source's
+//! handle.
 
 use crate::sync::lock_recover;
 use crate::{faults, kernels, SharedDictionary, Value, ValueId};
 use ij_segtree::Interval;
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Lock class of a relation's memos (`sync::lock_order`); a leaf: held for
 /// one map probe or insert, never around another lock — what is memoised
-/// is computed before the lock is taken.  (The `trie-memo` failpoint fires
-/// under it; the failpoint registry takes no lock of the pipeline.)
+/// is computed before the lock is taken.  (The `relation-memo` failpoint
+/// fires under it; the failpoint registry takes no lock of the pipeline.)
 const MEMOS: &str = "relation-memos";
 
 /// Panics, naming the relation, the row and both arities, unless a row of
@@ -56,40 +57,27 @@ pub struct Relation {
     memos: Memos,
 }
 
-/// The derived state a [`Relation`] memoises about its columns.
+/// The derived state a [`Relation`] memoises about its columns: what
+/// [`Relation::memoised`] built so far, by its type and then by its key.
 #[derive(Debug, Default)]
 struct Memos {
-    maps: Mutex<MemoMaps>,
+    map: Mutex<BTreeMap<TypeId, MemosOfType>>,
 }
 
-/// The maps behind a relation's one memo lock.
-#[derive(Debug, Default)]
-struct MemoMaps {
-    /// The deduplicated projections handed out so far, by column list (see
-    /// [`Relation::projection`]).
-    projections: BTreeMap<Vec<usize>, Arc<Relation>>,
-    /// What [`Relation::memoised`] built so far, by its type and key.
-    derived: BTreeMap<(TypeId, MemoKey), Arc<dyn Any + Send + Sync>>,
-}
-
-/// The key of a value [`Relation::memoised`] keeps: two column lists (for a
-/// trie, the column binding and the level order).
-type MemoKey = (Vec<usize>, Vec<usize>);
+/// The values of one type a relation memoises, by key.
+type MemosOfType = BTreeMap<Vec<usize>, Arc<dyn Any + Send + Sync>>;
 
 impl Memos {
     /// Forgets everything; every mutator of the columns calls it.  A caller
     /// of `push_ids` pays it per row, so while nothing is memoised it costs
-    /// two loads and two branches, not maps dropped and rebuilt.
+    /// a load and a branch, not a map dropped and rebuilt.
     fn clear(&mut self) {
-        let maps = self
-            .maps
+        let map = self
+            .map
             .get_mut()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if !maps.projections.is_empty() {
-            maps.projections.clear();
-        }
-        if !maps.derived.is_empty() {
-            maps.derived.clear();
+        if !map.is_empty() {
+            map.clear();
         }
     }
 }
@@ -429,51 +417,40 @@ impl Relation {
     /// each projected atom, each bag's cut of one, and the trie of each,
     /// once.
     ///
-    /// The memo is owned by this relation: a projection stays resident — a
+    /// The projection is the relation's [`Relation::memoised`] value of
+    /// type `Relation` under the key `columns`, so it stays resident — a
     /// copy of the projected id columns, 4 bytes per row and column — until
-    /// the relation is mutated (`push*`, `dedup`) or dropped, and goes with
-    /// it.  Nothing bounds it but the number of distinct column lists asked.
-    /// [`Relation::renamed`] and `Clone` start with an empty memo.
-    ///
-    /// Threads asking a fresh relation for the same list may each compute
-    /// the projection; the first to finish publishes it and the others adopt
-    /// it, so all callers end up with one `Arc`.  The computation runs
-    /// outside the memo's lock, and only a finished projection is published.
+    /// the relation is mutated or dropped, and threads racing to ask a fresh
+    /// relation for it end up with one `Arc`.
     ///
     /// # Panics
     ///
     /// Panics if a column index is out of range.
     pub fn projection(&self, columns: &[usize]) -> Arc<Relation> {
-        if let Some(shared) = lock_recover(&self.memos.maps, MEMOS)
-            .projections
-            .get(columns)
-        {
-            return Arc::clone(shared);
-        }
-        let mut projected = self.project(columns, self.name.clone());
-        projected.dedup();
-        Arc::clone(
-            (lock_recover(&self.memos.maps, MEMOS).projections)
-                .entry(columns.to_vec())
-                .or_insert(Arc::new(projected)),
-        )
+        let Ok(projection) = self.memoised(columns, || {
+            let mut projected = self.project(columns, self.name.clone());
+            projected.dedup();
+            Ok::<_, Infallible>(projected)
+        });
+        projection
     }
 
     /// The `T` derived from this relation under `key`, built by `build` the
     /// first time this type and key are asked of this relation and shared
     /// ever after: every later call returns the same `Arc` without calling
-    /// `build`.  The join engine keeps the tries it indexes a relation with
-    /// here, keyed by the column binding and the level order, so a trie
-    /// lives exactly as long as its relation's columns.
+    /// `build`, and a lookup that finds it allocates nothing.  Each type has
+    /// its own keys: [`Relation::projection`] keeps its projections here by
+    /// column list, and the join engine the tries it indexes a relation with
+    /// by the column binding followed by the level order, so either lives
+    /// exactly as long as its relation's columns.
     ///
-    /// The memo behaves as [`Relation::projection`]'s does: it is cleared
-    /// by every mutation (`push*`, `dedup`), [`Relation::renamed`] and
-    /// `Clone` start with it empty, and nothing bounds it but the number of
+    /// The memo is cleared by every mutation (`push*`, `dedup`), `Clone`
+    /// starts with it empty, and nothing bounds it but the number of
     /// distinct keys asked.  Threads asking a fresh relation for the same
     /// key may each build; `build` runs outside the memo's lock, the first
-    /// finished result is published (the `trie-memo` failpoint fires under
-    /// the lock just before), and the others adopt it, so all callers end
-    /// up with one `Arc`.
+    /// finished result is published (the `relation-memo` failpoint fires
+    /// under the lock just before), and the others adopt it, so all callers
+    /// end up with one `Arc`.
     ///
     /// # Errors
     ///
@@ -481,38 +458,26 @@ impl Relation {
     /// again.
     pub fn memoised<T: Any + Send + Sync, E>(
         &self,
-        key: MemoKey,
+        key: &[usize],
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
-        let key = (TypeId::of::<T>(), key);
-        let found = lock_recover(&self.memos.maps, MEMOS)
-            .derived
-            .get(&key)
+        let found = lock_recover(&self.memos.map, MEMOS)
+            .get(&TypeId::of::<T>())
+            .and_then(|of_type| of_type.get(key))
             .map(Arc::clone);
         let shared = match found {
             Some(shared) => shared,
             None => {
                 let built: Arc<dyn Any + Send + Sync> = Arc::new(build()?);
-                let mut maps = lock_recover(&self.memos.maps, MEMOS);
+                let mut map = lock_recover(&self.memos.map, MEMOS);
                 // Before the insert: an injected panic leaves the map as it
                 // was, which is what recovering the poisoned lock relies on.
-                faults::point(faults::Site::TrieMemo);
-                Arc::clone(maps.derived.entry(key).or_insert(built))
+                faults::point(faults::Site::RelationMemo);
+                let of_type = map.entry(TypeId::of::<T>()).or_default();
+                Arc::clone(of_type.entry(key.to_vec()).or_insert(built))
             }
         };
         Ok(Arc::downcast(shared).unwrap_or_else(|_| unreachable!("keyed by its type")))
-    }
-
-    /// A copy of the relation under a new name (columns are cloned wholesale,
-    /// no per-row work).
-    pub fn renamed(&self, name: impl Into<String>) -> Relation {
-        Relation {
-            name: name.into(),
-            arity: self.arity,
-            columns: self.columns.clone(),
-            dict: self.dict.clone(),
-            memos: Memos::default(),
-        }
     }
 
     /// An iterator over the values of a single column.
@@ -870,42 +835,36 @@ mod tests {
         let dict = SharedDictionary::new();
         let p = Value::point;
         let mut r = Relation::from_tuples("R", 2, vec![vec![p(1.0), p(2.0)]], &dict);
-        let key = || (vec![0, 1], vec![0, 1]);
+        let key: &[usize] = &[0, 1, 0, 1];
         let mut builds = 0;
         // "Join" R with the probe row (1, 3): no witness yet.
         let witness = (dict.intern(p(1.0)), dict.intern(p(3.0)));
         let joins = |index: &[Vec<ValueId>]| index.contains(&vec![witness.0, witness.1]);
-        let first = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        let first = r.memoised(key, || row_index(&r, &mut builds)).unwrap();
         assert!(!joins(&first));
         // Memoised: a second call neither builds nor sees another index.
-        let again = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        let again = r.memoised(key, || row_index(&r, &mut builds)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(builds, 1);
         // Another key, or another type under the same key, is its own entry.
-        r.memoised((vec![1, 0], vec![0, 1]), || row_index(&r, &mut builds))
+        r.memoised(&[1, 0, 0, 1], || row_index(&r, &mut builds))
             .unwrap();
-        let count = r.memoised(key(), || Ok::<_, ()>(r.len())).unwrap();
+        let count = r.memoised(key, || Ok::<_, ()>(r.len())).unwrap();
         assert_eq!((*count, builds), (1, 2));
         // A push that creates the witness: the next join sees it.
         r.push(vec![p(1.0), p(3.0)]);
-        let pushed = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        let pushed = r.memoised(key, || row_index(&r, &mut builds)).unwrap();
         assert!(joins(&pushed));
         assert_eq!(builds, 3);
         // `dedup` clears the memo too, even where the rows stay as they are.
         r.push(vec![p(1.0), p(3.0)]);
         r.dedup();
-        let rebuilt = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
+        let rebuilt = r.memoised(key, || row_index(&r, &mut builds)).unwrap();
         assert!(!Arc::ptr_eq(&pushed, &rebuilt));
         assert_eq!((builds, *rebuilt == *pushed), (4, true));
         // A failed build publishes nothing.
-        assert_eq!(
-            r.memoised((vec![0], vec![0]), || Err::<usize, _>("no")),
-            Err("no")
-        );
-        assert_eq!(
-            *r.memoised((vec![0], vec![0]), || Ok::<_, ()>(7)).unwrap(),
-            7
-        );
+        assert_eq!(r.memoised(&[0, 0], || Err::<usize, _>("no")), Err("no"));
+        assert_eq!(*r.memoised(&[0, 0], || Ok::<_, ()>(7)).unwrap(), 7);
         // The memo plays no part in equality.
         assert_eq!(r, r.clone());
     }
@@ -913,45 +872,58 @@ mod tests {
     #[test]
     fn copies_start_with_an_empty_memo() {
         let r = small_domain_relation(&[(1, 2, 0), (1, 3, 0)]);
-        let key = || (vec![0, 1, 2], vec![0, 1, 2]);
+        let key: &[usize] = &[0, 1, 2, 0, 1, 2];
         let mut builds = 0;
-        let of_r = r.memoised(key(), || row_index(&r, &mut builds)).unwrap();
-        let s = r.renamed("S");
-        let of_s = s.memoised(key(), || row_index(&s, &mut builds)).unwrap();
+        let of_r = r.memoised(key, || row_index(&r, &mut builds)).unwrap();
         let copy = r.clone();
         let of_copy = copy
-            .memoised(key(), || row_index(&copy, &mut builds))
+            .memoised(key, || row_index(&copy, &mut builds))
             .unwrap();
-        assert_eq!(builds, 3);
-        assert!(!Arc::ptr_eq(&of_r, &of_s) && !Arc::ptr_eq(&of_r, &of_copy));
-        assert_eq!((*of_s == *of_r, *of_copy == *of_r), (true, true));
+        assert_eq!(builds, 2);
+        assert!(!Arc::ptr_eq(&of_r, &of_copy));
+        assert_eq!(*of_copy, *of_r);
+    }
+
+    /// Twenty times over, asks a fresh relation of 600 rows for one memoised
+    /// value from `threads` threads at once, checks that every caller, and a
+    /// later one, got the `Arc` that was published, and returns the twenty
+    /// published values.
+    fn racing_callers_share_one_arc<T: Send + Sync + 'static>(
+        threads: usize,
+        ask: impl Fn(&Relation) -> Arc<T> + Sync,
+    ) -> Vec<Arc<T>> {
+        let cells: Vec<(u8, u8, u8)> = (0..600u32)
+            .map(|i| ((i % 7) as u8, (i % 11) as u8, (i % 13) as u8))
+            .collect();
+        (0..20)
+            .map(|_| {
+                let r = small_domain_relation(&cells);
+                let start = std::sync::Barrier::new(threads);
+                let seen: Vec<Arc<T>> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| {
+                            scope.spawn(|| {
+                                start.wait();
+                                ask(&r)
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                let later = ask(&r);
+                assert!(seen.iter().all(|value| Arc::ptr_eq(value, &later)));
+                later
+            })
+            .collect()
     }
 
     #[test]
     fn racing_threads_end_up_with_one_memoised_value() {
-        let cells: Vec<(u8, u8, u8)> = (0..600u32)
-            .map(|i| ((i % 7) as u8, (i % 11) as u8, (i % 13) as u8))
-            .collect();
-        for _ in 0..20 {
-            let r = small_domain_relation(&cells);
-            let start = std::sync::Barrier::new(2);
-            let key = || (vec![2, 0, 1], vec![0, 1, 2]);
-            let seen: Vec<Arc<Vec<Vec<ValueId>>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..2)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            start.wait();
-                            r.memoised(key(), || row_index(&r, &mut 0)).unwrap()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert!(Arc::ptr_eq(&seen[0], &seen[1]));
-            let published = r.memoised(key(), || row_index(&r, &mut 0)).unwrap();
-            assert!(Arc::ptr_eq(&seen[0], &published));
-            assert_eq!(published.len(), cells.len());
-        }
+        let published = racing_callers_share_one_arc(2, |r| {
+            r.memoised(&[2, 0, 1, 0, 1, 2], || row_index(r, &mut 0))
+                .unwrap()
+        });
+        assert!(published.iter().all(|rows| rows.len() == 600));
     }
 
     /// Three point columns over a small domain, so projections collapse rows.
@@ -1022,38 +994,22 @@ mod tests {
         copy.push(vec![Value::point(9.0); 3]);
         assert_eq!(copy.projection(&[1]).len(), 3);
         assert!(Arc::ptr_eq(&of_r, &r.projection(&[1])));
-        // A renamed copy has the same rows under its own name.
-        let s = r.renamed("S");
-        let of_s = s.projection(&[1]);
-        assert_eq!(of_s.name(), "S");
-        assert_eq!(of_s.tuples(), of_r.tuples());
+        // An unchanged copy derives a projection of its own, equal to the
+        // original's.
+        let same = r.clone();
+        let of_same = same.projection(&[1]);
+        assert!(!Arc::ptr_eq(&of_r, &of_same));
+        assert_eq!(*of_same, *of_r);
         // The memo plays no part in equality.
         assert_eq!(r, r.clone());
     }
 
     #[test]
     fn racing_threads_end_up_with_one_projection() {
-        let cells: Vec<(u8, u8, u8)> = (0..600u32)
-            .map(|i| ((i % 7) as u8, (i % 11) as u8, (i % 13) as u8))
-            .collect();
-        for _ in 0..20 {
-            let r = small_domain_relation(&cells);
-            let start = std::sync::Barrier::new(8);
-            let seen: Vec<Arc<Relation>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..8)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            start.wait();
-                            r.projection(&[2, 0])
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let published = r.projection(&[2, 0]);
-            assert_eq!(published.len(), 7 * 13);
-            assert!(seen.iter().all(|p| Arc::ptr_eq(p, &published)));
-        }
+        let published = racing_callers_share_one_arc(8, |r| r.projection(&[2, 0]));
+        assert!(published
+            .iter()
+            .all(|projection| projection.len() == 7 * 13));
     }
 
     #[test]

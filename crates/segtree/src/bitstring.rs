@@ -132,12 +132,6 @@ impl BitString {
         self.len <= other.len && (other.bits >> (other.len - self.len)) == self.bits
     }
 
-    /// Returns true if `self` is a *strict* prefix of `other`.
-    #[inline]
-    pub fn is_strict_prefix_of(self, other: BitString) -> bool {
-        self.len < other.len && self.is_prefix_of(other)
-    }
-
     /// Concatenation `self ◦ other`.
     ///
     /// # Panics
@@ -344,9 +338,7 @@ mod tests {
         let a = BitString::parse("01").unwrap();
         let b = BitString::parse("0110").unwrap();
         assert!(a.is_prefix_of(b));
-        assert!(a.is_strict_prefix_of(b));
         assert!(a.is_prefix_of(a));
-        assert!(!a.is_strict_prefix_of(a));
         assert!(!b.is_prefix_of(a));
         let c = BitString::parse("10").unwrap();
         assert!(!a.is_prefix_of(c));

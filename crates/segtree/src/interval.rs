@@ -190,15 +190,6 @@ impl Interval {
         Some(acc)
     }
 
-    /// Smallest interval containing both inputs.
-    #[inline]
-    pub fn hull(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
     /// Shifts both endpoints by `delta` (used by the distinct-left-endpoint
     /// transformation of Appendix G.1).
     #[inline]
@@ -273,12 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_hull() {
+    fn containment() {
         let a = Interval::new(0.0, 10.0);
         let b = Interval::new(2.0, 3.0);
         assert!(a.contains(b));
         assert!(!b.contains(a));
-        assert_eq!(a.hull(Interval::new(-5.0, 1.0)), Interval::new(-5.0, 10.0));
     }
 
     #[test]

@@ -8,8 +8,9 @@ use rand::{Rng, SeedableRng};
 
 /// Builds an interval value through [`Interval::try_new`], so a generator
 /// bug (reversed or non-finite endpoints from drifting arithmetic) fails
-/// loudly with the offending endpoints instead of a bare assert.
-fn checked_interval(lo: f64, hi: f64) -> Value {
+/// loudly with the offending endpoints instead of a bare assert or a
+/// silent clamp.
+pub(crate) fn checked_interval(lo: f64, hi: f64) -> Value {
     Value::Interval(
         Interval::try_new(lo, hi)
             .unwrap_or_else(|e| panic!("workload generator produced {e} (lo={lo}, hi={hi})")),
@@ -230,78 +231,6 @@ pub fn planted_unsatisfiable(q: &Query, cfg: &WorkloadConfig) -> Database {
     db
 }
 
-/// A temporal workload: every relation holds `n` sessions `[start, end]`
-/// with exponential-ish durations, mimicking validity intervals in temporal
-/// databases (Section 2).
-pub fn temporal_sessions(relation_names: &[&str], n: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    let horizon = (n as f64) * 10.0;
-    for name in relation_names {
-        let mut rel = Relation::new(*name, 1, db.dictionary());
-        for _ in 0..n {
-            let start = rng.gen_range(0.0..horizon);
-            let duration = -(rng.gen_range(0.0f64..1.0).max(1e-12)).ln() * 30.0;
-            rel.push(vec![checked_interval(start, start + duration)]);
-        }
-        db.insert(rel);
-    }
-    db
-}
-
-/// A spatial workload: every relation holds `n` axis-aligned rectangles as a
-/// pair of intervals (x-extent, y-extent), the classical MBR encoding of
-/// spatial joins (Section 2).
-pub fn spatial_boxes(
-    relation_names: &[&str],
-    n: usize,
-    seed: u64,
-    world: f64,
-    max_side: f64,
-) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    for name in relation_names {
-        let mut rel = Relation::new(*name, 2, db.dictionary());
-        for _ in 0..n {
-            let x = rng.gen_range(0.0..world);
-            let y = rng.gen_range(0.0..world);
-            let w = rng.gen_range(0.0..=max_side);
-            let h = rng.gen_range(0.0..=max_side);
-            rel.push(vec![checked_interval(x, x + w), checked_interval(y, y + h)]);
-        }
-        db.insert(rel);
-    }
-    db
-}
-
-/// Point intervals with integer coordinates — intersection joins over this
-/// workload coincide with equality joins (Section 1), which is useful for
-/// differential tests against a plain equality-join engine.
-pub fn point_intervals(
-    relation_names: &[(&str, usize)],
-    n: usize,
-    domain: u64,
-    seed: u64,
-) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    for (name, arity) in relation_names {
-        let mut rel = Relation::new(*name, *arity, db.dictionary());
-        for _ in 0..n {
-            let row: Vec<Value> = (0..*arity)
-                .map(|_| {
-                    let p = rng.gen_range(0..domain) as f64;
-                    Value::Interval(ij_segtree::Interval::point(p))
-                })
-                .collect();
-            rel.push(row);
-        }
-        db.insert(rel);
-    }
-    db
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,23 +389,5 @@ mod tests {
     fn planted_unsatisfiable_rejects_queries_without_join_variables() {
         let q = Query::parse("R([A])").unwrap();
         planted_unsatisfiable(&q, &WorkloadConfig::default());
-    }
-
-    #[test]
-    fn named_workloads_have_expected_shapes() {
-        let temporal = temporal_sessions(&["R", "S"], 25, 1);
-        assert_eq!(temporal.num_relations(), 2);
-        assert_eq!(temporal.total_tuples(), 50);
-
-        let spatial = spatial_boxes(&["Boxes"], 10, 2, 1000.0, 50.0);
-        let rel = spatial.relation("Boxes").unwrap();
-        assert_eq!(rel.arity(), 2);
-        for t in rel.tuples() {
-            assert!(t[0].as_interval().unwrap().length() <= 50.0);
-        }
-
-        let points = point_intervals(&[("R", 2), ("S", 1)], 12, 9, 5);
-        assert_eq!(points.relation("R").unwrap().arity(), 2);
-        assert_eq!(points.relation("S").unwrap().len(), 12);
     }
 }

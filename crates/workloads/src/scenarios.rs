@@ -14,9 +14,9 @@
 //! *is* the reproduction recipe, which is what lets the differential harness
 //! shrink a failing configuration instead of a failing dataset.
 
+use crate::generators::checked_interval;
 use ij_hypergraph::VarKind;
 use ij_relation::{Database, Query, Relation, Value};
-use ij_segtree::Interval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -236,16 +236,6 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> Scenario {
         query,
         database,
     }
-}
-
-/// A checked interval from generator arithmetic: the generators only ever
-/// combine finite draws, so a failure here is a generator bug — surface it
-/// with the offending endpoints instead of silently clamping.
-fn checked_interval(lo: f64, hi: f64) -> Value {
-    Value::Interval(
-        Interval::try_new(lo, hi)
-            .unwrap_or_else(|e| panic!("scenario generator produced {e} (lo={lo}, hi={hi})")),
-    )
 }
 
 /// Draws a non-negative length with scale `base`: `skew = 0` is uniform in
@@ -478,6 +468,7 @@ fn shift_last_atom(query: &Query, db: &mut Database) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ij_segtree::Interval;
 
     fn small(family: ScenarioFamily) -> ScenarioConfig {
         ScenarioConfig::new(family).with_tuples(12).with_seed(7)

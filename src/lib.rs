@@ -31,7 +31,7 @@
 //! | [`reduction`] | Forward (IJ→EJ) and backward (EJ→IJ) data reductions (Sections 4, 5) |
 //! | [`engine`] | End-to-end engine with `Workspace`-owned state, parallel disjunct evaluation, cooperative cancellation/deadlines and panic-isolated workers |
 //! | [`faqai`] | The FAQ-AI comparator (Appendix F) |
-//! | [`baselines`] | Plane sweep, binary-join cascades, index nested loops, the segment-tree baseline evaluator |
+//! | [`baselines`] | Plane sweep, binary-join cascades, the segment-tree baseline evaluator |
 //! | [`workloads`] | Synthetic workload generators + the interval-native scenario suite |
 //!
 //! ## Data flow of the interned pipeline
@@ -99,7 +99,7 @@
 //! ```
 //!
 //! Values are resolved back out of the dictionary only at API boundaries
-//! (`Relation::tuples`, CSV export, error messages); the join hot paths
+//! (`Relation::tuples`, `Display`, error messages); the join hot paths
 //! hash and compare nothing wider than a `u32`.
 
 pub use ij_engine::prelude;
@@ -131,8 +131,8 @@ pub use ij_reduction as reduction;
 /// The end-to-end intersection-join engine with parallel disjunct evaluation.
 pub use ij_engine as engine;
 
-/// Classical baselines: plane sweep, binary-join cascades, index nested loops and
-/// the segment-tree baseline evaluator.
+/// Classical baselines: plane sweep, binary-join cascades and the segment-tree
+/// baseline evaluator.
 pub use ij_baselines as baselines;
 
 /// Synthetic workload generators and the interval-native scenario suite.

@@ -12,19 +12,28 @@ use ij_relation::{Database, Query, Relation, Value};
 use ij_segtree::BitString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
-/// Builds the triangle forward reduction (the data content is irrelevant —
-/// only the reduced query structures are needed).
-fn triangle_reduction() -> (Query, ForwardReduction) {
-    let q = Query::parse("R([A],[B]) & S([B],[C]) & T([A],[C])").unwrap();
+/// Builds the forward reduction of the query `text` over one tuple per atom
+/// (the data content is irrelevant — only the reduced query structures are
+/// needed).
+fn reduction_of(text: &str) -> (Query, ForwardReduction) {
+    let q = Query::parse(text).unwrap();
     let mut db = Database::new();
-    let iv = |lo: f64, hi: f64| Value::interval(lo, hi);
-    db.insert_tuples("R", 2, vec![vec![iv(0.0, 1.0), iv(0.0, 1.0)]]);
-    db.insert_tuples("S", 2, vec![vec![iv(0.0, 1.0), iv(0.0, 1.0)]]);
-    db.insert_tuples("T", 2, vec![vec![iv(0.0, 1.0), iv(0.0, 1.0)]]);
+    for atom in q.atoms() {
+        let arity = atom.vars.len();
+        db.insert_tuples(
+            &atom.relation,
+            arity,
+            vec![vec![Value::interval(0.0, 1.0); arity]],
+        );
+    }
     let fr = forward_reduction(&q, &db).unwrap();
     (q, fr)
+}
+
+/// The triangle's forward reduction.
+fn triangle_reduction() -> (Query, ForwardReduction) {
+    reduction_of("R([A],[B]) & S([B],[C]) & T([A],[C])")
 }
 
 /// A random EJ database over the schema of a reduced query, with every value
@@ -56,13 +65,7 @@ fn random_ej_database(
 /// Evaluates a reduced EJ query over an EJ database with the equality-join
 /// engine.
 fn evaluate_reduced(reduced: &ij_reduction::ReducedQuery, ej_db: &Database) -> bool {
-    let mut var_ids: BTreeMap<&str, usize> = BTreeMap::new();
-    for atom in &reduced.atoms {
-        for v in &atom.vars {
-            let next = var_ids.len();
-            var_ids.entry(v.as_str()).or_insert(next);
-        }
-    }
+    let var_ids = reduced.dense_var_ids();
     let atoms: Vec<BoundAtom<'_>> = reduced
         .atoms
         .iter()
@@ -74,32 +77,56 @@ fn evaluate_reduced(reduced: &ij_reduction::ReducedQuery, ej_db: &Database) -> b
     evaluate_ej_boolean(&atoms, EvalContext::default()).unwrap()
 }
 
+/// Backward ∘ forward on every reduced query of each shape: `per_disjunct`
+/// random EJ databases of `tuples` tuples per relation and `bits`-bit values
+/// each, mapped back to interval databases of the same size on which the
+/// naive evaluator agrees with the EJ engine.  The sizes put each shape's
+/// share of true answers near one half (0.41–0.54 over 50 draws per
+/// disjunct), so both outcomes are asserted per shape.
 #[test]
 fn backward_reduction_round_trip_on_random_databases() {
-    let (q, fr) = triangle_reduction();
+    let shapes: [(&str, usize, usize, u8, usize); 4] = [
+        ("R([A],[B]) & S([B],[C]) & T([A],[C])", 8, 4, 2, 6),
+        (
+            "R([A],[B]) & S([B],[C]) & T([C],[D]) & U([D],[A])",
+            16,
+            4,
+            2,
+            6,
+        ),
+        ("R([X],[Y]) & S([X],[Z]) & T([X],[W])", 6, 4, 2, 6),
+        ("R([A],[B]) & S([B],[C]) & T([C],[D])", 4, 4, 3, 12),
+    ];
     let mut rng = StdRng::seed_from_u64(2022);
-    let mut agree_true = 0usize;
-    let mut agree_false = 0usize;
-    // Exercise every reduced query of the disjunction.
-    for reduced in &fr.queries {
-        for _ in 0..6 {
-            // Small domains produce both outcomes.
-            let ej_db = random_ej_database(reduced, 4, 2, &mut rng);
-            let ej_answer = evaluate_reduced(reduced, &ej_db);
-            let ij_db = backward_reduction(&q, reduced, &ej_db).unwrap();
-            // Size preservation: |D| = |D̃|.
-            assert_eq!(ij_db.total_tuples(), ej_db.total_tuples());
-            let ij_answer = naive_boolean(&q, &ij_db).unwrap();
-            assert_eq!(ij_answer, ej_answer, "reduced query {:?}", reduced.atoms);
-            if ej_answer {
-                agree_true += 1;
-            } else {
-                agree_false += 1;
+    for (text, disjuncts, tuples, bits, per_disjunct) in shapes {
+        let (q, fr) = reduction_of(text);
+        assert_eq!(fr.queries.len(), disjuncts, "{text}");
+        let mut agree_true = 0usize;
+        let mut agree_false = 0usize;
+        // Exercise every reduced query of the disjunction.
+        for reduced in &fr.queries {
+            for _ in 0..per_disjunct {
+                let ej_db = random_ej_database(reduced, tuples, bits, &mut rng);
+                let ej_answer = evaluate_reduced(reduced, &ej_db);
+                let ij_db = backward_reduction(&q, reduced, &ej_db).unwrap();
+                // Size preservation: |D| = |D̃|.
+                assert_eq!(ij_db.total_tuples(), ej_db.total_tuples());
+                let ij_answer = naive_boolean(&q, &ij_db).unwrap();
+                assert_eq!(
+                    ij_answer, ej_answer,
+                    "{text}: reduced query {:?}",
+                    reduced.atoms
+                );
+                if ej_answer {
+                    agree_true += 1;
+                } else {
+                    agree_false += 1;
+                }
             }
         }
+        assert!(agree_true > 0, "{text}: no positive instance exercised");
+        assert!(agree_false > 0, "{text}: no negative instance exercised");
     }
-    assert!(agree_true > 0, "no positive instance exercised");
-    assert!(agree_false > 0, "no negative instance exercised");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! (`ij_engine::faults`): `reduction-transform` in the forward reduction's
 //! per-relation build (which runs on a disjunct worker, the first time a
 //! disjunct binds the relation), `trie-build` at every trie construction, and
-//! `trie-memo` under a relation's memo lock, just before a built trie is
-//! published.  These tests arm each site with deterministic panic and delay
+//! `relation-memo` under a relation's memo lock, just before a built trie or
+//! projection is published.  These tests arm each site with deterministic panic and delay
 //! schedules and assert the robustness contract:
 //!
 //! * an evaluation under fault returns the **correct answer or a typed
